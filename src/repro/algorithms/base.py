@@ -63,12 +63,14 @@ class SearchResult:
 
 
 def sort_by_document_order(results: List[SearchResult]) -> List[SearchResult]:
-    return sorted(results, key=lambda r: r.node.dewey)
+    """By the nodes' document-order row: the same order as their Dewey
+    ids, without building a Dewey id per table-backed result."""
+    return sorted(results, key=lambda r: r.node.row)
 
 
 def sort_by_score(results: List[SearchResult]) -> List[SearchResult]:
     """Descending score; document order breaks ties deterministically."""
-    return sorted(results, key=lambda r: (-r.score, r.node.dewey))
+    return sorted(results, key=lambda r: (-r.score, r.node.row))
 
 
 @dataclass

@@ -194,7 +194,7 @@ class IndexBasedSearch:
         results: List[SearchResult] = []
         free_only = semantics == ELCA
         for u in accepted:
-            node = self.index.tree.node_by_dewey(u)
+            node = self.index.node_by_dewey(u)
             if with_scores:
                 score, by_list = self._score(lists, u, free_only)
                 witness = tuple(by_list[slot] for slot in caller_slot)

@@ -285,9 +285,11 @@ class JoinBasedSearch:
                 free = erasers[t].free_mask(ordinals)
                 witness[t] = np.maximum.reduceat(
                     np.where(free, damped, -np.inf), offsets)
+        # One bulk resolution per level; a per-result lookup was a
+        # third of a cold query on a disk-backed index.
+        nodes = self.index.nodes_at(level, joined[alive_idx])
         emitted = 0
-        for out, j in enumerate(alive_idx):
-            node = self.index.node_at(level, int(joined[j]))
+        for out, node in enumerate(nodes):
             if with_scores:
                 ordered = tuple(float(witness[slot, out])
                                 for slot in caller_slot)

@@ -159,7 +159,7 @@ class RDILSearch:
         score, by_list = self._lookup._score(lists, u,
                                              free_only=semantics == ELCA)
         witness = tuple(by_list[slot] for slot in caller_slot)
-        node = self.index.tree.node_by_dewey(u)
+        node = self.index.node_by_dewey(u)
         return SearchResult(node, len(u), score, witness)
 
     def _has_c_descendant(self, lists: List[PostingList], u: Dewey,

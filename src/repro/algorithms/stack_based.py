@@ -128,7 +128,7 @@ class StackBasedSearch:
             is_result = not frame.has_c_child
         if not is_result:
             return
-        node = self.index.tree.node_by_dewey(dewey)
+        node = self.index.node_by_dewey(dewey)
         score = self.ranking.score_result(frame.scores) if with_scores else 0.0
         results.append(SearchResult(node, level, score, tuple(frame.scores)))
         stats.results_emitted += 1

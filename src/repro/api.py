@@ -10,8 +10,13 @@ One object bundles the tree, both index families and every algorithm::
 
     top = db.search_topk("xml keyword search", k=10)
 
-Indexes are built lazily on first use, so parsing a document and running
-a single stack-based query does not pay for the columnar index.
+The columnar index is built lazily on first use; the Dewey posting
+lists the baselines read are a per-term view of it
+(`repro.index.inverted`), materialized the first time a term is asked
+for.  A database opened from disk also defers its document: the node
+table answers node lookups, and `tree` parses ``document.xml`` only when
+something needs the real tree (the oracle, `to_xml`, `refresh`, JDewey
+maintenance).
 """
 
 from __future__ import annotations
@@ -200,7 +205,8 @@ class XMLDatabase:
     ``profiler=repro.obs.NULL_PROFILER`` to switch it off.
     """
 
-    def __init__(self, tree: XMLTree, tokenizer: Optional[Tokenizer] = None,
+    def __init__(self, tree: Optional[XMLTree],
+                 tokenizer: Optional[Tokenizer] = None,
                  ranking: Optional[RankingModel] = None,
                  jdewey_gap: int = 0,
                  cache: Optional[QueryCache] = None,
@@ -211,12 +217,18 @@ class XMLDatabase:
                  slow_log: Optional[SlowQueryLog] = None,
                  slow_query_ms: Optional[float] = None,
                  profiler=None):
-        if not tree.frozen:
+        if tree is not None and not tree.frozen:
             tree.freeze()
-        self.tree = tree
+        # `repro.diskdb` passes no tree and installs `_open_tree`, the
+        # loader `tree` calls on first use; the JDewey numbering is
+        # assigned whenever the tree arrives.
+        self._tree = tree
+        self._open_tree = None
+        self.jdewey_gap = jdewey_gap
+        self._encoder = (JDeweyEncoder(tree, gap=jdewey_gap)
+                         if tree is not None else None)
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
-        self.encoder = JDeweyEncoder(tree, gap=jdewey_gap)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else get_registry()
         self.profiler = (profiler if profiler is not None
@@ -280,8 +292,21 @@ class XMLDatabase:
         save_database(self, path, **kwargs)
 
     # ------------------------------------------------------------------
-    # indexes (lazy)
+    # tree, numbering and indexes (all on first use)
     # ------------------------------------------------------------------
+
+    @property
+    def tree(self) -> XMLTree:
+        if self._tree is None:
+            self._tree = self._open_tree()
+            self._encoder = JDeweyEncoder(self._tree, gap=self.jdewey_gap)
+        return self._tree
+
+    @property
+    def encoder(self) -> JDeweyEncoder:
+        """The JDewey numbering of `tree` (and its maintenance)."""
+        self.tree
+        return self._encoder
 
     @property
     def columnar_index(self) -> ColumnarIndex:
@@ -292,9 +317,9 @@ class XMLDatabase:
 
     @property
     def inverted_index(self) -> InvertedIndex:
+        """The Dewey view of `columnar_index`; lists derive per term."""
         if self._inverted is None:
-            self._inverted = InvertedIndex(self.tree, self.tokenizer,
-                                           self.ranking)
+            self._inverted = InvertedIndex.over(self.columnar_index)
         return self._inverted
 
     def refresh(self) -> None:
@@ -1059,8 +1084,8 @@ class XMLDatabase:
         return Query(query, self.tokenizer).terms
 
     def _check_terms_exist(self, terms: Sequence[str]) -> None:
-        missing = [t for t in terms
-                   if self.inverted_index.document_frequency(t) == 0]
+        index = self.columnar_index
+        missing = [t for t in terms if t not in index]
         if missing:
             raise EmptyResultError(
                 f"query terms with no occurrences: {missing}")
@@ -1148,10 +1173,22 @@ class XMLDatabase:
         return self.metrics.snapshot()
 
     def document_frequency(self, term: str) -> int:
-        return self.inverted_index.document_frequency(term.lower())
+        return self.columnar_index.document_frequency(term.lower())
+
+    def _shape(self):
+        """Whatever knows the node count and depth without parsing: the
+        node table of an opened database, else the tree."""
+        if self._tree is None and self._columnar is not None:
+            return self._columnar.nodes
+        return self.tree
 
     def __len__(self) -> int:
-        return len(self.tree)
+        return len(self._shape())
+
+    @property
+    def depth(self) -> int:
+        """Maximum level over all nodes (root = 1)."""
+        return self._shape().depth
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<XMLDatabase nodes={len(self.tree)} depth={self.tree.depth}>"
+        return f"<XMLDatabase nodes={len(self)} depth={self.depth}>"

@@ -118,21 +118,18 @@ def cmd_index(args: argparse.Namespace) -> int:
     from .xmltree.parser import parse_xml_file
 
     db = XMLDatabase.from_tree(parse_xml_file(args.xml_file))
-    db.columnar_index
-    db.inverted_index
+    n_terms = len(db.columnar_index.vocabulary)
     if args.shards:
         shard_fmt = args.format_version if args.format_version in (3, 4) \
             else 3
         db.save(args.output, shards=args.shards,
                 format_version=shard_fmt)
-        print(f"indexed {len(db)} nodes "
-              f"({len(db.inverted_index.vocabulary)} terms) -> "
+        print(f"indexed {len(db)} nodes ({n_terms} terms) -> "
               f"{args.output} ({args.shards} shards, "
               f"format v{shard_fmt})")
         return 0
     db.save(args.output, format_version=args.format_version)
-    print(f"indexed {len(db)} nodes "
-          f"({len(db.inverted_index.vocabulary)} terms) -> {args.output} "
+    print(f"indexed {len(db)} nodes ({n_terms} terms) -> {args.output} "
           f"(format v{args.format_version})")
     return 0
 
@@ -143,8 +140,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
                                        n_papers=args.papers)
     else:
         db = XMLDatabase.generate_xmark(seed=args.seed, scale=args.scale)
-    db.columnar_index
-    db.inverted_index
     if args.shards:
         shard_fmt = args.format_version if args.format_version in (3, 4) \
             else 3
@@ -438,24 +433,25 @@ def cmd_info(args: argparse.Namespace) -> int:
             line = (f"  shard {sid:>2}:  {vocab} terms, "
                     f"{postings} postings")
             if sid < len(dirs) and os.path.isdir(args.database):
-                shard_dir = os.path.join(args.database, dirs[sid])
-                nbytes = sum(
-                    os.path.getsize(os.path.join(shard_dir, name))
-                    for name in ("columnar.bin", "dewey.bin")
-                    if os.path.exists(os.path.join(shard_dir, name)))
-                line += f", {nbytes / 1024:.1f} KiB on disk"
+                columnar = os.path.join(args.database, dirs[sid],
+                                        "columnar.bin")
+                if os.path.exists(columnar):
+                    line += (f", {os.path.getsize(columnar) / 1024:.1f} "
+                             "KiB on disk")
             print(line)
         return 0
-    inv = db.inverted_index
+    index = db.columnar_index
+    vocabulary = index.vocabulary
     print(f"nodes:       {len(db)}")
-    print(f"depth:       {db.tree.depth}")
-    print(f"text nodes:  {inv.n_docs}")
-    print(f"vocabulary:  {len(inv.vocabulary)} terms")
-    postings = sum(len(inv.term_list(t)) for t in inv.vocabulary)
+    print(f"depth:       {db.depth}")
+    print(f"text nodes:  {index.n_docs}")
+    print(f"vocabulary:  {len(vocabulary)} terms")
+    postings = sum(index.document_frequency(t) for t in vocabulary)
     print(f"postings:    {postings}")
     from .index import storage
 
-    report = storage.measure_sizes(db.columnar_index, inv)
+    # Table I sizes every structure, so this does derive the Dewey lists.
+    report = storage.measure_sizes(index, db.inverted_index)
     for name, size in report.as_rows():
         print(f"{name + ':':<20}{size / 1024:>10.1f} KiB")
     return 0

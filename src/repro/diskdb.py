@@ -7,12 +7,21 @@ An indexed database saves to a directory::
       meta.json       format version, JDewey gap, ranking/tokenizer
                       config, checksum manifest
       columnar.bin    the JDewey columnar index (exact scores)
-      dewey.bin       the document-ordered Dewey index (exact scores)
+      dewey.bin       the node table (`repro.xmltree.nodetable`): per
+                      node its parent, level, JDewey number, sibling
+                      ordinal, tag and text reference
 
-Opening re-parses the document and re-derives the JDewey numbering
-(deterministic given the document and the recorded gap), then installs
-the stored postings directly, so queries on the opened database return
-byte-identical results to the original without re-tokenizing.
+Opening maps ``columnar.bin`` and the node table and installs them
+directly: no XML is parsed, no JDewey numbering re-derived and nothing
+tokenized, and queries return byte-identical results to the original.
+The Dewey posting lists of the baselines are not stored; they derive
+per term from the columnar postings and the table
+(`repro.index.inverted`).  ``document.xml`` is read when something
+needs the real tree (`db.tree`: the oracle, `to_xml`, `refresh`) or a
+node's text.  Directories written before the node table existed carry
+a Dewey posting container in ``dewey.bin``; it is digest-checked and
+otherwise ignored, and for want of a table their document is parsed at
+open as it always was.
 
 Format v2 (`repro.reliability`) adds integrity and atomicity:
 
@@ -36,8 +45,7 @@ per-level payload is offset-indexed and 8-byte-padded, so
 `load_database` memory-maps ``columnar.bin`` (`reliability.io.map_bytes`)
 and the lazy reader materializes columns as ``np.frombuffer`` views --
 no whole-payload ``bytes`` copy, and forked `search_batch` workers
-share the mapping copy-on-write.  The Dewey file stays in the v2
-blocked format.  Saving v3 is opt-in
+share the mapping copy-on-write.  Saving v3 is opt-in
 (``save_database(..., format_version=3)``); the default stays v2.
 
 Version-1 directories (no checksums, bare blobs) still load, and can
@@ -60,7 +68,6 @@ from typing import Optional
 from .api import XMLDatabase
 from .index import storage
 from .index.columnar import ColumnarIndex
-from .index.inverted import InvertedIndex
 from .index.lazydisk import LazyColumnarIndex
 from .index.tokenizer import Tokenizer
 from .obs.metrics import get_registry
@@ -73,6 +80,8 @@ from .reliability.faults import FaultInjector
 from .reliability.io import fsync_dir, map_bytes, read_bytes, write_bytes
 from .reliability.retry import DEFAULT_POLICY, RetryPolicy
 from .scoring.ranking import DampingFunction, RankingModel
+from .xmltree import nodetable
+from .xmltree.nodetable import NodeTable
 from .xmltree.parser import parse_xml
 
 FORMAT_VERSION = 2
@@ -82,8 +91,17 @@ _DOCUMENT = "document.xml"
 _META = "meta.json"
 _COLUMNAR = "columnar.bin"
 _DEWEY = "dewey.bin"
+#: What ``dewey.bin`` starts with in directories written before the
+#: node table: the bare (v1) and blocked (v2-v4) Dewey containers.
+_LEGACY_DEWEY_MAGICS = (b"DWIL", b"DWIB")
 
 _VERIFY_MODES = ("eager", "lazy", "off")
+
+
+def _view(source):
+    """The buffer of what `map_bytes` returned: a `MappedFile`'s view (which
+    keeps the mapping alive), or the bytes an injector degraded it to."""
+    return getattr(source, "view", source)
 
 
 def _fault_hook(stage: str) -> None:
@@ -137,31 +155,32 @@ def save_database(db: XMLDatabase, path: str,
                   fsync: bool = True,
                   format_version: Optional[int] = None,
                   shards: Optional[int] = None) -> None:
-    """Write `db` (document + both indexes) to directory `path`, atomically.
+    """Write `db` (document, columnar index, node table) to directory
+    `path`, atomically.
 
-    Builds any index not yet built.  All files are staged in a sibling
-    temp directory (same filesystem, so `os.replace` is atomic), fsynced,
-    then moved into place with ``meta.json`` last -- the manifest's
-    arrival commits the save.  ``algorithm`` picks the checksum
-    (default `repro.reliability.DEFAULT_ALGORITHM`); ``fsync=False``
-    trades durability for speed (tests, throwaway dirs).
+    Builds the columnar index if not yet built.  All files are staged
+    in a sibling temp directory (same filesystem, so `os.replace` is
+    atomic), fsynced, then moved into place with ``meta.json`` last --
+    the manifest's arrival commits the save.  ``algorithm`` picks the
+    checksum (default `repro.reliability.DEFAULT_ALGORITHM`);
+    ``fsync=False`` trades durability for speed (tests, throwaway dirs).
 
     ``format_version`` selects the on-disk format: 2 (default, blocked
     checksummed containers), 3 (block-aligned columnar container that
     loads zero-copy from an mmap), 4 (the v3 container with per-column
     adaptive codec selection over rle/delta/varint/for) or 1 (legacy
     bare blobs, no checksums -- kept writable for round-trip tests).
+    Every version writes the node table as ``dewey.bin``.
 
     Bytes written are published as ``repro_disk_bytes_written_total``
     in the process metrics registry.
 
     ``shards=N`` writes the *sharded* layout instead
-    (`docs/SERVING.md`): one format-v3 columnar container and one
-    blocked Dewey container per shard under ``shard-XX/``
-    subdirectories, partitioned by root-child subtree
-    (`repro.serve.sharding`), plus a shard manifest in ``meta.json``.
-    Opening a sharded directory returns a
-    `repro.serve.ShardedDatabase`.
+    (`docs/SERVING.md`): one format-v3 columnar container per shard
+    under ``shard-XX/`` subdirectories, partitioned by root-child
+    subtree (`repro.serve.sharding`), beside one document, one node
+    table and a shard manifest in ``meta.json``.  Opening a sharded
+    directory returns a `repro.serve.ShardedDatabase`.
     """
     metrics = get_registry()
     algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
@@ -169,39 +188,34 @@ def save_database(db: XMLDatabase, path: str,
         if format_version not in (None, 3, 4):
             raise ValueError("sharded databases require format version 3 "
                              f"or 4 (got {format_version!r})")
-        shard_version = 3 if format_version is None else int(format_version)
-        return _save_sharded(db, path, int(shards), algorithm, fsync,
-                             metrics, shard_version)
-    version = FORMAT_VERSION if format_version is None else int(format_version)
-    if version not in _SUPPORTED_VERSIONS:
-        raise ValueError(f"unknown format version {version!r}; "
-                         f"one of {_SUPPORTED_VERSIONS}")
-    document = db.tree.to_xml().encode("utf-8")
-    if version == 1:
-        columnar_blob = storage.serialize_columnar_index(
-            db.columnar_index, score_mode=storage.SCORES_EXACT)
-        dewey_blob = storage.serialize_inverted_index(
-            db.inverted_index, score_mode=storage.SCORES_EXACT)
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        version = 3 if format_version is None else int(format_version)
     else:
-        if version == 4:
-            columnar_blob = storage.serialize_columnar_index_v4(
-                db.columnar_index, score_mode=storage.SCORES_EXACT,
-                algorithm=algorithm)
-        elif version == 3:
-            columnar_blob = storage.serialize_columnar_index_v3(
-                db.columnar_index, score_mode=storage.SCORES_EXACT,
-                algorithm=algorithm)
-        else:
-            columnar_blob = storage.serialize_columnar_index_blocked(
-                db.columnar_index, score_mode=storage.SCORES_EXACT,
-                algorithm=algorithm)
-        dewey_blob = storage.serialize_inverted_index_blocked(
-            db.inverted_index, score_mode=storage.SCORES_EXACT,
-            algorithm=algorithm)
+        version = (FORMAT_VERSION if format_version is None
+                   else int(format_version))
+        if version not in _SUPPORTED_VERSIONS:
+            raise ValueError(f"unknown format version {version!r}; "
+                             f"one of {_SUPPORTED_VERSIONS}")
+    serialize_columnar = {
+        1: storage.serialize_columnar_index,
+        2: storage.serialize_columnar_index_blocked,
+        3: storage.serialize_columnar_index_v3,
+        4: storage.serialize_columnar_index_v4,
+    }[version]
+    columnar_kwargs = {"score_mode": storage.SCORES_EXACT}
+    if version >= 2:
+        columnar_kwargs["algorithm"] = algorithm
+    columnar = db.columnar_index
+    # The table's text references are byte spans of this serialization.
+    document, text_off, text_len = db.tree.to_xml_bytes_with_text_spans()
+    table_blob = columnar.nodes.to_bytes(text_off, text_len, len(document),
+                                         algorithm)
+    data_files = [(_DOCUMENT, document), (_DEWEY, table_blob)]
     meta = {
         "format_version": version,
-        "jdewey_gap": db.encoder.gap,
-        "n_docs": db.inverted_index.n_docs,
+        "jdewey_gap": db.jdewey_gap,
+        "n_docs": columnar.n_docs,
         "damping_base": db.ranking.damping.base,
         "tokenizer": {
             "stopwords": sorted(db.tokenizer.stopwords),
@@ -209,84 +223,29 @@ def save_database(db: XMLDatabase, path: str,
         },
         "n_nodes": len(db.tree),
     }
+    if shards is None:
+        data_files.append(
+            (_COLUMNAR, serialize_columnar(columnar, **columnar_kwargs)))
+    else:
+        from .serve.sharding import partition_columnar
+
+        parts = partition_columnar(
+            {t: columnar.term_postings(t) for t in columnar.vocabulary},
+            db.tree, shards)
+        shard_dirs = [f"shard-{sid:02d}" for sid in range(shards)]
+        for shard_dir, part in zip(shard_dirs, parts):
+            data_files.append((
+                os.path.join(shard_dir, _COLUMNAR),
+                serialize_columnar(storage.PostingsView(part),
+                                   **columnar_kwargs)))
+        meta["shards"] = {"count": shards, "strategy": "root-child-mod",
+                          "dirs": shard_dirs}
     if version >= 2:
         meta["checksum"] = {
             "algorithm": algorithm,
-            "files": {
-                _DOCUMENT: hex_digest(document, algorithm),
-                _COLUMNAR: hex_digest(columnar_blob, algorithm),
-                _DEWEY: hex_digest(dewey_blob, algorithm),
-            },
-        }
-    meta_blob = json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")
-    data_files = [(_DOCUMENT, document), (_COLUMNAR, columnar_blob),
-                  (_DEWEY, dewey_blob)]
-    _commit_atomically(path, data_files, meta_blob, fsync)
-    metrics.counter("repro_disk_bytes_written_total").inc(
-        len(document) + len(columnar_blob) + len(dewey_blob)
-        + len(meta_blob))
-    metrics.counter("repro_db_saves_total").inc()
-
-
-def _shard_dir(sid: int) -> str:
-    return f"shard-{sid:02d}"
-
-
-def _save_sharded(db: XMLDatabase, path: str, n_shards: int,
-                  algorithm: str, fsync: bool, metrics,
-                  version: int = 3) -> None:
-    """Write the sharded layout: one v3/v4 columnar + one blocked Dewey
-    container per root-child-subtree shard, one shared document, one
-    manifest.  Same atomic commit discipline as the flat layout."""
-    from .serve.sharding import partition_columnar, partition_inverted
-
-    if n_shards < 1:
-        raise ValueError("shards must be >= 1")
-    serialize_columnar = (storage.serialize_columnar_index_v4
-                          if version == 4
-                          else storage.serialize_columnar_index_v3)
-    document = db.tree.to_xml().encode("utf-8")
-    columnar = db.columnar_index
-    inverted = db.inverted_index
-    col_shards = partition_columnar(
-        {t: columnar.term_postings(t) for t in columnar.vocabulary},
-        db.tree, n_shards)
-    dew_shards = partition_inverted(
-        {t: inverted.term_list(t) for t in inverted.vocabulary}, n_shards)
-
-    data_files = [(_DOCUMENT, document)]
-    for sid in range(n_shards):
-        col_blob = serialize_columnar(
-            storage.PostingsView(col_shards[sid]),
-            score_mode=storage.SCORES_EXACT, algorithm=algorithm)
-        dew_blob = storage.serialize_inverted_index_blocked(
-            storage.PostingsView(dew_shards[sid]),
-            score_mode=storage.SCORES_EXACT, algorithm=algorithm)
-        data_files.append((os.path.join(_shard_dir(sid), _COLUMNAR),
-                           col_blob))
-        data_files.append((os.path.join(_shard_dir(sid), _DEWEY),
-                           dew_blob))
-    meta = {
-        "format_version": version,
-        "jdewey_gap": db.encoder.gap,
-        "n_docs": inverted.n_docs,
-        "damping_base": db.ranking.damping.base,
-        "tokenizer": {
-            "stopwords": sorted(db.tokenizer.stopwords),
-            "min_length": db.tokenizer.min_length,
-        },
-        "n_nodes": len(db.tree),
-        "shards": {
-            "count": n_shards,
-            "strategy": "root-child-mod",
-            "dirs": [_shard_dir(sid) for sid in range(n_shards)],
-        },
-        "checksum": {
-            "algorithm": algorithm,
             "files": {name: hex_digest(blob, algorithm)
                       for name, blob in data_files},
-        },
-    }
+        }
     meta_blob = json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")
     _commit_atomically(path, data_files, meta_blob, fsync)
     metrics.counter("repro_disk_bytes_written_total").inc(
@@ -313,6 +272,13 @@ def load_database(path: str,
     both answer the same search surface.  For a sharded directory the
     ``cache`` argument is ignored (each shard keeps its own caches).
 
+    Nothing proportional to the document runs in Python here: the node
+    table and (format v3+) the columnar container are memory-mapped,
+    and ``document.xml`` is parsed only when `db.tree` is first used.
+    A directory written before the node table existed is opened the
+    old way -- its document parsed, its Dewey container digest-checked
+    and set aside -- and answers identically.
+
     ``cache`` / ``postings_cache_size`` / ``result_cache_size`` and any
     extra keyword arguments (``tracer``, ``metrics``, ``slow_log``, ...)
     are forwarded to the `XMLDatabase` constructor.  Bytes read are
@@ -321,17 +287,19 @@ def load_database(path: str,
     Reliability knobs (`repro.reliability`):
 
     * ``verify`` -- ``"eager"`` (default) checks every whole-file
-      digest at load; ``"lazy"`` defers the columnar index to per-block
-      checks on first touch (only meaningful with ``lazy=True``);
-      ``"off"`` skips verification.
+      digest at load; ``"lazy"`` defers to the checks that cover what a
+      query touches, when it touches it: the node table's section CRCs
+      and the document's digest on first use, and (with ``lazy=True``)
+      the columnar index's per-block CRCs; ``"off"`` skips
+      verification.
     * ``lazy`` -- serve the columnar index from the compressed blob
       (`LazyColumnarIndex`), decompressing columns on demand.
     * ``injector`` / ``retry`` -- route every file read through a
       `FaultInjector` and a bounded `RetryPolicy` (defaults to
       `DEFAULT_POLICY` when an injector is installed), so transient
       faults heal; exhausted retries surface as `DatabaseCorruptError`.
-      For a format-v3 database an installed injector downgrades the
-      columnar mmap to a plain (fault-observable) read.
+      An installed injector downgrades every mmap to a plain
+      (fault-observable) read.
     * ``vectorized`` -- use the numpy batched column decoders
       (default); ``False`` falls back to the scalar reference decoders.
     * ``decoded_cache_bytes`` -- byte budget of the shared
@@ -341,9 +309,8 @@ def load_database(path: str,
       column decompression on repeat queries and bill the saving to the
       query's `ResourceAccount`.
 
-    A format-v3 database maps ``columnar.bin`` instead of reading it:
-    the returned database holds the mapping for its lifetime and column
-    decompression runs on zero-copy views of it.
+    The returned database holds its mappings for its lifetime; column
+    decompression and node lookups run on zero-copy views of them.
 
     Raises `DatabaseFormatError` on missing files, version mismatch, or
     a document that no longer matches the stored indexes, and
@@ -364,13 +331,19 @@ def load_database(path: str,
     if retry is None and injector is not None:
         retry = DEFAULT_POLICY
 
-    def read_file(name: str, op: str) -> bytes:
+    def read_file(name: str, op: str, mapped: bool = False):
+        """One file's bytes -- or, with `mapped`, its `MappedFile`
+        (which an installed injector degrades to the copying read, so
+        the fault matrix stays observable)."""
+        opener = map_bytes if mapped else read_bytes
         try:
-            return read_bytes(os.path.join(path, name), injector=injector,
-                              retry=retry, metrics=metrics, op=op)
+            source = opener(os.path.join(path, name), injector=injector,
+                            retry=retry, metrics=metrics, op=op)
         except RetryExhaustedError as exc:
             raise DatabaseCorruptError(
                 f"could not read {name}: {exc}", file=name) from exc
+        bytes_read.inc(len(source))
+        return source
 
     meta_path = os.path.join(path, _META)
     if not os.path.exists(meta_path):
@@ -399,6 +372,14 @@ def load_database(path: str,
         tokenizer_cfg = meta["tokenizer"]
         stopwords = list(tokenizer_cfg["stopwords"])
         min_length = int(tokenizer_cfg["min_length"])
+        shards_meta = meta.get("shards")
+        shard_dirs = None
+        if shards_meta is not None:
+            shard_dirs = [str(d) for d in shards_meta["dirs"]]
+            if not shard_dirs or int(shards_meta["count"]) != len(shard_dirs):
+                raise ValueError(
+                    f"shard count {shards_meta['count']!r} with "
+                    f"{len(shard_dirs)} directories")
     except (KeyError, TypeError, ValueError) as exc:
         raise DatabaseFormatError(
             f"{_META} is missing or has an invalid field: {exc!r}") from exc
@@ -406,7 +387,7 @@ def load_database(path: str,
         raise DatabaseFormatError(
             f"manifest names unknown checksum algorithm {algorithm!r}")
 
-    def verify_file(name: str, blob: bytes) -> None:
+    def verify_file(name: str, blob) -> None:
         if verify == "off" or version < 2:
             return
         expected = digests.get(name)
@@ -418,17 +399,75 @@ def load_database(path: str,
                 f"({algorithm}); the file was corrupted or belongs to "
                 "an interrupted save", file=name)
 
-    doc_blob = read_file(_DOCUMENT, "read-document")
-    bytes_read.inc(len(doc_blob))
-    verify_file(_DOCUMENT, doc_blob)
-    try:
-        tree = parse_xml(doc_blob.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError, IndexError, KeyError) as exc:
-        raise DatabaseCorruptError(
-            f"{_DOCUMENT} does not parse: {exc}", file=_DOCUMENT) from exc
-    if len(tree) != n_nodes:
-        raise DatabaseFormatError(
-            f"document has {len(tree)} nodes, metadata says {n_nodes}")
+    opened = {}     # "document" / "tree" / "nodes", each produced once
+
+    def open_document():
+        """``document.xml`` mapped and digest-checked, on first use."""
+        if "document" not in opened:
+            blob = _view(read_file(_DOCUMENT, "read-document", mapped=True))
+            verify_file(_DOCUMENT, blob)
+            opened["document"] = blob
+        return opened["document"]
+
+    def open_tree():
+        """The parsed document, on first use."""
+        if "tree" not in opened:
+            document = open_document()
+            try:
+                tree = parse_xml(bytes(document).decode("utf-8"))
+            except (UnicodeDecodeError, ValueError, IndexError,
+                    KeyError) as exc:
+                raise DatabaseCorruptError(
+                    f"{_DOCUMENT} does not parse: {exc}",
+                    file=_DOCUMENT) from exc
+            if len(tree) != n_nodes:
+                raise DatabaseFormatError(
+                    f"document has {len(tree)} nodes, metadata says "
+                    f"{n_nodes}")
+            opened["tree"] = tree
+        return opened["tree"]
+
+    def check_legacy_dewey(name: str, blob) -> None:
+        """A pre-table Dewey container: vouched for, then set aside
+        (its lists derive from the columnar postings like any other)."""
+        verify_file(name, blob)
+        if bytes(blob[:4]) not in _LEGACY_DEWEY_MAGICS:
+            raise DatabaseFormatError(
+                f"{name} is neither a node table nor a Dewey container "
+                f"(magic {bytes(blob[:4])!r})")
+
+    # The node table -- or, for a directory written before it existed,
+    # the document parsed now (and tabled once a database numbers it).
+    if os.path.exists(os.path.join(path, _DEWEY)):
+        dewey_blob = _view(read_file(_DEWEY, "read-dewey", mapped=True))
+        if bytes(dewey_blob[:4]) == nodetable.MAGIC:
+            if verify != "lazy":
+                verify_file(_DEWEY, dewey_blob)
+            nodes = opened["nodes"] = NodeTable.from_buffer(
+                dewey_blob, file=_DEWEY,
+                # Lazy: sections vouch for themselves on first touch.
+                # Eager: the digest above covered every byte -- except
+                # in v1, which has no manifest.
+                check_crc=verify == "lazy" or (verify == "eager"
+                                               and version < 2),
+                metrics=metrics, open_tree=open_tree,
+                open_document=open_document)
+            if len(nodes) != n_nodes:
+                raise DatabaseFormatError(
+                    f"node table has {len(nodes)} nodes, metadata says "
+                    f"{n_nodes}")
+            if verify == "eager":
+                open_document()
+        else:
+            check_legacy_dewey(_DEWEY, dewey_blob)
+    elif shard_dirs is not None:
+        for shard_dir in shard_dirs:
+            name = os.path.join(shard_dir, _DEWEY)
+            check_legacy_dewey(name, read_file(name, "read-dewey"))
+    else:
+        raise DatabaseFormatError(f"{path!r} has no {_DEWEY}")
+    if "nodes" not in opened:
+        open_tree()
 
     try:
         tokenizer = Tokenizer(stopwords=stopwords, min_length=min_length)
@@ -438,126 +477,80 @@ def load_database(path: str,
         raise DatabaseFormatError(
             f"{_META} carries an invalid configuration: {exc}") from exc
 
-    def make_db(db_cache):
+    def make_db(db_cache, columnar_rel: str) -> XMLDatabase:
+        """An `XMLDatabase` over one columnar container -- the flat
+        layout's file or one shard's -- sharing the table and the
+        deferred document."""
         try:
-            return XMLDatabase(tree, tokenizer=tokenizer, ranking=ranking,
-                               jdewey_gap=jdewey_gap, cache=db_cache,
-                               postings_cache_size=postings_cache_size,
-                               result_cache_size=result_cache_size,
-                               **db_kwargs)
+            db = XMLDatabase(opened.get("tree"), tokenizer=tokenizer,
+                             ranking=ranking, jdewey_gap=jdewey_gap,
+                             cache=db_cache,
+                             postings_cache_size=postings_cache_size,
+                             result_cache_size=result_cache_size,
+                             **db_kwargs)
         except (TypeError, ValueError) as exc:
             raise DatabaseFormatError(
                 f"{_META} carries an invalid configuration: {exc}") from exc
-
-    def load_indexes(db: XMLDatabase, columnar_rel: str = _COLUMNAR,
-                     dewey_rel: str = _DEWEY) -> None:
-        """Read one (columnar, dewey) container pair into `db` -- the
-        flat layout's two files, or one shard's subdirectory pair."""
-        if version >= 3:
-            # Zero-copy path: mmap the columnar container.  With a
-            # fault injector installed `map_bytes` degrades to the
-            # copying read so the fault matrix stays observable.
-            try:
-                columnar_source = map_bytes(
-                    os.path.join(path, columnar_rel), injector=injector,
-                    retry=retry, metrics=metrics, op="read-columnar")
-            except RetryExhaustedError as exc:
-                raise DatabaseCorruptError(
-                    f"could not read {columnar_rel}: {exc}",
-                    file=columnar_rel) from exc
-            columnar_blob = getattr(columnar_source, "view",
-                                    columnar_source)
-        else:
-            columnar_source = columnar_blob = read_file(columnar_rel,
-                                                        "read-columnar")
-        dewey_blob = read_file(dewey_rel, "read-dewey")
-        bytes_read.inc(len(columnar_blob) + len(dewey_blob))
-        verify_file(dewey_rel, dewey_blob)
-        if not lazy:
-            # The lazy path skips the whole-file pass on the columnar
-            # blob on purpose: its per-block CRCs cover exactly the
-            # bytes a query touches, when it touches them.
-            verify_file(columnar_rel, columnar_blob)
-
-        if version >= 2:
-            # Block CRCs are not re-checked here -- the whole-file
-            # digest above already covered every byte (unless
-            # verify="off", which asked for no checks at all).
-            dewey_lists = storage.deserialize_inverted_index_blocked(
-                dewey_blob, verify=False, file=dewey_rel)
-        else:
-            dewey_lists = storage.guarded_deserialize_inverted(
-                dewey_blob, file=dewey_rel)
-        db._inverted = InvertedIndex.from_lists(
-            tree, dewey_lists, tokenizer, ranking, n_docs)
-
+        db._open_tree = open_tree
+        if "nodes" not in opened:
+            opened["nodes"] = NodeTable.from_tree(db.tree)
+        nodes = opened["nodes"]
+        # v3+: zero-copy, the container is mapped.
+        source = read_file(columnar_rel, "read-columnar",
+                           mapped=version >= 3)
         if lazy:
-            lazy_index = LazyColumnarIndex(
-                columnar_source, tree, tokenizer, ranking,
+            # No whole-file pass here on purpose: per-block CRCs cover
+            # exactly the bytes a query touches, when it touches them.
+            db._columnar = LazyColumnarIndex(
+                source, nodes, tokenizer, ranking,
                 verify=verify if version >= 2 else "off",
                 source=columnar_rel, metrics=metrics,
                 vectorized=vectorized, decoded_cache=decoded_cache)
-            lazy_index.n_docs = n_docs
-            db._columnar = lazy_index
+            db._columnar.n_docs = n_docs
+            return db
+        blob = _view(source)
+        verify_file(columnar_rel, blob)
+        # Block CRCs are not re-checked: the digest covered every byte
+        # (unless verify="off", which asked for no checks at all).
+        if version == 4:
+            postings = storage.deserialize_columnar_index_v4(
+                blob, verify=False, file=columnar_rel,
+                vectorized=vectorized)
+        elif version == 3:
+            postings = storage.deserialize_columnar_index_v3(
+                blob, verify=False, file=columnar_rel,
+                vectorized=vectorized)
+        elif version == 2:
+            postings = storage.deserialize_columnar_index_blocked(
+                blob, verify=False, file=columnar_rel)
         else:
-            if version == 4:
-                columnar_postings = storage.deserialize_columnar_index_v4(
-                    columnar_blob, verify=False, file=columnar_rel,
-                    vectorized=vectorized)
-            elif version == 3:
-                columnar_postings = storage.deserialize_columnar_index_v3(
-                    columnar_blob, verify=False, file=columnar_rel,
-                    vectorized=vectorized)
-            elif version == 2:
-                columnar_postings = \
-                    storage.deserialize_columnar_index_blocked(
-                        columnar_blob, verify=False, file=columnar_rel)
-            else:
-                columnar_postings = storage.guarded_deserialize_columnar(
-                    columnar_blob, file=columnar_rel)
-            db._columnar = ColumnarIndex.from_postings(
-                tree, columnar_postings, tokenizer, ranking, n_docs)
-            _verify_consistency(db)
+            postings = storage.guarded_deserialize_columnar(
+                blob, file=columnar_rel)
+        db._columnar = ColumnarIndex.from_postings(
+            nodes, postings, tokenizer, ranking, n_docs)
+        _verify_consistency(db)
+        return db
 
-    shards_meta = meta.get("shards")
-    if shards_meta is not None:
-        from .serve.merge import ShardedDatabase
-
-        try:
-            shard_count = int(shards_meta["count"])
-            shard_dirs = [str(d) for d in shards_meta["dirs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatabaseFormatError(
-                f"{_META} has an invalid shard manifest: {exc!r}") from exc
-        if shard_count < 1 or shard_count != len(shard_dirs):
-            raise DatabaseFormatError(
-                f"{_META} shard manifest is inconsistent: count="
-                f"{shard_count} with {len(shard_dirs)} directories")
-        # Each shard gets its own caches (`cache` is ignored): result
-        # keys carry no shard id, so one shared cache would hand shard
-        # A's answers to shard B.
-        shard_dbs = []
-        for shard_dir in shard_dirs:
-            shard_db = make_db(None)
-            load_indexes(shard_db,
-                         columnar_rel=os.path.join(shard_dir, _COLUMNAR),
-                         dewey_rel=os.path.join(shard_dir, _DEWEY))
-            shard_dbs.append(shard_db)
-        metrics.counter("repro_db_loads_total").inc()
-        return ShardedDatabase(tree, shard_dbs, manifest=shards_meta)
-
-    db = make_db(cache)
-    load_indexes(db)
     metrics.counter("repro_db_loads_total").inc()
-    return db
+    if shard_dirs is None:
+        return make_db(cache, _COLUMNAR)
+    from .serve.merge import ShardedDatabase
+
+    # Each shard gets its own caches (`cache` is ignored): result keys
+    # carry no shard id, so one shared cache would hand shard A's
+    # answers to shard B.
+    return ShardedDatabase(
+        None, [make_db(None, os.path.join(shard_dir, _COLUMNAR))
+               for shard_dir in shard_dirs],
+        manifest=shards_meta)
 
 
 def _verify_consistency(db: XMLDatabase) -> None:
-    """Spot-check that the stored postings match the re-encoded tree.
+    """Spot-check that the stored postings match the node table.
 
-    The JDewey re-encoding is deterministic, so a mismatch means the
-    document file was edited after the indexes were written.  Skipped
-    on the lazy load path (it would materialize sequences).
+    A mismatch means one of the files was replaced after the other was
+    written.  Skipped on the lazy load path (it would materialize
+    sequences).
     """
     columnar = db._columnar
     for term in columnar.vocabulary[:5]:
@@ -573,4 +566,4 @@ def _verify_consistency(db: XMLDatabase) -> None:
             if node.jdewey != seq:
                 raise DatabaseFormatError(
                     f"stored posting for {term!r} disagrees with the "
-                    "re-encoded document; files are out of sync")
+                    "document's numbering; files are out of sync")

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..scoring.ranking import RankingModel
 from ..xmltree.jdewey import JDeweySeq
-from ..xmltree.tree import Node, XMLTree
+from ..xmltree.nodetable import NodeTable
+from ..xmltree.tree import XMLTree
 from .tokenizer import Tokenizer
 
 
@@ -156,54 +157,46 @@ class ColumnarPostings:
 class ColumnarIndex:
     """JDewey columnar inverted index over one document.
 
-    Also owns the ``(level, number) -> node`` map used to materialize
-    results, since a JDewey number plus its level uniquely identifies a
+    Results are materialized through ``nodes``, the document's
+    `NodeTable`: a JDewey number plus its level uniquely identifies a
     node (the representational advantage section III-A highlights).
     """
 
     def __init__(self, tree: XMLTree, tokenizer: Optional[Tokenizer] = None,
                  ranking: Optional[RankingModel] = None):
-        if not tree.frozen:
-            raise ValueError("index a frozen tree")
-        root_jdewey = tree.root.jdewey
-        if not root_jdewey:
-            raise ValueError("assign JDewey numbers before indexing "
-                             "(repro.xmltree.encode_tree)")
-        self.tree = tree
+        self.nodes = NodeTable.from_tree(tree)
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
         self._postings: Dict[str, ColumnarPostings] = {}
-        self._node_by_level_number: Dict[Tuple[int, int], Node] = {}
         self.n_docs = 0
         self._build()
 
     @classmethod
-    def from_postings(cls, tree: XMLTree,
+    def from_postings(cls, nodes,
                       postings: Dict[str, ColumnarPostings],
                       tokenizer: Optional[Tokenizer] = None,
                       ranking: Optional[RankingModel] = None,
                       n_docs: int = 0) -> "ColumnarIndex":
         """Wrap pre-built per-term postings (the persistence load path).
 
-        The tree must carry the same JDewey numbering the postings were
-        built against (re-encoding a saved document with the same gap is
-        deterministic); only the node map is rebuilt.
+        `nodes` is the `NodeTable` the postings' JDewey numbers refer
+        to (or a tree carrying that numbering, whose table is built).
         """
         index = cls.__new__(cls)
-        index.tree = tree
+        index.nodes = NodeTable.of(nodes)
         index.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         index.ranking = ranking if ranking is not None else RankingModel()
         index._postings = dict(postings)
-        index._node_by_level_number = {}
         index.n_docs = n_docs
-        for node in tree.iter_document_order():
-            index._node_by_level_number[(node.level, node.jdewey[-1])] = node
         return index
+
+    @property
+    def tree(self) -> XMLTree:
+        return self.nodes.tree
 
     def _build(self) -> None:
         raw: Dict[str, List[Tuple[JDeweySeq, int, int]]] = {}
         for node in self.tree.iter_document_order():
-            self._node_by_level_number[(node.level, node.jdewey[-1])] = node
             if not node.text:
                 continue
             counts = self.tokenizer.term_frequencies(node.text)
@@ -244,6 +237,10 @@ class ColumnarIndex:
         postings.sort(key=len)
         return postings
 
-    def node_at(self, level: int, number: int) -> Node:
+    def node_at(self, level: int, number: int):
         """Materialize the node identified by (level, JDewey number)."""
-        return self._node_by_level_number[(level, number)]
+        return self.nodes.node_at(level, number)
+
+    def nodes_at(self, level: int, numbers: np.ndarray) -> list:
+        """Bulk `node_at` for one level's join output."""
+        return self.nodes.nodes_at(level, numbers)

@@ -1,10 +1,12 @@
-"""Document-ordered Dewey inverted index.
+"""Document-ordered Dewey posting lists, as a view of the columnar index.
 
 This is the substrate of the three baselines: the stack-based algorithm
 scans these lists in document order, the index-based algorithm binary-
-searches them, and RDIL pairs them with a score-ordered view.  Each
-posting records the occurrence node's Dewey id, term frequency and local
-score ``g(v, w)``.
+searches them, and RDIL pairs them with a score-ordered view.  Nothing
+is stored for them: an occurrence's *(level, JDewey number)* identifies
+its node (section III-A), so a term's list is derived from that term's
+columnar postings and the node table the first time a baseline asks --
+the same code for an index built in memory and one opened from disk.
 """
 
 from __future__ import annotations
@@ -13,18 +15,24 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..scoring.ranking import RankingModel
 from ..xmltree.dewey import Dewey, subtree_upper_bound
-from ..xmltree.tree import Node, XMLTree
+from ..xmltree.jdewey import encode_tree
+from ..xmltree.tree import XMLTree
+from .columnar import ColumnarIndex
 from .tokenizer import Tokenizer
 
 
 @dataclass
 class Posting:
-    """One keyword occurrence: a node that directly contains the term."""
+    """One keyword occurrence: the Dewey id of a node that directly
+    contains the term, and its local score ``g(v, w)``."""
+
+    __slots__ = ("dewey", "score")
 
     dewey: Dewey
-    tf: int
     score: float
 
     @property
@@ -87,74 +95,90 @@ class PostingList:
 
 
 class InvertedIndex:
-    """Dewey inverted index over one document.
+    """Dewey posting lists over one document, materialized per term.
 
-    Built once per database; `term_list` returns the per-term posting
-    list (empty list for unknown terms, so k-keyword queries degrade
-    gracefully to empty results).
+    Wraps a columnar index (`over`) or, given a tree, the columnar
+    index built from it.  `term_list` derives and keeps a term's list
+    on first use (an empty list for unknown terms, so k-keyword queries
+    degrade gracefully to empty results); vocabulary and document
+    frequencies are the columnar index's and derive nothing.
     """
 
     def __init__(self, tree: XMLTree, tokenizer: Optional[Tokenizer] = None,
                  ranking: Optional[RankingModel] = None):
-        self.tree = tree
-        self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
-        self.ranking = ranking if ranking is not None else RankingModel()
+        if not tree.root.jdewey:
+            encode_tree(tree)
+        self.columnar = ColumnarIndex(tree, tokenizer, ranking)
         self._lists: Dict[str, PostingList] = {}
-        self.n_docs = 0
-        self._build()
 
     @classmethod
-    def from_lists(cls, tree: XMLTree, lists: Dict[str, PostingList],
-                   tokenizer: Optional[Tokenizer] = None,
-                   ranking: Optional[RankingModel] = None,
-                   n_docs: int = 0) -> "InvertedIndex":
-        """Wrap pre-built posting lists (the persistence load path)."""
+    def over(cls, columnar) -> "InvertedIndex":
+        """The Dewey view of an existing columnar index (in memory or
+        lazily disk-backed)."""
         index = cls.__new__(cls)
-        index.tree = tree
-        index.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
-        index.ranking = ranking if ranking is not None else RankingModel()
-        index._lists = dict(lists)
-        index.n_docs = n_docs
+        index.columnar = columnar
+        index._lists = {}
         return index
 
-    def _build(self) -> None:
-        # First pass: raw term frequencies per node, document frequencies.
-        raw: Dict[str, List[Tuple[Dewey, int, int]]] = {}
-        for node in self.tree.iter_document_order():
-            if not node.text:
-                continue
-            counts = self.tokenizer.term_frequencies(node.text)
-            if not counts:
-                continue
-            self.n_docs += 1
-            node_tokens = sum(counts.values())
-            for term, tf in counts.items():
-                raw.setdefault(term, []).append((node.dewey, tf, node_tokens))
-        # Second pass: local scores need df, so they come after the scan.
-        for term, entries in raw.items():
-            df = len(entries)
-            postings = [
-                Posting(dewey, tf,
-                        self.ranking.scorer.score(tf, df, self.n_docs, ntok))
-                for dewey, tf, ntok in entries
-            ]
-            self._lists[term] = PostingList(term, postings)
+    @property
+    def tree(self) -> XMLTree:
+        return self.columnar.tree
+
+    @property
+    def tokenizer(self) -> Tokenizer:
+        return self.columnar.tokenizer
+
+    @property
+    def ranking(self) -> RankingModel:
+        return self.columnar.ranking
+
+    @property
+    def n_docs(self) -> int:
+        return self.columnar.n_docs
+
+    def node_by_dewey(self, dewey: Sequence[int]):
+        """The node a baseline's result Dewey id names."""
+        return self.columnar.nodes.node_by_dewey(dewey)
+
+    def _derive(self, term: str) -> PostingList:
+        """One term's columnar postings as a document-ordered Dewey list.
+
+        Per level, the occurrences exactly that deep are the column
+        entries whose sequence ends there; their numbers resolve to
+        node-table rows in bulk, and row order is document order.
+        """
+        postings = self.columnar.term_postings(term)
+        nodes = self.columnar.nodes
+        lengths = np.asarray(postings.lengths)
+        rows = np.empty(len(lengths), dtype=np.int64)
+        for level in np.unique(lengths).tolist():
+            column = postings.column(level)
+            ends_here = lengths[column.seq_idx] == level
+            rows[column.seq_idx[ends_here]] = nodes.rows_at(
+                level, column.values[ends_here])
+        order = np.argsort(rows, kind="stable")
+        scores = np.asarray(postings.scores)[order].tolist()
+        return PostingList(term, [
+            Posting(dewey, score)
+            for dewey, score in zip(nodes.deweys(rows[order]), scores)])
 
     def __contains__(self, term: str) -> bool:
-        return term in self._lists
+        return term in self.columnar
 
     @property
     def vocabulary(self) -> List[str]:
-        return sorted(self._lists)
+        return self.columnar.vocabulary
 
     def term_list(self, term: str) -> PostingList:
         existing = self._lists.get(term)
-        if existing is not None:
-            return existing
-        return PostingList(term, [])
+        if existing is None:
+            if term not in self.columnar:
+                return PostingList(term, [])
+            existing = self._lists[term] = self._derive(term)
+        return existing
 
     def document_frequency(self, term: str) -> int:
-        return len(self.term_list(term))
+        return self.columnar.document_frequency(term)
 
     def query_lists(self, terms: Iterable[str]) -> List[PostingList]:
         """Posting lists for a query, ordered shortest first.

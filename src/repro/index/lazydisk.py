@@ -27,7 +27,8 @@ from ..obs.profiler import profile_phase
 from ..reliability.deadline import check_active
 from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
 from ..scoring.ranking import RankingModel
-from ..xmltree.tree import Node, XMLTree
+from ..xmltree.nodetable import NodeTable
+from ..xmltree.tree import XMLTree
 from .columnar import Column, ColumnarPostings
 from .compression import decompress_column, read_varint
 from .storage import (_MAGIC_COLUMNAR, _MAGIC_COLUMNAR_BLOCKED,
@@ -271,7 +272,7 @@ class LazyColumnarIndex:
     is wired in.
     """
 
-    def __init__(self, blob, tree: XMLTree,
+    def __init__(self, blob, nodes,
                  tokenizer: Optional[Tokenizer] = None,
                  ranking: Optional[RankingModel] = None,
                  verify: str = "lazy", source: Optional[str] = None,
@@ -280,7 +281,8 @@ class LazyColumnarIndex:
         if verify not in ("lazy", "eager", "off"):
             raise ValueError(f"unknown verify mode {verify!r}; "
                              "one of ('lazy', 'eager', 'off')")
-        self.tree = tree
+        # The document's `NodeTable` (a tree is accepted and tabled).
+        self.nodes = NodeTable.of(nodes)
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
         self.io = IOStats()
@@ -341,10 +343,11 @@ class LazyColumnarIndex:
             raise DatabaseFormatError(
                 f"not a columnar index blob (magic {magic!r})"
                 + (f" in {source}" if source else ""))
-        self._node_by_level_number: Dict[Tuple[int, int], Node] = {}
-        for node in tree.iter_document_order():
-            self._node_by_level_number[(node.level, node.jdewey[-1])] = node
         self.n_docs = 0
+
+    @property
+    def tree(self) -> XMLTree:
+        return self.nodes.tree
 
     def _parse_block(self, term: str) -> LazyColumnarPostings:
         """Verify (per the mode) and parse one block on first touch.
@@ -414,5 +417,8 @@ class LazyColumnarIndex:
         postings.sort(key=len)
         return postings
 
-    def node_at(self, level: int, number: int) -> Node:
-        return self._node_by_level_number[(level, number)]
+    def node_at(self, level: int, number: int):
+        return self.nodes.node_at(level, number)
+
+    def nodes_at(self, level: int, numbers: np.ndarray) -> list:
+        return self.nodes.nodes_at(level, numbers)

@@ -16,9 +16,10 @@ size *models* for the baseline structures the paper measures:
 * ``RDIL``           -- the stack IL plus per-keyword B-trees over Dewey
   ids.
 
-The columnar and Dewey serializers round-trip (tests assert equality);
-the B-tree numbers are cost models with explicit constants, since the
-actual baselines run in memory.
+The columnar serializers round-trip (tests assert equality).  The
+Dewey list and B-tree numbers are size models with explicit constants:
+the baselines run in memory over lists derived from the columnar index
+(`repro.index.inverted`), so nothing Dewey-shaped is written to disk.
 """
 
 from __future__ import annotations
@@ -32,16 +33,14 @@ import numpy as np
 from ..reliability.checksum import (ALGORITHM_IDS, ALGORITHM_NAMES,
                                     DEFAULT_ALGORITHM, checksum)
 from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
-from ..xmltree.dewey import Dewey
 from .columnar import ColumnarIndex, ColumnarPostings
 from .compression import (SCHEME_IDS, SCHEME_NAMES, V4_CODECS, choose_codec,
                           compress_column, decompress_column, read_varint,
                           varint_size, write_varint)
-from .inverted import InvertedIndex, Posting, PostingList
+from .inverted import InvertedIndex, PostingList
 from .sparse import DEFAULT_GRANULARITY, SparseColumnIndex
 
 _MAGIC_COLUMNAR = b"JDXC"
-_MAGIC_DEWEY = b"DWIL"
 
 # B-tree cost-model constants (BerkeleyDB-flavoured).
 BTREE_ENTRY_OVERHEAD = 12   # per-entry header + leaf pointer bytes
@@ -176,107 +175,6 @@ def deserialize_columnar_index(data: bytes) -> Dict[str, ColumnarPostings]:
 
 
 # ---------------------------------------------------------------------------
-# Dewey (document-ordered) serialization with prefix compression
-# ---------------------------------------------------------------------------
-
-def serialize_posting_list(plist: PostingList,
-                           score_mode: int = 0) -> bytes:
-    """Prefix-compressed Dewey list: (shared_prefix_len, suffix..., tf).
-
-    ``score_mode`` as in `serialize_columnar_postings`; Table I uses
-    SCORES_NONE (the baselines score at query time), the persistence
-    layer uses SCORES_EXACT.
-    """
-    out = bytearray()
-    term_bytes = plist.term.encode("utf-8")
-    write_varint(out, len(term_bytes))
-    out.extend(term_bytes)
-    write_varint(out, len(plist))
-    out.append(score_mode)
-    prev: Dewey = ()
-    for posting in plist.postings:
-        dewey = posting.dewey
-        shared = 0
-        limit = min(len(prev), len(dewey))
-        while shared < limit and prev[shared] == dewey[shared]:
-            shared += 1
-        write_varint(out, shared)
-        write_varint(out, len(dewey) - shared)
-        for component in dewey[shared:]:
-            write_varint(out, component)
-        write_varint(out, posting.tf)
-        prev = dewey
-    if score_mode == SCORES_QUANTIZED:
-        quantized = np.asarray([p.score for p in plist.postings],
-                               dtype=np.float64) * 256.0
-        out.extend(quantized.astype(np.uint16).tobytes())
-    elif score_mode == SCORES_EXACT:
-        out.extend(np.asarray([p.score for p in plist.postings],
-                              dtype=np.float64).tobytes())
-    return bytes(out)
-
-
-def deserialize_posting_list(data: bytes, pos: int = 0
-                             ) -> Tuple[PostingList, int]:
-    term_len, pos = read_varint(data, pos)
-    term = data[pos: pos + term_len].decode("utf-8")
-    pos += term_len
-    count, pos = read_varint(data, pos)
-    score_mode = data[pos]
-    pos += 1
-    postings: List[Posting] = []
-    prev: Tuple[int, ...] = ()
-    for _ in range(count):
-        shared, pos = read_varint(data, pos)
-        n_suffix, pos = read_varint(data, pos)
-        suffix: List[int] = []
-        for _ in range(n_suffix):
-            component, pos = read_varint(data, pos)
-            suffix.append(component)
-        tf, pos = read_varint(data, pos)
-        dewey = prev[:shared] + tuple(suffix)
-        postings.append(Posting(dewey, tf, 0.0))
-        prev = dewey
-    if score_mode == SCORES_QUANTIZED:
-        raw = np.frombuffer(data, dtype=np.uint16, count=count, offset=pos)
-        pos += 2 * count
-        for posting, value in zip(postings, raw):
-            posting.score = float(value) / 256.0
-    elif score_mode == SCORES_EXACT:
-        raw = np.frombuffer(data, dtype=np.float64, count=count,
-                            offset=pos)
-        pos += 8 * count
-        for posting, value in zip(postings, raw):
-            posting.score = float(value)
-    elif score_mode != SCORES_NONE:
-        raise ValueError(f"unknown score mode {score_mode}")
-    return PostingList(term, postings), pos
-
-
-def serialize_inverted_index(index: InvertedIndex,
-                             score_mode: int = 0) -> bytes:
-    out = bytearray(_MAGIC_DEWEY)
-    terms = index.vocabulary
-    write_varint(out, len(terms))
-    for term in terms:
-        out.extend(serialize_posting_list(index.term_list(term),
-                                          score_mode))
-    return bytes(out)
-
-
-def deserialize_inverted_index(data: bytes) -> Dict[str, PostingList]:
-    if data[:4] != _MAGIC_DEWEY:
-        raise ValueError("not a Dewey inverted-list blob")
-    pos = 4
-    n_terms, pos = read_varint(data, pos)
-    result: Dict[str, PostingList] = {}
-    for _ in range(n_terms):
-        plist, pos = deserialize_posting_list(data, pos)
-        result[plist.term] = plist
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Blocked, checksummed containers (persistence format v2)
 # ---------------------------------------------------------------------------
 #
@@ -289,7 +187,6 @@ def deserialize_inverted_index(data: bytes) -> Dict[str, PostingList]:
 # locate a term's bytes without decompressing anything.
 
 _MAGIC_COLUMNAR_BLOCKED = b"JDXB"
-_MAGIC_DEWEY_BLOCKED = b"DWIB"
 
 #: Everything a malformed byte stream can make the v1 parsers raise --
 #: turned into the typed `DatabaseCorruptError` at this boundary so no
@@ -392,10 +289,9 @@ class PostingsView:
     """Duck-typed index over a plain ``term -> postings`` dict.
 
     Every container serializer walks ``index.vocabulary`` and calls
-    ``term_postings`` / ``term_list``; the shard writer partitions one
-    index into N posting dicts and must serialize each without paying
-    for N node-map rebuilds, so this view supplies exactly the two
-    members the serializers touch.
+    ``term_postings``; the shard writer partitions one index into N
+    posting dicts and serializes each through this view, which supplies
+    exactly the two members the serializers touch.
     """
 
     __slots__ = ("_postings",)
@@ -409,9 +305,6 @@ class PostingsView:
 
     def term_postings(self, term: str):
         return self._postings[term]
-
-    # Dewey containers spell the accessor differently.
-    term_list = term_postings
 
 
 def serialize_columnar_index_blocked(index: ColumnarIndex,
@@ -448,38 +341,6 @@ def deserialize_columnar_index_blocked(data: bytes, verify: bool = True,
     return result
 
 
-def serialize_inverted_index_blocked(index: InvertedIndex,
-                                     score_mode: int = 0,
-                                     algorithm: str = None) -> bytes:
-    """Format-v2 Dewey container: v1 per-term payloads, checksummed."""
-    algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
-    blocks = [
-        (term, serialize_posting_list(index.term_list(term), score_mode))
-        for term in index.vocabulary
-    ]
-    return _serialize_blocked(_MAGIC_DEWEY_BLOCKED, blocks, algorithm)
-
-
-def deserialize_inverted_index_blocked(data: bytes, verify: bool = True,
-                                       file: str = None
-                                       ) -> Dict[str, PostingList]:
-    """Load a format-v2 Dewey container, verifying every block."""
-    algorithm, refs = scan_blocked_container(
-        data, _MAGIC_DEWEY_BLOCKED, file=file)
-    result: Dict[str, PostingList] = {}
-    for ref in refs:
-        payload = (verify_block(data, ref, algorithm, file=file) if verify
-                   else data[ref.offset: ref.offset + ref.length])
-        try:
-            plist, _ = deserialize_posting_list(payload, 0)
-        except _PARSE_ERRORS as exc:
-            raise DatabaseCorruptError(
-                f"posting list for term {ref.term!r} does not parse: {exc}",
-                file=file, term=ref.term) from exc
-        result[plist.term] = plist
-    return result
-
-
 def guarded_deserialize_columnar(data: bytes, file: str = None
                                  ) -> Dict[str, ColumnarPostings]:
     """v1 `deserialize_columnar_index` with typed errors (legacy loads)."""
@@ -494,22 +355,6 @@ def guarded_deserialize_columnar(data: bytes, file: str = None
     except _PARSE_ERRORS as exc:
         raise DatabaseCorruptError(
             f"columnar blob does not parse: {exc}", file=file) from exc
-
-
-def guarded_deserialize_inverted(data: bytes, file: str = None
-                                 ) -> Dict[str, PostingList]:
-    """v1 `deserialize_inverted_index` with typed errors (legacy loads)."""
-    try:
-        if data[:4] != _MAGIC_DEWEY:
-            raise DatabaseFormatError(
-                f"not a Dewey inverted-list blob"
-                + (f" ({file})" if file else ""))
-        return deserialize_inverted_index(data)
-    except DatabaseFormatError:
-        raise
-    except _PARSE_ERRORS as exc:
-        raise DatabaseCorruptError(
-            f"Dewey blob does not parse: {exc}", file=file) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +388,6 @@ def guarded_deserialize_inverted(data: bytes, file: str = None
 #     scores_off    float64[n_seqs] (EXACT) or uint16[n_seqs] (QUANTIZED),
 #                   pad to 8
 #     level_offs[l] the compressed column of level l+1, pad to 8
-#
-# The Dewey file of a v3 database stays in the v2 blocked format -- it
-# is only read by the eager consistency pass, never on the query path.
 #
 # Format v4 ("JDX4") keeps this layout byte-for-byte and only widens
 # the scheme-byte vocabulary: ids 0-3 (0 = rle, 1 = delta, 2 = varint,
@@ -904,6 +746,26 @@ class IndexSizeReport:
         ]
 
 
+def dewey_list_size(plist: PostingList) -> int:
+    """Bytes of `plist` under the prefix compression of Xu &
+    Papakonstantinou [6]: each id stores the length of the prefix it
+    shares with its predecessor, the suffix length and the suffix, all
+    as varints, after a term / count header."""
+    term_bytes = len(plist.term.encode("utf-8"))
+    size = varint_size(term_bytes) + term_bytes + varint_size(len(plist))
+    prev: Tuple[int, ...] = ()
+    for posting in plist.postings:
+        dewey = posting.dewey
+        shared = 0
+        limit = min(len(prev), len(dewey))
+        while shared < limit and prev[shared] == dewey[shared]:
+            shared += 1
+        size += varint_size(shared) + varint_size(len(dewey) - shared)
+        size += sum(varint_size(c) for c in dewey[shared:])
+        prev = dewey
+    return size
+
+
 def _btree_size(total_key_bytes: int, n_entries: int) -> int:
     leaf = (total_key_bytes + n_entries * BTREE_ENTRY_OVERHEAD)
     return int(leaf / BTREE_FILL_FACTOR * BTREE_INTERNAL_FACTOR)
@@ -935,7 +797,7 @@ def measure_sizes(columnar: ColumnarIndex, inverted: InvertedIndex,
     rdil_key_bytes = 0
     for term in inverted.vocabulary:
         plist = inverted.term_list(term)
-        report.stack_based_il += len(serialize_posting_list(plist))
+        report.stack_based_il += dewey_list_size(plist)
         term_bytes = len(term.encode("utf-8"))
         for posting in plist.postings:
             dewey_bytes = sum(varint_size(c) for c in posting.dewey)

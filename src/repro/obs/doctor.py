@@ -188,10 +188,9 @@ def doctor_report(path: str, workload: Optional[str] = None,
         entry: Dict[str, Any] = {"dir": label or ".",
                                  "terms": len(refs),
                                  "postings_bytes": int(
-                                     sum(r.length for r in refs))}
-        dewey = os.path.join(shard_dir, "dewey.bin")
-        if os.path.exists(dewey):
-            entry["dewey_bytes"] = os.path.getsize(dewey)
+                                     sum(r.length for r in refs)),
+                                 "columnar_bytes":
+                                     os.path.getsize(columnar)}
         shard_entries.append(entry)
         all_refs.extend(refs)
         for ref in refs:
@@ -217,9 +216,15 @@ def doctor_report(path: str, workload: Optional[str] = None,
                         into["ratio"] = (into["compressed"] / into["raw"]
                                          if into.get("raw") else 0.0)
     report["postings"] = _term_stats(all_refs, heavy)
+    table = os.path.join(path, "dewey.bin")
+    if os.path.exists(table):
+        report["node_table_bytes"] = os.path.getsize(table)
     if report["sharded"] and len(shard_entries) > 1:
         term_counts = [e["terms"] for e in shard_entries]
-        byte_counts = [e["postings_bytes"] for e in shard_entries]
+        # A shard's directory holds its columnar container and nothing
+        # else (document and node table are shared), so that file is
+        # the shard's byte weight.
+        byte_counts = [e["columnar_bytes"] for e in shard_entries]
         report["shards"] = {
             "count": len(shard_entries),
             "per_shard": shard_entries,

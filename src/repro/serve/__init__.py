@@ -14,8 +14,7 @@ shard-local.  Only the document root needs a cross-shard protocol,
 and `merge` implements it exactly (see `merge.compute_root_info`).
 """
 
-from .sharding import (partition_columnar, partition_inverted,
-                       shard_of_dewey, subtree_shard_map)
+from .sharding import partition_columnar, shard_of_dewey, subtree_shard_map
 from .merge import RootInfo, ShardedDatabase, compute_root_info, merge_root
 from .daemon import AdmissionError, ServeDaemon, serve
 from .supervisor import (BreakerConfig, BreakerOpenError, CircuitBreaker,
@@ -24,7 +23,7 @@ from .chaos import (ChaosInjector, format_chaos_report, run_chaos_drive,
                     sample_queries)
 
 __all__ = [
-    "partition_columnar", "partition_inverted", "shard_of_dewey",
+    "partition_columnar", "shard_of_dewey",
     "subtree_shard_map", "RootInfo", "ShardedDatabase",
     "compute_root_info", "merge_root", "AdmissionError", "ServeDaemon",
     "serve", "BreakerConfig", "BreakerOpenError", "CircuitBreaker",

@@ -900,7 +900,7 @@ class ServeDaemon:
             root = db._root_result(terms, semantics)
             if root is not None:
                 merged.append(root)
-        merged.sort(key=lambda r: r.node.dewey)
+        merged.sort(key=lambda r: r.node.row)
         partial = partial or degraded
         obs.merge_ms = (time.perf_counter() - merging) * 1000.0
         return self._payload(merged, partial, bound, degraded=degraded)

@@ -25,14 +25,16 @@ column-2 decompression per term; `merge_root` folds the summaries:
   a C-node (any deeper LCA would disqualify the root); with no C-nodes
   every occurrence is free, so the same witnesses apply.
 
-`ShardedDatabase` wraps N per-shard `XMLDatabase` objects (each holding
-the full tree and its filtered postings) behind the `search` /
-`search_topk` / `search_stream` / `search_batch` surface.  Top-K runs
-as a rank join over the per-shard best-first streams: each stream is
-pulled only while it holds the globally best head, so consuming k
-results does only the per-shard work k results need.  Only the
-join-family algorithms are served -- the baselines index the full tree
-and would be wrong against shard-filtered postings.
+`ShardedDatabase` wraps N per-shard `XMLDatabase` objects (sharing one
+node table and document, each with its filtered postings) behind the
+`search` / `search_topk` / `search_stream` / `search_batch` surface.
+Top-K runs as a rank join over the per-shard best-first streams: each
+stream is pulled only while it holds the globally best head, so
+consuming k results does only the per-shard work k results need.  Only
+the join-family algorithms are served: a baseline's Dewey lists derive
+from one shard's postings, so it answers for that shard alone
+(``db.shards[i].search(..., algorithm="stack")``) and has no
+cross-shard merge.
 """
 
 from __future__ import annotations
@@ -119,8 +121,9 @@ def compute_root_info(index, terms: Sequence[str],
 
 def merge_root(infos: Sequence[RootInfo], terms: Sequence[str],
                semantics: str, ranking: RankingModel,
-               tree) -> Optional[SearchResult]:
-    """Fold per-shard summaries into the root's global result (or None).
+               root) -> Optional[SearchResult]:
+    """Fold per-shard summaries into the global result for the document
+    root, the node `root` (or None).
 
     Exact by the erasure invariant in the module docstring; witnesses
     come out aligned with the caller's term order, matching the
@@ -145,7 +148,7 @@ def merge_root(infos: Sequence[RootInfo], terms: Sequence[str],
         # bailed out above on the C-node itself).
         return None
     per_keyword = [witnesses[t] for t in terms]
-    return SearchResult(tree.root, 1,
+    return SearchResult(root, 1,
                         score=ranking.score_result(per_keyword),
                         witness_scores=tuple(per_keyword))
 
@@ -154,14 +157,15 @@ class ShardedDatabase:
     """N subtree-affine shards behind the single-database search API.
 
     Construction does not copy the tree: every shard `XMLDatabase`
-    references the same frozen `XMLTree`, only the postings differ.
+    references the same node table (and the same document, parsed on
+    first use), only the postings differ.  ``tree`` may be ``None`` for
+    shards opened from disk; `tree` then defers to theirs.
     The facade carries its own result `QueryCache` for merged answers;
     per-shard postings caches live inside the shard databases.
 
     Supported algorithms are the join family -- ``join`` for complete
-    evaluation, ``topk-join`` for top-K.  The in-memory baselines
-    (``stack`` / ``index`` / ``oracle`` / ``rdil``) re-index the full
-    tree on first touch and would silently ignore the partitioning, so
+    evaluation, ``topk-join`` for top-K.  The baselines (``stack`` /
+    ``index`` / ``oracle`` / ``rdil``) have no cross-shard merge, so
     they are rejected instead of answered wrongly.
     """
 
@@ -170,7 +174,7 @@ class ShardedDatabase:
                  result_cache_size: int = 1024):
         if not shard_dbs:
             raise ValueError("a sharded database needs at least one shard")
-        self.tree = tree
+        self._tree = tree
         self.shards = list(shard_dbs)
         self.manifest = dict(manifest) if manifest else {
             "count": len(self.shards), "strategy": "root-child-mod"}
@@ -207,7 +211,7 @@ class ShardedDatabase:
             sdb = XMLDatabase(db.tree, tokenizer=db.tokenizer,
                               ranking=db.ranking, metrics=db.metrics)
             sdb._columnar = ColumnarIndex.from_postings(
-                db.tree, part, db.tokenizer, db.ranking, source.n_docs)
+                source.nodes, part, db.tokenizer, db.ranking, source.n_docs)
             shard_dbs.append(sdb)
         return cls(db.tree, shard_dbs, **kwargs)
 
@@ -226,12 +230,16 @@ class ShardedDatabase:
     def n_shards(self) -> int:
         return len(self.shards)
 
+    @property
+    def tree(self):
+        return self._tree if self._tree is not None else self.shards[0].tree
+
     def __len__(self) -> int:
-        return len(self.tree)
+        return len(self.shards[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ShardedDatabase shards={self.n_shards} "
-                f"nodes={len(self.tree)}>")
+                f"nodes={len(self)}>")
 
     # ------------------------------------------------------------------
     # shard selection
@@ -270,7 +278,8 @@ class ShardedDatabase:
                      semantics: str) -> Optional[SearchResult]:
         infos = [compute_root_info(db.columnar_index, terms, self.ranking)
                  for db in self._touched(terms)]
-        return merge_root(infos, terms, semantics, self.ranking, self.tree)
+        return merge_root(infos, terms, semantics, self.ranking,
+                          self.shards[0].columnar_index.nodes.root)
 
     # ------------------------------------------------------------------
     # complete evaluation
@@ -328,7 +337,7 @@ class ShardedDatabase:
                     if root is not None:
                         results.append(root)
             fold_into_stats(stats, account)
-            results.sort(key=lambda r: r.node.dewey)
+            results.sort(key=lambda r: r.node.row)
         if use_cache:
             self.cache.put_results(key, results, partial=stats.partial)
             stats.cache_misses += 1

@@ -6,7 +6,7 @@ expressed in.  Instead every shard keeps the whole tree and a filtered
 posting set -- occurrence ``o`` lands in the shard of its level-2
 ancestor (the root child whose subtree contains it), chosen as
 ``child_ordinal % n_shards``.  Occurrences directly on the root
-(length-1 JDewey sequences, empty Dewey) land in shard 0.
+(length-1 JDewey sequences, Dewey id ``(1,)``) land in shard 0.
 
 Why this affinity is the right one (and term-hashing is not): the
 join-based algorithms evaluate one level at a time, and at every level
@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..index.columnar import ColumnarPostings
-from ..index.inverted import PostingList
 from ..xmltree.tree import XMLTree
 
 
@@ -51,13 +50,14 @@ def subtree_shard_map(tree: XMLTree, n_shards: int) -> Dict[int, int]:
 def shard_of_dewey(dewey: Sequence[int], n_shards: int) -> int:
     """Shard of a node identified by its Dewey id.
 
-    ``dewey[0]`` is the 1-based root-child index, so this agrees with
-    `subtree_shard_map` (0-based ordinal mod n).  The root itself
-    (empty Dewey) goes to shard 0.
+    ``dewey[0]`` is the root's constant ``1``; ``dewey[1]`` is the
+    1-based ordinal of the root child whose subtree holds the node, so
+    this agrees with `subtree_shard_map` (0-based ordinal mod n).  The
+    root itself, ``(1,)``, goes to shard 0.
     """
-    if not dewey:
+    if len(dewey) < 2:
         return 0
-    return (dewey[0] - 1) % n_shards
+    return (dewey[1] - 1) % n_shards
 
 
 def _materialize_seqs(postings: ColumnarPostings) -> List[tuple]:
@@ -103,22 +103,4 @@ def partition_columnar(postings_by_term: Dict[str, ColumnarPostings],
             if per_shard_seqs[sid]:
                 shards[sid][term] = ColumnarPostings(
                     term, per_shard_seqs[sid], per_shard_scores[sid])
-    return shards
-
-
-def partition_inverted(lists_by_term: Dict[str, PostingList],
-                       n_shards: int) -> List[Dict[str, PostingList]]:
-    """Split per-term Dewey posting lists, consistently with
-    `partition_columnar`: a node's Dewey and JDewey route to the same
-    shard, so each shard's two files describe the same occurrence set."""
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    shards: List[Dict[str, PostingList]] = [{} for _ in range(n_shards)]
-    for term, plist in lists_by_term.items():
-        buckets: List[list] = [[] for _ in range(n_shards)]
-        for posting in plist.postings:
-            buckets[shard_of_dewey(posting.dewey, n_shards)].append(posting)
-        for sid in range(n_shards):
-            if buckets[sid]:
-                shards[sid][term] = PostingList(term, buckets[sid])
     return shards

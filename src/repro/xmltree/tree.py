@@ -39,10 +39,15 @@ class Node:
         JDewey sequence, assigned by a `JDeweyEncoder`.  ``jdewey[i]`` is
         the JDewey number of this node's ancestor at depth ``i + 1`` (the
         last entry is the node's own number).
+    row:
+        Document-order ordinal, assigned by `XMLTree.freeze` (``-1``
+        before): the node's index in `XMLTree.nodes` and its row in the
+        node table (`repro.xmltree.nodetable`).  Sorting by it is
+        sorting in document order.
     """
 
     __slots__ = ("tag", "text", "children", "parent", "dewey", "jdewey",
-                 "attributes")
+                 "attributes", "row")
 
     def __init__(self, tag: str, text: str = "",
                  attributes: Optional[Dict[str, str]] = None):
@@ -53,6 +58,7 @@ class Node:
         self.parent: Optional["Node"] = None
         self.dewey: Dewey = ()
         self.jdewey: JDeweySeq = ()
+        self.row = -1
 
     def add_child(self, child: "Node") -> "Node":
         """Append `child` and return it (convenient for chaining)."""
@@ -121,7 +127,8 @@ class XMLTree:
         self._frozen = False
 
     def freeze(self) -> "XMLTree":
-        """Assign Dewey ids and index the nodes.  Idempotent.
+        """Assign Dewey ids and document-order rows, and index the
+        nodes.  Idempotent.
 
         Iterative so that pathologically deep documents (a chain of
         thousands of elements) do not hit the recursion limit.
@@ -132,6 +139,7 @@ class XMLTree:
         while stack:
             node, dewey = stack.pop()
             node.dewey = dewey
+            node.row = len(self.nodes)
             self.nodes.append(node)
             self._by_dewey[dewey] = node
             for i in range(len(node.children), 0, -1):
@@ -166,13 +174,40 @@ class XMLTree:
         """Serialize back to XML text (used by tests and examples)."""
         return self.root.to_xml(indent)
 
+    def to_xml_bytes_with_text_spans(self) -> Tuple[bytes, List[int],
+                                                    List[int]]:
+        """`to_xml()` as UTF-8, plus where each node's text sits in it.
+
+        Returns ``(document, offsets, lengths)``: per node in document
+        order, the byte span of its escaped text inside `document`
+        (``0, 0`` for none) -- the text references the node table
+        stores, so a reader can fetch one node's text from the document
+        file without parsing it.
+        """
+        parts: List[str] = []
+        slots: List[int] = []
+        _serialize_node(self.root, parts, 0, False, slots)
+        encoded = [part.encode("utf-8") for part in parts]
+        starts = [0]
+        for blob in encoded:
+            starts.append(starts[-1] + len(blob))
+        offsets = [starts[slot] if slot >= 0 else 0 for slot in slots]
+        lengths = [len(encoded[slot]) if slot >= 0 else 0 for slot in slots]
+        return b"".join(encoded), offsets, lengths
+
 
 def _serialize_node(node: Node, parts: List[str], depth: int,
-                    indent: bool) -> None:
+                    indent: bool,
+                    text_slots: Optional[List[int]] = None) -> None:
+    """Append `node`'s subtree to `parts`.  With `text_slots`, also
+    record per node, in document order, the index in `parts` of its
+    escaped text (``-1`` for none)."""
     pad = "  " * depth if indent else ""
     nl = "\n" if indent else ""
     attrs = "".join(
         f' {k}="{_escape_attr(v)}"' for k, v in node.attributes.items())
+    if text_slots is not None:
+        text_slots.append(len(parts) + 1 if node.text else -1)
     if not node.children and not node.text:
         parts.append(f"{pad}<{node.tag}{attrs}/>{nl}")
         return
@@ -182,7 +217,7 @@ def _serialize_node(node: Node, parts: List[str], depth: int,
     if node.children:
         parts.append(nl)
         for child in node.children:
-            _serialize_node(child, parts, depth + 1, indent)
+            _serialize_node(child, parts, depth + 1, indent, text_slots)
         parts.append(pad)
     parts.append(f"</{node.tag}>{nl}")
 

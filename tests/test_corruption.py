@@ -223,3 +223,146 @@ class TestVerifyOff:
                     load_database(clean_dir, verify="off")
                 except DatabaseFormatError:
                     pass
+
+
+class TestNodeTableFuzz:
+    """`dewey.bin` is the node table: hostile bytes must come back as a
+    typed error naming it -- at open for the header and the section
+    directory, on first touch for section checksums and the structural
+    invariants -- never an IndexError, a wrong node or a walk that does
+    not end, and within a time bound."""
+
+    TIME_BOUND_S = 20.0
+
+    @staticmethod
+    def _exercise(db):
+        """Touch every column of the table the engines and nodes read."""
+        out = []
+        for algorithm in ("join", "stack"):
+            for r in db.search("xml data", algorithm=algorithm):
+                node = r.node
+                out.append((algorithm, node.dewey, node.jdewey, node.tag,
+                            node.text, node.level, round(r.score, 12),
+                            [c.dewey for c in node.children],
+                            node.parent.dewey if node.parent else None))
+        return out
+
+    @pytest.fixture(scope="class")
+    def clean_answers(self, clean_dir):
+        return self._exercise(load_database(clean_dir, lazy=True,
+                                            verify="lazy"))
+
+    def _check(self, clean_dir, clean_answers, verify):
+        try:
+            db = load_database(clean_dir, lazy=True, verify=verify)
+            got = self._exercise(db)
+        except DatabaseCorruptError as err:
+            assert err.file == _DEWEY
+        except DatabaseFormatError:
+            pass    # a flipped magic or algorithm id
+        else:
+            if verify == "lazy":
+                # Only pad bytes are outside every checksum.
+                assert got == clean_answers
+
+    @pytest.mark.parametrize("verify", ("lazy", "off"))
+    def test_byte_flips(self, clean_dir, clean_answers, verify):
+        import time
+
+        rng = random.Random(SEED + 8)
+        start = time.perf_counter()
+        with _Mutant(clean_dir, _DEWEY) as mutant:
+            for _ in range(150):
+                mutant.write(_flip(mutant.original, rng))
+                self._check(clean_dir, clean_answers, verify)
+        assert time.perf_counter() - start < self.TIME_BOUND_S
+
+    @pytest.mark.parametrize("verify", ("lazy", "off"))
+    def test_truncations_are_caught_at_open(self, clean_dir, verify):
+        rng = random.Random(SEED + 9)
+        with _Mutant(clean_dir, _DEWEY) as mutant:
+            for _ in range(25):
+                cut = rng.randrange(len(mutant.original))
+                mutant.write(mutant.original[:cut])
+                with pytest.raises(DatabaseFormatError):
+                    load_database(clean_dir, lazy=True, verify=verify)
+
+    def test_absurd_counts_with_a_valid_header_checksum(self, clean_dir):
+        import struct
+        import time
+
+        from repro.reliability.checksum import ALGORITHM_NAMES, checksum
+        from repro.xmltree import nodetable
+
+        rng = random.Random(SEED + 10)
+        crc_at = nodetable._PREAMBLE - nodetable._HEADER_CRC.size
+        start = time.perf_counter()
+        with _Mutant(clean_dir, _DEWEY) as mutant:
+            algorithm = ALGORITHM_NAMES[mutant.original[4]]
+            for _ in range(60):
+                blob = bytearray(mutant.original)
+                # Overwrite one count / offset / length field of the
+                # header or the section directory with a huge value,
+                # then re-seal the header so only the range checks
+                # stand between the reader and the field.
+                field = rng.randrange(8, crc_at - 8, 4)
+                struct.pack_into("<Q", blob, field,
+                                 rng.choice((2 ** 62, 2 ** 40, 2 ** 31,
+                                             len(blob) + 1)))
+                struct.pack_into("<I", blob, crc_at,
+                                 checksum(bytes(blob[:crc_at]), algorithm))
+                mutant.write(bytes(blob))
+                for verify in ("lazy", "off"):
+                    try:
+                        db = load_database(clean_dir, lazy=True,
+                                           verify=verify)
+                        self._exercise(db)
+                    except DatabaseCorruptError as err:
+                        assert err.file == _DEWEY
+                    except DatabaseFormatError:
+                        pass    # node count no longer the manifest's
+        assert time.perf_counter() - start < self.TIME_BOUND_S
+
+    @pytest.mark.parametrize("column,row,value", [
+        ("parent", 3, 3),           # its own parent: a walk would not end
+        ("parent", 3, 7),           # a parent after its child
+        ("parent", 3, 10_000),      # off the end
+        ("parent", 0, 2),           # the root has a parent
+        ("level", 4, 9),            # not its parent's level plus one
+        ("ordinal", 2, 0),
+        ("tag_id", 2, 999),
+        ("tag_id", 2, -1),
+        ("text_off", 2, 10 ** 9),   # outside document.xml
+        ("text_off", 2, 2 ** 63 - 1),   # ... where off + len would wrap
+        ("text_len", 2, -5),
+        ("level_rows", 1, 0),       # filed twice / under the wrong level
+        ("level_rows", 1, 10_000),
+        ("level_starts", 1, 0),
+        ("number", 5, 1),           # a level's numbers no longer rise
+    ])
+    def test_out_of_range_references_with_valid_checksums(
+            self, clean_dir, column, row, value):
+        import numpy as np
+
+        from repro.xmltree.nodetable import NodeTable
+
+        with open(os.path.join(clean_dir, _DEWEY), "rb") as fh:
+            table = NodeTable.from_buffer(fh.read())
+        table._load()
+        columns = {name: np.array(getattr(table, name))
+                   for name in ("parent", "level", "number", "ordinal",
+                                "tag_id", "text_off", "text_len",
+                                "level_starts", "level_rows")}
+        columns[column][row] = value
+        text_off, text_len = columns.pop("text_off"), columns.pop("text_len")
+        for name, array in columns.items():
+            setattr(table, name, array)
+        forged = table.to_bytes(text_off, text_len, table._doc_bytes)
+        with _Mutant(clean_dir, _DEWEY) as mutant:
+            mutant.write(forged)
+            for verify in ("lazy", "off"):
+                db = load_database(clean_dir, lazy=True, verify=verify)
+                with pytest.raises(DatabaseCorruptError) as err:
+                    self._exercise(db)
+                assert err.value.file == _DEWEY
+                assert "inconsistent" in str(err.value)

@@ -277,13 +277,14 @@ class TestLegacyV1:
             "document.xml": db.tree.to_xml().encode("utf-8"),
             "columnar.bin": storage.serialize_columnar_index(
                 db.columnar_index, score_mode=storage.SCORES_EXACT),
-            "dewey.bin": storage.serialize_inverted_index(
-                db.inverted_index, score_mode=storage.SCORES_EXACT),
+            # A v1 reader's Dewey container; today only its magic is
+            # looked at (the lists derive from the columnar postings).
+            "dewey.bin": b"DWIL\x00",
         }
         meta = {
             "format_version": 1,
             "jdewey_gap": db.encoder.gap,
-            "n_docs": db.inverted_index.n_docs,
+            "n_docs": db.columnar_index.n_docs,
             "damping_base": db.ranking.damping.base,
             "tokenizer": {
                 "stopwords": sorted(db.tokenizer.stopwords),

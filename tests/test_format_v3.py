@@ -121,9 +121,9 @@ class TestZeroCopy:
             db.search(query, use_cache=False)
         assert COPY_STATS.copies("read-columnar") == 0, \
             COPY_STATS.events
-        # The other files still go through the copying reader.
-        assert COPY_STATS.copies("read-document") == 1
-        assert COPY_STATS.copies("read-dewey") == 1
+        # The node table is mapped too, and the document is not read.
+        assert COPY_STATS.copies("read-document") == 0
+        assert COPY_STATS.copies("read-dewey") == 0
 
     def test_v2_load_does_copy(self, version_dirs):
         COPY_STATS.reset()

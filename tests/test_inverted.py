@@ -37,12 +37,6 @@ class TestBuild:
         deweys = index.term_list("xml").deweys
         assert deweys == sorted(deweys)
 
-    def test_term_frequency_recorded(self, index):
-        plist = index.term_list("data")
-        section = next(p for p in plist.postings
-                       if p.dewey == (1, 1, 2, 2))
-        assert section.tf == 2
-
     def test_scores_positive(self, index):
         assert all(p.score > 0 for p in index.term_list("xml").postings)
 

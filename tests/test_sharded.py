@@ -53,7 +53,9 @@ class TestPartitioning:
     def test_shard_of_dewey_is_stable_and_root_safe(self):
         assert shard_of_dewey((1,), 4) == 0
         assert shard_of_dewey((1, 1), 4) == shard_of_dewey((1, 1, 9), 4)
-        assert {shard_of_dewey((d, 2), 3) for d in range(1, 7)} == {0, 1, 2}
+        # The root is always 1; the root-child ordinal picks the shard.
+        assert {shard_of_dewey((1, d), 3) for d in range(1, 7)} == {0, 1, 2}
+        assert [shard_of_dewey((1, d, 5), 2) for d in (1, 2, 3)] == [0, 1, 0]
 
     def test_subtree_map_covers_every_root_child(self, small_db):
         mapping = subtree_shard_map(small_db.tree, 2)
