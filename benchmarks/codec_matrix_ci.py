@@ -1,4 +1,4 @@
-"""CI gate for the format-v4 codec generation (the `perf-audit` job).
+"""CI gate for the format-v4 codec generation (the `query-guards` job).
 
 Builds one corpus, saves it as a v3 and a v4 container, and asserts
 the two claims the adaptive codec selector makes:

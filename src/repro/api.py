@@ -456,8 +456,7 @@ class XMLDatabase:
 
         Evaluation runs under a fresh `ResourceAccount` whose totals
         fold into the returned stats -- per-query resource truth for
-        every caller, always on (held to the <=5% accounting guard in
-        `repro.bench.serve`).
+        every caller, always on.
         """
         with accounting() as account:
             results, stats = self._evaluate_complete(

@@ -1,17 +1,8 @@
-"""Benchmark harness regenerating the paper's tables and figures."""
+"""Paper-table harness: `repro.bench.harness` regenerates the paper's
+section V tables and figures for EXPERIMENTS.md (``python -m
+repro.bench.harness``, ``pytest benchmarks/ --benchmark-only``).
 
-from .harness import (BenchConfig, Workbench, fig9_equal_rows, fig9_rows,
-                      fig10a_rows, fig10bc_rows, run_complete, run_topk,
-                      table1_rows)
-
-__all__ = [
-    "BenchConfig",
-    "Workbench",
-    "fig9_equal_rows",
-    "fig9_rows",
-    "fig10a_rows",
-    "fig10bc_rows",
-    "run_complete",
-    "run_topk",
-    "table1_rows",
-]
+It is not where a performance claim about this repo is measured -- that
+is ``benchmarks/e2e/run.py`` + ``compare.py``.  Import from
+`repro.bench.harness` directly; the package re-exports nothing.
+"""

@@ -36,10 +36,8 @@ class BenchConfig:
     """Corpus and workload scale for one harness run."""
 
     seed: int = 7
-    # The workload builder has its own RNG stream; pinning it here (and
-    # recording it in emitted reports) keeps BENCH_hotpath.json reruns
-    # comparable across commits -- the perf-regression time series
-    # (repro.bench.regress) depends on identical workloads.
+    # The workload builder has its own RNG stream; pinning it here
+    # keeps reruns of the report on identical workloads across commits.
     workload_seed: int = 11
     n_papers: int = 20_000
     xmark_scale: float = 0.05
@@ -498,6 +496,11 @@ def main(config: Optional[BenchConfig] = None) -> None:
 
 
 if __name__ == "__main__":
-    import sys
+    import argparse
 
-    main(BenchConfig.small() if "--small" in sys.argv else None)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench.harness", allow_abbrev=False,
+        description="regenerate the paper's section V tables and figures")
+    parser.add_argument("--small", action="store_true",
+                        help="fast smoke-scale configuration")
+    main(BenchConfig.small() if parser.parse_args().small else None)

@@ -19,8 +19,6 @@
     python -m repro slo http://127.0.0.1:8388     # or: slo access.jsonl
     python -m repro audit mydb/ "xml data" --shadow sampled
     python -m repro metrics mydb/ --query "xml data" --prometheus
-    python -m repro regress --append BENCH_hotpath.json --check
-    python -m repro bench --small
 
 `search`/`topk`/`info` accept either a saved database directory or a
 raw XML file (indexed on the fly).
@@ -307,13 +305,13 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Re-drive a captured workload and diff the outcome."""
-    from .bench.replay import main as replay_main
+    from .serve.replay import main as replay_main
 
     for path in (args.workload, args.database):
         if not os.path.exists(path):
             raise FileNotFoundError(f"no such file or directory: {path}")
     argv = [args.workload, args.database, "--mode", args.mode,
-            "--speed", str(args.speed), "--history", args.history]
+            "--speed", str(args.speed)]
     if args.limit is not None:
         argv += ["--limit", str(args.limit)]
     if args.against:
@@ -322,8 +320,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         argv += ["--out", args.out]
     if args.json:
         argv.append("--json")
-    if args.append:
-        argv.append("--append")
     if args.fail_on_mismatch:
         argv.append("--fail-on-mismatch")
     return replay_main(argv)
@@ -522,20 +518,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_regress(args: argparse.Namespace) -> int:
-    from .bench.regress import main as regress_main
-
-    argv = ["--history", args.history,
-            "--threshold", str(args.threshold),
-            "--window", str(args.window),
-            "--min-history", str(args.min_history)]
-    if args.append:
-        argv += ["--append", args.append]
-    if args.check:
-        argv.append("--check")
-    return regress_main(argv)
-
-
 def _trace_from_log(path: str, trace_id: Optional[str]) -> int:
     """Render daemon trace/access JSONL: stitched traces as span trees,
     access-log entries as one-line summaries."""
@@ -651,13 +633,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
         print(format_slo_report(report))
     if args.fail_on_alert and report.get("alerts"):
         return 1
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench.harness import BenchConfig, main as harness_main
-
-    harness_main(BenchConfig.small() if args.small else None)
     return 0
 
 
@@ -894,10 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the replay report JSON here")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--append", action="store_true",
-                   help="append the report to the regress history "
-                        "(scale=replay)")
-    p.add_argument("--history", default="BENCH_history.jsonl")
     p.add_argument("--fail-on-mismatch", action="store_true",
                    help="exit 1 on any digest mismatch or grown "
                         "resource total")
@@ -996,20 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "Prometheus exposition")
     p.set_defaults(fn=cmd_metrics)
 
-    p = sub.add_parser("regress",
-                       help="perf-regression time series over "
-                            "BENCH_hotpath runs (append / check)")
-    p.add_argument("--history", default="BENCH_history.jsonl")
-    p.add_argument("--append", metavar="REPORT_JSON", default=None,
-                   help="fold a BENCH_hotpath.json into the history")
-    p.add_argument("--check", action="store_true",
-                   help="compare newest entry vs the trailing median; "
-                        "exit 1 on >threshold p50 regression")
-    p.add_argument("--threshold", type=float, default=0.15)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--min-history", type=int, default=2)
-    p.set_defaults(fn=cmd_regress)
-
     p = sub.add_parser("trace",
                        help="run one traced query (span tree), or "
                             "render daemon trace/access JSONL with "
@@ -1055,12 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if any objective burns faster than "
                         "budget (CI gating)")
     p.set_defaults(fn=cmd_slo)
-
-    p = sub.add_parser("bench",
-                       help="regenerate the paper's tables and figures")
-    p.add_argument("--small", action="store_true",
-                   help="fast smoke-scale configuration")
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

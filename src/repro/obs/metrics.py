@@ -7,8 +7,8 @@ cache hit ratios, bytes read/written, batch queue depth.  Two read
 paths:
 
 * `snapshot()` -- a plain nested dict (counters / gauges / histograms
-  with p50/p95/p99), embedded into ``BENCH_*.json`` files by the bench
-  harness and serialized by the ``repro trace`` CLI verb;
+  with p50/p95/p99), serialized by the ``repro trace`` and
+  ``repro metrics --json`` CLI verbs;
 * `render_prometheus()` -- Prometheus text exposition format, ready to
   serve from a ``/metrics`` endpoint.
 

@@ -218,8 +218,7 @@ def sample_queries(sharded, count: int = 8, seed: int = 0) -> List[str]:
 
 class _DaemonThread:
     """Run a ServeDaemon on a private event loop thread (context
-    manager).  Mirrors the bench runner but lives here so the chaos
-    verb / tests need not import `repro.bench`."""
+    manager) for the chaos verb and tests."""
 
     def __init__(self, db, **kwargs):
         import asyncio

@@ -16,11 +16,10 @@ latency percentiles should be measured at) and **open-loop**
 (``--mode open``; honor the recorded arrival offsets, scaled by
 ``--speed``) for load-shaped re-runs.
 
-The report is ``repro.bench.replay/v1`` with a regress-compatible
-``ops.replay_query`` entry and ``config.scale="replay"``, so
-``repro replay --append`` files it into ``BENCH_history.jsonl`` and
-``repro regress --check`` guards the replay p50 like any other serve
-op (first append seeds the series).
+The report schema string stays ``repro.bench.replay/v1`` (its name
+from when this module lived under ``repro.bench``) and keeps the
+``ops.replay_query`` entry, so reports written by earlier commits still
+diff through ``--against``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..serve.capture import read_workload, result_digest
+from .capture import read_workload, result_digest
 
 REPLAY_SCHEMA = "repro.bench.replay/v1"
 
@@ -266,9 +265,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the report JSON here")
     parser.add_argument("--json", action="store_true",
                         help="print the report as JSON")
-    parser.add_argument("--append", action="store_true",
-                        help="append the report to the regress history")
-    parser.add_argument("--history", default="BENCH_history.jsonl")
     parser.add_argument("--fail-on-mismatch", action="store_true",
                         help="exit 1 when any digest mismatched or any "
                              "resource total grew vs the baseline")
@@ -293,11 +289,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(format_replay_report(report))
-    if args.append:
-        from .regress import append_run
-
-        append_run(report, args.history)
-        print(f"appended replay report to {args.history} (scale=replay)")
     if args.fail_on_mismatch:
         grew = any(value > 0
                    for value in report["resources"]["delta"].values())

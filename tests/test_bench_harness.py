@@ -48,6 +48,16 @@ class TestWorkbench:
         queries = tiny.builder.frequency_sweep(2)
         tiny.warm(tiny.dblp, queries)  # must not raise
 
+    def test_workbench_threads_the_workload_seed(self):
+        import numpy as np
+
+        config = BenchConfig.small()
+        assert config.workload_seed == 11
+        bench = Workbench(config)
+        expected = np.random.default_rng(config.workload_seed)
+        got = bench.builder.rng
+        assert got.integers(0, 1 << 30) == expected.integers(0, 1 << 30)
+
     def test_small_config_constructor(self):
         config = BenchConfig.small()
         assert config.n_papers < BenchConfig().n_papers

@@ -1,5 +1,5 @@
 """Tests for workload capture (`repro.serve.capture`) and replay
-(`repro.bench.replay`).
+(`repro.serve.replay`).
 
 The load-bearing property is the round trip: a workload captured from
 an inline (``workers=0``) daemon replays against the same database
@@ -14,10 +14,9 @@ import os
 
 import pytest
 
-from repro.bench.replay import (format_replay_report, result_digest,
-                                run_replay)
 from repro.serve.capture import (WORKLOAD_SCHEMA, WorkloadCapture,
-                                 read_workload)
+                                 read_workload, result_digest)
+from repro.serve.replay import format_replay_report, run_replay
 from repro.serve.daemon import ServeDaemon
 from repro.serve.merge import ShardedDatabase
 
@@ -220,18 +219,6 @@ class TestReplayCLI:
         assert "matched" in capsys.readouterr().out
         report = json.loads(open(out, encoding="utf-8").read())
         assert report["digests"]["mismatched"] == 0
-
-    def test_append_writes_replay_scale_history(self, tmp_path,
-                                                cli_setup, capsys):
-        from repro.cli import main
-
-        capture, sharded_dir = cli_setup
-        history = str(tmp_path / "hist.jsonl")
-        assert main(["replay", capture, sharded_dir, "--append",
-                     "--history", history]) == 0
-        entry = json.loads(open(history, encoding="utf-8").read())
-        assert entry["scale"] == "replay"
-        assert "replay_query" in entry["ops"]
 
     def test_missing_workload_exits_3(self, db_dir, capsys):
         from repro.cli import EXIT_MISSING, main

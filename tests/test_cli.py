@@ -96,21 +96,6 @@ class TestInfo:
         assert "nodes" in capsys.readouterr().out
 
 
-class TestBench:
-    def test_bench_delegates_to_harness(self, monkeypatch, capsys):
-        calls = {}
-
-        def fake_main(config=None):
-            calls["config"] = config
-
-        import repro.bench.harness as harness
-
-        monkeypatch.setattr(harness, "main", fake_main)
-        assert main(["bench", "--small"]) == 0
-        assert calls["config"] is not None
-        assert calls["config"].n_papers < 10_000
-
-
 class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

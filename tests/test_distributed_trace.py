@@ -510,24 +510,3 @@ class TestLogFiles:
                         + '{"status": 20',  # a dying daemon's last write
                         encoding="utf-8")
         assert read_jsonl(str(path)) == [{"status": 200}]
-
-
-# ---------------------------------------------------------------------------
-# the CI overhead guard's microbenchmark half
-# ---------------------------------------------------------------------------
-
-class TestServeObservabilityOverheadGuard:
-    def test_obs_tail_is_cheap(self):
-        from repro.bench.serve import measure_obs_tail
-
-        tail = measure_obs_tail(repeats=60)
-        # The bench guard enforces <= 5% of daemon request p50 (several
-        # ms); here only a generous absolute sanity bound, so a slow CI
-        # machine cannot flake the suite.
-        assert tail["p50_ms"] < 5.0
-
-    def test_guarded_ops_cover_the_traced_series(self):
-        from repro.bench.regress import GUARDED_OPS
-
-        assert "serve_daemon_topk_traced" in GUARDED_OPS
-        assert "serve_obs_tail" in GUARDED_OPS

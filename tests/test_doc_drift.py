@@ -1,5 +1,9 @@
-"""Doc-drift guard: every metric family a live daemon exports must
-have a row in docs/OBSERVABILITY.md's reference table.
+"""Doc-drift guards.
+
+Metrics: every metric family a live daemon exports must have a row in
+docs/OBSERVABILITY.md's reference table.  Commands: every ``python -m
+repro.<module>`` and ``repro <verb>`` the docs, CI workflow and verify
+skill name must still exist (see `TestDocumentedCommands`).
 
 The test drives an inline daemon (with accounting, tracing, caching
 and a disk-backed v3 sharded database, so as many families as
@@ -8,7 +12,10 @@ names from the `# TYPE` exposition lines, and greps the doc.  A new
 metric added without a doc row fails here by name.
 """
 
+import argparse
 import asyncio
+import glob
+import importlib.util
 import os
 import re
 
@@ -17,8 +24,8 @@ import pytest
 from repro.serve.daemon import ServeDaemon
 from repro.serve.merge import ShardedDatabase
 
-DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
-                   "OBSERVABILITY.md")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+DOC = os.path.join(ROOT, "docs", "OBSERVABILITY.md")
 
 #: Families folded in from worker processes keep their origin name
 #: under this prefix; the doc documents the pattern, not each name.
@@ -113,3 +120,59 @@ def test_documented_accounting_families_match_code():
                  "repro_query_postings_bytes_total"):
         assert name in doc, f"{name} undocumented"
         assert name in src, f"{name} documented but gone from api.py"
+
+
+# ---------------------------------------------------------------------------
+# commands named in docs / CI must exist
+# ---------------------------------------------------------------------------
+
+COMMAND_DOCS = (["README.md", "DESIGN.md", "EXPERIMENTS.md",
+                 ".github/workflows/ci.yml",
+                 ".claude/skills/verify/SKILL.md"]
+                + sorted(os.path.relpath(p, ROOT) for p in
+                         glob.glob(os.path.join(ROOT, "docs", "*.md"))))
+
+MODULE_RE = re.compile(r"python3? -m (repro(?:\.[a-z_]+)+)")
+#: ``python -m repro <verb>``, a backticked `` `repro <verb> `` and a
+#: shell line starting ``repro <verb>`` / ``$ repro <verb>``.
+VERB_RE = re.compile(r"(?:python3? -m repro|`repro|^\s*(?:\$ )?repro)"
+                     r" +([a-z][a-z-]*)", re.MULTILINE)
+
+
+def _mentions(pattern):
+    found = {}
+    for rel in COMMAND_DOCS:
+        path = os.path.join(ROOT, rel)
+        if not os.path.exists(path):
+            continue
+        text = open(path, encoding="utf-8").read()
+        for name in pattern.findall(text):
+            found.setdefault(name, rel)
+    return found
+
+
+def _importable(name):
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:      # a parent package is gone too
+        return False
+
+
+class TestDocumentedCommands:
+    def test_modules_are_importable(self):
+        modules = _mentions(MODULE_RE)
+        assert "repro.bench.harness" in modules, "scan found nothing"
+        missing = {name: rel for name, rel in modules.items()
+                   if not _importable(name)}
+        assert not missing, f"docs name modules that are gone: {missing}"
+
+    def test_verbs_exist_in_the_cli(self):
+        from repro.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        verbs = _mentions(VERB_RE)
+        assert "serve" in verbs and "replay" in verbs, "scan found nothing"
+        missing = {verb: rel for verb, rel in verbs.items()
+                   if verb not in sub.choices}
+        assert not missing, f"docs name CLI verbs that are gone: {missing}"

@@ -236,16 +236,23 @@ class TestAdmissionControl:
 
     def test_concurrent_burst_all_accounted(self, harness):
         """A concurrent burst larger than max_concurrency: every
-        request gets a typed response (200 or 429/504), and the queue
-        drains back to zero."""
+        request gets a typed response (200 or 429/504), accepted ones
+        come back within their deadline budget, and the queue drains
+        back to zero."""
+        timeout_ms = 5000.0
         statuses = []
+        accepted_ms = []
         lock = threading.Lock()
 
         def fire(i):
+            t0 = time.perf_counter()
             status, _body = harness.get_json(
-                f"/topk?q=beta+gamma&k=5&timeout_ms=5000&x={i}")
+                f"/topk?q=beta+gamma&k=5&timeout_ms={timeout_ms:.0f}&x={i}")
+            elapsed_ms = (time.perf_counter() - t0) * 1000.0
             with lock:
                 statuses.append(status)
+                if status == 200:
+                    accepted_ms.append(elapsed_ms)
 
         threads = [threading.Thread(target=fire, args=(i,))
                    for i in range(12)]
@@ -256,6 +263,7 @@ class TestAdmissionControl:
         assert len(statuses) == 12
         assert all(s in (200, 429, 504) for s in statuses)
         assert statuses.count(200) >= 1
+        assert max(accepted_ms) <= timeout_ms * 1.5 + 100.0
         assert harness.daemon.metrics.gauge(
             "repro_serve_queue_depth").value == 0
 
