@@ -12,7 +12,8 @@ comparable cost.
 import pytest
 
 from repro.algorithms.join_based import JoinBasedSearch
-from repro.index.compression import compress_column, uncompressed_size
+from repro.index.compression import (PAPER_CODECS, choose_codec,
+                                     uncompressed_size)
 
 
 def scheme_totals(index):
@@ -21,7 +22,7 @@ def scheme_totals(index):
         postings = index.term_postings(term)
         for level in range(1, postings.max_len + 1):
             column = postings.column(level)
-            scheme, blob = compress_column(column.values)
+            scheme, blob = choose_codec(column.values, PAPER_CODECS)
             totals[scheme][0] += uncompressed_size(column.values)
             totals[scheme][1] += len(blob)
     return totals

@@ -12,8 +12,7 @@ Run with::
 
 from repro import XMLDatabase, parse_xml
 from repro.index import storage
-from repro.index.compression import (choose_scheme, compress_column,
-                                     uncompressed_size)
+from repro.index.compression import choose_codec, uncompressed_size
 from repro.xmltree.jdewey import JDeweyEncoder
 from repro.xmltree.tree import Node
 
@@ -76,12 +75,12 @@ def main() -> None:
           f"(df={len(postings)}):")
     for level in range(1, postings.max_len + 1):
         column = postings.column(level)
-        scheme, blob = compress_column(column.values)
+        scheme, blob = choose_codec(column.values)
         raw = uncompressed_size(column.values)
         print(f"  level {level}: {len(column)} entries, "
               f"{column.n_distinct} distinct -> {scheme:>5} "
               f"{raw:>6}B raw / {len(blob):>5}B compressed")
-    assert choose_scheme(postings.column(1).values) == "rle"
+    assert choose_codec(postings.column(1).values)[0] == "rle"
 
     # Table I in miniature: serialized sizes of every index family.
     report = storage.measure_sizes(db.columnar_index, db.inverted_index)

@@ -41,7 +41,7 @@ class HybridTopKSearch(TopKKeywordSearch):
     """Cardinality-driven mix of the complete and top-K join plans."""
 
     def __init__(self, index: ColumnarIndex, bound_mode: str = GROUP,
-                 eraser_mode: str = "auto",
+                 eraser_mode: str = "bitmap",
                  planner: Optional[JoinPlanner] = None,
                  estimator: Optional[CardinalityEstimator] = None,
                  switch_factor: float = 4.0):

@@ -66,10 +66,9 @@ class JoinBasedSearch:
         Join-algorithm selection policy; defaults to the paper's dynamic
         (context-aware) policy.
     eraser_mode:
-        ``auto`` (default, picks a dense bitmap for small domains and
-        roaring containers above one chunk), ``roaring``, ``bitmap``,
-        or ``interval`` -- the section III-E range-checking structure;
-        all compute identical results.
+        ``bitmap`` (default, a dense boolean array per list),
+        ``interval`` -- the section III-E range-checking structure --
+        or ``roaring``; all compute identical results.
     vectorized:
         ``True`` (default) checks each level's candidates with bulk
         NumPy operations; ``False`` runs the per-candidate scalar
@@ -86,7 +85,7 @@ class JoinBasedSearch:
 
     def __init__(self, index: ColumnarIndex,
                  planner: Optional[JoinPlanner] = None,
-                 eraser_mode: str = "auto",
+                 eraser_mode: str = "bitmap",
                  vectorized: bool = True,
                  postings_cache=None,
                  tracer=None):
@@ -341,7 +340,7 @@ class JoinBasedSearch:
 
 def search(index: ColumnarIndex, terms: Sequence[str],
            semantics: str = ELCA, planner: Optional[JoinPlanner] = None,
-           eraser_mode: str = "auto") -> List[SearchResult]:
+           eraser_mode: str = "bitmap") -> List[SearchResult]:
     """One-shot convenience wrapper around `JoinBasedSearch.evaluate`."""
     engine = JoinBasedSearch(index, planner, eraser_mode)
     results, _stats = engine.evaluate(terms, semantics)

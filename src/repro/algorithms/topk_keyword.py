@@ -94,7 +94,7 @@ class TopKKeywordSearch:
     """Top-K ELCA/SLCA search over a `ColumnarIndex`."""
 
     def __init__(self, index: ColumnarIndex, bound_mode: str = GROUP,
-                 eraser_mode: str = "auto",
+                 eraser_mode: str = "bitmap",
                  planner: Optional[JoinPlanner] = None,
                  tracer=None):
         self.index = index

@@ -284,8 +284,8 @@ class XMLDatabase:
     def save(self, path: str, **kwargs) -> None:
         """Persist the document and both indexes to a directory.
 
-        Keyword arguments (``algorithm``, ``fsync``,
-        ``format_version``) forward to `repro.diskdb.save_database`.
+        Keyword arguments (``algorithm``, ``fsync``, ``shards``)
+        forward to `repro.diskdb.save_database`.
         """
         from .diskdb import save_database
 
@@ -627,7 +627,7 @@ class XMLDatabase:
         structures are read-only after build and the caches take a lock,
         so results are identical to the sequential run.  ``processes``
         > 1 evaluates them on a fork-based process pool instead: each
-        worker inherits the database copy-on-write (for a format-v3
+        worker inherits the database copy-on-write (for an opened
         database the mmap'd columns are *shared* pages, not copies),
         sidestepping the GIL for CPU-bound batches.  Per-worker
         `ExecutionStats` merge into ``summary`` exactly as in-process
@@ -810,7 +810,7 @@ class XMLDatabase:
         Pass exactly one of ``threads`` / ``processes``.  The process
         flavour is a fork-context `ProcessPoolExecutor` bound to *this*
         database: workers fork lazily on the first batch and inherit
-        the built indexes (and any format-v3 mmap) copy-on-write, so
+        the built indexes (and any mmap) copy-on-write, so
         reusing the executor across batches amortizes both worker
         startup and page warmup.  Handing it to a different database's
         ``search_batch`` raises.  On platforms without the ``fork``

@@ -395,7 +395,8 @@ def ablation_bound_rows(bench: Workbench) -> List[Tuple[str, str, int]]:
 def ablation_compression_rows(bench: Workbench
                               ) -> List[Tuple[str, str, float]]:
     """Section III-D claim: per-scheme compressed vs raw column bytes."""
-    from ..index.compression import compress_column, uncompressed_size
+    from ..index.compression import (PAPER_CODECS, choose_codec,
+                                     uncompressed_size)
 
     totals = {"rle": [0, 0], "delta": [0, 0]}
     index = bench.dblp.columnar_index
@@ -403,7 +404,7 @@ def ablation_compression_rows(bench: Workbench
         postings = index.term_postings(term)
         for level in range(1, postings.max_len + 1):
             column = postings.column(level)
-            scheme, blob = compress_column(column.values)
+            scheme, blob = choose_codec(column.values, PAPER_CODECS)
             totals[scheme][0] += uncompressed_size(column.values)
             totals[scheme][1] += len(blob)
     rows = []

@@ -117,18 +117,10 @@ def cmd_index(args: argparse.Namespace) -> int:
 
     db = XMLDatabase.from_tree(parse_xml_file(args.xml_file))
     n_terms = len(db.columnar_index.vocabulary)
-    if args.shards:
-        shard_fmt = args.format_version if args.format_version in (3, 4) \
-            else 3
-        db.save(args.output, shards=args.shards,
-                format_version=shard_fmt)
-        print(f"indexed {len(db)} nodes ({n_terms} terms) -> "
-              f"{args.output} ({args.shards} shards, "
-              f"format v{shard_fmt})")
-        return 0
-    db.save(args.output, format_version=args.format_version)
-    print(f"indexed {len(db)} nodes ({n_terms} terms) -> {args.output} "
-          f"(format v{args.format_version})")
+    db.save(args.output, shards=args.shards)
+    shards = f" ({args.shards} shards)" if args.shards else ""
+    print(f"indexed {len(db)} nodes ({n_terms} terms) -> "
+          f"{args.output}{shards}")
     return 0
 
 
@@ -138,17 +130,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
                                        n_papers=args.papers)
     else:
         db = XMLDatabase.generate_xmark(seed=args.seed, scale=args.scale)
-    if args.shards:
-        shard_fmt = args.format_version if args.format_version in (3, 4) \
-            else 3
-        db.save(args.output, shards=args.shards,
-                format_version=shard_fmt)
-        print(f"generated {args.corpus}: {len(db)} nodes -> {args.output} "
-              f"({args.shards} shards, format v{shard_fmt})")
-        return 0
-    db.save(args.output, format_version=args.format_version)
-    print(f"generated {args.corpus}: {len(db)} nodes -> {args.output} "
-          f"(format v{args.format_version})")
+    db.save(args.output, shards=args.shards)
+    shards = f" ({args.shards} shards)" if args.shards else ""
+    print(f"generated {args.corpus}: {len(db)} nodes -> "
+          f"{args.output}{shards}")
     return 0
 
 
@@ -156,7 +141,7 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     """Evaluate a query workload as one `search_batch` call.
 
     The database loads in the lazy, mmap-backed mode when it is a
-    saved directory (format v3 then serves columns zero-copy and the
+    saved directory (the container then serves columns zero-copy and the
     forked workers of ``--processes`` share the mapping); ``--eager``
     opts back into the fully materialized load.
     """
@@ -370,37 +355,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _print_format_info(path: str) -> None:
-    """Container format version + per-codec column mix, read straight
-    from the on-disk containers (v3/v4; earlier formats report only
-    their version)."""
-    import json
+    """Format version + per-codec column mix of a database directory,
+    read straight from the on-disk containers (`repro.obs.doctor`)."""
+    from .obs.doctor import doctor_report
 
-    meta_path = os.path.join(path, "meta.json")
-    if not os.path.exists(meta_path):
-        return
-    with open(meta_path, "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    version = meta.get("format_version")
-    print(f"format:      v{version}")
-    if version not in (3, 4):
-        return
-    from .index.storage import parse_v3_payload, parse_v4_payload
-    from .obs.doctor import _scan_columnar, _shard_dirs
-
-    mix: dict = {}
-    keepalive = []
-    for _label, shard_dir in _shard_dirs(path, meta):
-        columnar = os.path.join(shard_dir, "columnar.bin")
-        if not os.path.exists(columnar):
-            continue
-        fmt, _algorithm, data, refs, mapped = _scan_columnar(columnar)
-        keepalive.append(mapped)
-        parse = parse_v4_payload if fmt == "v4" else parse_v3_payload
-        for ref in refs:
-            payload = data[ref.offset: ref.offset + ref.length]
-            _lengths, _scores, level_payloads = parse(ref.term, payload)
-            for scheme, _column in level_payloads:
-                mix[scheme] = mix.get(scheme, 0) + 1
+    report = doctor_report(path)
+    print(f"format:      v{report['format_version']}")
+    mix = {codec: entry["columns"] for codec, entry
+           in report["compression"]["by_codec"].items()}
     if mix:
         total = sum(mix.values())
         parts = ", ".join(
@@ -676,17 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="index an XML file into a database")
     p.add_argument("xml_file")
     p.add_argument("output", help="database directory to create")
-    p.add_argument("--format-version", type=int, choices=(1, 2, 3, 4),
-                   default=2,
-                   help="on-disk format: 2 = blocked+checksummed "
-                        "(default), 3 = block-aligned zero-copy mmap, "
-                        "4 = v3 layout with adaptive per-column codecs "
-                        "(FOR/varint join rle/delta), 1 = legacy bare "
-                        "blobs")
     p.add_argument("--shards", type=int, default=None,
                    help="partition the index into N subtree-affine "
-                        "shards (format v3, or v4 with "
-                        "--format-version 4; see docs/SERVING.md)")
+                        "shards (see docs/SERVING.md)")
     p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser("generate",
@@ -698,17 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DBLP paper count")
     p.add_argument("--scale", type=float, default=0.01,
                    help="XMark scale factor")
-    p.add_argument("--format-version", type=int, choices=(1, 2, 3, 4),
-                   default=2,
-                   help="on-disk format: 2 = blocked+checksummed "
-                        "(default), 3 = block-aligned zero-copy mmap, "
-                        "4 = v3 layout with adaptive per-column codecs "
-                        "(FOR/varint join rle/delta), 1 = legacy bare "
-                        "blobs")
     p.add_argument("--shards", type=int, default=None,
                    help="partition the index into N subtree-affine "
-                        "shards (format v3, or v4 with "
-                        "--format-version 4; see docs/SERVING.md)")
+                        "shards (see docs/SERVING.md)")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("serve-batch",
@@ -726,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the per-mode default algorithm")
     p.add_argument("--processes", type=int, default=None,
                    help="fork-based worker processes (workers share "
-                        "the mmap'd v3 store copy-on-write)")
+                        "the mmap'd store copy-on-write)")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the result cache")

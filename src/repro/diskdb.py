@@ -18,16 +18,34 @@ The Dewey posting lists of the baselines are not stored; they derive
 per term from the columnar postings and the table
 (`repro.index.inverted`).  ``document.xml`` is read when something
 needs the real tree (`db.tree`: the oracle, `to_xml`, `refresh`) or a
-node's text.  Directories written before the node table existed carry
-a Dewey posting container in ``dewey.bin``; it is digest-checked and
-otherwise ignored, and for want of a table their document is parsed at
-open as it always was.
+node's text.
 
-Format v2 (`repro.reliability`) adds integrity and atomicity:
+There is one on-disk format (``meta.json`` ``format_version`` 5).
+``columnar.bin`` is the container of `repro.index.storage` (magic
+``JDX5``; all integers little-endian, every frame and region 8-aligned,
+pad bytes zero)::
 
-* the index files are *blocked* containers -- every term's payload
-  carries a CRC, so a lazy reader can verify exactly the bytes it
-  touches -- and ``meta.json`` records a whole-file digest per file;
+    file      magic (4) | checksum algorithm id (1) | pad (3) | n_terms u64
+    per term  u32 term_len | u64 payload_len | u32 crc
+              | term bytes | pad | payload | pad
+    payload   u64 n_seqs | u32 max_len | u32 score_mode
+              | u32 lengths_off | u32 lengths_len | u64 scores_off
+              u64 level_offs[max_len] | u64 level_lens[max_len]
+              u8 schemes[max_len] | pad         codec id per level
+              lengths   varint column of (length, run) pairs | pad
+              scores    float64[n_seqs] | pad
+              columns   one compressed column per level, each padded
+
+Because every region is offset-indexed and aligned, `load_database`
+memory-maps the file (`reliability.io.map_bytes`) and the lazy reader
+materializes scores and compressed columns as ``np.frombuffer`` views --
+no whole-payload ``bytes`` copy, and forked `search_batch` / shard
+workers share the mapping copy-on-write.  Integrity and atomicity
+(`repro.reliability`):
+
+* every term's payload carries a CRC, so a lazy reader verifies exactly
+  the bytes it touches, and ``meta.json`` records a whole-file digest
+  per file;
 * `save_database` stages everything in a sibling temp directory,
   fsyncs, then `os.replace`-s file by file with ``meta.json`` strictly
   last.  A crash before the manifest lands leaves either the old
@@ -39,17 +57,10 @@ Format v2 (`repro.reliability`) adds integrity and atomicity:
   through a `FaultInjector` plus bounded `RetryPolicy` so transient
   I/O errors heal and permanent ones surface typed.
 
-Format v3 keeps the v2 guarantees and makes the columnar file
-*block-aligned* (``JDX3``, `repro.index.storage`): every per-term,
-per-level payload is offset-indexed and 8-byte-padded, so
-`load_database` memory-maps ``columnar.bin`` (`reliability.io.map_bytes`)
-and the lazy reader materializes columns as ``np.frombuffer`` views --
-no whole-payload ``bytes`` copy, and forked `search_batch` workers
-share the mapping copy-on-write.  Saving v3 is opt-in
-(``save_database(..., format_version=3)``); the default stays v2.
-
-Version-1 directories (no checksums, bare blobs) still load, and can
-still be written (``format_version=1``) for round-trip testing.
+A directory written in an earlier format (``format_version`` 1-4) is
+refused with a `DatabaseFormatError` that names its version; every
+directory carries its document, so ``repro index <dir>/document.xml
+<new-dir>`` rebuilds it in this one.
 
 Only the default `TfIdfScorer`/`SumCombiner` ranking configuration (any
 damping base) round-trips from metadata; databases built with custom
@@ -80,22 +91,29 @@ from .reliability.faults import FaultInjector
 from .reliability.io import fsync_dir, map_bytes, read_bytes, write_bytes
 from .reliability.retry import DEFAULT_POLICY, RetryPolicy
 from .scoring.ranking import DampingFunction, RankingModel
-from .xmltree import nodetable
 from .xmltree.nodetable import NodeTable
 from .xmltree.parser import parse_xml
 
-FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2, 3, 4)
+FORMAT_VERSION = 5
+_SUPPORTED_VERSIONS = (FORMAT_VERSION,)
 
 _DOCUMENT = "document.xml"
 _META = "meta.json"
 _COLUMNAR = "columnar.bin"
 _DEWEY = "dewey.bin"
-#: What ``dewey.bin`` starts with in directories written before the
-#: node table: the bare (v1) and blocked (v2-v4) Dewey containers.
-_LEGACY_DEWEY_MAGICS = (b"DWIL", b"DWIB")
 
 _VERIFY_MODES = ("eager", "lazy", "off")
+
+
+def require_current_format(path: str, version) -> None:
+    """Refuse a directory written in an earlier format, naming its
+    version and the way back (every directory carries its document)."""
+    if version not in _SUPPORTED_VERSIONS:
+        raise DatabaseFormatError(
+            f"{path!r} is in format version {version!r}; this release "
+            f"reads and writes version {FORMAT_VERSION} only.  Rebuild "
+            f"it from its document: repro index "
+            f"{os.path.join(path, _DOCUMENT)} <new-dir>")
 
 
 def _view(source):
@@ -153,7 +171,6 @@ def _commit_atomically(path: str, data_files, meta_blob: bytes,
 def save_database(db: XMLDatabase, path: str,
                   algorithm: Optional[str] = None,
                   fsync: bool = True,
-                  format_version: Optional[int] = None,
                   shards: Optional[int] = None) -> None:
     """Write `db` (document, columnar index, node table) to directory
     `path`, atomically.
@@ -165,47 +182,20 @@ def save_database(db: XMLDatabase, path: str,
     checksum (default `repro.reliability.DEFAULT_ALGORITHM`);
     ``fsync=False`` trades durability for speed (tests, throwaway dirs).
 
-    ``format_version`` selects the on-disk format: 2 (default, blocked
-    checksummed containers), 3 (block-aligned columnar container that
-    loads zero-copy from an mmap), 4 (the v3 container with per-column
-    adaptive codec selection over rle/delta/varint/for) or 1 (legacy
-    bare blobs, no checksums -- kept writable for round-trip tests).
-    Every version writes the node table as ``dewey.bin``.
-
     Bytes written are published as ``repro_disk_bytes_written_total``
     in the process metrics registry.
 
     ``shards=N`` writes the *sharded* layout instead
-    (`docs/SERVING.md`): one format-v3 columnar container per shard
-    under ``shard-XX/`` subdirectories, partitioned by root-child
-    subtree (`repro.serve.sharding`), beside one document, one node
-    table and a shard manifest in ``meta.json``.  Opening a sharded
-    directory returns a `repro.serve.ShardedDatabase`.
+    (`docs/SERVING.md`): one columnar container per shard under
+    ``shard-XX/`` subdirectories, partitioned by root-child subtree
+    (`repro.serve.sharding`), beside one document, one node table and a
+    shard manifest in ``meta.json``.  Opening a sharded directory
+    returns a `repro.serve.ShardedDatabase`.
     """
     metrics = get_registry()
     algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
-    if shards is not None:
-        if format_version not in (None, 3, 4):
-            raise ValueError("sharded databases require format version 3 "
-                             f"or 4 (got {format_version!r})")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        version = 3 if format_version is None else int(format_version)
-    else:
-        version = (FORMAT_VERSION if format_version is None
-                   else int(format_version))
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unknown format version {version!r}; "
-                             f"one of {_SUPPORTED_VERSIONS}")
-    serialize_columnar = {
-        1: storage.serialize_columnar_index,
-        2: storage.serialize_columnar_index_blocked,
-        3: storage.serialize_columnar_index_v3,
-        4: storage.serialize_columnar_index_v4,
-    }[version]
-    columnar_kwargs = {"score_mode": storage.SCORES_EXACT}
-    if version >= 2:
-        columnar_kwargs["algorithm"] = algorithm
+    if shards is not None and shards < 1:
+        raise ValueError("shards must be >= 1")
     columnar = db.columnar_index
     # The table's text references are byte spans of this serialization.
     document, text_off, text_len = db.tree.to_xml_bytes_with_text_spans()
@@ -213,7 +203,7 @@ def save_database(db: XMLDatabase, path: str,
                                          algorithm)
     data_files = [(_DOCUMENT, document), (_DEWEY, table_blob)]
     meta = {
-        "format_version": version,
+        "format_version": FORMAT_VERSION,
         "jdewey_gap": db.jdewey_gap,
         "n_docs": columnar.n_docs,
         "damping_base": db.ranking.damping.base,
@@ -224,8 +214,8 @@ def save_database(db: XMLDatabase, path: str,
         "n_nodes": len(db.tree),
     }
     if shards is None:
-        data_files.append(
-            (_COLUMNAR, serialize_columnar(columnar, **columnar_kwargs)))
+        data_files.append((_COLUMNAR, storage.serialize_columnar_index(
+            columnar, algorithm=algorithm)))
     else:
         from .serve.sharding import partition_columnar
 
@@ -236,16 +226,16 @@ def save_database(db: XMLDatabase, path: str,
         for shard_dir, part in zip(shard_dirs, parts):
             data_files.append((
                 os.path.join(shard_dir, _COLUMNAR),
-                serialize_columnar(storage.PostingsView(part),
-                                   **columnar_kwargs)))
+                storage.serialize_columnar_index(
+                    ColumnarIndex.from_postings(columnar.nodes, part),
+                    algorithm=algorithm)))
         meta["shards"] = {"count": shards, "strategy": "root-child-mod",
                           "dirs": shard_dirs}
-    if version >= 2:
-        meta["checksum"] = {
-            "algorithm": algorithm,
-            "files": {name: hex_digest(blob, algorithm)
-                      for name, blob in data_files},
-        }
+    meta["checksum"] = {
+        "algorithm": algorithm,
+        "files": {name: hex_digest(blob, algorithm)
+                  for name, blob in data_files},
+    }
     meta_blob = json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")
     _commit_atomically(path, data_files, meta_blob, fsync)
     metrics.counter("repro_disk_bytes_written_total").inc(
@@ -262,7 +252,6 @@ def load_database(path: str,
                   lazy: bool = False,
                   injector: Optional[FaultInjector] = None,
                   retry: Optional[RetryPolicy] = None,
-                  vectorized: bool = True,
                   decoded_cache_bytes: int = 32 * 1024 * 1024,
                   **db_kwargs):
     """Open a directory written by `save_database`.
@@ -273,11 +262,8 @@ def load_database(path: str,
     ``cache`` argument is ignored (each shard keeps its own caches).
 
     Nothing proportional to the document runs in Python here: the node
-    table and (format v3+) the columnar container are memory-mapped,
-    and ``document.xml`` is parsed only when `db.tree` is first used.
-    A directory written before the node table existed is opened the
-    old way -- its document parsed, its Dewey container digest-checked
-    and set aside -- and answers identically.
+    table and the columnar container are memory-mapped, and
+    ``document.xml`` is parsed only when `db.tree` is first used.
 
     ``cache`` / ``postings_cache_size`` / ``result_cache_size`` and any
     extra keyword arguments (``tracer``, ``metrics``, ``slow_log``, ...)
@@ -300,8 +286,6 @@ def load_database(path: str,
       faults heal; exhausted retries surface as `DatabaseCorruptError`.
       An installed injector downgrades every mmap to a plain
       (fault-observable) read.
-    * ``vectorized`` -- use the numpy batched column decoders
-      (default); ``False`` falls back to the scalar reference decoders.
     * ``decoded_cache_bytes`` -- byte budget of the shared
       decoded-column LRU on the lazy path (default 32 MiB; ``0``
       disables it, reverting to unbounded per-postings caching).  One
@@ -312,8 +296,10 @@ def load_database(path: str,
     The returned database holds its mappings for its lifetime; column
     decompression and node lookups run on zero-copy views of them.
 
-    Raises `DatabaseFormatError` on missing files, version mismatch, or
-    a document that no longer matches the stored indexes, and
+    Raises `DatabaseFormatError` on missing files, a directory written
+    in an earlier format (the message names its version and the way
+    to rebuild it), or a document that no longer matches the stored
+    indexes, and
     `DatabaseCorruptError` (a subclass) when bytes fail their checksum
     or do not parse.
     """
@@ -354,11 +340,7 @@ def load_database(path: str,
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatabaseFormatError(
             f"{_META} does not parse ({exc}); interrupted save?") from exc
-    version = meta.get("format_version")
-    if version not in _SUPPORTED_VERSIONS:
-        raise DatabaseFormatError(
-            f"format version {version!r} unsupported "
-            f"(expected one of {_SUPPORTED_VERSIONS})")
+    require_current_format(path, meta.get("format_version"))
     # Pull every field up-front so a mangled manifest surfaces as one
     # typed error instead of a raw KeyError/TypeError deep in the load.
     try:
@@ -383,12 +365,12 @@ def load_database(path: str,
     except (KeyError, TypeError, ValueError) as exc:
         raise DatabaseFormatError(
             f"{_META} is missing or has an invalid field: {exc!r}") from exc
-    if version >= 2 and verify != "off" and algorithm not in ALGORITHMS:
+    if verify != "off" and algorithm not in ALGORITHMS:
         raise DatabaseFormatError(
             f"manifest names unknown checksum algorithm {algorithm!r}")
 
     def verify_file(name: str, blob) -> None:
-        if verify == "off" or version < 2:
+        if verify == "off":
             return
         expected = digests.get(name)
         if expected is None or not digest_matches(blob, expected, algorithm):
@@ -399,7 +381,7 @@ def load_database(path: str,
                 f"({algorithm}); the file was corrupted or belongs to "
                 "an interrupted save", file=name)
 
-    opened = {}     # "document" / "tree" / "nodes", each produced once
+    opened = {}     # "document" / "tree", each produced once
 
     def open_document():
         """``document.xml`` mapped and digest-checked, on first use."""
@@ -427,47 +409,22 @@ def load_database(path: str,
             opened["tree"] = tree
         return opened["tree"]
 
-    def check_legacy_dewey(name: str, blob) -> None:
-        """A pre-table Dewey container: vouched for, then set aside
-        (its lists derive from the columnar postings like any other)."""
-        verify_file(name, blob)
-        if bytes(blob[:4]) not in _LEGACY_DEWEY_MAGICS:
-            raise DatabaseFormatError(
-                f"{name} is neither a node table nor a Dewey container "
-                f"(magic {bytes(blob[:4])!r})")
-
-    # The node table -- or, for a directory written before it existed,
-    # the document parsed now (and tabled once a database numbers it).
-    if os.path.exists(os.path.join(path, _DEWEY)):
-        dewey_blob = _view(read_file(_DEWEY, "read-dewey", mapped=True))
-        if bytes(dewey_blob[:4]) == nodetable.MAGIC:
-            if verify != "lazy":
-                verify_file(_DEWEY, dewey_blob)
-            nodes = opened["nodes"] = NodeTable.from_buffer(
-                dewey_blob, file=_DEWEY,
-                # Lazy: sections vouch for themselves on first touch.
-                # Eager: the digest above covered every byte -- except
-                # in v1, which has no manifest.
-                check_crc=verify == "lazy" or (verify == "eager"
-                                               and version < 2),
-                metrics=metrics, open_tree=open_tree,
-                open_document=open_document)
-            if len(nodes) != n_nodes:
-                raise DatabaseFormatError(
-                    f"node table has {len(nodes)} nodes, metadata says "
-                    f"{n_nodes}")
-            if verify == "eager":
-                open_document()
-        else:
-            check_legacy_dewey(_DEWEY, dewey_blob)
-    elif shard_dirs is not None:
-        for shard_dir in shard_dirs:
-            name = os.path.join(shard_dir, _DEWEY)
-            check_legacy_dewey(name, read_file(name, "read-dewey"))
-    else:
+    if not os.path.exists(os.path.join(path, _DEWEY)):
         raise DatabaseFormatError(f"{path!r} has no {_DEWEY}")
-    if "nodes" not in opened:
-        open_tree()
+    table_blob = _view(read_file(_DEWEY, "read-dewey", mapped=True))
+    if verify != "lazy":
+        verify_file(_DEWEY, table_blob)
+    # Lazy: the table's sections vouch for themselves on first touch.
+    # Otherwise the digest above covered every byte (or nothing was to
+    # be checked).
+    nodes = NodeTable.from_buffer(
+        table_blob, file=_DEWEY, check_crc=verify == "lazy",
+        metrics=metrics, open_tree=open_tree, open_document=open_document)
+    if len(nodes) != n_nodes:
+        raise DatabaseFormatError(
+            f"node table has {len(nodes)} nodes, metadata says {n_nodes}")
+    if verify == "eager":
+        open_document()
 
     try:
         tokenizer = Tokenizer(stopwords=stopwords, min_length=min_length)
@@ -482,7 +439,7 @@ def load_database(path: str,
         layout's file or one shard's -- sharing the table and the
         deferred document."""
         try:
-            db = XMLDatabase(opened.get("tree"), tokenizer=tokenizer,
+            db = XMLDatabase(None, tokenizer=tokenizer,
                              ranking=ranking, jdewey_gap=jdewey_gap,
                              cache=db_cache,
                              postings_cache_size=postings_cache_size,
@@ -492,40 +449,23 @@ def load_database(path: str,
             raise DatabaseFormatError(
                 f"{_META} carries an invalid configuration: {exc}") from exc
         db._open_tree = open_tree
-        if "nodes" not in opened:
-            opened["nodes"] = NodeTable.from_tree(db.tree)
-        nodes = opened["nodes"]
-        # v3+: zero-copy, the container is mapped.
-        source = read_file(columnar_rel, "read-columnar",
-                           mapped=version >= 3)
+        # Zero-copy: the container is mapped.
+        source = read_file(columnar_rel, "read-columnar", mapped=True)
         if lazy:
             # No whole-file pass here on purpose: per-block CRCs cover
             # exactly the bytes a query touches, when it touches them.
             db._columnar = LazyColumnarIndex(
-                source, nodes, tokenizer, ranking,
-                verify=verify if version >= 2 else "off",
+                source, nodes, tokenizer, ranking, verify=verify,
                 source=columnar_rel, metrics=metrics,
-                vectorized=vectorized, decoded_cache=decoded_cache)
+                decoded_cache=decoded_cache)
             db._columnar.n_docs = n_docs
             return db
         blob = _view(source)
         verify_file(columnar_rel, blob)
         # Block CRCs are not re-checked: the digest covered every byte
         # (unless verify="off", which asked for no checks at all).
-        if version == 4:
-            postings = storage.deserialize_columnar_index_v4(
-                blob, verify=False, file=columnar_rel,
-                vectorized=vectorized)
-        elif version == 3:
-            postings = storage.deserialize_columnar_index_v3(
-                blob, verify=False, file=columnar_rel,
-                vectorized=vectorized)
-        elif version == 2:
-            postings = storage.deserialize_columnar_index_blocked(
-                blob, verify=False, file=columnar_rel)
-        else:
-            postings = storage.guarded_deserialize_columnar(
-                blob, file=columnar_rel)
+        postings = storage.deserialize_columnar_index(
+            blob, verify=False, file=columnar_rel)
         db._columnar = ColumnarIndex.from_postings(
             nodes, postings, tokenizer, ranking, n_docs)
         _verify_consistency(db)

@@ -1,6 +1,6 @@
 """Column compression (paper section III-D).
 
-Two schemes, chosen per column exactly as in the paper:
+The paper's two schemes, chosen per column by the paper's rule:
 
 * **Delta blocks** for columns with many distinct values: each disk
   block stores the first JDewey number in full and every subsequent
@@ -12,8 +12,11 @@ Two schemes, chosen per column exactly as in the paper:
   stores ``(value_delta, count)`` pairs; the logical triple view is what
   the range-checking of section III-E operates on.
 
-All encoders round-trip; sizes feed Table I and the compression
-ablation.
+and two the on-disk container may pick instead when they are smaller:
+plain **varints** and **frame-of-reference** bit packing.
+`choose_codec` is the one selector; restricted to `PAPER_CODECS` it is
+the paper's rule, which is what Table I and the compression ablation
+size.  All encoders round-trip.
 
 Decoding has two execution strategies, mirroring the ``vectorized=``
 convention of the join-based level loop:
@@ -25,17 +28,17 @@ convention of the join-based level loop:
   shifted 7-bit payloads fold with ``np.bitwise_or.reduceat``, and the
   delta/RLE reconstructions are ``np.cumsum`` / ``np.repeat`` over the
   decoded stream.  Both paths are differentially tested; the scalar one
-  is retained as the correctness reference.
+  is the correctness reference and what `decompress_column` runs on
+  payloads under `VECTORIZED_MIN_BYTES`.
 
 Every decoder accepts ``bytes``, ``memoryview`` or a ``uint8`` ndarray,
-so the format-v3 mmap path can hand columns straight off the file
-mapping without an intermediate copy.
+so the mmap path can hand columns straight off the file mapping without
+an intermediate copy.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,15 +50,17 @@ SCHEME_RLE = "rle"
 SCHEME_VARINT = "varint"
 SCHEME_FOR = "for"
 
-#: Stable on-disk codec ids.  Format v3 containers only ever wrote ids
-#: 0/1; format v4 records the adaptive selector's choice here, so
-#: `decompress_column` dispatches on the recorded id without sniffing.
+#: Stable on-disk codec ids.  The container records `choose_codec`'s
+#: pick per column here, so `decompress_column` dispatches on the
+#: recorded id without sniffing.
 SCHEME_IDS = {SCHEME_RLE: 0, SCHEME_DELTA: 1, SCHEME_VARINT: 2,
               SCHEME_FOR: 3}
 SCHEME_NAMES = {sid: name for name, sid in SCHEME_IDS.items()}
 
-#: The candidate set the format-v4 adaptive selector measures.
-V4_CODECS = (SCHEME_RLE, SCHEME_DELTA, SCHEME_FOR, SCHEME_VARINT)
+#: Every codec `choose_codec` may pick, in tie-break order.
+CODECS = (SCHEME_RLE, SCHEME_DELTA, SCHEME_FOR, SCHEME_VARINT)
+#: The paper's two schemes alone (section III-D): what Table I sizes.
+PAPER_CODECS = (SCHEME_RLE, SCHEME_DELTA)
 
 #: The widest value any numpy-backed consumer can represent: decoded
 #: columns land in int64/uint64 arrays, so a varint that does not fit
@@ -106,10 +111,24 @@ def varint_size(value: int) -> int:
     return size
 
 
+def _python_ints(values: Sequence[int]) -> List[int]:
+    """`values` as a list -- of Python ints when it was an array: the
+    varint loops run several times faster on them than on numpy
+    scalars."""
+    return values.tolist() if isinstance(values, np.ndarray) \
+        else list(values)
+
+
 def encode_varints(values: Iterable[int]) -> bytes:
     out = bytearray()
-    for value in values:
-        write_varint(out, value)
+    append = out.append
+    for value in values:        # `write_varint`, inlined: the hot loop
+        if value < 0:
+            raise ValueError("varints are unsigned")
+        while value >= 0x80:
+            append((value & 0x7F) | 0x80)
+            value >>= 7
+        append(value)
     return bytes(out)
 
 
@@ -190,20 +209,18 @@ def decode_varints_vectorized(data: ByteSource) -> np.ndarray:
 def encode_delta_blocks(values: Sequence[int],
                         block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
     """Encode a sorted column with per-block delta coding."""
-    out = bytearray()
-    write_varint(out, len(values))
-    write_varint(out, block_size)
-    for start in range(0, len(values), block_size):
-        block = values[start: start + block_size]
-        write_varint(out, int(block[0]))
-        prev = int(block[0])
-        for value in block[1:]:
-            value = int(value)
-            if value < prev:
-                raise ValueError("delta blocks need a sorted column")
-            write_varint(out, value - prev)
-            prev = value
-    return bytes(out)
+    values = _python_ints(values)
+    stream = [len(values), block_size]
+    prev = 0
+    for i, value in enumerate(values):
+        if i % block_size == 0:
+            stream.append(value)            # a block's first, in full
+        elif value < prev:
+            raise ValueError("delta blocks need a sorted column")
+        else:
+            stream.append(value - prev)
+        prev = value
+    return encode_varints(stream)
 
 
 def decode_delta_blocks(data: ByteSource,
@@ -333,22 +350,18 @@ def _decode_rle_scalar(data: ByteSource) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scheme 3: plain varint stream (format v4)
+# Scheme 3: plain varint stream
 # ---------------------------------------------------------------------------
 #
-# The degenerate member of the v4 candidate set: no modelling at all,
-# just LEB128 bytes.  It exists so the adaptive selector has an honest
+# The degenerate member of the candidate set: no modelling at all,
+# just LEB128 bytes.  It exists so the selector has an honest
 # floor -- a column whose deltas are *larger* than its values (it
 # happens at level 1, where one sequence per subtree makes the column
 # nearly uniform-random) should not be forced through delta coding.
 
 def encode_varint_column(values: Sequence[int]) -> bytes:
     """Encode a column as ``varint(count) | varint(value)...``."""
-    out = bytearray()
-    write_varint(out, len(values))
-    for value in values:
-        write_varint(out, int(value))
-    return bytes(out)
+    return encode_varints([len(values)] + _python_ints(values))
 
 
 def decode_varint_column(data: ByteSource,
@@ -380,7 +393,7 @@ def _decode_varint_column_scalar(data: ByteSource) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scheme 4: frame-of-reference + fixed bit-width packing (format v4)
+# Scheme 4: frame-of-reference + fixed bit-width packing
 # ---------------------------------------------------------------------------
 #
 # Layout (all integers little-endian, bit stream MSB-first)::
@@ -580,28 +593,6 @@ def _decode_for_scalar(data: ByteSource) -> np.ndarray:
 # Scheme selection
 # ---------------------------------------------------------------------------
 
-def choose_scheme(values: Sequence[int],
-                  distinct_ratio: float = RLE_DISTINCT_RATIO) -> str:
-    """Pick RLE for low-cardinality columns, delta blocks otherwise."""
-    n = len(values)
-    if n == 0:
-        return SCHEME_RLE
-    arr = np.asarray(values, dtype=np.int64)
-    n_distinct = len(np.unique(arr))
-    return SCHEME_RLE if n_distinct / n <= distinct_ratio else SCHEME_DELTA
-
-
-def compress_column(values: Sequence[int],
-                    block_size: int = DEFAULT_BLOCK_SIZE,
-                    distinct_ratio: float = RLE_DISTINCT_RATIO
-                    ) -> Tuple[str, bytes]:
-    """Compress a sorted column with the scheme `choose_scheme` picks."""
-    scheme = choose_scheme(values, distinct_ratio)
-    if scheme == SCHEME_RLE:
-        return SCHEME_RLE, encode_rle(values)
-    return SCHEME_DELTA, encode_delta_blocks(values, block_size)
-
-
 _ENCODERS = {
     SCHEME_RLE: lambda values, block_size: encode_rle(values),
     SCHEME_DELTA: encode_delta_blocks,
@@ -609,45 +600,95 @@ _ENCODERS = {
     SCHEME_FOR: encode_for,
 }
 
+# A value below _VARINT_LIMITS[k], and not below the limit before it,
+# takes k + 1 varint bytes.
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 9)],
+                          dtype=np.int64)
+
+
+def _varint_bytes(arr: np.ndarray) -> int:
+    """Bytes `arr` takes written as varints."""
+    return arr.size + int(np.searchsorted(_VARINT_LIMITS, arr,
+                                          side="right").sum())
+
+
+def _for_bytes(arr: np.ndarray, block_size: int) -> int:
+    """Bytes `encode_for` takes for `arr` (a bit over above 2**53)."""
+    n_blocks, block_n = _for_block_layout(arr.size, block_size)
+    starts = np.arange(n_blocks) * block_size
+    spread = (np.maximum.reduceat(arr, starts)
+              - np.minimum.reduceat(arr, starts))
+    widths = np.frexp(spread.astype(np.float64))[1]     # bit lengths
+    return (_FOR_HEADER_BYTES + 9 * n_blocks
+            + int(((block_n * widths + 7) >> 3).sum()))
+
+
+# FOR's frame is 17 bytes before the first value; below this many
+# values it cannot win and its size is not worth computing.
+_FOR_MIN_VALUES = 32
+
 
 def choose_codec(values: Sequence[int],
-                 codecs: Sequence[str] = V4_CODECS,
+                 codecs: Sequence[str] = CODECS,
                  block_size: int = DEFAULT_BLOCK_SIZE
                  ) -> Tuple[str, bytes]:
-    """Format-v4 adaptive selector: encode every candidate and keep the
-    smallest payload.
+    """Pick a column's codec from its statistics and encode it once.
 
-    Ties break in ``codecs`` order, so the choice is deterministic for
-    a given candidate tuple.  The winner's scheme id is recorded in the
-    v4 container, which is what lets `decompress_column` dispatch
-    without sniffing payload bytes.
+    A few numpy passes give the column's order, run count, value range
+    and the varint bytes of its values and steps; a decision list over
+    them ranks the codecs and the best-ranked member of ``codecs``
+    encodes the column:
 
-    A candidate that cannot encode the column (rle and delta demand
-    sorted input; FOR and varint take anything non-negative) simply
-    drops out of the running -- the selector only fails when *no*
-    candidate can.
+    * at most `RLE_DISTINCT_RATIO` of the values start a run: run-length
+      triples, else delta blocks -- the paper's rule (section III-D),
+      and with ``codecs=PAPER_CODECS`` the whole of it;
+    * a delta column competes on size with plain varints (which win
+      when the steps are no shorter than the values: no block header)
+      and, from `_FOR_MIN_VALUES` values up, with FOR (which wins on
+      dense columns: a block's range packs in under a byte a value);
+      the three sizes are read off the column, nothing is encoded;
+    * when every value fits one byte and exactly that ratio start a
+      run, rle and varint tie but for rle's longer header;
+    * an unsorted column leaves only FOR and varint, by size (rle and
+      delta demand sorted input).
+
+    Raises `ValueError` when ``codecs`` names an unknown scheme or none
+    that can encode the column.  Returns ``(scheme, payload)``.
     """
-    best: Optional[Tuple[str, bytes]] = None
-    last_error: Optional[ValueError] = None
     for scheme in codecs:
-        try:
-            encoder = _ENCODERS[scheme]
-        except KeyError:
+        if scheme not in _ENCODERS:
             raise ValueError(f"unknown compression scheme {scheme!r}")
-        try:
-            payload = encoder(values, block_size)
-        except ValueError as exc:
-            last_error = exc
-            continue
-        if best is None or len(payload) < len(best[1]):
-            best = (scheme, payload)
-    if best is None:
-        if last_error is not None:
-            raise ValueError(
-                f"no candidate codec in {tuple(codecs)!r} can encode "
-                f"this column: {last_error}") from last_error
-        raise ValueError("choose_codec needs at least one candidate codec")
-    return best
+    arr = np.asarray(values)
+    n = arr.size
+    ranked = list(CODECS)
+    if (arr[1:] < arr[:-1]).any():
+        sizes = {SCHEME_VARINT: varint_size(n) + _varint_bytes(arr),
+                 SCHEME_FOR: _for_bytes(arr, block_size)}
+        ranked = sorted(sizes, key=sizes.get)
+    elif n:
+        steps = arr[1:] - arr[:-1]
+        runs = int(np.count_nonzero(steps)) + 1
+        if runs > RLE_DISTINCT_RATIO * n:
+            # Sizes less what all three spend alike on the count and
+            # the first value.  (Delta blocks past the first restate
+            # their first value too; that is not worth a pass.)
+            sizes = {
+                SCHEME_DELTA: varint_size(block_size)
+                + _varint_bytes(steps),
+                SCHEME_VARINT: _varint_bytes(arr[1:]),
+            }
+            if n >= _FOR_MIN_VALUES:
+                sizes[SCHEME_FOR] = _for_bytes(arr, block_size) \
+                    - varint_size(n) - varint_size(int(arr[0]))
+            ranked = sorted(sizes, key=sizes.get) \
+                + [s for s in CODECS if s not in sizes]
+        elif runs == RLE_DISTINCT_RATIO * n and arr[-1] < 0x80:
+            ranked.insert(0, SCHEME_VARINT)
+    scheme = next((s for s in ranked if s in codecs), None)
+    if scheme is None:
+        raise ValueError(f"no candidate codec in {tuple(codecs)!r} can "
+                         "encode this column (rle and delta need it sorted)")
+    return scheme, _ENCODERS[scheme](values, block_size)
 
 
 # Below this payload size the numpy batch decode's fixed setup cost
@@ -655,26 +696,8 @@ def choose_codec(values: Sequence[int],
 # so `decompress_column(vectorized=True)` is adaptive: tiny columns take
 # the scalar loop, everything else the vectorized decoders.  The decoder
 # entry points themselves stay pure so the two paths remain
-# differentially testable on any input size.  The crossover is tunable:
-# per call via the `min_bytes` keyword, per process via the
-# REPRO_VECTORIZED_MIN_BYTES environment variable (read at call time so
-# tests and operators can flip it without reimporting).
+# differentially testable on any input size.
 VECTORIZED_MIN_BYTES = 256
-
-_MIN_BYTES_ENV = "REPRO_VECTORIZED_MIN_BYTES"
-
-
-def vectorized_min_bytes() -> int:
-    """The active scalar/vectorized crossover threshold in bytes."""
-    raw = os.environ.get(_MIN_BYTES_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{_MIN_BYTES_ENV} must be an integer, got {raw!r}")
-    return VECTORIZED_MIN_BYTES
-
 
 _DECODERS = {
     SCHEME_RLE: decode_rle,
@@ -685,10 +708,8 @@ _DECODERS = {
 
 
 def decompress_column(scheme: str, data: ByteSource,
-                      vectorized: bool = True,
-                      min_bytes: Optional[int] = None) -> np.ndarray:
-    threshold = vectorized_min_bytes() if min_bytes is None else min_bytes
-    vectorized = vectorized and len(data) >= threshold
+                      vectorized: bool = True) -> np.ndarray:
+    vectorized = vectorized and len(data) >= VECTORIZED_MIN_BYTES
     try:
         decoder = _DECODERS[scheme]
     except KeyError:

@@ -10,9 +10,10 @@ high levels" (section III-B).
 decompresses a column only on first access; `IOStats` counts the
 columns and bytes actually touched, which is the currency of the
 section III-B claim (asserted in the lazy-I/O ablation benchmark).
-`LazyColumnarIndex` serves a whole vocabulary from one serialized blob
-(the format written by `storage.serialize_columnar_index`), parsing
-per-term payloads up front but deferring all decompression.
+`LazyColumnarIndex` serves a whole vocabulary from one container (the
+format written by `storage.serialize_columnar_index`): the framing is
+scanned up front, a term's payload is verified and parsed on its first
+touch, and every column decompresses on its own first access.
 """
 
 from __future__ import annotations
@@ -25,17 +26,14 @@ import numpy as np
 from ..obs.account import active_account
 from ..obs.profiler import profile_phase
 from ..reliability.deadline import check_active
-from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
+from ..reliability.errors import DatabaseCorruptError
 from ..scoring.ranking import RankingModel
 from ..xmltree.nodetable import NodeTable
 from ..xmltree.tree import XMLTree
 from .columnar import Column, ColumnarPostings
-from .compression import decompress_column, read_varint
-from .storage import (_MAGIC_COLUMNAR, _MAGIC_COLUMNAR_BLOCKED,
-                      _MAGIC_COLUMNAR_V3, _MAGIC_COLUMNAR_V4,
-                      _PARSE_ERRORS, BlockRef, parse_v3_payload,
-                      parse_v4_payload, scan_blocked_container,
-                      scan_v3_container, scan_v4_container, verify_block)
+from .compression import decompress_column
+from .storage import (_PARSE_ERRORS, BlockRef, parse_payload, scan_container,
+                      verify_block)
 from .tokenizer import Tokenizer
 
 
@@ -69,13 +67,12 @@ class LazyColumnarPostings(ColumnarPostings):
     def __init__(self, term: str, lengths: Sequence[int],
                  level_payloads: List[Tuple[str, bytes]],
                  scores: Sequence[float],
-                 io_stats: Optional[IOStats] = None,
-                 vectorized: bool = True, metrics=None,
+                 io_stats: Optional[IOStats] = None, metrics=None,
                  decoded_cache=None, cache_ns: str = ""):
         # Deliberately *not* calling super().__init__: the whole point
-        # is to avoid building `seqs`.  When backed by a format-v3 mmap
-        # the lengths/scores/payload buffers are read-only numpy views
-        # into the mapping; `np.asarray` keeps them view-shaped.
+        # is to avoid building `seqs`.  When backed by an mmap the
+        # scores and payload buffers are read-only numpy views into the
+        # mapping; `np.asarray` keeps them view-shaped.
         self.term = term
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.scores = np.asarray(scores, dtype=np.float64)
@@ -83,7 +80,6 @@ class LazyColumnarPostings(ColumnarPostings):
         self._level_payloads = level_payloads
         self._columns: Dict[int, Column] = {}
         self.io = io_stats if io_stats is not None else IOStats()
-        self.vectorized = vectorized
         self.metrics = metrics
         # Optional shared `cache.DecodedColumnCache`.  When present it
         # replaces the unbounded per-postings `_columns` dict for the
@@ -136,16 +132,23 @@ class LazyColumnarPostings(ColumnarPostings):
             self.io.record(level, len(payload))
             if self.metrics is not None:
                 self.metrics.counter(
-                    "repro_decode_bytes_total",
-                    {"decoder": "vectorized" if self.vectorized
-                     else "scalar"}).inc(len(payload))
-            with profile_phase("decompress"):
-                values = decompress_column(scheme, payload,
-                                           vectorized=self.vectorized)
+                    "repro_decode_bytes_total").inc(len(payload))
+            try:
+                with profile_phase("decompress"):
+                    values = decompress_column(scheme, payload)
+                if len(values) != len(seq_idx):
+                    raise ValueError(f"{len(values)} values for "
+                                     f"{len(seq_idx)} sequences")
+            except _PARSE_ERRORS as exc:
+                # Reachable only with verification off (or a CRC
+                # collision): the block checksum covers these bytes.
+                raise DatabaseCorruptError(
+                    f"level-{level} column of term {self.term!r} does "
+                    f"not decode: {exc}", term=self.term) from exc
             account = active_account()
             if account is not None:
-                # v3 payloads are zero-copy views (numpy/memoryview
-                # over the mmap); v1/v2 payloads are bytes copies.
+                # Mapped payloads are zero-copy views; an injector
+                # degrades the container to a bytes copy.
                 account.record_column(
                     level, scheme, len(payload), int(values.nbytes),
                     len(values),
@@ -167,97 +170,19 @@ class LazyColumnarPostings(ColumnarPostings):
         return int(column.values[pos])
 
 
-def parse_lazy_postings(data: bytes, pos: int = 0,
-                        io_stats: Optional[IOStats] = None,
-                        vectorized: bool = True, metrics=None,
-                        decoded_cache=None, cache_ns: str = ""
-                        ) -> Tuple[LazyColumnarPostings, int]:
-    """Parse one term written by `storage.serialize_columnar_postings`,
-    keeping the column payloads compressed."""
-    term_len, pos = read_varint(data, pos)
-    term = data[pos: pos + term_len].decode("utf-8")
-    pos += term_len
-    n_seqs, pos = read_varint(data, pos)
-    max_len, pos = read_varint(data, pos)
-    score_mode = data[pos]
-    pos += 1
-    lengths: List[int] = []
-    for _ in range(n_seqs):
-        length, pos = read_varint(data, pos)
-        lengths.append(length)
-    payloads: List[Tuple[str, bytes]] = []
-    for _level in range(1, max_len + 1):
-        scheme = "rle" if data[pos] == 0 else "delta"
-        pos += 1
-        payload_len, pos = read_varint(data, pos)
-        payloads.append((scheme, data[pos: pos + payload_len]))
-        pos += payload_len
-    if score_mode == 1:
-        raw = np.frombuffer(data, dtype=np.uint16, count=n_seqs, offset=pos)
-        pos += 2 * n_seqs
-        scores = raw.astype(np.float64) / 256.0
-    elif score_mode == 2:
-        scores = np.frombuffer(data, dtype=np.float64, count=n_seqs,
-                               offset=pos).copy()
-        pos += 8 * n_seqs
-    elif score_mode == 0:
-        scores = np.zeros(n_seqs, dtype=np.float64)
-    else:
-        raise ValueError(f"unknown score mode {score_mode}")
-    return LazyColumnarPostings(term, lengths, payloads, scores,
-                                io_stats, vectorized=vectorized,
-                                metrics=metrics,
-                                decoded_cache=decoded_cache,
-                                cache_ns=cache_ns), pos
-
-
-def parse_lazy_postings_v3(term: str, payload,
-                           io_stats: Optional[IOStats] = None,
-                           vectorized: bool = True, metrics=None,
-                           file: Optional[str] = None,
-                           decoded_cache=None, cache_ns: str = ""
-                           ) -> LazyColumnarPostings:
-    """Wrap one format-v3 payload (a memoryview slice of the mmap) as
-    lazy postings whose lengths/scores/columns are zero-copy views."""
-    lengths, scores, level_payloads = parse_v3_payload(term, payload,
-                                                       file=file)
-    return LazyColumnarPostings(term, lengths, level_payloads, scores,
-                                io_stats, vectorized=vectorized,
-                                metrics=metrics,
-                                decoded_cache=decoded_cache,
-                                cache_ns=cache_ns)
-
-
-def parse_lazy_postings_v4(term: str, payload,
-                           io_stats: Optional[IOStats] = None,
-                           vectorized: bool = True, metrics=None,
-                           file: Optional[str] = None,
-                           decoded_cache=None, cache_ns: str = ""
-                           ) -> LazyColumnarPostings:
-    """Wrap one format-v4 payload as zero-copy lazy postings."""
-    lengths, scores, level_payloads = parse_v4_payload(term, payload,
-                                                       file=file)
-    return LazyColumnarPostings(term, lengths, level_payloads, scores,
-                                io_stats, vectorized=vectorized,
-                                metrics=metrics,
-                                decoded_cache=decoded_cache,
-                                cache_ns=cache_ns)
-
-
 class LazyColumnarIndex:
-    """A `ColumnarIndex`-compatible view over one serialized blob.
+    """A `ColumnarIndex`-compatible view over one columnar container.
 
-    Per-term *framing* is parsed eagerly (cheap varint walk); column
-    payloads stay compressed until a query touches them.  One shared
-    `IOStats` instrument records every decompression.
+    The per-term *framing* is scanned eagerly (no payload is touched);
+    a term's payload is parsed on its first touch and its columns stay
+    compressed until a query reads them.  One shared `IOStats`
+    instrument records every decompression.
 
-    Accepts the bare v1 blob (``JDXC``), the checksummed blocked v2
-    container (``JDXB``) and the aligned v3/v4 containers (``JDX3`` /
-    ``JDX4``) -- the latter usually as a `reliability.io.MappedFile`,
-    in which case every column materializes as a zero-copy view over
-    the mapping.
-    For v2/v3 the ``verify`` mode controls when block checksums are
-    checked:
+    `blob` is the container written by
+    `storage.serialize_columnar_index` -- usually as a
+    `reliability.io.MappedFile`, in which case every column
+    materializes as a zero-copy view over the mapping.  The ``verify``
+    mode controls when block checksums are checked:
 
     * ``"lazy"`` (default) -- on a term's first touch, right before its
       payload is parsed.  Matches the lazy-I/O design: a query only
@@ -276,8 +201,7 @@ class LazyColumnarIndex:
                  tokenizer: Optional[Tokenizer] = None,
                  ranking: Optional[RankingModel] = None,
                  verify: str = "lazy", source: Optional[str] = None,
-                 metrics=None, vectorized: bool = True,
-                 decoded_cache=None):
+                 metrics=None, decoded_cache=None):
         if verify not in ("lazy", "eager", "off"):
             raise ValueError(f"unknown verify mode {verify!r}; "
                              "one of ('lazy', 'eager', 'off')")
@@ -289,7 +213,6 @@ class LazyColumnarIndex:
         self.verify = verify
         self.source = source
         self.metrics = metrics
-        self.vectorized = vectorized
         # Shared decoded-column cache (see `cache.DecodedColumnCache`).
         # The namespace keeps keys distinct when one cache serves
         # several indexes (e.g. the shards of one database).
@@ -301,48 +224,11 @@ class LazyColumnarIndex:
         self._backing = blob
         self._blob = blob.view if hasattr(blob, "view") else blob
         self._postings: Dict[str, LazyColumnarPostings] = {}
-        self._blocks: Dict[str, BlockRef] = {}
-        self._algorithm: Optional[str] = None
-        self._format = 0
-        magic = bytes(self._blob[:4])
-        if magic == _MAGIC_COLUMNAR:
-            blob = self._blob
-            pos = 4
-            n_terms, pos = read_varint(blob, pos)
-            for _ in range(n_terms):
-                postings, pos = parse_lazy_postings(
-                    blob, pos, self.io, vectorized=vectorized,
-                    metrics=metrics, decoded_cache=decoded_cache,
-                    cache_ns=self._cache_ns)
-                self._postings[postings.term] = postings
-        elif magic == _MAGIC_COLUMNAR_BLOCKED:
-            self._format = 2
-            self._algorithm, refs = scan_blocked_container(
-                self._blob, _MAGIC_COLUMNAR_BLOCKED, file=source)
-            self._blocks = {ref.term: ref for ref in refs}
-            if verify == "eager":
-                for term in list(self._blocks):
-                    self._parse_block(term)
-        elif magic == _MAGIC_COLUMNAR_V3:
-            self._format = 3
-            self._algorithm, refs = scan_v3_container(
-                self._blob, file=source)
-            self._blocks = {ref.term: ref for ref in refs}
-            if verify == "eager":
-                for term in list(self._blocks):
-                    self._parse_block(term)
-        elif magic == _MAGIC_COLUMNAR_V4:
-            self._format = 4
-            self._algorithm, refs = scan_v4_container(
-                self._blob, file=source)
-            self._blocks = {ref.term: ref for ref in refs}
-            if verify == "eager":
-                for term in list(self._blocks):
-                    self._parse_block(term)
-        else:
-            raise DatabaseFormatError(
-                f"not a columnar index blob (magic {magic!r})"
-                + (f" in {source}" if source else ""))
+        self._algorithm, refs = scan_container(self._blob, file=source)
+        self._blocks: Dict[str, BlockRef] = {ref.term: ref for ref in refs}
+        if verify == "eager":
+            for term in list(self._blocks):
+                self._parse_block(term)
         self.n_docs = 0
 
     @property
@@ -352,9 +238,9 @@ class LazyColumnarIndex:
     def _parse_block(self, term: str) -> LazyColumnarPostings:
         """Verify (per the mode) and parse one block on first touch.
 
-        For a v3 container the payload slice stays a memoryview of the
-        mmap and the postings' columns become `np.frombuffer` views --
-        no bytes copy happens here or later.
+        The payload slice stays a memoryview of the mmap and the
+        postings' columns become `np.frombuffer` views -- no bytes copy
+        happens here or later.
         """
         ref = self._blocks.pop(term)
         try:
@@ -363,34 +249,18 @@ class LazyColumnarIndex:
                                        file=self.source)
             else:
                 payload = self._blob[ref.offset: ref.offset + ref.length]
-            if self._format == 4:
-                postings = parse_lazy_postings_v4(
-                    term, payload, self.io, vectorized=self.vectorized,
-                    metrics=self.metrics, file=self.source,
-                    decoded_cache=self._decoded_cache,
-                    cache_ns=self._cache_ns)
-            elif self._format == 3:
-                postings = parse_lazy_postings_v3(
-                    term, payload, self.io, vectorized=self.vectorized,
-                    metrics=self.metrics, file=self.source,
-                    decoded_cache=self._decoded_cache,
-                    cache_ns=self._cache_ns)
-            else:
-                postings, _ = parse_lazy_postings(
-                    payload, 0, self.io, vectorized=self.vectorized,
-                    metrics=self.metrics,
-                    decoded_cache=self._decoded_cache,
-                    cache_ns=self._cache_ns)
+            lengths, scores, level_payloads = parse_payload(
+                term, payload, file=self.source)
         except DatabaseCorruptError:
             if self.metrics is not None:
                 self.metrics.counter(
                     "repro_checksum_failures_total",
                     {"file": self.source or "columnar"}).inc()
             raise
-        except _PARSE_ERRORS as exc:
-            raise DatabaseCorruptError(
-                f"postings for term {term!r} do not parse: {exc}",
-                file=self.source, term=term) from exc
+        postings = LazyColumnarPostings(
+            term, lengths, level_payloads, scores, self.io,
+            metrics=self.metrics, decoded_cache=self._decoded_cache,
+            cache_ns=self._cache_ns)
         self._postings[term] = postings
         return postings
 

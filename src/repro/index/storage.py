@@ -1,7 +1,12 @@
-"""On-disk formats and size accounting (paper Table I).
+"""The on-disk columnar container, and size accounting (paper Table I).
 
-Implements byte-accurate serialization for the two index families and
-size *models* for the baseline structures the paper measures:
+Two things live here.  The **container** is what `repro.diskdb` writes
+as ``columnar.bin`` and everything reads: `serialize_columnar_index` /
+`scan_container` / `parse_payload` / `deserialize_columnar_index` (layout
+below, at the code).  The **size models** reproduce Table I: a
+byte-accurate serialization of the paper's compact per-term layout for
+the columnar lists, and models with explicit constants for the baseline
+structures the paper measures --
 
 * ``join-based IL``  -- columnar JDewey lists, per-column compression
   (section III-D), plus sparse per-column indices.
@@ -17,8 +22,7 @@ size *models* for the baseline structures the paper measures:
   ids.
 
 The columnar serializers round-trip (tests assert equality).  The
-Dewey list and B-tree numbers are size models with explicit constants:
-the baselines run in memory over lists derived from the columnar index
+baselines run in memory over lists derived from the columnar index
 (`repro.index.inverted`), so nothing Dewey-shaped is written to disk.
 """
 
@@ -34,13 +38,12 @@ from ..reliability.checksum import (ALGORITHM_IDS, ALGORITHM_NAMES,
                                     DEFAULT_ALGORITHM, checksum)
 from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
 from .columnar import ColumnarIndex, ColumnarPostings
-from .compression import (SCHEME_IDS, SCHEME_NAMES, V4_CODECS, choose_codec,
-                          compress_column, decompress_column, read_varint,
-                          varint_size, write_varint)
+from .compression import (PAPER_CODECS, SCHEME_IDS, SCHEME_NAMES,
+                          SCHEME_VARINT, choose_codec, decompress_column,
+                          encode_varint_column, read_varint, varint_size,
+                          write_varint)
 from .inverted import InvertedIndex, PostingList
 from .sparse import DEFAULT_GRANULARITY, SparseColumnIndex
-
-_MAGIC_COLUMNAR = b"JDXC"
 
 # B-tree cost-model constants (BerkeleyDB-flavoured).
 BTREE_ENTRY_OVERHEAD = 12   # per-entry header + leaf pointer bytes
@@ -50,7 +53,7 @@ SCORE_BYTES = 2             # quantized per-occurrence score (top-K IL)
 
 
 # ---------------------------------------------------------------------------
-# Columnar (JDewey) serialization
+# The paper's compact per-term layout (the Table I size model)
 # ---------------------------------------------------------------------------
 
 SCORES_NONE = 0
@@ -86,8 +89,8 @@ def serialize_columnar_postings(postings: ColumnarPostings,
         write_varint(out, int(length))
     for level in range(1, postings.max_len + 1):
         column = postings.column(level)
-        scheme, payload = compress_column(column.values)
-        out.append(0 if scheme == "rle" else 1)
+        scheme, payload = choose_codec(column.values, PAPER_CODECS)
+        out.append(SCHEME_IDS[scheme])
         write_varint(out, len(payload))
         out.extend(payload)
     if score_mode == SCORES_QUANTIZED:
@@ -123,8 +126,7 @@ def deserialize_columnar_postings(data: bytes, pos: int = 0
         payload_len, pos = read_varint(data, pos)
         payload = data[pos: pos + payload_len]
         pos += payload_len
-        values = decompress_column("rle" if scheme_byte == 0 else "delta",
-                                   payload)
+        values = decompress_column(SCHEME_NAMES[scheme_byte], payload)
         cursor = 0
         for i in range(n_seqs):
             if lengths[i] >= level:
@@ -148,51 +150,60 @@ def deserialize_columnar_postings(data: bytes, pos: int = 0
     return postings, pos
 
 
-def serialize_columnar_index(index: ColumnarIndex,
-                             with_scores: bool = False,
-                             score_mode: int = None) -> bytes:
-    """Serialize every term of a columnar index."""
-    out = bytearray(_MAGIC_COLUMNAR)
-    terms = index.vocabulary
-    write_varint(out, len(terms))
-    for term in terms:
-        out.extend(serialize_columnar_postings(index.term_postings(term),
-                                               with_scores, score_mode))
-    return bytes(out)
-
-
-def deserialize_columnar_index(data: bytes) -> Dict[str, ColumnarPostings]:
-    """Load the per-term postings written by `serialize_columnar_index`."""
-    if data[:4] != _MAGIC_COLUMNAR:
-        raise ValueError("not a columnar index blob")
-    pos = 4
-    n_terms, pos = read_varint(data, pos)
-    result: Dict[str, ColumnarPostings] = {}
-    for _ in range(n_terms):
-        postings, pos = deserialize_columnar_postings(data, pos)
-        result[postings.term] = postings
-    return result
-
-
 # ---------------------------------------------------------------------------
-# Blocked, checksummed containers (persistence format v2)
+# The columnar container (what `save_database` writes and everything reads)
 # ---------------------------------------------------------------------------
 #
-# Layout: magic(4) | algorithm id(1) | varint n_terms | per-term block.
-# Each block is ``varint term_len | term | varint payload_len |
-# crc(4, big-endian) | payload`` where the payload is the *unchanged*
-# v1 per-term serialization above.  Repeating the term in the frame is
-# deliberate: a reader can name the offending keyword of a corrupt
-# block without parsing the corrupt payload, and a lazy reader can
-# locate a term's bytes without decompressing anything.
+# Every region is offset-indexed and 8-byte-aligned, so a reader holding
+# an mmap'd buffer materializes scores and compressed columns as
+# ``np.frombuffer`` views -- no intermediate ``bytes`` copy, and forked
+# workers share the pages.  Each term's payload carries its own CRC and
+# repeats the term in its frame: a reader verifies exactly the bytes a
+# query touches and can name the keyword of a corrupt block without
+# parsing it.
+#
+# Container layout (all integers little-endian, every frame and payload
+# start 8-aligned, pad bytes zero)::
+#
+#     magic "JDX5" (4) | algorithm id (1) | pad (3) | n_terms u64
+#     per term:  u32 term_len | u64 payload_len | u32 crc
+#                | term bytes | pad to 8 | payload | pad to 8
+#
+# Per-term payload (offsets relative to the payload start)::
+#
+#     0   u64 n_seqs
+#     8   u32 max_len
+#     12  u32 score_mode
+#     16  u32 lengths_off
+#     20  u32 lengths_len
+#     24  u64 scores_off          (0 when score_mode == SCORES_NONE)
+#     32  u64 level_offs[max_len]
+#     ..  u64 level_lens[max_len]
+#     ..  u8  schemes[max_len]    (`compression.SCHEME_IDS`), pad to 8
+#     lengths_off   varint column of (length, run) pairs -- the sequence
+#                   lengths run-length coded: a term whose sequences
+#                   share one length (the usual case) is one pair --
+#                   pad to 8
+#     scores_off    float64[n_seqs] (EXACT) or uint16[n_seqs] (QUANTIZED),
+#                   pad to 8
+#     level_offs[l] the compressed column of level l+1, pad to 8
+#
+# Each column's scheme id is `choose_codec`'s pick; readers dispatch on
+# the recorded id -- no payload sniffing -- and an id outside
+# `SCHEME_IDS` is corruption.
 
-_MAGIC_COLUMNAR_BLOCKED = b"JDXB"
+MAGIC_COLUMNAR = b"JDX5"
+_FILE_HEADER = struct.Struct("<4sB3xQ")      # magic, algo id, n_terms
+_FRAME = struct.Struct("<IQI")               # term_len, payload_len, crc
+_PAYLOAD_HEADER = struct.Struct("<QIIIIQ")   # n_seqs, max_len, score_mode,
+                                             # lengths_off, lengths_len,
+                                             # scores_off
 
-#: Everything a malformed byte stream can make the v1 parsers raise --
+#: Everything a malformed byte stream can make the parsers raise --
 #: turned into the typed `DatabaseCorruptError` at this boundary so no
 #: raw IndexError/ValueError/MemoryError ever reaches a caller.
 _PARSE_ERRORS = (IndexError, KeyError, OverflowError, MemoryError,
-                 UnicodeDecodeError, ValueError)
+                 UnicodeDecodeError, ValueError, struct.error)
 
 
 @dataclass(frozen=True)
@@ -203,70 +214,6 @@ class BlockRef:
     offset: int        # payload start, as an offset into the container
     length: int
     crc: int
-
-
-def _serialize_blocked(magic: bytes, blocks: List[Tuple[str, bytes]],
-                       algorithm: str) -> bytes:
-    if algorithm not in ALGORITHM_IDS:
-        raise ValueError(f"unknown checksum algorithm {algorithm!r}; "
-                         f"one of {sorted(ALGORITHM_IDS)}")
-    out = bytearray(magic)
-    out.append(ALGORITHM_IDS[algorithm])
-    write_varint(out, len(blocks))
-    for term, payload in blocks:
-        term_bytes = term.encode("utf-8")
-        write_varint(out, len(term_bytes))
-        out.extend(term_bytes)
-        write_varint(out, len(payload))
-        out.extend(checksum(payload, algorithm).to_bytes(4, "big"))
-        out.extend(payload)
-    return bytes(out)
-
-
-def scan_blocked_container(data: bytes, magic: bytes,
-                           file: str = None
-                           ) -> Tuple[str, List[BlockRef]]:
-    """Walk a blocked container's framing without touching payloads.
-
-    Returns ``(algorithm_name, refs)``.  Raises `DatabaseFormatError`
-    on a wrong magic or unknown algorithm id and `DatabaseCorruptError`
-    when the framing runs off the end of the buffer (truncation).
-    """
-    if data[:4] != magic:
-        raise DatabaseFormatError(
-            f"bad magic {data[:4]!r} (expected {magic!r})"
-            + (f" in {file}" if file else ""))
-    if len(data) < 5:
-        raise DatabaseCorruptError(
-            "container truncated inside the header", file=file)
-    algo_id = data[4]
-    if algo_id not in ALGORITHM_NAMES:
-        raise DatabaseFormatError(
-            f"unknown checksum algorithm id {algo_id}"
-            + (f" in {file}" if file else ""))
-    algorithm = ALGORITHM_NAMES[algo_id]
-    refs: List[BlockRef] = []
-    try:
-        pos = 5
-        n_terms, pos = read_varint(data, pos)
-        for _ in range(n_terms):
-            term_len, pos = read_varint(data, pos)
-            term = data[pos: pos + term_len].decode("utf-8")
-            if len(data) < pos + term_len:
-                raise IndexError("term runs off the end")
-            pos += term_len
-            payload_len, pos = read_varint(data, pos)
-            crc = int.from_bytes(data[pos: pos + 4], "big")
-            pos += 4
-            if len(data) < pos + payload_len:
-                raise IndexError("payload runs off the end")
-            refs.append(BlockRef(term, pos, payload_len, crc))
-            pos += payload_len
-    except _PARSE_ERRORS as exc:
-        raise DatabaseCorruptError(
-            f"blocked container framing corrupt: {exc}",
-            file=file) from exc
-    return algorithm, refs
 
 
 def verify_block(data: bytes, ref: BlockRef, algorithm: str,
@@ -285,296 +232,145 @@ def verify_block(data: bytes, ref: BlockRef, algorithm: str,
     return payload
 
 
-class PostingsView:
-    """Duck-typed index over a plain ``term -> postings`` dict.
-
-    Every container serializer walks ``index.vocabulary`` and calls
-    ``term_postings``; the shard writer partitions one index into N
-    posting dicts and serializes each through this view, which supplies
-    exactly the two members the serializers touch.
-    """
-
-    __slots__ = ("_postings",)
-
-    def __init__(self, postings_by_term: Dict[str, object]):
-        self._postings = postings_by_term
-
-    @property
-    def vocabulary(self) -> List[str]:
-        return sorted(self._postings)
-
-    def term_postings(self, term: str):
-        return self._postings[term]
-
-
-def serialize_columnar_index_blocked(index: ColumnarIndex,
-                                     with_scores: bool = False,
-                                     score_mode: int = None,
-                                     algorithm: str = None) -> bytes:
-    """Format-v2 columnar container: v1 per-term payloads, checksummed."""
-    algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
-    blocks = [
-        (term, serialize_columnar_postings(index.term_postings(term),
-                                           with_scores, score_mode))
-        for term in index.vocabulary
-    ]
-    return _serialize_blocked(_MAGIC_COLUMNAR_BLOCKED, blocks, algorithm)
-
-
-def deserialize_columnar_index_blocked(data: bytes, verify: bool = True,
-                                       file: str = None
-                                       ) -> Dict[str, ColumnarPostings]:
-    """Load a format-v2 columnar container, verifying every block."""
-    algorithm, refs = scan_blocked_container(
-        data, _MAGIC_COLUMNAR_BLOCKED, file=file)
-    result: Dict[str, ColumnarPostings] = {}
-    for ref in refs:
-        payload = (verify_block(data, ref, algorithm, file=file) if verify
-                   else data[ref.offset: ref.offset + ref.length])
-        try:
-            postings, _ = deserialize_columnar_postings(payload, 0)
-        except _PARSE_ERRORS as exc:
-            raise DatabaseCorruptError(
-                f"postings for term {ref.term!r} do not parse: {exc}",
-                file=file, term=ref.term) from exc
-        result[postings.term] = postings
-    return result
-
-
-def guarded_deserialize_columnar(data: bytes, file: str = None
-                                 ) -> Dict[str, ColumnarPostings]:
-    """v1 `deserialize_columnar_index` with typed errors (legacy loads)."""
-    try:
-        if data[:4] != _MAGIC_COLUMNAR:
-            raise DatabaseFormatError(
-                f"not a columnar index blob"
-                + (f" ({file})" if file else ""))
-        return deserialize_columnar_index(data)
-    except DatabaseFormatError:
-        raise
-    except _PARSE_ERRORS as exc:
-        raise DatabaseCorruptError(
-            f"columnar blob does not parse: {exc}", file=file) from exc
-
-
-# ---------------------------------------------------------------------------
-# Block-aligned container (persistence format v3, zero-copy)
-# ---------------------------------------------------------------------------
-#
-# The v2 payloads interleave varints with column bytes, so every column
-# must be *parsed into* existence.  The v3 columnar container instead
-# offset-indexes and 8-byte-aligns every region, so a reader holding an
-# mmap'd buffer materializes any column as an ``np.frombuffer`` view --
-# no intermediate ``bytes`` copy, and forked workers share the pages.
-#
-# Container layout (all integers little-endian, every frame and payload
-# start 8-aligned, pad bytes zero)::
-#
-#     magic "JDX3" (4) | algorithm id (1) | pad (3) | n_terms u64
-#     per term:  u32 term_len | u64 payload_len | u32 crc
-#                | term bytes | pad to 8 | payload | pad to 8
-#
-# Per-term payload (offsets relative to the payload start)::
-#
-#     0   u64 n_seqs
-#     8   u32 max_len
-#     12  u32 score_mode
-#     16  u64 lengths_off
-#     24  u64 scores_off          (0 when score_mode == SCORES_NONE)
-#     32  u64 level_offs[max_len]
-#     ..  u64 level_lens[max_len]
-#     ..  u8  schemes[max_len]    (0 = rle, 1 = delta), pad to 8
-#     lengths_off   int64[n_seqs]
-#     scores_off    float64[n_seqs] (EXACT) or uint16[n_seqs] (QUANTIZED),
-#                   pad to 8
-#     level_offs[l] the compressed column of level l+1, pad to 8
-#
-# Format v4 ("JDX4") keeps this layout byte-for-byte and only widens
-# the scheme-byte vocabulary: ids 0-3 (0 = rle, 1 = delta, 2 = varint,
-# 3 = for), each column's id chosen by the measured-size adaptive
-# selector (`repro.index.compression.choose_codec`).  Readers dispatch
-# on the recorded id -- no payload sniffing.
-
-_MAGIC_COLUMNAR_V3 = b"JDX3"
-_MAGIC_COLUMNAR_V4 = b"JDX4"
-_V3_FILE_HEADER = struct.Struct("<4sB3xQ")      # magic, algo id, n_terms
-_V3_FRAME = struct.Struct("<IQI")               # term_len, payload_len, crc
-_V3_PAYLOAD_HEADER = struct.Struct("<QIIQQ")    # n_seqs, max_len,
-                                                # score_mode, lengths_off,
-                                                # scores_off
-
-
 def _align8(pos: int) -> int:
     return (pos + 7) & ~7
 
 
-def _encode_column_v3(values) -> Tuple[int, bytes]:
-    """v3 column coder: the rle/delta heuristic, ids 0/1."""
-    scheme, payload = compress_column(values)
-    return (0 if scheme == "rle" else 1), payload
+def _encode_lengths(lengths) -> bytes:
+    """The sequence lengths as a varint column of (length, run) pairs."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if not len(lengths):
+        return encode_varint_column([])
+    bounds = np.concatenate((            # where each run starts, then n
+        [0], np.flatnonzero(lengths[1:] != lengths[:-1]) + 1,
+        [len(lengths)]))
+    return encode_varint_column(np.column_stack(
+        (lengths[bounds[:-1]], np.diff(bounds))).ravel())
 
 
-def _encode_column_v4(values) -> Tuple[int, bytes]:
-    """v4 column coder: the measured-size adaptive selector, ids 0-3."""
-    scheme, payload = choose_codec(values)
-    return SCHEME_IDS[scheme], payload
+def _decode_lengths(data, n_seqs: int, max_len: int) -> np.ndarray:
+    """Inverse of `_encode_lengths`, as ``int64`` (level arithmetic on
+    a narrower or unsigned type would wrap)."""
+    # Usually one pair in a handful of bytes: the scalar decoder (the
+    # size crossover picks it) and Python ints, whose sum cannot wrap.
+    pairs = decompress_column(SCHEME_VARINT, data).tolist()
+    values, runs = pairs[0::2], pairs[1::2]
+    # Checked before `np.repeat`, so a hostile run cannot ask for more
+    # memory than the header's n_seqs (itself bounded by the scores
+    # region) vouches for.
+    if len(values) != len(runs) or min(runs, default=0) < 0 \
+            or sum(runs) != n_seqs:
+        raise ValueError(f"length runs do not cover {n_seqs} sequences")
+    if n_seqs and (min(values) < 1 or max(values) != max_len):
+        raise ValueError(f"sequence lengths are not 1..{max_len}")
+    return np.repeat(np.asarray(values, dtype=np.int64), runs)
 
 
-def serialize_columnar_postings_v3(postings: ColumnarPostings,
-                                   score_mode: int = SCORES_EXACT) -> bytes:
-    """One term's offset-indexed, 8-aligned payload (format v3)."""
-    return _serialize_columnar_postings(postings, score_mode,
-                                        _encode_column_v3)
-
-
-def serialize_columnar_postings_v4(postings: ColumnarPostings,
-                                   score_mode: int = SCORES_EXACT) -> bytes:
-    """One term's payload with v4 adaptive codec selection; layout is
-    byte-identical to v3, only the scheme-id vocabulary widens."""
-    return _serialize_columnar_postings(postings, score_mode,
-                                        _encode_column_v4)
-
-
-def _serialize_columnar_postings(postings: ColumnarPostings,
-                                 score_mode: int,
-                                 encode_column) -> bytes:
+def serialize_columnar_payload(postings: ColumnarPostings,
+                               score_mode: int = SCORES_EXACT) -> bytes:
+    """One term's offset-indexed, 8-aligned payload."""
     n_seqs = len(postings)
     max_len = int(postings.max_len)
     columns: List[bytes] = []
     schemes = bytearray(max_len)
     for level in range(1, max_len + 1):
-        scheme_id, payload = encode_column(postings.column(level).values)
-        schemes[level - 1] = scheme_id
+        scheme, payload = choose_codec(postings.column(level).values)
+        schemes[level - 1] = SCHEME_IDS[scheme]
         columns.append(payload)
+    lengths = _encode_lengths(postings.lengths)
 
     # Two passes: lay out offsets, then fill the preallocated buffer.
-    tables_off = _V3_PAYLOAD_HEADER.size
-    level_offs_off = tables_off
+    level_offs_off = _PAYLOAD_HEADER.size
     level_lens_off = level_offs_off + 8 * max_len
     schemes_off = level_lens_off + 8 * max_len
     lengths_off = _align8(schemes_off + max_len)
-    cursor = lengths_off + 8 * n_seqs
+    cursor = _align8(lengths_off + len(lengths))
     if score_mode == SCORES_EXACT:
-        scores_off = cursor
-        cursor += 8 * n_seqs
+        scores = np.asarray(postings.scores, dtype=np.float64).tobytes()
     elif score_mode == SCORES_QUANTIZED:
-        scores_off = cursor
-        cursor = _align8(cursor + 2 * n_seqs)
+        scores = np.asarray(np.asarray(postings.scores) * 256.0,
+                            dtype=np.uint16).tobytes()
     elif score_mode == SCORES_NONE:
-        scores_off = 0
+        scores = b""
     else:
         raise ValueError(f"unknown score mode {score_mode}")
+    scores_off = cursor if scores else 0
+    cursor = _align8(cursor + len(scores))
     level_offs: List[int] = []
     for payload in columns:
         level_offs.append(cursor)
         cursor = _align8(cursor + len(payload))
 
     out = bytearray(cursor)
-    _V3_PAYLOAD_HEADER.pack_into(out, 0, n_seqs, max_len, score_mode,
-                                 lengths_off, scores_off)
-    out[level_offs_off: level_offs_off + 8 * max_len] = np.asarray(
+    _PAYLOAD_HEADER.pack_into(out, 0, n_seqs, max_len, score_mode,
+                              lengths_off, len(lengths), scores_off)
+    out[level_offs_off: level_lens_off] = np.asarray(
         level_offs, dtype=np.uint64).tobytes()
-    out[level_lens_off: level_lens_off + 8 * max_len] = np.asarray(
+    out[level_lens_off: schemes_off] = np.asarray(
         [len(p) for p in columns], dtype=np.uint64).tobytes()
     out[schemes_off: schemes_off + max_len] = schemes
-    lengths = np.asarray(postings.lengths, dtype=np.int64).tobytes()
     out[lengths_off: lengths_off + len(lengths)] = lengths
-    if score_mode == SCORES_EXACT:
-        raw = np.asarray(postings.scores, dtype=np.float64).tobytes()
-        out[scores_off: scores_off + len(raw)] = raw
-    elif score_mode == SCORES_QUANTIZED:
-        raw = np.asarray(np.asarray(postings.scores) * 256.0,
-                         dtype=np.uint16).tobytes()
-        out[scores_off: scores_off + len(raw)] = raw
+    out[scores_off: scores_off + len(scores)] = scores
     for off, payload in zip(level_offs, columns):
         out[off: off + len(payload)] = payload
     return bytes(out)
 
 
-def serialize_columnar_index_v3(index: ColumnarIndex,
-                                score_mode: int = SCORES_EXACT,
-                                algorithm: str = None) -> bytes:
-    """Format-v3 columnar container: aligned frames, checksummed."""
-    return _serialize_columnar_index(index, score_mode, algorithm,
-                                     _MAGIC_COLUMNAR_V3,
-                                     serialize_columnar_postings_v3)
-
-
-def serialize_columnar_index_v4(index: ColumnarIndex,
-                                score_mode: int = SCORES_EXACT,
-                                algorithm: str = None) -> bytes:
-    """Format-v4 columnar container: v3 framing under the ``JDX4``
-    magic, per-column codecs chosen by measured encoded size."""
-    return _serialize_columnar_index(index, score_mode, algorithm,
-                                     _MAGIC_COLUMNAR_V4,
-                                     serialize_columnar_postings_v4)
-
-
-def _serialize_columnar_index(index: ColumnarIndex, score_mode: int,
-                              algorithm, magic: bytes,
-                              serialize_postings) -> bytes:
+def serialize_columnar_index(index: ColumnarIndex,
+                             score_mode: int = SCORES_EXACT,
+                             algorithm: str = None) -> bytes:
+    """The columnar container: aligned, checksummed per-term frames."""
     algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
     if algorithm not in ALGORITHM_IDS:
         raise ValueError(f"unknown checksum algorithm {algorithm!r}; "
                          f"one of {sorted(ALGORITHM_IDS)}")
     terms = index.vocabulary
-    out = bytearray(_V3_FILE_HEADER.pack(magic,
-                                         ALGORITHM_IDS[algorithm],
-                                         len(terms)))
+    out = bytearray(_FILE_HEADER.pack(MAGIC_COLUMNAR,
+                                      ALGORITHM_IDS[algorithm], len(terms)))
     for term in terms:
-        payload = serialize_postings(index.term_postings(term), score_mode)
+        payload = serialize_columnar_payload(index.term_postings(term),
+                                             score_mode)
         term_bytes = term.encode("utf-8")
         out.extend(b"\x00" * (_align8(len(out)) - len(out)))
-        out.extend(_V3_FRAME.pack(len(term_bytes), len(payload),
-                                  checksum(payload, algorithm)))
+        out.extend(_FRAME.pack(len(term_bytes), len(payload),
+                               checksum(payload, algorithm)))
         out.extend(term_bytes)
         out.extend(b"\x00" * (_align8(len(out)) - len(out)))
         out.extend(payload)
     return bytes(out)
 
 
-def scan_v3_container(data, file: str = None
-                      ) -> Tuple[str, List[BlockRef]]:
-    """Walk a v3 container's framing without touching payloads.
+def scan_container(data, file: str = None) -> Tuple[str, List[BlockRef]]:
+    """Walk the container's framing without touching payloads.
 
     `data` may be ``bytes`` or a ``memoryview`` over an mmap; nothing
     here copies a payload.  Returns ``(algorithm_name, refs)`` with
-    each ref's offset 8-aligned into `data`.
+    each ref's offset 8-aligned into `data`.  Raises
+    `DatabaseFormatError` on a wrong magic or unknown algorithm id and
+    `DatabaseCorruptError` when the framing runs off the end of the
+    buffer (truncation).
     """
-    return _scan_container(data, _MAGIC_COLUMNAR_V3, file)
-
-
-def scan_v4_container(data, file: str = None
-                      ) -> Tuple[str, List[BlockRef]]:
-    """Walk a v4 container's framing (identical to v3 framing)."""
-    return _scan_container(data, _MAGIC_COLUMNAR_V4, file)
-
-
-def _scan_container(data, magic: bytes, file: str = None
-                    ) -> Tuple[str, List[BlockRef]]:
-    if bytes(data[:4]) != magic:
+    where = f" in {file}" if file else ""
+    if bytes(data[:4]) != MAGIC_COLUMNAR:
         raise DatabaseFormatError(
-            f"bad magic {bytes(data[:4])!r} "
-            f"(expected {magic!r})"
-            + (f" in {file}" if file else ""))
-    if len(data) < _V3_FILE_HEADER.size:
+            f"bad magic {bytes(data[:4])!r} (expected {MAGIC_COLUMNAR!r})"
+            + where)
+    if len(data) < _FILE_HEADER.size:
         raise DatabaseCorruptError(
             "container truncated inside the header", file=file)
-    _, algo_id, n_terms = _V3_FILE_HEADER.unpack_from(data, 0)
+    _, algo_id, n_terms = _FILE_HEADER.unpack_from(data, 0)
     if algo_id not in ALGORITHM_NAMES:
         raise DatabaseFormatError(
-            f"unknown checksum algorithm id {algo_id}"
-            + (f" in {file}" if file else ""))
-    algorithm = ALGORITHM_NAMES[algo_id]
+            f"unknown checksum algorithm id {algo_id}" + where)
     refs: List[BlockRef] = []
     try:
-        pos = _V3_FILE_HEADER.size
+        pos = _FILE_HEADER.size
         for _ in range(n_terms):
             pos = _align8(pos)
-            if len(data) < pos + _V3_FRAME.size:
+            if len(data) < pos + _FRAME.size:
                 raise IndexError("frame runs off the end")
-            term_len, payload_len, crc = _V3_FRAME.unpack_from(data, pos)
-            pos += _V3_FRAME.size
+            term_len, payload_len, crc = _FRAME.unpack_from(data, pos)
+            pos += _FRAME.size
             if len(data) < pos + term_len:
                 raise IndexError("term runs off the end")
             term = bytes(data[pos: pos + term_len]).decode("utf-8")
@@ -583,48 +379,26 @@ def _scan_container(data, magic: bytes, file: str = None
                 raise IndexError("payload runs off the end")
             refs.append(BlockRef(term, pos, payload_len, crc))
             pos += payload_len
-    except (_PARSE_ERRORS + (struct.error,)) as exc:
+    except _PARSE_ERRORS as exc:
         raise DatabaseCorruptError(
-            f"v{magic[3:4].decode()} container framing corrupt: {exc}",
-            file=file) from exc
-    return algorithm, refs
+            f"container framing corrupt: {exc}", file=file) from exc
+    return ALGORITHM_NAMES[algo_id], refs
 
 
-def _scheme_name_v3(scheme_id: int) -> str:
-    return "rle" if scheme_id == 0 else "delta"
-
-
-def _scheme_name_v4(scheme_id: int) -> str:
-    name = SCHEME_NAMES.get(int(scheme_id))
-    if name is None:
-        raise ValueError(f"unknown v4 scheme id {scheme_id}")
-    return name
-
-
-def parse_v3_payload(term: str, payload, file: str = None):
-    """Decode a v3 per-term payload into zero-copy column views.
+def parse_payload(term: str, payload, file: str = None):
+    """Decode one term's payload into column views.
 
     `payload` is any buffer (typically a memoryview slice of an mmap).
     Returns ``(lengths, scores, level_payloads)`` where `lengths` is an
-    ``int64`` view, `scores` a ``float64`` array (a view in EXACT mode,
-    a small dequantized copy in QUANTIZED mode, zeros in NONE mode) and
-    `level_payloads` a list of ``(scheme, uint8 view)`` pairs -- the
-    shape `LazyColumnarPostings` consumes.
+    ``int64`` array, `scores` a ``float64`` array (a zero-copy view in
+    EXACT mode, a small dequantized copy in QUANTIZED mode, zeros in
+    NONE mode) and `level_payloads` a list of ``(scheme, uint8 view)``
+    pairs -- the shape `LazyColumnarPostings` consumes.
     """
-    return _parse_payload(term, payload, _scheme_name_v3, file)
-
-
-def parse_v4_payload(term: str, payload, file: str = None):
-    """Decode a v4 per-term payload: v3 parsing with the widened
-    scheme-id vocabulary (unknown ids raise `DatabaseCorruptError`)."""
-    return _parse_payload(term, payload, _scheme_name_v4, file)
-
-
-def _parse_payload(term: str, payload, scheme_name, file: str = None):
     try:
-        (n_seqs, max_len, score_mode, lengths_off,
-         scores_off) = _V3_PAYLOAD_HEADER.unpack_from(payload, 0)
-        tables = _V3_PAYLOAD_HEADER.size
+        (n_seqs, max_len, score_mode, lengths_off, lengths_len,
+         scores_off) = _PAYLOAD_HEADER.unpack_from(payload, 0)
+        tables = _PAYLOAD_HEADER.size
         level_offs = np.frombuffer(payload, dtype=np.uint64,
                                    count=max_len, offset=tables)
         level_lens = np.frombuffer(payload, dtype=np.uint64,
@@ -632,8 +406,6 @@ def _parse_payload(term: str, payload, scheme_name, file: str = None):
                                    offset=tables + 8 * max_len)
         schemes = np.frombuffer(payload, dtype=np.uint8, count=max_len,
                                 offset=tables + 16 * max_len)
-        lengths = np.frombuffer(payload, dtype=np.int64, count=n_seqs,
-                                offset=lengths_off)
         if score_mode == SCORES_EXACT:
             scores = np.frombuffer(payload, dtype=np.float64,
                                    count=n_seqs, offset=scores_off)
@@ -645,6 +417,9 @@ def _parse_payload(term: str, payload, scheme_name, file: str = None):
             scores = np.zeros(n_seqs, dtype=np.float64)
         else:
             raise ValueError(f"unknown score mode {score_mode}")
+        lengths = _decode_lengths(
+            np.frombuffer(payload, dtype=np.uint8, count=lengths_len,
+                          offset=lengths_off), n_seqs, max_len)
         level_payloads = []
         for level in range(max_len):
             off = int(level_offs[level])
@@ -653,42 +428,25 @@ def _parse_payload(term: str, payload, scheme_name, file: str = None):
                 raise IndexError("column runs off the payload")
             column = np.frombuffer(payload, dtype=np.uint8, count=length,
                                    offset=off)
-            level_payloads.append((scheme_name(schemes[level]), column))
-    except (_PARSE_ERRORS + (struct.error,)) as exc:
+            scheme = SCHEME_NAMES.get(int(schemes[level]))
+            if scheme is None:
+                raise ValueError(f"unknown scheme id {schemes[level]}")
+            level_payloads.append((scheme, column))
+    except _PARSE_ERRORS as exc:
         raise DatabaseCorruptError(
             f"postings for term {term!r} do not parse: {exc}",
             file=file, term=term) from exc
     return lengths, scores, level_payloads
 
 
-def deserialize_columnar_index_v3(data, verify: bool = True,
-                                  file: str = None,
-                                  vectorized: bool = True
-                                  ) -> Dict[str, ColumnarPostings]:
-    """Eagerly load a format-v3 container (the ``lazy=False`` path).
+def deserialize_columnar_index(data, verify: bool = True, file: str = None
+                               ) -> Dict[str, ColumnarPostings]:
+    """Eagerly load a container (the ``lazy=False`` path).
 
     The eager path rebuilds full `ColumnarPostings` objects, so it does
     copy -- zero-copy loading is the lazy reader's job
     (`repro.index.lazydisk.LazyColumnarIndex`).
     """
-    return _deserialize_columnar_index(data, scan_v3_container,
-                                       parse_v3_payload, verify, file,
-                                       vectorized)
-
-
-def deserialize_columnar_index_v4(data, verify: bool = True,
-                                  file: str = None,
-                                  vectorized: bool = True
-                                  ) -> Dict[str, ColumnarPostings]:
-    """Eagerly load a format-v4 container (the ``lazy=False`` path)."""
-    return _deserialize_columnar_index(data, scan_v4_container,
-                                       parse_v4_payload, verify, file,
-                                       vectorized)
-
-
-def _deserialize_columnar_index(data, scan_container, parse_payload,
-                                verify: bool, file, vectorized: bool
-                                ) -> Dict[str, ColumnarPostings]:
     algorithm, refs = scan_container(data, file=file)
     result: Dict[str, ColumnarPostings] = {}
     for ref in refs:
@@ -700,8 +458,7 @@ def _deserialize_columnar_index(data, scan_container, parse_payload,
             seqs: List[List[int]] = [[] for _ in range(len(lengths))]
             for level, (scheme, column) in enumerate(level_payloads,
                                                      start=1):
-                values = decompress_column(scheme, column,
-                                           vectorized=vectorized)
+                values = decompress_column(scheme, column)
                 cursor = 0
                 for i, length in enumerate(lengths):
                     if length >= level:

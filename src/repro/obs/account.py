@@ -39,10 +39,10 @@ class ResourceAccount:
     Scalar totals (the `ExecutionStats` counter fields):
 
     * ``bytes_mapped`` -- compressed column payload bytes served from a
-      format-v3 mmap (zero-copy views; the pages may already be
+      container mmap (zero-copy views; the pages may already be
       resident);
     * ``bytes_copied`` -- payload bytes materialized as ``bytes``
-      copies (v1/v2 column payloads, fault-injected reads);
+      copies (fault-injected reads, in-memory blobs);
     * ``bytes_decompressed`` -- decoded output bytes across all column
       decompressions;
     * ``postings_bytes_read`` -- compressed payload bytes fed to the

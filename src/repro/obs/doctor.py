@@ -2,7 +2,7 @@
 
 Reads the on-disk containers directly (no query engine, no index
 objects): per-term postings sizes from the container framing, per-level
-and per-codec compressed-vs-raw ratios from the format-v3 payloads,
+and per-codec compressed-vs-raw ratios from the per-term payloads,
 shard skew from the ``shard-NN/`` layout, and -- given a captured
 workload (``--workload``, `repro.serve.capture` JSONL) -- a
 cache-efficiency estimate that says how much of the workload's postings
@@ -51,54 +51,32 @@ def _percentiles(values: Sequence[float]) -> Dict[str, float]:
 
 
 def _scan_columnar(path: str):
-    """``(format, algorithm, data, refs)`` for one columnar container.
-
-    Detects the container flavour from its magic: ``JDX3`` (format v3)
-    or ``JDXB`` (format v2 blocked).  v1 containers have no per-term
-    framing to scan, so they are reported as unsupported.
-    """
-    from ..index.storage import (_MAGIC_COLUMNAR_BLOCKED,
-                                 _MAGIC_COLUMNAR_V3, _MAGIC_COLUMNAR_V4,
-                                 scan_blocked_container, scan_v3_container,
-                                 scan_v4_container)
+    """``(data, refs)`` for one mapped columnar container."""
+    from ..index.storage import scan_container
     from ..reliability.io import map_bytes
 
-    mapped = map_bytes(path)
-    data = mapped.view if hasattr(mapped, "view") else mapped
-    magic = bytes(data[:4])
-    if magic == _MAGIC_COLUMNAR_V4:
-        algorithm, refs = scan_v4_container(data, file=path)
-        return "v4", algorithm, data, refs, mapped
-    if magic == _MAGIC_COLUMNAR_V3:
-        algorithm, refs = scan_v3_container(data, file=path)
-        return "v3", algorithm, data, refs, mapped
-    if magic == _MAGIC_COLUMNAR_BLOCKED:
-        algorithm, refs = scan_blocked_container(
-            bytes(data), _MAGIC_COLUMNAR_BLOCKED, file=path)
-        return "v2", algorithm, bytes(data), refs, mapped
-    raise ValueError(
-        f"{path!r} has magic {magic!r}; repro doctor reads format-v2 "
-        "blocked (JDXB), format-v3 (JDX3) and format-v4 (JDX4) "
-        "containers")
+    data = map_bytes(path).view
+    return data, scan_container(data, file=path)[1]
 
 
-def _codec_level_stats(data, refs, fmt: str = "v3") -> Dict[str, Any]:
-    """Per-level / per-codec compressed-vs-raw totals (v3/v4 only).
+def _codec_level_stats(containers) -> Dict[str, Any]:
+    """Per-level / per-codec compressed-vs-raw totals over the
+    ``(data, refs)`` containers of a database (one a shard).
 
     Raw size uses the eager 4-byte value model
     (`repro.index.compression.uncompressed_size`), the same yardstick
     the build-time `measure_sizes` report uses, so the two agree.
-    For v4 the per-level entries also carry a ``codecs`` histogram --
-    the selector's choices (how many columns at that level landed on
-    each codec), the quickest answer to "is FOR pulling its weight?".
+    The per-level entries also carry a ``codecs`` histogram -- the
+    selector's choices (how many columns at that level landed on each
+    codec), the quickest answer to "is FOR pulling its weight?".
     """
     from ..index.compression import decompress_column
-    from ..index.storage import parse_v3_payload, parse_v4_payload
+    from ..index.storage import parse_payload
 
-    parse_payload = parse_v4_payload if fmt == "v4" else parse_v3_payload
     by_level: Dict[int, Dict[str, Any]] = {}
     by_codec: Dict[str, Dict[str, int]] = {}
-    for ref in refs:
+    for data, ref in ((data, ref) for data, refs in containers
+                      for ref in refs):
         payload = data[ref.offset: ref.offset + ref.length]
         _lengths, _scores, level_payloads = parse_payload(
             ref.term, payload)
@@ -170,6 +148,9 @@ def doctor_report(path: str, workload: Optional[str] = None,
     meta_path = os.path.join(path, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as handle:
         meta = json.load(handle)
+    from ..diskdb import require_current_format
+
+    require_current_format(path, meta.get("format_version"))
     report: Dict[str, Any] = {
         "schema": DOCTOR_SCHEMA,
         "db": path,
@@ -178,13 +159,11 @@ def doctor_report(path: str, workload: Optional[str] = None,
     }
     shard_entries: List[Dict[str, Any]] = []
     all_refs = []
+    containers = []
     term_sizes: Dict[str, int] = {}
-    keepalive = []   # MappedFile handles outlive the numpy views below
     for label, shard_dir in _shard_dirs(path, meta):
         columnar = os.path.join(shard_dir, "columnar.bin")
-        fmt, _algorithm, data, refs, mapped = _scan_columnar(columnar)
-        keepalive.append(mapped)
-        report.setdefault("container_format", fmt)
+        data, refs = _scan_columnar(columnar)
         entry: Dict[str, Any] = {"dir": label or ".",
                                  "terms": len(refs),
                                  "postings_bytes": int(
@@ -195,26 +174,9 @@ def doctor_report(path: str, workload: Optional[str] = None,
         all_refs.extend(refs)
         for ref in refs:
             term_sizes[ref.term] = term_sizes.get(ref.term, 0) + ref.length
-        if codecs and fmt in ("v3", "v4"):
-            merged = _codec_level_stats(data, refs, fmt=fmt)
-            prior = report.get("compression")
-            if prior is None:
-                report["compression"] = merged
-            else:
-                for section in ("by_level", "by_codec"):
-                    for key, entry2 in merged[section].items():
-                        into = prior[section].setdefault(key, {})
-                        for name, value in entry2.items():
-                            if name == "ratio":
-                                continue
-                            if isinstance(value, dict):
-                                sub = into.setdefault(name, {})
-                                for codec, count in value.items():
-                                    sub[codec] = sub.get(codec, 0) + count
-                            else:
-                                into[name] = into.get(name, 0) + value
-                        into["ratio"] = (into["compressed"] / into["raw"]
-                                         if into.get("raw") else 0.0)
+        containers.append((data, refs))
+    if codecs:
+        report["compression"] = _codec_level_stats(containers)
     report["postings"] = _term_stats(all_refs, heavy)
     table = os.path.join(path, "dewey.bin")
     if os.path.exists(table):

@@ -16,7 +16,7 @@ CPython install while the format stays CRC32C-ready.
 
 Every function accepts any bytes-like buffer -- ``bytes``,
 ``memoryview`` or a ``numpy`` byte view -- without copying, which is
-what lets the format-v3 loader verify CRCs directly against an mmap'd
+what lets the container loader verify CRCs directly against an mmap'd
 file (`repro.reliability.io.map_bytes`).
 """
 

@@ -8,14 +8,14 @@ atomic save protocol (write to a temp dir, fsync data, `os.replace`
 into place, fsync the directory, manifest last).
 
 `map_bytes` is the zero-copy sibling: it memory-maps a file read-only
-and returns a `MappedFile` whose buffer the format-v3 loader hands to
+and returns a `MappedFile` whose buffer the container loader hands to
 ``np.frombuffer`` directly -- columns materialize as views over the
 page cache, and forked worker processes share the mapping for free.
 
 Every whole-payload materialization (a `read_bytes` call, or the
 `map_bytes` fallback when a fault injector forces the copying path) is
 recorded in `COPY_STATS`, the seam the zero-copy tests assert against:
-loading a format-v3 database must record *no* copy event for the
+loading a database must record *no* copy event for the
 columnar file.
 """
 
@@ -36,7 +36,7 @@ CHUNK_SIZE = 64 * 1024
 class CopyStats:
     """Counts whole-payload ``bytes`` materializations, per read op.
 
-    The zero-copy contract of the format-v3 load path is asserted
+    The zero-copy contract of the load path is asserted
     through this seam: `read_bytes` records every copy it makes
     (labelled with its ``op``), `map_bytes` records nothing on the
     mmap path, so a test can reset the stats, load a database, and
@@ -105,7 +105,7 @@ class MappedFile:
     """A read-only memory mapping plus the handles that keep it alive.
 
     Behaves like a buffer (`len`, slicing via `view`) and is accepted
-    everywhere the format-v3 readers take bytes.  Keep a reference for
+    everywhere the container readers take bytes.  Keep a reference for
     as long as any `np.frombuffer` view of it is in use -- the columnar
     loader stores it on the index object.  ``close`` is optional: the
     mapping is released when the object is garbage-collected, and
@@ -145,7 +145,7 @@ def map_bytes(path: str, injector: Optional[FaultInjector] = None,
     injected faults (the kernel serves pages directly), so the call
     degrades to `read_bytes` -- a copy, recorded in `COPY_STATS` as
     usual -- keeping the fault-injection test matrix meaningful for
-    format-v3 databases.  Callers treat the two return shapes
+    mapped databases.  Callers treat the two return shapes
     uniformly: both support ``len`` and expose bytes to
     ``np.frombuffer`` (pass ``MappedFile.view``).
     """

@@ -6,7 +6,7 @@ in-process (``workers=0``) or on per-shard fork/copy-on-write process
 pools (``workers=W``), the same forking discipline as
 `XMLDatabase.batch_executor`: the parent installs the shard databases
 in a module global *before* the pools fork, so workers inherit index
-structures -- including format-v3 mmap'd columns -- without any
+structures -- including the mmap'd columns -- without any
 serialization, and a pool's workers only ever touch their own shard
 (warm per-process block caches stay shard-affine).
 

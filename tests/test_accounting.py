@@ -147,7 +147,7 @@ class TestDiskIntegration:
     @pytest.fixture
     def lazy_db(self, tmp_path, small_db):
         path = str(tmp_path / "db")
-        save_database(small_db, path, format_version=3)
+        save_database(small_db, path)
         return load_database(path, lazy=True)
 
     def test_lazy_v3_counts_bytes(self, lazy_db):
@@ -156,7 +156,7 @@ class TestDiskIntegration:
         assert stats.bytes_decompressed > 0
         assert stats.columns_decompressed > 0
         assert stats.postings_bytes_read > 0
-        assert stats.bytes_mapped > 0  # v3 columns are mmap views
+        assert stats.bytes_mapped > 0  # columns are mmap views
         assert stats.resources is not None
         assert stats.resources["by_codec"]
         assert stats.resources["by_level_postings"]
@@ -170,7 +170,7 @@ class TestDiskIntegration:
 
     def test_query_metrics_published(self, tmp_path, small_db):
         path = str(tmp_path / "db")
-        save_database(small_db, path, format_version=3)
+        save_database(small_db, path)
         db = load_database(path, lazy=True)
         db.search_topk("xml data", 5)
         exposition = db.metrics.render_prometheus()

@@ -26,7 +26,7 @@ def db_dir(tmp_path, small_db):
     from repro.diskdb import save_database
 
     path = str(tmp_path / "db")
-    save_database(small_db, path, format_version=3)
+    save_database(small_db, path)
     return path
 
 
@@ -126,7 +126,7 @@ class TestReplayRoundTrip:
         from repro.diskdb import save_database
 
         path = str(tmp_path / "db_sharded")
-        save_database(small_db, path, format_version=3, shards=2)
+        save_database(small_db, path, shards=2)
         return path
 
     @pytest.fixture
@@ -202,7 +202,7 @@ class TestReplayCLI:
         from repro.diskdb import save_database
 
         sharded_dir = str(tmp_path / "db_sharded")
-        save_database(small_db, sharded_dir, format_version=3, shards=2)
+        save_database(small_db, sharded_dir, shards=2)
         capture = str(tmp_path / "w.jsonl")
         _drive_inline(ShardedDatabase.open(sharded_dir, lazy=True,
                                            verify="lazy"),

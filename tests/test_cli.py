@@ -118,7 +118,7 @@ class TestInfoSharded:
         with open(xml_file, encoding="utf-8") as handle:
             db = XMLDatabase.from_xml_text(handle.read())
         out = str(tmp_path / "db_sharded")
-        save_database(db, out, format_version=3, shards=2)
+        save_database(db, out, shards=2)
         return out
 
     def test_per_shard_breakdown(self, sharded_dir, capsys):

@@ -1,5 +1,5 @@
-"""The format-v4 codec generation: FOR, varint columns, the adaptive
-selector, and the vectorization crossover knob.
+"""FOR, varint columns, the statistics-driven selector, and the
+scalar/vectorized decode crossover.
 
 Every decoder ships a scalar reference path (``vectorized=False``);
 the vectorized kernels must match it bit-for-bit on every shape the
@@ -7,18 +7,17 @@ encoder can produce -- empty columns, width-0 blocks, ragged final
 blocks, and values past 2^32.
 """
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.index.compression import (DEFAULT_BLOCK_SIZE, SCHEME_IDS,
-                                     SCHEME_NAMES, V4_CODECS,
-                                     VECTORIZED_MIN_BYTES, choose_codec,
-                                     decode_for, decode_varint_column,
+from repro import XMLDatabase
+from repro.index.compression import (CODECS, DEFAULT_BLOCK_SIZE,
+                                     PAPER_CODECS, SCHEME_IDS,
+                                     SCHEME_NAMES, VECTORIZED_MIN_BYTES,
+                                     choose_codec, decode_for,
+                                     decode_varint_column,
                                      decompress_column, encode_for,
-                                     encode_varint_column,
-                                     vectorized_min_bytes)
+                                     encode_varint_column)
 
 
 def roundtrip_for(values, block_size=DEFAULT_BLOCK_SIZE):
@@ -112,28 +111,82 @@ class TestVarintColumn:
             decode_varint_column(blob[: len(blob) // 2])
 
 
+def _encodable(values, candidate):
+    """`candidate`'s payload for `values`, or None if it cannot encode
+    them (rle and delta demand sorted input)."""
+    try:
+        return choose_codec(values, codecs=(candidate,))[1]
+    except ValueError:
+        return None
+
+
 class TestChooseCodec:
     def test_registry_is_bijective(self):
         assert set(SCHEME_IDS.values()) == set(SCHEME_NAMES.keys())
         for name, scheme_id in SCHEME_IDS.items():
             assert SCHEME_NAMES[scheme_id] == name
-        assert set(V4_CODECS) == set(SCHEME_IDS)
+        assert set(CODECS) == set(SCHEME_IDS)
+        assert set(PAPER_CODECS) == {"rle", "delta"}
 
     def test_picks_smallest(self):
+        """One clear-cut column per decision-list branch: the pick is
+        the smallest of the four there."""
         rng = np.random.default_rng(9)
-        for values in (np.zeros(500, dtype=np.int64),
-                       np.sort(rng.integers(0, 10**6, size=500)),
-                       rng.integers(2**40, 2**40 + 100, size=500),
-                       np.arange(5, dtype=np.int64)):
+        for values, expected in (
+                (np.zeros(500, dtype=np.int64), "rle"),
+                (np.sort(rng.integers(0, 10**6, size=500)), "delta"),
+                (rng.integers(2**40, 2**40 + 100, size=500), "for"),
+                (np.arange(2000, 3000, dtype=np.int64), "for"),
+                (np.arange(5, dtype=np.int64), "varint")):
             scheme, payload = choose_codec(values)
-            for candidate in V4_CODECS:
-                try:
-                    _s, other = choose_codec(values, codecs=(candidate,))
-                except ValueError:
-                    continue   # candidate cannot encode this column
-                assert len(payload) <= len(other)
+            assert scheme == expected
+            for candidate in CODECS:
+                other = _encodable(values, candidate)
+                assert other is None or len(payload) <= len(other)
             decoded = decompress_column(scheme, payload)
             np.testing.assert_array_equal(decoded, values)
+
+    def test_within_one_percent_of_exhaustive_best(self):
+        """The size gate: over every column of a seeded DBLP corpus the
+        decision list's picks total within 1 % of encoding each column
+        all four ways and keeping the smallest (the exhaustive loop the
+        selector used to be, kept here as the reference)."""
+        index = XMLDatabase.generate_dblp(seed=7,
+                                          n_papers=400).columnar_index
+        picked = best = 0
+        for term in index.vocabulary:
+            postings = index.term_postings(term)
+            for level in range(1, postings.max_len + 1):
+                values = postings.column(level).values
+                scheme, payload = choose_codec(values)
+                np.testing.assert_array_equal(
+                    decompress_column(scheme, payload), values)
+                picked += len(payload)
+                best += min(len(blob) for blob in (
+                    _encodable(values, c) for c in CODECS)
+                    if blob is not None)
+        assert best <= picked <= 1.01 * best, (picked, best)
+
+    def test_paper_codecs_apply_the_paper_rule(self):
+        """Restricted to rle/delta the selector is section III-D's rule:
+        rle iff at most half the values start a run."""
+        for values, expected in (([1, 1, 1, 2, 2, 2], "rle"),
+                                 ([1, 1, 2, 2], "rle"),
+                                 ([1, 1, 2, 3], "delta"),
+                                 (list(range(100)), "delta"),
+                                 ([7], "delta"),
+                                 ([], "rle")):
+            scheme, payload = choose_codec(values, PAPER_CODECS)
+            assert scheme == expected, values
+            assert list(decompress_column(scheme, payload)) == values
+
+    def test_unsorted_column_needs_for_or_varint(self):
+        values = [9, 3, 7]
+        scheme, payload = choose_codec(values)
+        assert scheme in ("for", "varint")
+        assert list(decompress_column(scheme, payload)) == values
+        with pytest.raises(ValueError):
+            choose_codec(values, PAPER_CODECS)
 
     def test_constant_column_prefers_rle(self):
         scheme, _ = choose_codec(np.full(10_000, 123, dtype=np.int64))
@@ -154,26 +207,16 @@ class TestChooseCodec:
 
 
 class TestVectorizedCrossover:
-    def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTORIZED_MIN_BYTES", raising=False)
-        assert vectorized_min_bytes() == VECTORIZED_MIN_BYTES
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZED_MIN_BYTES", "7")
-        assert vectorized_min_bytes() == 7
-
-    def test_malformed_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZED_MIN_BYTES", "lots")
-        with pytest.raises(ValueError):
-            vectorized_min_bytes()
+    def test_default_threshold(self):
+        assert VECTORIZED_MIN_BYTES == 256
 
     def test_crossover_controls_dispatch(self, monkeypatch):
         """Below the threshold the scalar decoder runs even with
-        vectorized=True; identical output either way, so the knob is
-        purely a performance trade."""
+        vectorized=True; identical output either way, so the crossover
+        is purely a performance trade."""
         values = np.arange(64, dtype=np.int64)
         scheme, payload = choose_codec(values)
-        assert len(payload) < 256
+        assert len(payload) < VECTORIZED_MIN_BYTES
 
         calls = {}
         import repro.index.compression as comp
@@ -185,29 +228,9 @@ class TestVectorizedCrossover:
             return real(data, vectorized=vectorized)
 
         monkeypatch.setitem(comp._DECODERS, scheme, spy)
-        monkeypatch.setenv("REPRO_VECTORIZED_MIN_BYTES",
-                           str(len(payload) + 1))
         out_small = decompress_column(scheme, payload, vectorized=True)
         assert calls["vectorized"] is False
-        monkeypatch.setenv("REPRO_VECTORIZED_MIN_BYTES", "0")
+        monkeypatch.setattr(comp, "VECTORIZED_MIN_BYTES", 0)
         out_vec = decompress_column(scheme, payload, vectorized=True)
         assert calls["vectorized"] is True
         np.testing.assert_array_equal(out_small, out_vec)
-
-    def test_min_bytes_keyword_beats_env(self, monkeypatch):
-        values = np.arange(64, dtype=np.int64)
-        scheme, payload = choose_codec(values)
-
-        calls = {}
-        import repro.index.compression as comp
-
-        real = comp._DECODERS[scheme]
-
-        def spy(data, vectorized=True):
-            calls["vectorized"] = vectorized
-            return real(data, vectorized=vectorized)
-
-        monkeypatch.setitem(comp._DECODERS, scheme, spy)
-        monkeypatch.setenv("REPRO_VECTORIZED_MIN_BYTES", "1000000")
-        decompress_column(scheme, payload, vectorized=True, min_bytes=0)
-        assert calls["vectorized"] is True

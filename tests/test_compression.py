@@ -87,20 +87,27 @@ class TestRLE:
         assert list(cmp.decode_rle(cmp.encode_rle(values))) == values
 
 
+def paper_scheme(values):
+    """The paper's two-scheme rule (what Table I sizes)."""
+    return cmp.choose_codec(values, cmp.PAPER_CODECS)[0]
+
+
 class TestSchemeSelection:
     def test_low_cardinality_picks_rle(self):
-        assert cmp.choose_scheme([1, 1, 1, 2, 2, 2]) == cmp.SCHEME_RLE
+        assert paper_scheme([1, 1, 1, 2, 2, 2]) == cmp.SCHEME_RLE
 
     def test_high_cardinality_picks_delta(self):
-        assert cmp.choose_scheme(list(range(100))) == cmp.SCHEME_DELTA
+        assert paper_scheme(list(range(100))) == cmp.SCHEME_DELTA
 
     def test_empty_column(self):
-        assert cmp.choose_scheme([]) == cmp.SCHEME_RLE
+        assert paper_scheme([]) == cmp.SCHEME_RLE
 
     @given(sorted_columns)
     def test_compress_roundtrip_property(self, values):
-        scheme, data = cmp.compress_column(values)
-        assert list(cmp.decompress_column(scheme, data)) == values
+        for codecs in (cmp.CODECS, cmp.PAPER_CODECS):
+            scheme, data = cmp.choose_codec(values, codecs)
+            assert scheme in codecs
+            assert list(cmp.decompress_column(scheme, data)) == values
 
     def test_unknown_scheme_raises(self):
         with pytest.raises(ValueError):
@@ -108,7 +115,7 @@ class TestSchemeSelection:
 
     def test_numpy_input_accepted(self):
         values = np.asarray([1, 2, 2, 3], dtype=np.int64)
-        scheme, data = cmp.compress_column(values)
+        scheme, data = cmp.choose_codec(values)
         assert list(cmp.decompress_column(scheme, data)) == [1, 2, 2, 3]
 
 
@@ -210,7 +217,8 @@ class TestVectorizedColumnDecoders:
 
     def test_decompress_column_threads_flag(self):
         values = [1, 1, 2, 3, 5, 8, 13]
-        for scheme, blob in (cmp.compress_column(values),):
+        for scheme, blob in (cmp.choose_codec(values, (codec,))
+                             for codec in cmp.CODECS):
             vec = cmp.decompress_column(scheme, blob, vectorized=True)
             ref = cmp.decompress_column(scheme, blob, vectorized=False)
             assert vec.tolist() == ref.tolist() == values

@@ -138,8 +138,7 @@ class TestLazyPerBlock:
     def _refs(self, clean_dir):
         with open(os.path.join(clean_dir, _COLUMNAR), "rb") as fh:
             blob = fh.read()
-        _algo, refs = storage.scan_blocked_container(
-            blob, storage._MAGIC_COLUMNAR_BLOCKED)
+        _algo, refs = storage.scan_container(blob)
         return blob, refs
 
     def test_payload_flip_names_the_term(self, clean_dir):
@@ -176,8 +175,8 @@ class TestLazyPerBlock:
                 db.columnar_index.term_postings(victim.term)
 
     def test_framing_flips_are_typed_when_touched(self, clean_dir):
-        # Flips in the container framing (varints, CRCs, magic) land
-        # before any payload parse; they must also stay typed.
+        # Flips in the container framing (lengths, CRCs, magic, pad)
+        # land before any payload parse; they must also stay typed.
         blob, refs = self._refs(clean_dir)
         rng = random.Random(SEED + 5)
         payload_bytes = set()
@@ -223,6 +222,168 @@ class TestVerifyOff:
                     load_database(clean_dir, verify="off")
                 except DatabaseFormatError:
                     pass
+
+
+class TestContainerFuzz:
+    """`columnar.bin` with the checksums out of the way (``verify="off"``,
+    or the block re-sealed): hostile bytes must come back as a typed
+    error -- from the scanner, the payload parser or a column decode --
+    never an IndexError, a numpy error or an allocation the file cannot
+    vouch for, and within a time bound."""
+
+    TIME_BOUND_S = 20.0
+
+    @staticmethod
+    def _touch_everything(db):
+        index = db.columnar_index
+        for term in index.vocabulary:
+            postings = index.term_postings(term)
+            for level in range(1, postings.max_len + 1):
+                postings.column(level)
+        db.search("xml data", use_cache=False)
+        db.search_topk("keyword search", k=3)
+
+    @pytest.mark.parametrize("lazy", (True, False))
+    def test_byte_flips_are_typed_or_clean(self, clean_dir, lazy):
+        import time
+
+        rng = random.Random(SEED + 20)
+        start = time.perf_counter()
+        with _Mutant(clean_dir, _COLUMNAR) as mutant:
+            for _ in range(150):
+                mutant.write(_flip(mutant.original, rng))
+                try:
+                    self._touch_everything(load_database(
+                        clean_dir, lazy=lazy, verify="off"))
+                except DatabaseFormatError:
+                    pass    # typed; a flipped posting may also just be
+                    # a different, well-formed posting -- no checksum
+        assert time.perf_counter() - start < self.TIME_BOUND_S
+
+    @pytest.mark.parametrize("lazy", (True, False))
+    def test_truncations_are_typed(self, clean_dir, lazy):
+        rng = random.Random(SEED + 21)
+        with _Mutant(clean_dir, _COLUMNAR) as mutant:
+            for _ in range(25):
+                cut = rng.randrange(len(mutant.original))
+                mutant.write(mutant.original[:cut])
+                with pytest.raises(DatabaseFormatError):
+                    self._touch_everything(load_database(
+                        clean_dir, lazy=lazy, verify="off"))
+
+    def test_absurd_frame_fields(self, clean_dir):
+        """n_terms, term_len and payload_len far past the file."""
+        import struct
+        import time
+
+        with open(os.path.join(clean_dir, _COLUMNAR), "rb") as fh:
+            blob = fh.read()
+        first_frame = storage._FILE_HEADER.size
+        start = time.perf_counter()
+        for offset, fmt in ((8, "<Q"),                  # n_terms
+                            (first_frame, "<I"),        # term_len
+                            (first_frame + 4, "<Q")):   # payload_len
+            for value in (2 ** 62, 2 ** 40, 2 ** 31, len(blob) + 1):
+                if value >= 2 ** (8 * struct.calcsize(fmt)):
+                    continue
+                mutated = bytearray(blob)
+                struct.pack_into(fmt, mutated, offset, value)
+                with pytest.raises(DatabaseCorruptError):
+                    storage.scan_container(bytes(mutated))
+        assert time.perf_counter() - start < self.TIME_BOUND_S
+
+    def test_absurd_payload_fields(self, clean_dir):
+        """Every header field and table entry of a term's payload set
+        to values the payload cannot hold; the parser (reached past the
+        checksum, as after a collision) must refuse each one."""
+        import struct
+        import time
+
+        with open(os.path.join(clean_dir, _COLUMNAR), "rb") as fh:
+            blob = fh.read()
+        _algo, refs = storage.scan_container(blob)
+        ref = max(refs, key=lambda r: r.length)
+        payload = blob[ref.offset: ref.offset + ref.length]
+        lengths, _scores, levels = storage.parse_payload(ref.term, payload)
+        n_seqs, max_len = len(lengths), len(levels)
+        header = storage._PAYLOAD_HEADER.size
+        fields = [(0, "<Q"), (8, "<I"), (12, "<I"), (16, "<I"),
+                  (20, "<I"), (24, "<Q")]
+        fields += [(header + 8 * i, "<Q") for i in range(2 * max_len)]
+        absurd = (2 ** 62, 2 ** 40, 2 ** 31, len(payload) + 1,
+                  n_seqs + 1, max_len + 1, 7)
+        start = time.perf_counter()
+        refused = 0
+        for offset, fmt in fields:
+            for value in absurd:
+                if value >= 2 ** (8 * struct.calcsize(fmt)):
+                    continue
+                mutated = bytearray(payload)
+                struct.pack_into(fmt, mutated, offset, value)
+                if bytes(mutated) == payload:
+                    continue
+                try:
+                    got = storage.parse_payload(ref.term, bytes(mutated))
+                    # A level offset moved inside the payload still
+                    # parses; the column it now points at must not
+                    # decode to the right number of values silently.
+                    from repro.index.lazydisk import LazyColumnarPostings
+
+                    postings = LazyColumnarPostings(ref.term, got[0],
+                                                    got[2], got[1])
+                    for level in range(1, postings.max_len + 1):
+                        postings.column(level)
+                except DatabaseCorruptError as err:
+                    assert err.term == ref.term
+                    refused += 1
+        assert refused > 5 * len(fields)
+        assert time.perf_counter() - start < self.TIME_BOUND_S
+
+    def test_unknown_scheme_id(self, clean_dir):
+        """An id outside `SCHEME_IDS` is corruption -- not, as the v3
+        reader had it, another name for delta."""
+        from repro.index.compression import SCHEME_NAMES
+
+        with open(os.path.join(clean_dir, _COLUMNAR), "rb") as fh:
+            blob = bytearray(fh.read())
+        _algo, refs = storage.scan_container(bytes(blob))
+        ref = refs[0]
+        _l, _s, levels = storage.parse_payload(
+            ref.term, bytes(blob[ref.offset: ref.offset + ref.length]))
+        schemes_off = (ref.offset + storage._PAYLOAD_HEADER.size
+                       + 16 * len(levels))
+        for scheme_id in range(len(SCHEME_NAMES), 256, 17):
+            blob[schemes_off] = scheme_id
+            with _Mutant(clean_dir, _COLUMNAR) as mutant:
+                mutant.write(bytes(blob))
+                with pytest.raises(DatabaseCorruptError) as err:
+                    load_database(clean_dir, verify="off")
+                assert err.value.term == ref.term
+                db = load_database(clean_dir, lazy=True, verify="off")
+                with pytest.raises(DatabaseCorruptError):
+                    db.columnar_index.term_postings(ref.term)
+
+    def test_hostile_length_runs(self):
+        """The (length, run) pairs are decoded before anything is
+        allocated for them: runs that do not add up to n_seqs, an odd
+        stream, a length outside 1..max_len and a run far past n_seqs
+        are refused outright."""
+        from repro.index.compression import encode_varint_column
+
+        good = storage._encode_lengths([2, 2, 2, 3, 3, 1])
+        assert storage._decode_lengths(good, 6, 3).tolist() \
+            == [2, 2, 2, 3, 3, 1]
+        for pairs, n_seqs, max_len in (
+                ([2, 3, 3, 2], 6, 3),           # runs cover 5, not 6
+                ([2, 3, 3], 3, 3),              # odd stream
+                ([0, 3], 3, 3),                 # length 0
+                ([4, 3], 3, 3),                 # length past max_len
+                ([2, 3], 3, 3),                 # max_len never reached
+                ([3, 2 ** 62], 3, 3),           # absurd run
+                ([3, 2 ** 63, 3, 2 ** 63 + 3], 3, 3)):  # sums to 3 mod 2^64
+            with pytest.raises(ValueError):
+                storage._decode_lengths(encode_varint_column(pairs),
+                                        n_seqs, max_len)
 
 
 class TestNodeTableFuzz:

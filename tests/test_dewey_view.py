@@ -1,11 +1,12 @@
 """Dewey lists and nodes as views: derived on first use, from the
 columnar postings and the node table, the same in memory and on disk.
 
-One differential matrix: hypothesis trees x {in memory, v2, v4 eager,
-v4 lazy} x shards {1, 2, 4} against the reference builder in
+One differential matrix: hypothesis trees x {in memory, eager, lazy}
+x shards {1, 2, 4} against the reference builder in
 `tests/reference_dewey.py`; then what an opened database may and may
-not touch (no XML parse until the oracle asks), and that directories
-written before the node table existed still open with equal answers.
+not touch (no XML parse until the oracle asks), and that a directory
+written before the node table existed is refused with the way to
+rebuild it.
 """
 
 import asyncio
@@ -59,10 +60,9 @@ def lists_of(db):
             for term in index.vocabulary}
 
 
-STORAGE = [("memory", None, {}),
-           ("v2", 2, {}),
-           ("v4-eager", 4, {"verify": "eager"}),
-           ("v4-lazy", 4, {"lazy": True, "verify": "lazy"})]
+STORAGE = [("memory", None),
+           ("eager", {"verify": "eager"}),
+           ("lazy", {"lazy": True, "verify": "lazy"})]
 
 
 @settings(max_examples=25, deadline=None,
@@ -72,19 +72,15 @@ def test_derived_lists_equal_the_reference_builder(tree):
     db = XMLDatabase.from_tree(tree)
     expected = build_dewey_lists(tree, db.tokenizer, db.ranking)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, version, kwargs in STORAGE:
-            if version is None:
-                opened = db
-            else:
-                path = os.path.join(tmp, name)
-                save_database(db, path, format_version=version, fsync=False)
-                opened = load_database(path, **kwargs)
+        path = os.path.join(tmp, "flat")
+        save_database(db, path, fsync=False)
+        for name, kwargs in STORAGE:
+            opened = db if kwargs is None else load_database(path, **kwargs)
             # order, Dewey ids and scores, bit for bit
             assert lists_of(opened) == expected, name
         for n_shards in (1, 2, 4):
             path = os.path.join(tmp, f"shards{n_shards}")
-            save_database(db, path, shards=n_shards, format_version=4,
-                          fsync=False)
+            save_database(db, path, shards=n_shards, fsync=False)
             sharded = load_database(path, lazy=True, verify="lazy")
             for sid, shard in enumerate(sharded.shards):
                 want = {}
@@ -123,7 +119,7 @@ def test_table_nodes_mirror_the_tree(tree):
 @pytest.fixture
 def saved_dirs(tmp_path, dblp_db):
     flat, sharded = str(tmp_path / "flat"), str(tmp_path / "sharded")
-    save_database(dblp_db, flat, format_version=4, fsync=False)
+    save_database(dblp_db, flat, fsync=False)
     save_database(dblp_db, sharded, shards=2, fsync=False)
     return flat, sharded
 
@@ -269,48 +265,50 @@ class TestShardBaselines:
 
 
 class TestDirectoriesFromBeforeTheTable:
-    """`tests/data/pre_table_*` were written by the commit before this
-    one: `dewey.bin` holds Dewey posting containers, no node table."""
+    """`tests/data/pre_table_v2` was written by the commit before the
+    node table, in what was then the default format (v2): `dewey.bin`
+    holds a Dewey posting container, `columnar.bin` a blocked one.
+    Such a directory is no longer opened -- it is refused, typed, with
+    the way to rebuild it."""
 
-    @pytest.mark.parametrize("name", ("pre_table_v2", "pre_table_v4"))
     @pytest.mark.parametrize("kwargs", ({}, {"lazy": True,
                                              "verify": "lazy"},
                                         {"verify": "off"}))
-    def test_flat_directory_still_opens(self, name, kwargs):
+    def test_is_refused_with_the_way_back(self, kwargs):
+        from repro.reliability import (DatabaseCorruptError,
+                                       DatabaseFormatError)
+
+        path = os.path.join(DATA, "pre_table_v2")
+        with pytest.raises(DatabaseFormatError) as err:
+            load_database(path, **kwargs)
+        assert not isinstance(err.value, DatabaseCorruptError)
+        assert str(err.value) == (
+            f"{path!r} is in format version 2; this release reads and "
+            "writes version 5 only.  Rebuild it from its document: "
+            f"repro index {os.path.join(path, 'document.xml')} <new-dir>")
+
+    def test_the_way_back_works(self, tmp_path):
+        from repro.cli import main
+
+        rebuilt = str(tmp_path / "rebuilt")
+        assert main(["index", os.path.join(DATA, "pre_table_v2",
+                                           "document.xml"), rebuilt]) == 0
         fresh = XMLDatabase.from_xml_text(SMALL_XML)
-        db = load_database(os.path.join(DATA, name), **kwargs)
-        assert len(db) == len(fresh)
+        db = load_database(rebuilt, lazy=True, verify="lazy")
         assert lists_of(db) == lists_of(fresh)
-        for algorithm in ("join", "stack", "index", "oracle"):
-            for semantics in ("elca", "slca"):
-                assert canon(db.search("xml data", semantics, algorithm)) \
-                    == canon(fresh.search("xml data", semantics, algorithm))
-        assert canon(db.search_topk("xml data", 3)) == \
-            canon(fresh.search_topk("xml data", 3))
+        for semantics in ("elca", "slca"):
+            assert canon(db.search("xml data", semantics)) == \
+                canon(fresh.search("xml data", semantics))
 
-    def test_sharded_directory_still_opens(self):
-        fresh = XMLDatabase.from_xml_text(SMALL_XML)
-        db = load_database(os.path.join(DATA, "pre_table_sharded"),
-                           lazy=True, verify="lazy")
-        assert len(db) == len(fresh)
-        for query in ("xml data", "keyword search", "data"):
-            for semantics in ("elca", "slca"):
-                assert canon(db.search(query, semantics)) == \
-                    canon(fresh.search(query, semantics))
-            assert canon(db.search_topk(query, 3)) == \
-                canon(fresh.search_topk(query, 3))
+    def test_doctor_and_cli_refuse_it_too(self, capsys):
+        from repro.cli import main
+        from repro.obs.doctor import doctor_report
+        from repro.reliability import DatabaseFormatError
 
-    def test_its_dewey_container_is_still_digest_checked(self, tmp_path):
-        import shutil
-
-        from repro.reliability import DatabaseCorruptError
-
-        path = str(tmp_path / "db")
-        shutil.copytree(os.path.join(DATA, "pre_table_v2"), path)
-        with open(os.path.join(path, "dewey.bin"), "r+b") as handle:
-            handle.seek(40)
-            handle.write(b"\xff")
-        with pytest.raises(DatabaseCorruptError) as err:
-            load_database(path)
-        assert err.value.file == "dewey.bin"
-        assert load_database(path, verify="off").search("xml data")
+        path = os.path.join(DATA, "pre_table_v2")
+        with pytest.raises(DatabaseFormatError, match="format version 2"):
+            doctor_report(path)
+        for argv in (["info", path], ["doctor", path],
+                     ["search", path, "xml data"]):
+            assert main(argv) != 0
+            assert "format version 2" in capsys.readouterr().err

@@ -68,7 +68,7 @@ class TestRoundtrip:
         path, original = saved
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 5
         assert meta["n_nodes"] == len(original.tree)
         assert meta["damping_base"] == pytest.approx(0.9)
         manifest = meta["checksum"]
@@ -269,20 +269,18 @@ class TestLazyAndVerifyModes:
 
 
 class TestLegacyV1:
-    def _write_v1(self, db, path):
-        from repro.index import storage
+    """Directories of the four earlier formats are refused, typed, with
+    the way back; nothing of theirs is parsed."""
 
+    def _write_old(self, db, path, version=1):
         os.makedirs(path, exist_ok=True)
         blobs = {
             "document.xml": db.tree.to_xml().encode("utf-8"),
-            "columnar.bin": storage.serialize_columnar_index(
-                db.columnar_index, score_mode=storage.SCORES_EXACT),
-            # A v1 reader's Dewey container; today only its magic is
-            # looked at (the lists derive from the columnar postings).
+            "columnar.bin": b"JDXC\x00",
             "dewey.bin": b"DWIL\x00",
         }
         meta = {
-            "format_version": 1,
+            "format_version": version,
             "jdewey_gap": db.encoder.gap,
             "n_docs": db.columnar_index.n_docs,
             "damping_base": db.ranking.damping.base,
@@ -298,25 +296,35 @@ class TestLegacyV1:
         with open(os.path.join(path, "meta.json"), "w") as fh:
             json.dump(meta, fh)
 
-    def test_v1_directory_still_loads(self, tmp_path, small_db):
-        path = str(tmp_path / "v1db")
-        self._write_v1(small_db, path)
-        loaded = load_database(path)
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_earlier_format_is_refused_with_the_way_back(
+            self, tmp_path, small_db, version):
+        path = str(tmp_path / "olddb")
+        self._write_old(small_db, path, version)
+        for lazy in (False, True):
+            with pytest.raises(DatabaseFormatError) as err:
+                load_database(path, lazy=lazy)
+            message = str(err.value)
+            assert f"format version {version}" in message
+            assert "repro index " + os.path.join(path, "document.xml") \
+                in message
+        # The way back works: the directory's own document rebuilds it.
+        from repro.cli import main
+
+        rebuilt = str(tmp_path / "newdb")
+        assert main(["index", os.path.join(path, "document.xml"),
+                     rebuilt]) == 0
         a = small_db.search("xml data")
-        b = loaded.search("xml data")
+        b = load_database(rebuilt).search("xml data")
         assert [(r.node.dewey, round(r.score, 12)) for r in a] == \
             [(r.node.dewey, round(r.score, 12)) for r in b]
 
     def test_v1_corruption_still_typed(self, tmp_path, small_db):
-        from repro.reliability import DatabaseCorruptError
-
         path = str(tmp_path / "v1db")
-        self._write_v1(small_db, path)
-        blob_path = os.path.join(path, "columnar.bin")
-        with open(blob_path, "rb") as fh:
-            blob = fh.read()
-        with open(blob_path, "wb") as fh:
-            fh.write(blob[: len(blob) // 2])
-        # No digests in v1 -- the guarded parser is the only net.
+        self._write_old(small_db, path)
+        with open(os.path.join(path, "columnar.bin"), "wb") as fh:
+            fh.write(b"\xff" * 7)
         with pytest.raises(DatabaseFormatError):
             load_database(path)
+        with pytest.raises(DatabaseFormatError):
+            load_database(path, verify="off", lazy=True)

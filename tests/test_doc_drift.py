@@ -5,8 +5,12 @@ docs/OBSERVABILITY.md's reference table.  Commands: every ``python -m
 repro.<module>`` and ``repro <verb>`` the docs, CI workflow and verify
 skill name must still exist (see `TestDocumentedCommands`).
 
+Removed names: the options, environment variable and functions that
+went with the four-format storage stack must not come back into a doc,
+the CI workflow or the skill (see `REMOVED_NAMES`).
+
 The test drives an inline daemon (with accounting, tracing, caching
-and a disk-backed v3 sharded database, so as many families as
+and a disk-backed sharded database, so as many families as
 possible actually emit), scrapes `/metrics`, extracts the family
 names from the `# TYPE` exposition lines, and greps the doc.  A new
 metric added without a doc row fails here by name.
@@ -43,7 +47,7 @@ def _exposition_families(text):
 
 @pytest.fixture(scope="module")
 def exposition(tmp_path_factory):
-    """Daemon `/metrics` plus a lazy-v3 database registry: the daemon
+    """Daemon `/metrics` plus a lazily opened database's registry: the daemon
     exposition carries the serve families, the database registry the
     query-pipeline and resource-accounting families (which inline
     shards publish into their own registries, not the daemon's)."""
@@ -55,7 +59,7 @@ def exposition(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("doc_drift")
     db = XMLDatabase.from_xml_text(SMALL_XML)
     path = str(tmp / "db")
-    save_database(db, path, format_version=3, shards=2)
+    save_database(db, path, shards=2)
     sharded = ShardedDatabase.open(path)
     daemon = ServeDaemon(sharded, workers=0,
                          access_log_path=str(tmp / "access.jsonl"))
@@ -74,7 +78,7 @@ def exposition(tmp_path_factory):
     daemon_text = asyncio.run(go())
 
     flat_path = str(tmp / "db_flat")
-    save_database(db, flat_path, format_version=3)
+    save_database(db, flat_path)
     lazy = load_database(flat_path, lazy=True,
                          metrics=MetricsRegistry())
     lazy.search_topk("xml data", 5)
@@ -139,6 +143,25 @@ VERB_RE = re.compile(r"(?:python3? -m repro|`repro|^\s*(?:\$ )?repro)"
                      r" +([a-z][a-z-]*)", re.MULTILINE)
 
 
+#: What went when the four on-disk formats, the load-time decoder
+#: switches and the ``auto`` eraser were collapsed.  A doc, CI step or
+#: skill line that names one of these describes code that is gone.
+REMOVED_NAMES = (
+    "--format-version", "format_version=", 'eraser_mode="auto"',
+    'make_eraser("auto"', "REPRO_VECTORIZED_MIN_BYTES",
+    "vectorized_min_bytes", "min_bytes=", "V4_CODECS",
+    "choose_scheme", "compress_column",
+    "serialize_columnar_index_blocked", "deserialize_columnar_index_blocked",
+    "scan_blocked_container", "guarded_deserialize_columnar",
+    "serialize_columnar_index_v3", "serialize_columnar_index_v4",
+    "deserialize_columnar_index_v3", "deserialize_columnar_index_v4",
+    "serialize_columnar_postings_v3", "serialize_columnar_postings_v4",
+    "scan_v3_container", "scan_v4_container",
+    "parse_v3_payload", "parse_v4_payload", "parse_lazy_postings",
+    "check_legacy_dewey", "codec_matrix_ci",
+)
+
+
 def _mentions(pattern):
     found = {}
     for rel in COMMAND_DOCS:
@@ -159,6 +182,30 @@ def _importable(name):
 
 
 class TestDocumentedCommands:
+    def test_removed_names_stay_out(self):
+        found = {}
+        for rel in COMMAND_DOCS:
+            path = os.path.join(ROOT, rel)
+            if not os.path.exists(path):
+                continue
+            text = open(path, encoding="utf-8").read()
+            for name in REMOVED_NAMES:
+                # not inside a longer name (`decompress_column` stays)
+                if re.search(r"(?<![A-Za-z_])" + re.escape(name), text):
+                    found.setdefault(name, rel)
+        assert not found, f"docs name what was removed: {found}"
+        # ... and they really are gone from the code the docs describe.
+        import repro.diskdb
+        import repro.index.compression
+        import repro.index.lazydisk
+        import repro.index.storage
+
+        for name in REMOVED_NAMES:
+            if name.isidentifier():
+                for module in (repro.diskdb, repro.index.compression,
+                               repro.index.lazydisk, repro.index.storage):
+                    assert not hasattr(module, name), (module, name)
+
     def test_modules_are_importable(self):
         modules = _mentions(MODULE_RE)
         assert "repro.bench.harness" in modules, "scan found nothing"

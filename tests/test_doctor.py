@@ -12,31 +12,24 @@ from repro.serve.capture import WorkloadCapture
 
 
 @pytest.fixture
-def v3_dir(tmp_path, small_db):
-    path = str(tmp_path / "db_v3")
-    save_database(small_db, path, format_version=3)
+def flat_dir(tmp_path, small_db):
+    path = str(tmp_path / "db_flat")
+    save_database(small_db, path)
     return path
 
 
 @pytest.fixture
 def sharded_dir(tmp_path, small_db):
     path = str(tmp_path / "db_sharded")
-    save_database(small_db, path, format_version=3, shards=2)
-    return path
-
-
-@pytest.fixture
-def v2_dir(tmp_path, small_db):
-    path = str(tmp_path / "db_v2")
-    save_database(small_db, path, format_version=2)
+    save_database(small_db, path, shards=2)
     return path
 
 
 class TestDoctorReport:
-    def test_schema_and_postings_shape(self, v3_dir, small_db):
-        report = doctor_report(v3_dir)
+    def test_schema_and_postings_shape(self, flat_dir, small_db):
+        report = doctor_report(flat_dir)
         assert report["schema"] == DOCTOR_SCHEMA
-        assert report["container_format"] == "v3"
+        assert report["format_version"] == 5
         assert not report["sharded"]
         postings = report["postings"]
         assert postings["terms"] == len(small_db.columnar_index.vocabulary)
@@ -46,21 +39,22 @@ class TestDoctorReport:
         top = postings["heavy_hitters"][0]
         assert 0.0 < top["share"] <= 1.0
 
-    def test_heavy_hitters_sorted_desc(self, v3_dir):
-        hitters = doctor_report(v3_dir)["postings"]["heavy_hitters"]
+    def test_heavy_hitters_sorted_desc(self, flat_dir):
+        hitters = doctor_report(flat_dir)["postings"]["heavy_hitters"]
         sizes = [h["bytes"] for h in hitters]
         assert sizes == sorted(sizes, reverse=True)
 
-    def test_compression_by_level_and_codec(self, v3_dir):
-        compression = doctor_report(v3_dir)["compression"]
+    def test_compression_by_level_and_codec(self, flat_dir):
+        compression = doctor_report(flat_dir)["compression"]
         assert compression["by_level"]
         for entry in compression["by_level"].values():
             assert entry["raw"] >= entry["compressed"] > 0
             assert 0.0 < entry["ratio"] <= 1.0
-        assert set(compression["by_codec"]) <= {"delta", "rle"}
+        assert set(compression["by_codec"]) <= {"delta", "rle", "varint",
+                                                "for"}
 
-    def test_no_codecs_skips_scan(self, v3_dir):
-        report = doctor_report(v3_dir, codecs=False)
+    def test_no_codecs_skips_scan(self, flat_dir):
+        report = doctor_report(flat_dir, codecs=False)
         assert "compression" not in report
 
     def test_sharded_skew_and_per_shard(self, sharded_dir):
@@ -75,25 +69,18 @@ class TestDoctorReport:
             assert entry["terms"] > 0
             assert entry["postings_bytes"] > 0
 
-    def test_heavy_hitters_merge_across_shards(self, v3_dir,
+    def test_heavy_hitters_merge_across_shards(self, flat_dir,
                                                sharded_dir):
         """A term split across shards reports its whole-index size."""
         whole = {h["term"]: h["bytes"]
-                 for h in doctor_report(v3_dir, heavy=100)
+                 for h in doctor_report(flat_dir, heavy=100)
                  ["postings"]["heavy_hitters"]}
         sharded = {h["term"]: h["bytes"]
                    for h in doctor_report(sharded_dir, heavy=100)
                    ["postings"]["heavy_hitters"]}
         assert set(sharded) == set(whole)
 
-    def test_v2_container_scans_terms(self, v2_dir):
-        report = doctor_report(v2_dir)
-        assert report["container_format"] == "v2"
-        assert report["postings"]["terms"] > 0
-        # the codec scan needs v3 payload layout; v2 skips it
-        assert "compression" not in report
-
-    def test_cache_estimate_from_workload(self, tmp_path, v3_dir):
+    def test_cache_estimate_from_workload(self, tmp_path, flat_dir):
         workload = str(tmp_path / "w.jsonl")
         capture = WorkloadCapture(workload)
         for _ in range(3):
@@ -102,7 +89,7 @@ class TestDoctorReport:
         capture.record("topk", ["keyword"], "elca", 5, [],
                        elapsed_ms=1.0)
         capture.close()
-        cache = doctor_report(v3_dir, workload=workload)["cache"]
+        cache = doctor_report(flat_dir, workload=workload)["cache"]
         assert cache["queries"] == 4
         assert cache["term_fetches"] == 7
         assert cache["unique_terms"] == 3
@@ -130,8 +117,8 @@ class TestDoctorChecks:
                               max_term_skew=None, max_term_share=None)
         assert failures and "byte skew" in failures[0]
 
-    def test_term_share_violation(self, v3_dir):
-        report = doctor_report(v3_dir)
+    def test_term_share_violation(self, flat_dir):
+        report = doctor_report(flat_dir)
         failures = run_checks(report, max_byte_skew=10.0,
                               max_term_skew=None, max_term_share=0.0001)
         assert failures and "share" in failures[0].lower()

@@ -159,15 +159,19 @@ class TestFactory:
         assert isinstance(make_eraser("interval", 10), IntervalEraser)
         assert isinstance(make_eraser("roaring", 10), RoaringEraser)
 
-    def test_auto_picks_by_size(self):
-        # One chunk or less: the dense bitmap is cheapest; above that
-        # the chunked containers win.
-        assert isinstance(make_eraser("auto", _CHUNK), BitmapEraser)
-        assert isinstance(make_eraser("auto", _CHUNK + 1), RoaringEraser)
-
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            make_eraser("nope", 10)
+        for mode in ("nope", "auto"):       # no size-picking mode
+            with pytest.raises(ValueError):
+                make_eraser(mode, 10)
+
+    def test_engines_default_to_the_bitmap(self, small_db):
+        from repro.algorithms.hybrid import HybridTopKSearch
+        from repro.algorithms.join_based import JoinBasedSearch
+        from repro.algorithms.topk_keyword import TopKKeywordSearch
+
+        for engine in (JoinBasedSearch, TopKKeywordSearch,
+                       HybridTopKSearch):
+            assert engine(small_db.columnar_index).eraser_mode == "bitmap"
 
 
 # Contained-or-disjoint interval batches: draw disjoint level-0 ranges,

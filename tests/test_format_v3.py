@@ -1,18 +1,23 @@
-"""Format v3: the block-aligned, zero-copy columnar container.
+"""The columnar container on a flat directory: equivalence under fault
+injection and scalar decoding, the zero-copy contract, and framing
+integrity.
 
-Three claims under test:
+This file keeps the name it had when the aligned container was "format
+v3", one of four; it is the only format now (`tests/test_container.py`
+holds the answer matrix, `tests/test_format_v4.py` the sharded layout and
+the codec bytes).  Three claims under test:
 
-* **Equivalence** -- a database saved as v1, v2 and v3 answers every
-  query byte-identically (results, scores, witness tuples, and the
-  section III-C ``per_level_plan``) under eager and lazy loads, clean
-  or fault-injected disks alike.
-* **Zero-copy** -- loading a v3 database never materializes the
-  columnar file as ``bytes``: the `reliability.io.COPY_STATS` seam must
-  record no copy event for the ``read-columnar`` op, and the column
-  arrays served by the lazy index must be read-only views.
-* **Integrity** -- the v2 corruption guarantees carry over: a flipped
-  payload byte surfaces as `DatabaseCorruptError` naming the keyword,
-  framing damage as a typed error, never a wrong answer.
+* **Equivalence** -- a saved database answers every query byte-identically
+  (results, scores, witness tuples, and the section III-C
+  ``per_level_plan``) under eager and lazy loads, on a faulty disk and
+  with the scalar reference decoders.
+* **Zero-copy** -- loading never materializes the columnar file as
+  ``bytes``: the `reliability.io.COPY_STATS` seam must record no copy
+  event for the ``read-columnar`` op, and the score and payload arrays
+  served by the lazy index must be read-only views.
+* **Integrity** -- a flipped payload byte surfaces as
+  `DatabaseCorruptError` naming the keyword, framing damage as a typed
+  error, never a wrong answer.
 
 The fault matrix honors ``REPRO_FAULT_SEED`` like `test_faults`.
 """
@@ -24,7 +29,7 @@ import pytest
 
 from repro import XMLDatabase
 from repro.diskdb import load_database, save_database
-from repro.index import storage
+from repro.index import compression, storage
 from repro.reliability import (DatabaseCorruptError, DatabaseFormatError,
                                FaultInjector)
 from repro.reliability.io import COPY_STATS, MappedFile, map_bytes
@@ -42,18 +47,10 @@ def _build_db():
 
 
 @pytest.fixture(scope="module")
-def version_dirs(tmp_path_factory):
-    """One directory per on-disk format, same database."""
-    root = tmp_path_factory.mktemp("formats")
-    db = _build_db()
-    db.columnar_index
-    db.inverted_index
-    dirs = {}
-    for version in (1, 2, 3):
-        path = str(root / f"db-v{version}")
-        save_database(db, path, format_version=version)
-        dirs[version] = path
-    return dirs
+def saved_dir(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("container") / "db")
+    save_database(_build_db(), path)
+    return path
 
 
 def _transcript(db):
@@ -74,49 +71,46 @@ def _transcript(db):
     return out
 
 
-class TestRoundTripMatrix:
-    def test_v1_v2_v3_answer_identically(self, version_dirs):
-        reference = _transcript(_build_db())
-        for version, path in version_dirs.items():
-            for lazy in (False, True):
-                db = load_database(path, lazy=lazy,
-                                   verify="lazy" if lazy else "eager")
-                assert _transcript(db) == reference, \
-                    f"divergence at format v{version}, lazy={lazy}"
+def _columnar_blob(path):
+    with open(os.path.join(path, "columnar.bin"), "rb") as handle:
+        return handle.read()
 
-    def test_matrix_under_fault_injection(self, version_dirs):
+
+class TestRoundTripMatrix:
+    def test_matrix_under_fault_injection(self, saved_dir):
         """A faulty disk may fail a load with a typed error, but a
         load that *succeeds* answers exactly like the clean one."""
         reference = _transcript(_build_db())
-        for version, path in version_dirs.items():
-            for lazy in (False, True):
-                injector = FaultInjector(error_rate=0.05,
-                                         short_read_rate=0.05,
-                                         seed=SEED)
-                try:
-                    db = load_database(
-                        path, lazy=lazy,
-                        verify="lazy" if lazy else "eager",
-                        injector=injector)
-                except (DatabaseCorruptError, DatabaseFormatError):
-                    continue  # typed failure is an allowed outcome
-                assert _transcript(db) == reference, \
-                    (f"fault-injected v{version} lazy={lazy} diverged "
-                     f"(REPRO_FAULT_SEED={SEED})")
-
-    def test_vectorized_off_matches(self, version_dirs):
-        reference = _transcript(_build_db())
         for lazy in (False, True):
-            db = load_database(version_dirs[3], lazy=lazy,
-                               verify="lazy" if lazy else "eager",
-                               vectorized=False)
+            injector = FaultInjector(error_rate=0.05,
+                                     short_read_rate=0.05, seed=SEED)
+            try:
+                db = load_database(
+                    saved_dir, lazy=lazy,
+                    verify="lazy" if lazy else "eager",
+                    injector=injector)
+            except (DatabaseCorruptError, DatabaseFormatError):
+                continue  # typed failure is an allowed outcome
+            assert _transcript(db) == reference, \
+                (f"fault-injected lazy={lazy} diverged "
+                 f"(REPRO_FAULT_SEED={SEED})")
+
+    def test_vectorized_off_matches(self, saved_dir, monkeypatch):
+        """The scalar reference decoders answer like the vectorized
+        ones: with the crossover past every payload, every column of
+        the load decodes in the scalar loop."""
+        reference = _transcript(_build_db())
+        monkeypatch.setattr(compression, "VECTORIZED_MIN_BYTES", 1 << 62)
+        for lazy in (False, True):
+            db = load_database(saved_dir, lazy=lazy,
+                               verify="lazy" if lazy else "eager")
             assert _transcript(db) == reference
 
 
 class TestZeroCopy:
-    def test_no_columnar_copy_on_v3_load(self, version_dirs):
+    def test_no_columnar_copy_on_v3_load(self, saved_dir):
         COPY_STATS.reset()
-        db = load_database(version_dirs[3], lazy=True, verify="lazy")
+        db = load_database(saved_dir, lazy=True, verify="lazy")
         for query in QUERIES:
             db.search(query, use_cache=False)
         assert COPY_STATS.copies("read-columnar") == 0, \
@@ -125,23 +119,19 @@ class TestZeroCopy:
         assert COPY_STATS.copies("read-document") == 0
         assert COPY_STATS.copies("read-dewey") == 0
 
-    def test_v2_load_does_copy(self, version_dirs):
-        COPY_STATS.reset()
-        load_database(version_dirs[2], lazy=True, verify="lazy")
-        assert COPY_STATS.copies("read-columnar") == 1
-
-    def test_columns_are_views_over_the_mmap(self, version_dirs):
-        db = load_database(version_dirs[3], lazy=True, verify="lazy")
+    def test_columns_are_views_over_the_mmap(self, saved_dir):
+        db = load_database(saved_dir, lazy=True, verify="lazy")
         index = db.columnar_index
         backing = index._backing
         assert isinstance(backing, MappedFile)
         term = index.vocabulary[0]
         postings = index.term_postings(term)
-        # lengths/scores materialized straight off the mapping:
-        # read-only and non-owning.
-        assert not postings.lengths.flags.owndata
-        assert not postings.lengths.flags.writeable
+        # Scores materialize straight off the mapping: read-only and
+        # non-owning.  Lengths are stored run-length coded, so they are
+        # a small decoded array -- int64, or `lengths - level` wraps.
+        assert not postings.scores.flags.owndata
         assert not postings.scores.flags.writeable
+        assert postings.lengths.dtype == np.int64
         for scheme, payload in postings._level_payloads:
             assert isinstance(payload, np.ndarray)
             assert payload.dtype == np.uint8
@@ -161,32 +151,31 @@ class TestZeroCopy:
 
 
 class TestV3Container:
-    def test_framing_is_aligned(self, version_dirs):
-        blob = open(os.path.join(version_dirs[3], "columnar.bin"),
-                    "rb").read()
-        _algorithm, refs = storage.scan_v3_container(blob)
+    def test_framing_is_aligned(self, saved_dir):
+        blob = _columnar_blob(saved_dir)
+        _algorithm, refs = storage.scan_container(blob)
         assert refs, "container has terms"
         for ref in refs:
             # Every payload starts 8-aligned in the file, so the wider
-            # in-payload regions (int64 lengths, float64 scores) are
-            # 8-aligned absolutely -- the np.frombuffer precondition.
+            # in-payload regions (float64 scores, u64 offset tables)
+            # are 8-aligned absolutely -- the np.frombuffer
+            # precondition.
             assert ref.offset % 8 == 0
-            lengths, scores, level_payloads = storage.parse_v3_payload(
+            lengths, scores, level_payloads = storage.parse_payload(
                 ref.term, blob[ref.offset: ref.offset + ref.length])
             assert len(lengths) == len(scores)
             assert len(level_payloads) == (int(lengths.max())
                                            if len(lengths) else 0)
 
-    def test_flipped_payload_byte_names_the_term(self, version_dirs,
+    def test_flipped_payload_byte_names_the_term(self, saved_dir,
                                                  tmp_path):
         import shutil
 
-        src = version_dirs[3]
         dst = str(tmp_path / "corrupt")
-        shutil.copytree(src, dst)
+        shutil.copytree(saved_dir, dst)
         columnar = os.path.join(dst, "columnar.bin")
-        blob = bytearray(open(columnar, "rb").read())
-        _algo, refs = storage.scan_v3_container(bytes(blob))
+        blob = bytearray(_columnar_blob(dst))
+        _algo, refs = storage.scan_container(bytes(blob))
         ref = refs[len(refs) // 2]
         blob[ref.offset + ref.length // 2] ^= 0x40
         open(columnar, "wb").write(bytes(blob))
@@ -199,22 +188,20 @@ class TestV3Container:
                 db.columnar_index.term_postings(term).column(1)
         assert ref.term in str(err.value)
 
-    def test_truncated_container_is_typed(self, version_dirs):
-        blob = open(os.path.join(version_dirs[3], "columnar.bin"),
-                    "rb").read()
+    def test_truncated_container_is_typed(self, saved_dir):
+        blob = _columnar_blob(saved_dir)
         with pytest.raises(DatabaseCorruptError):
-            storage.scan_v3_container(blob[: len(blob) // 2])
+            storage.scan_container(blob[: len(blob) // 2])
 
     def test_wrong_magic_is_format_error(self):
         with pytest.raises(DatabaseFormatError):
-            storage.scan_v3_container(b"NOPE" + b"\x00" * 32)
+            storage.scan_container(b"NOPE" + b"\x00" * 32)
 
     def test_eager_v3_deserializer_roundtrips(self):
         db = _build_db()
         index = db.columnar_index
-        blob = storage.serialize_columnar_index_v3(
-            index, score_mode=storage.SCORES_EXACT)
-        loaded = storage.deserialize_columnar_index_v3(blob)
+        blob = storage.serialize_columnar_index(index)
+        loaded = storage.deserialize_columnar_index(blob)
         assert sorted(loaded) == index.vocabulary
         for term, postings in loaded.items():
             original = index.term_postings(term)
@@ -222,6 +209,11 @@ class TestV3Container:
             assert np.allclose(postings.scores, original.scores)
 
     def test_save_rejects_unknown_version(self, tmp_path):
+        """There is one format and no argument to pick another: neither
+        the library call nor `XMLDatabase.save` takes a version."""
         db = _build_db()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             save_database(db, str(tmp_path / "nope"), format_version=9)
+        with pytest.raises(TypeError):
+            db.save(str(tmp_path / "nope"), format_version=3)
+        assert not (tmp_path / "nope").exists()

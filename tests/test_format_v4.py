@@ -1,18 +1,20 @@
-"""Format v4: the adaptive-codec columnar container.
+"""The columnar container on a sharded directory, and its codec bytes.
 
-The container keeps v3's aligned zero-copy layout; what changes is the
-per-column codec byte, which now names whichever of {rle, delta, for,
-varint} measured smallest at build time.  Claims under test:
+This file keeps the name it had when per-column codec selection was
+"format v4"; the selector is part of the only format now
+(`tests/test_format_v3.py` covers the flat layout and the zero-copy
+contract, `tests/test_container.py` the answer matrix).  Claims under
+test:
 
-* **Equivalence** -- a database saved as v1, v2, v3 and v4 answers
-  every query byte-identically (results, scores, witnesses, plans)
-  under eager and lazy loads, vectorized or scalar decoders, clean or
-  fault-injected disks, flat or sharded layouts.
-* **Size** -- the adaptive selector can only do better: the v4
-  container is never larger than the v3 container for the same corpus.
-* **Integrity** -- v3's corruption guarantees carry over: a flipped
-  payload byte surfaces as `DatabaseCorruptError` naming the keyword,
-  an unknown scheme id is a typed error, never a wrong answer.
+* **Equivalence** -- a sharded save answers every query like the
+  in-memory database under eager and lazy loads, scalar decoders and a
+  fault-injected disk, and warm decoded-column-cache hits serve what the
+  cold decodes did.
+* **Integrity** -- every recorded scheme id names a codec; an unknown id,
+  an earlier format's magic, a flipped payload byte and a truncated frame
+  are typed errors, never a wrong answer.
+* **Score modes** -- the container round-trips exact, quantized and
+  absent scores.
 
 The fault matrix honors ``REPRO_FAULT_SEED`` like `test_faults`.
 """
@@ -22,60 +24,23 @@ import os
 import numpy as np
 import pytest
 
-from repro import XMLDatabase
 from repro.diskdb import load_database, save_database
-from repro.index import storage
+from repro.index import compression, storage
 from repro.index.compression import SCHEME_NAMES
+from repro.index.lazydisk import LazyColumnarIndex
 from repro.reliability import (DatabaseCorruptError, DatabaseFormatError,
                                FaultInjector)
-from tests.conftest import SMALL_XML
-
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
-QUERIES = ["xml data", "keyword search", "data models", "xml",
-           "relational data", "top data", "search processing",
-           "keyword data xml", "title"]
-
-
-def _build_db():
-    return XMLDatabase.from_xml_text(SMALL_XML)
-
+from tests.test_format_v3 import QUERIES, SEED, _build_db, _transcript
 
 @pytest.fixture(scope="module")
-def version_dirs(tmp_path_factory):
-    """One directory per on-disk format (plus a sharded v4), same
-    database."""
-    root = tmp_path_factory.mktemp("formats-v4")
+def dirs(tmp_path_factory):
+    """The same database saved flat and in two shards."""
+    root = tmp_path_factory.mktemp("container-sharded")
     db = _build_db()
-    db.columnar_index
-    db.inverted_index
-    dirs = {}
-    for version in (1, 2, 3, 4):
-        path = str(root / f"db-v{version}")
-        save_database(db, path, format_version=version)
-        dirs[version] = path
-    sharded = str(root / "db-v4-sharded")
-    save_database(db, sharded, shards=2, format_version=4)
-    dirs["v4-sharded"] = sharded
-    return dirs
-
-
-def _transcript(db):
-    """Queries + top-K + plans, exact to the last bit."""
-    out = []
-    for query in QUERIES:
-        results, stats = db.search(query, use_cache=False,
-                                   with_stats=True)
-        out.append(("search", query,
-                    [(r.node.dewey, r.level, r.score, r.witness_scores)
-                     for r in results],
-                    list(stats.per_level_plan)))
-        top = db.search_topk(query, k=3)
-        out.append(("topk", query,
-                    [(r.node.dewey, r.level, r.score, r.witness_scores)
-                     for r in top],
-                    list(top.stats.per_level_plan)))
-    return out
+    flat, sharded = str(root / "flat"), str(root / "sharded")
+    save_database(db, flat)
+    save_database(db, sharded, shards=2)
+    return {"flat": flat, "sharded": sharded}
 
 
 def _results_only(db):
@@ -90,58 +55,51 @@ def _results_only(db):
     return out
 
 
-class TestRoundTripMatrix:
-    def test_v1_through_v4_answer_identically(self, version_dirs):
-        reference = _transcript(_build_db())
-        for version in (1, 2, 3, 4):
-            path = version_dirs[version]
-            for lazy in (False, True):
-                db = load_database(path, lazy=lazy,
-                                   verify="lazy" if lazy else "eager")
-                assert _transcript(db) == reference, \
-                    f"divergence at format v{version}, lazy={lazy}"
+def _shard_blob(dirs, shard="shard-00"):
+    with open(os.path.join(dirs["sharded"], shard, "columnar.bin"),
+              "rb") as handle:
+        return handle.read()
 
-    def test_sharded_v4_answers_identically(self, version_dirs):
+
+class TestRoundTripMatrix:
+    def test_sharded_v4_answers_identically(self, dirs):
         reference = _results_only(_build_db())
         for lazy in (False, True):
-            db = load_database(version_dirs["v4-sharded"], lazy=lazy,
+            db = load_database(dirs["sharded"], lazy=lazy,
                                verify="lazy" if lazy else "eager")
             assert _results_only(db) == reference
 
-    def test_matrix_under_fault_injection(self, version_dirs):
-        """A faulty disk may fail a load with a typed error, but a
-        load that *succeeds* answers exactly like the clean one."""
-        reference = _transcript(_build_db())
-        for version in (1, 2, 3, 4):
-            path = version_dirs[version]
-            for lazy in (False, True):
-                injector = FaultInjector(error_rate=0.05,
-                                         short_read_rate=0.05,
-                                         seed=SEED)
-                try:
-                    db = load_database(
-                        path, lazy=lazy,
-                        verify="lazy" if lazy else "eager",
-                        injector=injector)
-                except (DatabaseCorruptError, DatabaseFormatError):
-                    continue  # typed failure is an allowed outcome
-                assert _transcript(db) == reference, \
-                    (f"fault-injected v{version} lazy={lazy} diverged "
-                     f"(REPRO_FAULT_SEED={SEED})")
-
-    def test_vectorized_off_matches(self, version_dirs):
-        reference = _transcript(_build_db())
+    def test_matrix_under_fault_injection(self, dirs):
+        """A faulty disk may fail a sharded load with a typed error,
+        but a load that *succeeds* answers like the clean one."""
+        reference = _results_only(_build_db())
         for lazy in (False, True):
-            db = load_database(version_dirs[4], lazy=lazy,
-                               verify="lazy" if lazy else "eager",
-                               vectorized=False)
-            assert _transcript(db) == reference
+            injector = FaultInjector(error_rate=0.05,
+                                     short_read_rate=0.05, seed=SEED)
+            try:
+                db = load_database(
+                    dirs["sharded"], lazy=lazy,
+                    verify="lazy" if lazy else "eager",
+                    injector=injector)
+            except (DatabaseCorruptError, DatabaseFormatError):
+                continue  # typed failure is an allowed outcome
+            assert _results_only(db) == reference, \
+                (f"fault-injected sharded lazy={lazy} diverged "
+                 f"(REPRO_FAULT_SEED={SEED})")
 
-    def test_repeat_queries_hit_decode_cache_identically(self,
-                                                         version_dirs):
+    def test_vectorized_off_matches(self, dirs, monkeypatch):
+        """Scalar reference decoders, sharded layout."""
+        reference = _results_only(_build_db())
+        monkeypatch.setattr(compression, "VECTORIZED_MIN_BYTES", 1 << 62)
+        for lazy in (False, True):
+            db = load_database(dirs["sharded"], lazy=lazy,
+                               verify="lazy" if lazy else "eager")
+            assert _results_only(db) == reference
+
+    def test_repeat_queries_hit_decode_cache_identically(self, dirs):
         """Warm decoded-column-cache hits serve the same answers as the
         cold decodes that populated them."""
-        db = load_database(version_dirs[4], lazy=True, verify="lazy",
+        db = load_database(dirs["flat"], lazy=True, verify="lazy",
                            result_cache_size=0)
         first = _transcript(db)
         second = _transcript(db)
@@ -151,113 +109,110 @@ class TestRoundTripMatrix:
 
 
 class TestV4Container:
-    def test_meta_records_version_4(self, version_dirs):
-        import json
-
-        meta = json.load(open(os.path.join(version_dirs[4],
-                                           "meta.json")))
-        assert meta["format_version"] == 4
-
-    def test_v4_never_larger_than_v3(self, version_dirs):
-        v3 = os.path.getsize(os.path.join(version_dirs[3],
-                                          "columnar.bin"))
-        v4 = os.path.getsize(os.path.join(version_dirs[4],
-                                          "columnar.bin"))
-        assert v4 <= v3
-
-    def test_framing_is_aligned_and_schemes_valid(self, version_dirs):
-        blob = open(os.path.join(version_dirs[4], "columnar.bin"),
-                    "rb").read()
-        assert blob[:4] == b"JDX4"
-        _algorithm, refs = storage.scan_v4_container(blob)
-        assert refs, "container has terms"
+    def test_framing_is_aligned_and_schemes_valid(self, dirs):
         seen = set()
-        for ref in refs:
-            assert ref.offset % 8 == 0
-            lengths, scores, level_payloads = storage.parse_v4_payload(
-                ref.term, blob[ref.offset: ref.offset + ref.length])
-            assert len(lengths) == len(scores)
-            assert len(level_payloads) == (int(lengths.max())
-                                           if len(lengths) else 0)
-            for scheme, _payload in level_payloads:
-                assert scheme in SCHEME_NAMES.values()
-                seen.add(scheme)
+        for shard in ("shard-00", "shard-01"):
+            blob = _shard_blob(dirs, shard)
+            assert blob[:4] == storage.MAGIC_COLUMNAR
+            _algorithm, refs = storage.scan_container(blob)
+            assert refs, "every shard has terms"
+            for ref in refs:
+                assert ref.offset % 8 == 0
+                lengths, scores, level_payloads = storage.parse_payload(
+                    ref.term, blob[ref.offset: ref.offset + ref.length])
+                assert len(lengths) == len(scores)
+                assert len(level_payloads) == int(lengths.max())
+                for scheme, _payload in level_payloads:
+                    assert scheme in SCHEME_NAMES.values()
+                    seen.add(scheme)
         assert seen, "at least one codec chosen"
 
-    def test_flipped_payload_byte_names_the_term(self, version_dirs,
-                                                 tmp_path):
+    def test_flipped_payload_byte_names_the_term(self, dirs, tmp_path):
+        """In one shard's container; ``verify="eager"`` on the lazy
+        index finds it at open, before any query."""
         import shutil
 
-        src = version_dirs[4]
         dst = str(tmp_path / "corrupt")
-        shutil.copytree(src, dst)
-        columnar = os.path.join(dst, "columnar.bin")
+        shutil.copytree(dirs["sharded"], dst)
+        columnar = os.path.join(dst, "shard-01", "columnar.bin")
         blob = bytearray(open(columnar, "rb").read())
-        _algo, refs = storage.scan_v4_container(bytes(blob))
+        _algo, refs = storage.scan_container(bytes(blob))
         ref = refs[len(refs) // 2]
         blob[ref.offset + ref.length // 2] ^= 0x40
         open(columnar, "wb").write(bytes(blob))
+        with pytest.raises(DatabaseCorruptError) as err:
+            LazyColumnarIndex(bytes(blob), _build_db().tree,
+                              verify="eager", source="shard-01")
+        assert ref.term in str(err.value)
         db = load_database(dst, lazy=True, verify="lazy")
         with pytest.raises(DatabaseCorruptError) as err:
-            for query in QUERIES:
-                db.search(query, use_cache=False)
-            for term in db.columnar_index.vocabulary:
-                db.columnar_index.term_postings(term).column(1)
+            for shard in db.shards:
+                index = shard.columnar_index
+                for term in index.vocabulary:
+                    index.term_postings(term).column(1)
         assert ref.term in str(err.value)
 
-    def test_truncated_container_is_typed(self, version_dirs):
-        blob = open(os.path.join(version_dirs[4], "columnar.bin"),
-                    "rb").read()
-        with pytest.raises(DatabaseCorruptError):
-            storage.scan_v4_container(blob[: len(blob) // 2])
+    def test_truncated_container_is_typed(self, dirs):
+        """Cut anywhere -- inside the file header, a frame, a term, a
+        payload, or between two frames (the header's term count is then
+        unmet) -- the scan is a typed error."""
+        blob = _shard_blob(dirs)
+        for cut in list(range(4, 64)) + [len(blob) // 3, len(blob) - 1]:
+            with pytest.raises(DatabaseCorruptError):
+                storage.scan_container(blob[:cut])
 
-    def test_wrong_magic_is_format_error(self):
+    def test_wrong_magic_is_format_error(self, dirs):
+        """Every reader, not only the scanner."""
+        bad = b"NOPE" + _shard_blob(dirs)[4:]
         with pytest.raises(DatabaseFormatError):
-            storage.scan_v4_container(b"NOPE" + b"\x00" * 32)
+            storage.deserialize_columnar_index(bad)
+        with pytest.raises(DatabaseFormatError):
+            LazyColumnarIndex(bad, _build_db().tree)
 
-    def test_v3_magic_rejected_by_v4_scan(self, version_dirs):
-        blob = open(os.path.join(version_dirs[3], "columnar.bin"),
-                    "rb").read()
-        with pytest.raises(DatabaseFormatError):
-            storage.scan_v4_container(blob)
+    def test_v3_magic_rejected_by_v4_scan(self, dirs):
+        """The earlier formats' magics are not this container's: a
+        ``columnar.bin`` left over from one can never be mis-parsed."""
+        blob = _shard_blob(dirs)
+        for magic in (b"JDXC", b"JDXB", b"JDX3", b"JDX4"):
+            with pytest.raises(DatabaseFormatError) as err:
+                storage.scan_container(magic + blob[4:])
+            assert repr(magic) in str(err.value)
 
     def test_eager_v4_deserializer_roundtrips(self):
-        db = _build_db()
-        index = db.columnar_index
-        blob = storage.serialize_columnar_index_v4(
-            index, score_mode=storage.SCORES_EXACT)
-        loaded = storage.deserialize_columnar_index_v4(blob)
-        assert sorted(loaded) == index.vocabulary
-        for term, postings in loaded.items():
-            original = index.term_postings(term)
-            assert postings.seqs == original.seqs
-            assert np.allclose(postings.scores, original.scores)
+        """Exact, quantized and absent scores."""
+        index = _build_db().columnar_index
+        for mode, tolerance in ((storage.SCORES_EXACT, 0.0),
+                                (storage.SCORES_QUANTIZED, 1 / 256),
+                                (storage.SCORES_NONE, None)):
+            blob = storage.serialize_columnar_index(index, score_mode=mode)
+            loaded = storage.deserialize_columnar_index(blob)
+            assert sorted(loaded) == index.vocabulary
+            for term, postings in loaded.items():
+                original = index.term_postings(term)
+                assert postings.seqs == original.seqs
+                if tolerance is None:
+                    assert not np.any(postings.scores)
+                else:
+                    assert np.all(np.abs(postings.scores - original.scores)
+                                  <= tolerance)
 
     def test_unknown_scheme_id_is_typed(self):
-        """A v4 payload naming a scheme id outside the registry parses
-        to a typed corruption error, not a crash or a wrong answer."""
-        db = _build_db()
-        index = db.columnar_index
-        blob = bytearray(storage.serialize_columnar_index_v4(
-            index, score_mode=storage.SCORES_EXACT))
-        _algo, refs = storage.scan_v4_container(bytes(blob))
-        corrupted = 0
-        for ref in refs:
-            payload = bytes(blob[ref.offset: ref.offset + ref.length])
-            _l, _s, level_payloads = storage.parse_v4_payload(ref.term,
-                                                              payload)
-            if not level_payloads:
-                continue
-            # The scheme-id array sits after the fixed payload header
-            # and the u64 level offset/length tables.
-            n_levels = len(level_payloads)
-            header = storage._V3_PAYLOAD_HEADER.size
-            schemes_off = ref.offset + header + 16 * n_levels
-            blob[schemes_off] = 250   # no such scheme id
-            corrupted += 1
-            with pytest.raises(DatabaseCorruptError):
-                storage.parse_v4_payload(
+        """A payload naming a scheme id outside the registry parses to
+        a typed corruption error, not a crash or a wrong answer."""
+        index = _build_db().columnar_index
+        blob = bytearray(storage.serialize_columnar_index(index))
+        _algo, refs = storage.scan_container(bytes(blob))
+        ref = refs[0]
+        _l, _s, level_payloads = storage.parse_payload(
+            ref.term, bytes(blob[ref.offset: ref.offset + ref.length]))
+        # The scheme-id array sits after the fixed payload header and
+        # the u64 level offset/length tables.
+        schemes_off = (ref.offset + storage._PAYLOAD_HEADER.size
+                       + 16 * len(level_payloads))
+        for scheme_id in (len(SCHEME_NAMES), 250):   # no such scheme
+            blob[schemes_off] = scheme_id
+            with pytest.raises(DatabaseCorruptError) as err:
+                storage.parse_payload(
                     ref.term,
                     bytes(blob[ref.offset: ref.offset + ref.length]))
-            break
-        assert corrupted == 1
+            assert "scheme" in str(err.value)
