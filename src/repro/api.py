@@ -41,7 +41,7 @@ from .algorithms.stack_based import StackBasedSearch
 from .algorithms.topk_keyword import TopKKeywordSearch
 from .cache import QueryCache, result_key
 from .reliability.deadline import Deadline, deadline_scope
-from .reliability.errors import DeadlineExceeded, WorkerCrashError
+from .reliability.errors import DeadlineExceeded
 from .index.columnar import ColumnarIndex
 from .index.inverted import InvertedIndex
 from .index.tokenizer import Tokenizer
@@ -54,77 +54,9 @@ from .xmltree.tree import XMLTree
 ALGORITHMS = ("join", "stack", "index", "oracle")
 TOPK_ALGORITHMS = ("topk-join", "rdil", "hybrid", "join")
 
-#: The database a forked `search_batch` worker serves.  Set in the
-#: parent immediately before the fork-context pool spawns its workers,
-#: so children inherit the object -- index structures, mmap'd columns
-#: and caches -- copy-on-write, with zero serialization.
-_WORKER_DB: Optional["XMLDatabase"] = None
-
-#: Test seam: a callable run at worker entry with the query value.
-#: Installed in the parent *before* the pool forks (workers inherit it
-#: copy-on-write), it lets crash-recovery tests kill a worker
-#: deterministically on a chosen query -- the same fork-inherited-hook
-#: trick `repro.diskdb` uses for disk faults.
-_BATCH_FAULT_HOOK = None
-
-
-def _process_batch_worker(payload):
-    """Evaluate one batch query inside a forked worker.
-
-    Runs the same cache-then-evaluate sequence as the in-process
-    `search_batch` closure, against the worker's inherited database
-    copy.  Ships back a *light* result -- ``(level, last JDewey
-    component, score, witnesses)`` per hit -- instead of pickling
-    `Node`/tree graphs; the parent rehydrates through
-    ``columnar_index.node_at``.  Exceptions come back as values so the
-    parent keeps batch error isolation.
-    """
-    index, query, semantics, k, algorithm, use_cache, deadline = payload
-    if _BATCH_FAULT_HOOK is not None:
-        _BATCH_FAULT_HOOK(query)
-    db = _WORKER_DB
-    if db is None:  # pragma: no cover - misuse guard
-        raise RuntimeError(
-            "worker process has no database; process pools must be "
-            "created by XMLDatabase.batch_executor(processes=...) or "
-            "search_batch(processes=...)")
-    start = time.perf_counter()
-    try:
-        terms = db._terms(query)
-        results: Optional[List[SearchResult]] = None
-        stats = ExecutionStats()
-        key = result_key(terms, semantics, algorithm, k)
-        if use_cache:
-            results = db.cache.get_results(key)
-            if results is not None:
-                stats.cache_hits = 1
-        if results is None:
-            if k is None:
-                results, stats = db._complete_results(
-                    terms, semantics, algorithm, deadline=deadline)
-            else:
-                top = db._topk_result(terms, semantics, algorithm, k,
-                                      deadline=deadline)
-                results, stats = list(top.results), top.stats
-            if use_cache:
-                db.cache.put_results(key, results, partial=stats.partial)
-                stats.cache_misses += 1
-        light = [(r.node.level, r.node.jdewey[-1], r.score,
-                  tuple(r.witness_scores)) for r in results]
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return index, terms, light, stats, elapsed_ms, None
-    except Exception as exc:
-        import pickle
-
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        return index, [], None, ExecutionStats(), 0.0, exc
-
 
 class BatchResult(list):
-    """The list returned by `XMLDatabase.search_batch`, plus aggregates.
+    """The list returned by `search_batch`, plus aggregates.
 
     Behaves exactly like the plain list of per-query entries (results
     lists, or ``(results, stats)`` pairs with ``with_stats=True``) so
@@ -132,10 +64,10 @@ class BatchResult(list):
     batch-level summary so nobody folds stats by hand:
 
     * ``summary`` -- every per-query `ExecutionStats` merged (counters
-      added, ``per_level_plan`` concatenated in completion order);
-    * ``latencies_ms`` -- per-query wall times, same order as entries;
-    * ``elapsed_ms`` -- wall time of the whole batch (wall clock, not
-      the sum: with ``threads`` > 1 it is smaller than the sum);
+      added, ``per_level_plan`` concatenated in query order);
+    * ``latencies_ms`` -- per-query wall times, same order as entries
+      (``0.0`` for a query that failed);
+    * ``elapsed_ms`` -- wall time of the whole batch;
     * ``errors`` -- query index -> exception, for queries that failed
       when the batch ran with error isolation (the default).  A failed
       query's entry is ``None`` (or ``(None, stats)``) and its slot
@@ -155,6 +87,53 @@ class BatchResult(list):
     def ok(self) -> bool:
         """True when every query in the batch succeeded."""
         return not self.errors
+
+
+def run_batch(queries: Sequence, evaluate, metrics: MetricsRegistry,
+              with_stats: bool, raise_on_error: bool) -> BatchResult:
+    """The sequential loop behind `XMLDatabase.search_batch` and
+    `ShardedDatabase.search_batch`.
+
+    ``evaluate(query)`` answers one query as ``(results, stats)``.  An
+    exception it raises is isolated into ``BatchResult.errors`` (and
+    counted) unless ``raise_on_error``.  ``repro_batch_queue_depth``
+    holds the queries accepted but not yet finished and is back at its
+    resting value on every exit, fail-fast included.
+    """
+    queue_depth = metrics.gauge("repro_batch_queue_depth")
+    batch = BatchResult()
+    batch.summary = ExecutionStats()
+    batch.latencies_ms = []
+    batch.errors = {}
+    batch_start = time.perf_counter()
+    waiting = len(queries)
+    queue_depth.inc(waiting)
+    try:
+        for index, query in enumerate(queries):
+            start = time.perf_counter()
+            try:
+                results, stats = evaluate(query)
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                batch.summary.merge(stats)
+            except Exception as exc:
+                if raise_on_error:
+                    raise
+                if isinstance(exc, DeadlineExceeded):
+                    metrics.counter("repro_deadline_hits_total",
+                                    {"outcome": "error"}).inc()
+                metrics.counter("repro_batch_query_errors_total").inc()
+                batch.errors[index] = exc
+                results, stats, elapsed_ms = None, ExecutionStats(), 0.0
+            batch.append((results, stats) if with_stats else results)
+            batch.latencies_ms.append(elapsed_ms)
+            waiting -= 1
+            queue_depth.dec()
+    finally:
+        queue_depth.dec(waiting)  # fail-fast: slots that never ran
+    batch.elapsed_ms = (time.perf_counter() - batch_start) * 1000.0
+    metrics.counter("repro_batch_queries_total").inc(len(queries))
+    metrics.histogram("repro_batch_latency_ms").observe(batch.elapsed_ms)
+    return batch
 
 
 class Query:
@@ -396,37 +375,67 @@ class XMLDatabase:
 
             auditor = PlanAuditor(planner, shadow=shadow)
             planner = auditor.planner
+        results, stats = self._run_query(
+            "search", query, semantics, algorithm, strict=strict,
+            cacheable=use_cache and planner is None, planner=planner,
+            deadline=deadline, auditor=auditor)
+        if with_stats:
+            return results, stats
+        return results
+
+    def _run_query(self, op: str, query, semantics: str, algorithm: str,
+                   k: Optional[int] = None, *, strict: bool = False,
+                   cacheable: bool = True,
+                   planner: Optional[JoinPlanner] = None,
+                   deadline: Optional[Deadline] = None, auditor=None):
+        """The per-query sequence behind `search` (``op="search"``),
+        `search_topk` (``"topk"``) and `search_batch` (``"batch"``):
+        parse, result-cache lookup, evaluation under a resource account,
+        cache fill, then the metrics / slow-log record.
+
+        Returns ``(answer, stats)``.  ``answer`` is the result list,
+        except that an evaluated top-K (``k`` set, no cache hit) comes
+        back as its `TopKResult`, bound and flags intact.  The cache
+        counters on ``stats`` are filled here and nowhere else.
+        """
         tracer = self.tracer
+        tags = {} if op == "search" else {"k": k}
         start = time.perf_counter()
-        stats: Optional[ExecutionStats] = None
         with self.profiler.profile() as prof, \
-                tracer.span("query", op="search", semantics=semantics,
-                            algorithm=algorithm) as qspan:
+                tracer.span("query", op=op, semantics=semantics,
+                            algorithm=algorithm, **tags) as qspan:
             with tracer.span("parse"), profile_phase("parse"):
                 terms = self._terms(query)
             qspan.tag(terms=list(terms))
             if strict:
                 self._check_terms_exist(terms)
-            cacheable = use_cache and planner is None
-            key = result_key(terms, semantics, algorithm, None)
-            results: Optional[List[SearchResult]] = None
+            answer = None
             if cacheable:
+                key = result_key(terms, semantics, algorithm, k)
                 with tracer.span("cache_lookup") as cspan:
-                    results = self.cache.get_results(key)
-                    cspan.tag(hit=results is not None)
-                if results is not None:
-                    stats = ExecutionStats()
-                    stats.cache_hits = 1
-            if results is None:
+                    answer = self.cache.get_results(key)
+                    cspan.tag(hit=answer is not None)
+            if answer is not None:
+                stats = ExecutionStats(cache_hits=1)
+            else:
                 try:
-                    results, stats = self._complete_results(
-                        terms, semantics, algorithm, planner,
-                        deadline=deadline,
-                        observer=(auditor.observer if auditor is not None
-                                  else None))
+                    if k is None:
+                        answer, stats = self._complete_results(
+                            terms, semantics, algorithm, planner,
+                            deadline=deadline,
+                            observer=(auditor.observer
+                                      if auditor is not None else None))
+                    else:
+                        answer = self._topk_result(
+                            terms, semantics, algorithm, k,
+                            deadline=deadline)
+                        stats = answer.stats
                 except DeadlineExceeded:
-                    self.metrics.counter("repro_deadline_hits_total",
-                                         {"outcome": "error"}).inc()
+                    # A batch counts its expiries where it isolates
+                    # them (`run_batch`), for both database kinds.
+                    if op != "batch":
+                        self.metrics.counter("repro_deadline_hits_total",
+                                             {"outcome": "error"}).inc()
                     raise
                 if auditor is not None:
                     stats.audit = auditor.finish(terms, semantics)
@@ -435,15 +444,17 @@ class XMLDatabase:
                                          {"outcome": "partial"}).inc()
                     qspan.tag(partial=True)
                 if cacheable:
-                    self.cache.put_results(key, results,
+                    evictions = self.cache.results.stats.evictions
+                    self.cache.put_results(key, answer,
                                            partial=stats.partial)
-        self._record_query("search", terms, semantics, algorithm, None,
+                    stats.cache_misses += 1
+                    stats.cache_evictions += \
+                        self.cache.results.stats.evictions - evictions
+        self._record_query(op, terms, semantics, algorithm, k,
                            (time.perf_counter() - start) * 1000.0, stats,
                            qspan if tracer.enabled else None,
                            phases=prof.phases if prof is not None else None)
-        if with_stats:
-            return results, stats
-        return results
+        return answer, stats
 
     def _complete_results(self, terms: List[str], semantics: str,
                           algorithm: str,
@@ -451,8 +462,8 @@ class XMLDatabase:
                           deadline: Optional[Deadline] = None,
                           observer=None
                           ) -> Tuple[List[SearchResult], ExecutionStats]:
-        """Uncached complete-evaluation dispatch shared by `search` and
-        `search_batch` (and the daemon's shard workers).
+        """Uncached complete-evaluation dispatch: `_run_query` and the
+        daemon's shard workers call it.
 
         Evaluation runs under a fresh `ResourceAccount` whose totals
         fold into the returned stats -- per-query resource truth for
@@ -531,39 +542,16 @@ class XMLDatabase:
         """
         check_semantics(semantics)
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
-        tracer = self.tracer
-        start = time.perf_counter()
-        with self.profiler.profile() as prof, \
-                tracer.span("query", op="topk", semantics=semantics,
-                            algorithm=algorithm, k=k) as qspan:
-            with tracer.span("parse"), profile_phase("parse"):
-                terms = self._terms(query)
-            qspan.tag(terms=list(terms))
-            if strict:
-                self._check_terms_exist(terms)
-            try:
-                top = self._topk_result(terms, semantics, algorithm, k,
-                                        deadline=deadline)
-            except DeadlineExceeded:
-                self.metrics.counter("repro_deadline_hits_total",
-                                     {"outcome": "error"}).inc()
-                raise
-            if top.partial:
-                self.metrics.counter("repro_deadline_hits_total",
-                                     {"outcome": "partial"}).inc()
-                qspan.tag(partial=True)
-        self._record_query("topk", terms, semantics, algorithm, k,
-                           (time.perf_counter() - start) * 1000.0,
-                           top.stats, qspan if tracer.enabled else None,
-                           phases=prof.phases if prof is not None else None)
+        top, _stats = self._run_query("topk", query, semantics, algorithm,
+                                      k, strict=strict, cacheable=False,
+                                      deadline=deadline)
         return top
 
     def _topk_result(self, terms: List[str], semantics: str, algorithm: str,
                      k: int,
                      deadline: Optional[Deadline] = None) -> TopKResult:
-        """Uncached top-K dispatch shared by `search_topk` and
-        `search_batch` (and the daemon's shard workers), accounted the
-        same way as `_complete_results`."""
+        """Uncached top-K dispatch (`_run_query`, the daemon's shard
+        workers), accounted the same way as `_complete_results`."""
         with accounting() as account:
             top = self._evaluate_topk(terms, semantics, algorithm, k,
                                       deadline=deadline)
@@ -587,15 +575,8 @@ class XMLDatabase:
             return HybridTopKSearch(self.columnar_index).search(
                 terms, k, semantics)
         if algorithm == "join":
-            engine = JoinBasedSearch(self.columnar_index,
-                                     postings_cache=self.cache,
-                                     tracer=self.tracer)
-            if deadline is not None:
-                with deadline_scope(deadline):
-                    results, stats = engine.evaluate(terms, semantics,
-                                                     deadline=deadline)
-            else:
-                results, stats = engine.evaluate(terms, semantics)
+            results, stats = self._evaluate_complete(
+                terms, semantics, "join", deadline=deadline)
             return TopKResult(sort_by_score(results)[:k], stats,
                               partial=stats.partial)
         raise ValueError(
@@ -606,44 +587,28 @@ class XMLDatabase:
                      semantics: str = ELCA,
                      k: Optional[int] = None,
                      algorithm: Optional[str] = None,
-                     threads: Optional[int] = None,
-                     processes: Optional[int] = None,
-                     executor=None,
                      with_stats: bool = False,
                      use_cache: bool = True,
                      deadline: Optional[Union[Deadline, float]] = None,
                      timeout_ms: Optional[float] = None,
                      on_deadline: Optional[str] = None,
-                     raise_on_error: bool = False):
-        """Evaluate many queries against shared cache state.
+                     raise_on_error: bool = False) -> BatchResult:
+        """Evaluate many queries, one after another, against shared
+        cache state.
 
         ``k=None`` (default) runs complete evaluations (``algorithm``
         defaults to ``join``) and each entry of the returned list is the
         query's `SearchResult` list in document order; with ``k`` set,
         top-K evaluations run instead (``algorithm`` defaults to
         ``topk-join``) and each entry is the best-first truncated list.
+        With ``with_stats=True`` entries are ``(results,
+        ExecutionStats)`` pairs; a repeated query is served from the
+        result cache (``stats.cache_hits == 1``) and skips level
+        evaluation entirely (``stats.levels_processed == 0``).
 
-        ``threads`` > 1 evaluates queries on a thread pool -- the index
-        structures are read-only after build and the caches take a lock,
-        so results are identical to the sequential run.  ``processes``
-        > 1 evaluates them on a fork-based process pool instead: each
-        worker inherits the database copy-on-write (for an opened
-        database the mmap'd columns are *shared* pages, not copies),
-        sidestepping the GIL for CPU-bound batches.  Per-worker
-        `ExecutionStats` merge into ``summary`` exactly as in-process
-        stats do, and the parent re-records every query's latency and
-        join counters, so metrics totals match a single-process run.
-        On platforms without the ``fork`` start method the call falls
-        back to a thread pool of the same width.  ``executor`` accepts
-        a reusable pool from `batch_executor` (or any
-        `ThreadPoolExecutor`) -- it is *not* shut down, so warmed
-        workers amortize across batches.  Per-query tracer spans are
-        not recorded on the process path (spans cannot cross the
-        process boundary).  With
-        ``with_stats=True`` entries are ``(results, ExecutionStats)``
-        pairs; a repeated query is served from the result cache
-        (``stats.cache_hits == 1``) and skips level evaluation entirely
-        (``stats.levels_processed == 0``).
+        The library evaluates one query at a time; to evaluate in
+        parallel, serve the database with ``repro serve --workers N``
+        (`docs/SERVING.md`).
 
         The returned list is a `BatchResult`: it additionally carries
         ``summary`` (every per-query `ExecutionStats` merged, cache
@@ -669,354 +634,15 @@ class XMLDatabase:
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         if algorithm is None:
             algorithm = "join" if k is None else "topk-join"
-        tracer = self.tracer
-        queue_depth = self.metrics.gauge("repro_batch_queue_depth")
-        batch_start = time.perf_counter()
 
-        def one(query) -> Tuple[List[SearchResult], ExecutionStats, float]:
-            start = time.perf_counter()
-            with self.profiler.profile() as prof, \
-                    tracer.span("query", op="batch", semantics=semantics,
-                                algorithm=algorithm, k=k) as qspan:
-                with tracer.span("parse"), profile_phase("parse"):
-                    terms = self._terms(query)
-                qspan.tag(terms=list(terms))
-                results: Optional[List[SearchResult]] = None
-                stats = ExecutionStats()
-                key = result_key(terms, semantics, algorithm, k)
-                if use_cache:
-                    with tracer.span("cache_lookup") as cspan:
-                        results = self.cache.get_results(key)
-                        cspan.tag(hit=results is not None)
-                    if results is not None:
-                        stats.cache_hits = 1
-                if results is None:
-                    if k is None:
-                        results, stats = self._complete_results(
-                            terms, semantics, algorithm, deadline=deadline)
-                    else:
-                        top = self._topk_result(terms, semantics,
-                                                algorithm, k,
-                                                deadline=deadline)
-                        results, stats = list(top.results), top.stats
-                    if stats.partial:
-                        self.metrics.counter("repro_deadline_hits_total",
-                                             {"outcome": "partial"}).inc()
-                        qspan.tag(partial=True)
-                    if use_cache:
-                        before = self.cache.results.stats.evictions
-                        self.cache.put_results(key, results,
-                                               partial=stats.partial)
-                        stats.cache_misses += 1
-                        stats.cache_evictions += \
-                            self.cache.results.stats.evictions - before
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            self._record_query("batch", terms, semantics, algorithm, k,
-                               elapsed_ms, stats,
-                               qspan if tracer.enabled else None,
-                               phases=(prof.phases if prof is not None
-                                       else None))
-            return results, stats, elapsed_ms
+        def one(query) -> Tuple[List[SearchResult], ExecutionStats]:
+            answer, stats = self._run_query(
+                "batch", query, semantics, algorithm, k,
+                cacheable=use_cache, deadline=deadline)
+            return (answer if k is None else list(answer)), stats
 
-        import threading
-
-        errors: Dict[int, BaseException] = {}
-        progress_lock = threading.Lock()
-        finished = 0
-
-        def one_isolated(item):
-            # queue_depth decrements exactly once per query, success or
-            # failure, so the gauge cannot drift under errors.
-            nonlocal finished
-            index, query = item
-            try:
-                return one(query)
-            except Exception as exc:
-                if raise_on_error:
-                    raise
-                if isinstance(exc, DeadlineExceeded):
-                    self.metrics.counter("repro_deadline_hits_total",
-                                         {"outcome": "error"}).inc()
-                self.metrics.counter(
-                    "repro_batch_query_errors_total").inc()
-                with progress_lock:
-                    errors[index] = exc
-                return None, ExecutionStats(), 0.0
-            finally:
-                queue_depth.dec()
-                with progress_lock:
-                    finished += 1
-
-        mode, pool, own_pool = self._resolve_batch_pool(
-            threads, processes, executor)
-        indexed = list(enumerate(queries))
-        queue_depth.inc(len(queries))
-        try:
-            if mode != "inline":
-                # Build lazy indexes up-front: concurrent first touches
-                # would otherwise race to construct them (and forked
-                # workers must inherit them already built).
-                if algorithm in ("join", "topk-join", "hybrid"):
-                    self.columnar_index
-                if algorithm in ("stack", "index", "oracle", "rdil"):
-                    self.inverted_index
-            if mode == "process":
-                def on_done():
-                    nonlocal finished
-                    queue_depth.dec()
-                    with progress_lock:
-                        finished += 1
-
-                triples = self._run_batch_processes(
-                    pool, own_pool, processes, indexed, semantics, k,
-                    algorithm, use_cache, deadline, raise_on_error,
-                    errors, on_done)
-            elif mode == "thread":
-                if own_pool:
-                    with pool:
-                        triples = list(pool.map(one_isolated, indexed))
-                else:
-                    triples = list(pool.map(one_isolated, indexed))
-            else:
-                triples = [one_isolated(item) for item in indexed]
-        except BaseException:
-            # Fail-fast propagation: queries that never started still
-            # hold queue slots; release them so the gauge stays honest.
-            queue_depth.dec(len(queries) - finished)
-            raise
-
-        summary = ExecutionStats()
-        for index, (_results, stats, _ms) in enumerate(triples):
-            if index not in errors:
-                summary.merge(stats)
-        if with_stats:
-            batch = BatchResult((results, stats)
-                                for results, stats, _ms in triples)
-        else:
-            batch = BatchResult(results for results, _stats, _ms in triples)
-        batch.summary = summary
-        batch.latencies_ms = [ms for _results, _stats, ms in triples]
-        batch.elapsed_ms = (time.perf_counter() - batch_start) * 1000.0
-        batch.errors = errors
-        self.metrics.counter("repro_batch_queries_total").inc(len(queries))
-        self.metrics.histogram("repro_batch_latency_ms").observe(
-            batch.elapsed_ms)
-        return batch
-
-    def batch_executor(self, threads: Optional[int] = None,
-                       processes: Optional[int] = None):
-        """A reusable pool for ``search_batch(executor=...)``.
-
-        Pass exactly one of ``threads`` / ``processes``.  The process
-        flavour is a fork-context `ProcessPoolExecutor` bound to *this*
-        database: workers fork lazily on the first batch and inherit
-        the built indexes (and any mmap) copy-on-write, so
-        reusing the executor across batches amortizes both worker
-        startup and page warmup.  Handing it to a different database's
-        ``search_batch`` raises.  On platforms without the ``fork``
-        start method a thread pool of the same width is returned
-        instead.  The caller owns the executor: ``search_batch`` never
-        shuts it down, call ``.shutdown()`` (or use it as a context
-        manager) when done.
-        """
-        if (threads is None) == (processes is None):
-            raise ValueError("pass exactly one of threads= / processes=")
-        from concurrent.futures import (ProcessPoolExecutor,
-                                        ThreadPoolExecutor)
-
-        if threads is not None:
-            pool = ThreadPoolExecutor(max_workers=threads)
-            pool._repro_mode = "thread"
-            return pool
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            # pragma: no cover - spawn-only platforms
-            pool = ThreadPoolExecutor(max_workers=processes)
-            pool._repro_mode = "thread"
-            return pool
-        global _WORKER_DB
-        _WORKER_DB = self
-        pool = ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=multiprocessing.get_context("fork"))
-        pool._repro_mode = "process"
-        pool._repro_db_id = id(self)
-        return pool
-
-    def _resolve_batch_pool(self, threads: Optional[int],
-                            processes: Optional[int], executor):
-        """Pick the batch execution mode: ``("inline"|"thread"|"process",
-        pool, own_pool)``.  Validates reused executors and falls back
-        from processes to threads when ``fork`` is unavailable."""
-        if executor is not None:
-            if threads is not None or processes is not None:
-                raise ValueError(
-                    "pass either executor= or threads=/processes=, "
-                    "not both")
-            from concurrent.futures import ProcessPoolExecutor
-
-            mode = getattr(executor, "_repro_mode", None)
-            if mode is None:
-                mode = ("process"
-                        if isinstance(executor, ProcessPoolExecutor)
-                        else "thread")
-            if mode == "process":
-                if getattr(executor, "_repro_db_id", None) != id(self):
-                    raise ValueError(
-                        "process executors must come from this "
-                        "database's batch_executor(processes=...) -- "
-                        "workers fork holding a copy of the database")
-            return mode, executor, False
-        if threads is not None and processes is not None:
-            raise ValueError("pass either threads= or processes=")
-        if processes is not None and processes > 1:
-            import multiprocessing
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                return "process", None, True
-            threads = processes  # pragma: no cover - spawn-only platforms
-        if threads is not None and threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(max_workers=threads)
-            pool._repro_mode = "thread"
-            return "thread", pool, True
-        return "inline", None, False
-
-    def _run_batch_processes(self, pool, own_pool, processes, indexed,
-                             semantics, k, algorithm, use_cache, deadline,
-                             raise_on_error, errors, on_done):
-        """Fan a batch out to forked workers and rehydrate the results.
-
-        The parent re-records every successful query
-        (`_record_query`), so latency histograms and join counters in
-        the metrics registry equal a single-process run of the same
-        batch; worker-side registries are forked copies and discarded.
-
-        A worker crash (OOM kill, segfault) breaks the whole executor:
-        every outstanding future raises `BrokenExecutor`, not just the
-        one the dying worker held.  Rather than failing the batch, the
-        crash is contained: the broken pool is replaced once and the
-        affected queries re-run *one at a time* on the fresh pool, so a
-        second crash implicates exactly one query -- that query (and
-        any still queued behind it) becomes a typed `WorkerCrashError`
-        entry in ``errors`` while the rest of the batch completes
-        normally.  Under ``raise_on_error`` the crash propagates as
-        `WorkerCrashError` instead.  A caller-owned executor that
-        breaks is left to its owner; victims are rescued on a
-        temporary pool of the same width.
-        """
-        global _WORKER_DB
-        _WORKER_DB = self
-        from concurrent.futures import BrokenExecutor
-
-        def fresh_pool():
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            width = processes or getattr(pool, "_max_workers", 1) or 1
-            return ProcessPoolExecutor(
-                max_workers=width,
-                mp_context=multiprocessing.get_context("fork"))
-
-        if pool is None:
-            pool = fresh_pool()
-        columnar = self.columnar_index
-        triples = [None] * len(indexed)
-
-        def absorb(index, terms, light, stats, elapsed_ms, exc):
-            if exc is not None:
-                if raise_on_error:
-                    raise exc
-                if isinstance(exc, DeadlineExceeded):
-                    self.metrics.counter(
-                        "repro_deadline_hits_total",
-                        {"outcome": "error"}).inc()
-                self.metrics.counter(
-                    "repro_batch_query_errors_total").inc()
-                errors[index] = exc
-                triples[index] = (None, ExecutionStats(), 0.0)
-                return
-            results = [
-                SearchResult(columnar.node_at(level, number), level,
-                             score, witnesses)
-                for level, number, score, witnesses in light]
-            if use_cache and not stats.cache_hits:
-                # Mirror the worker's put into the parent cache so
-                # later batches (any mode) see the warm entry.
-                self.cache.put_results(
-                    result_key(terms, semantics, algorithm, k),
-                    results, partial=stats.partial)
-            if stats.partial:
-                self.metrics.counter("repro_deadline_hits_total",
-                                     {"outcome": "partial"}).inc()
-            self._record_query("batch", terms, semantics, algorithm,
-                               k, elapsed_ms, stats, None)
-            triples[index] = (results, stats, elapsed_ms)
-
-        def submit(target, index, query):
-            return target.submit(
-                _process_batch_worker,
-                (index, query, semantics, k, algorithm, use_cache,
-                 deadline))
-
-        try:
-            futures = [submit(pool, index, query)
-                       for index, query in indexed]
-            victims = []
-            for future, (index, query) in zip(futures, indexed):
-                try:
-                    payload = future.result()
-                except BrokenExecutor:
-                    # Pool-level death dooms every sibling future too.
-                    # Defer on_done: each victim completes exactly once
-                    # below, via rerun or typed error.
-                    victims.append((index, query))
-                    continue
-                on_done()
-                absorb(*payload)
-            if victims:
-                if raise_on_error:
-                    raise WorkerCrashError(
-                        "batch worker crashed; %d queries lost with it"
-                        % len(victims))
-                self.metrics.counter(
-                    "repro_batch_pool_rebuilds_total").inc()
-                rescue = fresh_pool()
-                if own_pool:
-                    pool.shutdown(wait=False)
-                    pool = rescue  # the outer finally closes it
-                poisoned = False
-                try:
-                    for index, query in victims:
-                        exc = payload = None
-                        if poisoned:
-                            exc = WorkerCrashError(
-                                "skipped: an earlier retry crashed the "
-                                "rebuilt batch pool", query_index=index)
-                        else:
-                            try:
-                                payload = submit(rescue, index,
-                                                 query).result()
-                            except BrokenExecutor:
-                                poisoned = True
-                                exc = WorkerCrashError(
-                                    "query crashed the rebuilt batch "
-                                    "pool", query_index=index)
-                        on_done()
-                        if exc is not None:
-                            absorb(index, None, None, ExecutionStats(),
-                                   0.0, exc)
-                        else:
-                            absorb(*payload)
-                finally:
-                    if not own_pool:
-                        rescue.shutdown(wait=True)
-            return triples
-        finally:
-            if own_pool:
-                pool.shutdown(wait=True)
+        return run_batch(queries, one, self.metrics, with_stats,
+                         raise_on_error)
 
     def search_stream(self, query: Union[str, Sequence[str], Query],
                       semantics: str = ELCA,

@@ -17,10 +17,10 @@ terms skip per-column decompression on repeat queries while cold
 decoded arrays get evicted instead of pinned forever.
 
 Both are bounded LRUs with hit/miss/eviction counters; every operation
-takes the cache lock, so a `QueryCache` can be shared by the threads of
-`XMLDatabase.search_batch`.  Entries are treated as immutable: callers
-get shallow copies of cached result lists, and must not mutate the
-`SearchResult` objects themselves.
+takes the cache lock, so a `QueryCache` can be shared by the threads
+the daemon's ``--workers 0`` path evaluates on.  Entries are treated as
+immutable: callers get shallow copies of cached result lists, and must
+not mutate the `SearchResult` objects themselves.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class DecodedColumnCache:
     ``capacity_bytes <= 0`` disables storage (every `get` misses, `put`
     is a no-op).  A single oversized column (larger than the whole
     budget) is never admitted.  All operations take the cache lock, so
-    one instance can serve concurrent batch / daemon workers.
+    one instance can serve concurrent daemon workers.
     """
 
     def __init__(self, capacity_bytes: int = 32 * 1024 * 1024,

@@ -6,7 +6,7 @@
     python -m repro generate dblp mydb/ --papers 5000
     python -m repro search mydb/ "xml data" --semantics slca
     python -m repro topk mydb/ "xml keyword search" -k 10
-    python -m repro serve-batch mydb/ queries.txt --processes 4 -k 10
+    python -m repro serve-batch mydb/ queries.txt -k 10
     python -m repro index bib.xml mydb/ --shards 4   # sharded store
     python -m repro serve mydb/ --workers 2          # HTTP daemon
     python -m repro serve mydb/ --capture workload.jsonl
@@ -140,10 +140,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_serve_batch(args: argparse.Namespace) -> int:
     """Evaluate a query workload as one `search_batch` call.
 
-    The database loads in the lazy, mmap-backed mode when it is a
-    saved directory (the container then serves columns zero-copy and the
-    forked workers of ``--processes`` share the mapping); ``--eager``
-    opts back into the fully materialized load.
+    Queries run one after another in this process (`repro serve
+    --workers N` is the parallel path).  The database loads in the
+    lazy, mmap-backed mode when it is a saved directory (the container
+    then serves columns zero-copy); ``--eager`` opts back into the
+    fully materialized load.
     """
     if args.queries == "-":
         lines = sys.stdin.readlines()
@@ -166,8 +167,6 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
         db = _load(args.database)
     batch = db.search_batch(queries, k=args.k, semantics=args.semantics,
                             algorithm=args.algorithm,
-                            threads=args.threads,
-                            processes=args.processes,
                             use_cache=not args.no_cache,
                             **_budget_kwargs(args))
     if not args.quiet:
@@ -177,13 +176,10 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
             else:
                 print(f"{index:>4}. {len(entry):>5} results  "
                       f"{batch.latencies_ms[index]:>8.2f} ms  {query}")
-    mode = (f"processes={args.processes}" if args.processes
-            else f"threads={args.threads}" if args.threads
-            else "inline")
     qps = len(queries) / (batch.elapsed_ms / 1000.0) \
         if batch.elapsed_ms > 0 else float("inf")
     print(f"batch: {len(queries)} queries in {batch.elapsed_ms:.1f} ms "
-          f"({qps:.1f} qps, {mode}), {len(batch.errors)} errors")
+          f"({qps:.1f} qps), {len(batch.errors)} errors")
     s = batch.summary
     print(f"work: levels={s.levels_processed} joins={s.joins} "
           f"tuples={s.tuples_scanned} cache_hits={s.cache_hits} "
@@ -658,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("serve-batch",
-                       help="evaluate a query workload as one batch "
-                            "(multi-process with --processes)")
+                       help="evaluate a query workload as one "
+                            "sequential batch")
     p.add_argument("database", help="database directory or XML file")
     p.add_argument("queries",
                    help="file with one query per line ('-' = stdin; "
@@ -670,10 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="elca")
     p.add_argument("--algorithm", default=None,
                    help="override the per-mode default algorithm")
-    p.add_argument("--processes", type=int, default=None,
-                   help="fork-based worker processes (workers share "
-                        "the mmap'd store copy-on-write)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the result cache")
     p.add_argument("--eager", action="store_true",

@@ -39,8 +39,8 @@ pad bytes zero)::
 Because every region is offset-indexed and aligned, `load_database`
 memory-maps the file (`reliability.io.map_bytes`) and the lazy reader
 materializes scores and compressed columns as ``np.frombuffer`` views --
-no whole-payload ``bytes`` copy, and forked `search_batch` / shard
-workers share the mapping copy-on-write.  Integrity and atomicity
+no whole-payload ``bytes`` copy, and the daemon's forked shard workers
+share the mapping copy-on-write.  Integrity and atomicity
 (`repro.reliability`):
 
 * every term's payload carries a CRC, so a lazy reader verifies exactly

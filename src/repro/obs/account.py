@@ -18,9 +18,9 @@ metrics, the slow log and the daemon's access log attach the breakdown
 per record, and the scatter path aggregates per-shard accounts per
 request.
 
-Context-vars are per-thread (and per-forked-process), so concurrent
-batch workers and daemon shard workers each account their own queries
-with no cross-talk.
+Context-vars are per-thread (and per-forked-process), so the daemon's
+inline threads and shard workers each account their own queries with no
+cross-talk.
 """
 
 from __future__ import annotations

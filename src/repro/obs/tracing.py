@@ -19,9 +19,9 @@ O(candidates) (guarded by ``tests/test_observability.py``).
     print(render_trace(tracer.last_root()))
     open("trace.jsonl", "w").write(trace_to_jsonl(tracer.roots()))
 
-Spans are kept on a per-thread stack, so the threaded
-`XMLDatabase.search_batch` path records one coherent tree per query per
-worker thread.
+Spans are kept on a per-thread stack, so queries evaluated on several
+threads at once (the daemon's ``--workers 0`` path) each record one
+coherent tree.
 """
 
 from __future__ import annotations

@@ -79,11 +79,9 @@ class WorkerCrashError(OSError):
     and rebuilds the pool, so from the caller's perspective this is
     *transient*: a retry against the rebuilt pool usually succeeds."""
 
-    def __init__(self, message: str, shard: Optional[int] = None,
-                 query_index: Optional[int] = None):
+    def __init__(self, message: str, shard: Optional[int] = None):
         super().__init__(message)
         self.shard = shard
-        self.query_index = query_index
 
 
 class ShardPayloadError(OSError):

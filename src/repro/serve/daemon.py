@@ -3,12 +3,12 @@
 A single-threaded asyncio front-end owns the accept loop, admission
 control and the scatter-gather merge; query evaluation runs either
 in-process (``workers=0``) or on per-shard fork/copy-on-write process
-pools (``workers=W``), the same forking discipline as
-`XMLDatabase.batch_executor`: the parent installs the shard databases
-in a module global *before* the pools fork, so workers inherit index
-structures -- including the mmap'd columns -- without any
-serialization, and a pool's workers only ever touch their own shard
-(warm per-process block caches stay shard-affine).
+pools (``workers=W``), the only process pools in the package: the
+parent installs the shard databases in a module global *before* the
+pools fork, so workers inherit index structures -- including the mmap'd
+columns -- without any serialization, and a pool's workers only ever
+touch their own shard (warm per-process block caches stay
+shard-affine).
 
 Admission control is explicit and typed (HTTP endpoints below):
 
@@ -175,16 +175,17 @@ def _light(results: Sequence[SearchResult]) -> List[Tuple]:
              tuple(r.witness_scores)) for r in results]
 
 
-def _serve_shard_topk(payload):
-    """Pool entry: one shard's slice of a top-K scatter.
+def _serve_shard(payload):
+    """Pool entry: one shard's slice of a scatter -- top-K when the
+    payload's ``k`` is set, complete evaluation when it is ``None``.
 
-    Evaluates ``k+1`` shard-locally (one slot covers the dropped
-    shard-local root) and ships light tuples plus the stream outcome;
-    exceptions return as values so one shard cannot lose the gather.
-    When the payload carries a sampled `TraceContext`, the engine runs
-    under a worker-local `Tracer` and the span tree travels back in the
-    7th (sidecar) slot together with the rank-join retrieval counters
-    and the worker's metric deltas.
+    Top-K evaluates ``k+1`` shard-locally (one slot covers the dropped
+    shard-local root).  Either way the reply ships light tuples plus
+    the partial flag and bound; exceptions return as values so one
+    shard cannot lose the gather.  When the payload carries a sampled
+    `TraceContext`, the engine runs under a worker-local `Tracer` and
+    the span tree travels back in the 7th (sidecar) slot together with
+    the retrieval counters and the worker's metric deltas.
     """
     sid, terms, semantics, k, wire, ctx_wire, fault = payload
     db = _SERVE_DBS.get(sid)
@@ -200,59 +201,21 @@ def _serve_shard_topk(payload):
     start = time.perf_counter()
     try:
         deferred = apply_worker_fault(fault)
+        tags = {} if k is None else {"k": k}
         with tracer.span("shard_query", shard=sid, terms=list(terms),
-                         k=k, pid=os.getpid(),
+                         **tags, pid=os.getpid(),
                          trace_id=ctx.trace_id if ctx else None) as qspan:
-            top = db._topk_result(terms, semantics, "topk-join", k + 1,
-                                  deadline=deadline)
-            qspan.tag(retrievals=top.stats.tuples_scanned,
-                      emitted=top.stats.results_emitted,
-                      levels=top.stats.levels_processed,
-                      partial=top.stats.partial)
-        light = _light(r for r in top.results if r.level > 1)
-        if deferred == BYTE_FAULT:
-            light = corrupt_light(light)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        bound = top.bound
-        if top.partial and bound is None:
-            bound = float("inf")
-        _worker_publish(db, "topk", top.stats, top.partial)
-        return (sid, light, top.partial, bound, elapsed, None,
-                _shard_extra(db, tracer, top.stats))
-    except Exception as exc:  # noqa: BLE001 - shipped back as a value
-        import pickle
-
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        return (sid, None, False, None,
-                (time.perf_counter() - start) * 1000.0, exc,
-                _shard_extra(db, tracer, None))
-    finally:
-        db.tracer = prev_tracer
-
-
-def _serve_shard_search(payload):
-    """Pool entry: one shard's slice of a complete-evaluation scatter."""
-    sid, terms, semantics, wire, ctx_wire, fault = payload
-    db = _SERVE_DBS.get(sid)
-    if db is None:  # pragma: no cover - misuse guard
-        return sid, None, False, None, 0.0, RuntimeError(
-            "worker has no shard database"), None
-    deadline = Deadline.from_wire(wire) if wire else None
-    ctx = TraceContext.from_wire(ctx_wire)
-    _worker_baseline(db)
-    tracer = Tracer() if ctx is not None and ctx.sampled else NULL_TRACER
-    prev_tracer, db.tracer = db.tracer, tracer
-    start = time.perf_counter()
-    try:
-        deferred = apply_worker_fault(fault)
-        with tracer.span("shard_query", shard=sid, terms=list(terms),
-                         pid=os.getpid(),
-                         trace_id=ctx.trace_id if ctx else None) as qspan:
-            results, stats = db._complete_results(terms, semantics, "join",
-                                                  deadline=deadline)
+            if k is None:
+                results, stats = db._complete_results(
+                    terms, semantics, "join", deadline=deadline)
+                partial, bound = stats.partial, None
+            else:
+                top = db._topk_result(terms, semantics, "topk-join", k + 1,
+                                      deadline=deadline)
+                results, stats = top.results, top.stats
+                partial, bound = top.partial, top.bound
+                if partial and bound is None:
+                    bound = float("inf")
             qspan.tag(retrievals=stats.tuples_scanned,
                       emitted=stats.results_emitted,
                       levels=stats.levels_processed,
@@ -261,10 +224,11 @@ def _serve_shard_search(payload):
         if deferred == BYTE_FAULT:
             light = corrupt_light(light)
         elapsed = (time.perf_counter() - start) * 1000.0
-        _worker_publish(db, "search", stats, stats.partial)
-        return (sid, light, stats.partial, None, elapsed, None,
+        _worker_publish(db, "search" if k is None else "topk", stats,
+                        partial)
+        return (sid, light, partial, bound, elapsed, None,
                 _shard_extra(db, tracer, stats))
-    except Exception as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001 - shipped back as a value
         import pickle
 
         try:
@@ -816,7 +780,7 @@ class ServeDaemon:
         obs.mode = "pool"
         obs.fanout = len(shard_ids)
         started = time.perf_counter()
-        outcomes = await self._scatter(_serve_shard_topk, shard_ids,
+        outcomes = await self._scatter(_serve_shard, shard_ids,
                                        make_payload, deadline, obs)
         merging = time.perf_counter()
         obs.scatter_ms = (merging - started) * 1000.0
@@ -869,14 +833,14 @@ class ServeDaemon:
 
         def make_payload(sid, fault):
             wire = deadline.to_wire() if deadline is not None else None
-            return (sid, terms, semantics, wire, ctx_wire, fault)
+            return (sid, terms, semantics, None, wire, ctx_wire, fault)
 
         shard_ids = [sid for sid, shard in enumerate(db.shards)
                      if all(t in shard.columnar_index for t in terms)]
         obs.mode = "pool"
         obs.fanout = len(shard_ids)
         started = time.perf_counter()
-        outcomes = await self._scatter(_serve_shard_search, shard_ids,
+        outcomes = await self._scatter(_serve_shard, shard_ids,
                                        make_payload, deadline, obs)
         merging = time.perf_counter()
         obs.scatter_ms = (merging - started) * 1000.0

@@ -40,7 +40,6 @@ cross-shard merge.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
@@ -482,66 +481,43 @@ class ShardedDatabase:
                                    deadline=deadline)
 
     # ------------------------------------------------------------------
-    # batch (CLI serve-batch compatibility)
+    # batch
     # ------------------------------------------------------------------
 
     def search_batch(self, queries: Sequence, semantics: str = ELCA,
                      k: Optional[int] = None,
                      algorithm: Optional[str] = None,
-                     threads: Optional[int] = None,
-                     processes: Optional[int] = None,
-                     executor=None,
                      with_stats: bool = False,
                      use_cache: bool = True,
                      deadline: Optional[Union[Deadline, float]] = None,
                      timeout_ms: Optional[float] = None,
                      on_deadline: Optional[str] = None,
                      raise_on_error: bool = False):
-        """Evaluate a workload sequentially against the shard set.
-
-        Same return shape as `XMLDatabase.search_batch` (a
-        `BatchResult` with ``summary`` / ``latencies_ms`` /
-        ``elapsed_ms`` / ``errors``).  ``threads`` / ``processes`` /
-        ``executor`` are accepted for CLI compatibility but evaluation
-        stays in-process -- the parallel serving path for a sharded
-        database is the daemon (`repro.serve.daemon`), whose workers
-        fan out per shard rather than per query.
+        """Evaluate a workload sequentially against the shard set:
+        `XMLDatabase.search_batch`'s contract (`BatchResult`, shared
+        deadline, per-query error isolation, the ``repro_batch_*``
+        metrics) through the same loop, `repro.api.run_batch`.  The
+        parallel path for a sharded database is the daemon
+        (`repro.serve.daemon`), whose workers fan out per shard.
         """
-        from ..api import BatchResult
+        from ..api import run_batch
 
         check_semantics(semantics)
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         if algorithm is None:
             algorithm = "join" if k is None else "topk-join"
-        batch_start = time.perf_counter()
-        entries, latencies = [], []
-        errors: Dict[int, BaseException] = {}
-        summary = ExecutionStats()
-        for index, query in enumerate(queries):
-            start = time.perf_counter()
-            try:
-                if k is None:
-                    results, stats = self.search(
-                        query, semantics, algorithm, use_cache=use_cache,
-                        deadline=deadline, with_stats=True)
-                else:
-                    top = self.search_topk(query, k, semantics, algorithm,
-                                           deadline=deadline)
-                    results, stats = list(top.results), top.stats
-                summary.merge(stats)
-            except Exception as exc:
-                if raise_on_error:
-                    raise
-                errors[index] = exc
-                results, stats = None, ExecutionStats()
-            latencies.append((time.perf_counter() - start) * 1000.0)
-            entries.append((results, stats) if with_stats else results)
-        batch = BatchResult(entries)
-        batch.summary = summary
-        batch.latencies_ms = latencies
-        batch.elapsed_ms = (time.perf_counter() - batch_start) * 1000.0
-        batch.errors = errors
-        return batch
+
+        def one(query):
+            if k is None:
+                return self.search(query, semantics, algorithm,
+                                   use_cache=use_cache, deadline=deadline,
+                                   with_stats=True)
+            top = self.search_topk(query, k, semantics, algorithm,
+                                   deadline=deadline)
+            return list(top.results), top.stats
+
+        return run_batch(queries, one, self.metrics, with_stats,
+                         raise_on_error)
 
     # ------------------------------------------------------------------
     # introspection

@@ -4,6 +4,8 @@ Corpus fixtures are session-scoped because index construction dominates
 test time; tests must treat them as read-only.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import XMLDatabase, build_tree
@@ -30,6 +32,15 @@ SMALL_XML = """
   </book>
 </bib>
 """
+
+
+def on_threads(threads, fn, items):
+    """`fn` over `items` on a pool of `threads` threads, results in
+    order -- what the daemon's ``--workers 0`` path does to a database.
+    The library itself evaluates one query at a time, so tests that pin
+    thread-safety bring their own threads."""
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def figure1_like_tree():

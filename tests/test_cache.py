@@ -5,6 +5,7 @@ import pytest
 
 from repro import XMLDatabase
 from repro.cache import LRUCache, QueryCache, result_key
+from tests.conftest import on_threads
 
 
 def deweys(results):
@@ -143,8 +144,12 @@ class TestSearchBatch:
         queries = ["xml data", "data", "xml keyword", "zzz missing"]
         expected = [deweys(small_db.search(q, use_cache=False))
                     for q in queries]
-        got = small_db.search_batch(queries, threads=threads,
-                                    use_cache=False)
+        if threads is None:
+            got = small_db.search_batch(queries, use_cache=False)
+        else:
+            got = on_threads(
+                threads, lambda q: small_db.search(q, use_cache=False),
+                queries)
         assert [deweys(rs) for rs in got] == expected
 
     @pytest.mark.parametrize("threads", [None, 4])
@@ -152,8 +157,12 @@ class TestSearchBatch:
         queries = ["xml data", "data xml"]
         expected = [deweys(small_db.search_topk(q, k=3).results)
                     for q in queries]
-        got = small_db.search_batch(queries, k=3, threads=threads,
-                                    use_cache=False)
+        if threads is None:
+            got = small_db.search_batch(queries, k=3, use_cache=False)
+        else:
+            got = on_threads(
+                threads, lambda q: small_db.search_topk(q, k=3).results,
+                queries)
         assert [deweys(rs) for rs in got] == expected
 
     def test_repeated_query_reports_hit_and_skips_levels(self, small_db):
@@ -171,10 +180,29 @@ class TestSearchBatch:
                                 with_stats=True)
         assert sum(s.cache_evictions for _, s in pairs) >= 1
 
+    def test_search_counts_the_cache_like_batch(self):
+        """Hit / miss / eviction counters on `ExecutionStats` are the
+        pipeline's, so every entry point reports them the same way."""
+        queries = ["xml data", "xml", "xml", "xml data"]
+
+        def counters(run):
+            db = XMLDatabase.from_xml_text(
+                "<r><a>xml data</a><b>xml</b></r>", result_cache_size=1)
+            return [(s.cache_hits, s.cache_misses, s.cache_evictions)
+                    for s in run(db)]
+
+        via_search = counters(lambda db: [
+            db.search(q, with_stats=True)[1] for q in queries])
+        via_batch = counters(lambda db: [
+            s for _, s in db.search_batch(queries, with_stats=True)])
+        assert via_search == via_batch == [
+            (0, 1, 0), (0, 1, 1), (1, 0, 0), (0, 1, 1)]
+
     def test_threaded_batch_shares_cache(self, small_db):
+        small_db.columnar_index     # built before the threads race to it
         small_db.cache.clear()
         queries = ["xml data"] * 8
-        results = small_db.search_batch(queries, threads=4)
+        results = on_threads(4, small_db.search, queries)
         assert all(deweys(rs) == deweys(results[0]) for rs in results)
         stats = small_db.cache.results.stats
         assert stats.hits + stats.misses == 8

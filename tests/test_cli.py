@@ -144,6 +144,95 @@ class TestInfoSharded:
             assert float(match.group(3)) > 0
 
 
+class TestServeBatch:
+    """`repro serve-batch`: one sequential `search_batch` over a query
+    file, flat or sharded; no pool flags."""
+
+    WORKLOAD = "# a comment\nxml data\n\n  keyword search  \n#x\ndata\n"
+
+    @pytest.fixture
+    def queries(self, tmp_path):
+        path = tmp_path / "queries.txt"
+        path.write_text(self.WORKLOAD, encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def counts(out):
+        """Per-query ``(index, n_results, query)`` from the output."""
+        import re
+
+        return re.findall(r"^ *(\d+)\. +(\d+) results +[\d.]+ ms  (.*)$",
+                          out, re.MULTILINE)
+
+    def test_query_file_skips_blank_and_comment_lines(self, db_dir,
+                                                      queries, capsys):
+        assert main(["serve-batch", db_dir, queries]) == 0
+        out = capsys.readouterr().out
+        assert [q for _i, _n, q in self.counts(out)] == \
+            ["xml data", "keyword search", "data"]
+        assert "batch: 3 queries" in out and "0 errors" in out
+        assert "work: levels=" in out
+
+    def test_dash_reads_stdin(self, db_dir, queries, capsys, monkeypatch):
+        import io
+
+        assert main(["serve-batch", db_dir, queries]) == 0
+        from_file = self.counts(capsys.readouterr().out)
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.WORKLOAD))
+        assert main(["serve-batch", db_dir, "-", "-k", "2"]) == 0
+        from_stdin = self.counts(capsys.readouterr().out)
+        assert [q for _i, _n, q in from_stdin] == \
+            [q for _i, _n, q in from_file]
+        assert all(int(n) <= 2 for _i, n, _q in from_stdin)
+
+    def test_empty_workload_exits_1(self, db_dir, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("# nothing\n\n", encoding="utf-8")
+        assert main(["serve-batch", db_dir, str(path)]) == 1
+        assert "no queries" in capsys.readouterr().err
+
+    def test_missing_query_file_exits_3(self, db_dir, capsys):
+        from repro.cli import EXIT_MISSING
+
+        assert main(["serve-batch", db_dir, "/no/such/file"]) \
+            == EXIT_MISSING
+
+    def test_fail_on_error(self, db_dir, queries, capsys):
+        failing = ["serve-batch", db_dir, queries, "--algorithm", "nope"]
+        assert main(failing) == 0      # isolated errors are reported...
+        assert "3 errors" in capsys.readouterr().out
+        assert main(failing + ["--fail-on-error"]) == 1   # ...or fatal
+
+    def test_deadline_expiry_exits_5(self, db_dir, queries, capsys):
+        from repro.cli import EXIT_DEADLINE
+
+        assert main(["serve-batch", db_dir, queries,
+                     "--timeout-ms", "0"]) == EXIT_DEADLINE
+        assert "ERROR" in capsys.readouterr().out
+        assert main(["serve-batch", db_dir, queries, "--timeout-ms", "0",
+                     "--partial"]) == 0
+
+    def test_sharded_and_flat_print_the_same_counts(self, db_dir, xml_file,
+                                                    tmp_path, queries,
+                                                    capsys):
+        sharded = str(tmp_path / "db_sharded")
+        assert main(["index", xml_file, sharded, "--shards", "2"]) == 0
+        capsys.readouterr()
+        outputs = []
+        for database in (db_dir, sharded):
+            assert main(["serve-batch", database, queries]) == 0
+            outputs.append(self.counts(capsys.readouterr().out))
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 3
+        assert any(int(n) > 0 for _i, n, _q in outputs[0])
+
+    @pytest.mark.parametrize("flag", ["--processes", "--threads"])
+    def test_pool_flags_are_gone(self, db_dir, queries, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-batch", db_dir, queries, flag, "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestMetricsCommand:
     """Satellite: the offline `repro metrics` path -- runs queries
     against a database and dumps the registry."""

@@ -6,8 +6,9 @@ repro.<module>`` and ``repro <verb>`` the docs, CI workflow and verify
 skill name must still exist (see `TestDocumentedCommands`).
 
 Removed names: the options, environment variable and functions that
-went with the four-format storage stack must not come back into a doc,
-the CI workflow or the skill (see `REMOVED_NAMES`).
+went with the four-format storage stack, and the library's own batch
+pools, must not come back into a doc, the CI workflow or the skill
+(see `REMOVED_NAMES`).
 
 The test drives an inline daemon (with accounting, tracing, caching
 and a disk-backed sharded database, so as many families as
@@ -159,6 +160,9 @@ REMOVED_NAMES = (
     "scan_v3_container", "scan_v4_container",
     "parse_v3_payload", "parse_v4_payload", "parse_lazy_postings",
     "check_legacy_dewey", "codec_matrix_ci",
+    # the library's private thread / process pools (serve/ forks, alone)
+    "batch_executor", "processes=", "executor=", "--processes",
+    "_BATCH_FAULT_HOOK", "repro_batch_pool_rebuilds_total",
 )
 
 
@@ -195,6 +199,7 @@ class TestDocumentedCommands:
                     found.setdefault(name, rel)
         assert not found, f"docs name what was removed: {found}"
         # ... and they really are gone from the code the docs describe.
+        import repro.api
         import repro.diskdb
         import repro.index.compression
         import repro.index.lazydisk
@@ -202,9 +207,10 @@ class TestDocumentedCommands:
 
         for name in REMOVED_NAMES:
             if name.isidentifier():
-                for module in (repro.diskdb, repro.index.compression,
-                               repro.index.lazydisk, repro.index.storage):
-                    assert not hasattr(module, name), (module, name)
+                for owner in (repro.diskdb, repro.index.compression,
+                              repro.index.lazydisk, repro.index.storage,
+                              repro.api, repro.api.XMLDatabase):
+                    assert not hasattr(owner, name), (owner, name)
 
     def test_modules_are_importable(self):
         modules = _mentions(MODULE_RE)

@@ -17,6 +17,7 @@ from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
                        NullTracer, SlowQueryLog, Tracer, get_registry,
                        render_trace, spans_per_level_plan, trace_to_jsonl)
 from repro.obs.tracing import NULL_SPAN
+from tests.conftest import on_threads
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +468,7 @@ class TestBatchSummary:
 
     def test_batch_metrics(self, small_db):
         db = _fresh_db(small_db)
-        db.search_batch(["xml data", "keyword search"], threads=2)
+        db.search_batch(["xml data", "keyword search"])
         snap = db.metrics_snapshot()
         assert snap["counters"]["repro_batch_queries_total"] == 2.0
         assert snap["gauges"]["repro_batch_queue_depth"] == 0.0
@@ -690,8 +691,21 @@ class TestTraceCLI:
 
 
 # ---------------------------------------------------------------------------
-# thread-safety under search_batch(threads=N)
+# thread-safety of one database searched from several threads
 # ---------------------------------------------------------------------------
+
+def _search_all(db, queries, threads):
+    """``(results, stats)`` per query, cache off: in this thread for
+    ``threads=1``, else on a pool of that width."""
+    db.columnar_index       # built before the threads race to it
+
+    def search(query):
+        return db.search(query, use_cache=False, with_stats=True)
+
+    if threads == 1:
+        return [search(query) for query in queries]
+    return on_threads(threads, search, queries)
+
 
 class TestThreadSafety:
     QUERIES = ["gamma beta", "cx cy", "c3a c3b", "gamma cx"]
@@ -704,9 +718,9 @@ class TestThreadSafety:
         threaded batch must equal the single-thread sums exactly --
         a lost update under contention would show up as a short count."""
         serial = _fresh_db(corpus_db)
-        serial.search_batch(self.QUERIES * 8, threads=1, use_cache=False)
+        _search_all(serial, self.QUERIES * 8, threads=1)
         threaded = _fresh_db(corpus_db)
-        threaded.search_batch(self.QUERIES * 8, threads=4, use_cache=False)
+        _search_all(threaded, self.QUERIES * 8, threads=4)
         serial_counts = self._counters(serial)
         threaded_counts = self._counters(threaded)
         assert set(serial_counts) == set(threaded_counts)
@@ -718,9 +732,9 @@ class TestThreadSafety:
         publishes one observation per touched phase regardless of which
         worker thread ran it."""
         serial = _fresh_db(corpus_db)
-        serial.search_batch(self.QUERIES * 4, threads=1, use_cache=False)
+        _search_all(serial, self.QUERIES * 4, threads=1)
         threaded = _fresh_db(corpus_db)
-        threaded.search_batch(self.QUERIES * 4, threads=4, use_cache=False)
+        _search_all(threaded, self.QUERIES * 4, threads=4)
         serial_hist = serial.metrics.snapshot()["histograms"]
         threaded_hist = threaded.metrics.snapshot()["histograms"]
         serial_phases = {key: data["count"]
@@ -740,8 +754,7 @@ class TestThreadSafety:
         would splice one query's spans under another's root."""
         tracer = Tracer(capacity=64)
         db = _fresh_db(corpus_db, tracer=tracer)
-        results = db.search_batch(self.QUERIES * 2, threads=4,
-                                  use_cache=False, with_stats=True)
+        results = _search_all(db, self.QUERIES * 2, threads=4)
         roots = [root for root in tracer.roots() if root.name == "query"]
         assert len(roots) == len(self.QUERIES) * 2
         stage_names = {"parse", "cache_lookup", "postings_fetch", "join",
@@ -763,10 +776,9 @@ class TestThreadSafety:
 
     def test_threaded_results_equal_serial_results(self, corpus_db):
         db = _fresh_db(corpus_db)
-        serial = db.search_batch(self.QUERIES, threads=1, use_cache=False)
-        threaded = db.search_batch(self.QUERIES, threads=4,
-                                   use_cache=False)
-        for left, right in zip(serial, threaded):
+        serial = _search_all(db, self.QUERIES, threads=1)
+        threaded = _search_all(db, self.QUERIES, threads=4)
+        for (left, _), (right, _) in zip(serial, threaded):
             assert [r.node.dewey for r in left] == \
                 [r.node.dewey for r in right]
 

@@ -348,10 +348,20 @@ class TestBatchIsolation:
 
     @pytest.mark.parametrize("threads", [None, 3])
     def test_queue_depth_returns_to_rest(self, small_db, threads):
+        """Error isolation releases every slot, also when several
+        batches run against the database at once."""
+        from tests.conftest import on_threads
+
+        small_db.columnar_index
         gauge = small_db.metrics.gauge("repro_batch_queue_depth")
         rest = gauge.value
-        small_db.search_batch(["xml data", _Unparseable(), "data"],
-                              threads=threads)
+        queries = ["xml data", _Unparseable(), "data"]
+        if threads is None:
+            batches = [small_db.search_batch(queries)]
+        else:
+            batches = on_threads(threads, small_db.search_batch,
+                                 [queries] * threads)
+        assert all(set(batch.errors) == {1} for batch in batches)
         assert gauge.value == rest
 
     def test_queue_depth_survives_fail_fast(self, small_db):

@@ -115,6 +115,59 @@ class TestEquivalence:
         assert not got.errors
 
 
+class TestBatchParity:
+    """Both database kinds run `repro.api.run_batch`: a mixed batch
+    isolates, times, summarizes and counts the same way on either."""
+
+    BATCH_COUNTERS = ("repro_batch_query_errors_total",
+                      "repro_batch_queries_total",
+                      'repro_deadline_hits_total{outcome="error"}')
+
+    @pytest.mark.parametrize("timeout_ms", (None, 0))
+    def test_mixed_batch_same_on_flat_and_sharded(self, timeout_ms):
+        import inspect
+
+        from repro.obs import MetricsRegistry
+        from tests.conftest import SMALL_XML
+
+        flat = XMLDatabase.from_xml_text(SMALL_XML,
+                                         metrics=MetricsRegistry())
+        sharded = ShardedDatabase.from_database(flat, 2)
+        queries = ["xml data", object(), "xml data"]    # good, unparseable
+
+        def run(db):
+            before = db.metrics.snapshot()["counters"]
+            batch = db.search_batch(queries, timeout_ms=timeout_ms)
+            after = db.metrics.snapshot()["counters"]
+            return batch, {name: after.get(name, 0) - before.get(name, 0)
+                           for name in self.BATCH_COUNTERS}
+
+        (want, want_deltas), (got, got_deltas) = run(flat), run(sharded)
+        assert sorted(want.errors) == ([1] if timeout_ms is None
+                                       else [0, 1, 2])
+        assert {i: type(e) for i, e in got.errors.items()} == \
+            {i: type(e) for i, e in want.errors.items()}
+        assert [entry is None for entry in got] == \
+            [entry is None for entry in want]
+        # a failed slot records 0.0, a served one its wall time
+        assert [ms == 0.0 for ms in got.latencies_ms] == \
+            [ms == 0.0 for ms in want.latencies_ms] == \
+            [index in want.errors for index in range(len(queries))]
+        for field in ("cache_hits", "cache_misses", "cache_evictions",
+                      "partial"):
+            assert getattr(got.summary, field) == \
+                getattr(want.summary, field), field
+        assert got_deltas == want_deltas
+        assert want_deltas["repro_batch_queries_total"] == len(queries)
+        assert want_deltas["repro_batch_query_errors_total"] == \
+            len(want.errors)
+        assert want_deltas['repro_deadline_hits_total{outcome="error"}'] \
+            == (0 if timeout_ms is None else 2)
+        for db in (flat, sharded):
+            assert not {"threads", "processes", "executor"} & set(
+                inspect.signature(db.search_batch).parameters)
+
+
 class TestDiskRoundTrip:
     @pytest.fixture(scope="class")
     def sharded_dir(self, dblp_db, tmp_path_factory):
