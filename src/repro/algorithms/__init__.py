@@ -8,8 +8,7 @@ from .join_based import JoinBasedSearch
 from .stack_based import StackBasedSearch
 from .index_based import IndexBasedSearch
 from .rdil import RDILSearch
-from .topk_join import (CLASSIC, GROUP, CompletedResult, ListInput,
-                        TopKStarJoin, topk_join)
+from .topk_join import CLASSIC, GROUP, BlockStarJoin
 from .topk_keyword import TopKKeywordSearch
 from .hybrid import HybridTopKSearch
 from .oracle import SemanticsOracle
@@ -33,10 +32,7 @@ __all__ = [
     "RDILSearch",
     "CLASSIC",
     "GROUP",
-    "CompletedResult",
-    "ListInput",
-    "TopKStarJoin",
-    "topk_join",
+    "BlockStarJoin",
     "TopKKeywordSearch",
     "HybridTopKSearch",
     "SemanticsOracle",

@@ -18,8 +18,9 @@ Two interchangeable implementations:
   contained-or-disjoint property to merge swallowed ranges.
 
 Both expose scalar (`mark`/`erased_count`) and bulk
-(`mark_many`/`erased_counts`) APIs; the bulk entry points back the
-vectorized level loop of `repro.algorithms.join_based`.  The bitmap
+(`mark_many`/`erased_counts`/`free_mask`) APIs; the bulk entry points
+back the level loops of `repro.algorithms.join_based` and the top-K
+engines, which all erase a level through `erase_runs`.  The bitmap
 answers bulk counts from a cached cumulative-sum prefix array (rebuilt
 lazily after marks change); the interval eraser answers them with a
 vectorized binary search over its interval endpoints.
@@ -101,9 +102,6 @@ class BitmapEraser:
             self._prefix = np.concatenate(
                 ([0], np.cumsum(self._marks, dtype=np.int64)))
         return self._prefix[highs] - self._prefix[lows]
-
-    def is_erased(self, ordinal: int) -> bool:
-        return bool(self._marks[ordinal])
 
     def free_mask(self, ordinals: np.ndarray) -> np.ndarray:
         """Boolean mask of *non*-erased entries for an ordinal array."""
@@ -203,10 +201,6 @@ class IntervalEraser:
         if not self._starts or len(lows) == 0:
             return np.zeros(len(lows), dtype=np.int64)
         return self._coverage(highs) - self._coverage(lows)
-
-    def is_erased(self, ordinal: int) -> bool:
-        i = bisect.bisect_right(self._starts, ordinal) - 1
-        return i >= 0 and ordinal < self._ends[i]
 
     def free_mask(self, ordinals: np.ndarray) -> np.ndarray:
         ordinals = np.asarray(ordinals, dtype=np.int64)
@@ -562,11 +556,6 @@ class RoaringEraser:
             return np.zeros(len(lows), dtype=np.int64)
         return self._coverage(highs) - self._coverage(lows)
 
-    def is_erased(self, ordinal: int) -> bool:
-        starts, ends, _prefix = self._flatten()
-        i = int(np.searchsorted(starts, ordinal, side="right")) - 1
-        return i >= 0 and ordinal < int(ends[i])
-
     def free_mask(self, ordinals: np.ndarray) -> np.ndarray:
         """Boolean mask of *non*-erased entries for an ordinal array."""
         ordinals = np.asarray(ordinals, dtype=np.int64)
@@ -605,6 +594,18 @@ class RoaringEraser:
 
 ERASER_MODES = {"bitmap": BitmapEraser, "interval": IntervalEraser,
                 "roaring": RoaringEraser}
+
+
+def erase_runs(columns, run_bounds, erasers) -> int:
+    """Erase what one level's join consumed: per column, the sequence
+    span of every joined number's run (``run_bounds[t]`` is column t's
+    `runs_of` them).  Returns the column entries covered -- the
+    ``erasures`` work counter of every engine that walks the levels."""
+    erased = 0
+    for column, (lows, highs), eraser in zip(columns, run_bounds, erasers):
+        eraser.mark_many(*column.ordinal_spans(lows, highs))
+        erased += int((highs - lows).sum())
+    return erased
 
 
 def make_eraser(mode: str, size: int):

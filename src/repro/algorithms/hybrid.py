@@ -19,22 +19,38 @@ at *every level* a cardinality estimate picks the plan --
 Cardinality is re-estimated per level, giving the context-awareness of
 section III-C: the same query may scan eagerly at the paper level and
 rank-join at the conference level.
+
+Both kinds of level keep their results as arrays in the run's buffer and
+erase through the same helper; only emitted results become nodes.
+
+``switch_factor = 4.0`` was re-measured when the rank join went
+block-at-a-time (22 `fig10_topk` queries, seed 7, 20 000 papers, top-10,
+geomean of per-query medians over 7 interleaved passes): factor 0
+(always rank-join) 4.13 ms, 0.5 2.83, 1 2.74, 2 2.53, **4 2.14**
+(`topk_plan_share` 0.39), 8 2.02, 16 1.78, 64 1.36, never 1.22; the
+pure top-K engine 4.07.  The curve has no minimum to move the constant
+to: at this corpus size an eager level is cheaper than a rank-join level
+on every query, correlated ones included (1.7 against 3.3 ms), because
+both read their columns once -- the rank join's ranked input is a filter
+over the whole column -- and the eager level then pays no per-block
+overhead.  The constant stays; what would make the choice a real one is
+a cost model that sees column sizes (ROADMAP, the top-K item).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..index.columnar import ColumnarIndex
-from ..index.scored import ScoredPostings
 from ..planner.cardinality import CardinalityEstimator
 from ..planner.plans import JoinPlanner
-from .base import (ELCA, SLCA, ExecutionStats, SearchResult, TopKResult,
+from .base import (ELCA, ExecutionStats, SearchResult, TopKResult,
                    check_semantics)
-from .erasure import make_eraser
-from .topk_join import GROUP, TopKStarJoin
-from .topk_keyword import TopKKeywordSearch, _CursorInput
+from .join_based import check_level
+from .topk_join import GROUP
+from .topk_keyword import TopKKeywordSearch, _TopKRun
 
 
 class HybridTopKSearch(TopKKeywordSearch):
@@ -55,128 +71,60 @@ class HybridTopKSearch(TopKKeywordSearch):
         check_semantics(semantics)
         stats = ExecutionStats()
         terms = list(terms)
+        self.plan_trace: List[str] = []
         if not terms or k <= 0:
             return TopKResult([], stats)
         postings = self.index.query_postings(terms)
         if any(len(p) == 0 for p in postings):
             return TopKResult([], stats)
-        term_order = {p.term: i for i, p in enumerate(postings)}
-        caller_slot = [term_order[t] for t in terms]
-        ops = self._bound_ops(caller_slot)
+        run = _TopKRun(self, postings, terms, semantics, stats, k)
+        emitted: List[SearchResult] = []
 
-        damping_base = self.ranking.damping.base
-        scored = [ScoredPostings(p, damping_base) for p in postings]
-        erasers = [make_eraser(self.eraser_mode, len(p)) for p in postings]
-        start_level = min(p.max_len for p in postings)
-        cross_bound = self._cross_level_bounds(scored, start_level, ops)
+        def top_k(terminated_early: bool) -> TopKResult:
+            del emitted[k:]
+            stats.results_emitted = len(emitted)
+            return TopKResult(emitted, stats,
+                              terminated_early=terminated_early)
 
-        buffer: list = []
-        emitted: list = []
-        self.plan_trace: List[str] = []
-
-        for level in range(start_level, 0, -1):
+        for level in range(run.start_level, 0, -1):
             columns = [p.column(level) for p in postings]
-            below = cross_bound[level - 2] if level > 1 else -float("inf")
+            below = run.below(level)
             if any(len(c) == 0 for c in columns):
-                if self._flush(buffer, emitted, k, below):
-                    return TopKResult(emitted, stats, terminated_early=True)
+                emitted += run.flush(below)
+                if len(emitted) >= k:
+                    return top_k(True)
                 continue
             stats.levels_processed += 1
             estimate = self.estimator.estimate([c.distinct for c in columns])
-            remaining = k - len(emitted)
-            use_topk = estimate >= self.switch_factor * remaining
+            use_topk = estimate >= self.switch_factor * (k - len(emitted))
             self.plan_trace.append("topk" if use_topk else "eager")
+            joined = None
             if use_topk:
-                done = self._topk_level(postings, columns, scored, erasers,
-                                        semantics, caller_slot, level, k,
-                                        below, buffer, emitted, stats, ops)
-                if done:
-                    return TopKResult(emitted, stats, terminated_early=True)
+                join = run.rank_join(level, columns)
+                while join.pull():
+                    emitted += run.harvest(join, level, columns, below)
+                    if len(emitted) >= k:
+                        return top_k(True)
             else:
-                self._eager_level(postings, columns, erasers, semantics,
-                                  caller_slot, level, buffer, stats)
-            self._erase_level(columns, erasers, stats, level)
-            if self._flush(buffer, emitted, k, below):
-                return TopKResult(emitted, stats, terminated_early=level > 1)
-        self._flush(buffer, emitted, k, -float("inf"))
-        return TopKResult(emitted, stats)
-
-    # ------------------------------------------------------------------
-
-    def _topk_level(self, postings, columns, scored, erasers, semantics,
-                    caller_slot, level, k, below, buffer, emitted,
-                    stats, ops=None) -> bool:
-        """Run one level as a top-K star join; True if K got emitted."""
-        inputs = [
-            _CursorInput(s.cursor(level, skip=e.is_erased))
-            for s, e in zip(scored, erasers)
-        ]
-        join = TopKStarJoin(inputs, k, self.bound_mode, stats, ops)
-        consumed = 0
-        steps_since_attempt = 0
-        while join.step():
-            steps_since_attempt += 1
-            if (len(join.completed) == consumed
-                    and steps_since_attempt < 16):
-                continue
-            steps_since_attempt = 0
-            for completed in join.completed[consumed:]:
-                result = self._materialize(completed, level, postings,
-                                           columns, erasers, semantics,
-                                           caller_slot)
-                if result is not None:
-                    heapq.heappush(buffer,
-                                   (-result.score, result.node.dewey, result))
-            consumed = len(join.completed)
-            bound = max(join.threshold(), below)
-            while buffer and len(emitted) < k and -buffer[0][0] >= bound:
-                emitted.append(heapq.heappop(buffer)[2])
-                stats.results_emitted += 1
+                joined = self._eager_level(run, level, columns)
+            run.erase(level, columns, joined)
+            emitted += run.flush(below)
             if len(emitted) >= k:
-                return True
-        for completed in join.completed[consumed:]:
-            result = self._materialize(completed, level, postings, columns,
-                                       erasers, semantics, caller_slot)
-            if result is not None:
-                heapq.heappush(buffer,
-                               (-result.score, result.node.dewey, result))
-        return False
+                return top_k(level > 1)
+        emitted += run.flush(-float("inf"))
+        return top_k(False)
 
-    def _eager_level(self, postings, columns, erasers, semantics,
-                     caller_slot, level, buffer, stats) -> None:
-        """Evaluate one level with the complete column join."""
+    def _eager_level(self, run: _TopKRun, level: int, columns) -> np.ndarray:
+        """Evaluate one level with the complete column join and buffer
+        its scored results; returns the joined numbers."""
         joined = self.planner.intersect_all(
-            [c.distinct for c in columns], stats, level)
-        damping_base = self.ranking.damping.base
-        for number in joined:
-            stats.candidates_checked += 1
-            witness = [0.0] * len(postings)
-            ok = True
-            for t, column in enumerate(columns):
-                a, b = column.run_of(int(number))
-                ordinals = column.seq_idx[a:b]
-                lo, hi = int(ordinals[0]), int(ordinals[-1]) + 1
-                erased = erasers[t].erased_count(lo, hi)
-                if semantics == SLCA:
-                    if erased:
-                        ok = False
-                        break
-                    free = ordinals
-                else:
-                    if erased >= b - a:
-                        ok = False
-                        break
-                    free = (ordinals[erasers[t].free_mask(ordinals)]
-                            if erased else ordinals)
-                p = postings[t]
-                damped = (p.scores[free]
-                          * damping_base ** (p.lengths[free] - level))
-                witness[t] = float(damped.max())
-            if not ok:
-                continue
-            node = self.index.node_at(level, int(number))
-            ordered = tuple(witness[slot] for slot in caller_slot)
-            score = self.ranking.score_result(ordered)
-            heapq.heappush(buffer, (-score, node.dewey,
-                                    SearchResult(node, level, score,
-                                                 ordered)))
+            [c.distinct for c in columns], run.stats, level)
+        run.stats.candidates_checked += len(joined)
+        if len(joined):
+            alive, witness = check_level(
+                level, run.postings, columns,
+                [c.runs_of(joined) for c in columns], run.erasers,
+                run.semantics, run.damping_base)
+            if len(alive):
+                run.push(level, joined[alive], witness)
+        return joined

@@ -52,7 +52,7 @@ from ..reliability.errors import DeadlineExceeded
 from ..scoring.ranking import RankingModel
 from .base import (ELCA, SLCA, ExecutionStats, SearchResult, check_semantics,
                    sort_by_document_order)
-from .erasure import make_eraser
+from .erasure import erase_runs, make_eraser
 
 
 class JoinBasedSearch:
@@ -216,25 +216,11 @@ class JoinBasedSearch:
             observer(level, columns, joined, emitted_at_level)
         # Erase every joined range *after* the level is fully checked:
         # same-level candidates never interact (disjoint subtrees).
-        erasure_mark = stats.erasures
         with tracer.span("erase", level=level) as espan, \
                 profile_phase("erase"):
-            if self.vectorized:
-                for t, column in enumerate(columns):
-                    lows, highs = run_bounds[t]
-                    lo_ords, hi_ords = column.ordinal_spans(lows, highs)
-                    erasers[t].mark_many(lo_ords, hi_ords)
-                    stats.erasures += int((highs - lows).sum())
-            else:
-                for t, column in enumerate(columns):
-                    lows, highs = run_bounds[t]
-                    for j in range(len(joined)):
-                        a, b = int(lows[j]), int(highs[j])
-                        ordinals = column.seq_idx[a:b]
-                        erasers[t].mark(int(ordinals[0]),
-                                        int(ordinals[-1]) + 1)
-                        stats.erasures += b - a
-            espan.tag(erased=stats.erasures - erasure_mark)
+            erased = erase_runs(columns, run_bounds, erasers)
+            stats.erasures += erased
+            espan.tag(erased=erased)
 
     def _check_level_vectorized(self, joined: np.ndarray, level: int,
                                 postings: List[ColumnarPostings], columns,
@@ -242,48 +228,13 @@ class JoinBasedSearch:
                                 with_scores: bool, caller_slot: List[int],
                                 damping_base: float, stats: ExecutionStats,
                                 results: List[SearchResult]) -> int:
-        """Apply the ELCA/SLCA test to every joined number of a level.
-
-        Bit-identical to looping `_check_candidate`, but every step is a
-        bulk array operation: erased counts per run come from the
-        eraser's prefix/binary-search bulk API, free witnesses from a
-        bulk mask, and per-run best damped scores from a segment max
-        (`np.maximum.reduceat`) over the concatenated run ordinals.
-        """
-        n = len(joined)
-        stats.candidates_checked += n
-        alive = np.ones(n, dtype=bool)
-        for t, column in enumerate(columns):
-            lows, highs = run_bounds[t]
-            lo_ords, hi_ords = column.ordinal_spans(lows, highs)
-            erased = erasers[t].erased_counts(lo_ords, hi_ords)
-            if semantics == SLCA:
-                alive &= erased == 0
-            else:
-                alive &= erased < highs - lows
-        alive_idx = np.nonzero(alive)[0]
+        """Apply `check_level` to a level and materialise what passes."""
+        stats.candidates_checked += len(joined)
+        alive_idx, witness = check_level(
+            level, postings, columns, run_bounds, erasers, semantics,
+            damping_base, with_scores)
         if len(alive_idx) == 0:
             return 0
-        if with_scores:
-            witness = np.empty((len(columns), len(alive_idx)),
-                               dtype=np.float64)
-            for t, column in enumerate(columns):
-                lows, highs = run_bounds[t]
-                a_lows = lows[alive_idx]
-                counts = (highs - lows)[alive_idx]
-                offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                total = int(offsets[-1] + counts[-1])
-                # Concatenated positions of every surviving run: for run
-                # j the slots offsets[j]:offsets[j]+counts[j] hold
-                # a_lows[j] .. a_lows[j]+counts[j]-1.
-                flat = np.repeat(a_lows - offsets, counts) + np.arange(total)
-                ordinals = column.seq_idx[flat]
-                p = postings[t]
-                damped = (p.scores[ordinals]
-                          * damping_base ** (p.lengths[ordinals] - level))
-                free = erasers[t].free_mask(ordinals)
-                witness[t] = np.maximum.reduceat(
-                    np.where(free, damped, -np.inf), offsets)
         # One bulk resolution per level; a per-result lookup was a
         # third of a cold query on a disk-backed index.
         nodes = self.index.nodes_at(level, joined[alive_idx])
@@ -336,6 +287,54 @@ class JoinBasedSearch:
         ordered = tuple(witness[slot] for slot in caller_slot)
         score = self.ranking.score_result(ordered) if with_scores else 0.0
         return SearchResult(node, level, score, ordered)
+
+
+def check_level(level: int, postings: List[ColumnarPostings], columns,
+                run_bounds, erasers, semantics: str, damping_base: float,
+                with_scores: bool = True
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The ELCA/SLCA test over every joined number of a level, in bulk.
+
+    ``run_bounds[t]`` is column t's `runs_of` the joined numbers.
+    Returns the positions that pass and, with scores, ``witness[t, i]``:
+    the best damped free occurrence of term t under the i-th survivor.
+    Bit-identical to looping `JoinBasedSearch._check_candidate`, but
+    every step is a bulk array operation: erased counts per run come
+    from the eraser's prefix/binary-search bulk API, free witnesses from
+    a bulk mask, and per-run best damped scores from a segment max
+    (`np.maximum.reduceat`) over the concatenated run ordinals.
+    """
+    alive = np.ones(len(run_bounds[0][0]), dtype=bool)
+    for t, column in enumerate(columns):
+        lows, highs = run_bounds[t]
+        lo_ords, hi_ords = column.ordinal_spans(lows, highs)
+        erased = erasers[t].erased_counts(lo_ords, hi_ords)
+        if semantics == SLCA:
+            alive &= erased == 0
+        else:
+            alive &= erased < highs - lows
+    alive_idx = np.nonzero(alive)[0]
+    if len(alive_idx) == 0 or not with_scores:
+        return alive_idx, None
+    witness = np.empty((len(columns), len(alive_idx)), dtype=np.float64)
+    for t, column in enumerate(columns):
+        lows, highs = run_bounds[t]
+        a_lows = lows[alive_idx]
+        counts = (highs - lows)[alive_idx]
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        total = int(offsets[-1] + counts[-1])
+        # Concatenated positions of every surviving run: for run j the
+        # slots offsets[j]:offsets[j]+counts[j] hold
+        # a_lows[j] .. a_lows[j]+counts[j]-1.
+        flat = np.repeat(a_lows - offsets, counts) + np.arange(total)
+        ordinals = column.seq_idx[flat]
+        p = postings[t]
+        damped = (p.scores[ordinals]
+                  * damping_base ** (p.lengths[ordinals] - level))
+        free = erasers[t].free_mask(ordinals)
+        witness[t] = np.maximum.reduceat(
+            np.where(free, damped, -np.inf), offsets)
+    return alive_idx, witness
 
 
 def search(index: ColumnarIndex, terms: Sequence[str],

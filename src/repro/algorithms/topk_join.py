@@ -1,38 +1,46 @@
 """Top-K star join (paper section IV-B) and the classic rank-join bound.
 
-The operator consumes k ranked inputs (score-descending streams of
-``(id, score)`` tuples) joined on id -- the star pattern
-``R1.id = R2.id = ... = Rk.id``.  Tuples accumulate in a hash bucket;
-an id seen in all k inputs becomes a *completed* result whose score sums
-the per-input scores (first occurrence per input wins, which is the max
-because streams descend).
+The operator consumes k ranked inputs (score-descending ``(ids, scores)``
+arrays) joined on id -- the star pattern ``R1.id = R2.id = ... = Rk.id``.
+An id seen in all k inputs becomes a *completed* result whose score
+folds the per-input scores (first occurrence per input wins, which is
+the max because inputs descend).
+
+It runs block-at-a-time: a pull takes a slice of one input, and the join
+state lives in dense arrays over the universe of ids (`seen` bit masks,
+`partial` aggregates, `witness[k, U]` per-input scores), so a block costs
+a fixed number of array operations and no per-tuple Python.
 
 Two thresholds for results not yet completed:
 
 * ``classic`` -- the HRJN/TA bound: ``max_i (s^i + sum_{j != i} s_m^j)``
   with ``s^i`` the next unseen score of input i and ``s_m^j`` the very
   first (maximum) score of input j.
-* ``group``   -- the paper's tighter star-join bound: bucket tuples are
+* ``group``   -- the paper's tighter star-join bound: pending ids are
   grouped by the subset P of inputs that have seen them;
   ``max(sum_i s^i, max_P (ms(G_P) + sum_{j not in P} s^j))`` where
-  ``ms(G_P)`` is the best current partial sum in the group.  The first
-  term covers ids never seen anywhere; the paper proves the group term
-  dominates it whenever the bucket is non-empty, but keeping it makes
-  the empty-bucket case explicit.
+  ``ms(G_P)`` is the best current partial in the group, recomputed
+  exactly from the pending ids.  The first term covers ids never seen
+  anywhere; the paper proves the group term dominates it whenever a
+  group is live, but keeping it makes the empty case explicit.
 
 Exhausted inputs drop out of the bound naturally: an id that has not
 been seen in an exhausted input can never complete, so its partial is
 dead and case 1 is impossible.
 
-The cursor policy follows the paper: round-robin until K results have
-been *generated*, then always advance the input with the largest next
-score ``s^i``.
+The cursor policy follows the paper at block granularity: round-robin
+until K results have been *generated*, then always advance the input
+with the largest next score ``s^i``.  Both bounds are evaluated at block
+boundaries, where they are exact; the price is over-reading at most one
+block per input.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .base import ExecutionStats
 
@@ -40,16 +48,34 @@ CLASSIC = "classic"
 GROUP = "group"
 BOUND_MODES = (CLASSIC, GROUP)
 
+#: Tuples per pull: an input's first pull reads `BLOCK_START` (the
+#: emission cadence of the tuple-at-a-time join this replaced), every
+#: later one twice the one before, up to `BLOCK_CAP` -- so an input is
+#: over-read by less than what it had to read anyway, plus one block.
+BLOCK_START = 16
+BLOCK_CAP = 4096
+
+
+def sorted_union(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The distinct values of `arrays`, ascending (a sort and a
+    neighbour test: several times faster than `np.unique`'s hash path
+    on inputs that are sorted runs already)."""
+    merged = np.sort(np.concatenate(arrays))
+    keep = np.ones(len(merged), dtype=bool)
+    keep[1:] = merged[1:] != merged[:-1]
+    return merged[keep]
+
 
 class BoundOps:
     """Per-slot aggregation implementing a monotone combining function.
 
-    The star join's bucket and thresholds only need three operations on
+    The star join's state and thresholds only need three operations on
     F: fold one more per-input score into a partial aggregate, finish a
     full per-slot vector, and bound a partial given the next unseen
     score of every missing input.  ``sum`` (the paper's exposition),
     per-slot ``weighted`` sums, and ``max`` are provided; any F whose
     partials are totally ordered and monotone fits the same interface.
+    Scores may be floats or arrays of them.
     """
 
     identity = 0.0
@@ -63,23 +89,20 @@ class BoundOps:
         self.mode = mode
         self.weights = tuple(weights) if weights is not None else None
 
-    def _scale(self, score: float, slot: int) -> float:
-        if self.mode == "weighted":
-            return self.weights[slot] * score
-        return score
-
-    def fold(self, partial: float, score: float, slot: int) -> float:
+    def fold(self, partial, score, slot: int):
         """Aggregate one more input's score into a partial result."""
-        scaled = self._scale(score, slot)
+        if self.mode == "weighted":
+            score = self.weights[slot] * score
         if self.mode == "max":
-            return max(partial, scaled)
-        return partial + scaled
+            return np.maximum(partial, score)
+        return partial + score
 
-    def complete(self, scores: Sequence[float]) -> float:
-        """F over a full per-slot score vector."""
+    def complete(self, scores, order: Optional[Sequence[int]] = None):
+        """F over a full per-slot score vector, folded in `order`
+        (slot order by default)."""
         partial = self.identity
-        for slot, score in enumerate(scores):
-            partial = self.fold(partial, score, slot)
+        for slot in (range(len(scores)) if order is None else order):
+            partial = self.fold(partial, scores[slot], slot)
         return partial
 
     def bound(self, partial: float, nexts: Sequence[Optional[float]],
@@ -94,297 +117,193 @@ class BoundOps:
         return partial
 
 
-class RankedInput(Protocol):
-    """A score-descending stream of (id, score) tuples."""
+class BlockStarJoin:
+    """Incremental star rank-join over k ranked inputs, a block at a time.
 
-    def peek_score(self) -> Optional[float]:
-        """Score of the next tuple, or None when exhausted."""
-        ...
-
-    def pop(self) -> Optional[Tuple[int, float]]:
-        """Retrieve the next tuple, or None when exhausted."""
-        ...
-
-
-class ListInput:
-    """A `RankedInput` over a pre-sorted list (tests, examples, ablation)."""
-
-    def __init__(self, tuples: Sequence[Tuple[int, float]]):
-        scores = [s for _, s in tuples]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("ranked input must be sorted score-descending")
-        self._tuples = list(tuples)
-        self._pos = 0
-
-    def peek_score(self) -> Optional[float]:
-        if self._pos >= len(self._tuples):
-            return None
-        return self._tuples[self._pos][1]
-
-    def pop(self) -> Optional[Tuple[int, float]]:
-        if self._pos >= len(self._tuples):
-            return None
-        tup = self._tuples[self._pos]
-        self._pos += 1
-        return tup
-
-
-class _BucketEntry:
-    """Partial join state of one id."""
-
-    __slots__ = ("key", "seen_mask", "partial_sum", "scores")
-
-    def __init__(self, key: int, k: int):
-        self.key = key
-        self.seen_mask = 0
-        self.partial_sum = 0.0
-        self.scores = [0.0] * k
-
-
-class CompletedResult:
-    """An id matched in all k inputs, with its per-input scores."""
-
-    __slots__ = ("key", "score", "scores")
-
-    def __init__(self, key: int, score: float, scores: List[float]):
-        self.key = key
-        self.score = score
-        self.scores = scores
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Completed {self.key} score={self.score:.3f}>"
-
-
-class TopKStarJoin:
-    """Incremental star rank-join over k ranked inputs.
-
-    Drive it with `step()` (one tuple retrieval); read `completed` for
-    generated results and `threshold()` for the bound on everything not
-    yet generated.  A driver (e.g. the top-K keyword algorithm) combines
-    the threshold with its own cross-level bounds before emitting.
+    Drive it with `pull()` (one block from one input); collect generated
+    results with `take_completed()` and read `threshold()` for the bound
+    on everything not yet generated.  A driver (e.g. the top-K keyword
+    algorithm) combines the threshold with its own cross-level bounds
+    before emitting.  ``universe`` is a sorted array holding every id
+    the inputs can carry; it is derived from them when not given.
     """
 
-    def __init__(self, inputs: Sequence[RankedInput], target_k: int,
-                 bound_mode: str = GROUP,
+    def __init__(self, inputs: Sequence[Tuple[np.ndarray, np.ndarray]],
+                 target_k: int, bound_mode: str = GROUP,
                  stats: Optional[ExecutionStats] = None,
-                 ops: Optional[BoundOps] = None):
+                 ops: Optional[BoundOps] = None,
+                 universe: Optional[np.ndarray] = None):
         if bound_mode not in BOUND_MODES:
             raise ValueError(
                 f"unknown bound mode {bound_mode!r}; one of {BOUND_MODES}")
-        if not inputs:
-            raise ValueError("need at least one ranked input")
-        self.inputs = list(inputs)
+        if not 0 < len(inputs) < 63:
+            raise ValueError("need between 1 and 62 ranked inputs")
+        self._ids = [np.asarray(ids, dtype=np.int64) for ids, _ in inputs]
+        self._scores = [np.asarray(scores, dtype=np.float64)
+                        for _, scores in inputs]
+        if any(np.any(s[1:] > s[:-1]) for s in self._scores):
+            raise ValueError("ranked input must be sorted score-descending")
         self.k = len(inputs)
         self.target_k = target_k
         self.bound_mode = bound_mode
         self.ops = ops if ops is not None else BoundOps()
         self.stats = stats if stats is not None else ExecutionStats()
-        self._bucket: Dict[int, _BucketEntry] = {}
-        # Group index: seen_mask -> (best partial sum, member count).  The
-        # best is a monotone cache: when its witness leaves the group the
-        # value may be stale-high, which keeps the bound sound; it is
-        # dropped as soon as the group empties.
-        self._group_best: Dict[int, float] = {}
-        self._group_count: Dict[int, int] = {}
-        self._max_scores = [inp.peek_score() for inp in inputs]
+        if universe is None:
+            universe = sorted_union(self._ids)
+        self._universe = universe
+        self._full = (1 << self.k) - 1
+        self._seen = np.zeros(len(universe), dtype=np.int64)
+        self._partial = np.full(len(universe), self.ops.identity)
+        self._witness = np.zeros((self.k, len(universe)))
+        # Ids seen somewhere but not everywhere, as chunks of positions
+        # in the universe; completed ones are dropped (and the chunks
+        # merged) when the groups are read.
+        self._pending: List[np.ndarray] = []
+        self._pos = [0] * self.k
+        self._block = [BLOCK_START] * self.k
+        # s^i: the score each input serves next, None once it is dry;
+        # s_m^i is where it started.
+        self._nexts: List[Optional[float]] = [
+            float(scores[0]) if len(scores) else None
+            for scores in self._scores]
+        self._max_scores = list(self._nexts)
         self._round_robin = 0
-        self.completed: List[CompletedResult] = []
-        self._completed_keys: set = set()
+        self._done: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.completed = 0
         self.tuples_retrieved = 0
 
     # ------------------------------------------------------------------
-    # stepping
+    # pulling
     # ------------------------------------------------------------------
 
     def _choose_input(self) -> Optional[int]:
-        alive = [i for i, inp in enumerate(self.inputs)
-                 if inp.peek_score() is not None]
+        nexts = self._nexts
+        alive = [i for i, s in enumerate(nexts) if s is not None]
         if not alive:
             return None
-        if len(self.completed) < self.target_k:
-            for _ in range(self.k):
+        if self.completed < self.target_k:
+            while True:
                 i = self._round_robin
-                self._round_robin = (self._round_robin + 1) % self.k
-                if i in alive:
+                self._round_robin = (i + 1) % self.k
+                if nexts[i] is not None:
                     return i
-            return alive[0]
-        return max(alive, key=lambda i: self.inputs[i].peek_score())
+        return max(alive, key=nexts.__getitem__)
 
-    def step(self) -> bool:
-        """Retrieve one tuple; False when every input is exhausted."""
+    def pull(self) -> bool:
+        """Retrieve one block; False when every input is exhausted."""
         i = self._choose_input()
         if i is None:
             return False
-        tup = self.inputs[i].pop()
-        if tup is None:
-            return True
-        key, score = tup
-        self.tuples_retrieved += 1
-        self.stats.tuples_scanned += 1
-        if key in self._completed_keys:
-            # Later (lower-scored) occurrences of a finished id: the join
-            # has set semantics, the first completion already holds every
-            # input's maximum.
-            return True
-        entry = self._bucket.get(key)
-        if entry is None:
-            entry = _BucketEntry(key, self.k)
-            self._bucket[key] = entry
+        ranked = self._scores[i]
+        start = self._pos[i]
+        stop = self._pos[i] = min(start + self._block[i], len(ranked))
+        self._block[i] = min(2 * self._block[i], BLOCK_CAP)
+        self._nexts[i] = float(ranked[stop]) if stop < len(ranked) else None
+        self.tuples_retrieved += stop - start
+        self.stats.tuples_scanned += stop - start
+        # Set semantics: of an id's occurrences in one input only the
+        # first (max) counts -- `np.unique` keeps it within the block,
+        # the bit test drops ids this input (or a completion) has seen.
+        idx, first = np.unique(
+            np.searchsorted(self._universe, self._ids[i][start:stop]),
+            return_index=True)
         bit = 1 << i
-        if entry.seen_mask & bit:
-            # A lower-scored duplicate from the same input: set semantics,
-            # the first (max) occurrence already counted.
-            return True
-        old_mask = entry.seen_mask
-        entry.seen_mask |= bit
-        entry.scores[i] = score
-        entry.partial_sum = self.ops.fold(entry.partial_sum, score, i)
-        if entry.seen_mask == (1 << self.k) - 1:
-            del self._bucket[key]
-            self._completed_keys.add(key)
-            self.completed.append(
-                CompletedResult(key, entry.partial_sum, entry.scores))
-            self._forget_group(old_mask)
-        else:
-            self._update_group(old_mask, entry)
+        fresh = (self._seen[idx] & bit) == 0
+        idx, scores = idx[fresh], ranked[start:stop][first[fresh]]
+        seen = self._seen[idx] | bit
+        self._seen[idx] = seen
+        self._witness[i, idx] = scores
+        self._partial[idx] = self.ops.fold(self._partial[idx], scores, i)
+        done = idx[seen == self._full]
+        if len(done):
+            self.completed += len(done)
+            self._done.append((self._universe[done],
+                               self._witness[:, done]))
+        if self.k > 1:
+            self._pending.append(idx[seen == bit])
         return True
 
-    def _update_group(self, old_mask: int, entry: _BucketEntry) -> None:
-        if old_mask:
-            self._forget_group(old_mask)
-        mask = entry.seen_mask
-        self._group_count[mask] = self._group_count.get(mask, 0) + 1
-        current = self._group_best.get(mask, -math.inf)
-        if entry.partial_sum > current:
-            self._group_best[mask] = entry.partial_sum
-
-    def _forget_group(self, mask: int) -> None:
-        if not mask:
-            return
-        remaining = self._group_count.get(mask, 0) - 1
-        if remaining <= 0:
-            self._group_count.pop(mask, None)
-            self._group_best.pop(mask, None)
-        else:
-            self._group_count[mask] = remaining
+    def take_completed(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, witness[k, n])`` of the results completed since the
+        last call: per id, the score each input first showed it with."""
+        done, self._done = self._done, []
+        if not done:
+            return np.empty(0, dtype=np.int64), np.empty((self.k, 0))
+        return (np.concatenate([ids for ids, _ in done]),
+                np.concatenate([w for _, w in done], axis=1))
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
+    def _groups(self) -> Dict[int, float]:
+        """``ms(G_P)`` per live seen-mask P, exact over the pending ids."""
+        if not self._pending:
+            return {}
+        pending = np.concatenate(self._pending)
+        masks = self._seen[pending]
+        live = masks != self._full
+        pending, masks = pending[live], masks[live]
+        self._pending = [pending]
+        if self.k <= 16:
+            # Few enough masks to index a table by them: no sort.
+            groups, member = np.arange(self._full), masks
+        else:
+            groups, member = np.unique(masks, return_inverse=True)
+        best = np.full(len(groups), -np.inf)
+        np.maximum.at(best, member, self._partial[pending])
+        live = best > -np.inf
+        return dict(zip(groups[live].tolist(), best[live].tolist()))
+
     def progress(self) -> Dict[str, int]:
         """A cheap snapshot of the join state, for span tags and logs:
-        tuples retrieved, completions, partial buckets still pending and
-        live seen-mask groups (the §IV-B bound's granularity)."""
+        tuples retrieved, completions, partially joined ids still
+        pending and live seen-mask groups (the §IV-B bound's
+        granularity)."""
+        groups = self._groups()
         return {
             "tuples_retrieved": self.tuples_retrieved,
-            "completed": len(self.completed),
-            "pending": len(self._bucket),
-            "groups": len(self._group_count),
+            "completed": self.completed,
+            "pending": sum(len(chunk) for chunk in self._pending),
+            "groups": len(groups),
         }
 
     # ------------------------------------------------------------------
     # thresholds
     # ------------------------------------------------------------------
 
-    def _next_scores(self) -> List[Optional[float]]:
-        return [inp.peek_score() for inp in self.inputs]
+    def unseen_bound(self) -> float:
+        """Bound on ids no input has shown yet: ``F(s^1 .. s^k)``.  Both
+        thresholds are at least this, so a driver whose best candidate
+        is below it can skip `threshold()`."""
+        return self.ops.bound(self.ops.identity, self._nexts, range(self.k))
 
     def threshold(self) -> float:
         """Upper bound on the score of any result not yet completed."""
         self.stats.threshold_checks += 1
-        nexts = self._next_scores()
         if self.bound_mode == CLASSIC:
-            return self._classic_threshold(nexts)
-        return self._group_threshold(nexts)
+            return self._classic_threshold()
+        return self._group_threshold()
 
-    def _classic_threshold(self, nexts: List[Optional[float]]) -> float:
+    def _classic_threshold(self) -> float:
         best = -math.inf
-        for i, s_next in enumerate(nexts):
-            if s_next is None:
-                continue
-            vector = []
-            feasible = True
-            for j, s_max in enumerate(self._max_scores):
-                if j == i:
-                    vector.append(s_next)
-                elif s_max is None:
-                    feasible = False
-                    break
-                else:
-                    vector.append(s_max)
-            if feasible:
-                best = max(best, self.ops.complete(vector))
+        if None not in self._max_scores:
+            for i, s_next in enumerate(self._nexts):
+                if s_next is not None:
+                    vector = list(self._max_scores)
+                    vector[i] = s_next
+                    best = max(best, self.ops.complete(vector))
         # Partial results are not tracked separately by HRJN; ids already
-        # seen somewhere are covered because s_m^j >= their seen scores.
-        if any(s is None for s in nexts) and self._bucket:
-            best = max(best, self._group_threshold(nexts))
+        # seen somewhere are covered because s_m^j >= their seen scores
+        # -- until an input dries up and its term leaves the maximum.
+        if None in self._nexts:
+            best = max(best, self._group_threshold())
         return best
 
-    def _group_threshold(self, nexts: List[Optional[float]]) -> float:
-        if self.ops.mode == "sum":
-            return self._group_threshold_sum(nexts)
-        # Case 1: ids unseen everywhere.
-        best = self.ops.bound(self.ops.identity, nexts, range(self.k))
-        for mask, partial_best in self._group_best.items():
+    def _group_threshold(self) -> float:
+        best = self.unseen_bound()  # case 1: ids unseen everywhere
+        for mask, partial_best in self._groups().items():
             unseen = [j for j in range(self.k) if not mask & (1 << j)]
-            total = self.ops.bound(partial_best, nexts, unseen)
-            if total > best:
-                best = total
+            best = max(best, self.ops.bound(partial_best, self._nexts,
+                                            unseen))
         return best
-
-    def _group_threshold_sum(self, nexts: List[Optional[float]]) -> float:
-        """Additive fast path: precompute the sum over alive inputs once,
-        then each group's bound is partial + (next_sum - seen part)."""
-        next_sum = 0.0
-        alive_mask = 0
-        for j, s_next in enumerate(nexts):
-            if s_next is not None:
-                next_sum += s_next
-                alive_mask |= 1 << j
-        full = (1 << self.k) - 1
-        best = next_sum if alive_mask == full else -math.inf
-        for mask, partial_best in self._group_best.items():
-            unseen = full & ~mask
-            if unseen & ~alive_mask:
-                continue  # an unseen input is exhausted: dead partial
-            total = partial_best
-            for j in range(self.k):
-                if unseen & (1 << j):
-                    total += nexts[j]
-            if total > best:
-                best = total
-        return best
-
-    @property
-    def exhausted(self) -> bool:
-        return all(inp.peek_score() is None for inp in self.inputs)
-
-
-def topk_join(relations: Sequence[Sequence[Tuple[int, float]]], k: int,
-              bound_mode: str = GROUP
-              ) -> Tuple[List[CompletedResult], int]:
-    """Standalone top-K star join over pre-sorted relations.
-
-    Runs until K results can be *emitted* (score >= threshold for the
-    still-unseen results) or the inputs are exhausted.  Returns the
-    emitted results in emission order and the number of tuples retrieved
-    -- the ablation metric comparing the two bounds.
-    """
-    join = TopKStarJoin([ListInput(r) for r in relations], k, bound_mode)
-    emitted: List[CompletedResult] = []
-    buffer: List[CompletedResult] = []
-    emitted_keys: set = set()
-    while len(emitted) < k:
-        progressed = join.step()
-        buffer = [c for c in join.completed if c.key not in emitted_keys]
-        buffer.sort(key=lambda c: -c.score)
-        bound = join.threshold()
-        while buffer and len(emitted) < k and (
-                buffer[0].score >= bound or join.exhausted):
-            result = buffer.pop(0)
-            emitted.append(result)
-            emitted_keys.add(result.key)
-        if not progressed:
-            break
-    return emitted, join.tuples_retrieved

@@ -1,75 +1,60 @@
 """Join-based top-K keyword search (paper section IV-C).
 
 Levels are processed bottom-up exactly like the general join-based
-algorithm, but each level's join runs as a *top-K star join* over the
-score-ordered columnar cursors (`repro.index.scored`):
+algorithm, but each level's join runs as a *top-K star join*
+(`repro.algorithms.topk_join`) over the score-ordered view of the
+columns (`repro.index.scored`):
 
-* per term, sequences are grouped by length so each group has a single
-  score order valid at every level; a per-level cursor merges the group
-  heads online;
+* per term, one descending score order serves every level (damping is
+  exponential); a level's ranked input is that order filtered to the
+  sequences long enough and not erased;
 * the star join completes a JDewey number once every keyword has shown a
   *free* (non-erased) occurrence of it -- which is precisely the ELCA
   test, so completions are results, scored by the sum of first-seen
   (= maximum) damped witnesses;
 * a completed result is emitted as soon as its score reaches the global
   bound: the star join's own threshold (unseen + partially joined ids at
-  this level) combined with the precomputed cross-level bound
-  ``T(l) = max_{l' <= l} sum_i U_i(l')`` where ``U_i(l')`` is the best
-  possible damped score of term i at level ``l'`` (the level-skipping
-  rule of the paper falls out of the max: columns with no exact-length
-  sequences can never dominate the column below);
+  this level, read at block boundaries) combined with the precomputed
+  cross-level bound ``T(l) = max_{l' <= l} sum_i U_i(l')`` where
+  ``U_i(l')`` is the best possible damped score of term i at level
+  ``l'`` (the level-skipping rule of the paper falls out of the max:
+  columns with no exact-length sequences can never dominate the column
+  below);
 * the query terminates the moment K results are emitted.  Otherwise the
   level is drained, the full-column join identifies every C-node at the
   level (erased occurrences included -- containment ignores exclusion),
   and their ranges are erased for the levels above.
 
+Completions stay arrays (`_ResultBuffer`) until they are emitted; only
+emitted results become nodes.
+
 The completeness/efficiency trade the paper measures falls out of the
 structure: with highly correlated keywords many results complete early
-and the scan stops after a few tuples; with uncorrelated keywords the
+and the scan stops after a few blocks; with uncorrelated keywords the
 algorithm drains every level and ends up doing strictly more work than
 the general join-based algorithm (Figure 10(a) versus 10(b)-(c)).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..index.columnar import ColumnarIndex, ColumnarPostings
-from ..index.scored import ColumnCursor, ScoredPostings
+from ..index.columnar import ColumnarIndex
+from ..index.scored import ScoredPostings
 from ..obs.profiler import profile_phase
 from ..obs.tracing import NULL_TRACER
 from ..planner.plans import JoinPlanner
 from ..reliability.deadline import Deadline
 from ..reliability.errors import DeadlineExceeded
-from ..scoring.ranking import RankingModel
-from .base import (ELCA, SLCA, ExecutionStats, SearchResult, TopKResult,
-                   check_semantics)
-from ..scoring.ranking import (MaxCombiner, SumCombiner,
+from ..scoring.ranking import (MaxCombiner, RankingModel, SumCombiner,
                                WeightedSumCombiner)
-from .erasure import make_eraser
-from .topk_join import GROUP, BoundOps, TopKStarJoin
-
-
-class _CursorInput:
-    """Adapts a `ColumnCursor` to the star join's RankedInput protocol."""
-
-    __slots__ = ("cursor",)
-
-    def __init__(self, cursor: ColumnCursor):
-        self.cursor = cursor
-
-    def peek_score(self) -> Optional[float]:
-        return self.cursor.peek_score()
-
-    def pop(self) -> Optional[Tuple[int, float]]:
-        item = self.cursor.pop()
-        if item is None:
-            return None
-        number, _ordinal, score = item
-        return number, score
+from .base import (ELCA, SLCA, ExecutionStats, SearchResult, TopKResult,
+                   check_semantics, sort_by_score)
+from .erasure import erase_runs, make_eraser
+from .join_based import check_level
+from .topk_join import GROUP, BlockStarJoin, BoundOps, sorted_union
 
 
 class _StreamState:
@@ -88,6 +73,159 @@ class _StreamState:
         self.finished = False
         self.partial = False
         self.bound: Optional[float] = None
+
+
+class _ResultBuffer:
+    """Completed results not yet emitted, one array entry each:
+    ``(level, number, score, witness)`` in the caller's term order.
+    Nodes are materialised when a result is popped, not before."""
+
+    def __init__(self, index: ColumnarIndex, n_terms: int):
+        self.index = index
+        self.levels = np.empty(0, dtype=np.int64)
+        self.numbers = np.empty(0, dtype=np.int64)
+        self.scores = np.empty(0)
+        self.witness = np.empty((n_terms, 0))
+        self.top = -float("inf")
+
+    def push(self, level: int, numbers: np.ndarray, scores: np.ndarray,
+             witness: np.ndarray) -> None:
+        self.levels = np.concatenate(
+            (self.levels, np.full(len(numbers), level)))
+        self.numbers = np.concatenate((self.numbers, numbers))
+        self.scores = np.concatenate((self.scores, scores))
+        self.witness = np.concatenate((self.witness, witness), axis=1)
+        self.top = float(self.scores.max())
+
+    def pop(self, bound: float, limit: int) -> List[SearchResult]:
+        """Remove and return the results scoring >= `bound`, best first
+        (document order breaks ties) -- when more than `limit` qualify,
+        only the `limit` best and whatever ties with the last of them."""
+        if self.top < bound:
+            return []
+        hit = np.flatnonzero(self.scores >= bound)
+        if len(hit) > limit:
+            cut = np.partition(self.scores[hit], -limit)[-limit]
+            hit = hit[self.scores[hit] >= cut]
+        results: List[SearchResult] = []
+        levels = self.levels[hit]
+        for level in np.unique(levels).tolist():
+            at = hit[levels == level]
+            results.extend(
+                SearchResult(node, level, score, tuple(witness))
+                for node, score, witness in zip(
+                    self.index.nodes_at(level, self.numbers[at]),
+                    self.scores[at].tolist(),
+                    self.witness[:, at].T.tolist()))
+        keep = np.ones(len(self.scores), dtype=bool)
+        keep[hit] = False
+        self.levels, self.numbers = self.levels[keep], self.numbers[keep]
+        self.scores, self.witness = self.scores[keep], self.witness[:, keep]
+        self.top = float(self.scores.max()) if keep.any() \
+            else -float("inf")
+        return sort_by_score(results)
+
+
+class _TopKRun:
+    """One query's bottom-up pass: the per-term state (score orders,
+    erasers, cross-level bounds), the result buffer, and the per-level
+    steps both drivers (`TopKKeywordSearch.stream`,
+    `HybridTopKSearch.search`) are written in."""
+
+    def __init__(self, engine: "TopKKeywordSearch", postings, terms,
+                 semantics: str, stats: ExecutionStats, target_k: int):
+        self.engine = engine
+        self.postings = postings
+        self.semantics = semantics
+        self.stats = stats
+        # target_k sets the paper's cursor-policy switch (round-robin
+        # until K completions, then max-s^i) and caps how many results
+        # one emission materialises; a pure stream has no K.
+        self.target_k = target_k
+        self.popped = 0
+        term_order = {p.term: i for i, p in enumerate(postings)}
+        self.caller_slot = [term_order[t] for t in terms]
+        self.ops = engine._bound_ops(self.caller_slot)
+        self.damping_base = engine.ranking.damping.base
+        self.scored = [ScoredPostings(p, self.damping_base)
+                       for p in postings]
+        self.erasers = [make_eraser(engine.eraser_mode, len(p))
+                        for p in postings]
+        self.start_level = min(p.max_len for p in postings)
+        # cross_bound[l-1] bounds every result at levels <= l.
+        self.cross_bound = np.maximum.accumulate([
+            self.ops.complete([s.max_damped(level) for s in self.scored])
+            for level in range(1, self.start_level + 1)]).tolist()
+        self.buffer = _ResultBuffer(engine.index, len(terms))
+
+    def below(self, level: int) -> float:
+        """Bound on every result of the levels above `level` (numbered
+        below it)."""
+        return self.cross_bound[level - 2] if level > 1 else -float("inf")
+
+    def rank_join(self, level: int, columns) -> BlockStarJoin:
+        """The level's star join over the free occurrences of each
+        column, best damped score first."""
+        inputs = [scored.ranked(level, eraser)
+                  for scored, eraser in zip(self.scored, self.erasers)]
+        universe = sorted_union([c.distinct for c in columns])
+        return BlockStarJoin(inputs, self.target_k, self.engine.bound_mode,
+                             self.stats, self.ops, universe)
+
+    def push(self, level: int, numbers: np.ndarray,
+             witness: np.ndarray) -> None:
+        """Buffer results of `level`; ``witness[t]`` is per execution
+        slot, the score folds it in the caller's term order exactly as
+        `RankingModel.score_result` would."""
+        self.buffer.push(level, numbers,
+                         self.ops.complete(witness, self.caller_slot),
+                         witness[self.caller_slot])
+
+    def flush(self, bound: float) -> List[SearchResult]:
+        """The buffered results scoring >= `bound`, best first."""
+        results = self.buffer.pop(bound, max(1, self.target_k - self.popped))
+        self.popped += len(results)
+        return results
+
+    def harvest(self, join: BlockStarJoin, level: int, columns,
+                below: float) -> List[SearchResult]:
+        """After a pull: buffer the block's completions (minus, for
+        SLCA, those with an erased sequence in their range) and return
+        what the live bound now lets out."""
+        numbers, witness = join.take_completed()
+        if len(numbers) and self.semantics == SLCA:
+            keep, _ = check_level(
+                level, self.postings, columns,
+                [c.runs_of(numbers) for c in columns], self.erasers, SLCA,
+                self.damping_base, with_scores=False)
+            numbers, witness = numbers[keep], witness[:, keep]
+        if len(numbers):
+            self.push(level, numbers, witness)
+        # Both thresholds are at least the unseen-id bound: when the
+        # best buffered result is below that, skip the group arithmetic.
+        top = self.buffer.top
+        if top < below or top < join.unseen_bound():
+            return []
+        return self.flush(max(join.threshold(), below))
+
+    def erase(self, level: int, columns, joined=None) -> None:
+        """Level drained: determine every C-node (erased occurrences
+        included) and erase their ranges for the levels above."""
+        stats, engine = self.stats, self.engine
+        plan_mark = len(stats.per_level_plan)
+        with engine.tracer.span("erase", level=level) as espan, \
+                profile_phase("erase"):
+            if joined is None:
+                joined = engine.planner.intersect_all(
+                    [c.distinct for c in columns], stats, level)
+            erased = erase_runs(columns, [c.runs_of(joined) for c in columns],
+                                self.erasers)
+            stats.erasures += erased
+            espan.tag(
+                plan=[alg for _lvl, alg
+                      in stats.per_level_plan[plan_mark:]],
+                inputs=[int(c.n_distinct) for c in columns],
+                output=int(len(joined)), erased=erased)
 
 
 class TopKKeywordSearch:
@@ -156,8 +294,8 @@ class TopKKeywordSearch:
         so ``itertools.islice(stream(...), k)`` behaves exactly like
         `search(..., k)`.
 
-        ``deadline`` is polled at level boundaries and every few
-        rank-join retrievals (the emission-attempt cadence).  On expiry
+        ``deadline`` is polled at level boundaries and after every
+        rank-join block (the emission-attempt cadence).  On expiry
         the ``raise`` policy raises `DeadlineExceeded` out of the
         generator; the ``partial`` policy ends the stream cleanly after
         recording the guarantee gap in the caller-supplied ``_state``.
@@ -174,17 +312,6 @@ class TopKKeywordSearch:
         if not terms:
             state.finished = True
             return
-
-        def stop_partial(level: int, engine_bound: float) -> None:
-            # Unyielded-but-buffered results must stay under the gap
-            # too; the buffer top caps them (heap root = best score).
-            state.partial = True
-            state.bound = max(engine_bound,
-                              -buffer[0][0] if buffer else -float("inf"))
-            stats.partial = True
-            stats.levels_skipped += level
-
-        buffer: List[Tuple[float, Tuple[int, ...], SearchResult]] = []
         try:
             with tracer.span("postings_fetch", terms=list(terms)) as pspan, \
                     profile_phase("fetch"):
@@ -202,25 +329,27 @@ class TopKKeywordSearch:
         if any(len(p) == 0 for p in postings):
             state.finished = True
             return
-        term_order = {p.term: i for i, p in enumerate(postings)}
-        caller_slot = [term_order[t] for t in terms]
-        ops = self._bound_ops(caller_slot)
+        run = _TopKRun(self, postings, terms, semantics, stats, target_k)
 
-        damping_base = self.ranking.damping.base
-        scored = [ScoredPostings(p, damping_base) for p in postings]
-        erasers = [make_eraser(self.eraser_mode, len(p)) for p in postings]
-        start_level = min(p.max_len for p in postings)
-        cross_bound = self._cross_level_bounds(scored, start_level, ops)
+        def stop_partial(level: int, engine_bound: float) -> None:
+            # Unyielded-but-buffered results must stay under the gap
+            # too; the best buffered score caps them.
+            state.partial = True
+            state.bound = max(engine_bound, run.buffer.top)
+            stats.partial = True
+            stats.levels_skipped += level
 
-        # `buffer` (declared above, so the partial-stop helper closes
-        # over it) holds completed-but-unemitted results: max-heap by
-        # score.
-        for level in range(start_level, 0, -1):
-            below = cross_bound[level - 2] if level > 1 else -float("inf")
+        def emit(results: List[SearchResult]):
+            for result in results:
+                stats.results_emitted += 1
+                yield result
+
+        for level in range(run.start_level, 0, -1):
+            below = run.below(level)
             if deadline is not None and deadline.expired():
                 if not deadline.partial_ok:
                     deadline.raise_expired()
-                stop_partial(level, cross_bound[level - 1])
+                stop_partial(level, run.cross_bound[level - 1])
                 return
             try:
                 columns = [p.column(level) for p in postings]
@@ -229,89 +358,40 @@ class TopKKeywordSearch:
                 # deadline mid-materialization.
                 if deadline is None or not deadline.partial_ok:
                     raise
-                stop_partial(level, cross_bound[level - 1])
+                stop_partial(level, run.cross_bound[level - 1])
                 return
             if any(len(c) == 0 for c in columns):
-                while buffer and -buffer[0][0] >= below:
-                    stats.results_emitted += 1
-                    yield heapq.heappop(buffer)[2]
+                yield from emit(run.flush(below))
                 continue
             stats.levels_processed += 1
             tuples_mark = stats.tuples_scanned
-            inputs = [
-                _CursorInput(s.cursor(level, skip=e.is_erased))
-                for s, e in zip(scored, erasers)
-            ]
-            # target_k sets the paper's cursor-policy switch (round-robin
-            # until K completions, then max-s^i); a pure stream has no K
-            # and stays round-robin.
-            join = TopKStarJoin(inputs, target_k, self.bound_mode, stats,
-                                ops)
-            consumed = 0
             # Emission needs a *fresh* threshold (group partials can push
-            # it up), so attempts happen when completions arrive or every
-            # few retrievals -- skipping attempts only delays emission,
-            # never corrupts it.  The rank-join span stays open across
-            # `yield`s, so its duration includes consumer time when the
-            # stream is driven incrementally.
-            steps_since_attempt = 0
+            # it up), so it is attempted after every block -- a longer
+            # block only delays emission, never corrupts it.  The
+            # rank-join span stays open across `yield`s, so its duration
+            # includes consumer time when the stream is driven
+            # incrementally.
             with tracer.span("rank_join", level=level) as jspan, \
                     profile_phase("rank_join"):
-                while join.step():
-                    steps_since_attempt += 1
-                    if (len(join.completed) == consumed
-                            and steps_since_attempt < 16):
-                        continue
-                    steps_since_attempt = 0
-                    for completed in join.completed[consumed:]:
-                        result = self._materialize(
-                            completed, level, postings, columns, erasers,
-                            semantics, caller_slot)
-                        if result is not None:
-                            heapq.heappush(
-                                buffer,
-                                (-result.score, result.node.dewey, result))
-                    consumed = len(join.completed)
-                    bound = max(join.threshold(), below)
-                    while buffer and -buffer[0][0] >= bound:
-                        stats.results_emitted += 1
-                        yield heapq.heappop(buffer)[2]
-                    # Same cadence as emission attempts: cheap (the
-                    # threshold is already fresh) and bounded lag.
+                join = run.rank_join(level, columns)
+                while join.pull():
+                    yield from emit(run.harvest(join, level, columns, below))
                     if deadline is not None and deadline.expired():
                         if not deadline.partial_ok:
                             deadline.raise_expired()
-                        stop_partial(level, bound)
+                        stop_partial(level, max(join.threshold(), below))
                         return
-                for completed in join.completed[consumed:]:
-                    result = self._materialize(completed, level, postings,
-                                               columns, erasers, semantics,
-                                               caller_slot)
-                    if result is not None:
-                        heapq.heappush(buffer,
-                                       (-result.score, result.node.dewey,
-                                        result))
                 jspan.tag(tuples=stats.tuples_scanned - tuples_mark,
                           **join.progress())
-            # Level drained: determine every C-node (erased occurrences
-            # included) and erase their ranges for the levels above.
-            self._erase_level(columns, erasers, stats, level)
+            run.erase(level, columns)
             if level == 1:
                 # Only emission remains: anything yielded from here on
                 # does not count as early termination.
                 state.finished = True
-            while buffer and -buffer[0][0] >= below:
-                stats.results_emitted += 1
-                yield heapq.heappop(buffer)[2]
+            yield from emit(run.flush(below))
         # All levels done: everything buffered is final, in score order.
         state.finished = True
-        while buffer:
-            stats.results_emitted += 1
-            yield heapq.heappop(buffer)[2]
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
+        yield from emit(run.flush(-float("inf")))
 
     def _bound_ops(self, caller_slot: List[int]) -> BoundOps:
         """Combiner-specific bound arithmetic, in execution slot order.
@@ -339,72 +419,6 @@ class TopKKeywordSearch:
             f"top-K bounds not implemented for "
             f"{type(combiner).__name__}; use the complete-result path "
             "(db.search_ranked) or a sum/weighted/max combiner")
-
-    def _cross_level_bounds(self, scored: List[ScoredPostings],
-                            start_level: int,
-                            ops: BoundOps) -> List[float]:
-        """``cross_bound[l-1]`` bounds every result at levels <= l."""
-        per_level = []
-        for level in range(1, start_level + 1):
-            per_level.append(
-                ops.complete([s.max_damped(level) for s in scored]))
-        bounds: List[float] = []
-        running = -float("inf")
-        for level_sum in per_level:
-            running = max(running, level_sum)
-            bounds.append(running)
-        return bounds
-
-    def _materialize(self, completed, level: int,
-                     postings: List[ColumnarPostings], columns, erasers,
-                     semantics: str,
-                     caller_slot: List[int]) -> Optional[SearchResult]:
-        """Turn a star-join completion into a result (or reject for SLCA)."""
-        number = completed.key
-        if semantics == SLCA:
-            for t, column in enumerate(columns):
-                a, b = column.run_of(number)
-                ordinals = column.seq_idx[a:b]
-                lo, hi = int(ordinals[0]), int(ordinals[-1]) + 1
-                if erasers[t].erased_count(lo, hi):
-                    return None
-        node = self.index.node_at(level, number)
-        witness = tuple(completed.scores[slot] for slot in caller_slot)
-        score = self.ranking.score_result(witness)
-        return SearchResult(node, level, score, witness)
-
-    def _erase_level(self, columns, erasers, stats: ExecutionStats,
-                     level: int) -> None:
-        plan_mark = len(stats.per_level_plan)
-        erasure_mark = stats.erasures
-        with self.tracer.span("erase", level=level) as espan, \
-                profile_phase("erase"):
-            joined = self.planner.intersect_all(
-                [c.distinct for c in columns], stats, level)
-            espan.tag(
-                plan=[alg for _lvl, alg
-                      in stats.per_level_plan[plan_mark:]],
-                inputs=[int(c.n_distinct) for c in columns],
-                output=int(len(joined)))
-            if len(joined) == 0:
-                return
-            for t, column in enumerate(columns):
-                idx = np.searchsorted(column.distinct, joined)
-                lows = column.run_starts[idx]
-                highs = column.run_starts[idx + 1]
-                for j in range(len(joined)):
-                    ordinals = column.seq_idx[int(lows[j]):int(highs[j])]
-                    erasers[t].mark(int(ordinals[0]), int(ordinals[-1]) + 1)
-                    stats.erasures += len(ordinals)
-            espan.tag(erased=stats.erasures - erasure_mark)
-
-    @staticmethod
-    def _flush(buffer, emitted: List[SearchResult], k: int,
-               bound: float) -> bool:
-        """Emit buffered results that beat `bound`; True if K reached."""
-        while buffer and len(emitted) < k and -buffer[0][0] >= bound:
-            emitted.append(heapq.heappop(buffer)[2])
-        return len(emitted) >= k
 
 
 def search_topk(index: ColumnarIndex, terms: Sequence[str], k: int,

@@ -305,15 +305,13 @@ def fig10bc_rows(bench: Workbench,
 def fig10_work_rows(bench: Workbench) -> List[Tuple[str, str, int]]:
     """Scale-free companion to Figure 10(b)-(c): data items touched.
 
-    Wall-clock comparisons between the complete join (numpy-vectorized)
-    and the rank join (pointer-chasing Python) carry a language constant
-    the paper's Java implementations did not have, so the shape claim
-    "top-K terminates much earlier on correlated queries" is checked in
-    the paper's own currency -- how much of the inverted lists each
-    algorithm reads:
+    Wall-clock on a 130k-node corpus is mostly per-call overhead, so
+    the shape claim "top-K terminates much earlier on correlated
+    queries" is also checked in the paper's own currency -- how much of
+    the inverted lists each algorithm reads:
 
-    * ``topk-join``: ranked cursor pops (+ erasure reads) before the
-      K-th emission;
+    * ``topk-join``: tuples pulled from the ranked inputs, whole blocks
+      counted, before the K-th emission;
     * ``join``: every column entry of every level (the complete
       algorithm always reads them all);
     * ``rdil``: score-ordered pops plus index lookups.

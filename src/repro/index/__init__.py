@@ -3,7 +3,7 @@
 from .tokenizer import Tokenizer, DEFAULT_STOPWORDS
 from .inverted import InvertedIndex, Posting, PostingList
 from .columnar import Column, ColumnarIndex, ColumnarPostings
-from .scored import ColumnCursor, ScoredPostings
+from .scored import ScoredPostings
 from .sparse import SparseColumnIndex
 from .lazydisk import IOStats, LazyColumnarIndex, LazyColumnarPostings
 from . import compression, storage
@@ -17,7 +17,6 @@ __all__ = [
     "Column",
     "ColumnarIndex",
     "ColumnarPostings",
-    "ColumnCursor",
     "ScoredPostings",
     "SparseColumnIndex",
     "IOStats",

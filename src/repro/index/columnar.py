@@ -104,6 +104,11 @@ class ColumnarPostings:
     occurrence's level.  Columns are materialized lazily and cached.
     """
 
+    #: ``(damping base, order, ...)`` left here by the first
+    #: `repro.index.scored.ScoredPostings` built over this object, so the
+    #: term's score order is sorted once, not once per query.
+    _score_order = None
+
     def __init__(self, term: str, seqs: List[JDeweySeq],
                  scores: Sequence[float]):
         order = sorted(range(len(seqs)), key=lambda i: seqs[i])
@@ -131,24 +136,6 @@ class ColumnarPostings:
         column = Column(level, values, seq_idx)
         self._columns[level] = column
         return column
-
-    def value_at(self, ordinal: int, level: int) -> int:
-        """JDewey number of sequence `ordinal` at `level`.
-
-        The base class reads the materialized sequence; the lazy
-        disk-backed subclass resolves it from the column instead, so
-        cursors never force full sequences into memory.
-        """
-        return int(self.seqs[ordinal][level - 1])
-
-    def has_exact_length(self, level: int) -> bool:
-        """True iff some occurrence sits exactly at `level`.
-
-        Used by the top-K level-skipping rule (section IV-C): a column
-        whose scores are all damped copies of the column below cannot
-        raise the threshold.
-        """
-        return bool(np.any(self.lengths == level))
 
     def max_score(self) -> float:
         return float(self.scores.max()) if len(self.scores) else 0.0

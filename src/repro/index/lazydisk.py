@@ -61,7 +61,7 @@ class LazyColumnarPostings(ColumnarPostings):
 
     Columns decompress on first access and are cached; the sequence-of-
     tuples view (`seqs`) is never materialized -- callers that need a
-    number use `value_at`, which resolves through the column.
+    number read it from the column.
     """
 
     def __init__(self, term: str, lengths: Sequence[int],
@@ -94,7 +94,7 @@ class LazyColumnarPostings(ColumnarPostings):
     def seqs(self):
         raise NotImplementedError(
             "disk-backed postings do not materialize sequences; use "
-            "column(level) / value_at(ordinal, level)")
+            "column(level)")
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -163,11 +163,6 @@ class LazyColumnarPostings(ColumnarPostings):
         else:
             self._columns[level] = column
         return column
-
-    def value_at(self, ordinal: int, level: int) -> int:
-        column = self.column(level)
-        pos = int(np.searchsorted(column.seq_idx, ordinal))
-        return int(column.values[pos])
 
 
 class LazyColumnarIndex:

@@ -1,149 +1,91 @@
 """Score-ordered view of a columnar inverted list (paper section IV-C).
 
-Damping makes "order by damped score at level l" depend on l, so a single
-score-sorted list cannot serve every column.  The paper's fix: group the
-JDewey sequences by length.  Within a group all occurrences damp by the
-same factor at any level, so one descending order per group works for
-every column; a per-column cursor then merges the group heads online.
-
-`ScoredPostings` holds the grouped view of one term; `ColumnCursor` is
-the merged per-level cursor the top-K star join consumes.
+Damping makes "order by damped score at level l" look level-dependent,
+and the paper's fix is to group the JDewey sequences by length and merge
+the group heads online.  That is only needed for a damping function that
+is not exponential.  `DampingFunction` here is ``base ** delta`` and
+nothing else, so ``score * base ** length`` orders a term's occurrences
+the same way at every level: `ScoredPostings` keeps *one* descending
+order per term (built once per postings object, reused by every level
+and every later query), and a level's ranked input is a filter over it.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .columnar import ColumnarPostings
 
 
-class ScoreGroup:
-    """Sequences of one exact length, sorted by descending local score."""
-
-    __slots__ = ("length", "ordinals", "scores")
-
-    def __init__(self, length: int, ordinals: np.ndarray, scores: np.ndarray):
-        order = np.lexsort((ordinals, -scores))
-        self.length = length
-        self.ordinals = ordinals[order]
-        self.scores = scores[order]
-
-    def __len__(self) -> int:
-        return len(self.ordinals)
+def _build_order(postings: ColumnarPostings, base: float):
+    """(order, distinct lengths, best local score per length)."""
+    with np.errstate(under="ignore"):
+        key = postings.scores * base ** postings.lengths
+    order = np.argsort(-key, kind="stable")
+    lengths = np.unique(postings.lengths)
+    best = np.full(len(lengths), -np.inf)
+    np.maximum.at(best, np.searchsorted(lengths, postings.lengths),
+                  postings.scores)
+    return order, lengths, best
 
 
 class ScoredPostings:
-    """Length-grouped, score-sorted occurrences of one term."""
+    """One term's occurrences in descending damped-score order."""
 
     def __init__(self, postings: ColumnarPostings, damping_base: float):
         if not 0.0 < damping_base <= 1.0:
             raise ValueError("damping base must be in (0, 1]")
         self.postings = postings
         self.damping_base = damping_base
-        self.groups: Dict[int, ScoreGroup] = {}
-        lengths = postings.lengths
-        for length in np.unique(lengths):
-            mask = lengths == length
-            ordinals = np.nonzero(mask)[0].astype(np.int64)
-            self.groups[int(length)] = ScoreGroup(
-                int(length), ordinals, postings.scores[ordinals])
         self.max_len = postings.max_len
+        cached = postings._score_order
+        if cached is None or cached[0] != damping_base:
+            cached = (damping_base,) + _build_order(postings, damping_base)
+            postings._score_order = cached
+        _base, self.order, self._lengths, self._best = cached
 
     def __len__(self) -> int:
         return len(self.postings)
 
-    def damp(self, raw_score: float, length: int, level: int) -> float:
+    def damp(self, raw_score, length, level: int):
         return raw_score * self.damping_base ** (length - level)
 
     def max_damped(self, level: int) -> float:
-        """Upper bound s_m(level): best possible damped score in the column.
+        """Upper bound s_m(level): best possible damped score in the
+        column, erased occurrences included (the paper's list-head
+        scores, one candidate per sequence length)."""
+        deep = self._lengths >= level
+        if not deep.any():
+            return 0.0
+        return max(0.0, float(self.damp(self._best[deep],
+                                        self._lengths[deep], level).max()))
 
-        The bound scans group heads, so it stays valid even before any
-        cursor consumption (the paper uses the list-head scores s_m^i).
+    def ranked(self, level: int, eraser=None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Column `level` as a ranked input: ``(numbers, scores)`` of its
+        occurrences, best damped score first.
+
+        ``eraser`` filters out erased sequences (consumed by deeper
+        ELCAs) so they never become witnesses.  The scores are checked
+        non-increasing *as computed*: rounding can invert two
+        occurrences of different lengths by an ulp, and the join's
+        ``s^i`` is only a bound if the array really descends.
         """
-        best = 0.0
-        for length, group in self.groups.items():
-            if length < level or len(group) == 0:
-                continue
-            best = max(best, self.damp(float(group.scores[0]), length, level))
-        return best
-
-    def cursor(self, level: int,
-               skip: Optional[Callable[[int], bool]] = None) -> "ColumnCursor":
-        """A fresh merged cursor over column `level`.
-
-        ``skip(ordinal) -> bool`` filters out erased sequences (consumed
-        by deeper ELCAs) so they never become witnesses.
-        """
-        return ColumnCursor(self, level, skip)
-
-
-class ColumnCursor:
-    """Merged descending-score cursor over one column of one term.
-
-    `peek_score` is the s^i of the top-K join (score of the next tuple);
-    `pop` returns ``(number, ordinal, damped_score)`` for the best
-    remaining occurrence at this level.
-    """
-
-    def __init__(self, scored: ScoredPostings, level: int,
-                 skip: Optional[Callable[[int], bool]] = None):
-        self.scored = scored
-        self.level = level
-        self.skip = skip
-        self._positions: Dict[int, int] = {}
-        self._heap: List[Tuple[float, int, int]] = []  # (-score, length, pos)
-        for length, group in scored.groups.items():
-            if length < level or len(group) == 0:
-                continue
-            self._positions[length] = 0
-            self._push_head(length, 0)
-        self.retrieved = 0
-
-    def _push_head(self, length: int, pos: int) -> None:
-        group = self.scored.groups[length]
-        while pos < len(group):
-            ordinal = int(group.ordinals[pos])
-            if self.skip is not None and self.skip(ordinal):
-                pos += 1
-                continue
-            damped = self.scored.damp(float(group.scores[pos]), length,
-                                      self.level)
-            heapq.heappush(self._heap, (-damped, length, pos))
-            self._positions[length] = pos
-            return
-        self._positions[length] = pos
-
-    def peek_score(self) -> Optional[float]:
-        """Damped score of the next occurrence, or None when exhausted."""
-        while self._heap:
-            neg_score, length, pos = self._heap[0]
-            group = self.scored.groups[length]
-            ordinal = int(group.ordinals[pos])
-            if self.skip is not None and self.skip(ordinal):
-                heapq.heappop(self._heap)
-                self._push_head(length, pos + 1)
-                continue
-            return -neg_score
-        return None
-
-    def pop(self) -> Optional[Tuple[int, int, float]]:
-        """Retrieve the best remaining occurrence: (number, ordinal, score)."""
-        while self._heap:
-            neg_score, length, pos = heapq.heappop(self._heap)
-            self._push_head(length, pos + 1)
-            group = self.scored.groups[length]
-            ordinal = int(group.ordinals[pos])
-            if self.skip is not None and self.skip(ordinal):
-                continue
-            number = self.scored.postings.value_at(ordinal, self.level)
-            self.retrieved += 1
-            return number, ordinal, -neg_score
-        return None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.peek_score() is None
+        postings = self.postings
+        in_column = postings.lengths >= level
+        ordinals = self.order
+        keep = in_column[ordinals]
+        if eraser is not None:
+            keep &= eraser.free_mask(ordinals)
+        ordinals = ordinals[keep]
+        scores = self.damp(postings.scores[ordinals],
+                           postings.lengths[ordinals], level)
+        if np.any(scores[1:] > scores[:-1]):
+            resort = np.argsort(-scores, kind="stable")
+            ordinals, scores = ordinals[resort], scores[resort]
+        # A sequence's row in the column is its rank among those that
+        # reach the level.
+        rows = np.cumsum(in_column)[ordinals] - 1
+        return postings.column(level).values[rows], scores

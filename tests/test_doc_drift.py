@@ -163,6 +163,10 @@ REMOVED_NAMES = (
     # the library's private thread / process pools (serve/ forks, alone)
     "batch_executor", "processes=", "executor=", "--processes",
     "_BATCH_FAULT_HOOK", "repro_batch_pool_rebuilds_total",
+    # the per-tuple rank join's API (its classes live on under
+    # tests/reference_topk.py; these calls exist nowhere)
+    "value_at", "has_exact_length", "is_erased", "topk_join(",
+    "_CursorInput", "ScoreGroup", "cursor(level",
 )
 
 

@@ -10,6 +10,12 @@ from repro.algorithms.erasure import (_ARRAY_MAX, _CHUNK, BitmapEraser,
                                       make_eraser)
 
 
+def is_erased(eraser, ordinal: int) -> bool:
+    """One ordinal's state through the bulk probe -- the scalar
+    ``is_erased`` left `src/` with the per-tuple cursors."""
+    return not eraser.free_mask(np.asarray([ordinal], dtype=np.int64))[0]
+
+
 @pytest.fixture(params=["bitmap", "interval", "roaring"])
 def eraser(request):
     return make_eraser(request.param, 100)
@@ -19,7 +25,7 @@ class TestCommonBehaviour:
     def test_initially_clean(self, eraser):
         assert eraser.total_erased == 0
         assert eraser.erased_count(0, 100) == 0
-        assert not eraser.is_erased(50)
+        assert not is_erased(eraser, 50)
 
     def test_mark_and_count(self, eraser):
         eraser.mark(10, 20)
@@ -30,10 +36,10 @@ class TestCommonBehaviour:
 
     def test_is_erased_boundaries(self, eraser):
         eraser.mark(10, 20)
-        assert eraser.is_erased(10)
-        assert eraser.is_erased(19)
-        assert not eraser.is_erased(9)
-        assert not eraser.is_erased(20)
+        assert is_erased(eraser, 10)
+        assert is_erased(eraser, 19)
+        assert not is_erased(eraser, 9)
+        assert not is_erased(eraser, 20)
 
     def test_empty_mark_noop(self, eraser):
         eraser.mark(5, 5)
@@ -125,8 +131,8 @@ class TestRoaringSpecific:
             eraser.mark(i, i + 1)
         assert eraser.container_kinds["bitset"] == 1
         assert eraser.total_erased == _ARRAY_MAX + 1
-        assert eraser.is_erased(2 * _ARRAY_MAX)
-        assert not eraser.is_erased(2 * _ARRAY_MAX + 1)
+        assert is_erased(eraser, 2 * _ARRAY_MAX)
+        assert not is_erased(eraser, 2 * _ARRAY_MAX + 1)
 
     def test_mark_spanning_chunks(self):
         eraser = RoaringEraser(3 * _CHUNK)
@@ -135,9 +141,9 @@ class TestRoaringSpecific:
         assert eraser.total_erased == hi - lo
         assert len(eraser.container_kinds) == 3
         assert eraser.erased_count(0, 3 * _CHUNK) == hi - lo
-        assert eraser.is_erased(_CHUNK)
-        assert eraser.is_erased(2 * _CHUNK + 9)
-        assert not eraser.is_erased(2 * _CHUNK + 10)
+        assert is_erased(eraser, _CHUNK)
+        assert is_erased(eraser, 2 * _CHUNK + 9)
+        assert not is_erased(eraser, 2 * _CHUNK + 10)
 
     def test_mark_many_spanning_chunks_matches_scalar(self):
         rng = np.random.default_rng(17)
@@ -232,8 +238,9 @@ class TestBulkAPIs:
         bulk.mark_many(np.asarray([m[0] for m in marks], dtype=np.int64),
                        np.asarray([m[1] for m in marks], dtype=np.int64))
         assert bulk.total_erased == one_by_one.total_erased
-        for i in range(size):
-            assert bulk.is_erased(i) == one_by_one.is_erased(i)
+        everyone = np.arange(size, dtype=np.int64)
+        assert list(bulk.free_mask(everyone)) == \
+            list(one_by_one.free_mask(everyone))
 
     @given(case=nested_marks(), data=st.data())
     def test_interleaved_marks_and_counts(self, case, data):
@@ -295,7 +302,8 @@ class TestBulkAPIs:
             data.draw(st.lists(st.integers(0, size - 1), min_size=n,
                                max_size=n)), dtype=np.int64)
         mask = eraser.free_mask(ordinals)
-        assert list(mask) == [not eraser.is_erased(int(o))
+        # The scalar count over [o, o + 1) is the independent probe.
+        assert list(mask) == [eraser.erased_count(int(o), int(o) + 1) == 0
                               for o in ordinals]
 
 
@@ -313,8 +321,9 @@ class TestEquivalence:
             for hi in range(lo, size, max(1, size // 7)):
                 assert bitmap.erased_count(lo, hi) == \
                     interval.erased_count(lo, hi)
-        for i in range(size):
-            assert bitmap.is_erased(i) == interval.is_erased(i)
+        everyone = np.arange(size, dtype=np.int64)
+        assert list(bitmap.free_mask(everyone)) == \
+            list(interval.free_mask(everyone))
 
     @given(nested_marks())
     def test_roaring_agrees_with_bitmap(self, case):

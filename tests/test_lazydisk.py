@@ -1,5 +1,6 @@
 """Tests for the disk-backed lazy column store (`repro.index.lazydisk`)."""
 
+import numpy as np
 import pytest
 
 from repro import XMLDatabase
@@ -73,9 +74,15 @@ class TestColumns:
         db, lazy = lazy_pair
         eager = db.columnar_index.term_postings("xml")
         postings = lazy.term_postings("xml")
+        # A sequence's number at a level is read off the lazily decoded
+        # column, at the row its ordinal holds there (`value_at` left
+        # with the per-tuple cursor).
         for ordinal, seq in enumerate(eager.seqs):
             for level in range(1, len(seq) + 1):
-                assert postings.value_at(ordinal, level) == seq[level - 1]
+                column = postings.column(level)
+                row = int(np.searchsorted(column.seq_idx, ordinal))
+                assert column.seq_idx[row] == ordinal
+                assert column.values[row] == seq[level - 1]
 
     def test_beyond_max_len_is_empty_without_io(self, lazy_pair):
         _, lazy = lazy_pair

@@ -1,11 +1,13 @@
-"""Tests for sparse column indices and score-ordered cursors."""
+"""Tests for sparse column indices and the score-ordered column view."""
 
 import numpy as np
 import pytest
 
+from repro.algorithms.erasure import BitmapEraser
 from repro.index.columnar import ColumnarPostings
 from repro.index.scored import ScoredPostings
 from repro.index.sparse import SparseColumnIndex
+from tests.reference_topk import GroupedScoredPostings
 
 
 class TestSparseColumnIndex:
@@ -54,31 +56,63 @@ class TestSparseColumnIndex:
             SparseColumnIndex(np.arange(5, dtype=np.int64), 0)
 
 
+SEQS = [(1, 2, 5), (1, 2, 6), (1, 3), (1, 4, 7, 9), (1, 4, 8, 10)]
+RAW = [0.5, 0.9, 0.7, 0.8, 0.3]
+
+
 @pytest.fixture
 def scored():
     # Sequences of mixed lengths with hand-picked scores (paper Fig. 7).
-    seqs = [(1, 2, 5), (1, 2, 6), (1, 3), (1, 4, 7, 9), (1, 4, 8, 10)]
-    raw = [0.5, 0.9, 0.7, 0.8, 0.3]
-    postings = ColumnarPostings("t", seqs, raw)
-    return ScoredPostings(postings, damping_base=0.9)
+    return ScoredPostings(ColumnarPostings("t", SEQS, RAW), damping_base=0.9)
+
+
+@pytest.fixture
+def grouped():
+    """The same term in the paper's length-grouped form: the reference
+    the single score order replaced (`tests/reference_topk.py`)."""
+    return GroupedScoredPostings(ColumnarPostings("t", SEQS, RAW),
+                                 damping_base=0.9)
+
+
+def drain(cursor):
+    items = []
+    while (item := cursor.pop()) is not None:
+        items.append(item)
+    return items
 
 
 class TestScoredPostings:
-    def test_groups_by_length(self, scored):
-        assert set(scored.groups) == {2, 3, 4}
-        assert len(scored.groups[3]) == 2
+    def test_groups_by_length(self, scored, grouped):
+        assert set(grouped.groups) == {2, 3, 4}
+        assert len(grouped.groups[3]) == 2
+        # One order over all of them where the groups used to be.
+        assert sorted(scored.order.tolist()) == list(range(len(SEQS)))
 
-    def test_group_scores_descending(self, scored):
-        for group in scored.groups.values():
+    def test_group_scores_descending(self, scored, grouped):
+        for group in grouped.groups.values():
             scores = list(group.scores)
             assert scores == sorted(scores, reverse=True)
+        # The one order descends by score * base ** length: within a
+        # length by local score, and across lengths consistently at
+        # every level.
+        postings = scored.postings
+        key = postings.scores * 0.9 ** postings.lengths
+        ordered = key[scored.order].tolist()
+        assert ordered == sorted(ordered, reverse=True)
+
+    def test_order_built_once_per_postings(self, scored):
+        again = ScoredPostings(scored.postings, damping_base=0.9)
+        assert again.order is scored.order
+        other_base = ScoredPostings(scored.postings, damping_base=0.5)
+        assert other_base.order is not scored.order
 
     def test_damp(self, scored):
         assert scored.damp(1.0, length=4, level=2) == pytest.approx(0.81)
 
-    def test_max_damped_level1(self, scored):
+    def test_max_damped_level1(self, scored, grouped):
         # Level 1 candidates: 0.9*0.9^2, 0.7*0.9, 0.8*0.9^3 -> 0.729.
         assert scored.max_damped(1) == pytest.approx(0.9 * 0.81)
+        assert scored.max_damped(1) == pytest.approx(grouped.max_damped(1))
 
     def test_max_damped_level3(self, scored):
         # Only length >= 3 groups: max(0.9, 0.8*0.9) = 0.9.
@@ -93,55 +127,57 @@ class TestScoredPostings:
 
 
 class TestColumnCursor:
-    def test_emits_in_descending_damped_order(self, scored):
-        cursor = scored.cursor(2)
-        scores = []
-        while True:
-            item = cursor.pop()
-            if item is None:
-                break
-            scores.append(item[2])
-        assert scores == sorted(scores, reverse=True)
+    """The ranked input of one column: `ScoredPostings.ranked` against
+    the reference `ColumnCursor` it replaced."""
+
+    def test_emits_in_descending_damped_order(self, scored, grouped):
+        _numbers, scores = scored.ranked(2)
+        assert scores.tolist() == sorted(scores.tolist(), reverse=True)
         assert len(scores) == 5  # every sequence reaches level 2
+        assert scores.tolist() == pytest.approx(
+            [item[2] for item in drain(grouped.cursor(2))])
 
-    def test_level_filters_short_sequences(self, scored):
-        cursor = scored.cursor(3)
-        numbers = []
-        while (item := cursor.pop()) is not None:
-            numbers.append(item[0])
+    def test_level_filters_short_sequences(self, scored, grouped):
+        numbers, _scores = scored.ranked(3)
         assert len(numbers) == 4  # (1, 3) has no level-3 component
+        assert len(drain(grouped.cursor(3))) == 4
 
-    def test_peek_matches_pop(self, scored):
-        cursor = scored.cursor(2)
+    def test_peek_matches_pop(self, grouped):
+        cursor = grouped.cursor(2)
         while (peeked := cursor.peek_score()) is not None:
             number, ordinal, score = cursor.pop()
             assert score == pytest.approx(peeked)
 
-    def test_skip_filters_ordinals(self, scored):
+    def test_skip_filters_ordinals(self, scored, grouped):
         erased = {0, 1}
-        cursor = scored.cursor(2, skip=lambda o: o in erased)
-        ordinals = []
-        while (item := cursor.pop()) is not None:
-            ordinals.append(item[1])
-        assert set(ordinals).isdisjoint(erased)
-        assert len(ordinals) == 3
+        cursor = grouped.cursor(2, skip=lambda o: o in erased)
+        popped = drain(cursor)
+        assert {item[1] for item in popped}.isdisjoint(erased)
+        assert len(popped) == 3
+        eraser = BitmapEraser(len(SEQS))
+        eraser.mark(0, 2)
+        numbers, scores = scored.ranked(2, eraser)
+        assert numbers.tolist() == [n for n, _o, _s in popped]
+        assert scores.tolist() == pytest.approx([s for _n, _o, s in popped])
 
-    def test_exhausted(self, scored):
-        cursor = scored.cursor(2)
-        while cursor.pop() is not None:
-            pass
+    def test_exhausted(self, grouped):
+        cursor = grouped.cursor(2)
+        drain(cursor)
         assert cursor.exhausted
         assert cursor.peek_score() is None
         assert cursor.pop() is None
 
-    def test_numbers_match_sequences(self, scored):
-        cursor = scored.cursor(2)
-        while (item := cursor.pop()) is not None:
-            number, ordinal, _score = item
-            assert scored.postings.seqs[ordinal][1] == number
+    def test_numbers_match_sequences(self, scored, grouped):
+        for number, ordinal, _score in drain(grouped.cursor(2)):
+            assert SEQS[ordinal][1] == number
+        numbers, scores = scored.ranked(2)
+        by_score = {round(0.9 ** (len(seq) - 2) * raw, 12): seq[1]
+                    for seq, raw in zip(SEQS, RAW)}
+        assert [by_score[round(s, 12)] for s in scores.tolist()] == \
+            numbers.tolist()
 
-    def test_retrieved_counter(self, scored):
-        cursor = scored.cursor(4)
+    def test_retrieved_counter(self, grouped):
+        cursor = grouped.cursor(4)
         cursor.pop()
         cursor.pop()
         assert cursor.retrieved == 2
