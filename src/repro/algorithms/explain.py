@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from typing import TYPE_CHECKING
 
 from ..index.columnar import ColumnarIndex
-from ..obs.tracing import Span, render_trace
+from ..obs.tracing import NULL_TRACER, Span, render_trace
 from ..planner.cardinality import CardinalityEstimator
 from ..planner.plans import JoinPlanner
 from .base import ELCA, ExecutionStats, check_semantics
@@ -129,7 +129,8 @@ def explain(index: ColumnarIndex, terms: Sequence[str],
         auditor = PlanAuditor(planner, estimator, shadow=shadow,
                               seed=seed)
         planner = auditor.planner
-    engine = JoinBasedSearch(index, planner, tracer=tracer)
+    tracer = tracer if tracer is not None else NULL_TRACER
+    engine = JoinBasedSearch(index, planner)
     display_estimator = (estimator if estimator is not None
                          else CardinalityEstimator())
     ordered = index.query_postings(terms)
@@ -151,16 +152,11 @@ def explain(index: ColumnarIndex, terms: Sequence[str],
             emitted=emitted,
         ))
 
-    if tracer is not None and tracer.enabled:
-        with tracer.span("query", op="explain", terms=list(terms),
-                         semantics=semantics):
-            results, stats = engine.evaluate(terms, semantics,
-                                             with_scores=False,
-                                             observer=observer)
-        plan.trace = tracer.last_root()
-    else:
+    with tracer.span("query", op="explain", terms=list(terms),
+                     semantics=semantics):
         results, stats = engine.evaluate(terms, semantics, with_scores=False,
                                          observer=observer)
+    plan.trace = tracer.last_root()
     # The planner tags each pairwise join with its level; attach them.
     for level_plan in plan.levels:
         level_plan.join_algorithms = tuple(

@@ -44,8 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..index.columnar import ColumnarIndex, ColumnarPostings
-from ..obs.profiler import profile_phase
-from ..obs.tracing import NULL_TRACER
+from ..obs.tracing import span
 from ..planner.plans import JoinPlanner
 from ..reliability.deadline import Deadline
 from ..reliability.errors import DeadlineExceeded
@@ -77,10 +76,11 @@ class JoinBasedSearch:
         Optional `repro.cache.QueryCache`; when given, per-term postings
         lookups go through its LRU instead of straight to the index.
     tracer:
-        Optional `repro.obs.Tracer`; defaults to the no-op tracer.  The
-        engine records O(levels) spans per query (postings fetch, then
-        per level: join tagged with the section III-C plan choice and
-        cardinalities, scoring, erasure) -- never per-candidate spans.
+        Optional `repro.obs.Tracer` to open the engine's spans on; by
+        default the thread's ambient one (`repro.obs.tracing.span`).
+        The engine records O(levels) spans per query (postings fetch,
+        then per level: join tagged with the section III-C plan choice
+        and cardinalities, scoring, erasure) -- never per-candidate.
     """
 
     def __init__(self, index: ColumnarIndex,
@@ -94,7 +94,7 @@ class JoinBasedSearch:
         self.eraser_mode = eraser_mode
         self.vectorized = vectorized
         self.postings_cache = postings_cache
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.span = tracer.span if tracer is not None else span
         self.ranking: RankingModel = index.ranking
 
     def evaluate(self, terms: Sequence[str], semantics: str = ELCA,
@@ -116,13 +116,11 @@ class JoinBasedSearch:
         set and the unvisited levels counted in ``stats.levels_skipped``.
         """
         check_semantics(semantics)
-        tracer = self.tracer
         stats = ExecutionStats()
         terms = list(terms)
         if not terms:
             return [], stats
-        with tracer.span("postings_fetch", terms=list(terms)) as pspan, \
-                profile_phase("fetch"):
+        with self.span("postings_fetch", terms=list(terms)) as pspan:
             if self.postings_cache is not None:
                 postings = self.postings_cache.query_postings(self.index,
                                                               terms)
@@ -151,7 +149,7 @@ class JoinBasedSearch:
             try:
                 self._process_level(level, postings, erasers, semantics,
                                     with_scores, caller_slot, damping_base,
-                                    stats, results, observer, tracer)
+                                    stats, results, observer)
             except DeadlineExceeded:
                 # Raised mid-level by a lazy posting fetch polling the
                 # thread-local deadline; downgrade per policy.  Results
@@ -168,16 +166,14 @@ class JoinBasedSearch:
     def _process_level(self, level: int, postings, erasers, semantics: str,
                        with_scores: bool, caller_slot: List[int],
                        damping_base: float, stats: ExecutionStats,
-                       results: List[SearchResult], observer,
-                       tracer) -> None:
+                       results: List[SearchResult], observer) -> None:
         """Join, check, score and erase one level of the bottom-up loop."""
         columns = [p.column(level) for p in postings]
         if any(len(c) == 0 for c in columns):
             return
         stats.levels_processed += 1
         plan_mark = len(stats.per_level_plan)
-        with tracer.span("join", level=level) as jspan, \
-                profile_phase("join"):
+        with self.span("join", level=level) as jspan:
             joined = self.planner.intersect_all(
                 [c.distinct for c in columns], stats, level)
             jspan.tag(
@@ -191,8 +187,7 @@ class JoinBasedSearch:
             return
         # Run boundaries of every joined value in every column, in bulk.
         run_bounds = [column.runs_of(joined) for column in columns]
-        with tracer.span("score", level=level) as sspan, \
-                profile_phase("score"):
+        with self.span("score", level=level) as sspan:
             if self.vectorized:
                 emitted_at_level = self._check_level_vectorized(
                     joined, level, postings, columns, run_bounds,
@@ -216,8 +211,7 @@ class JoinBasedSearch:
             observer(level, columns, joined, emitted_at_level)
         # Erase every joined range *after* the level is fully checked:
         # same-level candidates never interact (disjoint subtrees).
-        with tracer.span("erase", level=level) as espan, \
-                profile_phase("erase"):
+        with self.span("erase", level=level) as espan:
             erased = erase_runs(columns, run_bounds, erasers)
             stats.erasures += erased
             espan.tag(erased=erased)

@@ -43,8 +43,7 @@ import numpy as np
 
 from ..index.columnar import ColumnarIndex
 from ..index.scored import ScoredPostings
-from ..obs.profiler import profile_phase
-from ..obs.tracing import NULL_TRACER
+from ..obs.tracing import span
 from ..planner.plans import JoinPlanner
 from ..reliability.deadline import Deadline
 from ..reliability.errors import DeadlineExceeded
@@ -213,8 +212,7 @@ class _TopKRun:
         included) and erase their ranges for the levels above."""
         stats, engine = self.stats, self.engine
         plan_mark = len(stats.per_level_plan)
-        with engine.tracer.span("erase", level=level) as espan, \
-                profile_phase("erase"):
+        with engine.span("erase", level=level) as espan:
             if joined is None:
                 joined = engine.planner.intersect_all(
                     [c.distinct for c in columns], stats, level)
@@ -239,7 +237,8 @@ class TopKKeywordSearch:
         self.bound_mode = bound_mode
         self.eraser_mode = eraser_mode
         self.planner = planner if planner is not None else JoinPlanner()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        # `tracer`, when given, else the thread's ambient one
+        self.span = tracer.span if tracer is not None else span
         self.ranking: RankingModel = index.ranking
 
     def search(self, terms: Sequence[str], k: int,
@@ -270,8 +269,7 @@ class TopKKeywordSearch:
             if len(emitted) >= k:
                 break
         generator.close()
-        with self.tracer.span("topk_termination") as tspan, \
-                profile_phase("topk"):
+        with self.span("topk_termination") as tspan:
             tspan.tag(k=k, emitted=len(emitted),
                       terminated_early=not state.finished,
                       partial=state.partial,
@@ -304,7 +302,6 @@ class TopKKeywordSearch:
         bound.
         """
         check_semantics(semantics)
-        tracer = self.tracer
         if stats is None:
             stats = ExecutionStats()
         state = _state if _state is not None else _StreamState()
@@ -313,8 +310,7 @@ class TopKKeywordSearch:
             state.finished = True
             return
         try:
-            with tracer.span("postings_fetch", terms=list(terms)) as pspan, \
-                    profile_phase("fetch"):
+            with self.span("postings_fetch", terms=list(terms)) as pspan:
                 postings = self.index.query_postings(terms)
                 pspan.tag(list_sizes=[len(p) for p in postings])
         except DeadlineExceeded:
@@ -371,8 +367,7 @@ class TopKKeywordSearch:
             # rank-join span stays open across `yield`s, so its duration
             # includes consumer time when the stream is driven
             # incrementally.
-            with tracer.span("rank_join", level=level) as jspan, \
-                    profile_phase("rank_join"):
+            with self.span("rank_join", level=level) as jspan:
                 join = run.rank_join(level, columns)
                 while join.pull():
                     yield from emit(run.harvest(join, level, columns, below))

@@ -29,9 +29,8 @@ from .algorithms.base import (ELCA, EmptyResultError, ExecutionStats,
                               sort_by_score)
 from .obs.account import accounting, fold_into_stats
 from .obs.metrics import MetricsRegistry, get_registry
-from .obs.profiler import PhaseProfiler, profile_phase
 from .obs.slowlog import SlowQueryLog
-from .obs.tracing import NULL_TRACER, Span, Tracer
+from .obs.tracing import NULL_TRACER, Span, Tracer, phase_totals, span
 from .algorithms.hybrid import HybridTopKSearch
 from .algorithms.index_based import IndexBasedSearch
 from .algorithms.join_based import JoinBasedSearch
@@ -175,13 +174,13 @@ class XMLDatabase:
     Observability (`repro.obs`): every query publishes latency and work
     counters into ``metrics`` (the process-wide registry by default);
     pass a live `Tracer` as ``tracer`` to record per-query span trees
-    (the default `NullTracer` keeps the hot path unchanged); pass
-    ``slow_log`` (or just ``slow_query_ms``) to capture query, stats
-    and trace of every over-threshold outlier.  The phase profiler
-    (`repro.obs.profiler`) is *on* by default -- every query's wall
-    time is attributed to pipeline phases and published as
-    ``repro_phase_time_ms{phase=...}``; pass
-    ``profiler=repro.obs.NULL_PROFILER`` to switch it off.
+    (the default `NullTracer` records nothing); pass ``slow_log`` (or
+    just ``slow_query_ms``) to capture query, stats, trace and
+    per-phase breakdown of every over-threshold outlier -- a database
+    with a slow log and no tracer runs each query under a private live
+    one.  Whenever a span tree was recorded, its per-phase exclusive
+    times (`repro.obs.tracing.phase_totals`) are published as
+    ``repro_phase_time_ms{phase=...}``.
     """
 
     def __init__(self, tree: Optional[XMLTree],
@@ -194,8 +193,7 @@ class XMLDatabase:
                  tracer=None,
                  metrics: Optional[MetricsRegistry] = None,
                  slow_log: Optional[SlowQueryLog] = None,
-                 slow_query_ms: Optional[float] = None,
-                 profiler=None):
+                 slow_query_ms: Optional[float] = None):
         if tree is not None and not tree.frozen:
             tree.freeze()
         # `repro.diskdb` passes no tree and installs `_open_tree`, the
@@ -210,8 +208,6 @@ class XMLDatabase:
         self.ranking = ranking if ranking is not None else RankingModel()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else get_registry()
-        self.profiler = (profiler if profiler is not None
-                         else PhaseProfiler(metrics=self.metrics))
         if slow_log is None and slow_query_ms is not None:
             slow_log = SlowQueryLog(threshold_ms=slow_query_ms)
         self.slow_log = slow_log
@@ -399,12 +395,15 @@ class XMLDatabase:
         counters on ``stats`` are filled here and nowhere else.
         """
         tracer = self.tracer
+        if self.slow_log is not None and not tracer.enabled:
+            tracer = Tracer(capacity=1)  # only the slow-log record keeps it
         tags = {} if op == "search" else {"k": k}
         start = time.perf_counter()
-        with self.profiler.profile() as prof, \
-                tracer.span("query", op=op, semantics=semantics,
-                            algorithm=algorithm, **tags) as qspan:
-            with tracer.span("parse"), profile_phase("parse"):
+        # This root makes `tracer` the thread's ambient one: the engines
+        # and the lazy index open their regions with `span`, as below.
+        with tracer.span("query", op=op, semantics=semantics,
+                         algorithm=algorithm, **tags) as qspan:
+            with span("parse"):
                 terms = self._terms(query)
             qspan.tag(terms=list(terms))
             if strict:
@@ -412,7 +411,7 @@ class XMLDatabase:
             answer = None
             if cacheable:
                 key = result_key(terms, semantics, algorithm, k)
-                with tracer.span("cache_lookup") as cspan:
+                with span("cache_lookup") as cspan:
                     answer = self.cache.get_results(key)
                     cspan.tag(hit=answer is not None)
             if answer is not None:
@@ -452,8 +451,7 @@ class XMLDatabase:
                         self.cache.results.stats.evictions - evictions
         self._record_query(op, terms, semantics, algorithm, k,
                            (time.perf_counter() - start) * 1000.0, stats,
-                           qspan if tracer.enabled else None,
-                           phases=prof.phases if prof is not None else None)
+                           qspan if tracer.enabled else None)
         return answer, stats
 
     def _complete_results(self, terms: List[str], semantics: str,
@@ -483,8 +481,7 @@ class XMLDatabase:
                            ) -> Tuple[List[SearchResult], ExecutionStats]:
         if algorithm == "join":
             engine = JoinBasedSearch(self.columnar_index, planner,
-                                     postings_cache=self.cache,
-                                     tracer=self.tracer)
+                                     postings_cache=self.cache)
             if deadline is not None:
                 # The scope lets the lazy disk index poll the deadline
                 # from inside column materialization; the engine itself
@@ -562,8 +559,7 @@ class XMLDatabase:
                        algorithm: str, k: int,
                        deadline: Optional[Deadline] = None) -> TopKResult:
         if algorithm == "topk-join":
-            engine = TopKKeywordSearch(self.columnar_index,
-                                       tracer=self.tracer)
+            engine = TopKKeywordSearch(self.columnar_index)
             if deadline is not None:
                 with deadline_scope(deadline):
                     return engine.search(terms, k, semantics,
@@ -694,14 +690,9 @@ class XMLDatabase:
         """
         from .algorithms.explain import explain as _explain
 
-        tracer = None
-        if trace:
-            tracer = Tracer()
-        elif self.tracer.enabled:
-            tracer = self.tracer
         return _explain(self.columnar_index, self._terms(query), semantics,
-                        planner, tracer=tracer, analyze=analyze,
-                        shadow=shadow, estimator=estimator)
+                        planner, tracer=Tracer() if trace else self.tracer,
+                        analyze=analyze, shadow=shadow, estimator=estimator)
 
     def _terms(self, query: Union[str, Sequence[str], Query]) -> List[str]:
         if isinstance(query, Query):
@@ -722,13 +713,16 @@ class XMLDatabase:
     def _record_query(self, op: str, terms: List[str], semantics: str,
                       algorithm: str, k: Optional[int], elapsed_ms: float,
                       stats: Optional[ExecutionStats],
-                      trace_root: Optional[Span],
-                      phases: Optional[Dict[str, float]] = None) -> None:
+                      trace_root: Optional[Span]) -> None:
         """Publish one finished query into metrics and the slow log."""
         metrics = self.metrics
         metrics.counter("repro_queries_total", {"op": op}).inc()
         metrics.histogram("repro_query_latency_ms",
                           {"op": op}).observe(elapsed_ms)
+        if trace_root is not None:
+            for phase, ms in phase_totals(trace_root).items():
+                metrics.histogram("repro_phase_time_ms",
+                                  {"phase": phase}).observe(ms)
         if stats is not None:
             if stats.merge_joins:
                 metrics.counter("repro_level_joins_total",
@@ -780,8 +774,7 @@ class XMLDatabase:
                 stats_dict["resources"] = stats.resources
             self.slow_log.maybe_record(
                 elapsed_ms, terms, semantics, algorithm, k,
-                stats_dict, trace_root,
-                phases=phases)
+                stats_dict, trace_root)
 
     # ------------------------------------------------------------------
     # introspection

@@ -283,20 +283,19 @@ class QueryCache:
         account = active_account()
         postings = []
         for term in terms:
-            cached = self.postings.get(term, _MISSING)
-            if cached is _MISSING:
-                if self.metrics is not None:
-                    self._postings_miss.inc()
+            # Entries are (postings, nbytes): a term is sized once, when
+            # it enters the cache, not on every lookup.
+            entry = self.postings.get(term, _MISSING)
+            hit = entry is not _MISSING
+            if not hit:
                 cached = index.term_postings(term)
-                self.postings.put(term, cached)
-                if account is not None:
-                    account.record_cache(False, postings_nbytes(cached))
-            else:
-                if self.metrics is not None:
-                    self._postings_hit.inc()
-                if account is not None:
-                    account.record_cache(True, postings_nbytes(cached))
-            postings.append(cached)
+                entry = (cached, postings_nbytes(cached))
+                self.postings.put(term, entry)
+            if self.metrics is not None:
+                (self._postings_hit if hit else self._postings_miss).inc()
+            if account is not None:
+                account.record_cache(hit, entry[1])
+            postings.append(entry[0])
         postings.sort(key=len)
         return postings
 

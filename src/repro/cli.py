@@ -505,7 +505,8 @@ def _trace_from_log(path: str, trace_id: Optional[str]) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import Tracer, render_trace, trace_to_jsonl
+    from .obs import (Tracer, phase_totals, render_phases, render_trace,
+                      trace_to_jsonl)
 
     if args.from_log is not None:
         return _trace_from_log(args.from_log, args.trace_id)
@@ -534,6 +535,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     elapsed = (time.perf_counter() - start) * 1000
     root = tracer.last_root()
     print(render_trace(root))
+    print(render_phases(phase_totals(root)))
     print(f"({len(results)} results in {elapsed:.1f} ms)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.account import active_account
-from ..obs.profiler import profile_phase
+from ..obs.tracing import span
 from ..reliability.deadline import check_active
 from ..reliability.errors import DatabaseCorruptError
 from ..scoring.ranking import RankingModel
@@ -134,7 +134,7 @@ class LazyColumnarPostings(ColumnarPostings):
                 self.metrics.counter(
                     "repro_decode_bytes_total").inc(len(payload))
             try:
-                with profile_phase("decompress"):
+                with span("decompress", codec=scheme, bytes=len(payload)):
                     values = decompress_column(scheme, payload)
                 if len(values) != len(seq_idx):
                     raise ValueError(f"{len(values)} values for "

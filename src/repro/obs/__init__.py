@@ -1,29 +1,25 @@
-"""Observability: span tracing, metrics registry and the slow-query log.
+"""Observability: span tracing, metrics registry, slow-query log, plan audit.
 
-Three independent instruments threaded through the query pipeline:
+Four independent instruments threaded through the query pipeline:
 
 * `tracing` -- `Tracer`/`Span` context managers recording where time
-  goes inside one query (parse, postings fetch, per-level joins tagged
-  with the section III-C plan choice, erasure, scoring, top-K
-  termination), with a text tree renderer and JSONL export;
+  goes inside one query (parse, postings fetch, column decode,
+  per-level joins tagged with the section III-C plan choice, erasure,
+  scoring, top-K termination), with a text tree renderer and JSONL
+  export.  The span tree is the one record of a query's time:
+  `phase_totals` folds it into exclusive per-phase milliseconds
+  (parse/fetch/decompress/join/score/erase/rank_join/topk/other),
+  published as ``repro_phase_time_ms`` and attached to slow-log entries;
 * `metrics` -- a process-wide `MetricsRegistry` of counters, gauges and
   p50/p95/p99 histograms, with `snapshot()` and Prometheus exposition;
-* `slowlog` -- a bounded `SlowQueryLog` capturing query, stats and
-  trace of outliers.
-
-Tracing and the slow log default off (`NULL_TRACER`, no slow log) so
-the serving hot path is unchanged unless asked for; the phase profiler
-defaults *on* (its per-query cost is a handful of `perf_counter`
-calls, held to the <=5% overhead guard).
-
-Two further instruments added by the plan-quality PR:
-
+* `slowlog` -- a bounded `SlowQueryLog` capturing query, stats, trace
+  and per-phase breakdown of outliers;
 * `audit` -- EXPLAIN ANALYZE for the section III-C optimizer:
   per-level predicted vs. actual cardinality, q-error and plan regret
-  (`PlanAudit`, via ``explain(analyze=True)`` / ``repro audit``);
-* `profiler` -- always-on exclusive-time phase attribution
-  (parse/fetch/decompress/join/erase/rank-join), published as
-  ``repro_phase_time_ms`` histograms and attached to slow-log entries.
+  (`PlanAudit`, via ``explain(analyze=True)`` / ``repro audit``).
+
+Tracing and the slow log default off (`NULL_TRACER`, no slow log): a
+default query records no span and no phase.
 """
 
 from .account import (ResourceAccount, accounting, active_account,
@@ -41,11 +37,9 @@ from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, get_registry)
 from .slo import (DEFAULT_WINDOWS_S, SLO_SCHEMA, SLOConfig, SLOTracker,
                   format_slo_report, report_from_records)
-from .profiler import (NULL_PROFILER, PHASES, NullPhaseProfiler,
-                       PhaseProfiler, QueryProfile, SamplingProfiler,
-                       active_profile, profile_phase)
 from .slowlog import SlowQueryLog, SlowQueryRecord
-from .tracing import (NULL_TRACER, NullTracer, Span, Tracer, render_trace,
+from .tracing import (NULL_TRACER, PHASES, NullTracer, Span, Tracer,
+                      phase_totals, render_phases, render_trace,
                       spans_per_level_plan, trace_to_jsonl)
 
 __all__ = [
@@ -60,20 +54,15 @@ __all__ = [
     "JoinObservation",
     "LevelAudit",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_TRACER",
-    "NullPhaseProfiler",
     "NullTracer",
     "PHASES",
-    "PhaseProfiler",
     "PlanAudit",
     "PlanAuditor",
-    "QueryProfile",
     "ResourceAccount",
     "SLOConfig",
     "SLOTracker",
     "SLO_SCHEMA",
-    "SamplingProfiler",
     "SlowQueryLog",
     "SlowQueryRecord",
     "Span",
@@ -84,7 +73,6 @@ __all__ = [
     "Tracer",
     "accounting",
     "active_account",
-    "active_profile",
     "audit_query",
     "count_spans",
     "doctor_report",
@@ -95,10 +83,11 @@ __all__ = [
     "make_span",
     "merge_resources",
     "new_trace_id",
+    "phase_totals",
     "postings_nbytes",
-    "profile_phase",
     "q_error",
     "read_jsonl",
+    "render_phases",
     "render_stitched",
     "render_trace",
     "report_from_records",

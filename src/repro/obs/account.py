@@ -29,6 +29,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 _ACTIVE: "ContextVar[Optional[ResourceAccount]]" = ContextVar(
     "repro_resource_account", default=None)
 
@@ -215,5 +217,5 @@ def postings_nbytes(postings) -> int:
         return int(sum(len(payload) for _scheme, payload in payloads))
     lengths = getattr(postings, "lengths", None)
     if lengths is not None:
-        return int(sum(int(length) for length in lengths)) * 4
+        return int(np.sum(lengths)) * 4
     return 0

@@ -50,7 +50,7 @@ import numpy as np
 
 from ..planner.cardinality import CardinalityEstimator
 from ..planner.plans import (INDEX, MERGE, JoinPlanner, alternative_of,
-                             index_intersect, merge_intersect, modeled_cost)
+                             modeled_cost)
 
 SHADOW_MODES = ("off", "sampled", "all")
 
@@ -137,38 +137,28 @@ class AuditingJoinPlanner(JoinPlanner):
         self.shadow_rate = float(shadow_rate)
         self.records: List[JoinObservation] = []
         self._rng = random.Random(seed)
-        self._level: Optional[int] = None
         self._shadow_level = False
 
     def intersect_all(self, columns, stats=None, level=None):
-        self._level = level
         self._shadow_level = (
             self.shadow == "all"
             or (self.shadow == "sampled"
                 and self._rng.random() < self.shadow_rate))
-        try:
-            return super().intersect_all(columns, stats, level)
-        finally:
-            self._level = None
+        return super().intersect_all(columns, stats, level)
 
-    def intersect(self, a: np.ndarray, b: np.ndarray, stats=None
-                  ) -> np.ndarray:
-        probe, target = (a, b) if len(a) <= len(b) else (b, a)
-        algorithm = self.choose(len(probe), len(target))
-        if stats is not None:
-            stats.joins += 1
-        run = index_intersect if algorithm == INDEX else merge_intersect
+    def execute(self, algorithm: str, probe: np.ndarray,
+                target: np.ndarray, stats=None, level=None) -> np.ndarray:
         start = time.perf_counter()
-        result = run(probe, target, stats)
+        result = super().execute(algorithm, probe, target, stats)
         actual_ms = (time.perf_counter() - start) * 1000.0
         shadow_ms: Optional[float] = None
         if self._shadow_level:
-            alt = merge_intersect if algorithm == INDEX else index_intersect
             shadow_start = time.perf_counter()
-            alt(probe, target, None)  # stats=None: shadow work is free
+            # stats=None: shadow work is free
+            super().execute(alternative_of(algorithm), probe, target)
             shadow_ms = (time.perf_counter() - shadow_start) * 1000.0
         self.records.append(JoinObservation(
-            level=self._level,
+            level=level,
             probe_size=len(probe),
             target_size=len(target),
             output_size=len(result),

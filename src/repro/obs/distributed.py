@@ -40,7 +40,7 @@ import time
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
 
-from .tracing import Span, _jsonable
+from .tracing import Span, _jsonable, render_trace
 
 #: Bumped when the wire shape of contexts or span trees changes; a
 #: worker from a different version refuses to guess.
@@ -200,31 +200,8 @@ def stitch_trace(trace_id: str, endpoint: str, terms: Sequence[str],
 
 
 def render_stitched(trace: Dict[str, Any], min_ms: float = 0.0) -> str:
-    """Text tree of a stitched trace (dict spans), `render_trace`
-    style: duration, share of the request, tags."""
-    root = trace.get("root", trace)
-    total = float(root.get("duration_ms", 0.0)) or 1e-9
-    lines: List[str] = []
-
-    def fmt_tags(tags: Dict[str, Any]) -> str:
-        if not tags:
-            return ""
-        parts = ", ".join(f"{k}={v}" for k, v in tags.items())
-        return f"  [{parts}]"
-
-    def emit(span: Dict[str, Any], depth: int) -> None:
-        duration = float(span.get("duration_ms", 0.0))
-        if duration < min_ms and depth > 0:
-            return
-        share = 100.0 * duration / total
-        lines.append(f"{'  ' * depth}{span.get('name', '?'):<18} "
-                     f"{duration:>9.3f} ms  {share:>5.1f}%"
-                     f"{fmt_tags(span.get('tags', {}))}")
-        for child in span.get("children", []):
-            emit(child, depth + 1)
-
-    emit(root, 0)
-    return "\n".join(lines)
+    """Text tree of a stitched trace: `render_trace` over its root."""
+    return render_trace(trace.get("root", trace), min_ms)
 
 
 def count_spans(trace: Dict[str, Any], name: Optional[str] = None) -> int:

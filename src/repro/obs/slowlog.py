@@ -2,10 +2,12 @@
 
 A `SlowQueryLog` keeps a bounded ring of `SlowQueryRecord`s for every
 query whose wall time crosses the threshold: the normalized terms, the
-semantics/algorithm/k, the `ExecutionStats` counters, and -- when the
-database runs with a live `Tracer` -- the query's span tree.  With
-``path`` set, records are also appended to a JSONL file as they happen,
-so a long-running server leaves a greppable trail.
+semantics/algorithm/k, the `ExecutionStats` counters, the query's span
+tree and the per-phase breakdown folded from it (`phase_totals`).
+`XMLDatabase` runs every query of a database that has a slow log under
+a live `Tracer`, so its records always carry both.  With ``path`` set,
+records are also appended to a JSONL file as they happen, so a
+long-running server leaves a greppable trail.
 
 ::
 
@@ -23,9 +25,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Union
 
-from .tracing import Span, _jsonable
+from .tracing import Span, _jsonable, phase_totals
 
 
 @dataclass
@@ -40,8 +42,8 @@ class SlowQueryRecord:
     stats: Dict[str, Any] = field(default_factory=dict)
     trace: Optional[Dict[str, Any]] = None
     wall_time: float = 0.0  # time.time() at record, for log correlation
-    # Exclusive per-phase milliseconds from the phase profiler
-    # (repro.obs.profiler), when one was active for the query.
+    # Exclusive per-phase milliseconds: `phase_totals(trace)`, present
+    # whenever `trace` is.
     phases: Optional[Dict[str, float]] = None
 
     def as_dict(self) -> Dict[str, Any]:
@@ -83,29 +85,22 @@ class SlowQueryLog:
                      semantics: str, algorithm: str,
                      k: Optional[int] = None,
                      stats: Optional[Dict[str, Any]] = None,
-                     trace_root: Optional[Span] = None,
-                     phases: Optional[Dict[str, float]] = None,
-                     trace_dict: Optional[Dict[str, Any]] = None) -> bool:
+                     trace_root: Union[Span, Dict[str, Any], None] = None
+                     ) -> bool:
         """Record the query if it crossed the threshold; True if kept.
-
-        ``trace_dict`` accepts an already-serialized span tree (the
-        daemon's stitched cross-process traces are dicts, never `Span`
-        objects) and wins over ``trace_root`` when both are given.
-        """
+        ``trace_root`` is its span tree, as a `Span` or already in dict
+        form (the daemon's stitched cross-process traces)."""
         if elapsed_ms < self.threshold_ms:
             return False
-        if trace_dict is not None:
-            trace = trace_dict
-        else:
-            trace = (trace_root.to_dict()
-                     if trace_root is not None else None)
+        trace = (trace_root.to_dict() if isinstance(trace_root, Span)
+                 else trace_root)
         record = SlowQueryRecord(
             terms=list(terms), semantics=semantics, algorithm=algorithm,
             k=k, elapsed_ms=float(elapsed_ms),
             stats=dict(stats) if stats else {},
             trace=trace,
             wall_time=time.time(),
-            phases=dict(phases) if phases else None)
+            phases=phase_totals(trace) if trace is not None else None)
         with self._lock:
             if len(self._records) == self._records.maxlen:
                 self.dropped += 1

@@ -4,11 +4,15 @@ A `Tracer` records a tree of `Span`s -- named, monotonic-clock-timed
 regions with free-form tags -- per query: parse, postings fetch, each
 level's join (tagged with the section III-C plan choice and the
 input/output cardinalities), semantic check + scoring, erasure, and
-top-K termination.  The default everywhere is `NULL_TRACER`, whose
-`span` returns a shared no-op context manager, so instrumented code
-pays one attribute lookup and two no-op calls per span when tracing is
-off -- the hot path only ever creates O(levels) spans per query, never
-O(candidates) (guarded by ``tests/test_observability.py``).
+top-K termination.  Instrumented code holds no tracer: it opens its
+regions with the module-level `span`, which records on whichever
+`Tracer` has a root span open on the calling thread -- so a region
+inside an index object every query shares (the lazy index's column
+decode) lands in the tree of the query that paid for it -- and is a
+shared no-op otherwise.  The default everywhere is `NULL_TRACER`, so a
+default query pays one thread-local read and two no-op calls per region
+and only ever reaches O(levels) regions, never O(candidates) (guarded
+by ``tests/test_observability.py``).
 
 ::
 
@@ -22,6 +26,11 @@ O(candidates) (guarded by ``tests/test_observability.py``).
 Spans are kept on a per-thread stack, so queries evaluated on several
 threads at once (the daemon's ``--workers 0`` path) each record one
 coherent tree.
+
+The span tree is also the only record of where a query's time went:
+`phase_totals` folds a finished tree into exclusive milliseconds per
+pipeline phase, which is what ``repro_phase_time_ms``, the slow log's
+``phases`` and the table under ``repro trace`` all print.
 """
 
 from __future__ import annotations
@@ -29,7 +38,18 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+
+# The phases a query's wall time is attributed to, and the span names
+# that open them; time under any other span, or under none, is "other".
+PHASES = ("parse", "fetch", "decompress", "join", "score", "erase",
+          "rank_join", "topk", "other")
+_SPAN_PHASE = {"parse": "parse", "postings_fetch": "fetch",
+               "decompress": "decompress", "join": "join", "score": "score",
+               "erase": "erase", "rank_join": "rank_join",
+               "topk_termination": "topk"}
+
+_ACTIVE = threading.local()  # .tracer -> the Tracer with a root open here
 
 
 class Span:
@@ -149,10 +169,16 @@ class Tracer:
         return stack
 
     def span(self, name: str, **tags: Any) -> Span:
+        """Open a span under this thread's innermost open one.  Opening
+        a root makes this tracer the thread's ambient one -- what the
+        module-level `span` records on -- until that root closes."""
         span = Span(name, tags, self)
         stack = self._stack()
         if stack:
             stack[-1].children.append(span)
+        else:
+            self._local.outer = getattr(_ACTIVE, "tracer", None)
+            _ACTIVE.tracer = self
         stack.append(span)
         return span
 
@@ -167,6 +193,7 @@ class Tracer:
         if stack and stack[-1] is span:
             stack.pop()
         if not stack:
+            _ACTIVE.tracer = getattr(self._local, "outer", None)
             with self._lock:
                 self._roots.append(span)
                 while len(self._roots) > self.capacity:
@@ -187,37 +214,88 @@ class Tracer:
         self._local = threading.local()
 
 
+def span(name: str, **tags: Any):
+    """Open a span on the thread's ambient tracer (see `Tracer.span`);
+    the shared no-op span when no root is open on this thread."""
+    tracer = getattr(_ACTIVE, "tracer", None)
+    if tracer is None:
+        return NULL_SPAN
+    return tracer.span(name, **tags)
+
+
+def _fields(node: Union[Span, Dict[str, Any]]):
+    """``(name, duration_ms, tags, children)`` of a span in either form.
+    The dict form also arrives from log files, so a missing key reads
+    as empty instead of raising."""
+    if isinstance(node, dict):
+        return (node.get("name", "?"), float(node.get("duration_ms", 0.0)),
+                node.get("tags", {}), node.get("children", []))
+    return node.name, node.duration_ms, node.tags, node.children
+
+
+def phase_totals(root: Union[Span, Dict[str, Any]]) -> Dict[str, float]:
+    """Exclusive milliseconds per phase of a finished span tree.
+
+    Each span's duration minus its children's is charged to the phase
+    its name opens (`PHASES`), or to ``other``; the values therefore
+    sum to the root's duration.  Takes a `Span` or its `to_dict` form
+    (the daemon's stitched traces are dicts).  Children that overlap in
+    time -- shards evaluated in parallel under one ``scatter`` span --
+    are each charged in full, and the parent's share goes negative by
+    the overlap so the sum still holds.
+    """
+    totals: Dict[str, float] = {}
+
+    def fold(node) -> float:
+        name, duration, _tags, children = _fields(node)
+        own = duration
+        for child in children:
+            own -= fold(child)
+        phase = _SPAN_PHASE.get(name, "other")
+        totals[phase] = totals.get(phase, 0.0) + own
+        return duration
+
+    fold(root)
+    return totals
+
+
 # ---------------------------------------------------------------------------
 # renderers / exporters
 # ---------------------------------------------------------------------------
 
-def render_trace(root: Span, min_ms: float = 0.0) -> str:
-    """A text tree of the span hierarchy with durations and tags.
+def render_trace(root: Union[Span, Dict[str, Any]],
+                 min_ms: float = 0.0) -> str:
+    """A text tree of the span hierarchy with durations and tags, from
+    a `Span` or its dict form.
 
     ``min_ms`` hides spans (and their subtrees) faster than the cutoff
     -- a poor man's flame-graph zoom for deep traces.
     """
-    total = root.duration_ms or 1e-9
+    total = _fields(root)[1] or 1e-9
     lines: List[str] = []
 
-    def fmt_tags(tags: Dict[str, Any]) -> str:
-        if not tags:
-            return ""
-        parts = ", ".join(f"{k}={v}" for k, v in tags.items())
-        return f"  [{parts}]"
-
-    def emit(span: Span, depth: int) -> None:
-        if span.duration_ms < min_ms and depth > 0:
+    def emit(node, depth: int) -> None:
+        name, duration, tags, children = _fields(node)
+        if duration < min_ms and depth > 0:
             return
-        share = 100.0 * span.duration_ms / total
-        lines.append(f"{'  ' * depth}{span.name:<18} "
-                     f"{span.duration_ms:>9.3f} ms  {share:>5.1f}%"
-                     f"{fmt_tags(span.tags)}")
-        for child in span.children:
+        parts = ", ".join(f"{k}={v}" for k, v in tags.items())
+        lines.append(f"{'  ' * depth}{name:<18} {duration:>9.3f} ms  "
+                     f"{100.0 * duration / total:>5.1f}%"
+                     + (f"  [{parts}]" if parts else ""))
+        for child in children:
             emit(child, depth + 1)
 
     emit(root, 0)
     return "\n".join(lines)
+
+
+def render_phases(phases: Dict[str, float]) -> str:
+    """The per-phase table ``repro trace`` prints under the span tree."""
+    total = sum(phases.values()) or 1e-9
+    return "\n".join(
+        f"{phase:<18} {phases[phase]:>9.3f} ms  "
+        f"{100.0 * phases[phase] / total:>5.1f}%"
+        for phase in PHASES if phase in phases)
 
 
 def trace_to_jsonl(roots: Iterable[Span]) -> str:

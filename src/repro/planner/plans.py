@@ -107,12 +107,26 @@ class JoinPlanner:
         return MERGE
 
     def intersect(self, a: np.ndarray, b: np.ndarray,
-                  stats: Optional[ExecutionStats] = None) -> np.ndarray:
-        """Intersect with the chosen algorithm; smaller side probes."""
+                  stats: Optional[ExecutionStats] = None,
+                  level: Optional[int] = None) -> np.ndarray:
+        """Intersect with the chosen algorithm; smaller side probes.
+
+        The one place a pairwise join is decided: the choice is noted in
+        ``stats.per_level_plan`` (when ``level`` is given) and handed to
+        `execute`, never taken again.
+        """
         probe, target = (a, b) if len(a) <= len(b) else (b, a)
         algorithm = self.choose(len(probe), len(target))
         if stats is not None:
             stats.joins += 1
+            if level is not None:
+                stats.per_level_plan.append((level, algorithm))
+        return self.execute(algorithm, probe, target, stats, level)
+
+    def execute(self, algorithm: str, probe: np.ndarray, target: np.ndarray,
+                stats: Optional[ExecutionStats] = None,
+                level: Optional[int] = None) -> np.ndarray:
+        """Execute one already-decided pairwise join."""
         if algorithm == INDEX:
             return index_intersect(probe, target, stats)
         return merge_intersect(probe, target, stats)
@@ -132,8 +146,5 @@ class JoinPlanner:
         for column in ordered[1:]:
             if len(result) == 0:
                 break
-            algorithm = self.choose(len(result), len(column))
-            if stats is not None and level is not None:
-                stats.per_level_plan.append((level, algorithm))
-            result = self.intersect(result, column, stats)
+            result = self.intersect(result, column, stats, level)
         return result

@@ -197,7 +197,6 @@ def _serve_shard(payload):
     ctx = TraceContext.from_wire(ctx_wire)
     _worker_baseline(db)
     tracer = Tracer() if ctx is not None and ctx.sampled else NULL_TRACER
-    prev_tracer, db.tracer = db.tracer, tracer
     start = time.perf_counter()
     try:
         deferred = apply_worker_fault(fault)
@@ -238,8 +237,6 @@ def _serve_shard(payload):
         return (sid, None, False, None,
                 (time.perf_counter() - start) * 1000.0, exc,
                 _shard_extra(db, tracer, None))
-    finally:
-        db.tracer = prev_tracer
 
 
 #: ``name{label="v"}`` keys from `MetricsRegistry.snapshot`, split back
@@ -940,7 +937,7 @@ class ServeDaemon:
                                     "retrievals": s.get("retrievals"),
                                     "partial": s.get("partial"),
                                 } for s in obs.shards},
-                        }, trace_dict=trace["root"])
+                        }, trace_root=trace["root"])
             self.access_log.record(
                 wall_time=wall, trace_id=trace_id, endpoint=endpoint,
                 terms=terms, semantics=semantics, k=k, status=status,

@@ -183,3 +183,32 @@ class TestPostingsNbytes:
     def test_sums_level_payloads(self, small_db):
         postings = small_db.columnar_index.term_postings("xml")
         assert postings_nbytes(postings) > 0
+
+    def test_in_memory_is_four_bytes_a_value(self, small_db):
+        postings = small_db.columnar_index.term_postings("xml")
+        assert postings_nbytes(postings) == \
+            4 * sum(len(seq) for seq in postings.seqs)
+
+    def test_cache_sizes_a_term_once_not_per_lookup(self, small_db,
+                                                    monkeypatch):
+        """A postings-cache hit bills the bytes it saved; sizing the
+        term is a walk over its lengths, so it happens when the term
+        enters the cache and never again."""
+        import repro.cache as cache_mod
+
+        sized = []
+
+        def counting_nbytes(postings):
+            sized.append(postings.term)
+            return postings_nbytes(postings)
+
+        monkeypatch.setattr(cache_mod, "postings_nbytes", counting_nbytes)
+        index = small_db.columnar_index
+        expected = postings_nbytes(index.term_postings("xml"))
+        cache = cache_mod.QueryCache()
+        with accounting() as account:
+            for _ in range(51):         # one miss, then 50 hits
+                cache.query_postings(index, ["xml"])
+        assert sized == ["xml"]
+        assert account.cache_bytes_paid == expected
+        assert account.cache_bytes_saved == 50 * expected

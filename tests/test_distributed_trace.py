@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import PHASES, MetricsRegistry, phase_totals
 from repro.obs.distributed import (TRACE_WIRE_VERSION, TailSampler,
                                    TraceContext, count_spans, make_span,
                                    new_trace_id, read_jsonl,
@@ -369,6 +369,19 @@ class TestDaemonStitchedTraces:
         assert record.stats["trace_id"]
         assert record.stats["shards"]
         assert record.trace["name"] == "request"
+
+    def test_slow_log_phases_are_the_fold_of_the_stitched_tree(
+            self, pool_harness):
+        """A served request never ran under `XMLDatabase._run_query`;
+        its breakdown comes from the same fold, over the stitched tree
+        (worker engine spans grafted under the shard spans)."""
+        pool_harness.get_json("/topk?q=alpha+beta+gamma&k=7")
+        record = pool_harness.daemon.slow_log.records()[-1]
+        assert record.phases == phase_totals(record.trace)
+        assert "rank_join" in record.phases     # from a worker's tree
+        assert set(record.phases) <= set(PHASES)
+        assert sum(record.phases.values()) == pytest.approx(
+            record.trace["duration_ms"], rel=0.01)
 
     def test_worker_metrics_surface_in_stats_and_metrics(
             self, pool_harness):

@@ -6,9 +6,9 @@ repro.<module>`` and ``repro <verb>`` the docs, CI workflow and verify
 skill name must still exist (see `TestDocumentedCommands`).
 
 Removed names: the options, environment variable and functions that
-went with the four-format storage stack, and the library's own batch
-pools, must not come back into a doc, the CI workflow or the skill
-(see `REMOVED_NAMES`).
+went with the four-format storage stack, the library's own batch
+pools and the phase profiler must not come back into a doc, the CI
+workflow or the skill (see `REMOVED_NAMES`).
 
 The test drives an inline daemon (with accounting, tracing, caching
 and a disk-backed sharded database, so as many families as
@@ -167,6 +167,10 @@ REMOVED_NAMES = (
     # tests/reference_topk.py; these calls exist nowhere)
     "value_at", "has_exact_length", "is_erased", "topk_join(",
     "_CursorInput", "ScoreGroup", "cursor(level",
+    # the second timing instrument: phase totals are a fold over the
+    # span tree (`repro.obs.tracing.phase_totals`)
+    "profile_phase", "PhaseProfiler", "NULL_PROFILER", "NullPhaseProfiler",
+    "SamplingProfiler", "QueryProfile", "profiler=",
 )
 
 

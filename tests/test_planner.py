@@ -84,6 +84,48 @@ class TestPlanner:
         assert stats.joins == 1  # the third join never runs
 
 
+class TestDecidesOnce:
+    """`choose` runs once per pairwise intersection: `intersect` decides,
+    notes the choice in ``per_level_plan`` and hands it to `execute`."""
+
+    COLUMNS = [arr(*range(0, 300, 2)), arr(*range(0, 300, 3)),
+               arr(*range(0, 300, 5))]
+
+    @staticmethod
+    def _counting(base):
+        class Counting(base):
+            chosen = 0
+
+            def choose(self, probe_size, target_size):
+                self.chosen += 1
+                return super().choose(probe_size, target_size)
+
+        return Counting()
+
+    def test_join_planner_one_choose_per_pairwise_join(self):
+        planner = self._counting(JoinPlanner)
+        stats = ExecutionStats()
+        out = planner.intersect_all(self.COLUMNS, stats, level=4)
+        assert list(out) == list(range(0, 300, 30))
+        assert planner.chosen == stats.joins == 2   # 3 terms, 2 joins
+        assert stats.per_level_plan == [(4, MERGE), (4, INDEX)]
+        assert (stats.merge_joins, stats.index_joins) == (1, 1)
+
+    def test_auditing_planner_one_choose_per_pairwise_join(self):
+        from repro.obs.audit import AuditingJoinPlanner
+
+        planner = self._counting(AuditingJoinPlanner)
+        stats = ExecutionStats()
+        planner.intersect_all(self.COLUMNS, stats, level=4)
+        assert planner.chosen == stats.joins == 2
+        assert stats.per_level_plan == [(4, MERGE), (4, INDEX)]
+        # The audit record carries the decision it was handed.
+        assert [(obs.level, obs.algorithm) for obs in planner.records] \
+            == stats.per_level_plan
+        assert [(obs.probe_size, obs.target_size, obs.output_size)
+                for obs in planner.records] == [(60, 100, 20), (20, 150, 10)]
+
+
 class TestCardinality:
     def test_containment_formula(self):
         # d1=10, d2=20 over domain 100 -> 100 * 0.1 * 0.2 = 2.

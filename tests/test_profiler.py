@@ -1,8 +1,12 @@
-"""Tests for the always-on phase profiler (`repro.obs.profiler`).
+"""Tests for the per-phase breakdown of a query's time.
 
-Exclusive-time attribution, the thread-local no-op discipline, the
-`repro_phase_time_ms` histograms, slow-log phase attachment, and the
-SIGPROF statistical cross-check.
+There is one timing instrument, the span tree; the breakdown is
+`repro.obs.tracing.phase_totals`, a fold over a finished tree.  Covered
+here: exclusive-time attribution, the ambient (thread-local) way an
+instrumented region reaches the tracer, the `repro_phase_time_ms`
+histograms and slow-log phase attachment -- in memory, lazily opened
+from disk, and top-K.  (File, class and test names predate the fold:
+they are the ids of the behaviours that survived the phase profiler.)
 """
 
 import threading
@@ -11,10 +15,9 @@ import time
 import pytest
 
 from repro import XMLDatabase
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import (NULL_PROFILER, PHASES, NullPhaseProfiler,
-                                PhaseProfiler, QueryProfile, SamplingProfiler,
-                                active_profile, profile_phase)
+from repro.obs import (PHASES, MetricsRegistry, SlowQueryLog, Tracer,
+                       phase_totals, render_phases)
+from repro.obs.tracing import NULL_SPAN, span
 
 
 def _fresh_db(source_db, **kwargs):
@@ -22,147 +25,142 @@ def _fresh_db(source_db, **kwargs):
     return XMLDatabase.from_xml_text(source_db.tree.to_xml(), **kwargs)
 
 
-def _spin(seconds):
-    """Burn CPU (not sleep -- ITIMER_PROF counts CPU time)."""
-    deadline = time.process_time() + seconds
-    x = 0
-    while time.process_time() < deadline:
-        x += 1
-    return x
+def _phase_sums(db):
+    """``repro_phase_time_ms`` sums per phase from the db's registry."""
+    return {key.split('"')[1]: data["sum"]
+            for key, data in db.metrics.snapshot()["histograms"].items()
+            if key.startswith("repro_phase_time_ms")}
 
 
 # ---------------------------------------------------------------------------
-# QueryProfile: exclusive attribution
+# phase_totals: exclusive attribution
 # ---------------------------------------------------------------------------
 
 class TestQueryProfile:
     def test_exclusive_time_sums_to_total(self):
-        profile = QueryProfile()
-        profile.enter("fetch")
-        time.sleep(0.002)
-        profile.enter("decompress")  # nested: fetch stops accruing
-        time.sleep(0.002)
-        profile.exit()
-        profile.exit()
-        time.sleep(0.001)
-        profile.finish()
-        phases = profile.phases
-        assert set(phases) <= set(PHASES) | {"fetch", "decompress"}
-        assert phases["fetch"] > 0.0
-        assert phases["decompress"] > 0.0
-        assert phases["other"] > 0.0
-        assert sum(phases.values()) == pytest.approx(profile.total_ms,
-                                                     rel=0.02)
+        tracer = Tracer()
+        with tracer.span("query"):
+            with tracer.span("postings_fetch"):
+                time.sleep(0.002)
+                with tracer.span("decompress"):  # fetch stops accruing
+                    time.sleep(0.002)
+            time.sleep(0.001)
+        root = tracer.last_root()
+        phases = phase_totals(root)
+        assert set(phases) == {"fetch", "decompress", "other"}
+        assert phases["fetch"] > 1.0
+        assert phases["decompress"] > 1.0
+        assert phases["other"] > 0.5
+        assert sum(phases.values()) == pytest.approx(root.duration_ms)
+        # The dict form (slow log, stitched serve traces) folds the same.
+        assert phase_totals(root.to_dict()) == phases
 
     def test_nesting_charges_the_innermost_phase(self):
-        profile = QueryProfile()
-        profile.enter("join")
-        profile.enter("erase")
-        time.sleep(0.005)
-        profile.exit()
-        profile.exit()
-        profile.finish()
+        tracer = Tracer()
+        with tracer.span("join"):
+            with tracer.span("erase"):
+                time.sleep(0.005)
+        phases = phase_totals(tracer.last_root())
         # Nearly all the time was inside erase; join only held the
         # stack during the boundary crossings.
-        assert profile.phases["erase"] > profile.phases.get("join", 0.0)
+        assert phases["erase"] > phases["join"]
 
-    def test_current_phase_tracks_the_stack(self):
-        profile = QueryProfile()
-        assert profile.current_phase == "other"
-        profile.enter("join")
-        assert profile.current_phase == "join"
-        profile.enter("erase")
-        assert profile.current_phase == "erase"
-        profile.exit()
-        assert profile.current_phase == "join"
-        profile.exit()
-        assert profile.current_phase == "other"
+    def test_unknown_span_names_are_other(self):
+        tracer = Tracer()
+        with tracer.span("request"):
+            with tracer.span("cache_lookup"):
+                pass
+            with tracer.span("topk_termination"):
+                pass
+        phases = phase_totals(tracer.last_root())
+        assert set(phases) == {"other", "topk"}
+        assert set(phases) <= set(PHASES)
 
-    def test_as_dict(self):
-        profile = QueryProfile()
-        profile.enter("topk")
-        profile.exit()
-        profile.finish()
-        payload = profile.as_dict()
-        assert payload["total_ms"] == profile.total_ms
-        assert payload["phases"] == profile.phases
+    def test_render_phases_lists_in_pipeline_order(self):
+        text = render_phases({"other": 1.0, "join": 2.0, "parse": 1.0})
+        assert [line.split()[0] for line in text.splitlines()] == \
+            ["parse", "join", "other"]
+        assert "50.0%" in text.splitlines()[1]
 
 
 # ---------------------------------------------------------------------------
-# module-level plumbing
+# module-level plumbing: the ambient tracer
 # ---------------------------------------------------------------------------
 
 class TestProfilePhase:
     def test_noop_without_active_profile(self):
-        assert active_profile() is None
-        span = profile_phase("join")
-        assert span is profile_phase("erase")  # the shared no-op object
-        with span:
-            pass  # must be harmless
+        region = span("join", level=3)
+        assert region is NULL_SPAN
+        with region as s:
+            s.tag(a=1)  # must be harmless
 
     def test_scope_activates_and_restores(self):
-        profiler = PhaseProfiler(metrics=MetricsRegistry())
-        with profiler.profile() as prof:
-            assert active_profile() is prof
-            with profile_phase("fetch"):
-                assert prof.current_phase == "fetch"
-        assert active_profile() is None
-        assert prof.total_ms > 0.0
+        tracer = Tracer()
+        with tracer.span("query") as root:
+            with span("postings_fetch") as fetch:
+                assert fetch is not NULL_SPAN
+        assert span("join") is NULL_SPAN
+        assert root.children == [fetch]
+        assert tracer.last_root() is root
 
     def test_scopes_nest_per_thread(self):
-        profiler = PhaseProfiler(metrics=MetricsRegistry())
-        with profiler.profile() as outer:
-            with profiler.profile() as inner:
-                assert active_profile() is inner
-            assert active_profile() is outer
+        outer, inner = Tracer(), Tracer()
+        with outer.span("query"):
+            with inner.span("query"):
+                with span("join"):
+                    pass
+            with span("erase"):
+                pass
+        assert [s.name for s in inner.last_root().walk()] == \
+            ["query", "join"]
+        assert [s.name for s in outer.last_root().walk()] == \
+            ["query", "erase"]
 
     def test_threads_have_independent_profiles(self):
-        profiler = PhaseProfiler(metrics=MetricsRegistry())
+        tracer = Tracer()
         seen = {}
 
         def worker(name):
-            with profiler.profile() as prof:
-                with profile_phase("join"):
+            with tracer.span("query") as root:
+                with span("join"):
                     time.sleep(0.002)
-                seen[name] = prof
+            seen[name] = root
 
-        with profiler.profile() as main_prof:
+        with tracer.span("query") as main_root:
             threads = [threading.Thread(target=worker, args=(i,))
                        for i in range(3)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
-            assert active_profile() is main_prof
-        profiles = list(seen.values())
-        assert len({id(p) for p in profiles}) == 3
-        for prof in profiles:
-            assert prof.phases["join"] > 0.0
-        # The workers' join time never leaked into the main profile.
-        assert "join" not in main_prof.phases
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        assert len({id(root) for root in seen.values()}) == 3
+        for root in seen.values():
+            assert phase_totals(root)["join"] > 1.0
+        # The workers' join time never leaked into the main tree.
+        assert "join" not in phase_totals(main_root)
 
 
 class TestPhaseProfiler:
-    def test_publishes_phase_histograms(self):
-        registry = MetricsRegistry()
-        profiler = PhaseProfiler(metrics=registry)
-        with profiler.profile():
-            with profile_phase("join"):
-                time.sleep(0.001)
-        snap = registry.snapshot()
-        hist = snap["histograms"]['repro_phase_time_ms{phase="join"}']
-        assert hist["count"] == 1
-        assert hist["sum"] > 0.0
-        assert 'repro_phase_time_ms{phase="other"}' in snap["histograms"]
+    def test_publishes_phase_histograms(self, small_db):
+        db = _fresh_db(small_db, tracer=Tracer())
+        db.search("xml data", use_cache=False)
+        phases = phase_totals(db.tracer.last_root())
+        snap = db.metrics.snapshot()["histograms"]
+        # One observation per touched phase, and exactly the folded value.
+        for phase, ms in phases.items():
+            hist = snap[f'repro_phase_time_ms{{phase="{phase}"}}']
+            assert hist["count"] == 1
+            assert hist["sum"] == pytest.approx(ms)
+        assert _phase_sums(db).keys() == phases.keys()
+        assert "join" in phases and "other" in phases
 
-    def test_null_profiler_records_nothing(self):
-        assert NULL_PROFILER.enabled is False
-        assert isinstance(NULL_PROFILER, NullPhaseProfiler)
-        with NULL_PROFILER.profile() as prof:
-            assert prof is None
-            assert active_profile() is None
-            with profile_phase("join"):
-                pass
+    def test_null_profiler_records_nothing(self, small_db):
+        db = _fresh_db(small_db)  # NULL_TRACER: the default
+        db.search("xml data", use_cache=False)
+        db.search_topk("xml data", k=2)
+        assert db.tracer.last_root() is None
+        assert _phase_sums(db) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +169,22 @@ class TestPhaseProfiler:
 
 class TestDatabaseIntegration:
     def test_search_populates_phase_histograms(self, small_db):
-        db = _fresh_db(small_db)
+        db = _fresh_db(small_db, tracer=Tracer())
         db.search("xml data", use_cache=False)
-        snap = db.metrics.snapshot()
-        phase_keys = [key for key in snap["histograms"]
-                      if key.startswith("repro_phase_time_ms")]
-        assert phase_keys
-        phases = {key.split('"')[1] for key in phase_keys}
-        assert "parse" in phases
+        phases = set(_phase_sums(db))
+        assert {"parse", "fetch", "join", "score", "erase"} <= phases
         assert phases <= set(PHASES)
 
     def test_topk_attributes_rank_join_phases(self, dblp_db):
-        db = _fresh_db(dblp_db)
+        db = _fresh_db(dblp_db, tracer=Tracer())
         db.search_topk("alpha beta", k=3)
-        snap = db.metrics.snapshot()
-        phases = {key.split('"')[1] for key in snap["histograms"]
-                  if key.startswith("repro_phase_time_ms")}
+        root = db.tracer.last_root()
+        phases = phase_totals(root)
         assert "rank_join" in phases
         assert "topk" in phases
+        assert set(phases) <= set(PHASES)
+        assert sum(phases.values()) == pytest.approx(root.duration_ms)
+        assert _phase_sums(db) == pytest.approx(phases)
 
     def test_slow_log_carries_the_phase_breakdown(self, small_db):
         db = _fresh_db(small_db, slow_query_ms=0.0)  # record everything
@@ -201,59 +197,47 @@ class TestDatabaseIntegration:
         assert set(phases) <= set(PHASES)
         assert records[-1].as_dict()["phases"] == phases
 
-    def test_null_profiler_keeps_slow_log_phase_free(self, small_db):
-        db = _fresh_db(small_db, slow_query_ms=0.0,
-                       profiler=NULL_PROFILER)
+    def test_slow_log_without_a_tracer_traces_its_queries(self, small_db):
+        """No tracer was passed, so the database ran the query under a
+        private live one: the record has the tree, and its breakdown is
+        the fold of that tree."""
+        db = _fresh_db(small_db, slow_query_ms=0.0)
+        assert not db.tracer.enabled
         db.search("xml data", use_cache=False)
-        records = db.slow_log.records()
-        assert records
-        assert records[-1].phases is None
-        snap = db.metrics.snapshot()
-        assert not any(key.startswith("repro_phase_time_ms")
-                       for key in snap["histograms"])
+        record = db.slow_log.records()[-1]
+        assert record.trace["name"] == "query"
+        assert record.phases == phase_totals(record.trace)
+        assert sum(record.phases.values()) == \
+            pytest.approx(record.trace["duration_ms"])
+        assert _phase_sums(db) == pytest.approx(record.phases)
+        assert db.tracer.last_root() is None  # nothing else kept it
 
+    def test_null_profiler_keeps_slow_log_phase_free(self):
+        """No span tree, no breakdown: a record made without a trace
+        (a caller of the log other than `XMLDatabase`) has neither."""
+        log = SlowQueryLog(threshold_ms=0.0)
+        log.maybe_record(1.0, ["xml"], "elca", "join")
+        record = log.records()[-1]
+        assert record.trace is None
+        assert record.phases is None
 
-# ---------------------------------------------------------------------------
-# SIGPROF sampler
-# ---------------------------------------------------------------------------
-
-class TestSamplingProfiler:
-    def test_samples_land_in_the_active_phase(self):
-        profiler = PhaseProfiler(metrics=MetricsRegistry())
-        sampler = SamplingProfiler(interval=0.001)
-        with sampler, profiler.profile():
-            with profile_phase("join"):
-                _spin(0.05)
-        assert sampler.samples >= 1
-        assert sampler.counts.get("join", 0) > 0
-        dist = sampler.distribution()
-        assert sum(dist.values()) == pytest.approx(1.0)
-        # Nearly all CPU burned inside the join phase.
-        assert dist["join"] > 0.5
-
-    def test_stop_disarms_the_timer(self):
-        sampler = SamplingProfiler(interval=0.001)
-        sampler.start()
-        sampler.stop()
-        before = sampler.samples
-        _spin(0.02)
-        assert sampler.samples == before
-        sampler.stop()  # idempotent
-
-    def test_rejects_non_main_thread(self):
-        errors = []
-
-        def worker():
-            try:
-                SamplingProfiler().start()
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        assert len(errors) == 1
-        assert "main thread" in str(errors[0])
-
-    def test_empty_distribution_without_samples(self):
-        assert SamplingProfiler().distribution() == {}
+    def test_lazy_disk_query_attributes_decompress(self, small_db,
+                                                   tmp_path):
+        """The column decode happens inside an index object shared by
+        every query; its span still lands in the tree of the query that
+        paid for it, and the phases still sum to the root."""
+        small_db.save(str(tmp_path / "db"))
+        tracer = Tracer()
+        db = XMLDatabase.open(str(tmp_path / "db"), lazy=True,
+                              tracer=tracer, metrics=MetricsRegistry())
+        db.search("xml data", use_cache=False)
+        root = tracer.last_root()
+        decodes = root.find("decompress")
+        assert decodes
+        assert all(s.tags["bytes"] > 0 and s.tags["codec"]
+                   for s in decodes)
+        phases = phase_totals(root)
+        assert phases["decompress"] > 0.0
+        assert set(phases) <= set(PHASES)
+        assert sum(phases.values()) == pytest.approx(root.duration_ms)
+        assert _phase_sums(db) == pytest.approx(phases)
