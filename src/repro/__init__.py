@@ -18,8 +18,8 @@ Quickstart::
 """
 
 from .api import ALGORITHMS, TOPK_ALGORITHMS, BatchResult, Query, XMLDatabase
-from .algorithms.base import (ELCA, SLCA, ExecutionStats, SearchResult,
-                              TopKResult)
+from .algorithms.base import (ELCA, SLCA, ExecutionStats, ResultSet,
+                              SearchResult, TopKResult)
 from .cache import CacheStats, LRUCache, QueryCache
 from .obs import (MetricsRegistry, NullTracer, SlowQueryLog, Tracer,
                   get_registry, render_trace, spans_per_level_plan,
@@ -40,6 +40,7 @@ __all__ = [
     "ELCA",
     "SLCA",
     "ExecutionStats",
+    "ResultSet",
     "SearchResult",
     "TopKResult",
     "BatchResult",

@@ -1,6 +1,6 @@
 """Query algorithms: the paper's join-based family and the baselines."""
 
-from .base import (ELCA, SLCA, EmptyResultError, ExecutionStats,
+from .base import (ELCA, SLCA, EmptyResultError, ExecutionStats, ResultSet,
                    SearchResult, TopKResult, sort_by_document_order,
                    sort_by_score)
 from .erasure import BitmapEraser, IntervalEraser, make_eraser
@@ -19,6 +19,7 @@ __all__ = [
     "SLCA",
     "EmptyResultError",
     "ExecutionStats",
+    "ResultSet",
     "SearchResult",
     "TopKResult",
     "sort_by_document_order",

@@ -20,8 +20,9 @@ Cardinality is re-estimated per level, giving the context-awareness of
 section III-C: the same query may scan eagerly at the paper level and
 rank-join at the conference level.
 
-Both kinds of level keep their results as arrays in the run's buffer and
-erase through the same helper; only emitted results become nodes.
+The level loop is `TopKKeywordSearch`'s; both kinds of level add to the
+run's pending `ResultSet`, and the eager one is `LevelRun.eager_level`,
+the level complete evaluation is made of.
 
 ``switch_factor = 4.0`` was re-measured when the rank join went
 block-at-a-time (22 `fig10_topk` queries, seed 7, 20 000 papers, top-10,
@@ -41,20 +42,18 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ..index.columnar import ColumnarIndex
 from ..planner.cardinality import CardinalityEstimator
 from ..planner.plans import JoinPlanner
-from .base import (ELCA, ExecutionStats, SearchResult, TopKResult,
-                   check_semantics)
-from .join_based import check_level
+from ..reliability.deadline import Deadline
+from .base import ELCA, TopKResult
 from .topk_join import GROUP
 from .topk_keyword import TopKKeywordSearch, _TopKRun
 
 
 class HybridTopKSearch(TopKKeywordSearch):
-    """Cardinality-driven mix of the complete and top-K join plans."""
+    """Cardinality-driven mix of the complete and top-K join plans: the
+    top-K driver, with the plan of each level chosen by an estimate."""
 
     def __init__(self, index: ColumnarIndex, bound_mode: str = GROUP,
                  eraser_mode: str = "bitmap",
@@ -65,66 +64,18 @@ class HybridTopKSearch(TopKKeywordSearch):
         self.estimator = (estimator if estimator is not None
                           else CardinalityEstimator())
         self.switch_factor = switch_factor
-
-    def search(self, terms: Sequence[str], k: int,
-               semantics: str = ELCA) -> TopKResult:
-        check_semantics(semantics)
-        stats = ExecutionStats()
-        terms = list(terms)
         self.plan_trace: List[str] = []
-        if not terms or k <= 0:
-            return TopKResult([], stats)
-        postings = self.index.query_postings(terms)
-        if any(len(p) == 0 for p in postings):
-            return TopKResult([], stats)
-        run = _TopKRun(self, postings, terms, semantics, stats, k)
-        emitted: List[SearchResult] = []
 
-        def top_k(terminated_early: bool) -> TopKResult:
-            del emitted[k:]
-            stats.results_emitted = len(emitted)
-            return TopKResult(emitted, stats,
-                              terminated_early=terminated_early)
+    def search(self, terms: Sequence[str], k: int, semantics: str = ELCA,
+               deadline: Optional[Deadline] = None) -> TopKResult:
+        """`TopKKeywordSearch.search`; ``plan_trace`` then lists the
+        plan ("topk" / "eager") of each processed level, bottom-up."""
+        self.plan_trace = []
+        return super().search(terms, k, semantics, deadline)
 
-        for level in range(run.start_level, 0, -1):
-            columns = [p.column(level) for p in postings]
-            below = run.below(level)
-            if any(len(c) == 0 for c in columns):
-                emitted += run.flush(below)
-                if len(emitted) >= k:
-                    return top_k(True)
-                continue
-            stats.levels_processed += 1
-            estimate = self.estimator.estimate([c.distinct for c in columns])
-            use_topk = estimate >= self.switch_factor * (k - len(emitted))
-            self.plan_trace.append("topk" if use_topk else "eager")
-            joined = None
-            if use_topk:
-                join = run.rank_join(level, columns)
-                while join.pull():
-                    emitted += run.harvest(join, level, columns, below)
-                    if len(emitted) >= k:
-                        return top_k(True)
-            else:
-                joined = self._eager_level(run, level, columns)
-            run.erase(level, columns, joined)
-            emitted += run.flush(below)
-            if len(emitted) >= k:
-                return top_k(level > 1)
-        emitted += run.flush(-float("inf"))
-        return top_k(False)
-
-    def _eager_level(self, run: _TopKRun, level: int, columns) -> np.ndarray:
-        """Evaluate one level with the complete column join and buffer
-        its scored results; returns the joined numbers."""
-        joined = self.planner.intersect_all(
-            [c.distinct for c in columns], run.stats, level)
-        run.stats.candidates_checked += len(joined)
-        if len(joined):
-            alive, witness = check_level(
-                level, run.postings, columns,
-                [c.runs_of(joined) for c in columns], run.erasers,
-                run.semantics, run.damping_base)
-            if len(alive):
-                run.push(level, joined[alive], witness)
-        return joined
+    def _rank_level(self, run: _TopKRun, level: int, columns) -> bool:
+        estimate = self.estimator.estimate([c.distinct for c in columns])
+        use_topk = estimate >= self.switch_factor * (run.target_k
+                                                     - run.popped)
+        self.plan_trace.append("topk" if use_topk else "eager")
+        return use_topk

@@ -24,17 +24,13 @@ matches the ELCA definition.  This module implements the range rule.
 Scores are computed on the fly: a result's score sums, per keyword, the
 best damped local score among its free witnesses (section II-B).
 
-Two execution strategies share the level loop:
-
-* the **vectorized** path (default) checks every joined number of a
-  level with NumPy bulk operations -- bulk run-bound slicing via
-  `Column.runs_of`, bulk erased counts / free masks from the erasure
-  structures, and an `np.maximum.reduceat` segment-max for witness
-  scores -- so per-level cost stays columnar, matching the paper's
-  bulk-relational design;
-* the **scalar** path (``vectorized=False``) applies the same test one
-  candidate at a time.  It is retained as the differential-testing and
-  benchmarking reference: both paths produce bit-identical results.
+A level is checked in bulk (`check_level`): run bounds via
+`Column.runs_of`, erased counts / free masks from the erasure
+structures, an `np.maximum.reduceat` segment-max for witness scores --
+per-level cost stays columnar, matching the paper's bulk-relational
+design -- and what passes goes straight into the columns of a
+`ResultSet`.  The per-candidate formulation of the same test is the
+differential reference in ``tests/reference_join.py``.
 """
 
 from __future__ import annotations
@@ -49,9 +45,103 @@ from ..planner.plans import JoinPlanner
 from ..reliability.deadline import Deadline
 from ..reliability.errors import DeadlineExceeded
 from ..scoring.ranking import RankingModel
-from .base import (ELCA, SLCA, ExecutionStats, SearchResult, check_semantics,
+from .base import (ELCA, SLCA, ExecutionStats, ResultSet, check_semantics,
                    sort_by_document_order)
 from .erasure import erase_runs, make_eraser
+
+
+class LevelRun:
+    """One query's bottom-up pass: the per-term state every level reads
+    (postings in execution order, their erasers), the answers found so
+    far as one `ResultSet`, and the eager level both complete
+    evaluation and the hybrid's low-cardinality levels are written in.
+    ``engine`` supplies the index, planner, eraser mode, ranking model
+    and span factory."""
+
+    def __init__(self, engine, postings: List[ColumnarPostings],
+                 terms: Sequence[str], semantics: str,
+                 stats: ExecutionStats):
+        self.engine = engine
+        self.postings = postings
+        self.semantics = semantics
+        self.stats = stats
+        # Term order after shortest-first sorting; remember the mapping
+        # so witness scores line up with the caller's term order.
+        term_order = {p.term: i for i, p in enumerate(postings)}
+        self.caller_slot = [term_order[t] for t in terms]
+        self.damping_base = engine.ranking.damping.base
+        self.erasers = [make_eraser(engine.eraser_mode, len(p))
+                        for p in postings]
+        self.start_level = min(p.max_len for p in postings)
+        self.table = engine.index.nodes
+        self.nothing = ResultSet.empty(self.table, len(terms))
+        self.pending = self.nothing
+        self.top = -float("inf")    # best pending score
+
+    def push(self, level: int, numbers: np.ndarray,
+             witness: Optional[np.ndarray]) -> None:
+        """Add results of `level`, at least one.  ``witness[t]`` is per
+        execution slot (``None`` when the level ran unscored); rows,
+        caller-order witnesses and scores are each one bulk step."""
+        rows = self.table.rows_at(level, numbers)
+        if witness is None:
+            ordered = np.zeros((len(rows), len(self.caller_slot)))
+            scores = np.zeros(len(rows))
+        else:
+            ordered = witness[self.caller_slot].T
+            scores = self.engine.ranking.score_results(ordered)
+        pending = self.pending
+        self.pending = ResultSet(
+            self.table, np.concatenate((pending.rows, rows)),
+            np.concatenate((pending.scores, scores)),
+            np.concatenate((pending.witness, ordered)))
+        self.top = max(self.top, float(scores.max()))
+
+    def join_level(self, level: int, columns) -> np.ndarray:
+        """The level's C-nodes: the numbers every column carries."""
+        stats = self.stats
+        plan_mark = len(stats.per_level_plan)
+        with self.engine.span("join", level=level) as jspan:
+            joined = self.engine.planner.intersect_all(
+                [c.distinct for c in columns], stats, level)
+            jspan.tag(
+                plan=[alg for _lvl, alg
+                      in stats.per_level_plan[plan_mark:]],
+                inputs=[int(c.n_distinct) for c in columns],
+                output=int(len(joined)))
+        return joined
+
+    def erase_level(self, level: int, columns, run_bounds) -> None:
+        """Erase every joined range for the levels above -- *after* the
+        level is fully checked: same-level candidates never interact
+        (disjoint subtrees)."""
+        with self.engine.span("erase", level=level) as espan:
+            erased = erase_runs(columns, run_bounds, self.erasers)
+            self.stats.erasures += erased
+            espan.tag(erased=erased)
+
+    def eager_level(self, level: int, columns, with_scores: bool = True,
+                    observer=None) -> None:
+        """Join, check, score and erase one level with the complete
+        column join."""
+        joined = self.join_level(level, columns)
+        if len(joined) == 0:
+            if observer is not None:
+                observer(level, columns, joined, 0)
+            return
+        # Run boundaries of every joined value in every column, in bulk.
+        run_bounds = [column.runs_of(joined) for column in columns]
+        with self.engine.span("score", level=level) as sspan:
+            self.stats.candidates_checked += len(joined)
+            alive, witness = check_level(
+                level, self.postings, columns, run_bounds, self.erasers,
+                self.semantics, self.damping_base, with_scores)
+            if len(alive):
+                self.push(level, joined[alive], witness)
+            sspan.tag(candidates=int(len(joined)), emitted=int(len(alive)))
+        if observer is not None:
+            observer(level, columns, joined, int(len(alive)))
+        self.erase_level(level, columns, run_bounds)
 
 
 class JoinBasedSearch:
@@ -68,10 +158,6 @@ class JoinBasedSearch:
         ``bitmap`` (default, a dense boolean array per list),
         ``interval`` -- the section III-E range-checking structure --
         or ``roaring``; all compute identical results.
-    vectorized:
-        ``True`` (default) checks each level's candidates with bulk
-        NumPy operations; ``False`` runs the per-candidate scalar
-        reference path.  Results are identical.
     postings_cache:
         Optional `repro.cache.QueryCache`; when given, per-term postings
         lookups go through its LRU instead of straight to the index.
@@ -86,13 +172,11 @@ class JoinBasedSearch:
     def __init__(self, index: ColumnarIndex,
                  planner: Optional[JoinPlanner] = None,
                  eraser_mode: str = "bitmap",
-                 vectorized: bool = True,
                  postings_cache=None,
                  tracer=None):
         self.index = index
         self.planner = planner if planner is not None else JoinPlanner()
         self.eraser_mode = eraser_mode
-        self.vectorized = vectorized
         self.postings_cache = postings_cache
         self.span = tracer.span if tracer is not None else span
         self.ranking: RankingModel = index.ranking
@@ -100,7 +184,7 @@ class JoinBasedSearch:
     def evaluate(self, terms: Sequence[str], semantics: str = ELCA,
                  with_scores: bool = True, observer=None,
                  deadline: Optional[Deadline] = None
-                 ) -> Tuple[List[SearchResult], ExecutionStats]:
+                 ) -> Tuple[ResultSet, ExecutionStats]:
         """All results for `terms`, in document order, plus work counters.
 
         ``observer``, if given, is called per processed level as
@@ -118,8 +202,9 @@ class JoinBasedSearch:
         check_semantics(semantics)
         stats = ExecutionStats()
         terms = list(terms)
+        nothing = ResultSet.empty(self.index.nodes, len(terms))
         if not terms:
-            return [], stats
+            return nothing, stats
         with self.span("postings_fetch", terms=list(terms)) as pspan:
             if self.postings_cache is not None:
                 postings = self.postings_cache.query_postings(self.index,
@@ -128,18 +213,10 @@ class JoinBasedSearch:
                 postings = self.index.query_postings(terms)
             pspan.tag(list_sizes=[len(p) for p in postings])
         if any(len(p) == 0 for p in postings):
-            return [], stats
-        # Term order after shortest-first sorting; remember the mapping so
-        # witness scores line up with the caller's term order.
-        term_order = {p.term: i for i, p in enumerate(postings)}
-        caller_slot = [term_order[t] for t in terms]
+            return nothing, stats
+        run = LevelRun(self, postings, terms, semantics, stats)
 
-        start_level = min(p.max_len for p in postings)
-        erasers = [make_eraser(self.eraser_mode, len(p)) for p in postings]
-        damping_base = self.ranking.damping.base
-        results: List[SearchResult] = []
-
-        for level in range(start_level, 0, -1):
+        for level in range(run.start_level, 0, -1):
             if deadline is not None and deadline.expired():
                 if not deadline.partial_ok:
                     deadline.raise_expired()
@@ -147,9 +224,11 @@ class JoinBasedSearch:
                 stats.levels_skipped += level
                 break
             try:
-                self._process_level(level, postings, erasers, semantics,
-                                    with_scores, caller_slot, damping_base,
-                                    stats, results, observer)
+                columns = [p.column(level) for p in postings]
+                if any(len(c) == 0 for c in columns):
+                    continue
+                stats.levels_processed += 1
+                run.eager_level(level, columns, with_scores, observer)
             except DeadlineExceeded:
                 # Raised mid-level by a lazy posting fetch polling the
                 # thread-local deadline; downgrade per policy.  Results
@@ -161,126 +240,8 @@ class JoinBasedSearch:
                 stats.partial = True
                 stats.levels_skipped += level
                 break
-        return sort_by_document_order(results), stats
-
-    def _process_level(self, level: int, postings, erasers, semantics: str,
-                       with_scores: bool, caller_slot: List[int],
-                       damping_base: float, stats: ExecutionStats,
-                       results: List[SearchResult], observer) -> None:
-        """Join, check, score and erase one level of the bottom-up loop."""
-        columns = [p.column(level) for p in postings]
-        if any(len(c) == 0 for c in columns):
-            return
-        stats.levels_processed += 1
-        plan_mark = len(stats.per_level_plan)
-        with self.span("join", level=level) as jspan:
-            joined = self.planner.intersect_all(
-                [c.distinct for c in columns], stats, level)
-            jspan.tag(
-                plan=[alg for _lvl, alg
-                      in stats.per_level_plan[plan_mark:]],
-                inputs=[int(c.n_distinct) for c in columns],
-                output=int(len(joined)))
-        if len(joined) == 0:
-            if observer is not None:
-                observer(level, columns, joined, 0)
-            return
-        # Run boundaries of every joined value in every column, in bulk.
-        run_bounds = [column.runs_of(joined) for column in columns]
-        with self.span("score", level=level) as sspan:
-            if self.vectorized:
-                emitted_at_level = self._check_level_vectorized(
-                    joined, level, postings, columns, run_bounds,
-                    erasers, semantics, with_scores, caller_slot,
-                    damping_base, stats, results)
-            else:
-                emitted_at_level = 0
-                for j, number in enumerate(joined):
-                    stats.candidates_checked += 1
-                    emitted = self._check_candidate(
-                        int(number), level, j, postings, columns,
-                        run_bounds, erasers, semantics, with_scores,
-                        caller_slot, damping_base)
-                    if emitted is not None:
-                        results.append(emitted)
-                        emitted_at_level += 1
-                        stats.results_emitted += 1
-            sspan.tag(candidates=int(len(joined)),
-                      emitted=emitted_at_level)
-        if observer is not None:
-            observer(level, columns, joined, emitted_at_level)
-        # Erase every joined range *after* the level is fully checked:
-        # same-level candidates never interact (disjoint subtrees).
-        with self.span("erase", level=level) as espan:
-            erased = erase_runs(columns, run_bounds, erasers)
-            stats.erasures += erased
-            espan.tag(erased=erased)
-
-    def _check_level_vectorized(self, joined: np.ndarray, level: int,
-                                postings: List[ColumnarPostings], columns,
-                                run_bounds, erasers, semantics: str,
-                                with_scores: bool, caller_slot: List[int],
-                                damping_base: float, stats: ExecutionStats,
-                                results: List[SearchResult]) -> int:
-        """Apply `check_level` to a level and materialise what passes."""
-        stats.candidates_checked += len(joined)
-        alive_idx, witness = check_level(
-            level, postings, columns, run_bounds, erasers, semantics,
-            damping_base, with_scores)
-        if len(alive_idx) == 0:
-            return 0
-        # One bulk resolution per level; a per-result lookup was a
-        # third of a cold query on a disk-backed index.
-        nodes = self.index.nodes_at(level, joined[alive_idx])
-        emitted = 0
-        for out, node in enumerate(nodes):
-            if with_scores:
-                ordered = tuple(float(witness[slot, out])
-                                for slot in caller_slot)
-                score = self.ranking.score_result(ordered)
-            else:
-                ordered = tuple(0.0 for _ in caller_slot)
-                score = 0.0
-            results.append(SearchResult(node, level, score, ordered))
-            emitted += 1
-        stats.results_emitted += emitted
-        return emitted
-
-    def _check_candidate(self, number: int, level: int, j: int,
-                         postings: List[ColumnarPostings], columns,
-                         run_bounds, erasers, semantics: str,
-                         with_scores: bool, caller_slot: List[int],
-                         damping_base: float) -> Optional[SearchResult]:
-        """Apply the ELCA/SLCA test to one joined number."""
-        witness: List[float] = [0.0] * len(postings)
-        for t, column in enumerate(columns):
-            a = int(run_bounds[t][0][j])
-            b = int(run_bounds[t][1][j])
-            ordinals = column.seq_idx[a:b]
-            lo, hi = int(ordinals[0]), int(ordinals[-1]) + 1
-            erased = erasers[t].erased_count(lo, hi)
-            if semantics == SLCA:
-                if erased:
-                    return None
-                free_ordinals = ordinals
-            else:
-                if erased >= b - a:
-                    return None  # no free witness for this keyword
-                if erased:
-                    mask = erasers[t].free_mask(ordinals)
-                    free_ordinals = ordinals[mask]
-                else:
-                    free_ordinals = ordinals
-            if with_scores:
-                p = postings[t]
-                damped = (p.scores[free_ordinals]
-                          * damping_base
-                          ** (p.lengths[free_ordinals] - level))
-                witness[t] = float(damped.max())
-        node = self.index.node_at(level, number)
-        ordered = tuple(witness[slot] for slot in caller_slot)
-        score = self.ranking.score_result(ordered) if with_scores else 0.0
-        return SearchResult(node, level, score, ordered)
+        stats.results_emitted = len(run.pending)
+        return sort_by_document_order(run.pending), stats
 
 
 def check_level(level: int, postings: List[ColumnarPostings], columns,
@@ -292,8 +253,9 @@ def check_level(level: int, postings: List[ColumnarPostings], columns,
     ``run_bounds[t]`` is column t's `runs_of` the joined numbers.
     Returns the positions that pass and, with scores, ``witness[t, i]``:
     the best damped free occurrence of term t under the i-th survivor.
-    Bit-identical to looping `JoinBasedSearch._check_candidate`, but
-    every step is a bulk array operation: erased counts per run come
+    Bit-identical to checking one candidate at a time (the reference
+    in ``tests/reference_join.py``), but every step is a bulk array
+    operation: erased counts per run come
     from the eraser's prefix/binary-search bulk API, free witnesses from
     a bulk mask, and per-run best damped scores from a segment max
     (`np.maximum.reduceat`) over the concatenated run ordinals.
@@ -333,7 +295,7 @@ def check_level(level: int, postings: List[ColumnarPostings], columns,
 
 def search(index: ColumnarIndex, terms: Sequence[str],
            semantics: str = ELCA, planner: Optional[JoinPlanner] = None,
-           eraser_mode: str = "bitmap") -> List[SearchResult]:
+           eraser_mode: str = "bitmap") -> ResultSet:
     """One-shot convenience wrapper around `JoinBasedSearch.evaluate`."""
     engine = JoinBasedSearch(index, planner, eraser_mode)
     results, _stats = engine.evaluate(terms, semantics)

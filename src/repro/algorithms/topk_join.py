@@ -97,12 +97,11 @@ class BoundOps:
             return np.maximum(partial, score)
         return partial + score
 
-    def complete(self, scores, order: Optional[Sequence[int]] = None):
-        """F over a full per-slot score vector, folded in `order`
-        (slot order by default)."""
+    def complete(self, scores):
+        """F over a full per-slot score vector, folded in slot order."""
         partial = self.identity
-        for slot in (range(len(scores)) if order is None else order):
-            partial = self.fold(partial, scores[slot], slot)
+        for slot, score in enumerate(scores):
+            partial = self.fold(partial, score, slot)
         return partial
 
     def bound(self, partial: float, nexts: Sequence[Optional[float]],

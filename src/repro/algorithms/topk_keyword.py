@@ -25,8 +25,9 @@ columns (`repro.index.scored`):
   level (erased occurrences included -- containment ignores exclusion),
   and their ranges are erased for the levels above.
 
-Completions stay arrays (`_ResultBuffer`) until they are emitted; only
-emitted results become nodes.
+Completions are columns of the run's pending `ResultSet` until they are
+emitted, and what is emitted is a `ResultSet` too; `stream` hands out
+`SearchResult` views of it.
 
 The completeness/efficiency trade the paper measures falls out of the
 structure: with highly correlated keywords many results complete early
@@ -49,10 +50,9 @@ from ..reliability.deadline import Deadline
 from ..reliability.errors import DeadlineExceeded
 from ..scoring.ranking import (MaxCombiner, RankingModel, SumCombiner,
                                WeightedSumCombiner)
-from .base import (ELCA, SLCA, ExecutionStats, SearchResult, TopKResult,
+from .base import (ELCA, SLCA, ExecutionStats, ResultSet, TopKResult,
                    check_semantics, sort_by_score)
-from .erasure import erase_runs, make_eraser
-from .join_based import check_level
+from .join_based import LevelRun, check_level
 from .topk_join import GROUP, BlockStarJoin, BoundOps, sorted_union
 
 
@@ -74,88 +74,27 @@ class _StreamState:
         self.bound: Optional[float] = None
 
 
-class _ResultBuffer:
-    """Completed results not yet emitted, one array entry each:
-    ``(level, number, score, witness)`` in the caller's term order.
-    Nodes are materialised when a result is popped, not before."""
-
-    def __init__(self, index: ColumnarIndex, n_terms: int):
-        self.index = index
-        self.levels = np.empty(0, dtype=np.int64)
-        self.numbers = np.empty(0, dtype=np.int64)
-        self.scores = np.empty(0)
-        self.witness = np.empty((n_terms, 0))
-        self.top = -float("inf")
-
-    def push(self, level: int, numbers: np.ndarray, scores: np.ndarray,
-             witness: np.ndarray) -> None:
-        self.levels = np.concatenate(
-            (self.levels, np.full(len(numbers), level)))
-        self.numbers = np.concatenate((self.numbers, numbers))
-        self.scores = np.concatenate((self.scores, scores))
-        self.witness = np.concatenate((self.witness, witness), axis=1)
-        self.top = float(self.scores.max())
-
-    def pop(self, bound: float, limit: int) -> List[SearchResult]:
-        """Remove and return the results scoring >= `bound`, best first
-        (document order breaks ties) -- when more than `limit` qualify,
-        only the `limit` best and whatever ties with the last of them."""
-        if self.top < bound:
-            return []
-        hit = np.flatnonzero(self.scores >= bound)
-        if len(hit) > limit:
-            cut = np.partition(self.scores[hit], -limit)[-limit]
-            hit = hit[self.scores[hit] >= cut]
-        results: List[SearchResult] = []
-        levels = self.levels[hit]
-        for level in np.unique(levels).tolist():
-            at = hit[levels == level]
-            results.extend(
-                SearchResult(node, level, score, tuple(witness))
-                for node, score, witness in zip(
-                    self.index.nodes_at(level, self.numbers[at]),
-                    self.scores[at].tolist(),
-                    self.witness[:, at].T.tolist()))
-        keep = np.ones(len(self.scores), dtype=bool)
-        keep[hit] = False
-        self.levels, self.numbers = self.levels[keep], self.numbers[keep]
-        self.scores, self.witness = self.scores[keep], self.witness[:, keep]
-        self.top = float(self.scores.max()) if keep.any() \
-            else -float("inf")
-        return sort_by_score(results)
-
-
-class _TopKRun:
-    """One query's bottom-up pass: the per-term state (score orders,
-    erasers, cross-level bounds), the result buffer, and the per-level
-    steps both drivers (`TopKKeywordSearch.stream`,
-    `HybridTopKSearch.search`) are written in."""
+class _TopKRun(LevelRun):
+    """`LevelRun` plus what ranked levels need: one score order per
+    term, the cross-level bounds, and the per-level steps both drivers
+    (`TopKKeywordSearch.stream`, `HybridTopKSearch.search`) are written
+    in.  Pending results leave through `flush`, best first."""
 
     def __init__(self, engine: "TopKKeywordSearch", postings, terms,
                  semantics: str, stats: ExecutionStats, target_k: int):
-        self.engine = engine
-        self.postings = postings
-        self.semantics = semantics
-        self.stats = stats
+        super().__init__(engine, postings, terms, semantics, stats)
         # target_k sets the paper's cursor-policy switch (round-robin
         # until K completions, then max-s^i) and caps how many results
-        # one emission materialises; a pure stream has no K.
+        # one emission releases; a pure stream has no K.
         self.target_k = target_k
         self.popped = 0
-        term_order = {p.term: i for i, p in enumerate(postings)}
-        self.caller_slot = [term_order[t] for t in terms]
         self.ops = engine._bound_ops(self.caller_slot)
-        self.damping_base = engine.ranking.damping.base
         self.scored = [ScoredPostings(p, self.damping_base)
                        for p in postings]
-        self.erasers = [make_eraser(engine.eraser_mode, len(p))
-                        for p in postings]
-        self.start_level = min(p.max_len for p in postings)
         # cross_bound[l-1] bounds every result at levels <= l.
         self.cross_bound = np.maximum.accumulate([
             self.ops.complete([s.max_damped(level) for s in self.scored])
             for level in range(1, self.start_level + 1)]).tolist()
-        self.buffer = _ResultBuffer(engine.index, len(terms))
 
     def below(self, level: int) -> float:
         """Bound on every result of the levels above `level` (numbered
@@ -171,26 +110,30 @@ class _TopKRun:
         return BlockStarJoin(inputs, self.target_k, self.engine.bound_mode,
                              self.stats, self.ops, universe)
 
-    def push(self, level: int, numbers: np.ndarray,
-             witness: np.ndarray) -> None:
-        """Buffer results of `level`; ``witness[t]`` is per execution
-        slot, the score folds it in the caller's term order exactly as
-        `RankingModel.score_result` would."""
-        self.buffer.push(level, numbers,
-                         self.ops.complete(witness, self.caller_slot),
-                         witness[self.caller_slot])
-
-    def flush(self, bound: float) -> List[SearchResult]:
-        """The buffered results scoring >= `bound`, best first."""
-        results = self.buffer.pop(bound, max(1, self.target_k - self.popped))
-        self.popped += len(results)
-        return results
+    def flush(self, bound: float) -> ResultSet:
+        """Remove and return the pending results scoring >= `bound`,
+        best first (document order breaks ties) -- when more than the
+        run still owes qualify, only that many and whatever ties with
+        the last of them."""
+        pending = self.pending
+        if self.top < bound:
+            return self.nothing
+        hit = pending.scores >= bound
+        limit = max(1, self.target_k - self.popped)
+        if np.count_nonzero(hit) > limit:
+            cut = np.partition(pending.scores[hit], -limit)[-limit]
+            hit &= pending.scores >= cut
+        out = pending.take(hit)
+        self.pending = rest = pending.take(~hit)
+        self.top = float(rest.scores.max()) if len(rest) else -float("inf")
+        self.popped += len(out)
+        return sort_by_score(out)
 
     def harvest(self, join: BlockStarJoin, level: int, columns,
-                below: float) -> List[SearchResult]:
-        """After a pull: buffer the block's completions (minus, for
-        SLCA, those with an erased sequence in their range) and return
-        what the live bound now lets out."""
+                below: float) -> ResultSet:
+        """After a pull: add the block's completions (minus, for SLCA,
+        those with an erased sequence in their range) to the pending
+        set and return what the live bound now lets out."""
         numbers, witness = join.take_completed()
         if len(numbers) and self.semantics == SLCA:
             keep, _ = check_level(
@@ -201,29 +144,11 @@ class _TopKRun:
         if len(numbers):
             self.push(level, numbers, witness)
         # Both thresholds are at least the unseen-id bound: when the
-        # best buffered result is below that, skip the group arithmetic.
-        top = self.buffer.top
+        # best pending result is below that, skip the group arithmetic.
+        top = self.top
         if top < below or top < join.unseen_bound():
-            return []
+            return self.nothing
         return self.flush(max(join.threshold(), below))
-
-    def erase(self, level: int, columns, joined=None) -> None:
-        """Level drained: determine every C-node (erased occurrences
-        included) and erase their ranges for the levels above."""
-        stats, engine = self.stats, self.engine
-        plan_mark = len(stats.per_level_plan)
-        with engine.span("erase", level=level) as espan:
-            if joined is None:
-                joined = engine.planner.intersect_all(
-                    [c.distinct for c in columns], stats, level)
-            erased = erase_runs(columns, [c.runs_of(joined) for c in columns],
-                                self.erasers)
-            stats.erasures += erased
-            espan.tag(
-                plan=[alg for _lvl, alg
-                      in stats.per_level_plan[plan_mark:]],
-                inputs=[int(c.n_distinct) for c in columns],
-                output=int(len(joined)), erased=erased)
 
 
 class TopKKeywordSearch:
@@ -246,36 +171,41 @@ class TopKKeywordSearch:
                deadline: Optional[Deadline] = None) -> TopKResult:
         """The top-`k` results by score, best first.
 
-        Built on `stream`: consuming exactly k results *is* the early
+        Built on the emission order `stream` hands out: consuming
+        batches until k results are owed no more *is* the early
         termination -- the generator stops advancing cursors the moment
-        the k-th result unblocks.
+        the k-th result unblocks.  The results stay a `ResultSet`.
 
         ``deadline`` (a `repro.reliability.Deadline`) bounds the run in
         wall-clock terms; with the ``partial`` policy an expired run
         returns the prefix emitted so far with ``TopKResult.partial``
         set and ``TopKResult.bound`` as the guarantee gap.
         """
+        check_semantics(semantics)
         stats = ExecutionStats()
+        table, terms = self.index.nodes, list(terms)
         if k <= 0:
-            check_semantics(semantics)
-            return TopKResult([], stats)
+            return TopKResult(ResultSet.empty(table, len(terms)), stats)
         state = _StreamState()
-        generator = self.stream(terms, semantics, stats=stats,
-                                target_k=k, _state=state,
-                                deadline=deadline)
-        emitted: List[SearchResult] = []
-        for result in generator:
-            emitted.append(result)
-            if len(emitted) >= k:
+        batches = self._batches(terms, semantics, stats, k, state, deadline)
+        emitted: List[ResultSet] = []
+        owed = k
+        for batch in batches:
+            emitted.append(batch)
+            owed -= len(batch)
+            if owed <= 0:
                 break
-        generator.close()
+        batches.close()
+        results = ResultSet.concat(table, emitted,
+                                   len(terms)).take(slice(k))
+        stats.results_emitted = len(results)
         with self.span("topk_termination") as tspan:
-            tspan.tag(k=k, emitted=len(emitted),
+            tspan.tag(k=k, emitted=len(results),
                       terminated_early=not state.finished,
                       partial=state.partial,
                       levels_processed=stats.levels_processed,
                       tuples_scanned=stats.tuples_scanned)
-        return TopKResult(emitted, stats,
+        return TopKResult(results, stats,
                           terminated_early=not state.finished,
                           partial=state.partial, bound=state.bound)
 
@@ -305,7 +235,23 @@ class TopKKeywordSearch:
         if stats is None:
             stats = ExecutionStats()
         state = _state if _state is not None else _StreamState()
-        terms = list(terms)
+        batches = self._batches(list(terms), semantics, stats, target_k,
+                                state, deadline)
+        try:
+            for batch in batches:
+                if len(batch):
+                    for result in batch:
+                        stats.results_emitted += 1
+                        yield result
+        finally:
+            batches.close()     # ends its open rank-join span now
+
+    def _batches(self, terms: List[str], semantics: str,
+                 stats: ExecutionStats, target_k: int, state: _StreamState,
+                 deadline: Optional[Deadline]):
+        """The emission order as `ResultSet`s, one per emission attempt
+        (empty when the bound let nothing out): what `stream` hands out
+        a view at a time and `search` cuts at k."""
         if not terms:
             state.finished = True
             return
@@ -328,17 +274,12 @@ class TopKKeywordSearch:
         run = _TopKRun(self, postings, terms, semantics, stats, target_k)
 
         def stop_partial(level: int, engine_bound: float) -> None:
-            # Unyielded-but-buffered results must stay under the gap
-            # too; the best buffered score caps them.
+            # Unyielded-but-pending results must stay under the gap
+            # too; the best pending score caps them.
             state.partial = True
-            state.bound = max(engine_bound, run.buffer.top)
+            state.bound = max(engine_bound, run.top)
             stats.partial = True
             stats.levels_skipped += level
-
-        def emit(results: List[SearchResult]):
-            for result in results:
-                stats.results_emitted += 1
-                yield result
 
         for level in range(run.start_level, 0, -1):
             below = run.below(level)
@@ -357,36 +298,50 @@ class TopKKeywordSearch:
                 stop_partial(level, run.cross_bound[level - 1])
                 return
             if any(len(c) == 0 for c in columns):
-                yield from emit(run.flush(below))
+                yield run.flush(below)
                 continue
             stats.levels_processed += 1
-            tuples_mark = stats.tuples_scanned
-            # Emission needs a *fresh* threshold (group partials can push
-            # it up), so it is attempted after every block -- a longer
-            # block only delays emission, never corrupts it.  The
-            # rank-join span stays open across `yield`s, so its duration
-            # includes consumer time when the stream is driven
-            # incrementally.
-            with self.span("rank_join", level=level) as jspan:
-                join = run.rank_join(level, columns)
-                while join.pull():
-                    yield from emit(run.harvest(join, level, columns, below))
-                    if deadline is not None and deadline.expired():
-                        if not deadline.partial_ok:
-                            deadline.raise_expired()
-                        stop_partial(level, max(join.threshold(), below))
-                        return
-                jspan.tag(tuples=stats.tuples_scanned - tuples_mark,
-                          **join.progress())
-            run.erase(level, columns)
+            if self._rank_level(run, level, columns):
+                tuples_mark = stats.tuples_scanned
+                # Emission needs a *fresh* threshold (group partials can
+                # push it up), so it is attempted after every block -- a
+                # longer block only delays emission, never corrupts it.
+                # The rank-join span stays open across `yield`s, so its
+                # duration includes consumer time when the stream is
+                # driven incrementally.
+                with self.span("rank_join", level=level) as jspan:
+                    join = run.rank_join(level, columns)
+                    while join.pull():
+                        yield run.harvest(join, level, columns, below)
+                        if deadline is not None and deadline.expired():
+                            if not deadline.partial_ok:
+                                deadline.raise_expired()
+                            stop_partial(level,
+                                         max(join.threshold(), below))
+                            return
+                    jspan.tag(tuples=stats.tuples_scanned - tuples_mark,
+                              **join.progress())
+                # Level drained: every C-node (erased occurrences
+                # included) erases its range for the levels above.
+                joined = run.join_level(level, columns)
+                run.erase_level(level, columns,
+                                [c.runs_of(joined) for c in columns])
+            else:
+                run.eager_level(level, columns)
             if level == 1:
                 # Only emission remains: anything yielded from here on
                 # does not count as early termination.
                 state.finished = True
-            yield from emit(run.flush(below))
-        # All levels done: everything buffered is final, in score order.
+            yield run.flush(below)
+        # All levels done: everything pending is final, in score order.
         state.finished = True
-        yield from emit(run.flush(-float("inf")))
+        yield run.flush(-float("inf"))
+
+    def _rank_level(self, run: _TopKRun, level: int, columns) -> bool:
+        """Whether `level` runs as a rank join: always, here; the
+        hybrid (`repro.algorithms.hybrid`) asks a cardinality estimate
+        and evaluates the others eagerly."""
+        return True
 
     def _bound_ops(self, caller_slot: List[int]) -> BoundOps:
         """Combiner-specific bound arithmetic, in execution slot order.

@@ -25,7 +25,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algorithms.base import (ELCA, EmptyResultError, ExecutionStats,
-                              SearchResult, TopKResult, check_semantics,
+                              ResultSet, TopKResult, check_semantics,
                               sort_by_score)
 from .obs.account import accounting, fold_into_stats
 from .obs.metrics import MetricsRegistry, get_registry
@@ -389,7 +389,7 @@ class XMLDatabase:
         parse, result-cache lookup, evaluation under a resource account,
         cache fill, then the metrics / slow-log record.
 
-        Returns ``(answer, stats)``.  ``answer`` is the result list,
+        Returns ``(answer, stats)``.  ``answer`` is the `ResultSet`,
         except that an evaluated top-K (``k`` set, no cache hit) comes
         back as its `TopKResult`, bound and flags intact.  The cache
         counters on ``stats`` are filled here and nowhere else.
@@ -444,8 +444,9 @@ class XMLDatabase:
                     qspan.tag(partial=True)
                 if cacheable:
                     evictions = self.cache.results.stats.evictions
-                    self.cache.put_results(key, answer,
-                                           partial=stats.partial)
+                    self.cache.put_results(
+                        key, answer if k is None else answer.results,
+                        partial=stats.partial)
                     stats.cache_misses += 1
                     stats.cache_evictions += \
                         self.cache.results.stats.evictions - evictions
@@ -459,7 +460,7 @@ class XMLDatabase:
                           planner: Optional[JoinPlanner] = None,
                           deadline: Optional[Deadline] = None,
                           observer=None
-                          ) -> Tuple[List[SearchResult], ExecutionStats]:
+                          ) -> Tuple[ResultSet, ExecutionStats]:
         """Uncached complete-evaluation dispatch: `_run_query` and the
         daemon's shard workers call it.
 
@@ -478,7 +479,7 @@ class XMLDatabase:
                            planner: Optional[JoinPlanner] = None,
                            deadline: Optional[Deadline] = None,
                            observer=None
-                           ) -> Tuple[List[SearchResult], ExecutionStats]:
+                           ) -> Tuple[ResultSet, ExecutionStats]:
         if algorithm == "join":
             engine = JoinBasedSearch(self.columnar_index, planner,
                                      postings_cache=self.cache)
@@ -492,23 +493,27 @@ class XMLDatabase:
                                            observer=observer,
                                            deadline=deadline)
             return engine.evaluate(terms, semantics, observer=observer)
+        # The baselines build objects; wrapped once, the API returns
+        # one type whatever the algorithm.
         if algorithm == "stack":
-            return StackBasedSearch(self.inverted_index).evaluate(
+            results, stats = StackBasedSearch(self.inverted_index).evaluate(
                 terms, semantics)
-        if algorithm == "index":
-            return IndexBasedSearch(self.inverted_index).evaluate(
+        elif algorithm == "index":
+            results, stats = IndexBasedSearch(self.inverted_index).evaluate(
                 terms, semantics)
-        if algorithm == "oracle":
+        elif algorithm == "oracle":
             results = SemanticsOracle(self.tree, self.inverted_index,
                                       self.ranking).evaluate(terms, semantics)
-            return results, ExecutionStats()
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; one of {ALGORITHMS}")
+            stats = ExecutionStats()
+        else:
+            raise ValueError(
+                f"unknown algorithm {algorithm!r}; one of {ALGORITHMS}")
+        return ResultSet.of(self.columnar_index.nodes, results), stats
 
     def search_ranked(self, query: Union[str, Sequence[str], Query],
                       semantics: str = ELCA,
                       algorithm: str = "join",
-                      **kwargs) -> List[SearchResult]:
+                      **kwargs) -> ResultSet:
         """Complete result set, best score first.
 
         Extra keyword arguments (``deadline``, ``timeout_ms``,
@@ -566,15 +571,17 @@ class XMLDatabase:
                                          deadline=deadline)
             return engine.search(terms, k, semantics)
         if algorithm == "rdil":
-            return RDILSearch(self.inverted_index).search(terms, k, semantics)
+            top = RDILSearch(self.inverted_index).search(terms, k, semantics)
+            top.results = ResultSet.of(self.columnar_index.nodes,
+                                       top.results)
+            return top
         if algorithm == "hybrid":
             return HybridTopKSearch(self.columnar_index).search(
                 terms, k, semantics)
         if algorithm == "join":
             results, stats = self._evaluate_complete(
                 terms, semantics, "join", deadline=deadline)
-            return TopKResult(sort_by_score(results)[:k], stats,
-                              partial=stats.partial)
+            return TopKResult(results.top(k), stats, partial=stats.partial)
         raise ValueError(
             f"unknown algorithm {algorithm!r}; one of {TOPK_ALGORITHMS}")
 
@@ -631,11 +638,12 @@ class XMLDatabase:
         if algorithm is None:
             algorithm = "join" if k is None else "topk-join"
 
-        def one(query) -> Tuple[List[SearchResult], ExecutionStats]:
+        def one(query) -> Tuple[ResultSet, ExecutionStats]:
             answer, stats = self._run_query(
                 "batch", query, semantics, algorithm, k,
                 cacheable=use_cache, deadline=deadline)
-            return (answer if k is None else list(answer)), stats
+            return (answer.results if isinstance(answer, TopKResult)
+                    else answer), stats
 
         return run_batch(queries, one, self.metrics, with_stats,
                          raise_on_error)

@@ -18,9 +18,9 @@ decoded arrays get evicted instead of pinned forever.
 
 Both are bounded LRUs with hit/miss/eviction counters; every operation
 takes the cache lock, so a `QueryCache` can be shared by the threads
-the daemon's ``--workers 0`` path evaluates on.  Entries are treated as
-immutable: callers get shallow copies of cached result lists, and must
-not mutate the `SearchResult` objects themselves.
+the daemon's ``--workers 0`` path evaluates on.  Result entries are
+immutable (`ResultSet`s, finished response payloads), so a hit returns
+the stored object itself.
 """
 
 from __future__ import annotations
@@ -300,7 +300,9 @@ class QueryCache:
         return postings
 
     def get_results(self, key: ResultKey):
-        """Cached result list for `key`, copied, or ``None`` on miss."""
+        """The cached answer for `key` -- the stored object itself, not
+        a copy: entries are immutable (`ResultSet`s, finished response
+        payloads) -- or ``None`` on miss."""
         cached = self.results.get(key, _MISSING)
         if cached is _MISSING:
             if self.metrics is not None:
@@ -308,11 +310,11 @@ class QueryCache:
             return None
         if self.metrics is not None:
             self._results_hit.inc()
-        return list(cached)
+        return cached
 
-    def put_results(self, key: ResultKey, results: Sequence,
+    def put_results(self, key: ResultKey, results,
                     partial: bool = False) -> None:
-        """Store a result list -- unless it is ``partial``.
+        """Store an answer -- unless it is ``partial``.
 
         A deadline-truncated result set is valid only for the budget
         that produced it; caching it would serve degraded answers to
@@ -320,7 +322,7 @@ class QueryCache:
         """
         if partial:
             return
-        self.results.put(key, list(results))
+        self.results.put(key, results)
 
     def clear(self) -> None:
         """Drop both caches and restart their local stats.

@@ -227,7 +227,3 @@ class ColumnarIndex:
     def node_at(self, level: int, number: int):
         """Materialize the node identified by (level, JDewey number)."""
         return self.nodes.node_at(level, number)
-
-    def nodes_at(self, level: int, numbers: np.ndarray) -> list:
-        """Bulk `node_at` for one level's join output."""
-        return self.nodes.nodes_at(level, numbers)

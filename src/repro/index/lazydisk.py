@@ -284,6 +284,3 @@ class LazyColumnarIndex:
 
     def node_at(self, level: int, number: int):
         return self.nodes.node_at(level, number)
-
-    def nodes_at(self, level: int, numbers: np.ndarray) -> list:
-        return self.nodes.nodes_at(level, numbers)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Protocol, Sequence
 
+import numpy as np
+
 
 class LocalScorer(Protocol):
     """Assigns ``g(v, w)`` given the occurrence statistics."""
@@ -161,6 +163,25 @@ class RankingModel:
     def score_result(self, best_damped_per_keyword: Sequence[float]) -> float:
         """Global score from the best damped occurrence of each keyword."""
         return self.combiner.combine(best_damped_per_keyword)
+
+    def score_results(self, witness: np.ndarray) -> np.ndarray:
+        """`score_result` over every row of ``witness[n, keywords]``.
+
+        Sum, weighted sum and max fold the keyword columns left to
+        right exactly as their `combine` folds one row, so the scores
+        are the same to the bit; any other combiner (or a weight count
+        `combine` will reject) is asked per row.
+        """
+        combiner, columns = self.combiner, list(witness.T)
+        if columns and type(combiner) is MaxCombiner:
+            return witness.max(axis=1)
+        if columns and type(combiner) is SumCombiner:
+            return sum(columns)
+        if columns and type(combiner) is WeightedSumCombiner \
+                and len(combiner.weights) == len(columns):
+            return sum(w * c for w, c in zip(combiner.weights, columns))
+        return np.array([combiner.combine(row) for row in witness.tolist()],
+                        dtype=np.float64)
 
 
 def best_per_keyword(occurrences: Dict[int, List[float]]) -> List[float]:

@@ -42,7 +42,7 @@ from ..reliability.errors import InjectedFault
 
 __all__ = [
     "WORKER_KILL", "SHARD_ERROR", "SHARD_LATENCY", "BYTE_FAULT",
-    "CHAOS_KINDS", "ChaosInjector", "apply_worker_fault", "corrupt_light",
+    "CHAOS_KINDS", "ChaosInjector", "apply_worker_fault", "corrupt_wire",
     "sample_queries", "run_chaos_drive", "format_chaos_report",
 ]
 
@@ -176,17 +176,16 @@ def apply_worker_fault(fault: Optional[Tuple[str, float]]) -> Optional[str]:
     return None
 
 
-def corrupt_light(light: List[tuple]) -> List[tuple]:
-    """Simulate a byte-fault on a shard reply: truncate one entry so the
-    parent's structural validation rejects it (a *detectable* corruption
-    -- silent wrong-answer corruption is out of scope without payload
-    checksums, which `docs/RELIABILITY.md` notes as the boundary)."""
-    if not light:
-        return [("\x00garbage",)]
-    out = list(light)
-    idx = len(out) // 2
-    out[idx] = tuple(out[idx][:2])
-    return out
+def corrupt_wire(wire: tuple) -> tuple:
+    """Simulate a byte-fault on a shard reply (`ResultSet.to_wire`):
+    lose the tail of the score column, so the parent's validation sees
+    ragged arrays and rejects it (a *detectable* corruption -- silent
+    wrong-answer corruption is out of scope without payload checksums,
+    which `docs/RELIABILITY.md` notes as the boundary)."""
+    rows, scores, witness = wire
+    if not len(rows):
+        return ("\x00garbage",)
+    return rows, scores[:len(scores) // 2], witness
 
 
 # ---------------------------------------------------------------------------

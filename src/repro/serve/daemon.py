@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import re
 import signal
@@ -68,7 +67,7 @@ import urllib.parse
 from concurrent.futures import BrokenExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algorithms.base import ELCA, SEMANTICS, SearchResult
+from ..algorithms.base import ELCA, SEMANTICS, ResultSet
 from ..cache import QueryCache, result_key
 from ..obs.account import merge_resources
 from ..obs.distributed import (AccessLog, TailSampler, TraceContext,
@@ -81,8 +80,8 @@ from ..reliability.deadline import Deadline
 from ..reliability.errors import (DeadlineExceeded, InjectedFault,
                                   ShardPayloadError, WorkerCrashError)
 from ..reliability.retry import RetryPolicy
-from .chaos import BYTE_FAULT, ChaosInjector, apply_worker_fault, corrupt_light
-from .merge import ShardedDatabase
+from .chaos import BYTE_FAULT, ChaosInjector, apply_worker_fault, corrupt_wire
+from .merge import ShardedDatabase, gather
 from .supervisor import BreakerConfig, BreakerOpenError, ShardSupervisor
 
 #: Shard id -> per-shard `XMLDatabase`, inherited copy-on-write by the
@@ -168,21 +167,15 @@ class AdmissionError(Exception):
         self.reason = reason
 
 
-def _light(results: Sequence[SearchResult]) -> List[Tuple]:
-    """Results as `(level, jdewey-number, score, witnesses)` tuples --
-    what crosses the process boundary instead of node graphs."""
-    return [(r.node.level, r.node.jdewey[-1], r.score,
-             tuple(r.witness_scores)) for r in results]
-
-
 def _serve_shard(payload):
     """Pool entry: one shard's slice of a scatter -- top-K when the
     payload's ``k`` is set, complete evaluation when it is ``None``.
 
     Top-K evaluates ``k+1`` shard-locally (one slot covers the dropped
-    shard-local root).  Either way the reply ships light tuples plus
-    the partial flag and bound; exceptions return as values so one
-    shard cannot lose the gather.  When the payload carries a sampled
+    shard-local root).  Either way the reply ships the result arrays
+    (`ResultSet.to_wire`, the shard-local root dropped) plus the
+    partial flag and bound; exceptions return as values so one shard
+    cannot lose the gather.  When the payload carries a sampled
     `TraceContext`, the engine runs under a worker-local `Tracer` and
     the span tree travels back in the 7th (sidecar) slot together with
     the retrieval counters and the worker's metric deltas.
@@ -219,13 +212,13 @@ def _serve_shard(payload):
                       emitted=stats.results_emitted,
                       levels=stats.levels_processed,
                       partial=stats.partial)
-        light = _light(r for r in results if r.level > 1)
+        reply = results.below_root().to_wire()
         if deferred == BYTE_FAULT:
-            light = corrupt_light(light)
+            reply = corrupt_wire(reply)
         elapsed = (time.perf_counter() - start) * 1000.0
         _worker_publish(db, "search" if k is None else "topk", stats,
                         partial)
-        return (sid, light, partial, bound, elapsed, None,
+        return (sid, reply, partial, bound, elapsed, None,
                 _shard_extra(db, tracer, stats))
     except Exception as exc:  # noqa: BLE001 - shipped back as a value
         import pickle
@@ -482,12 +475,6 @@ class ServeDaemon:
     # evaluation
     # ------------------------------------------------------------------
 
-    def _rehydrate(self, light: Sequence[Tuple]) -> List[SearchResult]:
-        node_at = self.db.shards[0].columnar_index.node_at
-        return [SearchResult(node_at(level, number), level, score,
-                             tuple(witnesses))
-                for level, number, score, witnesses in light]
-
     def _absorb_worker_counters(self, sid: int, pid: Optional[int],
                                 counters: Dict[str, float]) -> None:
         """Fold one worker's cumulative counter deltas into the parent
@@ -522,28 +509,6 @@ class ServeDaemon:
         return per_shard
 
     # -- self-healing shard calls --------------------------------------
-
-    def _validate_light(self, sid: int, light) -> None:
-        """Structural validation of a shard reply at the pool boundary.
-
-        A corrupt reply (chaos byte-fault, or a real serialization bug)
-        must surface as the typed, retryable `ShardPayloadError` --
-        never be silently rehydrated into wrong results."""
-        if not isinstance(light, list):
-            raise ShardPayloadError(
-                f"shard {sid} reply is {type(light).__name__}, not a "
-                "result list", shard=sid)
-        for item in light:
-            if not isinstance(item, tuple) or len(item) != 4:
-                raise ShardPayloadError(
-                    f"shard {sid} reply entry has shape "
-                    f"{type(item).__name__}[{len(item) if isinstance(item, tuple) else '?'}], want a 4-tuple",
-                    shard=sid)
-            _level, _number, score, _wit = item
-            if not isinstance(score, (int, float)) or not math.isfinite(score):
-                raise ShardPayloadError(
-                    f"shard {sid} reply carries a non-finite score",
-                    shard=sid)
 
     def _shard_score_bound(self, sid: int, terms: Sequence[str]) -> float:
         """Conservative cap on the score of *any* result a skipped shard
@@ -601,14 +566,18 @@ class ServeDaemon:
         return (primary if primary in done else next(iter(done))).result()
 
     async def _call_shard(self, fn, sid: int, make_payload,
-                          deadline: Optional[Deadline],
-                          obs: _RequestObs) -> Tuple:
+                          deadline: Optional[Deadline], obs: _RequestObs,
+                          n_terms: int) -> Tuple:
         """One shard's supervised slice of the scatter: breaker gate,
         chaos decision, bounded in-deadline retries, pool healing.
 
-        Always returns the worker outcome 7-tuple; a shard that could
-        not answer returns with the typed error in slot 5 (the merge
-        degrades it), plus a bookkeeping dict for ``obs.shards``.
+        Always returns the worker outcome 7-tuple, its reply rebuilt as
+        a validated `ResultSet` over the parent's node table -- a
+        corrupt reply (chaos byte-fault, or a real serialization bug)
+        is the typed, retryable `ShardPayloadError`, never merged; a
+        shard that could not answer returns with the typed error in
+        slot 5 (the merge degrades it), plus a bookkeeping dict for
+        ``obs.shards``.
         """
         entry: Dict[str, Any] = {"shard": sid}
         started = time.perf_counter()
@@ -661,13 +630,14 @@ class ServeDaemon:
                 worker_exc = outcome[5]
                 if worker_exc is None:
                     try:
-                        self._validate_light(sid, outcome[1])
+                        results = ResultSet.from_wire(
+                            self.db.nodes, outcome[1], n_terms, shard=sid)
                     except ShardPayloadError as payload_exc:
                         exc = payload_exc
                     else:
                         if breaker is not None:
                             breaker.record_success()
-                        return outcome, entry
+                        return (sid, results, *outcome[2:]), entry
                 elif isinstance(worker_exc, DeadlineExceeded):
                     if breaker is not None:
                         breaker.record_success()
@@ -691,8 +661,8 @@ class ServeDaemon:
         return (sid, None, False, None, elapsed, last_exc, None), entry
 
     async def _scatter(self, fn, shard_ids, make_payload,
-                       deadline: Optional[Deadline],
-                       obs: _RequestObs) -> List[Tuple]:
+                       deadline: Optional[Deadline], obs: _RequestObs,
+                       n_terms: int) -> List[Tuple]:
         """Run one supervised call per qualifying shard, concurrently.
 
         Fills ``obs.shards`` with each shard's latency / retrieval
@@ -703,13 +673,13 @@ class ServeDaemon:
         shards' observability is recorded.
         """
         results = await asyncio.gather(*[
-            self._call_shard(fn, sid, make_payload, deadline, obs)
+            self._call_shard(fn, sid, make_payload, deadline, obs, n_terms)
             for sid in shard_ids])
         outcomes: List[Tuple] = []
         first_deadline: Optional[BaseException] = None
         first_fatal: Optional[BaseException] = None
         for outcome, call_entry in results:
-            sid, _light, partial, bound, elapsed, exc, extra = outcome
+            sid, _results, partial, bound, elapsed, exc, extra = outcome
             self.metrics.histogram("repro_serve_shard_ms",
                                    {"shard": str(sid)}).observe(elapsed)
             entry: Dict[str, Any] = {"shard": sid, "elapsed_ms": elapsed,
@@ -747,21 +717,30 @@ class ServeDaemon:
             raise first_deadline
         return outcomes
 
-    async def _eval_topk(self, terms: List[str], semantics: str, k: int,
-                         deadline: Optional[Deadline],
-                         ctx: Optional[TraceContext],
-                         obs: _RequestObs) -> dict:
+    async def _eval(self, terms: List[str], semantics: str,
+                    k: Optional[int], deadline: Optional[Deadline],
+                    ctx: Optional[TraceContext], obs: _RequestObs) -> dict:
+        """Evaluate one admitted query -- top-``k``, or complete when
+        ``k`` is ``None`` -- into its response payload."""
         db = self.db
         if self.workers < 1:
+            def inline():
+                if k is None:
+                    results, stats = db.search(
+                        terms, semantics, deadline=deadline, with_stats=True)
+                    return results, stats, stats.partial, None
+                top = db.search_topk(terms, k, semantics, deadline=deadline)
+                return top.results, top.stats, top.partial, top.bound
+
             started = time.perf_counter()
-            top = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: db.search_topk(terms, k, semantics,
-                                             deadline=deadline))
+            results, stats, partial, bound = \
+                await asyncio.get_running_loop().run_in_executor(None, inline)
             obs.scatter_ms = (time.perf_counter() - started) * 1000.0
-            obs.account = merge_resources(obs.account, top.stats.resources)
-            return self._payload(top.results, top.partial, top.bound)
+            obs.account = merge_resources(obs.account, stats.resources)
+            return self._payload(results, partial, bound)
         if not db._covered(terms):
-            return self._payload([], False, None)
+            return self._payload(ResultSet.empty(db.nodes, len(terms)), False,
+                                 None)
         ctx_wire = (ctx.child("scatter").to_wire()
                     if ctx is not None else None)
 
@@ -777,105 +756,41 @@ class ServeDaemon:
         obs.mode = "pool"
         obs.fanout = len(shard_ids)
         started = time.perf_counter()
-        outcomes = await self._scatter(_serve_shard, shard_ids,
-                                       make_payload, deadline, obs)
+        outcomes = await self._scatter(_serve_shard, shard_ids, make_payload,
+                                       deadline, obs, len(terms))
         merging = time.perf_counter()
         obs.scatter_ms = (merging - started) * 1000.0
-        merged: List[SearchResult] = []
+        parts: List[ResultSet] = []
         partial, bound, degraded = False, None, False
         for outcome in outcomes:
-            sid, light, shard_partial, shard_bound, _el, exc = outcome[:6]
+            sid, results, shard_partial, shard_bound, _el, exc = outcome[:6]
             if exc is not None:
                 # Skipped/failed shard: its results are missing, but no
                 # missed result can outscore the shard's score cap --
-                # fold that cap into the partial bound and stay exact.
+                # fold that cap into the bound; what the healthy shards
+                # returned is still exact.
                 degraded = True
-                shard_cap = self._shard_score_bound(sid, terms)
-                if bound is None or shard_cap > bound:
-                    bound = shard_cap
-                continue
-            merged.extend(self._rehydrate(light))
-            if shard_partial:
-                partial = True
-                if bound is None or shard_bound > bound:
-                    bound = shard_bound
-        root = db._root_result(terms, semantics)
-        if root is not None:
-            merged.append(root)
-        merged.sort(key=lambda r: (-r.score, r.node.dewey))
-        if partial or degraded:
-            partial = True
-            merged = [r for r in merged if r.score > bound]
-        obs.merge_ms = (time.perf_counter() - merging) * 1000.0
-        return self._payload(merged[:k], partial, bound, degraded=degraded)
-
-    async def _eval_search(self, terms: List[str], semantics: str,
-                           deadline: Optional[Deadline],
-                           ctx: Optional[TraceContext],
-                           obs: _RequestObs) -> dict:
-        db = self.db
-        if self.workers < 1:
-            started = time.perf_counter()
-            results, stats = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: db.search(terms, semantics,
-                                        deadline=deadline,
-                                        with_stats=True))
-            obs.scatter_ms = (time.perf_counter() - started) * 1000.0
-            obs.account = merge_resources(obs.account, stats.resources)
-            return self._payload(results, stats.partial, None)
-        if not db._covered(terms):
-            return self._payload([], False, None)
-        ctx_wire = (ctx.child("scatter").to_wire()
-                    if ctx is not None else None)
-
-        def make_payload(sid, fault):
-            wire = deadline.to_wire() if deadline is not None else None
-            return (sid, terms, semantics, None, wire, ctx_wire, fault)
-
-        shard_ids = [sid for sid, shard in enumerate(db.shards)
-                     if all(t in shard.columnar_index for t in terms)]
-        obs.mode = "pool"
-        obs.fanout = len(shard_ids)
-        started = time.perf_counter()
-        outcomes = await self._scatter(_serve_shard, shard_ids,
-                                       make_payload, deadline, obs)
-        merging = time.perf_counter()
-        obs.scatter_ms = (merging - started) * 1000.0
-        merged: List[SearchResult] = []
-        partial, bound, degraded = False, None, False
-        for outcome in outcomes:
-            sid, light, shard_partial, _b, _el, exc = outcome[:6]
-            if exc is not None:
-                # The healthy shards' results are still exact; the
-                # bound says "anything missing scores at most this".
-                degraded = True
-                shard_cap = self._shard_score_bound(sid, terms)
-                if bound is None or shard_cap > bound:
-                    bound = shard_cap
-                continue
-            merged.extend(self._rehydrate(light))
-            partial = partial or shard_partial
-        if deadline is not None and deadline.expired():
-            partial = True
+                shard_bound = self._shard_score_bound(sid, terms)
+            else:
+                parts.append(results)
+                partial = partial or shard_partial
+            if shard_bound is not None and (bound is None
+                                            or shard_bound > bound):
+                bound = shard_bound
+        if k is None and deadline is not None and deadline.expired():
+            # The root summary is cheap but unbudgeted work; skip it.
+            partial, root = True, None
         else:
             root = db._root_result(terms, semantics)
-            if root is not None:
-                merged.append(root)
-        merged.sort(key=lambda r: r.node.row)
-        partial = partial or degraded
+        merged = gather(db.nodes, len(terms), parts, root, k, bound)
         obs.merge_ms = (time.perf_counter() - merging) * 1000.0
-        return self._payload(merged, partial, bound, degraded=degraded)
+        return self._payload(merged, partial or degraded, bound,
+                             degraded=degraded)
 
-    def _payload(self, results: Sequence[SearchResult], partial: bool,
+    def _payload(self, results: ResultSet, partial: bool,
                  bound: Optional[float], degraded: bool = False) -> dict:
         return {
-            "results": [{
-                "dewey": list(r.node.dewey),
-                "tag": r.node.tag,
-                "level": r.level,
-                "score": r.score,
-                "witnesses": list(r.witness_scores),
-            } for r in results],
+            "results": results.payload(),
             "partial": bool(partial),
             "bound": (None if bound is None or bound == float("inf")
                       else bound),
@@ -1000,24 +915,20 @@ class ServeDaemon:
                          "trace_id": trace_id}
         cache_key = result_key(terms, semantics,
                                "serve-" + endpoint, k)
-        cached = self.cache.get_results(cache_key)
-        if cached is not None:
-            # `get_results` hands back a list copy; the single element
-            # is the cached response body.
-            body = dict(cached[0])
+        payload = self.cache.get_results(cache_key)
+        if payload is not None:
             self.metrics.counter("repro_serve_requests_total",
                                  {"outcome": "ok"}).inc()
             trace_id, elapsed_ms = finish(
                 200, "ok", terms, semantics, k, cached=True,
-                result_count=len(body.get("results", [])))
+                result_count=len(payload["results"]))
             if self.capture is not None:
                 self.capture.record(endpoint, terms, semantics, k,
-                                    body.get("results", []), elapsed_ms,
-                                    cached=True,
-                                    partial=body.get("partial", False))
-            body.update(terms=terms, semantics=semantics, cached=True,
-                        elapsed_ms=elapsed_ms, trace_id=trace_id)
-            return 200, body
+                                    payload["results"], elapsed_ms,
+                                    cached=True, partial=payload["partial"])
+            return 200, dict(payload, terms=terms, semantics=semantics,
+                             cached=True, elapsed_ms=elapsed_ms,
+                             trace_id=trace_id)
         try:
             queue_wait_ms = await self._admit(deadline)
         except AdmissionError as exc:
@@ -1028,14 +939,14 @@ class ServeDaemon:
                 # the degenerate consistent partial: nothing, no bound.
                 self.metrics.counter("repro_serve_requests_total",
                                      {"outcome": "partial"}).inc()
-                body = self._payload([], True, None)
                 trace_id, elapsed_ms = finish(
                     200, "partial", terms, semantics, k,
                     queue_wait_ms=waited_ms, partial=True)
-                body.update(terms=terms, semantics=semantics,
-                            cached=False, elapsed_ms=elapsed_ms,
-                            trace_id=trace_id)
-                return 200, body
+                return 200, dict(
+                    self._payload(ResultSet.empty(self.db.nodes, len(terms)),
+                                  True, None),
+                    terms=terms, semantics=semantics, cached=False,
+                    elapsed_ms=elapsed_ms, trace_id=trace_id)
             outcome = "shed" if exc.reason == "queue_full" else "deadline"
             trace_id, _ = finish(exc.status, outcome, terms, semantics, k,
                                  queue_wait_ms=waited_ms)
@@ -1045,12 +956,8 @@ class ServeDaemon:
         self._inflight.inc()
         self._inflight_count += 1
         try:
-            if endpoint == "topk":
-                body = await self._eval_topk(terms, semantics, k,
-                                             deadline, ctx, obs)
-            else:
-                body = await self._eval_search(terms, semantics,
-                                               deadline, ctx, obs)
+            payload = await self._eval(terms, semantics, k, deadline,
+                                       ctx, obs)
         except DeadlineExceeded as exc:
             self.metrics.counter("repro_serve_requests_total",
                                  {"outcome": "error"}).inc()
@@ -1072,32 +979,33 @@ class ServeDaemon:
             self._inflight.dec()
             self._inflight_count -= 1
             self._sem.release()
-        degraded = body.get("degraded", False)
+        degraded, partial = payload["degraded"], payload["partial"]
         outcome = ("degraded" if degraded
-                   else "partial" if body["partial"] else "ok")
+                   else "partial" if partial else "ok")
         self.metrics.counter("repro_serve_requests_total",
                              {"outcome": outcome}).inc()
         if degraded:
             self.metrics.counter("repro_serve_degraded_total").inc()
-        if not body["partial"]:
-            self.cache.put_results(cache_key, [dict(body)])
+        # The payload is never mutated after this point: the cache
+        # stores it and every response is a fresh dict around it.
+        self.cache.put_results(cache_key, payload, partial=partial)
         trace_id, elapsed_ms = finish(
             200, outcome, terms, semantics, k,
             queue_wait_ms=queue_wait_ms,
-            result_count=len(body["results"]),
-            partial=body["partial"], bound=body["bound"],
+            result_count=len(payload["results"]),
+            partial=partial, bound=payload["bound"],
             degraded=degraded)
         if self.capture is not None:
             self.capture.record(endpoint, terms, semantics, k,
-                                body["results"], elapsed_ms,
-                                partial=body["partial"] or degraded,
+                                payload["results"], elapsed_ms,
+                                partial=partial or degraded,
                                 account=obs.account)
         # The latency exemplar points the histogram bucket back at this
         # request's stitched trace.
         self._latency.observe(elapsed_ms, exemplar=trace_id)
-        body.update(terms=terms, semantics=semantics, cached=False,
-                    elapsed_ms=elapsed_ms, trace_id=trace_id)
-        return 200, body
+        return 200, dict(payload, terms=terms, semantics=semantics,
+                         cached=False, elapsed_ms=elapsed_ms,
+                         trace_id=trace_id)
 
     async def _dispatch(self, method: str, path: str) -> Tuple[int, str, str]:
         """Route one request; returns (status, content_type, body)."""

@@ -46,7 +46,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 import numpy as np
 
 from ..algorithms.base import (ELCA, SLCA, EmptyResultError, ExecutionStats,
-                               SearchResult, TopKResult, check_semantics)
+                               ResultSet, SearchResult, TopKResult,
+                               check_semantics, sort_by_document_order)
 from ..algorithms.topk_keyword import TopKKeywordSearch, _StreamState
 from ..cache import QueryCache, result_key
 from ..obs.account import accounting, fold_into_stats
@@ -152,6 +153,25 @@ def merge_root(infos: Sequence[RootInfo], terms: Sequence[str],
                         witness_scores=tuple(per_keyword))
 
 
+def gather(table, n_terms: int, parts: Sequence[ResultSet],
+           root: Optional[SearchResult], k: Optional[int] = None,
+           bound: Optional[float] = None) -> ResultSet:
+    """Merge shard answers (each already without its shard-local root)
+    and the reconstructed `root` into the global answer: document order
+    when ``k`` is ``None``, else the best ``k`` -- of those scoring
+    above ``bound`` when shards stopped early or were skipped, since a
+    result they never returned can score up to it."""
+    parts = list(parts)
+    if root is not None:
+        parts.append(ResultSet.of(table, [root]))
+    merged = ResultSet.concat(table, parts, n_terms)
+    if k is None:
+        return sort_by_document_order(merged)
+    if bound is not None:
+        merged = merged.take(merged.scores > bound)
+    return merged.top(k)
+
+
 class ShardedDatabase:
     """N subtree-affine shards behind the single-database search API.
 
@@ -233,6 +253,12 @@ class ShardedDatabase:
     def tree(self):
         return self._tree if self._tree is not None else self.shards[0].tree
 
+    @property
+    def nodes(self):
+        """The node table every shard shares: a shard's result rows
+        are valid in the facade as they are."""
+        return self.shards[0].columnar_index.nodes
+
     def __len__(self) -> int:
         return len(self.shards[0])
 
@@ -278,7 +304,7 @@ class ShardedDatabase:
         infos = [compute_root_info(db.columnar_index, terms, self.ranking)
                  for db in self._touched(terms)]
         return merge_root(infos, terms, semantics, self.ranking,
-                          self.shards[0].columnar_index.nodes.root)
+                          self.nodes.root)
 
     # ------------------------------------------------------------------
     # complete evaluation
@@ -316,27 +342,28 @@ class ShardedDatabase:
             if cached is not None:
                 stats.cache_hits = 1
                 return (cached, stats) if with_stats else cached
-        results: List[SearchResult] = []
+        table = self.nodes
+        results = ResultSet.empty(table, len(terms))
         if self._covered(terms):
             # The shard calls account themselves (their nested account
             # shadows this one); this account catches the root
             # protocol's column touches, which run in the facade.
             with accounting() as account:
+                parts = []
                 for db in self._qualifying(terms):
                     shard_results, shard_stats = db._complete_results(
                         terms, semantics, "join", deadline=deadline)
                     stats += shard_stats
-                    results.extend(r for r in shard_results if r.level > 1)
+                    parts.append(shard_results.below_root())
                 if deadline is not None and deadline.expired():
                     # partial policy (raise would have thrown above): the
                     # root summary is cheap but unbudgeted work; skip it.
                     stats.partial = True
+                    root = None
                 else:
                     root = self._root_result(terms, semantics)
-                    if root is not None:
-                        results.append(root)
+                results = gather(table, len(terms), parts, root)
             fold_into_stats(stats, account)
-            results.sort(key=lambda r: r.node.row)
         if use_cache:
             self.cache.put_results(key, results, partial=stats.partial)
             stats.cache_misses += 1
@@ -447,9 +474,9 @@ class ShardedDatabase:
                 f"top-K, not {algorithm!r}")
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         stats = ExecutionStats()
-        if k <= 0:
-            return TopKResult([], stats)
         terms = self._terms(query)
+        if k <= 0:
+            return TopKResult(ResultSet.empty(self.nodes, len(terms)), stats)
         if strict:
             self._check_terms_exist(terms)
         state = _StreamState()
@@ -464,7 +491,7 @@ class ShardedDatabase:
             generator.close()
         fold_into_stats(stats, account)
         stats.partial = state.partial
-        return TopKResult(results, stats,
+        return TopKResult(ResultSet.of(self.nodes, results), stats,
                           terminated_early=not state.finished,
                           partial=state.partial, bound=state.bound)
 
@@ -514,7 +541,7 @@ class ShardedDatabase:
                                    with_stats=True)
             top = self.search_topk(query, k, semantics, algorithm,
                                    deadline=deadline)
-            return list(top.results), top.stats
+            return top.results, top.stats
 
         return run_batch(queries, one, self.metrics, with_stats,
                          raise_on_error)

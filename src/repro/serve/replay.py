@@ -56,17 +56,6 @@ def _percentiles(samples: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _payload_results(results) -> List[Dict[str, Any]]:
-    """The wire shape the daemon digests (`ServeDaemon._payload`)."""
-    return [{
-        "dewey": list(r.node.dewey),
-        "tag": r.node.tag,
-        "level": r.level,
-        "score": r.score,
-        "witnesses": list(r.witness_scores),
-    } for r in results]
-
-
 def _sum_accounts(accounts: Sequence[Optional[Dict[str, Any]]]
                   ) -> Dict[str, int]:
     totals = {name: 0 for name in ACCOUNT_TOTALS}
@@ -92,9 +81,9 @@ def _evaluate(db, entry: Dict[str, Any]):
     semantics = entry.get("semantics", "elca")
     if entry.get("endpoint") == "topk":
         top = db.search_topk(terms, int(entry.get("k") or 10), semantics)
-        return _payload_results(top.results), top.stats.resources
+        return top.results.payload(), top.stats.resources
     results, stats = db.search(terms, semantics, with_stats=True)
-    return _payload_results(results), stats.resources
+    return results.payload(), stats.resources
 
 
 def run_replay(workload_path: str, db_path: str, mode: str = "closed",

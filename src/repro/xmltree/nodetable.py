@@ -384,13 +384,25 @@ class NodeTable:
             raise self._absent(level, numbers)
         return self.level_rows[lo:hi][pos]
 
-    def nodes_at(self, level: int, numbers: np.ndarray) -> list:
-        """Bulk `node_at`: one node per entry of `numbers`."""
-        rows = self.rows_at(level, numbers).tolist()
+    def nodes(self, rows: np.ndarray) -> list:
+        """One node per entry of `rows`."""
+        if self._pending is not None:
+            self._load()
         real = self._real_nodes
         if real is not None:
-            return [real[row] for row in rows]
-        return [TableNode(self, row) for row in rows]
+            return [real[row] for row in rows.tolist()]
+        return [TableNode(self, row) for row in rows.tolist()]
+
+    def levels_of(self, rows: np.ndarray) -> np.ndarray:
+        if self._pending is not None:
+            self._load()
+        return self.level[rows]
+
+    def tags_of(self, rows: np.ndarray) -> List[str]:
+        if self._pending is not None:
+            self._load()
+        tags = self.tags
+        return [tags[tag] for tag in self.tag_id[rows].tolist()]
 
     def node_at(self, level: int, number: int):
         """The node identified by (level, JDewey number)."""

@@ -70,10 +70,17 @@ class TestQueryCacheWiring:
         small_db.search("xml data", use_cache=False)
         assert stats.hits == hits_before
 
-    def test_cached_results_are_copies(self, small_db):
+    def test_cache_hit_returns_the_stored_object(self, small_db):
+        """No copy on either side of the cache: a hit hands back the
+        very `ResultSet` the miss stored, and that is safe because a
+        caller cannot change it."""
         first = small_db.search("xml data")
-        first.clear()
-        assert len(small_db.search("xml data")) > 0
+        assert small_db.search("xml data") is first
+        assert not hasattr(first, "clear")
+        with pytest.raises(ValueError):
+            first.scores[0] = 99.0
+        with pytest.raises(TypeError):
+            first[0] = first[1]
 
     def test_open_forwards_cache_knobs(self, small_db, tmp_path):
         path = str(tmp_path / "db")

@@ -17,7 +17,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.serve import ChaosInjector, ShardedDatabase
 from repro.serve.chaos import (BYTE_FAULT, CHAOS_KINDS, SHARD_ERROR,
-                               SHARD_LATENCY, WORKER_KILL, corrupt_light,
+                               SHARD_LATENCY, WORKER_KILL, corrupt_wire,
                                run_chaos_drive, sample_queries)
 from repro.serve.supervisor import BreakerConfig
 from tests.test_serve_daemon import DaemonHarness, oracle_ids, payload_ids
@@ -95,12 +95,20 @@ class TestChaosInjector:
         assert [chaos.next_fault(0) for _ in range(10)] == first
         assert chaos.injected[WORKER_KILL] == first.count(WORKER_KILL)
 
-    def test_corrupt_light_is_structurally_detectable(self):
-        light = [(2, 5, 1.0, (1.0,)), (2, 6, 0.5, (0.5,)),
-                 (2, 7, 0.25, (0.25,))]
-        bad = corrupt_light(light)
-        assert any(len(entry) != 4 for entry in bad)
-        assert corrupt_light([]) and len(corrupt_light([])[0]) != 4
+    def test_corrupt_wire_is_structurally_detectable(self, sharded):
+        """Whatever the byte-fault does to a reply, the validated
+        constructor refuses it as the typed retryable error."""
+        from repro.algorithms.base import ResultSet
+        from repro.reliability.errors import ShardPayloadError
+
+        table = sharded.nodes
+        results = sharded.shards[0].search("alpha beta", use_cache=False)
+        wire = results.below_root().to_wire()
+        assert len(wire[0]) > 1
+        assert ResultSet.from_wire(table, wire, 2) == results.below_root()
+        for reply in (wire, ResultSet.empty(table, 2).to_wire()):
+            with pytest.raises(ShardPayloadError):
+                ResultSet.from_wire(table, corrupt_wire(reply), 2, shard=0)
 
 
 class TestSampleQueries:

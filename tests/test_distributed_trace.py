@@ -466,7 +466,7 @@ class TestRejectionObservability:
             raise RuntimeError("injected shard failure")
 
         with DaemonHarness(sharded) as h:
-            h.daemon._eval_topk = boom
+            h.daemon._eval = boom
             status, body = h.get_json("/topk?q=alpha&k=3")
             assert status == 500
             record = h.daemon.access_log.records()[-1]

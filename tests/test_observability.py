@@ -6,6 +6,7 @@ the `search_batch` summary, and the overhead guards (tracing off, on).
 """
 
 import json
+from collections.abc import Sequence
 
 import pytest
 
@@ -355,16 +356,8 @@ class TestTracedPipeline:
         assert "join" in names and "score" in names and "erase" in names
 
     def test_search_plan_tags_match_stats_vectorized(self, small_db):
-        self._check_plan_tags(small_db, vectorized=True)
-
-    def test_search_plan_tags_match_stats_scalar(self, small_db):
-        self._check_plan_tags(small_db, vectorized=False)
-
-    @staticmethod
-    def _check_plan_tags(small_db, vectorized):
         tracer = Tracer()
-        engine = JoinBasedSearch(small_db.columnar_index,
-                                 vectorized=vectorized, tracer=tracer)
+        engine = JoinBasedSearch(small_db.columnar_index, tracer=tracer)
         with tracer.span("query"):
             _results, stats = engine.evaluate(["xml", "data"], "elca")
         assert stats.per_level_plan  # non-trivial query
@@ -449,7 +442,8 @@ class TestBatchSummary:
         batch = db.search_batch(["xml data", "keyword search"])
         assert isinstance(batch, list)
         assert batch.n_queries == len(batch) == 2
-        assert all(isinstance(entry, list) for entry in batch)
+        # the members are sequences of results (`ResultSet`s)
+        assert all(isinstance(entry, Sequence) for entry in batch)
 
     def test_summary_merges_per_query_stats(self, small_db):
         db = _fresh_db(small_db)

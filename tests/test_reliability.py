@@ -16,6 +16,7 @@ from repro.algorithms.base import ELCA, SLCA
 from repro.algorithms.join_based import JoinBasedSearch
 from repro.algorithms.topk_keyword import TopKKeywordSearch
 from repro.reliability import Deadline, DeadlineExceeded, QueryBudget
+from tests.reference_join import PerCandidateJoinSearch
 from repro.reliability.deadline import (active_deadline, check_active,
                                         deadline_scope)
 
@@ -117,12 +118,12 @@ def _result_map(results):
 
 
 class TestPartialCompleteSearch:
-    @pytest.mark.parametrize("vectorized", [True, False],
+    @pytest.mark.parametrize("engine_cls",
+                             [JoinBasedSearch, PerCandidateJoinSearch],
                              ids=["vectorized", "scalar"])
     @pytest.mark.parametrize("semantics", [ELCA, SLCA])
-    def test_partial_is_subset_of_full(self, dblp_db, vectorized, semantics):
-        engine = JoinBasedSearch(dblp_db.columnar_index,
-                                 vectorized=vectorized)
+    def test_partial_is_subset_of_full(self, dblp_db, engine_cls, semantics):
+        engine = engine_cls(dblp_db.columnar_index)
         full, full_stats = engine.evaluate(["gamma", "beta"], semantics)
         assert not full_stats.partial
         full_map = _result_map(full)

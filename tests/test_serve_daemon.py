@@ -17,8 +17,12 @@ import time
 
 import pytest
 
+from repro.algorithms.base import ResultSet
+from repro.algorithms.topk_keyword import TopKKeywordSearch
 from repro.obs import MetricsRegistry
+from repro.reliability import Deadline
 from repro.serve import AdmissionError, ServeDaemon, ShardedDatabase
+from repro.serve.chaos import SHARD_LATENCY, ChaosInjector
 
 
 class DaemonHarness:
@@ -283,6 +287,130 @@ class TestWorkerPools:
             text = h.request("/metrics")[1]
             assert 'repro_serve_shard_ms_count{shard="0"}' in text
 
+    # The pool wire, field by field: every query shape `test_sharded`
+    # pins for the library, through both evaluation modes of the daemon.
+    WIRE_QUERIES = ("alpha beta", "rare gamma", "cx cy", "c3a c3b c3c",
+                    "alpha", "rare", "beta gamma rare")
+
+    @staticmethod
+    def _wire_rows(body):
+        return [(tuple(r["dewey"]), r["score"], r["level"],
+                 tuple(r["witnesses"])) for r in body["results"]]
+
+    @staticmethod
+    def _rounded(rows):
+        return [(dewey, round(score, 9), level,
+                 tuple(round(w, 9) for w in witnesses))
+                for dewey, score, level, witnesses in rows]
+
+    @staticmethod
+    def _library_rows(results):
+        return [(tuple(r.node.dewey), r.score, r.level,
+                 tuple(r.witness_scores)) for r in results]
+
+    def _replies(self, sharded, workers):
+        """(endpoint, query, semantics) -> wire rows, nothing cached."""
+        replies = {}
+        with DaemonHarness(sharded, workers=workers, max_concurrency=2,
+                           result_cache_size=0) as h:
+            for query in self.WIRE_QUERIES:
+                q = query.replace(" ", "+")
+                for semantics in ("elca", "slca"):
+                    for endpoint, path in (
+                            ("search", f"/search?q={q}"),
+                            ("topk", f"/topk?q={q}&k=10")):
+                        status, body = h.get_json(
+                            f"{path}&semantics={semantics}")
+                        assert status == 200, (endpoint, query, semantics)
+                        assert body["partial"] is False
+                        assert body["degraded"] is False
+                        assert body["bound"] is None
+                        replies[endpoint, query, semantics] = \
+                            self._wire_rows(body)
+        return replies
+
+    def test_every_field_matches_the_flat_database(self, sharded, dblp_db):
+        inline = self._replies(sharded, workers=0)
+        pooled = self._replies(sharded, workers=1)
+        # Process boundary or not, the reply is the same to the bit.
+        assert pooled == inline
+        for (endpoint, query, semantics), rows in pooled.items():
+            if endpoint == "search":
+                want = dblp_db.search(query, semantics=semantics,
+                                      use_cache=False)
+            else:
+                want = dblp_db.search_topk(query, 10,
+                                           semantics=semantics).results
+            assert self._rounded(rows) == self._rounded(
+                self._library_rows(want)), (endpoint, query, semantics)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_partial_reply_is_subset_or_prefix_with_bound(
+            self, sharded, dblp_db, workers):
+        query = "beta gamma rare"
+        full = self._rounded(self._library_rows(
+            dblp_db.search(query, use_cache=False)))
+        ranked = self._rounded(self._library_rows(
+            dblp_db.search_topk(query, 50).results))
+        tail = "partial=1&timeout_ms=0"
+        with DaemonHarness(sharded, workers=workers,
+                           result_cache_size=0) as h:
+            status, body = h.get_json(f"/search?q=beta+gamma+rare&{tail}")
+            assert status == 200
+            got = self._rounded(self._wire_rows(body))
+            assert set(got) <= set(full)
+            assert body["partial"] or got == full
+            status, body = h.get_json(
+                f"/topk?q=beta+gamma+rare&k=50&{tail}")
+            assert status == 200
+            got = self._rounded(self._wire_rows(body))
+            scores = [row[1] for row in got]
+            assert scores == sorted(scores, reverse=True)
+            assert set(got) <= set(ranked)
+            assert body["partial"] or got == ranked
+            bound = body["bound"]
+            assert bound is None or (isinstance(bound, float)
+                                     and bound == bound
+                                     and abs(bound) != float("inf"))
+            if body["partial"] and bound is not None:
+                # everything returned beats the bound, nothing missing does
+                assert all(score > round(bound, 9) - 1e-9
+                           for score in scores)
+                assert [row for row in ranked if row not in got
+                        and row[1] > round(bound, 9) + 1e-9] == []
+
+    def test_empty_partial_topk_reply_crosses_the_wire(self, sharded):
+        # What a worker ships when its budget is gone before the first
+        # emission: no rows, but still one witness column per term.
+        terms = ["beta", "gamma", "rare"]
+        shard = sharded._qualifying(terms)[0]
+        top = TopKKeywordSearch(shard.columnar_index).search(
+            terms, 11, deadline=Deadline(0, on_deadline="partial"))
+        assert top.partial and len(top.results) == 0
+        wire = top.results.below_root().to_wire()
+        back = ResultSet.from_wire(sharded.nodes, wire, len(terms), shard=0)
+        assert isinstance(back, ResultSet) and len(back) == 0
+
+    def test_budget_spent_inside_the_worker_is_partial_not_degraded(
+            self, sharded):
+        # `timeout_ms=0` never reaches a worker (`_call_shard` stops
+        # before dispatch); a latency fault longer than the budget
+        # does, and the worker's honest empty prefix must not read as
+        # a corrupt payload.
+        chaos = ChaosInjector(latency_ms=150.0,
+                              script=[SHARD_LATENCY] * 8)
+        with DaemonHarness(sharded, workers=1, chaos=chaos,
+                           result_cache_size=0) as h:
+            status, body = h.get_json(
+                "/topk?q=beta+gamma+rare&k=10&partial=1&timeout_ms=60")
+            assert status == 200
+            assert body["partial"] is True
+            assert body["degraded"] is False
+            assert h.daemon.metrics.counter(
+                "repro_serve_degraded_total").value == 0
+            assert h.daemon.metrics.counter(
+                "repro_serve_retries_total", {"shard": "0"}).value == 0
+
 
 class TestLifecycleAndHealth:
     """Daemon lifecycle: per-shard /healthz liveness, drain semantics
@@ -343,13 +471,13 @@ class TestLifecycleAndHealth:
         h = DaemonHarness(sharded, workers=1, drain_grace_ms=5000.0)
         with h:
             daemon = h.daemon
-            inner = daemon._eval_topk
+            inner = daemon._eval
 
             async def slow_eval(*args, **kwargs):
                 await asyncio.sleep(0.3)
                 return await inner(*args, **kwargs)
 
-            daemon._eval_topk = slow_eval
+            daemon._eval = slow_eval
             outcome = {}
 
             def fire():

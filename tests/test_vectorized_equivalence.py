@@ -1,10 +1,12 @@
-"""Differential tests: vectorized vs scalar join-based evaluation.
+"""Differential tests: the bulk level check vs the per-candidate one.
 
-The vectorized level loop must be *bit-identical* to the per-candidate
-scalar reference -- same nodes, same levels, same float scores and
-witness tuples, same work counters -- on randomized DBLP/XMark corpora,
-for both semantics and both eraser modes.  Any divergence is a bug in
-the bulk erasure / segment-max machinery, not a tolerance question.
+`JoinBasedSearch` (bulk `check_level`, bulk scores, result columns)
+must be *bit-identical* to the per-candidate reference in
+``tests/reference_join.py`` -- same nodes, same levels, same float
+scores and witness tuples, same work counters -- on randomized
+DBLP/XMark corpora, for both semantics and both eraser modes.  Any
+divergence is a bug in the bulk erasure / segment-max / scoring
+machinery, not a tolerance question.
 """
 
 import random
@@ -12,6 +14,7 @@ import random
 import pytest
 
 from repro.algorithms.join_based import JoinBasedSearch
+from tests.reference_join import PerCandidateJoinSearch
 
 
 def fingerprint(results):
@@ -21,12 +24,10 @@ def fingerprint(results):
 
 
 def run_pair(db, terms, semantics, eraser_mode, with_scores=True):
-    scalar_engine = JoinBasedSearch(db.columnar_index,
-                                    eraser_mode=eraser_mode,
-                                    vectorized=False)
+    scalar_engine = PerCandidateJoinSearch(db.columnar_index,
+                                           eraser_mode=eraser_mode)
     vector_engine = JoinBasedSearch(db.columnar_index,
-                                    eraser_mode=eraser_mode,
-                                    vectorized=True)
+                                    eraser_mode=eraser_mode)
     scalar, s_stats = scalar_engine.evaluate(terms, semantics,
                                              with_scores=with_scores)
     vector, v_stats = vector_engine.evaluate(terms, semantics,
