@@ -13,6 +13,7 @@ Run with::
 from repro import XMLDatabase, parse_xml
 from repro.index import storage
 from repro.index.compression import choose_codec, uncompressed_size
+from repro.index.lazydisk import LazyColumnarIndex
 from repro.xmltree.jdewey import JDeweyEncoder
 from repro.xmltree.tree import Node
 
@@ -90,10 +91,10 @@ def main() -> None:
 
     # The columnar blob round-trips exactly.
     blob = storage.serialize_columnar_index(db.columnar_index)
-    loaded = storage.deserialize_columnar_index(blob)
-    assert loaded["w00000"].seqs == postings.seqs
+    loaded = LazyColumnarIndex(blob, db.columnar_index.nodes)
+    assert loaded.term_postings("w00000").seqs == postings.seqs
     print(f"\nserialized columnar index: {len(blob) / 1024:.1f} KiB, "
-          f"round-trip OK ({len(loaded)} terms)")
+          f"round-trip OK ({len(loaded.vocabulary)} terms)")
 
 
 if __name__ == "__main__":

@@ -158,9 +158,6 @@ class JoinBasedSearch:
         ``bitmap`` (default, a dense boolean array per list),
         ``interval`` -- the section III-E range-checking structure --
         or ``roaring``; all compute identical results.
-    postings_cache:
-        Optional `repro.cache.QueryCache`; when given, per-term postings
-        lookups go through its LRU instead of straight to the index.
     tracer:
         Optional `repro.obs.Tracer` to open the engine's spans on; by
         default the thread's ambient one (`repro.obs.tracing.span`).
@@ -172,12 +169,10 @@ class JoinBasedSearch:
     def __init__(self, index: ColumnarIndex,
                  planner: Optional[JoinPlanner] = None,
                  eraser_mode: str = "bitmap",
-                 postings_cache=None,
                  tracer=None):
         self.index = index
         self.planner = planner if planner is not None else JoinPlanner()
         self.eraser_mode = eraser_mode
-        self.postings_cache = postings_cache
         self.span = tracer.span if tracer is not None else span
         self.ranking: RankingModel = index.ranking
 
@@ -206,11 +201,7 @@ class JoinBasedSearch:
         if not terms:
             return nothing, stats
         with self.span("postings_fetch", terms=list(terms)) as pspan:
-            if self.postings_cache is not None:
-                postings = self.postings_cache.query_postings(self.index,
-                                                              terms)
-            else:
-                postings = self.index.query_postings(terms)
+            postings = self.index.query_postings(terms)
             pspan.tag(list_sizes=[len(p) for p in postings])
         if any(len(p) == 0 for p in postings):
             return nothing, stats
@@ -230,7 +221,7 @@ class JoinBasedSearch:
                 stats.levels_processed += 1
                 run.eager_level(level, columns, with_scores, observer)
             except DeadlineExceeded:
-                # Raised mid-level by a lazy posting fetch polling the
+                # Raised mid-level by a disk column fetch polling the
                 # thread-local deadline; downgrade per policy.  Results
                 # emitted before the cut are individually valid (the
                 # ELCA/SLCA test only reads lower-level erasures), so

@@ -291,7 +291,7 @@ class TopKKeywordSearch:
             try:
                 columns = [p.column(level) for p in postings]
             except DeadlineExceeded:
-                # Raised by a lazy column fetch polling the scoped
+                # Raised by a disk column fetch polling the scoped
                 # deadline mid-materialization.
                 if deadline is None or not deadline.partial_ok:
                     raise

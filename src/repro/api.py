@@ -164,11 +164,10 @@ class Query:
 class XMLDatabase:
     """An indexed XML document plus every search algorithm.
 
-    A `repro.cache.QueryCache` is wired in by default: per-term postings
-    lookups and whole query results are LRU-cached (index structures are
-    read-only after build, so cached entries never go stale between
-    `refresh` calls).  Size the caches with ``postings_cache_size`` /
-    ``result_cache_size`` (0 disables storage) or pass a shared
+    A `repro.cache.QueryCache` is wired in by default: whole query
+    results are LRU-cached (index structures are read-only after build,
+    so cached entries never go stale between `refresh` calls).  Size it
+    with ``result_cache_size`` (0 disables storage) or pass a shared
     `QueryCache` via ``cache``.
 
     Observability (`repro.obs`): every query publishes latency and work
@@ -188,7 +187,6 @@ class XMLDatabase:
                  ranking: Optional[RankingModel] = None,
                  jdewey_gap: int = 0,
                  cache: Optional[QueryCache] = None,
-                 postings_cache_size: int = 256,
                  result_cache_size: int = 1024,
                  tracer=None,
                  metrics: Optional[MetricsRegistry] = None,
@@ -212,7 +210,7 @@ class XMLDatabase:
             slow_log = SlowQueryLog(threshold_ms=slow_query_ms)
         self.slow_log = slow_log
         self.cache = cache if cache is not None else QueryCache(
-            postings_cache_size, result_cache_size)
+            result_cache_size)
         if self.cache.metrics is None:
             self.cache.bind_metrics(self.metrics)
         self._columnar: Optional[ColumnarIndex] = None
@@ -400,7 +398,7 @@ class XMLDatabase:
         tags = {} if op == "search" else {"k": k}
         start = time.perf_counter()
         # This root makes `tracer` the thread's ambient one: the engines
-        # and the lazy index open their regions with `span`, as below.
+        # and the disk index open their regions with `span`, as below.
         with tracer.span("query", op=op, semantics=semantics,
                          algorithm=algorithm, **tags) as qspan:
             with span("parse"):
@@ -481,10 +479,9 @@ class XMLDatabase:
                            observer=None
                            ) -> Tuple[ResultSet, ExecutionStats]:
         if algorithm == "join":
-            engine = JoinBasedSearch(self.columnar_index, planner,
-                                     postings_cache=self.cache)
+            engine = JoinBasedSearch(self.columnar_index, planner)
             if deadline is not None:
-                # The scope lets the lazy disk index poll the deadline
+                # The scope lets the disk-backed index poll the deadline
                 # from inside column materialization; the engine itself
                 # receives the deadline as a parameter and handles the
                 # partial policy at level boundaries.
@@ -789,7 +786,7 @@ class XMLDatabase:
     # ------------------------------------------------------------------
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/eviction counters of the postings and result caches."""
+        """Hit/miss/eviction counters of the result cache."""
         return self.cache.stats()
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:

@@ -1,16 +1,13 @@
-"""Query-serving caches: LRU postings and query-result caching.
+"""Query-serving caches: query results and decoded columns.
 
 The index structures are immutable once built, so serving many queries
-is a caching problem, not a concurrency problem.  `QueryCache` bundles
-the two caches `XMLDatabase` wires in:
+is a caching problem, not a concurrency problem.  `QueryCache` is the
+**result cache** `XMLDatabase` wires in, keyed by ``(terms, semantics,
+algorithm, k)``; a hit skips level evaluation entirely.  A term's
+postings are not cached here: the index pins them itself
+(`ColumnarIndex.term_postings`).
 
-* a **postings cache** (term -> `ColumnarPostings`), worthwhile when
-  postings are expensive to materialize (the lazy disk-backed index
-  decompresses per column) and as the shared warm set of a batch;
-* a **result cache** keyed by ``(terms, semantics, algorithm, k)``; a
-  hit skips level evaluation entirely.
-
-A third, independent cache serves the disk-backed index:
+An independent cache serves the disk-backed index:
 `DecodedColumnCache` is a byte-budget LRU of decoded columns keyed by
 ``(namespace, term, level)``, wired into `LazyColumnarPostings` so hot
 terms skip per-column decompression on repeat queries while cold
@@ -28,9 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (Any, Dict, Hashable, List, Optional, Sequence, Tuple)
-
-from .obs.account import active_account, postings_nbytes
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 _MISSING = object()
 
@@ -109,8 +104,8 @@ class LRUCache:
 
 
 class DecodedColumnCache:
-    """A byte-budget LRU of *decoded* columns, shared across the lazy
-    postings of one database.
+    """A byte-budget LRU of *decoded* columns, shared across the
+    disk-backed postings of one database.
 
     The disk-backed index otherwise caches every decoded column forever
     inside the postings object that produced it -- correct, but
@@ -219,25 +214,21 @@ def result_key(terms: Sequence[str], semantics: str, algorithm: str,
 
 
 class QueryCache:
-    """The postings + result cache pair served to `XMLDatabase`.
+    """The result cache served to `XMLDatabase`.
 
     Parameters
     ----------
-    postings_capacity:
-        Max distinct terms whose postings stay resident (LRU).
     result_capacity:
         Max cached query results (LRU over `result_key` entries).
     metrics:
         Optional `repro.obs.MetricsRegistry`; when given, every lookup
-        publishes ``repro_cache_requests_total{cache=..., outcome=...}``
-        counters next to the local `CacheStats`, so a process-wide
-        snapshot sees the hit ratio without holding the cache object.
+        publishes ``repro_cache_requests_total{cache="results",
+        outcome=...}`` counters next to the local `CacheStats`, so a
+        process-wide snapshot sees the hit ratio without holding the
+        cache object.
     """
 
-    def __init__(self, postings_capacity: int = 256,
-                 result_capacity: int = 1024,
-                 metrics=None):
-        self.postings = LRUCache(postings_capacity)
+    def __init__(self, result_capacity: int = 1024, metrics=None):
         self.results = LRUCache(result_capacity)
         self.metrics = None
         if metrics is not None:
@@ -246,12 +237,6 @@ class QueryCache:
     def bind_metrics(self, metrics) -> None:
         """Publish lookup counters into `metrics` from now on."""
         self.metrics = metrics
-        self._postings_hit = metrics.counter(
-            "repro_cache_requests_total",
-            {"cache": "postings", "outcome": "hit"})
-        self._postings_miss = metrics.counter(
-            "repro_cache_requests_total",
-            {"cache": "postings", "outcome": "miss"})
         self._results_hit = metrics.counter(
             "repro_cache_requests_total",
             {"cache": "results", "outcome": "hit"})
@@ -260,44 +245,11 @@ class QueryCache:
             {"cache": "results", "outcome": "miss"})
         metrics.gauge("repro_cache_hit_ratio",
                       {"cache": "results"}).set_fn(self.result_hit_ratio)
-        metrics.gauge("repro_cache_hit_ratio",
-                      {"cache": "postings"}).set_fn(self.postings_hit_ratio)
 
     def result_hit_ratio(self) -> float:
         stats = self.results.stats
         total = stats.hits + stats.misses
         return stats.hits / total if total else 0.0
-
-    def postings_hit_ratio(self) -> float:
-        stats = self.postings.stats
-        total = stats.hits + stats.misses
-        return stats.hits / total if total else 0.0
-
-    def query_postings(self, index, terms: Sequence[str]) -> List:
-        """`ColumnarIndex.query_postings` through the postings LRU.
-
-        Mirrors the index method exactly: per-term postings (empty ones
-        included) sorted shortest-first with a stable sort, so join
-        order is unchanged by caching.
-        """
-        account = active_account()
-        postings = []
-        for term in terms:
-            # Entries are (postings, nbytes): a term is sized once, when
-            # it enters the cache, not on every lookup.
-            entry = self.postings.get(term, _MISSING)
-            hit = entry is not _MISSING
-            if not hit:
-                cached = index.term_postings(term)
-                entry = (cached, postings_nbytes(cached))
-                self.postings.put(term, entry)
-            if self.metrics is not None:
-                (self._postings_hit if hit else self._postings_miss).inc()
-            if account is not None:
-                account.record_cache(hit, entry[1])
-            postings.append(entry[0])
-        postings.sort(key=len)
-        return postings
 
     def get_results(self, key: ResultKey):
         """The cached answer for `key` -- the stored object itself, not
@@ -325,7 +277,7 @@ class QueryCache:
         self.results.put(key, results)
 
     def clear(self) -> None:
-        """Drop both caches and restart their local stats.
+        """Drop every entry and restart the local stats.
 
         Metric consistency contract: the process-wide
         ``repro_cache_requests_total`` counters are *monotone* and keep
@@ -335,16 +287,15 @@ class QueryCache:
         time, so they restart from 0 with the fresh stats instead of
         reporting the dead cache's ratio forever.
         """
-        self.postings.clear()
         self.results.clear()
 
     def invalidate(self, term: str) -> int:
-        """Drop everything derived from `term`: its postings entry and
-        every cached result whose query used it.  Returns the number of
-        entries dropped.  The daemon's index-reload hook: when one
-        term's postings change, unrelated cached results survive.
+        """Drop every cached result whose query used `term`.  Returns
+        the number of entries dropped.  The daemon's index-reload hook:
+        when one term's postings change, unrelated cached results
+        survive.
         """
-        dropped = 1 if self.postings.remove(term) else 0
+        dropped = 0
         for key in self.results.keys():
             terms = key[0] if isinstance(key, tuple) and key else ()
             if term in terms:
@@ -352,5 +303,4 @@ class QueryCache:
         return dropped
 
     def stats(self) -> Dict[str, Dict[str, int]]:
-        return {"postings": self.postings.stats.as_dict(),
-                "results": self.results.stats.as_dict()}
+        return {"results": self.results.stats.as_dict()}

@@ -45,14 +45,14 @@ EXIT_CORRUPT = 4
 EXIT_DEADLINE = 5
 
 
-def _load(path: str) -> XMLDatabase:
+def _load(path: str, verify: str = "eager") -> XMLDatabase:
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no such database directory or XML file: {path}")
     if os.path.isdir(path):
         from .diskdb import load_database
 
-        return load_database(path)
+        return load_database(path, verify=verify)
     from .xmltree.parser import parse_xml_file
 
     return XMLDatabase.from_tree(parse_xml_file(path))
@@ -141,10 +141,9 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     """Evaluate a query workload as one `search_batch` call.
 
     Queries run one after another in this process (`repro serve
-    --workers N` is the parallel path).  The database loads in the
-    lazy, mmap-backed mode when it is a saved directory (the container
-    then serves columns zero-copy); ``--eager`` opts back into the
-    fully materialized load.
+    --workers N` is the parallel path).  A saved directory is mapped
+    and checked block by block as queries touch it; ``--eager``
+    verifies every file's digest before the first query.
     """
     if args.queries == "-":
         lines = sys.stdin.readlines()
@@ -158,13 +157,7 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     if not queries:
         print("error: no queries in the workload", file=sys.stderr)
         return 1
-    if os.path.isdir(args.database):
-        from .diskdb import load_database
-
-        db = load_database(args.database, lazy=not args.eager,
-                           verify="eager" if args.eager else "lazy")
-    else:
-        db = _load(args.database)
+    db = _load(args.database, "eager" if args.eager else "lazy")
     batch = db.search_batch(queries, k=args.k, semantics=args.semantics,
                             algorithm=args.algorithm,
                             use_cache=not args.no_cache,
@@ -203,13 +196,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     from .serve import ShardedDatabase, serve
 
-    if os.path.isdir(args.database):
-        from .diskdb import load_database
-
-        db = load_database(args.database, lazy=not args.eager,
-                           verify="eager" if args.eager else "lazy")
-    else:
-        db = _load(args.database)
+    db = _load(args.database, "eager" if args.eager else "lazy")
     if isinstance(db, ShardedDatabase):
         if args.shards and args.shards != db.n_shards:
             print(f"error: database is saved with {db.n_shards} shards; "
@@ -322,12 +309,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("error: chaos needs --workers >= 1 (faults are injected "
               "into shard worker processes)", file=sys.stderr)
         return 1
-    if os.path.isdir(args.database):
-        from .diskdb import load_database
-
-        db = load_database(args.database, lazy=True, verify="lazy")
-    else:
-        db = _load(args.database)
+    db = _load(args.database, "lazy")
     if not isinstance(db, ShardedDatabase):
         db = ShardedDatabase.from_database(db, args.shards or 2)
     spec = args.spec
@@ -671,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the result cache")
     p.add_argument("--eager", action="store_true",
-                   help="fully materialize the database at load "
-                        "instead of the lazy mmap-backed mode")
+                   help="verify every file's digest at load instead of "
+                        "block by block as queries touch them")
     p.add_argument("--timeout-ms", type=float, default=None,
                    help="shared budget for the whole batch")
     p.add_argument("--partial", action="store_true",
@@ -710,8 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result-cache-size", type=int, default=1024,
                    help="daemon response cache entries (0 disables)")
     p.add_argument("--eager", action="store_true",
-                   help="fully materialize the database at load "
-                        "instead of the lazy mmap-backed mode")
+                   help="verify every file's digest at load instead of "
+                        "block by block as queries touch them")
     p.add_argument("--no-tracing", action="store_true",
                    help="disable distributed trace collection (access "
                         "log and SLO tracking stay on)")

@@ -37,13 +37,13 @@ pad bytes zero)::
               columns   one compressed column per level, each padded
 
 Because every region is offset-indexed and aligned, `load_database`
-memory-maps the file (`reliability.io.map_bytes`) and the lazy reader
-materializes scores and compressed columns as ``np.frombuffer`` views --
-no whole-payload ``bytes`` copy, and the daemon's forked shard workers
-share the mapping copy-on-write.  Integrity and atomicity
-(`repro.reliability`):
+memory-maps the file (`reliability.io.map_bytes`) and the reader
+(`repro.index.lazydisk.LazyColumnarIndex`) materializes scores and
+compressed columns as ``np.frombuffer`` views -- no whole-payload
+``bytes`` copy, and the daemon's forked shard workers share the mapping
+copy-on-write.  Integrity and atomicity (`repro.reliability`):
 
-* every term's payload carries a CRC, so a lazy reader verifies exactly
+* every term's payload carries a CRC, so the reader verifies exactly
   the bytes it touches, and ``meta.json`` records a whole-file digest
   per file;
 * `save_database` stages everything in a sibling temp directory,
@@ -78,6 +78,7 @@ from typing import Optional
 
 from .api import XMLDatabase
 from .index import storage
+from .cache import DecodedColumnCache
 from .index.columnar import ColumnarIndex
 from .index.lazydisk import LazyColumnarIndex
 from .index.tokenizer import Tokenizer
@@ -246,7 +247,6 @@ def save_database(db: XMLDatabase, path: str,
 def load_database(path: str,
                   ranking: Optional[RankingModel] = None,
                   cache=None,
-                  postings_cache_size: int = 256,
                   result_cache_size: int = 1024,
                   verify: str = "eager",
                   lazy: bool = False,
@@ -261,11 +261,14 @@ def load_database(path: str,
     both answer the same search surface.  For a sharded directory the
     ``cache`` argument is ignored (each shard keeps its own caches).
 
-    Nothing proportional to the document runs in Python here: the node
-    table and the columnar container are memory-mapped, and
-    ``document.xml`` is parsed only when `db.tree` is first used.
+    There is one open path.  Nothing proportional to the document runs
+    in Python here: the node table and the columnar container are
+    memory-mapped, the index is a `LazyColumnarIndex` over the mapping
+    (a term's block is parsed on its first touch, a column decoded on
+    its first read), and ``document.xml`` is parsed only when `db.tree`
+    is first used.
 
-    ``cache`` / ``postings_cache_size`` / ``result_cache_size`` and any
+    ``cache`` / ``result_cache_size`` and any
     extra keyword arguments (``tracer``, ``metrics``, ``slow_log``, ...)
     are forwarded to the `XMLDatabase` constructor.  Bytes read are
     published as ``repro_disk_bytes_read_total``.
@@ -273,13 +276,14 @@ def load_database(path: str,
     Reliability knobs (`repro.reliability`):
 
     * ``verify`` -- ``"eager"`` (default) checks every whole-file
-      digest at load; ``"lazy"`` defers to the checks that cover what a
-      query touches, when it touches it: the node table's section CRCs
-      and the document's digest on first use, and (with ``lazy=True``)
-      the columnar index's per-block CRCs; ``"off"`` skips
-      verification.
-    * ``lazy`` -- serve the columnar index from the compressed blob
-      (`LazyColumnarIndex`), decompressing columns on demand.
+      digest at load and spot-checks the postings against the node
+      table, and still checks a term's block CRC on its first touch;
+      ``"lazy"`` keeps only the checks that cover what a query touches,
+      when it touches it: the columnar index's per-block CRCs, the node
+      table's section CRCs and the document's digest on first use;
+      ``"off"`` skips verification.
+    * ``lazy`` -- accepted and ignored: it used to choose between two
+      loaders, and callers still pass it.
     * ``injector`` / ``retry`` -- route every file read through a
       `FaultInjector` and a bounded `RetryPolicy` (defaults to
       `DEFAULT_POLICY` when an injector is installed), so transient
@@ -287,11 +291,11 @@ def load_database(path: str,
       An installed injector downgrades every mmap to a plain
       (fault-observable) read.
     * ``decoded_cache_bytes`` -- byte budget of the shared
-      decoded-column LRU on the lazy path (default 32 MiB; ``0``
-      disables it, reverting to unbounded per-postings caching).  One
-      cache serves all shards of a sharded database; hot terms skip
-      column decompression on repeat queries and bill the saving to the
-      query's `ResourceAccount`.
+      decoded-column LRU (default 32 MiB; ``0`` disables it, reverting
+      to unbounded per-postings caching).  One cache serves all shards
+      of a sharded database; hot terms skip column decompression on
+      repeat queries and bill the saving to the query's
+      `ResourceAccount`.
 
     The returned database holds its mappings for its lifetime; column
     decompression and node lookups run on zero-copy views of them.
@@ -309,9 +313,7 @@ def load_database(path: str,
     metrics = get_registry()
     bytes_read = metrics.counter("repro_disk_bytes_read_total")
     decoded_cache = None
-    if lazy and decoded_cache_bytes > 0:
-        from .cache import DecodedColumnCache
-
+    if decoded_cache_bytes > 0:
         decoded_cache = DecodedColumnCache(decoded_cache_bytes,
                                            metrics=metrics)
     if retry is None and injector is not None:
@@ -442,7 +444,6 @@ def load_database(path: str,
             db = XMLDatabase(None, tokenizer=tokenizer,
                              ranking=ranking, jdewey_gap=jdewey_gap,
                              cache=db_cache,
-                             postings_cache_size=postings_cache_size,
                              result_cache_size=result_cache_size,
                              **db_kwargs)
         except (TypeError, ValueError) as exc:
@@ -451,24 +452,17 @@ def load_database(path: str,
         db._open_tree = open_tree
         # Zero-copy: the container is mapped.
         source = read_file(columnar_rel, "read-columnar", mapped=True)
-        if lazy:
-            # No whole-file pass here on purpose: per-block CRCs cover
-            # exactly the bytes a query touches, when it touches them.
-            db._columnar = LazyColumnarIndex(
-                source, nodes, tokenizer, ranking, verify=verify,
-                source=columnar_rel, metrics=metrics,
-                decoded_cache=decoded_cache)
-            db._columnar.n_docs = n_docs
-            return db
-        blob = _view(source)
-        verify_file(columnar_rel, blob)
-        # Block CRCs are not re-checked: the digest covered every byte
-        # (unless verify="off", which asked for no checks at all).
-        postings = storage.deserialize_columnar_index(
-            blob, verify=False, file=columnar_rel)
-        db._columnar = ColumnarIndex.from_postings(
-            nodes, postings, tokenizer, ranking, n_docs)
-        _verify_consistency(db)
+        if verify == "eager":
+            verify_file(columnar_rel, _view(source))
+        # Otherwise no whole-file pass, on purpose: per-block CRCs cover
+        # exactly the bytes a query touches, when it touches them.
+        db._columnar = LazyColumnarIndex(
+            source, nodes, tokenizer, ranking, verify=verify,
+            source=columnar_rel, metrics=metrics,
+            decoded_cache=decoded_cache)
+        db._columnar.n_docs = n_docs
+        if verify == "eager":
+            _verify_consistency(db)
         return db
 
     metrics.counter("repro_db_loads_total").inc()
@@ -489,8 +483,7 @@ def _verify_consistency(db: XMLDatabase) -> None:
     """Spot-check that the stored postings match the node table.
 
     A mismatch means one of the files was replaced after the other was
-    written.  Skipped on the lazy load path (it would materialize
-    sequences).
+    written.
     """
     columnar = db._columnar
     for term in columnar.vocabulary[:5]:

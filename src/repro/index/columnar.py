@@ -120,7 +120,7 @@ class ColumnarPostings:
         self._columns: Dict[int, Column] = {}
 
     def __len__(self) -> int:
-        return len(self.seqs)
+        return len(self.lengths)
 
     def column(self, level: int) -> Column:
         """The column for `level` (1-based); empty beyond `max_len`."""
@@ -147,6 +147,10 @@ class ColumnarIndex:
     Results are materialized through ``nodes``, the document's
     `NodeTable`: a JDewey number plus its level uniquely identifies a
     node (the representational advantage section III-A highlights).
+
+    Everything a reader asks goes through `term_postings`, `vocabulary`
+    and ``in``; the disk-backed `repro.index.lazydisk.LazyColumnarIndex`
+    overrides exactly those three.
     """
 
     def __init__(self, tree: XMLTree, tokenizer: Optional[Tokenizer] = None,

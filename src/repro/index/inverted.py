@@ -114,7 +114,7 @@ class InvertedIndex:
     @classmethod
     def over(cls, columnar) -> "InvertedIndex":
         """The Dewey view of an existing columnar index (in memory or
-        lazily disk-backed)."""
+        disk-backed)."""
         index = cls.__new__(cls)
         index.columnar = columnar
         index._lists = {}

@@ -11,9 +11,10 @@ decompresses a column only on first access; `IOStats` counts the
 columns and bytes actually touched, which is the currency of the
 section III-B claim (asserted in the lazy-I/O ablation benchmark).
 `LazyColumnarIndex` serves a whole vocabulary from one container (the
-format written by `storage.serialize_columnar_index`): the framing is
-scanned up front, a term's payload is verified and parsed on its first
-touch, and every column decompresses on its own first access.
+format written by `storage.serialize_columnar_index`) and is how every
+opened database reads its index: the framing is scanned up front, a
+term's payload is verified and parsed on its first touch, and every
+column decompresses on its own first access.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from ..obs.tracing import span
 from ..reliability.deadline import check_active
 from ..reliability.errors import DatabaseCorruptError
 from ..scoring.ranking import RankingModel
+from ..xmltree.jdewey import JDeweySeq
 from ..xmltree.nodetable import NodeTable
-from ..xmltree.tree import XMLTree
-from .columnar import Column, ColumnarPostings
+from .columnar import Column, ColumnarIndex, ColumnarPostings
 from .compression import decompress_column
 from .storage import (_PARSE_ERRORS, BlockRef, parse_payload, scan_container,
                       verify_block)
@@ -59,9 +60,9 @@ class IOStats:
 class LazyColumnarPostings(ColumnarPostings):
     """One term's columnar list backed by compressed per-level payloads.
 
-    Columns decompress on first access and are cached; the sequence-of-
-    tuples view (`seqs`) is never materialized -- callers that need a
-    number read it from the column.
+    Columns decompress on first access and are cached; nothing on the
+    query path asks for the sequence-of-tuples view (`seqs`), which is
+    rebuilt from the columns whenever it is read.
     """
 
     def __init__(self, term: str, lengths: Sequence[int],
@@ -91,13 +92,17 @@ class LazyColumnarPostings(ColumnarPostings):
         self._cache_ns = cache_ns
 
     @property
-    def seqs(self):
-        raise NotImplementedError(
-            "disk-backed postings do not materialize sequences; use "
-            "column(level)")
-
-    def __len__(self) -> int:
-        return len(self.lengths)
+    def seqs(self) -> List[JDeweySeq]:
+        """The JDewey sequences, in JDewey order -- what the in-memory
+        `ColumnarPostings` was built from.  Re-sharding and the open-time
+        consistency check read it; queries read `column`."""
+        seqs: List[List[int]] = [[] for _ in range(len(self))]
+        for level in range(1, self.max_len + 1):
+            column = self.column(level)
+            for ordinal, number in zip(column.seq_idx.tolist(),
+                                       column.values.tolist()):
+                seqs[ordinal].append(number)
+        return [tuple(seq) for seq in seqs]
 
     def column(self, level: int) -> Column:
         if level < 1:
@@ -123,7 +128,7 @@ class LazyColumnarPostings(ColumnarPostings):
         if level > self.max_len:
             values = np.empty(0, dtype=np.int64)
         else:
-            # The lazy index's "disk read": poll the scoped deadline at
+            # The index's "disk read": poll the scoped deadline at
             # every posting fetch, so a budgeted query cannot stall
             # inside a long decompression chain (a getattr + None test
             # when no deadline is active).
@@ -165,26 +170,24 @@ class LazyColumnarPostings(ColumnarPostings):
         return column
 
 
-class LazyColumnarIndex:
-    """A `ColumnarIndex`-compatible view over one columnar container.
+class LazyColumnarIndex(ColumnarIndex):
+    """The `ColumnarIndex` of one columnar container on disk.
 
-    The per-term *framing* is scanned eagerly (no payload is touched);
-    a term's payload is parsed on its first touch and its columns stay
-    compressed until a query reads them.  One shared `IOStats`
-    instrument records every decompression.
+    The per-term *framing* is scanned at construction (no payload is
+    touched); a term's payload is parsed on its first touch and its
+    columns stay compressed until a query reads them.  One shared
+    `IOStats` instrument records every decompression.
 
     `blob` is the container written by
     `storage.serialize_columnar_index` -- usually as a
     `reliability.io.MappedFile`, in which case every column
-    materializes as a zero-copy view over the mapping.  The ``verify``
-    mode controls when block checksums are checked:
-
-    * ``"lazy"`` (default) -- on a term's first touch, right before its
-      payload is parsed.  Matches the lazy-I/O design: a query only
-      pays for the integrity of the bytes it actually reads.
-    * ``"eager"`` -- every block at construction (column payloads still
-      decompress lazily).
-    * ``"off"``  -- never (benchmarking / recovery tooling).
+    materializes as a zero-copy view over the mapping.  With ``verify``
+    ``"lazy"`` (default) or ``"eager"`` a block's checksum is checked on
+    the term's first touch, right before its payload is parsed -- a
+    query pays for the integrity of the bytes it actually reads;
+    ``"off"`` never checks (benchmarking / recovery tooling).  What
+    ``"eager"`` adds -- whole-file digests at open -- is
+    `repro.diskdb.load_database`'s.
 
     A failed check raises `DatabaseCorruptError` naming the source file
     and the offending keyword, and bumps
@@ -218,26 +221,20 @@ class LazyColumnarIndex:
         # numpy view into it) alive for the index's lifetime.
         self._backing = blob
         self._blob = blob.view if hasattr(blob, "view") else blob
-        self._postings: Dict[str, LazyColumnarPostings] = {}
+        # Every term's locator, for the index's lifetime; `_postings`
+        # holds the terms parsed so far.
         self._algorithm, refs = scan_container(self._blob, file=source)
         self._blocks: Dict[str, BlockRef] = {ref.term: ref for ref in refs}
-        if verify == "eager":
-            for term in list(self._blocks):
-                self._parse_block(term)
+        self._postings: Dict[str, LazyColumnarPostings] = {}
         self.n_docs = 0
 
-    @property
-    def tree(self) -> XMLTree:
-        return self.nodes.tree
-
-    def _parse_block(self, term: str) -> LazyColumnarPostings:
-        """Verify (per the mode) and parse one block on first touch.
+    def _parse_block(self, ref: BlockRef) -> LazyColumnarPostings:
+        """Verify (per the mode) and parse one block.
 
         The payload slice stays a memoryview of the mmap and the
         postings' columns become `np.frombuffer` views -- no bytes copy
         happens here or later.
         """
-        ref = self._blocks.pop(term)
         try:
             if self.verify != "off":
                 payload = verify_block(self._blob, ref, self._algorithm,
@@ -245,42 +242,34 @@ class LazyColumnarIndex:
             else:
                 payload = self._blob[ref.offset: ref.offset + ref.length]
             lengths, scores, level_payloads = parse_payload(
-                term, payload, file=self.source)
+                ref.term, payload, file=self.source)
         except DatabaseCorruptError:
             if self.metrics is not None:
                 self.metrics.counter(
                     "repro_checksum_failures_total",
                     {"file": self.source or "columnar"}).inc()
             raise
-        postings = LazyColumnarPostings(
-            term, lengths, level_payloads, scores, self.io,
+        return LazyColumnarPostings(
+            ref.term, lengths, level_payloads, scores, self.io,
             metrics=self.metrics, decoded_cache=self._decoded_cache,
             cache_ns=self._cache_ns)
-        self._postings[term] = postings
-        return postings
 
     @property
     def vocabulary(self) -> List[str]:
-        return sorted(set(self._postings) | set(self._blocks))
+        return sorted(self._blocks)
 
     def __contains__(self, term: str) -> bool:
-        return term in self._postings or term in self._blocks
+        return term in self._blocks
 
-    def term_postings(self, term: str):
+    def term_postings(self, term: str) -> ColumnarPostings:
         existing = self._postings.get(term)
         if existing is not None:
             return existing
-        if term in self._blocks:
-            return self._parse_block(term)
-        return LazyColumnarPostings(term, [], [], [], self.io)
-
-    def document_frequency(self, term: str) -> int:
-        return len(self.term_postings(term))
-
-    def query_postings(self, terms: Sequence[str]):
-        postings = [self.term_postings(t) for t in terms]
-        postings.sort(key=len)
-        return postings
-
-    def node_at(self, level: int, number: int):
-        return self.nodes.node_at(level, number)
+        ref = self._blocks.get(term)
+        if ref is None:
+            return ColumnarPostings(term, [], [])
+        # No lock: two threads first-touching one term both parse it
+        # (harmless) and `setdefault` makes one of the two the term's
+        # postings for good.  `_blocks` never shrinks, so a term is in
+        # the vocabulary before, during and after its first touch.
+        return self._postings.setdefault(term, self._parse_block(ref))

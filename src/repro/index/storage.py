@@ -2,11 +2,11 @@
 
 Two things live here.  The **container** is what `repro.diskdb` writes
 as ``columnar.bin`` and everything reads: `serialize_columnar_index` /
-`scan_container` / `parse_payload` / `deserialize_columnar_index` (layout
-below, at the code).  The **size models** reproduce Table I: a
-byte-accurate serialization of the paper's compact per-term layout for
-the columnar lists, and models with explicit constants for the baseline
-structures the paper measures --
+`scan_container` / `verify_block` / `parse_payload` (layout below, at
+the code; `repro.index.lazydisk.LazyColumnarIndex` is the reader).  The
+**size models** reproduce Table I: a byte-accurate serialization of the
+paper's compact per-term layout for the columnar lists, and models with
+explicit constants for the baseline structures the paper measures --
 
 * ``join-based IL``  -- columnar JDewey lists, per-column compression
   (section III-D), plus sparse per-column indices.
@@ -82,7 +82,7 @@ def serialize_columnar_postings(postings: ColumnarPostings,
     term_bytes = postings.term.encode("utf-8")
     write_varint(out, len(term_bytes))
     out.extend(term_bytes)
-    write_varint(out, len(postings.seqs))
+    write_varint(out, len(postings))
     write_varint(out, postings.max_len)
     out.append(score_mode)
     for length in postings.lengths:
@@ -437,41 +437,6 @@ def parse_payload(term: str, payload, file: str = None):
             f"postings for term {term!r} do not parse: {exc}",
             file=file, term=term) from exc
     return lengths, scores, level_payloads
-
-
-def deserialize_columnar_index(data, verify: bool = True, file: str = None
-                               ) -> Dict[str, ColumnarPostings]:
-    """Eagerly load a container (the ``lazy=False`` path).
-
-    The eager path rebuilds full `ColumnarPostings` objects, so it does
-    copy -- zero-copy loading is the lazy reader's job
-    (`repro.index.lazydisk.LazyColumnarIndex`).
-    """
-    algorithm, refs = scan_container(data, file=file)
-    result: Dict[str, ColumnarPostings] = {}
-    for ref in refs:
-        payload = (verify_block(data, ref, algorithm, file=file) if verify
-                   else data[ref.offset: ref.offset + ref.length])
-        lengths, scores, level_payloads = parse_payload(
-            ref.term, payload, file=file)
-        try:
-            seqs: List[List[int]] = [[] for _ in range(len(lengths))]
-            for level, (scheme, column) in enumerate(level_payloads,
-                                                     start=1):
-                values = decompress_column(scheme, column)
-                cursor = 0
-                for i, length in enumerate(lengths):
-                    if length >= level:
-                        seqs[i].append(int(values[cursor]))
-                        cursor += 1
-        except _PARSE_ERRORS as exc:
-            raise DatabaseCorruptError(
-                f"postings for term {ref.term!r} do not parse: {exc}",
-                file=file, term=ref.term) from exc
-        result[ref.term] = ColumnarPostings(
-            ref.term, [tuple(s) for s in seqs],
-            [float(s) for s in scores])
-    return result
 
 
 # ---------------------------------------------------------------------------

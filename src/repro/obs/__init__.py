@@ -23,7 +23,7 @@ default query records no span and no phase.
 """
 
 from .account import (ResourceAccount, accounting, active_account,
-                      merge_resources, postings_nbytes)
+                      merge_resources)
 from .audit import (AuditingJoinPlanner, JoinObservation, LevelAudit,
                     PlanAudit, PlanAuditor, audit_query, q_error)
 from .doctor import (DOCTOR_SCHEMA, doctor_report, format_doctor_report,
@@ -84,7 +84,6 @@ __all__ = [
     "merge_resources",
     "new_trace_id",
     "phase_totals",
-    "postings_nbytes",
     "q_error",
     "read_jsonl",
     "render_phases",

@@ -5,9 +5,9 @@ complete evaluation; `ResourceAccount` is the instrument that turns
 that claim into per-query numbers.  A context-var carries the active
 account down the stack, so the deep call sites that do the physical
 work -- column decompression (`repro.index.lazydisk`), whole-file
-copies (`repro.reliability.io`), postings-cache hits and misses
-(`repro.cache`) -- charge the query that caused them without any of
-those layers growing a ``stats`` parameter.
+copies (`repro.reliability.io`), decoded-column-cache hits and misses
+-- charge the query that caused them without any of those layers
+growing a ``stats`` parameter.
 
 `XMLDatabase._complete_results` / `_topk_result` activate an account
 around evaluation and fold its totals into the query's
@@ -29,8 +29,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 _ACTIVE: "ContextVar[Optional[ResourceAccount]]" = ContextVar(
     "repro_resource_account", default=None)
 
@@ -50,9 +48,9 @@ class ResourceAccount:
     * ``postings_bytes_read`` -- compressed payload bytes fed to the
       decoders (mapped + copied column reads);
     * ``columns_decompressed`` -- column decompressions performed;
-    * ``cache_bytes_saved`` / ``cache_bytes_paid`` -- compressed
-      postings bytes a postings-cache hit avoided re-reading vs. bytes
-      a miss paid to materialize.
+    * ``cache_bytes_saved`` / ``cache_bytes_paid`` -- decoded column
+      bytes a decoded-column-cache hit avoided re-decoding vs. bytes a
+      miss paid to populate the cache.
 
     Breakdowns (the ``resources`` dict): decompressed output bytes per
     codec, postings scanned and compressed bytes per level.
@@ -104,21 +102,12 @@ class ResourceAccount:
         """A whole-payload ``bytes`` materialization (`read_bytes`)."""
         self.bytes_copied += nbytes
 
-    def record_cache(self, hit: bool, nbytes: int) -> None:
-        """Postings-cache attribution: a hit saves re-materializing
-        `nbytes` of compressed postings, a miss pays them."""
-        if hit:
-            self.cache_bytes_saved += nbytes
-        else:
-            self.cache_bytes_paid += nbytes
-
     def record_decode_cache(self, hit: bool, nbytes: int) -> None:
         """Decoded-column-cache attribution: a hit saves re-decoding a
         column whose decoded arrays span `nbytes`, a miss pays that to
-        populate the cache.  Bytes fold into the same
-        ``cache_bytes_saved`` / ``cache_bytes_paid`` totals as the
-        postings cache; the hit/miss split survives separately in the
-        ``decode_cache`` breakdown."""
+        populate the cache.  Bytes go to ``cache_bytes_saved`` /
+        ``cache_bytes_paid``, the lookups to the ``decode_cache``
+        breakdown."""
         if hit:
             self.cache_bytes_saved += nbytes
             self.decode_cache_hits += 1
@@ -204,18 +193,3 @@ def merge_resources(into: Optional[Dict[str, Any]],
             out.setdefault(key, value)
     return out
 
-
-def postings_nbytes(postings) -> int:
-    """Approximate compressed footprint of one term's postings.
-
-    Disk-backed postings report the exact sum of their compressed
-    column payloads; eager in-memory postings fall back to the 4-byte
-    value model (`storage` width) over their total value count.
-    """
-    payloads = getattr(postings, "_level_payloads", None)
-    if payloads is not None:
-        return int(sum(len(payload) for _scheme, payload in payloads))
-    lengths = getattr(postings, "lengths", None)
-    if lengths is not None:
-        return int(np.sum(lengths)) * 4
-    return 0

@@ -63,7 +63,7 @@ def _codec_level_stats(containers) -> Dict[str, Any]:
     """Per-level / per-codec compressed-vs-raw totals over the
     ``(data, refs)`` containers of a database (one a shard).
 
-    Raw size uses the eager 4-byte value model
+    Raw size uses the 4-byte value model
     (`repro.index.compression.uncompressed_size`), the same yardstick
     the build-time `measure_sizes` report uses, so the two agree.
     The per-level entries also carry a ``codecs`` histogram -- the

@@ -7,7 +7,7 @@ input/output cardinalities), semantic check + scoring, erasure, and
 top-K termination.  Instrumented code holds no tracer: it opens its
 regions with the module-level `span`, which records on whichever
 `Tracer` has a root span open on the calling thread -- so a region
-inside an index object every query shares (the lazy index's column
+inside an index object every query shares (the disk index's column
 decode) lands in the tree of the query that paid for it -- and is a
 shared no-op otherwise.  The default everywhere is `NULL_TRACER`, so a
 default query pays one thread-local read and two no-op calls per region

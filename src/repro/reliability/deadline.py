@@ -4,7 +4,7 @@ A `Deadline` is a wall-clock budget plus an expiry policy, threaded
 through `XMLDatabase.search` / `search_topk` / `search_batch` /
 `search_stream` and checked at cheap boundaries: once per level in
 `JoinBasedSearch`, every few rank-join retrievals in
-`TopKKeywordSearch`, and per column decompression in the lazy disk
+`TopKKeywordSearch`, and per column decompression in the disk
 index.  Two policies:
 
 * ``raise``   -- expiry raises `DeadlineExceeded` (default);
@@ -22,7 +22,7 @@ The clock is injectable (``clock=...``) so tests expire deadlines
 deterministically without sleeping.
 
 `deadline_scope` installs a deadline in a thread-local so layers that
-are not parameter-threaded (the lazy disk index's per-column fetch) can
+are not parameter-threaded (the disk index's per-column fetch) can
 poll it via `check_active` -- a getattr and a None test when no
 deadline is active, so the unbudgeted path stays free.
 """

@@ -326,7 +326,7 @@ class ServeDaemon:
         self.default_timeout_ms = default_timeout_ms
         self.default_partial = default_partial
         self.metrics = metrics if metrics is not None else get_registry()
-        self.cache = QueryCache(0, result_cache_size)
+        self.cache = QueryCache(result_cache_size)
         self.tracing = bool(tracing)
         self.traces = TraceStore(trace_capacity, path=trace_log_path)
         self.access_log = AccessLog(access_log_capacity,
@@ -895,7 +895,9 @@ class ServeDaemon:
             try:
                 timeout_ms = float(params["timeout_ms"])
             except ValueError:
-                return bad_request("timeout_ms must be a number")
+                timeout_ms = -1.0
+            if not timeout_ms >= 0:     # negative, NaN or not a number
+                return bad_request("timeout_ms must be a number >= 0")
         partial_ok = self.default_partial
         if "partial" in params:
             partial_ok = params["partial"] not in ("0", "false", "")
@@ -1131,12 +1133,24 @@ class ServeDaemon:
                     if ":" in line:
                         name, _sep, value = line.partition(":")
                         headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or 0)
-                if length:
-                    await reader.readexactly(length)
-                status, ctype, body = await self._dispatch(method, path)
+                try:
+                    length = int(headers.get("content-length", "0") or 0)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # Where the next request starts is unknowable: answer
+                    # and close.
+                    status, ctype, body = 400, "application/json", \
+                        json.dumps({"error": {
+                            "type": "bad_request",
+                            "message": "Content-Length must be an "
+                                       "integer >= 0"}})
+                else:
+                    if length:
+                        await reader.readexactly(length)
+                    status, ctype, body = await self._dispatch(method, path)
                 close = (headers.get("connection", "").lower() == "close"
-                         or self._draining)
+                         or self._draining or length < 0)
                 payload = body.encode("utf-8")
                 reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                           405: "Method Not Allowed",

@@ -78,7 +78,7 @@ def compute_root_info(index, terms: Sequence[str],
     """Summarize one shard's postings for the root protocol.
 
     Touches only per-term ``lengths`` / ``scores`` (decoded at block
-    parse) and column 2, so against a lazy disk index the cost is one
+    parse) and column 2, so against a disk index the cost is one
     column decompression per term -- far below a full join.
     """
     unique = list(dict.fromkeys(terms))
@@ -179,8 +179,7 @@ class ShardedDatabase:
     references the same node table (and the same document, parsed on
     first use), only the postings differ.  ``tree`` may be ``None`` for
     shards opened from disk; `tree` then defers to theirs.
-    The facade carries its own result `QueryCache` for merged answers;
-    per-shard postings caches live inside the shard databases.
+    The facade carries its own result `QueryCache` for merged answers.
 
     Supported algorithms are the join family -- ``join`` for complete
     evaluation, ``topk-join`` for top-K.  The baselines (``stack`` /
@@ -202,7 +201,7 @@ class ShardedDatabase:
         self.ranking = first.ranking
         self.metrics = first.metrics
         self.cache = cache if cache is not None else QueryCache(
-            0, result_cache_size)
+            result_cache_size)
         if self.cache.metrics is None:
             self.cache.bind_metrics(self.metrics)
 
@@ -214,7 +213,7 @@ class ShardedDatabase:
     def from_database(cls, db, n_shards: int, **kwargs) -> "ShardedDatabase":
         """Partition a built `XMLDatabase` in memory (no disk roundtrip).
 
-        The shard databases receive eagerly installed columnar indexes
+        The shard databases receive in-memory columnar indexes
         built from the filtered postings; scores are the global ones
         already baked into ``db.columnar_index``.
         """
@@ -281,9 +280,11 @@ class ShardedDatabase:
                 f"query terms with no occurrences: {missing}")
 
     def _covered(self, terms: Sequence[str]) -> bool:
-        """Every term occurs somewhere (else the result set is empty)."""
-        return all(any(t in db.columnar_index for db in self.shards)
-                   for t in terms)
+        """Every term occurs somewhere (else the result set is empty,
+        as it is for a query of no terms at all)."""
+        return bool(terms) and all(
+            any(t in db.columnar_index for db in self.shards)
+            for t in terms)
 
     def _qualifying(self, terms: Sequence[str]) -> List:
         """Shards that can hold results below the root: a level >= 2

@@ -89,16 +89,15 @@ def _evaluate(db, entry: Dict[str, Any]):
 def run_replay(workload_path: str, db_path: str, mode: str = "closed",
                speed: float = 1.0, limit: Optional[int] = None,
                against: Optional[Dict[str, Any]] = None,
-               db=None, lazy: bool = True) -> Dict[str, Any]:
+               db=None) -> Dict[str, Any]:
     """Replay `workload_path` against `db_path` and build the report.
 
     ``against`` (a prior replay report dict) switches the latency and
     resource baselines from the capture to that report -- comparing two
     replays of the same workload on different databases or configs.
-    ``db`` injects an already-open database (tests, doctor).  The
-    database opens lazy/mmap-backed by default -- the same mode
-    ``repro serve`` runs in -- so the resource diff compares like with
-    like; ``lazy=False`` mirrors serve's ``--eager``.
+    ``db`` injects an already-open database (tests, doctor); otherwise
+    `db_path` opens as ``repro serve`` opens it, so the resource diff
+    compares like with like.
     """
     header, entries = read_workload(workload_path)
     if limit is not None:
@@ -106,8 +105,7 @@ def run_replay(workload_path: str, db_path: str, mode: str = "closed",
     if db is None:
         from ..diskdb import load_database
 
-        db = load_database(db_path, lazy=lazy,
-                           verify="lazy" if lazy else "eager")
+        db = load_database(db_path, verify="lazy")
     latencies: List[float] = []
     replay_accounts: List[Optional[Dict[str, Any]]] = []
     mismatches: List[Dict[str, Any]] = []
@@ -257,11 +255,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--fail-on-mismatch", action="store_true",
                         help="exit 1 when any digest mismatched or any "
                              "resource total grew vs the baseline")
-    parser.add_argument("--eager", action="store_true",
-                        help="open the database eagerly instead of "
-                             "lazy/mmap-backed (mirrors `repro serve "
-                             "--eager`; resource totals will differ "
-                             "from a lazily-served capture)")
     args = parser.parse_args(argv)
 
     against = None
@@ -270,7 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             against = json.load(handle)
     report = run_replay(args.workload, args.db, mode=args.mode,
                         speed=args.speed, limit=args.limit,
-                        against=against, lazy=not args.eager)
+                        against=against)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

@@ -60,23 +60,6 @@ def shard_of_dewey(dewey: Sequence[int], n_shards: int) -> int:
     return (dewey[1] - 1) % n_shards
 
 
-def _materialize_seqs(postings: ColumnarPostings) -> List[tuple]:
-    """Rebuild the JDewey sequences from the column view.
-
-    Works for both the in-memory `ColumnarPostings` (which could hand
-    out ``.seqs`` directly) and the disk-backed lazy postings (which
-    refuse to); re-sharding a lazily opened database must not force a
-    different code path.
-    """
-    seqs: List[List[int]] = [[] for _ in range(len(postings))]
-    for level in range(1, postings.max_len + 1):
-        column = postings.column(level)
-        values = column.values
-        for pos, ordinal in enumerate(column.seq_idx):
-            seqs[int(ordinal)].append(int(values[pos]))
-    return [tuple(seq) for seq in seqs]
-
-
 def partition_columnar(postings_by_term: Dict[str, ColumnarPostings],
                        tree: XMLTree,
                        n_shards: int) -> List[Dict[str, ColumnarPostings]]:
@@ -91,11 +74,10 @@ def partition_columnar(postings_by_term: Dict[str, ColumnarPostings],
     shards: List[Dict[str, ColumnarPostings]] = [
         {} for _ in range(n_shards)]
     for term, postings in postings_by_term.items():
-        seqs = _materialize_seqs(postings)
         scores = postings.scores
         per_shard_seqs: List[List[tuple]] = [[] for _ in range(n_shards)]
         per_shard_scores: List[List[float]] = [[] for _ in range(n_shards)]
-        for ordinal, seq in enumerate(seqs):
+        for ordinal, seq in enumerate(postings.seqs):
             sid = 0 if len(seq) == 1 else level2_shard[seq[1]]
             per_shard_seqs[sid].append(seq)
             per_shard_scores[sid].append(float(scores[ordinal]))

@@ -18,8 +18,7 @@ from repro.algorithms.base import ExecutionStats
 from repro.api import XMLDatabase
 from repro.diskdb import load_database, save_database
 from repro.obs.account import (ResourceAccount, accounting, active_account,
-                               fold_into_stats, merge_resources,
-                               postings_nbytes)
+                               fold_into_stats, merge_resources)
 
 
 class TestResourceAccount:
@@ -42,11 +41,14 @@ class TestResourceAccount:
         assert account.bytes_copied == 80
 
     def test_record_cache(self):
+        """The one cache a query is billed for is the decoded-column
+        cache: a hit saves the decoded bytes, a miss pays them."""
         account = ResourceAccount()
-        account.record_cache(True, 1000)
-        account.record_cache(False, 500)
+        account.record_decode_cache(True, 1000)
+        account.record_decode_cache(False, 500)
         assert account.cache_bytes_saved == 1000
         assert account.cache_bytes_paid == 500
+        assert account.as_dict()["decode_cache"] == {"hits": 1, "misses": 1}
 
     def test_as_dict_string_level_keys(self):
         account = ResourceAccount()
@@ -83,7 +85,7 @@ class TestFoldAndMerge:
         stats = ExecutionStats()
         account = ResourceAccount()
         account.record_column(1, "delta", 100, 400, 50, True)
-        account.record_cache(True, 30)
+        account.record_decode_cache(True, 30)
         fold_into_stats(stats, account)
         assert stats.bytes_mapped == 100
         assert stats.bytes_decompressed == 400
@@ -177,38 +179,3 @@ class TestDiskIntegration:
         assert "repro_query_bytes_decompressed_total" in exposition
         assert "repro_query_postings_scanned_total" in exposition
         assert "repro_query_bytes_mapped_total" in exposition
-
-
-class TestPostingsNbytes:
-    def test_sums_level_payloads(self, small_db):
-        postings = small_db.columnar_index.term_postings("xml")
-        assert postings_nbytes(postings) > 0
-
-    def test_in_memory_is_four_bytes_a_value(self, small_db):
-        postings = small_db.columnar_index.term_postings("xml")
-        assert postings_nbytes(postings) == \
-            4 * sum(len(seq) for seq in postings.seqs)
-
-    def test_cache_sizes_a_term_once_not_per_lookup(self, small_db,
-                                                    monkeypatch):
-        """A postings-cache hit bills the bytes it saved; sizing the
-        term is a walk over its lengths, so it happens when the term
-        enters the cache and never again."""
-        import repro.cache as cache_mod
-
-        sized = []
-
-        def counting_nbytes(postings):
-            sized.append(postings.term)
-            return postings_nbytes(postings)
-
-        monkeypatch.setattr(cache_mod, "postings_nbytes", counting_nbytes)
-        index = small_db.columnar_index
-        expected = postings_nbytes(index.term_postings("xml"))
-        cache = cache_mod.QueryCache()
-        with accounting() as account:
-            for _ in range(51):         # one miss, then 50 hits
-                cache.query_postings(index, ["xml"])
-        assert sized == ["xml"]
-        assert account.cache_bytes_paid == expected
-        assert account.cache_bytes_saved == 50 * expected

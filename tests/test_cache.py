@@ -85,11 +85,10 @@ class TestQueryCacheWiring:
     def test_open_forwards_cache_knobs(self, small_db, tmp_path):
         path = str(tmp_path / "db")
         small_db.save(path)
-        shared = QueryCache(postings_capacity=4, result_capacity=4)
+        shared = QueryCache(result_capacity=4)
         db = XMLDatabase.open(path, cache=shared)
         assert db.cache is shared
-        disabled = XMLDatabase.open(path, postings_cache_size=0,
-                                    result_cache_size=0)
+        disabled = XMLDatabase.open(path, result_cache_size=0)
         first = disabled.search("xml data")
         second = disabled.search("xml data")
         assert deweys(first) == deweys(second)
@@ -121,28 +120,24 @@ class TestQueryCacheWiring:
         assert len(small_db.cache.results) > 0
         small_db.refresh()
         assert len(small_db.cache.results) == 0
-        assert len(small_db.cache.postings) == 0
-
-    def test_postings_cache_counts(self, small_db):
-        small_db.search("xml data")
-        stats = small_db.cache.postings.stats
-        assert stats.misses >= 2
-        small_db.search("xml data", use_cache=False)  # re-evaluates
-        assert stats.hits >= 2
 
     def test_cache_stats_shape(self, small_db):
         report = small_db.cache_stats()
-        assert set(report) == {"postings", "results"}
+        assert set(report) == {"results"}
         assert set(report["results"]) == {"hits", "misses", "evictions"}
 
-    def test_query_postings_order_matches_index(self, small_db):
-        index = small_db.columnar_index
-        cache = QueryCache()
-        direct = index.query_postings(["data", "xml"])
-        cached = cache.query_postings(index, ["data", "xml"])
-        assert [p.term for p in cached] == [p.term for p in direct]
-        again = cache.query_postings(index, ["data", "xml"])
-        assert [id(p) for p in again] == [id(p) for p in cached]
+    def test_query_postings_order_matches_index(self, small_db, tmp_path):
+        """The index is the only thing between a term and its postings:
+        an opened database orders them as the in-memory index does and
+        hands out the same objects on every fetch."""
+        path = str(tmp_path / "db")
+        small_db.save(path)
+        opened = XMLDatabase.open(path).columnar_index
+        direct = small_db.columnar_index.query_postings(["data", "xml"])
+        fetched = opened.query_postings(["data", "xml"])
+        assert [p.term for p in fetched] == [p.term for p in direct]
+        again = opened.query_postings(["data", "xml"])
+        assert [id(p) for p in again] == [id(p) for p in fetched]
 
 
 class TestSearchBatch:
@@ -247,7 +242,7 @@ class TestClearAndInvalidate:
         qc = small_db.cache
         assert len(qc.results) > 0
         qc.clear()
-        assert len(qc.results) == 0 and len(qc.postings) == 0
+        assert len(qc.results) == 0
         assert qc.results.stats.hits == 0
         # the next identical query re-evaluates (a miss, not a hit)
         pairs = small_db.search_batch(["xml data"], with_stats=True)
@@ -294,14 +289,12 @@ class TestClearAndInvalidate:
         assert gauge.value == 0.0
 
     def test_invalidate_drops_postings_and_matching_results(self):
-        qc = QueryCache(postings_capacity=8, result_capacity=8)
-        qc.postings.put("xml", "POSTINGS")
+        qc = QueryCache(result_capacity=8)
         qc.put_results(result_key(["xml", "data"], "elca", "join"), [])
         qc.put_results(result_key(["data"], "elca", "join"), [])
         qc.put_results(result_key(["xml"], "slca", "join", 5), [])
         dropped = qc.invalidate("xml")
-        assert dropped == 3
-        assert "xml" not in qc.postings
+        assert dropped == 2
         assert qc.get_results(result_key(["data"], "elca", "join")) == []
         assert qc.get_results(
             result_key(["xml", "data"], "elca", "join")) is None

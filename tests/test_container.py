@@ -167,8 +167,7 @@ class TestOneFormat:
                                           LazyColumnarPostings)
 
         for fn in (save_database, load_database, LazyColumnarIndex,
-                   LazyColumnarPostings, storage.deserialize_columnar_index,
-                   storage.serialize_columnar_index):
+                   LazyColumnarPostings, storage.serialize_columnar_index):
             params = inspect.signature(fn).parameters
             assert not {"format_version", "vectorized",
                         "min_bytes"} & set(params), fn

@@ -176,6 +176,11 @@ REMOVED_NAMES = (
     "_ResultBuffer", "_rehydrate", "_validate_light", "_payload_results",
     "_check_candidate", "_check_level_vectorized", "corrupt_light",
     "_eval_search", "_eval_topk",
+    # the postings LRU and the second, tuple-rebuilding loader: a term
+    # reaches its columns through the index alone, opened one way
+    "deserialize_columnar_index", "postings_cache_size",
+    "postings_capacity", "postings_cache=", "record_cache",
+    "postings_nbytes", "_materialize_seqs", "postings_hit_ratio",
 )
 
 #: (name, context): a removed option whose spelling something else still
@@ -222,16 +227,22 @@ class TestDocumentedCommands:
         assert not found, f"docs name what was removed: {found}"
         # ... and they really are gone from the code the docs describe.
         import repro.api
+        import repro.cache
         import repro.diskdb
         import repro.index.compression
         import repro.index.lazydisk
         import repro.index.storage
+        import repro.obs.account
+        import repro.serve.sharding
 
         for name in REMOVED_NAMES:
             if name.isidentifier():
                 for owner in (repro.diskdb, repro.index.compression,
                               repro.index.lazydisk, repro.index.storage,
-                              repro.api, repro.api.XMLDatabase):
+                              repro.api, repro.api.XMLDatabase,
+                              repro.cache.QueryCache, repro.obs.account,
+                              repro.obs.account.ResourceAccount,
+                              repro.serve.sharding):
                     assert not hasattr(owner, name), (owner, name)
 
     def test_modules_are_importable(self):

@@ -30,6 +30,7 @@ import pytest
 from repro import XMLDatabase
 from repro.diskdb import load_database, save_database
 from repro.index import compression, storage
+from repro.index.lazydisk import LazyColumnarIndex
 from repro.reliability import (DatabaseCorruptError, DatabaseFormatError,
                                FaultInjector)
 from repro.reliability.io import COPY_STATS, MappedFile, map_bytes
@@ -201,9 +202,10 @@ class TestV3Container:
         db = _build_db()
         index = db.columnar_index
         blob = storage.serialize_columnar_index(index)
-        loaded = storage.deserialize_columnar_index(blob)
-        assert sorted(loaded) == index.vocabulary
-        for term, postings in loaded.items():
+        loaded = LazyColumnarIndex(blob, index.nodes)
+        assert loaded.vocabulary == index.vocabulary
+        for term in loaded.vocabulary:
+            postings = loaded.term_postings(term)
             original = index.term_postings(term)
             assert postings.seqs == original.seqs
             assert np.allclose(postings.scores, original.scores)

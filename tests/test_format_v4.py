@@ -128,8 +128,9 @@ class TestV4Container:
         assert seen, "at least one codec chosen"
 
     def test_flipped_payload_byte_names_the_term(self, dirs, tmp_path):
-        """In one shard's container; ``verify="eager"`` on the lazy
-        index finds it at open, before any query."""
+        """In one shard's container: a default open refuses the file
+        by its digest before any query, ``verify="lazy"`` the block on
+        the term's first touch."""
         import shutil
 
         dst = str(tmp_path / "corrupt")
@@ -141,10 +142,9 @@ class TestV4Container:
         blob[ref.offset + ref.length // 2] ^= 0x40
         open(columnar, "wb").write(bytes(blob))
         with pytest.raises(DatabaseCorruptError) as err:
-            LazyColumnarIndex(bytes(blob), _build_db().tree,
-                              verify="eager", source="shard-01")
-        assert ref.term in str(err.value)
-        db = load_database(dst, lazy=True, verify="lazy")
+            load_database(dst)
+        assert err.value.file == os.path.join("shard-01", "columnar.bin")
+        db = load_database(dst, verify="lazy")
         with pytest.raises(DatabaseCorruptError) as err:
             for shard in db.shards:
                 index = shard.columnar_index
@@ -165,7 +165,7 @@ class TestV4Container:
         """Every reader, not only the scanner."""
         bad = b"NOPE" + _shard_blob(dirs)[4:]
         with pytest.raises(DatabaseFormatError):
-            storage.deserialize_columnar_index(bad)
+            storage.scan_container(bad)
         with pytest.raises(DatabaseFormatError):
             LazyColumnarIndex(bad, _build_db().tree)
 
@@ -185,9 +185,10 @@ class TestV4Container:
                                 (storage.SCORES_QUANTIZED, 1 / 256),
                                 (storage.SCORES_NONE, None)):
             blob = storage.serialize_columnar_index(index, score_mode=mode)
-            loaded = storage.deserialize_columnar_index(blob)
-            assert sorted(loaded) == index.vocabulary
-            for term, postings in loaded.items():
+            loaded = LazyColumnarIndex(blob, index.nodes)
+            assert loaded.vocabulary == index.vocabulary
+            for term in loaded.vocabulary:
+                postings = loaded.term_postings(term)
                 original = index.term_postings(term)
                 assert postings.seqs == original.seqs
                 if tolerance is None:

@@ -46,9 +46,61 @@ class TestParsing:
         assert len(lazy.term_postings("zzz")) == 0
 
     def test_seqs_refused(self, lazy_pair):
-        _, lazy = lazy_pair
-        with pytest.raises(NotImplementedError):
-            lazy.term_postings("xml").seqs
+        """Not refused any more: the sequences derive from the columns,
+        equal to the tuples the in-memory postings were built from."""
+        db, lazy = lazy_pair
+        for term in lazy.vocabulary:
+            assert lazy.term_postings(term).seqs == \
+                db.columnar_index.term_postings(term).seqs
+
+
+class TestConcurrentFirstTouch:
+    """The daemon's ``--workers 0`` path evaluates on threads that share
+    one index.  A term must be in the vocabulary, with all its
+    occurrences, before, during and after whichever thread parses its
+    block first -- a term seen as absent prunes its shard and the
+    answer is cached as complete."""
+
+    THREADS = 8
+    TERMS = 30
+
+    def test_every_thread_sees_the_whole_term(self, dblp_db):
+        import sys
+        import threading
+
+        memory = dblp_db.columnar_index
+        blob = storage.serialize_columnar_index(memory)
+        terms = sorted(memory.vocabulary,
+                       key=memory.document_frequency)[-self.TERMS:]
+        lazy = LazyColumnarIndex(blob, memory.nodes)
+        barrier = threading.Barrier(self.THREADS, timeout=60)
+        seen = [[] for _ in range(self.THREADS)]
+
+        def touch(slot):
+            for term in terms:
+                barrier.wait()
+                seen[slot].append((term in lazy,
+                                   lazy.document_frequency(term)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch inside the CRC + parse
+        try:
+            workers = [threading.Thread(target=touch, args=(slot,))
+                       for slot in range(self.THREADS)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        want = [(True, memory.document_frequency(t)) for t in terms]
+        assert all(df > 0 for _, df in want)
+        for slot in range(self.THREADS):
+            assert seen[slot] == want
+        # One postings object per term, whichever thread built it.
+        assert all(lazy.term_postings(t) is lazy.term_postings(t)
+                   for t in terms)
 
 
 class TestColumns:

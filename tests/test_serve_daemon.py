@@ -126,6 +126,41 @@ class TestEndpoints:
             "/search?q=alpha&semantics=nope")[0] == 400
         assert harness.get_json("/nope")[0] == 404
 
+    @pytest.mark.parametrize("path, headers", [
+        ("/topk?q=alpha&k=3", {"Content-Length": "abc"}),
+        ("/topk?q=alpha&k=3", {"Content-Length": "-5"}),
+        ("/topk?q=alpha&k=3&timeout_ms=nan", {}),
+        ("/search?q=alpha&timeout_ms=-3", {}),
+    ])
+    def test_hostile_request_is_a_400(self, harness, path, headers):
+        """Never a dropped connection with no status line, never a
+        budget that cannot expire."""
+        conn = http.client.HTTPConnection("127.0.0.1", harness.daemon.port,
+                                          timeout=30)
+        try:
+            conn.request("GET", path, headers=headers)
+            resp = conn.getresponse()
+            body = json.loads(resp.read().decode("utf-8"))
+            assert resp.status == 400
+            assert body["error"]["type"] == "bad_request"
+            if headers:     # the stream cannot be re-synchronized
+                assert resp.getheader("Connection") == "close"
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("workers", (0, 1))
+    def test_no_terms_answers_like_the_flat_database(self, sharded, dblp_db,
+                                                     workers):
+        """Inline and pool: a query of no terms has no answers, not the
+        document root at score 0.0."""
+        with DaemonHarness(sharded, workers=workers) as h:
+            for q in ("%21%21", "%ff%fe"):
+                for path in (f"/search?q={q}", f"/topk?q={q}&k=5"):
+                    status, body = h.get_json(path)
+                    assert status == 200 and body["terms"] == []
+                    assert body["results"] == []
+        assert list(dblp_db.search("!!")) == []
+
     def test_stats_shape(self, harness):
         status, body = harness.get_json("/stats")
         assert status == 200

@@ -115,6 +115,60 @@ class TestEquivalence:
         assert not got.errors
 
 
+class TestEmptyTermList:
+    """A query that tokenizes to no terms has no answers -- not the
+    document root at score 0.0, which is what the root protocol makes of
+    "every one of zero terms is covered"."""
+
+    @pytest.mark.parametrize("query", ("", "!!", "\xff\xfe", []))
+    @pytest.mark.parametrize("n_shards", (1, 2, 4))
+    def test_no_terms_no_results_like_flat(self, dblp_db, query, n_shards):
+        sharded = ShardedDatabase.from_database(dblp_db, n_shards)
+        for semantics in SEMANTICS:
+            assert_search_equal(sharded, dblp_db, query, semantics)
+            assert_topk_equal(sharded, dblp_db, query, semantics)
+            assert list(sharded.search_stream(query, semantics)) == \
+                list(dblp_db.search_stream(query, semantics)) == []
+        assert len(sharded.search(query)) == 0
+
+
+class TestStream:
+    """`ShardedDatabase.search_stream` is the flat database's stream:
+    the same ``(dewey, score)`` sequence, cut the same way by a budget."""
+
+    @staticmethod
+    def pairs(stream):
+        return [(r.node.dewey, round(r.score, 9)) for r in stream]
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    @pytest.mark.parametrize("n_shards", (1, 2, 4))
+    def test_stream_matches_flat(self, dblp_db, n_shards, semantics):
+        sharded = ShardedDatabase.from_database(dblp_db, n_shards)
+        streamed = 0
+        for query in QUERIES:
+            want = self.pairs(dblp_db.search_stream(query, semantics))
+            assert self.pairs(sharded.search_stream(query, semantics)) \
+                == want, query
+            streamed += len(want)
+        assert streamed > 0
+
+    def test_expired_partial_budget_ends_as_a_prefix(self, dblp_db):
+        sharded = ShardedDatabase.from_database(dblp_db, 2)
+        full = self.pairs(sharded.search_stream("beta gamma rare"))
+        cut = self.pairs(sharded.search_stream(
+            "beta gamma rare", timeout_ms=0, on_deadline="partial"))
+        assert len(full) > 0 and cut == full[:len(cut)]
+
+    def test_expired_raise_budget_raises_from_next(self, dblp_db):
+        from repro.reliability.errors import DeadlineExceeded
+
+        sharded = ShardedDatabase.from_database(dblp_db, 2)
+        stream = sharded.search_stream("beta gamma rare", timeout_ms=0,
+                                       on_deadline="raise")
+        with pytest.raises(DeadlineExceeded):
+            next(stream)
+
+
 class TestBatchParity:
     """Both database kinds run `repro.api.run_batch`: a mixed batch
     isolates, times, summarizes and counts the same way on either."""

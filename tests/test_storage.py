@@ -5,6 +5,7 @@ import pytest
 from repro.index.columnar import ColumnarIndex
 from repro.index.inverted import InvertedIndex
 from repro.index import storage
+from repro.index.lazydisk import LazyColumnarIndex
 from repro.index.tokenizer import Tokenizer
 from repro.xmltree.jdewey import encode_tree
 from repro.xmltree.tree import build_tree
@@ -57,14 +58,15 @@ class TestColumnarRoundtrip:
 
     def test_index_roundtrip(self, columnar):
         blob = storage.serialize_columnar_index(columnar)
-        loaded = storage.deserialize_columnar_index(blob)
-        assert set(loaded) == set(columnar.vocabulary)
-        for term, postings in loaded.items():
-            assert postings.seqs == columnar.term_postings(term).seqs
+        loaded = LazyColumnarIndex(blob, columnar.nodes)
+        assert loaded.vocabulary == columnar.vocabulary
+        for term in loaded.vocabulary:
+            assert loaded.term_postings(term).seqs == \
+                columnar.term_postings(term).seqs
 
-    def test_index_wrong_magic_raises(self):
+    def test_index_wrong_magic_raises(self, columnar):
         with pytest.raises(ValueError):
-            storage.deserialize_columnar_index(b"XXXXgarbage")
+            LazyColumnarIndex(b"XXXXgarbage", columnar.nodes)
 
     def test_scores_flag_affects_size(self, columnar):
         postings = columnar.term_postings("xml")
