@@ -1,11 +1,13 @@
 """Figure 10: top-10 query performance.
 
 Panel (a), random (low-correlation) queries: the join-based top-K
-algorithm is *worse* than the general join-based algorithm (few results,
-the rank join degenerates into a slow full scan) and its time falls as
-the low frequency -- and with it the result count -- rises; RDIL
-terminates when the short list drains, so it grows with the low
-frequency.
+algorithm is *worse* than the general join-based algorithm (few results;
+in the paper the rank join degenerates into a slow full scan on top of
+the join -- here every level is joined first and the rank join reads
+only what joined, so what is left of the gap is its per-block overhead)
+and its time falls as the low frequency -- and with it the result count
+-- rises; RDIL terminates when the short list drains, so it grows with
+the low frequency.
 
 Panels (b)-(c), correlated queries: the top-K algorithm touches only a
 fraction of the lists before the K-th result unblocks, while RDIL's

@@ -3,47 +3,47 @@
 Figure 10 shows the two join-based algorithms are complementary: the
 top-K star join wins when the keywords are correlated (many results,
 early termination), while the complete join-based evaluation wins when
-results are scarce (the rank-join degenerates into a more expensive full
-scan).  The deciding quantity is the per-level join cardinality.
+results are scarce (the rank join is overhead on top of the join).  The
+deciding quantity is the per-level join cardinality.
 
 `HybridTopKSearch` implements the hybrid the paper sketches: a score
 index exists on top of the JDewey columns (both orders available), and
-at *every level* a cardinality estimate picks the plan --
+at *every level* the size of the level's join picks the plan --
 
-* estimated result count >= ``switch_factor * k`` remaining  ->  run the
-  level as a top-K star join with threshold-based early emission;
-* otherwise                                               ->  evaluate
-  the level eagerly with the ordinary column join (cheap when few or no
-  numbers match) and buffer the scored results.
+* joined numbers >= ``switch_factor * k`` remaining  ->  run the level
+  as a top-K star join with threshold-based early emission;
+* otherwise  ->  finish the level eagerly (`LevelRun.finish_level`:
+  check, score and erase every joined number at once, the second half of
+  the level complete evaluation is made of) and buffer the results.
 
-Cardinality is re-estimated per level, giving the context-awareness of
-section III-C: the same query may scan eagerly at the paper level and
-rank-join at the conference level.
+The paper estimates that cardinality; the top-K driver, whose level loop
+this is, joins a level's columns before anything else, so the number is
+exact and already there.  It is read per level, giving the
+context-awareness of section III-C: the same query may finish the paper
+level eagerly and rank-join the conference level.  ``plan_trace`` has
+one entry per processed level; a level nothing joins at has no plan to
+pick and is recorded ``"eager"``.
 
-The level loop is `TopKKeywordSearch`'s; both kinds of level add to the
-run's pending `ResultSet`, and the eager one is `LevelRun.eager_level`,
-the level complete evaluation is made of.
-
-``switch_factor = 4.0`` was re-measured when the rank join went
-block-at-a-time (22 `fig10_topk` queries, seed 7, 20 000 papers, top-10,
-geomean of per-query medians over 7 interleaved passes): factor 0
-(always rank-join) 4.13 ms, 0.5 2.83, 1 2.74, 2 2.53, **4 2.14**
-(`topk_plan_share` 0.39), 8 2.02, 16 1.78, 64 1.36, never 1.22; the
-pure top-K engine 4.07.  The curve has no minimum to move the constant
-to: at this corpus size an eager level is cheaper than a rank-join level
-on every query, correlated ones included (1.7 against 3.3 ms), because
-both read their columns once -- the rank join's ranked input is a filter
-over the whole column -- and the eager level then pays no per-block
-overhead.  The constant stays; what would make the choice a real one is
-a cost model that sees column sizes (ROADMAP, the top-K item).
+``switch_factor = 4.0`` was re-measured with the join hoisted (22
+`fig10_topk` queries, seed 7, 20 000 papers, top-10, geomean of
+per-query medians over 7 interleaved passes): factor 0 (rank-join
+whatever joins) 1.83 ms (`topk_plan_share` 0.80 -- the rest are empty
+levels), 1 1.67, **4 1.48** (0.39), 16 1.32, never 1.03; the pure top-K
+engine 1.80 -- all about 2.2x faster than over whole columns (4.13 /
+2.74 / 2.14 / 1.78 / 1.22, 4.07).  Still no minimum to move the constant
+to: both kinds of level pay the same join, after which the eager one is
+a bulk check and the ranked one a block loop at ~100 us a block, on
+every query, correlated ones included (1.40 against 2.25 ms).  A real
+choice needs a cost model that prices blocks (ROADMAP, top-K item).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..index.columnar import ColumnarIndex
-from ..planner.cardinality import CardinalityEstimator
 from ..planner.plans import JoinPlanner
 from ..reliability.deadline import Deadline
 from .base import ELCA, TopKResult
@@ -53,16 +53,14 @@ from .topk_keyword import TopKKeywordSearch, _TopKRun
 
 class HybridTopKSearch(TopKKeywordSearch):
     """Cardinality-driven mix of the complete and top-K join plans: the
-    top-K driver, with the plan of each level chosen by an estimate."""
+    top-K driver, with the plan of each level chosen by the size of its
+    join."""
 
     def __init__(self, index: ColumnarIndex, bound_mode: str = GROUP,
                  eraser_mode: str = "bitmap",
                  planner: Optional[JoinPlanner] = None,
-                 estimator: Optional[CardinalityEstimator] = None,
                  switch_factor: float = 4.0):
         super().__init__(index, bound_mode, eraser_mode, planner)
-        self.estimator = (estimator if estimator is not None
-                          else CardinalityEstimator())
         self.switch_factor = switch_factor
         self.plan_trace: List[str] = []
 
@@ -73,9 +71,9 @@ class HybridTopKSearch(TopKKeywordSearch):
         self.plan_trace = []
         return super().search(terms, k, semantics, deadline)
 
-    def _rank_level(self, run: _TopKRun, level: int, columns) -> bool:
-        estimate = self.estimator.estimate([c.distinct for c in columns])
-        use_topk = estimate >= self.switch_factor * (run.target_k
-                                                     - run.popped)
+    def _rank_level(self, run: _TopKRun, level: int,
+                    joined: np.ndarray) -> bool:
+        use_topk = len(joined) > 0 and len(joined) >= \
+            self.switch_factor * (run.target_k - run.popped)
         self.plan_trace.append("topk" if use_topk else "eager")
         return use_topk

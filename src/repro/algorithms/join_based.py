@@ -39,7 +39,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..index.columnar import ColumnarIndex, ColumnarPostings
+from ..index.columnar import (ColumnarIndex, ColumnarPostings,
+                              expand_runs)
 from ..obs.tracing import span
 from ..planner.plans import JoinPlanner
 from ..reliability.deadline import Deadline
@@ -53,8 +54,9 @@ from .erasure import erase_runs, make_eraser
 class LevelRun:
     """One query's bottom-up pass: the per-term state every level reads
     (postings in execution order, their erasers), the answers found so
-    far as one `ResultSet`, and the eager level both complete
-    evaluation and the hybrid's low-cardinality levels are written in.
+    far (`pending()`, one `ResultSet`), and the steps of a level:
+    `join_level`, then `finish_level` -- or, in the top-K drivers, a
+    rank join over what joined and `erase_level`.
     ``engine`` supplies the index, planner, eraser mode, ranking model
     and span factory."""
 
@@ -75,8 +77,15 @@ class LevelRun:
         self.start_level = min(p.max_len for p in postings)
         self.table = engine.index.nodes
         self.nothing = ResultSet.empty(self.table, len(terms))
-        self.pending = self.nothing
+        # Results pushed and not yet taken, as the chunks they came in.
+        self.chunks: List[ResultSet] = []
         self.top = -float("inf")    # best pending score
+
+    def pending(self) -> ResultSet:
+        """The chunks, merged into one `ResultSet` (and kept so)."""
+        self.chunks = [ResultSet.concat(self.table, self.chunks,
+                                        len(self.caller_slot))]
+        return self.chunks[0]
 
     def push(self, level: int, numbers: np.ndarray,
              witness: Optional[np.ndarray]) -> None:
@@ -90,11 +99,7 @@ class LevelRun:
         else:
             ordered = witness[self.caller_slot].T
             scores = self.engine.ranking.score_results(ordered)
-        pending = self.pending
-        self.pending = ResultSet(
-            self.table, np.concatenate((pending.rows, rows)),
-            np.concatenate((pending.scores, scores)),
-            np.concatenate((pending.witness, ordered)))
+        self.chunks.append(ResultSet(self.table, rows, scores, ordered))
         self.top = max(self.top, float(scores.max()))
 
     def join_level(self, level: int, columns) -> np.ndarray:
@@ -120,15 +125,12 @@ class LevelRun:
             self.stats.erasures += erased
             espan.tag(erased=erased)
 
-    def eager_level(self, level: int, columns, with_scores: bool = True,
-                    observer=None) -> None:
-        """Join, check, score and erase one level with the complete
-        column join."""
-        joined = self.join_level(level, columns)
+    def finish_level(self, level: int, columns, joined: np.ndarray,
+                     with_scores: bool = True) -> int:
+        """Check, score and erase the level's C-nodes `joined`; how many
+        of them are results."""
         if len(joined) == 0:
-            if observer is not None:
-                observer(level, columns, joined, 0)
-            return
+            return 0
         # Run boundaries of every joined value in every column, in bulk.
         run_bounds = [column.runs_of(joined) for column in columns]
         with self.engine.span("score", level=level) as sspan:
@@ -139,9 +141,8 @@ class LevelRun:
             if len(alive):
                 self.push(level, joined[alive], witness)
             sspan.tag(candidates=int(len(joined)), emitted=int(len(alive)))
-        if observer is not None:
-            observer(level, columns, joined, int(len(alive)))
         self.erase_level(level, columns, run_bounds)
+        return len(alive)
 
 
 class JoinBasedSearch:
@@ -219,7 +220,11 @@ class JoinBasedSearch:
                 if any(len(c) == 0 for c in columns):
                     continue
                 stats.levels_processed += 1
-                run.eager_level(level, columns, with_scores, observer)
+                joined = run.join_level(level, columns)
+                emitted = run.finish_level(level, columns, joined,
+                                           with_scores)
+                if observer is not None:
+                    observer(level, columns, joined, emitted)
             except DeadlineExceeded:
                 # Raised mid-level by a disk column fetch polling the
                 # thread-local deadline; downgrade per policy.  Results
@@ -231,8 +236,9 @@ class JoinBasedSearch:
                 stats.partial = True
                 stats.levels_skipped += level
                 break
-        stats.results_emitted = len(run.pending)
-        return sort_by_document_order(run.pending), stats
+        results = run.pending()
+        stats.results_emitted = len(results)
+        return sort_by_document_order(results), stats
 
 
 def check_level(level: int, postings: List[ColumnarPostings], columns,
@@ -266,14 +272,9 @@ def check_level(level: int, postings: List[ColumnarPostings], columns,
     witness = np.empty((len(columns), len(alive_idx)), dtype=np.float64)
     for t, column in enumerate(columns):
         lows, highs = run_bounds[t]
-        a_lows = lows[alive_idx]
-        counts = (highs - lows)[alive_idx]
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        total = int(offsets[-1] + counts[-1])
-        # Concatenated positions of every surviving run: for run j the
-        # slots offsets[j]:offsets[j]+counts[j] hold
-        # a_lows[j] .. a_lows[j]+counts[j]-1.
-        flat = np.repeat(a_lows - offsets, counts) + np.arange(total)
+        # The rows of every surviving run, end to end.
+        flat, offsets = expand_runs(lows[alive_idx],
+                                    (highs - lows)[alive_idx])
         ordinals = column.seq_idx[flat]
         p = postings[t]
         damped = (p.scores[ordinals]

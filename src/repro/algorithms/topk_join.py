@@ -9,7 +9,11 @@ the max because inputs descend).
 It runs block-at-a-time: a pull takes a slice of one input, and the join
 state lives in dense arrays over the universe of ids (`seen` bit masks,
 `partial` aggregates, `witness[k, U]` per-input scores), so a block costs
-a fixed number of array operations and no per-tuple Python.
+a fixed number of array operations and no per-tuple Python.  Inputs are
+held as positions in the universe: a driver that knows which ids can
+complete (the top-K keyword search joins the level's columns first)
+passes that universe and ranks positions in it; given bare ids, the
+operator collects the distinct ones and places each input once.
 
 Two thresholds for results not yet completed:
 
@@ -54,16 +58,6 @@ BOUND_MODES = (CLASSIC, GROUP)
 #: over-read by less than what it had to read anyway, plus one block.
 BLOCK_START = 16
 BLOCK_CAP = 4096
-
-
-def sorted_union(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The distinct values of `arrays`, ascending (a sort and a
-    neighbour test: several times faster than `np.unique`'s hash path
-    on inputs that are sorted runs already)."""
-    merged = np.sort(np.concatenate(arrays))
-    keep = np.ones(len(merged), dtype=bool)
-    keep[1:] = merged[1:] != merged[:-1]
-    return merged[keep]
 
 
 class BoundOps:
@@ -123,8 +117,9 @@ class BlockStarJoin:
     results with `take_completed()` and read `threshold()` for the bound
     on everything not yet generated.  A driver (e.g. the top-K keyword
     algorithm) combines the threshold with its own cross-level bounds
-    before emitting.  ``universe`` is a sorted array holding every id
-    the inputs can carry; it is derived from them when not given.
+    before emitting.  With ``universe`` the inputs' ids are positions in
+    it and completions come back as positions; without, ids are values:
+    their sorted union is the universe and completions are values too.
     """
 
     def __init__(self, inputs: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -147,9 +142,10 @@ class BlockStarJoin:
         self.bound_mode = bound_mode
         self.ops = ops if ops is not None else BoundOps()
         self.stats = stats if stats is not None else ExecutionStats()
+        self._values = None     # position -> id, when placed here
         if universe is None:
-            universe = sorted_union(self._ids)
-        self._universe = universe
+            universe = self._values = np.unique(np.concatenate(self._ids))
+            self._ids = [np.searchsorted(universe, ids) for ids in self._ids]
         self._full = (1 << self.k) - 1
         self._seen = np.zeros(len(universe), dtype=np.int64)
         self._partial = np.full(len(universe), self.ops.identity)
@@ -203,9 +199,7 @@ class BlockStarJoin:
         # Set semantics: of an id's occurrences in one input only the
         # first (max) counts -- `np.unique` keeps it within the block,
         # the bit test drops ids this input (or a completion) has seen.
-        idx, first = np.unique(
-            np.searchsorted(self._universe, self._ids[i][start:stop]),
-            return_index=True)
+        idx, first = np.unique(self._ids[i][start:stop], return_index=True)
         bit = 1 << i
         fresh = (self._seen[idx] & bit) == 0
         idx, scores = idx[fresh], ranked[start:stop][first[fresh]]
@@ -216,8 +210,9 @@ class BlockStarJoin:
         done = idx[seen == self._full]
         if len(done):
             self.completed += len(done)
-            self._done.append((self._universe[done],
-                               self._witness[:, done]))
+            self._done.append((
+                done if self._values is None else self._values[done],
+                self._witness[:, done]))
         if self.k > 1:
             self._pending.append(idx[seen == bit])
         return True

@@ -1,17 +1,21 @@
 """Join-based top-K keyword search (paper section IV-C).
 
 Levels are processed bottom-up exactly like the general join-based
-algorithm, but each level's join runs as a *top-K star join*
-(`repro.algorithms.topk_join`) over the score-ordered view of the
-columns (`repro.index.scored`):
+algorithm, and a level opens with the same column join: the numbers
+every term's column carries are the level's C-nodes -- the only ids a
+rank join could complete and, once the level is done, the ranges to
+erase.  A level nothing joins at ends there.  Otherwise it runs as a
+*top-K star join* (`repro.algorithms.topk_join`) over the score-ordered
+view of the columns (`repro.index.scored`), reduced to the join:
 
 * per term, one descending score order serves every level (damping is
-  exponential); a level's ranked input is that order filtered to the
-  sequences long enough and not erased;
+  exponential); a level's ranked input is the free (non-erased)
+  occurrences of the joined numbers in that order, and the star join's
+  universe is the join itself;
 * the star join completes a JDewey number once every keyword has shown a
-  *free* (non-erased) occurrence of it -- which is precisely the ELCA
-  test, so completions are results, scored by the sum of first-seen
-  (= maximum) damped witnesses;
+  free occurrence of it -- which is precisely the ELCA test, so
+  completions are results, scored by the sum of first-seen (= maximum)
+  damped witnesses;
 * a completed result is emitted as soon as its score reaches the global
   bound: the star join's own threshold (unseen + partially joined ids at
   this level, read at block boundaries) combined with the precomputed
@@ -21,19 +25,21 @@ columns (`repro.index.scored`):
   columns with no exact-length sequences can never dominate the column
   below);
 * the query terminates the moment K results are emitted.  Otherwise the
-  level is drained, the full-column join identifies every C-node at the
-  level (erased occurrences included -- containment ignores exclusion),
-  and their ranges are erased for the levels above.
+  level is drained and the ranges of its C-nodes (erased occurrences
+  included -- containment ignores exclusion) are erased for the levels
+  above.
 
-Completions are columns of the run's pending `ResultSet` until they are
-emitted, and what is emitted is a `ResultSet` too; `stream` hands out
-`SearchResult` views of it.
+Joining first is a semi-join reduction and a stated deviation
+(DESIGN.md): the paper rank-joins whole columns and joins them in full
+only where a level drains.  It costs what a drained level paid anyway;
+in exchange no pull reads a tuple that cannot complete and the join
+state is sized to the C-nodes -- with uncorrelated keywords (Figure
+10(b)-(c)) the paper's full ranked scan on top of the join becomes a
+rank join over the few tuples that joined.  The unreduced engine is the
+differential reference in ``tests/reference_topk.py``.
 
-The completeness/efficiency trade the paper measures falls out of the
-structure: with highly correlated keywords many results complete early
-and the scan stops after a few blocks; with uncorrelated keywords the
-algorithm drains every level and ends up doing strictly more work than
-the general join-based algorithm (Figure 10(a) versus 10(b)-(c)).
+Completions are chunks of the run's pending `ResultSet` until emitted;
+what is emitted is a `ResultSet` too (`stream` hands out its views).
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from ..scoring.ranking import (MaxCombiner, RankingModel, SumCombiner,
 from .base import (ELCA, SLCA, ExecutionStats, ResultSet, TopKResult,
                    check_semantics, sort_by_score)
 from .join_based import LevelRun, check_level
-from .topk_join import GROUP, BlockStarJoin, BoundOps, sorted_union
+from .topk_join import GROUP, BlockStarJoin, BoundOps
 
 
 class _StreamState:
@@ -76,9 +82,8 @@ class _StreamState:
 
 class _TopKRun(LevelRun):
     """`LevelRun` plus what ranked levels need: one score order per
-    term, the cross-level bounds, and the per-level steps both drivers
-    (`TopKKeywordSearch.stream`, `HybridTopKSearch.search`) are written
-    in.  Pending results leave through `flush`, best first."""
+    term, the cross-level bounds, and the steps of a ranked level.
+    Pending results leave through `flush`, best first."""
 
     def __init__(self, engine: "TopKKeywordSearch", postings, terms,
                  semantics: str, stats: ExecutionStats, target_k: int):
@@ -101,48 +106,51 @@ class _TopKRun(LevelRun):
         below it)."""
         return self.cross_bound[level - 2] if level > 1 else -float("inf")
 
-    def rank_join(self, level: int, columns) -> BlockStarJoin:
-        """The level's star join over the free occurrences of each
-        column, best damped score first."""
-        inputs = [scored.ranked(level, eraser)
-                  for scored, eraser in zip(self.scored, self.erasers)]
-        universe = sorted_union([c.distinct for c in columns])
+    def rank_join(self, level: int, joined: np.ndarray,
+                  run_bounds) -> BlockStarJoin:
+        """The level's star join over the free occurrences of the
+        C-nodes `joined` (``run_bounds[t]``: their runs in column t),
+        best damped score first; its ids are positions in `joined`."""
+        inputs = [scored.ranked(level, eraser, runs)
+                  for scored, eraser, runs
+                  in zip(self.scored, self.erasers, run_bounds)]
         return BlockStarJoin(inputs, self.target_k, self.engine.bound_mode,
-                             self.stats, self.ops, universe)
+                             self.stats, self.ops, joined)
 
     def flush(self, bound: float) -> ResultSet:
         """Remove and return the pending results scoring >= `bound`,
         best first (document order breaks ties) -- when more than the
         run still owes qualify, only that many and whatever ties with
         the last of them."""
-        pending = self.pending
         if self.top < bound:
             return self.nothing
+        pending = self.pending()
         hit = pending.scores >= bound
         limit = max(1, self.target_k - self.popped)
         if np.count_nonzero(hit) > limit:
             cut = np.partition(pending.scores[hit], -limit)[-limit]
             hit &= pending.scores >= cut
         out = pending.take(hit)
-        self.pending = rest = pending.take(~hit)
+        rest = pending.take(~hit)
+        self.chunks = [rest]
         self.top = float(rest.scores.max()) if len(rest) else -float("inf")
         self.popped += len(out)
         return sort_by_score(out)
 
     def harvest(self, join: BlockStarJoin, level: int, columns,
-                below: float) -> ResultSet:
+                joined: np.ndarray, run_bounds, below: float) -> ResultSet:
         """After a pull: add the block's completions (minus, for SLCA,
         those with an erased sequence in their range) to the pending
         set and return what the live bound now lets out."""
-        numbers, witness = join.take_completed()
-        if len(numbers) and self.semantics == SLCA:
+        done, witness = join.take_completed()
+        if len(done) and self.semantics == SLCA:
             keep, _ = check_level(
                 level, self.postings, columns,
-                [c.runs_of(numbers) for c in columns], self.erasers, SLCA,
-                self.damping_base, with_scores=False)
-            numbers, witness = numbers[keep], witness[:, keep]
-        if len(numbers):
-            self.push(level, numbers, witness)
+                [(lows[done], highs[done]) for lows, highs in run_bounds],
+                self.erasers, SLCA, self.damping_base, with_scores=False)
+            done, witness = done[keep], witness[:, keep]
+        if len(done):
+            self.push(level, joined[done], witness)
         # Both thresholds are at least the unseen-id bound: when the
         # best pending result is below that, skip the group arithmetic.
         top = self.top
@@ -301,7 +309,9 @@ class TopKKeywordSearch:
                 yield run.flush(below)
                 continue
             stats.levels_processed += 1
-            if self._rank_level(run, level, columns):
+            joined = run.join_level(level, columns)
+            if self._rank_level(run, level, joined):
+                run_bounds = [c.runs_of(joined) for c in columns]
                 tuples_mark = stats.tuples_scanned
                 # Emission needs a *fresh* threshold (group partials can
                 # push it up), so it is attempted after every block -- a
@@ -310,9 +320,10 @@ class TopKKeywordSearch:
                 # duration includes consumer time when the stream is
                 # driven incrementally.
                 with self.span("rank_join", level=level) as jspan:
-                    join = run.rank_join(level, columns)
+                    join = run.rank_join(level, joined, run_bounds)
                     while join.pull():
-                        yield run.harvest(join, level, columns, below)
+                        yield run.harvest(join, level, columns, joined,
+                                          run_bounds, below)
                         if deadline is not None and deadline.expired():
                             if not deadline.partial_ok:
                                 deadline.raise_expired()
@@ -323,11 +334,9 @@ class TopKKeywordSearch:
                               **join.progress())
                 # Level drained: every C-node (erased occurrences
                 # included) erases its range for the levels above.
-                joined = run.join_level(level, columns)
-                run.erase_level(level, columns,
-                                [c.runs_of(joined) for c in columns])
+                run.erase_level(level, columns, run_bounds)
             else:
-                run.eager_level(level, columns)
+                run.finish_level(level, columns, joined)
             if level == 1:
                 # Only emission remains: anything yielded from here on
                 # does not count as early termination.
@@ -337,11 +346,12 @@ class TopKKeywordSearch:
         state.finished = True
         yield run.flush(-float("inf"))
 
-    def _rank_level(self, run: _TopKRun, level: int, columns) -> bool:
-        """Whether `level` runs as a rank join: always, here; the
-        hybrid (`repro.algorithms.hybrid`) asks a cardinality estimate
-        and evaluates the others eagerly."""
-        return True
+    def _rank_level(self, run: _TopKRun, level: int,
+                    joined: np.ndarray) -> bool:
+        """Whether `level`, whose columns join to `joined`, runs as a
+        rank join: whenever anything joined; the hybrid wants enough of
+        it and finishes the other levels eagerly."""
+        return len(joined) > 0
 
     def _bound_ops(self, caller_slot: List[int]) -> BoundOps:
         """Combiner-specific bound arithmetic, in execution slot order.

@@ -533,11 +533,12 @@ class XMLDatabase:
         truncate -- the "general join-based" line of Figure 10).
 
         ``deadline`` / ``timeout_ms`` / ``on_deadline`` set a query
-        budget (`docs/RELIABILITY.md`), enforced on the ``topk-join``
-        and ``join`` paths.  Under the ``partial`` policy an expired
-        run returns the prefix proven so far: ``TopKResult.partial`` is
-        set and ``TopKResult.bound`` is the guarantee gap -- no result
-        the run did not return can score above it.
+        budget (`docs/RELIABILITY.md`), enforced on the ``topk-join``,
+        ``hybrid`` and ``join`` paths (``rdil`` runs unbudgeted).  Under
+        the ``partial`` policy an expired run returns the prefix proven
+        so far: ``TopKResult.partial`` is set and ``TopKResult.bound``
+        is the guarantee gap -- no result the run did not return can
+        score above it.
         """
         check_semantics(semantics)
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
@@ -560,8 +561,9 @@ class XMLDatabase:
     def _evaluate_topk(self, terms: List[str], semantics: str,
                        algorithm: str, k: int,
                        deadline: Optional[Deadline] = None) -> TopKResult:
-        if algorithm == "topk-join":
-            engine = TopKKeywordSearch(self.columnar_index)
+        if algorithm in ("topk-join", "hybrid"):
+            engine = (TopKKeywordSearch if algorithm == "topk-join"
+                      else HybridTopKSearch)(self.columnar_index)
             if deadline is not None:
                 with deadline_scope(deadline):
                     return engine.search(terms, k, semantics,
@@ -572,9 +574,6 @@ class XMLDatabase:
             top.results = ResultSet.of(self.columnar_index.nodes,
                                        top.results)
             return top
-        if algorithm == "hybrid":
-            return HybridTopKSearch(self.columnar_index).search(
-                terms, k, semantics)
         if algorithm == "join":
             results, stats = self._evaluate_complete(
                 terms, semantics, "join", deadline=deadline)

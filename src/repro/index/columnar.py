@@ -21,6 +21,15 @@ from ..xmltree.tree import XMLTree
 from .tokenizer import Tokenizer
 
 
+def expand_runs(lows: np.ndarray, counts: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, offsets)``: every row of the ranges ``[lows[j], lows[j]
+    + counts[j])`` laid end to end, and where range j starts in that."""
+    offsets = np.cumsum(counts) - counts
+    rows = np.repeat(lows - offsets, counts) + np.arange(int(counts.sum()))
+    return rows, offsets
+
+
 class Column:
     """One level of one term's inverted list.
 

@@ -7,7 +7,10 @@ is not exponential.  `DampingFunction` here is ``base ** delta`` and
 nothing else, so ``score * base ** length`` orders a term's occurrences
 the same way at every level: `ScoredPostings` keeps *one* descending
 order per term (built once per postings object, reused by every level
-and every later query), and a level's ranked input is a filter over it.
+and every later query) as each occurrence's rank in it, and a level's
+ranked input is the occurrences of the runs asked for -- the top-K
+driver asks for those of the level's join -- sorted by that rank: work
+in the rows served, not in the length of the list.
 """
 
 from __future__ import annotations
@@ -16,19 +19,20 @@ from typing import Tuple
 
 import numpy as np
 
-from .columnar import ColumnarPostings
+from .columnar import ColumnarPostings, expand_runs
 
 
 def _build_order(postings: ColumnarPostings, base: float):
-    """(order, distinct lengths, best local score per length)."""
+    """(rank per occurrence, distinct lengths, best score per length)."""
     with np.errstate(under="ignore"):
         key = postings.scores * base ** postings.lengths
-    order = np.argsort(-key, kind="stable")
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[np.argsort(-key, kind="stable")] = np.arange(len(key))
     lengths = np.unique(postings.lengths)
     best = np.full(len(lengths), -np.inf)
     np.maximum.at(best, np.searchsorted(lengths, postings.lengths),
                   postings.scores)
-    return order, lengths, best
+    return rank, lengths, best
 
 
 class ScoredPostings:
@@ -44,7 +48,7 @@ class ScoredPostings:
         if cached is None or cached[0] != damping_base:
             cached = (damping_base,) + _build_order(postings, damping_base)
             postings._score_order = cached
-        _base, self.order, self._lengths, self._best = cached
+        _base, self.rank, self._lengths, self._best = cached
 
     def __len__(self) -> int:
         return len(self.postings)
@@ -62,10 +66,14 @@ class ScoredPostings:
         return max(0.0, float(self.damp(self._best[deep],
                                         self._lengths[deep], level).max()))
 
-    def ranked(self, level: int, eraser=None
+    def ranked(self, level: int, eraser=None, runs=None
                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Column `level` as a ranked input: ``(numbers, scores)`` of its
+        """Column `level` as a ranked input: ``(run, score)`` of its
         occurrences, best damped score first.
+
+        ``runs`` is ``(lows, highs)`` as `Column.runs_of` returns them:
+        only those runs are served, and ``run`` indexes them.  Default:
+        every run of the column (``run`` indexes ``column.distinct``).
 
         ``eraser`` filters out erased sequences (consumed by deeper
         ELCAs) so they never become witnesses.  The scores are checked
@@ -74,18 +82,22 @@ class ScoredPostings:
         ``s^i`` is only a bound if the array really descends.
         """
         postings = self.postings
-        in_column = postings.lengths >= level
-        ordinals = self.order
-        keep = in_column[ordinals]
+        column = postings.column(level)
+        if runs is None:
+            runs = column.run_starts[:-1], column.run_starts[1:]
+        lows, highs = runs
+        counts = highs - lows
+        rows, _offsets = expand_runs(lows, counts)
+        run = np.repeat(np.arange(len(lows)), counts)
+        ordinals = column.seq_idx[rows]
         if eraser is not None:
-            keep &= eraser.free_mask(ordinals)
-        ordinals = ordinals[keep]
+            free = eraser.free_mask(ordinals)
+            run, ordinals = run[free], ordinals[free]
+        by_rank = np.argsort(self.rank[ordinals])
+        run, ordinals = run[by_rank], ordinals[by_rank]
         scores = self.damp(postings.scores[ordinals],
                            postings.lengths[ordinals], level)
         if np.any(scores[1:] > scores[:-1]):
             resort = np.argsort(-scores, kind="stable")
-            ordinals, scores = ordinals[resort], scores[resort]
-        # A sequence's row in the column is its rank among those that
-        # reach the level.
-        rows = np.cumsum(in_column)[ordinals] - 1
-        return postings.column(level).values[rows], scores
+            run, scores = run[resort], scores[resort]
+        return run, scores

@@ -43,6 +43,24 @@ def on_threads(threads, fn, items):
         return list(pool.map(fn, items))
 
 
+class StepClock:
+    """A fake clock advancing a fixed amount per call.
+
+    `Deadline` calls the clock once at construction and once per
+    `expired()` poll, so a budget of N (step) units expires after
+    exactly N polls -- deterministic mid-run expiry without sleeping.
+    """
+
+    def __init__(self, step_s: float = 0.001):
+        self.now = 0.0
+        self.step = step_s
+
+    def __call__(self) -> float:
+        current = self.now
+        self.now += self.step
+        return current
+
+
 def figure1_like_tree():
     """A tree in the spirit of the paper's Figure 1.
 

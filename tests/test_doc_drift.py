@@ -245,6 +245,15 @@ class TestDocumentedCommands:
                               repro.serve.sharding):
                     assert not hasattr(owner, name), (owner, name)
 
+    def test_hybrid_row_names_no_estimator(self):
+        """The hybrid reads the level's exact join size; ``estimator=``
+        is `explain`'s and the audit's argument, not its."""
+        text = open(os.path.join(ROOT, "docs", "API.md"),
+                    encoding="utf-8").read()
+        rows = [line for line in text.splitlines()
+                if line.startswith("| `HybridTopKSearch(")]
+        assert rows and not any("estimat" in row for row in rows), rows
+
     def test_modules_are_importable(self):
         modules = _mentions(MODULE_RE)
         assert "repro.bench.harness" in modules, "scan found nothing"

@@ -16,27 +16,10 @@ from repro.algorithms.base import ELCA, SLCA
 from repro.algorithms.join_based import JoinBasedSearch
 from repro.algorithms.topk_keyword import TopKKeywordSearch
 from repro.reliability import Deadline, DeadlineExceeded, QueryBudget
-from tests.reference_join import PerCandidateJoinSearch
 from repro.reliability.deadline import (active_deadline, check_active,
                                         deadline_scope)
-
-
-class StepClock:
-    """A fake clock advancing a fixed amount per call.
-
-    `Deadline` calls the clock once at construction and once per
-    `expired()` poll, so a budget of N (step) units expires after
-    exactly N polls -- deterministic mid-run expiry without sleeping.
-    """
-
-    def __init__(self, step_s: float = 0.001):
-        self.now = 0.0
-        self.step = step_s
-
-    def __call__(self) -> float:
-        current = self.now
-        self.now += self.step
-        return current
+from tests.conftest import StepClock
+from tests.reference_join import PerCandidateJoinSearch
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,9 @@ class TestScoredPostings:
     def test_groups_by_length(self, scored, grouped):
         assert set(grouped.groups) == {2, 3, 4}
         assert len(grouped.groups[3]) == 2
-        # One order over all of them where the groups used to be.
-        assert sorted(scored.order.tolist()) == list(range(len(SEQS)))
+        # One order over all of them where the groups used to be, kept
+        # as each occurrence's rank in it.
+        assert sorted(scored.rank.tolist()) == list(range(len(SEQS)))
 
     def test_group_scores_descending(self, scored, grouped):
         for group in grouped.groups.values():
@@ -97,14 +98,14 @@ class TestScoredPostings:
         # every level.
         postings = scored.postings
         key = postings.scores * 0.9 ** postings.lengths
-        ordered = key[scored.order].tolist()
+        ordered = key[np.argsort(scored.rank)].tolist()
         assert ordered == sorted(ordered, reverse=True)
 
     def test_order_built_once_per_postings(self, scored):
         again = ScoredPostings(scored.postings, damping_base=0.9)
-        assert again.order is scored.order
+        assert again.rank is scored.rank
         other_base = ScoredPostings(scored.postings, damping_base=0.5)
-        assert other_base.order is not scored.order
+        assert other_base.rank is not scored.rank
 
     def test_damp(self, scored):
         assert scored.damp(1.0, length=4, level=2) == pytest.approx(0.81)
@@ -131,15 +132,15 @@ class TestColumnCursor:
     the reference `ColumnCursor` it replaced."""
 
     def test_emits_in_descending_damped_order(self, scored, grouped):
-        _numbers, scores = scored.ranked(2)
+        _runs, scores = scored.ranked(2)
         assert scores.tolist() == sorted(scores.tolist(), reverse=True)
         assert len(scores) == 5  # every sequence reaches level 2
         assert scores.tolist() == pytest.approx(
             [item[2] for item in drain(grouped.cursor(2))])
 
     def test_level_filters_short_sequences(self, scored, grouped):
-        numbers, _scores = scored.ranked(3)
-        assert len(numbers) == 4  # (1, 3) has no level-3 component
+        runs, _scores = scored.ranked(3)
+        assert len(runs) == 4  # (1, 3) has no level-3 component
         assert len(drain(grouped.cursor(3))) == 4
 
     def test_peek_matches_pop(self, grouped):
@@ -156,7 +157,8 @@ class TestColumnCursor:
         assert len(popped) == 3
         eraser = BitmapEraser(len(SEQS))
         eraser.mark(0, 2)
-        numbers, scores = scored.ranked(2, eraser)
+        runs, scores = scored.ranked(2, eraser)
+        numbers = scored.postings.column(2).distinct[runs]
         assert numbers.tolist() == [n for n, _o, _s in popped]
         assert scores.tolist() == pytest.approx([s for _n, _o, s in popped])
 
@@ -170,7 +172,8 @@ class TestColumnCursor:
     def test_numbers_match_sequences(self, scored, grouped):
         for number, ordinal, _score in drain(grouped.cursor(2)):
             assert SEQS[ordinal][1] == number
-        numbers, scores = scored.ranked(2)
+        runs, scores = scored.ranked(2)
+        numbers = scored.postings.column(2).distinct[runs]
         by_score = {round(0.9 ** (len(seq) - 2) * raw, 12): seq[1]
                     for seq, raw in zip(SEQS, RAW)}
         assert [by_score[round(s, 12)] for s in scores.tolist()] == \

@@ -1,12 +1,14 @@
 """Differential tests for the block-at-a-time top-K engine.
 
 Three independent accounts of a top-K answer must agree: the block
-engine in `src/` (`TopKKeywordSearch` over `BlockStarJoin` and the
-single per-term score order), the per-tuple engine it replaced
-(`tests/reference_topk.py`) and the naive `SemanticsOracle`.  The ranked
-input a level serves is compared with the reference `ColumnCursor`'s pop
-sequence directly, and the work counter is held to the block over-read
-bound.
+engine in `src/` (`TopKKeywordSearch`: the level's join first, then
+`BlockStarJoin` over the single per-term score order reduced to that
+join), the per-tuple engine it replaced (`tests/reference_topk.py`,
+which rank-joins whole columns and is the unreduced reference) and the
+naive `SemanticsOracle`.  The ranked input a level serves is compared
+with the reference `ColumnCursor`'s pop sequence directly, and the work
+is held to counts: the block over-read bound, no pull at a level nothing
+joins at, no more tuples than the joined runs hold.
 """
 
 import itertools
@@ -18,16 +20,25 @@ from hypothesis import strategies as st
 
 from repro import XMLDatabase
 from repro.algorithms import topk_join as block_module
+from repro.algorithms import topk_keyword as driver_module
+from repro.algorithms.base import ExecutionStats
 from repro.algorithms.erasure import make_eraser
+from repro.algorithms.join_based import JoinBasedSearch, LevelRun
 from repro.algorithms.oracle import SemanticsOracle
-from repro.algorithms.topk_join import CLASSIC, GROUP
+from repro.algorithms.topk_join import CLASSIC, GROUP, BlockStarJoin
 from repro.algorithms.topk_keyword import TopKKeywordSearch
+from repro.datagen.dblp import DBLPGenerator
+from repro.datagen.workload import WorkloadBuilder
 from repro.index.columnar import ColumnarPostings
 from repro.index.scored import ScoredPostings
+from repro.obs import Tracer
+from repro.reliability import Deadline, DeadlineExceeded
 from repro.scoring.ranking import (DampingFunction, MaxCombiner,
                                    RankingModel, SumCombiner,
                                    WeightedSumCombiner)
+from repro.serve import ShardedDatabase
 from repro.xmltree.tree import Node, XMLTree
+from tests.conftest import StepClock
 from tests.reference_topk import (GroupedScoredPostings, PerTupleTopKSearch,
                                   erased_probe)
 
@@ -39,12 +50,64 @@ COMBINERS = {
 }
 
 
+def chain(tag, length, text):
+    """A path of `length` nodes, the last one tagged `tag` and carrying
+    `text`; returns its top."""
+    top = node = Node(tag if length == 1 else "n", text if length == 1
+                      else "")
+    for depth in range(2, length + 1):
+        last = depth == length
+        node = node.add_child(Node(tag if last else "n",
+                                   text if last else ""))
+    return top
+
+
+def height(node):
+    return 1 + max(map(height, node.children), default=0)
+
+
+def plant_deep(root, text, draw):
+    """``kx`` and ``ky`` once each, in different branches and deeper
+    than anything else in the tree: at those levels both terms have a
+    column and nothing joins -- below every level that has results."""
+    length = height(root) + draw(st.integers(0, 1))
+    root.add_child(chain("deep", length, text("kx")))
+    root.add_child(chain("deep", length, text("ky")))
+
+
+def plant_erased(root, text, draw):
+    """A node with both keywords and an ancestor path that holds nothing
+    else: the ancestors are C-nodes (in the level's join) whose every
+    occurrence a deeper ELCA has erased, so they never complete."""
+    top = chain("erased", draw(st.integers(1, 2)), "")
+    bottom = top
+    while bottom.children:
+        bottom = bottom.children[0]
+    bottom.add_child(Node("n", text("kx ky")))
+    root.add_child(top)
+
+
+def plant_above(root, text, draw):
+    """A candidate that holds both keywords itself *and* has a C-node
+    below it: an ELCA, not an SLCA."""
+    top = root.add_child(Node("above", text("kx ky")))
+    top.add_child(Node("n", text("kx ky")))
+
+
+# In planting order: "deep" measures the tree it is added to.
+PLANTS = {"erased": plant_erased, "above": plant_above, "deep": plant_deep}
+
+
 @st.composite
-def stacked_tree(draw):
+def stacked_tree(draw, plant=False):
     """A random tree that repeats one of its subtrees verbatim (the
     duplicate subtrees Böttcher et al. find throughout DBLP and XMark)
     and carries keywords on inner nodes as readily as on leaves, so an
-    ancestor and its descendant hold the same keyword at once."""
+    ancestor and its descendant hold the same keyword at once.
+
+    With ``plant`` the root also receives some of `PLANTS`, each found
+    again by its tag: shapes a random tree only sometimes has and the
+    level body treats specially."""
     words = st.lists(st.sampled_from(KEYWORDS + ["noise"]), max_size=3)
     spec = st.recursive(
         st.tuples(words, st.just([])),
@@ -65,6 +128,14 @@ def stacked_tree(draw):
     root = Node("r", " ".join(top_words))
     for node_spec in [repeated] * copies + siblings:
         root.add_child(build(node_spec))
+    if plant:
+        def text(keywords):     # padded, so local scores differ
+            return keywords + " noise" * draw(st.integers(0, 2))
+
+        chosen = draw(st.sets(st.sampled_from(sorted(PLANTS)), min_size=1))
+        for name, plant_one in PLANTS.items():
+            if name in chosen:
+                plant_one(root, text, draw)
     return XMLTree(root).freeze()
 
 
@@ -84,6 +155,51 @@ def block_start(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture
+def rank_joins(monkeypatch):
+    """``(level, star join, rows of the joined runs)`` of every rank
+    join the driver builds, in order."""
+    built = []
+    original = driver_module._TopKRun.rank_join
+
+    def spying(run, level, joined, run_bounds):
+        join = original(run, level, joined, run_bounds)
+        built.append((level, join, sum(int((highs - lows).sum())
+                                       for lows, highs in run_bounds)))
+        return join
+
+    monkeypatch.setattr(driver_module._TopKRun, "rank_join", spying)
+    return built
+
+
+def check_engines_agree(db, ranking, terms, semantics, bound_mode):
+    """Block engine = per-tuple engine = oracle at k of 1, 3, 10, the
+    result count and one beyond it; `stream` is the same order, and a
+    stream abandoned after n results read no more than `search(n)`."""
+    oracle = SemanticsOracle(db.tree, db.inverted_index, ranking)
+    expected = sorted(scores_of(oracle.evaluate(terms, semantics)),
+                      reverse=True)
+    block = TopKKeywordSearch(db.columnar_index, bound_mode)
+    per_tuple = PerTupleTopKSearch(db.columnar_index, bound_mode)
+    for k in sorted({1, 3, 10, max(1, len(expected)), len(expected) + 1}):
+        got = block.search(terms, k, semantics)
+        ref = per_tuple.search(terms, k, semantics)
+        assert scores_of(got) == expected[:k]
+        assert scores_of(ref) == expected[:k]
+        for result in got:
+            assert result.score == \
+                ranking.score_result(result.witness_scores)
+        stats = ExecutionStats()
+        stream = block.stream(terms, semantics, stats=stats, target_k=k)
+        assert scores_of(itertools.islice(stream, k)) == expected[:k]
+        stream.close()
+        assert stats.tuples_scanned <= got.stats.tuples_scanned
+    streamed = [r.score for r in block.stream(terms, semantics)]
+    assert streamed == sorted(streamed, reverse=True)
+    assert scores_of(block.stream(terms, semantics)) == expected
+    return oracle.evaluate(terms, semantics)
+
+
 class TestEnginesAgree:
     @pytest.mark.parametrize("combiner", sorted(COMBINERS))
     @pytest.mark.parametrize("bound_mode", [GROUP, CLASSIC])
@@ -99,22 +215,47 @@ class TestEnginesAgree:
         ranking = RankingModel(damping=DampingFunction(base),
                                combiner=COMBINERS[combiner](len(terms)))
         db = XMLDatabase.from_tree(tree, ranking=ranking)
-        oracle = SemanticsOracle(db.tree, db.inverted_index, ranking)
-        expected = sorted(scores_of(oracle.evaluate(terms, semantics)),
-                          reverse=True)
-        block = TopKKeywordSearch(db.columnar_index, bound_mode)
-        per_tuple = PerTupleTopKSearch(db.columnar_index, bound_mode)
-        for k in (1, 3, 10, len(expected) + 1):
-            got = block.search(terms, k, semantics)
-            ref = per_tuple.search(terms, k, semantics)
-            assert scores_of(got) == expected[:k]
-            assert scores_of(ref) == expected[:k]
-            for result in got:
-                assert result.score == \
-                    ranking.score_result(result.witness_scores)
-        streamed = [r.score for r in block.stream(terms, semantics)]
-        assert streamed == sorted(streamed, reverse=True)
-        assert scores_of(block.stream(terms, semantics)) == expected
+        check_engines_agree(db, ranking, terms, semantics, bound_mode)
+
+    @pytest.mark.parametrize("semantics", ["elca", "slca"])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(tree=stacked_tree(plant=True),
+           base=st.sampled_from([0.5, 0.9, 1.0]))
+    def test_planted_levels_block_equals_per_tuple_equals_oracle(
+            self, block_start, rank_joins, semantics, tree, base):
+        """The levels the join-first body treats specially, each planted
+        and checked to be what it claims before the engines are compared:
+        levels nothing joins at (always the deepest ones -- a C-node's
+        ancestors are C-nodes, so no such level lies between two with
+        results -- and no rank join is built for them), a joined id that
+        never completes (the level still drains and erases; with
+        results below it and, the root being a C-node, above), and an
+        ELCA above a C-node that SLCA must reject."""
+        terms = ["kx", "ky"]
+        ranking = RankingModel(damping=DampingFunction(base))
+        db = XMLDatabase.from_tree(tree, ranking=ranking)
+        joins = {}
+        JoinBasedSearch(db.columnar_index).evaluate(
+            terms, semantics,
+            observer=lambda level, columns, joined, emitted:
+            joins.__setitem__(level, (set(joined.tolist()), emitted)))
+        rank_joins.clear()
+        answers = {r.node.dewey for r in check_engines_agree(
+            db, ranking, terms, semantics, GROUP)}
+        assert {level for level, _join, _rows in rank_joins} == \
+            {level for level, (joined, _) in joins.items() if joined}
+        for node in tree.find_all(lambda n: n.tag == "deep"):
+            assert joins[node.level] == (set(), 0)
+            assert any(emitted for level, (_, emitted) in joins.items()
+                       if level < node.level)
+        for node in tree.find_all(lambda n: n.tag == "erased"):
+            assert node.jdewey[-1] in joins[node.level][0]
+            assert node.dewey not in answers
+        for node in tree.find_all(lambda n: n.tag == "above"):
+            assert node.jdewey[-1] in joins[node.level][0]
+            assert (node.dewey in answers) == (semantics == "elca")
 
     @pytest.mark.parametrize("semantics", ["elca", "slca"])
     @pytest.mark.parametrize("terms", [
@@ -169,10 +310,19 @@ def scored_term(draw):
     lengths = draw(st.lists(st.integers(1, depth), min_size=n, max_size=n))
     raw = draw(st.lists(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.5, 1.0, 2.0]),
                         min_size=n, max_size=n))
-    # JDewey-like sequences: a few numbers per level, so columns have
-    # runs; sorting makes every column ordered.
-    seqs = sorted(tuple(draw(st.integers(1, 4)) + 10 * level
-                        for level in range(length)) for length in lengths)
+    # A few children per node, so columns have runs; a node's JDewey
+    # number is its rank among the nodes of its level, which is what
+    # makes every column ordered (Property 3.1).
+    paths = [tuple(draw(st.integers(1, 4)) for _ in range(length))
+             for length in lengths]
+    number, per_level = {}, [0] * (depth + 1)
+    for node in sorted({path[:end] for path in paths
+                        for end in range(1, len(path) + 1)}):
+        per_level[len(node)] += 1
+        number[node] = 10 * len(node) + per_level[len(node)]
+    seqs = sorted(tuple(number[path[:end]]
+                        for end in range(1, len(path) + 1))
+                  for path in paths)
     marks = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(1, 4)), max_size=3))
     return ColumnarPostings("t", seqs, raw), marks
@@ -190,7 +340,8 @@ class TestRankedInput:
         scored = ScoredPostings(postings, base)
         grouped = GroupedScoredPostings(postings, base)
         for level in range(1, postings.max_len + 2):
-            numbers, scores = scored.ranked(level, eraser)
+            runs, scores = scored.ranked(level, eraser)
+            numbers = postings.column(level).distinct[runs]
             assert np.all(scores[1:] <= scores[:-1])
             cursor = grouped.cursor(level, skip=erased_probe(eraser))
             popped = []
@@ -214,19 +365,19 @@ class TestRankedInput:
             postings = index.term_postings(term)
             scored = ScoredPostings(postings, index.ranking.damping.base)
             good = scored.ranked(2)
-            base, order, *rest = postings._score_order
-            postings._score_order = (base, order[::-1].copy(), *rest)
+            base, rank, *rest = postings._score_order
+            postings._score_order = (base, rank[::-1].copy(), *rest)
             try:
                 broken = ScoredPostings(postings, base)
-                assert broken.order[0] == order[-1]
-                numbers, scores = broken.ranked(2)
+                assert broken.rank[0] == rank[-1]
+                runs, scores = broken.ranked(2)
                 assert np.all(scores[1:] <= scores[:-1])
                 assert scores.tolist() == good[1].tolist()
-                assert sorted(numbers.tolist()) == sorted(good[0].tolist())
+                assert sorted(runs.tolist()) == sorted(good[0].tolist())
                 assert scores_of(TopKKeywordSearch(index).search(
                     ["cx", "cy"], 5)) == expected
             finally:
-                postings._score_order = (base, order, *rest)
+                postings._score_order = (base, rank, *rest)
 
 
 class TestEmissionIsSound:
@@ -240,8 +391,9 @@ class TestEmissionIsSound:
         bounds = []
         original = topk_keyword._TopKRun.harvest
 
-        def spying(run, join, level, columns, below):
-            results = original(run, join, level, columns, below)
+        def spying(run, join, level, columns, joined, run_bounds, below):
+            results = original(run, join, level, columns, joined,
+                               run_bounds, below)
             if results:
                 bounds.append((max(join.threshold(), below),
                                [r.score for r in results]))
@@ -254,3 +406,135 @@ class TestEmissionIsSound:
         for bound, scores in bounds:
             assert min(scores) >= bound
         assert emitted == sorted(emitted, reverse=True)
+
+
+@pytest.fixture(scope="module")
+def planted_corpus():
+    """A seeded DBLP corpus with the Figure 10 plantings: one 4 000-
+    occurrence term, 10-occurrence ones, six correlated groups."""
+    builder = WorkloadBuilder(high_freq=4000, low_freqs=(10,), per_cell=1,
+                              max_keywords=2, correlated_entities=300,
+                              seed=11)
+    tree = DBLPGenerator(seed=7, n_papers=2000, abstract_words=12,
+                         plan=builder.plan()).generate()
+    return builder, XMLDatabase.from_tree(tree)
+
+
+class TestCountsNotClocks:
+    """What the join-first level saves, in tuples and spans."""
+
+    def traced(self, db, terms, k=10):
+        """(result, spans in recording order) of one traced run."""
+        tracer = Tracer()
+        engine = TopKKeywordSearch(db.columnar_index, tracer=tracer)
+        with tracer.span("query"):
+            result = engine.search(terms, k)
+        return result, list(tracer.last_root().walk())
+
+    def test_empty_join_level_pulls_nothing(self, xmark_db):
+        """``rare gamma`` on XMark: three levels where both terms have a
+        column and no number joins, then three that join."""
+        result, spans = self.traced(xmark_db, ["rare", "gamma"], 1000)
+        joins = {s.tags["level"]: s.tags["output"]
+                 for s in spans if s.name == "join"}
+        ranked = {s.tags["level"]: s.tags["tuples_retrieved"]
+                  for s in spans if s.name == "rank_join"}
+        assert sorted(joins.values()).count(0) == 3
+        assert set(ranked) == {lvl for lvl, n in joins.items() if n}
+        merged = sum(sum(s.tags["inputs"]) for s in spans
+                     if s.name == "join")
+        assert result.stats.tuples_scanned <= sum(ranked.values()) + merged
+
+    def test_rank_joins_read_no_more_than_the_joined_runs(
+            self, planted_corpus, rank_joins):
+        builder, db = planted_corpus
+        (query,) = builder.frequency_sweep(2)
+        sizes = [len(p) for p in
+                 db.columnar_index.query_postings(list(query.terms))]
+        assert sizes == [10, 4000]
+        result = TopKKeywordSearch(db.columnar_index).search(
+            list(query.terms), 10)
+        assert len(rank_joins) == result.stats.levels_processed == 5
+        assert all(join.tuples_retrieved <= rows
+                   for _level, join, rows in rank_joins)
+        # The 4 000-list is read whole only where one C-node spans it.
+        assert sum(rows for _level, _join, rows in rank_joins) \
+            < 2 * sum(sizes)
+
+    def test_join_span_precedes_its_rank_join(self, planted_corpus,
+                                              rank_joins):
+        """... and the star join is handed that join as its universe:
+        the driver derives none (there is no `sorted_union` any more)."""
+        builder, db = planted_corpus
+        assert not hasattr(driver_module, "sorted_union")
+        for query in builder.correlated_queries() + \
+                builder.frequency_sweep(2):
+            _result, spans = self.traced(db, list(query.terms))
+            names = [(s.name, s.tags.get("level")) for s in spans]
+            ranked = [i for i, (name, _) in enumerate(names)
+                      if name == "rank_join"]
+            assert ranked
+            for i in ranked:
+                assert names[i - 1] == ("join", names[i][1])
+        assert rank_joins and all(join._values is None
+                                  for _level, join, _rows in rank_joins)
+
+    #: What the unreduced engine scanned on the six correlated queries
+    #: of `planted_corpus` (rank joins over whole columns, a full join
+    #: only where a level drained), measured on the commit before the
+    #: join was hoisted.
+    UNREDUCED_CORRELATED_TUPLES = 25_089
+
+    def test_tuples_scanned_repeats_and_did_not_grow(self, planted_corpus):
+        builder, db = planted_corpus
+        engine = TopKKeywordSearch(db.columnar_index)
+
+        def total():
+            return [engine.search(list(q.terms), 10).stats.tuples_scanned
+                    for q in builder.correlated_queries()]
+
+        first = total()
+        assert total() == first
+        # The hoisted join's merge volume is in there too.
+        assert sum(first) <= self.UNREDUCED_CORRELATED_TUPLES
+
+
+class TestDeadlineAfterTheJoin:
+    """The budget runs out while a level's columns are being joined:
+    the rank join that follows takes one block, and the poll after it
+    stops the run."""
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["flat", "2shards"])
+    def test_expiry_between_join_and_first_pull(self, dblp_db, shards,
+                                                monkeypatch):
+        db = dblp_db if shards is None else \
+            ShardedDatabase.from_database(dblp_db, shards)
+        full = [(r.node.dewey, r.score)
+                for r in db.search_stream("gamma beta")]
+        clock = StepClock(0.0)
+        pulls = []
+        join_level, pull = LevelRun.join_level, BlockStarJoin.pull
+
+        def join_then_expire(run, level, columns):
+            joined = join_level(run, level, columns)
+            if len(joined):
+                clock.now = 10.0
+            return joined
+
+        def counting_pull(join):
+            pulls.append(clock.now)
+            return pull(join)
+
+        monkeypatch.setattr(LevelRun, "join_level", join_then_expire)
+        monkeypatch.setattr(BlockStarJoin, "pull", counting_pull)
+        with pytest.raises(DeadlineExceeded):
+            db.search_topk("gamma beta", 5, deadline=Deadline(
+                timeout_ms=1000, on_deadline="raise", clock=clock))
+        assert pulls == [10.0]      # one block, after the join
+        clock.now, pulls[:] = 0.0, []
+        cut = db.search_topk("gamma beta", len(full) + 1, deadline=Deadline(
+            timeout_ms=1000, on_deadline="partial", clock=clock))
+        assert cut.partial and len(pulls) <= (shards or 1)
+        got = [(r.node.dewey, r.score) for r in cut]
+        assert got == full[:len(got)]
+        assert all(score <= cut.bound for _dewey, score in full[len(got):])
