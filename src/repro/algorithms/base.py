@@ -95,7 +95,7 @@ class ResultSet(SequenceABC):
         self.rows, self.scores, self.witness = columns = (
             rows.view(), scores.view(), witness.view())
         for column in columns:
-            column.flags.writeable = False
+            column.setflags(write=False)
 
     # -- constructors --------------------------------------------------
 

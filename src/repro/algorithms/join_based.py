@@ -77,15 +77,21 @@ class LevelRun:
         self.start_level = min(p.max_len for p in postings)
         self.table = engine.index.nodes
         self.nothing = ResultSet.empty(self.table, len(terms))
-        # Results pushed and not yet taken, as the chunks they came in.
-        self.chunks: List[ResultSet] = []
+        # Results pushed and not yet taken, as the (rows, scores,
+        # witness) arrays of the chunks they came in.
+        self.chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.top = -float("inf")    # best pending score
 
+    def pending_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, scores, witness) of the chunks end to end; one at least."""
+        if len(self.chunks) == 1:
+            return self.chunks[0]
+        return tuple(np.concatenate(column) for column in zip(*self.chunks))
+
     def pending(self) -> ResultSet:
-        """The chunks, merged into one `ResultSet` (and kept so)."""
-        self.chunks = [ResultSet.concat(self.table, self.chunks,
-                                        len(self.caller_slot))]
-        return self.chunks[0]
+        """The chunks as one `ResultSet`."""
+        return ResultSet(self.table, *self.pending_arrays()) \
+            if self.chunks else self.nothing
 
     def push(self, level: int, numbers: np.ndarray,
              witness: Optional[np.ndarray]) -> None:
@@ -99,7 +105,7 @@ class LevelRun:
         else:
             ordered = witness[self.caller_slot].T
             scores = self.engine.ranking.score_results(ordered)
-        self.chunks.append(ResultSet(self.table, rows, scores, ordered))
+        self.chunks.append((rows, scores, ordered))
         self.top = max(self.top, float(scores.max()))
 
     def join_level(self, level: int, columns) -> np.ndarray:

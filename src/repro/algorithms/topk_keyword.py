@@ -40,6 +40,8 @@ differential reference in ``tests/reference_topk.py``.
 
 Completions are chunks of the run's pending `ResultSet` until emitted;
 what is emitted is a `ResultSet` too (`stream` hands out its views).
+The default top-K, `repro.algorithms.hybrid.HybridTopKSearch`, is this
+driver with every level finished in bulk instead of rank-joined.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from ..reliability.errors import DeadlineExceeded
 from ..scoring.ranking import (MaxCombiner, RankingModel, SumCombiner,
                                WeightedSumCombiner)
 from .base import (ELCA, SLCA, ExecutionStats, ResultSet, TopKResult,
-                   check_semantics, sort_by_score)
+                   check_semantics)
 from .join_based import LevelRun, check_level
 from .topk_join import GROUP, BlockStarJoin, BoundOps
 
@@ -97,9 +99,8 @@ class _TopKRun(LevelRun):
         self.scored = [ScoredPostings(p, self.damping_base)
                        for p in postings]
         # cross_bound[l-1] bounds every result at levels <= l.
-        self.cross_bound = np.maximum.accumulate([
-            self.ops.complete([s.max_damped(level) for s in self.scored])
-            for level in range(1, self.start_level + 1)]).tolist()
+        self.cross_bound = np.maximum.accumulate(self.ops.complete(
+            [s.level_max[:self.start_level] for s in self.scored])).tolist()
 
     def below(self, level: int) -> float:
         """Bound on every result of the levels above `level` (numbered
@@ -122,20 +123,24 @@ class _TopKRun(LevelRun):
         best first (document order breaks ties) -- when more than the
         run still owes qualify, only that many and whatever ties with
         the last of them."""
-        if self.top < bound:
+        if not self.chunks or self.top < bound:
             return self.nothing
-        pending = self.pending()
-        hit = pending.scores >= bound
+        rows, scores, witness = self.pending_arrays()
+        order = np.lexsort((rows, -scores))
+        scores = scores[order]
+        out = np.count_nonzero(scores >= bound)     # a prefix of `order`
         limit = max(1, self.target_k - self.popped)
-        if np.count_nonzero(hit) > limit:
-            cut = np.partition(pending.scores[hit], -limit)[-limit]
-            hit &= pending.scores >= cut
-        out = pending.take(hit)
-        rest = pending.take(~hit)
-        self.chunks = [rest]
-        self.top = float(rest.scores.max()) if len(rest) else -float("inf")
-        self.popped += len(out)
-        return sort_by_score(out)
+        if out > limit:
+            out = np.count_nonzero(scores >= scores[limit - 1])
+        taken, rest = order[:out], order[out:]
+        if len(rest):
+            self.chunks = [(rows[rest], scores[out:], witness[rest])]
+            self.top = float(scores[out])
+        else:
+            self.chunks, self.top = [], -float("inf")
+        self.popped += out
+        return ResultSet(self.table, rows[taken], scores[:out],
+                         witness[taken])
 
     def harvest(self, join: BlockStarJoin, level: int, columns,
                 joined: np.ndarray, run_bounds, below: float) -> ResultSet:
@@ -161,6 +166,10 @@ class _TopKRun(LevelRun):
 
 class TopKKeywordSearch:
     """Top-K ELCA/SLCA search over a `ColumnarIndex`."""
+
+    #: A level something joins at runs as a star rank join (the paper's
+    #: plan); `HybridTopKSearch` finishes it in bulk instead.
+    rank_levels = True
 
     def __init__(self, index: ColumnarIndex, bound_mode: str = GROUP,
                  eraser_mode: str = "bitmap",
@@ -204,8 +213,9 @@ class TopKKeywordSearch:
             if owed <= 0:
                 break
         batches.close()
-        results = ResultSet.concat(table, emitted,
-                                   len(terms)).take(slice(k))
+        results = ResultSet.concat(table, emitted, len(terms))
+        if len(results) > k:    # ties with the k-th came along
+            results = results.take(slice(k))
         stats.results_emitted = len(results)
         with self.span("topk_termination") as tspan:
             tspan.tag(k=k, emitted=len(results),
@@ -230,8 +240,9 @@ class TopKKeywordSearch:
         so ``itertools.islice(stream(...), k)`` behaves exactly like
         `search(..., k)`.
 
-        ``deadline`` is polled at level boundaries and after every
-        rank-join block (the emission-attempt cadence).  On expiry
+        ``deadline`` is polled at level boundaries (and by disk column
+        fetches) and, in a ranked level, after every block (the
+        emission-attempt cadence).  On expiry
         the ``raise`` policy raises `DeadlineExceeded` out of the
         generator; the ``partial`` policy ends the stream cleanly after
         recording the guarantee gap in the caller-supplied ``_state``.
@@ -310,7 +321,7 @@ class TopKKeywordSearch:
                 continue
             stats.levels_processed += 1
             joined = run.join_level(level, columns)
-            if self._rank_level(run, level, joined):
+            if self.rank_levels and len(joined):
                 run_bounds = [c.runs_of(joined) for c in columns]
                 tuples_mark = stats.tuples_scanned
                 # Emission needs a *fresh* threshold (group partials can
@@ -345,13 +356,6 @@ class TopKKeywordSearch:
         # All levels done: everything pending is final, in score order.
         state.finished = True
         yield run.flush(-float("inf"))
-
-    def _rank_level(self, run: _TopKRun, level: int,
-                    joined: np.ndarray) -> bool:
-        """Whether `level`, whose columns join to `joined`, runs as a
-        rank join: whenever anything joined; the hybrid wants enough of
-        it and finishes the other levels eagerly."""
-        return len(joined) > 0
 
     def _bound_ops(self, caller_slot: List[int]) -> BoundOps:
         """Combiner-specific bound arithmetic, in execution slot order.

@@ -51,7 +51,7 @@ from .xmltree.parser import parse_xml
 from .xmltree.tree import XMLTree
 
 ALGORITHMS = ("join", "stack", "index", "oracle")
-TOPK_ALGORITHMS = ("topk-join", "rdil", "hybrid", "join")
+TOPK_ALGORITHMS = ("hybrid", "topk-join", "rdil", "join")
 
 
 class BatchResult(list):
@@ -520,25 +520,27 @@ class XMLDatabase:
                                          **kwargs))
 
     def search_topk(self, query: Union[str, Sequence[str], Query], k: int,
-                    semantics: str = ELCA, algorithm: str = "topk-join",
+                    semantics: str = ELCA, algorithm: str = "hybrid",
                     strict: bool = False,
                     deadline: Optional[Union[Deadline, float]] = None,
                     timeout_ms: Optional[float] = None,
                     on_deadline: Optional[str] = None) -> TopKResult:
         """Top-`k` results, best first.
 
-        ``algorithm`` is one of ``topk-join`` (the paper's join-based
-        top-K algorithm, default), ``rdil`` (the TA-style baseline),
-        ``hybrid`` (section V-D) or ``join`` (evaluate everything, then
-        truncate -- the "general join-based" line of Figure 10).
+        ``algorithm`` is one of ``hybrid`` (default, section V-D: the
+        top-K driver with every level finished in bulk), ``topk-join``
+        (the paper's rank join per level), ``rdil`` (the TA-style
+        baseline) or ``join`` (evaluate everything, then truncate -- the
+        "general join-based" line of Figure 10).
 
         ``deadline`` / ``timeout_ms`` / ``on_deadline`` set a query
-        budget (`docs/RELIABILITY.md`), enforced on the ``topk-join``,
-        ``hybrid`` and ``join`` paths (``rdil`` runs unbudgeted).  Under
-        the ``partial`` policy an expired run returns the prefix proven
-        so far: ``TopKResult.partial`` is set and ``TopKResult.bound``
-        is the guarantee gap -- no result the run did not return can
-        score above it.
+        budget (`docs/RELIABILITY.md`), enforced on the ``hybrid``,
+        ``topk-join`` and ``join`` paths at level boundaries and disk
+        column fetches -- ``topk-join`` also after every rank-join block
+        -- and not on ``rdil``.  Under the ``partial`` policy an expired
+        run returns the prefix proven so far: ``TopKResult.partial`` is
+        set and ``TopKResult.bound`` is the guarantee gap -- no result
+        the run did not return can score above it.
         """
         check_semantics(semantics)
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
@@ -561,9 +563,9 @@ class XMLDatabase:
     def _evaluate_topk(self, terms: List[str], semantics: str,
                        algorithm: str, k: int,
                        deadline: Optional[Deadline] = None) -> TopKResult:
-        if algorithm in ("topk-join", "hybrid"):
-            engine = (TopKKeywordSearch if algorithm == "topk-join"
-                      else HybridTopKSearch)(self.columnar_index)
+        if algorithm in ("hybrid", "topk-join"):
+            engine = (HybridTopKSearch if algorithm == "hybrid"
+                      else TopKKeywordSearch)(self.columnar_index)
             if deadline is not None:
                 with deadline_scope(deadline):
                     return engine.search(terms, k, semantics,
@@ -599,7 +601,7 @@ class XMLDatabase:
         defaults to ``join``) and each entry of the returned list is the
         query's `SearchResult` list in document order; with ``k`` set,
         top-K evaluations run instead (``algorithm`` defaults to
-        ``topk-join``) and each entry is the best-first truncated list.
+        ``hybrid``) and each entry is the best-first truncated list.
         With ``with_stats=True`` entries are ``(results,
         ExecutionStats)`` pairs; a repeated query is served from the
         result cache (``stats.cache_hits == 1``) and skips level
@@ -632,7 +634,7 @@ class XMLDatabase:
         check_semantics(semantics)
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         if algorithm is None:
-            algorithm = "join" if k is None else "topk-join"
+            algorithm = "join" if k is None else "hybrid"
 
         def one(query) -> Tuple[ResultSet, ExecutionStats]:
             answer, stats = self._run_query(
@@ -651,9 +653,10 @@ class XMLDatabase:
                       on_deadline: Optional[str] = None):
         """Yield results best-first, lazily (progressive top-K).
 
-        Each ``next()`` advances the join-based top-K machinery only far
-        enough to prove one more result safe; abandoning the generator
-        abandons the remaining work.
+        The default top-K plan (``hybrid``) as a generator: each
+        ``next()`` advances the bottom-up levels only far enough to prove
+        one more result safe; abandoning the generator abandons the
+        remaining work.
 
         A ``deadline`` bounds the stream: under the ``raise`` policy an
         expired budget raises `DeadlineExceeded` from ``next()``; under
@@ -665,8 +668,8 @@ class XMLDatabase:
         the engine checks its deadline parameter instead.)
         """
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
-        return TopKKeywordSearch(self.columnar_index,
-                                 tracer=self.tracer).stream(
+        return HybridTopKSearch(self.columnar_index,
+                                tracer=self.tracer).stream(
             self._terms(query), semantics, deadline=deadline)
 
     def explain(self, query: Union[str, Sequence[str], Query],

@@ -606,8 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--semantics", choices=("elca", "slca"),
                    default="elca")
-    p.add_argument("--algorithm", choices=TOPK_ALGORITHMS,
-                   default="topk-join")
+    p.add_argument("--algorithm", choices=TOPK_ALGORITHMS, default="hybrid",
+                   help="hybrid: levels finished in bulk (default); "
+                        "topk-join: the paper's rank join per level")
     p.add_argument("--timeout-ms", type=float, default=None,
                    help="query budget in milliseconds")
     p.add_argument("--partial", action="store_true",

@@ -113,10 +113,10 @@ class ColumnarPostings:
     occurrence's level.  Columns are materialized lazily and cached.
     """
 
-    #: ``(damping base, order, ...)`` left here by the first
-    #: `repro.index.scored.ScoredPostings` built over this object, so the
-    #: term's score order is sorted once, not once per query.
-    _score_order = None
+    #: ``(damping base, array)`` left here by `repro.index.scored`: the
+    #: per-level list-head bounds and, once a level is ranked, the score
+    #: order -- each computed once per term, not once per query.
+    _level_maxima = _score_order = None
 
     def __init__(self, term: str, seqs: List[JDeweySeq],
                  scores: Sequence[float]):

@@ -6,11 +6,15 @@ the group heads online.  That is only needed for a damping function that
 is not exponential.  `DampingFunction` here is ``base ** delta`` and
 nothing else, so ``score * base ** length`` orders a term's occurrences
 the same way at every level: `ScoredPostings` keeps *one* descending
-order per term (built once per postings object, reused by every level
-and every later query) as each occurrence's rank in it, and a level's
-ranked input is the occurrences of the runs asked for -- the top-K
-driver asks for those of the level's join -- sorted by that rank: work
-in the rows served, not in the length of the list.
+order per term as each occurrence's rank in it, and a level's ranked
+input is the occurrences of the runs asked for -- the top-K driver asks
+for those of the level's join -- sorted by that rank: work in the rows
+served, not in the length of the list.
+
+Both are cached on the postings object on first use: the per-level
+list-head bounds ``max_damped(l)`` (all the cross-level bound reads) and
+the rank order, an argsort of the whole list that only a ranked level
+reads -- a query whose levels are all finished in bulk never sorts it.
 """
 
 from __future__ import annotations
@@ -22,17 +26,17 @@ import numpy as np
 from .columnar import ColumnarPostings, expand_runs
 
 
-def _build_order(postings: ColumnarPostings, base: float):
-    """(rank per occurrence, distinct lengths, best score per length)."""
-    with np.errstate(under="ignore"):
-        key = postings.scores * base ** postings.lengths
-    rank = np.empty(len(key), dtype=np.int64)
-    rank[np.argsort(-key, kind="stable")] = np.arange(len(key))
+def _level_maxima(postings: ColumnarPostings, base: float) -> np.ndarray:
+    """``max_damped(l)`` for l = 1..max_len: the best score per length,
+    damped to l, maximised over the lengths reaching l."""
     lengths = np.unique(postings.lengths)
     best = np.full(len(lengths), -np.inf)
     np.maximum.at(best, np.searchsorted(lengths, postings.lengths),
                   postings.scores)
-    return rank, lengths, best
+    levels = np.arange(1, postings.max_len + 1)[:, None]
+    damped = best * base ** np.maximum(lengths - levels, 0)
+    return np.maximum(np.where(lengths >= levels, damped, -np.inf)
+                      .max(axis=1), 0.0)
 
 
 class ScoredPostings:
@@ -44,14 +48,29 @@ class ScoredPostings:
         self.postings = postings
         self.damping_base = damping_base
         self.max_len = postings.max_len
-        cached = postings._score_order
+        cached = postings._level_maxima
         if cached is None or cached[0] != damping_base:
-            cached = (damping_base,) + _build_order(postings, damping_base)
-            postings._score_order = cached
-        _base, self.rank, self._lengths, self._best = cached
+            cached = postings._level_maxima = (
+                damping_base, _level_maxima(postings, damping_base))
+        #: ``level_max[l-1]`` is `max_damped(l)`.
+        self.level_max = cached[1]
 
     def __len__(self) -> int:
         return len(self.postings)
+
+    @property
+    def rank(self) -> np.ndarray:
+        """Each occurrence's position in the descending order of
+        ``score * base ** length``, sorted on first use."""
+        postings, base = self.postings, self.damping_base
+        cached = postings._score_order
+        if cached is None or cached[0] != base:
+            with np.errstate(under="ignore"):
+                key = postings.scores * base ** postings.lengths
+            rank = np.empty(len(key), dtype=np.int64)
+            rank[np.argsort(-key, kind="stable")] = np.arange(len(key))
+            cached = postings._score_order = (base, rank)
+        return cached[1]
 
     def damp(self, raw_score, length, level: int):
         return raw_score * self.damping_base ** (length - level)
@@ -60,11 +79,8 @@ class ScoredPostings:
         """Upper bound s_m(level): best possible damped score in the
         column, erased occurrences included (the paper's list-head
         scores, one candidate per sequence length)."""
-        deep = self._lengths >= level
-        if not deep.any():
-            return 0.0
-        return max(0.0, float(self.damp(self._best[deep],
-                                        self._lengths[deep], level).max()))
+        return float(self.level_max[level - 1]) if level <= self.max_len \
+            else 0.0
 
     def ranked(self, level: int, eraser=None, runs=None
                ) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,8 @@
 """Plan-quality auditing: EXPLAIN ANALYZE for the section III-C optimizer.
 
 The dynamic planner (`repro.planner.plans.JoinPlanner`) picks merge vs.
-index join per pairwise intersection from a cost model, and the hybrid
-plan leans on cardinality estimates (`repro.planner.cardinality`) --
+index join per pairwise intersection from a cost model, and `explain`
+leans on cardinality estimates (`repro.planner.cardinality`) --
 but nothing in the pipeline ever checks whether those predictions were
 *right*.  This module closes the loop:
 

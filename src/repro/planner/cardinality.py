@@ -1,9 +1,9 @@
 """Join-cardinality estimation (paper section V-D).
 
-The hybrid plan needs to predict, per level, how many JDewey numbers the
-k columns will share before running the join: a large estimate favours
-the top-K join (many results, early termination pays off), a small one
-favours the complete join-based plan.  The estimator is the classic
+The paper's hybrid predicts, per level, how many JDewey numbers the k
+columns will share before running the join.  The top-K drivers here join
+first and read the exact number; `explain` and the plan audit
+(`repro.obs.audit`) still predict it.  The estimator is the classic
 containment-assumption formula from relational optimizers, applied to
 the per-column distinct counts, optionally refined by a sampled overlap
 probe.
@@ -77,7 +77,7 @@ def sampled_estimate(columns: List[np.ndarray], sample_size: int = 64,
 
 
 class CardinalityEstimator:
-    """Per-level join-cardinality estimates for the hybrid planner.
+    """Per-level join-cardinality estimates for `explain` and the audit.
 
     ``sample_size=0`` disables the probe refinement entirely, leaving
     the pure containment formula -- the configuration the plan auditor

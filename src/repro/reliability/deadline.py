@@ -3,14 +3,14 @@
 A `Deadline` is a wall-clock budget plus an expiry policy, threaded
 through `XMLDatabase.search` / `search_topk` / `search_batch` /
 `search_stream` and checked at cheap boundaries: once per level in
-`JoinBasedSearch`, every few rank-join retrievals in
+`JoinBasedSearch` and the top-K drivers, after every rank-join block in
 `TopKKeywordSearch`, and per column decompression in the disk
 index.  Two policies:
 
 * ``raise``   -- expiry raises `DeadlineExceeded` (default);
 * ``partial`` -- the engine stops cleanly and returns everything proven
   so far, with ``ExecutionStats.partial`` / ``levels_skipped`` set and,
-  on the top-K path, the rank-join's current bound reported as the
+  on the top-K path, the run's current bound reported as the
   guarantee gap (no unreturned result can score above it).
 
 Because partial results are produced by stopping a bottom-up evaluation

@@ -202,7 +202,7 @@ def _serve_shard(payload):
                     terms, semantics, "join", deadline=deadline)
                 partial, bound = stats.partial, None
             else:
-                top = db._topk_result(terms, semantics, "topk-join", k + 1,
+                top = db._topk_result(terms, semantics, "hybrid", k + 1,
                                       deadline=deadline)
                 results, stats = top.results, top.stats
                 partial, bound = top.partial, top.bound

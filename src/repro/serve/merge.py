@@ -48,6 +48,7 @@ import numpy as np
 from ..algorithms.base import (ELCA, SLCA, EmptyResultError, ExecutionStats,
                                ResultSet, SearchResult, TopKResult,
                                check_semantics, sort_by_document_order)
+from ..algorithms.hybrid import HybridTopKSearch
 from ..algorithms.topk_keyword import TopKKeywordSearch, _StreamState
 from ..cache import QueryCache, result_key
 from ..obs.account import accounting, fold_into_stats
@@ -182,7 +183,8 @@ class ShardedDatabase:
     The facade carries its own result `QueryCache` for merged answers.
 
     Supported algorithms are the join family -- ``join`` for complete
-    evaluation, ``topk-join`` for top-K.  The baselines (``stack`` /
+    evaluation, ``hybrid`` (default) and ``topk-join`` for top-K, both
+    streams of the same driver.  The baselines (``stack`` /
     ``index`` / ``oracle`` / ``rdil``) have no cross-shard merge, so
     they are rejected instead of answered wrongly.
     """
@@ -377,8 +379,10 @@ class ShardedDatabase:
     def _merged_stream(self, terms: Sequence[str], semantics: str,
                        stats: ExecutionStats, state: _StreamState,
                        target_k: int = 2 ** 30,
-                       deadline: Optional[Deadline] = None):
-        """Rank-join over per-shard best-first streams.
+                       deadline: Optional[Deadline] = None,
+                       algorithm: str = "hybrid"):
+        """Rank-join over per-shard best-first streams of `algorithm`'s
+        driver.
 
         Classic k-way merge with lazy pulls: a shard's stream advances
         only while its head is the global best, so a shard whose best
@@ -401,10 +405,12 @@ class ShardedDatabase:
             return
         shard_states: List[_StreamState] = []
         streams = []
+        driver = (HybridTopKSearch if algorithm == "hybrid"
+                  else TopKKeywordSearch)
         for db in self._qualifying(terms):
             shard_state = _StreamState()
             shard_states.append(shard_state)
-            engine = TopKKeywordSearch(db.columnar_index, tracer=db.tracer)
+            engine = driver(db.columnar_index, tracer=db.tracer)
             raw = engine.stream(terms, semantics, stats=stats,
                                 target_k=min(target_k + 1, 2 ** 30),
                                 _state=shard_state, deadline=deadline)
@@ -455,12 +461,13 @@ class ShardedDatabase:
             state.finished = True
 
     def search_topk(self, query, k: int, semantics: str = ELCA,
-                    algorithm: str = "topk-join", strict: bool = False,
+                    algorithm: str = "hybrid", strict: bool = False,
                     deadline: Optional[Union[Deadline, float]] = None,
                     timeout_ms: Optional[float] = None,
                     on_deadline: Optional[str] = None) -> TopKResult:
         """Top-`k` best-first across all shards -- same contract as
-        `XMLDatabase.search_topk` with ``algorithm="topk-join"``.
+        `XMLDatabase.search_topk` with ``algorithm="hybrid"`` (default)
+        or ``"topk-join"``.
 
         Complete runs match the unsharded engine result for result
         (ids, scores, order and ``bound``); a run cut by a ``partial``
@@ -469,10 +476,10 @@ class ShardedDatabase:
         conservatively marked partial even when k results were found.
         """
         check_semantics(semantics)
-        if algorithm != "topk-join":
+        if algorithm not in ("hybrid", "topk-join"):
             raise ValueError(
-                "a sharded database serves algorithm='topk-join' for "
-                f"top-K, not {algorithm!r}")
+                "a sharded database serves algorithm='hybrid' or "
+                f"'topk-join' for top-K, not {algorithm!r}")
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         stats = ExecutionStats()
         terms = self._terms(query)
@@ -487,7 +494,7 @@ class ShardedDatabase:
         # on this query's stats.
         with accounting() as account:
             generator = self._merged_stream(terms, semantics, stats, state,
-                                            target_k=k, deadline=deadline)
+                                            k, deadline, algorithm)
             results = list(generator)
             generator.close()
         fold_into_stats(stats, account)
@@ -533,7 +540,7 @@ class ShardedDatabase:
         check_semantics(semantics)
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         if algorithm is None:
-            algorithm = "join" if k is None else "topk-join"
+            algorithm = "join" if k is None else "hybrid"
 
         def one(query):
             if k is None:

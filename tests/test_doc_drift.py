@@ -7,8 +7,8 @@ skill name must still exist (see `TestDocumentedCommands`).
 
 Removed names: the options, environment variable and functions that
 went with the four-format storage stack, the library's own batch
-pools and the phase profiler must not come back into a doc, the CI
-workflow or the skill (see `REMOVED_NAMES`).
+pools, the phase profiler and the hybrid's plan switch must not come
+back into a doc, the CI workflow or the skill (see `REMOVED_NAMES`).
 
 The test drives an inline daemon (with accounting, tracing, caching
 and a disk-backed sharded database, so as many families as
@@ -181,6 +181,9 @@ REMOVED_NAMES = (
     "deserialize_columnar_index", "postings_cache_size",
     "postings_capacity", "postings_cache=", "record_cache",
     "postings_nbytes", "_materialize_seqs", "postings_hit_ratio",
+    # the hybrid's per-level plan switch and its record: the plan is a
+    # property of the algorithm name
+    "switch_factor", "plan_trace",
 )
 
 #: (name, context): a removed option whose spelling something else still
@@ -226,6 +229,7 @@ class TestDocumentedCommands:
                     found.setdefault(f"{context}({name}...)", rel)
         assert not found, f"docs name what was removed: {found}"
         # ... and they really are gone from the code the docs describe.
+        import repro.algorithms.hybrid
         import repro.api
         import repro.cache
         import repro.diskdb
@@ -242,7 +246,8 @@ class TestDocumentedCommands:
                               repro.api, repro.api.XMLDatabase,
                               repro.cache.QueryCache, repro.obs.account,
                               repro.obs.account.ResourceAccount,
-                              repro.serve.sharding):
+                              repro.serve.sharding,
+                              repro.algorithms.hybrid.HybridTopKSearch):
                     assert not hasattr(owner, name), (owner, name)
 
     def test_hybrid_row_names_no_estimator(self):
@@ -253,6 +258,22 @@ class TestDocumentedCommands:
         rows = [line for line in text.splitlines()
                 if line.startswith("| `HybridTopKSearch(")]
         assert rows and not any("estimat" in row for row in rows), rows
+
+    def test_search_topk_row_names_the_default_plan(self):
+        text = open(os.path.join(ROOT, "docs", "API.md"),
+                    encoding="utf-8").read()
+        rows = [line for line in text.splitlines()
+                if line.startswith("| `.search_topk(")]
+        assert len(rows) == 1 and 'algorithm="hybrid"' in rows[0], rows
+
+    def test_plan_switch_names_stay_out_of_src(self):
+        """`REMOVED_NAMES` keeps the plan switch out of the docs; no
+        source file names it either."""
+        found = [os.path.relpath(path, ROOT) for path in glob.glob(
+                     os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+                 if re.search(r"switch_factor|plan_trace",
+                              open(path, encoding="utf-8").read())]
+        assert not found, found
 
     def test_modules_are_importable(self):
         modules = _mentions(MODULE_RE)

@@ -387,7 +387,7 @@ class TestTracedPipeline:
     def test_rank_join_progress_tags(self, small_db):
         tracer = Tracer()
         db = _fresh_db(small_db, tracer=tracer)
-        db.search_topk("xml data", k=2)
+        db.search_topk("xml data", k=2, algorithm="topk-join")
         spans = tracer.last_root().find("rank_join")
         assert spans
         for key in ("tuples_retrieved", "completed", "pending", "groups"):

@@ -177,7 +177,7 @@ class TestDatabaseIntegration:
 
     def test_topk_attributes_rank_join_phases(self, dblp_db):
         db = _fresh_db(dblp_db, tracer=Tracer())
-        db.search_topk("alpha beta", k=3)
+        db.search_topk("alpha beta", k=3, algorithm="topk-join")
         root = db.tracer.last_root()
         phases = phase_totals(root)
         assert "rank_join" in phases
@@ -185,6 +185,15 @@ class TestDatabaseIntegration:
         assert set(phases) <= set(PHASES)
         assert sum(phases.values()) == pytest.approx(root.duration_ms)
         assert _phase_sums(db) == pytest.approx(phases)
+
+    def test_default_topk_attributes_bulk_level_phases(self, dblp_db):
+        """The default plan finishes its levels in bulk: its time shows
+        up as ``score`` / ``erase``, never as ``rank_join``."""
+        db = _fresh_db(dblp_db, tracer=Tracer())
+        db.search_topk("alpha beta", k=3)
+        phases = phase_totals(db.tracer.last_root())
+        assert {"join", "score", "erase", "topk"} <= set(phases)
+        assert "rank_join" not in phases
 
     def test_slow_log_carries_the_phase_breakdown(self, small_db):
         db = _fresh_db(small_db, slow_query_ms=0.0)  # record everything

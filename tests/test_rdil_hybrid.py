@@ -7,6 +7,8 @@ from repro.algorithms.hybrid import HybridTopKSearch
 from repro.algorithms.join_based import JoinBasedSearch
 from repro.algorithms.oracle import SemanticsOracle
 from repro.algorithms.rdil import RDILSearch
+from repro.algorithms.topk_keyword import TopKKeywordSearch
+from repro.obs import Tracer
 from repro.reliability import Deadline, DeadlineExceeded
 from tests.conftest import StepClock
 
@@ -86,53 +88,38 @@ class TestHybridCorrectness:
         assert [round(r.score, 9) for r in got] == \
             [round(r.score, 9) for r in expected]
 
-    def test_plan_trace_recorded(self, corpus_db):
-        engine = HybridTopKSearch(corpus_db.columnar_index)
-        engine.search(["alpha", "beta"], 5)
-        assert engine.plan_trace
-        assert set(engine.plan_trace) <= {"topk", "eager"}
-
     def test_low_cardinality_prefers_eager(self, corpus_db):
-        """Scarce results -> the rank join is avoided."""
-        engine = HybridTopKSearch(corpus_db.columnar_index,
-                                  switch_factor=4.0)
-        engine.search(["rare", "gamma"], 10)
-        assert "eager" in engine.plan_trace
+        """Scarce results -> the rank join is avoided: every level the
+        hybrid processes is checked, scored and erased in bulk."""
+        tracer = Tracer()
+        with tracer.span("query"):
+            HybridTopKSearch(corpus_db.columnar_index, tracer=tracer).search(
+                ["rare", "gamma"], 10)
+        names = [s.name for s in tracer.last_root().walk()]
+        assert "score" in names and "rank_join" not in names
 
-    def test_plan_reads_the_exact_join_size(self, dblp_db):
-        """The first level's plan is decided by how many numbers its
-        columns join to, not by an estimate of that: 34 here, so top-5
-        at factor 4 rank-joins (34 >= 20) and top-10 does not."""
-        assert join_sizes(dblp_db, ["cx", "cy"])[0] == 34
-        for k, plan in ((5, "topk"), (8, "topk"), (9, "eager"),
-                        (10, "eager")):
-            engine = HybridTopKSearch(dblp_db.columnar_index,
-                                      switch_factor=4.0)
-            engine.search(["cx", "cy"], k)
-            assert engine.plan_trace[0] == plan
-        with pytest.raises(TypeError):
-            HybridTopKSearch(dblp_db.columnar_index, estimator=None)
-
-    def test_switch_factor_extremes(self, corpus_db):
+    def test_both_plans_match_the_reference(self, corpus_db):
+        """The plan is fixed by the name: ``hybrid`` finishes every level
+        in bulk, ``topk-join`` rank-joins every level something joins
+        at; the answers are the same."""
         index = corpus_db.columnar_index
         for terms in (["cx", "cy"], ["rare", "gamma"]):
-            always_eager = HybridTopKSearch(index,
-                                            switch_factor=float("inf"))
-            always_topk = HybridTopKSearch(index, switch_factor=0.0)
             expected = reference_topk(corpus_db, terms, 5)
-            for engine in (always_eager, always_topk):
-                got = engine.search(terms, 5)
+            sizes = join_sizes(corpus_db, terms)
+            for engine_class in (HybridTopKSearch, TopKKeywordSearch):
+                tracer = Tracer()
+                with tracer.span("query"):
+                    got = engine_class(index, tracer=tracer).search(terms, 5)
                 assert [round(r.score, 9) for r in got] == \
                     [round(r.score, 9) for r in expected]
-            assert set(always_eager.plan_trace) == {"eager"}
-            # Factor 0 rank-joins every level something joins at; a
-            # level whose join is empty has no plan to pick and is
-            # recorded eager.
-            sizes = join_sizes(corpus_db, terms)
-            assert always_topk.plan_trace == [
-                "topk" if size else "eager"
-                for size in sizes[:len(always_topk.plan_trace)]]
-            assert "topk" in always_topk.plan_trace
+                spans = list(tracer.last_root().walk())
+                ranked = [s for s in spans if s.name == "rank_join"]
+                joins = [s.tags["output"] for s in spans if s.name == "join"]
+                assert joins == sizes[:len(joins)]
+                if engine_class is HybridTopKSearch:
+                    assert not ranked
+                else:
+                    assert len(ranked) == sum(1 for n in joins if n) > 0
 
     def test_k_zero(self, small_db):
         engine = HybridTopKSearch(small_db.columnar_index)
@@ -140,8 +127,8 @@ class TestHybridCorrectness:
 
 
 class TestHybridDeadline:
-    """`search_topk(algorithm="hybrid")` enforces the query budget like
-    the ``topk-join`` and ``join`` paths do."""
+    """`search_topk(algorithm="hybrid")`, the default, enforces the query
+    budget like the ``topk-join`` and ``join`` paths do."""
 
     def test_raise_policy_raises(self, dblp_db):
         for algorithm in ("hybrid", "topk-join", "join"):
@@ -162,19 +149,23 @@ class TestHybridDeadline:
         assert all(r.score <= spent.bound for r in list(full)[len(spent):])
 
     def test_mid_run_partial_is_a_sound_prefix(self, dblp_db):
-        engine = HybridTopKSearch(dblp_db.columnar_index, switch_factor=0.0)
+        """Cut at every few polls: the hybrid polls once per level, the
+        rank join after every block as well; either way a prefix."""
         terms = ["gamma", "beta"]
-        full = [(r.node.dewey, r.score)
-                for r in engine.search(terms, 10_000)]
-        partials = 0
-        for budget in (1.5, 3, 6, 12, 24, 48):
-            result = engine.search(terms, len(full) + 1, deadline=Deadline(
-                timeout_ms=budget, on_deadline="partial",
-                clock=StepClock(0.001)))
-            got = [(r.node.dewey, r.score) for r in result]
-            assert got == full[:len(got)]
-            if result.partial:
-                partials += 1
-                assert all(score <= result.bound + 1e-9
-                           for _dewey, score in full[len(got):])
-        assert partials
+        for engine in (HybridTopKSearch(dblp_db.columnar_index),
+                       TopKKeywordSearch(dblp_db.columnar_index)):
+            full = [(r.node.dewey, r.score)
+                    for r in engine.search(terms, 10_000)]
+            partials = 0
+            for budget in (1.5, 3, 6, 12, 24, 48):
+                result = engine.search(
+                    terms, len(full) + 1, deadline=Deadline(
+                        timeout_ms=budget, on_deadline="partial",
+                        clock=StepClock(0.001)))
+                got = [(r.node.dewey, r.score) for r in result]
+                assert got == full[:len(got)]
+                if result.partial:
+                    partials += 1
+                    assert all(score <= result.bound + 1e-9
+                               for _dewey, score in full[len(got):])
+            assert partials

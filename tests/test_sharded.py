@@ -114,6 +114,30 @@ class TestEquivalence:
             assert canon(list(g)) == canon(list(w))
         assert not got.errors
 
+    @pytest.mark.parametrize("n_shards", (1, 2, 4))
+    def test_both_topk_plans_match_flat(self, dblp_db, n_shards):
+        """``hybrid`` (the default) and ``topk-join`` are streams of the
+        same driver: a sharded database serves both, by name, in
+        `search_topk` and `search_batch`, with the flat answers."""
+        sharded = ShardedDatabase.from_database(dblp_db, n_shards)
+        queries = list(QUERIES)
+        for algorithm in ("hybrid", "topk-join"):
+            for semantics in SEMANTICS:
+                for query in queries:
+                    want = dblp_db.search_topk(query, 5, semantics,
+                                               algorithm=algorithm)
+                    got = sharded.search_topk(query, 5, semantics,
+                                              algorithm=algorithm)
+                    assert canon(got) == canon(want), (algorithm, query)
+            want = dblp_db.search_batch(queries, k=5, algorithm=algorithm,
+                                        use_cache=False)
+            got = sharded.search_batch(queries, k=5, algorithm=algorithm,
+                                       use_cache=False)
+            assert not got.errors
+            assert [canon(g) for g in got] == [canon(w) for w in want]
+        with pytest.raises(ValueError, match="hybrid"):
+            sharded.search_topk("alpha beta", 5, algorithm="rdil")
+
 
 class TestEmptyTermList:
     """A query that tokenizes to no terms has no answers -- not the

@@ -1,11 +1,13 @@
-"""Differential tests for the block-at-a-time top-K engine.
+"""Differential tests for the block-at-a-time top-K engine and the default
+top-K plan.
 
-Three independent accounts of a top-K answer must agree: the block
-engine in `src/` (`TopKKeywordSearch`: the level's join first, then
+Independent accounts of a top-K answer must agree: the block engine in
+`src/` (`TopKKeywordSearch`: the level's join first, then
 `BlockStarJoin` over the single per-term score order reduced to that
 join), the per-tuple engine it replaced (`tests/reference_topk.py`,
-which rank-joins whole columns and is the unreduced reference) and the
-naive `SemanticsOracle`.  The ranked input a level serves is compared
+which rank-joins whole columns and is the unreduced reference), the
+default plan (`HybridTopKSearch`: every level finished in bulk), flat
+and on two shards, and the naive `SemanticsOracle`.  The ranked input a level serves is compared
 with the reference `ColumnCursor`'s pop sequence directly, and the work
 is held to counts: the block over-read bound, no pull at a level nothing
 joins at, no more tuples than the joined runs hold.
@@ -23,6 +25,7 @@ from repro.algorithms import topk_join as block_module
 from repro.algorithms import topk_keyword as driver_module
 from repro.algorithms.base import ExecutionStats
 from repro.algorithms.erasure import make_eraser
+from repro.algorithms.hybrid import HybridTopKSearch
 from repro.algorithms.join_based import JoinBasedSearch, LevelRun
 from repro.algorithms.oracle import SemanticsOracle
 from repro.algorithms.topk_join import CLASSIC, GROUP, BlockStarJoin
@@ -172,20 +175,35 @@ def rank_joins(monkeypatch):
     return built
 
 
+def exact(results):
+    return [(r.node.dewey, r.score) for r in results]
+
+
 def check_engines_agree(db, ranking, terms, semantics, bound_mode):
-    """Block engine = per-tuple engine = oracle at k of 1, 3, 10, the
-    result count and one beyond it; `stream` is the same order, and a
-    stream abandoned after n results read no more than `search(n)`."""
+    """Block engine = per-tuple engine = default plan (flat and on two
+    shards) = oracle at k of 1, 3, 10, the result count and one beyond
+    it; `stream` is the same order -- for the default plan, exactly
+    `search(k)` up to k -- and a block stream abandoned after n results
+    read no more than `search(n)`."""
     oracle = SemanticsOracle(db.tree, db.inverted_index, ranking)
     expected = sorted(scores_of(oracle.evaluate(terms, semantics)),
                       reverse=True)
     block = TopKKeywordSearch(db.columnar_index, bound_mode)
     per_tuple = PerTupleTopKSearch(db.columnar_index, bound_mode)
+    default = HybridTopKSearch(db.columnar_index, bound_mode)
+    sharded = ShardedDatabase.from_database(db, 2)
     for k in sorted({1, 3, 10, max(1, len(expected)), len(expected) + 1}):
         got = block.search(terms, k, semantics)
         ref = per_tuple.search(terms, k, semantics)
         assert scores_of(got) == expected[:k]
         assert scores_of(ref) == expected[:k]
+        for plan, stream in (
+                (default.search(terms, k, semantics),
+                 default.stream(terms, semantics)),
+                (sharded.search_topk(terms, k, semantics),
+                 sharded.search_stream(terms, semantics))):
+            assert scores_of(plan) == expected[:k]
+            assert exact(itertools.islice(stream, k)) == exact(plan)
         for result in got:
             assert result.score == \
                 ranking.score_result(result.witness_scores)
@@ -354,6 +372,27 @@ class TestRankedInput:
             if len(scores):
                 assert scored.max_damped(level) >= scores[0]
 
+    @pytest.mark.parametrize("base", [0.5, 0.9, 1.0])
+    @settings(max_examples=60, deadline=None)
+    @given(case=scored_term())
+    def test_level_maxima_equal_the_scalar_bound(self, base, case):
+        """The cached per-level vector is, bit for bit, the list-head
+        bound computed one level at a time: per sequence length the best
+        score, damped to the level, maximised over the lengths reaching
+        it (0 where none does); and it is computed once per postings."""
+        postings, _marks = case
+        scored = ScoredPostings(postings, base)
+        lengths = np.unique(postings.lengths)
+        best = np.array([postings.scores[postings.lengths == n].max()
+                         for n in lengths])
+        for level in range(1, postings.max_len + 2):
+            deep = lengths >= level
+            want = max(0.0, float((best[deep] * base ** (
+                lengths[deep] - level)).max())) if deep.any() else 0.0
+            assert scored.max_damped(level) == want
+        assert ScoredPostings(postings, base).level_max is scored.level_max
+        assert postings._score_order is None
+
     def test_order_that_rounding_broke_is_resorted(self, dblp_db):
         """`ranked` checks what it serves: hand it a per-term order that
         does not descend and the array still does, with the same
@@ -479,6 +518,32 @@ class TestCountsNotClocks:
         assert rank_joins and all(join._values is None
                                   for _level, join, _rows in rank_joins)
 
+    def test_default_plan_sorts_no_score_order_and_pulls_nothing(
+            self, small_db, tmp_path, monkeypatch):
+        """The default plan reads the per-level list-head bounds and
+        nothing else of the score-ordered view: on a fresh index, in
+        memory and opened from disk, no term's order is sorted and no
+        star join is built until a ``topk-join`` query ranks a level."""
+        built = []
+        init = BlockStarJoin.__init__
+
+        def counting_init(join, *args, **kwargs):
+            built.append(join)
+            init(join, *args, **kwargs)
+
+        monkeypatch.setattr(BlockStarJoin, "__init__", counting_init)
+        small_db.save(str(tmp_path / "db"))
+        for db in (small_db, XMLDatabase.open(str(tmp_path / "db"))):
+            postings = db.columnar_index.query_postings(["xml", "data"])
+            assert db.search_topk("xml data", 3)
+            assert not built
+            assert all(p._score_order is None for p in postings)
+            assert all(p._level_maxima is not None for p in postings)
+            db.search_topk("xml data", 3, algorithm="topk-join")
+            assert built
+            assert all(p._score_order is not None for p in postings)
+            built.clear()
+
     #: What the unreduced engine scanned on the six correlated queries
     #: of `planted_corpus` (rank joins over whole columns, a full join
     #: only where a level drained), measured on the commit before the
@@ -500,9 +565,11 @@ class TestCountsNotClocks:
 
 
 class TestDeadlineAfterTheJoin:
-    """The budget runs out while a level's columns are being joined:
-    the rank join that follows takes one block, and the poll after it
-    stops the run."""
+    """The budget runs out inside a level.  ``topk-join``: while the
+    level's columns are being joined -- the rank join that follows takes
+    one block, and the poll after it stops the run.  The default plan
+    has no blocks: it polls at level boundaries, so the level finishes
+    and the next boundary stops the run."""
 
     @pytest.mark.parametrize("shards", [None, 2], ids=["flat", "2shards"])
     def test_expiry_between_join_and_first_pull(self, dblp_db, shards,
@@ -528,13 +595,48 @@ class TestDeadlineAfterTheJoin:
         monkeypatch.setattr(LevelRun, "join_level", join_then_expire)
         monkeypatch.setattr(BlockStarJoin, "pull", counting_pull)
         with pytest.raises(DeadlineExceeded):
-            db.search_topk("gamma beta", 5, deadline=Deadline(
-                timeout_ms=1000, on_deadline="raise", clock=clock))
+            db.search_topk("gamma beta", 5, algorithm="topk-join",
+                           deadline=Deadline(timeout_ms=1000,
+                                             on_deadline="raise",
+                                             clock=clock))
         assert pulls == [10.0]      # one block, after the join
         clock.now, pulls[:] = 0.0, []
-        cut = db.search_topk("gamma beta", len(full) + 1, deadline=Deadline(
-            timeout_ms=1000, on_deadline="partial", clock=clock))
+        cut = db.search_topk("gamma beta", len(full) + 1,
+                             algorithm="topk-join", deadline=Deadline(
+                                 timeout_ms=1000, on_deadline="partial",
+                                 clock=clock))
         assert cut.partial and len(pulls) <= (shards or 1)
         got = [(r.node.dewey, r.score) for r in cut]
         assert got == full[:len(got)]
         assert all(score <= cut.bound for _dewey, score in full[len(got):])
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["flat", "2shards"])
+    def test_default_plan_stops_at_the_next_level_boundary(
+            self, dblp_db, shards, monkeypatch):
+        db = dblp_db if shards is None else \
+            ShardedDatabase.from_database(dblp_db, shards)
+        full = exact(db.search_stream("gamma beta"))
+        clock = StepClock(0.0)
+        finish_level = LevelRun.finish_level
+
+        def finish_then_expire(run, level, columns, joined, *args):
+            done = finish_level(run, level, columns, joined, *args)
+            if len(joined):
+                clock.now = 10.0
+            return done
+
+        def topk(k, policy):
+            clock.now = 0.0
+            return db.search_topk("gamma beta", k, deadline=Deadline(
+                timeout_ms=1000, on_deadline=policy, clock=clock))
+
+        monkeypatch.setattr(LevelRun, "finish_level", finish_then_expire)
+        cut = topk(len(full) + 1, "partial")
+        assert cut.partial and exact(cut) == full[:len(cut)]
+        assert all(score <= cut.bound for _dewey, score in full[len(cut):])
+        with pytest.raises(DeadlineExceeded):
+            topk(len(cut) + 1, "raise")
+        if shards is None:
+            # What the expired level completed needs no further boundary.
+            assert len(cut) >= 1
+            assert exact(topk(len(cut), "raise")) == full[:len(cut)]
