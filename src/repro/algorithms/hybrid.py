@@ -7,13 +7,13 @@ results are scarce (the rank join is overhead on top of the join).  The
 paper's hybrid picks one of the two per level from the level's join
 cardinality.
 
-`HybridTopKSearch` is the top-K driver of `repro.algorithms.topk_keyword`
--- cross-level bound, emission, early termination, `stream`, deadline --
-with every level finished in bulk: `LevelRun.join_level`, then
-`LevelRun.finish_level` (check, score and erase every joined number at
-once, as complete evaluation does), then `flush` of what the bound lets
-out; the query stops at the level that fills the top-K.  The rank join
-is ``algorithm="topk-join"``, Figure 10's line.
+`HybridTopKSearch` is complete evaluation's level loop run with a K:
+each level is `LevelRun.join_level` then `LevelRun.finish_level` (check,
+score and erase every joined number at once), exactly as `evaluate`
+runs it, and the top-K driver adds the cross-level bound, emission,
+early termination and `stream` -- `flush` lets out what the bound
+allows, and the query stops at the level that fills the top-K.  The
+rank join is ``algorithm="topk-join"``, Figure 10's line.
 
 No per-level choice is left to make (DESIGN.md, item 8): with the join
 first, a ranked level's input preparation (`ScoredPostings.ranked` over

@@ -31,6 +31,9 @@ per-level cost stays columnar, matching the paper's bulk-relational
 design -- and what passes goes straight into the columns of a
 `ResultSet`.  The per-candidate formulation of the same test is the
 differential reference in ``tests/reference_join.py``.
+
+`JoinBasedSearch._batches` is the one level loop: complete evaluation
+runs it to the end with no K, the top-K engines with a K.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ..index.columnar import (ColumnarIndex, ColumnarPostings,
                               expand_runs)
 from ..obs.tracing import span
 from ..planner.plans import JoinPlanner
-from ..reliability.deadline import Deadline
+from ..reliability.deadline import Deadline, check_active, deadline_scope
 from ..reliability.errors import DeadlineExceeded
 from ..scoring.ranking import RankingModel
 from .base import (ELCA, SLCA, ExecutionStats, ResultSet, check_semantics,
@@ -51,14 +54,32 @@ from .base import (ELCA, SLCA, ExecutionStats, ResultSet, check_semantics,
 from .erasure import erase_runs, make_eraser
 
 
+class _StreamState:
+    """Out-of-band outcome of the level loop: completion flag plus, for
+    budgeted runs stopped early under the "partial" policy, the
+    guarantee gap.
+
+    ``bound`` is the score below which the partial run proves nothing:
+    every result it *did* yield scored at least ``bound`` (emission
+    requires beating the live threshold), and any result it never
+    reached scores at most ``bound``.  The yielded list is therefore a
+    prefix of the unbounded run's emission order."""
+
+    __slots__ = ("finished", "partial", "bound")
+
+    def __init__(self):
+        self.finished = False
+        self.partial = False
+        self.bound: Optional[float] = None
+
+
 class LevelRun:
-    """One query's bottom-up pass: the per-term state every level reads
-    (postings in execution order, their erasers), the answers found so
-    far (`pending()`, one `ResultSet`), and the steps of a level:
-    `join_level`, then `finish_level` -- or, in the top-K drivers, a
-    rank join over what joined and `erase_level`.
-    ``engine`` supplies the index, planner, eraser mode, ranking model
-    and span factory."""
+    """One query's bottom-up pass with no K (so no bound): the per-term
+    state every level reads (postings in execution order, their
+    erasers), the answers `flush` has not taken, and the steps of a
+    level: `join_level`, then `finish_level` -- or, in the top-K drivers,
+    a rank join over what joined and `erase_level`.  ``engine`` supplies
+    the index, planner, eraser mode, ranking model and span factory."""
 
     def __init__(self, engine, postings: List[ColumnarPostings],
                  terms: Sequence[str], semantics: str,
@@ -81,6 +102,13 @@ class LevelRun:
         # witness) arrays of the chunks they came in.
         self.chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.top = -float("inf")    # best pending score
+        # cross_bound[l-1] bounds every result at levels <= l.
+        self.cross_bound = [-float("inf")] * self.start_level
+
+    def below(self, level: int) -> float:
+        """Bound on every result of the levels above `level` (numbered
+        below it)."""
+        return self.cross_bound[level - 2] if level > 1 else -float("inf")
 
     def pending_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, scores, witness) of the chunks end to end; one at least."""
@@ -88,10 +116,12 @@ class LevelRun:
             return self.chunks[0]
         return tuple(np.concatenate(column) for column in zip(*self.chunks))
 
-    def pending(self) -> ResultSet:
-        """The chunks as one `ResultSet`."""
-        return ResultSet(self.table, *self.pending_arrays()) \
+    def flush(self, bound: float) -> ResultSet:
+        """Remove and return the pending results: all, unsorted."""
+        results = ResultSet(self.table, *self.pending_arrays()) \
             if self.chunks else self.nothing
+        self.chunks, self.top = [], -float("inf")
+        return results
 
     def push(self, level: int, numbers: np.ndarray,
              witness: Optional[np.ndarray]) -> None:
@@ -187,64 +217,121 @@ class JoinBasedSearch:
                  with_scores: bool = True, observer=None,
                  deadline: Optional[Deadline] = None
                  ) -> Tuple[ResultSet, ExecutionStats]:
-        """All results for `terms`, in document order, plus work counters.
+        """All results for `terms`, in document order, plus work counters:
+        the level loop run to the end with no K.
 
         ``observer``, if given, is called per processed level as
         ``observer(level, columns, joined, emitted_at_level)`` -- the
         hook behind `repro.algorithms.explain`.
 
         ``deadline`` (a `repro.reliability.Deadline`) is polled once per
-        level -- the cheap boundary of this bottom-up loop.  On expiry
-        the ``raise`` policy raises `DeadlineExceeded`; the ``partial``
-        policy stops cleanly and returns the results of the levels
-        already processed (a subset of the unbounded result set, since
-        same-level candidates never interact), with ``stats.partial``
-        set and the unvisited levels counted in ``stats.levels_skipped``.
+        level -- the cheap boundary of this bottom-up loop -- and by the
+        disk index per column decode.  On expiry the ``raise`` policy
+        raises `DeadlineExceeded`; the ``partial`` policy stops cleanly
+        and returns the results of the levels already processed (a
+        subset of the unbounded result set, since same-level candidates
+        never interact), with ``stats.partial`` set and the unvisited
+        levels counted in ``stats.levels_skipped``.
         """
         check_semantics(semantics)
         stats = ExecutionStats()
         terms = list(terms)
-        nothing = ResultSet.empty(self.index.nodes, len(terms))
+        batches = self._batches(terms, semantics, stats, None,
+                                _StreamState(), deadline, with_scores,
+                                observer)
+        results = ResultSet.concat(self.index.nodes, list(batches),
+                                   len(terms))
+        stats.results_emitted = len(results)
+        return sort_by_document_order(results), stats
+
+    def _batches(self, terms: List[str], semantics: str,
+                 stats: ExecutionStats, target_k: Optional[int],
+                 state: _StreamState, deadline: Optional[Deadline],
+                 with_scores: bool = True, observer=None):
+        """The emission order as `ResultSet`s, one per emission attempt
+        (empty when the bound let nothing out): what `evaluate` joins up,
+        `stream` hands out a view at a time and `search` cuts at k.
+        ``deadline`` is polled as `stream` says, and is the thread's scope
+        for the column fetch alone -- never across a ``yield``."""
         if not terms:
-            return nothing, stats
+            state.finished = True
+            return
         with self.span("postings_fetch", terms=list(terms)) as pspan:
             postings = self.index.query_postings(terms)
             pspan.tag(list_sizes=[len(p) for p in postings])
         if any(len(p) == 0 for p in postings):
-            return nothing, stats
-        run = LevelRun(self, postings, terms, semantics, stats)
+            state.finished = True
+            return
+        # No K, no bound: a `LevelRun`, every level finished in bulk.
+        run = (LevelRun(self, postings, terms, semantics, stats)
+               if target_k is None else self.run_class(
+                   self, postings, terms, semantics, stats, target_k))
+        rank = target_k is not None and self.rank_levels
+
+        def stop_partial(level: int, engine_bound: float) -> None:
+            # Unyielded-but-pending results must stay under the gap
+            # too; the best pending score caps them.
+            state.partial = True
+            state.bound = max(engine_bound, run.top)
+            stats.partial = True
+            stats.levels_skipped += level
 
         for level in range(run.start_level, 0, -1):
-            if deadline is not None and deadline.expired():
-                if not deadline.partial_ok:
-                    deadline.raise_expired()
-                stats.partial = True
-                stats.levels_skipped += level
-                break
+            below = run.below(level)
             try:
-                columns = [p.column(level) for p in postings]
-                if any(len(c) == 0 for c in columns):
-                    continue
-                stats.levels_processed += 1
-                joined = run.join_level(level, columns)
+                with deadline_scope(deadline):
+                    check_active()      # the level boundary
+                    columns = [p.column(level) for p in postings]
+            except DeadlineExceeded:
+                # Expired at the boundary or inside a decode.  Results
+                # emitted before the cut are individually valid (the
+                # ELCA/SLCA test only reads lower-level erasures).
+                if deadline is None or not deadline.partial_ok:
+                    raise
+                stop_partial(level, run.cross_bound[level - 1])
+                return
+            if any(len(c) == 0 for c in columns):
+                yield run.flush(below)
+                continue
+            stats.levels_processed += 1
+            joined = run.join_level(level, columns)
+            if rank and len(joined):
+                run_bounds = [c.runs_of(joined) for c in columns]
+                tuples_mark = stats.tuples_scanned
+                # Emission needs a *fresh* threshold (group partials can
+                # push it up), so it is attempted after every block -- a
+                # longer block only delays emission, never corrupts it.
+                # The rank-join span stays open across `yield`s, so its
+                # duration includes consumer time when the stream is
+                # driven incrementally.
+                with self.span("rank_join", level=level) as jspan:
+                    join = run.rank_join(level, joined, run_bounds)
+                    while join.pull():
+                        yield run.harvest(join, level, columns, joined,
+                                          run_bounds, below)
+                        if deadline is not None and deadline.expired():
+                            if not deadline.partial_ok:
+                                deadline.raise_expired()
+                            stop_partial(level, max(join.threshold(), below))
+                            return
+                    jspan.tag(tuples=stats.tuples_scanned - tuples_mark,
+                              **join.progress())
+                # Level drained: every C-node (erased occurrences
+                # included) erases its range for the levels above.
+                run.erase_level(level, columns, run_bounds)
+            else:
                 emitted = run.finish_level(level, columns, joined,
                                            with_scores)
                 if observer is not None:
                     observer(level, columns, joined, emitted)
-            except DeadlineExceeded:
-                # Raised mid-level by a disk column fetch polling the
-                # thread-local deadline; downgrade per policy.  Results
-                # emitted before the cut are individually valid (the
-                # ELCA/SLCA test only reads lower-level erasures), so
-                # keeping them preserves the subset guarantee.
-                if deadline is None or not deadline.partial_ok:
-                    raise
-                stats.partial = True
-                stats.levels_skipped += level
-                break
-        results = run.pending()
-        stats.results_emitted = len(results)
-        return sort_by_document_order(results), stats
+            if level == 1:
+                # Only emission remains: anything yielded from here on
+                # does not count as early termination.
+                state.finished = True
+            yield run.flush(below)
+        # All levels done: everything pending is final, in score order.
+        state.finished = True
+        yield run.flush(-float("inf"))
 
 
 def check_level(level: int, postings: List[ColumnarPostings], columns,

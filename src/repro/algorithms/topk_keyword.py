@@ -1,10 +1,11 @@
 """Join-based top-K keyword search (paper section IV-C).
 
-Levels are processed bottom-up exactly like the general join-based
-algorithm, and a level opens with the same column join: the numbers
-every term's column carries are the level's C-nodes -- the only ids a
-rank join could complete and, once the level is done, the ranges to
-erase.  A level nothing joins at ends there.  Otherwise it runs as a
+Levels are processed bottom-up by the general join-based algorithm's
+own level loop (`JoinBasedSearch._batches`, run here with a K), and a
+level opens with the same column join: the numbers every term's column
+carries are the level's C-nodes -- the only ids a rank join could
+complete and, once the level is done, the ranges to erase.  A level
+nothing joins at ends there.  Otherwise it runs as a
 *top-K star join* (`repro.algorithms.topk_join`) over the score-ordered
 view of the columns (`repro.index.scored`), reduced to the join:
 
@@ -52,47 +53,26 @@ import numpy as np
 
 from ..index.columnar import ColumnarIndex
 from ..index.scored import ScoredPostings
-from ..obs.tracing import span
 from ..planner.plans import JoinPlanner
 from ..reliability.deadline import Deadline
-from ..reliability.errors import DeadlineExceeded
-from ..scoring.ranking import (MaxCombiner, RankingModel, SumCombiner,
-                               WeightedSumCombiner)
+from ..scoring.ranking import MaxCombiner, SumCombiner, WeightedSumCombiner
 from .base import (ELCA, SLCA, ExecutionStats, ResultSet, TopKResult,
                    check_semantics)
-from .join_based import LevelRun, check_level
+from .join_based import JoinBasedSearch, LevelRun, _StreamState, check_level
 from .topk_join import GROUP, BlockStarJoin, BoundOps
 
 
-class _StreamState:
-    """Out-of-band stream outcome: completion flag plus, for budgeted
-    runs stopped early under the "partial" policy, the guarantee gap.
-
-    ``bound`` is the score below which the partial run proves nothing:
-    every result it *did* yield scored at least ``bound`` (emission
-    requires beating the live threshold), and any result it never
-    reached scores at most ``bound``.  The yielded list is therefore a
-    prefix of the unbounded run's emission order."""
-
-    __slots__ = ("finished", "partial", "bound")
-
-    def __init__(self):
-        self.finished = False
-        self.partial = False
-        self.bound: Optional[float] = None
-
-
 class _TopKRun(LevelRun):
-    """`LevelRun` plus what ranked levels need: one score order per
-    term, the cross-level bounds, and the steps of a ranked level.
-    Pending results leave through `flush`, best first."""
+    """`LevelRun` with a K: the cross-level bounds, one score order per
+    term, and the steps of a ranked level.  Pending results leave
+    through `flush`, best first."""
 
     def __init__(self, engine: "TopKKeywordSearch", postings, terms,
                  semantics: str, stats: ExecutionStats, target_k: int):
         super().__init__(engine, postings, terms, semantics, stats)
         # target_k sets the paper's cursor-policy switch (round-robin
         # until K completions, then max-s^i) and caps how many results
-        # one emission releases; a pure stream has no K.
+        # one emission releases; a pure stream's K is 2 ** 30.
         self.target_k = target_k
         self.popped = 0
         self.ops = engine._bound_ops(self.caller_slot)
@@ -101,11 +81,6 @@ class _TopKRun(LevelRun):
         # cross_bound[l-1] bounds every result at levels <= l.
         self.cross_bound = np.maximum.accumulate(self.ops.complete(
             [s.level_max[:self.start_level] for s in self.scored])).tolist()
-
-    def below(self, level: int) -> float:
-        """Bound on every result of the levels above `level` (numbered
-        below it)."""
-        return self.cross_bound[level - 2] if level > 1 else -float("inf")
 
     def rank_join(self, level: int, joined: np.ndarray,
                   run_bounds) -> BlockStarJoin:
@@ -164,24 +139,21 @@ class _TopKRun(LevelRun):
         return self.flush(max(join.threshold(), below))
 
 
-class TopKKeywordSearch:
-    """Top-K ELCA/SLCA search over a `ColumnarIndex`."""
+class TopKKeywordSearch(JoinBasedSearch):
+    """Top-K ELCA/SLCA search over a `ColumnarIndex`: the loop with a K."""
 
     #: A level something joins at runs as a star rank join (the paper's
     #: plan); `HybridTopKSearch` finishes it in bulk instead.
     rank_levels = True
+    #: What a run with a K keeps; `evaluate` (no K) keeps a `LevelRun`.
+    run_class = _TopKRun
 
     def __init__(self, index: ColumnarIndex, bound_mode: str = GROUP,
                  eraser_mode: str = "bitmap",
                  planner: Optional[JoinPlanner] = None,
                  tracer=None):
-        self.index = index
+        super().__init__(index, planner, eraser_mode, tracer)
         self.bound_mode = bound_mode
-        self.eraser_mode = eraser_mode
-        self.planner = planner if planner is not None else JoinPlanner()
-        # `tracer`, when given, else the thread's ambient one
-        self.span = tracer.span if tracer is not None else span
-        self.ranking: RankingModel = index.ranking
 
     def search(self, terms: Sequence[str], k: int,
                semantics: str = ELCA,
@@ -264,98 +236,6 @@ class TopKKeywordSearch:
                         yield result
         finally:
             batches.close()     # ends its open rank-join span now
-
-    def _batches(self, terms: List[str], semantics: str,
-                 stats: ExecutionStats, target_k: int, state: _StreamState,
-                 deadline: Optional[Deadline]):
-        """The emission order as `ResultSet`s, one per emission attempt
-        (empty when the bound let nothing out): what `stream` hands out
-        a view at a time and `search` cuts at k."""
-        if not terms:
-            state.finished = True
-            return
-        try:
-            with self.span("postings_fetch", terms=list(terms)) as pspan:
-                postings = self.index.query_postings(terms)
-                pspan.tag(list_sizes=[len(p) for p in postings])
-        except DeadlineExceeded:
-            # A scoped deadline expired while fetching postings; with no
-            # bound arithmetic yet the gap is vacuous (inf).
-            if deadline is None or not deadline.partial_ok:
-                raise
-            state.partial = True
-            state.bound = float("inf")
-            stats.partial = True
-            return
-        if any(len(p) == 0 for p in postings):
-            state.finished = True
-            return
-        run = _TopKRun(self, postings, terms, semantics, stats, target_k)
-
-        def stop_partial(level: int, engine_bound: float) -> None:
-            # Unyielded-but-pending results must stay under the gap
-            # too; the best pending score caps them.
-            state.partial = True
-            state.bound = max(engine_bound, run.top)
-            stats.partial = True
-            stats.levels_skipped += level
-
-        for level in range(run.start_level, 0, -1):
-            below = run.below(level)
-            if deadline is not None and deadline.expired():
-                if not deadline.partial_ok:
-                    deadline.raise_expired()
-                stop_partial(level, run.cross_bound[level - 1])
-                return
-            try:
-                columns = [p.column(level) for p in postings]
-            except DeadlineExceeded:
-                # Raised by a disk column fetch polling the scoped
-                # deadline mid-materialization.
-                if deadline is None or not deadline.partial_ok:
-                    raise
-                stop_partial(level, run.cross_bound[level - 1])
-                return
-            if any(len(c) == 0 for c in columns):
-                yield run.flush(below)
-                continue
-            stats.levels_processed += 1
-            joined = run.join_level(level, columns)
-            if self.rank_levels and len(joined):
-                run_bounds = [c.runs_of(joined) for c in columns]
-                tuples_mark = stats.tuples_scanned
-                # Emission needs a *fresh* threshold (group partials can
-                # push it up), so it is attempted after every block -- a
-                # longer block only delays emission, never corrupts it.
-                # The rank-join span stays open across `yield`s, so its
-                # duration includes consumer time when the stream is
-                # driven incrementally.
-                with self.span("rank_join", level=level) as jspan:
-                    join = run.rank_join(level, joined, run_bounds)
-                    while join.pull():
-                        yield run.harvest(join, level, columns, joined,
-                                          run_bounds, below)
-                        if deadline is not None and deadline.expired():
-                            if not deadline.partial_ok:
-                                deadline.raise_expired()
-                            stop_partial(level,
-                                         max(join.threshold(), below))
-                            return
-                    jspan.tag(tuples=stats.tuples_scanned - tuples_mark,
-                              **join.progress())
-                # Level drained: every C-node (erased occurrences
-                # included) erases its range for the levels above.
-                run.erase_level(level, columns, run_bounds)
-            else:
-                run.finish_level(level, columns, joined)
-            if level == 1:
-                # Only emission remains: anything yielded from here on
-                # does not count as early termination.
-                state.finished = True
-            yield run.flush(below)
-        # All levels done: everything pending is final, in score order.
-        state.finished = True
-        yield run.flush(-float("inf"))
 
     def _bound_ops(self, caller_slot: List[int]) -> BoundOps:
         """Combiner-specific bound arithmetic, in execution slot order.

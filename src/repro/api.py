@@ -39,7 +39,7 @@ from .algorithms.rdil import RDILSearch
 from .algorithms.stack_based import StackBasedSearch
 from .algorithms.topk_keyword import TopKKeywordSearch
 from .cache import QueryCache, result_key
-from .reliability.deadline import Deadline, deadline_scope
+from .reliability.deadline import Deadline
 from .reliability.errors import DeadlineExceeded
 from .index.columnar import ColumnarIndex
 from .index.inverted import InvertedIndex
@@ -479,17 +479,8 @@ class XMLDatabase:
                            observer=None
                            ) -> Tuple[ResultSet, ExecutionStats]:
         if algorithm == "join":
-            engine = JoinBasedSearch(self.columnar_index, planner)
-            if deadline is not None:
-                # The scope lets the disk-backed index poll the deadline
-                # from inside column materialization; the engine itself
-                # receives the deadline as a parameter and handles the
-                # partial policy at level boundaries.
-                with deadline_scope(deadline):
-                    return engine.evaluate(terms, semantics,
-                                           observer=observer,
-                                           deadline=deadline)
-            return engine.evaluate(terms, semantics, observer=observer)
+            return JoinBasedSearch(self.columnar_index, planner).evaluate(
+                terms, semantics, observer=observer, deadline=deadline)
         # The baselines build objects; wrapped once, the API returns
         # one type whatever the algorithm.
         if algorithm == "stack":
@@ -566,11 +557,7 @@ class XMLDatabase:
         if algorithm in ("hybrid", "topk-join"):
             engine = (HybridTopKSearch if algorithm == "hybrid"
                       else TopKKeywordSearch)(self.columnar_index)
-            if deadline is not None:
-                with deadline_scope(deadline):
-                    return engine.search(terms, k, semantics,
-                                         deadline=deadline)
-            return engine.search(terms, k, semantics)
+            return engine.search(terms, k, semantics, deadline=deadline)
         if algorithm == "rdil":
             top = RDILSearch(self.inverted_index).search(terms, k, semantics)
             top.results = ResultSet.of(self.columnar_index.nodes,
@@ -661,11 +648,11 @@ class XMLDatabase:
         A ``deadline`` bounds the stream: under the ``raise`` policy an
         expired budget raises `DeadlineExceeded` from ``next()``; under
         ``partial`` the stream simply ends.  Results yielded before the
-        cut are a prefix of the unbounded stream either way.  (No
-        thread-local scope is installed for streams -- the generator
-        suspends between ``next()`` calls, and a scope left set across
-        a ``yield`` would leak into the consumer's unrelated queries;
-        the engine checks its deadline parameter instead.)
+        cut are a prefix of the unbounded stream either way.  It is
+        polled where every query polls it, disk column decodes included:
+        the level loop installs the thread-local scope around each column
+        fetch and lifts it before any ``yield``, so nothing leaks into
+        the consumer's unrelated queries between ``next()`` calls.
         """
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         return HybridTopKSearch(self.columnar_index,

@@ -4,7 +4,7 @@ Three concerns, one package (see ``docs/RELIABILITY.md``):
 
 * **Deadlines** (`Deadline` / `QueryBudget`, `deadline_scope`) --
   wall-clock budgets with a ``raise`` or ``partial`` expiry policy,
-  cooperatively checked by the query engines, so a pathological query
+  cooperatively checked by the engines' level loop, so a pathological query
   degrades into "best found within budget" instead of running forever.
 * **Fault injection + retry** (`FaultInjector`, `RetryPolicy`) --
   probabilistic or scripted disk faults plus a bounded

@@ -2,10 +2,11 @@
 
 A `Deadline` is a wall-clock budget plus an expiry policy, threaded
 through `XMLDatabase.search` / `search_topk` / `search_batch` /
-`search_stream` and checked at cheap boundaries: once per level in
-`JoinBasedSearch` and the top-K drivers, after every rank-join block in
-`TopKKeywordSearch`, and per column decompression in the disk
-index.  Two policies:
+`search_stream` and checked at cheap boundaries by one loop -- the level
+loop every join-family engine runs (`JoinBasedSearch._batches`): once
+per level, after every rank-join block in ``topk-join``, and, through
+the scope it installs, per column decompression in the disk index.  Two
+policies:
 
 * ``raise``   -- expiry raises `DeadlineExceeded` (default);
 * ``partial`` -- the engine stops cleanly and returns everything proven
@@ -24,14 +25,15 @@ deterministically without sleeping.
 `deadline_scope` installs a deadline in a thread-local so layers that
 are not parameter-threaded (the disk index's per-column fetch) can
 poll it via `check_active` -- a getattr and a None test when no
-deadline is active, so the unbudgeted path stays free.
+deadline is active, so the unbudgeted path stays free.  The level loop
+is what installs it, around its column fetch only: never across a
+``yield``, so a suspended stream leaks no budget into its consumer.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import Callable, Optional, Union
 
 from .errors import DeadlineExceeded
@@ -158,26 +160,29 @@ def active_deadline() -> Optional[Deadline]:
     return getattr(_tls, "deadline", None)
 
 
-@contextmanager
-def deadline_scope(deadline: Optional[Deadline]):
-    """Install `deadline` as the thread's active deadline.
-
+class deadline_scope:
+    """Install `deadline` as the thread's active deadline: a context
+    manager, and a class because the level loop enters one per level.
     Scopes nest; ``None`` installs nothing but still shadows an outer
     scope, so an unbudgeted query inside a budgeted batch stays
-    unbudgeted.
-    """
-    previous = getattr(_tls, "deadline", None)
-    _tls.deadline = deadline
-    try:
-        yield deadline
-    finally:
-        _tls.deadline = previous
+    unbudgeted."""
+
+    def __init__(self, deadline: Optional[Deadline]):
+        self.deadline = deadline
+
+    def __enter__(self) -> Optional[Deadline]:
+        self.previous = getattr(_tls, "deadline", None)
+        _tls.deadline = self.deadline
+        return self.deadline
+
+    def __exit__(self, *exc_info) -> None:
+        _tls.deadline = self.previous
 
 
 def check_active() -> None:
     """Poll the thread's active deadline; raise `DeadlineExceeded` when
-    it has expired.  Engines that support partial results catch this at
-    their own boundaries and downgrade per the deadline's policy."""
+    it has expired.  The level loop, which polls it at each level
+    boundary, catches this and downgrades per the deadline's policy."""
     deadline = getattr(_tls, "deadline", None)
     if deadline is not None and deadline.expired():
         deadline.raise_expired()

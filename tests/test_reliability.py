@@ -13,7 +13,7 @@ import pytest
 
 from repro import XMLDatabase
 from repro.algorithms.base import ELCA, SLCA
-from repro.algorithms.join_based import JoinBasedSearch
+from repro.algorithms.join_based import JoinBasedSearch, LevelRun
 from repro.algorithms.topk_keyword import TopKKeywordSearch
 from repro.reliability import Deadline, DeadlineExceeded, QueryBudget
 from repro.reliability.deadline import (active_deadline, check_active,
@@ -285,6 +285,102 @@ class TestDatabaseDeadlines:
                                   timeout_ms=0, on_deadline="partial",
                                   use_cache=False)
         assert results
+
+
+class CountingClock:
+    """A clock that counts its calls: `Deadline` calls it once at
+    construction and once per poll.  It reads 0 s for the first
+    ``frozen`` calls and 10 s from then on."""
+
+    def __init__(self, frozen: int = 2 ** 30):
+        self.calls = 0
+        self.frozen = frozen
+
+    def __call__(self) -> float:
+        self.calls += 1
+        return 0.0 if self.calls <= self.frozen else 10.0
+
+
+@pytest.fixture(scope="module")
+def saved_dblp(dblp_db, tmp_path_factory):
+    """``dblp_db`` saved flat and on two shards; each test opens its own
+    copy, so every column it reads is a first decode."""
+    root = tmp_path_factory.mktemp("loop_scope")
+    paths = {None: str(root / "flat"), 2: str(root / "sharded")}
+    dblp_db.save(paths[None])
+    dblp_db.save(paths[2], shards=2)
+    return paths
+
+
+ENTRY_POINTS = {
+    "search": lambda db, terms, deadline: db.search(
+        terms, deadline=deadline, use_cache=False),
+    "search_topk": lambda db, terms, deadline: db.search_topk(
+        terms, 10_000, deadline=deadline),
+    "search_stream": lambda db, terms, deadline: list(db.search_stream(
+        terms, deadline=deadline)),
+}
+LOOP_CASES = [("search", None), ("search_topk", None),
+              ("search_stream", None), ("search_topk", 2),
+              ("search_stream", 2)]
+
+
+class TestTheLoopOwnsItsScope:
+    """Whatever the entry point, the level loop installs the deadline as
+    the thread's scope around its column fetch, so an opened database
+    polls it once per level boundary and once per column decode."""
+
+    TERMS = ["gamma", "beta"]
+
+    @pytest.mark.parametrize("entry,shards", LOOP_CASES,
+                             ids=[f"{e}-{s or 'flat'}" for e, s in LOOP_CASES])
+    def test_polls_per_boundary_and_per_decode(self, saved_dblp, entry,
+                                               shards):
+        db = XMLDatabase.open(saved_dblp[shards])
+        flat = [db] if shards is None else db.shards
+        indexes = [d.columnar_index for d in flat]
+        if shards is not None:
+            # The root protocol decodes column 2 outside the loop, and
+            # unbudgeted: decode it first, so what is counted below is
+            # the loop's alone.
+            db._root_result(self.TERMS, ELCA)
+        boundaries = sum(min(p.max_len for p in d.columnar_index
+                             .query_postings(self.TERMS))
+                         for d in flat if all(t in d.columnar_index
+                                              for t in self.TERMS))
+        decoded = sum(index.io.columns_read for index in indexes)
+        clock = CountingClock()
+        ENTRY_POINTS[entry](db, self.TERMS,
+                            Deadline(1000, on_deadline="raise", clock=clock))
+        decodes = sum(index.io.columns_read for index in indexes) - decoded
+        assert boundaries > 0 and decodes > 0
+        assert clock.calls - 1 == boundaries + decodes
+
+    @pytest.mark.parametrize("entry,shards", LOOP_CASES,
+                             ids=[f"{e}-{s or 'flat'}" for e, s in LOOP_CASES])
+    def test_expiry_in_the_first_decode_joins_nothing(
+            self, saved_dblp, entry, shards, monkeypatch):
+        joins = []
+        join_level = LevelRun.join_level
+
+        def counting(run, level, columns):
+            joins.append(level)
+            return join_level(run, level, columns)
+
+        monkeypatch.setattr(LevelRun, "join_level", counting)
+        db = XMLDatabase.open(saved_dblp[shards])
+        # Construction and the first level boundary read 0 s; the first
+        # column decode polls at 10 s.
+        with pytest.raises(DeadlineExceeded):
+            ENTRY_POINTS[entry](db, self.TERMS, Deadline(
+                1000, on_deadline="raise", clock=CountingClock(frozen=2)))
+        assert joins == []
+        db = XMLDatabase.open(saved_dblp[shards])
+        got = ENTRY_POINTS[entry](db, self.TERMS, Deadline(
+            1000, on_deadline="partial", clock=CountingClock(frozen=2)))
+        assert list(got) == [] and joins == []
+        if entry == "search_topk":
+            assert got.partial
 
 
 # ---------------------------------------------------------------------------

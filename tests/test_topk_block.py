@@ -7,7 +7,9 @@ Independent accounts of a top-K answer must agree: the block engine in
 join), the per-tuple engine it replaced (`tests/reference_topk.py`,
 which rank-joins whole columns and is the unreduced reference), the
 default plan (`HybridTopKSearch`: every level finished in bulk), flat
-and on two shards, and the naive `SemanticsOracle`.  The ranked input a level serves is compared
+and on two shards, complete evaluation (`JoinBasedSearch.evaluate`, the
+same level loop with no K, whole and cut at every level boundary), and
+the naive `SemanticsOracle`.  The ranked input a level serves is compared
 with the reference `ColumnCursor`'s pop sequence directly, and the work
 is held to counts: the block over-read bound, no pull at a level nothing
 joins at, no more tuples than the joined runs hold.
@@ -179,13 +181,36 @@ def exact(results):
     return [(r.node.dewey, r.score) for r in results]
 
 
+def check_complete_mode(db, terms, semantics, oracle_results):
+    """Complete evaluation -- the level loop with no K -- equals the
+    oracle, and cut by a deadline at every level boundary it is a
+    subset with identical scores."""
+    engine = JoinBasedSearch(db.columnar_index)
+    complete, _stats = engine.evaluate(terms, semantics)
+    assert sorted((r.node.dewey, round(r.score, 9)) for r in complete) == \
+        sorted((r.node.dewey, round(r.score, 9)) for r in oracle_results)
+    postings = db.columnar_index.query_postings(terms)
+    levels = min(p.max_len for p in postings) \
+        if all(len(p) for p in postings) else 0
+    full = dict(exact(complete))
+    for budget in range(1, levels + 1):
+        # One poll per level boundary: the budget-th poll expires.
+        partial, stats = engine.evaluate(terms, semantics, deadline=Deadline(
+            budget - 0.5, on_deadline="partial", clock=StepClock(0.001)))
+        assert stats.partial and stats.levels_skipped > 0
+        assert all(full[dewey] == score for dewey, score in exact(partial))
+
+
 def check_engines_agree(db, ranking, terms, semantics, bound_mode):
     """Block engine = per-tuple engine = default plan (flat and on two
     shards) = oracle at k of 1, 3, 10, the result count and one beyond
     it; `stream` is the same order -- for the default plan, exactly
     `search(k)` up to k -- and a block stream abandoned after n results
-    read no more than `search(n)`."""
+    read no more than `search(n)`.  Complete evaluation is one more
+    column (`check_complete_mode`)."""
     oracle = SemanticsOracle(db.tree, db.inverted_index, ranking)
+    check_complete_mode(db, terms, semantics,
+                        oracle.evaluate(terms, semantics))
     expected = sorted(scores_of(oracle.evaluate(terms, semantics)),
                       reverse=True)
     block = TopKKeywordSearch(db.columnar_index, bound_mode)
@@ -543,6 +568,31 @@ class TestCountsNotClocks:
             assert built
             assert all(p._score_order is not None for p in postings)
             built.clear()
+
+    def test_complete_evaluation_builds_no_topk_state(
+            self, small_db, tmp_path, monkeypatch):
+        """Complete evaluation is the level loop with no K: no bound, so
+        no list-head maxima, no score order and no star join -- in
+        memory and opened from disk.  That it calls no `_bound_ops` is
+        pinned by test_combiners.py's
+        ``test_unsupported_combiner_ok_on_complete_path``."""
+        built = []
+        init = BlockStarJoin.__init__
+
+        def counting_init(join, *args, **kwargs):
+            built.append(join)
+            init(join, *args, **kwargs)
+
+        monkeypatch.setattr(BlockStarJoin, "__init__", counting_init)
+        small_db.save(str(tmp_path / "db"))
+        for db in (small_db, XMLDatabase.open(str(tmp_path / "db"))):
+            postings = db.columnar_index.query_postings(["xml", "data"])
+            for semantics in ("elca", "slca"):
+                assert db.search("xml data", semantics, use_cache=False)
+            assert db.search_topk("xml data", 3, algorithm="join")
+            assert not built
+            assert all(p._level_maxima is None and p._score_order is None
+                       for p in postings)
 
     #: What the unreduced engine scanned on the six correlated queries
     #: of `planted_corpus` (rank joins over whole columns, a full join
