@@ -47,7 +47,7 @@ def ranked(run, level, columns, joined, below):
         run.harvest(join, level, columns, joined, run_bounds, below)
         if run.popped >= run.target_k:
             return
-    run.erase_level(level, columns, run_bounds)
+    run.erase_level(level, run.spans(columns, run_bounds))
     run.flush(below)
 
 
@@ -90,11 +90,11 @@ def main() -> None:
             if not len(joined):
                 run.flush(below)
                 continue
-            state = (copy.deepcopy(run.erasers), list(run.chunks), run.top,
+            state = (copy.deepcopy(run.eraser), list(run.chunks), run.top,
                      run.popped)
 
             def restore():
-                run.erasers = copy.deepcopy(state[0])
+                run.eraser = copy.deepcopy(state[0])
                 run.chunks = list(state[1])
                 run.top, run.popped = state[2], state[3]
 
@@ -103,11 +103,11 @@ def main() -> None:
                       for plan in (eager, ranked))
             restore()
             bounds = [c.runs_of(joined) for c in columns]
-            prep = median_ms(lambda: [s.ranked(level, e, r) for s, e, r in zip(
-                run.scored, run.erasers, bounds)], args.reps)
+            prep = median_ms(lambda: [
+                s.ranked(level, run.eraser, r, base) for s, r, base
+                in zip(run.scored, bounds, run.bases.tolist())], args.reps)
             check = median_ms(lambda: check_level(
-                level, postings, columns, bounds, run.erasers, "elca",
-                run.damping_base), args.reps)
+                run, level, run.spans(columns, bounds)), args.reps)
             ratios.append(prep / check)
             levels += 1
             rank_cheaper += tr < te

@@ -9,23 +9,32 @@ and ranges arising at different levels are *contained or disjoint*
 (paper Figure 4) -- the geometry that makes range checking a binary
 search.
 
-Two interchangeable implementations:
+A query keeps one eraser over all its terms' ordinals: term t's
+ordinals sit at an offset ``base_t`` (`repro.algorithms.join_based.
+LevelRun`), so spans of different terms are disjoint and the geometry
+above holds inside each term -- every structure below works on the
+query-wide ordinal space unchanged, and a level is one bulk call each
+way.
 
-* `BitmapEraser`   -- a boolean array per list; simple, O(range) marks
-  and counts.  The default execution path.
+Three interchangeable implementations:
+
+* `BitmapEraser`   -- a boolean array over the ordinals; simple,
+  O(range) marks and counts.  The default execution path.
 * `IntervalEraser` -- the paper's range-checking structure: a sorted set
   of disjoint intervals with O(log n) queries; marks exploit the
   contained-or-disjoint property to merge swallowed ranges.
+* `RoaringEraser`  -- 2^16-ordinal chunks, each an array, run list or
+  bitset container by density; accepts arbitrary overlapping marks.
 
-Both expose scalar (`mark`/`erased_count`) and bulk
+All expose scalar (`mark`/`erased_count`) and bulk
 (`mark_many`/`erased_counts`/`free_mask`) APIs; the bulk entry points
-back the level loops of `repro.algorithms.join_based` and the top-K
-engines, which all erase a level through `erase_runs`.  The bitmap
-answers bulk counts from a cached cumulative-sum prefix array (rebuilt
-lazily after marks change); the interval eraser answers them with a
-vectorized binary search over its interval endpoints.
+back the level steps of `repro.algorithms.join_based`, one call each
+per level.  The bitmap answers bulk counts from a cached cumulative-sum
+prefix array (rebuilt lazily after marks change, never built while
+nothing is marked); the interval and roaring erasers answer them with a
+vectorized binary search over their run endpoints.
 
-Both are property-tested for equivalence and benchmarked in the
+They are property-tested for equivalence and benchmarked in the
 range-checking ablation.
 """
 
@@ -55,6 +64,7 @@ class BitmapEraser:
         self.size = size
         self._marks = np.zeros(size, dtype=bool)
         self._prefix: Optional[np.ndarray] = None
+        self._clean = True      # nothing marked: no count, all free
 
     def mark(self, lo: int, hi: int) -> None:
         """Erase ordinals in [lo, hi)."""
@@ -63,6 +73,7 @@ class BitmapEraser:
         if hi > lo:
             self._marks[lo:hi] = True
             self._prefix = None
+            self._clean = False
 
     def mark_many(self, lows: np.ndarray, highs: np.ndarray) -> None:
         """Erase every [lows[i], highs[i]) in one validated pass.
@@ -88,6 +99,7 @@ class BitmapEraser:
             np.add.at(diff, highs, -1)
             self._marks |= np.cumsum(diff[:-1]) > 0
         self._prefix = None
+        self._clean = False
 
     def erased_count(self, lo: int, hi: int) -> int:
         return int(self._marks[lo:hi].sum())
@@ -98,6 +110,8 @@ class BitmapEraser:
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
         _check_bulk_ranges(lows, highs, self.size)
+        if self._clean:
+            return np.zeros(len(lows), dtype=np.int64)
         if self._prefix is None:
             self._prefix = np.concatenate(
                 ([0], np.cumsum(self._marks, dtype=np.int64)))
@@ -105,6 +119,8 @@ class BitmapEraser:
 
     def free_mask(self, ordinals: np.ndarray) -> np.ndarray:
         """Boolean mask of *non*-erased entries for an ordinal array."""
+        if self._clean:
+            return np.ones(len(ordinals), dtype=bool)
         return ~self._marks[ordinals]
 
     @property
@@ -594,18 +610,6 @@ class RoaringEraser:
 
 ERASER_MODES = {"bitmap": BitmapEraser, "interval": IntervalEraser,
                 "roaring": RoaringEraser}
-
-
-def erase_runs(columns, run_bounds, erasers) -> int:
-    """Erase what one level's join consumed: per column, the sequence
-    span of every joined number's run (``run_bounds[t]`` is column t's
-    `runs_of` them).  Returns the column entries covered -- the
-    ``erasures`` work counter of every engine that walks the levels."""
-    erased = 0
-    for column, (lows, highs), eraser in zip(columns, run_bounds, erasers):
-        eraser.mark_many(*column.ordinal_spans(lows, highs))
-        erased += int((highs - lows).sum())
-    return erased
 
 
 def make_eraser(mode: str, size: int):

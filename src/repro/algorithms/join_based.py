@@ -24,13 +24,16 @@ matches the ELCA definition.  This module implements the range rule.
 Scores are computed on the fly: a result's score sums, per keyword, the
 best damped local score among its free witnesses (section II-B).
 
-A level is checked in bulk (`check_level`): run bounds via
-`Column.runs_of`, erased counts / free masks from the erasure
-structures, an `np.maximum.reduceat` segment-max for witness scores --
-per-level cost stays columnar, matching the paper's bulk-relational
-design -- and what passes goes straight into the columns of a
-`ResultSet`.  The per-candidate formulation of the same test is the
-differential reference in ``tests/reference_join.py``.
+A level is one bulk pass over all k terms.  A query keeps one eraser
+over the ordinals of all its terms (term t's at offset ``base_t``);
+per term, the joined numbers' runs (`Column.runs_of`) and their ordinal
+spans are taken once, and the k span arrays, stacked, feed one
+erased-count call (`check_level`: ELCA and SLCA are masks reduced over
+the term axis, witness scores one segment max over the survivors'
+spans) and one erase.  Per-level cost stays columnar, matching the
+paper's bulk-relational design, and what passes goes straight into the
+columns of a `ResultSet`.  The per-candidate formulation of the same
+test is the differential reference in ``tests/reference_join.py``.
 
 `JoinBasedSearch._batches` is the one level loop: complete evaluation
 runs it to the end with no K, the top-K engines with a K.
@@ -51,7 +54,7 @@ from ..reliability.errors import DeadlineExceeded
 from ..scoring.ranking import RankingModel
 from .base import (ELCA, SLCA, ExecutionStats, ResultSet, check_semantics,
                    sort_by_document_order)
-from .erasure import erase_runs, make_eraser
+from .erasure import make_eraser
 
 
 class _StreamState:
@@ -74,18 +77,22 @@ class _StreamState:
 
 
 class LevelRun:
-    """One query's bottom-up pass with no K (so no bound): the per-term
-    state every level reads (postings in execution order, their
-    erasers), the answers `flush` has not taken, and the steps of a
-    level: `join_level`, then `finish_level` -- or, in the top-K drivers,
-    a rank join over what joined and `erase_level`.  ``engine`` supplies
-    the index, planner, eraser mode, ranking model and span factory."""
+    """One query's bottom-up pass with no K (so no bound): the state
+    every level reads, the answers `flush` has not taken, and the steps
+    of a level: `join_level`, then `finish_level` -- or, in the top-K
+    drivers, a rank join over what joined and `erase_level`.  ``engine``
+    supplies the index, planner, eraser mode, ranking model and span
+    factory.
+
+    The terms' postings, in execution order, share one ordinal space:
+    term t's sequence ordinals sit at ``bases[t]``.  The query's one
+    eraser spans it, and ``scores`` / ``lengths`` are every term's end
+    to end, for the witnesses."""
 
     def __init__(self, engine, postings: List[ColumnarPostings],
                  terms: Sequence[str], semantics: str,
                  stats: ExecutionStats):
         self.engine = engine
-        self.postings = postings
         self.semantics = semantics
         self.stats = stats
         # Term order after shortest-first sorting; remember the mapping
@@ -93,8 +100,11 @@ class LevelRun:
         term_order = {p.term: i for i, p in enumerate(postings)}
         self.caller_slot = [term_order[t] for t in terms]
         self.damping_base = engine.ranking.damping.base
-        self.erasers = [make_eraser(engine.eraser_mode, len(p))
-                        for p in postings]
+        sizes = [len(p) for p in postings]
+        self.bases = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self.eraser = make_eraser(engine.eraser_mode, sum(sizes))
+        self.scores = np.concatenate([p.scores for p in postings])
+        self.lengths = np.concatenate([p.lengths for p in postings])
         self.start_level = min(p.max_len for p in postings)
         self.table = engine.index.nodes
         self.nothing = ResultSet.empty(self.table, len(terms))
@@ -152,32 +162,50 @@ class LevelRun:
                 output=int(len(joined)))
         return joined
 
-    def erase_level(self, level: int, columns, run_bounds) -> None:
-        """Erase every joined range for the levels above -- *after* the
-        level is fully checked: same-level candidates never interact
-        (disjoint subtrees)."""
+    def spans(self, columns, run_bounds
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``, shape ``(k, J)``: the query-wide ordinal spans
+        of the runs ``run_bounds[t]`` (column t's `runs_of` J numbers) --
+        row t is term t's `Column.ordinal_spans` shifted by ``bases[t]``."""
+        lo = np.empty((len(columns), len(run_bounds[0][0])), dtype=np.int64)
+        hi = np.empty_like(lo)
+        for t, (column, (lows, highs)) in enumerate(zip(columns,
+                                                        run_bounds)):
+            lo[t], hi[t] = column.ordinal_spans(lows, highs)
+        lo += self.bases[:, None]
+        hi += self.bases[:, None]
+        return lo, hi
+
+    def erase_level(self, level: int, spans) -> None:
+        """Erase every joined range -- the `spans` of the level's runs --
+        for the levels above, in one call; *after* the level is fully
+        checked: same-level candidates never interact (disjoint
+        subtrees).  No level lies above level 1, so it marks nothing
+        there, but its ranges still count as ``erasures``."""
+        lo, hi = spans
         with self.engine.span("erase", level=level) as espan:
-            erased = erase_runs(columns, run_bounds, self.erasers)
+            if level > 1:
+                self.eraser.mark_many(lo.ravel(), hi.ravel())
+            erased = int((hi - lo).sum())
             self.stats.erasures += erased
             espan.tag(erased=erased)
 
     def finish_level(self, level: int, columns, joined: np.ndarray,
                      with_scores: bool = True) -> int:
         """Check, score and erase the level's C-nodes `joined`; how many
-        of them are results."""
+        of them are results.  The runs and their spans are taken once
+        and serve both the check and the erase."""
         if len(joined) == 0:
             return 0
-        # Run boundaries of every joined value in every column, in bulk.
-        run_bounds = [column.runs_of(joined) for column in columns]
+        spans = self.spans(columns, [column.runs_of(joined)
+                                     for column in columns])
         with self.engine.span("score", level=level) as sspan:
             self.stats.candidates_checked += len(joined)
-            alive, witness = check_level(
-                level, self.postings, columns, run_bounds, self.erasers,
-                self.semantics, self.damping_base, with_scores)
+            alive, witness = check_level(self, level, spans, with_scores)
             if len(alive):
                 self.push(level, joined[alive], witness)
             sspan.tag(candidates=int(len(joined)), emitted=int(len(alive)))
-        self.erase_level(level, columns, run_bounds)
+        self.erase_level(level, spans)
         return len(alive)
 
 
@@ -192,9 +220,10 @@ class JoinBasedSearch:
         Join-algorithm selection policy; defaults to the paper's dynamic
         (context-aware) policy.
     eraser_mode:
-        ``bitmap`` (default, a dense boolean array per list),
-        ``interval`` -- the section III-E range-checking structure --
-        or ``roaring``; all compute identical results.
+        The structure of a query's one eraser: ``bitmap`` (default, a
+        dense boolean array over the query's ordinals), ``interval`` --
+        the section III-E range-checking structure -- or ``roaring``;
+        all compute identical results.
     tracer:
         Optional `repro.obs.Tracer` to open the engine's spans on; by
         default the thread's ambient one (`repro.obs.tracing.span`).
@@ -318,7 +347,7 @@ class JoinBasedSearch:
                               **join.progress())
                 # Level drained: every C-node (erased occurrences
                 # included) erases its range for the levels above.
-                run.erase_level(level, columns, run_bounds)
+                run.erase_level(level, run.spans(columns, run_bounds))
             else:
                 emitted = run.finish_level(level, columns, joined,
                                            with_scores)
@@ -334,48 +363,42 @@ class JoinBasedSearch:
         yield run.flush(-float("inf"))
 
 
-def check_level(level: int, postings: List[ColumnarPostings], columns,
-                run_bounds, erasers, semantics: str, damping_base: float,
-                with_scores: bool = True
+def check_level(run: LevelRun, level: int, spans, with_scores: bool = True
                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The ELCA/SLCA test over every joined number of a level, in bulk.
+    """The ELCA/SLCA test over J joined numbers of a level, in bulk,
+    against the run's eraser and under its semantics.
 
-    ``run_bounds[t]`` is column t's `runs_of` the joined numbers.
-    Returns the positions that pass and, with scores, ``witness[t, i]``:
-    the best damped free occurrence of term t under the i-th survivor.
-    Bit-identical to checking one candidate at a time (the reference
-    in ``tests/reference_join.py``), but every step is a bulk array
-    operation: erased counts per run come
-    from the eraser's prefix/binary-search bulk API, free witnesses from
-    a bulk mask, and per-run best damped scores from a segment max
-    (`np.maximum.reduceat`) over the concatenated run ordinals.
+    ``spans`` is ``run.spans`` of their runs, shape ``(k, J)``.  Returns
+    the positions that pass and, with scores, ``witness[t, i]``: the
+    best damped free occurrence of term t under the i-th survivor.
+    Bit-identical to checking one candidate at a time (the reference in
+    ``tests/reference_join.py``), but every step is one bulk call over
+    all k terms: erased counts per span from the eraser's
+    prefix/binary-search API, reshaped so ELCA/SLCA are masks reduced
+    over the term axis; free witnesses from one mask; per-span best
+    damped scores from one segment max (`np.maximum.reduceat`) over the
+    survivors' spans end to end.
     """
-    alive = np.ones(len(run_bounds[0][0]), dtype=bool)
-    for t, column in enumerate(columns):
-        lows, highs = run_bounds[t]
-        lo_ords, hi_ords = column.ordinal_spans(lows, highs)
-        erased = erasers[t].erased_counts(lo_ords, hi_ords)
-        if semantics == SLCA:
-            alive &= erased == 0
-        else:
-            alive &= erased < highs - lows
-    alive_idx = np.nonzero(alive)[0]
+    lo, hi = spans
+    erased = run.eraser.erased_counts(lo.ravel(), hi.ravel()) \
+        .reshape(lo.shape)
+    if run.semantics == SLCA:
+        alive = (erased == 0).all(axis=0)
+    else:
+        alive = (erased < hi - lo).all(axis=0)
+    alive_idx = np.flatnonzero(alive)
     if len(alive_idx) == 0 or not with_scores:
         return alive_idx, None
-    witness = np.empty((len(columns), len(alive_idx)), dtype=np.float64)
-    for t, column in enumerate(columns):
-        lows, highs = run_bounds[t]
-        # The rows of every surviving run, end to end.
-        flat, offsets = expand_runs(lows[alive_idx],
-                                    (highs - lows)[alive_idx])
-        ordinals = column.seq_idx[flat]
-        p = postings[t]
-        damped = (p.scores[ordinals]
-                  * damping_base ** (p.lengths[ordinals] - level))
-        free = erasers[t].free_mask(ordinals)
-        witness[t] = np.maximum.reduceat(
-            np.where(free, damped, -np.inf), offsets)
-    return alive_idx, witness
+    lo, hi = lo[:, alive_idx], hi[:, alive_idx]
+    # A run's sequences are consecutive ordinals (`Column.ordinal_spans`),
+    # so a span *is* its run's sequences: no ``seq_idx`` gather, and
+    # every ordinal read lies in the [0, N) the count above validated.
+    ordinals, offsets = expand_runs(lo.ravel(), (hi - lo).ravel())
+    damped = (run.scores[ordinals]
+              * run.damping_base ** (run.lengths[ordinals] - level))
+    free = run.eraser.free_mask(ordinals)
+    witness = np.maximum.reduceat(np.where(free, damped, -np.inf), offsets)
+    return alive_idx, witness.reshape(lo.shape)
 
 
 def search(index: ColumnarIndex, terms: Sequence[str],

@@ -87,9 +87,9 @@ class _TopKRun(LevelRun):
         """The level's star join over the free occurrences of the
         C-nodes `joined` (``run_bounds[t]``: their runs in column t),
         best damped score first; its ids are positions in `joined`."""
-        inputs = [scored.ranked(level, eraser, runs)
-                  for scored, eraser, runs
-                  in zip(self.scored, self.erasers, run_bounds)]
+        inputs = [scored.ranked(level, self.eraser, runs, base)
+                  for scored, runs, base
+                  in zip(self.scored, run_bounds, self.bases.tolist())]
         return BlockStarJoin(inputs, self.target_k, self.engine.bound_mode,
                              self.stats, self.ops, joined)
 
@@ -124,10 +124,9 @@ class _TopKRun(LevelRun):
         set and return what the live bound now lets out."""
         done, witness = join.take_completed()
         if len(done) and self.semantics == SLCA:
-            keep, _ = check_level(
-                level, self.postings, columns,
-                [(lows[done], highs[done]) for lows, highs in run_bounds],
-                self.erasers, SLCA, self.damping_base, with_scores=False)
+            spans = self.spans(columns, [(lows[done], highs[done])
+                                         for lows, highs in run_bounds])
+            keep, _ = check_level(self, level, spans, with_scores=False)
             done, witness = done[keep], witness[:, keep]
         if len(done):
             self.push(level, joined[done], witness)

@@ -88,10 +88,13 @@ class Column:
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Sequence-ordinal spans [lo, hi) covering each run [a, b).
 
-        The span is the erasure currency of section III-E: it includes
-        ordinals of shorter sequences interleaved within the run, which
-        is exactly the range rule ("all the sequences within A_k").
-        Runs must be non-empty.
+        The span is the erasure currency of section III-E, the range
+        rule's "all the sequences within A_k".  It holds the run's
+        sequences and nothing else -- ``hi - lo == b - a``: every
+        sequence of the run shares its first ``level`` components, and
+        JDewey tuples sort lexicographically, so no other sequence (a
+        shorter one included) sorts between two of them.  Runs must be
+        non-empty.
         """
         return self.seq_idx[lows], self.seq_idx[highs - 1] + 1
 

@@ -82,7 +82,7 @@ class ScoredPostings:
         return float(self.level_max[level - 1]) if level <= self.max_len \
             else 0.0
 
-    def ranked(self, level: int, eraser=None, runs=None
+    def ranked(self, level: int, eraser=None, runs=None, base: int = 0
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Column `level` as a ranked input: ``(run, score)`` of its
         occurrences, best damped score first.
@@ -92,7 +92,9 @@ class ScoredPostings:
         every run of the column (``run`` indexes ``column.distinct``).
 
         ``eraser`` filters out erased sequences (consumed by deeper
-        ELCAs) so they never become witnesses.  The scores are checked
+        ELCAs) so they never become witnesses; it may be a query's
+        eraser over several terms, in which this term's ordinals start
+        at ``base``.  The scores are checked
         non-increasing *as computed*: rounding can invert two
         occurrences of different lengths by an ulp, and the join's
         ``s^i`` is only a bound if the array really descends.
@@ -107,7 +109,7 @@ class ScoredPostings:
         run = np.repeat(np.arange(len(lows)), counts)
         ordinals = column.seq_idx[rows]
         if eraser is not None:
-            free = eraser.free_mask(ordinals)
+            free = eraser.free_mask(ordinals + base)
             run, ordinals = run[free], ordinals[free]
         by_rank = np.argsort(self.rank[ordinals])
         run, ordinals = run[by_rank], ordinals[by_rank]

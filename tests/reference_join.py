@@ -1,8 +1,9 @@
 """The per-candidate level check, kept as the tests' reference.
 
 `repro.algorithms.join_based.check_level` applies the ELCA/SLCA test to
-every joined number of a level in bulk and its survivors go straight
-into a `ResultSet`.  This is the formulation it replaced in `src/` (the
+every joined number of a level in bulk, over all terms at once against
+one query-wide eraser, and its survivors go straight into a
+`ResultSet`.  This is the formulation it replaced in `src/` (the
 former ``JoinBasedSearch(vectorized=False)`` path): one joined number at
 a time, one `SearchResult` per answer, scored through
 `RankingModel.score_result`.  It stays here unchanged in behaviour, so
@@ -17,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import (ELCA, SLCA, ExecutionStats, SearchResult,
                                    check_semantics, sort_by_document_order)
-from repro.algorithms.erasure import erase_runs, make_eraser
+from repro.algorithms.erasure import make_eraser
 from repro.index.columnar import ColumnarPostings
 from repro.planner.plans import JoinPlanner
 from repro.reliability.errors import DeadlineExceeded
@@ -91,8 +92,12 @@ class PerCandidateJoinSearch:
                 results.append(emitted)
                 stats.results_emitted += 1
         # Erase every joined range *after* the level is fully checked:
-        # same-level candidates never interact (disjoint subtrees).
-        stats.erasures += erase_runs(columns, run_bounds, erasers)
+        # same-level candidates never interact (disjoint subtrees).  One
+        # eraser per term, independent of the query-wide one in `src/`.
+        for column, (lows, highs), eraser in zip(columns, run_bounds,
+                                                 erasers):
+            eraser.mark_many(*column.ordinal_spans(lows, highs))
+            stats.erasures += int((highs - lows).sum())
 
     def _check_candidate(self, number: int, level: int, j: int,
                          postings: List[ColumnarPostings], columns,

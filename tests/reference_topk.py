@@ -16,13 +16,14 @@ how many tuples the paper's own cadence reads.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import (ELCA, SLCA, ExecutionStats, SearchResult,
-                                   check_semantics)
+from repro.algorithms.base import (ELCA, SLCA, ExecutionStats, ResultSet,
+                                   SearchResult, TopKResult, check_semantics)
 from repro.algorithms.erasure import make_eraser
 from repro.algorithms.topk_join import BOUND_MODES, CLASSIC, GROUP, BoundOps
 from repro.algorithms.topk_keyword import TopKKeywordSearch, _StreamState
@@ -483,8 +484,19 @@ def erased_probe(eraser) -> Callable[[int], bool]:
 class PerTupleTopKSearch(TopKKeywordSearch):
     """`TopKKeywordSearch` as it ran before the block engine: one
     `TopKStarJoin.step` per tuple, an emission attempt when a result
-    completes or every 16 steps.  `search` is inherited and drives this
-    `stream`."""
+    completes or every 16 steps.  `search` takes the first k of this
+    `stream` -- the inherited one would run the block engine's level
+    loop instead."""
+
+    def search(self, terms, k: int, semantics: str = ELCA,
+               deadline=None) -> TopKResult:
+        stats, state = ExecutionStats(), _StreamState()
+        stream = self.stream(terms, semantics, stats, target_k=k,
+                             _state=state)
+        results = list(itertools.islice(stream, max(k, 0)))
+        stream.close()
+        return TopKResult(ResultSet.of(self.index.nodes, results), stats,
+                          terminated_early=not state.finished)
 
     def stream(self, terms, semantics: str = ELCA, stats=None,
                target_k: int = 2 ** 30, _state=None, deadline=None):

@@ -184,6 +184,9 @@ REMOVED_NAMES = (
     # the hybrid's per-level plan switch and its record: the plan is a
     # property of the algorithm name
     "switch_factor", "plan_trace",
+    # the per-term erasers and their erase loop: a query keeps one
+    # eraser, a level is one call each way into it
+    "erase_runs", "run.erasers", "self.erasers",
 )
 
 #: (name, context): a removed option whose spelling something else still

@@ -1,6 +1,7 @@
 """Further property-based tests: prefix consistency, serialization over
 random trees, parser fuzz, result fragments."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,10 @@ def test_topk_prefix_consistency(tree, terms, k):
           suppress_health_check=[HealthCheck.too_slow])
 @given(labelled_tree())
 def test_columnar_serialization_roundtrip_random_trees(tree):
-    """Every term of a random tree's index round-trips exactly."""
+    """Every term of a random tree's index round-trips exactly, and in
+    memory as opened (``seq_idx`` derived from the lengths) every run of
+    every column is a block of consecutive sequence ordinals -- what the
+    level check's witnesses read without a ``seq_idx`` gather."""
     db = XMLDatabase.from_tree(tree)
     index = db.columnar_index
     blob = storage.serialize_columnar_index(index,
@@ -41,6 +45,13 @@ def test_columnar_serialization_roundtrip_random_trees(tree):
         assert postings.seqs == original.seqs
         assert list(postings.scores) == pytest.approx(
             list(original.scores))
+        for each in (original, postings):
+            for level in range(1, each.max_len + 1):
+                column = each.column(level)
+                starts, seq_idx = column.run_starts, column.seq_idx
+                assert np.array_equal(
+                    seq_idx[starts[1:] - 1] + 1 - seq_idx[starts[:-1]],
+                    np.diff(starts))
 
 
 @settings(max_examples=30, deadline=None,

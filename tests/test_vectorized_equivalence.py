@@ -1,19 +1,22 @@
 """Differential tests: the bulk level check vs the per-candidate one.
 
-`JoinBasedSearch` (bulk `check_level`, bulk scores, result columns)
-must be *bit-identical* to the per-candidate reference in
-``tests/reference_join.py`` -- same nodes, same levels, same float
-scores and witness tuples, same work counters -- on randomized
-DBLP/XMark corpora, for both semantics and both eraser modes.  Any
-divergence is a bug in the bulk erasure / segment-max / scoring
-machinery, not a tolerance question.
+`JoinBasedSearch` (bulk `check_level` against one query-wide eraser,
+bulk scores, result columns) must be *bit-identical* to the
+per-candidate reference in ``tests/reference_join.py`` (one eraser per
+term) -- same nodes, same levels, same float scores and witness tuples,
+same work counters -- on randomized DBLP/XMark corpora, for both
+semantics and all three eraser modes.  Any divergence is a bug in the
+bulk erasure / segment-max / scoring machinery, not a tolerance
+question.  A level is one call each way into the eraser, whatever k.
 """
 
 import random
 
 import pytest
 
-from repro.algorithms.join_based import JoinBasedSearch
+from repro.algorithms import join_based
+from repro.algorithms.erasure import ERASER_MODES
+from repro.algorithms.join_based import JoinBasedSearch, LevelRun
 from tests.reference_join import PerCandidateJoinSearch
 
 
@@ -51,7 +54,7 @@ def random_queries(db, seed, n_queries=12, max_terms=3):
 
 
 @pytest.mark.parametrize("semantics", ["elca", "slca"])
-@pytest.mark.parametrize("eraser_mode", ["bitmap", "interval"])
+@pytest.mark.parametrize("eraser_mode", ["bitmap", "interval", "roaring"])
 class TestRandomizedCorpora:
     def test_planted_queries_identical(self, corpus_db, semantics,
                                        eraser_mode):
@@ -78,6 +81,47 @@ class TestRandomizedCorpora:
                                         with_scores=False)
         assert fingerprint(scalar) == fingerprint(vector)
         assert all(r.score == 0.0 for r in vector)
+
+
+@pytest.mark.parametrize("eraser_mode", sorted(ERASER_MODES))
+@pytest.mark.parametrize("semantics", ["elca", "slca"])
+def test_one_eraser_call_each_way_per_level(dblp_db, monkeypatch,
+                                            semantics, eraser_mode):
+    """On a 4-term query that joins at every level: one eraser per query,
+    one `erased_counts` per processed level and one `mark_many` per
+    processed level above level 1 -- not one per term."""
+    terms = ["c3a", "c3b", "c3c", "gamma"]
+    calls = {"make_eraser": 0, "erased_counts": 0, "mark_many": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    eraser_class = ERASER_MODES[eraser_mode]
+    for method in ("erased_counts", "mark_many"):
+        monkeypatch.setattr(eraser_class, method,
+                            counting(method, getattr(eraser_class, method)))
+    monkeypatch.setattr(join_based, "make_eraser",
+                        counting("make_eraser", join_based.make_eraser))
+    joined_at = []
+    join_level = LevelRun.join_level
+
+    def recording(run, level, columns):
+        joined = join_level(run, level, columns)
+        joined_at.append((level, len(joined)))
+        return joined
+
+    monkeypatch.setattr(LevelRun, "join_level", recording)
+    results, stats = JoinBasedSearch(
+        dblp_db.columnar_index, eraser_mode=eraser_mode).evaluate(
+            terms, semantics)
+    assert results
+    levels = [level for level, n in joined_at if n]
+    assert len(levels) == stats.levels_processed == 5
+    assert calls == {"make_eraser": 1, "erased_counts": len(levels),
+                     "mark_many": len(levels) - 1}
 
 
 @pytest.mark.parametrize("semantics", ["elca", "slca"])
