@@ -15,8 +15,10 @@ live process:
   200 is marked ``degraded`` with a conservative ``bound``,
 * no accepted request outlives its deadline budget,
 * SIGTERM drains gracefully: the process exits 0,
-* the availability SLO holds over the access log, enforced by
-  ``repro slo --fail-on-alert`` (429 sheds excluded by design).
+* availability holds: of the accepted requests (429 sheds excluded by
+  design), at least ``AVAILABILITY_TARGET`` were not answered 5xx/504
+  -- `repro.serve.chaos.run_chaos_drive`'s definition, counted from
+  the statuses the clients saw.
 
 The access log (``chaos-access-ci.jsonl``) and trace log
 (``chaos-trace-ci.jsonl``) are written to the working directory so the
@@ -204,21 +206,19 @@ def main() -> int:
     assert worst <= budget_ms, \
         f"request outlived its deadline: {worst:.0f}ms > {budget_ms:.0f}ms"
 
-    # availability SLO over the access log, via the CLI gate CI uses
-    slo = subprocess.run(
-        [sys.executable, "-m", "repro", "slo", ACCESS_LOG,
-         "--availability-target", str(AVAILABILITY_TARGET),
-         "--latency-target-ms", str(budget_ms),
-         "--fail-on-alert"],
-        env=env, capture_output=True, text=True, timeout=120)
-    sys.stdout.write(slo.stdout)
-    assert slo.returncode == 0, \
-        f"repro slo --fail-on-alert tripped:\n{slo.stdout}\n{slo.stderr}"
-
+    # availability over the accepted requests: 429 sheds are the
+    # overload policy working and spend no budget, 5xx/504 do
     shed = statuses.count(429)
+    bad = sum(1 for s in statuses if s >= 500)
+    accepted = len(statuses) - shed
+    availability = 1.0 if accepted == 0 else (accepted - bad) / accepted
+    assert availability >= AVAILABILITY_TARGET, \
+        f"availability {availability:.4f} < {AVAILABILITY_TARGET}"
+
     good = statuses.count(200)
     print(f"chaos smoke ok: {REQUESTS} requests ({good} ok, "
-          f"{len(degraded)} degraded+bounded, {shed} shed), "
+          f"{len(degraded)} degraded+bounded, {shed} shed, "
+          f"availability {availability:.4f}), "
           f"{injected:.0f} faults injected ({kills:.0f} kills, "
           f"{rebuilds:.0f} rebuilds), healed + drained cleanly")
     return 0

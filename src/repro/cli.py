@@ -16,9 +16,7 @@
     python -m repro info mydb/
     python -m repro trace mydb/ "xml data" --out trace.jsonl
     python -m repro trace --from-log access.jsonl --trace-id abc123
-    python -m repro slo http://127.0.0.1:8388     # or: slo access.jsonl
     python -m repro audit mydb/ "xml data" --shadow sampled
-    python -m repro metrics mydb/ --query "xml data" --prometheus
 
 `search`/`topk`/`info` accept either a saved database directory or a
 raw XML file (indexed on the fly).
@@ -205,7 +203,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 1
     else:
         db = ShardedDatabase.from_database(db, args.shards or 1)
-    from .obs import SLOConfig
     from .serve import BreakerConfig, ChaosInjector
 
     chaos = None
@@ -222,22 +219,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
           default_timeout_ms=args.timeout_ms,
           default_partial=args.partial,
           result_cache_size=args.result_cache_size,
-          tracing=not args.no_tracing,
           access_log_path=args.access_log,
           trace_log_path=args.trace_log,
           slow_ms=args.slow_ms,
-          tail_slow_ms=args.tail_slow_ms,
-          tail_sample_rate=args.tail_sample_rate,
-          slo_config=SLOConfig(
-              availability_target=args.slo_availability,
-              latency_target_ms=args.slo_latency_ms),
           retry_attempts=args.retry_attempts,
           hedge_ms=args.hedge_ms,
           breaker=BreakerConfig(
               consecutive_failures=args.breaker_failures,
               open_ms=args.breaker_open_ms),
           drain_grace_ms=args.drain_grace_ms,
-          supervision=not args.no_supervision,
           chaos=chaos,
           capture_path=args.capture)
     return 0
@@ -433,31 +423,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Dump the live metrics registry (Prometheus exposition by
-    default).  With ``--query`` the given queries run first, so the
-    dump reflects actual serving work rather than an empty registry."""
-    import json
-
-    from .obs import get_registry
-
-    if args.database is not None:
-        db = _load(args.database)
-        registry = db.metrics
-        for query in args.query or []:
-            if args.k is not None:
-                db.search_topk(query, args.k, semantics=args.semantics)
-            else:
-                db.search(query, semantics=args.semantics)
-    else:
-        registry = get_registry()
-    if args.json:
-        print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
-    else:
-        print(registry.render_prometheus(), end="")
-    return 0
-
-
 def _trace_from_log(path: str, trace_id: Optional[str]) -> int:
     """Render daemon trace/access JSONL: stitched traces as span trees,
     access-log entries as one-line summaries."""
@@ -537,44 +502,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         record = db.slow_log.records()[-1]
         print(f"slow query (>= {db.slow_log.threshold_ms:.0f} ms): "
               f"{' '.join(record.terms)} took {record.elapsed_ms:.1f} ms")
-    return 0
-
-
-def cmd_slo(args: argparse.Namespace) -> int:
-    """SLO report from a live daemon (URL) or an access log (JSONL)."""
-    import json
-
-    from .obs import (SLOConfig, format_slo_report, read_jsonl,
-                      report_from_records)
-
-    target = args.target
-    if target.startswith(("http://", "https://")):
-        import urllib.request
-
-        url = target.rstrip("/")
-        if not url.endswith("/slo"):
-            url += "/slo"
-        try:
-            with urllib.request.urlopen(url, timeout=10) as resp:
-                report = json.load(resp)
-        except OSError as exc:
-            print(f"error: cannot reach {url}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        if not os.path.exists(target):
-            print(f"error: no such access log: {target}", file=sys.stderr)
-            return EXIT_MISSING
-        config = SLOConfig(
-            availability_target=args.availability_target,
-            latency_target_ms=args.latency_target_ms,
-            latency_target_ratio=args.latency_target_ratio)
-        report = report_from_records(read_jsonl(target), config)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_slo_report(report))
-    if args.fail_on_alert and report.get("alerts"):
-        return 1
     return 0
 
 
@@ -695,9 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eager", action="store_true",
                    help="verify every file's digest at load instead of "
                         "block by block as queries touch them")
-    p.add_argument("--no-tracing", action="store_true",
-                   help="disable distributed trace collection (access "
-                        "log and SLO tracking stay on)")
     p.add_argument("--access-log", default=None, metavar="PATH",
                    help="append one JSONL record per request here")
     p.add_argument("--trace-log", default=None, metavar="PATH",
@@ -705,16 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-ms", type=float, default=None,
                    help="record served requests over this wall time in "
                         "the daemon slow-query log")
-    p.add_argument("--tail-slow-ms", type=float, default=250.0,
-                   help="tail sampling: always retain traces at or "
-                        "above this latency")
-    p.add_argument("--tail-sample-rate", type=float, default=1.0,
-                   help="retention probability for fast, healthy "
-                        "traces (outliers are always kept)")
-    p.add_argument("--slo-availability", type=float, default=0.999,
-                   help="availability objective for /slo burn rates")
-    p.add_argument("--slo-latency-ms", type=float, default=250.0,
-                   help="latency objective for /slo burn rates")
     p.add_argument("--retry-attempts", type=int, default=2,
                    help="per-shard attempts for transient failures "
                         "(crashed worker, corrupt reply); 1 disables")
@@ -731,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drain-grace-ms", type=float, default=5000.0,
                    help="SIGTERM drain: wait this long for in-flight "
                         "requests before stopping the pools")
-    p.add_argument("--no-supervision", action="store_true",
-                   help="disable breakers/retries/degraded partials; "
-                        "any shard failure fails the request (A/B "
-                        "overhead measurement)")
     p.add_argument("--chaos", default=None, metavar="SPEC",
                    help="fault-injection schedule, e.g. "
                         "'kill=0.02,latency=0.1,latency-ms=50,"
@@ -873,23 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if any level is flagged")
     p.set_defaults(fn=cmd_audit)
 
-    p = sub.add_parser("metrics",
-                       help="dump the metrics registry (Prometheus "
-                            "exposition; --json for the raw snapshot)")
-    p.add_argument("database", nargs="?", default=None,
-                   help="optional database; with --query, queries run "
-                        "first so the dump reflects real serving work")
-    p.add_argument("--query", action="append", default=None,
-                   help="query to run before dumping (repeatable)")
-    p.add_argument("-k", type=int, default=None,
-                   help="run --query as top-K instead of complete")
-    p.add_argument("--semantics", choices=("elca", "slca"),
-                   default="elca")
-    p.add_argument("--json", action="store_true",
-                   help="raw MetricsRegistry.snapshot() JSON instead of "
-                        "Prometheus exposition")
-    p.set_defaults(fn=cmd_metrics)
-
     p = sub.add_parser("trace",
                        help="run one traced query (span tree), or "
                             "render daemon trace/access JSONL with "
@@ -915,26 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-id", default=None,
                    help="with --from-log: only entries for this trace")
     p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("slo",
-                       help="SLO burn-rate report from a daemon URL "
-                            "(GET /slo) or an access-log JSONL file")
-    p.add_argument("target",
-                   help="http(s)://host:port of a live daemon, or the "
-                        "path of an access-log JSONL")
-    p.add_argument("--availability-target", type=float, default=0.999,
-                   help="offline reports: availability objective")
-    p.add_argument("--latency-target-ms", type=float, default=250.0,
-                   help="offline reports: latency objective (ms)")
-    p.add_argument("--latency-target-ratio", type=float, default=0.99,
-                   help="offline reports: fraction of 200s that must "
-                        "beat the latency objective")
-    p.add_argument("--json", action="store_true",
-                   help="print the raw report JSON")
-    p.add_argument("--fail-on-alert", action="store_true",
-                   help="exit 1 if any objective burns faster than "
-                        "budget (CI gating)")
-    p.set_defaults(fn=cmd_slo)
 
     return parser
 

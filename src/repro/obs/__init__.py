@@ -28,15 +28,12 @@ from .audit import (AuditingJoinPlanner, JoinObservation, LevelAudit,
                     PlanAudit, PlanAuditor, audit_query, q_error)
 from .doctor import (DOCTOR_SCHEMA, doctor_report, format_doctor_report,
                      run_checks)
-from .distributed import (TRACE_WIRE_VERSION, AccessLog, TailSampler,
-                          TraceContext, TraceStore, count_spans,
-                          format_access_record, make_span, new_trace_id,
-                          read_jsonl, render_stitched, span_to_wire,
-                          stitch_trace)
+from .distributed import (TRACE_WIRE_VERSION, AccessLog, TraceContext,
+                          TraceStore, count_spans, format_access_record,
+                          make_span, new_trace_id, read_jsonl,
+                          render_stitched, span_to_wire, stitch_trace)
 from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, get_registry)
-from .slo import (DEFAULT_WINDOWS_S, SLO_SCHEMA, SLOConfig, SLOTracker,
-                  format_slo_report, report_from_records)
 from .slowlog import SlowQueryLog, SlowQueryRecord
 from .tracing import (NULL_TRACER, PHASES, NullTracer, Span, Tracer,
                       phase_totals, render_phases, render_trace,
@@ -47,7 +44,6 @@ __all__ = [
     "AuditingJoinPlanner",
     "Counter",
     "DEFAULT_BUCKETS",
-    "DEFAULT_WINDOWS_S",
     "DOCTOR_SCHEMA",
     "Gauge",
     "Histogram",
@@ -60,14 +56,10 @@ __all__ = [
     "PlanAudit",
     "PlanAuditor",
     "ResourceAccount",
-    "SLOConfig",
-    "SLOTracker",
-    "SLO_SCHEMA",
     "SlowQueryLog",
     "SlowQueryRecord",
     "Span",
     "TRACE_WIRE_VERSION",
-    "TailSampler",
     "TraceContext",
     "TraceStore",
     "Tracer",
@@ -78,7 +70,6 @@ __all__ = [
     "doctor_report",
     "format_access_record",
     "format_doctor_report",
-    "format_slo_report",
     "get_registry",
     "make_span",
     "merge_resources",
@@ -89,7 +80,6 @@ __all__ = [
     "render_phases",
     "render_stitched",
     "render_trace",
-    "report_from_records",
     "run_checks",
     "span_to_wire",
     "spans_per_level_plan",

@@ -11,10 +11,8 @@ pieces back into one request-scoped trace:
   `Span.to_dict` (relative-millisecond timestamps, so a clock-domain
   change between processes cannot skew them) and `stitch_trace` grafts
   each shard's tree under the daemon's scatter span;
-* `TailSampler` makes the retention decision *after* the request
-  finished -- tail-based sampling: slow, error and shed requests are
-  always kept, the healthy fast majority is downsampled;
 * `TraceStore` is the bounded in-memory ring behind ``/debug/traces``
+  that every stitched trace goes into
   (optionally mirrored to a JSONL file that ``repro trace --from-log``
   renders);
 * `AccessLog` is the per-request structured JSONL log: one line per
@@ -34,11 +32,10 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from .tracing import Span, _jsonable, render_trace
 
@@ -57,9 +54,8 @@ class TraceContext:
 
     ``trace_id`` names the whole request; ``parent_span`` names the
     daemon-side span a remote tree should hang under; ``sampled`` is
-    the *head* decision ("collect spans at all"), distinct from the
-    tail retention decision `TailSampler` makes after the outcome is
-    known.  The wire form is a small JSON-safe dict, shipped in the
+    the *head* decision ("collect spans at all").  The wire form is a
+    small JSON-safe dict, shipped in the
     same payload tuple as the deadline envelope.
     """
 
@@ -216,40 +212,8 @@ def count_spans(trace: Dict[str, Any], name: Optional[str] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tail-based sampling and retention
+# retention
 # ---------------------------------------------------------------------------
-
-class TailSampler:
-    """Keep-or-drop decided *after* the request outcome is known.
-
-    The whole point of tail sampling: the traces worth money are the
-    outliers, and you only know a request was an outlier once it is
-    over.  Slow (>= ``slow_ms``), error (5xx), shed (429), timed-out
-    (504) and partial requests are always retained; the healthy fast
-    majority is downsampled at ``sample_rate`` (seeded RNG, so a test
-    run retains a reproducible subset).
-    """
-
-    ALWAYS_KEEP_OUTCOMES = frozenset(
-        {"error", "shed", "deadline", "partial"})
-
-    def __init__(self, slow_ms: float = 250.0, sample_rate: float = 1.0,
-                 seed: int = 0xACE5):
-        self.slow_ms = float(slow_ms)
-        self.sample_rate = min(1.0, max(0.0, float(sample_rate)))
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-
-    def keep(self, status: int, outcome: str, elapsed_ms: float) -> bool:
-        if status >= 400 or outcome in self.ALWAYS_KEEP_OUTCOMES:
-            return True
-        if elapsed_ms >= self.slow_ms:
-            return True
-        if self.sample_rate >= 1.0:
-            return True
-        with self._lock:
-            return self._rng.random() < self.sample_rate
-
 
 class TraceStore:
     """Bounded trace_id -> stitched-trace ring behind ``/debug/traces``.
@@ -323,7 +287,7 @@ class AccessLog:
     """One structured record per request, ring-buffered + optional JSONL.
 
     The record schema (all keys always present, so downstream `jq` and
-    the offline SLO builder never branch on shape)::
+    ``repro trace --from-log`` never branch on shape)::
 
         {"wall_time", "trace_id", "endpoint", "terms", "semantics",
          "k", "status", "outcome", "cached", "queue_wait_ms",

@@ -7,8 +7,7 @@ cache hit ratios, bytes read/written, batch queue depth.  Two read
 paths:
 
 * `snapshot()` -- a plain nested dict (counters / gauges / histograms
-  with p50/p95/p99), serialized by the ``repro trace`` and
-  ``repro metrics --json`` CLI verbs;
+  with p50/p95/p99), serialized by ``repro trace --metrics-out``;
 * `render_prometheus()` -- Prometheus text exposition format, ready to
   serve from a ``/metrics`` endpoint.
 

@@ -312,8 +312,9 @@ def run_chaos_drive(sharded, chaos: ChaosInjector, queries: List[str], *,
     """Boot a chaos-enabled daemon, drive it, wait for it to heal, and
     report against the self-healing acceptance invariants:
 
-    * availability >= ``availability_target`` (429 sheds excluded, per
-      `obs.slo` accounting);
+    * availability >= ``availability_target``: of the requests the
+      daemon accepted (429 sheds excluded -- shedding is the overload
+      policy working), the share not answered 5xx or 504;
     * every degraded 200 is marked ``degraded`` and carries a finite
       ``bound``;
     * no accepted request outlives its deadline budget

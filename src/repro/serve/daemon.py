@@ -60,7 +60,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import re
 import signal
 import time
 import urllib.parse
@@ -70,10 +69,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..algorithms.base import ELCA, SEMANTICS, ResultSet
 from ..cache import QueryCache, result_key
 from ..obs.account import merge_resources
-from ..obs.distributed import (AccessLog, TailSampler, TraceContext,
-                               TraceStore, stitch_trace)
+from ..obs.distributed import AccessLog, TraceContext, TraceStore, stitch_trace
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.slo import SLOConfig, SLOTracker
 from ..obs.slowlog import SlowQueryLog
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..reliability.deadline import Deadline
@@ -90,63 +87,16 @@ from .supervisor import BreakerConfig, BreakerOpenError, ShardSupervisor
 #: forked before the dict was full would serve the wrong world.
 _SERVE_DBS: Dict[int, object] = {}
 
-#: Worker-process-local state for metric shipping.  A forked worker
-#: inherits the parent registry's pre-fork counter values copy-on-write;
-#: shipping those verbatim would double-count everything the parent
-#: recorded before the fork.  The first task a worker runs snapshots
-#: the inherited counters as a baseline, and every response ships the
-#: cumulative *delta* since that baseline, keyed by pid so the parent
-#: can keep latest-per-worker and sum per shard.
-_WORKER_STATE: Dict[str, Any] = {}
 
-
-def _worker_baseline(db) -> None:
-    pid = os.getpid()
-    if _WORKER_STATE.get("pid") != pid:
-        _WORKER_STATE["pid"] = pid
-        _WORKER_STATE["baseline"] = dict(
-            db.metrics.snapshot()["counters"])
-
-
-def _worker_counter_deltas(db) -> Dict[str, float]:
-    """Shard-local counter growth since this worker process forked."""
-    base = _WORKER_STATE.get("baseline") or {}
-    out: Dict[str, float] = {}
-    for key, value in db.metrics.snapshot()["counters"].items():
-        delta = value - base.get(key, 0.0)
-        if delta > 0:
-            out[key] = delta
-    return out
-
-
-def _worker_publish(db, endpoint: str, stats, partial: bool) -> None:
-    """Record shard-local counters into the worker's (inherited)
-    registry.  These never reach a scrape directly -- the worker has no
-    HTTP endpoint -- they ride back to the parent as deltas and surface
-    as ``repro_worker_*{shard=...}`` on the daemon's ``/metrics``."""
-    reg = db.metrics
-    reg.counter("repro_shard_requests_total",
-                {"endpoint": endpoint}).inc()
-    if stats is not None:
-        if stats.tuples_scanned:
-            reg.counter("repro_shard_tuples_scanned_total").inc(
-                stats.tuples_scanned)
-        if stats.cache_hits:
-            reg.counter("repro_shard_cache_hits_total").inc(
-                stats.cache_hits)
-    if partial:
-        reg.counter("repro_shard_deadline_partials_total").inc()
-
-
-def _shard_extra(db, tracer, stats) -> Dict[str, Any]:
+def _shard_extra(tracer, stats) -> Dict[str, Any]:
     """The observability sidecar shipped back with a shard response:
-    the worker's span tree (wire dict form), the engine's retrieval
-    counters, and the worker metric deltas."""
+    the worker's span tree (wire dict form) and the engine's retrieval
+    counters, which the daemon puts into the stitched trace and the
+    access log."""
     root = tracer.last_root() if tracer.enabled else None
     extra: Dict[str, Any] = {
         "pid": os.getpid(),
         "trace": root.to_dict() if root is not None else None,
-        "counters": _worker_counter_deltas(db),
     }
     if stats is not None:
         extra["retrievals"] = stats.tuples_scanned
@@ -178,7 +128,7 @@ def _serve_shard(payload):
     cannot lose the gather.  When the payload carries a sampled
     `TraceContext`, the engine runs under a worker-local `Tracer` and
     the span tree travels back in the 7th (sidecar) slot together with
-    the retrieval counters and the worker's metric deltas.
+    the retrieval counters.
     """
     sid, terms, semantics, k, wire, ctx_wire, fault = payload
     db = _SERVE_DBS.get(sid)
@@ -188,7 +138,6 @@ def _serve_shard(payload):
             "ServeDaemon after _SERVE_DBS is installed"), None
     deadline = Deadline.from_wire(wire) if wire else None
     ctx = TraceContext.from_wire(ctx_wire)
-    _worker_baseline(db)
     tracer = Tracer() if ctx is not None and ctx.sampled else NULL_TRACER
     start = time.perf_counter()
     try:
@@ -216,10 +165,8 @@ def _serve_shard(payload):
         if deferred == BYTE_FAULT:
             reply = corrupt_wire(reply)
         elapsed = (time.perf_counter() - start) * 1000.0
-        _worker_publish(db, "search" if k is None else "topk", stats,
-                        partial)
         return (sid, reply, partial, bound, elapsed, None,
-                _shard_extra(db, tracer, stats))
+                _shard_extra(tracer, stats))
     except Exception as exc:  # noqa: BLE001 - shipped back as a value
         import pickle
 
@@ -229,22 +176,7 @@ def _serve_shard(payload):
             exc = RuntimeError(f"{type(exc).__name__}: {exc}")
         return (sid, None, False, None,
                 (time.perf_counter() - start) * 1000.0, exc,
-                _shard_extra(db, tracer, None))
-
-
-#: ``name{label="v"}`` keys from `MetricsRegistry.snapshot`, split back
-#: into (name, labels) so worker counters can be re-registered in the
-#: parent registry with a ``shard`` label added.
-_METRIC_KEY_RE = re.compile(r"^(?P<name>[^{]+)(?:\{(?P<labels>.*)\})?$")
-_LABEL_RE = re.compile(r'(\w+)="([^"]*)"')
-
-
-def _parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
-    match = _METRIC_KEY_RE.match(key)
-    if match is None:  # pragma: no cover - snapshot keys always match
-        return key, {}
-    labels = dict(_LABEL_RE.findall(match.group("labels") or ""))
-    return match.group("name"), labels
+                _shard_extra(tracer, None))
 
 
 class _RequestObs:
@@ -281,15 +213,15 @@ class ServeDaemon:
     the event loop itself never evaluates a query: it only admits,
     dispatches, merges and serializes.
 
-    Observability (on by default, ``tracing=False`` turns span
-    collection off): every request gets a `TraceContext`, shard workers
-    ship span trees back, and the daemon stitches one trace per request
-    (tail-sampled into `TraceStore` / ``/debug/traces``), writes one
-    `AccessLog` record (optionally JSONL at ``access_log_path``), feeds
-    the `SLOTracker` behind ``/slo``, attaches trace-id exemplars to
+    Observability is always on: every request gets a `TraceContext`,
+    shard workers ship span trees back, and the daemon stitches one
+    trace per request into the bounded `TraceStore` behind
+    ``/debug/traces``, writes one `AccessLog` record (optionally JSONL
+    at ``access_log_path``), attaches trace-id exemplars to
     ``repro_serve_latency_ms``, and -- with ``slow_ms`` or an explicit
     ``slow_log`` -- records over-threshold requests with their stitched
-    per-shard breakdown.
+    per-shard breakdown.  Supervision (breakers, in-deadline retries,
+    degraded partials) is always on as well.
     """
 
     def __init__(self, db: ShardedDatabase, host: str = "127.0.0.1",
@@ -299,23 +231,18 @@ class ServeDaemon:
                  default_partial: bool = False,
                  result_cache_size: int = 1024,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracing: bool = True,
                  trace_capacity: int = 256,
                  trace_log_path: Optional[str] = None,
                  access_log_path: Optional[str] = None,
                  access_log_capacity: int = 1024,
-                 tail_slow_ms: float = 250.0,
-                 tail_sample_rate: float = 1.0,
                  slow_log: Optional[SlowQueryLog] = None,
                  slow_ms: Optional[float] = None,
-                 slo_config: Optional[SLOConfig] = None,
                  breaker: Optional[BreakerConfig] = None,
                  retry_attempts: int = 2,
                  retry_backoff_ms: float = 10.0,
                  hedge_ms: Optional[float] = None,
                  chaos: Optional[ChaosInjector] = None,
                  drain_grace_ms: float = 5000.0,
-                 supervision: bool = True,
                  capture_path: Optional[str] = None):
         self.db = db
         self.host = host
@@ -327,12 +254,9 @@ class ServeDaemon:
         self.default_partial = default_partial
         self.metrics = metrics if metrics is not None else get_registry()
         self.cache = QueryCache(result_cache_size)
-        self.tracing = bool(tracing)
         self.traces = TraceStore(trace_capacity, path=trace_log_path)
         self.access_log = AccessLog(access_log_capacity,
                                     path=access_log_path)
-        self.sampler = TailSampler(tail_slow_ms, tail_sample_rate)
-        self.slo = SLOTracker(slo_config)
         if slow_log is None and slow_ms is not None:
             slow_log = SlowQueryLog(threshold_ms=slow_ms)
         self.slow_log = slow_log
@@ -341,8 +265,6 @@ class ServeDaemon:
             from .capture import WorkloadCapture
             self.capture = WorkloadCapture(capture_path, meta={
                 "shards": db.n_shards, "workers": self.workers})
-        # (shard, pid) -> the worker's latest cumulative counter deltas
-        self._worker_metrics: Dict[Tuple[int, int], Dict[str, float]] = {}
         self._sem: Optional[asyncio.Semaphore] = None
         self._waiting = 0
         self._inflight_count = 0
@@ -352,7 +274,6 @@ class ServeDaemon:
         self._shutdown = asyncio.Event()
         self._started = time.perf_counter()
         # self-healing layer
-        self.supervision = bool(supervision)
         self.retry_policy = RetryPolicy(
             max_attempts=max(1, int(retry_attempts)),
             backoff_ms=retry_backoff_ms)
@@ -381,12 +302,15 @@ class ServeDaemon:
         for outcome in ("ok", "partial", "degraded", "error"):
             reg.counter("repro_serve_requests_total", {"outcome": outcome})
         reg.counter("repro_serve_degraded_total")
-        for sid in range(db.n_shards):
-            labels = {"shard": str(sid)}
-            reg.histogram("repro_serve_shard_ms", labels)
-            reg.counter("repro_serve_retries_total", labels)
-            reg.counter("repro_serve_hedges_total", labels)
-            reg.counter("repro_serve_shard_skipped_total", labels)
+        # Per-shard instruments only where a fan-out can move them: the
+        # inline path scatters inside the facade and calls no shard.
+        if self.workers >= 1:
+            for sid in range(db.n_shards):
+                labels = {"shard": str(sid)}
+                reg.histogram("repro_serve_shard_ms", labels)
+                reg.counter("repro_serve_retries_total", labels)
+                reg.counter("repro_serve_hedges_total", labels)
+                reg.counter("repro_serve_shard_skipped_total", labels)
 
     # ------------------------------------------------------------------
     # pools
@@ -475,39 +399,6 @@ class ServeDaemon:
     # evaluation
     # ------------------------------------------------------------------
 
-    def _absorb_worker_counters(self, sid: int, pid: Optional[int],
-                                counters: Dict[str, float]) -> None:
-        """Fold one worker's cumulative counter deltas into the parent
-        registry as ``repro_worker_*`` counters labelled by shard.
-
-        The worker ships totals-since-fork, so the parent increments by
-        the growth over the previous report from the same (shard, pid)
-        -- monotonic in the parent even across interleaved reports from
-        sibling workers, self-correcting when a pool respawns a worker
-        (a fresh pid starts a fresh series)."""
-        if pid is None or not counters:
-            return
-        prev = self._worker_metrics.get((sid, pid), {})
-        for key, value in counters.items():
-            grown = value - prev.get(key, 0.0)
-            if grown <= 0:
-                continue
-            name, labels = _parse_metric_key(key)
-            if name.startswith("repro_"):
-                name = name[len("repro_"):]
-            labels["shard"] = str(sid)
-            self.metrics.counter("repro_worker_" + name, labels).inc(grown)
-        self._worker_metrics[(sid, pid)] = dict(counters)
-
-    def worker_metrics(self) -> Dict[str, Dict[str, float]]:
-        """Latest worker counter deltas summed per shard (``/stats``)."""
-        per_shard: Dict[str, Dict[str, float]] = {}
-        for (sid, _pid), counters in sorted(self._worker_metrics.items()):
-            agg = per_shard.setdefault(str(sid), {})
-            for key, value in counters.items():
-                agg[key] = agg.get(key, 0.0) + value
-        return per_shard
-
     # -- self-healing shard calls --------------------------------------
 
     def _shard_score_bound(self, sid: int, terms: Sequence[str]) -> float:
@@ -581,14 +472,12 @@ class ServeDaemon:
         """
         entry: Dict[str, Any] = {"shard": sid}
         started = time.perf_counter()
-        breaker = (self.supervisor.breaker(sid) if self.supervision
-                   else None)
-        attempts = (self.retry_policy.max_attempts if self.supervision
-                    else 1)
+        breaker = self.supervisor.breaker(sid)
+        attempts = self.retry_policy.max_attempts
         last_exc: Optional[BaseException] = None
         for attempt in range(1, attempts + 1):
             entry["attempts"] = attempt
-            if breaker is not None and not breaker.allow():
+            if not breaker.allow():
                 self.metrics.counter("repro_serve_shard_skipped_total",
                                      {"shard": str(sid)}).inc()
                 entry["skipped"] = True
@@ -598,8 +487,7 @@ class ServeDaemon:
                 break
             if (deadline is not None and deadline.budget_ms is not None
                     and deadline.expired()):
-                if breaker is not None:
-                    breaker.record_success()  # budget death, not shard sickness
+                breaker.record_success()  # budget death, not shard sickness
                 last_exc = last_exc or DeadlineExceeded(
                     "budget expired before shard dispatch")
                 break
@@ -635,18 +523,15 @@ class ServeDaemon:
                     except ShardPayloadError as payload_exc:
                         exc = payload_exc
                     else:
-                        if breaker is not None:
-                            breaker.record_success()
+                        breaker.record_success()
                         return (sid, results, *outcome[2:]), entry
                 elif isinstance(worker_exc, DeadlineExceeded):
-                    if breaker is not None:
-                        breaker.record_success()
+                    breaker.record_success()
                     return outcome, entry
                 else:
                     exc = worker_exc
             last_exc = exc
-            if breaker is not None:
-                breaker.record_failure()
+            breaker.record_failure()
             if attempt >= attempts or not self.retry_policy.retryable(exc):
                 break
             delay_ms = self.retry_policy.delay_ms(attempt)
@@ -666,11 +551,11 @@ class ServeDaemon:
         """Run one supervised call per qualifying shard, concurrently.
 
         Fills ``obs.shards`` with each shard's latency / retrieval
-        counts / span tree and absorbs worker metric deltas.  Transient
-        shard failures stay *in* the outcome list (slot 5) for the
-        merge to degrade around; a worker `DeadlineExceeded` or an
-        unexpected (non-transient) error is re-raised after the healthy
-        shards' observability is recorded.
+        counts / span tree.  Transient shard failures stay *in* the
+        outcome list (slot 5) for the merge to degrade around; a
+        worker `DeadlineExceeded` or an unexpected (non-transient) error
+        is re-raised after the healthy shards' observability is
+        recorded.
         """
         results = await asyncio.gather(*[
             self._call_shard(fn, sid, make_payload, deadline, obs, n_terms)
@@ -688,8 +573,6 @@ class ServeDaemon:
             if bound is not None and bound != float("inf"):
                 entry["bound"] = bound
             if extra:
-                self._absorb_worker_counters(sid, extra.get("pid"),
-                                             extra.get("counters") or {})
                 for key in ("retrievals", "emitted", "levels", "pid"):
                     if extra.get(key) is not None:
                         entry[key] = extra[key]
@@ -702,9 +585,9 @@ class ServeDaemon:
                 if isinstance(exc, DeadlineExceeded):
                     if first_deadline is None:
                         first_deadline = exc
-                elif self.supervision and isinstance(
-                        exc, (WorkerCrashError, InjectedFault,
-                              ShardPayloadError, BreakerOpenError, OSError)):
+                elif isinstance(exc, (WorkerCrashError, InjectedFault,
+                                      ShardPayloadError, BreakerOpenError,
+                                      OSError)):
                     entry["degraded"] = True
                     obs.degraded_shards.append(sid)
                 elif first_fatal is None:
@@ -719,15 +602,19 @@ class ServeDaemon:
 
     async def _eval(self, terms: List[str], semantics: str,
                     k: Optional[int], deadline: Optional[Deadline],
-                    ctx: Optional[TraceContext], obs: _RequestObs) -> dict:
+                    ctx: TraceContext, obs: _RequestObs) -> dict:
         """Evaluate one admitted query -- top-``k``, or complete when
         ``k`` is ``None`` -- into its response payload."""
         db = self.db
         if self.workers < 1:
             def inline():
                 if k is None:
+                    # The daemon's response cache is the only one: a
+                    # second (facade) cache would answer what
+                    # ``result_cache_size=0`` told the daemon not to.
                     results, stats = db.search(
-                        terms, semantics, deadline=deadline, with_stats=True)
+                        terms, semantics, deadline=deadline,
+                        use_cache=False, with_stats=True)
                     return results, stats, stats.partial, None
                 top = db.search_topk(terms, k, semantics, deadline=deadline)
                 return top.results, top.stats, top.partial, top.bound
@@ -741,8 +628,7 @@ class ServeDaemon:
         if not db._covered(terms):
             return self._payload(ResultSet.empty(db.nodes, len(terms)), False,
                                  None)
-        ctx_wire = (ctx.child("scatter").to_wire()
-                    if ctx is not None else None)
+        ctx_wire = ctx.child("scatter").to_wire()
 
         def make_payload(sid, fault):
             # A fresh wire per attempt: the *remaining* budget travels,
@@ -804,55 +690,53 @@ class ServeDaemon:
     async def _handle_query(self, endpoint: str, params: dict) -> Tuple[int, dict]:
         """Admission, evaluation and — on every terminal path — the
         request's observability bookkeeping via the `finish` closure:
-        stitch + tail-sample the trace, write the access-log record,
-        feed the SLO tracker and the slow log."""
+        stitch and store the trace, write the access-log record, feed
+        the slow log."""
         arrival = time.perf_counter()
         wall = time.time()
-        ctx = TraceContext() if self.tracing else None
+        ctx = TraceContext()
         obs = _RequestObs()
 
         def finish(status, outcome, terms, semantics, k, *,
                    queue_wait_ms=0.0, result_count=0, partial=False,
                    bound=None, cached=False, degraded=False):
             elapsed_ms = (time.perf_counter() - arrival) * 1000.0
-            trace_id = ctx.trace_id if ctx is not None else None
-            if ctx is not None:
-                extra = {"fanout": obs.fanout, "mode": obs.mode,
-                         "result_count": result_count}
-                if bound is not None:
-                    extra["bound"] = bound
-                if degraded:
-                    extra["degraded"] = True
-                    extra["degraded_shards"] = list(obs.degraded_shards)
-                if obs.retries:
-                    extra["retries"] = obs.retries
-                if obs.hedges:
-                    extra["hedges"] = obs.hedges
-                trace = stitch_trace(
-                    ctx.trace_id, endpoint, terms, semantics, k, status,
-                    outcome, elapsed_ms, queue_wait_ms, shards=obs.shards,
-                    scatter_ms=obs.scatter_ms, merge_ms=obs.merge_ms,
-                    cached=cached, wall_time=wall, extra_tags=extra)
-                if self.sampler.keep(status, outcome, elapsed_ms):
-                    self.traces.add(trace)
-                if (self.slow_log is not None and status == 200
-                        and not cached):
-                    self.slow_log.maybe_record(
-                        elapsed_ms, terms, semantics, "serve-" + endpoint,
-                        k, stats={
-                            "trace_id": trace_id,
-                            "queue_wait_ms": queue_wait_ms,
-                            "scatter_ms": obs.scatter_ms,
-                            "merge_ms": obs.merge_ms,
-                            "fanout": obs.fanout,
-                            "mode": obs.mode,
-                            "shards": {
-                                str(s["shard"]): {
-                                    "elapsed_ms": s.get("elapsed_ms"),
-                                    "retrievals": s.get("retrievals"),
-                                    "partial": s.get("partial"),
-                                } for s in obs.shards},
-                        }, trace_root=trace["root"])
+            trace_id = ctx.trace_id
+            extra = {"fanout": obs.fanout, "mode": obs.mode,
+                     "result_count": result_count}
+            if bound is not None:
+                extra["bound"] = bound
+            if degraded:
+                extra["degraded"] = True
+                extra["degraded_shards"] = list(obs.degraded_shards)
+            if obs.retries:
+                extra["retries"] = obs.retries
+            if obs.hedges:
+                extra["hedges"] = obs.hedges
+            trace = stitch_trace(
+                trace_id, endpoint, terms, semantics, k, status,
+                outcome, elapsed_ms, queue_wait_ms, shards=obs.shards,
+                scatter_ms=obs.scatter_ms, merge_ms=obs.merge_ms,
+                cached=cached, wall_time=wall, extra_tags=extra)
+            self.traces.add(trace)
+            if (self.slow_log is not None and status == 200
+                    and not cached):
+                self.slow_log.maybe_record(
+                    elapsed_ms, terms, semantics, "serve-" + endpoint,
+                    k, stats={
+                        "trace_id": trace_id,
+                        "queue_wait_ms": queue_wait_ms,
+                        "scatter_ms": obs.scatter_ms,
+                        "merge_ms": obs.merge_ms,
+                        "fanout": obs.fanout,
+                        "mode": obs.mode,
+                        "shards": {
+                            str(s["shard"]): {
+                                "elapsed_ms": s.get("elapsed_ms"),
+                                "retrievals": s.get("retrievals"),
+                                "partial": s.get("partial"),
+                            } for s in obs.shards},
+                    }, trace_root=trace["root"])
             self.access_log.record(
                 wall_time=wall, trace_id=trace_id, endpoint=endpoint,
                 terms=terms, semantics=semantics, k=k, status=status,
@@ -864,7 +748,6 @@ class ServeDaemon:
                 account=obs.account,
                 shards=[{key: value for key, value in shard.items()
                          if key != "trace"} for shard in obs.shards])
-            self.slo.record(status, elapsed_ms, degraded=degraded)
             return trace_id, elapsed_ms
 
         query = params.get("q", "").strip()
@@ -1046,7 +929,6 @@ class ServeDaemon:
                 "queue_limit": self.queue_limit,
                 "cache": self.cache.stats(),
                 "tracing": {
-                    "enabled": self.tracing,
                     "retained_traces": len(self.traces),
                     "traces_added": self.traces.added,
                     "traces_dropped": self.traces.dropped,
@@ -1056,9 +938,7 @@ class ServeDaemon:
                                          if self.slow_log is not None
                                          else None),
                 },
-                "worker_metrics": self.worker_metrics(),
                 "supervision": {
-                    "enabled": self.supervision,
                     "retry_attempts": self.retry_policy.max_attempts,
                     "hedge_ms": self.hedge_ms,
                     "chaos": (self.chaos.describe()
@@ -1069,8 +949,6 @@ class ServeDaemon:
                         b.trips_total for b in self.supervisor.breakers),
                 },
             })
-        if route == "/slo":
-            return 200, "application/json", json.dumps(self.slo.report())
         if route == "/debug/traces":
             trace_id = params.get("trace_id")
             if trace_id:

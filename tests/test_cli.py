@@ -67,6 +67,24 @@ class TestTopK:
                      "--algorithm", algorithm]) == 0
 
 
+@pytest.mark.parametrize("verb", ["search", "topk"])
+class TestDeadlineExitCodes:
+    """docs/RELIABILITY.md "CLI": an expired budget exits 5; with
+    ``--partial`` it exits 0 and says what the partial answer proves."""
+
+    def test_expired_budget_exits_5(self, verb, db_dir, capsys):
+        from repro.cli import EXIT_DEADLINE
+
+        assert main([verb, db_dir, "xml data",
+                     "--timeout-ms", "0"]) == EXIT_DEADLINE
+        assert "budget" in capsys.readouterr().err
+
+    def test_partial_exits_0_with_a_trailer(self, verb, db_dir, capsys):
+        assert main([verb, db_dir, "xml data", "--timeout-ms", "0",
+                     "--partial"]) == 0
+        assert "(partial: " in capsys.readouterr().out
+
+
 class TestIndexAndGenerate:
     def test_index_creates_database(self, db_dir):
         assert os.path.exists(os.path.join(db_dir, "meta.json"))
@@ -231,82 +249,3 @@ class TestServeBatch:
             main(["serve-batch", db_dir, queries, flag, "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-class TestMetricsCommand:
-    """Satellite: the offline `repro metrics` path -- runs queries
-    against a database and dumps the registry."""
-
-    def test_json_snapshot_shape(self, db_dir, capsys):
-        import json
-
-        assert main(["metrics", db_dir, "--query", "xml data",
-                     "--json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert set(snapshot) >= {"counters", "gauges", "histograms"}
-        families = set(snapshot["counters"]) | set(snapshot["histograms"])
-        assert any(name.startswith("repro_query") for name in families)
-
-    def test_prometheus_exposition(self, db_dir, capsys):
-        assert main(["metrics", db_dir, "--query", "xml data",
-                     "--query", "keyword search", "-k", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE" in out
-        assert "repro_query_latency_ms" in out
-
-    def test_empty_registry_ok(self, capsys):
-        assert main(["metrics", "--json"]) == 0
-        assert isinstance(__import__("json").loads(
-            capsys.readouterr().out), dict)
-
-
-class TestSLOCommand:
-    """Satellite: the offline `repro slo` path against a recorded
-    access log."""
-
-    @pytest.fixture
-    def access_log(self, tmp_path):
-        import json
-        import time
-
-        path = tmp_path / "access.jsonl"
-        now = time.time()
-        records = []
-        for i in range(20):
-            records.append({"wall_time": now - (20 - i),
-                            "status": 200, "outcome": "ok",
-                            "elapsed_ms": 5.0, "endpoint": "topk"})
-        records.append({"wall_time": now, "status": 500,
-                        "outcome": "error", "elapsed_ms": 400.0,
-                        "endpoint": "topk"})
-        path.write_text("\n".join(json.dumps(r) for r in records) + "\n",
-                        encoding="utf-8")
-        return str(path)
-
-    def test_report_shape(self, access_log, capsys):
-        import json
-
-        assert main(["slo", access_log, "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report.get("schema")
-        assert "windows" in report or "availability" in report
-
-    def test_text_report(self, access_log, capsys):
-        assert main(["slo", access_log]) == 0
-        assert capsys.readouterr().out.strip()
-
-    def test_fail_on_alert_exit(self, access_log):
-        # one 500 in 21 requests burns a 99.9% availability objective
-        code = main(["slo", access_log, "--fail-on-alert",
-                     "--availability-target", "0.999"])
-        assert code in (0, 1)  # depends on burn-rate windows
-        # with an impossible latency objective the alert must fire
-        assert main(["slo", access_log, "--fail-on-alert",
-                     "--latency-target-ms", "0.0001",
-                     "--latency-target-ratio", "1.0"]) == 1
-
-    def test_missing_log_exits_3(self, capsys):
-        from repro.cli import EXIT_MISSING
-
-        assert main(["slo", "/nonexistent.jsonl"]) == EXIT_MISSING
-        assert "error" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Distributed tracing, access log and SLO tracking on the serve path.
+"""Distributed tracing and the access log on the serve path.
 
 The contract under test (docs/OBSERVABILITY.md):
 
@@ -8,10 +8,7 @@ The contract under test (docs/OBSERVABILITY.md):
   span tree with rank-join retrieval counts;
 * traces survive deadline partials and internal errors, and shed 429s /
   timed-out 504s still produce access-log records;
-* the tail sampler always retains slow/error/shed/partial requests;
-* `SLOTracker` burn rates follow the SRE-workbook arithmetic (429
-  sheds excluded from the availability budget) and the offline rebuild
-  from access-log JSONL matches the online tracker;
+* every stitched trace is retained in the bounded `TraceStore`;
 * the per-request observability tail stays cheap (the CI <=5% guard's
   microbenchmark half).
 """
@@ -24,13 +21,10 @@ import threading
 import pytest
 
 from repro.obs import PHASES, MetricsRegistry, phase_totals
-from repro.obs.distributed import (TRACE_WIRE_VERSION, TailSampler,
-                                   TraceContext, count_spans, make_span,
-                                   new_trace_id, read_jsonl,
-                                   render_stitched, shift_span,
+from repro.obs.distributed import (TRACE_WIRE_VERSION, TraceContext,
+                                   count_spans, make_span, new_trace_id,
+                                   read_jsonl, render_stitched, shift_span,
                                    stitch_trace)
-from repro.obs.slo import (SLOConfig, SLOTracker, format_slo_report,
-                           report_from_records)
 from repro.serve import ServeDaemon, ShardedDatabase
 
 
@@ -166,108 +160,6 @@ class TestStitchTrace:
 
 
 # ---------------------------------------------------------------------------
-# tail sampling
-# ---------------------------------------------------------------------------
-
-class TestTailSampler:
-    def test_outliers_always_kept_even_at_rate_zero(self):
-        sampler = TailSampler(slow_ms=100.0, sample_rate=0.0)
-        assert sampler.keep(500, "error", 1.0)
-        assert sampler.keep(429, "shed", 0.1)
-        assert sampler.keep(504, "deadline", 0.1)
-        assert sampler.keep(200, "partial", 1.0)
-        assert sampler.keep(200, "ok", 250.0)   # slow
-        assert not sampler.keep(200, "ok", 1.0)  # fast + healthy
-
-    def test_rate_one_keeps_everything(self):
-        sampler = TailSampler(slow_ms=100.0, sample_rate=1.0)
-        assert all(sampler.keep(200, "ok", 1.0) for _ in range(20))
-
-    def test_seeded_downsampling_is_reproducible(self):
-        picks = [TailSampler(sample_rate=0.5, seed=7).keep(200, "ok", 1.0)
-                 for _ in range(1)]
-        again = [TailSampler(sample_rate=0.5, seed=7).keep(200, "ok", 1.0)
-                 for _ in range(1)]
-        assert picks == again
-        sampler = TailSampler(sample_rate=0.5, seed=7)
-        kept = sum(sampler.keep(200, "ok", 1.0) for _ in range(400))
-        assert 100 < kept < 300
-
-
-# ---------------------------------------------------------------------------
-# SLO tracker arithmetic
-# ---------------------------------------------------------------------------
-
-class TestSLOTracker:
-    def _tracker(self, **cfg):
-        clock = {"now": 1000.0}
-        tracker = SLOTracker(SLOConfig(**cfg),
-                             clock=lambda: clock["now"])
-        return tracker, clock
-
-    def test_availability_burn_rate(self):
-        # 1 bad in 100 budgeted = 1% bad ratio; budget 0.1% -> burn 10.
-        tracker, _ = self._tracker(availability_target=0.999)
-        for _ in range(99):
-            tracker.record(200, 1.0)
-        tracker.record(504, 1.0)
-        win = tracker.report()["windows"]["60s"]
-        assert win["requests"] == 100
-        assert win["bad"] == 1
-        assert win["availability"] == pytest.approx(0.99)
-        assert win["availability_burn_rate"] == pytest.approx(10.0)
-
-    def test_sheds_spend_no_availability_budget(self):
-        tracker, _ = self._tracker(availability_target=0.999)
-        for _ in range(10):
-            tracker.record(429, 0.1)
-        tracker.record(200, 1.0)
-        win = tracker.report()["windows"]["60s"]
-        assert win["shed"] == 10
-        assert win["availability"] == 1.0
-        assert win["availability_burn_rate"] == 0.0
-
-    def test_latency_violations_alert(self):
-        # Every 200 over a 0.01ms target: slow ratio 1.0, budget 1%,
-        # burn rate 100 on every window -> alerts fire.
-        tracker, _ = self._tracker(latency_target_ms=0.01,
-                                   latency_target_ratio=0.99)
-        for _ in range(50):
-            tracker.record(200, 5.0)
-        report = tracker.report()
-        win = report["windows"]["60s"]
-        assert win["slow"] == 50
-        assert win["latency_burn_rate"] == pytest.approx(100.0)
-        assert any(a["objective"] == "latency" for a in report["alerts"])
-        assert "ALERT latency" in format_slo_report(report)
-
-    def test_old_events_age_out_of_short_window(self):
-        tracker, clock = self._tracker(availability_target=0.999)
-        tracker.record(504, 1.0)
-        clock["now"] += 120.0           # past the 60s window
-        tracker.record(200, 1.0)
-        report = tracker.report()
-        assert report["windows"]["60s"]["bad"] == 0
-        assert report["windows"]["300s"]["bad"] == 1
-        assert report["lifetime"]["bad"] == 1
-
-    def test_offline_rebuild_matches_online(self):
-        tracker, clock = self._tracker()
-        records = []
-        for i, (status, ms) in enumerate(
-                [(200, 5.0), (200, 900.0), (429, 0.1), (504, 2.0)]):
-            tracker.record(status, ms)
-            records.append({"wall_time": clock["now"], "status": status,
-                            "elapsed_ms": ms})
-            clock["now"] += 1.0
-        clock["now"] -= 1.0              # report at the last event
-        online = tracker.report()
-        offline = report_from_records(records)
-        assert offline["windows"] == online["windows"]
-        assert offline["lifetime"] == online["lifetime"]
-
-
-# ---------------------------------------------------------------------------
 # the daemon end-to-end: fork workers ship span trees back
 # ---------------------------------------------------------------------------
 
@@ -385,21 +277,6 @@ class TestDaemonStitchedTraces:
         assert sum(record.phases.values()) == pytest.approx(
             record.trace["duration_ms"], rel=0.01)
 
-    def test_worker_metrics_surface_in_stats_and_metrics(
-            self, pool_harness):
-        pool_harness.get_json("/topk?q=alpha+beta&k=2")
-        _, stats = pool_harness.get_json("/stats")
-        assert stats["tracing"]["enabled"] is True
-        assert stats["tracing"]["retained_traces"] > 0
-        per_shard = stats["worker_metrics"]
-        assert per_shard
-        assert any("repro_shard_requests_total" in key
-                   for counters in per_shard.values()
-                   for key in counters)
-        _, text = pool_harness.request("/metrics")
-        assert "repro_worker_shard_requests_total" in text
-        assert 'shard="' in text
-
     def test_latency_exemplars_in_exposition(self, pool_harness):
         pool_harness.get_json("/topk?q=gamma&k=2")
         _, text = pool_harness.request("/metrics")
@@ -408,14 +285,6 @@ class TestDaemonStitchedTraces:
                  and "# {" in line]
         assert lines, "no exemplar on any latency bucket"
         assert 'trace_id="' in lines[0]
-
-    def test_slo_endpoint_counts_requests(self, pool_harness):
-        pool_harness.get_json("/topk?q=alpha&k=2")
-        status, report = pool_harness.get_json("/slo")
-        assert status == 200
-        assert report["schema"] == "repro.obs.slo/v1"
-        assert report["lifetime"]["requests"] > 0
-        assert set(report["windows"]) == {"60s", "300s", "3600s"}
 
     def test_debug_traces_listing_and_404(self, pool_harness):
         pool_harness.get_json("/topk?q=beta&k=2")
@@ -476,7 +345,6 @@ class TestRejectionObservability:
             assert record["outcome"] == "error"
             trace = h.daemon.traces.get(body["trace_id"])
             assert trace["outcome"] == "error"
-            assert h.daemon.slo.lifetime.bad == 1
 
     def test_400_bad_request_is_logged(self, sharded):
         with DaemonHarness(sharded) as h:
@@ -487,18 +355,9 @@ class TestRejectionObservability:
             assert record["outcome"] == "bad_request"
             assert record["trace_id"] == body["trace_id"]
 
-    def test_tail_rate_zero_still_logs_but_drops_healthy_traces(
-            self, sharded):
-        with DaemonHarness(sharded, tail_sample_rate=0.0,
-                           tail_slow_ms=1e9) as h:
-            _, body = h.get_json("/topk?q=alpha+beta&k=3")
-            assert h.daemon.traces.added == 0
-            assert h.daemon.traces.get(body["trace_id"]) is None
-            assert h.daemon.access_log.records()[-1]["status"] == 200
-
 
 # ---------------------------------------------------------------------------
-# JSONL files and the offline SLO path
+# JSONL files
 # ---------------------------------------------------------------------------
 
 class TestLogFiles:
@@ -515,9 +374,6 @@ class TestLogFiles:
         traces = read_jsonl(str(trace_path))
         assert {t["trace_id"] for t in traces} == \
             {r["trace_id"] for r in records}
-        report = report_from_records(records)
-        assert report["lifetime"]["requests"] == 3
-        assert report["lifetime"]["bad"] == 0
 
     def test_read_jsonl_skips_truncated_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"

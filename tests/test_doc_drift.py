@@ -1,14 +1,21 @@
 """Doc-drift guards.
 
 Metrics: every metric family a live daemon exports must have a row in
-docs/OBSERVABILITY.md's reference table.  Commands: every ``python -m
-repro.<module>`` and ``repro <verb>`` the docs, CI workflow and verify
-skill name must still exist (see `TestDocumentedCommands`).
+docs/OBSERVABILITY.md's reference table, and every row says what reads
+it.  Commands: every ``python -m repro.<module>`` and ``repro <verb>``
+the docs, CI workflow and verify skill name must still exist (see
+`TestDocumentedCommands`).
+
+Consumer ledger: DESIGN.md section 7 has one row per module under
+``obs/``, ``reliability/`` and ``serve/``, per CLI verb and per daemon
+route, naming what keeps it; `TestLedger` fails on code with no row and
+on a row for code that is gone.
 
 Removed names: the options, environment variable and functions that
 went with the four-format storage stack, the library's own batch
-pools, the phase profiler and the hybrid's plan switch must not come
-back into a doc, the CI workflow or the skill (see `REMOVED_NAMES`).
+pools, the phase profiler, the hybrid's plan switch and the parts the
+ledger found no consumer for must not come back into a doc, the CI
+workflow or the skill (see `REMOVED_NAMES`).
 
 The test drives an inline daemon (with accounting, tracing, caching
 and a disk-backed sharded database, so as many families as
@@ -21,6 +28,7 @@ import argparse
 import asyncio
 import glob
 import importlib.util
+import inspect
 import os
 import re
 
@@ -31,10 +39,6 @@ from repro.serve.merge import ShardedDatabase
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 DOC = os.path.join(ROOT, "docs", "OBSERVABILITY.md")
-
-#: Families folded in from worker processes keep their origin name
-#: under this prefix; the doc documents the pattern, not each name.
-WILDCARD_PREFIXES = ("repro_worker_",)
 
 
 def _exposition_families(text):
@@ -92,10 +96,7 @@ def test_every_exported_family_documented(exposition):
     doc = open(DOC, encoding="utf-8").read()
     families = _exposition_families(exposition)
     assert families, "exposition had no # TYPE lines"
-    missing = sorted(
-        name for name in families
-        if name not in doc
-        and not any(name.startswith(p) for p in WILDCARD_PREFIXES))
+    missing = sorted(name for name in families if name not in doc)
     assert not missing, (
         f"metric families exported by /metrics but absent from "
         f"docs/OBSERVABILITY.md: {missing}")
@@ -125,6 +126,32 @@ def test_documented_accounting_families_match_code():
                  "repro_query_postings_bytes_total"):
         assert name in doc, f"{name} undocumented"
         assert name in src, f"{name} documented but gone from api.py"
+
+
+def _cells(line):
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+
+def test_every_metric_row_says_what_reads_it():
+    """Each metric table has a "read by" column, and every row fills
+    it -- with its reader, or "none" (an open attribution item)."""
+    lines = open(DOC, encoding="utf-8").read().splitlines()
+    tables = rows = 0
+    column = None
+    for line in lines:
+        if line.startswith("| metric |"):
+            header = _cells(line)
+            assert "read by" in header, f"no 'read by' column: {line}"
+            column = header.index("read by")
+            tables += 1
+        elif column is not None and line.startswith("| `repro_"):
+            cells = _cells(line)
+            assert len(cells) > column and cells[column], \
+                f"metric row with no reader named: {line}"
+            rows += 1
+        elif not line.startswith("|"):
+            column = None
+    assert tables >= 6 and rows >= 30, "scan found nothing"
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +214,13 @@ REMOVED_NAMES = (
     # the per-term erasers and their erase loop: a query keeps one
     # eraser, a level is one call each way into it
     "erase_runs", "run.erasers", "self.erasers",
+    # what the consumer ledger (DESIGN.md section 7) found no consumer
+    # for: the SLO tracker, the tail sampler, worker-counter shipping,
+    # the reliability demo and the daemon's two off-switches
+    "repro slo", "/slo", "SLOTracker", "SLOConfig", "report_from_records",
+    "TailSampler", "--tail-sample-rate", "--tail-slow-ms",
+    "--slo-availability", "--no-supervision", "--no-tracing",
+    "repro.reliability.demo", "worker_metrics", "repro_worker_",
 )
 
 #: (name, context): a removed option whose spelling something else still
@@ -195,13 +229,25 @@ REMOVED_NAMES = (
 REMOVED_IN_CONTEXT = (("vectorized=", "JoinBasedSearch"),)
 
 
-def _mentions(pattern):
-    found = {}
+#: A ledger row for deleted code (DESIGN.md section 7) names what went
+#: on purpose; it is the one place a removed name may appear.
+DELETED_ROW_RE = re.compile(r"^\|[^\n]*\| deleted in PR [^\n]*$",
+                            re.MULTILINE)
+
+
+def _doc_texts():
+    """(rel, text) of every doc the guards read, deleted-code ledger
+    rows left out."""
     for rel in COMMAND_DOCS:
         path = os.path.join(ROOT, rel)
-        if not os.path.exists(path):
-            continue
-        text = open(path, encoding="utf-8").read()
+        if os.path.exists(path):
+            text = open(path, encoding="utf-8").read()
+            yield rel, DELETED_ROW_RE.sub("", text)
+
+
+def _mentions(pattern):
+    found = {}
+    for rel, text in _doc_texts():
         for name in pattern.findall(text):
             found.setdefault(name, rel)
     return found
@@ -217,11 +263,7 @@ def _importable(name):
 class TestDocumentedCommands:
     def test_removed_names_stay_out(self):
         found = {}
-        for rel in COMMAND_DOCS:
-            path = os.path.join(ROOT, rel)
-            if not os.path.exists(path):
-                continue
-            text = open(path, encoding="utf-8").read()
+        for rel, text in _doc_texts():
             for name in REMOVED_NAMES:
                 # not inside a longer name (`decompress_column` stays)
                 if re.search(r"(?<![A-Za-z_])" + re.escape(name), text):
@@ -235,10 +277,12 @@ class TestDocumentedCommands:
         import repro.algorithms.hybrid
         import repro.api
         import repro.cache
+        import repro.cli
         import repro.diskdb
         import repro.index.compression
         import repro.index.lazydisk
         import repro.index.storage
+        import repro.obs
         import repro.obs.account
         import repro.serve.sharding
 
@@ -250,7 +294,8 @@ class TestDocumentedCommands:
                               repro.cache.QueryCache, repro.obs.account,
                               repro.obs.account.ResourceAccount,
                               repro.serve.sharding,
-                              repro.algorithms.hybrid.HybridTopKSearch):
+                              repro.algorithms.hybrid.HybridTopKSearch,
+                              repro.obs, ServeDaemon, repro.cli):
                     assert not hasattr(owner, name), (owner, name)
 
     def test_hybrid_row_names_no_estimator(self):
@@ -295,3 +340,81 @@ class TestDocumentedCommands:
         missing = {verb: rel for verb, rel in verbs.items()
                    if verb not in sub.choices}
         assert not missing, f"docs name CLI verbs that are gone: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# the consumer ledger (DESIGN.md section 7) matches the code
+# ---------------------------------------------------------------------------
+
+LEDGER_PACKAGES = ("obs", "reliability", "serve")
+LEDGER_ROW_RE = re.compile(r"^\| (module|verb|route) \| `([^`]+)` \| (.+) \|$",
+                           re.MULTILINE)
+#: The consumer kinds a row may name (DESIGN.md section 7), or why it
+#: has none.
+CONSUMER_PREFIXES = ("gate:", "workflow:", "module:",
+                     "kept until the ladder decides", "deleted in PR")
+
+
+def _ledger():
+    """(kind, part) -> consumer cell, from DESIGN.md's ledger table."""
+    text = open(os.path.join(ROOT, "DESIGN.md"), encoding="utf-8").read()
+    section = text[text.index("## 7. Consumer ledger"):]
+    rows = {}
+    for kind, part, consumer in LEDGER_ROW_RE.findall(section):
+        assert (kind, part) not in rows, f"two rows for {part}"
+        rows[kind, part] = consumer
+    return rows
+
+
+def _code_parts():
+    """(kind, part) of every module file, CLI verb and daemon route."""
+    from repro.cli import build_parser
+
+    src = os.path.join(ROOT, "src", "repro")
+    parts = {("module", f"{pkg}/{name}") for pkg in LEDGER_PACKAGES
+             for name in os.listdir(os.path.join(src, pkg))
+             if name.endswith(".py") and name != "__init__.py"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parts |= {("verb", f"repro {verb}") for verb in sub.choices}
+    dispatch = inspect.getsource(ServeDaemon._dispatch)
+    parts |= {("route", route)
+              for route in re.findall(r'"(/[a-z][a-z/_]*)"', dispatch)}
+    return parts
+
+
+def _ledger_drift(code, rows):
+    """(code with no live row, live rows naming no code).  A row whose
+    consumer reads "deleted in PR ..." is not live: code it names is
+    back without a consumer."""
+    live = {key for key, consumer in rows.items()
+            if not consumer.startswith("deleted in PR")}
+    return code - live, live - code
+
+
+class TestLedger:
+    def test_every_part_has_a_row_and_every_row_a_part(self):
+        code = _code_parts()
+        assert ("route", "/healthz") in code and \
+            ("verb", "repro serve") in code and \
+            ("module", "serve/daemon.py") in code, "scan found nothing"
+        missing, stale = _ledger_drift(code, _ledger())
+        assert not missing, f"code with no ledger row: {sorted(missing)}"
+        assert not stale, f"ledger rows for code that is gone: {sorted(stale)}"
+
+    def test_every_row_names_a_kind_of_consumer(self):
+        rows = _ledger()
+        bad = {part: consumer for (_kind, part), consumer in rows.items()
+               if not consumer.startswith(CONSUMER_PREFIXES)}
+        assert not bad, bad
+
+    def test_the_check_fails_both_ways(self):
+        code = _code_parts()
+        rows = {key: "module: x" for key in code}
+        rows["module", "obs/gone.py"] = "gate: x"
+        rows["module", "serve/daemon.py"] = "deleted in PR N"
+        added = code | {("verb", "repro new")}
+        missing, stale = _ledger_drift(added, rows)
+        assert missing == {("verb", "repro new"),
+                           ("module", "serve/daemon.py")}
+        assert stale == {("module", "obs/gone.py")}

@@ -12,6 +12,7 @@ semaphore instead.
 import asyncio
 import http.client
 import json
+import re
 import threading
 import time
 
@@ -162,12 +163,17 @@ class TestEndpoints:
         assert list(dblp_db.search("!!")) == []
 
     def test_stats_shape(self, harness):
+        harness.get_json("/topk?q=alpha+beta&k=2")
         status, body = harness.get_json("/stats")
         assert status == 200
         assert body["shards"] == 3
         assert body["queue_limit"] == 8
         assert body["manifest"]["strategy"] == "root-child-mod"
         assert "results" in body["cache"]
+        # every stitched trace is kept, and /stats counts them
+        assert body["tracing"]["retained_traces"] > 0
+        assert body["tracing"]["traces_added"] >= \
+            body["tracing"]["retained_traces"]
 
     def test_cache_clear_requires_post_and_clears(self, harness):
         harness.get_json("/topk?q=alpha&k=3")
@@ -183,8 +189,25 @@ class TestEndpoints:
         assert "repro_serve_queue_depth" in text
         assert "repro_serve_requests_total" in text
         assert 'repro_serve_rejects_total{reason="queue_full"}' in text
-        assert 'repro_serve_shard_ms_count{shard="0"}' in text
         assert "repro_serve_latency_ms_count" in text
+        # Inline evaluation calls no shard: nothing could move a
+        # per-shard instrument, so none is exported.
+        for family in ("repro_serve_shard_ms", "repro_serve_retries_total",
+                       "repro_serve_hedges_total",
+                       "repro_serve_shard_skipped_total"):
+            assert family not in text, family
+
+    def test_inline_search_leaves_the_facade_cache_alone(self, sharded):
+        """``result_cache_size=0`` turns caching off: the inline path
+        must not fall through to the facade's own result cache."""
+        before = sharded.cache.stats()["results"]
+        with DaemonHarness(sharded, result_cache_size=0) as h:
+            for _ in range(3):
+                status, body = h.get_json("/search?q=gamma+cx")
+                assert status == 200 and body["cached"] is False
+        after = sharded.cache.stats()["results"]
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"]
 
 
 class TestDeadlineOverHttp:
@@ -319,8 +342,16 @@ class TestWorkerPools:
             want = dblp_db.search("rare gamma", use_cache=False)
             assert payload_ids(body) == oracle_ids(want)
             # fan-out latency histograms saw every shard that ran
+            ran = {sid for terms in (["alpha", "beta"], ["rare", "gamma"])
+                   for sid, shard in enumerate(sharded.shards)
+                   if all(t in shard.columnar_index for t in terms)}
+            assert ran
             text = h.request("/metrics")[1]
-            assert 'repro_serve_shard_ms_count{shard="0"}' in text
+            for sid in ran:
+                count = re.search(
+                    rf'^repro_serve_shard_ms_count\{{shard="{sid}"\}} (\S+)$',
+                    text, re.M)
+                assert count and float(count.group(1)) > 0, sid
 
     # The pool wire, field by field: every query shape `test_sharded`
     # pins for the library, through both evaluation modes of the daemon.
