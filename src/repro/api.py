@@ -22,15 +22,14 @@ maintenance).
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algorithms.base import (ELCA, EmptyResultError, ExecutionStats,
                               ResultSet, TopKResult, check_semantics,
                               sort_by_score)
 from .obs.account import accounting, fold_into_stats
-from .obs.metrics import MetricsRegistry, get_registry
 from .obs.slowlog import SlowQueryLog
-from .obs.tracing import NULL_TRACER, Span, Tracer, phase_totals, span
+from .obs.tracing import NULL_TRACER, Span, Tracer, span
 from .algorithms.hybrid import HybridTopKSearch
 from .algorithms.index_based import IndexBasedSearch
 from .algorithms.join_based import JoinBasedSearch
@@ -40,7 +39,6 @@ from .algorithms.stack_based import StackBasedSearch
 from .algorithms.topk_keyword import TopKKeywordSearch
 from .cache import QueryCache, result_key
 from .reliability.deadline import Deadline
-from .reliability.errors import DeadlineExceeded
 from .index.columnar import ColumnarIndex
 from .index.inverted import InvertedIndex
 from .index.tokenizer import Tokenizer
@@ -88,50 +86,34 @@ class BatchResult(list):
         return not self.errors
 
 
-def run_batch(queries: Sequence, evaluate, metrics: MetricsRegistry,
-              with_stats: bool, raise_on_error: bool) -> BatchResult:
+def run_batch(queries: Sequence, evaluate, with_stats: bool,
+              raise_on_error: bool) -> BatchResult:
     """The sequential loop behind `XMLDatabase.search_batch` and
     `ShardedDatabase.search_batch`.
 
     ``evaluate(query)`` answers one query as ``(results, stats)``.  An
-    exception it raises is isolated into ``BatchResult.errors`` (and
-    counted) unless ``raise_on_error``.  ``repro_batch_queue_depth``
-    holds the queries accepted but not yet finished and is back at its
-    resting value on every exit, fail-fast included.
+    exception it raises is isolated into ``BatchResult.errors`` unless
+    ``raise_on_error``.
     """
-    queue_depth = metrics.gauge("repro_batch_queue_depth")
     batch = BatchResult()
     batch.summary = ExecutionStats()
     batch.latencies_ms = []
     batch.errors = {}
     batch_start = time.perf_counter()
-    waiting = len(queries)
-    queue_depth.inc(waiting)
-    try:
-        for index, query in enumerate(queries):
-            start = time.perf_counter()
-            try:
-                results, stats = evaluate(query)
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                batch.summary.merge(stats)
-            except Exception as exc:
-                if raise_on_error:
-                    raise
-                if isinstance(exc, DeadlineExceeded):
-                    metrics.counter("repro_deadline_hits_total",
-                                    {"outcome": "error"}).inc()
-                metrics.counter("repro_batch_query_errors_total").inc()
-                batch.errors[index] = exc
-                results, stats, elapsed_ms = None, ExecutionStats(), 0.0
-            batch.append((results, stats) if with_stats else results)
-            batch.latencies_ms.append(elapsed_ms)
-            waiting -= 1
-            queue_depth.dec()
-    finally:
-        queue_depth.dec(waiting)  # fail-fast: slots that never ran
+    for index, query in enumerate(queries):
+        start = time.perf_counter()
+        try:
+            results, stats = evaluate(query)
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            batch.summary.merge(stats)
+        except Exception as exc:
+            if raise_on_error:
+                raise
+            batch.errors[index] = exc
+            results, stats, elapsed_ms = None, ExecutionStats(), 0.0
+        batch.append((results, stats) if with_stats else results)
+        batch.latencies_ms.append(elapsed_ms)
     batch.elapsed_ms = (time.perf_counter() - batch_start) * 1000.0
-    metrics.counter("repro_batch_queries_total").inc(len(queries))
-    metrics.histogram("repro_batch_latency_ms").observe(batch.elapsed_ms)
     return batch
 
 
@@ -170,16 +152,13 @@ class XMLDatabase:
     with ``result_cache_size`` (0 disables storage) or pass a shared
     `QueryCache` via ``cache``.
 
-    Observability (`repro.obs`): every query publishes latency and work
-    counters into ``metrics`` (the process-wide registry by default);
-    pass a live `Tracer` as ``tracer`` to record per-query span trees
-    (the default `NullTracer` records nothing); pass ``slow_log`` (or
-    just ``slow_query_ms``) to capture query, stats, trace and
-    per-phase breakdown of every over-threshold outlier -- a database
-    with a slow log and no tracer runs each query under a private live
-    one.  Whenever a span tree was recorded, its per-phase exclusive
-    times (`repro.obs.tracing.phase_totals`) are published as
-    ``repro_phase_time_ms{phase=...}``.
+    Observability (`repro.obs`): every query's time and work are on its
+    `ExecutionStats`; pass a live `Tracer` as ``tracer`` to record
+    per-query span trees (the default `NullTracer` records nothing);
+    pass ``slow_log`` (or just ``slow_query_ms``) to capture query,
+    stats, trace and per-phase breakdown of every over-threshold
+    outlier -- a database with a slow log and no tracer runs each query
+    under a private live one.
     """
 
     def __init__(self, tree: Optional[XMLTree],
@@ -189,7 +168,6 @@ class XMLDatabase:
                  cache: Optional[QueryCache] = None,
                  result_cache_size: int = 1024,
                  tracer=None,
-                 metrics: Optional[MetricsRegistry] = None,
                  slow_log: Optional[SlowQueryLog] = None,
                  slow_query_ms: Optional[float] = None):
         if tree is not None and not tree.frozen:
@@ -205,14 +183,11 @@ class XMLDatabase:
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else get_registry()
         if slow_log is None and slow_query_ms is not None:
             slow_log = SlowQueryLog(threshold_ms=slow_query_ms)
         self.slow_log = slow_log
         self.cache = cache if cache is not None else QueryCache(
             result_cache_size)
-        if self.cache.metrics is None:
-            self.cache.bind_metrics(self.metrics)
         self._columnar: Optional[ColumnarIndex] = None
         self._inverted: Optional[InvertedIndex] = None
 
@@ -385,7 +360,7 @@ class XMLDatabase:
         """The per-query sequence behind `search` (``op="search"``),
         `search_topk` (``"topk"``) and `search_batch` (``"batch"``):
         parse, result-cache lookup, evaluation under a resource account,
-        cache fill, then the metrics / slow-log record.
+        cache fill, then the slow-log record.
 
         Returns ``(answer, stats)``.  ``answer`` is the `ResultSet`,
         except that an evaluated top-K (``k`` set, no cache hit) comes
@@ -415,30 +390,19 @@ class XMLDatabase:
             if answer is not None:
                 stats = ExecutionStats(cache_hits=1)
             else:
-                try:
-                    if k is None:
-                        answer, stats = self._complete_results(
-                            terms, semantics, algorithm, planner,
-                            deadline=deadline,
-                            observer=(auditor.observer
-                                      if auditor is not None else None))
-                    else:
-                        answer = self._topk_result(
-                            terms, semantics, algorithm, k,
-                            deadline=deadline)
-                        stats = answer.stats
-                except DeadlineExceeded:
-                    # A batch counts its expiries where it isolates
-                    # them (`run_batch`), for both database kinds.
-                    if op != "batch":
-                        self.metrics.counter("repro_deadline_hits_total",
-                                             {"outcome": "error"}).inc()
-                    raise
+                if k is None:
+                    answer, stats = self._complete_results(
+                        terms, semantics, algorithm, planner,
+                        deadline=deadline,
+                        observer=(auditor.observer
+                                  if auditor is not None else None))
+                else:
+                    answer = self._topk_result(
+                        terms, semantics, algorithm, k, deadline=deadline)
+                    stats = answer.stats
                 if auditor is not None:
                     stats.audit = auditor.finish(terms, semantics)
                 if stats.partial:
-                    self.metrics.counter("repro_deadline_hits_total",
-                                         {"outcome": "partial"}).inc()
                     qspan.tag(partial=True)
                 if cacheable:
                     evictions = self.cache.results.stats.evictions
@@ -448,7 +412,7 @@ class XMLDatabase:
                     stats.cache_misses += 1
                     stats.cache_evictions += \
                         self.cache.results.stats.evictions - evictions
-        self._record_query(op, terms, semantics, algorithm, k,
+        self._record_query(terms, semantics, algorithm, k,
                            (time.perf_counter() - start) * 1000.0, stats,
                            qspan if tracer.enabled else None)
         return answer, stats
@@ -601,15 +565,11 @@ class XMLDatabase:
         The returned list is a `BatchResult`: it additionally carries
         ``summary`` (every per-query `ExecutionStats` merged, cache
         counters included), ``latencies_ms`` and ``elapsed_ms``, so
-        callers never fold stats by hand.  The batch also publishes into
-        the metrics registry: ``repro_batch_queries_total``,
-        ``repro_batch_queue_depth`` (queries accepted but not yet
-        finished) and per-query ``repro_query_latency_ms{op=batch}``.
+        callers never fold stats by hand.
 
         One failing query does not lose the batch: by default its slot
         holds ``None`` (or ``(None, stats)``), the exception lands in
-        ``BatchResult.errors`` keyed by query index, and
-        ``repro_batch_query_errors_total`` counts it.  Pass
+        ``BatchResult.errors`` keyed by query index.  Pass
         ``raise_on_error=True`` to get fail-fast propagation instead.
 
         ``deadline`` / ``timeout_ms`` / ``on_deadline`` set one shared
@@ -630,8 +590,7 @@ class XMLDatabase:
             return (answer.results if isinstance(answer, TopKResult)
                     else answer), stats
 
-        return run_batch(queries, one, self.metrics, with_stats,
-                         raise_on_error)
+        return run_batch(queries, one, with_stats, raise_on_error)
 
     def search_stream(self, query: Union[str, Sequence[str], Query],
                       semantics: str = ELCA,
@@ -704,64 +663,11 @@ class XMLDatabase:
     # observability plumbing
     # ------------------------------------------------------------------
 
-    def _record_query(self, op: str, terms: List[str], semantics: str,
+    def _record_query(self, terms: List[str], semantics: str,
                       algorithm: str, k: Optional[int], elapsed_ms: float,
                       stats: Optional[ExecutionStats],
                       trace_root: Optional[Span]) -> None:
-        """Publish one finished query into metrics and the slow log."""
-        metrics = self.metrics
-        metrics.counter("repro_queries_total", {"op": op}).inc()
-        metrics.histogram("repro_query_latency_ms",
-                          {"op": op}).observe(elapsed_ms)
-        if trace_root is not None:
-            for phase, ms in phase_totals(trace_root).items():
-                metrics.histogram("repro_phase_time_ms",
-                                  {"phase": phase}).observe(ms)
-        if stats is not None:
-            if stats.merge_joins:
-                metrics.counter("repro_level_joins_total",
-                                {"algorithm": "merge"}).inc(
-                    stats.merge_joins)
-            if stats.index_joins:
-                metrics.counter("repro_level_joins_total",
-                                {"algorithm": "index"}).inc(
-                    stats.index_joins)
-            # Resource-accounting totals (repro.obs.account): published
-            # only when the query did physical work, so a cold registry
-            # is not littered with zero series.
-            if stats.bytes_mapped:
-                metrics.counter("repro_query_bytes_mapped_total").inc(
-                    stats.bytes_mapped)
-            if stats.bytes_copied:
-                metrics.counter("repro_query_bytes_copied_total").inc(
-                    stats.bytes_copied)
-            if stats.cache_bytes_saved:
-                metrics.counter("repro_query_bytes_cache_total",
-                                {"outcome": "saved"}).inc(
-                    stats.cache_bytes_saved)
-            if stats.cache_bytes_paid:
-                metrics.counter("repro_query_bytes_cache_total",
-                                {"outcome": "paid"}).inc(
-                    stats.cache_bytes_paid)
-            resources = stats.resources or {}
-            for outcome, count in resources.get("decode_cache",
-                                                {}).items():
-                if count:
-                    metrics.counter(
-                        "repro_query_decode_cache_total",
-                        {"outcome": "hit" if outcome == "hits"
-                         else "miss"}).inc(count)
-            for codec, nbytes in resources.get("by_codec", {}).items():
-                metrics.counter("repro_query_bytes_decompressed_total",
-                                {"codec": codec}).inc(nbytes)
-            for level, count in resources.get("by_level_postings",
-                                              {}).items():
-                metrics.counter("repro_query_postings_scanned_total",
-                                {"level": str(level)}).inc(count)
-            for level, nbytes in resources.get("by_level_bytes",
-                                               {}).items():
-                metrics.counter("repro_query_postings_bytes_total",
-                                {"level": str(level)}).inc(nbytes)
+        """Hand one finished query to the slow log, if there is one."""
         if self.slow_log is not None:
             stats_dict = stats.as_dict() if stats is not None else None
             if stats_dict is not None and stats.resources is not None:
@@ -777,12 +683,6 @@ class XMLDatabase:
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/eviction counters of the result cache."""
         return self.cache.stats()
-
-    def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """`MetricsRegistry.snapshot` of the registry this database
-        publishes into (query latency percentiles, per-level join
-        counts, cache hit ratios, batch gauges, ...)."""
-        return self.metrics.snapshot()
 
     def document_frequency(self, term: str) -> int:
         return self.columnar_index.document_frequency(term.lower())

@@ -121,32 +121,12 @@ class DecodedColumnCache:
     one instance can serve concurrent daemon workers.
     """
 
-    def __init__(self, capacity_bytes: int = 32 * 1024 * 1024,
-                 metrics=None):
+    def __init__(self, capacity_bytes: int = 32 * 1024 * 1024):
         self.capacity_bytes = int(capacity_bytes)
         self.current_bytes = 0
         self.stats = CacheStats()
         self._data: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
         self._lock = threading.Lock()
-        self.metrics = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
-
-    def bind_metrics(self, metrics) -> None:
-        """Publish lookup counters / occupancy gauges into `metrics`."""
-        self.metrics = metrics
-        self._hit_counter = metrics.counter(
-            "repro_cache_requests_total",
-            {"cache": "decoded", "outcome": "hit"})
-        self._miss_counter = metrics.counter(
-            "repro_cache_requests_total",
-            {"cache": "decoded", "outcome": "miss"})
-        metrics.gauge("repro_cache_hit_ratio",
-                      {"cache": "decoded"}).set_fn(self.hit_ratio)
-
-    def hit_ratio(self) -> float:
-        total = self.stats.hits + self.stats.misses
-        return self.stats.hits / total if total else 0.0
 
     def get(self, key: Hashable):
         """The cached `Column` for `key`, or ``None`` on a miss."""
@@ -154,13 +134,9 @@ class DecodedColumnCache:
             entry = self._data.get(key, _MISSING)
             if entry is _MISSING:
                 self.stats.misses += 1
-                if self.metrics is not None:
-                    self._miss_counter.inc()
                 return None
             self._data.move_to_end(key)
             self.stats.hits += 1
-            if self.metrics is not None:
-                self._hit_counter.inc()
             return entry[0]
 
     def put(self, key: Hashable, column, nbytes: Optional[int] = None
@@ -220,49 +196,16 @@ class QueryCache:
     ----------
     result_capacity:
         Max cached query results (LRU over `result_key` entries).
-    metrics:
-        Optional `repro.obs.MetricsRegistry`; when given, every lookup
-        publishes ``repro_cache_requests_total{cache="results",
-        outcome=...}`` counters next to the local `CacheStats`, so a
-        process-wide snapshot sees the hit ratio without holding the
-        cache object.
     """
 
-    def __init__(self, result_capacity: int = 1024, metrics=None):
+    def __init__(self, result_capacity: int = 1024):
         self.results = LRUCache(result_capacity)
-        self.metrics = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
-
-    def bind_metrics(self, metrics) -> None:
-        """Publish lookup counters into `metrics` from now on."""
-        self.metrics = metrics
-        self._results_hit = metrics.counter(
-            "repro_cache_requests_total",
-            {"cache": "results", "outcome": "hit"})
-        self._results_miss = metrics.counter(
-            "repro_cache_requests_total",
-            {"cache": "results", "outcome": "miss"})
-        metrics.gauge("repro_cache_hit_ratio",
-                      {"cache": "results"}).set_fn(self.result_hit_ratio)
-
-    def result_hit_ratio(self) -> float:
-        stats = self.results.stats
-        total = stats.hits + stats.misses
-        return stats.hits / total if total else 0.0
 
     def get_results(self, key: ResultKey):
         """The cached answer for `key` -- the stored object itself, not
         a copy: entries are immutable (`ResultSet`s, finished response
         payloads) -- or ``None`` on miss."""
-        cached = self.results.get(key, _MISSING)
-        if cached is _MISSING:
-            if self.metrics is not None:
-                self._results_miss.inc()
-            return None
-        if self.metrics is not None:
-            self._results_hit.inc()
-        return cached
+        return self.results.get(key)
 
     def put_results(self, key: ResultKey, results,
                     partial: bool = False) -> None:
@@ -277,16 +220,7 @@ class QueryCache:
         self.results.put(key, results)
 
     def clear(self) -> None:
-        """Drop every entry and restart the local stats.
-
-        Metric consistency contract: the process-wide
-        ``repro_cache_requests_total`` counters are *monotone* and keep
-        counting across a clear (Prometheus counters never go down);
-        the ``repro_cache_hit_ratio`` gauges are derived through
-        `set_fn` hooks that read the live `CacheStats` at snapshot
-        time, so they restart from 0 with the fresh stats instead of
-        reporting the dead cache's ratio forever.
-        """
+        """Drop every entry and restart the local stats."""
         self.results.clear()
 
     def invalidate(self, term: str) -> int:

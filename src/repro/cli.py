@@ -488,16 +488,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(trace_to_jsonl(tracer.roots()))
         print(f"trace written to {args.out}")
-    if args.metrics_out:
-        import json
-
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(db.metrics_snapshot(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"metrics snapshot written to {args.metrics_out}")
-    if args.prometheus:
-        print(db.metrics.render_prometheus(), end="")
     if db.slow_log is not None and len(db.slow_log):
         record = db.slow_log.records()[-1]
         print(f"slow query (>= {db.slow_log.threshold_ms:.0f} ms): "
@@ -795,10 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="elca")
     p.add_argument("--out", default=None,
                    help="write the span tree as JSONL to this file")
-    p.add_argument("--metrics-out", default=None,
-                   help="write the metrics snapshot as JSON to this file")
-    p.add_argument("--prometheus", action="store_true",
-                   help="print the Prometheus text exposition")
     p.add_argument("--slow-ms", type=float, default=None,
                    help="slow-query threshold; report if exceeded")
     p.add_argument("--from-log", default=None, metavar="FILE",

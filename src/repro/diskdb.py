@@ -82,7 +82,6 @@ from .cache import DecodedColumnCache
 from .index.columnar import ColumnarIndex
 from .index.lazydisk import LazyColumnarIndex
 from .index.tokenizer import Tokenizer
-from .obs.metrics import get_registry
 from .reliability.checksum import (ALGORITHMS, DEFAULT_ALGORITHM,
                                    hex_digest)
 from .reliability.checksum import verify as digest_matches
@@ -183,9 +182,6 @@ def save_database(db: XMLDatabase, path: str,
     checksum (default `repro.reliability.DEFAULT_ALGORITHM`);
     ``fsync=False`` trades durability for speed (tests, throwaway dirs).
 
-    Bytes written are published as ``repro_disk_bytes_written_total``
-    in the process metrics registry.
-
     ``shards=N`` writes the *sharded* layout instead
     (`docs/SERVING.md`): one columnar container per shard under
     ``shard-XX/`` subdirectories, partitioned by root-child subtree
@@ -193,7 +189,6 @@ def save_database(db: XMLDatabase, path: str,
     shard manifest in ``meta.json``.  Opening a sharded directory
     returns a `repro.serve.ShardedDatabase`.
     """
-    metrics = get_registry()
     algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
     if shards is not None and shards < 1:
         raise ValueError("shards must be >= 1")
@@ -239,9 +234,6 @@ def save_database(db: XMLDatabase, path: str,
     }
     meta_blob = json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")
     _commit_atomically(path, data_files, meta_blob, fsync)
-    metrics.counter("repro_disk_bytes_written_total").inc(
-        sum(len(blob) for _name, blob in data_files) + len(meta_blob))
-    metrics.counter("repro_db_saves_total").inc()
 
 
 def load_database(path: str,
@@ -269,9 +261,8 @@ def load_database(path: str,
     is first used.
 
     ``cache`` / ``result_cache_size`` and any
-    extra keyword arguments (``tracer``, ``metrics``, ``slow_log``, ...)
-    are forwarded to the `XMLDatabase` constructor.  Bytes read are
-    published as ``repro_disk_bytes_read_total``.
+    extra keyword arguments (``tracer``, ``slow_log``, ...)
+    are forwarded to the `XMLDatabase` constructor.
 
     Reliability knobs (`repro.reliability`):
 
@@ -310,12 +301,9 @@ def load_database(path: str,
     if verify not in _VERIFY_MODES:
         raise ValueError(f"unknown verify mode {verify!r}; "
                          f"one of {_VERIFY_MODES}")
-    metrics = get_registry()
-    bytes_read = metrics.counter("repro_disk_bytes_read_total")
     decoded_cache = None
     if decoded_cache_bytes > 0:
-        decoded_cache = DecodedColumnCache(decoded_cache_bytes,
-                                           metrics=metrics)
+        decoded_cache = DecodedColumnCache(decoded_cache_bytes)
     if retry is None and injector is not None:
         retry = DEFAULT_POLICY
 
@@ -325,13 +313,11 @@ def load_database(path: str,
         the fault matrix stays observable)."""
         opener = map_bytes if mapped else read_bytes
         try:
-            source = opener(os.path.join(path, name), injector=injector,
-                            retry=retry, metrics=metrics, op=op)
+            return opener(os.path.join(path, name), injector=injector,
+                          retry=retry, op=op)
         except RetryExhaustedError as exc:
             raise DatabaseCorruptError(
                 f"could not read {name}: {exc}", file=name) from exc
-        bytes_read.inc(len(source))
-        return source
 
     meta_path = os.path.join(path, _META)
     if not os.path.exists(meta_path):
@@ -376,8 +362,6 @@ def load_database(path: str,
             return
         expected = digests.get(name)
         if expected is None or not digest_matches(blob, expected, algorithm):
-            metrics.counter("repro_checksum_failures_total",
-                            {"file": name}).inc()
             raise DatabaseCorruptError(
                 f"whole-file digest mismatch for {name} "
                 f"({algorithm}); the file was corrupted or belongs to "
@@ -421,7 +405,7 @@ def load_database(path: str,
     # be checked).
     nodes = NodeTable.from_buffer(
         table_blob, file=_DEWEY, check_crc=verify == "lazy",
-        metrics=metrics, open_tree=open_tree, open_document=open_document)
+        open_tree=open_tree, open_document=open_document)
     if len(nodes) != n_nodes:
         raise DatabaseFormatError(
             f"node table has {len(nodes)} nodes, metadata says {n_nodes}")
@@ -458,14 +442,12 @@ def load_database(path: str,
         # exactly the bytes a query touches, when it touches them.
         db._columnar = LazyColumnarIndex(
             source, nodes, tokenizer, ranking, verify=verify,
-            source=columnar_rel, metrics=metrics,
-            decoded_cache=decoded_cache)
+            source=columnar_rel, decoded_cache=decoded_cache)
         db._columnar.n_docs = n_docs
         if verify == "eager":
             _verify_consistency(db)
         return db
 
-    metrics.counter("repro_db_loads_total").inc()
     if shard_dirs is None:
         return make_db(cache, _COLUMNAR)
     from .serve.merge import ShardedDatabase

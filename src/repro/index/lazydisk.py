@@ -68,7 +68,7 @@ class LazyColumnarPostings(ColumnarPostings):
     def __init__(self, term: str, lengths: Sequence[int],
                  level_payloads: List[Tuple[str, bytes]],
                  scores: Sequence[float],
-                 io_stats: Optional[IOStats] = None, metrics=None,
+                 io_stats: Optional[IOStats] = None,
                  decoded_cache=None, cache_ns: str = ""):
         # Deliberately *not* calling super().__init__: the whole point
         # is to avoid building `seqs`.  When backed by an mmap the
@@ -81,7 +81,6 @@ class LazyColumnarPostings(ColumnarPostings):
         self._level_payloads = level_payloads
         self._columns: Dict[int, Column] = {}
         self.io = io_stats if io_stats is not None else IOStats()
-        self.metrics = metrics
         # Optional shared `cache.DecodedColumnCache`.  When present it
         # replaces the unbounded per-postings `_columns` dict for the
         # payload-bearing levels: decoded columns live in one bounded
@@ -135,9 +134,6 @@ class LazyColumnarPostings(ColumnarPostings):
             check_active()
             scheme, payload = self._level_payloads[level - 1]
             self.io.record(level, len(payload))
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_decode_bytes_total").inc(len(payload))
             try:
                 with span("decompress", codec=scheme, bytes=len(payload)):
                     values = decompress_column(scheme, payload)
@@ -190,16 +186,14 @@ class LazyColumnarIndex(ColumnarIndex):
     `repro.diskdb.load_database`'s.
 
     A failed check raises `DatabaseCorruptError` naming the source file
-    and the offending keyword, and bumps
-    ``repro_checksum_failures_total{file=...}`` when a metrics registry
-    is wired in.
+    and the offending keyword.
     """
 
     def __init__(self, blob, nodes,
                  tokenizer: Optional[Tokenizer] = None,
                  ranking: Optional[RankingModel] = None,
                  verify: str = "lazy", source: Optional[str] = None,
-                 metrics=None, decoded_cache=None):
+                 decoded_cache=None):
         if verify not in ("lazy", "eager", "off"):
             raise ValueError(f"unknown verify mode {verify!r}; "
                              "one of ('lazy', 'eager', 'off')")
@@ -210,7 +204,6 @@ class LazyColumnarIndex(ColumnarIndex):
         self.io = IOStats()
         self.verify = verify
         self.source = source
-        self.metrics = metrics
         # Shared decoded-column cache (see `cache.DecodedColumnCache`).
         # The namespace keeps keys distinct when one cache serves
         # several indexes (e.g. the shards of one database).
@@ -235,24 +228,16 @@ class LazyColumnarIndex(ColumnarIndex):
         postings' columns become `np.frombuffer` views -- no bytes copy
         happens here or later.
         """
-        try:
-            if self.verify != "off":
-                payload = verify_block(self._blob, ref, self._algorithm,
-                                       file=self.source)
-            else:
-                payload = self._blob[ref.offset: ref.offset + ref.length]
-            lengths, scores, level_payloads = parse_payload(
-                ref.term, payload, file=self.source)
-        except DatabaseCorruptError:
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_checksum_failures_total",
-                    {"file": self.source or "columnar"}).inc()
-            raise
+        if self.verify != "off":
+            payload = verify_block(self._blob, ref, self._algorithm,
+                                   file=self.source)
+        else:
+            payload = self._blob[ref.offset: ref.offset + ref.length]
+        lengths, scores, level_payloads = parse_payload(
+            ref.term, payload, file=self.source)
         return LazyColumnarPostings(
             ref.term, lengths, level_payloads, scores, self.io,
-            metrics=self.metrics, decoded_cache=self._decoded_cache,
-            cache_ns=self._cache_ns)
+            decoded_cache=self._decoded_cache, cache_ns=self._cache_ns)
 
     @property
     def vocabulary(self) -> List[str]:

@@ -9,9 +9,10 @@ Four independent instruments threaded through the query pipeline:
   export.  The span tree is the one record of a query's time:
   `phase_totals` folds it into exclusive per-phase milliseconds
   (parse/fetch/decompress/join/score/erase/rank_join/topk/other),
-  published as ``repro_phase_time_ms`` and attached to slow-log entries;
+  attached to slow-log entries;
 * `metrics` -- a process-wide `MetricsRegistry` of counters, gauges and
-  p50/p95/p99 histograms, with `snapshot()` and Prometheus exposition;
+  bucketed histograms with Prometheus exposition, which the serve
+  daemon publishes into and ``GET /metrics`` serves;
 * `slowlog` -- a bounded `SlowQueryLog` capturing query, stats, trace
   and per-phase breakdown of outliers;
 * `audit` -- EXPLAIN ANALYZE for the section III-C optimizer:

@@ -1,34 +1,31 @@
 """Process-wide metrics: counters, gauges and latency histograms.
 
-A `MetricsRegistry` is a thread-safe, label-aware instrument store that
-the serving layer (`XMLDatabase`, `QueryCache`, `repro.diskdb`,
-`search_batch`) publishes into: query latency, per-level join counts,
-cache hit ratios, bytes read/written, batch queue depth.  Two read
-paths:
+A `MetricsRegistry` is a thread-safe, label-aware instrument store.
+The serve daemon publishes into it -- request outcomes, rejections,
+queue wait, latency, queue depth, in-flight requests and per-shard
+latency -- and so do its supervisor (pool rebuilds) and the chaos
+harness (injected faults); ``GET /metrics`` serves it through
+`render_prometheus`, the Prometheus text exposition format.  The
+library itself publishes nothing: a query's time and work are on its
+`ExecutionStats`.
 
-* `snapshot()` -- a plain nested dict (counters / gauges / histograms
-  with p50/p95/p99), serialized by ``repro trace --metrics-out``;
-* `render_prometheus()` -- Prometheus text exposition format, ready to
-  serve from a ``/metrics`` endpoint.
+Histograms are fixed buckets (cheap, mergeable, Prometheus-shaped), an
+O(log buckets) update per observation, with the most recent trace id
+per bucket kept as an exemplar.
 
-Histograms combine fixed buckets (cheap, mergeable, Prometheus-shaped)
-with a bounded reservoir sample for percentile estimation; both updates
-are O(log buckets) / O(1) per observation.
-
-The module-level default registry (`get_registry`) is what everything
-publishes into unless handed an explicit registry, so one snapshot sees
-the whole process.
+The module-level default registry (`get_registry`) is what the daemon
+publishes into unless handed an explicit registry.
 """
 
 from __future__ import annotations
 
 import bisect
-import random
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 # Exponential-ish latency ladder in milliseconds: microseconds through
-# tens of seconds, the range a query or a batch can realistically span.
+# tens of seconds, the range a request or a shard call can realistically
+# span.
 DEFAULT_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0,
                    500.0, 1000.0, 5000.0, 30000.0)
 
@@ -65,17 +62,12 @@ class Counter:
 
 
 class Gauge:
-    """A value that goes up and down; optionally computed on read.
+    """A value that goes up and down."""
 
-    `set_fn` installs a zero-argument callable evaluated at snapshot
-    time -- the hook behind derived gauges like cache hit ratio.
-    """
-
-    __slots__ = ("_value", "_fn", "_lock")
+    __slots__ = ("_value", "_lock")
 
     def __init__(self):
         self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
@@ -89,75 +81,25 @@ class Gauge:
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    def set_fn(self, fn: Callable[[], float]) -> None:
-        self._fn = fn
-
-    def clear_fn(self) -> None:
-        """Detach a derived-value hook (back to the stored value)."""
-        self._fn = None
-
-    def track(self):
-        """Context manager: +1 on entry, -1 on exit (queue depths,
-        in-flight request gauges -- exception-safe by construction)."""
-        return _GaugeTrack(self)
-
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
         with self._lock:
             return self._value
 
 
-class _GaugeTrack:
-    __slots__ = ("_gauge",)
-
-    def __init__(self, gauge: Gauge):
-        self._gauge = gauge
-
-    def __enter__(self):
-        self._gauge.inc()
-        return self._gauge
-
-    def __exit__(self, *exc_info):
-        self._gauge.dec()
-        return False
-
-
 class Histogram:
-    """Fixed buckets + a bounded reservoir for percentile estimation.
+    """Fixed buckets: Prometheus-shaped cumulative counts, plus a sum
+    and a count.  Quantiles are estimated by whoever reads the
+    buckets (``histogram_quantile`` style)."""
 
-    Buckets give the Prometheus-shaped cumulative counts; the reservoir
-    (uniform sample of all observations, deterministic seed so repeated
-    runs snapshot identically) supports `percentile` without retaining
-    every sample.
-
-    Accuracy contract: percentiles are **rank-accurate to within +/-7
-    percentile points**.  The reservoir is a uniform sample, so the
-    value reported for the p-th percentile is a true sample value whose
-    actual rank lies in [p-7, p+7] with high probability -- the
-    binomial rank error of a 512-observation sample is
-    sqrt(p(1-p)/512) <= 2.2 points (one sigma), and 7 points is the
-    3-sigma bound.  This holds for any shape (bimodal, heavy-tailed);
-    what it does NOT promise is value-accuracy -- where the
-    distribution is steep (a heavy tail's p99), a few points of rank
-    can be a large factor in value.  Consumers needing tail *values*
-    should read the bucket counts instead.
-    """
-
-    __slots__ = ("bounds", "bucket_counts", "count", "total",
-                 "_reservoir", "_reservoir_size", "_rng", "_lock",
+    __slots__ = ("bounds", "bucket_counts", "count", "total", "_lock",
                  "_exemplars")
 
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 reservoir_size: int = 512, seed: int = 0x5EED):
+    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS):
         self.bounds = tuple(sorted(float(b) for b in buckets))
         self.bucket_counts = [0] * (len(self.bounds) + 1)  # +inf bucket
         self.count = 0
         self.total = 0.0
-        self._reservoir: List[float] = []
-        self._reservoir_size = int(reservoir_size)
-        self._rng = random.Random(seed)
         self._lock = threading.Lock()
         # bucket index -> (value, trace_id): the most recent exemplar
         # that landed in the bucket, linking the histogram back to a
@@ -173,12 +115,6 @@ class Histogram:
                 self._exemplars[index] = (value, str(exemplar))
             self.count += 1
             self.total += value
-            if len(self._reservoir) < self._reservoir_size:
-                self._reservoir.append(value)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self._reservoir_size:
-                    self._reservoir[slot] = value
 
     def _bound_name(self, index: int) -> str:
         return (f"{self.bounds[index]:g}" if index < len(self.bounds)
@@ -191,16 +127,6 @@ class Histogram:
             items = dict(self._exemplars)
         return {self._bound_name(i): {"value": v, "trace_id": t}
                 for i, (v, t) in sorted(items.items())}
-
-    def percentile(self, p: float) -> float:
-        """Estimated p-th percentile (0 < p <= 100) from the reservoir."""
-        with self._lock:
-            sample = sorted(self._reservoir)
-        if not sample:
-            return 0.0
-        rank = max(0, min(len(sample) - 1,
-                          int(round(p / 100.0 * (len(sample) - 1)))))
-        return sample[rank]
 
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
@@ -216,13 +142,10 @@ class Histogram:
             "count": count,
             "sum": total,
             "mean": (total / count) if count else 0.0,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
             "buckets": cumulative,
         }
         exemplars = self.exemplars()
-        if exemplars:  # key omitted when unused: snapshots stay stable
+        if exemplars:  # key omitted when unused
             out["exemplars"] = exemplars
         return out
 
@@ -263,33 +186,6 @@ class MetricsRegistry:
             if instrument is None:
                 instrument = self._histograms[key] = Histogram(buckets)
         return instrument
-
-    def reset(self) -> None:
-        """Drop every instrument (tests and bench runs start clean)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
-    # -- read paths ---------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """All instruments as one nested dict (JSON-ready)."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        return {
-            "counters": {
-                name + _label_suffix(labels): c.value
-                for (name, labels), c in sorted(counters.items())},
-            "gauges": {
-                name + _label_suffix(labels): g.value
-                for (name, labels), g in sorted(gauges.items())},
-            "histograms": {
-                name + _label_suffix(labels): h.as_dict()
-                for (name, labels), h in sorted(histograms.items())},
-        }
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition (type lines + samples)."""

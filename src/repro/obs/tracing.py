@@ -29,8 +29,8 @@ coherent tree.
 
 The span tree is also the only record of where a query's time went:
 `phase_totals` folds a finished tree into exclusive milliseconds per
-pipeline phase, which is what ``repro_phase_time_ms``, the slow log's
-``phases`` and the table under ``repro trace`` all print.
+pipeline phase, which is what the slow log's ``phases`` and the table
+under ``repro trace`` print.
 """
 
 from __future__ import annotations

@@ -26,9 +26,7 @@ Install an injector by passing it to `repro.diskdb.load_database`
     with inj.wrap(open(path, "rb"), path) as fh:
         data = fh.read()
 
-Injected faults are counted per kind in ``injector.injected`` and, when
-a metrics registry is bound, published as
-``repro_injected_faults_total{kind=...}``.
+Injected faults are counted per kind in ``injector.injected``.
 """
 
 from __future__ import annotations
@@ -64,9 +62,6 @@ class FaultInjector:
         exhausted.
     sleep:
         Injectable sleep (tests pass a no-op).
-    metrics:
-        Optional `repro.obs.MetricsRegistry`-compatible object; fired
-        faults increment ``repro_injected_faults_total{kind=...}``.
     """
 
     def __init__(self, error_rate: float = 0.0,
@@ -76,8 +71,7 @@ class FaultInjector:
                  latency_ms: float = 0.0,
                  seed: int = 0,
                  script: Optional[Iterable[Optional[str]]] = None,
-                 sleep: Callable[[float], None] = time.sleep,
-                 metrics=None):
+                 sleep: Callable[[float], None] = time.sleep):
         for name, rate in (("error_rate", error_rate),
                            ("short_read_rate", short_read_rate),
                            ("bit_flip_rate", bit_flip_rate),
@@ -95,7 +89,6 @@ class FaultInjector:
             list(script) if script is not None else None)
         self._script_pos = 0
         self._sleep = sleep
-        self._metrics = metrics
         self.reads = 0
         self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
@@ -132,9 +125,6 @@ class FaultInjector:
     def _record(self, kind: Optional[str]) -> Optional[str]:
         if kind is not None:
             self.injected[kind] += 1
-            if self._metrics is not None:
-                self._metrics.counter("repro_injected_faults_total",
-                                      {"kind": kind}).inc()
         return kind
 
     def corrupt_offset(self, length: int) -> int:

@@ -70,7 +70,7 @@ COPY_STATS = CopyStats()
 
 def read_bytes(path: str, injector: Optional[FaultInjector] = None,
                retry: Optional[RetryPolicy] = None,
-               metrics=None, op: str = "read") -> bytes:
+               op: str = "read") -> bytes:
     """Read a whole file in chunks, with faults and retries applied.
 
     Each retry attempt reopens the file and restarts from offset zero,
@@ -93,7 +93,7 @@ def read_bytes(path: str, injector: Optional[FaultInjector] = None,
     if retry is None:
         data = attempt()
     else:
-        data = retry.call(attempt, metrics=metrics, op=op)
+        data = retry.call(attempt, op=op)
     COPY_STATS.record(op, len(data))
     account = active_account()
     if account is not None:
@@ -136,8 +136,7 @@ class MappedFile:
 
 
 def map_bytes(path: str, injector: Optional[FaultInjector] = None,
-              retry: Optional[RetryPolicy] = None,
-              metrics=None, op: str = "map"
+              retry: Optional[RetryPolicy] = None, op: str = "map"
               ) -> Union[MappedFile, bytes]:
     """Memory-map `path` read-only; the zero-copy read primitive.
 
@@ -150,8 +149,7 @@ def map_bytes(path: str, injector: Optional[FaultInjector] = None,
     ``np.frombuffer`` (pass ``MappedFile.view``).
     """
     if injector is not None:
-        return read_bytes(path, injector=injector, retry=retry,
-                          metrics=metrics, op=op)
+        return read_bytes(path, injector=injector, retry=retry, op=op)
     return MappedFile(path)
 
 

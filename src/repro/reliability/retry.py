@@ -6,14 +6,6 @@ jitter.  `FileNotFoundError` is treated as permanent (retrying a
 missing file cannot help), and exhaustion raises the typed
 `RetryExhaustedError` with the last error chained -- callers never see
 a bare injected exception escape a retried region.
-
-Attempt and outcome counters are published when a metrics registry is
-passed::
-
-    repro_io_attempts_total{op=...}            every attempt
-    repro_io_retries_total{op=...}             attempts after the first
-    repro_io_retry_exhausted_total{op=...}     gave up
-    repro_io_recovered_total{op=...}           succeeded after >=1 retry
 """
 
 from __future__ import annotations
@@ -70,13 +62,10 @@ class RetryPolicy:
                 and not isinstance(exc, (FileNotFoundError,
                                          RetryExhaustedError)))
 
-    def call(self, fn: Callable[[], T], metrics=None, op: str = "io") -> T:
+    def call(self, fn: Callable[[], T], op: str = "io") -> T:
         """Run `fn`, retrying transient failures per this policy."""
-        labels = {"op": op}
         last_error = None
         for attempt in range(1, self.max_attempts + 1):
-            if metrics is not None:
-                metrics.counter("repro_io_attempts_total", labels).inc()
             try:
                 result = fn()
             except self.retry_on as exc:
@@ -85,15 +74,9 @@ class RetryPolicy:
                 last_error = exc
                 if attempt == self.max_attempts:
                     break
-                if metrics is not None:
-                    metrics.counter("repro_io_retries_total", labels).inc()
                 self.sleep(self.delay_ms(attempt) / 1000.0)
                 continue
-            if attempt > 1 and metrics is not None:
-                metrics.counter("repro_io_recovered_total", labels).inc()
             return result
-        if metrics is not None:
-            metrics.counter("repro_io_retry_exhausted_total", labels).inc()
         raise RetryExhaustedError(
             f"{op} failed after {self.max_attempts} attempts: {last_error}",
             attempts=self.max_attempts, op=op) from last_error

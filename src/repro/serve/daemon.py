@@ -301,16 +301,11 @@ class ServeDaemon:
             reg.counter("repro_serve_rejects_total", {"reason": reason})
         for outcome in ("ok", "partial", "degraded", "error"):
             reg.counter("repro_serve_requests_total", {"outcome": outcome})
-        reg.counter("repro_serve_degraded_total")
-        # Per-shard instruments only where a fan-out can move them: the
+        # The per-shard histogram only where a fan-out can move it: the
         # inline path scatters inside the facade and calls no shard.
         if self.workers >= 1:
             for sid in range(db.n_shards):
-                labels = {"shard": str(sid)}
-                reg.histogram("repro_serve_shard_ms", labels)
-                reg.counter("repro_serve_retries_total", labels)
-                reg.counter("repro_serve_hedges_total", labels)
-                reg.counter("repro_serve_shard_skipped_total", labels)
+                reg.histogram("repro_serve_shard_ms", {"shard": str(sid)})
 
     # ------------------------------------------------------------------
     # pools
@@ -412,12 +407,7 @@ class ServeDaemon:
         maxima through it bounds every candidate result in the shard.
         """
         idx = self.db.shards[sid].columnar_index
-        per_term: List[float] = []
-        for term in terms:
-            plist = idx.term_postings(term)
-            scores = plist.scores
-            best = float(max(scores)) if len(scores) else 0.0
-            per_term.append(best)
+        per_term = [idx.term_postings(term).max_score() for term in terms]
         return float(self.db.ranking.combiner.upper_bound(per_term))
 
     async def _submit_once(self, fn, sid: int, make_payload, fault,
@@ -441,8 +431,6 @@ class ServeDaemon:
                                           self.hedge_ms / 1000.0)
         except asyncio.TimeoutError:
             pass
-        self.metrics.counter("repro_serve_hedges_total",
-                             {"shard": str(sid)}).inc()
         obs.hedges += 1
         hedge = loop.run_in_executor(pool, fn, make_payload(sid, None))
         done, pending = await asyncio.wait({primary, hedge},
@@ -478,8 +466,6 @@ class ServeDaemon:
         for attempt in range(1, attempts + 1):
             entry["attempts"] = attempt
             if not breaker.allow():
-                self.metrics.counter("repro_serve_shard_skipped_total",
-                                     {"shard": str(sid)}).inc()
                 entry["skipped"] = True
                 last_exc = BreakerOpenError(
                     f"shard {sid} circuit breaker is {breaker.state}",
@@ -538,8 +524,6 @@ class ServeDaemon:
             if (deadline is not None and deadline.budget_ms is not None
                     and deadline.remaining_ms() <= delay_ms):
                 break  # the backoff alone would outlive the budget
-            self.metrics.counter("repro_serve_retries_total",
-                                 {"shard": str(sid)}).inc()
             obs.retries += 1
             await asyncio.sleep(delay_ms / 1000.0)
         elapsed = (time.perf_counter() - started) * 1000.0
@@ -869,8 +853,6 @@ class ServeDaemon:
                    else "partial" if partial else "ok")
         self.metrics.counter("repro_serve_requests_total",
                              {"outcome": outcome}).inc()
-        if degraded:
-            self.metrics.counter("repro_serve_degraded_total").inc()
         # The payload is never mutated after this point: the cache
         # stores it and every response is a fresh dict around it.
         self.cache.put_results(cache_key, payload, partial=partial)
@@ -962,7 +944,11 @@ class ServeDaemon:
             try:
                 limit = int(params.get("limit", "50"))
             except ValueError:
-                limit = 50
+                limit = -1
+            if limit < 0:
+                return 400, "application/json", json.dumps(
+                    {"error": {"type": "bad_request",
+                               "message": "limit must be an integer >= 0"}})
             return 200, "application/json", json.dumps({
                 "retained": len(self.traces),
                 "added": self.traces.added,

@@ -201,11 +201,8 @@ class ShardedDatabase:
         first = self.shards[0]
         self.tokenizer = first.tokenizer
         self.ranking = first.ranking
-        self.metrics = first.metrics
         self.cache = cache if cache is not None else QueryCache(
             result_cache_size)
-        if self.cache.metrics is None:
-            self.cache.bind_metrics(self.metrics)
 
     # ------------------------------------------------------------------
     # constructors
@@ -229,7 +226,7 @@ class ShardedDatabase:
         shard_dbs = []
         for part in parts:
             sdb = XMLDatabase(db.tree, tokenizer=db.tokenizer,
-                              ranking=db.ranking, metrics=db.metrics)
+                              ranking=db.ranking)
             sdb._columnar = ColumnarIndex.from_postings(
                 source.nodes, part, db.tokenizer, db.ranking, source.n_docs)
             shard_dbs.append(sdb)
@@ -530,8 +527,8 @@ class ShardedDatabase:
                      raise_on_error: bool = False):
         """Evaluate a workload sequentially against the shard set:
         `XMLDatabase.search_batch`'s contract (`BatchResult`, shared
-        deadline, per-query error isolation, the ``repro_batch_*``
-        metrics) through the same loop, `repro.api.run_batch`.  The
+        deadline, per-query error isolation) through the same loop,
+        `repro.api.run_batch`.  The
         parallel path for a sharded database is the daemon
         (`repro.serve.daemon`), whose workers fan out per shard.
         """
@@ -551,8 +548,7 @@ class ShardedDatabase:
                                    deadline=deadline)
             return top.results, top.stats
 
-        return run_batch(queries, one, self.metrics, with_stats,
-                         raise_on_error)
+        return run_batch(queries, one, with_stats, raise_on_error)
 
     # ------------------------------------------------------------------
     # introspection

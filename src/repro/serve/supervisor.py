@@ -37,16 +37,12 @@ from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "BreakerConfig", "BreakerOpenError", "CircuitBreaker",
-    "ShardSupervisor", "CLOSED", "OPEN", "HALF_OPEN", "STATE_CODES",
+    "ShardSupervisor", "CLOSED", "OPEN", "HALF_OPEN",
 ]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-#: Numeric encoding for the `repro_breaker_state` gauge
-#: (0 = closed, 1 = half-open, 2 = open -- higher is sicker).
-STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
 
 class BreakerOpenError(OSError):
@@ -99,11 +95,9 @@ class CircuitBreaker:
     """Closed / open / half-open breaker for a single shard."""
 
     def __init__(self, config: Optional[BreakerConfig] = None, *,
-                 clock: Callable[[], float] = time.monotonic,
-                 on_transition: Optional[Callable[[str, str], None]] = None):
+                 clock: Callable[[], float] = time.monotonic):
         self.config = config or BreakerConfig()
         self._clock = clock
-        self._on_transition = on_transition
         self._rng = random.Random(self.config.seed)
         self._state = CLOSED
         self._consecutive = 0
@@ -133,8 +127,6 @@ class CircuitBreaker:
             return
         self._state = to
         self.transitions[to] = self.transitions.get(to, 0) + 1
-        if self._on_transition is not None:
-            self._on_transition(self._state, to)
 
     def _open(self) -> None:
         self._trip_level += 1
@@ -229,28 +221,13 @@ class ShardSupervisor:
         self.breakers: List[CircuitBreaker] = [
             CircuitBreaker(
                 BreakerConfig(**{**cfg.__dict__, "seed": cfg.seed + sid}),
-                clock=clock,
-                on_transition=self._transition_recorder(sid))
+                clock=clock)
             for sid in range(n_shards)
         ]
         self._pools: List[Optional[ProcessPoolExecutor]] = [None] * n_shards
         self._pool_state = [POOL_NONE if workers < 1 else POOL_DOWN
                             for _ in range(n_shards)]
         self.rebuilds: List[int] = [0] * n_shards
-        if metrics is not None:
-            for sid in range(n_shards):
-                labels = {"shard": str(sid)}
-                breaker = self.breakers[sid]
-                metrics.gauge("repro_breaker_state", labels).set_fn(
-                    lambda b=breaker: float(STATE_CODES[b.state]))
-
-    def _transition_recorder(self, sid: int):
-        def record(_frm: str, to: str) -> None:
-            if self._metrics is not None:
-                self._metrics.counter(
-                    "repro_breaker_transitions_total",
-                    {"shard": str(sid), "to": to}).inc()
-        return record
 
     # -- pool lifecycle ------------------------------------------------
 

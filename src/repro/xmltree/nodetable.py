@@ -158,7 +158,6 @@ class NodeTable:
         self._pending = None     # (buffer, sections, algorithm, check_crc)
         self._doc_bytes = 0
         self._n_tags = 0
-        self._metrics = None
         self._child_order: Optional[np.ndarray] = None
         self._child_parent: Optional[np.ndarray] = None
 
@@ -211,7 +210,7 @@ class NodeTable:
 
     @classmethod
     def from_buffer(cls, data, file: Optional[str] = None,
-                    check_crc: bool = True, metrics=None,
+                    check_crc: bool = True,
                     open_tree: Optional[Callable[[], XMLTree]] = None,
                     open_document: Optional[Callable[[], object]] = None
                     ) -> "NodeTable":
@@ -266,7 +265,6 @@ class NodeTable:
         table.file = file
         table._doc_bytes = int(doc_bytes)
         table._n_tags = int(n_tags)
-        table._metrics = metrics
         table._open_tree = open_tree
         table._open_document = open_document
         table._pending = (data, sections, algorithm, check_crc)
@@ -277,9 +275,6 @@ class NodeTable:
     # ------------------------------------------------------------------
 
     def _corrupt(self, message: str) -> DatabaseCorruptError:
-        if self._metrics is not None:
-            self._metrics.counter("repro_checksum_failures_total",
-                                  {"file": self.file or "dewey"}).inc()
         return DatabaseCorruptError(message, file=self.file)
 
     def _load(self) -> None:

@@ -171,11 +171,19 @@ class TestDiskIntegration:
         assert stats.bytes_decompressed == 0
 
     def test_query_metrics_published(self, tmp_path, small_db):
+        """The account's totals and breakdown are published where the
+        query is reported: its slow-log record (the process metrics
+        registry gets none of them)."""
+        from repro.obs.metrics import get_registry
+
         path = str(tmp_path / "db")
         save_database(small_db, path)
-        db = load_database(path, lazy=True)
+        before = get_registry().render_prometheus()
+        db = load_database(path, lazy=True, slow_query_ms=0.0)
         db.search_topk("xml data", 5)
-        exposition = db.metrics.render_prometheus()
-        assert "repro_query_bytes_decompressed_total" in exposition
-        assert "repro_query_postings_scanned_total" in exposition
-        assert "repro_query_bytes_mapped_total" in exposition
+        stats = db.slow_log.records()[-1].stats
+        assert stats["bytes_decompressed"] > 0
+        assert stats["bytes_mapped"] > 0
+        assert stats["resources"]["by_codec"]
+        assert stats["resources"]["by_level_postings"]
+        assert get_registry().render_prometheus() == before

@@ -15,14 +15,12 @@ import pytest
 from repro import XMLDatabase
 from repro.obs.audit import (AuditingJoinPlanner, PlanAudit, PlanAuditor,
                              audit_query, q_error)
-from repro.obs.metrics import MetricsRegistry
 from repro.planner.cardinality import CardinalityEstimator
 from repro.planner.plans import (INDEX, MERGE, JoinPlanner, alternative_of,
                                  index_cost, merge_cost, modeled_cost)
 
 
 def _fresh_db(source_db, **kwargs):
-    kwargs.setdefault("metrics", MetricsRegistry())
     return XMLDatabase.from_xml_text(source_db.tree.to_xml(), **kwargs)
 
 

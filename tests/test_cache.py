@@ -250,43 +250,17 @@ class TestClearAndInvalidate:
         assert stats.cache_hits == 0 and stats.cache_misses == 1
         assert stats.levels_processed > 0
 
-    def test_clear_keeps_request_counters_monotone(self):
-        """Prometheus counters must never go down across a clear."""
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        db = XMLDatabase.from_xml_text(
-            "<r><a>xml data</a><b>xml data</b></r>", metrics=registry)
-        db.search("xml data")
-        db.search("xml data")           # hit
-        counters = registry.snapshot()["counters"]
-        before = sum(v for k, v in counters.items()
-                     if k.startswith("repro_cache_requests_total"))
-        assert before > 0
-        db.cache.clear()
-        counters = registry.snapshot()["counters"]
-        after = sum(v for k, v in counters.items()
-                    if k.startswith("repro_cache_requests_total"))
-        assert after == before          # clear never rewinds a counter
-        db.search("xml data")           # miss after clear
-        counters = registry.snapshot()["counters"]
-        assert sum(v for k, v in counters.items()
-                   if k.startswith("repro_cache_requests_total")) > after
-
     def test_clear_restarts_hit_ratio_gauge(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+        """`cache_stats` reads the live (fresh) stats after a clear, not
+        the dead cache's."""
         db = XMLDatabase.from_xml_text(
-            "<r><a>xml data</a><b>xml data</b></r>", metrics=registry)
+            "<r><a>xml data</a><b>xml data</b></r>")
         db.search("xml data")
         db.search("xml data")
-        gauge = registry.gauge("repro_cache_hit_ratio",
-                               {"cache": "results"})
-        assert gauge.value > 0.0
+        assert db.cache_stats()["results"]["hits"] == 1
         db.cache.clear()
-        # derived gauge reads the live (fresh) stats, not the dead ones
-        assert gauge.value == 0.0
+        assert db.cache_stats()["results"] == {
+            "hits": 0, "misses": 0, "evictions": 0}
 
     def test_invalidate_drops_postings_and_matching_results(self):
         qc = QueryCache(result_capacity=8)
@@ -403,23 +377,3 @@ class TestDecodedColumnCache:
         assert snap["capacity_bytes"] == 1 << 20
         assert snap["hits"] == 1 and snap["misses"] == 1
         assert snap["bytes"] == cache.current_bytes
-
-    def test_bind_metrics_publishes_counters(self):
-        from repro.cache import DecodedColumnCache
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cache = DecodedColumnCache(capacity_bytes=1 << 20,
-                                   metrics=registry)
-        cache.put("k", self._column())
-        cache.get("k")
-        cache.get("absent")
-        snap = registry.snapshot()
-        counters = snap["counters"]
-        hits = counters[
-            'repro_cache_requests_total{cache="decoded",outcome="hit"}']
-        misses = counters[
-            'repro_cache_requests_total{cache="decoded",outcome="miss"}']
-        assert hits == 1 and misses == 1
-        ratio = snap["gauges"]['repro_cache_hit_ratio{cache="decoded"}']
-        assert ratio == 0.5

@@ -1,8 +1,9 @@
 """Doc-drift guards.
 
 Metrics: every metric family a live daemon exports must have a row in
-docs/OBSERVABILITY.md's reference table, and every row says what reads
-it.  Commands: every ``python -m repro.<module>`` and ``repro <verb>``
+docs/OBSERVABILITY.md's reference table, every row names what reads it,
+and every documented family has a call site in ``src/`` that emits it;
+the library itself emits none.  Commands: every ``python -m repro.<module>`` and ``repro <verb>``
 the docs, CI workflow and verify skill name must still exist (see
 `TestDocumentedCommands`).
 
@@ -13,15 +14,17 @@ on a row for code that is gone.
 
 Removed names: the options, environment variable and functions that
 went with the four-format storage stack, the library's own batch
-pools, the phase profiler, the hybrid's plan switch and the parts the
-ledger found no consumer for must not come back into a doc, the CI
-workflow or the skill (see `REMOVED_NAMES`).
+pools, the phase profiler, the hybrid's plan switch, the parts the
+ledger found no consumer for and the metric families nothing read must
+not come back into a doc, the CI workflow or the skill (see
+`REMOVED_NAMES`).
 
 The test drives an inline daemon (with accounting, tracing, caching
-and a disk-backed sharded database, so as many families as
-possible actually emit), scrapes `/metrics`, extracts the family
-names from the `# TYPE` exposition lines, and greps the doc.  A new
-metric added without a doc row fails here by name.
+and a disk-backed sharded database), scrapes `/metrics`, extracts the
+family names from the `# TYPE` exposition lines, and greps the doc.  A
+new metric added without a doc row fails here by name; so does one
+emitted only on a path the drive does not take (worker pools, chaos),
+through the scan of the ``src/`` call sites.
 """
 
 import argparse
@@ -31,6 +34,8 @@ import importlib.util
 import inspect
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -52,21 +57,18 @@ def _exposition_families(text):
 
 @pytest.fixture(scope="module")
 def exposition(tmp_path_factory):
-    """Daemon `/metrics` plus a lazily opened database's registry: the daemon
-    exposition carries the serve families, the database registry the
-    query-pipeline and resource-accounting families (which inline
-    shards publish into their own registries, not the daemon's)."""
-    from repro.diskdb import load_database, save_database
-    from tests.conftest import SMALL_XML
+    """A daemon's `/metrics` after a few answered requests."""
+    from repro.diskdb import save_database
     from repro.api import XMLDatabase
     from repro.obs.metrics import MetricsRegistry
+    from tests.conftest import SMALL_XML
 
     tmp = tmp_path_factory.mktemp("doc_drift")
     db = XMLDatabase.from_xml_text(SMALL_XML)
     path = str(tmp / "db")
     save_database(db, path, shards=2)
     sharded = ShardedDatabase.open(path)
-    daemon = ServeDaemon(sharded, workers=0,
+    daemon = ServeDaemon(sharded, workers=0, metrics=MetricsRegistry(),
                          access_log_path=str(tmp / "access.jsonl"))
 
     async def go():
@@ -80,16 +82,45 @@ def exposition(tmp_path_factory):
         await daemon.stop()
         return body
 
-    daemon_text = asyncio.run(go())
+    return asyncio.run(go())
 
-    flat_path = str(tmp / "db_flat")
-    save_database(db, flat_path)
-    lazy = load_database(flat_path, lazy=True,
-                         metrics=MetricsRegistry())
-    lazy.search_topk("xml data", 5)
-    lazy.search("keyword search")
-    lazy.search("keyword search")   # result-cache hit
-    return daemon_text + "\n" + lazy.metrics.render_prometheus()
+
+#: A call that creates a family: ``.counter("repro_...")``,
+#: ``.gauge(...)`` or ``.histogram(...)``.
+EMIT_RE = re.compile(r'\.(?:counter|gauge|histogram)\(\s*"(repro_[a-z_]+)"')
+
+
+def _emitted_families():
+    """Family names some call site under ``src/`` emits."""
+    found = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "**", "*.py"),
+                          recursive=True):
+        found |= set(EMIT_RE.findall(open(path, encoding="utf-8").read()))
+    return found
+
+
+def _cells(line):
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+
+def _metric_rows():
+    """(families, reader cell) of every metric row of the doc's tables."""
+    lines = open(DOC, encoding="utf-8").read().splitlines()
+    rows = []
+    column = None
+    for line in lines:
+        if line.startswith("| metric |"):
+            header = _cells(line)
+            assert "read by" in header, f"no 'read by' column: {line}"
+            column = header.index("read by")
+        elif column is not None and line.startswith("| `repro_"):
+            cells = _cells(line)
+            families = re.findall(r"`(repro_[a-z_]+)", cells[0])
+            rows.append((families, cells[column] if len(cells) > column
+                         else ""))
+        elif not line.startswith("|"):
+            column = None
+    return rows
 
 
 def test_every_exported_family_documented(exposition):
@@ -104,54 +135,60 @@ def test_every_exported_family_documented(exposition):
 
 def test_exposition_covers_core_families(exposition):
     """The scrape itself must be meaningful: the daemon drive above
-    has to emit the serve, query and accounting families the doc
-    table anchors on."""
+    has to emit the serve families the doc table anchors on."""
     families = _exposition_families(exposition)
-    for name in ("repro_serve_requests_total", "repro_serve_latency_ms",
-                 "repro_queries_total", "repro_query_latency_ms"):
+    for name in ("repro_serve_requests_total", "repro_serve_rejects_total",
+                 "repro_serve_latency_ms", "repro_serve_queue_wait_ms"):
         assert name in families, f"{name} missing from the drive"
 
 
-def test_documented_accounting_families_match_code():
-    """The six accounting families in the doc exist in api.py -- a
-    rename on either side fails here."""
-    doc = open(DOC, encoding="utf-8").read()
-    src = open(os.path.join(os.path.dirname(DOC), os.pardir, "src",
-                            "repro", "api.py"), encoding="utf-8").read()
-    for name in ("repro_query_bytes_mapped_total",
-                 "repro_query_bytes_copied_total",
-                 "repro_query_bytes_decompressed_total",
-                 "repro_query_bytes_cache_total",
-                 "repro_query_postings_scanned_total",
-                 "repro_query_postings_bytes_total"):
-        assert name in doc, f"{name} undocumented"
-        assert name in src, f"{name} documented but gone from api.py"
-
-
-def _cells(line):
-    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+def test_every_documented_family_is_emitted():
+    """Both ways between the doc's rows and the ``src/`` call sites: a
+    row for a family nothing emits is a removed family still
+    documented, and an emitted family with no row is one the live drive
+    above did not reach."""
+    documented = {name for families, _reader in _metric_rows()
+                  for name in families}
+    emitted = _emitted_families()
+    assert "repro_pool_rebuilds_total" in emitted, "scan found nothing"
+    assert documented - emitted == set(), \
+        f"documented but emitted nowhere: {sorted(documented - emitted)}"
+    assert emitted - documented == set(), \
+        f"emitted but undocumented: {sorted(emitted - documented)}"
 
 
 def test_every_metric_row_says_what_reads_it():
-    """Each metric table has a "read by" column, and every row fills
-    it -- with its reader, or "none" (an open attribution item)."""
-    lines = open(DOC, encoding="utf-8").read().splitlines()
-    tables = rows = 0
-    column = None
-    for line in lines:
-        if line.startswith("| metric |"):
-            header = _cells(line)
-            assert "read by" in header, f"no 'read by' column: {line}"
-            column = header.index("read by")
-            tables += 1
-        elif column is not None and line.startswith("| `repro_"):
-            cells = _cells(line)
-            assert len(cells) > column and cells[column], \
-                f"metric row with no reader named: {line}"
-            rows += 1
-        elif not line.startswith("|"):
-            column = None
-    assert tables >= 6 and rows >= 30, "scan found nothing"
+    """Each metric table has a "read by" column, and every row names
+    its reader -- a family nothing reads is removed, not kept with
+    "none"."""
+    rows = _metric_rows()
+    assert len(rows) >= 9, "scan found nothing"
+    for families, reader in rows:
+        assert reader and not reader.lower().startswith("none"), \
+            f"metric row with no reader named: {families}"
+
+
+def test_library_queries_publish_no_family(tmp_path):
+    """In a fresh process, queries against a built and an opened
+    database leave the process registry empty: a query's time and work
+    are on its stats, its trace and the slow log."""
+    script = (
+        "from repro import XMLDatabase, get_registry\n"
+        "from repro.diskdb import load_database\n"
+        "from tests.conftest import SMALL_XML\n"
+        "db = XMLDatabase.from_xml_text(SMALL_XML, slow_query_ms=0.0)\n"
+        "db.search('xml data'); db.search_topk('xml data', 3)\n"
+        "db.search_batch(['xml data', 'keyword search'])\n"
+        f"db.save({str(tmp_path / 'db')!r})\n"
+        f"opened = load_database({str(tmp_path / 'db')!r})\n"
+        "opened.search('xml data'); opened.search_topk('xml data', 3)\n"
+        "print(repr(get_registry().render_prometheus()))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), ROOT,
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "''"
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +258,28 @@ REMOVED_NAMES = (
     "TailSampler", "--tail-sample-rate", "--tail-slow-ms",
     "--slo-availability", "--no-supervision", "--no-tracing",
     "repro.reliability.demo", "worker_metrics", "repro_worker_",
+    # the metric families no gate, walked doc workflow or kept module
+    # read, and what existed only to publish or dump them: a query's
+    # time and work are on its stats, its trace and the slow log
+    "repro_queries_total", "repro_query_latency_ms",
+    "repro_level_joins_total", "repro_cache_requests_total",
+    "repro_cache_hit_ratio", "repro_phase_time_ms",
+    "repro_deadline_hits_total", "repro_query_bytes_mapped_total",
+    "repro_query_bytes_copied_total", "repro_query_bytes_decompressed_total",
+    "repro_query_bytes_cache_total", "repro_query_decode_cache_total",
+    "repro_query_postings_scanned_total", "repro_query_postings_bytes_total",
+    "repro_batch_queries_total", "repro_batch_queue_depth",
+    "repro_batch_latency_ms", "repro_batch_query_errors_total",
+    "repro_disk_bytes_written_total", "repro_disk_bytes_read_total",
+    "repro_db_saves_total", "repro_db_loads_total",
+    "repro_checksum_failures_total", "repro_injected_faults_total",
+    "repro_io_attempts_total", "repro_io_retries_total",
+    "repro_io_recovered_total", "repro_io_retry_exhausted_total",
+    "repro_decode_bytes_total", "repro_serve_retries_total",
+    "repro_serve_hedges_total", "repro_serve_shard_skipped_total",
+    "repro_serve_degraded_total", "repro_breaker_state",
+    "repro_breaker_transitions_total",
+    "metrics_snapshot", "bind_metrics", "--metrics-out", "--prometheus",
 )
 
 #: (name, context): a removed option whose spelling something else still
@@ -291,7 +350,9 @@ class TestDocumentedCommands:
                 for owner in (repro.diskdb, repro.index.compression,
                               repro.index.lazydisk, repro.index.storage,
                               repro.api, repro.api.XMLDatabase,
-                              repro.cache.QueryCache, repro.obs.account,
+                              repro.cache.QueryCache,
+                              repro.cache.DecodedColumnCache,
+                              repro.obs.account,
                               repro.obs.account.ResourceAccount,
                               repro.serve.sharding,
                               repro.algorithms.hybrid.HybridTopKSearch,

@@ -15,7 +15,6 @@ import pytest
 
 from repro import XMLDatabase
 from repro.diskdb import load_database, save_database
-from repro.obs import MetricsRegistry
 from repro.reliability import (DatabaseCorruptError, DatabaseFormatError,
                                FaultInjector,
                                InjectedFault, RetryExhaustedError,
@@ -123,13 +122,15 @@ class TestFaultInjector:
         assert sleeps == [0.025]
 
     def test_metrics_published(self):
-        registry = MetricsRegistry()
-        inj = FaultInjector(script=[IO_ERROR, BIT_FLIP], metrics=registry)
+        """Fired faults are counted per kind in ``injected``."""
+        inj = FaultInjector(script=[IO_ERROR, BIT_FLIP])
         fh = inj.wrap(io.BytesIO(b"abc"), "x.bin")
         with pytest.raises(InjectedFault):
             fh.read()
-        assert registry.counter("repro_injected_faults_total",
-                                {"kind": IO_ERROR}).value == 1
+        assert inj.injected[IO_ERROR] == 1
+        assert inj.injected[BIT_FLIP] == 0
+        fh.read()
+        assert inj.injected[BIT_FLIP] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +140,8 @@ class TestFaultInjector:
 
 class TestRetryPolicy:
     def test_transient_fault_heals(self):
-        registry = MetricsRegistry()
         calls = {"n": 0}
+        sleeps = []
 
         def flaky():
             calls["n"] += 1
@@ -148,28 +149,24 @@ class TestRetryPolicy:
                 raise InjectedFault("boom", kind=IO_ERROR, path="x")
             return "ok"
 
-        policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None)
-        assert policy.call(flaky, metrics=registry, op="test") == "ok"
-        assert registry.counter("repro_io_attempts_total",
-                                {"op": "test"}).value == 3
-        assert registry.counter("repro_io_retries_total",
-                                {"op": "test"}).value == 2
-        assert registry.counter("repro_io_recovered_total",
-                                {"op": "test"}).value == 1
+        policy = RetryPolicy(max_attempts=3, sleep=sleeps.append)
+        assert policy.call(flaky, op="test") == "ok"
+        assert calls["n"] == 3          # three attempts
+        assert len(sleeps) == 2         # two retries, each backed off
 
     def test_exhaustion_raises_typed_with_cause(self):
-        registry = MetricsRegistry()
+        calls = {"n": 0}
 
         def always():
+            calls["n"] += 1
             raise InjectedFault("boom", kind=IO_ERROR, path="x")
 
         policy = RetryPolicy(max_attempts=2, sleep=lambda _s: None)
         with pytest.raises(RetryExhaustedError) as err:
-            policy.call(always, metrics=registry, op="test")
+            policy.call(always, op="test")
         assert err.value.attempts == 2
+        assert calls["n"] == 2
         assert isinstance(err.value.__cause__, InjectedFault)
-        assert registry.counter("repro_io_retry_exhausted_total",
-                                {"op": "test"}).value == 1
 
     def test_missing_file_is_permanent(self):
         calls = {"n": 0}

@@ -1,7 +1,8 @@
 """Tests for the observability subsystem (`repro.obs`).
 
 Covers the span tracer (unit + integration with the query pipeline),
-the metrics registry, the slow-query log, `ExecutionStats` merging,
+the metrics registry the serve daemon publishes into, the slow-query
+log, `ExecutionStats` merging,
 the `search_batch` summary, and the overhead guards (tracing off, on).
 """
 
@@ -155,16 +156,17 @@ class TestMetrics:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
-    def test_gauge_set_inc_dec_and_fn(self):
+    def test_gauge_set_inc_dec(self):
         gauge = Gauge()
         gauge.set(5)
         gauge.inc(2)
         gauge.dec()
         assert gauge.value == 6.0
-        gauge.set_fn(lambda: 0.75)
-        assert gauge.value == 0.75
 
     def test_histogram_percentiles(self):
+        """Percentiles are read off the cumulative buckets: 1..100 ms
+        puts the p50 in the 50 ms bucket and the p95 / p99 in the
+        100 ms one."""
         hist = Histogram()
         for value in range(1, 101):  # 1..100 ms
             hist.observe(float(value))
@@ -172,21 +174,12 @@ class TestMetrics:
         assert data["count"] == 100
         assert data["sum"] == pytest.approx(5050.0)
         assert data["mean"] == pytest.approx(50.5)
-        assert abs(data["p50"] - 50) <= 2
-        assert abs(data["p95"] - 95) <= 2
-        assert abs(data["p99"] - 99) <= 2
+        assert data["buckets"]["10"] == 10
+        assert data["buckets"]["50"] == 50
         # Cumulative buckets: everything <= 100 is inside the 100 bound.
         assert data["buckets"]["100"] == 100
         assert data["buckets"]["+Inf"] == 100
         assert data["buckets"]["0.01"] == 0
-
-    def test_histogram_reservoir_is_bounded_and_deterministic(self):
-        a, b = Histogram(reservoir_size=64), Histogram(reservoir_size=64)
-        for value in range(10_000):
-            a.observe(value)
-            b.observe(value)
-        assert len(a._reservoir) == 64
-        assert a.percentile(50) == b.percentile(50)  # seeded identically
 
     def test_registry_labels_key_instruments(self):
         registry = MetricsRegistry()
@@ -195,20 +188,23 @@ class TestMetrics:
         assert search is not topk
         assert registry.counter("q_total", {"op": "search"}) is search
         search.inc()
-        snap = registry.snapshot()
-        assert snap["counters"]['q_total{op="search"}'] == 1.0
-        assert snap["counters"]['q_total{op="topk"}'] == 0.0
+        assert registry.counter("q_total", {"op": "search"}).value == 1.0
+        assert registry.counter("q_total", {"op": "topk"}).value == 0.0
+        text = registry.render_prometheus()
+        assert 'q_total{op="search"} 1' in text
+        assert 'q_total{op="topk"} 0' in text
 
     def test_snapshot_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(7)
-        registry.histogram("h").observe(1.0)
-        snap = registry.snapshot()
-        assert set(snap) == {"counters", "gauges", "histograms"}
-        assert snap["counters"]["c"] == 2.0
-        assert snap["gauges"]["g"] == 7.0
-        assert snap["histograms"]["h"]["count"] == 1
+        """A histogram's dict snapshot, which the exposition renders:
+        the exemplars key appears once an observation carried one."""
+        hist = Histogram(buckets=(1.0, 10.0))
+        hist.observe(0.5)
+        data = hist.as_dict()
+        assert set(data) == {"count", "sum", "mean", "buckets"}
+        assert data["buckets"] == {"1": 1, "10": 1, "+Inf": 1}
+        hist.observe(5.0, exemplar="abc")
+        assert hist.as_dict()["exemplars"] == {
+            "10": {"value": 5.0, "trace_id": "abc"}}
 
     def test_render_prometheus(self):
         registry = MetricsRegistry()
@@ -221,14 +217,6 @@ class TestMetrics:
         assert "# TYPE depth gauge" in text
         assert 'latency_ms_bucket{le="+Inf"} 1' in text
         assert "latency_ms_count 1" in text
-
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.reset()
-        snap = registry.snapshot()
-        assert snap["counters"] == {}
-        assert registry.counter("c").value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +261,7 @@ class TestSlowQueryLog:
 
     def test_database_threshold_wiring(self, small_db):
         db = XMLDatabase.from_xml_text(
-            small_db.tree.to_xml(), slow_query_ms=0.0,
-            metrics=MetricsRegistry())
+            small_db.tree.to_xml(), slow_query_ms=0.0)
         db.search("xml data")
         assert len(db.slow_log) == 1
         record = db.slow_log.records()[0]
@@ -286,8 +273,7 @@ class TestSlowQueryLog:
 
     def test_trace_attached_when_tracing(self, small_db):
         db = XMLDatabase.from_xml_text(
-            small_db.tree.to_xml(), slow_query_ms=0.0, tracer=Tracer(),
-            metrics=MetricsRegistry())
+            small_db.tree.to_xml(), slow_query_ms=0.0, tracer=Tracer())
         db.search("xml data", use_cache=False)
         record = db.slow_log.records()[0]
         assert record.trace is not None
@@ -335,9 +321,8 @@ class TestExecutionStatsMerge:
 # ---------------------------------------------------------------------------
 
 def _fresh_db(source_db, **kwargs):
-    """A private-registry copy of a fixture database (fixtures are
-    shared and read-only; tests that publish metrics need their own)."""
-    kwargs.setdefault("metrics", MetricsRegistry())
+    """A private copy of a fixture database (fixtures are shared and
+    read-only; tests that trace or log need their own)."""
     return XMLDatabase.from_xml_text(source_db.tree.to_xml(), **kwargs)
 
 
@@ -415,21 +400,18 @@ class TestTracedPipeline:
         assert not tracer.roots()[-1].find("join")
 
     def test_query_metrics_published(self, small_db):
-        db = _fresh_db(small_db)
+        """A query's time and work are published on its stats, its trace
+        and its slow-log record; the process registry is the serve
+        daemon's alone and gains nothing."""
+        before = get_registry().render_prometheus()
+        db = _fresh_db(small_db, slow_query_ms=0.0)
         db.search("xml data")
         db.search("xml data")  # result-cache hit
         db.search_topk("xml data", k=2)
-        snap = db.metrics_snapshot()
-        assert snap["counters"]['repro_queries_total{op="search"}'] == 2.0
-        assert snap["counters"]['repro_queries_total{op="topk"}'] == 1.0
-        latency = snap["histograms"]['repro_query_latency_ms{op="search"}']
-        assert latency["count"] == 2
-        assert latency["p50"] > 0 and latency["p99"] >= latency["p50"]
-        assert snap["gauges"]['repro_cache_hit_ratio{cache="results"}'] \
-            == pytest.approx(0.5)
-        joins = sum(v for k, v in snap["counters"].items()
-                    if k.startswith("repro_level_joins_total"))
-        assert joins >= 1
+        db.search_batch(["xml data", "keyword search"])
+        assert get_registry().render_prometheus() == before
+        assert len(db.slow_log) == 5
+        assert db.cache_stats()["results"]["hits"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +444,6 @@ class TestBatchSummary:
         assert len(batch.latencies_ms) == 2
         assert all(ms >= 0 for ms in batch.latencies_ms)
         assert batch.elapsed_ms > 0
-
-    def test_batch_metrics(self, small_db):
-        db = _fresh_db(small_db)
-        db.search_batch(["xml data", "keyword search"])
-        snap = db.metrics_snapshot()
-        assert snap["counters"]["repro_batch_queries_total"] == 2.0
-        assert snap["gauges"]["repro_batch_queue_depth"] == 0.0
-        assert snap["counters"]['repro_queries_total{op="batch"}'] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -610,34 +584,19 @@ def _timed(fn):
 
 
 # ---------------------------------------------------------------------------
-# diskdb byte accounting
+# diskdb: an opened database takes the same observability arguments
 # ---------------------------------------------------------------------------
 
 class TestDiskMetrics:
-    def test_save_and_load_publish_bytes(self, small_db, tmp_path):
-        registry = get_registry()
-        written = registry.counter("repro_disk_bytes_written_total")
-        read = registry.counter("repro_disk_bytes_read_total")
-        written_before, read_before = written.value, read.value
-        path = str(tmp_path / "db")
-        small_db.save(path)
-        assert written.value > written_before
-        db = XMLDatabase.open(path)
-        assert read.value > read_before
-        assert len(db) == len(small_db)
-
     def test_open_forwards_observability_kwargs(self, small_db, tmp_path):
         path = str(tmp_path / "db")
         small_db.save(path)
         tracer = Tracer()
-        registry = MetricsRegistry()
-        db = XMLDatabase.open(path, tracer=tracer, metrics=registry,
-                              slow_query_ms=0.0)
+        db = XMLDatabase.open(path, tracer=tracer, slow_query_ms=0.0)
         db.search("xml data", use_cache=False)
         assert tracer.last_root() is not None
         assert len(db.slow_log) == 1
-        snap = registry.snapshot()
-        assert snap["counters"]['repro_queries_total{op="search"}'] == 1.0
+        assert db.slow_log.records()[0].terms == ["xml", "data"]
 
 
 # ---------------------------------------------------------------------------
@@ -652,17 +611,13 @@ class TestTraceCLI:
         doc = tmp_path / "doc.xml"
         doc.write_text(SMALL_XML, encoding="utf-8")
         out = tmp_path / "trace.jsonl"
-        metrics_out = tmp_path / "metrics.json"
         assert main(["trace", str(doc), "xml data",
-                     "--out", str(out),
-                     "--metrics-out", str(metrics_out)]) == 0
+                     "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "query" in text and "join" in text
         spans = [json.loads(line)
                  for line in out.read_text().strip().splitlines()]
         assert spans[0]["name"] == "query"
-        snap = json.loads(metrics_out.read_text())
-        assert 'repro_queries_total{op="search"}' in snap["counters"]
 
     def test_trace_verb_topk(self, tmp_path, capsys):
         from repro.cli import main
@@ -674,16 +629,14 @@ class TestTraceCLI:
         text = capsys.readouterr().out
         assert "topk_termination" in text
 
-    def test_trace_verb_prometheus_and_slowlog(self, tmp_path, capsys):
+    def test_trace_verb_slowlog(self, tmp_path, capsys):
         from repro.cli import main
         from tests.conftest import SMALL_XML
 
         doc = tmp_path / "doc.xml"
         doc.write_text(SMALL_XML, encoding="utf-8")
-        assert main(["trace", str(doc), "xml data", "--prometheus",
-                     "--slow-ms", "0"]) == 0
+        assert main(["trace", str(doc), "xml data", "--slow-ms", "0"]) == 0
         text = capsys.readouterr().out
-        assert "# TYPE repro_queries_total counter" in text
         assert "slow query" in text
 
 
@@ -707,41 +660,28 @@ def _search_all(db, queries, threads):
 class TestThreadSafety:
     QUERIES = ["gamma beta", "cx cy", "c3a c3b", "gamma cx"]
 
-    def _counters(self, db):
-        return db.metrics.snapshot()["counters"]
-
     def test_counter_totals_match_single_thread(self, corpus_db):
-        """The registry is shared across worker threads; totals after a
-        threaded batch must equal the single-thread sums exactly --
-        a lost update under contention would show up as a short count."""
-        serial = _fresh_db(corpus_db)
-        _search_all(serial, self.QUERIES * 8, threads=1)
-        threaded = _fresh_db(corpus_db)
-        _search_all(threaded, self.QUERIES * 8, threads=4)
-        serial_counts = self._counters(serial)
-        threaded_counts = self._counters(threaded)
-        assert set(serial_counts) == set(threaded_counts)
-        for name, value in serial_counts.items():
-            assert threaded_counts[name] == value, name
+        """The registry is shared across the daemon's threads; totals
+        after threaded updates must equal the single-thread sums
+        exactly -- a lost update under contention would show up as a
+        short count."""
+        updates = [("requests", {"outcome": "ok"}, 1.0),
+                   ("requests", {"outcome": "error"}, 2.0),
+                   ("rejects", {"reason": "queue_full"}, 0.5)] * 400
 
-    def test_phase_histogram_counts_match_single_thread(self, corpus_db):
-        """Same invariant for the per-phase histograms folded from each
-        traced query's span tree: one observation per touched phase
-        regardless of which worker thread ran the query."""
-        serial = _fresh_db(corpus_db, tracer=Tracer())
-        _search_all(serial, self.QUERIES * 4, threads=1)
-        threaded = _fresh_db(corpus_db, tracer=Tracer())
-        _search_all(threaded, self.QUERIES * 4, threads=4)
-        serial_hist = serial.metrics.snapshot()["histograms"]
-        threaded_hist = threaded.metrics.snapshot()["histograms"]
-        serial_phases = {key: data["count"]
-                         for key, data in serial_hist.items()
-                         if key.startswith("repro_phase_time_ms")}
-        threaded_phases = {key: data["count"]
-                           for key, data in threaded_hist.items()
-                           if key.startswith("repro_phase_time_ms")}
-        assert serial_phases == threaded_phases
-        assert serial_phases  # a tree was recorded, so phases were
+        def publish(registry, update):
+            name, labels, amount = update
+            registry.counter(name, labels).inc(amount)
+            registry.histogram(name + "_ms", labels).observe(amount)
+
+        serial = MetricsRegistry()
+        for update in updates:
+            publish(serial, update)
+        threaded = MetricsRegistry()
+        on_threads(4, lambda update: publish(threaded, update), updates)
+        assert threaded.render_prometheus() == serial.render_prometheus()
+        assert threaded.counter("requests", {"outcome": "error"}).value \
+            == 800.0
 
     def test_spans_never_interleave_across_threads(self, corpus_db):
         """Each worker thread builds its spans on a thread-local stack,
@@ -781,86 +721,6 @@ class TestThreadSafety:
 
 
 # ---------------------------------------------------------------------------
-# histogram quantile accuracy (the +/-7 rank-point contract)
-# ---------------------------------------------------------------------------
-
-class TestHistogramQuantileAccuracy:
-    RANK_TOLERANCE = 7  # percentile points; documented on Histogram
-
-    def _assert_rank_accurate(self, histogram, samples):
-        """The histogram's pNN must lie between the true values at
-        ranks NN-7 and NN+7 of the full sample."""
-        import numpy as np
-
-        ordered = np.sort(np.asarray(samples))
-        for p in (50.0, 95.0, 99.0):
-            estimate = histogram.percentile(p)
-            low = np.percentile(ordered, max(0.0, p - self.RANK_TOLERANCE))
-            high = np.percentile(ordered, min(100.0,
-                                              p + self.RANK_TOLERANCE))
-            assert low <= estimate <= high, \
-                (p, estimate, low, high)
-
-    def test_bimodal_distribution(self):
-        """Fast-path/slow-path latency mix: two tight modes 100x apart.
-        Rank accuracy must place p50 in the low mode and p95/p99 in
-        the high mode -- a mid-gap estimate would be a rank error of
-        tens of points."""
-        import numpy as np
-
-        rng = np.random.default_rng(42)
-        fast = rng.normal(1.0, 0.05, size=3000)
-        slow = rng.normal(100.0, 5.0, size=1000)
-        samples = np.concatenate([fast, slow])
-        rng.shuffle(samples)
-        histogram = Histogram()
-        for value in samples:
-            histogram.observe(float(value))
-        self._assert_rank_accurate(histogram, samples)
-        assert histogram.percentile(50) < 2.0     # low mode
-        assert histogram.percentile(95) > 80.0    # high mode
-
-    def test_heavy_tail_distribution(self):
-        """Lognormal with sigma=2: the p99 is ~100x the median.  The
-        reservoir keeps rank accuracy even though the tail values are
-        spread over orders of magnitude."""
-        import numpy as np
-
-        rng = np.random.default_rng(1337)
-        samples = rng.lognormal(mean=0.0, sigma=2.0, size=8000)
-        histogram = Histogram()
-        for value in samples:
-            histogram.observe(float(value))
-        self._assert_rank_accurate(histogram, samples)
-
-    def test_small_sample_is_exact(self):
-        """Below the reservoir size nothing is sampled away: nearest-
-        rank percentiles over all observations."""
-        histogram = Histogram()
-        for value in range(1, 101):
-            histogram.observe(float(value))
-        # Nearest rank over the zero-indexed sorted sample of 100:
-        # p maps to index round(p/100 * 99).
-        assert histogram.percentile(50) == 51.0
-        assert histogram.percentile(99) == 99.0
-        assert histogram.percentile(100) == 100.0
-
-    def test_deterministic_across_runs(self):
-        """The seeded reservoir makes snapshots reproducible: two
-        histograms fed the same stream report identical percentiles."""
-        import numpy as np
-
-        rng = np.random.default_rng(7)
-        samples = rng.exponential(10.0, size=5000)
-        first, second = Histogram(), Histogram()
-        for value in samples:
-            first.observe(float(value))
-            second.observe(float(value))
-        for p in (50, 90, 95, 99):
-            assert first.percentile(p) == second.percentile(p)
-
-
-# ---------------------------------------------------------------------------
 # overhead guard of the one timing mechanism (spans; phases are derived)
 # ---------------------------------------------------------------------------
 
@@ -893,8 +753,7 @@ class TestProfilerOverheadGuard:
             db, lambda: db.search_topk("gamma beta", k=5))
         assert 0 < topk <= budget
         db.save(str(tmp_path / "db"))
-        lazy = XMLDatabase.open(str(tmp_path / "db"), lazy=True,
-                                metrics=MetricsRegistry())
+        lazy = XMLDatabase.open(str(tmp_path / "db"), lazy=True)
         cold = self._count_spans(
             lazy, lambda: lazy.search("gamma beta", use_cache=False))
         assert complete < cold <= budget + 2 * depth  # 2 terms

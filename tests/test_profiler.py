@@ -3,10 +3,11 @@
 There is one timing instrument, the span tree; the breakdown is
 `repro.obs.tracing.phase_totals`, a fold over a finished tree.  Covered
 here: exclusive-time attribution, the ambient (thread-local) way an
-instrumented region reaches the tracer, the `repro_phase_time_ms`
-histograms and slow-log phase attachment -- in memory, lazily opened
-from disk, and top-K.  (File, class and test names predate the fold:
-they are the ids of the behaviours that survived the phase profiler.)
+instrumented region reaches the tracer, and slow-log phase attachment
+(the fold's consumer) -- in memory, lazily opened from disk, and top-K.
+(File, class and test names predate the fold and the removal of the
+per-phase histograms: they are the ids of the behaviours that survived
+the phase profiler.)
 """
 
 import threading
@@ -15,21 +16,23 @@ import time
 import pytest
 
 from repro import XMLDatabase
-from repro.obs import (PHASES, MetricsRegistry, SlowQueryLog, Tracer,
-                       phase_totals, render_phases)
+from repro.obs import (PHASES, SlowQueryLog, Tracer, phase_totals,
+                       render_phases)
 from repro.obs.tracing import NULL_SPAN, span
 
 
 def _fresh_db(source_db, **kwargs):
-    kwargs.setdefault("metrics", MetricsRegistry())
     return XMLDatabase.from_xml_text(source_db.tree.to_xml(), **kwargs)
 
 
 def _phase_sums(db):
-    """``repro_phase_time_ms`` sums per phase from the db's registry."""
-    return {key.split('"')[1]: data["sum"]
-            for key, data in db.metrics.snapshot()["histograms"].items()
-            if key.startswith("repro_phase_time_ms")}
+    """Per-phase sums over the db's slow-log records; ``{}`` without a
+    slow log."""
+    sums = {}
+    for record in db.slow_log.records() if db.slow_log is not None else ():
+        for phase, ms in (record.phases or {}).items():
+            sums[phase] = sums.get(phase, 0.0) + ms
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +146,12 @@ class TestProfilePhase:
 
 class TestPhaseProfiler:
     def test_publishes_phase_histograms(self, small_db):
-        db = _fresh_db(small_db, tracer=Tracer())
+        db = _fresh_db(small_db, tracer=Tracer(), slow_query_ms=0.0)
         db.search("xml data", use_cache=False)
         phases = phase_totals(db.tracer.last_root())
-        snap = db.metrics.snapshot()["histograms"]
-        # One observation per touched phase, and exactly the folded value.
-        for phase, ms in phases.items():
-            hist = snap[f'repro_phase_time_ms{{phase="{phase}"}}']
-            assert hist["count"] == 1
-            assert hist["sum"] == pytest.approx(ms)
-        assert _phase_sums(db).keys() == phases.keys()
+        # One record per query, carrying exactly the folded values.
+        assert len(db.slow_log) == 1
+        assert _phase_sums(db) == pytest.approx(phases)
         assert "join" in phases and "other" in phases
 
     def test_null_profiler_records_nothing(self, small_db):
@@ -169,14 +168,14 @@ class TestPhaseProfiler:
 
 class TestDatabaseIntegration:
     def test_search_populates_phase_histograms(self, small_db):
-        db = _fresh_db(small_db, tracer=Tracer())
+        db = _fresh_db(small_db, tracer=Tracer(), slow_query_ms=0.0)
         db.search("xml data", use_cache=False)
         phases = set(_phase_sums(db))
         assert {"parse", "fetch", "join", "score", "erase"} <= phases
         assert phases <= set(PHASES)
 
     def test_topk_attributes_rank_join_phases(self, dblp_db):
-        db = _fresh_db(dblp_db, tracer=Tracer())
+        db = _fresh_db(dblp_db, tracer=Tracer(), slow_query_ms=0.0)
         db.search_topk("alpha beta", k=3, algorithm="topk-join")
         root = db.tracer.last_root()
         phases = phase_totals(root)
@@ -218,7 +217,6 @@ class TestDatabaseIntegration:
         assert record.phases == phase_totals(record.trace)
         assert sum(record.phases.values()) == \
             pytest.approx(record.trace["duration_ms"])
-        assert _phase_sums(db) == pytest.approx(record.phases)
         assert db.tracer.last_root() is None  # nothing else kept it
 
     def test_null_profiler_keeps_slow_log_phase_free(self):
@@ -238,7 +236,7 @@ class TestDatabaseIntegration:
         small_db.save(str(tmp_path / "db"))
         tracer = Tracer()
         db = XMLDatabase.open(str(tmp_path / "db"), lazy=True,
-                              tracer=tracer, metrics=MetricsRegistry())
+                              tracer=tracer, slow_query_ms=0.0)
         db.search("xml data", use_cache=False)
         root = tracer.last_root()
         decodes = root.find("decompress")

@@ -208,23 +208,15 @@ class TestPartialTopK:
 
 class TestDatabaseDeadlines:
     def test_search_partial_stats_and_metrics(self, small_db):
-        hits = small_db.metrics.counter("repro_deadline_hits_total",
-                                        {"outcome": "partial"})
-        before = hits.value
         results, stats = small_db.search("xml data", timeout_ms=0,
                                          on_deadline="partial",
                                          with_stats=True)
         assert stats.partial
         assert results == []
-        assert hits.value == before + 1
 
     def test_search_raise_policy(self, small_db):
-        errors = small_db.metrics.counter("repro_deadline_hits_total",
-                                          {"outcome": "error"})
-        before = errors.value
         with pytest.raises(DeadlineExceeded):
             small_db.search("xml data", timeout_ms=0)
-        assert errors.value == before + 1
 
     def test_partial_results_never_cached(self, small_db):
         empty, stats = small_db.search("xml data", timeout_ms=0,
@@ -394,9 +386,6 @@ class _Unparseable:
 
 class TestBatchIsolation:
     def test_failing_query_lands_in_errors(self, small_db):
-        errors_total = small_db.metrics.counter(
-            "repro_batch_query_errors_total")
-        before = errors_total.value
         batch = small_db.search_batch(["xml data", _Unparseable(), "data"])
         assert len(batch) == 3
         assert batch[0] and batch[2]
@@ -404,7 +393,6 @@ class TestBatchIsolation:
         assert set(batch.errors) == {1}
         assert isinstance(batch.errors[1], Exception)
         assert not batch.ok
-        assert errors_total.value == before + 1
 
     def test_clean_batch_is_ok(self, small_db):
         batch = small_db.search_batch(["xml data", "data"])
@@ -425,32 +413,6 @@ class TestBatchIsolation:
         with pytest.raises(Exception):
             small_db.search_batch(["xml data", _Unparseable(), "data"],
                                   raise_on_error=True)
-
-    @pytest.mark.parametrize("threads", [None, 3])
-    def test_queue_depth_returns_to_rest(self, small_db, threads):
-        """Error isolation releases every slot, also when several
-        batches run against the database at once."""
-        from tests.conftest import on_threads
-
-        small_db.columnar_index
-        gauge = small_db.metrics.gauge("repro_batch_queue_depth")
-        rest = gauge.value
-        queries = ["xml data", _Unparseable(), "data"]
-        if threads is None:
-            batches = [small_db.search_batch(queries)]
-        else:
-            batches = on_threads(threads, small_db.search_batch,
-                                 [queries] * threads)
-        assert all(set(batch.errors) == {1} for batch in batches)
-        assert gauge.value == rest
-
-    def test_queue_depth_survives_fail_fast(self, small_db):
-        gauge = small_db.metrics.gauge("repro_batch_queue_depth")
-        rest = gauge.value
-        with pytest.raises(Exception):
-            small_db.search_batch(["xml data", _Unparseable(), "data"],
-                                  raise_on_error=True)
-        assert gauge.value == rest
 
     def test_shared_deadline_partial_batch(self, small_db):
         batch = small_db.search_batch(["xml data", "data"], timeout_ms=0,

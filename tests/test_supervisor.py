@@ -275,13 +275,16 @@ class TestShardSupervisor:
         assert len(seeds) == 3
 
     def test_breaker_transition_metrics(self):
-        metrics = MetricsRegistry()
-        sup = self.make(metrics=metrics)
+        """Transitions are reported per shard by the breaker's counters
+        and `health()` (what ``/stats`` serves)."""
+        sup = self.make()
         sup.start()
         for _ in range(3):
             sup.breaker(2).record_failure()
-        assert metrics.counter("repro_breaker_transitions_total",
-                               {"shard": "2", "to": OPEN}).value == 1
+        assert sup.breaker(2).transitions == {OPEN: 1}
+        assert sup.breaker(2).trips_total == 1
+        assert sup.health()["2"]["breaker"] == OPEN
+        assert sup.breaker(1).transitions == {}
 
     def test_stop_shuts_every_pool(self):
         sup = self.make()
