@@ -18,18 +18,15 @@ plain **varints** and **frame-of-reference** bit packing.
 the paper's rule, which is what Table I and the compression ablation
 size.  All encoders round-trip.
 
-Decoding has two execution strategies, mirroring the ``vectorized=``
-convention of the join-based level loop:
-
-* the **scalar** reference decoders walk the byte stream with
-  `read_varint`, exactly as a C implementation would;
-* the **vectorized** decoders (default) lift the whole stream into
-  numpy at once -- continuation-bit masks locate varint boundaries,
-  shifted 7-bit payloads fold with ``np.bitwise_or.reduceat``, and the
-  delta/RLE reconstructions are ``np.cumsum`` / ``np.repeat`` over the
-  decoded stream.  Both paths are differentially tested; the scalar one
-  is the correctness reference and what `decompress_column` runs on
-  payloads under `VECTORIZED_MIN_BYTES`.
+Each codec has one decoder, and it is numpy throughout: continuation-bit
+masks locate varint boundaries, the 7-bit payloads fold a byte position
+at a time, and the delta/RLE reconstructions are ``np.cumsum`` /
+``np.repeat`` over the decoded stream.  Every decoder checks a column's
+header against its body -- the value count, the runs' total, the
+payload length -- and raises `ValueError` when they disagree, so a
+hostile column is refused, never read short, long or from
+uninitialized memory.  The scalar loops the decoders replaced are the
+tests' differential reference (``tests/reference_codecs.py``).
 
 Every decoder accepts ``bytes``, ``memoryview`` or a ``uint8`` ndarray,
 so the mmap path can hand columns straight off the file mapping without
@@ -132,40 +129,15 @@ def encode_varints(values: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def decode_varints(data: ByteSource) -> List[int]:
-    """Decode a whole varint stream (scalar reference path).
-
-    The output list is preallocated -- one pass over the continuation
-    bits counts the values, so the decode loop never grows a list.
-    Raises `ValueError` when a value overflows 64 bits (`VARINT_MAX`):
-    downstream `np.frombuffer` columns are uint64/int64, so a wider
-    value is corruption, not data.
-    """
-    arr = as_byte_array(data)
-    n = int(np.count_nonzero(arr < 0x80))
-    values: List[int] = [0] * n
-    pos = 0
-    for i in range(n):
-        value, pos = read_varint(data, pos)
-        if value > VARINT_MAX:
-            raise ValueError(
-                f"varint at byte {pos} overflows 64 bits ({value})")
-        values[i] = value
-    if pos != len(arr):
-        raise ValueError("truncated varint stream (trailing continuation "
-                         "bytes)")
-    return values
-
-
-def decode_varints_vectorized(data: ByteSource) -> np.ndarray:
+def decode_varints(data: ByteSource) -> np.ndarray:
     """Decode a whole varint stream at once; returns a uint64 array.
 
     Continuation-bit masks find the value boundaries, every byte's
     7-bit payload is shifted by ``7 * (position within its varint)``
     and the shifted payloads fold with ``np.bitwise_or.reduceat`` --
     no Python-level loop touches the stream.  Raises `ValueError` on
-    truncation or a value that overflows 64 bits (the scalar decoder's
-    contract).
+    truncation or a value that overflows 64 bits (`VARINT_MAX`): decoded
+    columns are uint64/int64, so a wider value is corruption, not data.
     """
     arr = as_byte_array(data)
     if arr.size == 0:
@@ -223,13 +195,9 @@ def encode_delta_blocks(values: Sequence[int],
     return encode_varints(stream)
 
 
-def decode_delta_blocks(data: ByteSource,
-                        vectorized: bool = True) -> np.ndarray:
-    """Decode a delta-block column; ``vectorized=False`` runs the
-    scalar reference loop."""
-    if not vectorized:
-        return _decode_delta_blocks_scalar(data)
-    stream = decode_varints_vectorized(data)
+def decode_delta_blocks(data: ByteSource) -> np.ndarray:
+    """Decode a delta-block column."""
+    stream = decode_varints(data)
     if stream.size < 2:
         raise ValueError("delta column truncated inside the header")
     count = int(stream[0])
@@ -253,25 +221,6 @@ def decode_delta_blocks(data: ByteSource,
     adjust = cumsum[block_starts] - raw[block_starts]
     block_lens = np.diff(np.append(block_starts, count))
     return (cumsum - np.repeat(adjust, block_lens)).astype(np.int64)
-
-
-def _decode_delta_blocks_scalar(data: ByteSource) -> np.ndarray:
-    pos = 0
-    count, pos = read_varint(data, pos)
-    block_size, pos = read_varint(data, pos)
-    values = np.empty(count, dtype=np.int64)
-    i = 0
-    while i < count:
-        first, pos = read_varint(data, pos)
-        values[i] = first
-        i += 1
-        prev = first
-        for _ in range(min(block_size - 1, count - i)):
-            delta, pos = read_varint(data, pos)
-            prev += delta
-            values[i] = prev
-            i += 1
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +258,9 @@ def encode_rle(values: Sequence[int]) -> bytes:
     return bytes(out)
 
 
-def decode_rle(data: ByteSource, vectorized: bool = True) -> np.ndarray:
-    """Decode an RLE column; ``vectorized=False`` runs the scalar
-    reference loop."""
-    if not vectorized:
-        return _decode_rle_scalar(data)
-    stream = decode_varints_vectorized(data)
+def decode_rle(data: ByteSource) -> np.ndarray:
+    """Decode an RLE column."""
+    stream = decode_varints(data)
     if stream.size < 2:
         raise ValueError("RLE column truncated inside the header")
     count = int(stream[0])
@@ -324,29 +270,19 @@ def decode_rle(data: ByteSource, vectorized: bool = True) -> np.ndarray:
         raise ValueError(
             f"RLE column carries {pairs.size} ints, header says "
             f"{n_runs} (delta, count) pairs")
-    run_values = np.cumsum(pairs[0::2], dtype=np.uint64).astype(np.int64)
-    run_lens = pairs[1::2].astype(np.int64)
-    values = np.repeat(run_values, run_lens)
-    if values.size != count:
+    run_lens = pairs[1::2]
+    # `np.repeat` trusts the runs' total (one that wraps crashes it), so
+    # it must equal the header's count first, summed exactly: in uint64
+    # when n_runs runs of at most `count` cannot wrap it, else in Python
+    # ints.
+    in_uint64 = count * n_runs < 1 << 64 \
+        and (n_runs == 0 or int(run_lens.max()) <= count)
+    total = int(run_lens.sum()) if in_uint64 else sum(run_lens.tolist())
+    if total != count:
         raise ValueError(
-            f"RLE runs expand to {values.size} values, header says {count}")
-    return values
-
-
-def _decode_rle_scalar(data: ByteSource) -> np.ndarray:
-    pos = 0
-    count, pos = read_varint(data, pos)
-    n_runs, pos = read_varint(data, pos)
-    values = np.empty(count, dtype=np.int64)
-    i = 0
-    value = 0
-    for _ in range(n_runs):
-        delta, pos = read_varint(data, pos)
-        run_len, pos = read_varint(data, pos)
-        value += delta
-        values[i: i + run_len] = value
-        i += run_len
-    return values
+            f"RLE runs cover {total} values, header says {count}")
+    run_values = np.cumsum(pairs[0::2], dtype=np.uint64).astype(np.int64)
+    return np.repeat(run_values, run_lens.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +300,9 @@ def encode_varint_column(values: Sequence[int]) -> bytes:
     return encode_varints([len(values)] + _python_ints(values))
 
 
-def decode_varint_column(data: ByteSource,
-                         vectorized: bool = True) -> np.ndarray:
-    """Decode a plain varint column; ``vectorized=False`` runs the
-    scalar reference loop."""
-    if not vectorized:
-        return _decode_varint_column_scalar(data)
-    stream = decode_varints_vectorized(data)
+def decode_varint_column(data: ByteSource) -> np.ndarray:
+    """Decode a plain varint column."""
+    stream = decode_varints(data)
     if stream.size < 1:
         raise ValueError("varint column truncated inside the header")
     count = int(stream[0])
@@ -380,16 +312,6 @@ def decode_varint_column(data: ByteSource,
             f"varint column carries {values.size} values, header says "
             f"{count}")
     return values.astype(np.int64)
-
-
-def _decode_varint_column_scalar(data: ByteSource) -> np.ndarray:
-    pos = 0
-    count, pos = read_varint(data, pos)
-    values = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        value, pos = read_varint(data, pos)
-        values[i] = np.uint64(value).astype(np.int64)
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +328,7 @@ def _decode_varint_column_scalar(data: ByteSource) -> np.ndarray:
 # A block of identical values has width 0 and **zero** payload bytes --
 # the single-value / constant-run case costs 9 bytes per block, total.
 # Unlike the varint family, every region is fixed-width given the
-# header, so the vectorized decoder is pure numpy shift/mask arithmetic
+# header, so the decoder is pure numpy shift/mask arithmetic
 # over an 8-byte gather window per value -- no per-byte boundary scan
 # at all (the Lemire & Boytsov bit-packing discipline).
 
@@ -463,21 +385,22 @@ def encode_for(values: Sequence[int],
     return bytes(out)
 
 
-def decode_for(data: ByteSource, vectorized: bool = True) -> np.ndarray:
-    """Decode a FOR column; ``vectorized=False`` runs the scalar
-    reference loop (bit-at-a-time, the differential oracle)."""
-    if not vectorized:
-        return _decode_for_scalar(data)
+def decode_for(data: ByteSource) -> np.ndarray:
+    """Decode a FOR column."""
     arr = as_byte_array(data)
     if arr.size < _FOR_HEADER_BYTES:
         raise ValueError("FOR column truncated inside the header")
     header = arr[:8].view(np.uint32)
     count = int(header[0])
     block_size = int(header[1])
-    n_blocks, block_n = _for_block_layout(count, block_size)
-    tables_end = _FOR_HEADER_BYTES + 9 * n_blocks
+    if block_size < 1:
+        raise ValueError(f"invalid FOR block size {block_size}")
+    # Nine table bytes a block: the tables must fit before anything is
+    # allocated per block.
+    tables_end = _FOR_HEADER_BYTES + 9 * -(-count // block_size)
     if arr.size < tables_end:
         raise ValueError("FOR column truncated inside the block tables")
+    n_blocks, block_n = _for_block_layout(count, block_size)
     bases = arr[_FOR_HEADER_BYTES: _FOR_HEADER_BYTES + 8 * n_blocks] \
         .view(np.uint64)
     widths = arr[_FOR_HEADER_BYTES + 8 * n_blocks: tables_end] \
@@ -544,49 +467,6 @@ def decode_for(data: ByteSource, vectorized: bool = True) -> np.ndarray:
     if int(widths.min()) == 0:
         deltas = np.where(wv == 0, np.uint64(0), deltas)
     return (bases_rep + deltas).astype(np.int64)
-
-
-def _decode_for_scalar(data: ByteSource) -> np.ndarray:
-    """Bit-at-a-time FOR reference decoder."""
-    arr = as_byte_array(data)
-    if len(arr) < _FOR_HEADER_BYTES:
-        raise ValueError("FOR column truncated inside the header")
-    count = int.from_bytes(bytes(arr[0:4]), "little")
-    block_size = int.from_bytes(bytes(arr[4:8]), "little")
-    n_blocks, block_n = _for_block_layout(count, block_size)
-    tables_end = _FOR_HEADER_BYTES + 9 * n_blocks
-    if len(arr) < tables_end:
-        raise ValueError("FOR column truncated inside the block tables")
-    values = np.empty(count, dtype=np.int64)
-    pos = tables_end          # payload cursor, in bytes
-    out = 0
-    for b in range(n_blocks):
-        base = int.from_bytes(
-            bytes(arr[_FOR_HEADER_BYTES + 8 * b:
-                      _FOR_HEADER_BYTES + 8 * b + 8]), "little")
-        width = int(arr[_FOR_HEADER_BYTES + 8 * n_blocks + b])
-        if width > 64:
-            raise ValueError("FOR block width exceeds 64 bits")
-        n = int(block_n[b])
-        nbytes = (n * width + 7) >> 3
-        if pos + nbytes > len(arr):
-            raise ValueError("FOR payload runs off the end")
-        for i in range(n):
-            delta = 0
-            for j in range(width):
-                bit_index = i * width + j
-                byte = int(arr[pos + (bit_index >> 3)])
-                bit = (byte >> (7 - (bit_index & 7))) & 1
-                delta = (delta << 1) | bit
-            values[out] = np.uint64((base + delta)
-                                    & VARINT_MAX).astype(np.int64)
-            out += 1
-        pos += nbytes
-    if pos != len(arr):
-        raise ValueError(
-            f"FOR column carries {len(arr) - tables_end} payload bytes, "
-            "more than its blocks describe")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +571,6 @@ def choose_codec(values: Sequence[int],
     return scheme, _ENCODERS[scheme](values, block_size)
 
 
-# Below this payload size the numpy batch decode's fixed setup cost
-# exceeds the whole scalar loop (crossover measured around 150 varints),
-# so `decompress_column(vectorized=True)` is adaptive: tiny columns take
-# the scalar loop, everything else the vectorized decoders.  The decoder
-# entry points themselves stay pure so the two paths remain
-# differentially testable on any input size.
-VECTORIZED_MIN_BYTES = 256
-
 _DECODERS = {
     SCHEME_RLE: decode_rle,
     SCHEME_DELTA: decode_delta_blocks,
@@ -707,14 +579,13 @@ _DECODERS = {
 }
 
 
-def decompress_column(scheme: str, data: ByteSource,
-                      vectorized: bool = True) -> np.ndarray:
-    vectorized = vectorized and len(data) >= VECTORIZED_MIN_BYTES
+def decompress_column(scheme: str, data: ByteSource) -> np.ndarray:
+    """Decode a column written by `choose_codec` as ``scheme``."""
     try:
         decoder = _DECODERS[scheme]
     except KeyError:
         raise ValueError(f"unknown compression scheme {scheme!r}")
-    return decoder(data, vectorized=vectorized)
+    return decoder(data)
 
 
 def uncompressed_size(values: Sequence[int], width_bytes: int = 4) -> int:

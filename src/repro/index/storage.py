@@ -251,8 +251,8 @@ def _encode_lengths(lengths) -> bytes:
 def _decode_lengths(data, n_seqs: int, max_len: int) -> np.ndarray:
     """Inverse of `_encode_lengths`, as ``int64`` (level arithmetic on
     a narrower or unsigned type would wrap)."""
-    # Usually one pair in a handful of bytes: the scalar decoder (the
-    # size crossover picks it) and Python ints, whose sum cannot wrap.
+    # Usually one pair in a handful of bytes, checked in Python ints,
+    # whose sum cannot wrap.
     pairs = decompress_column(SCHEME_VARINT, data).tolist()
     values, runs = pairs[0::2], pairs[1::2]
     # Checked before `np.repeat`, so a hostile run cannot ask for more

@@ -17,6 +17,7 @@ import pytest
 from repro import XMLDatabase
 from repro.diskdb import load_database, save_database
 from repro.index import storage
+from repro.index.compression import encode_for, encode_varints
 from repro.reliability import DatabaseCorruptError, DatabaseFormatError
 from tests.conftest import SMALL_XML
 
@@ -338,6 +339,33 @@ class TestContainerFuzz:
                     refused += 1
         assert refused > 5 * len(fields)
         assert time.perf_counter() - start < self.TIME_BOUND_S
+
+    @pytest.mark.parametrize("scheme,payload", [
+        ("rle", bytes([3, 1, 5, 2])),                 # runs cover 2 of 3
+        ("rle", bytes([3, 1, 5, 4])),                 # runs cover 4 of 3
+        ("rle", encode_varints([3, 2, 1, 2 ** 63,     # 3 modulo 2**64
+                                1, 2 ** 63 + 3])),
+        ("rle", encode_varints(                       # 2 modulo 2**64,
+            [2, 5] + [1, 2 ** 62] * 4 + [1, 2])),     # each run an int64
+        ("delta", encode_varints([3, 128, 1, 1, 1, 9])),   # trailing value
+        ("varint", encode_varints([3, 1, 2, 3, 4])),       # trailing value
+        ("for", encode_for([1, 2, 3]) + b"\0"),             # trailing byte
+        ("for", bytes([255, 255, 255, 255, 8, 0, 0, 0])),  # 2**29 blocks
+    ], ids=["rle-short", "rle-past", "rle-wrap", "rle-wrap-int64",
+            "delta-trailing", "varint-trailing", "for-trailing",
+            "for-no-tables"])
+    def test_column_header_disagrees_with_body(self, scheme, payload):
+        """A small column (under 256 B, where scalar loops that never
+        checked a header once decoded) whose header disagrees with its
+        body is refused for its term -- never decoded short, long, or
+        from uninitialized memory."""
+        from repro.index.lazydisk import LazyColumnarPostings
+
+        postings = LazyColumnarPostings("victim", [1, 1, 1],
+                                        [(scheme, payload)], [0.0] * 3)
+        with pytest.raises(DatabaseCorruptError) as err:
+            postings.column(1)
+        assert err.value.term == "victim"
 
     def test_unknown_scheme_id(self, clean_dir):
         """An id outside `SCHEME_IDS` is corruption -- not, as the v3
