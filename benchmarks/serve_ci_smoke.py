@@ -7,6 +7,9 @@ asserts the serving invariants:
 
 * admission / deadline / latency instruments are all present,
 * the workload produced requests and at least one cache-driven rerun,
+* a repeated ``/search`` is a result-cache hit whose body is the first
+  reply's, byte for byte, apart from ``cached``, ``elapsed_ms`` and
+  ``trace_id``,
 * queue-depth and inflight gauges returned to 0,
 * the daemon left its observability trail: one access-log JSONL record
   per request (shed/timed-out ones included), retained stitched traces
@@ -55,6 +58,25 @@ def wait_healthy(timeout_s: float = 30.0) -> None:
         except (OSError, ValueError):
             time.sleep(0.2)
     raise SystemExit("daemon never became healthy")
+
+
+def check_cached_repeat() -> None:
+    """One ``/search`` twice: the second reply is served from the result
+    cache, and only the fields a response sets for itself differ."""
+    replies = []
+    for _ in range(2):
+        with urllib.request.urlopen(
+                f"http://{HOST}:{PORT}/search?q=w00002+author00000",
+                timeout=5) as resp:
+            replies.append(resp.read())
+    first, second = (json.loads(raw) for raw in replies)
+    assert first["results"], "the repeated query found nothing"
+    assert first["cached"] is False and second["cached"] is True, \
+        (first["cached"], second["cached"])
+    same = dict(first, cached=True, elapsed_ms=second["elapsed_ms"],
+                trace_id=second["trace_id"])
+    assert json.dumps(same).encode("ascii") == replies[1], \
+        "the cached reply differs from the evaluated one"
 
 
 def fire_workload() -> dict:
@@ -145,6 +167,7 @@ def main() -> int:
             env=env)
         try:
             wait_healthy()
+            check_cached_repeat()
             outcome = fire_workload()
             text = scrape_metrics()
             traces = fetch_json("/debug/traces?limit=10")

@@ -16,8 +16,8 @@ decoded arrays get evicted instead of pinned forever.
 Both are bounded LRUs with hit/miss/eviction counters; every operation
 takes the cache lock, so a `QueryCache` can be shared by the threads
 the daemon's ``--workers 0`` path evaluates on.  Result entries are
-immutable (`ResultSet`s, finished response payloads), so a hit returns
-the stored object itself.
+immutable -- `ResultSet`s in the databases, each answer's encoded JSON
+in the serving daemon -- so a hit returns the stored object itself.
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ class QueryCache:
 
     def get_results(self, key: ResultKey):
         """The cached answer for `key` -- the stored object itself, not
-        a copy: entries are immutable (`ResultSet`s, finished response
-        payloads) -- or ``None`` on miss."""
+        a copy: entries are immutable (`ResultSet`s, or the daemon's
+        encoded answers) -- or ``None`` on miss."""
         return self.results.get(key)
 
     def put_results(self, key: ResultKey, results,

@@ -46,7 +46,7 @@ def result_digest(results: Sequence[Dict[str, Any]]) -> str:
 class WorkloadCapture:
     """Append-only JSONL workload writer (the ``--capture`` sink).
 
-    The daemon's event loop calls `record` inline on the 200 path;
+    The daemon's event loop calls `record_digest` inline on the 200 path;
     writes are line-buffered appends behind a lock (the daemon is
     single-threaded, but replay's open-loop driver shares the class).
     The arrival clock starts at the first recorded query, so offsets
@@ -74,6 +74,18 @@ class WorkloadCapture:
         (they happened) but flagged, so replay can skip digest
         comparison for them -- a deadline partial is not reproducible
         by construction."""
+        self.record_digest(endpoint, terms, semantics, k,
+                           result_digest(results), len(results), elapsed_ms,
+                           cached=cached, partial=partial, account=account)
+
+    def record_digest(self, endpoint: str, terms: Sequence[str],
+                      semantics: str, k: Optional[int], digest: str,
+                      result_count: int, elapsed_ms: float,
+                      cached: bool = False, partial: bool = False,
+                      account: Optional[Dict[str, Any]] = None) -> None:
+        """`record` for an answer whose digest is already known: the
+        daemon digests an answer once, when it is first evaluated, and
+        its cache hits record that digest again."""
         now = time.perf_counter()
         with self._lock:
             if self._t0 is None:
@@ -84,8 +96,8 @@ class WorkloadCapture:
                 "terms": list(terms),
                 "semantics": semantics,
                 "k": k,
-                "digest": result_digest(results),
-                "result_count": len(results),
+                "digest": digest,
+                "result_count": result_count,
                 "elapsed_ms": elapsed_ms,
                 "cached": bool(cached),
                 "partial": bool(partial),

@@ -64,7 +64,7 @@ import signal
 import time
 import urllib.parse
 from concurrent.futures import BrokenExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..algorithms.base import ELCA, SEMANTICS, ResultSet
 from ..cache import QueryCache, result_key
@@ -77,6 +77,7 @@ from ..reliability.deadline import Deadline
 from ..reliability.errors import (DeadlineExceeded, InjectedFault,
                                   ShardPayloadError, WorkerCrashError)
 from ..reliability.retry import RetryPolicy
+from .capture import WorkloadCapture, result_digest
 from .chaos import BYTE_FAULT, ChaosInjector, apply_worker_fault, corrupt_wire
 from .merge import ShardedDatabase, gather
 from .supervisor import BreakerConfig, BreakerOpenError, ShardSupervisor
@@ -86,6 +87,38 @@ from .supervisor import BreakerConfig, BreakerOpenError, ShardSupervisor
 #: created -- fork happens lazily on first submit, and a worker that
 #: forked before the dict was full would serve the wrong world.
 _SERVE_DBS: Dict[int, object] = {}
+
+
+def _json(body: Any) -> bytes:
+    """A JSON response body.  ``json.dumps`` escapes every non-ASCII
+    character, so the text is ASCII."""
+    return json.dumps(body).encode("ascii")
+
+
+class _Answer(NamedTuple):
+    """One answered query as the daemon's response cache keeps it.
+
+    `fragment` is the answer half of the body -- ``"results": ...,
+    "partial": ..., "bound": ..., "degraded": ...`` -- encoded once, when
+    the miss is answered; a hit never serializes its results again.
+    `result_count` and `digest` are what a hit's bookkeeping reads; the
+    digest is computed only while a ``--capture`` sink is open.
+    """
+
+    fragment: bytes
+    result_count: int
+    digest: Optional[str]
+
+    @classmethod
+    def encode(cls, payload: dict, with_digest: bool) -> "_Answer":
+        results = payload["results"]
+        return cls(_json(payload)[1:-1], len(results),
+                   result_digest(results) if with_digest else None)
+
+    def body(self, **tail: Any) -> bytes:
+        """The response: ``json.dumps(dict(payload, **tail))``, byte
+        for byte, with only the per-request `tail` encoded here."""
+        return b"".join((b"{", self.fragment, b", ", _json(tail)[1:]))
 
 
 def _shard_extra(tracer, stats) -> Dict[str, Any]:
@@ -262,7 +295,6 @@ class ServeDaemon:
         self.slow_log = slow_log
         self.capture = None
         if capture_path:
-            from .capture import WorkloadCapture
             self.capture = WorkloadCapture(capture_path, meta={
                 "shards": db.n_shards, "workers": self.workers})
         self._sem: Optional[asyncio.Semaphore] = None
@@ -671,11 +703,12 @@ class ServeDaemon:
     # HTTP plumbing
     # ------------------------------------------------------------------
 
-    async def _handle_query(self, endpoint: str, params: dict) -> Tuple[int, dict]:
+    async def _handle_query(self, endpoint: str, params: dict
+                            ) -> Tuple[int, bytes]:
         """Admission, evaluation and — on every terminal path — the
         request's observability bookkeeping via the `finish` closure:
         stitch and store the trace, write the access-log record, feed
-        the slow log."""
+        the slow log and, for a 200, the latency histogram."""
         arrival = time.perf_counter()
         wall = time.time()
         ctx = TraceContext()
@@ -732,6 +765,10 @@ class ServeDaemon:
                 account=obs.account,
                 shards=[{key: value for key, value in shard.items()
                          if key != "trace"} for shard in obs.shards])
+            if status == 200:
+                # The latency exemplar points the histogram bucket back
+                # at this request's stitched trace.
+                self._latency.observe(elapsed_ms, exemplar=trace_id)
             return trace_id, elapsed_ms
 
         query = params.get("q", "").strip()
@@ -742,9 +779,9 @@ class ServeDaemon:
             trace_id, _ = finish(400, "bad_request",
                                  query.split() if query else [],
                                  semantics, k)
-            return 400, {"error": {"type": "bad_request",
-                                   "message": message},
-                         "trace_id": trace_id}
+            return 400, _json({"error": {"type": "bad_request",
+                                         "message": message},
+                               "trace_id": trace_id})
 
         if not query:
             return bad_request("missing ?q=")
@@ -778,26 +815,26 @@ class ServeDaemon:
             self.metrics.counter("repro_serve_rejects_total",
                                  {"reason": "shutting_down"}).inc()
             trace_id, _ = finish(503, "shutting_down", terms, semantics, k)
-            return 503, {"error": {"type": "shutting_down",
-                                   "message": "daemon is draining; "
-                                              "retry another replica"},
-                         "trace_id": trace_id}
+            return 503, _json({"error": {"type": "shutting_down",
+                                         "message": "daemon is draining; "
+                                                    "retry another replica"},
+                               "trace_id": trace_id})
         cache_key = result_key(terms, semantics,
                                "serve-" + endpoint, k)
-        payload = self.cache.get_results(cache_key)
-        if payload is not None:
+        answer = self.cache.get_results(cache_key)
+        if answer is not None:
             self.metrics.counter("repro_serve_requests_total",
                                  {"outcome": "ok"}).inc()
             trace_id, elapsed_ms = finish(
                 200, "ok", terms, semantics, k, cached=True,
-                result_count=len(payload["results"]))
+                result_count=answer.result_count)
             if self.capture is not None:
-                self.capture.record(endpoint, terms, semantics, k,
-                                    payload["results"], elapsed_ms,
-                                    cached=True, partial=payload["partial"])
-            return 200, dict(payload, terms=terms, semantics=semantics,
-                             cached=True, elapsed_ms=elapsed_ms,
-                             trace_id=trace_id)
+                self.capture.record_digest(
+                    endpoint, terms, semantics, k, answer.digest,
+                    answer.result_count, elapsed_ms, cached=True)
+            return 200, answer.body(terms=terms, semantics=semantics,
+                                    cached=True, elapsed_ms=elapsed_ms,
+                                    trace_id=trace_id)
         try:
             queue_wait_ms = await self._admit(deadline)
         except AdmissionError as exc:
@@ -811,17 +848,17 @@ class ServeDaemon:
                 trace_id, elapsed_ms = finish(
                     200, "partial", terms, semantics, k,
                     queue_wait_ms=waited_ms, partial=True)
-                return 200, dict(
+                return 200, _json(dict(
                     self._payload(ResultSet.empty(self.db.nodes, len(terms)),
                                   True, None),
                     terms=terms, semantics=semantics, cached=False,
-                    elapsed_ms=elapsed_ms, trace_id=trace_id)
+                    elapsed_ms=elapsed_ms, trace_id=trace_id))
             outcome = "shed" if exc.reason == "queue_full" else "deadline"
             trace_id, _ = finish(exc.status, outcome, terms, semantics, k,
                                  queue_wait_ms=waited_ms)
-            return exc.status, {"error": {"type": exc.reason,
-                                          "message": str(exc)},
-                                "trace_id": trace_id}
+            return exc.status, _json({"error": {"type": exc.reason,
+                                                "message": str(exc)},
+                                      "trace_id": trace_id})
         self._inflight.inc()
         self._inflight_count += 1
         try:
@@ -832,18 +869,18 @@ class ServeDaemon:
                                  {"outcome": "error"}).inc()
             trace_id, _ = finish(504, "deadline", terms, semantics, k,
                                  queue_wait_ms=queue_wait_ms)
-            return 504, {"error": {"type": "deadline",
-                                   "message": str(exc)},
-                         "trace_id": trace_id}
+            return 504, _json({"error": {"type": "deadline",
+                                         "message": str(exc)},
+                               "trace_id": trace_id})
         except Exception as exc:  # noqa: BLE001 - typed 500
             self.metrics.counter("repro_serve_requests_total",
                                  {"outcome": "error"}).inc()
             trace_id, _ = finish(500, "error", terms, semantics, k,
                                  queue_wait_ms=queue_wait_ms)
-            return 500, {"error": {"type": "internal",
-                                   "message": f"{type(exc).__name__}: "
-                                              f"{exc}"},
-                         "trace_id": trace_id}
+            return 500, _json({"error": {"type": "internal",
+                                         "message": f"{type(exc).__name__}: "
+                                                    f"{exc}"},
+                               "trace_id": trace_id})
         finally:
             self._inflight.dec()
             self._inflight_count -= 1
@@ -853,28 +890,26 @@ class ServeDaemon:
                    else "partial" if partial else "ok")
         self.metrics.counter("repro_serve_requests_total",
                              {"outcome": outcome}).inc()
-        # The payload is never mutated after this point: the cache
-        # stores it and every response is a fresh dict around it.
-        self.cache.put_results(cache_key, payload, partial=partial)
+        answer = _Answer.encode(payload,
+                                with_digest=self.capture is not None)
+        self.cache.put_results(cache_key, answer, partial=partial)
         trace_id, elapsed_ms = finish(
             200, outcome, terms, semantics, k,
             queue_wait_ms=queue_wait_ms,
-            result_count=len(payload["results"]),
+            result_count=answer.result_count,
             partial=partial, bound=payload["bound"],
             degraded=degraded)
         if self.capture is not None:
-            self.capture.record(endpoint, terms, semantics, k,
-                                payload["results"], elapsed_ms,
-                                partial=partial or degraded,
-                                account=obs.account)
-        # The latency exemplar points the histogram bucket back at this
-        # request's stitched trace.
-        self._latency.observe(elapsed_ms, exemplar=trace_id)
-        return 200, dict(payload, terms=terms, semantics=semantics,
-                         cached=False, elapsed_ms=elapsed_ms,
-                         trace_id=trace_id)
+            self.capture.record_digest(
+                endpoint, terms, semantics, k, answer.digest,
+                answer.result_count, elapsed_ms,
+                partial=partial or degraded, account=obs.account)
+        return 200, answer.body(terms=terms, semantics=semantics,
+                                cached=False, elapsed_ms=elapsed_ms,
+                                trace_id=trace_id)
 
-    async def _dispatch(self, method: str, path: str) -> Tuple[int, str, str]:
+    async def _dispatch(self, method: str, path: str
+                        ) -> Tuple[int, str, bytes]:
         """Route one request; returns (status, content_type, body)."""
         parsed = urllib.parse.urlsplit(path)
         params = {key: values[-1] for key, values
@@ -882,7 +917,7 @@ class ServeDaemon:
         route = parsed.path.rstrip("/") or "/"
         if route == "/metrics":
             return 200, "text/plain; version=0.0.4", \
-                self.metrics.render_prometheus()
+                self.metrics.render_prometheus().encode("utf-8")
         if route == "/healthz":
             # Per-shard liveness: "ok" needs every shard healthy; a
             # brownout (dead pool mid-rebuild, open breaker) reports
@@ -900,9 +935,9 @@ class ServeDaemon:
                 http_status = 503
             elif status == "down":
                 http_status = 503
-            return http_status, "application/json", json.dumps(body)
+            return http_status, "application/json", _json(body)
         if route == "/stats":
-            return 200, "application/json", json.dumps({
+            return 200, "application/json", _json({
                 "shards": self.db.n_shards,
                 "workers": self.workers,
                 "manifest": self.db.manifest,
@@ -936,20 +971,20 @@ class ServeDaemon:
             if trace_id:
                 trace = self.traces.get(trace_id)
                 if trace is None:
-                    return 404, "application/json", json.dumps(
+                    return 404, "application/json", _json(
                         {"error": {"type": "not_found",
                                    "message": f"trace {trace_id} not "
                                               f"retained"}})
-                return 200, "application/json", json.dumps(trace)
+                return 200, "application/json", _json(trace)
             try:
                 limit = int(params.get("limit", "50"))
             except ValueError:
                 limit = -1
             if limit < 0:
-                return 400, "application/json", json.dumps(
+                return 400, "application/json", _json(
                     {"error": {"type": "bad_request",
                                "message": "limit must be an integer >= 0"}})
-            return 200, "application/json", json.dumps({
+            return 200, "application/json", _json({
                 "retained": len(self.traces),
                 "added": self.traces.added,
                 "dropped": self.traces.dropped,
@@ -957,16 +992,16 @@ class ServeDaemon:
             })
         if route == "/cache/clear":
             if method != "POST":
-                return 405, "application/json", json.dumps(
+                return 405, "application/json", _json(
                     {"error": {"type": "method_not_allowed",
                                "message": "POST /cache/clear"}})
             self.cache.clear()
             self.db.clear_caches()
-            return 200, "application/json", json.dumps({"cleared": True})
+            return 200, "application/json", _json({"cleared": True})
         if route in ("/search", "/topk"):
             status, body = await self._handle_query(route[1:], params)
-            return status, "application/json", json.dumps(body)
-        return 404, "application/json", json.dumps(
+            return status, "application/json", body
+        return 404, "application/json", _json(
             {"error": {"type": "not_found", "message": route}})
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
@@ -1005,7 +1040,7 @@ class ServeDaemon:
                     # Where the next request starts is unknowable: answer
                     # and close.
                     status, ctype, body = 400, "application/json", \
-                        json.dumps({"error": {
+                        _json({"error": {
                             "type": "bad_request",
                             "message": "Content-Length must be an "
                                        "integer >= 0"}})
@@ -1015,7 +1050,6 @@ class ServeDaemon:
                     status, ctype, body = await self._dispatch(method, path)
                 close = (headers.get("connection", "").lower() == "close"
                          or self._draining or length < 0)
-                payload = body.encode("utf-8")
                 reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                           405: "Method Not Allowed",
                           429: "Too Many Requests", 500: "Internal "
@@ -1025,9 +1059,10 @@ class ServeDaemon:
                 writer.write(
                     f"HTTP/1.1 {status} {reason}\r\n"
                     f"Content-Type: {ctype}\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
+                    f"Content-Length: {len(body)}\r\n"
                     f"Connection: {'close' if close else 'keep-alive'}"
-                    "\r\n\r\n".encode("latin-1") + payload)
+                    "\r\n\r\n".encode("latin-1"))
+                writer.write(body)
                 await writer.drain()
                 if close:
                     return

@@ -71,6 +71,12 @@ class TestCapture:
         assert first["digest"]
         assert first["offset_ms"] == 0.0
         assert entries[-1]["offset_ms"] >= 0.0
+        # The repeat is a cache hit, recorded with its miss's digest and
+        # count, digested once when the miss was answered.
+        repeat = entries[-1]
+        assert first["cached"] is False and repeat["cached"] is True
+        assert (repeat["digest"], repeat["result_count"]) == \
+            (first["digest"], first["result_count"])
 
     def test_cached_entry_marked(self, tmp_path, small_db):
         sharded = ShardedDatabase.from_database(small_db, 2)

@@ -80,7 +80,7 @@ def exposition(tmp_path_factory):
         status, _ctype, body = await daemon._dispatch("GET", "/metrics")
         assert status == 200
         await daemon.stop()
-        return body
+        return body.decode("utf-8")
 
     return asyncio.run(go())
 

@@ -15,6 +15,7 @@ import json
 import re
 import threading
 import time
+import types
 
 import pytest
 
@@ -55,16 +56,20 @@ class DaemonHarness:
         self.thread.join(10)
         self.loop.close()
 
-    def request(self, path, method="GET"):
+    def raw(self, path, method="GET"):
+        """(status, body bytes) exactly as they came off the wire."""
         conn = http.client.HTTPConnection("127.0.0.1", self.daemon.port,
                                           timeout=30)
         try:
             conn.request(method, path)
             resp = conn.getresponse()
-            body = resp.read().decode("utf-8")
-            return resp.status, body
+            return resp.status, resp.read()
         finally:
             conn.close()
+
+    def request(self, path, method="GET"):
+        status, body = self.raw(path, method=method)
+        return status, body.decode("utf-8")
 
     def get_json(self, path, method="GET"):
         status, body = self.request(path, method=method)
@@ -198,6 +203,21 @@ class TestEndpoints:
         # per-shard histogram, so it is not exported.
         assert "repro_serve_shard_ms" not in text
 
+    def test_cached_response_is_observed(self, harness):
+        """``repro_serve_latency_ms`` is every answered request's wall
+        time: a result-cache hit counts too."""
+        def count():
+            text = harness.request("/metrics")[1]
+            return float(re.search(r"^repro_serve_latency_ms_count (\S+)$",
+                                   text, re.M).group(1))
+
+        harness.get_json("/topk?q=alpha+gamma&k=4")
+        before = count()
+        status, body = harness.get_json("/topk?q=alpha+gamma&k=4")
+        assert status == 200 and body["cached"] is True
+        assert count() == before + 1
+        assert body["trace_id"] in harness.request("/metrics")[1]
+
     def test_inline_search_leaves_the_facade_cache_alone(self, sharded):
         """``result_cache_size=0`` turns caching off: the inline path
         must not fall through to the facade's own result cache."""
@@ -242,6 +262,146 @@ class TestDeadlineOverHttp:
         status, body = harness.get_json(
             "/topk?q=cx+cy&k=4&timeout_ms=0")
         assert status == 200 and body["cached"] is True
+
+
+#: A non-ASCII tag, which ``json.dumps`` escapes: ``"r\u00e9sum\u00e9"``.
+ACCENTED_XML = """
+<bib>
+  <livre><titre>xml data</titre>
+    <résumé>keyword search over xml data</résumé></livre>
+  <livre><titre>keyword data</titre>
+    <résumé>xml keyword</résumé></livre>
+  <article><title>xml keyword search</title>
+    <abstract>data keyword</abstract></article>
+</bib>
+"""
+
+#: The fields each response sets for itself; the rest is the answer.
+PER_REQUEST = ("cached", "elapsed_ms", "trace_id")
+
+
+class TestEncodedAnswers:
+    """The response cache keeps each answer's JSON encoded: a hit
+    splices the cached bytes with its own fields and serializes no
+    result again, and the bytes are what encoding the whole dict
+    gives."""
+
+    @pytest.fixture(scope="class")
+    def accented(self):
+        from repro import XMLDatabase
+
+        return ShardedDatabase.from_database(
+            XMLDatabase.from_xml_text(ACCENTED_XML), 2)
+
+    @staticmethod
+    def _expected(db, body, endpoint, semantics):
+        """The body as ``json.dumps`` of the response dict: the answer
+        fields first, then the per-request ones."""
+        if endpoint == "search":
+            results = db.search("xml keyword", semantics=semantics,
+                                use_cache=False)
+            bound = None
+        else:
+            top = db.search_topk("xml keyword", 3, semantics=semantics)
+            results = top.results
+            bound = None if top.bound in (None, float("inf")) else top.bound
+        return json.dumps({
+            "results": results.payload(), "partial": False, "bound": bound,
+            "degraded": False, "terms": ["xml", "keyword"],
+            "semantics": semantics, "cached": body["cached"],
+            "elapsed_ms": body["elapsed_ms"],
+            "trace_id": body["trace_id"]}).encode("ascii")
+
+    @pytest.mark.parametrize("semantics", ("elca", "slca"))
+    @pytest.mark.parametrize("endpoint, path", [
+        ("search", "/search?q=xml+keyword"),
+        ("topk", "/topk?q=xml+keyword&k=3"),
+    ])
+    def test_hit_bytes_are_the_miss_bytes(self, accented, endpoint, path,
+                                          semantics):
+        with DaemonHarness(accented) as h:
+            path = f"{path}&semantics={semantics}"
+            (s1, miss_raw), (s2, hit_raw) = h.raw(path), h.raw(path)
+        assert s1 == s2 == 200
+        assert b"\\u00e9" in miss_raw     # the escaped tag is in the answer
+        miss, hit = json.loads(miss_raw), json.loads(hit_raw)
+        assert miss["cached"] is False and hit["cached"] is True
+        assert list(hit) == list(miss)
+        assert json.dumps(dict(miss, **{key: hit[key] for key in
+                                        PER_REQUEST})).encode() == hit_raw
+        for raw, body in ((miss_raw, miss), (hit_raw, hit)):
+            assert raw == self._expected(accented, body, endpoint,
+                                         semantics)
+
+    def test_a_hit_serializes_no_result(self, accented, tmp_path,
+                                        monkeypatch):
+        """A miss builds, encodes and (with ``--capture``) digests its
+        results once; a hit does none of the three."""
+        import repro.serve.daemon as daemon_module
+
+        calls = {"payload": 0, "dumps": 0, "digest": 0}
+        payload, dumps = ResultSet.payload, json.dumps
+        digest = daemon_module.result_digest
+
+        def counting_payload(self):
+            calls["payload"] += 1
+            return payload(self)
+
+        def counting_dumps(obj, *args, **kwargs):
+            if isinstance(obj, dict) and "results" in obj:
+                calls["dumps"] += 1
+            return dumps(obj, *args, **kwargs)
+
+        def counting_digest(results):
+            calls["digest"] += 1
+            return digest(results)
+
+        monkeypatch.setattr(ResultSet, "payload", counting_payload)
+        monkeypatch.setattr(daemon_module, "json",
+                            types.SimpleNamespace(dumps=counting_dumps))
+        monkeypatch.setattr(daemon_module, "result_digest", counting_digest)
+        with DaemonHarness(accented,
+                           capture_path=str(tmp_path / "w.jsonl")) as h:
+            for endpoint in ("/search?q=xml+data", "/topk?q=xml+data&k=2"):
+                before = dict(calls)
+                assert h.get_json(endpoint)[1]["cached"] is False
+                assert {key: calls[key] - before[key] for key in calls} \
+                    == {"payload": 1, "dumps": 1, "digest": 1}
+                before = dict(calls)
+                assert h.get_json(endpoint)[1]["cached"] is True
+                assert calls == before
+
+    @pytest.mark.parametrize("partial, degraded", [(True, False),
+                                                   (True, True)])
+    def test_partial_and_degraded_answers_are_not_cached(
+            self, accented, partial, degraded):
+        with DaemonHarness(accented) as h:
+            daemon = h.daemon
+
+            async def scripted_eval(terms, semantics, k, deadline, ctx, obs):
+                results = accented.search(terms, semantics, use_cache=False)
+                return daemon._payload(results, partial, 1.5,
+                                       degraded=degraded)
+
+            daemon._eval = scripted_eval
+            for _ in range(2):
+                status, body = h.get_json("/search?q=xml+data")
+                assert status == 200 and body["cached"] is False
+                assert body["partial"] is True
+                assert body["degraded"] is degraded
+                assert body["bound"] == 1.5
+            assert len(daemon.cache.results) == 0
+
+    def test_no_result_cache_answers_every_request_alike(self, accented):
+        with DaemonHarness(accented, result_cache_size=0) as h:
+            replies = [h.raw("/topk?q=xml+keyword&k=3") for _ in range(3)]
+        bodies = [json.loads(raw) for _status, raw in replies]
+        assert all(status == 200 for status, _raw in replies)
+        assert all(body["cached"] is False for body in bodies)
+        first = bodies[0]
+        for (_status, raw), body in zip(replies[1:], bodies[1:]):
+            assert json.dumps(dict(first, **{key: body[key] for key in
+                                             PER_REQUEST})).encode() == raw
 
 
 class TestAdmissionControl:
