@@ -17,14 +17,14 @@ rank join is ``algorithm="topk-join"``, Figure 10's line.
 
 No per-level choice is left to make (DESIGN.md, item 8): with the join
 first, a ranked level's input preparation (`ScoredPostings.ranked` over
-the joined runs) costs what the bulk check costs -- median ratio 0.9 at
-20 000 papers, 1.0 at 80 000 -- and its blocks come on top.  Measured
-by ``benchmarks/plan_oracle.py`` (every processed level of the 22
-`fig10_topk` queries, top-10, seed 7, both plans timed from the same
-state): the per-level oracle beats always-eager by 0.2-0.4 % at 20 000
-papers (rank join cheaper on 1-3 of 51 levels; always-ranked takes 2x)
-and by 1.8-2.7 % at 80 000 (10-12 of 43 levels; 1.5x).  A corpus where
-it buys more than 5 % would reopen the choice.
+the joined runs) costs more than the bulk check -- median ratio 1.4-1.5
+at 20 000 papers -- and its blocks come on top.  Measured by
+`repro.bench.harness.plan_oracle_rows` (EXPERIMENTS.md's plan-oracle
+table: every processed level of the 22 `fig10_topk` queries, top-10,
+seed 7, both plans timed from the same state): the per-level oracle
+saves 0.0-0.6 % over always-eager at 20 000 papers (rank join cheaper on
+0-1 of 51 levels; always-ranked takes 2.6-2.8x).  A corpus where it
+saves 5 % or more would reopen the choice.
 """
 
 from __future__ import annotations

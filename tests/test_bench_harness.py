@@ -1,12 +1,17 @@
 """Tests for the benchmark harness itself (`repro.bench.harness`).
 
 Runs every experiment function on a miniature configuration so the
-harness code paths (workload wiring, shape checkers, row formats) are
-covered by the unit suite, independent of the real benchmark run.
+harness code paths (workload wiring, checks, row formats, the report's
+exit code and its marker rewrite) are covered by the unit suite,
+independent of the real benchmark run.
 """
+
+import os
+import re
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import (BenchConfig, Workbench,
                                  ablation_bound_rows,
                                  ablation_compression_rows,
@@ -15,8 +20,8 @@ from repro.bench.harness import (BenchConfig, Workbench,
                                  check_table1_shape, fig9_cells,
                                  fig9_equal_rows, fig9_rows, fig10a_rows,
                                  fig10bc_rows, fig10_work_rows,
-                                 make_engine, run_complete, run_topk,
-                                 table1_rows)
+                                 make_engine, rewrite, run_complete,
+                                 run_topk, table1_rows)
 
 TINY = BenchConfig(n_papers=250, xmark_scale=0.004, high_freq=40,
                    low_freqs=(5, 40), per_cell=1, max_keywords=3,
@@ -114,11 +119,11 @@ class TestFigureRows:
     def test_fig9_rows_structure(self, tiny):
         rows = fig9_rows(tiny, 2, repeats=1)
         assert len(rows) == len(TINY.low_freqs) * 3
-        assert all(ms >= 0 for _, _, ms in rows)
+        assert all(ms >= 0 for _, _, ms, _ in rows)
 
     def test_fig9_equal_rows_structure(self, tiny):
         rows = fig9_equal_rows(tiny, TINY.low_freqs[0], repeats=1)
-        ks = {k for k, _, _ in rows}
+        ks = {k for k, _, _, _ in rows}
         assert ks == {2, 3}  # capped by max_keywords
 
     def test_fig10a_rows_structure(self, tiny):
@@ -156,10 +161,130 @@ class TestAblationRows:
 
     def test_compression_rows(self, tiny):
         rows = ablation_compression_rows(tiny)
-        ratios = {scheme: value for scheme, metric, value in rows
-                  if metric == "ratio"}
+        assert {corpus for corpus, *_ in rows} == {"DBLP", "XMark"}
+        ratios = {scheme: ratio for corpus, scheme, _, _, ratio in rows
+                  if corpus == "DBLP"}
         assert ratios["rle"] > ratios["delta"] > 1.0
 
     def test_eraser_rows(self, tiny):
         rows = ablation_eraser_rows(tiny, repeats=1)
-        assert {mode for _, mode, _ in rows} == {"bitmap", "interval"}
+        assert {mode for _, mode, _ in rows} == {"bitmap", "interval",
+                                                 "roaring"}
+
+
+def _sizes(**kib):
+    """Table I rows that satisfy every size claim, `kib` overriding."""
+    sizes = {"join-based IL": 100.0, "join-based sparse": 10.0,
+             "stack-based IL": 100.0, "index-based B-tree": 500.0,
+             "top-K join IL": 120.0, "RDIL IL": 100.0, "RDIL B-tree": 90.0}
+    sizes.update({name.replace("_", " "): v for name, v in kib.items()})
+    return [(corpus, structure, value) for corpus in ("DBLP", "XMark")
+            for structure, value in sizes.items()]
+
+
+#: One doctored row set per ``check_*``, each breaking its claim.
+DOCTORED = {
+    "check_engines_agree": ([("c", "join", 1), ("c", "stack", 2),
+                             ("c", "index", 1)],),
+    "check_table1_rdil": (_sizes(RDIL_IL=101.0),),
+    "check_table1_shape": (_sizes(**{"join-based sparse": 60.0}),),
+    "check_fig9_shape": ({2: [(10, "join", 1.0, 1), (10, "stack", 1.0, 1),
+                              (10, "index", 1.0, 1), (40, "join", 3.0, 1),
+                              (40, "stack", 2.0, 1), (40, "index", 2.0, 1)]},
+                         40),
+    "check_fig9_equal_shape": ({100: [(2, "join", 1.0, 1),
+                                      (2, "stack", 3.0, 1),
+                                      (2, "index", 2.0, 1)]},),
+    "check_fig10a_shape": ([(10, "topk-join", 1.0), (100, "topk-join", 2.0)],),
+    "check_fig10_work": ([(q, a, n) for q in ("corr-0", "corr-5")
+                          for a, n in (("topk-join", 9), ("join", 5),
+                                       ("rdil", 10))],),
+    "check_join_policy": ([(10, "dynamic", 0.1, 300, 2),
+                           (10, "merge", 0.1, 400, 0),
+                           (10, "index", 0.1, 0, 9)],),
+    "check_bound_rows": ([("q", "group", 5), ("q", "classic", 4)],),
+    "check_compression": ([("DBLP", "rle", 10.0, 1.0, 10.0),
+                           ("DBLP", "delta", 10.0, 2.0, 5.0)],),
+    "check_lazy_io": ([("k x start level", "q", 4),
+                       ("cold columns read", "q", 4),
+                       ("hot columns read", "q", 0),
+                       ("answers equal eager", "q", "no")],),
+    "check_k_sweep": ([(1, 10, 1), (10, 5, 10), (50, 20, 50)],),
+    "check_plan_oracle": ([("always-eager ms", 10.0),
+                           ("per-level oracle ms", 9.0)],),
+}
+
+
+class TestChecks:
+    def test_every_check_has_a_doctored_case(self):
+        checks = {name for name in dir(harness) if name.startswith("check_")}
+        assert checks == set(DOCTORED)
+
+    @pytest.mark.parametrize("name", sorted(DOCTORED))
+    def test_check_fails_on_doctored_rows(self, name):
+        check = getattr(harness, name)
+        verdict = check(*DOCTORED[name])
+        assert verdict, name
+        assert verdict.number and check.claim and check.section
+        assert check.gate in (harness.ANY_SCALE, harness.FULL_SCALE,
+                              harness.NEVER)
+
+
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "EXPERIMENTS.md")
+SPAN = re.compile(r"<!-- table:([\w-]+) -->.*?<!-- /table:\1 -->", re.S)
+
+
+def _prose(text):
+    return SPAN.sub("", text)
+
+
+class TestReport:
+    def test_main_rewrites_every_table_and_exits_0(self, tmp_path, capsys):
+        committed = open(EXPERIMENTS, encoding="utf-8").read()
+        path = tmp_path / "EXPERIMENTS.md"
+        path.write_text(committed, encoding="utf-8")
+        assert harness.main(TINY, write=str(path)) == 0
+        written = path.read_text(encoding="utf-8")
+        assert _prose(written) == _prose(committed)
+        assert "| DBLP | join-based IL |" in written
+        assert "### claims" in capsys.readouterr().out
+
+    def test_main_exits_1_when_an_invariant_fails(self, monkeypatch,
+                                                  capsys):
+        def disagreeing(bench, n_keywords, repeats=3):
+            rows = fig9_rows(bench, n_keywords, repeats=1)
+            low, algorithm, ms, results = rows[0]
+            return [(low, algorithm, ms, results + 1)] + rows[1:]
+
+        monkeypatch.setattr(harness, "fig9_rows", disagreeing)
+        assert harness.main(TINY) == 1
+        assert "check_engines_agree" in capsys.readouterr().err
+
+
+TABLES = {"a": "| x |\n| --- |\n| 1 |\n", "b": "| y |\n| --- |\n| 2 |\n"}
+DOC = ("# Title\n\nProse before.\n<!-- table:a -->\nstale\n"
+       "<!-- /table:a -->\nMiddle.\n<!-- table:b --><!-- /table:b -->\n"
+       "Trailing prose.\n")
+
+
+class TestRewrite:
+    def test_prose_stays_and_a_second_write_is_a_no_op(self):
+        once = rewrite(DOC, TABLES)
+        assert "stale" not in once and TABLES["b"] in once
+        assert _prose(once) == _prose(DOC)
+        assert rewrite(once, TABLES) == once
+
+    @pytest.mark.parametrize("doc", [
+        DOC + "<!-- table:a -->\n",
+        DOC.replace("<!-- /table:a -->", ""),
+        DOC + "<!-- table:c -->\n<!-- /table:c -->\n",
+        DOC.replace("<!-- table:b --><!-- /table:b -->", ""),
+    ], ids=["unclosed", "unbalanced", "unknown-table", "table-unmarked"])
+    def test_marker_errors_write_nothing(self, doc, tmp_path, monkeypatch):
+        path = tmp_path / "E.md"
+        path.write_text(doc, encoding="utf-8")
+        monkeypatch.setattr(harness, "report", lambda bench: ([], TABLES))
+        with pytest.raises(ValueError):
+            harness.main(TINY, write=str(path))
+        assert path.read_text(encoding="utf-8") == doc

@@ -4,8 +4,8 @@ Metrics: every metric family a live daemon exports must have a row in
 docs/OBSERVABILITY.md's reference table, every row names what reads it,
 and every documented family has a call site in ``src/`` that emits it;
 the library itself emits none.  Commands: every ``python -m repro.<module>`` and ``repro <verb>``
-the docs, CI workflow and verify skill name must still exist (see
-`TestDocumentedCommands`).
+the docs, CI workflow and verify skill name must still exist, and so
+must every repository file they name (see `TestDocumentedCommands`).
 
 Consumer ledger: DESIGN.md section 7 has one row per module under
 ``obs/``, ``reliability/`` and ``serve/``, per CLI verb and per daemon
@@ -15,9 +15,9 @@ on a row for code that is gone.
 Removed names: the options, environment variable and functions that
 went with the four-format storage stack, the library's own batch
 pools, the phase profiler, the hybrid's plan switch, the parts the
-ledger found no consumer for and the metric families nothing read must
-not come back into a doc, the CI workflow or the skill (see
-`REMOVED_NAMES`).
+ledger found no consumer for, the metric families nothing read and the
+paper tables' second and third instruments must not come back into a
+doc, the CI workflow or the skill (see `REMOVED_NAMES`).
 
 The test drives an inline daemon (with accounting, tracing, caching
 and a disk-backed sharded database), scrapes `/metrics`, extracts the
@@ -202,6 +202,10 @@ COMMAND_DOCS = (["README.md", "DESIGN.md", "EXPERIMENTS.md",
                          glob.glob(os.path.join(ROOT, "docs", "*.md"))))
 
 MODULE_RE = re.compile(r"python3? -m (repro(?:\.[a-z_]+)+)")
+#: A repository path with a file extension: ``benchmarks/e2e/run.py``,
+#: ``tests/test_cli.py::TestX`` (the file part), ``src/repro/cli.py``.
+PATH_RE = re.compile(r"(?<![\w/.-])((?:benchmarks|tests|src|examples)/"
+                     r"[\w./-]*\.\w+)")
 #: ``python -m repro <verb>``, a backticked `` `repro <verb> `` and a
 #: shell line starting ``repro <verb>`` / ``$ repro <verb>``.
 VERB_RE = re.compile(r"(?:python3? -m repro|`repro|^\s*(?:\$ )?repro)"
@@ -286,6 +290,11 @@ REMOVED_NAMES = (
     "VECTORIZED_MIN_BYTES", "_decode_rle_scalar",
     "_decode_delta_blocks_scalar", "_decode_varint_column_scalar",
     "_decode_for_scalar", "decode_varints_vectorized", "vectorized=",
+    # the second and third instruments of the paper's section V: the
+    # pytest-benchmark files and the per-level plan oracle script (the
+    # paper harness measures both, `repro.bench.harness`)
+    "REPRO_BENCH_SCALE", "--benchmark-only", "pytest-benchmark",
+    "plan_oracle.py",
 )
 
 
@@ -387,6 +396,13 @@ class TestDocumentedCommands:
         missing = {name: rel for name, rel in modules.items()
                    if not _importable(name)}
         assert not missing, f"docs name modules that are gone: {missing}"
+
+    def test_named_files_exist(self):
+        paths = _mentions(PATH_RE)
+        assert "benchmarks/e2e/run.py" in paths, "scan found nothing"
+        missing = {path: rel for path, rel in paths.items()
+                   if not os.path.exists(os.path.join(ROOT, path))}
+        assert not missing, f"docs name files that are gone: {missing}"
 
     def test_verbs_exist_in_the_cli(self):
         from repro.cli import build_parser

@@ -15,6 +15,7 @@ import pytest
 from repro.algorithms import topk_join as block_module
 from repro.algorithms.topk_join import CLASSIC, GROUP, BlockStarJoin
 from tests.reference_topk import ListInput, TopKStarJoin
+from tests.reference_topk import topk_join as per_tuple_topk_join
 
 # Three relations in the spirit of Figure 5.  Scores descend; ids join
 # across all three.  Constructed so that after six retrievals the
@@ -259,6 +260,20 @@ class TestTopKJoinDriver:
             self, one_tuple_blocks):
         _, group_cost = topk_join([R1, R2, R3], k=2, bound_mode=GROUP)
         _, classic_cost = topk_join([R1, R2, R3], k=2, bound_mode=CLASSIC)
+        assert group_cost <= classic_cost
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_group_never_retrieves_more(self, seed):
+        """Section IV-B one retrieval at a time (per-tuple reference)."""
+        rng = np.random.default_rng(seed)
+        relations = []
+        for _ in range(3):
+            ids = rng.permutation(2000)
+            scores = np.sort(rng.exponential(1.0, size=2000))[::-1]
+            relations.append([(int(i), float(s))
+                              for i, s in zip(ids, scores)])
+        _, group_cost = per_tuple_topk_join(relations, 10, GROUP)
+        _, classic_cost = per_tuple_topk_join(relations, 10, CLASSIC)
         assert group_cost <= classic_cost
 
     def test_early_termination_beats_full_scan(self):
