@@ -308,10 +308,6 @@ class ExecutionStats:
     # (`ResourceAccount.as_dict`); not a counter -- `merge` sums the
     # nested numeric fields recursively.  None when no accounting ran.
     resources: Optional[Dict[str, object]] = None
-    # EXPLAIN ANALYZE payload (repro.obs.audit.PlanAudit), attached by
-    # `XMLDatabase.search(audit=True)` / `explain(analyze=True)`.  Not a
-    # counter: `merge` keeps the first non-None audit it sees.
-    audit: Optional[object] = None
 
     _COUNTER_FIELDS = (
         "levels_processed", "joins", "merge_joins", "index_joins",
@@ -334,8 +330,6 @@ class ExecutionStats:
         self.partial = self.partial or other.partial
         self.per_level_plan.extend(other.per_level_plan)
         self.resources = merge_resources(self.resources, other.resources)
-        if self.audit is None:
-            self.audit = other.audit
         return self
 
     def __iadd__(self, other: "ExecutionStats") -> "ExecutionStats":

@@ -296,9 +296,7 @@ class XMLDatabase:
                deadline: Optional[Union[Deadline, float]] = None,
                timeout_ms: Optional[float] = None,
                on_deadline: Optional[str] = None,
-               with_stats: bool = False,
-               audit: bool = False,
-               shadow: str = "off"):
+               with_stats: bool = False):
         """Complete result set, in document order.
 
         ``algorithm`` is one of ``join`` (the paper's join-based
@@ -320,34 +318,15 @@ class XMLDatabase:
         Budgets are enforced on the ``join`` path; the in-memory
         baselines ignore them.  Partial results are never cached.
 
-        ``audit=True`` runs the query under the plan auditor
-        (`repro.obs.audit`): ``stats.audit`` then carries a `PlanAudit`
-        with per-level predicted vs. actual cardinality, q-error and
-        regret (pass ``with_stats=True`` to see it; the run bypasses
-        the result cache so the audited plan actually executes).
-        ``shadow`` ("off"/"sampled"/"all") additionally times the
-        not-chosen join algorithm for measured regret.  Audit requires
-        the ``join`` algorithm -- the one with a section III-C plan.
-
         Returns the result list, or ``(results, stats)`` with
         ``with_stats=True``.
         """
         check_semantics(semantics)
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
-        auditor = None
-        if audit:
-            if algorithm != "join":
-                raise ValueError(
-                    "audit=True requires algorithm='join' -- only the "
-                    "join-based plan has section III-C decisions to audit")
-            from .obs.audit import PlanAuditor
-
-            auditor = PlanAuditor(planner, shadow=shadow)
-            planner = auditor.planner
         results, stats = self._run_query(
             "search", query, semantics, algorithm, strict=strict,
             cacheable=use_cache and planner is None, planner=planner,
-            deadline=deadline, auditor=auditor)
+            deadline=deadline)
         if with_stats:
             return results, stats
         return results
@@ -356,7 +335,7 @@ class XMLDatabase:
                    k: Optional[int] = None, *, strict: bool = False,
                    cacheable: bool = True,
                    planner: Optional[JoinPlanner] = None,
-                   deadline: Optional[Deadline] = None, auditor=None):
+                   deadline: Optional[Deadline] = None):
         """The per-query sequence behind `search` (``op="search"``),
         `search_topk` (``"topk"``) and `search_batch` (``"batch"``):
         parse, result-cache lookup, evaluation under a resource account,
@@ -393,15 +372,11 @@ class XMLDatabase:
                 if k is None:
                     answer, stats = self._complete_results(
                         terms, semantics, algorithm, planner,
-                        deadline=deadline,
-                        observer=(auditor.observer
-                                  if auditor is not None else None))
+                        deadline=deadline)
                 else:
                     answer = self._topk_result(
                         terms, semantics, algorithm, k, deadline=deadline)
                     stats = answer.stats
-                if auditor is not None:
-                    stats.audit = auditor.finish(terms, semantics)
                 if stats.partial:
                     qspan.tag(partial=True)
                 if cacheable:
@@ -420,8 +395,7 @@ class XMLDatabase:
     def _complete_results(self, terms: List[str], semantics: str,
                           algorithm: str,
                           planner: Optional[JoinPlanner] = None,
-                          deadline: Optional[Deadline] = None,
-                          observer=None
+                          deadline: Optional[Deadline] = None
                           ) -> Tuple[ResultSet, ExecutionStats]:
         """Uncached complete-evaluation dispatch: `_run_query` and the
         daemon's shard workers call it.
@@ -432,19 +406,18 @@ class XMLDatabase:
         """
         with accounting() as account:
             results, stats = self._evaluate_complete(
-                terms, semantics, algorithm, planner, deadline, observer)
+                terms, semantics, algorithm, planner, deadline)
         fold_into_stats(stats, account)
         return results, stats
 
     def _evaluate_complete(self, terms: List[str], semantics: str,
                            algorithm: str,
                            planner: Optional[JoinPlanner] = None,
-                           deadline: Optional[Deadline] = None,
-                           observer=None
+                           deadline: Optional[Deadline] = None
                            ) -> Tuple[ResultSet, ExecutionStats]:
         if algorithm == "join":
             return JoinBasedSearch(self.columnar_index, planner).evaluate(
-                terms, semantics, observer=observer, deadline=deadline)
+                terms, semantics, deadline=deadline)
         # The baselines build objects; wrapped once, the API returns
         # one type whatever the algorithm.
         if algorithm == "stack":
@@ -621,31 +594,20 @@ class XMLDatabase:
     def explain(self, query: Union[str, Sequence[str], Query],
                 semantics: str = ELCA,
                 planner: Optional[JoinPlanner] = None,
-                trace: bool = False,
-                analyze: bool = False,
-                shadow: str = "off",
-                estimator=None):
+                trace: bool = False):
         """Per-level trace of the join-based evaluation (a `QueryPlan`).
 
-        Shows the dynamic optimization at work: column sizes,
-        cardinality estimates and the merge/index join chosen at each
-        level (paper section III-C).  With ``trace=True`` (or when the
+        Shows the dynamic optimization at work: column and distinct
+        sizes and the merge/index join chosen at each level (paper
+        section III-C).  With ``trace=True`` (or when the
         database runs with a live tracer) the plan also carries the
         span tree of the evaluation (``plan.trace``), rendered by
         ``plan.format()``.
-
-        ``analyze=True`` is EXPLAIN ANALYZE (`docs/OBSERVABILITY.md`):
-        ``plan.audit`` carries the `repro.obs.audit.PlanAudit` verdict
-        -- per-level predicted vs. actual cardinality, q-error and plan
-        regret, with ``shadow`` ("off"/"sampled"/"all") really running
-        the not-chosen join algorithm for measured regret, and
-        ``estimator`` overriding the audited cardinality model.
         """
         from .algorithms.explain import explain as _explain
 
         return _explain(self.columnar_index, self._terms(query), semantics,
-                        planner, tracer=Tracer() if trace else self.tracer,
-                        analyze=analyze, shadow=shadow, estimator=estimator)
+                        planner, tracer=Tracer() if trace else self.tracer)
 
     def _terms(self, query: Union[str, Sequence[str], Query]) -> List[str]:
         if isinstance(query, Query):

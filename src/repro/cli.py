@@ -16,7 +16,6 @@
     python -m repro info mydb/
     python -m repro trace mydb/ "xml data" --out trace.jsonl
     python -m repro trace --from-log access.jsonl --trace-id abc123
-    python -m repro audit mydb/ "xml data" --shadow sampled
 
 `search`/`topk`/`info` accept either a saved database directory or a
 raw XML file (indexed on the fly).
@@ -383,43 +382,24 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sections(db) -> List[tuple]:
+    """(heading, database) per shard of a sharded database, as `info`
+    prints them, or the one database with no heading: `explain` and
+    `trace` show what ran, and a sharded query runs on each shard."""
+    from .serve import ShardedDatabase
+
+    if isinstance(db, ShardedDatabase):
+        return [(f"shard {sid}:", shard)
+                for sid, shard in enumerate(db.shards)]
+    return [(None, db)]
+
+
 def cmd_explain(args: argparse.Namespace) -> int:
-    db = _load(args.database)
-    plan = db.explain(args.query, semantics=args.semantics,
-                      trace=args.trace, analyze=args.analyze,
-                      shadow=args.shadow)
-    print(plan.format())
-    return 0
-
-
-def cmd_audit(args: argparse.Namespace) -> int:
-    """EXPLAIN ANALYZE: audit the section III-C plan of one query."""
-    import json
-
-    from .api import Query
-    from .obs.audit import audit_query
-    from .planner.cardinality import CardinalityEstimator
-    from .planner.plans import JoinPlanner
-
-    db = _load(args.database)
-    terms = Query(args.query, db.tokenizer).terms
-    planner = (JoinPlanner(args.policy) if args.policy != "dynamic"
-               else None)
-    estimator = (CardinalityEstimator(sample_size=args.sample_size)
-                 if args.sample_size is not None else None)
-    audit = audit_query(db.columnar_index, terms,
-                        semantics=args.semantics, planner=planner,
-                        estimator=estimator, shadow=args.shadow)
-    if args.json:
-        print(audit.to_json(indent=2))
-    else:
-        print(audit.format())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(audit.to_json(indent=2) + "\n")
-        print(f"audit written to {args.out}")
-    if args.fail_on_misprediction and audit.mispredicted_levels:
-        return 1
+    for heading, db in _sections(_load(args.database)):
+        if heading:
+            print(heading)
+        print(db.explain(args.query, semantics=args.semantics,
+                         trace=args.trace).format())
     return 0
 
 
@@ -465,32 +445,35 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print("error: database and query are required unless reading a "
               "log with --from-log", file=sys.stderr)
         return 2
-    db = _load(args.database)
     tracer = Tracer()
-    db.tracer = tracer
+    slow_log = None
     if args.slow_ms is not None:
         from .obs import SlowQueryLog
 
-        db.slow_log = SlowQueryLog(threshold_ms=args.slow_ms)
-    start = time.perf_counter()
-    if args.k is not None:
-        results = list(db.search_topk(args.query, args.k,
-                                      semantics=args.semantics))
-    else:
-        results = db.search(args.query, semantics=args.semantics,
-                            use_cache=False)
-    elapsed = (time.perf_counter() - start) * 1000
-    root = tracer.last_root()
-    print(render_trace(root))
-    print(render_phases(phase_totals(root)))
-    print(f"({len(results)} results in {elapsed:.1f} ms)")
+        slow_log = SlowQueryLog(threshold_ms=args.slow_ms)
+    for heading, db in _sections(_load(args.database)):
+        if heading:
+            print(heading)
+        db.tracer, db.slow_log = tracer, slow_log
+        start = time.perf_counter()
+        if args.k is not None:
+            results = list(db.search_topk(args.query, args.k,
+                                          semantics=args.semantics))
+        else:
+            results = db.search(args.query, semantics=args.semantics,
+                                use_cache=False)
+        elapsed = (time.perf_counter() - start) * 1000
+        root = tracer.last_root()
+        print(render_trace(root))
+        print(render_phases(phase_totals(root)))
+        print(f"({len(results)} results in {elapsed:.1f} ms)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(trace_to_jsonl(tracer.roots()))
         print(f"trace written to {args.out}")
-    if db.slow_log is not None and len(db.slow_log):
-        record = db.slow_log.records()[-1]
-        print(f"slow query (>= {db.slow_log.threshold_ms:.0f} ms): "
+    if slow_log is not None and len(slow_log):
+        record = slow_log.records()[-1]
+        print(f"slow query (>= {slow_log.threshold_ms:.0f} ms): "
               f"{' '.join(record.terms)} took {record.elapsed_ms:.1f} ms")
     return 0
 
@@ -737,41 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="elca")
     p.add_argument("--trace", action="store_true",
                    help="attach the span tree of the evaluation")
-    p.add_argument("--analyze", action="store_true",
-                   help="EXPLAIN ANALYZE: audit predicted vs. actual "
-                        "cardinality and plan regret per level")
-    p.add_argument("--shadow", choices=("off", "sampled", "all"),
-                   default="off",
-                   help="with --analyze, also run the not-chosen join "
-                        "algorithm for measured regret")
     p.set_defaults(fn=cmd_explain)
-
-    p = sub.add_parser("audit",
-                       help="EXPLAIN ANALYZE the section III-C plan of "
-                            "one query (q-error, regret, verdict)")
-    p.add_argument("database")
-    p.add_argument("query")
-    p.add_argument("--semantics", choices=("elca", "slca"),
-                   default="elca")
-    p.add_argument("--shadow", choices=("off", "sampled", "all"),
-                   default="off",
-                   help="really run the not-chosen join algorithm: "
-                        "never / on sampled levels / everywhere")
-    p.add_argument("--policy", choices=("dynamic", "merge", "index"),
-                   default="dynamic",
-                   help="join policy to audit (forced plans show what "
-                        "the optimizer saves)")
-    p.add_argument("--sample-size", type=int, default=None,
-                   help="cardinality probe sample size (0 disables the "
-                        "sampled refinement, auditing the pure "
-                        "containment formula)")
-    p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON instead of text")
-    p.add_argument("--out", default=None,
-                   help="also write the audit as JSON to this file")
-    p.add_argument("--fail-on-misprediction", action="store_true",
-                   help="exit 1 if any level is flagged")
-    p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("trace",
                        help="run one traced query (span tree), or "

@@ -35,7 +35,7 @@ an intermediate copy.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -579,12 +579,30 @@ _DECODERS = {
 }
 
 
-def decompress_column(scheme: str, data: ByteSource) -> np.ndarray:
-    """Decode a column written by `choose_codec` as ``scheme``."""
+def decompress_column(scheme: str, data: ByteSource,
+                      rows: Optional[int] = None) -> np.ndarray:
+    """Decode a column written by `choose_codec` as ``scheme``.
+
+    With ``rows`` (the count the caller knows the column holds), a
+    header declaring another count is refused before the decoder runs:
+    a body can agree with a hostile header, and decoding it would
+    allocate what the header says.
+    """
     try:
         decoder = _DECODERS[scheme]
     except KeyError:
         raise ValueError(f"unknown compression scheme {scheme!r}")
+    if rows is not None:
+        # FOR leads with a u32 count, the varint codecs with a varint.
+        if scheme == SCHEME_FOR:
+            declared = int.from_bytes(bytes(as_byte_array(data)[:4]),
+                                      "little")
+        else:
+            declared = read_varint(as_byte_array(data), 0)[0]
+        if declared != rows:
+            raise ValueError(
+                f"{scheme} column header says {declared} rows, "
+                f"expected {rows}")
     return decoder(data)
 
 

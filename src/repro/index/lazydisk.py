@@ -136,10 +136,8 @@ class LazyColumnarPostings(ColumnarPostings):
             self.io.record(level, len(payload))
             try:
                 with span("decompress", codec=scheme, bytes=len(payload)):
-                    values = decompress_column(scheme, payload)
-                if len(values) != len(seq_idx):
-                    raise ValueError(f"{len(values)} values for "
-                                     f"{len(seq_idx)} sequences")
+                    values = decompress_column(scheme, payload,
+                                               len(seq_idx))
             except _PARSE_ERRORS as exc:
                 # Reachable only with verification off (or a CRC
                 # collision): the block checksum covers these bytes.

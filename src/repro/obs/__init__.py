@@ -1,6 +1,6 @@
-"""Observability: span tracing, metrics registry, slow-query log, plan audit.
+"""Observability: span tracing, metrics registry, slow-query log.
 
-Four independent instruments threaded through the query pipeline:
+Three independent instruments threaded through the query pipeline:
 
 * `tracing` -- `Tracer`/`Span` context managers recording where time
   goes inside one query (parse, postings fetch, column decode,
@@ -14,10 +14,7 @@ Four independent instruments threaded through the query pipeline:
   bucketed histograms with Prometheus exposition, which the serve
   daemon publishes into and ``GET /metrics`` serves;
 * `slowlog` -- a bounded `SlowQueryLog` capturing query, stats, trace
-  and per-phase breakdown of outliers;
-* `audit` -- EXPLAIN ANALYZE for the section III-C optimizer:
-  per-level predicted vs. actual cardinality, q-error and plan regret
-  (`PlanAudit`, via ``explain(analyze=True)`` / ``repro audit``).
+  and per-phase breakdown of outliers.
 
 Tracing and the slow log default off (`NULL_TRACER`, no slow log): a
 default query records no span and no phase.
@@ -25,8 +22,6 @@ default query records no span and no phase.
 
 from .account import (ResourceAccount, accounting, active_account,
                       merge_resources)
-from .audit import (AuditingJoinPlanner, JoinObservation, LevelAudit,
-                    PlanAudit, PlanAuditor, audit_query, q_error)
 from .doctor import (DOCTOR_SCHEMA, doctor_report, format_doctor_report,
                      run_checks)
 from .distributed import (TRACE_WIRE_VERSION, AccessLog, TraceContext,
@@ -42,20 +37,15 @@ from .tracing import (NULL_TRACER, PHASES, NullTracer, Span, Tracer,
 
 __all__ = [
     "AccessLog",
-    "AuditingJoinPlanner",
     "Counter",
     "DEFAULT_BUCKETS",
     "DOCTOR_SCHEMA",
     "Gauge",
     "Histogram",
-    "JoinObservation",
-    "LevelAudit",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "PHASES",
-    "PlanAudit",
-    "PlanAuditor",
     "ResourceAccount",
     "SlowQueryLog",
     "SlowQueryRecord",
@@ -66,7 +56,6 @@ __all__ = [
     "Tracer",
     "accounting",
     "active_account",
-    "audit_query",
     "count_spans",
     "doctor_report",
     "format_access_record",
@@ -76,7 +65,6 @@ __all__ = [
     "merge_resources",
     "new_trace_id",
     "phase_totals",
-    "q_error",
     "read_jsonl",
     "render_phases",
     "render_stitched",

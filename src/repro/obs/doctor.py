@@ -78,12 +78,12 @@ def _codec_level_stats(containers) -> Dict[str, Any]:
     for data, ref in ((data, ref) for data, refs in containers
                       for ref in refs):
         payload = data[ref.offset: ref.offset + ref.length]
-        _lengths, _scores, level_payloads = parse_payload(
-            ref.term, payload)
+        lengths, _scores, level_payloads = parse_payload(ref.term, payload)
         for idx, (scheme, column) in enumerate(level_payloads):
             level = idx + 1
             compressed = int(len(column))
-            values = decompress_column(scheme, column)
+            values = decompress_column(scheme, column,
+                                       int((lengths >= level).sum()))
             raw = int(len(values)) * 4
             lv = by_level.setdefault(level, {"compressed": 0, "raw": 0,
                                              "postings": 0, "codecs": {}})

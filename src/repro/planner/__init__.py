@@ -1,9 +1,7 @@
-"""Query planning: join-algorithm selection and cardinality estimation."""
+"""Query planning: join-algorithm selection (section III-C)."""
 
 from .plans import (DYNAMIC, INDEX, MERGE, POLICIES, JoinPlanner,
                     index_intersect, merge_intersect)
-from .cardinality import (CardinalityEstimator, containment_estimate,
-                          sampled_estimate)
 
 __all__ = [
     "DYNAMIC",
@@ -13,7 +11,4 @@ __all__ = [
     "JoinPlanner",
     "index_intersect",
     "merge_intersect",
-    "CardinalityEstimator",
-    "containment_estimate",
-    "sampled_estimate",
 ]

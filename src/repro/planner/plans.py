@@ -16,7 +16,7 @@ and picks the *algorithm* per pairwise join:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,29 +36,6 @@ def merge_cost(probe_size: int, target_size: int) -> float:
 def index_cost(probe_size: int, target_size: int) -> float:
     """Modeled cost of an index intersection: probe the larger side."""
     return probe_size * max(1.0, math.log2(max(target_size, 1)))
-
-
-def modeled_cost(algorithm: str, probe_size: int, target_size: int) -> float:
-    """The section III-C cost model for one pairwise join.
-
-    The same model `JoinPlanner.choose` decides with, exposed so the
-    plan auditor (`repro.obs.audit`) can re-evaluate decisions against
-    the sizes actually observed at run time.
-    """
-    if algorithm == INDEX:
-        return index_cost(probe_size, target_size)
-    if algorithm == MERGE:
-        return merge_cost(probe_size, target_size)
-    raise ValueError(f"no cost model for algorithm {algorithm!r}")
-
-
-def alternative_of(algorithm: str) -> str:
-    """The join algorithm `choose` did not pick."""
-    if algorithm == MERGE:
-        return INDEX
-    if algorithm == INDEX:
-        return MERGE
-    raise ValueError(f"no alternative for algorithm {algorithm!r}")
 
 
 def merge_intersect(a: np.ndarray, b: np.ndarray,
@@ -112,8 +89,8 @@ class JoinPlanner:
         """Intersect with the chosen algorithm; smaller side probes.
 
         The one place a pairwise join is decided: the choice is noted in
-        ``stats.per_level_plan`` (when ``level`` is given) and handed to
-        `execute`, never taken again.
+        ``stats.per_level_plan`` (when ``level`` is given) and run, never
+        taken again.
         """
         probe, target = (a, b) if len(a) <= len(b) else (b, a)
         algorithm = self.choose(len(probe), len(target))
@@ -121,12 +98,6 @@ class JoinPlanner:
             stats.joins += 1
             if level is not None:
                 stats.per_level_plan.append((level, algorithm))
-        return self.execute(algorithm, probe, target, stats, level)
-
-    def execute(self, algorithm: str, probe: np.ndarray, target: np.ndarray,
-                stats: Optional[ExecutionStats] = None,
-                level: Optional[int] = None) -> np.ndarray:
-        """Execute one already-decided pairwise join."""
         if algorithm == INDEX:
             return index_intersect(probe, target, stats)
         return merge_intersect(probe, target, stats)

@@ -121,8 +121,8 @@ class TestCounterFieldDrift:
 
     def test_counter_fields_match_dataclass(self):
         # `from __future__ import annotations` makes the annotation the
-        # *string* "int"; structural fields (resources, per_level_plan,
-        # audit) and the bool flag are not counters.
+        # *string* "int"; structural fields (resources, per_level_plan)
+        # and the bool flag are not counters.
         numeric = {
             f.name for f in dataclasses.fields(ExecutionStats)
             if f.type in ("int", int)

@@ -124,20 +124,21 @@ class TestParser:
             main([])
 
 
+@pytest.fixture
+def sharded_dir(tmp_path, xml_file):
+    from repro.api import XMLDatabase
+    from repro.diskdb import save_database
+
+    with open(xml_file, encoding="utf-8") as handle:
+        db = XMLDatabase.from_xml_text(handle.read())
+    out = str(tmp_path / "db_sharded")
+    save_database(db, out, shards=2)
+    return out
+
+
 class TestInfoSharded:
     """Satellite: `repro info` on a sharded directory breaks the index
     down per shard -- terms, postings and on-disk bytes."""
-
-    @pytest.fixture
-    def sharded_dir(self, tmp_path, xml_file):
-        from repro.api import XMLDatabase
-        from repro.diskdb import save_database
-
-        with open(xml_file, encoding="utf-8") as handle:
-            db = XMLDatabase.from_xml_text(handle.read())
-        out = str(tmp_path / "db_sharded")
-        save_database(db, out, shards=2)
-        return out
 
     def test_per_shard_breakdown(self, sharded_dir, capsys):
         assert main(["info", sharded_dir]) == 0
@@ -160,6 +161,32 @@ class TestInfoSharded:
             assert int(match.group(1)) > 0
             assert int(match.group(2)) > 0
             assert float(match.group(3)) > 0
+
+
+class TestQueryVerbsSharded:
+    """`explain` and `trace` on a sharded directory print one section
+    per shard, as `info` does: a sharded query runs on each shard."""
+
+    def test_explain_per_shard(self, sharded_dir, capsys):
+        assert main(["explain", sharded_dir, "xml data"]) == 0
+        out = capsys.readouterr().out
+        assert "shard 0:" in out and "shard 1:" in out
+        assert out.count("execution order") == 2
+        assert out.count("totals:") == 2
+
+    @pytest.mark.parametrize("extra", ([], ["-k", "3"]), ids=["all", "topk"])
+    def test_trace_per_shard(self, sharded_dir, tmp_path, capsys, extra):
+        import json
+
+        path = str(tmp_path / "trace.jsonl")
+        assert main(["trace", sharded_dir, "xml data", "--out", path]
+                    + extra) == 0
+        out = capsys.readouterr().out
+        assert "shard 0:" in out and "shard 1:" in out
+        assert out.count("results in") == 2
+        with open(path, encoding="utf-8") as handle:
+            spans = [json.loads(line) for line in handle]
+        assert sum(span["parent_id"] is None for span in spans) == 2
 
 
 class TestServeBatch:

@@ -367,6 +367,35 @@ class TestContainerFuzz:
             postings.column(1)
         assert err.value.term == "victim"
 
+    @pytest.mark.parametrize("scheme,payload", [
+        # One run of 2**29 rows: the runs agree with their own header.
+        ("rle", encode_varints([2 ** 29, 1, 5, 2 ** 29])),
+        # 26 bytes: two width-0 blocks of 2**28 rows, no packed bytes.
+        ("for", (2 ** 29).to_bytes(4, "little")
+         + (2 ** 28).to_bytes(4, "little") + bytes(18)),
+    ], ids=["rle-one-huge-run", "for-width-0-blocks"])
+    def test_hostile_row_count_allocates_nothing(self, scheme, payload):
+        """A column consistent with a hostile header (past the checksum,
+        as with ``verify="off"``) is refused for its term before the
+        decoder allocates the 4 GiB the header asks for: its count is
+        checked against the sequences the term's lengths give the
+        level."""
+        import tracemalloc
+
+        from repro.index.lazydisk import LazyColumnarPostings
+
+        postings = LazyColumnarPostings("victim", [1, 1, 1],
+                                        [(scheme, payload)], [0.0] * 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatabaseCorruptError) as err:
+                postings.column(1)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.term == "victim"
+        assert peak < 1 << 20
+
     def test_unknown_scheme_id(self, clean_dir):
         """An id outside `SCHEME_IDS` is corruption -- not, as the v3
         reader had it, another name for delta."""

@@ -295,6 +295,16 @@ REMOVED_NAMES = (
     # paper harness measures both, `repro.bench.harness`)
     "REPRO_BENCH_SCALE", "--benchmark-only", "pytest-benchmark",
     "plan_oracle.py",
+    # the cardinality estimator and the plan audit that graded it: no
+    # engine decision reads an estimate, and `explain` reports what ran
+    "repro.obs.audit", "repro.planner.cardinality", "obs/audit.py",
+    "planner/cardinality.py", "AuditingJoinPlanner", "PlanAuditor",
+    "PlanAudit", "LevelAudit", "JoinObservation", "audit_query",
+    "q_error", "CardinalityEstimator", "CardinalityEstimate",
+    "containment_estimate", "sampled_estimate", "modeled_cost",
+    "alternative_of", "stats.audit", "plan.audit", "audit=", "shadow=",
+    "analyze=", "estimator=", "est=", "repro audit", "--analyze",
+    "--shadow", "--policy", "--sample-size", "--fail-on-misprediction",
 )
 
 
@@ -349,6 +359,7 @@ class TestDocumentedCommands:
         import repro.index.storage
         import repro.obs
         import repro.obs.account
+        import repro.planner.plans
         import repro.serve.sharding
 
         for name in REMOVED_NAMES:
@@ -360,14 +371,16 @@ class TestDocumentedCommands:
                               repro.cache.DecodedColumnCache,
                               repro.obs.account,
                               repro.obs.account.ResourceAccount,
+                              repro.planner.plans,
+                              repro.planner.plans.JoinPlanner,
                               repro.serve.sharding,
                               repro.algorithms.hybrid.HybridTopKSearch,
                               repro.obs, ServeDaemon, repro.cli):
                     assert not hasattr(owner, name), (owner, name)
 
     def test_hybrid_row_names_no_estimator(self):
-        """The hybrid reads the level's exact join size; ``estimator=``
-        is `explain`'s and the audit's argument, not its."""
+        """The hybrid reads the level's exact join size; nothing in the
+        library estimates one."""
         text = open(os.path.join(ROOT, "docs", "API.md"),
                     encoding="utf-8").read()
         rows = [line for line in text.splitlines()
@@ -388,6 +401,18 @@ class TestDocumentedCommands:
                      os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
                  if re.search(r"switch_factor|plan_trace",
                               open(path, encoding="utf-8").read())]
+        assert not found, found
+
+    def test_estimator_and_audit_names_stay_out_of_src(self):
+        """Nothing in ``src/`` predicts a cardinality or grades a plan:
+        no file names the estimator or the plan audit."""
+        pattern = (r"CardinalityEstimat|containment_estimate|"
+                   r"sampled_estimate|PlanAudit|AuditingJoinPlanner|"
+                   r"audit_query|q_error|modeled_cost|alternative_of|"
+                   r"obs\.audit|planner\.cardinality")
+        found = [os.path.relpath(path, ROOT) for path in glob.glob(
+                     os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+                 if re.search(pattern, open(path, encoding="utf-8").read())]
         assert not found, found
 
     def test_modules_are_importable(self):
@@ -425,8 +450,7 @@ LEDGER_ROW_RE = re.compile(r"^\| (module|verb|route) \| `([^`]+)` \| (.+) \|$",
                            re.MULTILINE)
 #: The consumer kinds a row may name (DESIGN.md section 7), or why it
 #: has none.
-CONSUMER_PREFIXES = ("gate:", "workflow:", "module:",
-                     "kept until the ladder decides", "deleted in PR")
+CONSUMER_PREFIXES = ("gate:", "workflow:", "module:", "deleted in PR")
 
 
 def _ledger():

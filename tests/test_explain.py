@@ -46,10 +46,6 @@ class TestQueryPlan:
         assert probes == 0
         assert merges > 0
 
-    def test_estimate_nonnegative(self, corpus_db):
-        plan = explain(corpus_db.columnar_index, ["alpha", "beta"])
-        assert all(lp.estimate >= 0 for lp in plan.levels)
-
     def test_format_is_readable(self, small_db):
         plan = explain(small_db.columnar_index, ["xml", "data"], "slca")
         text = plan.format()

@@ -1,14 +1,12 @@
-"""Tests for join planning and cardinality estimation (`repro.planner`)."""
+"""Tests for join planning (`repro.planner`)."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms.base import ExecutionStats
-from repro.planner.cardinality import (CardinalityEstimator,
-                                       containment_estimate,
-                                       sampled_estimate)
 from repro.planner.plans import (DYNAMIC, INDEX, MERGE, JoinPlanner,
-                                 index_intersect, merge_intersect)
+                                 index_cost, index_intersect, merge_cost,
+                                 merge_intersect)
 
 
 def arr(*values):
@@ -58,6 +56,15 @@ class TestPlanner:
     def test_dynamic_picks_merge_for_comparable_sides(self):
         assert JoinPlanner(DYNAMIC).choose(10 ** 5, 2 * 10 ** 5) == MERGE
 
+    def test_choose_agrees_with_the_cost_model(self):
+        planner = JoinPlanner()
+        cost = {MERGE: merge_cost, INDEX: index_cost}
+        for probe, target in ((1, 10), (5, 100), (50, 100), (100, 100),
+                              (3, 1_000_000), (1000, 1024)):
+            chosen = planner.choose(probe, target)
+            assert cost[chosen](probe, target) == min(
+                f(probe, target) for f in cost.values())
+
     def test_unknown_policy_raises(self):
         with pytest.raises(ValueError):
             JoinPlanner("nope")
@@ -86,77 +93,23 @@ class TestPlanner:
 
 class TestDecidesOnce:
     """`choose` runs once per pairwise intersection: `intersect` decides,
-    notes the choice in ``per_level_plan`` and hands it to `execute`."""
+    notes the choice in ``per_level_plan`` and runs it."""
 
     COLUMNS = [arr(*range(0, 300, 2)), arr(*range(0, 300, 3)),
                arr(*range(0, 300, 5))]
 
-    @staticmethod
-    def _counting(base):
-        class Counting(base):
+    def test_join_planner_one_choose_per_pairwise_join(self):
+        class Counting(JoinPlanner):
             chosen = 0
 
             def choose(self, probe_size, target_size):
                 self.chosen += 1
                 return super().choose(probe_size, target_size)
 
-        return Counting()
-
-    def test_join_planner_one_choose_per_pairwise_join(self):
-        planner = self._counting(JoinPlanner)
+        planner = Counting()
         stats = ExecutionStats()
         out = planner.intersect_all(self.COLUMNS, stats, level=4)
         assert list(out) == list(range(0, 300, 30))
         assert planner.chosen == stats.joins == 2   # 3 terms, 2 joins
         assert stats.per_level_plan == [(4, MERGE), (4, INDEX)]
         assert (stats.merge_joins, stats.index_joins) == (1, 1)
-
-    def test_auditing_planner_one_choose_per_pairwise_join(self):
-        from repro.obs.audit import AuditingJoinPlanner
-
-        planner = self._counting(AuditingJoinPlanner)
-        stats = ExecutionStats()
-        planner.intersect_all(self.COLUMNS, stats, level=4)
-        assert planner.chosen == stats.joins == 2
-        assert stats.per_level_plan == [(4, MERGE), (4, INDEX)]
-        # The audit record carries the decision it was handed.
-        assert [(obs.level, obs.algorithm) for obs in planner.records] \
-            == stats.per_level_plan
-        assert [(obs.probe_size, obs.target_size, obs.output_size)
-                for obs in planner.records] == [(60, 100, 20), (20, 150, 10)]
-
-
-class TestCardinality:
-    def test_containment_formula(self):
-        # d1=10, d2=20 over domain 100 -> 100 * 0.1 * 0.2 = 2.
-        assert containment_estimate([10, 20], 100) == pytest.approx(2.0)
-
-    def test_containment_empty(self):
-        assert containment_estimate([], 100) == 0.0
-        assert containment_estimate([10], 0) == 0.0
-
-    def test_sampled_exact_on_small_columns(self):
-        a = arr(1, 2, 3, 4, 5)
-        b = arr(2, 4, 6)
-        assert sampled_estimate([a, b], sample_size=64) == 2
-
-    def test_sampled_zero_when_column_empty(self):
-        assert sampled_estimate([arr(), arr(1, 2)]) == 0.0
-
-    def test_estimator_on_disjoint_columns(self):
-        est = CardinalityEstimator()
-        a = arr(*range(0, 1000, 2))
-        b = arr(*range(1, 1000, 2))
-        assert est.estimate([a, b]) < 300  # far below min(|a|, |b|)
-
-    def test_estimator_on_identical_columns(self):
-        est = CardinalityEstimator()
-        a = arr(*range(500))
-        value = est.estimate([a, a.copy()])
-        assert value == pytest.approx(500, rel=0.2)
-
-    def test_estimator_deterministic(self):
-        a = arr(*range(0, 3000, 3))
-        b = arr(*range(0, 3000, 7))
-        assert CardinalityEstimator(seed=1).estimate([a, b]) == \
-            CardinalityEstimator(seed=1).estimate([a, b])
