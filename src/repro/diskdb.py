@@ -46,11 +46,18 @@ copy-on-write.  Integrity and atomicity (`repro.reliability`):
 * every term's payload carries a CRC, so the reader verifies exactly
   the bytes it touches, and ``meta.json`` records a whole-file digest
   per file;
-* `save_database` stages everything in a sibling temp directory,
-  fsyncs, then `os.replace`-s file by file with ``meta.json`` strictly
-  last.  A crash before the manifest lands leaves either the old
-  database intact or a directory whose stale manifest disagrees with
-  the new data files -- both detected at load, never absorbed;
+* `save_database` streams every file into a sibling temp directory --
+  the document in chunks, the node table section by section, the
+  container frame by frame, one shard's at a time -- computing each
+  digest as the bytes are written, so no file is ever whole in memory
+  and no column is cached to write one;
+* it then fsyncs, `os.replace`-s file by file, fsyncs every directory
+  that received a rename (each ``shard-NN/`` too) and moves
+  ``meta.json`` strictly last.  A crash before the manifest lands
+  leaves either the old database intact or a directory whose stale
+  manifest disagrees with the new data files -- both detected at load,
+  never absorbed.  Once the manifest has landed, the containers of a
+  previous layout that it does not list are removed;
 * `load_database` verifies digests (`verify="eager"`/``"lazy"``/
   ``"off"``) raising `DatabaseCorruptError` naming the offending file
   (and keyword, for per-block failures), and can route all reads
@@ -70,8 +77,10 @@ scorers must be reopened with the matching `RankingModel` passed to
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from typing import Optional
@@ -82,17 +91,18 @@ from .cache import DecodedColumnCache
 from .index.columnar import ColumnarIndex
 from .index.lazydisk import LazyColumnarIndex
 from .index.tokenizer import Tokenizer
-from .reliability.checksum import (ALGORITHMS, DEFAULT_ALGORITHM,
-                                   hex_digest)
+from .reliability.checksum import ALGORITHMS, DEFAULT_ALGORITHM
 from .reliability.checksum import verify as digest_matches
 from .reliability.errors import (DatabaseCorruptError, DatabaseFormatError,
                                  RetryExhaustedError)
 from .reliability.faults import FaultInjector
-from .reliability.io import fsync_dir, map_bytes, read_bytes, write_bytes
+from .reliability.io import (fsync_dir, map_bytes, read_bytes, write_bytes,
+                             write_chunks)
 from .reliability.retry import DEFAULT_POLICY, RetryPolicy
 from .scoring.ranking import DampingFunction, RankingModel
 from .xmltree.nodetable import NodeTable
 from .xmltree.parser import parse_xml
+from .xmltree.tree import DocumentBytes
 
 FORMAT_VERSION = 5
 _SUPPORTED_VERSIONS = (FORMAT_VERSION,)
@@ -101,6 +111,8 @@ _DOCUMENT = "document.xml"
 _META = "meta.json"
 _COLUMNAR = "columnar.bin"
 _DEWEY = "dewey.bin"
+#: The shard layout's directories (``shard-00``, ``shard-01``, ...).
+_SHARD_DIR = re.compile(r"shard-\d{2,}")
 
 _VERIFY_MODES = ("eager", "lazy", "off")
 
@@ -133,30 +145,46 @@ def _fault_hook(stage: str) -> None:
     """
 
 
-def _commit_atomically(path: str, data_files, meta_blob: bytes,
+def _commit_atomically(path: str, data_files, meta: dict, algorithm: str,
                        fsync: bool) -> None:
-    """Stage `data_files` (relative-path, blob) plus ``meta.json`` in a
-    sibling temp directory and move them into place, manifest strictly
+    """Stream each ``(relative-path, chunks)`` of `data_files` into a
+    sibling temp directory, digesting the bytes as they are written,
+    record the digests in `meta`'s manifest and stage it as
+    ``meta.json``, then move everything into place, manifest strictly
     last.  Relative paths may contain one level of subdirectory (the
-    shard layout), created under both the stage and the target."""
+    shard layout), created under both the stage and the target.
+
+    Every directory that received a rename is fsynced before the
+    manifest moves, so a durable manifest never vouches for a container
+    whose rename a power loss could still undo.  Once the manifest has
+    landed, the containers of another layout it does not list go."""
     parent = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(parent, exist_ok=True)
     tmp_dir = tempfile.mkdtemp(prefix=os.path.basename(path) + ".tmp-",
                                dir=parent)
     try:
-        for name, blob in data_files:
+        digests = {}
+        for name, chunks in data_files:
             staged = os.path.join(tmp_dir, name)
             os.makedirs(os.path.dirname(staged), exist_ok=True)
-            write_bytes(staged, blob, fsync=fsync)
-        write_bytes(os.path.join(tmp_dir, _META), meta_blob, fsync=fsync)
+            digests[name] = write_chunks(staged, chunks, algorithm,
+                                         fsync=fsync)
+        meta["checksum"] = {"algorithm": algorithm, "files": digests}
+        write_bytes(os.path.join(tmp_dir, _META),
+                    json.dumps(meta, indent=2, sort_keys=True).encode(
+                        "utf-8"), fsync=fsync)
         _fault_hook("tmp-written")
         os.makedirs(path, exist_ok=True)
-        for name, _blob in data_files:
+        renamed_into = set()
+        for name in digests:
             target = os.path.join(path, name)
             os.makedirs(os.path.dirname(target), exist_ok=True)
             os.replace(os.path.join(tmp_dir, name), target)
+            renamed_into.add(os.path.dirname(target))
         if fsync:
-            fsync_dir(path)
+            # Shard directories first: their own entries live in `path`.
+            for directory in sorted(renamed_into, key=len, reverse=True):
+                fsync_dir(directory)
         _fault_hook("data-replaced")
         # Manifest strictly last: its digests vouch for the data files,
         # so any interleaving of crash and rename is detectable.
@@ -164,8 +192,27 @@ def _commit_atomically(path: str, data_files, meta_blob: bytes,
         if fsync:
             fsync_dir(path)
         _fault_hook("meta-replaced")
+        _remove_other_layout(path, digests)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
+
+
+def _remove_other_layout(path: str, listed) -> None:
+    """Delete the containers the manifest just stopped listing: a flat
+    ``columnar.bin`` and each ``shard-NN/columnar.bin`` (with its
+    directory, once empty).  No other name is touched."""
+    stale = [] if _COLUMNAR in listed else [_COLUMNAR]
+    for entry in os.listdir(path):
+        name = os.path.join(entry, _COLUMNAR)
+        if _SHARD_DIR.fullmatch(entry) and name not in listed:
+            stale.append(name)
+    for name in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(path, name))
+        directory = os.path.dirname(name)
+        if directory:
+            with contextlib.suppress(OSError):     # not empty: keep it
+                os.rmdir(os.path.join(path, directory))
 
 
 def save_database(db: XMLDatabase, path: str,
@@ -175,29 +222,48 @@ def save_database(db: XMLDatabase, path: str,
     """Write `db` (document, columnar index, node table) to directory
     `path`, atomically.
 
-    Builds the columnar index if not yet built.  All files are staged
-    in a sibling temp directory (same filesystem, so `os.replace` is
-    atomic), fsynced, then moved into place with ``meta.json`` last --
-    the manifest's arrival commits the save.  ``algorithm`` picks the
+    Builds the columnar index if not yet built.  Every file is streamed
+    into a sibling temp directory (same filesystem, so `os.replace` is
+    atomic) and digested as it is written -- no file is ever whole in
+    memory, and no column is built or cached to write one -- then
+    fsynced and moved into place with ``meta.json`` last: the
+    manifest's arrival commits the save.  ``algorithm`` picks the
     checksum (default `repro.reliability.DEFAULT_ALGORITHM`);
     ``fsync=False`` trades durability for speed (tests, throwaway dirs).
 
     ``shards=N`` writes the *sharded* layout instead
     (`docs/SERVING.md`): one columnar container per shard under
     ``shard-XX/`` subdirectories, partitioned by root-child subtree
-    (`repro.serve.sharding`), beside one document, one node table and a
-    shard manifest in ``meta.json``.  Opening a sharded directory
-    returns a `repro.serve.ShardedDatabase`.
+    (`repro.serve.sharding`) and written one shard at a time, beside one
+    document, one node table and a shard manifest in ``meta.json``.
+    Opening a sharded directory returns a `repro.serve.ShardedDatabase`,
+    which is not saved again: ``repro index <dir>/document.xml <new-dir>
+    --shards N`` rebuilds it.  Saving over a directory of the other
+    layout (or another shard count) removes the containers the new
+    manifest does not list.
     """
+    if not isinstance(db, XMLDatabase):
+        raise TypeError(
+            f"save_database writes an XMLDatabase, not a "
+            f"{type(db).__name__}; an opened sharded database is rebuilt "
+            "from its document instead: repro index <dir>/document.xml "
+            "<new-dir> --shards N")
     algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown checksum algorithm {algorithm!r}; "
+                         f"one of {sorted(ALGORITHMS)}")
     if shards is not None and shards < 1:
         raise ValueError("shards must be >= 1")
     columnar = db.columnar_index
-    # The table's text references are byte spans of this serialization.
-    document, text_off, text_len = db.tree.to_xml_bytes_with_text_spans()
-    table_blob = columnar.nodes.to_bytes(text_off, text_len, len(document),
-                                         algorithm)
-    data_files = [(_DOCUMENT, document), (_DEWEY, table_blob)]
+    document = DocumentBytes(db.tree)
+
+    def table_chunks():
+        # The table's text references are byte spans of the document,
+        # which is streamed (and so measured) first.
+        yield from columnar.nodes.chunks(
+            document.text_off, document.text_len, document.size, algorithm)
+
+    data_files = [(_DOCUMENT, document), (_DEWEY, table_chunks())]
     meta = {
         "format_version": FORMAT_VERSION,
         "jdewey_gap": db.jdewey_gap,
@@ -210,30 +276,30 @@ def save_database(db: XMLDatabase, path: str,
         "n_nodes": len(db.tree),
     }
     if shards is None:
-        data_files.append((_COLUMNAR, storage.serialize_columnar_index(
+        data_files.append((_COLUMNAR, storage.container_chunks(
             columnar, algorithm=algorithm)))
     else:
-        from .serve.sharding import partition_columnar
+        from .serve.sharding import shard_owners, shard_postings
 
-        parts = partition_columnar(
-            {t: columnar.term_postings(t) for t in columnar.vocabulary},
-            db.tree, shards)
+        postings = {t: columnar.term_postings(t)
+                    for t in columnar.vocabulary}
+        owners = shard_owners(postings, db.tree, shards)
+
+        def shard_chunks(sid: int):
+            # Partitioned when its file is written: one shard's postings
+            # are alive at a time.
+            yield from storage.container_chunks(
+                ColumnarIndex.from_postings(
+                    columnar.nodes, shard_postings(postings, owners, sid)),
+                algorithm=algorithm)
+
         shard_dirs = [f"shard-{sid:02d}" for sid in range(shards)]
-        for shard_dir, part in zip(shard_dirs, parts):
-            data_files.append((
-                os.path.join(shard_dir, _COLUMNAR),
-                storage.serialize_columnar_index(
-                    ColumnarIndex.from_postings(columnar.nodes, part),
-                    algorithm=algorithm)))
+        for sid, shard_dir in enumerate(shard_dirs):
+            data_files.append((os.path.join(shard_dir, _COLUMNAR),
+                               shard_chunks(sid)))
         meta["shards"] = {"count": shards, "strategy": "root-child-mod",
                           "dirs": shard_dirs}
-    meta["checksum"] = {
-        "algorithm": algorithm,
-        "files": {name: hex_digest(blob, algorithm)
-                  for name, blob in data_files},
-    }
-    meta_blob = json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")
-    _commit_atomically(path, data_files, meta_blob, fsync)
+    _commit_atomically(path, data_files, meta, algorithm, fsync)
 
 
 def load_database(path: str,

@@ -10,7 +10,8 @@ distinct-value arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,13 +142,27 @@ class ColumnarPostings:
         cached = self._columns.get(level)
         if cached is not None:
             return cached
-        mask = self.lengths >= level
-        seq_idx = np.nonzero(mask)[0].astype(np.int64)
-        values = np.asarray([self.seqs[i][level - 1] for i in seq_idx],
-                            dtype=np.int64)
-        column = Column(level, values, seq_idx)
+        seq_idx = np.flatnonzero(self.lengths >= level).astype(
+            np.int64, copy=False)
+        flat, starts = self._components()
+        column = Column(level, flat[starts[seq_idx] + level - 1], seq_idx)
         self._columns[level] = column
         return column
+
+    def level_values(self) -> Iterator[np.ndarray]:
+        """Each level's column values, level 1 to `max_len`, from one
+        pass over the sequences -- no `Column` is built or cached (what
+        the container writer encodes)."""
+        flat, starts = self._components()
+        for level in range(1, self.max_len + 1):
+            yield flat[starts[self.lengths >= level] + level - 1]
+
+    def _components(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every sequence's components laid end to end, and where each
+        sequence starts in them."""
+        flat = np.fromiter(chain.from_iterable(self.seqs), np.int64,
+                           int(self.lengths.sum()))
+        return flat, np.cumsum(self.lengths) - self.lengths
 
     def max_score(self) -> float:
         return float(self.scores.max()) if len(self.scores) else 0.0

@@ -20,7 +20,7 @@ column decompresses on its own first access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,31 +127,7 @@ class LazyColumnarPostings(ColumnarPostings):
         if level > self.max_len:
             values = np.empty(0, dtype=np.int64)
         else:
-            # The index's "disk read": poll the scoped deadline at
-            # every posting fetch, so a budgeted query cannot stall
-            # inside a long decompression chain (a getattr + None test
-            # when no deadline is active).
-            check_active()
-            scheme, payload = self._level_payloads[level - 1]
-            self.io.record(level, len(payload))
-            try:
-                with span("decompress", codec=scheme, bytes=len(payload)):
-                    values = decompress_column(scheme, payload,
-                                               len(seq_idx))
-            except _PARSE_ERRORS as exc:
-                # Reachable only with verification off (or a CRC
-                # collision): the block checksum covers these bytes.
-                raise DatabaseCorruptError(
-                    f"level-{level} column of term {self.term!r} does "
-                    f"not decode: {exc}", term=self.term) from exc
-            account = active_account()
-            if account is not None:
-                # Mapped payloads are zero-copy views; an injector
-                # degrades the container to a bytes copy.
-                account.record_column(
-                    level, scheme, len(payload), int(values.nbytes),
-                    len(values),
-                    not isinstance(payload, (bytes, bytearray)))
+            values = self._decode(level, len(seq_idx))
         column = Column(level, values, seq_idx)
         if shared is not None:
             nbytes = int(values.nbytes) + int(seq_idx.nbytes)
@@ -162,6 +138,42 @@ class LazyColumnarPostings(ColumnarPostings):
         else:
             self._columns[level] = column
         return column
+
+
+    def level_values(self) -> Iterator[np.ndarray]:
+        """Each level's values, decoded from its stored column and
+        cached nowhere (what re-saving an opened database encodes)."""
+        for level in range(1, self.max_len + 1):
+            yield self._decode(level, int(np.count_nonzero(
+                self.lengths >= level)))
+
+    def _decode(self, level: int, rows: int) -> np.ndarray:
+        """Decompress the stored column of `level` (1..max_len), which
+        holds `rows` values."""
+        # The index's "disk read": poll the scoped deadline at every
+        # posting fetch, so a budgeted query cannot stall inside a long
+        # decompression chain (a getattr + None test when no deadline
+        # is active).
+        check_active()
+        scheme, payload = self._level_payloads[level - 1]
+        self.io.record(level, len(payload))
+        try:
+            with span("decompress", codec=scheme, bytes=len(payload)):
+                values = decompress_column(scheme, payload, rows)
+        except _PARSE_ERRORS as exc:
+            # Reachable only with verification off (or a CRC
+            # collision): the block checksum covers these bytes.
+            raise DatabaseCorruptError(
+                f"level-{level} column of term {self.term!r} does "
+                f"not decode: {exc}", term=self.term) from exc
+        account = active_account()
+        if account is not None:
+            # Mapped payloads are zero-copy views; an injector
+            # degrades the container to a bytes copy.
+            account.record_column(
+                level, scheme, len(payload), int(values.nbytes),
+                len(values), not isinstance(payload, (bytes, bytearray)))
+        return values
 
 
 class LazyColumnarIndex(ColumnarIndex):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -273,8 +273,8 @@ def serialize_columnar_payload(postings: ColumnarPostings,
     max_len = int(postings.max_len)
     columns: List[bytes] = []
     schemes = bytearray(max_len)
-    for level in range(1, max_len + 1):
-        scheme, payload = choose_codec(postings.column(level).values)
+    for level, values in enumerate(postings.level_values(), 1):
+        scheme, payload = choose_codec(values)
         schemes[level - 1] = SCHEME_IDS[scheme]
         columns.append(payload)
     lengths = _encode_lengths(postings.lengths)
@@ -319,25 +319,34 @@ def serialize_columnar_payload(postings: ColumnarPostings,
 def serialize_columnar_index(index: ColumnarIndex,
                              score_mode: int = SCORES_EXACT,
                              algorithm: str = None) -> bytes:
-    """The columnar container: aligned, checksummed per-term frames."""
+    """The columnar container: the join of `container_chunks`."""
+    return b"".join(container_chunks(index, score_mode, algorithm))
+
+
+def container_chunks(index: ColumnarIndex,
+                     score_mode: int = SCORES_EXACT,
+                     algorithm: str = None) -> Iterator[bytes]:
+    """The columnar container, piece by piece: the file header, then
+    each term's frame head and payload, encoded only when asked for --
+    what `repro.diskdb.save_database` streams into its staged file.
+
+    Every payload's length is a multiple of 8, so each frame starts
+    8-aligned with no padding before it."""
     algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
     if algorithm not in ALGORITHM_IDS:
         raise ValueError(f"unknown checksum algorithm {algorithm!r}; "
                          f"one of {sorted(ALGORITHM_IDS)}")
     terms = index.vocabulary
-    out = bytearray(_FILE_HEADER.pack(MAGIC_COLUMNAR,
-                                      ALGORITHM_IDS[algorithm], len(terms)))
+    yield _FILE_HEADER.pack(MAGIC_COLUMNAR, ALGORITHM_IDS[algorithm],
+                            len(terms))
     for term in terms:
         payload = serialize_columnar_payload(index.term_postings(term),
                                              score_mode)
         term_bytes = term.encode("utf-8")
-        out.extend(b"\x00" * (_align8(len(out)) - len(out)))
-        out.extend(_FRAME.pack(len(term_bytes), len(payload),
-                               checksum(payload, algorithm)))
-        out.extend(term_bytes)
-        out.extend(b"\x00" * (_align8(len(out)) - len(out)))
-        out.extend(payload)
-    return bytes(out)
+        yield (_FRAME.pack(len(term_bytes), len(payload),
+                           checksum(payload, algorithm))
+               + term_bytes + bytes(-len(term_bytes) % 8))
+        yield payload
 
 
 def scan_container(data, file: str = None) -> Tuple[str, List[BlockRef]]:

@@ -3,9 +3,10 @@
 `read_bytes` is the single chokepoint every `repro.diskdb` read goes
 through: chunked reads (so short-read faults are observable), optional
 `FaultInjector` wrapping, optional `RetryPolicy` healing, and byte
-counters.  `write_bytes` / `fsync_dir` are the building blocks of the
-atomic save protocol (write to a temp dir, fsync data, `os.replace`
-into place, fsync the directory, manifest last).
+counters.  `write_chunks` / `write_bytes` / `fsync_dir` are the building
+blocks of the atomic save protocol (stream to a temp dir, digesting as
+the bytes are written, fsync data, `os.replace` into place, fsync every
+directory that received a rename, manifest last).
 
 `map_bytes` is the zero-copy sibling: it memory-maps a file read-only
 and returns a `MappedFile` whose buffer the container loader hands to
@@ -24,9 +25,10 @@ from __future__ import annotations
 import mmap
 import os
 import threading
-from typing import Dict, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 from ..obs.account import active_account
+from .checksum import ALGORITHMS
 from .faults import FaultInjector
 from .retry import RetryPolicy
 
@@ -160,6 +162,24 @@ def write_bytes(path: str, data: bytes, fsync: bool = True) -> None:
         if fsync:
             handle.flush()
             os.fsync(handle.fileno())
+
+
+def write_chunks(path: str, chunks: Iterable, algorithm: str,
+                 fsync: bool = True) -> str:
+    """Write `chunks` (bytes-like pieces, in order) to `path`, optionally
+    fsync the file, and return the whole file's hex digest under
+    `algorithm` -- one running checksum continued over each piece as it
+    is written, so no piece is kept once it is on its way to disk."""
+    update = ALGORITHMS[algorithm]
+    value = 0
+    with open(path, "wb") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            value = update(chunk, value)
+        if fsync:
+            handle.flush()
+            os.fsync(handle.fileno())
+    return f"{value:08x}"
 
 
 def fsync_dir(path: str) -> None:

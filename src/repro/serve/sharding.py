@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from ..index.columnar import ColumnarPostings
 from ..xmltree.tree import XMLTree
 
@@ -70,19 +72,34 @@ def partition_columnar(postings_by_term: Dict[str, ColumnarPostings],
     absent from that shard's dict (which is what lets the front-end
     prune whole shards with an O(1) vocabulary test).
     """
+    owners = shard_owners(postings_by_term, tree, n_shards)
+    return [shard_postings(postings_by_term, owners, sid)
+            for sid in range(n_shards)]
+
+
+def shard_owners(postings_by_term: Dict[str, ColumnarPostings],
+                 tree: XMLTree, n_shards: int) -> Dict[str, np.ndarray]:
+    """Per term, the shard of each of its occurrences, in postings
+    order -- what `shard_postings` filters by."""
     level2_shard = subtree_shard_map(tree, n_shards)
-    shards: List[Dict[str, ColumnarPostings]] = [
-        {} for _ in range(n_shards)]
+    return {term: np.fromiter(
+                (0 if len(seq) == 1 else level2_shard[seq[1]]
+                 for seq in postings.seqs), np.int32, len(postings))
+            for term, postings in postings_by_term.items()}
+
+
+def shard_postings(postings_by_term: Dict[str, ColumnarPostings],
+                   owners: Dict[str, np.ndarray],
+                   sid: int) -> Dict[str, ColumnarPostings]:
+    """Shard `sid`'s filtered postings (one element of
+    `partition_columnar`), built alone so a writer can hold one shard's
+    postings at a time."""
+    part: Dict[str, ColumnarPostings] = {}
     for term, postings in postings_by_term.items():
-        scores = postings.scores
-        per_shard_seqs: List[List[tuple]] = [[] for _ in range(n_shards)]
-        per_shard_scores: List[List[float]] = [[] for _ in range(n_shards)]
-        for ordinal, seq in enumerate(postings.seqs):
-            sid = 0 if len(seq) == 1 else level2_shard[seq[1]]
-            per_shard_seqs[sid].append(seq)
-            per_shard_scores[sid].append(float(scores[ordinal]))
-        for sid in range(n_shards):
-            if per_shard_seqs[sid]:
-                shards[sid][term] = ColumnarPostings(
-                    term, per_shard_seqs[sid], per_shard_scores[sid])
-    return shards
+        ordinals = np.flatnonzero(owners[term] == sid)
+        if len(ordinals):
+            seqs = postings.seqs
+            part[term] = ColumnarPostings(
+                term, [seqs[i] for i in ordinals.tolist()],
+                postings.scores[ordinals])
+    return part

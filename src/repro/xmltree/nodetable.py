@@ -40,7 +40,7 @@ node or a walk that does not end.
 from __future__ import annotations
 
 import struct
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -505,9 +505,18 @@ class NodeTable:
 
     def to_bytes(self, text_off: Sequence[int], text_len: Sequence[int],
                  doc_bytes: int, algorithm: Optional[str] = None) -> bytes:
-        """Serialize the table with the given text references (the
-        spans `XMLTree.to_xml_bytes_with_text_spans` reports for the
-        document written beside it)."""
+        """Serialize the table with the given text references: the
+        join of `chunks`."""
+        return b"".join(self.chunks(text_off, text_len, doc_bytes,
+                                    algorithm))
+
+    def chunks(self, text_off: Sequence[int], text_len: Sequence[int],
+               doc_bytes: int, algorithm: Optional[str] = None
+               ) -> Iterator:
+        """The serialized table, piece by piece: the header, then each
+        section straight from the array the table holds, with the text
+        references given (the spans `repro.xmltree.tree.DocumentBytes`
+        reports for the document written beside it)."""
         if self._pending is not None:
             self._load()
         algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
@@ -518,26 +527,27 @@ class NodeTable:
             raise ValueError(
                 f"{len(text_off)} text references for {self.n_nodes} nodes "
                 "(the tree changed since freeze(); call refresh())")
-        columns = {"text_off": text_off, "text_len": text_len,
-                   "tags": "\n".join(self.tags).encode("utf-8")}
-        blobs = []
-        for name, dtype in _SECTIONS:
-            value = columns.get(name, getattr(self, name, None))
-            blobs.append(value if dtype is None else np.ascontiguousarray(
-                value, dtype=dtype).tobytes())
-        out = bytearray(_HEADER.pack(MAGIC, ALGORITHM_IDS[algorithm],
-                                     self.n_nodes, self.depth,
-                                     len(self.tags), doc_bytes))
+        given = {"text_off": text_off, "text_len": text_len}
+        sections = [
+            "\n".join(self.tags).encode("utf-8") if dtype is None
+            else memoryview(np.ascontiguousarray(
+                given.get(name, getattr(self, name, None)),
+                dtype=dtype)).cast("B")
+            for name, dtype in _SECTIONS]
+        header = bytearray(_HEADER.pack(MAGIC, ALGORITHM_IDS[algorithm],
+                                        self.n_nodes, self.depth,
+                                        len(self.tags), doc_bytes))
         cursor = _PREAMBLE
-        for blob in blobs:
-            out.extend(_SECTION.pack(cursor, len(blob),
-                                     checksum(blob, algorithm)))
+        for blob in sections:
+            header.extend(_SECTION.pack(cursor, len(blob),
+                                        checksum(blob, algorithm)))
             cursor = _align8(cursor + len(blob))
-        out.extend(_HEADER_CRC.pack(checksum(bytes(out), algorithm)))
-        for blob in blobs:
-            out.extend(blob)
-            out.extend(b"\x00" * (_align8(len(out)) - len(out)))
-        return bytes(out)
+        header.extend(_HEADER_CRC.pack(checksum(header, algorithm)))
+        yield bytes(header)
+        for blob in sections:
+            yield blob
+            if len(blob) % 8:
+                yield bytes(-len(blob) % 8)
 
 
 def _invalid(arrays, n: int, depth: int, n_tags: int,

@@ -15,7 +15,10 @@ its owning element (mixed content is concatenated).
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 Dewey = Tuple[int, ...]
 JDeweySeq = Tuple[int, ...]
@@ -101,9 +104,7 @@ class Node:
     def to_xml(self, indent: bool = False) -> str:
         """Serialize this node's subtree (the result fragment a keyword
         search returns to the user)."""
-        parts: List[str] = []
-        _serialize_node(self, parts, 0, indent)
-        return "".join(parts)
+        return "".join(_xml_parts(self, indent))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dewey = ".".join(map(str, self.dewey)) if self.dewey else "?"
@@ -174,52 +175,98 @@ class XMLTree:
         """Serialize back to XML text (used by tests and examples)."""
         return self.root.to_xml(indent)
 
-    def to_xml_bytes_with_text_spans(self) -> Tuple[bytes, List[int],
-                                                    List[int]]:
-        """`to_xml()` as UTF-8, plus where each node's text sits in it.
 
-        Returns ``(document, offsets, lengths)``: per node in document
-        order, the byte span of its escaped text inside `document`
-        (``0, 0`` for none) -- the text references the node table
-        stores, so a reader can fetch one node's text from the document
-        file without parsing it.
-        """
-        parts: List[str] = []
-        slots: List[int] = []
-        _serialize_node(self.root, parts, 0, False, slots)
-        encoded = [part.encode("utf-8") for part in parts]
-        starts = [0]
-        for blob in encoded:
-            starts.append(starts[-1] + len(blob))
-        offsets = [starts[slot] if slot >= 0 else 0 for slot in slots]
-        lengths = [len(encoded[slot]) if slot >= 0 else 0 for slot in slots]
-        return b"".join(encoded), offsets, lengths
+#: About how many bytes `DocumentBytes` gathers before it yields them.
+CHUNK_BYTES = 64 * 1024
 
 
-def _serialize_node(node: Node, parts: List[str], depth: int,
-                    indent: bool,
-                    text_slots: Optional[List[int]] = None) -> None:
-    """Append `node`'s subtree to `parts`.  With `text_slots`, also
-    record per node, in document order, the index in `parts` of its
-    escaped text (``-1`` for none)."""
-    pad = "  " * depth if indent else ""
+class DocumentBytes:
+    """A tree's `to_xml()` as UTF-8, in chunks of about `CHUNK_BYTES`.
+
+    Iterating yields the document.  Once it is exhausted, ``size`` is
+    the document's length and ``text_off`` / ``text_len`` (``int64``,
+    one entry per node in document order) are the byte span of each
+    node's escaped text inside it (``0, 0`` for none) -- the text
+    references the node table stores, so a reader can fetch one node's
+    text from the document file without parsing it.  Nothing but the
+    chunk being gathered and the two span arrays is held.
+    """
+
+    def __init__(self, tree: XMLTree):
+        self._root = tree.root
+        self.size = 0
+        self.text_off: Optional[np.ndarray] = None
+        self.text_len: Optional[np.ndarray] = None
+
+    def __iter__(self) -> Iterator[bytes]:
+        offsets, lengths = array("q"), array("q")
+        pending: List[str] = []
+        gathered = 0
+        self.size = 0
+        for part in _xml_parts(self._root, False, (offsets, lengths)):
+            pending.append(part)
+            gathered += len(part)
+            if gathered >= CHUNK_BYTES:
+                chunk = "".join(pending).encode("utf-8")
+                self.size += len(chunk)
+                yield chunk
+                pending.clear()
+                gathered = 0
+        chunk = "".join(pending).encode("utf-8")
+        self.size += len(chunk)
+        self.text_off = np.frombuffer(offsets, dtype=np.int64)
+        self.text_len = np.frombuffer(lengths, dtype=np.int64)
+        if chunk:
+            yield chunk
+
+
+def _utf8_len(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def _xml_parts(root: Node, indent: bool = False,
+               spans: Optional[Tuple[array, array]] = None
+               ) -> Iterator[str]:
+    """`root`'s subtree as XML text, part by part.
+
+    Iterative, so a chain of thousands of elements does not hit the
+    recursion limit.  With `spans`, also append to its two arrays, per
+    node in document order, the UTF-8 offset and length of the node's
+    escaped text within everything yielded (``0, 0`` for none)."""
     nl = "\n" if indent else ""
-    attrs = "".join(
-        f' {k}="{_escape_attr(v)}"' for k, v in node.attributes.items())
-    if text_slots is not None:
-        text_slots.append(len(parts) + 1 if node.text else -1)
-    if not node.children and not node.text:
-        parts.append(f"{pad}<{node.tag}{attrs}/>{nl}")
-        return
-    parts.append(f"{pad}<{node.tag}{attrs}>")
-    if node.text:
-        parts.append(_escape_text(node.text))
-    if node.children:
-        parts.append(nl)
-        for child in node.children:
-            _serialize_node(child, parts, depth + 1, indent, text_slots)
-        parts.append(pad)
-    parts.append(f"</{node.tag}>{nl}")
+    at = 0                            # UTF-8 bytes yielded so far
+    stack: List[Tuple[object, int]] = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth < 0:                 # a pending closing tag
+            at += _utf8_len(node)
+            yield node
+            continue
+        pad = "  " * depth if indent else ""
+        head = pad + "<" + node.tag + "".join(
+            f' {k}="{_escape_attr(v)}"' for k, v in node.attributes.items())
+        text = _escape_text(node.text) if node.text else ""
+        if node.children:
+            head += ">"
+            stack.append((pad + "</" + node.tag + ">" + nl, -1))
+            stack.extend((child, depth + 1)
+                         for child in reversed(node.children))
+        elif text:
+            head += ">"
+            stack.append(("</" + node.tag + ">" + nl, -1))
+        else:
+            head += "/>" + nl
+        at += _utf8_len(head)
+        if spans is not None:
+            spans[0].append(at if text else 0)
+            spans[1].append(_utf8_len(text))
+        yield head
+        if text:
+            at += _utf8_len(text)
+            yield text
+        if node.children and nl:
+            at += 1
+            yield nl
 
 
 def _escape_text(text: str) -> str:

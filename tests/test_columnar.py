@@ -94,6 +94,26 @@ class TestColumns:
         postings = index.term_postings("xml")
         assert postings.column(2) is postings.column(2)
 
+    def test_columns_and_level_values_match_the_sequences(self, dblp_db):
+        """The vectorized derivation against the per-row loop over the
+        sequences; `level_values` yields the same arrays and caches no
+        column."""
+        source = dblp_db.columnar_index
+        for term in source.vocabulary[::7]:
+            seqs = source.term_postings(term).seqs
+            postings = ColumnarPostings(term, seqs, [0.0] * len(seqs))
+            streamed = list(postings.level_values())
+            assert postings._columns == {}
+            assert len(streamed) == postings.max_len
+            for level in range(1, postings.max_len + 1):
+                rows = [i for i, seq in enumerate(postings.seqs)
+                        if len(seq) >= level]
+                expected = [postings.seqs[i][level - 1] for i in rows]
+                column = postings.column(level)
+                assert column.values.tolist() == expected
+                assert column.seq_idx.tolist() == rows
+                assert streamed[level - 1].tolist() == expected
+
     def test_root_column_single_distinct(self, index):
         col = index.term_postings("xml").column(1)
         assert col.n_distinct == 1

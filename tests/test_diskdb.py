@@ -328,3 +328,174 @@ class TestLegacyV1:
             load_database(path)
         with pytest.raises(DatabaseFormatError):
             load_database(path, verify="off", lazy=True)
+
+
+def _answers(db):
+    return [(r.node.dewey, round(r.score, 12))
+            for query in ("w00000 w00001", "author00000 w00002")
+            for r in db.search(query)]
+
+
+def _tree_listing(path):
+    """Every file (relative path) and every subdirectory under `path`."""
+    files, dirs = set(), set()
+    for root, subdirs, names in os.walk(path):
+        rel = os.path.relpath(root, path)
+        dirs.update(os.path.normpath(os.path.join(rel, d)) for d in subdirs)
+        files.update(os.path.normpath(os.path.join(rel, n)) for n in names)
+    return files, dirs
+
+
+class TestStreamingSave:
+    """The save streams each file into its staged copy, digests it as
+    it is written and keeps nothing: the bytes on disk are the ones the
+    whole-buffer writer produced."""
+
+    #: meta.json's digests for ``generate_dblp(seed=1, n_papers=300)``,
+    #: as written when every file was first assembled whole in memory.
+    PINNED = {
+        ("crc32", None): {"columnar.bin": "e855819f",
+                          "dewey.bin": "662138fd",
+                          "document.xml": "d2b4099f"},
+        ("crc32", 2): {"dewey.bin": "662138fd",
+                       "document.xml": "d2b4099f",
+                       "shard-00/columnar.bin": "5f6eb184",
+                       "shard-01/columnar.bin": "0b38062f"},
+        ("crc32c", None): {"columnar.bin": "59cb1bf6",
+                           "dewey.bin": "4a7ab3f6",
+                           "document.xml": "ad7a7e9a"},
+        ("crc32c", 2): {"dewey.bin": "4a7ab3f6",
+                        "document.xml": "ad7a7e9a",
+                        "shard-00/columnar.bin": "b765a6d0",
+                        "shard-01/columnar.bin": "4db017c0"},
+    }
+
+    @pytest.fixture(scope="class")
+    def corpus_db(self):
+        return XMLDatabase.generate_dblp(seed=1, n_papers=300)
+
+    @pytest.mark.parametrize("algorithm,shards", sorted(
+        PINNED, key=lambda k: (k[0], k[1] or 0)))
+    def test_digests_are_pinned(self, tmp_path, corpus_db, algorithm,
+                                shards):
+        path = str(tmp_path / "db")
+        save_database(corpus_db, path, algorithm=algorithm, fsync=False,
+                      shards=shards)
+        with open(os.path.join(path, "meta.json")) as fh:
+            files = json.load(fh)["checksum"]["files"]
+        pinned = {name.replace("/", os.sep): digest for name, digest
+                  in self.PINNED[algorithm, shards].items()}
+        assert files == pinned
+        from repro.reliability.checksum import hex_digest
+        for name, digest in files.items():
+            with open(os.path.join(path, name), "rb") as fh:
+                assert hex_digest(fh.read(), algorithm) == digest
+
+    def test_save_peaks_small_and_caches_no_column(self, tmp_path):
+        import tracemalloc
+
+        db = XMLDatabase.generate_dblp(seed=3, n_papers=2000)
+        columnar = db.columnar_index
+        before = {t: dict(columnar.term_postings(t)._columns)
+                  for t in columnar.vocabulary}
+        save_database(db, str(tmp_path / "warm"), fsync=False)
+        tracemalloc.start()
+        try:
+            save_database(db, str(tmp_path / "db"), fsync=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+        assert {t: dict(columnar.term_postings(t)._columns)
+                for t in columnar.vocabulary} == before
+
+    def test_writer_failing_midway_keeps_old_database(
+            self, tmp_path, corpus_db, monkeypatch):
+        from repro.index import storage
+
+        path = str(tmp_path / "db")
+        save_database(corpus_db, path, fsync=False)
+        expected = _answers(load_database(path))
+        real = storage.serialize_columnar_payload
+        calls = []
+
+        def failing(postings, *args, **kwargs):
+            calls.append(postings.term)
+            if len(calls) == 25:
+                raise OSError("disk full")
+            return real(postings, *args, **kwargs)
+
+        monkeypatch.setattr(storage, "serialize_columnar_payload", failing)
+        other = XMLDatabase.generate_dblp(seed=2, n_papers=300)
+        with pytest.raises(OSError, match="disk full"):
+            save_database(other, path, fsync=False)
+        assert len(calls) == 25
+        assert _answers(load_database(path)) == expected
+        assert not [name for name in os.listdir(tmp_path)
+                    if ".tmp-" in name]
+
+    def test_every_renamed_into_directory_is_synced_before_the_manifest(
+            self, tmp_path, corpus_db, monkeypatch):
+        import repro.diskdb as diskdb
+
+        events = []
+        real_replace, real_sync = os.replace, diskdb.fsync_dir
+
+        def replace(src, dst):
+            events.append(("replace", os.path.normpath(dst)))
+            real_replace(src, dst)
+
+        def sync(directory):
+            events.append(("fsync", os.path.normpath(directory)))
+            real_sync(directory)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(diskdb, "fsync_dir", sync)
+        path = str(tmp_path / "db")
+        save_database(corpus_db, path, shards=2)
+        meta = os.path.normpath(os.path.join(path, "meta.json"))
+        commit = events.index(("replace", meta))
+        renames = [(i, target) for i, (kind, target) in enumerate(events)
+                   if kind == "replace" and target != meta]
+        assert len(renames) == 4
+        for i, target in renames:
+            assert ("fsync", os.path.dirname(target)) in events[i:commit]
+        assert {os.path.dirname(t) for _, t in renames} == {
+            os.path.normpath(path),
+            os.path.normpath(os.path.join(path, "shard-00")),
+            os.path.normpath(os.path.join(path, "shard-01"))}
+
+    def test_a_new_layout_removes_the_old_layouts_containers(
+            self, tmp_path, corpus_db):
+        path = str(tmp_path / "db")
+        expected = _answers(corpus_db)
+        for shards in (None, 3, 2, None):
+            save_database(corpus_db, path, fsync=False, shards=shards)
+            with open(os.path.join(path, "meta.json")) as fh:
+                listed = set(json.load(fh)["checksum"]["files"])
+            files, dirs = _tree_listing(path)
+            assert files == {os.path.normpath(n) for n in listed} \
+                | {"meta.json"}
+            assert dirs == {os.path.dirname(os.path.normpath(n))
+                            for n in listed} - {""}
+            assert _answers(load_database(path)) == expected
+
+    def test_an_opened_sharded_database_is_refused_with_the_way_back(
+            self, tmp_path, corpus_db):
+        path = str(tmp_path / "db")
+        save_database(corpus_db, path, fsync=False, shards=2)
+        with pytest.raises(TypeError) as err:
+            save_database(load_database(path), str(tmp_path / "again"))
+        assert "repro index <dir>/document.xml <new-dir> --shards N" \
+            in str(err.value)
+
+    def test_an_opened_database_resaves_identically(self, tmp_path,
+                                                    corpus_db):
+        first, second = str(tmp_path / "a"), str(tmp_path / "b")
+        save_database(corpus_db, first, fsync=False)
+        save_database(load_database(first), second, fsync=False)
+        for name in ("document.xml", "dewey.bin", "columnar.bin",
+                     "meta.json"):
+            with open(os.path.join(first, name), "rb") as a, \
+                    open(os.path.join(second, name), "rb") as b:
+                assert a.read() == b.read(), name

@@ -225,6 +225,9 @@ REMOVED_NAMES = (
     "serialize_columnar_index_v3", "serialize_columnar_index_v4",
     "deserialize_columnar_index_v3", "deserialize_columnar_index_v4",
     "serialize_columnar_postings_v3", "serialize_columnar_postings_v4",
+    # the whole-document serializer: a save streams the document
+    # (`repro.xmltree.tree.DocumentBytes`)
+    "to_xml_bytes_with_text_spans",
     "scan_v3_container", "scan_v4_container",
     "parse_v3_payload", "parse_v4_payload", "parse_lazy_postings",
     "check_legacy_dewey", "codec_matrix_ci",
@@ -361,6 +364,7 @@ class TestDocumentedCommands:
         import repro.obs.account
         import repro.planner.plans
         import repro.serve.sharding
+        import repro.xmltree.tree
 
         for name in REMOVED_NAMES:
             if name.isidentifier():
@@ -374,6 +378,7 @@ class TestDocumentedCommands:
                               repro.planner.plans,
                               repro.planner.plans.JoinPlanner,
                               repro.serve.sharding,
+                              repro.xmltree.tree.XMLTree,
                               repro.algorithms.hybrid.HybridTopKSearch,
                               repro.obs, ServeDaemon, repro.cli):
                     assert not hasattr(owner, name), (owner, name)
