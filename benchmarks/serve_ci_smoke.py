@@ -1,9 +1,10 @@
 """CI smoke for the `repro serve` daemon (the `serve` workflow job).
 
-Builds a sharded index via the CLI, starts the real daemon process,
-fires a mixed concurrent workload (cold + warm + overloaded + bad
-requests) from threaded HTTP clients, then scrapes ``/metrics`` and
-asserts the serving invariants:
+Builds a sharded index via the CLI and runs the real daemon process in
+two phases.  The inline phase (``--workers 0``) fires a mixed
+concurrent workload (cold + warm + overloaded + bad requests) from
+threaded HTTP clients, then scrapes ``/metrics`` and asserts the
+serving invariants:
 
 * admission / deadline / latency instruments are all present,
 * the workload produced requests and at least one cache-driven rerun,
@@ -14,11 +15,17 @@ asserts the serving invariants:
 * the daemon left its observability trail: one access-log JSONL record
   per request (shed/timed-out ones included), retained stitched traces
   behind ``/debug/traces``, and trace-id exemplars on the latency
-  histogram.
+  histogram,
+* SIGTERM drains it and the process exits 0.
 
-The daemon evaluates inline (``--workers 0``), which calls no shard
-and so exports no per-shard instruments; the fork-pool path is the
-chaos smoke's.  The access log (``access-log-ci.jsonl``) and trace log
+An inline daemon calls no shard and so exports no per-shard
+instruments.  The pooled phase (``--workers 1``) takes a shard
+worker's pid from the access log, SIGKILLs it, and asserts that the
+next request still answers 200 with ``degraded: false`` (the pool was
+rebuilt and the request retried on it), that
+``repro_pool_rebuilds_total`` reads at least 1, that ``/healthz`` is
+back to ``ok`` and that SIGTERM again exits 0.  The inline phase's
+access log (``access-log-ci.jsonl``) and trace log
 (``trace-log-ci.jsonl``) are written to the working directory so the
 CI job can upload them as artifacts.  Exits non-zero (with the
 offending metric text) on any violation::
@@ -30,6 +37,7 @@ import http.client
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -44,6 +52,7 @@ QUERIES = ["w00000 w00001", "author00000", "w00002 w00000",
            "w00001 author00001", "w00003"]
 ACCESS_LOG = "access-log-ci.jsonl"
 TRACE_LOG = "trace-log-ci.jsonl"
+POOL_QUERY = "/topk?q=w00000+author00000&k=5"
 
 
 def wait_healthy(timeout_s: float = 30.0) -> None:
@@ -147,6 +156,50 @@ def gauge_value(text: str, name: str) -> float:
     return float(match.group(1))
 
 
+def stop(daemon: subprocess.Popen) -> None:
+    """SIGTERM the daemon and require the drained exit status 0."""
+    daemon.terminate()
+    code = daemon.wait(timeout=30)
+    assert code == 0, f"daemon exited {code} on SIGTERM"
+
+
+def rebuilds_total(text: str) -> float:
+    return sum(float(value) for value in re.findall(
+        r"^repro_pool_rebuilds_total\{[^}]*\} ([0-9.eE+-]+)$", text, re.M))
+
+
+def pooled_phase(db_dir: str, env: dict, tmp: str) -> float:
+    """A ``--workers 1`` daemon heals a SIGKILLed shard worker: the next
+    request is retried on the rebuilt pool and answers exactly."""
+    access_log = os.path.join(tmp, "pool-access.jsonl")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", db_dir,
+         "--port", str(PORT), "--workers", "1",
+         "--result-cache-size", "0", "--access-log", access_log],
+        env=env)
+    try:
+        wait_healthy()
+        before = fetch_json(POOL_QUERY)
+        assert before["results"] and before["degraded"] is False, before
+        shards = read_jsonl(access_log)[-1]["shards"]
+        pid = next(entry["pid"] for entry in shards if entry.get("pid"))
+        os.kill(pid, signal.SIGKILL)
+        after = fetch_json(POOL_QUERY)
+        assert after["degraded"] is False, after
+        assert after["results"] == before["results"], \
+            "the retried request answered differently"
+        rebuilds = rebuilds_total(scrape_metrics())
+        assert rebuilds >= 1, "a killed worker was not rebuilt"
+        health = fetch_json("/healthz")
+        assert health["status"] == "ok", health
+    except BaseException:
+        daemon.kill()
+        daemon.wait(timeout=30)
+        raise
+    stop(daemon)
+    return rebuilds
+
+
 def main() -> int:
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", "src")
@@ -171,9 +224,12 @@ def main() -> int:
             outcome = fire_workload()
             text = scrape_metrics()
             traces = fetch_json("/debug/traces?limit=10")
-        finally:
-            daemon.terminate()
+        except BaseException:
+            daemon.kill()
             daemon.wait(timeout=30)
+            raise
+        stop(daemon)
+        rebuilds = pooled_phase(db_dir, env, tmp)
 
     statuses = outcome["statuses"]
     assert statuses, "workload produced no responses"
@@ -228,7 +284,8 @@ def main() -> int:
           f"({statuses.count(200)} ok, {statuses.count(429)} shed, "
           f"{statuses.count(504)} deadline); "
           f"{len(records)} access records, {traces['retained']} traces "
-          f"retained")
+          f"retained; pooled daemon healed a killed worker "
+          f"({rebuilds:.0f} rebuild(s))")
     return 0
 
 

@@ -179,8 +179,8 @@ class ResultSet(SequenceABC):
         return cls(table, rows, scores, witness)
 
     def payload(self) -> List[Dict[str, object]]:
-        """The JSON rows the daemon sends and captures digest; Dewey ids
-        and tags come from the table in bulk."""
+        """The JSON rows the daemon sends; Dewey ids and tags come from
+        the table in bulk."""
         table, rows = self.table, self.rows
         return [{"dewey": list(dewey), "tag": tag, "level": level,
                  "score": score, "witnesses": witnesses}

@@ -9,10 +9,7 @@
     python -m repro serve-batch mydb/ queries.txt -k 10
     python -m repro index bib.xml mydb/ --shards 4   # sharded store
     python -m repro serve mydb/ --workers 2          # HTTP daemon
-    python -m repro serve mydb/ --capture workload.jsonl
-    python -m repro replay workload.jsonl mydb/ --fail-on-mismatch
     python -m repro doctor mydb/ --check
-    python -m repro chaos mydb/ --spec kill=0.05,latency=0.2
     python -m repro info mydb/
     python -m repro trace mydb/ "xml data" --out trace.jsonl
     python -m repro trace --from-log access.jsonl --trace-id abc123
@@ -202,16 +199,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 1
     else:
         db = ShardedDatabase.from_database(db, args.shards or 1)
-    from .serve import BreakerConfig, ChaosInjector
+    from .serve import BreakerConfig
 
-    chaos = None
-    if args.chaos:
-        if args.workers < 1:
-            print("error: --chaos needs --workers >= 1 (faults are "
-                  "injected into shard worker processes)",
-                  file=sys.stderr)
-            return 1
-        chaos = ChaosInjector.from_spec(args.chaos)
     serve(db, host=args.host, port=args.port, workers=args.workers,
           max_concurrency=args.max_concurrency,
           queue_limit=args.queue_limit,
@@ -222,13 +211,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
           trace_log_path=args.trace_log,
           slow_ms=args.slow_ms,
           retry_attempts=args.retry_attempts,
-          hedge_ms=args.hedge_ms,
           breaker=BreakerConfig(
               consecutive_failures=args.breaker_failures,
               open_ms=args.breaker_open_ms),
-          drain_grace_ms=args.drain_grace_ms,
-          chaos=chaos,
-          capture_path=args.capture)
+          drain_grace_ms=args.drain_grace_ms)
     return 0
 
 
@@ -241,8 +227,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
             f"no such database directory: {args.database} "
             "(repro doctor reads saved directories, not raw XML)")
     argv = [args.database, "--heavy", str(args.heavy)]
-    if args.workload:
-        argv += ["--workload", args.workload]
     if args.no_codecs:
         argv.append("--no-codecs")
     if args.json:
@@ -258,67 +242,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         if args.max_term_share is not None:
             argv += ["--max-term-share", str(args.max_term_share)]
     return doctor_main(argv)
-
-
-def cmd_replay(args: argparse.Namespace) -> int:
-    """Re-drive a captured workload and diff the outcome."""
-    from .serve.replay import main as replay_main
-
-    for path in (args.workload, args.database):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"no such file or directory: {path}")
-    argv = [args.workload, args.database, "--mode", args.mode,
-            "--speed", str(args.speed)]
-    if args.limit is not None:
-        argv += ["--limit", str(args.limit)]
-    if args.against:
-        argv += ["--against", args.against]
-    if args.out:
-        argv += ["--out", args.out]
-    if args.json:
-        argv.append("--json")
-    if args.fail_on_mismatch:
-        argv.append("--fail-on-mismatch")
-    return replay_main(argv)
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Seeded chaos drive: boot a fault-injected daemon, hammer it,
-    wait for it to heal, and grade the run against the self-healing
-    invariants (availability, bounded degraded responses, deadline
-    ceiling, every killed pool rebuilt).  Exit 1 on any violation.
-    """
-    import json
-
-    from .serve import (ChaosInjector, ShardedDatabase,
-                        format_chaos_report, run_chaos_drive,
-                        sample_queries)
-
-    if args.workers < 1:
-        print("error: chaos needs --workers >= 1 (faults are injected "
-              "into shard worker processes)", file=sys.stderr)
-        return 1
-    db = _load(args.database, "lazy")
-    if not isinstance(db, ShardedDatabase):
-        db = ShardedDatabase.from_database(db, args.shards or 2)
-    spec = args.spec
-    if args.seed is not None:
-        parts = [p for p in spec.split(",")
-                 if p.strip() and not p.strip().startswith("seed=")]
-        spec = ",".join(parts + [f"seed={args.seed}"])
-    chaos = ChaosInjector.from_spec(spec)
-    queries = sample_queries(db, seed=chaos.seed)
-    report = run_chaos_drive(
-        db, chaos, queries, workers=args.workers, k=args.k,
-        requests=args.requests, clients=args.clients,
-        timeout_ms=args.timeout_ms,
-        availability_target=args.availability_target)
-    print(format_chaos_report(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.json}")
-    return 0 if report["ok"] else 1
 
 
 def _print_format_info(path: str) -> None:
@@ -605,10 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-attempts", type=int, default=2,
                    help="per-shard attempts for transient failures "
                         "(crashed worker, corrupt reply); 1 disables")
-    p.add_argument("--hedge-ms", type=float, default=None,
-                   help="fire a duplicate shard request after this "
-                        "many ms without a reply (tail hedging; off "
-                        "by default)")
     p.add_argument("--breaker-failures", type=int, default=3,
                    help="consecutive shard failures that open its "
                         "circuit breaker")
@@ -618,25 +537,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drain-grace-ms", type=float, default=5000.0,
                    help="SIGTERM drain: wait this long for in-flight "
                         "requests before stopping the pools")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="fault-injection schedule, e.g. "
-                        "'kill=0.02,latency=0.1,latency-ms=50,"
-                        "error=0.05,byte=0.01,seed=3' (requires "
-                        "--workers >= 1; see docs/RELIABILITY.md)")
-    p.add_argument("--capture", default=None, metavar="PATH",
-                   help="record every answered query (terms, k, arrival "
-                        "offset, result digest, resource account) as a "
-                        "replayable JSONL workload")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("doctor",
                        help="index analytics: per-term size "
                             "distribution, compression ratios, shard "
-                            "skew, cache-efficiency estimates")
+                            "skew")
     p.add_argument("database", help="saved database directory")
-    p.add_argument("--workload", default=None, metavar="JSONL",
-                   help="captured workload (`serve --capture`) for the "
-                        "cache-efficiency estimate")
     p.add_argument("--heavy", type=int, default=10,
                    help="heavy-hitter terms to list")
     p.add_argument("--no-codecs", action="store_true",
@@ -653,60 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-term-share", type=float, default=None,
                    help="max single-term share of total postings bytes")
     p.set_defaults(fn=cmd_doctor)
-
-    p = sub.add_parser("replay",
-                       help="re-drive a captured workload against a "
-                            "database and diff digests, latency and "
-                            "resource accounts")
-    p.add_argument("workload", help="repro.workload/v1 JSONL from "
-                                    "`repro serve --capture`")
-    p.add_argument("database", help="database directory to replay "
-                                    "against")
-    p.add_argument("--mode", choices=("closed", "open"), default="closed",
-                   help="closed-loop back-to-back (default) or "
-                        "open-loop at the recorded arrival offsets")
-    p.add_argument("--speed", type=float, default=1.0,
-                   help="open-loop arrival-rate multiplier")
-    p.add_argument("--limit", type=int, default=None,
-                   help="replay only the first N queries")
-    p.add_argument("--against", default=None, metavar="REPORT_JSON",
-                   help="diff against a prior replay report instead of "
-                        "the capture")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the replay report JSON here")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--fail-on-mismatch", action="store_true",
-                   help="exit 1 on any digest mismatch or grown "
-                        "resource total")
-    p.set_defaults(fn=cmd_replay)
-
-    p = sub.add_parser("chaos",
-                       help="seeded chaos drive against an in-process "
-                            "daemon: kill workers, inject faults, "
-                            "assert availability and healing SLOs")
-    p.add_argument("database", help="database directory or XML file")
-    p.add_argument("--spec", default="kill=0.05,latency=0.15,"
-                                     "latency-ms=40,error=0.05,byte=0.02",
-                   help="fault mix, same syntax as `serve --chaos`")
-    p.add_argument("--seed", type=int, default=None,
-                   help="chaos schedule seed (overrides seed= in --spec)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="re-partition an unsharded database in memory")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes per shard (must be >= 1)")
-    p.add_argument("--requests", type=int, default=200,
-                   help="requests to drive through the fault schedule")
-    p.add_argument("--clients", type=int, default=4,
-                   help="concurrent keep-alive client connections")
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--timeout-ms", type=float, default=1500.0,
-                   help="per-request deadline during the drive")
-    p.add_argument("--availability-target", type=float, default=0.99,
-                   help="minimum accepted-request availability "
-                        "(429 sheds excluded)")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the full chaos report here as JSON")
-    p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser("info", help="database statistics and index sizes")
     p.add_argument("database")

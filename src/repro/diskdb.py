@@ -128,6 +128,78 @@ def require_current_format(path: str, version) -> None:
             f"{os.path.join(path, _DOCUMENT)} <new-dir>")
 
 
+def read_meta(path: str, injector: Optional[FaultInjector] = None,
+              retry: Optional[RetryPolicy] = None) -> dict:
+    """``meta.json`` of a database directory, parsed and checked for
+    the shape its readers index into.
+
+    Counts and the tokenizer config come back converted (``n_nodes``
+    an ``int``, ``stopwords`` a ``list``, ...); ``checksum`` is always
+    a dict of an algorithm name (or None) and a ``files`` dict of hex
+    digests, and ``shards`` is None or a dict whose ``dirs`` list
+    matches its ``count``.  Raises `DatabaseFormatError` when the file
+    is missing, does not parse, names another format version or has a
+    field of the wrong shape, and `DatabaseCorruptError` when reading
+    it exhausts `retry` (`injector` and `retry` are `load_database`'s).
+    """
+    meta_path = os.path.join(path, _META)
+    if not os.path.exists(meta_path):
+        raise DatabaseFormatError(f"{path!r} has no {_META} "
+                                  "(incomplete or not a database)")
+    try:
+        raw = read_bytes(meta_path, injector=injector, retry=retry,
+                         op="read-meta")
+    except RetryExhaustedError as exc:
+        raise DatabaseCorruptError(
+            f"could not read {_META}: {exc}", file=_META) from exc
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatabaseFormatError(
+            f"{_META} does not parse ({exc}); interrupted save?") from exc
+    if not isinstance(meta, dict):
+        raise DatabaseFormatError(
+            f"{_META} holds a JSON {type(meta).__name__}, not an object")
+    require_current_format(path, meta.get("format_version"))
+
+    def expect(value, kind, name):
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} is a {type(value).__name__}")
+        return value
+
+    # Check every field up-front so a mangled manifest surfaces as one
+    # typed error instead of a raw KeyError/TypeError deep in a reader.
+    try:
+        manifest = expect(meta.get("checksum", {}), dict, "checksum")
+        algorithm = manifest.get("algorithm")
+        digests = expect(manifest.get("files", {}), dict, "checksum.files")
+        for name, digest in digests.items():
+            expect(digest, str, f"checksum.files[{name!r}]")
+        meta["checksum"] = {
+            "algorithm": (None if algorithm is None
+                          else expect(algorithm, str, "checksum.algorithm")),
+            "files": digests}
+        for key, cast in (("n_nodes", int), ("n_docs", int),
+                          ("jdewey_gap", int), ("damping_base", float)):
+            meta[key] = cast(meta[key])
+        tokenizer = expect(meta["tokenizer"], dict, "tokenizer")
+        expect(tokenizer["stopwords"], list, "tokenizer.stopwords")
+        tokenizer["min_length"] = int(tokenizer["min_length"])
+        shards = meta.get("shards")
+        if shards is not None:
+            expect(shards, dict, "shards")
+            dirs = [str(d) for d in expect(shards["dirs"], list,
+                                           "shards.dirs")]
+            if not dirs or int(shards["count"]) != len(dirs):
+                raise ValueError(f"shard count {shards['count']!r} with "
+                                 f"{len(dirs)} directories")
+            shards["dirs"] = dirs
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatabaseFormatError(
+            f"{_META} is missing or has an invalid field: {exc!r}") from exc
+    return meta
+
+
 def _view(source):
     """The buffer of what `map_bytes` returned: a `MappedFile`'s view (which
     keeps the mapping alive), or the bytes an injector degraded it to."""
@@ -357,9 +429,10 @@ def load_database(path: str,
     The returned database holds its mappings for its lifetime; column
     decompression and node lookups run on zero-copy views of them.
 
-    Raises `DatabaseFormatError` on missing files, a directory written
-    in an earlier format (the message names its version and the way
-    to rebuild it), or a document that no longer matches the stored
+    Raises `DatabaseFormatError` on missing files, a ``meta.json``
+    that `read_meta` refuses, a directory written in an earlier format
+    (the message names its version and the way to rebuild it), or a
+    document that no longer matches the stored
     indexes, and
     `DatabaseCorruptError` (a subclass) when bytes fail their checksum
     or do not parse.
@@ -385,40 +458,11 @@ def load_database(path: str,
             raise DatabaseCorruptError(
                 f"could not read {name}: {exc}", file=name) from exc
 
-    meta_path = os.path.join(path, _META)
-    if not os.path.exists(meta_path):
-        raise DatabaseFormatError(f"{path!r} has no {_META} "
-                                  "(incomplete or not a database)")
-    try:
-        meta = json.loads(read_file(_META, "read-meta").decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatabaseFormatError(
-            f"{_META} does not parse ({exc}); interrupted save?") from exc
-    require_current_format(path, meta.get("format_version"))
-    # Pull every field up-front so a mangled manifest surfaces as one
-    # typed error instead of a raw KeyError/TypeError deep in the load.
-    try:
-        manifest = meta.get("checksum", {})
-        algorithm = manifest.get("algorithm")
-        digests = manifest.get("files", {})
-        n_nodes = int(meta["n_nodes"])
-        n_docs = int(meta["n_docs"])
-        jdewey_gap = int(meta["jdewey_gap"])
-        damping_base = float(meta["damping_base"])
-        tokenizer_cfg = meta["tokenizer"]
-        stopwords = list(tokenizer_cfg["stopwords"])
-        min_length = int(tokenizer_cfg["min_length"])
-        shards_meta = meta.get("shards")
-        shard_dirs = None
-        if shards_meta is not None:
-            shard_dirs = [str(d) for d in shards_meta["dirs"]]
-            if not shard_dirs or int(shards_meta["count"]) != len(shard_dirs):
-                raise ValueError(
-                    f"shard count {shards_meta['count']!r} with "
-                    f"{len(shard_dirs)} directories")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatabaseFormatError(
-            f"{_META} is missing or has an invalid field: {exc!r}") from exc
+    meta = read_meta(path, injector=injector, retry=retry)
+    algorithm = meta["checksum"]["algorithm"]
+    digests = meta["checksum"]["files"]
+    n_nodes, n_docs = meta["n_nodes"], meta["n_docs"]
+    shards_meta = meta.get("shards")
     if verify != "off" and algorithm not in ALGORITHMS:
         raise DatabaseFormatError(
             f"manifest names unknown checksum algorithm {algorithm!r}")
@@ -479,9 +523,11 @@ def load_database(path: str,
         open_document()
 
     try:
-        tokenizer = Tokenizer(stopwords=stopwords, min_length=min_length)
+        tokenizer = Tokenizer(stopwords=meta["tokenizer"]["stopwords"],
+                              min_length=meta["tokenizer"]["min_length"])
         if ranking is None:
-            ranking = RankingModel(damping=DampingFunction(damping_base))
+            ranking = RankingModel(
+                damping=DampingFunction(meta["damping_base"]))
     except (TypeError, ValueError) as exc:
         raise DatabaseFormatError(
             f"{_META} carries an invalid configuration: {exc}") from exc
@@ -492,7 +538,8 @@ def load_database(path: str,
         deferred document."""
         try:
             db = XMLDatabase(None, tokenizer=tokenizer,
-                             ranking=ranking, jdewey_gap=jdewey_gap,
+                             ranking=ranking,
+                             jdewey_gap=meta["jdewey_gap"],
                              cache=db_cache,
                              result_cache_size=result_cache_size,
                              **db_kwargs)
@@ -514,7 +561,7 @@ def load_database(path: str,
             _verify_consistency(db)
         return db
 
-    if shard_dirs is None:
+    if shards_meta is None:
         return make_db(cache, _COLUMNAR)
     from .serve.merge import ShardedDatabase
 
@@ -523,7 +570,7 @@ def load_database(path: str,
     # answers to shard B.
     return ShardedDatabase(
         None, [make_db(None, os.path.join(shard_dir, _COLUMNAR))
-               for shard_dir in shard_dirs],
+               for shard_dir in shards_meta["dirs"]],
         manifest=shards_meta)
 
 

@@ -292,13 +292,13 @@ class AccessLog:
         {"wall_time", "trace_id", "endpoint", "terms", "semantics",
          "k", "status", "outcome", "cached", "queue_wait_ms",
          "elapsed_ms", "result_count", "partial", "bound",
-         "degraded", "chaos",
+         "degraded", "account",
          "shards": [{"shard", "elapsed_ms", "retrievals", "emitted",
                      "partial"}]}
 
     ``degraded`` marks 200s served from a reduced shard set (with a
-    conservative bound); ``chaos`` lists the fault kinds the chaos
-    harness injected into the request, when any.
+    conservative bound); ``account`` is the request's merged
+    `ResourceAccount` breakdown, when it evaluated anything.
 
     Every request that reached query handling is logged -- including
     shed 429s and timed-out 504s, whose records carry their status and
@@ -308,7 +308,7 @@ class AccessLog:
     FIELDS = ("wall_time", "trace_id", "endpoint", "terms", "semantics",
               "k", "status", "outcome", "cached", "queue_wait_ms",
               "elapsed_ms", "result_count", "partial", "bound",
-              "degraded", "chaos", "account", "shards")
+              "degraded", "account", "shards")
 
     def __init__(self, capacity: int = 1024, path: Optional[str] = None):
         self.path = path

@@ -3,10 +3,7 @@
 Reads the on-disk containers directly (no query engine, no index
 objects): per-term postings sizes from the container framing, per-level
 and per-codec compressed-vs-raw ratios from the per-term payloads,
-shard skew from the ``shard-NN/`` layout, and -- given a captured
-workload (``--workload``, `repro.serve.capture` JSONL) -- a
-cache-efficiency estimate that says how much of the workload's postings
-traffic a warm postings cache could absorb.
+and shard skew from the ``shard-NN/`` layout.
 
 The report answers the operational questions the serving PRs keep
 running into:
@@ -15,8 +12,7 @@ running into:
   will always be slow);
 * whether compression is pulling its weight per level and per codec;
 * whether the shard partitioning is balanced (a skewed shard bounds
-  the scatter's p99);
-* whether a postings cache is worth its memory for a real workload.
+  the scatter's p99).
 
 ``--check`` turns thresholds (max shard byte-skew, max single-term
 index share) into exit codes, so CI can gate on index health the same
@@ -142,15 +138,16 @@ def _shard_dirs(path: str, meta: Dict[str, Any]) -> List[Tuple[str, str]]:
     return [("", path)]
 
 
-def doctor_report(path: str, workload: Optional[str] = None,
-                  heavy: int = 10, codecs: bool = True) -> Dict[str, Any]:
-    """Build the full analytics report for a database directory."""
-    meta_path = os.path.join(path, "meta.json")
-    with open(meta_path, "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    from ..diskdb import require_current_format
+def doctor_report(path: str, heavy: int = 10,
+                  codecs: bool = True) -> Dict[str, Any]:
+    """Build the full analytics report for a database directory.
 
-    require_current_format(path, meta.get("format_version"))
+    Raises `DatabaseFormatError` when `repro.diskdb.read_meta` refuses
+    the directory's ``meta.json``.
+    """
+    from ..diskdb import read_meta
+
+    meta = read_meta(path)
     report: Dict[str, Any] = {
         "schema": DOCTOR_SCHEMA,
         "db": path,
@@ -160,7 +157,6 @@ def doctor_report(path: str, workload: Optional[str] = None,
     shard_entries: List[Dict[str, Any]] = []
     all_refs = []
     containers = []
-    term_sizes: Dict[str, int] = {}
     for label, shard_dir in _shard_dirs(path, meta):
         columnar = os.path.join(shard_dir, "columnar.bin")
         data, refs = _scan_columnar(columnar)
@@ -172,8 +168,6 @@ def doctor_report(path: str, workload: Optional[str] = None,
                                      os.path.getsize(columnar)}
         shard_entries.append(entry)
         all_refs.extend(refs)
-        for ref in refs:
-            term_sizes[ref.term] = term_sizes.get(ref.term, 0) + ref.length
         containers.append((data, refs))
     if codecs:
         report["compression"] = _codec_level_stats(containers)
@@ -199,49 +193,7 @@ def doctor_report(path: str, workload: Optional[str] = None,
         report["shards"] = {"count": len(shard_entries),
                             "per_shard": shard_entries,
                             "term_skew": 1.0, "byte_skew": 1.0}
-    if workload:
-        report["cache"] = _cache_estimate(workload, term_sizes)
     return report
-
-
-def _cache_estimate(workload_path: str,
-                    term_sizes: Dict[str, int]) -> Dict[str, Any]:
-    """Infinite-cache upper bound on what a postings cache saves.
-
-    Every term fetch after the first is a potential hit; the bytes
-    saved are that term's compressed postings size per avoided fetch.
-    An upper bound, not a simulation -- it says whether a cache *can*
-    help this workload, and how much memory the working set needs.
-    """
-    from ..serve.capture import read_workload
-
-    _header, entries = read_workload(workload_path)
-    fetches = 0
-    freq: Dict[str, int] = {}
-    for entry in entries:
-        for term in entry.get("terms") or []:
-            fetches += 1
-            freq[term] = freq.get(term, 0) + 1
-    unique = len(freq)
-    saved = sum((count - 1) * term_sizes.get(term, 0)
-                for term, count in freq.items())
-    paid = sum(term_sizes.get(term, 0) for term in freq)
-    hot = sorted(freq.items(),
-                 key=lambda kv: (-(kv[1] - 1) * term_sizes.get(kv[0], 0),
-                                 kv[0]))[:10]
-    return {
-        "workload": workload_path,
-        "queries": len(entries),
-        "term_fetches": fetches,
-        "unique_terms": unique,
-        "max_hit_ratio": ((fetches - unique) / fetches if fetches else 0.0),
-        "working_set_bytes": paid,
-        "max_bytes_saved": saved,
-        "hot_terms": [{
-            "term": term, "fetches": count,
-            "bytes_saved": (count - 1) * term_sizes.get(term, 0),
-        } for term, count in hot],
-    }
 
 
 def run_checks(report: Dict[str, Any],
@@ -310,17 +262,6 @@ def format_doctor_report(report: Dict[str, Any]) -> str:
         for entry in shards["per_shard"]:
             lines.append(f"    {entry['dir']}: {entry['terms']} terms, "
                          f"{entry['postings_bytes']}B postings")
-    cache = report.get("cache")
-    if cache:
-        lines.append(
-            f"  cache (from {cache['workload']}): "
-            f"{cache['queries']} queries, {cache['term_fetches']} term "
-            f"fetches, max hit ratio {cache['max_hit_ratio']:.1%}, "
-            f"working set {cache['working_set_bytes']}B, "
-            f"up to {cache['max_bytes_saved']}B saved")
-        for hot in cache["hot_terms"][:5]:
-            lines.append(f"    hot: {hot['term']!r} x{hot['fetches']} "
-                         f"({hot['bytes_saved']}B saved)")
     return "\n".join(lines)
 
 
@@ -329,9 +270,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro doctor",
         description="index analytics for a saved database directory")
     parser.add_argument("db", help="database directory")
-    parser.add_argument("--workload", metavar="JSONL",
-                        help="captured workload for the cache-efficiency "
-                             "estimate")
     parser.add_argument("--heavy", type=int, default=10,
                         help="heavy hitters to list (default 10)")
     parser.add_argument("--no-codecs", action="store_true",
@@ -350,8 +288,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="max single-term share of postings bytes")
     args = parser.parse_args(argv)
 
-    report = doctor_report(args.db, workload=args.workload,
-                           heavy=args.heavy, codecs=not args.no_codecs)
+    report = doctor_report(args.db, heavy=args.heavy,
+                           codecs=not args.no_codecs)
     failures: List[str] = []
     if args.check:
         failures = run_checks(

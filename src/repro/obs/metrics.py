@@ -3,9 +3,9 @@
 A `MetricsRegistry` is a thread-safe, label-aware instrument store.
 The serve daemon publishes into it -- request outcomes, rejections,
 queue wait, latency, queue depth, in-flight requests and per-shard
-latency -- and so do its supervisor (pool rebuilds) and the chaos
-harness (injected faults); ``GET /metrics`` serves it through
-`render_prometheus`, the Prometheus text exposition format.  The
+latency -- and so does its supervisor (pool rebuilds); ``GET
+/metrics`` serves it through `render_prometheus`, the Prometheus text
+exposition format.  The
 library itself publishes nothing: a query's time and work are on its
 `ExecutionStats`.
 

@@ -1,4 +1,4 @@
-"""Fault injection for disk I/O (test and chaos harness).
+"""Fault injection for disk I/O (the disk fault matrix).
 
 A `FaultInjector` decides, per read call, whether to misbehave and how;
 `FaultyFile` applies the decision to a real file handle.  Four fault

@@ -19,14 +19,11 @@ from .merge import RootInfo, ShardedDatabase, compute_root_info, merge_root
 from .daemon import AdmissionError, ServeDaemon, serve
 from .supervisor import (BreakerConfig, BreakerOpenError, CircuitBreaker,
                          ShardSupervisor)
-from .chaos import (ChaosInjector, format_chaos_report, run_chaos_drive,
-                    sample_queries)
 
 __all__ = [
     "partition_columnar", "shard_of_dewey",
     "subtree_shard_map", "RootInfo", "ShardedDatabase",
     "compute_root_info", "merge_root", "AdmissionError", "ServeDaemon",
     "serve", "BreakerConfig", "BreakerOpenError", "CircuitBreaker",
-    "ShardSupervisor", "ChaosInjector", "format_chaos_report",
-    "run_chaos_drive", "sample_queries",
+    "ShardSupervisor",
 ]

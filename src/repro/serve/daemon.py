@@ -36,12 +36,11 @@ The scatter is wrapped in a **self-healing layer** (see
 * one `CircuitBreaker` per shard skips a sick shard outright
   (closed/open/half-open, consecutive-failure + error-rate trips,
   seeded-jitter backoff probes) instead of burning the deadline on it;
-* transient shard failures (worker crash, injected fault, corrupt
+* transient shard failures (worker crash, shard I/O error, corrupt
   payload) get bounded **in-deadline retries** with
-  `RetryPolicy`-shaped backoff, and optionally a **hedged** duplicate
-  call after ``hedge_ms`` for tail stragglers -- every attempt
-  re-issues `Deadline.to_wire`, so backoff and hedging debit the
-  budget exactly like queue wait does;
+  `RetryPolicy`-shaped backoff -- every attempt re-issues
+  `Deadline.to_wire`, so backoff debits the budget exactly like queue
+  wait does;
 * a degraded response is an honest partial: skipped shards contribute
   a conservative ``bound`` (max possible score of any result they
   could hold), the merge keeps only results above it, and the body is
@@ -52,7 +51,9 @@ Endpoints: ``GET /search`` (complete, document order), ``GET /topk``
 when *all* shards are down), ``GET /stats``, ``GET /metrics``
 (Prometheus text), ``POST /cache/clear``.  Query parameters:
 ``q`` (required), ``semantics`` (elca|slca), ``k`` (topk only),
-``timeout_ms``, ``partial`` (0|1).
+``timeout_ms``, ``partial`` (0|1); a blank parameter counts as absent.
+A request may not carry a body: the daemon refuses a declared body
+over `MAX_BODY_BYTES` with 413 before reading it.
 """
 
 from __future__ import annotations
@@ -74,11 +75,9 @@ from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.slowlog import SlowQueryLog
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..reliability.deadline import Deadline
-from ..reliability.errors import (DeadlineExceeded, InjectedFault,
-                                  ShardPayloadError, WorkerCrashError)
+from ..reliability.errors import (DeadlineExceeded, ShardPayloadError,
+                                  WorkerCrashError)
 from ..reliability.retry import RetryPolicy
-from .capture import WorkloadCapture, result_digest
-from .chaos import BYTE_FAULT, ChaosInjector, apply_worker_fault, corrupt_wire
 from .merge import ShardedDatabase, gather
 from .supervisor import BreakerConfig, BreakerOpenError, ShardSupervisor
 
@@ -87,6 +86,10 @@ from .supervisor import BreakerConfig, BreakerOpenError, ShardSupervisor
 #: created -- fork happens lazily on first submit, and a worker that
 #: forked before the dict was full would serve the wrong world.
 _SERVE_DBS: Dict[int, object] = {}
+
+#: The largest request body the daemon will read and discard.  No route
+#: takes a body, so anything larger is refused with 413 unread.
+MAX_BODY_BYTES = 64 * 1024
 
 
 def _json(body: Any) -> bytes:
@@ -101,19 +104,15 @@ class _Answer(NamedTuple):
     `fragment` is the answer half of the body -- ``"results": ...,
     "partial": ..., "bound": ..., "degraded": ...`` -- encoded once, when
     the miss is answered; a hit never serializes its results again.
-    `result_count` and `digest` are what a hit's bookkeeping reads; the
-    digest is computed only while a ``--capture`` sink is open.
+    `result_count` is what a hit's bookkeeping reads.
     """
 
     fragment: bytes
     result_count: int
-    digest: Optional[str]
 
     @classmethod
-    def encode(cls, payload: dict, with_digest: bool) -> "_Answer":
-        results = payload["results"]
-        return cls(_json(payload)[1:-1], len(results),
-                   result_digest(results) if with_digest else None)
+    def encode(cls, payload: dict) -> "_Answer":
+        return cls(_json(payload)[1:-1], len(payload["results"]))
 
     def body(self, **tail: Any) -> bytes:
         """The response: ``json.dumps(dict(payload, **tail))``, byte
@@ -163,7 +162,7 @@ def _serve_shard(payload):
     the span tree travels back in the 7th (sidecar) slot together with
     the retrieval counters.
     """
-    sid, terms, semantics, k, wire, ctx_wire, fault = payload
+    sid, terms, semantics, k, wire, ctx_wire = payload
     db = _SERVE_DBS.get(sid)
     if db is None:  # pragma: no cover - misuse guard
         return sid, None, False, None, 0.0, RuntimeError(
@@ -174,7 +173,6 @@ def _serve_shard(payload):
     tracer = Tracer() if ctx is not None and ctx.sampled else NULL_TRACER
     start = time.perf_counter()
     try:
-        deferred = apply_worker_fault(fault)
         tags = {} if k is None else {"k": k}
         with tracer.span("shard_query", shard=sid, terms=list(terms),
                          **tags, pid=os.getpid(),
@@ -195,8 +193,6 @@ def _serve_shard(payload):
                       levels=stats.levels_processed,
                       partial=stats.partial)
         reply = results.below_root().to_wire()
-        if deferred == BYTE_FAULT:
-            reply = corrupt_wire(reply)
         elapsed = (time.perf_counter() - start) * 1000.0
         return (sid, reply, partial, bound, elapsed, None,
                 _shard_extra(tracer, stats))
@@ -220,8 +216,7 @@ class _RequestObs:
     own instead of sharing tracer state."""
 
     __slots__ = ("shards", "scatter_ms", "merge_ms", "fanout", "mode",
-                 "faults", "retries", "hedges", "degraded_shards",
-                 "account")
+                 "retries", "degraded_shards", "account")
 
     def __init__(self):
         self.shards: List[Dict[str, Any]] = []
@@ -229,9 +224,7 @@ class _RequestObs:
         self.merge_ms = 0.0
         self.fanout = 0
         self.mode = "inline"
-        self.faults: List[str] = []     # chaos kinds injected this request
         self.retries = 0
-        self.hedges = 0
         self.degraded_shards: List[int] = []
         # merged per-shard `ResourceAccount.as_dict` breakdown
         self.account: Optional[Dict[str, Any]] = None
@@ -273,10 +266,7 @@ class ServeDaemon:
                  breaker: Optional[BreakerConfig] = None,
                  retry_attempts: int = 2,
                  retry_backoff_ms: float = 10.0,
-                 hedge_ms: Optional[float] = None,
-                 chaos: Optional[ChaosInjector] = None,
-                 drain_grace_ms: float = 5000.0,
-                 capture_path: Optional[str] = None):
+                 drain_grace_ms: float = 5000.0):
         self.db = db
         self.host = host
         self.port = port
@@ -293,10 +283,6 @@ class ServeDaemon:
         if slow_log is None and slow_ms is not None:
             slow_log = SlowQueryLog(threshold_ms=slow_ms)
         self.slow_log = slow_log
-        self.capture = None
-        if capture_path:
-            self.capture = WorkloadCapture(capture_path, meta={
-                "shards": db.n_shards, "workers": self.workers})
         self._sem: Optional[asyncio.Semaphore] = None
         self._waiting = 0
         self._inflight_count = 0
@@ -309,14 +295,6 @@ class ServeDaemon:
         self.retry_policy = RetryPolicy(
             max_attempts=max(1, int(retry_attempts)),
             backoff_ms=retry_backoff_ms)
-        self.hedge_ms = hedge_ms
-        self.chaos = chaos
-        if chaos is not None and self.workers < 1:
-            raise ValueError("--chaos needs worker pools (workers >= 1); "
-                             "inline evaluation has no shard boundary to "
-                             "inject into")
-        if chaos is not None and chaos.metrics is None:
-            chaos.metrics = self.metrics
         self.drain_grace_ms = drain_grace_ms
         self.supervisor = ShardSupervisor(
             db.n_shards, self.workers,
@@ -442,53 +420,18 @@ class ServeDaemon:
         per_term = [idx.term_postings(term).max_score() for term in terms]
         return float(self.db.ranking.combiner.upper_bound(per_term))
 
-    async def _submit_once(self, fn, sid: int, make_payload, fault,
-                           obs: _RequestObs):
-        """One pool submission, optionally hedged: if the primary has
-        not answered within ``hedge_ms``, fire a clean duplicate on the
-        same pool and take whichever finishes first (safe: shard
-        queries are read-only).  The loser is left to finish and its
-        result discarded."""
-        pool = self.supervisor.pool(sid)
-        if pool is None:
-            raise WorkerCrashError(
-                f"shard {sid} pool is {self.supervisor.pool_state(sid)}",
-                shard=sid)
-        loop = asyncio.get_running_loop()
-        primary = loop.run_in_executor(pool, fn, make_payload(sid, fault))
-        if self.hedge_ms is None:
-            return await primary
-        try:
-            return await asyncio.wait_for(asyncio.shield(primary),
-                                          self.hedge_ms / 1000.0)
-        except asyncio.TimeoutError:
-            pass
-        obs.hedges += 1
-        hedge = loop.run_in_executor(pool, fn, make_payload(sid, None))
-        done, pending = await asyncio.wait({primary, hedge},
-                                           return_when=asyncio.FIRST_COMPLETED)
-        for straggler in pending:
-            # consume the loser's eventual result/exception silently
-            straggler.add_done_callback(
-                lambda f: f.exception() if not f.cancelled() else None)
-        for winner in done:
-            if winner.exception() is None:
-                return winner.result()
-        return (primary if primary in done else next(iter(done))).result()
-
     async def _call_shard(self, fn, sid: int, make_payload,
                           deadline: Optional[Deadline], obs: _RequestObs,
                           n_terms: int) -> Tuple:
         """One shard's supervised slice of the scatter: breaker gate,
-        chaos decision, bounded in-deadline retries, pool healing.
+        bounded in-deadline retries, pool healing.
 
         Always returns the worker outcome 7-tuple, its reply rebuilt as
         a validated `ResultSet` over the parent's node table -- a
-        corrupt reply (chaos byte-fault, or a real serialization bug)
-        is the typed, retryable `ShardPayloadError`, never merged; a
-        shard that could not answer returns with the typed error in
-        slot 5 (the merge degrades it), plus a bookkeeping dict for
-        ``obs.shards``.
+        corrupt reply is the typed, retryable `ShardPayloadError`,
+        never merged; a shard that could not answer returns with the
+        typed error in slot 5 (the merge degrades it), plus a
+        bookkeeping dict for ``obs.shards``.
         """
         entry: Dict[str, Any] = {"shard": sid}
         started = time.perf_counter()
@@ -509,18 +452,15 @@ class ServeDaemon:
                 last_exc = last_exc or DeadlineExceeded(
                     "budget expired before shard dispatch")
                 break
-            fault = None
-            if self.chaos is not None:
-                fault = self.chaos.next_fault(sid)
-                if fault is not None:
-                    chaos_fault = (fault, self.chaos.latency_ms)
-                    obs.faults.append(fault)
-                    entry.setdefault("faults", []).append(fault)
-                    fault = chaos_fault
             exc: Optional[BaseException] = None
             try:
-                outcome = await self._submit_once(fn, sid, make_payload,
-                                                  fault, obs)
+                pool = self.supervisor.pool(sid)
+                if pool is None:
+                    raise WorkerCrashError(
+                        f"shard {sid} pool is "
+                        f"{self.supervisor.pool_state(sid)}", shard=sid)
+                outcome = await asyncio.get_running_loop().run_in_executor(
+                    pool, fn, make_payload(sid))
             except BrokenExecutor:
                 try:
                     self.supervisor.note_pool_broken(sid)
@@ -601,9 +541,8 @@ class ServeDaemon:
                 if isinstance(exc, DeadlineExceeded):
                     if first_deadline is None:
                         first_deadline = exc
-                elif isinstance(exc, (WorkerCrashError, InjectedFault,
-                                      ShardPayloadError, BreakerOpenError,
-                                      OSError)):
+                elif isinstance(exc, (WorkerCrashError, ShardPayloadError,
+                                      BreakerOpenError, OSError)):
                     entry["degraded"] = True
                     obs.degraded_shards.append(sid)
                 elif first_fatal is None:
@@ -646,12 +585,12 @@ class ServeDaemon:
                                  None)
         ctx_wire = ctx.child("scatter").to_wire()
 
-        def make_payload(sid, fault):
+        def make_payload(sid):
             # A fresh wire per attempt: the *remaining* budget travels,
-            # so retry backoff and hedge delay debit the deadline the
-            # same way queue wait already does.
+            # so retry backoff debits the deadline the same way queue
+            # wait already does.
             wire = deadline.to_wire() if deadline is not None else None
-            return (sid, terms, semantics, k, wire, ctx_wire, fault)
+            return (sid, terms, semantics, k, wire, ctx_wire)
 
         shard_ids = [sid for sid, shard in enumerate(db.shards)
                      if all(t in shard.columnar_index for t in terms)]
@@ -728,8 +667,6 @@ class ServeDaemon:
                 extra["degraded_shards"] = list(obs.degraded_shards)
             if obs.retries:
                 extra["retries"] = obs.retries
-            if obs.hedges:
-                extra["hedges"] = obs.hedges
             trace = stitch_trace(
                 trace_id, endpoint, terms, semantics, k, status,
                 outcome, elapsed_ms, queue_wait_ms, shards=obs.shards,
@@ -760,9 +697,7 @@ class ServeDaemon:
                 outcome=outcome, cached=cached,
                 queue_wait_ms=queue_wait_ms, elapsed_ms=elapsed_ms,
                 result_count=result_count, partial=partial, bound=bound,
-                degraded=degraded,
-                chaos=(list(obs.faults) if obs.faults else None),
-                account=obs.account,
+                degraded=degraded, account=obs.account,
                 shards=[{key: value for key, value in shard.items()
                          if key != "trace"} for shard in obs.shards])
             if status == 200:
@@ -804,7 +739,7 @@ class ServeDaemon:
                 return bad_request("timeout_ms must be a number >= 0")
         partial_ok = self.default_partial
         if "partial" in params:
-            partial_ok = params["partial"] not in ("0", "false", "")
+            partial_ok = params["partial"] not in ("0", "false")
         # The budget starts *now*, at admission -- queue wait spends it.
         deadline = Deadline.coerce(None, timeout_ms,
                                    "partial" if partial_ok else "raise")
@@ -828,10 +763,6 @@ class ServeDaemon:
             trace_id, elapsed_ms = finish(
                 200, "ok", terms, semantics, k, cached=True,
                 result_count=answer.result_count)
-            if self.capture is not None:
-                self.capture.record_digest(
-                    endpoint, terms, semantics, k, answer.digest,
-                    answer.result_count, elapsed_ms, cached=True)
             return 200, answer.body(terms=terms, semantics=semantics,
                                     cached=True, elapsed_ms=elapsed_ms,
                                     trace_id=trace_id)
@@ -890,8 +821,7 @@ class ServeDaemon:
                    else "partial" if partial else "ok")
         self.metrics.counter("repro_serve_requests_total",
                              {"outcome": outcome}).inc()
-        answer = _Answer.encode(payload,
-                                with_digest=self.capture is not None)
+        answer = _Answer.encode(payload)
         self.cache.put_results(cache_key, answer, partial=partial)
         trace_id, elapsed_ms = finish(
             200, outcome, terms, semantics, k,
@@ -899,11 +829,6 @@ class ServeDaemon:
             result_count=answer.result_count,
             partial=partial, bound=payload["bound"],
             degraded=degraded)
-        if self.capture is not None:
-            self.capture.record_digest(
-                endpoint, terms, semantics, k, answer.digest,
-                answer.result_count, elapsed_ms,
-                partial=partial or degraded, account=obs.account)
         return 200, answer.body(terms=terms, semantics=semantics,
                                 cached=False, elapsed_ms=elapsed_ms,
                                 trace_id=trace_id)
@@ -957,9 +882,6 @@ class ServeDaemon:
                 },
                 "supervision": {
                     "retry_attempts": self.retry_policy.max_attempts,
-                    "hedge_ms": self.hedge_ms,
-                    "chaos": (self.chaos.describe()
-                              if self.chaos is not None else None),
                     "shards": self.supervisor.health(),
                     "pool_rebuilds": sum(self.supervisor.rebuilds),
                     "breaker_trips": sum(
@@ -1036,22 +958,34 @@ class ServeDaemon:
                     length = int(headers.get("content-length", "0") or 0)
                 except ValueError:
                     length = -1
+                # A body that is not read leaves the next request's
+                # start unknowable: answer and close.
+                unread = not 0 <= length <= MAX_BODY_BYTES
                 if length < 0:
-                    # Where the next request starts is unknowable: answer
-                    # and close.
                     status, ctype, body = 400, "application/json", \
                         _json({"error": {
                             "type": "bad_request",
                             "message": "Content-Length must be an "
                                        "integer >= 0"}})
+                elif unread:
+                    status, ctype, body = 413, "application/json", \
+                        _json({"error": {
+                            "type": "payload_too_large",
+                            "message": f"request body of {length} bytes; "
+                                       f"the limit is {MAX_BODY_BYTES}"}})
                 else:
                     if length:
-                        await reader.readexactly(length)
+                        try:
+                            await reader.readexactly(length)
+                        except (asyncio.IncompleteReadError,
+                                ConnectionError, asyncio.CancelledError):
+                            return  # hung up mid-body, as in the head
                     status, ctype, body = await self._dispatch(method, path)
                 close = (headers.get("connection", "").lower() == "close"
-                         or self._draining or length < 0)
+                         or self._draining or unread)
                 reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                           405: "Method Not Allowed",
+                          413: "Payload Too Large",
                           429: "Too Many Requests", 500: "Internal "
                           "Server Error", 503: "Service Unavailable",
                           504: "Gateway Timeout"}.get(
@@ -1114,8 +1048,6 @@ class ServeDaemon:
         if leftover:
             await asyncio.gather(*leftover, return_exceptions=True)
         self._stop_pools()
-        if self.capture is not None:
-            self.capture.close()
         self._shutdown.set()
 
     async def run(self, ready=None) -> None:

@@ -132,6 +132,30 @@ class TestMetaFuzz:
                     load_database(clean_dir)
 
 
+    @pytest.mark.parametrize("reshape", [
+        lambda meta: [], lambda meta: None, lambda meta: 3,
+        lambda meta: dict(meta, checksum=[]),
+        lambda meta: dict(meta, checksum={"files": []}),
+        lambda meta: dict(meta, checksum=dict(meta["checksum"],
+                                              algorithm=[])),
+        lambda meta: dict(meta, checksum=dict(
+            meta["checksum"], files={_DEWEY: 3})),
+        lambda meta: dict(meta, shards="x"),
+        lambda meta: dict(meta, shards={"count": 1, "dirs": "shard-00"}),
+        lambda meta: dict(meta, tokenizer=[]),
+    ], ids=["list", "null", "number", "checksum-list", "files-list",
+            "algorithm-list", "digest-number", "shards-string",
+            "dirs-string", "tokenizer-list"])
+    @pytest.mark.parametrize("verify", ["eager", "off"])
+    def test_wrong_shapes_are_typed(self, clean_dir, reshape, verify):
+        """JSON that parses but is not the manifest's shape."""
+        with _Mutant(clean_dir, _META) as mutant:
+            meta = json.loads(mutant.original)
+            mutant.write(json.dumps(reshape(meta)).encode("utf-8"))
+            with pytest.raises(DatabaseFormatError):
+                load_database(clean_dir, verify=verify)
+
+
 class TestLazyPerBlock:
     """verify="lazy": the columnar file's whole-file pass is skipped;
     per-block CRCs catch the damage on first touch and name the term."""

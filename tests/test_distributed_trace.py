@@ -381,3 +381,33 @@ class TestLogFiles:
                         + '{"status": 20',  # a dying daemon's last write
                         encoding="utf-8")
         assert read_jsonl(str(path)) == [{"status": 200}]
+
+
+# ---------------------------------------------------------------------------
+# the resource account in the access log
+# ---------------------------------------------------------------------------
+
+class TestAccessLogAccount:
+    def test_fields_include_account(self):
+        from repro.obs.distributed import AccessLog
+
+        assert "account" in AccessLog.FIELDS
+
+    def test_daemon_records_account_in_access_log(self, tmp_path,
+                                                  small_db):
+        sharded = ShardedDatabase.from_database(small_db, 2)
+        log_path = str(tmp_path / "access.jsonl")
+        daemon = ServeDaemon(sharded, workers=0,
+                             access_log_path=log_path)
+
+        async def go():
+            await daemon.start()
+            status, _, _ = await daemon._dispatch(
+                "GET", "/topk?q=xml+data&k=5")
+            assert status == 200
+            await daemon.stop()
+
+        asyncio.run(go())
+        records = [json.loads(line)
+                   for line in open(log_path, encoding="utf-8")]
+        assert any("account" in r and r["account"] for r in records)

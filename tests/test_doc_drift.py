@@ -15,16 +15,17 @@ on a row for code that is gone.
 Removed names: the options, environment variable and functions that
 went with the four-format storage stack, the library's own batch
 pools, the phase profiler, the hybrid's plan switch, the parts the
-ledger found no consumer for, the metric families nothing read and the
-paper tables' second and third instruments must not come back into a
-doc, the CI workflow or the skill (see `REMOVED_NAMES`).
+ledger found no consumer for, the metric families nothing read, the
+paper tables' second and third instruments, and the daemon's fault
+injector, workload capture/replay and tail hedge must not come back
+into a doc, the CI workflow or the skill (see `REMOVED_NAMES`).
 
 The test drives an inline daemon (with accounting, tracing, caching
 and a disk-backed sharded database), scrapes `/metrics`, extracts the
 family names from the `# TYPE` exposition lines, and greps the doc.  A
 new metric added without a doc row fails here by name; so does one
-emitted only on a path the drive does not take (worker pools, chaos),
-through the scan of the ``src/`` call sites.
+emitted only on a path the drive does not take (worker pools), through
+the scan of the ``src/`` call sites.
 """
 
 import argparse
@@ -162,7 +163,7 @@ def test_every_metric_row_says_what_reads_it():
     its reader -- a family nothing reads is removed, not kept with
     "none"."""
     rows = _metric_rows()
-    assert len(rows) >= 9, "scan found nothing"
+    assert len(rows) >= 8, "scan found nothing"
     for families, reader in rows:
         assert reader and not reader.lower().startswith("none"), \
             f"metric row with no reader named: {families}"
@@ -308,6 +309,21 @@ REMOVED_NAMES = (
     "alternative_of", "stats.audit", "plan.audit", "audit=", "shadow=",
     "analyze=", "estimator=", "est=", "repro audit", "--analyze",
     "--shadow", "--policy", "--sample-size", "--fail-on-misprediction",
+    # the daemon's fault injector, its workload capture/replay pair and
+    # its off-by-default tail hedge: nothing outside them consumed them
+    # (tests/test_self_healing.py injects real faults from the test side)
+    "repro.serve.chaos", "serve/chaos.py", "ChaosInjector",
+    "run_chaos_drive", "format_chaos_report", "sample_queries",
+    "apply_worker_fault", "corrupt_wire", "CHAOS_KINDS", "WORKER_KILL",
+    "SHARD_LATENCY", "BYTE_FAULT", "repro chaos", "--chaos",
+    "chaos_ci_smoke.py", "repro_chaos_injected_total",
+    "repro.serve.capture", "serve/capture.py", "WorkloadCapture",
+    "WORKLOAD_SCHEMA", "repro.workload/v1", "read_workload",
+    "result_digest", "record_digest", "with_digest", "capture_path",
+    "--capture", "repro.serve.replay", "serve/replay.py", "run_replay",
+    "format_replay_report", "repro replay", "--fail-on-mismatch",
+    "_cache_estimate", "max_hit_ratio", "doctor_report(workload",
+    "hedge_ms", "--hedge-ms", "_submit_once",
 )
 
 
@@ -362,7 +378,9 @@ class TestDocumentedCommands:
         import repro.index.storage
         import repro.obs
         import repro.obs.account
+        import repro.obs.doctor
         import repro.planner.plans
+        import repro.serve
         import repro.serve.sharding
         import repro.xmltree.tree
 
@@ -380,7 +398,9 @@ class TestDocumentedCommands:
                               repro.serve.sharding,
                               repro.xmltree.tree.XMLTree,
                               repro.algorithms.hybrid.HybridTopKSearch,
-                              repro.obs, ServeDaemon, repro.cli):
+                              repro.obs, repro.obs.doctor,
+                              repro.serve, repro.serve.daemon,
+                              ServeDaemon, repro.cli):
                     assert not hasattr(owner, name), (owner, name)
 
     def test_hybrid_row_names_no_estimator(self):
@@ -406,6 +426,18 @@ class TestDocumentedCommands:
                      os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
                  if re.search(r"switch_factor|plan_trace",
                               open(path, encoding="utf-8").read())]
+        assert not found, found
+
+    def test_fault_capture_and_hedge_names_stay_out_of_src(self):
+        """The daemon serves queries and nothing else: no source file
+        names the fault injector, workload capture/replay or the tail
+        hedge."""
+        pattern = (r"ChaosInjector|WorkloadCapture|result_digest|"
+                   r"run_replay|hedge_ms|--chaos|--capture|--hedge-ms|"
+                   r"serve\.chaos|serve\.capture|serve\.replay")
+        found = [os.path.relpath(path, ROOT) for path in glob.glob(
+                     os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+                 if re.search(pattern, open(path, encoding="utf-8").read())]
         assert not found, found
 
     def test_estimator_and_audit_names_stay_out_of_src(self):
@@ -440,7 +472,7 @@ class TestDocumentedCommands:
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         verbs = _mentions(VERB_RE)
-        assert "serve" in verbs and "replay" in verbs, "scan found nothing"
+        assert "serve" in verbs and "doctor" in verbs, "scan found nothing"
         missing = {verb: rel for verb, rel in verbs.items()
                    if verb not in sub.choices}
         assert not missing, f"docs name CLI verbs that are gone: {missing}"

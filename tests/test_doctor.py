@@ -8,7 +8,6 @@ import pytest
 from repro.diskdb import save_database
 from repro.obs.doctor import (DOCTOR_SCHEMA, doctor_report,
                               format_doctor_report, run_checks)
-from repro.serve.capture import WorkloadCapture
 
 
 @pytest.fixture
@@ -80,24 +79,6 @@ class TestDoctorReport:
                    ["postings"]["heavy_hitters"]}
         assert set(sharded) == set(whole)
 
-    def test_cache_estimate_from_workload(self, tmp_path, flat_dir):
-        workload = str(tmp_path / "w.jsonl")
-        capture = WorkloadCapture(workload)
-        for _ in range(3):
-            capture.record("topk", ["xml", "data"], "elca", 5, [],
-                           elapsed_ms=1.0)
-        capture.record("topk", ["keyword"], "elca", 5, [],
-                       elapsed_ms=1.0)
-        capture.close()
-        cache = doctor_report(flat_dir, workload=workload)["cache"]
-        assert cache["queries"] == 4
-        assert cache["term_fetches"] == 7
-        assert cache["unique_terms"] == 3
-        assert cache["max_hit_ratio"] == pytest.approx(4 / 7)
-        assert cache["max_bytes_saved"] > 0
-        assert cache["working_set_bytes"] > 0
-        assert cache["hot_terms"][0]["fetches"] == 3
-
     def test_format_renders(self, sharded_dir):
         text = format_doctor_report(doctor_report(sharded_dir))
         assert "postings:" in text
@@ -150,6 +131,21 @@ class TestDoctorCLI:
         assert main(["doctor", sharded_dir, "--check",
                      "--max-shard-byte-skew", "0.5"]) == 1
         assert "byte skew" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("meta", [
+        b'{"format_version": 5, "n_no',         # torn mid-write
+        b"[]", b"null", b"3",
+        b'{"format_version": 5, "shards": "x"}',
+    ])
+    def test_unusable_meta_exits_4(self, sharded_dir, meta, capsys):
+        """A torn or wrong-shaped ``meta.json`` is "database corrupt",
+        not the skew gate's 1 and not a traceback."""
+        from repro.cli import EXIT_CORRUPT, main
+
+        with open(os.path.join(sharded_dir, "meta.json"), "wb") as fh:
+            fh.write(meta)
+        assert main(["doctor", sharded_dir, "--check"]) == EXIT_CORRUPT
+        assert "meta.json" in capsys.readouterr().err
 
     def test_missing_database_exits_3(self, capsys):
         from repro.cli import EXIT_MISSING, main

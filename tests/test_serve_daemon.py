@@ -13,6 +13,7 @@ import asyncio
 import http.client
 import json
 import re
+import socket
 import threading
 import time
 import types
@@ -24,7 +25,7 @@ from repro.algorithms.topk_keyword import TopKKeywordSearch
 from repro.obs import MetricsRegistry
 from repro.reliability import Deadline
 from repro.serve import AdmissionError, ServeDaemon, ShardedDatabase
-from repro.serve.chaos import SHARD_LATENCY, ChaosInjector
+from repro.serve.daemon import MAX_BODY_BYTES
 
 
 class DaemonHarness:
@@ -158,6 +159,50 @@ class TestEndpoints:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("declared, sent, status", [
+        (400_000_000, 1024, 413),   # over the limit: refused unread
+        (MAX_BODY_BYTES + 1, 0, 413),
+        (100, 3, None),             # hung up three bytes into the body
+    ])
+    def test_a_body_over_the_limit_or_cut_short_never_escapes(
+            self, harness, declared, sent, status):
+        """A body the daemon will not read is a 413 and a closed
+        connection, answered before the body arrives; a client that
+        hangs up mid-body is a hang-up.  Neither reaches the loop's
+        exception handler."""
+        errors = []
+        loop = harness.loop
+        loop.set_exception_handler(lambda _loop, context:
+                                   errors.append(context))
+        try:
+            with socket.create_connection(
+                    ("127.0.0.1", harness.daemon.port), timeout=30) as sock:
+                sock.sendall(b"GET /topk?q=alpha&k=3 HTTP/1.1\r\n"
+                             b"Host: x\r\nContent-Length: %d\r\n\r\n"
+                             % declared + b"x" * sent)
+                if status is None:
+                    sock.shutdown(socket.SHUT_WR)
+                reply = b""
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    reply += chunk
+            if status is None:
+                assert reply == b""
+            else:
+                head, _sep, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 413 Payload Too Large")
+                assert b"Connection: close" in head
+                assert json.loads(body)["error"]["type"] == \
+                    "payload_too_large"
+            # let the connection task finish on the loop
+            asyncio.run_coroutine_threadsafe(asyncio.sleep(0.05),
+                                             loop).result(10)
+        finally:
+            loop.set_exception_handler(None)
+        assert errors == []
+
     @pytest.mark.parametrize("workers", (0, 1))
     def test_no_terms_answers_like_the_flat_database(self, sharded, dblp_db,
                                                      workers):
@@ -249,6 +294,17 @@ class TestDeadlineOverHttp:
                                         use_cache=False)}
         assert {tuple(r["dewey"]) for r in body["results"]} <= full
 
+    def test_blank_partial_takes_the_daemon_default(self, sharded):
+        """``parse_qs`` drops a blank value, so ``?partial=`` is absent
+        and the daemon default policy applies."""
+        with DaemonHarness(sharded, default_partial=True) as h:
+            status, body = h.get_json(
+                "/topk?q=beta+gamma+rare&k=50&timeout_ms=0&partial=")
+            assert status == 200 and body["partial"] is True
+            status, body = h.get_json(
+                "/topk?q=beta+gamma+rare&k=50&timeout_ms=0&partial=0")
+            assert status == 504 and body["error"]["type"] == "deadline"
+
     def test_partial_responses_are_not_cached(self, harness):
         harness.get_json("/search?q=beta+gamma+rare&timeout_ms=0&partial=1")
         status, body = harness.get_json(
@@ -333,15 +389,13 @@ class TestEncodedAnswers:
             assert raw == self._expected(accented, body, endpoint,
                                          semantics)
 
-    def test_a_hit_serializes_no_result(self, accented, tmp_path,
-                                        monkeypatch):
-        """A miss builds, encodes and (with ``--capture``) digests its
-        results once; a hit does none of the three."""
+    def test_a_hit_serializes_no_result(self, accented, monkeypatch):
+        """A miss builds and encodes its results once; a hit does
+        neither."""
         import repro.serve.daemon as daemon_module
 
-        calls = {"payload": 0, "dumps": 0, "digest": 0}
+        calls = {"payload": 0, "dumps": 0}
         payload, dumps = ResultSet.payload, json.dumps
-        digest = daemon_module.result_digest
 
         def counting_payload(self):
             calls["payload"] += 1
@@ -352,21 +406,15 @@ class TestEncodedAnswers:
                 calls["dumps"] += 1
             return dumps(obj, *args, **kwargs)
 
-        def counting_digest(results):
-            calls["digest"] += 1
-            return digest(results)
-
         monkeypatch.setattr(ResultSet, "payload", counting_payload)
         monkeypatch.setattr(daemon_module, "json",
                             types.SimpleNamespace(dumps=counting_dumps))
-        monkeypatch.setattr(daemon_module, "result_digest", counting_digest)
-        with DaemonHarness(accented,
-                           capture_path=str(tmp_path / "w.jsonl")) as h:
+        with DaemonHarness(accented) as h:
             for endpoint in ("/search?q=xml+data", "/topk?q=xml+data&k=2"):
                 before = dict(calls)
                 assert h.get_json(endpoint)[1]["cached"] is False
                 assert {key: calls[key] - before[key] for key in calls} \
-                    == {"payload": 1, "dumps": 1, "digest": 1}
+                    == {"payload": 1, "dumps": 1}
                 before = dict(calls)
                 assert h.get_json(endpoint)[1]["cached"] is True
                 assert calls == before
@@ -617,27 +665,6 @@ class TestWorkerPools:
         wire = top.results.below_root().to_wire()
         back = ResultSet.from_wire(sharded.nodes, wire, len(terms), shard=0)
         assert isinstance(back, ResultSet) and len(back) == 0
-
-    def test_budget_spent_inside_the_worker_is_partial_not_degraded(
-            self, sharded):
-        # `timeout_ms=0` never reaches a worker (`_call_shard` stops
-        # before dispatch); a latency fault longer than the budget
-        # does, and the worker's honest empty prefix must not read as
-        # a corrupt payload.
-        chaos = ChaosInjector(latency_ms=150.0,
-                              script=[SHARD_LATENCY] * 8)
-        with DaemonHarness(sharded, workers=1, chaos=chaos,
-                           result_cache_size=0) as h:
-            status, body = h.get_json(
-                "/topk?q=beta+gamma+rare&k=10&partial=1&timeout_ms=60")
-            assert status == 200
-            assert body["partial"] is True
-            assert body["degraded"] is False
-            assert h.daemon.metrics.counter(
-                "repro_serve_requests_total",
-                {"outcome": "degraded"}).value == 0
-            trace = h.daemon.traces.get(body["trace_id"])
-            assert trace["root"]["tags"].get("retries", 0) == 0
 
 
 class TestLifecycleAndHealth:
