@@ -44,6 +44,8 @@ class DBLPGenerator:
                  title_words: int = 8, abstract_words: int = 0,
                  max_authors: int = 4, vocab_size: int = 3000,
                  plan: Optional[PlantingPlan] = None):
+        if n_papers < 1:
+            raise ValueError("n_papers must be positive")
         self.seed = seed
         self.n_papers = n_papers
         self.n_conferences = n_conferences

@@ -2,7 +2,7 @@
 
 from .tokenizer import Tokenizer, DEFAULT_STOPWORDS
 from .inverted import InvertedIndex, Posting, PostingList
-from .columnar import Column, ColumnarIndex, ColumnarPostings
+from .columnar import Column, ColumnarIndex, ColumnarPostings, RowPostings
 from .scored import ScoredPostings
 from .sparse import SparseColumnIndex
 from .lazydisk import IOStats, LazyColumnarIndex, LazyColumnarPostings
@@ -17,6 +17,7 @@ __all__ = [
     "Column",
     "ColumnarIndex",
     "ColumnarPostings",
+    "RowPostings",
     "ScoredPostings",
     "SparseColumnIndex",
     "IOStats",

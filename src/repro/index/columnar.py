@@ -1,11 +1,11 @@
 """Column-oriented JDewey inverted index (paper sections III-A/III-B).
 
-Each term's occurrences are kept as JDewey sequences sorted in JDewey
-order; column ``l`` holds the ``l``-th component of every sequence of
-length >= ``l``.  Property 3.1 makes every column sorted, so runs of the
-same number are contiguous -- the run view *is* the second compression
-scheme of section III-D, and the join algorithms operate directly on the
-distinct-value arrays.
+Each term's occurrences are kept in JDewey order (a built index holds
+them as node-table rows, `RowPostings`); column ``l`` holds the
+``l``-th component of every sequence of length >= ``l``.  Property 3.1
+makes every column sorted, so runs of the same number are contiguous --
+the run view *is* the second compression scheme of section III-D, and
+the join algorithms operate directly on the distinct-value arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from ..scoring.ranking import RankingModel
 from ..xmltree.jdewey import JDeweySeq
-from ..xmltree.nodetable import NodeTable
+from ..xmltree.nodetable import NodeTable, path_tuples
 from ..xmltree.tree import XMLTree
 from .tokenizer import Tokenizer
 
@@ -112,9 +112,15 @@ class Column:
 class ColumnarPostings:
     """All occurrences of one term in the columnar encoding.
 
-    ``seqs`` is sorted in JDewey order; ``scores[i]`` is the local score
-    ``g`` of occurrence ``seqs[i]``; ``lengths[i] == len(seqs[i])`` is the
-    occurrence's level.  Columns are materialized lazily and cached.
+    Occurrences are in JDewey order; ``scores[i]`` is the local score
+    ``g`` of occurrence ``i`` and ``lengths[i]`` its level, the length
+    of its JDewey sequence ``seqs[i]``.  Columns are materialized
+    lazily and cached.
+
+    This class holds the sequences themselves: what a caller with
+    sequences and no node table builds (the Table I size model, the
+    storage round trip, tests).  A built index's postings are
+    `RowPostings`.
     """
 
     #: ``(damping base, array)`` left here by `repro.index.scored`: the
@@ -144,28 +150,73 @@ class ColumnarPostings:
             return cached
         seq_idx = np.flatnonzero(self.lengths >= level).astype(
             np.int64, copy=False)
-        flat, starts = self._components()
-        column = Column(level, flat[starts[seq_idx] + level - 1], seq_idx)
+        values = (self._paths()[seq_idx, level - 1] if len(seq_idx)
+                  else np.empty(0, dtype=np.int64))
+        column = Column(level, values, seq_idx)
         self._columns[level] = column
         return column
 
     def level_values(self) -> Iterator[np.ndarray]:
         """Each level's column values, level 1 to `max_len`, from one
-        pass over the sequences -- no `Column` is built or cached (what
+        matrix of the sequences -- no `Column` is built or cached (what
         the container writer encodes)."""
-        flat, starts = self._components()
+        paths = self._paths()
         for level in range(1, self.max_len + 1):
-            yield flat[starts[self.lengths >= level] + level - 1]
+            yield paths[self.lengths >= level, level - 1]
 
-    def _components(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every sequence's components laid end to end, and where each
-        sequence starts in them."""
+    def select(self, ordinals: np.ndarray) -> "ColumnarPostings":
+        """The postings of the occurrences at `ordinals` (ascending),
+        as one shard holds them."""
+        seqs = self.seqs
+        return ColumnarPostings(self.term,
+                                [seqs[i] for i in ordinals.tolist()],
+                                self.scores[ordinals])
+
+    def _paths(self) -> np.ndarray:
+        """Every occurrence's JDewey sequence as one zero-padded row of
+        a matrix."""
+        lengths = self.lengths
         flat = np.fromiter(chain.from_iterable(self.seqs), np.int64,
-                           int(self.lengths.sum()))
-        return flat, np.cumsum(self.lengths) - self.lengths
+                           int(lengths.sum()))
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        matrix = np.zeros((len(lengths), self.max_len), dtype=np.int64)
+        matrix[np.repeat(np.arange(len(lengths)), lengths),
+               np.arange(len(flat)) - starts] = flat
+        return matrix
 
     def max_score(self) -> float:
         return float(self.scores.max()) if len(self.scores) else 0.0
+
+
+class RowPostings(ColumnarPostings):
+    """A built index's postings of one term: the node-table rows of its
+    occurrences, in JDewey order, and their scores.
+
+    Sequences, lengths and columns derive from the table's ``parent``
+    and ``number`` arrays by `NodeTable.paths`; no object per
+    occurrence is held.
+    """
+
+    def __init__(self, term: str, nodes: NodeTable, rows: np.ndarray,
+                 scores: np.ndarray):
+        self.term = term
+        self.nodes = nodes
+        self.rows = rows
+        self.scores = scores
+        self.lengths = nodes.level[rows].astype(np.int64)
+        self.max_len = int(self.lengths.max()) if len(rows) else 0
+        self._columns: Dict[int, Column] = {}
+
+    @property
+    def seqs(self) -> List[JDeweySeq]:
+        return path_tuples(*self.nodes.paths(self.rows, "number"))
+
+    def select(self, ordinals: np.ndarray) -> "RowPostings":
+        return RowPostings(self.term, self.nodes, self.rows[ordinals],
+                           self.scores[ordinals])
+
+    def _paths(self) -> np.ndarray:
+        return self.nodes.paths(self.rows, "number")[0]
 
 
 class ColumnarIndex:
@@ -213,25 +264,27 @@ class ColumnarIndex:
         return self.nodes.tree
 
     def _build(self) -> None:
-        raw: Dict[str, List[Tuple[JDeweySeq, int, int]]] = {}
-        for node in self.tree.iter_document_order():
-            if not node.text:
-                continue
-            counts = self.tokenizer.term_frequencies(node.text)
-            if not counts:
-                continue
-            self.n_docs += 1
-            node_tokens = sum(counts.values())
-            for term, tf in counts.items():
-                raw.setdefault(term, []).append((node.jdewey, tf, node_tokens))
-        for term, entries in raw.items():
-            df = len(entries)
-            seqs = [seq for seq, _, _ in entries]
-            scores = [
-                self.ranking.scorer.score(tf, df, self.n_docs, ntok)
-                for _, tf, ntok in entries
-            ]
-            self._postings[term] = ColumnarPostings(term, seqs, scores)
+        """Tokenize every node's text in bulk, score each distinct
+        (df, tf, tokens) once, and group the occurrences by term in
+        JDewey order with one sort."""
+        found = self.tokenizer.occurrences(
+            node.text or "" for node in self.tree.nodes)
+        self.n_docs = int(np.count_nonzero(found.tokens))
+        rows, term, words = found.text, found.term, found.words
+        scores = _local_scores(self.ranking.scorer, term, found.tf,
+                               found.tokens[rows], self.n_docs)
+        del found
+        if not len(term):
+            return
+        order = np.lexsort((self.nodes.jdewey_ranks()[rows], term))
+        rows, term, scores = rows[order], term[order], scores[order]
+        del order
+        bounds = [0, *(np.flatnonzero(np.diff(term)) + 1).tolist(),
+                  len(term)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            word = words[term[lo]]
+            self._postings[word] = RowPostings(
+                word, self.nodes, rows[lo:hi], scores[lo:hi])
 
     def __contains__(self, term: str) -> bool:
         return term in self._postings
@@ -258,3 +311,26 @@ class ColumnarIndex:
     def node_at(self, level: int, number: int):
         """Materialize the node identified by (level, JDewey number)."""
         return self.nodes.node_at(level, number)
+
+
+def _local_scores(scorer, term: np.ndarray, tf: np.ndarray,
+                  tokens: np.ndarray, n_docs: int) -> np.ndarray:
+    """Each occurrence's local score ``g``.  A score depends on (df, tf,
+    tokens) alone, so ``scorer.score`` runs once per distinct triple,
+    on Python ints: every score is the one a call per occurrence would
+    give."""
+    df = np.bincount(term)[term]
+    order = np.lexsort((tokens, tf, df))
+    df, tf, tokens = df[order], tf[order], tokens[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ((df[1:] != df[:-1]) | (tf[1:] != tf[:-1])
+               | (tokens[1:] != tokens[:-1]))
+    first = np.flatnonzero(new)
+    score = scorer.score
+    distinct = np.asarray(
+        [score(f, d, n_docs, k) for f, d, k in zip(
+            tf[first].tolist(), df[first].tolist(),
+            tokens[first].tolist())], dtype=np.float64)
+    scores = np.empty(len(order), dtype=np.float64)
+    scores[order] = distinct[np.cumsum(new) - 1]
+    return scores

@@ -27,6 +27,7 @@ index and no per-shard document-frequency skew can occur.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -80,12 +81,23 @@ def partition_columnar(postings_by_term: Dict[str, ColumnarPostings],
 def shard_owners(postings_by_term: Dict[str, ColumnarPostings],
                  tree: XMLTree, n_shards: int) -> Dict[str, np.ndarray]:
     """Per term, the shard of each of its occurrences, in postings
-    order -- what `shard_postings` filters by."""
+    order -- what `shard_postings` filters by.  Read off each term's
+    level-2 column values; nothing is cached on the postings."""
     level2_shard = subtree_shard_map(tree, n_shards)
-    return {term: np.fromiter(
-                (0 if len(seq) == 1 else level2_shard[seq[1]]
-                 for seq in postings.seqs), np.int32, len(postings))
-            for term, postings in postings_by_term.items()}
+    numbers = np.fromiter(level2_shard, np.int64, len(level2_shard))
+    order = np.argsort(numbers)
+    numbers = numbers[order]
+    shards = np.fromiter(level2_shard.values(), np.int32,
+                         len(level2_shard))[order]
+    owners: Dict[str, np.ndarray] = {}
+    for term, postings in postings_by_term.items():
+        owner = np.zeros(len(postings), dtype=np.int32)
+        if postings.max_len >= 2:
+            level2 = next(islice(postings.level_values(), 1, None))
+            owner[postings.lengths >= 2] = shards[
+                numbers.searchsorted(level2)]
+        owners[term] = owner
+    return owners
 
 
 def shard_postings(postings_by_term: Dict[str, ColumnarPostings],
@@ -98,8 +110,5 @@ def shard_postings(postings_by_term: Dict[str, ColumnarPostings],
     for term, postings in postings_by_term.items():
         ordinals = np.flatnonzero(owners[term] == sid)
         if len(ordinals):
-            seqs = postings.seqs
-            part[term] = ColumnarPostings(
-                term, [seqs[i] for i in ordinals.tolist()],
-                postings.scores[ordinals])
+            part[term] = postings.select(ordinals)
     return part

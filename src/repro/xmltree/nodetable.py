@@ -70,6 +70,14 @@ def _align8(pos: int) -> int:
     return (pos + 7) & ~7
 
 
+def path_tuples(matrix: np.ndarray, levels: np.ndarray
+                ) -> List[Tuple[int, ...]]:
+    """The rows of a `NodeTable.paths` matrix as tuples, each cut to
+    its level."""
+    return [tuple(row[:length]) for row, length
+            in zip(matrix.tolist(), levels.tolist())]
+
+
 class TableNode:
     """One row of a mapped `NodeTable`, shaped like `Node`.
 
@@ -429,25 +437,58 @@ class NodeTable:
         return TableNode(self, row)
 
     def deweys(self, rows: np.ndarray) -> List[Tuple[int, ...]]:
-        """Dewey ids of `rows`, in bulk: one upward sweep per level
+        """Dewey ids of `rows`, in bulk (see `paths`)."""
+        return path_tuples(*self.paths(rows, "ordinal"))
+
+    def paths(self, rows: np.ndarray, column: str
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(matrix, levels)``: the `column` (``"ordinal"`` or
+        ``"number"``) of every node on each of `rows`' root-to-row
+        paths, one zero-padded ``int64`` matrix row per entry, and each
+        entry's level.  One upward sweep fills it, a level a step,
         instead of one parent walk per row."""
         if self._pending is not None:
             self._load()
-        if not len(rows):
-            return []
+        values = getattr(self, column)
         levels = self.level[rows].astype(np.int64)
-        matrix = np.zeros((len(rows), int(levels.max())), dtype=np.int64)
+        matrix = np.zeros((len(rows), int(levels.max()) if len(rows) else 0),
+                          dtype=np.int64)
         active = np.arange(len(rows))
         current = np.asarray(rows, dtype=np.int64)
-        column = levels - 1
+        at = levels - 1
         while len(active):
-            matrix[active, column] = self.ordinal[current]
+            matrix[active, at] = values[current]
             current = self.parent[current]
             keep = current >= 0
-            active, current, column = (active[keep], current[keep],
-                                       column[keep] - 1)
-        return [tuple(row[:length]) for row, length
-                in zip(matrix.tolist(), levels.tolist())]
+            active, current, at = active[keep], current[keep], at[keep] - 1
+        return matrix, levels
+
+    def jdewey_ranks(self) -> np.ndarray:
+        """Each row's position in JDewey order: the order of the nodes'
+        JDewey sequences, which is a pre-order walk that visits
+        siblings by JDewey number.  It is document order until a
+        re-encode moves a subtree to the numeric end of its levels."""
+        if self._pending is not None:
+            self._load()
+        starts, level_rows, parent = self._starts, self.level_rows, self.parent
+        size = np.ones(self.n_nodes, dtype=np.int64)
+        for level in range(self.depth, 1, -1):
+            rows = level_rows[starts[level - 1]: starts[level]]
+            np.add.at(size, parent[rows], size[rows])
+        rank = np.zeros(self.n_nodes, dtype=np.int64)
+        for level in range(2, self.depth + 1):
+            # By number within the level; stably by the parent's rank,
+            # so each sibling block is contiguous and in number order.
+            rows = level_rows[starts[level - 1]: starts[level]]
+            rows = rows[np.argsort(rank[parent[rows]], kind="stable")]
+            above = parent[rows]
+            before = np.cumsum(size[rows]) - size[rows]
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = above[1:] != above[:-1]
+            block = np.maximum.accumulate(
+                np.where(first, np.arange(len(rows)), 0))
+            rank[rows] = rank[above] + 1 + before - before[block]
+        return rank
 
     # -- what `TableNode` reads -------------------------------------------
 

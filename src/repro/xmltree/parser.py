@@ -12,6 +12,7 @@ skipped.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Tuple
 
 from .tree import Node, XMLTree
@@ -26,6 +27,10 @@ class XMLParseError(ValueError):
 
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
+
+#: A character outside XML 1.0's ``Char`` production.
+_NOT_CHAR = re.compile(
+    r"[^\t\n\r\x20-\uD7FF\uE000-\uFFFD\U00010000-\U0010FFFF]")
 
 
 def _decode_entities(text: str, base_pos: int) -> str:
@@ -49,7 +54,10 @@ def _decode_entities(text: str, base_pos: int) -> str:
                     code = int(name[2:], 16)
                 else:
                     code = int(name[1:])
-                out.append(chr(code))
+                char = chr(code)
+                if _NOT_CHAR.match(char):
+                    raise ValueError(char)
+                out.append(char)
             except (ValueError, OverflowError):
                 raise XMLParseError(
                     f"invalid character reference &{name};", base_pos + i)
@@ -200,8 +208,14 @@ def _normalize_ws(text: str) -> str:
 def parse_xml(text: str) -> XMLTree:
     """Parse XML text into a frozen `XMLTree`.
 
-    Raises `XMLParseError` on malformed input or trailing garbage.
+    Raises `XMLParseError` on malformed input, trailing garbage, or a
+    character XML 1.0 does not allow.
     """
+    bad = _NOT_CHAR.search(text)
+    if bad:
+        raise XMLParseError(
+            f"character U+{ord(bad.group()):04X} is not allowed in XML",
+            bad.start())
     parser = _Parser(text)
     parser.skip_prolog()
     if parser.pos >= parser.n or parser.text[parser.pos] != "<":

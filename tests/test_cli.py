@@ -101,6 +101,30 @@ class TestIndexAndGenerate:
         assert main(["generate", "xmark", out, "--scale", "0.002"]) == 0
         assert os.path.exists(os.path.join(out, "dewey.bin"))
 
+    @pytest.mark.parametrize("papers", ["0", "-5"])
+    def test_generate_refuses_a_paper_count_below_one(self, tmp_path,
+                                                      capsys, papers):
+        out = str(tmp_path / "gen")
+        assert main(["generate", "dblp", out, "--papers", papers]) == 1
+        assert capsys.readouterr().err == \
+            "error: n_papers must be positive\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("body, message", [
+        ("<a><b>x&#xD800;y</b></a>",
+         "invalid character reference &#xD800; (at offset 7)"),
+        ("<a>&#0;</a>", "invalid character reference &#0; (at offset 3)"),
+        ("<a>x\x00y</a>",
+         "character U+0000 is not allowed in XML (at offset 4)"),
+    ])
+    def test_index_refuses_characters_xml_forbids(self, tmp_path, capsys,
+                                                  body, message):
+        source, out = tmp_path / "bad.xml", str(tmp_path / "db")
+        source.write_text(body, encoding="utf-8")
+        assert main(["index", str(source), out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
 
 class TestInfo:
     def test_info(self, db_dir, capsys):

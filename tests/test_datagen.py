@@ -39,6 +39,11 @@ class TestTextSource:
 
 
 class TestDBLPGenerator:
+    @pytest.mark.parametrize("n_papers", [0, -5])
+    def test_invalid_paper_count(self, n_papers):
+        with pytest.raises(ValueError, match="n_papers must be positive"):
+            DBLPGenerator(n_papers=n_papers)
+
     def test_deterministic(self):
         t1 = DBLPGenerator(seed=9, n_papers=50).generate()
         t2 = DBLPGenerator(seed=9, n_papers=50).generate()

@@ -2,8 +2,8 @@
 columnar postings and the node table, the same in memory and on disk.
 
 One differential matrix: hypothesis trees x {in memory, eager, lazy}
-x shards {1, 2, 4} against the reference builder below (the eager one
-the views replaced); then what an opened database may and may
+x shards {1, 2, 4} against the per-node reference build
+(`tests/reference_build.py`); then what an opened database may and may
 not touch (no XML parse until the oracle asks), and that a directory
 written before the node table existed is refused with the way to
 rebuild it.
@@ -12,7 +12,6 @@ rebuild it.
 import asyncio
 import os
 import tempfile
-from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,41 +20,11 @@ from hypothesis import strategies as st
 import repro.diskdb as diskdb
 from repro import XMLDatabase
 from repro.diskdb import load_database, save_database
-from repro.index.tokenizer import Tokenizer
-from repro.scoring.ranking import RankingModel
 from repro.serve.sharding import shard_of_dewey
 from repro.xmltree.nodetable import TableNode
 from repro.xmltree.tree import Node, XMLTree
 from tests.conftest import SMALL_XML
-
-
-def build_dewey_lists(tree: XMLTree, tokenizer: Tokenizer = None,
-                      ranking: RankingModel = None
-                      ) -> Dict[str, List[Tuple[Tuple[int, ...], float]]]:
-    """``term -> [(dewey, local score), ...]`` in document order: the
-    eager builder `repro.index.inverted` replaced -- one pass over the
-    tree, tokenizing every node -- kept as an independent account of
-    what the derived lists must be."""
-    tokenizer = tokenizer if tokenizer is not None else Tokenizer()
-    ranking = ranking if ranking is not None else RankingModel()
-    raw: Dict[str, List[Tuple[Tuple[int, ...], int, int]]] = {}
-    n_docs = 0
-    for node in tree.iter_document_order():
-        if not node.text:
-            continue
-        counts = tokenizer.term_frequencies(node.text)
-        if not counts:
-            continue
-        n_docs += 1
-        node_tokens = sum(counts.values())
-        for term, tf in counts.items():
-            raw.setdefault(term, []).append((node.dewey, tf, node_tokens))
-    return {
-        term: [(dewey, ranking.scorer.score(tf, len(entries), n_docs, ntok))
-               for dewey, tf, ntok in entries]
-        for term, entries in raw.items()
-    }
-
+from tests.reference_build import reference_dewey_lists
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 WORDS = ["kx", "ky", "kz", "noise", "a&b", "<tag>"]
@@ -101,7 +70,7 @@ STORAGE = [("memory", None),
 @given(labelled_tree())
 def test_derived_lists_equal_the_reference_builder(tree):
     db = XMLDatabase.from_tree(tree)
-    expected = build_dewey_lists(tree, db.tokenizer, db.ranking)
+    expected = reference_dewey_lists(tree, db.tokenizer, db.ranking)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "flat")
         save_database(db, path, fsync=False)

@@ -9,6 +9,7 @@ from repro import XMLDatabase
 from repro.diskdb import (DatabaseFormatError, load_database,
                           save_database)
 from repro.scoring.ranking import DampingFunction, RankingModel
+from tests.conftest import SMALL_XML
 
 
 @pytest.fixture
@@ -50,12 +51,30 @@ class TestRoundtrip:
         path, _ = saved
         from repro.index.tokenizer import Tokenizer
 
-        def boom(self, text):
+        def boom(self, texts):
             raise AssertionError("tokenizer ran during load")
 
-        monkeypatch.setattr(Tokenizer, "term_frequencies", boom)
+        monkeypatch.setattr(Tokenizer, "occurrences", boom)
         loaded = load_database(path)
         assert loaded.document_frequency("xml") > 0
+        assert loaded.search("xml data")
+
+    def test_the_build_tokenizes_through_that_hook(self, monkeypatch):
+        """What the test above patches is what a build calls, so that
+        test cannot pass because the hook went dead."""
+        from repro.index.tokenizer import Tokenizer
+
+        calls = []
+        real = Tokenizer.occurrences
+
+        def counting(self, texts):
+            calls.append(1)
+            return real(self, texts)
+
+        monkeypatch.setattr(Tokenizer, "occurrences", counting)
+        db = XMLDatabase.from_xml_text(SMALL_XML)
+        assert db.document_frequency("xml") > 0
+        assert calls == [1]
 
     def test_document_frequency_preserved(self, saved):
         path, original = saved

@@ -89,3 +89,26 @@ class TestDeleteAndRefresh:
         db.refresh()
         # The remaining paper is now the first child: Dewey (1, 1).
         assert db.tree.root.children[0].dewey == (1, 1)
+
+
+class TestJDeweyOrderAfterAReencode:
+    """A re-encode moves a subtree to the numeric end of its levels, so
+    JDewey order stops being document order; the index must keep its
+    postings in JDewey order for the level join to be right."""
+
+    def test_every_engine_equals_the_oracle(self):
+        db = XMLDatabase.from_xml_text("<bib>" + "".join(
+            f"<paper><title>xml search {i}</title><year>data</year></paper>"
+            for i in range(4)) + "</bib>", jdewey_gap=0)
+        db.encoder.insert(db.tree.root.children[0], Node("note", "xml data"))
+        db.refresh()
+        assert db.encoder.reencode_count == 1
+        for semantics, count in (("elca", 5), ("slca", 4)):
+            oracle = [(r.node.dewey, round(r.score, 9)) for r in db.search(
+                "xml data", semantics, algorithm="oracle")]
+            assert len(oracle) == count
+            for algorithm in ("join", "stack", "index"):
+                got = db.search("xml data", semantics, algorithm=algorithm,
+                                use_cache=False)
+                assert [(r.node.dewey, round(r.score, 9))
+                        for r in got] == oracle, (semantics, algorithm)

@@ -83,6 +83,38 @@ class TestEntitiesAndSections:
         with pytest.raises(XMLParseError):
             parse_xml(bad)
 
+    @pytest.mark.parametrize("ref", [
+        "&#xD800;", "&#xDFFF;", "&#0;", "&#1;", "&#x1F;", "&#xFFFE;",
+        "&#xFFFF;", "&#-65;",
+    ])
+    def test_reference_outside_xml_chars_raises_at_its_offset(self, ref):
+        with pytest.raises(XMLParseError, match="invalid character "
+                           "reference") as exc:
+            parse_xml(f"<a><b>x{ref}y</b></a>")
+        assert exc.value.pos == 7
+        with pytest.raises(XMLParseError):
+            parse_xml(f'<a b="{ref}"/>')
+
+    @pytest.mark.parametrize("ref, char", [
+        ("&#9;", "\t"), ("&#xA;", "\n"), ("&#x20;", " "),
+        ("&#xD7FF;", "\ud7ff"), ("&#xE000;", "\ue000"),
+        ("&#xFFFD;", "\ufffd"), ("&#x10000;", "\U00010000"),
+        ("&#x10FFFF;", "\U0010ffff"),
+    ])
+    def test_reference_at_the_edges_of_xml_chars_decodes(self, ref, char):
+        assert parse_xml(f'<a b="{ref}"/>').root.attributes["b"] == char
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x1f", "\ud800",
+                                      "\udfff", "\ufffe", "\uffff"])
+    def test_raw_character_outside_xml_chars_raises_at_its_offset(self,
+                                                                  char):
+        for doc, pos in ((f"<a>x{char}</a>", 4), (f'<a b="{char}"/>', 6),
+                         (f"<a{char}/>", 2), (f"<a/>{char}", 4)):
+            with pytest.raises(XMLParseError, match="not allowed in "
+                               "XML") as exc:
+                parse_xml(doc)
+            assert exc.value.pos == pos
+
     def test_cdata_taken_verbatim(self):
         tree = parse_xml("<a><![CDATA[x < y & z]]></a>")
         assert tree.root.text == "x < y & z"

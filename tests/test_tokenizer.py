@@ -1,5 +1,10 @@
 """Tests for text tokenization (`repro.index.tokenizer`)."""
 
+from unittest import mock
+
+import pytest
+
+from repro.index import tokenizer as tokenizer_module
 from repro.index.tokenizer import DEFAULT_STOPWORDS, Tokenizer
 
 
@@ -50,6 +55,49 @@ class TestTermFrequencies:
     def test_stopwords_not_counted(self):
         tf = Tokenizer().term_frequencies("the the the data")
         assert tf == {"data": 1}
+
+
+class TestOccurrences:
+    TEXTS = ["XML data xml", "", "the of", "top-k x\x00y", "data", "xml-",
+             "-data"]
+
+    def test_many_texts_in_one_call(self):
+        found = Tokenizer().occurrences(self.TEXTS)
+        words = found.words
+        assert [(text, words[term], tf) for text, term, tf in zip(
+            found.text.tolist(), found.term.tolist(), found.tf.tolist())] \
+            == [(0, "xml", 2), (0, "data", 1), (3, "top-k", 1), (3, "x", 1),
+                (3, "y", 1), (4, "data", 1), (5, "xml", 1), (6, "data", 1)]
+        assert found.tokens.tolist() == [3, 0, 0, 3, 1, 1, 1]
+        assert {a.dtype.name for a in found[:4]} == {"int32"}
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    def test_chunks_do_not_change_what_is_found(self, chunk):
+        tokenizer = Tokenizer(stopwords=(), min_length=2)
+        with mock.patch.object(tokenizer_module, "CHUNK_TEXTS", chunk):
+            found = tokenizer.occurrences(iter(self.TEXTS))
+        per_text = [tokenizer.term_frequencies(t) for t in self.TEXTS]
+        words = found.words
+        got = [{} for _ in self.TEXTS]
+        for text, term, tf in zip(found.text.tolist(), found.term.tolist(),
+                                  found.tf.tolist()):
+            got[text][words[term]] = tf
+        assert got == per_text
+        assert found.tokens.tolist() == [sum(c.values()) for c in per_text]
+
+    def test_a_text_holding_the_separator_tokenizes_as_with_a_space(self):
+        tokenizer = Tokenizer(stopwords=())
+        for text in ("a\x00b", "\x00", "x\x00\x00y-z", "top-\x00k"):
+            assert tokenizer.tokens(text) == \
+                tokenizer.tokens(text.replace("\x00", " "))
+            found = tokenizer.occurrences([text, "tail"])
+            assert found.tokens.tolist()[-1] == 1
+
+    def test_nothing_to_tokenize(self):
+        for texts in ([], [""], ["the", "  "]):
+            found = Tokenizer().occurrences(texts)
+            assert len(found.text) == len(found.term) == len(found.tf) == 0
+            assert found.tokens.tolist() == [0] * len(texts)
 
 
 class TestQueryTerms:
