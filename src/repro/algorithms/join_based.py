@@ -162,16 +162,14 @@ class LevelRun:
                 output=int(len(joined)))
         return joined
 
-    def spans(self, columns, run_bounds
-              ) -> Tuple[np.ndarray, np.ndarray]:
+    def spans(self, columns, runs) -> Tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)``, shape ``(k, J)``: the query-wide ordinal spans
-        of the runs ``run_bounds[t]`` (column t's `runs_of` J numbers) --
-        row t is term t's `Column.ordinal_spans` shifted by ``bases[t]``."""
-        lo = np.empty((len(columns), len(run_bounds[0][0])), dtype=np.int64)
+        of the runs ``runs[t]`` (column t's `runs_of` J numbers) -- row
+        t is term t's `Column.ordinal_spans` shifted by ``bases[t]``."""
+        lo = np.empty((len(columns), len(runs[0])), dtype=np.int64)
         hi = np.empty_like(lo)
-        for t, (column, (lows, highs)) in enumerate(zip(columns,
-                                                        run_bounds)):
-            lo[t], hi[t] = column.ordinal_spans(lows, highs)
+        for t, (column, term_runs) in enumerate(zip(columns, runs)):
+            lo[t], hi[t] = column.ordinal_spans(term_runs)
         lo += self.bases[:, None]
         hi += self.bases[:, None]
         return lo, hi
@@ -325,7 +323,7 @@ class JoinBasedSearch:
             stats.levels_processed += 1
             joined = run.join_level(level, columns)
             if rank and len(joined):
-                run_bounds = [c.runs_of(joined) for c in columns]
+                runs = [c.runs_of(joined) for c in columns]
                 tuples_mark = stats.tuples_scanned
                 # Emission needs a *fresh* threshold (group partials can
                 # push it up), so it is attempted after every block -- a
@@ -334,10 +332,10 @@ class JoinBasedSearch:
                 # duration includes consumer time when the stream is
                 # driven incrementally.
                 with self.span("rank_join", level=level) as jspan:
-                    join = run.rank_join(level, joined, run_bounds)
+                    join = run.rank_join(level, joined, runs)
                     while join.pull():
                         yield run.harvest(join, level, columns, joined,
-                                          run_bounds, below)
+                                          runs, below)
                         if deadline is not None and deadline.expired():
                             if not deadline.partial_ok:
                                 deadline.raise_expired()
@@ -347,7 +345,7 @@ class JoinBasedSearch:
                               **join.progress())
                 # Level drained: every C-node (erased occurrences
                 # included) erases its range for the levels above.
-                run.erase_level(level, run.spans(columns, run_bounds))
+                run.erase_level(level, run.spans(columns, runs))
             else:
                 emitted = run.finish_level(level, columns, joined,
                                            with_scores)
@@ -391,8 +389,8 @@ def check_level(run: LevelRun, level: int, spans, with_scores: bool = True
         return alive_idx, None
     lo, hi = lo[:, alive_idx], hi[:, alive_idx]
     # A run's sequences are consecutive ordinals (`Column.ordinal_spans`),
-    # so a span *is* its run's sequences: no ``seq_idx`` gather, and
-    # every ordinal read lies in the [0, N) the count above validated.
+    # so a span *is* its run's sequences, and every ordinal read lies in
+    # the [0, N) the count above validated.
     ordinals, offsets = expand_runs(lo.ravel(), (hi - lo).ravel())
     damped = (run.scores[ordinals]
               * run.damping_base ** (run.lengths[ordinals] - level))

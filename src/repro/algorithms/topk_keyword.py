@@ -83,13 +83,13 @@ class _TopKRun(LevelRun):
             [s.level_max[:self.start_level] for s in self.scored])).tolist()
 
     def rank_join(self, level: int, joined: np.ndarray,
-                  run_bounds) -> BlockStarJoin:
+                  runs) -> BlockStarJoin:
         """The level's star join over the free occurrences of the
-        C-nodes `joined` (``run_bounds[t]``: their runs in column t),
-        best damped score first; its ids are positions in `joined`."""
-        inputs = [scored.ranked(level, self.eraser, runs, base)
-                  for scored, runs, base
-                  in zip(self.scored, run_bounds, self.bases.tolist())]
+        C-nodes `joined` (``runs[t]``: their runs in column t), best
+        damped score first; its ids are positions in `joined`."""
+        inputs = [scored.ranked(level, self.eraser, term_runs, base)
+                  for scored, term_runs, base
+                  in zip(self.scored, runs, self.bases.tolist())]
         return BlockStarJoin(inputs, self.target_k, self.engine.bound_mode,
                              self.stats, self.ops, joined)
 
@@ -118,14 +118,14 @@ class _TopKRun(LevelRun):
                          witness[taken])
 
     def harvest(self, join: BlockStarJoin, level: int, columns,
-                joined: np.ndarray, run_bounds, below: float) -> ResultSet:
+                joined: np.ndarray, runs, below: float) -> ResultSet:
         """After a pull: add the block's completions (minus, for SLCA,
         those with an erased sequence in their range) to the pending
         set and return what the live bound now lets out."""
         done, witness = join.take_completed()
         if len(done) and self.semantics == SLCA:
-            spans = self.spans(columns, [(lows[done], highs[done])
-                                         for lows, highs in run_bounds])
+            spans = self.spans(columns, [term_runs[done]
+                                         for term_runs in runs])
             keep, _ = check_level(self, level, spans, with_scores=False)
             done, witness = done[keep], witness[:, keep]
         if len(done):

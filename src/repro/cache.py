@@ -111,7 +111,7 @@ class DecodedColumnCache:
     inside the postings object that produced it -- correct, but
     unbounded.  This cache replaces that per-postings dict with one
     bounded pool: entries are `(namespace, term, level) -> Column`, the
-    budget counts the decoded arrays' ``nbytes``, and eviction is
+    budget counts `Column.nbytes` (the run arrays), and eviction is
     least-recently-used.  Hot terms keep skipping decompression on
     repeat queries; cold terms stop pinning their decoded columns.
 
@@ -139,16 +139,12 @@ class DecodedColumnCache:
             self.stats.hits += 1
             return entry[0]
 
-    def put(self, key: Hashable, column, nbytes: Optional[int] = None
-            ) -> None:
-        """Admit `column` at a cost of `nbytes` (defaults to the sum of
-        its decoded arrays' ``nbytes``), evicting LRU entries until the
-        budget holds."""
+    def put(self, key: Hashable, column) -> None:
+        """Admit `column` at a cost of `Column.nbytes` (its run arrays'
+        bytes), evicting LRU entries until the budget holds."""
         if self.capacity_bytes <= 0:
             return
-        if nbytes is None:
-            nbytes = int(column.values.nbytes) + int(column.seq_idx.nbytes)
-        nbytes = int(nbytes)
+        nbytes = column.nbytes
         if nbytes > self.capacity_bytes:
             return
         with self._lock:

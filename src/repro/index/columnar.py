@@ -19,6 +19,7 @@ from ..scoring.ranking import RankingModel
 from ..xmltree.jdewey import JDeweySeq
 from ..xmltree.nodetable import NodeTable, path_tuples
 from ..xmltree.tree import XMLTree
+from .compression import run_values, runs_of
 from .tokenizer import Tokenizer
 
 
@@ -32,81 +33,93 @@ def expand_runs(lows: np.ndarray, counts: np.ndarray
 
 
 class Column:
-    """One level of one term's inverted list.
+    """One level of one term's inverted list, held as its runs.
 
     Attributes
     ----------
-    values:
-        Sorted JDewey numbers, one entry per sequence of length >= level.
-    seq_idx:
-        For each entry, the ordinal of its sequence in the owning
-        `ColumnarPostings.seqs` (used for erasure bookkeeping).
-    distinct / run_starts:
-        Run-length view: ``values[run_starts[i]:run_starts[i+1]]`` all
-        equal ``distinct[i]``.  This mirrors the (v, r, c) triples of
-        section III-D.
+    distinct:
+        The level's JDewey numbers, ascending, each once: one run of the
+        sorted column per number.
+    run_starts:
+        ``len(distinct) + 1`` row bounds: run i covers rows
+        ``[run_starts[i], run_starts[i + 1])`` of the column, and the
+        last entry is the column's length.  With ``distinct`` these are
+        the (v, r, c) triples of section III-D.
+    run_ordinals:
+        The ordinal (in the owning postings' JDewey order) of each run's
+        first sequence.  A run's sequences are consecutive ordinals
+        (`ordinal_spans`), so this is every ordinal the column has.
+
+    Nothing is held per row.  `values` and `seq_idx` expand the runs to
+    one entry a row on every read; no query reads them.
     """
 
-    __slots__ = ("level", "values", "seq_idx", "distinct", "run_starts")
+    __slots__ = ("level", "distinct", "run_starts", "run_ordinals")
 
-    def __init__(self, level: int, values: np.ndarray, seq_idx: np.ndarray):
+    def __init__(self, level: int, distinct: np.ndarray,
+                 run_starts: np.ndarray, run_ordinals: np.ndarray):
         self.level = level
-        self.values = values
-        self.seq_idx = seq_idx
-        if len(values):
-            distinct, starts = np.unique(values, return_index=True)
-        else:
-            distinct = np.empty(0, dtype=np.int64)
-            starts = np.empty(0, dtype=np.int64)
         self.distinct = distinct
-        self.run_starts = np.append(starts, len(values)).astype(np.int64)
+        self.run_starts = run_starts
+        self.run_ordinals = run_ordinals
+
+    @classmethod
+    def of_rows(cls, level: int, values: np.ndarray,
+                ordinals: np.ndarray) -> "Column":
+        """The column whose row i holds `values[i]` for the sequence at
+        `ordinals[i]` (both in JDewey order)."""
+        distinct, run_starts = runs_of(values)
+        return cls(level, distinct, run_starts, ordinals[run_starts[:-1]])
 
     def __len__(self) -> int:
-        return len(self.values)
+        return int(self.run_starts[-1])
 
     @property
     def n_distinct(self) -> int:
         return len(self.distinct)
 
-    def run_of(self, value: int) -> Tuple[int, int]:
-        """Position range [a, b) of `value` inside `values` (empty if absent)."""
-        i = int(np.searchsorted(self.distinct, value))
-        if i >= len(self.distinct) or self.distinct[i] != value:
-            return 0, 0
-        return int(self.run_starts[i]), int(self.run_starts[i + 1])
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the three run arrays: what a decoded column costs."""
+        return int(self.distinct.nbytes + self.run_starts.nbytes
+                   + self.run_ordinals.nbytes)
 
-    def runs_of(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Bulk `run_of`: (lows, highs) position ranges for `values`.
+    @property
+    def values(self) -> np.ndarray:
+        """One JDewey number a row, expanded from the runs on each read
+        (index builds, size models and tests; no query reads it)."""
+        return run_values(self.distinct, self.run_starts)
+
+    @property
+    def seq_idx(self) -> np.ndarray:
+        """Each row's sequence ordinal, expanded from the runs on each
+        read (as `values`)."""
+        return expand_runs(self.run_ordinals, np.diff(self.run_starts))[0]
+
+    def runs_of(self, values: np.ndarray) -> np.ndarray:
+        """The runs of `values`: their positions in `distinct`.
 
         Every value must be present in `distinct` (join outputs always
         are -- they come from intersecting distinct arrays); absent
         values would silently alias a neighbouring run.
         """
-        idx = np.searchsorted(self.distinct, values)
-        return self.run_starts[idx], self.run_starts[idx + 1]
+        return np.searchsorted(self.distinct, values)
 
-    def ordinal_spans(self, lows: np.ndarray, highs: np.ndarray
+    def ordinal_spans(self, runs: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sequence-ordinal spans [lo, hi) covering each run [a, b).
+        """Sequence-ordinal spans [lo, hi) of the runs at positions
+        `runs` (as `runs_of` gives them).
 
         The span is the erasure currency of section III-E, the range
         rule's "all the sequences within A_k".  It holds the run's
-        sequences and nothing else -- ``hi - lo == b - a``: every
-        sequence of the run shares its first ``level`` components, and
-        JDewey tuples sort lexicographically, so no other sequence (a
-        shorter one included) sorts between two of them.  Runs must be
-        non-empty.
+        sequences and nothing else -- ``hi - lo`` is the run's row
+        count: every sequence of the run shares its first ``level``
+        components, and JDewey tuples sort lexicographically, so no
+        other sequence (a shorter one included) sorts between two of
+        them.
         """
-        return self.seq_idx[lows], self.seq_idx[highs - 1] + 1
-
-    def run_seq_indices(self, value: int) -> np.ndarray:
-        """Sequence ordinals of the run for `value`."""
-        a, b = self.run_of(value)
-        return self.seq_idx[a:b]
-
-    def contains(self, value: int) -> bool:
-        a, b = self.run_of(value)
-        return b > a
+        lo = self.run_ordinals[runs]
+        return lo, lo + (self.run_starts[runs + 1] - self.run_starts[runs])
 
 
 class ColumnarPostings:
@@ -148,11 +161,10 @@ class ColumnarPostings:
         cached = self._columns.get(level)
         if cached is not None:
             return cached
-        seq_idx = np.flatnonzero(self.lengths >= level).astype(
-            np.int64, copy=False)
-        values = (self._paths()[seq_idx, level - 1] if len(seq_idx)
+        ordinals = np.flatnonzero(self.lengths >= level)
+        values = (self._paths()[ordinals, level - 1] if len(ordinals)
                   else np.empty(0, dtype=np.int64))
-        column = Column(level, values, seq_idx)
+        column = Column.of_rows(level, values, ordinals)
         self._columns[level] = column
         return column
 

@@ -20,12 +20,15 @@ size.  All encoders round-trip.
 
 Each codec has one decoder, and it is numpy throughout: continuation-bit
 masks locate varint boundaries, the 7-bit payloads fold a byte position
-at a time, and the delta/RLE reconstructions are ``np.cumsum`` /
-``np.repeat`` over the decoded stream.  Every decoder checks a column's
-header against its body -- the value count, the runs' total, the
-payload length -- and raises `ValueError` when they disagree, so a
+at a time, and the delta/RLE reconstructions are ``np.cumsum`` over the
+decoded stream.  `decompress_column` hands a column out as its runs
+(`runs_of`): an RLE payload decodes straight to them, the other codecs'
+values are split into runs in one ``diff`` pass.  Every decoder checks a
+column's header against its body -- the value count, the runs' total,
+the payload length -- and raises `ValueError` when they disagree, so a
 hostile column is refused, never read short, long or from
-uninitialized memory.  The scalar loops the decoders replaced are the
+uninitialized memory; runs that do not strictly increase are refused
+too.  The scalar loops the decoders replaced are the
 tests' differential reference (``tests/reference_codecs.py``).
 
 Every decoder accepts ``bytes``, ``memoryview`` or a ``uint8`` ndarray,
@@ -227,39 +230,44 @@ def decode_delta_blocks(data: ByteSource) -> np.ndarray:
 # Scheme 2: run-length triples
 # ---------------------------------------------------------------------------
 
-def runs_of(values: Sequence[int]) -> List[Tuple[int, int, int]]:
-    """Logical (value, first_row, count) triples of a sorted column."""
-    triples: List[Tuple[int, int, int]] = []
+def runs_of(values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct, run_starts)`` of a column: each run of equal
+    neighbours once, and where each begins, closed by the length --
+    ``values[run_starts[i]:run_starts[i + 1]]`` all equal ``distinct[i]``
+    (section III-D's (value, first-row, count) triples as two arrays).
+    One ``diff`` pass; on a sorted column the runs are its distinct
+    values."""
     arr = np.asarray(values, dtype=np.int64)
-    if len(arr) == 0:
-        return triples
-    distinct, starts = np.unique(arr, return_index=True)
-    boundaries = np.append(starts, len(arr))
-    for i, value in enumerate(distinct):
-        first = int(boundaries[i])
-        count = int(boundaries[i + 1] - boundaries[i])
-        triples.append((int(value), first, count))
-    return triples
+    if not len(arr):
+        return arr, np.zeros(1, dtype=np.int64)
+    run_starts = np.concatenate(
+        ([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1, [len(arr)]))
+    return arr[run_starts[:-1]], run_starts
+
+
+def run_values(distinct: np.ndarray, run_starts: np.ndarray) -> np.ndarray:
+    """The column the runs `runs_of` found describe, one value a row."""
+    return np.repeat(distinct, np.diff(run_starts))
 
 
 def encode_rle(values: Sequence[int]) -> bytes:
     """Encode a sorted column as (value_delta, count) pairs."""
-    out = bytearray()
-    triples = runs_of(values)
-    write_varint(out, len(values))
-    write_varint(out, len(triples))
-    prev_value = 0
-    for value, _first, count in triples:
-        if value < prev_value:
-            raise ValueError("RLE needs a sorted column")
-        write_varint(out, value - prev_value)
-        write_varint(out, count)
-        prev_value = value
-    return bytes(out)
+    distinct, run_starts = runs_of(values)
+    pairs = np.empty(2 * len(distinct), dtype=np.int64)
+    pairs[0::2] = np.diff(distinct, prepend=0)
+    pairs[1::2] = np.diff(run_starts)
+    if len(distinct) > 1 and int(pairs[2::2].min()) < 0:
+        raise ValueError("RLE needs a sorted column")
+    return encode_varints([int(run_starts[-1]), len(distinct),
+                           *pairs.tolist()])
 
 
-def decode_rle(data: ByteSource) -> np.ndarray:
-    """Decode an RLE column."""
+def decode_rle(data: ByteSource) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode an RLE column to its runs, ``(distinct, run_starts)`` as
+    `runs_of` gives them -- the stored triples, never expanded.  A run
+    of no value or one repeating (or not above) its predecessor's
+    value is refused: it would alias a neighbour in a search over
+    ``distinct``."""
     stream = decode_varints(data)
     if stream.size < 2:
         raise ValueError("RLE column truncated inside the header")
@@ -271,18 +279,31 @@ def decode_rle(data: ByteSource) -> np.ndarray:
             f"RLE column carries {pairs.size} ints, header says "
             f"{n_runs} (delta, count) pairs")
     run_lens = pairs[1::2]
-    # `np.repeat` trusts the runs' total (one that wraps crashes it), so
-    # it must equal the header's count first, summed exactly: in uint64
-    # when n_runs runs of at most `count` cannot wrap it, else in Python
-    # ints.
+    # The runs' total must equal the header's count, summed exactly: in
+    # uint64 when n_runs runs of at most `count` cannot wrap it, else
+    # in Python ints.
     in_uint64 = count * n_runs < 1 << 64 \
         and (n_runs == 0 or int(run_lens.max()) <= count)
     total = int(run_lens.sum()) if in_uint64 else sum(run_lens.tolist())
     if total != count:
         raise ValueError(
             f"RLE runs cover {total} values, header says {count}")
-    run_values = np.cumsum(pairs[0::2], dtype=np.uint64).astype(np.int64)
-    return np.repeat(run_values, run_lens.astype(np.int64))
+    if n_runs and int(run_lens.min()) == 0:
+        raise ValueError("RLE column holds a run of no values")
+    run_starts = np.zeros(n_runs + 1, dtype=np.int64)
+    np.cumsum(run_lens, out=run_starts[1:])
+    distinct = np.cumsum(pairs[0::2], dtype=np.uint64).astype(np.int64)
+    _check_increasing(SCHEME_RLE, distinct)
+    return distinct, run_starts
+
+
+def _check_increasing(scheme: str, distinct: np.ndarray) -> None:
+    """Refuse runs whose values do not strictly increase: a column is
+    sorted (Property 3.1), and searching unsorted or repeated run values
+    would read a neighbour's run."""
+    if np.any(distinct[1:] <= distinct[:-1]):
+        raise ValueError(f"{scheme} column is not sorted into distinct "
+                         "runs")
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +601,18 @@ _DECODERS = {
 
 
 def decompress_column(scheme: str, data: ByteSource,
-                      rows: Optional[int] = None) -> np.ndarray:
-    """Decode a column written by `choose_codec` as ``scheme``.
+                      rows: Optional[int] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode a sorted column written by `choose_codec` as ``scheme`` to
+    its runs, ``(distinct, run_starts)`` as `runs_of` gives them.
 
-    With ``rows`` (the count the caller knows the column holds), a
-    header declaring another count is refused before the decoder runs:
-    a body can agree with a hostile header, and decoding it would
-    allocate what the header says.
+    RLE payloads are the runs already; the other codecs decode their
+    values and `runs_of` finds the runs.  Runs whose values do not
+    strictly increase are refused (`ValueError`).  With ``rows`` (the
+    count the caller knows the column holds), a header declaring
+    another count is refused before the decoder runs: a body can agree
+    with a hostile header, and decoding it would allocate what the
+    header says.
     """
     try:
         decoder = _DECODERS[scheme]
@@ -603,7 +629,11 @@ def decompress_column(scheme: str, data: ByteSource,
             raise ValueError(
                 f"{scheme} column header says {declared} rows, "
                 f"expected {rows}")
-    return decoder(data)
+    if scheme == SCHEME_RLE:
+        return decoder(data)
+    distinct, run_starts = runs_of(decoder(data))
+    _check_increasing(scheme, distinct)
+    return distinct, run_starts
 
 
 def uncompressed_size(values: Sequence[int], width_bytes: int = 4) -> int:

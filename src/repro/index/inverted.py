@@ -153,8 +153,9 @@ class InvertedIndex:
         rows = np.empty(len(lengths), dtype=np.int64)
         for level in np.unique(lengths).tolist():
             column = postings.column(level)
-            ends_here = lengths[column.seq_idx] == level
-            rows[column.seq_idx[ends_here]] = nodes.rows_at(
+            ordinals = column.seq_idx
+            ends_here = lengths[ordinals] == level
+            rows[ordinals[ends_here]] = nodes.rows_at(
                 level, column.values[ends_here])
         order = np.argsort(rows, kind="stable")
         scores = np.asarray(postings.scores)[order].tolist()

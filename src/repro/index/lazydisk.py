@@ -94,12 +94,13 @@ class LazyColumnarPostings(ColumnarPostings):
     def seqs(self) -> List[JDeweySeq]:
         """The JDewey sequences, in JDewey order -- what the in-memory
         `ColumnarPostings` was built from.  Re-sharding and the open-time
-        consistency check read it; queries read `column`."""
+        consistency check read it, through `level_values`, so neither
+        decodes into the query path's column cache; queries read
+        `column`."""
         seqs: List[List[int]] = [[] for _ in range(len(self))]
-        for level in range(1, self.max_len + 1):
-            column = self.column(level)
-            for ordinal, number in zip(column.seq_idx.tolist(),
-                                       column.values.tolist()):
+        for level, values in enumerate(self.level_values(), 1):
+            ordinals = np.flatnonzero(self.lengths >= level)
+            for ordinal, number in zip(ordinals.tolist(), values.tolist()):
                 seqs[ordinal].append(number)
         return [tuple(seq) for seq in seqs]
 
@@ -118,38 +119,31 @@ class LazyColumnarPostings(ColumnarPostings):
             if hit is not None:
                 account = active_account()
                 if account is not None:
-                    account.record_decode_cache(
-                        True,
-                        int(hit.values.nbytes) + int(hit.seq_idx.nbytes))
+                    account.record_decode_cache(True, hit.nbytes)
                 return hit
-        mask = self.lengths >= level
-        seq_idx = np.nonzero(mask)[0].astype(np.int64)
-        if level > self.max_len:
-            values = np.empty(0, dtype=np.int64)
-        else:
-            values = self._decode(level, len(seq_idx))
-        column = Column(level, values, seq_idx)
+        column = self._decode(level)
         if shared is not None:
-            nbytes = int(values.nbytes) + int(seq_idx.nbytes)
             account = active_account()
             if account is not None:
-                account.record_decode_cache(False, nbytes)
-            shared.put(key, column, nbytes)
+                account.record_decode_cache(False, column.nbytes)
+            shared.put(key, column)
         else:
             self._columns[level] = column
         return column
-
 
     def level_values(self) -> Iterator[np.ndarray]:
         """Each level's values, decoded from its stored column and
         cached nowhere (what re-saving an opened database encodes)."""
         for level in range(1, self.max_len + 1):
-            yield self._decode(level, int(np.count_nonzero(
-                self.lengths >= level)))
+            yield self._decode(level).values
 
-    def _decode(self, level: int, rows: int) -> np.ndarray:
-        """Decompress the stored column of `level` (1..max_len), which
-        holds `rows` values."""
+    def _decode(self, level: int) -> Column:
+        """The column of `level`, decompressed from its stored runs (an
+        empty one past `max_len`)."""
+        ordinals = np.flatnonzero(self.lengths >= level)
+        if level > self.max_len:
+            return Column.of_rows(level, np.empty(0, dtype=np.int64),
+                                  ordinals)
         # The index's "disk read": poll the scoped deadline at every
         # posting fetch, so a budgeted query cannot stall inside a long
         # decompression chain (a getattr + None test when no deadline
@@ -159,21 +153,24 @@ class LazyColumnarPostings(ColumnarPostings):
         self.io.record(level, len(payload))
         try:
             with span("decompress", codec=scheme, bytes=len(payload)):
-                values = decompress_column(scheme, payload, rows)
+                distinct, run_starts = decompress_column(
+                    scheme, payload, len(ordinals))
         except _PARSE_ERRORS as exc:
             # Reachable only with verification off (or a CRC
             # collision): the block checksum covers these bytes.
             raise DatabaseCorruptError(
                 f"level-{level} column of term {self.term!r} does "
                 f"not decode: {exc}", term=self.term) from exc
+        column = Column(level, distinct, run_starts,
+                        ordinals[run_starts[:-1]])
         account = active_account()
         if account is not None:
             # Mapped payloads are zero-copy views; an injector
             # degrades the container to a bytes copy.
             account.record_column(
-                level, scheme, len(payload), int(values.nbytes),
-                len(values), not isinstance(payload, (bytes, bytearray)))
-        return values
+                level, scheme, len(payload), column.nbytes, len(ordinals),
+                not isinstance(payload, (bytes, bytearray)))
+        return column
 
 
 class LazyColumnarIndex(ColumnarIndex):

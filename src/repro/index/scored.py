@@ -87,9 +87,9 @@ class ScoredPostings:
         """Column `level` as a ranked input: ``(run, score)`` of its
         occurrences, best damped score first.
 
-        ``runs`` is ``(lows, highs)`` as `Column.runs_of` returns them:
-        only those runs are served, and ``run`` indexes them.  Default:
-        every run of the column (``run`` indexes ``column.distinct``).
+        ``runs`` is run positions as `Column.runs_of` returns them: only
+        those runs are served, and ``run`` indexes them.  Default: every
+        run of the column (``run`` indexes ``column.distinct``).
 
         ``eraser`` filters out erased sequences (consumed by deeper
         ELCAs) so they never become witnesses; it may be a query's
@@ -102,12 +102,11 @@ class ScoredPostings:
         postings = self.postings
         column = postings.column(level)
         if runs is None:
-            runs = column.run_starts[:-1], column.run_starts[1:]
-        lows, highs = runs
+            runs = np.arange(column.n_distinct)
+        lows, highs = column.ordinal_spans(runs)
         counts = highs - lows
-        rows, _offsets = expand_runs(lows, counts)
-        run = np.repeat(np.arange(len(lows)), counts)
-        ordinals = column.seq_idx[rows]
+        ordinals, _offsets = expand_runs(lows, counts)
+        run = np.repeat(np.arange(len(runs)), counts)
         if eraser is not None:
             free = eraser.free_mask(ordinals + base)
             run, ordinals = run[free], ordinals[free]

@@ -39,8 +39,9 @@ from ..reliability.checksum import (ALGORITHM_IDS, ALGORITHM_NAMES,
 from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
 from .columnar import ColumnarIndex, ColumnarPostings
 from .compression import (PAPER_CODECS, SCHEME_IDS, SCHEME_NAMES,
-                          SCHEME_VARINT, choose_codec, decompress_column,
-                          encode_varint_column, read_varint, varint_size,
+                          choose_codec, decode_varint_column,
+                          decompress_column, encode_varint_column,
+                          read_varint, run_values, varint_size,
                           write_varint)
 from .inverted import InvertedIndex, PostingList
 from .sparse import DEFAULT_GRANULARITY, SparseColumnIndex
@@ -126,7 +127,8 @@ def deserialize_columnar_postings(data: bytes, pos: int = 0
         payload_len, pos = read_varint(data, pos)
         payload = data[pos: pos + payload_len]
         pos += payload_len
-        values = decompress_column(SCHEME_NAMES[scheme_byte], payload)
+        values = run_values(*decompress_column(SCHEME_NAMES[scheme_byte],
+                                               payload))
         cursor = 0
         for i in range(n_seqs):
             if lengths[i] >= level:
@@ -253,7 +255,7 @@ def _decode_lengths(data, n_seqs: int, max_len: int) -> np.ndarray:
     a narrower or unsigned type would wrap)."""
     # Usually one pair in a handful of bytes, checked in Python ints,
     # whose sum cannot wrap.
-    pairs = decompress_column(SCHEME_VARINT, data).tolist()
+    pairs = decode_varint_column(data).tolist()
     values, runs = pairs[0::2], pairs[1::2]
     # Checked before `np.repeat`, so a hostile run cannot ask for more
     # memory than the header's n_seqs (itself bounded by the scores

@@ -42,7 +42,7 @@ class ResourceAccount:
     * ``bytes_copied`` -- payload bytes materialized as ``bytes``
       copies (fault-injected reads, in-memory blobs);
     * ``bytes_decompressed`` -- decoded output bytes across all column
-      decompressions;
+      decompressions (`Column.nbytes`: a decoded column is its runs);
     * ``postings_bytes_read`` -- compressed payload bytes fed to the
       decoders (mapped + copied column reads);
     * ``columns_decompressed`` -- column decompressions performed;
@@ -81,7 +81,8 @@ class ResourceAccount:
                       mapped: bool) -> None:
         """One column decompression: `payload_bytes` compressed input
         (`mapped` when served as a zero-copy view of an mmap),
-        `output_bytes` decoded output, `postings` values scanned."""
+        `output_bytes` decoded output (the column's run arrays),
+        `postings` values scanned."""
         self.columns_decompressed += 1
         self.postings_bytes_read += payload_bytes
         if mapped:
@@ -102,7 +103,7 @@ class ResourceAccount:
 
     def record_decode_cache(self, hit: bool, nbytes: int) -> None:
         """Decoded-column-cache attribution: a hit saves re-decoding a
-        column whose decoded arrays span `nbytes`, a miss pays that to
+        column whose run arrays span `nbytes`, a miss pays that to
         populate the cache.  Bytes go to ``cache_bytes_saved`` /
         ``cache_bytes_paid``, the lookups to the ``decode_cache``
         breakdown."""

@@ -78,14 +78,14 @@ def _codec_level_stats(containers) -> Dict[str, Any]:
         for idx, (scheme, column) in enumerate(level_payloads):
             level = idx + 1
             compressed = int(len(column))
-            values = decompress_column(scheme, column,
-                                       int((lengths >= level).sum()))
-            raw = int(len(values)) * 4
+            rows = int((lengths >= level).sum())
+            decompress_column(scheme, column, rows)     # decodes, or raises
+            raw = rows * 4
             lv = by_level.setdefault(level, {"compressed": 0, "raw": 0,
                                              "postings": 0, "codecs": {}})
             lv["compressed"] += compressed
             lv["raw"] += raw
-            lv["postings"] += int(len(values))
+            lv["postings"] += rows
             lv["codecs"][scheme] = lv["codecs"].get(scheme, 0) + 1
             cd = by_codec.setdefault(scheme, {"compressed": 0, "raw": 0,
                                               "columns": 0})

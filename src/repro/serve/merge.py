@@ -51,6 +51,7 @@ from ..algorithms.base import (ELCA, SLCA, EmptyResultError, ExecutionStats,
 from ..algorithms.hybrid import HybridTopKSearch
 from ..algorithms.topk_keyword import TopKKeywordSearch, _StreamState
 from ..cache import QueryCache, result_key
+from ..index.columnar import expand_runs
 from ..obs.account import accounting, fold_into_stats
 from ..reliability.deadline import Deadline
 from ..scoring.ranking import RankingModel
@@ -108,13 +109,13 @@ def compute_root_info(index, terms: Sequence[str],
         factors = np.asarray([ranking.damping(delta)
                               for delta in range(int(lengths.max()))])
         damped = scores * factors[lengths - 1]
+        free = np.ones(len(lengths), dtype=bool)
         if len(ca):
+            # Erased: the sequences of the column-2 runs that join.
             column2 = plist.column(2)
-            level2 = np.full(len(lengths), -1, dtype=np.int64)
-            level2[column2.seq_idx] = column2.values
-            free = (lengths == 1) | ~np.isin(level2, ca)
-        else:
-            free = np.ones(len(lengths), dtype=bool)
+            lo, hi = column2.ordinal_spans(np.flatnonzero(
+                np.isin(column2.distinct, ca, assume_unique=True)))
+            free[expand_runs(lo, hi - lo)[0]] = False
         if free.any():
             free_max[term] = float(damped[free].max())
     return RootInfo(present, has_ca=bool(len(ca)), free_max=free_max)

@@ -6,6 +6,7 @@ walks the payload with `read_varint` (FOR bit by bit), exactly as a C
 implementation would -- so the differential tests have an independent
 account of what a payload decodes to.  They expect well-formed payloads:
 refusing hostile ones is the library decoders' job, not theirs.
+`runs` splits a decoded column into the runs the library hands out.
 """
 
 from typing import List
@@ -118,3 +119,18 @@ DECODERS = {
 
 def decompress_column(scheme: str, data) -> np.ndarray:
     return DECODERS[scheme](data)
+
+
+def runs(values):
+    """``(distinct, run_starts)`` of a sorted column, one row at a
+    time: what `repro.index.compression.decompress_column` must return
+    for the column."""
+    distinct: List[int] = []
+    starts: List[int] = []
+    for row, value in enumerate(np.asarray(values).tolist()):
+        if not distinct or value != distinct[-1]:
+            distinct.append(value)
+            starts.append(row)
+    starts.append(len(values))
+    return (np.asarray(distinct, dtype=np.int64),
+            np.asarray(starts, dtype=np.int64))

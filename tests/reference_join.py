@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.algorithms.base import (ELCA, SLCA, ExecutionStats, SearchResult,
                                    check_semantics, sort_by_document_order)
 from repro.algorithms.erasure import make_eraser
@@ -82,11 +84,12 @@ class PerCandidateJoinSearch:
             [c.distinct for c in columns], stats, level)
         if len(joined) == 0:
             return
-        run_bounds = [column.runs_of(joined) for column in columns]
+        spans = [column.ordinal_spans(column.runs_of(joined))
+                 for column in columns]
         for j, number in enumerate(joined):
             stats.candidates_checked += 1
             emitted = self._check_candidate(
-                int(number), level, j, postings, columns, run_bounds,
+                int(number), level, j, postings, spans,
                 erasers, semantics, with_scores, caller_slot, damping_base)
             if emitted is not None:
                 results.append(emitted)
@@ -94,30 +97,27 @@ class PerCandidateJoinSearch:
         # Erase every joined range *after* the level is fully checked:
         # same-level candidates never interact (disjoint subtrees).  One
         # eraser per term, independent of the query-wide one in `src/`.
-        for column, (lows, highs), eraser in zip(columns, run_bounds,
-                                                 erasers):
-            eraser.mark_many(*column.ordinal_spans(lows, highs))
+        for (lows, highs), eraser in zip(spans, erasers):
+            eraser.mark_many(lows, highs)
             stats.erasures += int((highs - lows).sum())
 
     def _check_candidate(self, number: int, level: int, j: int,
-                         postings: List[ColumnarPostings], columns,
-                         run_bounds, erasers, semantics: str,
+                         postings: List[ColumnarPostings],
+                         spans, erasers, semantics: str,
                          with_scores: bool, caller_slot: List[int],
                          damping_base: float) -> Optional[SearchResult]:
         """Apply the ELCA/SLCA test to one joined number."""
         witness: List[float] = [0.0] * len(postings)
-        for t, column in enumerate(columns):
-            a = int(run_bounds[t][0][j])
-            b = int(run_bounds[t][1][j])
-            ordinals = column.seq_idx[a:b]
-            lo, hi = int(ordinals[0]), int(ordinals[-1]) + 1
+        for t in range(len(postings)):
+            lo, hi = int(spans[t][0][j]), int(spans[t][1][j])
+            ordinals = np.arange(lo, hi)
             erased = erasers[t].erased_count(lo, hi)
             if semantics == SLCA:
                 if erased:
                     return None
                 free_ordinals = ordinals
             else:
-                if erased >= b - a:
+                if erased >= hi - lo:
                     return None  # no free witness for this keyword
                 if erased:
                     mask = erasers[t].free_mask(ordinals)

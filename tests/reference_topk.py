@@ -442,8 +442,9 @@ class ColumnCursor:
             ordinal = int(group.ordinals[pos])
             if self.skip is not None and self.skip(ordinal):
                 continue
-            row = np.searchsorted(self._column.seq_idx, ordinal)
-            number = int(self._column.values[row])
+            column = self._column
+            number = int(column.distinct[np.searchsorted(
+                column.run_ordinals, ordinal, side="right") - 1])
             self.retrieved += 1
             return number, ordinal, -neg_score
         return None
@@ -479,6 +480,12 @@ class _CursorInput:
 def erased_probe(eraser) -> Callable[[int], bool]:
     """The scalar ``is_erased(ordinal)`` the erasers no longer carry."""
     return lambda ordinal: not eraser.free_mask(np.asarray([ordinal]))[0]
+
+
+def _span(column, number: int) -> Tuple[int, int]:
+    """The ordinal span [lo, hi) of `number`'s run in `column`."""
+    lo, hi = column.ordinal_spans(column.runs_of(np.asarray([number])))
+    return int(lo[0]), int(hi[0])
 
 
 class PerTupleTopKSearch(TopKKeywordSearch):
@@ -579,9 +586,7 @@ class PerTupleTopKSearch(TopKKeywordSearch):
         number = completed.key
         if semantics == SLCA:
             for t, column in enumerate(columns):
-                ordinals = column.run_seq_indices(number)
-                lo, hi = int(ordinals[0]), int(ordinals[-1]) + 1
-                if erasers[t].erased_count(lo, hi):
+                if erasers[t].erased_count(*_span(column, number)):
                     return None
         node = self.index.node_at(level, number)
         witness = tuple(completed.scores[slot] for slot in caller_slot)
@@ -594,6 +599,6 @@ class PerTupleTopKSearch(TopKKeywordSearch):
             [c.distinct for c in columns], stats, level)
         for t, column in enumerate(columns):
             for number in joined.tolist():
-                ordinals = column.run_seq_indices(number)
-                erasers[t].mark(int(ordinals[0]), int(ordinals[-1]) + 1)
-                stats.erasures += len(ordinals)
+                lo, hi = _span(column, number)
+                erasers[t].mark(lo, hi)
+                stats.erasures += hi - lo

@@ -298,7 +298,7 @@ class TestDecodedColumnCache:
         from repro.index.columnar import Column
 
         values = np.arange(n, dtype=np.int64)
-        return Column(level, values, values.copy())
+        return Column.of_rows(level, values, values.copy())
 
     def test_get_put_roundtrip(self):
         from repro.cache import DecodedColumnCache
@@ -310,14 +310,16 @@ class TestDecodedColumnCache:
         cache.put(key, column)
         assert cache.get(key) is column
         assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.current_bytes == (column.values.nbytes
-                                       + column.seq_idx.nbytes)
+        # The three run arrays, each counted.
+        assert cache.current_bytes == column.nbytes == (
+            column.distinct.nbytes + column.run_starts.nbytes
+            + column.run_ordinals.nbytes)
 
     def test_budget_evicts_least_recently_used(self):
         from repro.cache import DecodedColumnCache
 
         column = self._column()
-        cost = column.values.nbytes + column.seq_idx.nbytes
+        cost = column.nbytes
         cache = DecodedColumnCache(capacity_bytes=2 * cost)
         cache.put("a", self._column())
         cache.put("b", self._column())
@@ -351,8 +353,7 @@ class TestDecodedColumnCache:
         cache.put("k", self._column(n=16))
         small = self._column(n=4)
         cache.put("k", small)
-        assert cache.current_bytes == (small.values.nbytes
-                                       + small.seq_idx.nbytes)
+        assert cache.current_bytes == small.nbytes
         assert len(cache) == 1
 
     def test_clear_resets(self):
@@ -377,3 +378,31 @@ class TestDecodedColumnCache:
         assert snap["capacity_bytes"] == 1 << 20
         assert snap["hits"] == 1 and snap["misses"] == 1
         assert snap["bytes"] == cache.current_bytes
+
+
+class TestChecksStayOutOfTheDecodedCache:
+    """The decoded-column cache holds what queries decoded.  An eager
+    open's consistency check and a sharded re-save of an opened
+    database read every column through `level_values`, which caches
+    nowhere: they neither fill the cache nor evict from it."""
+
+    def test_eager_open_and_sharded_resave(self, dblp_db, tmp_path):
+        from repro.diskdb import load_database, save_database
+
+        save_database(dblp_db, str(tmp_path / "flat"), fsync=False)
+        opened = load_database(str(tmp_path / "flat"), verify="eager")
+        cache = opened.columnar_index._decoded_cache
+
+        def untouched():
+            snap = cache.as_dict()
+            return (snap["entries"], snap["misses"], snap["bytes"]) \
+                == (0, 0, 0)
+
+        assert untouched()
+        save_database(opened, str(tmp_path / "sharded"), shards=2,
+                      fsync=False)
+        assert untouched()
+        assert deweys(load_database(str(tmp_path / "sharded")).search(
+            "alpha beta", use_cache=False)) == deweys(opened.search(
+                "alpha beta", use_cache=False))
+        assert len(cache) > 0 and cache.stats.misses == len(cache)

@@ -128,32 +128,30 @@ class TestColumns:
                 a, b = int(col.run_starts[i]), int(col.run_starts[i + 1])
                 assert np.all(col.values[a:b] == value)
 
-    def test_run_of_present_value(self, index):
+    def test_runs_of_present_value(self, index):
         col = index.term_postings("xml").column(1)
-        a, b = col.run_of(int(col.distinct[0]))
-        assert (a, b) == (0, len(col))
+        runs = col.runs_of(col.distinct[:1])
+        assert runs.tolist() == [0]
+        lo, hi = col.ordinal_spans(runs)
+        assert (int(lo[0]), int(hi[0])) == (0, len(col))
 
-    def test_run_of_absent_value(self, index):
-        col = index.term_postings("xml").column(2)
-        a, b = col.run_of(10**9)
-        assert a == b
-
-    def test_contains(self, index):
-        col = index.term_postings("xml").column(1)
-        assert col.contains(int(col.distinct[0]))
-        assert not col.contains(10**9)
-
-    def test_run_seq_indices_contiguous_ordinals(self, index):
+    def test_ordinal_spans_are_the_runs_sequences(self, index):
         """The erasure-range property: a run's sequence ordinals are
-        consecutive integers (section III-E geometry)."""
+        consecutive integers (section III-E geometry) -- the span of
+        each run holds exactly the sequences carrying its number at
+        that level, read off the sequences themselves."""
         for term in index.vocabulary:
             postings = index.term_postings(term)
+            seqs = postings.seqs
             for level in range(1, postings.max_len + 1):
                 col = postings.column(level)
-                for value in col.distinct:
-                    ordinals = col.run_seq_indices(int(value))
-                    assert list(ordinals) == list(
-                        range(int(ordinals[0]), int(ordinals[-1]) + 1))
+                lo, hi = col.ordinal_spans(np.arange(col.n_distinct))
+                for value, a, b in zip(col.distinct.tolist(), lo.tolist(),
+                                       hi.tolist()):
+                    assert [i for i, seq in enumerate(seqs)
+                            if len(seq) >= level
+                            and seq[level - 1] == value] \
+                        == list(range(a, b))
 
     def test_has_exact_length(self, index):
         postings = index.term_postings("xml")

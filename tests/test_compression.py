@@ -20,6 +20,29 @@ from tests import reference_codecs as ref
 sorted_columns = st.lists(st.integers(0, 10_000), min_size=0,
                           max_size=300).map(sorted)
 
+#: Each codec's value decoder: what a column that is not sorted (which
+#: `decompress_column` refuses) decodes through.
+VALUE_DECODERS = {"delta": cmp.decode_delta_blocks,
+                  "varint": cmp.decode_varint_column,
+                  "for": cmp.decode_for}
+
+
+def column_values(scheme, payload):
+    """A sorted column's values, expanded from `decompress_column`'s
+    runs."""
+    return cmp.run_values(*cmp.decompress_column(scheme, payload)).tolist()
+
+
+def assert_runs_equal(got, want):
+    for got_part, want_part in zip(got, want):
+        np.testing.assert_array_equal(got_part, want_part)
+
+
+def rle_payload(deltas, counts):
+    """An RLE payload with exactly these (value delta, count) pairs."""
+    pairs = [x for pair in zip(deltas, counts) for x in pair]
+    return cmp.encode_varints([sum(counts), len(counts), *pairs])
+
 
 class TestVarints:
     @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 2 ** 21, 2 ** 40])
@@ -72,18 +95,27 @@ class TestDeltaBlocks:
 
 class TestRLE:
     def test_runs_of(self):
-        triples = cmp.runs_of([2, 2, 2, 4, 7, 7])
-        assert triples == [(2, 0, 3), (4, 3, 1), (7, 4, 2)]
+        distinct, run_starts = cmp.runs_of([2, 2, 2, 4, 7, 7])
+        assert distinct.tolist() == [2, 4, 7]
+        assert run_starts.tolist() == [0, 3, 4, 6]
 
     def test_runs_of_empty(self):
-        assert cmp.runs_of([]) == []
+        distinct, run_starts = cmp.runs_of([])
+        assert distinct.tolist() == [] and run_starts.tolist() == [0]
 
     def test_roundtrip_basic(self):
         values = [1, 1, 1, 1, 8, 8, 9]
-        assert list(cmp.decode_rle(cmp.encode_rle(values))) == values
+        assert cmp.run_values(*cmp.decode_rle(cmp.encode_rle(values))) \
+            .tolist() == values
 
     def test_roundtrip_empty(self):
-        assert list(cmp.decode_rle(cmp.encode_rle([]))) == []
+        assert cmp.run_values(*cmp.decode_rle(cmp.encode_rle([]))) \
+            .tolist() == []
+
+    def test_encoding_is_the_triples(self):
+        """Header (count, runs), then (value delta, count) per run."""
+        assert cmp.encode_rle([2, 2, 2, 4, 7, 7]) \
+            == cmp.encode_varints([6, 3, 2, 3, 2, 1, 3, 2])
 
     def test_unsorted_raises(self):
         with pytest.raises(ValueError):
@@ -95,7 +127,33 @@ class TestRLE:
 
     @given(sorted_columns)
     def test_roundtrip_property(self, values):
-        assert list(cmp.decode_rle(cmp.encode_rle(values))) == values
+        assert cmp.run_values(*cmp.decode_rle(cmp.encode_rle(values))) \
+            .tolist() == values
+
+    @given(sorted_columns.filter(len), st.data())
+    def test_hostile_runs_refused(self, values, data):
+        """A run of no values, or one whose value does not step up from
+        its predecessor's, would alias a neighbouring run in a search
+        over ``distinct``: both are refused, and the honest payload
+        next to them decodes."""
+        distinct, run_starts = cmp.runs_of(values)
+        deltas = np.diff(distinct, prepend=0).tolist()
+        counts = np.diff(run_starts).tolist()
+        assert_runs_equal(cmp.decompress_column(
+            "rle", rle_payload(deltas, counts)), (distinct, run_starts))
+        at = data.draw(st.integers(0, len(counts)))
+        empty_run = rle_payload(
+            deltas[:at] + [data.draw(st.integers(0, 9))] + deltas[at:],
+            counts[:at] + [0] + counts[at:])
+        at = data.draw(st.integers(1, len(counts)))
+        repeated = rle_payload(deltas[:at] + [0] + deltas[at:],
+                               counts[:at] + [data.draw(st.integers(1, 9))]
+                               + counts[at:])
+        for payload in (empty_run, repeated):
+            with pytest.raises(ValueError):
+                cmp.decompress_column("rle", payload)
+            with pytest.raises(ValueError):
+                cmp.decode_rle(payload)
 
 
 def paper_scheme(values):
@@ -118,7 +176,7 @@ class TestSchemeSelection:
         for codecs in (cmp.CODECS, cmp.PAPER_CODECS):
             scheme, data = cmp.choose_codec(values, codecs)
             assert scheme in codecs
-            assert list(cmp.decompress_column(scheme, data)) == values
+            assert column_values(scheme, data) == values
 
     def test_unknown_scheme_raises(self):
         with pytest.raises(ValueError):
@@ -127,7 +185,7 @@ class TestSchemeSelection:
     def test_numpy_input_accepted(self):
         values = np.asarray([1, 2, 2, 3], dtype=np.int64)
         scheme, data = cmp.choose_codec(values)
-        assert list(cmp.decompress_column(scheme, data)) == [1, 2, 2, 3]
+        assert column_values(scheme, data) == [1, 2, 2, 3]
 
 
 class TestVectorizedVarints:
@@ -198,8 +256,8 @@ class TestVectorizedColumnDecoders:
     @given(sorted_columns)
     def test_rle_differential(self, values):
         blob = cmp.encode_rle(values)
-        assert cmp.decode_rle(blob).tolist() \
-            == ref.decode_rle(blob).tolist() == values
+        assert ref.decode_rle(blob).tolist() == values
+        assert_runs_equal(cmp.decode_rle(blob), ref.runs(values))
 
     @pytest.mark.parametrize("block_size", [1, 2, 16, 128])
     def test_delta_block_boundaries(self, block_size):
@@ -221,7 +279,10 @@ class TestVectorizedColumnDecoders:
         """Every codec that can encode the column, at payloads from a
         few bytes to a few KiB -- about half of them past the 256 B
         where a size crossover once split columns between two
-        decoders."""
+        decoders: a sorted column's runs are the runs of the reference
+        decoder's values; one that is not sorted has no runs to hand
+        out and is refused, and its codec's value decoder matches the
+        reference."""
         values = np.random.default_rng(seed).integers(0, high, size=n)
         if ordered:
             values = np.sort(values)
@@ -230,10 +291,16 @@ class TestVectorizedColumnDecoders:
                 scheme, blob = cmp.choose_codec(values, (codec,))
             except ValueError:
                 continue        # rle and delta need the column sorted
+            decoded = ref.decompress_column(scheme, blob)
+            np.testing.assert_array_equal(decoded, values)
+            if not np.any(values[1:] < values[:-1]):
+                assert_runs_equal(cmp.decompress_column(scheme, blob),
+                                  ref.runs(decoded))
+                continue
             np.testing.assert_array_equal(
-                cmp.decompress_column(scheme, blob), values)
-            np.testing.assert_array_equal(
-                ref.decompress_column(scheme, blob), values)
+                VALUE_DECODERS[scheme](blob), decoded)
+            with pytest.raises(ValueError):
+                cmp.decompress_column(scheme, blob)
 
 
 def roundtrip_for(values, block_size=cmp.DEFAULT_BLOCK_SIZE):
@@ -354,7 +421,8 @@ class TestChooseCodec:
             for candidate in cmp.CODECS:
                 other = _encodable(values, candidate)
                 assert other is None or len(payload) <= len(other)
-            decoded = cmp.decompress_column(scheme, payload)
+            decoded = (column_values(scheme, payload) if scheme == "rle"
+                       else VALUE_DECODERS[scheme](payload))
             np.testing.assert_array_equal(decoded, values)
 
     def test_within_one_percent_of_exhaustive_best(self):
@@ -371,7 +439,7 @@ class TestChooseCodec:
                 values = postings.column(level).values
                 scheme, payload = cmp.choose_codec(values)
                 np.testing.assert_array_equal(
-                    cmp.decompress_column(scheme, payload), values)
+                    column_values(scheme, payload), values)
                 picked += len(payload)
                 best += min(len(blob) for blob in (
                     _encodable(values, c) for c in cmp.CODECS)
@@ -389,15 +457,18 @@ class TestChooseCodec:
                                  ([], "rle")):
             scheme, payload = cmp.choose_codec(values, cmp.PAPER_CODECS)
             assert scheme == expected, values
-            assert list(cmp.decompress_column(scheme, payload)) == values
+            assert column_values(scheme, payload) == values
 
     def test_unsorted_column_needs_for_or_varint(self):
         values = [9, 3, 7]
         scheme, payload = cmp.choose_codec(values)
         assert scheme in ("for", "varint")
-        assert list(cmp.decompress_column(scheme, payload)) == values
+        assert VALUE_DECODERS[scheme](payload).tolist() == values
         with pytest.raises(ValueError):
             cmp.choose_codec(values, cmp.PAPER_CODECS)
+        # Runs of an unsorted column would alias in a search.
+        with pytest.raises(ValueError):
+            cmp.decompress_column(scheme, payload)
 
     def test_constant_column_prefers_rle(self):
         scheme, _ = cmp.choose_codec(np.full(10_000, 123, dtype=np.int64))
@@ -412,6 +483,5 @@ class TestChooseCodec:
         rng = np.random.default_rng(21)
         values = np.sort(rng.integers(0, 2**34, size=777))
         scheme, payload = cmp.choose_codec(values)
-        np.testing.assert_array_equal(
-            cmp.decompress_column(scheme, payload),
-            ref.decompress_column(scheme, payload))
+        assert_runs_equal(cmp.decompress_column(scheme, payload),
+                          ref.runs(ref.decompress_column(scheme, payload)))

@@ -11,6 +11,7 @@ wrong results.
 import json
 import os
 import random
+import struct
 
 import pytest
 
@@ -247,6 +248,53 @@ class TestVerifyOff:
                     load_database(clean_dir, verify="off")
                 except DatabaseFormatError:
                     pass
+
+
+@pytest.mark.parametrize("hostile", ("empty-run", "repeated-value"))
+def test_hostile_rle_runs_are_typed_with_checks_off(tmp_path, hostile):
+    """An RLE column whose runs still cover its rows but hold a run of
+    no values, or a run repeating its predecessor's value, would alias
+    a neighbouring run once the runs are searched.  Past the checksum
+    (``verify="off"``) the query that reads it gets
+    `DatabaseCorruptError` for the term."""
+    path = str(tmp_path / "db")
+    save_database(XMLDatabase.generate_dblp(seed=7, n_papers=100), path,
+                  fsync=False)
+    with open(os.path.join(path, _COLUMNAR), "rb") as fh:
+        blob = bytearray(fh.read())
+    _algo, refs = storage.scan_container(bytes(blob))
+    ref, stream, offset = next(_one_byte_rle_columns(blob, refs))
+    # [count, runs, delta0, count0, delta1, count1, ...], a byte each
+    if hostile == "empty-run":
+        blob[offset + 3] = stream[3] + stream[5]
+        blob[offset + 5] = 0
+    else:
+        blob[offset + 4] = 0
+    with open(os.path.join(path, _COLUMNAR), "wb") as fh:
+        fh.write(bytes(blob))
+    db = load_database(path, verify="off")
+    with pytest.raises(DatabaseCorruptError) as err:
+        db.search(ref.term, use_cache=False)
+    assert err.value.term == ref.term
+
+
+def _one_byte_rle_columns(blob, refs):
+    """``(ref, stream, offset)`` of every RLE column of two runs or more
+    whose varints are a byte each and whose first two runs total under
+    128 rows: `stream` its decoded ints, `offset` where it starts in
+    `blob`."""
+    from repro.index.compression import decode_varints
+
+    for ref in refs:
+        payload = bytes(blob[ref.offset: ref.offset + ref.length])
+        _lengths, _scores, levels = storage.parse_payload(ref.term, payload)
+        for level, (scheme, column) in enumerate(levels):
+            stream = decode_varints(column).tolist()
+            if scheme == "rle" and stream[1] >= 2 and max(stream) < 128 \
+                    and stream[3] + stream[5] < 128:
+                offset = struct.unpack_from(
+                    "<Q", payload, storage._PAYLOAD_HEADER.size + 8 * level)
+                yield ref, stream, ref.offset + offset[0]
 
 
 class TestContainerFuzz:

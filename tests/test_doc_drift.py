@@ -324,6 +324,9 @@ REMOVED_NAMES = (
     "format_replay_report", "repro replay", "--fail-on-mismatch",
     "_cache_estimate", "max_hit_ratio", "doctor_report(workload",
     "hedge_ms", "--hedge-ms", "_submit_once",
+    # a column's per-row lookups: a column is its runs, read through
+    # `Column.runs_of` and `Column.ordinal_spans`
+    "run_of", "run_seq_indices", ".contains(",
 )
 
 
@@ -373,6 +376,7 @@ class TestDocumentedCommands:
         import repro.cache
         import repro.cli
         import repro.diskdb
+        import repro.index.columnar
         import repro.index.compression
         import repro.index.lazydisk
         import repro.index.storage
@@ -386,7 +390,8 @@ class TestDocumentedCommands:
 
         for name in REMOVED_NAMES:
             if name.isidentifier():
-                for owner in (repro.diskdb, repro.index.compression,
+                for owner in (repro.diskdb, repro.index.columnar.Column,
+                              repro.index.compression,
                               repro.index.lazydisk, repro.index.storage,
                               repro.api, repro.api.XMLDatabase,
                               repro.cache.QueryCache,

@@ -30,9 +30,9 @@ def test_topk_prefix_consistency(tree, terms, k):
 @given(labelled_tree())
 def test_columnar_serialization_roundtrip_random_trees(tree):
     """Every term of a random tree's index round-trips exactly, and in
-    memory as opened (``seq_idx`` derived from the lengths) every run of
-    every column is a block of consecutive sequence ordinals -- what the
-    level check's witnesses read without a ``seq_idx`` gather."""
+    memory as opened every run of every column is a block of consecutive
+    sequence ordinals, read off the sequences themselves -- what a
+    column's ``run_ordinals`` (one ordinal a run) stand for."""
     db = XMLDatabase.from_tree(tree)
     index = db.columnar_index
     blob = storage.serialize_columnar_index(index,
@@ -45,13 +45,17 @@ def test_columnar_serialization_roundtrip_random_trees(tree):
         assert postings.seqs == original.seqs
         assert list(postings.scores) == pytest.approx(
             list(original.scores))
+        seqs = original.seqs
         for each in (original, postings):
             for level in range(1, each.max_len + 1):
                 column = each.column(level)
-                starts, seq_idx = column.run_starts, column.seq_idx
-                assert np.array_equal(
-                    seq_idx[starts[1:] - 1] + 1 - seq_idx[starts[:-1]],
-                    np.diff(starts))
+                lo, hi = column.ordinal_spans(np.arange(column.n_distinct))
+                for value, a, b in zip(column.distinct.tolist(),
+                                       lo.tolist(), hi.tolist()):
+                    assert [i for i, seq in enumerate(seqs)
+                            if len(seq) >= level
+                            and seq[level - 1] == value] \
+                        == list(range(a, b))
 
 
 @settings(max_examples=30, deadline=None,

@@ -167,10 +167,12 @@ def rank_joins(monkeypatch):
     built = []
     original = driver_module._TopKRun.rank_join
 
-    def spying(run, level, joined, run_bounds):
-        join = original(run, level, joined, run_bounds)
+    def spying(run, level, joined, runs):
+        join = original(run, level, joined, runs)
+        spans = [scored.postings.column(level).ordinal_spans(term_runs)
+                 for scored, term_runs in zip(run.scored, runs)]
         built.append((level, join, sum(int((highs - lows).sum())
-                                       for lows, highs in run_bounds)))
+                                       for lows, highs in spans)))
         return join
 
     monkeypatch.setattr(driver_module._TopKRun, "rank_join", spying)
