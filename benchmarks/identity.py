@@ -10,7 +10,7 @@ against ``--base REV``'s, each in its own subprocess:
   top-10, the first 25 of `search_stream`} x {in memory, opened from a
   directory, opened as 2 shards} -- a sharded database refuses `join`
   top-K, so it has one case fewer;
-* complete evaluation in memory under each of the three erasers.
+* complete evaluation in memory through `JoinBasedSearch.evaluate`.
 
 Per case it prints one SHA-1 over ``(dewey, level, repr(score),
 repr(witness))`` of every answer, in order, and the `ExecutionStats`
@@ -44,7 +44,6 @@ import constants as C  # noqa: E402
 COUNTERS = ("levels_processed", "joins", "merge_joins", "index_joins",
             "tuples_scanned", "lookups", "candidates_checked",
             "results_emitted", "erasures", "threshold_checks")
-ERASERS = ("bitmap", "interval", "roaring")
 SEMANTICS = ("elca", "slca")
 
 
@@ -106,10 +105,8 @@ def run_cases(papers: int, seed: int, work: str):
     plan = [(f"{store} {name}", fn)
             for store, handle, is_sharded in stores
             for name, fn in entries(handle, is_sharded)]
-    for mode in ERASERS:
-        engine = JoinBasedSearch(db.columnar_index, eraser_mode=mode)
-        plan.append((f"eraser-{mode} evaluate",
-                     lambda t, s, engine=engine: engine.evaluate(t, s)))
+    plan.append(("memory evaluate",
+                 JoinBasedSearch(db.columnar_index).evaluate))
     cases = []
     for case, fn in plan:
         for terms in queries:

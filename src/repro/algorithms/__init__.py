@@ -3,7 +3,7 @@
 from .base import (ELCA, SLCA, EmptyResultError, ExecutionStats, ResultSet,
                    SearchResult, TopKResult, sort_by_document_order,
                    sort_by_score)
-from .erasure import BitmapEraser, IntervalEraser, make_eraser
+from .erasure import BitmapEraser
 from .join_based import JoinBasedSearch
 from .stack_based import StackBasedSearch
 from .index_based import IndexBasedSearch
@@ -25,8 +25,6 @@ __all__ = [
     "sort_by_document_order",
     "sort_by_score",
     "BitmapEraser",
-    "IntervalEraser",
-    "make_eraser",
     "JoinBasedSearch",
     "StackBasedSearch",
     "IndexBasedSearch",

@@ -204,9 +204,3 @@ class IndexBasedSearch:
             stats.results_emitted += 1
         return sort_by_document_order(results), stats
 
-
-def search(index: InvertedIndex, terms: Sequence[str],
-           semantics: str = ELCA) -> List[SearchResult]:
-    """One-shot convenience wrapper around `IndexBasedSearch.evaluate`."""
-    results, _stats = IndexBasedSearch(index).evaluate(terms, semantics)
-    return results

@@ -54,7 +54,7 @@ from ..reliability.errors import DeadlineExceeded
 from ..scoring.ranking import RankingModel
 from .base import (ELCA, SLCA, ExecutionStats, ResultSet, check_semantics,
                    sort_by_document_order)
-from .erasure import make_eraser
+from .erasure import BitmapEraser
 
 
 class _StreamState:
@@ -81,8 +81,7 @@ class LevelRun:
     every level reads, the answers `flush` has not taken, and the steps
     of a level: `join_level`, then `finish_level` -- or, in the top-K
     drivers, a rank join over what joined and `erase_level`.  ``engine``
-    supplies the index, planner, eraser mode, ranking model and span
-    factory.
+    supplies the index, planner, ranking model and span factory.
 
     The terms' postings, in execution order, share one ordinal space:
     term t's sequence ordinals sit at ``bases[t]``.  The query's one
@@ -102,7 +101,7 @@ class LevelRun:
         self.damping_base = engine.ranking.damping.base
         sizes = [len(p) for p in postings]
         self.bases = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-        self.eraser = make_eraser(engine.eraser_mode, sum(sizes))
+        self.eraser = BitmapEraser(sum(sizes))
         self.scores = np.concatenate([p.scores for p in postings])
         self.lengths = np.concatenate([p.lengths for p in postings])
         self.start_level = min(p.max_len for p in postings)
@@ -217,11 +216,6 @@ class JoinBasedSearch:
     planner:
         Join-algorithm selection policy; defaults to the paper's dynamic
         (context-aware) policy.
-    eraser_mode:
-        The structure of a query's one eraser: ``bitmap`` (default, a
-        dense boolean array over the query's ordinals), ``interval`` --
-        the section III-E range-checking structure -- or ``roaring``;
-        all compute identical results.
     tracer:
         Optional `repro.obs.Tracer` to open the engine's spans on; by
         default the thread's ambient one (`repro.obs.tracing.span`).
@@ -232,11 +226,9 @@ class JoinBasedSearch:
 
     def __init__(self, index: ColumnarIndex,
                  planner: Optional[JoinPlanner] = None,
-                 eraser_mode: str = "bitmap",
                  tracer=None):
         self.index = index
         self.planner = planner if planner is not None else JoinPlanner()
-        self.eraser_mode = eraser_mode
         self.span = tracer.span if tracer is not None else span
         self.ranking: RankingModel = index.ranking
 
@@ -398,11 +390,3 @@ def check_level(run: LevelRun, level: int, spans, with_scores: bool = True
     witness = np.maximum.reduceat(np.where(free, damped, -np.inf), offsets)
     return alive_idx, witness.reshape(lo.shape)
 
-
-def search(index: ColumnarIndex, terms: Sequence[str],
-           semantics: str = ELCA, planner: Optional[JoinPlanner] = None,
-           eraser_mode: str = "bitmap") -> ResultSet:
-    """One-shot convenience wrapper around `JoinBasedSearch.evaluate`."""
-    engine = JoinBasedSearch(index, planner, eraser_mode)
-    results, _stats = engine.evaluate(terms, semantics)
-    return results

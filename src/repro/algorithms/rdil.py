@@ -172,8 +172,3 @@ class RDILSearch:
                 return True
         return False
 
-
-def search_topk(index: InvertedIndex, terms: Sequence[str], k: int,
-                semantics: str = ELCA) -> TopKResult:
-    """One-shot convenience wrapper around `RDILSearch.search`."""
-    return RDILSearch(index).search(terms, k, semantics)

@@ -133,9 +133,3 @@ class StackBasedSearch:
         results.append(SearchResult(node, level, score, tuple(frame.scores)))
         stats.results_emitted += 1
 
-
-def search(index: InvertedIndex, terms: Sequence[str],
-           semantics: str = ELCA) -> List[SearchResult]:
-    """One-shot convenience wrapper around `StackBasedSearch.evaluate`."""
-    results, _stats = StackBasedSearch(index).evaluate(terms, semantics)
-    return results

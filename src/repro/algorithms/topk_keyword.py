@@ -148,10 +148,9 @@ class TopKKeywordSearch(JoinBasedSearch):
     run_class = _TopKRun
 
     def __init__(self, index: ColumnarIndex, bound_mode: str = GROUP,
-                 eraser_mode: str = "bitmap",
                  planner: Optional[JoinPlanner] = None,
                  tracer=None):
-        super().__init__(index, planner, eraser_mode, tracer)
+        super().__init__(index, planner, tracer)
         self.bound_mode = bound_mode
 
     def search(self, terms: Sequence[str], k: int,
@@ -263,10 +262,3 @@ class TopKKeywordSearch(JoinBasedSearch):
             f"{type(combiner).__name__}; use the complete-result path "
             "(db.search_ranked) or a sum/weighted/max combiner")
 
-
-def search_topk(index: ColumnarIndex, terms: Sequence[str], k: int,
-                semantics: str = ELCA, bound_mode: str = GROUP,
-                deadline: Optional[Deadline] = None) -> TopKResult:
-    """One-shot convenience wrapper around `TopKKeywordSearch.search`."""
-    return TopKKeywordSearch(index, bound_mode).search(terms, k, semantics,
-                                                       deadline=deadline)

@@ -494,14 +494,13 @@ def check_compression(rows: List[tuple]) -> Verdict:
 
 def ablation_eraser_rows(bench: Workbench, repeats: int = 3):
     """Section III-E: ms of complete ELCA over the correlated set under the
-    per-row bitmap and the range-checking interval and roaring erasers."""
+    engine's one eraser, the per-row bitmap."""
     db, queries = bench.dblp, bench.builder.correlated_queries()
     bench.warm(db, queries)
-    engines = [(mode, JoinBasedSearch(db.columnar_index, eraser_mode=mode))
-               for mode in ("bitmap", "interval", "roaring")]
-    return [("correlated", mode, timed(lambda: [engine.evaluate(
+    engine = JoinBasedSearch(db.columnar_index)
+    return [("correlated", "bitmap", timed(lambda: [engine.evaluate(
         list(spec.terms), "elca", with_scores=False) for spec in queries],
-        repeats)[0]) for mode, engine in engines]
+        repeats)[0])]
 
 
 def ablation_lazy_io_rows(bench: Workbench) -> List[Tuple[str, str, object]]:

@@ -21,9 +21,10 @@ explicit constants for the baseline structures the paper measures --
 * ``RDIL``           -- the stack IL plus per-keyword B-trees over Dewey
   ids.
 
-The columnar serializers round-trip (tests assert equality).  The
-baselines run in memory over lists derived from the columnar index
-(`repro.index.inverted`), so nothing Dewey-shaped is written to disk.
+The container round-trips (tests assert equality); the per-term
+layout is a size model and has no reader.  The baselines run in memory
+over lists derived from the columnar index (`repro.index.inverted`), so
+nothing Dewey-shaped is written to disk.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
 from .columnar import ColumnarIndex, ColumnarPostings
 from .compression import (PAPER_CODECS, SCHEME_IDS, SCHEME_NAMES,
                           choose_codec, decode_varint_column,
-                          decompress_column, encode_varint_column,
-                          read_varint, run_values, varint_size,
-                          write_varint)
+                          encode_varint_column, varint_size, write_varint)
 from .inverted import InvertedIndex, PostingList
 from .sparse import DEFAULT_GRANULARITY, SparseColumnIndex
 
@@ -101,55 +100,6 @@ def serialize_columnar_postings(postings: ColumnarPostings,
         out.extend(np.asarray(postings.scores,
                               dtype=np.float64).tobytes())
     return bytes(out)
-
-
-def deserialize_columnar_postings(data: bytes, pos: int = 0
-                                  ) -> Tuple[ColumnarPostings, int]:
-    """Inverse of `serialize_columnar_postings`; returns (postings, next_pos).
-
-    Scores are restored at quantized precision when present, else zero.
-    """
-    term_len, pos = read_varint(data, pos)
-    term = data[pos: pos + term_len].decode("utf-8")
-    pos += term_len
-    n_seqs, pos = read_varint(data, pos)
-    max_len, pos = read_varint(data, pos)
-    score_mode = data[pos]
-    pos += 1
-    lengths: List[int] = []
-    for _ in range(n_seqs):
-        length, pos = read_varint(data, pos)
-        lengths.append(length)
-    seqs: List[List[int]] = [[] for _ in range(n_seqs)]
-    for level in range(1, max_len + 1):
-        scheme_byte = data[pos]
-        pos += 1
-        payload_len, pos = read_varint(data, pos)
-        payload = data[pos: pos + payload_len]
-        pos += payload_len
-        values = run_values(*decompress_column(SCHEME_NAMES[scheme_byte],
-                                               payload))
-        cursor = 0
-        for i in range(n_seqs):
-            if lengths[i] >= level:
-                seqs[i].append(int(values[cursor]))
-                cursor += 1
-    scores: List[float]
-    if score_mode == SCORES_QUANTIZED:
-        raw = np.frombuffer(data, dtype=np.uint16, count=n_seqs, offset=pos)
-        pos += 2 * n_seqs
-        scores = [float(v) / 256.0 for v in raw]
-    elif score_mode == SCORES_EXACT:
-        raw = np.frombuffer(data, dtype=np.float64, count=n_seqs,
-                            offset=pos)
-        pos += 8 * n_seqs
-        scores = [float(v) for v in raw]
-    elif score_mode == SCORES_NONE:
-        scores = [0.0] * n_seqs
-    else:
-        raise ValueError(f"unknown score mode {score_mode}")
-    postings = ColumnarPostings(term, [tuple(s) for s in seqs], scores)
-    return postings, pos
 
 
 # ---------------------------------------------------------------------------

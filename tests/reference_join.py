@@ -10,6 +10,10 @@ a time, one `SearchResult` per answer, scored through
 `tests/test_vectorized_equivalence.py` has an independent account of
 what the bulk check, the bulk scorer and the result columns must return
 -- same nodes, levels, float scores, witness tuples and work counters.
+Its erasers are the section III-E interval structure
+(``tests/reference_erasure.py``), one per term, so it shares no eraser
+code with the engine and asserts Figure 4's contained-or-disjoint
+geometry as it marks.
 """
 
 from __future__ import annotations
@@ -20,20 +24,18 @@ import numpy as np
 
 from repro.algorithms.base import (ELCA, SLCA, ExecutionStats, SearchResult,
                                    check_semantics, sort_by_document_order)
-from repro.algorithms.erasure import make_eraser
 from repro.index.columnar import ColumnarPostings
 from repro.planner.plans import JoinPlanner
 from repro.reliability.errors import DeadlineExceeded
+from tests.reference_erasure import RangeCheckingEraser
 
 
 class PerCandidateJoinSearch:
     """Complete ELCA/SLCA evaluation, one candidate at a time."""
 
-    def __init__(self, index, planner: Optional[JoinPlanner] = None,
-                 eraser_mode: str = "bitmap"):
+    def __init__(self, index, planner: Optional[JoinPlanner] = None):
         self.index = index
         self.planner = planner if planner is not None else JoinPlanner()
-        self.eraser_mode = eraser_mode
         self.ranking = index.ranking
 
     def evaluate(self, terms: Sequence[str], semantics: str = ELCA,
@@ -50,7 +52,7 @@ class PerCandidateJoinSearch:
         term_order = {p.term: i for i, p in enumerate(postings)}
         caller_slot = [term_order[t] for t in terms]
         start_level = min(p.max_len for p in postings)
-        erasers = [make_eraser(self.eraser_mode, len(p)) for p in postings]
+        erasers = [RangeCheckingEraser(len(p)) for p in postings]
         damping_base = self.ranking.damping.base
         results: List[SearchResult] = []
 
@@ -98,7 +100,8 @@ class PerCandidateJoinSearch:
         # same-level candidates never interact (disjoint subtrees).  One
         # eraser per term, independent of the query-wide one in `src/`.
         for (lows, highs), eraser in zip(spans, erasers):
-            eraser.mark_many(lows, highs)
+            for lo, hi in zip(lows.tolist(), highs.tolist()):
+                eraser.mark(lo, hi)
             stats.erasures += int((highs - lows).sum())
 
     def _check_candidate(self, number: int, level: int, j: int,

@@ -10,7 +10,9 @@ the former body of `TopKKeywordSearch.stream` without its tracing and
 deadline polls).  They stay here unchanged in behaviour, so the
 differential tests (`tests/test_topk_block.py`) and the bound ablation
 have an independent account of what the block engine must return and of
-how many tuples the paper's own cadence reads.
+how many tuples the paper's own cadence reads.  The driver prunes with
+one section III-E interval eraser per term (``tests/reference_erasure.py``),
+not the engine's bitmap.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 
 from repro.algorithms.base import (ELCA, SLCA, ExecutionStats, ResultSet,
                                    SearchResult, TopKResult, check_semantics)
-from repro.algorithms.erasure import make_eraser
 from repro.algorithms.topk_join import BOUND_MODES, CLASSIC, GROUP, BoundOps
 from repro.algorithms.topk_keyword import TopKKeywordSearch, _StreamState
 from repro.index.columnar import ColumnarPostings
+from tests.reference_erasure import RangeCheckingEraser
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +523,7 @@ class PerTupleTopKSearch(TopKKeywordSearch):
         ops = self._bound_ops(caller_slot)
         base = self.ranking.damping.base
         scored = [GroupedScoredPostings(p, base) for p in postings]
-        erasers = [make_eraser(self.eraser_mode, len(p)) for p in postings]
+        erasers = [RangeCheckingEraser(len(p)) for p in postings]
         start_level = min(p.max_len for p in postings)
         cross_bound: List[float] = []
         running = -float("inf")

@@ -16,9 +16,10 @@ Removed names: the options, environment variable and functions that
 went with the four-format storage stack, the library's own batch
 pools, the phase profiler, the hybrid's plan switch, the parts the
 ledger found no consumer for, the metric families nothing read, the
-paper tables' second and third instruments, and the daemon's fault
-injector, workload capture/replay and tail hedge must not come back
-into a doc, the CI workflow or the skill (see `REMOVED_NAMES`).
+paper tables' second and third instruments, the daemon's fault
+injector, workload capture/replay and tail hedge, and the eraser switch
+with the interval and roaring erasers must not come back into a doc,
+the CI workflow or the skill (see `REMOVED_NAMES`).
 
 The test drives an inline daemon (with accounting, tracing, caching
 and a disk-backed sharded database), scrapes `/metrics`, extracts the
@@ -214,11 +215,10 @@ VERB_RE = re.compile(r"(?:python3? -m repro|`repro|^\s*(?:\$ )?repro)"
 
 
 #: What went when the four on-disk formats, the load-time decoder
-#: switches and the ``auto`` eraser were collapsed.  A doc, CI step or
+#: switches and the eraser switch were collapsed.  A doc, CI step or
 #: skill line that names one of these describes code that is gone.
 REMOVED_NAMES = (
-    "--format-version", "format_version=", 'eraser_mode="auto"',
-    'make_eraser("auto"', "REPRO_VECTORIZED_MIN_BYTES",
+    "--format-version", "format_version=", "REPRO_VECTORIZED_MIN_BYTES",
     "vectorized_min_bytes", "min_bytes=", "V4_CODECS",
     "choose_scheme", "compress_column",
     "serialize_columnar_index_blocked", "deserialize_columnar_index_blocked",
@@ -327,6 +327,14 @@ REMOVED_NAMES = (
     # a column's per-row lookups: a column is its runs, read through
     # `Column.runs_of` and `Column.ordinal_spans`
     "run_of", "run_seq_indices", ".contains(",
+    # the interval and roaring erasers and the switch between them: the
+    # bitmap is the one eraser, read and written in bulk (the section
+    # III-E interval structure lives on as tests/reference_erasure.py)
+    "eraser_mode", "make_eraser", "ERASER_MODES", "IntervalEraser",
+    "RoaringEraser", "total_erased",
+    # the per-term postings reader: the container has one reader
+    # (`repro.index.lazydisk.LazyColumnarIndex`)
+    "deserialize_columnar_postings",
 )
 
 
@@ -444,6 +452,36 @@ class TestDocumentedCommands:
                      os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
                  if re.search(pattern, open(path, encoding="utf-8").read())]
         assert not found, found
+
+    def test_eraser_switch_stays_out_of_src(self):
+        """One eraser: no source file names the eraser switch or the
+        erasers it chose between, and no engine takes it."""
+        from repro.algorithms.hybrid import HybridTopKSearch
+        from repro.algorithms.join_based import JoinBasedSearch
+        from repro.algorithms.topk_keyword import TopKKeywordSearch
+
+        pattern = (r"eraser_mode|make_eraser|ERASER_MODES|IntervalEraser|"
+                   r"RoaringEraser")
+        found = [os.path.relpath(path, ROOT) for path in glob.glob(
+                     os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+                 if re.search(pattern, open(path, encoding="utf-8").read())]
+        assert not found, found
+        for engine in (JoinBasedSearch, TopKKeywordSearch, HybridTopKSearch):
+            assert "eraser_mode" not in \
+                inspect.signature(engine).parameters, engine
+
+    def test_one_shot_wrappers_are_gone(self):
+        """Callers use the engine classes; no algorithm module keeps a
+        module-level one-shot wrapper around one."""
+        from repro.algorithms import (index_based, join_based, rdil,
+                                      stack_based, topk_keyword)
+
+        for module, name in ((join_based, "search"),
+                             (stack_based, "search"),
+                             (index_based, "search"),
+                             (topk_keyword, "search_topk"),
+                             (rdil, "search_topk")):
+            assert not hasattr(module, name), (module.__name__, name)
 
     def test_estimator_and_audit_names_stay_out_of_src(self):
         """Nothing in ``src/`` predicts a cardinality or grades a plan:

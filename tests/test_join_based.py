@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms.join_based import JoinBasedSearch, search
+from repro.algorithms.join_based import JoinBasedSearch
 from repro.algorithms.oracle import SemanticsOracle
 from repro.planner.plans import JoinPlanner
 
@@ -79,14 +79,6 @@ class TestConfigurations:
         if policy == "index":
             assert stats.merge_joins == 0
 
-    @pytest.mark.parametrize("mode", ["bitmap", "interval"])
-    def test_eraser_modes_agree(self, small_db, mode):
-        baseline, _ = engine(small_db).evaluate(["xml", "data"], "elca")
-        results, _ = engine(small_db, eraser_mode=mode).evaluate(
-            ["xml", "data"], "elca")
-        assert [r.node.dewey for r in results] == \
-            [r.node.dewey for r in baseline]
-
     def test_witness_order_follows_caller_terms(self, small_db):
         r1, _ = engine(small_db).evaluate(["xml", "data"], "elca")
         r2, _ = engine(small_db).evaluate(["data", "xml"], "elca")
@@ -112,14 +104,6 @@ class TestStats:
         assert stats.per_level_plan
         assert all(plan in ("merge", "index")
                    for _, plan in stats.per_level_plan)
-
-
-class TestConvenienceWrapper:
-    def test_search_function(self, small_db):
-        results = search(small_db.columnar_index, ["xml", "data"])
-        expected = small_db.search("xml data", algorithm="oracle")
-        assert [r.node.dewey for r in results] == \
-            [r.node.dewey for r in expected]
 
 
 class TestOnCorpora:

@@ -83,13 +83,15 @@ def test_topk_algorithms_match_oracle(tree, terms, semantics, k):
           suppress_health_check=[HealthCheck.too_slow])
 @given(labelled_tree(), query_terms)
 def test_eraser_modes_equivalent(tree, terms):
+    """The engine's bulk bitmap eraser and the reference's per-term
+    interval erasers (section III-E) prune to the same answers."""
     from repro.algorithms.join_based import JoinBasedSearch
+    from tests.reference_join import PerCandidateJoinSearch
 
     db = XMLDatabase.from_tree(tree)
-    bitmap, _ = JoinBasedSearch(db.columnar_index,
-                                eraser_mode="bitmap").evaluate(terms, "elca")
-    interval, _ = JoinBasedSearch(
-        db.columnar_index, eraser_mode="interval").evaluate(terms, "elca")
+    bitmap, _ = JoinBasedSearch(db.columnar_index).evaluate(terms, "elca")
+    interval, _ = PerCandidateJoinSearch(db.columnar_index).evaluate(
+        terms, "elca")
     assert result_key(bitmap) == result_key(interval)
 
 

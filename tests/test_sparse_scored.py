@@ -156,7 +156,7 @@ class TestColumnCursor:
         assert {item[1] for item in popped}.isdisjoint(erased)
         assert len(popped) == 3
         eraser = BitmapEraser(len(SEQS))
-        eraser.mark(0, 2)
+        eraser.mark_many([0], [2])
         runs, scores = scored.ranked(2, eraser)
         numbers = scored.postings.column(2).distinct[runs]
         assert numbers.tolist() == [n for n, _o, _s in popped]

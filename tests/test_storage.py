@@ -39,23 +39,6 @@ def inverted(tree):
 
 
 class TestColumnarRoundtrip:
-    def test_postings_roundtrip(self, columnar):
-        postings = columnar.term_postings("xml")
-        blob = storage.serialize_columnar_postings(postings)
-        decoded, pos = storage.deserialize_columnar_postings(blob)
-        assert pos == len(blob)
-        assert decoded.term == "xml"
-        assert decoded.seqs == postings.seqs
-
-    def test_postings_roundtrip_with_scores(self, columnar):
-        postings = columnar.term_postings("data")
-        blob = storage.serialize_columnar_postings(postings,
-                                                   with_scores=True)
-        decoded, _ = storage.deserialize_columnar_postings(blob)
-        assert decoded.seqs == postings.seqs
-        for got, expected in zip(decoded.scores, postings.scores):
-            assert got == pytest.approx(expected, abs=1 / 128)
-
     def test_index_roundtrip(self, columnar):
         blob = storage.serialize_columnar_index(columnar)
         loaded = LazyColumnarIndex(blob, columnar.nodes)

@@ -5,7 +5,11 @@ import pytest
 from repro.algorithms.base import sort_by_score
 from repro.algorithms.oracle import SemanticsOracle
 from repro.algorithms.topk_join import CLASSIC, GROUP
-from repro.algorithms.topk_keyword import TopKKeywordSearch, search_topk
+from repro.algorithms.topk_keyword import TopKKeywordSearch
+
+
+def engine(db, **kwargs):
+    return TopKKeywordSearch(db.columnar_index, **kwargs)
 
 
 def reference_topk(db, terms, k, semantics="elca"):
@@ -18,8 +22,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("k", [1, 2, 5, 100])
     def test_matches_reference_small(self, small_db, semantics, k):
         expected = reference_topk(small_db, ["xml", "data"], k, semantics)
-        got = search_topk(small_db.columnar_index, ["xml", "data"], k,
-                          semantics)
+        got = engine(small_db).search(["xml", "data"], k, semantics)
         assert [r.score for r in got] == pytest.approx(
             [r.score for r in expected])
 
@@ -30,47 +33,46 @@ class TestCorrectness:
     ])
     def test_matches_reference_corpus(self, corpus_db, semantics, terms):
         expected = reference_topk(corpus_db, terms, 10, semantics)
-        got = search_topk(corpus_db.columnar_index, terms, 10, semantics)
+        got = engine(corpus_db).search(terms, 10, semantics)
         assert [round(r.score, 9) for r in got] == \
             [round(r.score, 9) for r in expected]
 
     def test_results_descend_by_score(self, corpus_db):
-        got = search_topk(corpus_db.columnar_index, ["cx", "cy"], 10)
+        got = engine(corpus_db).search(["cx", "cy"], 10)
         scores = [r.score for r in got]
         assert scores == sorted(scores, reverse=True)
 
     @pytest.mark.parametrize("bound", [CLASSIC, GROUP])
     def test_both_bounds_same_results(self, corpus_db, bound):
         expected = reference_topk(corpus_db, ["cx", "cy"], 5)
-        got = search_topk(corpus_db.columnar_index, ["cx", "cy"], 5,
-                          bound_mode=bound)
+        got = engine(corpus_db, bound_mode=bound).search(["cx", "cy"], 5)
         assert [round(r.score, 9) for r in got] == \
             [round(r.score, 9) for r in expected]
 
     def test_fewer_results_than_k(self, small_db):
-        got = search_topk(small_db.columnar_index, ["xml", "data"], 50)
+        got = engine(small_db).search(["xml", "data"], 50)
         full = reference_topk(small_db, ["xml", "data"], 50)
         assert len(got) == len(full)
 
 
 class TestEdgeCases:
     def test_k_zero(self, small_db):
-        assert len(search_topk(small_db.columnar_index, ["xml"], 0)) == 0
+        assert len(engine(small_db).search(["xml"], 0)) == 0
 
     def test_empty_query(self, small_db):
-        assert len(search_topk(small_db.columnar_index, [], 5)) == 0
+        assert len(engine(small_db).search([], 5)) == 0
 
     def test_unknown_keyword(self, small_db):
-        got = search_topk(small_db.columnar_index, ["xml", "zzz"], 5)
+        got = engine(small_db).search(["xml", "zzz"], 5)
         assert len(got) == 0
 
     def test_invalid_semantics(self, small_db):
         with pytest.raises(ValueError):
-            search_topk(small_db.columnar_index, ["xml"], 5, "nope")
+            engine(small_db).search(["xml"], 5, "nope")
 
     def test_single_keyword(self, fig1_db):
         expected = reference_topk(fig1_db, ["data"], 2)
-        got = search_topk(fig1_db.columnar_index, ["data"], 2)
+        got = engine(fig1_db).search(["data"], 2)
         assert [round(r.score, 9) for r in got] == \
             [round(r.score, 9) for r in expected]
 
@@ -105,11 +107,11 @@ class TestEarlyTermination:
 
 class TestWitnesses:
     def test_witness_scores_align_with_terms(self, corpus_db):
-        got = search_topk(corpus_db.columnar_index, ["cx", "cy"], 3)
-        swapped = search_topk(corpus_db.columnar_index, ["cy", "cx"], 3)
+        got = engine(corpus_db).search(["cx", "cy"], 3)
+        swapped = engine(corpus_db).search(["cy", "cx"], 3)
         for a, b in zip(got, swapped):
             assert a.witness_scores == tuple(reversed(b.witness_scores))
 
     def test_score_is_sum_of_witnesses(self, corpus_db):
-        for r in search_topk(corpus_db.columnar_index, ["cx", "cy"], 5):
+        for r in engine(corpus_db).search(["cx", "cy"], 5):
             assert r.score == pytest.approx(sum(r.witness_scores))
