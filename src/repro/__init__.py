@@ -25,9 +25,8 @@ from .obs import (MetricsRegistry, NullTracer, SlowQueryLog, Tracer,
                   get_registry, render_trace, spans_per_level_plan,
                   trace_to_jsonl)
 from .reliability import (DatabaseCorruptError, DatabaseFormatError,
-                          Deadline, DeadlineExceeded, FaultInjector,
-                          InjectedFault, QueryBudget, RetryExhaustedError,
-                          RetryPolicy)
+                          Deadline, DeadlineExceeded, QueryBudget,
+                          RetryExhaustedError, RetryPolicy)
 from .xmltree import (Node, XMLTree, build_tree, parse_xml, parse_xml_file)
 
 __version__ = "1.0.0"
@@ -59,8 +58,6 @@ __all__ = [
     "DatabaseFormatError",
     "Deadline",
     "DeadlineExceeded",
-    "FaultInjector",
-    "InjectedFault",
     "QueryBudget",
     "RetryExhaustedError",
     "RetryPolicy",

@@ -9,7 +9,6 @@
     python -m repro serve-batch mydb/ queries.txt -k 10
     python -m repro index bib.xml mydb/ --shards 4   # sharded store
     python -m repro serve mydb/ --workers 2          # HTTP daemon
-    python -m repro doctor mydb/ --check
     python -m repro info mydb/
     python -m repro trace mydb/ "xml data" --out trace.jsonl
     python -m repro trace --from-log access.jsonl --trace-id abc123
@@ -218,41 +217,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_doctor(args: argparse.Namespace) -> int:
-    """Index analytics for a saved database directory."""
-    from .obs.doctor import main as doctor_main
-
-    if not os.path.isdir(args.database):
-        raise FileNotFoundError(
-            f"no such database directory: {args.database} "
-            "(repro doctor reads saved directories, not raw XML)")
-    argv = [args.database, "--heavy", str(args.heavy)]
-    if args.no_codecs:
-        argv.append("--no-codecs")
-    if args.json:
-        argv.append("--json")
-    if args.out:
-        argv += ["--out", args.out]
-    if args.check:
-        argv += ["--check",
-                 "--max-shard-byte-skew", str(args.max_shard_byte_skew)]
-        if args.max_shard_term_skew is not None:
-            argv += ["--max-shard-term-skew",
-                     str(args.max_shard_term_skew)]
-        if args.max_term_share is not None:
-            argv += ["--max-term-share", str(args.max_term_share)]
-    return doctor_main(argv)
-
-
 def _print_format_info(path: str) -> None:
     """Format version + per-codec column mix of a database directory,
-    read straight from the on-disk containers (`repro.obs.doctor`)."""
-    from .obs.doctor import doctor_report
+    counted from the containers' payload headers (nothing decoded)."""
+    from .diskdb import read_file, read_meta
+    from .index import storage
 
-    report = doctor_report(path)
-    print(f"format:      v{report['format_version']}")
-    mix = {codec: entry["columns"] for codec, entry
-           in report["compression"]["by_codec"].items()}
+    meta = read_meta(path)
+    print(f"format:      v{meta['format_version']}")
+    dirs = meta["shards"]["dirs"] if meta.get("shards") else [""]
+    mix = {}
+    for shard_dir in dirs:
+        name = os.path.join(shard_dir, "columnar.bin")
+        data = read_file(path, name, "read-columnar", mapped=True).view
+        for codec in storage.scan_schemes(data, file=name):
+            mix[codec] = mix.get(codec, 0) + 1
     if mix:
         total = sum(mix.values())
         parts = ", ".join(
@@ -538,28 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SIGTERM drain: wait this long for in-flight "
                         "requests before stopping the pools")
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("doctor",
-                       help="index analytics: per-term size "
-                            "distribution, compression ratios, shard "
-                            "skew")
-    p.add_argument("database", help="saved database directory")
-    p.add_argument("--heavy", type=int, default=10,
-                   help="heavy-hitter terms to list")
-    p.add_argument("--no-codecs", action="store_true",
-                   help="skip the per-level/per-codec compression scan")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the report JSON here")
-    p.add_argument("--check", action="store_true",
-                   help="apply thresholds; exit 1 on violation (CI gate)")
-    p.add_argument("--max-shard-byte-skew", type=float, default=1.5,
-                   help="max shard postings-bytes max/mean ratio "
-                        "(default 1.5)")
-    p.add_argument("--max-shard-term-skew", type=float, default=None)
-    p.add_argument("--max-term-share", type=float, default=None,
-                   help="max single-term share of total postings bytes")
-    p.set_defaults(fn=cmd_doctor)
 
     p = sub.add_parser("info", help="database statistics and index sizes")
     p.add_argument("database")

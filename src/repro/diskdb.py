@@ -60,9 +60,9 @@ copy-on-write.  Integrity and atomicity (`repro.reliability`):
   previous layout that it does not list are removed;
 * `load_database` verifies digests (`verify="eager"`/``"lazy"``/
   ``"off"``) raising `DatabaseCorruptError` naming the offending file
-  (and keyword, for per-block failures), and can route all reads
-  through a `FaultInjector` plus bounded `RetryPolicy` so transient
-  I/O errors heal and permanent ones surface typed.
+  (and keyword, for per-block failures); every file is read under
+  `reliability.retry.DEFAULT_POLICY`, so a transient I/O error heals
+  and a persistent one surfaces as `DatabaseCorruptError` too.
 
 A directory written in an earlier format (``format_version`` 1-4) is
 refused with a `DatabaseFormatError` that names its version; every
@@ -95,10 +95,9 @@ from .reliability.checksum import ALGORITHMS, DEFAULT_ALGORITHM
 from .reliability.checksum import verify as digest_matches
 from .reliability.errors import (DatabaseCorruptError, DatabaseFormatError,
                                  RetryExhaustedError)
-from .reliability.faults import FaultInjector
 from .reliability.io import (fsync_dir, map_bytes, read_bytes, write_bytes,
                              write_chunks)
-from .reliability.retry import DEFAULT_POLICY, RetryPolicy
+from .reliability.retry import DEFAULT_POLICY
 from .scoring.ranking import DampingFunction, RankingModel
 from .xmltree.nodetable import NodeTable
 from .xmltree.parser import parse_xml
@@ -128,8 +127,22 @@ def require_current_format(path: str, version) -> None:
             f"{os.path.join(path, _DOCUMENT)} <new-dir>")
 
 
-def read_meta(path: str, injector: Optional[FaultInjector] = None,
-              retry: Optional[RetryPolicy] = None) -> dict:
+def read_file(path: str, name: str, op: str, mapped: bool = False):
+    """File `name` of database directory `path`: its bytes or, with
+    `mapped`, its `MappedFile` -- how every file of a database is read.
+    Read under `DEFAULT_POLICY`: a transient error heals, and running
+    out of attempts is `DatabaseCorruptError` naming the file."""
+    full = os.path.join(path, name)
+    try:
+        return DEFAULT_POLICY.call(
+            lambda: map_bytes(full) if mapped else read_bytes(full, op=op),
+            op=op)
+    except RetryExhaustedError as exc:
+        raise DatabaseCorruptError(
+            f"could not read {name}: {exc}", file=name) from exc
+
+
+def read_meta(path: str) -> dict:
     """``meta.json`` of a database directory, parsed and checked for
     the shape its readers index into.
 
@@ -140,18 +153,12 @@ def read_meta(path: str, injector: Optional[FaultInjector] = None,
     matches its ``count``.  Raises `DatabaseFormatError` when the file
     is missing, does not parse, names another format version or has a
     field of the wrong shape, and `DatabaseCorruptError` when reading
-    it exhausts `retry` (`injector` and `retry` are `load_database`'s).
+    it fails on every attempt.
     """
-    meta_path = os.path.join(path, _META)
-    if not os.path.exists(meta_path):
+    if not os.path.exists(os.path.join(path, _META)):
         raise DatabaseFormatError(f"{path!r} has no {_META} "
                                   "(incomplete or not a database)")
-    try:
-        raw = read_bytes(meta_path, injector=injector, retry=retry,
-                         op="read-meta")
-    except RetryExhaustedError as exc:
-        raise DatabaseCorruptError(
-            f"could not read {_META}: {exc}", file=_META) from exc
+    raw = read_file(path, _META, "read-meta")
     try:
         meta = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -198,12 +205,6 @@ def read_meta(path: str, injector: Optional[FaultInjector] = None,
         raise DatabaseFormatError(
             f"{_META} is missing or has an invalid field: {exc!r}") from exc
     return meta
-
-
-def _view(source):
-    """The buffer of what `map_bytes` returned: a `MappedFile`'s view (which
-    keeps the mapping alive), or the bytes an injector degraded it to."""
-    return getattr(source, "view", source)
 
 
 def _fault_hook(stage: str) -> None:
@@ -380,8 +381,6 @@ def load_database(path: str,
                   result_cache_size: int = 1024,
                   verify: str = "eager",
                   lazy: bool = False,
-                  injector: Optional[FaultInjector] = None,
-                  retry: Optional[RetryPolicy] = None,
                   decoded_cache_bytes: int = 32 * 1024 * 1024,
                   **db_kwargs):
     """Open a directory written by `save_database`.
@@ -413,12 +412,6 @@ def load_database(path: str,
       ``"off"`` skips verification.
     * ``lazy`` -- accepted and ignored: it used to choose between two
       loaders, and callers still pass it.
-    * ``injector`` / ``retry`` -- route every file read through a
-      `FaultInjector` and a bounded `RetryPolicy` (defaults to
-      `DEFAULT_POLICY` when an injector is installed), so transient
-      faults heal; exhausted retries surface as `DatabaseCorruptError`.
-      An installed injector downgrades every mmap to a plain
-      (fault-observable) read.
     * ``decoded_cache_bytes`` -- byte budget of the shared
       decoded-column LRU (default 32 MiB; ``0`` disables it, reverting
       to unbounded per-postings caching).  One cache serves all shards
@@ -435,7 +428,8 @@ def load_database(path: str,
     document that no longer matches the stored
     indexes, and
     `DatabaseCorruptError` (a subclass) when bytes fail their checksum
-    or do not parse.
+    or do not parse, or a file cannot be read in `DEFAULT_POLICY`'s
+    attempts.
     """
     if verify not in _VERIFY_MODES:
         raise ValueError(f"unknown verify mode {verify!r}; "
@@ -443,22 +437,8 @@ def load_database(path: str,
     decoded_cache = None
     if decoded_cache_bytes > 0:
         decoded_cache = DecodedColumnCache(decoded_cache_bytes)
-    if retry is None and injector is not None:
-        retry = DEFAULT_POLICY
 
-    def read_file(name: str, op: str, mapped: bool = False):
-        """One file's bytes -- or, with `mapped`, its `MappedFile`
-        (which an installed injector degrades to the copying read, so
-        the fault matrix stays observable)."""
-        opener = map_bytes if mapped else read_bytes
-        try:
-            return opener(os.path.join(path, name), injector=injector,
-                          retry=retry, op=op)
-        except RetryExhaustedError as exc:
-            raise DatabaseCorruptError(
-                f"could not read {name}: {exc}", file=name) from exc
-
-    meta = read_meta(path, injector=injector, retry=retry)
+    meta = read_meta(path)
     algorithm = meta["checksum"]["algorithm"]
     digests = meta["checksum"]["files"]
     n_nodes, n_docs = meta["n_nodes"], meta["n_docs"]
@@ -482,7 +462,8 @@ def load_database(path: str,
     def open_document():
         """``document.xml`` mapped and digest-checked, on first use."""
         if "document" not in opened:
-            blob = _view(read_file(_DOCUMENT, "read-document", mapped=True))
+            blob = read_file(path, _DOCUMENT, "read-document",
+                             mapped=True).view
             verify_file(_DOCUMENT, blob)
             opened["document"] = blob
         return opened["document"]
@@ -507,7 +488,7 @@ def load_database(path: str,
 
     if not os.path.exists(os.path.join(path, _DEWEY)):
         raise DatabaseFormatError(f"{path!r} has no {_DEWEY}")
-    table_blob = _view(read_file(_DEWEY, "read-dewey", mapped=True))
+    table_blob = read_file(path, _DEWEY, "read-dewey", mapped=True).view
     if verify != "lazy":
         verify_file(_DEWEY, table_blob)
     # Lazy: the table's sections vouch for themselves on first touch.
@@ -548,9 +529,9 @@ def load_database(path: str,
                 f"{_META} carries an invalid configuration: {exc}") from exc
         db._open_tree = open_tree
         # Zero-copy: the container is mapped.
-        source = read_file(columnar_rel, "read-columnar", mapped=True)
+        source = read_file(path, columnar_rel, "read-columnar", mapped=True)
         if verify == "eager":
-            verify_file(columnar_rel, _view(source))
+            verify_file(columnar_rel, source.view)
         # Otherwise no whole-file pass, on purpose: per-block CRCs cover
         # exactly the bytes a query touches, when it touches them.
         db._columnar = LazyColumnarIndex(

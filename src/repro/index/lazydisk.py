@@ -165,8 +165,8 @@ class LazyColumnarPostings(ColumnarPostings):
                         ordinals[run_starts[:-1]])
         account = active_account()
         if account is not None:
-            # Mapped payloads are zero-copy views; an injector
-            # degrades the container to a bytes copy.
+            # Payloads of a mapped container are zero-copy views; a
+            # container handed in as bytes is a copy.
             account.record_column(
                 level, scheme, len(payload), column.nbytes, len(ordinals),
                 not isinstance(payload, (bytes, bytearray)))

@@ -41,7 +41,8 @@ from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
 from .columnar import ColumnarIndex, ColumnarPostings
 from .compression import (PAPER_CODECS, SCHEME_IDS, SCHEME_NAMES,
                           choose_codec, decode_varint_column,
-                          encode_varint_column, varint_size, write_varint)
+                          encode_varint_column, runs_of, varint_size,
+                          write_varint)
 from .inverted import InvertedIndex, PostingList
 from .sparse import DEFAULT_GRANULARITY, SparseColumnIndex
 
@@ -58,12 +59,11 @@ SCORE_BYTES = 2             # quantized per-occurrence score (top-K IL)
 
 SCORES_NONE = 0
 SCORES_QUANTIZED = 1   # 2-byte fixed point, the Table I size model
-SCORES_EXACT = 2       # float64, used by the persistence layer
+SCORES_EXACT = 2       # float64, what the container stores
 
 
 def serialize_columnar_postings(postings: ColumnarPostings,
-                                with_scores: bool = False,
-                                score_mode: int = None) -> bytes:
+                                with_scores: bool = False) -> bytes:
     """Serialize one term's columnar list.
 
     Layout: term, n_seqs, max_len, the varint column of sequence lengths,
@@ -72,33 +72,26 @@ def serialize_columnar_postings(postings: ColumnarPostings,
     length >= l contributes the next value of column l, in order), which
     is exactly the storage saving of the columnar layout.
 
-    ``score_mode`` is one of SCORES_NONE / SCORES_QUANTIZED /
-    SCORES_EXACT; ``with_scores=True`` is shorthand for the quantized
-    mode (the on-disk footprint Table I measures).
+    ``with_scores=True`` appends the 2-byte quantized scores (the
+    top-K list's on-disk footprint Table I measures).
     """
-    if score_mode is None:
-        score_mode = SCORES_QUANTIZED if with_scores else SCORES_NONE
     out = bytearray()
     term_bytes = postings.term.encode("utf-8")
     write_varint(out, len(term_bytes))
     out.extend(term_bytes)
     write_varint(out, len(postings))
     write_varint(out, postings.max_len)
-    out.append(score_mode)
+    out.append(SCORES_QUANTIZED if with_scores else SCORES_NONE)
     for length in postings.lengths:
         write_varint(out, int(length))
-    for level in range(1, postings.max_len + 1):
-        column = postings.column(level)
-        scheme, payload = choose_codec(column.values, PAPER_CODECS)
+    for values in postings.level_values():
+        scheme, payload = choose_codec(values, PAPER_CODECS)
         out.append(SCHEME_IDS[scheme])
         write_varint(out, len(payload))
         out.extend(payload)
-    if score_mode == SCORES_QUANTIZED:
+    if with_scores:
         quantized = np.asarray(postings.scores * 256.0, dtype=np.uint16)
         out.extend(quantized.tobytes())
-    elif score_mode == SCORES_EXACT:
-        out.extend(np.asarray(postings.scores,
-                              dtype=np.float64).tobytes())
     return bytes(out)
 
 
@@ -346,6 +339,22 @@ def scan_container(data, file: str = None) -> Tuple[str, List[BlockRef]]:
     return ALGORITHM_NAMES[algo_id], refs
 
 
+def scan_schemes(data, file: str = None) -> Iterator[str]:
+    """The codec of every column in the container, term by term, read
+    from the payload headers alone: nothing is decoded."""
+    for ref in scan_container(data, file=file)[1]:
+        try:
+            max_len = _PAYLOAD_HEADER.unpack_from(data, ref.offset)[1]
+            ids = np.frombuffer(data, dtype=np.uint8, count=max_len,
+                                offset=(ref.offset + _PAYLOAD_HEADER.size
+                                        + 16 * max_len))
+            yield from (SCHEME_NAMES[int(i)] for i in ids)
+        except _PARSE_ERRORS as exc:
+            raise DatabaseCorruptError(
+                f"postings for term {ref.term!r} do not parse: {exc}",
+                file=file, term=ref.term) from exc
+
+
 def parse_payload(term: str, payload, file: str = None):
     """Decode one term's payload into column views.
 
@@ -470,9 +479,8 @@ def measure_sizes(columnar: ColumnarIndex, inverted: InvertedIndex,
             for length, count in zip(*np.unique(postings.lengths,
                                                 return_counts=True)))
         report.topk_join_il += len(scored_blob) + group_header
-        for level in range(1, postings.max_len + 1):
-            column = postings.column(level)
-            sparse = SparseColumnIndex(column.distinct, granularity)
+        for values in postings.level_values():
+            sparse = SparseColumnIndex(runs_of(values)[0], granularity)
             report.join_based_sparse += sparse.size_bytes()
 
     btree_key_bytes = 0

@@ -22,8 +22,6 @@ default query records no span and no phase.
 
 from .account import (ResourceAccount, accounting, active_account,
                       merge_resources)
-from .doctor import (DOCTOR_SCHEMA, doctor_report, format_doctor_report,
-                     run_checks)
 from .distributed import (TRACE_WIRE_VERSION, AccessLog, TraceContext,
                           TraceStore, count_spans, format_access_record,
                           make_span, new_trace_id, read_jsonl,
@@ -39,7 +37,6 @@ __all__ = [
     "AccessLog",
     "Counter",
     "DEFAULT_BUCKETS",
-    "DOCTOR_SCHEMA",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -57,9 +54,7 @@ __all__ = [
     "accounting",
     "active_account",
     "count_spans",
-    "doctor_report",
     "format_access_record",
-    "format_doctor_report",
     "get_registry",
     "make_span",
     "merge_resources",
@@ -69,7 +64,6 @@ __all__ = [
     "render_phases",
     "render_stitched",
     "render_trace",
-    "run_checks",
     "span_to_wire",
     "spans_per_level_plan",
     "stitch_trace",

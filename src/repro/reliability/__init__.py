@@ -1,4 +1,4 @@
-"""Reliability layer: deadlines, fault injection, checksummed persistence.
+"""Reliability layer: deadlines, retried reads, checksummed persistence.
 
 Three concerns, one package (see ``docs/RELIABILITY.md``):
 
@@ -6,10 +6,10 @@ Three concerns, one package (see ``docs/RELIABILITY.md``):
   wall-clock budgets with a ``raise`` or ``partial`` expiry policy,
   cooperatively checked by the engines' level loop, so a pathological query
   degrades into "best found within budget" instead of running forever.
-* **Fault injection + retry** (`FaultInjector`, `RetryPolicy`) --
-  probabilistic or scripted disk faults plus a bounded
-  backoff-with-jitter wrapper, so transient I/O errors heal and
-  permanent ones surface as the typed `RetryExhaustedError`.
+* **Retry** (`RetryPolicy`, `DEFAULT_POLICY`) -- a bounded
+  backoff-with-jitter wrapper every database read runs under, so
+  transient I/O errors heal and permanent ones surface as the typed
+  `RetryExhaustedError` (and, from `repro.diskdb`, `DatabaseCorruptError`).
 * **Checksummed atomic persistence** (`checksum`, plus the save/load
   protocol in `repro.diskdb`) -- per-block and whole-file digests and a
   temp-dir + ``os.replace`` save order, so a crash or a flipped bit is
@@ -21,10 +21,8 @@ from .checksum import (ALGORITHMS, DEFAULT_ALGORITHM, HAVE_NATIVE_CRC32C,
 from .deadline import (PARTIAL, POLICIES, RAISE, Deadline, QueryBudget,
                        active_deadline, check_active, deadline_scope)
 from .errors import (DatabaseCorruptError, DatabaseFormatError,
-                     DeadlineExceeded, InjectedFault, RetryExhaustedError,
+                     DeadlineExceeded, RetryExhaustedError,
                      ShardPayloadError, WorkerCrashError)
-from .faults import (BIT_FLIP, FAULT_KINDS, IO_ERROR, LATENCY, SHORT_READ,
-                     FaultInjector, FaultyFile)
 from .io import fsync_dir, read_bytes, write_bytes
 from .retry import DEFAULT_POLICY, RetryPolicy
 
@@ -48,17 +46,9 @@ __all__ = [
     "DatabaseCorruptError",
     "DatabaseFormatError",
     "DeadlineExceeded",
-    "InjectedFault",
     "RetryExhaustedError",
     "ShardPayloadError",
     "WorkerCrashError",
-    "BIT_FLIP",
-    "FAULT_KINDS",
-    "IO_ERROR",
-    "LATENCY",
-    "SHORT_READ",
-    "FaultInjector",
-    "FaultyFile",
     "fsync_dir",
     "read_bytes",
     "write_bytes",

@@ -12,7 +12,6 @@ Hierarchy::
     TimeoutError
       DeadlineExceeded         a query budget expired with policy "raise"
     OSError
-      InjectedFault            a fault-injection error (transient by intent)
       RetryExhaustedError      retries used up; the fault is permanent
       WorkerCrashError         a pool worker died mid-task (transient: the
                                pool is rebuilt and a retry usually lands)
@@ -49,17 +48,6 @@ class DeadlineExceeded(TimeoutError):
         super().__init__(message)
         self.elapsed_ms = elapsed_ms
         self.budget_ms = budget_ms
-
-
-class InjectedFault(IOError):
-    """An error produced by `FaultInjector` -- transient unless the
-    injector is configured otherwise."""
-
-    def __init__(self, message: str, kind: str = "io-error",
-                 path: Optional[str] = None):
-        super().__init__(message)
-        self.kind = kind
-        self.path = path
 
 
 class RetryExhaustedError(OSError):

@@ -1,23 +1,23 @@
-"""Fault-injectable, retryable file primitives for the persistence layer.
+"""File primitives for the persistence layer.
 
-`read_bytes` is the single chokepoint every `repro.diskdb` read goes
-through: chunked reads (so short-read faults are observable), optional
-`FaultInjector` wrapping, optional `RetryPolicy` healing, and byte
-counters.  `write_chunks` / `write_bytes` / `fsync_dir` are the building
-blocks of the atomic save protocol (stream to a temp dir, digesting as
-the bytes are written, fsync data, `os.replace` into place, fsync every
+Every file this module touches is opened through `open_file`, one
+module-level opener (the builtin `open`); a test substitutes it to put
+a faulty disk under the whole read path.  `read_bytes` reads a whole
+file in chunks and counts the copy; `map_bytes` is its zero-copy
+sibling: it memory-maps a file read-only and returns a `MappedFile`
+whose buffer the container loader hands to ``np.frombuffer`` directly
+-- columns materialize as views over the page cache, and forked worker
+processes share the mapping for free.  Retrying is the caller's:
+`repro.diskdb` runs every read under `retry.DEFAULT_POLICY`.
+
+`write_chunks` / `write_bytes` / `fsync_dir` are the building blocks
+of the atomic save protocol (stream to a temp dir, digesting as the
+bytes are written, fsync data, `os.replace` into place, fsync every
 directory that received a rename, manifest last).
 
-`map_bytes` is the zero-copy sibling: it memory-maps a file read-only
-and returns a `MappedFile` whose buffer the container loader hands to
-``np.frombuffer`` directly -- columns materialize as views over the
-page cache, and forked worker processes share the mapping for free.
-
-Every whole-payload materialization (a `read_bytes` call, or the
-`map_bytes` fallback when a fault injector forces the copying path) is
-recorded in `COPY_STATS`, the seam the zero-copy tests assert against:
-loading a database must record *no* copy event for the
-columnar file.
+Every whole-payload materialization (a `read_bytes` call) is recorded
+in `COPY_STATS`, the seam the zero-copy tests assert against: loading
+a database must record *no* copy event for the columnar file.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from __future__ import annotations
 import mmap
 import os
 import threading
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable
 
 from ..obs.account import active_account
 from .checksum import ALGORITHMS
-from .faults import FaultInjector
-from .retry import RetryPolicy
+
+#: The opener of every file read or written here.
+open_file = open
 
 CHUNK_SIZE = 64 * 1024
 
@@ -70,32 +71,17 @@ class CopyStats:
 COPY_STATS = CopyStats()
 
 
-def read_bytes(path: str, injector: Optional[FaultInjector] = None,
-               retry: Optional[RetryPolicy] = None,
-               op: str = "read") -> bytes:
-    """Read a whole file in chunks, with faults and retries applied.
-
-    Each retry attempt reopens the file and restarts from offset zero,
-    so a transient mid-read error never yields a spliced buffer.
-    """
-
-    def attempt() -> bytes:
-        handle = open(path, "rb")
-        if injector is not None:
-            handle = injector.wrap(handle, path)
-        chunks = []
-        with handle:
-            while True:
-                chunk = handle.read(CHUNK_SIZE)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        return b"".join(chunks)
-
-    if retry is None:
-        data = attempt()
-    else:
-        data = retry.call(attempt, op=op)
+def read_bytes(path: str, op: str = "read") -> bytes:
+    """Read a whole file in chunks (so a short read shows), counting
+    the copy under `op`."""
+    chunks = []
+    with open_file(path, "rb") as handle:
+        while True:
+            chunk = handle.read(CHUNK_SIZE)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    data = b"".join(chunks)
     COPY_STATS.record(op, len(data))
     account = active_account()
     if account is not None:
@@ -116,7 +102,7 @@ class MappedFile:
 
     def __init__(self, path: str):
         self.path = path
-        with open(path, "rb") as handle:
+        with open_file(path, "rb") as handle:
             # length=0 maps the whole file; an empty file cannot be
             # mapped, so fall back to an empty buffer.
             size = os.fstat(handle.fileno()).st_size
@@ -137,27 +123,14 @@ class MappedFile:
             self._mmap.close()
 
 
-def map_bytes(path: str, injector: Optional[FaultInjector] = None,
-              retry: Optional[RetryPolicy] = None, op: str = "map"
-              ) -> Union[MappedFile, bytes]:
-    """Memory-map `path` read-only; the zero-copy read primitive.
-
-    With a `FaultInjector` installed the mapping cannot observe
-    injected faults (the kernel serves pages directly), so the call
-    degrades to `read_bytes` -- a copy, recorded in `COPY_STATS` as
-    usual -- keeping the fault-injection test matrix meaningful for
-    mapped databases.  Callers treat the two return shapes
-    uniformly: both support ``len`` and expose bytes to
-    ``np.frombuffer`` (pass ``MappedFile.view``).
-    """
-    if injector is not None:
-        return read_bytes(path, injector=injector, retry=retry, op=op)
+def map_bytes(path: str) -> MappedFile:
+    """Memory-map `path` read-only; the zero-copy read primitive."""
     return MappedFile(path)
 
 
 def write_bytes(path: str, data: bytes, fsync: bool = True) -> None:
     """Write `data` to `path` and optionally fsync the file."""
-    with open(path, "wb") as handle:
+    with open_file(path, "wb") as handle:
         handle.write(data)
         if fsync:
             handle.flush()
@@ -172,7 +145,7 @@ def write_chunks(path: str, chunks: Iterable, algorithm: str,
     is written, so no piece is kept once it is on its way to disk."""
     update = ALGORITHMS[algorithm]
     value = 0
-    with open(path, "wb") as handle:
+    with open_file(path, "wb") as handle:
         for chunk in chunks:
             handle.write(chunk)
             value = update(chunk, value)

@@ -1,11 +1,11 @@
 """Bounded retry with exponential backoff and jitter.
 
 `RetryPolicy.call` runs a zero-argument operation, retrying transient
-`OSError`s (injected or real) with exponential backoff plus seeded
+`OSError`s with exponential backoff plus seeded
 jitter.  `FileNotFoundError` is treated as permanent (retrying a
 missing file cannot help), and exhaustion raises the typed
 `RetryExhaustedError` with the last error chained -- callers never see
-a bare injected exception escape a retried region.
+a bare I/O error escape a retried region.
 """
 
 from __future__ import annotations
@@ -82,6 +82,5 @@ class RetryPolicy:
             attempts=self.max_attempts, op=op) from last_error
 
 
-#: Policy used by `repro.diskdb` when the caller passes ``retry=None``
-#: but an injector is installed -- transient faults heal by default.
+#: The policy every `repro.diskdb` read runs under.
 DEFAULT_POLICY = RetryPolicy()

@@ -1,4 +1,4 @@
-"""Fault injection for disk I/O (the disk fault matrix).
+"""A faulty disk for the read path (the disk fault matrix).
 
 A `FaultInjector` decides, per read call, whether to misbehave and how;
 `FaultyFile` applies the decision to a real file handle.  Four fault
@@ -19,8 +19,11 @@ always injects the same faults at the same read indices, so suites are
 reproducible) or from a ``script`` -- an explicit per-read sequence of
 fault names (``None`` for a clean read), exhausted-then-clean.
 
-Install an injector by passing it to `repro.diskdb.load_database`
-(``injector=...``) or wrap any binary file handle directly::
+`faulty_disk` puts an injector under every database read: it wraps
+`repro.reliability.io.open_file`, the one opener of the read path, and
+swaps the mapping `repro.diskdb` takes for the copying read (the kernel
+serves a mapping's pages, so faults on it would not show).  Or wrap any
+binary file handle directly::
 
     inj = FaultInjector(error_rate=0.2, seed=1)
     with inj.wrap(open(path, "rb"), path) as fh:
@@ -31,17 +34,36 @@ Injected faults are counted per kind in ``injector.injected``.
 
 from __future__ import annotations
 
+import errno
+import os
 import random
 import time
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .errors import InjectedFault
+from repro import diskdb
+from repro.reliability import io
+from repro.reliability.retry import DEFAULT_POLICY
+
+#: The opener the library was loaded with: the wrappers below go over
+#: it, never over one another.
+_OPEN = io.open_file
 
 IO_ERROR = "io-error"
 SHORT_READ = "short-read"
 BIT_FLIP = "bit-flip"
 LATENCY = "latency"
 FAULT_KINDS = (IO_ERROR, SHORT_READ, BIT_FLIP, LATENCY)
+
+
+class InjectedFault(IOError):
+    """An error produced by `FaultInjector` -- transient unless the
+    injector is configured otherwise."""
+
+    def __init__(self, message: str, kind: str = IO_ERROR,
+                 path: Optional[str] = None):
+        super().__init__(message)
+        self.kind = kind
+        self.path = path
 
 
 class FaultInjector:
@@ -185,3 +207,47 @@ class FaultyFile:
 
     def __getattr__(self, name):
         return getattr(self._file, name)
+
+
+class CopiedFile:
+    """What `faulty_disk` hands `repro.diskdb` for a mapping: the file
+    read through the opener, with a `MappedFile`'s ``view``."""
+
+    def __init__(self, path: str):
+        self.view = io.read_bytes(path)
+
+    def __len__(self) -> int:
+        return len(self.view)
+
+
+def faulty_disk(monkeypatch, injector: FaultInjector,
+                max_attempts: Optional[int] = None) -> FaultInjector:
+    """Read every database file through `injector` for the rest of the
+    test: the opener wrapped, mappings swapped for `CopiedFile`, and
+    `DEFAULT_POLICY`'s backoff not slept (`max_attempts` overrides its
+    attempts).  Returns `injector`; a second call replaces the first's."""
+
+    def opener(path, mode="rb", *args, **kwargs):
+        handle = _OPEN(path, mode, *args, **kwargs)
+        return injector.wrap(handle, path) if "r" in mode else handle
+
+    monkeypatch.setattr(io, "open_file", opener)
+    monkeypatch.setattr(diskdb, "map_bytes", CopiedFile)
+    monkeypatch.setattr(DEFAULT_POLICY, "sleep", lambda _s: None)
+    if max_attempts is not None:
+        monkeypatch.setattr(DEFAULT_POLICY, "max_attempts", max_attempts)
+    return injector
+
+
+def failing_disk(monkeypatch, name: str) -> None:
+    """Every open of a file called `name` raises ``OSError(EIO)``, on
+    every attempt, for the rest of the test; the backoff is not
+    slept."""
+
+    def opener(path, *args, **kwargs):
+        if os.path.basename(path) == name:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), path)
+        return _OPEN(path, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open_file", opener)
+    monkeypatch.setattr(DEFAULT_POLICY, "sleep", lambda _s: None)

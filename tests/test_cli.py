@@ -186,6 +186,59 @@ class TestInfoSharded:
             assert int(match.group(2)) > 0
             assert float(match.group(3)) > 0
 
+    @pytest.mark.parametrize("shards", (None, 2))
+    def test_codec_mix_counts_every_column(self, xml_file, tmp_path,
+                                           shards, capsys):
+        """The codec line tallies each column's codec from the payload
+        headers: one per level of every term, in every container."""
+        import re
+
+        from repro.api import XMLDatabase
+        from repro.index import storage
+
+        with open(xml_file, encoding="utf-8") as handle:
+            db = XMLDatabase.from_xml_text(handle.read())
+        out = str(tmp_path / "db")
+        db.save(out, shards=shards)
+        want = {}
+        for name in ([os.path.join(f"shard-{i:02d}", "columnar.bin")
+                      for i in range(shards)] if shards
+                     else ["columnar.bin"]):
+            with open(os.path.join(out, name), "rb") as handle:
+                blob = handle.read()
+            for ref in storage.scan_container(blob)[1]:
+                for scheme, _ in storage.parse_payload(
+                        ref.term, blob[ref.offset: ref.offset
+                                       + ref.length])[2]:
+                    want[scheme] = want.get(scheme, 0) + 1
+        assert main(["info", out]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("codecs:"))
+        got = {codec: int(count) for codec, count
+               in re.findall(r"(\w+) (\d+) \(", line)}
+        assert got == want
+
+    @pytest.mark.parametrize("meta", [
+        b'{"format_version": 5, "n_no',         # torn mid-write
+        b"[]", b"null", b"3",
+        b'{"format_version": 5, "shards": "x"}',
+    ])
+    def test_unusable_meta_exits_4(self, sharded_dir, meta, capsys):
+        """A torn or wrong-shaped ``meta.json`` is "database corrupt",
+        not a traceback."""
+        from repro.cli import EXIT_CORRUPT
+
+        with open(os.path.join(sharded_dir, "meta.json"), "wb") as fh:
+            fh.write(meta)
+        assert main(["info", sharded_dir]) == EXIT_CORRUPT
+        assert "meta.json" in capsys.readouterr().err
+
+    def test_missing_database_exits_3(self, capsys):
+        from repro.cli import EXIT_MISSING
+
+        assert main(["info", "/nonexistent-db"]) == EXIT_MISSING
+        assert "error" in capsys.readouterr().err
+
 
 class TestQueryVerbsSharded:
     """`explain` and `trace` on a sharded directory print one section

@@ -41,11 +41,11 @@ from repro.diskdb import (_SUPPORTED_VERSIONS, FORMAT_VERSION,
 from repro.index import storage
 from repro.index.compression import SCHEME_NAMES
 from repro.index.lazydisk import LazyColumnarIndex
-from repro.reliability import (DatabaseCorruptError, DatabaseFormatError,
-                               FaultInjector)
-from repro.reliability.io import COPY_STATS, MappedFile, map_bytes
+from repro.reliability import DatabaseCorruptError, DatabaseFormatError
+from repro.reliability.io import COPY_STATS, MappedFile
 from repro.xmltree.tree import Node, XMLTree
 from tests.conftest import SMALL_XML
+from tests.faults import FaultInjector, faulty_disk
 from tests.test_properties import labelled_tree, query_terms
 
 LAYOUTS = (None, 2, 3)                          # shards
@@ -271,17 +271,17 @@ class TestRoundTripMatrix:
             assert _transcript(db, plans) == reference, (layout, verify)
 
     @pytest.mark.parametrize("layout", ("flat", "sharded"))
-    def test_matrix_under_fault_injection(self, saved, layout):
+    def test_matrix_under_fault_injection(self, saved, layout,
+                                          monkeypatch):
         """A faulty disk may fail a load with a typed error, but a load
         that *succeeds* answers exactly like the clean one."""
         plans = layout == "flat"
         reference = _transcript(_build_db(), plans)
         for verify in ("eager", "lazy"):
-            injector = FaultInjector(error_rate=0.05,
-                                     short_read_rate=0.05, seed=SEED)
+            faulty_disk(monkeypatch, FaultInjector(
+                error_rate=0.05, short_read_rate=0.05, seed=SEED))
             try:
-                db = load_database(saved[layout], verify=verify,
-                                   injector=injector)
+                db = load_database(saved[layout], verify=verify)
             except (DatabaseCorruptError, DatabaseFormatError):
                 continue  # typed failure is an allowed outcome
             assert _transcript(db, plans) == reference, \
@@ -325,18 +325,6 @@ class TestZeroCopy:
             assert isinstance(payload, np.ndarray)
             assert payload.dtype == np.uint8
             assert not payload.flags.owndata
-
-    def test_injector_downgrades_map_to_copy(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        path.write_bytes(b"x" * 1024)
-        COPY_STATS.reset()
-        mapped = map_bytes(str(path), op="probe")
-        assert isinstance(mapped, MappedFile)
-        assert COPY_STATS.copies("probe") == 0
-        data = map_bytes(str(path), injector=FaultInjector(seed=SEED),
-                         op="probe")
-        assert isinstance(data, bytes)
-        assert COPY_STATS.copies("probe") == 1
 
 
 class TestFraming:

@@ -300,15 +300,14 @@ class TestDirectoriesFromBeforeTheTable:
             assert canon(db.search("xml data", semantics)) == \
                 canon(fresh.search("xml data", semantics))
 
-    def test_doctor_and_cli_refuse_it_too(self, capsys):
+    def test_the_cli_refuses_it_too(self, capsys):
         from repro.cli import main
-        from repro.obs.doctor import doctor_report
+        from repro.diskdb import read_meta
         from repro.reliability import DatabaseFormatError
 
         path = os.path.join(DATA, "pre_table_v2")
         with pytest.raises(DatabaseFormatError, match="format version 2"):
-            doctor_report(path)
-        for argv in (["info", path], ["doctor", path],
-                     ["search", path, "xml data"]):
+            read_meta(path)
+        for argv in (["info", path], ["search", path, "xml data"]):
             assert main(argv) != 0
             assert "format version 2" in capsys.readouterr().err

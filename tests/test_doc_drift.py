@@ -9,8 +9,10 @@ must every repository file they name (see `TestDocumentedCommands`).
 
 Consumer ledger: DESIGN.md section 7 has one row per module under
 ``obs/``, ``reliability/`` and ``serve/``, per CLI verb and per daemon
-route, naming what keeps it; `TestLedger` fails on code with no row and
-on a row for code that is gone.
+route, naming what keeps it; `TestLedger` fails on code with no row, on
+a row for code that is gone, on a citation that resolves to nothing,
+and on a part only its own tests, verb-only CI steps or parts that
+reach each other consume.
 
 Removed names: the options, environment variable and functions that
 went with the four-format storage stack, the library's own batch
@@ -335,6 +337,11 @@ REMOVED_NAMES = (
     # the per-term postings reader: the container has one reader
     # (`repro.index.lazydisk.LazyColumnarIndex`)
     "deserialize_columnar_postings",
+    # the storage fault injector and its switches (it lives on as
+    # tests/faults.py, under the library's one opener) and the index
+    # doctor: only their own suite and a CI step that ran them used them
+    "injector=", "repro.reliability.faults", "repro doctor",
+    "doctor_report", "DOCTOR_SCHEMA", "--max-shard-byte-skew",
 )
 
 
@@ -390,8 +397,8 @@ class TestDocumentedCommands:
         import repro.index.storage
         import repro.obs
         import repro.obs.account
-        import repro.obs.doctor
         import repro.planner.plans
+        import repro.reliability.io
         import repro.serve
         import repro.serve.sharding
         import repro.xmltree.tree
@@ -411,7 +418,8 @@ class TestDocumentedCommands:
                               repro.serve.sharding,
                               repro.xmltree.tree.XMLTree,
                               repro.algorithms.hybrid.HybridTopKSearch,
-                              repro.obs, repro.obs.doctor,
+                              repro.obs, repro.reliability,
+                              repro.reliability.io,
                               repro.serve, repro.serve.daemon,
                               ServeDaemon, repro.cli):
                     assert not hasattr(owner, name), (owner, name)
@@ -515,7 +523,7 @@ class TestDocumentedCommands:
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         verbs = _mentions(VERB_RE)
-        assert "serve" in verbs and "doctor" in verbs, "scan found nothing"
+        assert "serve" in verbs and "info" in verbs, "scan found nothing"
         missing = {verb: rel for verb, rel in verbs.items()
                    if verb not in sub.choices}
         assert not missing, f"docs name CLI verbs that are gone: {missing}"
@@ -570,6 +578,163 @@ def _ledger_drift(code, rows):
     return code - live, live - code
 
 
+CITATION_RE = re.compile(r"`([^`]+)`")
+#: What a CI step runs besides ``repro`` verbs: test files and scripts.
+STEP_TESTS_RE = re.compile(r"tests/test_\w+\.py")
+STEP_SCRIPTS_RE = re.compile(r"benchmarks/[\w/]+\.py|-m repro\.[\w.]+")
+
+
+def _benchmark_names():
+    """Every workload and metric name `BENCHMARK.json` declares."""
+    import json
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    return {entry["name"] for key in ("workloads", "end_to_end", "per_layer")
+            for entry in bench[key]}
+
+
+def _ci_steps():
+    """name -> run text of every named step in the CI workflow."""
+    text = open(os.path.join(ROOT, ".github", "workflows", "ci.yml"),
+                encoding="utf-8").read()
+    steps = {}
+    for chunk in re.split(r"^\s+- ", text, flags=re.MULTILINE)[1:]:
+        match = re.match(r"name: (.*?)\n\s+(?:run|uses|with):(.*)", chunk,
+                         re.DOTALL)
+        if match:
+            steps[" ".join(match.group(1).split())] = match.group(2)
+    return steps
+
+
+def _own_tests(kind, part):
+    """The test files named after a part: its own unit tests."""
+    if kind == "module":
+        pkg, stem = part[:-len(".py")].split("/")
+        names = {stem, f"{pkg}_{stem}"}
+    elif kind == "verb":
+        names = {part.split()[1].replace("-", "_")}
+    else:
+        names = {part.strip("/").split("/")[0]}
+    return {f"tests/test_{name}.py" for name in names}
+
+
+def _step_of(citation, steps):
+    """The run text of the CI step `citation` names (its name or a
+    prefix of it ending at a word boundary), or None."""
+    for name, run in steps.items():
+        if name.startswith(citation) and (
+                len(name) == len(citation)
+                or not name[len(citation)].isalnum()):
+            return run
+    return None
+
+
+def _test_node_exists(citation):
+    path, *names = citation.split("::")
+    full = os.path.join(ROOT, path)
+    if not os.path.isfile(full):
+        return False
+    text = open(full, encoding="utf-8").read()
+    return all(re.search(rf"^\s*(?:class|def) {re.escape(name)}\b", text,
+                         re.MULTILINE) for name in names)
+
+
+def _live_clauses(rows):
+    """((kind, part), clause kind, citations) per clause of each live
+    row: a cell is clauses separated by ``;``, each led by its kind."""
+    for key, cell in rows.items():
+        if cell.startswith("deleted in PR"):
+            continue
+        for clause in cell.split(";"):
+            clause_kind = clause.strip().split(":", 1)[0]
+            yield key, clause_kind, CITATION_RE.findall(clause)
+
+
+def _citation_failures(rows, steps, bench):
+    """Clauses citing nothing, and citations that resolve to none of: a
+    `BENCHMARK.json` name, a CI step, a ``tests/...`` file or node, a
+    file under ``src/repro/``."""
+    failures = []
+    for key, clause_kind, citations in _live_clauses(rows):
+        if not citations:
+            failures.append((key, clause_kind, "cites nothing"))
+        for cite in citations:
+            if not (cite in bench or _step_of(cite, steps) is not None
+                    or (cite.startswith("tests/") and _test_node_exists(cite))
+                    or (cite.endswith(".py") and os.path.isfile(
+                        os.path.join(ROOT, "src", "repro", cite)))):
+                failures.append((key, clause_kind, cite))
+    return failures
+
+
+def _outside(key, cite, steps, bench):
+    """Whether `cite` consumes the part `key` from outside it: a
+    benchmark name, a test that is not the part's own, or a CI step
+    that runs a script or a test file that is not the part's own (a
+    step that runs ``repro`` verbs checks those verbs)."""
+    kind, part = key
+    own = _own_tests(kind, part)
+    if cite in bench:
+        return True
+    if cite.startswith("tests/"):
+        return cite.split("::")[0] not in own
+    run = _step_of(cite, steps)
+    if run is None:
+        return False
+    return bool(STEP_SCRIPTS_RE.search(run)
+                or set(STEP_TESTS_RE.findall(run)) - own)
+
+
+def _unanchored(rows, steps, bench):
+    """Live parts nothing outside consumes.  A part is anchored by an
+    outside citation, by a kept ``src/`` file outside the ledger that
+    imports it, or by an anchored ledger module that does; parts
+    reached only through parts that reach each other stay unanchored."""
+    modules = {part for kind, part in rows if kind == "module"}
+    anchored, edges = set(), {}
+    for key, _clause_kind, citations in _live_clauses(rows):
+        for cite in citations:
+            if key[0] == "module" and cite.endswith(".py") \
+                    and not cite.startswith("tests/"):
+                if cite in modules:
+                    edges.setdefault(key, set()).add(("module", cite))
+                elif cite != key[1]:
+                    anchored.add(key)
+            elif _outside(key, cite, steps, bench):
+                anchored.add(key)
+    grown = True
+    while grown:
+        grown = False
+        for key, users in edges.items():
+            if key not in anchored and users & anchored:
+                anchored.add(key)
+                grown = True
+    live = {key for key, cell in rows.items()
+            if not cell.startswith("deleted in PR")}
+    return live - anchored
+
+
+def _false_module_citations(rows):
+    """Module clauses citing a ``src/`` file that does not import the
+    part: a module consumer depends on what it is credited with."""
+    false = []
+    for key, _clause_kind, citations in _live_clauses(rows):
+        kind, part = key
+        if kind != "module":
+            continue
+        stem = part[:-len(".py")].split("/")[1]
+        imports = re.compile(
+            rf"^\s*(?:from|import)\s+(?:[.\w]*\.)?{stem}\s", re.MULTILINE)
+        for cite in citations:
+            full = os.path.join(ROOT, "src", "repro", cite)
+            if not (cite.endswith(".py") and os.path.isfile(full)):
+                continue
+            if not imports.search(open(full, encoding="utf-8").read()):
+                false.append((part, cite))
+    return false
+
+
 class TestLedger:
     def test_every_part_has_a_row_and_every_row_a_part(self):
         code = _code_parts()
@@ -586,6 +751,21 @@ class TestLedger:
                if not consumer.startswith(CONSUMER_PREFIXES)}
         assert not bad, bad
 
+    def test_every_citation_resolves(self):
+        failures = _citation_failures(_ledger(), _ci_steps(),
+                                      _benchmark_names())
+        assert not failures, failures
+
+    def test_every_part_is_consumed_from_outside(self):
+        rows = _ledger()
+        assert ("module", "serve/daemon.py") in rows, "scan found nothing"
+        lonely = _unanchored(rows, _ci_steps(), _benchmark_names())
+        assert not lonely, f"parts only they themselves consume: {lonely}"
+
+    def test_module_consumers_import_the_part(self):
+        false = _false_module_citations(_ledger())
+        assert not false, false
+
     def test_the_check_fails_both_ways(self):
         code = _code_parts()
         rows = {key: "module: x" for key in code}
@@ -596,3 +776,34 @@ class TestLedger:
         assert missing == {("verb", "repro new"),
                            ("module", "serve/daemon.py")}
         assert stale == {("module", "obs/gone.py")}
+
+        steps, bench = _ci_steps(), _benchmark_names()
+        rows = {
+            # consumed: a benchmark name, a walked workflow, a core
+            # module, a CI step running more than the part
+            ("module", "serve/daemon.py"): "gate: `serve_open`",
+            ("route", "/stats"): "workflow: `tests/test_serve_daemon.py`",
+            ("module", "reliability/io.py"): "module: `diskdb.py`",
+            ("verb", "repro generate"): "gate: `Daemon smoke`",
+            # self-gated: its own test file; steps that run only verbs
+            ("module", "serve/supervisor.py"):
+                "gate: `tests/test_supervisor.py`",
+            ("verb", "repro trace"): "gate: `Traced query`",
+            ("verb", "repro explain"): "gate: `Sharded explain + trace`",
+            # a two-part cycle
+            ("module", "serve/merge.py"): "module: `serve/sharding.py`",
+            ("module", "serve/sharding.py"): "module: `serve/merge.py`",
+            # what does not resolve
+            ("verb", "repro info"): "gate: `no such step`; workflow: ",
+        }
+        assert _unanchored(rows, steps, bench) == {
+            ("module", "serve/supervisor.py"), ("verb", "repro trace"),
+            ("verb", "repro explain"),
+            ("module", "serve/merge.py"), ("module", "serve/sharding.py"),
+            ("verb", "repro info")}
+        assert _citation_failures(rows, steps, bench) == [
+            (("verb", "repro info"), "gate", "no such step"),
+            (("verb", "repro info"), "workflow", "cites nothing")]
+        # `serve/sharding.py` does not import `serve/merge.py`
+        assert _false_module_citations(rows) == [
+            ("serve/merge.py", "serve/sharding.py")]

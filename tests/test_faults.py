@@ -1,7 +1,9 @@
 """Fault-injected disk I/O: injector determinism, retry healing, and
 the end-to-end guarantee that a database loaded through a faulty disk
 either answers *identically* to a clean load or fails with a typed
-error -- never in between.
+error -- never in between.  The faulty disk is `tests/faults.py`, put
+under the library's one opener; the library reads every file under
+`DEFAULT_POLICY` with or without it.
 
 The suite honors ``REPRO_FAULT_SEED`` (the CI reliability job runs it
 under two seeds) so the probabilistic paths get fresh coverage without
@@ -14,15 +16,16 @@ import os
 import pytest
 
 from repro import XMLDatabase
-from repro.diskdb import load_database, save_database
-from repro.reliability import (DatabaseCorruptError, DatabaseFormatError,
-                               FaultInjector,
-                               InjectedFault, RetryExhaustedError,
+from repro.cli import EXIT_CORRUPT, main
+from repro.diskdb import load_database, read_meta, save_database
+from repro.reliability import (DEFAULT_POLICY, DatabaseCorruptError,
+                               DatabaseFormatError, RetryExhaustedError,
                                RetryPolicy)
-from repro.reliability.faults import (BIT_FLIP, IO_ERROR, LATENCY,
-                                      SHORT_READ)
 from repro.reliability.io import read_bytes
 from tests.conftest import SMALL_XML
+from tests.faults import (BIT_FLIP, IO_ERROR, LATENCY, SHORT_READ,
+                          FaultInjector, InjectedFault, failing_disk,
+                          faulty_disk)
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -197,20 +200,20 @@ class TestRetryPolicy:
 
 
 class TestFaultyReadBytes:
-    def test_transient_error_heals(self, tmp_path):
+    def test_transient_error_heals(self, tmp_path, monkeypatch):
         path = tmp_path / "blob.bin"
         path.write_bytes(b"payload" * 100)
-        inj = FaultInjector(script=[IO_ERROR])
-        policy = RetryPolicy(sleep=lambda _s: None)
-        assert read_bytes(str(path), injector=inj,
-                          retry=policy) == b"payload" * 100
+        faulty_disk(monkeypatch, FaultInjector(script=[IO_ERROR]))
+        assert DEFAULT_POLICY.call(
+            lambda: read_bytes(str(path))) == b"payload" * 100
 
-    def test_unretried_injector_surfaces_raw_fault(self, tmp_path):
+    def test_unretried_injector_surfaces_raw_fault(self, tmp_path,
+                                                   monkeypatch):
         path = tmp_path / "blob.bin"
         path.write_bytes(b"payload")
-        inj = FaultInjector(script=[IO_ERROR])
+        faulty_disk(monkeypatch, FaultInjector(script=[IO_ERROR]))
         with pytest.raises(InjectedFault):
-            read_bytes(str(path), injector=inj)
+            read_bytes(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -219,43 +222,72 @@ class TestFaultyReadBytes:
 
 
 class TestFaultyLoads:
-    def test_transient_faults_yield_identical_answers(self, db_dir):
-        clean = load_database(db_dir)
-        expected = _answers(clean)
-        inj = FaultInjector(error_rate=0.2, latency_rate=0.1,
-                            latency_ms=0.0, seed=SEED)
-        policy = RetryPolicy(max_attempts=6, sleep=lambda _s: None,
-                             seed=SEED)
-        faulty = load_database(db_dir, injector=inj, retry=policy)
+    def test_transient_faults_yield_identical_answers(self, db_dir,
+                                                      monkeypatch):
+        expected = _answers(load_database(db_dir))
+        faulty_disk(monkeypatch, FaultInjector(
+            error_rate=0.2, latency_rate=0.1, latency_ms=0.0, seed=SEED),
+            max_attempts=6)
+        faulty = load_database(db_dir)
         assert _answers(faulty) == expected, (
             f"faulty-disk load diverged from clean load "
             f"(REPRO_FAULT_SEED={SEED})")
 
-    def test_default_policy_installed_with_injector(self, db_dir):
-        # retry=None + injector set must not surface transient faults.
-        inj = FaultInjector(script=[IO_ERROR], sleep=lambda _s: None)
-        db = load_database(db_dir, injector=inj)
+    def test_default_policy_installed_with_injector(self, db_dir,
+                                                    monkeypatch):
+        # The library retries with no policy passed: one transient
+        # fault never surfaces.
+        inj = faulty_disk(monkeypatch, FaultInjector(script=[IO_ERROR]))
+        db = load_database(db_dir)
         assert db.search("xml data")
         assert inj.injected[IO_ERROR] == 1
 
-    def test_permanent_fault_is_typed(self, db_dir):
-        inj = FaultInjector(error_rate=1.0, seed=SEED)
-        policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None)
+    def test_permanent_fault_is_typed(self, db_dir, monkeypatch):
+        faulty_disk(monkeypatch, FaultInjector(error_rate=1.0, seed=SEED))
         with pytest.raises(DatabaseCorruptError) as err:
-            load_database(db_dir, injector=inj, retry=policy)
+            load_database(db_dir)
         assert isinstance(err.value.__cause__, RetryExhaustedError)
 
-    def test_short_reads_are_typed(self, db_dir):
+    def test_short_reads_are_typed(self, db_dir, monkeypatch):
         # A truncated meta.json raises the parent DatabaseFormatError;
         # a truncated data file fails its digest (DatabaseCorruptError,
         # the subclass).  Either way: typed, never silent.
-        inj = FaultInjector(short_read_rate=1.0, seed=SEED)
-        policy = RetryPolicy(max_attempts=2, sleep=lambda _s: None)
+        faulty_disk(monkeypatch,
+                    FaultInjector(short_read_rate=1.0, seed=SEED))
         with pytest.raises(DatabaseFormatError):
-            load_database(db_dir, injector=inj, retry=policy)
+            load_database(db_dir)
 
-    def test_bit_flips_are_typed(self, db_dir):
-        inj = FaultInjector(bit_flip_rate=1.0, seed=SEED)
-        policy = RetryPolicy(max_attempts=2, sleep=lambda _s: None)
+    def test_bit_flips_are_typed(self, db_dir, monkeypatch):
+        faulty_disk(monkeypatch,
+                    FaultInjector(bit_flip_rate=1.0, seed=SEED))
         with pytest.raises(DatabaseFormatError):
-            load_database(db_dir, injector=inj, retry=policy)
+            load_database(db_dir)
+
+
+class TestAFileThatNeverReads:
+    """A real ``EIO`` on every attempt, with no injector: the library's
+    own retry runs out and the error is typed, naming the file."""
+
+    def test_columnar_eio_is_corrupt_naming_the_file(self, db_dir,
+                                                     monkeypatch):
+        failing_disk(monkeypatch, "columnar.bin")
+        with pytest.raises(DatabaseCorruptError) as err:
+            load_database(db_dir)
+        assert err.value.file == "columnar.bin"
+        assert "columnar.bin" in str(err.value)
+        assert isinstance(err.value.__cause__, RetryExhaustedError)
+        assert err.value.__cause__.attempts == DEFAULT_POLICY.max_attempts
+
+    def test_search_exits_4(self, db_dir, monkeypatch, capsys):
+        failing_disk(monkeypatch, "columnar.bin")
+        assert main(["search", db_dir, "xml data"]) == EXIT_CORRUPT
+        err = capsys.readouterr().err
+        assert "columnar.bin" in err and "Traceback" not in err
+
+    def test_meta_eio_is_corrupt_naming_the_file(self, db_dir,
+                                                 monkeypatch):
+        failing_disk(monkeypatch, "meta.json")
+        with pytest.raises(DatabaseCorruptError) as err:
+            read_meta(db_dir)
+        assert err.value.file == "meta.json"
+        assert isinstance(err.value.__cause__, RetryExhaustedError)

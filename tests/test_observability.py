@@ -773,7 +773,6 @@ class TestProfilerOverheadGuard:
             db.search("gamma beta", use_cache=False)
 
         run()  # warm indexes/postings outside the timed region
-        query_ms = min(_timed(run) for _ in range(3))
         spans = self._count_spans(db, run)
 
         def live_spans():
@@ -784,7 +783,12 @@ class TestProfilerOverheadGuard:
                         span.tag(output=1)
             phase_totals(root)
 
-        overhead_ms = min(_timed(live_spans) for _ in range(3))
+        # Interleaved, so a stretch of machine noise lands on both
+        # sides; the best of many is each side's undisturbed cost.
+        query_ms = overhead_ms = float("inf")
+        for _ in range(25):
+            query_ms = min(query_ms, _timed(run))
+            overhead_ms = min(overhead_ms, _timed(live_spans))
         assert overhead_ms <= 0.10 * query_ms
 
     def test_disabled_profile_phase_is_nearly_free(self, corpus_db):

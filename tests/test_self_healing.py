@@ -28,9 +28,9 @@ import time
 import pytest
 
 import repro.serve.daemon as daemon_module
-from repro.reliability.errors import InjectedFault
 from repro.serve import ShardedDatabase
 from repro.serve.supervisor import BreakerConfig
+from tests.faults import InjectedFault
 from tests.test_serve_daemon import DaemonHarness, oracle_ids, payload_ids
 
 #: The real shard entry, bound before any test replaces the module's.

@@ -72,6 +72,28 @@ class TestPartitioning:
             assert split == total
 
 
+class TestShardByteSkew:
+    """The root-child partition keeps shards' containers balanced: on
+    the 400-paper DBLP corpus at 4 shards the largest
+    ``shard-NN/columnar.bin`` is within 1.45x the mean (a skewed shard
+    bounds the scatter's tail)."""
+
+    def test_largest_shard_within_bound(self, tmp_path):
+        import os
+
+        path = str(tmp_path / "db")
+        db = XMLDatabase.generate_dblp(seed=7, n_papers=400)
+        db.save(path, shards=4, fsync=False)
+        sizes = [os.path.getsize(os.path.join(
+                     path, f"shard-{sid:02d}", "columnar.bin"))
+                 for sid in range(4)]
+        assert max(sizes) <= 1.45 * (sum(sizes) / len(sizes)), sizes
+        db.save(path, shards=2, fsync=False)
+        assert sorted(name for name in os.listdir(path)
+                      if name.startswith("shard-")) == ["shard-00",
+                                                       "shard-01"]
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_search_matches_oracle(self, corpus_db, n_shards):
@@ -260,17 +282,16 @@ class TestDiskRoundTrip:
         assert db.manifest["strategy"] == "root-child-mod"
         assert len(db.manifest["dirs"]) == 4
 
-    def test_faulty_load_still_exact(self, dblp_db, sharded_dir):
+    def test_faulty_load_still_exact(self, dblp_db, sharded_dir,
+                                     monkeypatch):
         """Transient per-shard I/O faults heal through the retry
         policy; the healed sharded database stays oracle-exact."""
         from repro.diskdb import load_database
-        from repro.reliability.faults import FaultInjector
-        from repro.reliability.retry import RetryPolicy
+        from tests.faults import FaultInjector, faulty_disk
 
-        inj = FaultInjector(error_rate=0.15, seed=3)
-        policy = RetryPolicy(max_attempts=10, sleep=lambda _s: None,
-                             seed=3)
-        db = load_database(sharded_dir, injector=inj, retry=policy)
+        faulty_disk(monkeypatch, FaultInjector(error_rate=0.15, seed=3),
+                    max_attempts=10)
+        db = load_database(sharded_dir)
         assert isinstance(db, ShardedDatabase)
         for query in QUERIES[:3]:
             assert_search_equal(db, dblp_db, query, "elca")

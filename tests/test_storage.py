@@ -1,7 +1,10 @@
 """Tests for on-disk formats and Table I size accounting."""
 
+import hashlib
+
 import pytest
 
+from repro import XMLDatabase
 from repro.index.columnar import ColumnarIndex
 from repro.index.inverted import InvertedIndex
 from repro.index import storage
@@ -98,3 +101,36 @@ class TestSizeReport:
     def test_per_term_sizes_sum_to_total(self, columnar, inverted):
         report = storage.measure_sizes(columnar, inverted)
         assert sum(report.per_term.values()) == report.join_based_il
+
+
+class TestPinnedTableISizes:
+    """The Table I layout encodes each level from `level_values`, as the
+    container writer does; these figures and bytes were taken from the
+    per-`Column` encoder it replaced."""
+
+    def test_bytes_and_sizes_are_pinned(self):
+        db = XMLDatabase.generate_dblp(seed=3, n_papers=100)
+        index = db.columnar_index
+        inverted = db.inverted_index
+        for term in inverted.vocabulary:    # derives from the columns
+            inverted.term_list(term)
+        cached = {t: dict(index.term_postings(t)._columns)
+                  for t in index.vocabulary}
+        digest = hashlib.sha256()
+        for term in index.vocabulary:
+            postings = index.term_postings(term)
+            digest.update(storage.serialize_columnar_postings(postings))
+            digest.update(storage.serialize_columnar_postings(
+                postings, with_scores=True))
+        assert digest.hexdigest() == (
+            "207ee1ac88700c6c39053248d1c0517a65d9050009748eaf258f1723506aec37")
+        report = storage.measure_sizes(index, inverted)
+        assert report.as_rows() == [
+            ("join-based IL", 21765), ("join-based sparse", 10393),
+            ("stack-based IL", 11437), ("index-based B-tree", 49539),
+            ("top-K join IL", 25113), ("RDIL IL", 11437),
+            ("RDIL B-tree", 34409)]
+        # Neither builds a `Column`: the live index's caches are as the
+        # Dewey lists' derivation left them.
+        assert {t: dict(index.term_postings(t)._columns)
+                for t in index.vocabulary} == cached
