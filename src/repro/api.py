@@ -10,19 +10,19 @@ One object bundles the tree, both index families and every algorithm::
 
     top = db.search_topk("xml keyword search", k=10)
 
-The columnar index is built lazily on first use; the Dewey posting
-lists the baselines read are a per-term view of it
-(`repro.index.inverted`), materialized the first time a term is asked
-for.  A database opened from disk also defers its document: the node
-table answers node lookups, and `tree` parses ``document.xml`` only when
-something needs the real tree (the oracle, `to_xml`, `refresh`, JDewey
-maintenance).
+A database is its document's bytes and the node table parsed from them
+(`repro.xmltree.nodetable`), built with the columnar index on first
+use; the Dewey posting lists the baselines read are a per-term view of
+it (`repro.index.inverted`), materialized the first time a term is
+asked for.  Every answer's node is a row of the table.  `tree` parses
+the document into `Node`s only when something needs objects (the
+oracle, `to_xml`, JDewey maintenance).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algorithms.base import (ELCA, EmptyResultError, ExecutionStats,
                               ResultSet, TopKResult, check_semantics,
@@ -45,6 +45,7 @@ from .index.tokenizer import Tokenizer
 from .planner.plans import JoinPlanner
 from .scoring.ranking import RankingModel
 from .xmltree.jdewey import JDeweyEncoder
+from .xmltree.nodetable import NodeTable, parse_tree
 from .xmltree.parser import parse_xml
 from .xmltree.tree import XMLTree
 
@@ -173,13 +174,11 @@ class XMLDatabase:
         if tree is not None and not tree.frozen:
             tree.freeze()
         # `repro.diskdb` passes no tree and installs `_open_tree`, the
-        # loader `tree` calls on first use; the JDewey numbering is
-        # assigned whenever the tree arrives.
+        # loader `tree` calls on first use.
         self._tree = tree
         self._open_tree = None
         self.jdewey_gap = jdewey_gap
-        self._encoder = (JDeweyEncoder(tree, gap=jdewey_gap)
-                         if tree is not None else None)
+        self._encoder: Optional[JDeweyEncoder] = None
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -210,8 +209,8 @@ class XMLDatabase:
         """A synthetic DBLP-like database (see `repro.datagen.dblp`)."""
         from .datagen.dblp import DBLPGenerator
 
-        tree = DBLPGenerator(seed=seed, n_papers=n_papers).generate()
-        return cls(tree, **kwargs)
+        return cls(DBLPGenerator(seed=seed, n_papers=n_papers).generate(),
+                   **kwargs)
 
     @classmethod
     def generate_xmark(cls, seed: int = 7, scale: float = 0.01,
@@ -219,8 +218,8 @@ class XMLDatabase:
         """A synthetic XMark-like database (see `repro.datagen.xmark`)."""
         from .datagen.xmark import XMarkGenerator
 
-        tree = XMarkGenerator(seed=seed, scale=scale).generate()
-        return cls(tree, **kwargs)
+        return cls(XMarkGenerator(seed=seed, scale=scale).generate(),
+                   **kwargs)
 
     @classmethod
     def open(cls, path: str, **kwargs) -> "XMLDatabase":
@@ -245,23 +244,35 @@ class XMLDatabase:
 
     @property
     def tree(self) -> XMLTree:
+        """The document, its `Node`s numbered like the node table."""
         if self._tree is None:
             self._tree = self._open_tree()
-            self._encoder = JDeweyEncoder(self._tree, gap=self.jdewey_gap)
+        elif self._columnar is None:
+            self.columnar_index          # numbers the nodes
         return self._tree
 
     @property
     def encoder(self) -> JDeweyEncoder:
-        """The JDewey numbering of `tree` (and its maintenance)."""
-        self.tree
+        """JDewey maintenance over `tree` (paper section III-A), from the
+        node table's numbers."""
+        if self._encoder is None:
+            self._encoder = JDeweyEncoder(self.tree, gap=self.jdewey_gap,
+                                          table=self.columnar_index.nodes)
         return self._encoder
 
     @property
     def columnar_index(self) -> ColumnarIndex:
         if self._columnar is None:
-            self._columnar = ColumnarIndex(self.tree, self.tokenizer,
-                                           self.ranking)
+            parsed = self._tree.take_parsed()
+            table = NodeTable.from_parsed(parsed, gap=self.jdewey_gap)
+            self._tree.number(table.number)
+            self._columnar = self._index(table, parsed)
         return self._columnar
+
+    def _index(self, table: NodeTable, parsed) -> ColumnarIndex:
+        """The index over the texts of `parsed`, whose table `table` is."""
+        table._open_tree = lambda: self.tree
+        return ColumnarIndex(table, self.tokenizer, self.ranking, parsed)
 
     @property
     def inverted_index(self) -> InvertedIndex:
@@ -276,11 +287,11 @@ class XMLDatabase:
         `self.encoder.insert` / `.delete` maintain the JDewey numbering
         incrementally (paper section III-A); Dewey ids and the inverted
         lists are static structures, so after mutating the tree call
-        `refresh` to re-freeze and drop the cached indexes (they rebuild
-        lazily on the next query).
+        `refresh`: the tree is re-frozen and serialized, and the node
+        table and the index are rebuilt from those bytes, keeping every
+        JDewey number the nodes carry.
         """
-        self.tree.freeze()
-        self._columnar = None
+        self._columnar = self._index(*parse_tree(self.tree.freeze()))
         self._inverted = None
         self.cache.clear()
 
@@ -649,20 +660,13 @@ class XMLDatabase:
     def document_frequency(self, term: str) -> int:
         return self.columnar_index.document_frequency(term.lower())
 
-    def _shape(self):
-        """Whatever knows the node count and depth without parsing: the
-        node table of an opened database, else the tree."""
-        if self._tree is None and self._columnar is not None:
-            return self._columnar.nodes
-        return self.tree
-
     def __len__(self) -> int:
-        return len(self._shape())
+        return len(self.columnar_index.nodes)
 
     @property
     def depth(self) -> int:
         """Maximum level over all nodes (root = 1)."""
-        return self._shape().depth
+        return self.columnar_index.nodes.depth
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<XMLDatabase nodes={len(self)} depth={self.depth}>"

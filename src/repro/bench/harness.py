@@ -510,8 +510,8 @@ def ablation_lazy_io_rows(bench: Workbench) -> List[Tuple[str, str, object]]:
 
     db, builder = bench.dblp, bench.builder
     lazy = LazyColumnarIndex(storage.serialize_columnar_index(
-        db.columnar_index, score_mode=storage.SCORES_EXACT), db.tree,
-        db.tokenizer, db.ranking)
+        db.columnar_index, score_mode=storage.SCORES_EXACT),
+        db.columnar_index.nodes, db.tokenizer, db.ranking)
     cold, hot = builder.frequency_sweep(2)[0], builder.frequency_sweep(3)[1]
     postings = [db.columnar_index.term_postings(t) for t in cold.terms]
     rows = [("k x start level", cold.label,

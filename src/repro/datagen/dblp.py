@@ -18,8 +18,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..xmltree.tree import Node, XMLTree
-from .text import PlantingPlan, TextSource, apply_planting
+from ..xmltree.tree import XMLTree
+from .text import PlantingPlan, TextSource, apply_planting, element
 
 
 class DBLPGenerator:
@@ -58,19 +58,11 @@ class DBLPGenerator:
         self.realized_df: Dict[str, int] = {}
 
     def generate(self) -> XMLTree:
-        """Build and freeze the tree (JDewey assignment is the caller's)."""
+        """The document, written straight to its bytes (JDewey numbering
+        is the database's)."""
         text = TextSource(self.seed, self.vocab_size)
         names = TextSource(self.seed + 1, 500, prefix="author")
         rng = np.random.default_rng(self.seed + 2)
-
-        root = Node("dblp")
-        conferences: List[List[Node]] = []  # [conf][year] -> year node
-        for c in range(self.n_conferences):
-            conf = root.add_child(Node("conference"))
-            conf.add_child(Node("name", f"conf{c:03d}"))
-            years = [conf.add_child(Node("year", str(1996 + y)))
-                     for y in range(self.n_years)]
-            conferences.append(years)
 
         # Zipf-ish venue sizes: big conferences get most of the papers.
         weights = (np.arange(1, self.n_conferences + 1) ** -0.8)
@@ -79,21 +71,36 @@ class DBLPGenerator:
                              p=conf_probs)
         year_of = rng.integers(self.n_years, size=self.n_papers)
 
-        paper_text_nodes: List[List[Node]] = []
-        for p in range(self.n_papers):
-            year_node = conferences[int(conf_of[p])][int(year_of[p])]
-            paper = year_node.add_child(Node("paper"))
-            title = paper.add_child(
-                Node("title", text.sentence(self.title_words)))
-            nodes = [title]
-            authors = paper.add_child(Node("authors"))
-            for _ in range(1 + int(rng.integers(self.max_authors))):
-                authors.add_child(Node("author", names.sentence(2)))
+        texts: List[str] = []           # titles and abstracts
+        entities: List[List[int]] = []  # per paper, its texts' positions
+        authors: List[str] = []         # per paper, its authors element
+        for _ in range(self.n_papers):
+            entities.append([len(texts)])
+            texts.append(text.sentence(self.title_words))
+            authors.append(element("authors", "", *(
+                element("author", names.sentence(2))
+                for _ in range(1 + int(rng.integers(self.max_authors))))))
             if self.abstract_words:
-                abstract = paper.add_child(
-                    Node("abstract", text.sentence(self.abstract_words)))
-                nodes.append(abstract)
-            paper_text_nodes.append(nodes)
+                entities[-1].append(len(texts))
+                texts.append(text.sentence(self.abstract_words))
+        self.realized_df = apply_planting(self.plan, texts, entities, rng)
+        # Document order: by venue, then year, then generation order.
+        slots: List[List[int]] = [
+            [] for _ in range(self.n_conferences * self.n_years)]
+        for p, slot in enumerate((conf_of * self.n_years + year_of).tolist()):
+            slots[slot].append(p)
 
-        self.realized_df = apply_planting(self.plan, paper_text_nodes, rng)
-        return XMLTree(root).freeze()
+        def paper(p: int) -> str:
+            title, *abstract = entities[p]
+            return element("paper", "", element("title", texts[title]),
+                           authors[p], *(element("abstract", texts[a])
+                                         for a in abstract))
+
+        def year(slot: int) -> str:
+            return element("year", str(1996 + slot % self.n_years),
+                           *map(paper, slots[slot]))
+
+        return XMLTree(document=element("dblp", "", *(
+            element("conference", "", element("name", f"conf{c:03d}"), *map(
+                year, range(c * self.n_years, (c + 1) * self.n_years)))
+            for c in range(self.n_conferences))).encode("utf-8"))

@@ -24,6 +24,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..xmltree.tree import _escape_text
+
 
 @dataclass(frozen=True)
 class PlantedTerm:
@@ -89,10 +91,6 @@ class TextSource:
     def sentence(self, n_words: int) -> str:
         return " ".join(self.words_batch(n_words))
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        """Uniform index sample (used to place planted terms)."""
-        return self.rng.choice(n, size=size, replace=replace)
-
 
 @dataclass
 class PlantingPlan:
@@ -108,6 +106,12 @@ class PlantingPlan:
         return terms
 
 
+def planted_label(freq: int) -> str:
+    """A frequency as planted term names spell it (``10``, ``10k``)."""
+    return f"{freq // 1000}k" if freq % 1000 == 0 and freq >= 1000 \
+        else str(freq)
+
+
 def frequency_ladder(frequencies: Sequence[int], per_step: int = 4,
                      prefix: str = "kw") -> List[PlantedTerm]:
     """`per_step` planted terms at each target frequency.
@@ -116,55 +120,60 @@ def frequency_ladder(frequencies: Sequence[int], per_step: int = 4,
     workloads can pick by posting-list length without scanning the
     index.
     """
-    ladder: List[PlantedTerm] = []
-    for freq in frequencies:
-        label = f"{freq // 1000}k" if freq % 1000 == 0 and freq >= 1000 \
-            else str(freq)
-        for i in range(per_step):
-            ladder.append(PlantedTerm(f"{prefix}{label}-{i}", freq))
-    return ladder
+    return [PlantedTerm(f"{prefix}{planted_label(freq)}-{i}", freq)
+            for freq in frequencies for i in range(per_step)]
 
 
-def apply_planting(plan: PlantingPlan, entity_text_nodes: List[List],
+def apply_planting(plan: PlantingPlan, texts: List[str],
+                   entities: List[List[int]],
                    rng: np.random.Generator) -> Dict[str, int]:
     """Inject the plan's terms into the corpus.
 
-    ``entity_text_nodes[e]`` lists the text-bearing nodes of entity
-    ``e`` (e.g. one paper's title/abstract nodes).  Planted terms pick
-    ``df`` distinct nodes across all entities; correlated groups pick
-    entities and plant every term of the group inside each chosen
-    entity.  Returns the realized document frequency per term.
+    ``texts`` holds the text-bearing elements' texts, changed in place;
+    ``entities[e]`` lists the positions in it of entity ``e``'s texts
+    (e.g. one paper's title and abstract).  Planted terms pick ``df``
+    distinct texts across all entities; correlated groups pick entities
+    and plant every term of the group inside each chosen entity.
+    Returns the realized document frequency per term.
     """
     realized: Dict[str, int] = {}
-    flat_nodes = [node for nodes in entity_text_nodes for node in nodes]
+    flat = [i for mine in entities for i in mine]
 
-    def inject(node, term: str, tf_range: Tuple[int, int]) -> None:
+    def inject(i: int, term: str, tf_range: Tuple[int, int]) -> None:
         lo, hi = tf_range
         tf = int(rng.integers(lo, hi + 1)) if hi > lo else lo
         addition = " ".join([term] * tf)
-        node.text = f"{node.text} {addition}" if node.text else addition
+        texts[i] = f"{texts[i]} {addition}" if texts[i] else addition
 
     for planted in plan.planted:
-        df = min(planted.df, len(flat_nodes))
-        picks = rng.choice(len(flat_nodes), size=df, replace=False)
+        df = min(planted.df, len(flat))
+        picks = rng.choice(len(flat), size=df, replace=False)
         for i in picks:
-            inject(flat_nodes[i], planted.term, planted.tf_range)
+            inject(flat[i], planted.term, planted.tf_range)
         realized[planted.term] = df
     for group in plan.correlated:
-        n = min(group.n_entities, len(entity_text_nodes))
-        entity_picks = rng.choice(len(entity_text_nodes), size=n,
-                                  replace=False)
+        n = min(group.n_entities, len(entities))
+        entity_picks = rng.choice(len(entities), size=n, replace=False)
         counts = {term: 0 for term in group.terms}
         for e in entity_picks:
-            nodes = entity_text_nodes[e]
-            if not nodes:
+            mine = entities[e]
+            if not mine:
                 continue
             for term in group.terms:
                 if rng.random() > group.rate:
                     continue
-                inject(nodes[int(rng.integers(len(nodes)))], term,
+                inject(mine[int(rng.integers(len(mine)))], term,
                        group.tf_range)
                 counts[term] += 1
         for term, count in counts.items():
             realized[term] = realized.get(term, 0) + count
     return realized
+
+
+def element(tag: str, text: str = "", *children: str) -> str:
+    """One element as the canonical serialization writes it
+    (`repro.xmltree.tree.Node.to_xml`): the text right after the start
+    tag, then the children; ``<tag/>`` when it has neither."""
+    if not text and not children:
+        return f"<{tag}/>"
+    return f"<{tag}>{_escape_text(text)}{''.join(children)}</{tag}>"

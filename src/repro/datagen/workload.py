@@ -19,12 +19,12 @@ paper's random selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..index.inverted import InvertedIndex
-from .text import CorrelatedGroup, PlantedTerm, PlantingPlan
+from .text import CorrelatedGroup, PlantedTerm, PlantingPlan, planted_label
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,6 @@ class QuerySpec:
 
     def __iter__(self):
         return iter(self.terms)
-
-
-def planted_label(freq: int) -> str:
-    return f"{freq // 1000}k" if freq % 1000 == 0 and freq >= 1000 \
-        else str(freq)
 
 
 class WorkloadBuilder:

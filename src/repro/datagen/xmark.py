@@ -23,8 +23,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..xmltree.tree import Node, XMLTree
-from .text import PlantingPlan, TextSource, apply_planting
+from ..xmltree.tree import XMLTree
+from .text import PlantingPlan, TextSource, apply_planting, element
 
 _REGIONS = ("africa", "asia", "europe", "namerica", "samerica")
 
@@ -55,59 +55,61 @@ class XMarkGenerator:
         return max(1, int(base * self.scale))
 
     def generate(self) -> XMLTree:
+        """The document, written straight to its bytes (JDewey numbering
+        is the database's)."""
         text = TextSource(self.seed, self.vocab_size)
         names = TextSource(self.seed + 1, 800, prefix="person")
         rng = np.random.default_rng(self.seed + 2)
+        texts: List[str] = []           # every text planting may touch
+        entities: List[List[int]] = []  # per entity, its texts' positions
 
-        root = Node("site")
-        entity_nodes: List[List[Node]] = []
+        def entity(*sentences: str) -> List[int]:
+            mine = list(range(len(texts), len(texts) + len(sentences)))
+            texts.extend(sentences)
+            entities.append(mine)
+            return mine
 
-        regions = root.add_child(Node("regions"))
-        region_nodes = [regions.add_child(Node(r)) for r in _REGIONS]
         n_items = self._count(_BASE_ITEMS)
-        region_of = rng.integers(len(region_nodes), size=n_items)
-        for i in range(n_items):
-            item = region_nodes[int(region_of[i])].add_child(Node("item"))
-            name = item.add_child(Node("name", text.sentence(3)))
-            description = item.add_child(Node("description"))
-            para = description.add_child(
-                Node("text", text.sentence(self.description_words)))
-            entity_nodes.append([name, para])
+        region_of = rng.integers(len(_REGIONS), size=n_items)
+        items = [entity(text.sentence(3),
+                        text.sentence(self.description_words))
+                 for _ in range(n_items)]
+        people = [entity(names.sentence(2), text.sentence(4))
+                  for _ in range(self._count(_BASE_PEOPLE))]
+        open_auctions = [(entity(text.sentence(self.description_words)),
+                          f"{rng.integers(1, 500)}.00")
+                         for _ in range(self._count(_BASE_OPEN))]
+        closed_auctions = [entity(text.sentence(self.description_words))
+                           for _ in range(self._count(_BASE_CLOSED))]
+        categories = [entity(text.sentence(2), text.sentence(6))
+                      for _ in range(self._count(_BASE_CATEGORIES))]
+        self.realized_df = apply_planting(self.plan, texts, entities, rng)
+        by_region: List[List[List[int]]] = [[] for _ in _REGIONS]
+        for item, region in zip(items, region_of.tolist()):
+            by_region[region].append(item)
 
-        people = root.add_child(Node("people"))
-        for _ in range(self._count(_BASE_PEOPLE)):
-            person = people.add_child(Node("person"))
-            name = person.add_child(Node("name", names.sentence(2)))
-            profile = person.add_child(Node("profile"))
-            interest = profile.add_child(Node("interest", text.sentence(4)))
-            entity_nodes.append([name, interest])
+        def described(para: int) -> str:
+            return element("description", "", element("text", texts[para]))
 
-        open_auctions = root.add_child(Node("open_auctions"))
-        for _ in range(self._count(_BASE_OPEN)):
-            auction = open_auctions.add_child(Node("open_auction"))
-            annotation = auction.add_child(Node("annotation"))
-            description = annotation.add_child(Node("description"))
-            para = description.add_child(
-                Node("text", text.sentence(self.description_words)))
-            auction.add_child(Node("initial", f"{rng.integers(1, 500)}.00"))
-            entity_nodes.append([para])
-
-        closed_auctions = root.add_child(Node("closed_auctions"))
-        for _ in range(self._count(_BASE_CLOSED)):
-            auction = closed_auctions.add_child(Node("closed_auction"))
-            annotation = auction.add_child(Node("annotation"))
-            description = annotation.add_child(Node("description"))
-            para = description.add_child(
-                Node("text", text.sentence(self.description_words)))
-            entity_nodes.append([para])
-
-        categories = root.add_child(Node("categories"))
-        for _ in range(self._count(_BASE_CATEGORIES)):
-            category = categories.add_child(Node("category"))
-            name = category.add_child(Node("name", text.sentence(2)))
-            description = category.add_child(
-                Node("description", text.sentence(6)))
-            entity_nodes.append([name, description])
-
-        self.realized_df = apply_planting(self.plan, entity_nodes, rng)
-        return XMLTree(root).freeze()
+        return XMLTree(document=element(
+            "site", "",
+            element("regions", "", *(element(region, "", *(
+                element("item", "", element("name", texts[name]),
+                        described(para)) for name, para in mine))
+                for region, mine in zip(_REGIONS, by_region))),
+            element("people", "", *(element(
+                "person", "", element("name", texts[name]),
+                element("profile", "", element("interest", texts[interest])))
+                for name, interest in people)),
+            element("open_auctions", "", *(element(
+                "open_auction", "", element("annotation", "", described(para)),
+                element("initial", initial))
+                for (para,), initial in open_auctions)),
+            element("closed_auctions", "", *(element("closed_auction", "", (
+                element("annotation", "", described(para))))
+                for (para,) in closed_auctions)),
+            element("categories", "", *(element(
+                "category", "", element("name", texts[name]),
+                element("description", texts[description]))
+                for name, description in categories)),
+        ).encode("utf-8"))

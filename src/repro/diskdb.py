@@ -101,7 +101,6 @@ from .reliability.retry import DEFAULT_POLICY
 from .scoring.ranking import DampingFunction, RankingModel
 from .xmltree.nodetable import NodeTable
 from .xmltree.parser import parse_xml
-from .xmltree.tree import DocumentBytes
 
 FORMAT_VERSION = 5
 _SUPPORTED_VERSIONS = (FORMAT_VERSION,)
@@ -328,15 +327,12 @@ def save_database(db: XMLDatabase, path: str,
     if shards is not None and shards < 1:
         raise ValueError("shards must be >= 1")
     columnar = db.columnar_index
-    document = DocumentBytes(db.tree)
-
-    def table_chunks():
-        # The table's text references are byte spans of the document,
-        # which is streamed (and so measured) first.
-        yield from columnar.nodes.chunks(
-            document.text_off, document.text_len, document.size, algorithm)
-
-    data_files = [(_DOCUMENT, document), (_DEWEY, table_chunks())]
+    table = columnar.nodes
+    document = table.document
+    # The table's text references are byte spans of the document.
+    data_files = [(_DOCUMENT, (document,)),
+                  (_DEWEY, table.chunks(table.text_off, table.text_len,
+                                        len(document), algorithm))]
     meta = {
         "format_version": FORMAT_VERSION,
         "jdewey_gap": db.jdewey_gap,
@@ -346,7 +342,7 @@ def save_database(db: XMLDatabase, path: str,
             "stopwords": sorted(db.tokenizer.stopwords),
             "min_length": db.tokenizer.min_length,
         },
-        "n_nodes": len(db.tree),
+        "n_nodes": len(table),
     }
     if shards is None:
         data_files.append((_COLUMNAR, storage.container_chunks(
@@ -356,14 +352,14 @@ def save_database(db: XMLDatabase, path: str,
 
         postings = {t: columnar.term_postings(t)
                     for t in columnar.vocabulary}
-        owners = shard_owners(postings, db.tree, shards)
+        owners = shard_owners(postings, table, shards)
 
         def shard_chunks(sid: int):
             # Partitioned when its file is written: one shard's postings
             # are alive at a time.
             yield from storage.container_chunks(
                 ColumnarIndex.from_postings(
-                    columnar.nodes, shard_postings(postings, owners, sid)),
+                    table, shard_postings(postings, owners, sid)),
                 algorithm=algorithm)
 
         shard_dirs = [f"shard-{sid:02d}" for sid in range(shards)]
@@ -483,6 +479,7 @@ def load_database(path: str,
                 raise DatabaseFormatError(
                     f"document has {len(tree)} nodes, metadata says "
                     f"{n_nodes}")
+            tree.number(nodes.load().number)
             opened["tree"] = tree
         return opened["tree"]
 
@@ -550,7 +547,7 @@ def load_database(path: str,
     # carry no shard id, so one shared cache would hand shard A's
     # answers to shard B.
     return ShardedDatabase(
-        None, [make_db(None, os.path.join(shard_dir, _COLUMNAR))
+        [make_db(None, os.path.join(shard_dir, _COLUMNAR))
                for shard_dir in shards_meta["dirs"]],
         manifest=shards_meta)
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from ..scoring.ranking import RankingModel
 from ..xmltree.jdewey import JDeweySeq
-from ..xmltree.nodetable import NodeTable, path_tuples
-from ..xmltree.tree import XMLTree
+from ..xmltree.nodetable import NodeTable, parse_tree, path_tuples
 from .compression import run_values, runs_of
 from .tokenizer import Tokenizer
 
@@ -155,17 +154,22 @@ class ColumnarPostings:
         return len(self.lengths)
 
     def column(self, level: int) -> Column:
-        """The column for `level` (1-based); empty beyond `max_len`."""
+        """The column for `level` (1-based); empty beyond `max_len`.
+        The first read builds and keeps every level's, from one matrix
+        of the sequences."""
         if level < 1:
             raise ValueError("levels are 1-based")
-        cached = self._columns.get(level)
-        if cached is not None:
-            return cached
-        ordinals = np.flatnonzero(self.lengths >= level)
-        values = (self._paths()[ordinals, level - 1] if len(ordinals)
-                  else np.empty(0, dtype=np.int64))
-        column = Column.of_rows(level, values, ordinals)
-        self._columns[level] = column
+        columns = self._columns
+        if not columns:
+            paths = self._paths()
+            for at in range(1, self.max_len + 1):
+                ordinals = np.flatnonzero(self.lengths >= at)
+                columns[at] = Column.of_rows(at, paths[ordinals, at - 1],
+                                             ordinals)
+        column = columns.get(level)
+        if column is None:
+            empty = np.empty(0, dtype=np.int64)
+            column = columns[level] = Column.of_rows(level, empty, empty)
         return column
 
     def level_values(self) -> Iterator[np.ndarray]:
@@ -243,14 +247,40 @@ class ColumnarIndex:
     overrides exactly those three.
     """
 
-    def __init__(self, tree: XMLTree, tokenizer: Optional[Tokenizer] = None,
-                 ranking: Optional[RankingModel] = None):
-        self.nodes = NodeTable.from_tree(tree)
+    def __init__(self, source, tokenizer: Optional[Tokenizer] = None,
+                 ranking: Optional[RankingModel] = None, parsed=None):
+        """The index of `source`: the `NodeTable` of `parsed` (a
+        `repro.xmltree.parser.ParsedDocument`, whose texts are dropped
+        once tokenized), or a JDewey-encoded tree, numbered by its nodes
+        (`repro.xmltree.nodetable.parse_tree`).
+
+        Tokenizes every node's text in bulk, scores each distinct (df,
+        tf, tokens) once, and groups the occurrences by term in JDewey
+        order with one sort."""
+        if parsed is None:
+            source, parsed = parse_tree(source)
+        self.nodes = source
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
         self._postings: Dict[str, ColumnarPostings] = {}
-        self.n_docs = 0
-        self._build()
+        found = self.tokenizer.occurrences(parsed.texts)
+        parsed.texts = None
+        self.n_docs = int(np.count_nonzero(found.tokens))
+        rows, term, words = found.text, found.term, found.words
+        scores = _local_scores(self.ranking.scorer, term, found.tf,
+                               found.tokens[rows], self.n_docs)
+        del found
+        if not len(term):
+            return
+        order = np.lexsort((self.nodes.jdewey_ranks()[rows], term))
+        rows, term, scores = rows[order], term[order], scores[order]
+        del order
+        bounds = [0, *(np.flatnonzero(np.diff(term)) + 1).tolist(),
+                  len(term)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            word = words[term[lo]]
+            self._postings[word] = RowPostings(
+                word, self.nodes, rows[lo:hi], scores[lo:hi])
 
     @classmethod
     def from_postings(cls, nodes,
@@ -270,33 +300,6 @@ class ColumnarIndex:
         index._postings = dict(postings)
         index.n_docs = n_docs
         return index
-
-    @property
-    def tree(self) -> XMLTree:
-        return self.nodes.tree
-
-    def _build(self) -> None:
-        """Tokenize every node's text in bulk, score each distinct
-        (df, tf, tokens) once, and group the occurrences by term in
-        JDewey order with one sort."""
-        found = self.tokenizer.occurrences(
-            node.text or "" for node in self.tree.nodes)
-        self.n_docs = int(np.count_nonzero(found.tokens))
-        rows, term, words = found.text, found.term, found.words
-        scores = _local_scores(self.ranking.scorer, term, found.tf,
-                               found.tokens[rows], self.n_docs)
-        del found
-        if not len(term):
-            return
-        order = np.lexsort((self.nodes.jdewey_ranks()[rows], term))
-        rows, term, scores = rows[order], term[order], scores[order]
-        del order
-        bounds = [0, *(np.flatnonzero(np.diff(term)) + 1).tolist(),
-                  len(term)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            word = words[term[lo]]
-            self._postings[word] = RowPostings(
-                word, self.nodes, rows[lo:hi], scores[lo:hi])
 
     def __contains__(self, term: str) -> bool:
         return term in self._postings
@@ -331,7 +334,7 @@ def _local_scores(scorer, term: np.ndarray, tf: np.ndarray,
     tokens) alone, so ``scorer.score`` runs once per distinct triple,
     on Python ints: every score is the one a call per occurrence would
     give."""
-    df = np.bincount(term)[term]
+    df = np.bincount(term).astype(np.int32)[term]
     order = np.lexsort((tokens, tf, df))
     df, tf, tokens = df[order], tf[order], tokens[order]
     new = np.ones(len(order), dtype=bool)
@@ -344,5 +347,5 @@ def _local_scores(scorer, term: np.ndarray, tf: np.ndarray,
             tf[first].tolist(), df[first].tolist(),
             tokens[first].tolist())], dtype=np.float64)
     scores = np.empty(len(order), dtype=np.float64)
-    scores[order] = distinct[np.cumsum(new) - 1]
+    scores[order] = distinct[np.cumsum(new, dtype=np.int32) - 1]
     return scores

@@ -121,10 +121,6 @@ class InvertedIndex:
         return index
 
     @property
-    def tree(self) -> XMLTree:
-        return self.columnar.tree
-
-    @property
     def tokenizer(self) -> Tokenizer:
         return self.columnar.tokenizer
 

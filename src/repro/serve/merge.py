@@ -177,11 +177,10 @@ def gather(table, n_terms: int, parts: Sequence[ResultSet],
 class ShardedDatabase:
     """N subtree-affine shards behind the single-database search API.
 
-    Construction does not copy the tree: every shard `XMLDatabase`
-    references the same node table (and the same document, parsed on
-    first use), only the postings differ.  ``tree`` may be ``None`` for
-    shards opened from disk; `tree` then defers to theirs.
-    The facade carries its own result `QueryCache` for merged answers.
+    Construction copies no document: every shard `XMLDatabase`
+    references the same node table (and the same document, parsed into
+    `Node`s on first use), only the postings differ.  The facade
+    carries its own result `QueryCache` for merged answers.
 
     Supported algorithms are the join family -- ``join`` for complete
     evaluation, ``hybrid`` (default) and ``topk-join`` for top-K, both
@@ -190,12 +189,11 @@ class ShardedDatabase:
     they are rejected instead of answered wrongly.
     """
 
-    def __init__(self, tree, shard_dbs: Sequence, manifest: Optional[dict] = None,
+    def __init__(self, shard_dbs: Sequence, manifest: Optional[dict] = None,
                  cache: Optional[QueryCache] = None,
                  result_cache_size: int = 1024):
         if not shard_dbs:
             raise ValueError("a sharded database needs at least one shard")
-        self._tree = tree
         self.shards = list(shard_dbs)
         self.manifest = dict(manifest) if manifest else {
             "count": len(self.shards), "strategy": "root-child-mod"}
@@ -223,15 +221,16 @@ class ShardedDatabase:
 
         source = db.columnar_index
         postings = {t: source.term_postings(t) for t in source.vocabulary}
-        parts = partition_columnar(postings, db.tree, n_shards)
+        parts = partition_columnar(postings, source.nodes, n_shards)
         shard_dbs = []
         for part in parts:
-            sdb = XMLDatabase(db.tree, tokenizer=db.tokenizer,
+            sdb = XMLDatabase(None, tokenizer=db.tokenizer,
                               ranking=db.ranking)
+            sdb._open_tree = lambda: db.tree
             sdb._columnar = ColumnarIndex.from_postings(
                 source.nodes, part, db.tokenizer, db.ranking, source.n_docs)
             shard_dbs.append(sdb)
-        return cls(db.tree, shard_dbs, **kwargs)
+        return cls(shard_dbs, **kwargs)
 
     @classmethod
     def open(cls, path: str, **kwargs) -> "ShardedDatabase":
@@ -250,7 +249,7 @@ class ShardedDatabase:
 
     @property
     def tree(self):
-        return self._tree if self._tree is not None else self.shards[0].tree
+        return self.shards[0].tree
 
     @property
     def nodes(self):

@@ -33,21 +33,25 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..index.columnar import ColumnarPostings
-from ..xmltree.tree import XMLTree
+from ..xmltree.nodetable import NodeTable
 
 
-def subtree_shard_map(tree: XMLTree, n_shards: int) -> Dict[int, int]:
+def subtree_shard_map(nodes, n_shards: int) -> Dict[int, int]:
     """Level-2 JDewey number -> shard id, by root-child ordinal.
 
-    Round-robin over the root's children in document order: child ``i``
-    goes to shard ``i % n_shards``.  With skewed subtree sizes (DBLP's
-    Zipf-ish venues) round-robin spreads the big subtrees across
-    shards instead of clustering them the way a range split would.
+    Round-robin over the root's children in document order, read off
+    the node table (`nodes`, or the table of an encoded tree): child
+    ``i`` goes to shard ``i % n_shards``.  With skewed subtree sizes
+    (DBLP's Zipf-ish venues) round-robin spreads the big subtrees
+    across shards instead of clustering them the way a range split
+    would.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    return {child.jdewey[-1]: i % n_shards
-            for i, child in enumerate(tree.root.children)}
+    table = NodeTable.of(nodes).load()
+    children = np.flatnonzero(table.level == 2)
+    return dict(zip(table.number[children].tolist(),
+                    ((table.ordinal[children] - 1) % n_shards).tolist()))
 
 
 def shard_of_dewey(dewey: Sequence[int], n_shards: int) -> int:
@@ -64,7 +68,7 @@ def shard_of_dewey(dewey: Sequence[int], n_shards: int) -> int:
 
 
 def partition_columnar(postings_by_term: Dict[str, ColumnarPostings],
-                       tree: XMLTree,
+                       nodes,
                        n_shards: int) -> List[Dict[str, ColumnarPostings]]:
     """Split per-term columnar postings into `n_shards` filtered sets.
 
@@ -73,17 +77,17 @@ def partition_columnar(postings_by_term: Dict[str, ColumnarPostings],
     absent from that shard's dict (which is what lets the front-end
     prune whole shards with an O(1) vocabulary test).
     """
-    owners = shard_owners(postings_by_term, tree, n_shards)
+    owners = shard_owners(postings_by_term, nodes, n_shards)
     return [shard_postings(postings_by_term, owners, sid)
             for sid in range(n_shards)]
 
 
 def shard_owners(postings_by_term: Dict[str, ColumnarPostings],
-                 tree: XMLTree, n_shards: int) -> Dict[str, np.ndarray]:
+                 nodes, n_shards: int) -> Dict[str, np.ndarray]:
     """Per term, the shard of each of its occurrences, in postings
     order -- what `shard_postings` filters by.  Read off each term's
     level-2 column values; nothing is cached on the postings."""
-    level2_shard = subtree_shard_map(tree, n_shards)
+    level2_shard = subtree_shard_map(nodes, n_shards)
     numbers = np.fromiter(level2_shard, np.int64, len(level2_shard))
     order = np.argsort(numbers)
     numbers = numbers[order]

@@ -9,6 +9,7 @@ document order equals lexicographic order of the ids.
 
 from __future__ import annotations
 
+import bisect
 from typing import List, Optional, Sequence, Tuple
 
 Dewey = Tuple[int, ...]
@@ -128,8 +129,6 @@ class DeweyRange:
 
     def slice_of(self, sorted_deweys: List[Dewey]) -> Tuple[int, int]:
         """Index range [lo, hi) of this subtree within a sorted list."""
-        import bisect
-
         lo = bisect.bisect_left(sorted_deweys, self.low)
         hi = bisect.bisect_left(sorted_deweys, self.high)
         return lo, hi
@@ -144,8 +143,6 @@ def closest_in_list(sorted_deweys: List[Dewey], target: Sequence[int]
     list boundary).  This is the `lm`/`rm` primitive of the index-based
     baseline [Xu & Papakonstantinou 2005].
     """
-    import bisect
-
     t = tuple(target)
     pos = bisect.bisect_left(sorted_deweys, t)
     if pos < len(sorted_deweys) and sorted_deweys[pos] == t:

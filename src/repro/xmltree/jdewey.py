@@ -13,17 +13,19 @@ root-to-node path.  Requirement (2) gives the column-sortedness property
 ordered component-wise, so every column of a sequence-sorted inverted
 list is itself sorted.
 
-`JDeweyEncoder` owns the assignment and the maintenance described in the
-paper: ``gap`` extra numbers are reserved after every node's child block
-so that insertions are cheap, and when a block overflows, a partial
-re-encode relocates the smallest safe ancestor's subtree to the numeric
-end of its levels (the paper's "only the subtree rooted at 1.1 needs to
-be re-encoded" example).
+`jdewey_numbers` assigns the numbers over the node table's arrays,
+reserving ``gap`` extra numbers after every node's child block so that
+insertions are cheap.  `JDeweyEncoder` maintains them over the `Node`
+tree: when a block overflows, a partial re-encode relocates the
+smallest safe ancestor's subtree to the numeric end of its levels (the
+paper's "only the subtree rooted at 1.1 needs to be re-encoded").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .tree import Node, XMLTree
 
@@ -51,20 +53,54 @@ def check_componentwise(s1: Sequence[int], s2: Sequence[int]) -> bool:
 class _Block:
     """The reserved child-number block of one parent node."""
 
-    __slots__ = ("start", "end", "next_free")
+    __slots__ = ("end", "next_free")
 
-    def __init__(self, start: int, end: int):
-        self.start = start
+    def __init__(self, end: int, next_free: int):
         self.end = end          # exclusive
-        self.next_free = start
+        self.next_free = next_free
 
-    @property
-    def exhausted(self) -> bool:
-        return self.next_free >= self.end
+
+def jdewey_numbers(parent: np.ndarray, level: np.ndarray,
+                   ordinal: np.ndarray, gap: int = 0
+                   ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """The numbering rule over the node table's arrays (rows in document
+    order): ``(number, block, level_next)``.
+
+    The root is 1.  Level by level, the nodes of a level in document
+    order each reserve a block of their child count plus `gap` numbers
+    at the level below, one after the other; a child takes its parent's
+    block start plus its ordinal minus one.  ``block[row]`` starts the
+    block `row` reserved; ``level_next[l - 1]`` is the next unused
+    number at level ``l``.
+    """
+    n = len(parent)
+    reserve = np.bincount(parent[1:], minlength=n).astype(np.int64) + gap
+    by_level = np.argsort(level, kind="stable")
+    depth = int(level.max())
+    bounds = np.searchsorted(level[by_level], np.arange(1, depth + 2))
+    block = np.zeros(n, dtype=np.int64)
+    number = np.ones(n, dtype=np.int64)
+    level_next = [2 + gap]
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = by_level[lo:hi]
+        ends = np.cumsum(reserve[rows])
+        block[rows] = ends + 1 - reserve[rows]
+        if ends[-1]:
+            level_next.append(int(ends[-1]) + 1)
+    rows = by_level[bounds[1]:]
+    number[rows] = block[parent[rows]] + ordinal[rows] - 1
+    return number, block, level_next
 
 
 class JDeweyEncoder:
-    """Assigns and maintains JDewey numbers for one `XMLTree`.
+    """Maintains the JDewey numbers of one `XMLTree` under inserts and
+    deletes.
+
+    The numbers come from `table` (a database's node table, whose
+    numbers may be what an earlier re-encode assigned), else from the
+    rule over the tree's serialization.  Where they are the rule's, so
+    are the child blocks; numbers a re-encode moved leave every block
+    full, so the next insert below them re-encodes.
 
     Parameters
     ----------
@@ -74,20 +110,34 @@ class JDeweyEncoder:
         experiment; >0 trades number magnitude for cheap insertion).
     """
 
-    def __init__(self, tree: XMLTree, gap: int = 0):
+    def __init__(self, tree: XMLTree, gap: int = 0, table=None):
         if not tree.frozen:
             raise ValueError("encode a frozen tree (call tree.freeze())")
         self.tree = tree
         self.gap = gap
-        self._level_next: List[int] = []      # next unused number per level
         self._blocks: Dict[int, _Block] = {}  # id(parent) -> child block
-        self._jnum: Dict[int, int] = {}       # id(node) -> own number
         self.reencode_count = 0               # partial re-encodes performed
-        self._encode_all()
+        if table is None:
+            from .parser import parse_document
 
-    # ------------------------------------------------------------------
-    # initial encoding
-    # ------------------------------------------------------------------
+            table = parse_document(tree.document)
+        parent, level = table.parent, table.level
+        number, block, self._level_next = jdewey_numbers(
+            parent, level, table.ordinal, gap)
+        given = getattr(table, "number", None)
+        given = number if given is None else np.asarray(given, np.int64)
+        tree.number(given)
+        nodes = tree.nodes
+        if not np.array_equal(given, number):
+            # Numbers a re-encode moved: no block has a free slot, so
+            # the next insert re-encodes.
+            self._level_next = [int(given[level == at].max()) + 1
+                                for at in range(1, int(level.max()) + 1)]
+            return
+        children = np.bincount(parent[1:], minlength=len(nodes))
+        for row in np.flatnonzero(children + gap).tolist():
+            free = int(block[row] + children[row])
+            self._blocks[id(nodes[row])] = _Block(free + gap, free)
 
     def _next_at_level(self, level: int, count: int) -> int:
         """Reserve `count` consecutive numbers at `level`; return the first."""
@@ -96,18 +146,6 @@ class JDeweyEncoder:
         start = self._level_next[level - 1]
         self._level_next[level - 1] = start + count
         return start
-
-    def _encode_all(self) -> None:
-        root = self.tree.root
-        self._assign(root, self._next_at_level(1, 1 + self.gap))
-        # Level-order walk so each level's numbers follow document order.
-        frontier: List[Node] = [root]
-        while frontier:
-            next_frontier: List[Node] = []
-            for parent in frontier:
-                self._encode_children(parent)
-                next_frontier.extend(parent.children)
-            frontier = next_frontier
 
     def _encode_children(self, parent: Node) -> None:
         n = len(parent.children)
@@ -118,26 +156,15 @@ class JDeweyEncoder:
         # encoded first.
         level = len(parent.jdewey) + 1
         start = self._next_at_level(level, n + self.gap)
-        block = _Block(start, start + n + self.gap)
+        block = _Block(start + n + self.gap, start)
         self._blocks[id(parent)] = block
         for child in parent.children:
             self._assign(child, block.next_free)
             block.next_free += 1
 
     def _assign(self, node: Node, number: int) -> None:
-        self._jnum[id(node)] = number
         parent_seq = node.parent.jdewey if node.parent is not None else ()
         node.jdewey = parent_seq + (number,)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-
-    def number_of(self, node: Node) -> int:
-        return self._jnum[id(node)]
-
-    def sequence_of(self, node: Node) -> JDeweySeq:
-        return node.jdewey
 
     def level_width(self, level: int) -> int:
         """Largest number handed out at `level` (storage-size proxy)."""
@@ -166,7 +193,7 @@ class JDeweyEncoder:
             parent.children.insert(position, node)
 
         block = self._blocks.get(id(parent))
-        if block is None or block.exhausted or node.children:
+        if block is None or block.next_free >= block.end or node.children:
             # No free slot -- or the insert carries a whole subtree, whose
             # descendants would need number space *between* existing
             # blocks at every level below; only a relocation to the
@@ -186,7 +213,6 @@ class JDeweyEncoder:
             raise ValueError("cannot delete the root")
         parent.children.remove(node)
         for n in node.iter_subtree():
-            self._jnum.pop(id(n), None)
             self._blocks.pop(id(n), None)
         node.parent = None
 
@@ -201,7 +227,7 @@ class JDeweyEncoder:
         """
         a = start
         while a.parent is not None and a.parent.parent is not None:
-            parent_num = self._jnum[id(a.parent)]
+            parent_num = a.parent.jdewey[-1]
             parent_level = len(a.parent.jdewey)
             level_max = self._level_next[parent_level - 1] - 1
             if parent_num == level_max:
@@ -237,23 +263,22 @@ class JDeweyEncoder:
         for node in self.tree.root.iter_subtree():
             by_level.setdefault(len(node.jdewey), []).append(node)
         for level, nodes in by_level.items():
-            numbers = [self._jnum[id(n)] for n in nodes]
+            numbers = [n.jdewey[-1] for n in nodes]
             if len(set(numbers)) != len(numbers):
                 raise AssertionError(f"duplicate JDewey number at level {level}")
         for level, nodes in sorted(by_level.items()):
-            ordered = sorted(nodes, key=lambda n: self._jnum[id(n)])
+            ordered = sorted(nodes, key=lambda n: n.jdewey[-1])
             for v1, v2 in zip(ordered, ordered[1:]):
                 if not v1.children or not v2.children:
                     continue
-                max_c1 = max(self._jnum[id(c)] for c in v1.children)
-                min_c2 = min(self._jnum[id(c)] for c in v2.children)
+                max_c1 = max(c.jdewey[-1] for c in v1.children)
+                min_c2 = min(c.jdewey[-1] for c in v2.children)
                 if not max_c1 < min_c2:
                     raise AssertionError(
                         f"order violation between {v1!r} and {v2!r}")
         for node in self.tree.root.iter_subtree():
-            expected = (node.parent.jdewey if node.parent else ()) + (
-                self._jnum[id(node)],)
-            if node.jdewey != expected:
+            if node.jdewey[:-1] != (node.parent.jdewey if node.parent
+                                    else ()):
                 raise AssertionError(f"stale sequence on {node!r}")
 
 
@@ -280,8 +305,3 @@ def lca_from_sequences(s1: Sequence[int], s2: Sequence[int]
 def encode_tree(tree: XMLTree, gap: int = 0) -> JDeweyEncoder:
     """Assign JDewey numbers to every node of `tree`; returns the encoder."""
     return JDeweyEncoder(tree, gap=gap)
-
-
-def sequences_in_order(nodes: Iterable[Node]) -> List[JDeweySeq]:
-    """JDewey sequences of `nodes`, sorted in JDewey order."""
-    return sorted((n.jdewey for n in nodes), key=jdewey_sort_key)

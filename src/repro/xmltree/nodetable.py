@@ -1,4 +1,5 @@
-"""The node table: the document tree as parallel arrays.
+"""The node table: the document tree as parallel arrays, and the one
+node representation a database has.
 
 A JDewey number plus its level identifies a node (paper section III-A),
 so everything the engines need to turn a join output back into nodes --
@@ -11,14 +12,14 @@ and everything the baselines need to turn an occurrence into a Dewey id
     ordinal   1-based sibling ordinal (the last Dewey component)
     tag_id    index into the tag list
     text_off, text_len
-              byte span of the node's escaped text inside document.xml
+              byte span of the node's escaped text inside the document
 
 plus a per-level directory (the rows of each level sorted by JDewey
 number) that answers ``(level, numbers) -> rows`` with one
-``searchsorted``.  `NodeTable.from_tree` builds the table over a parsed
-tree and hands out that tree's own `Node` objects; `NodeTable.from_buffer`
-maps the table a database directory stores as ``dewey.bin`` and hands
-out `TableNode` views, so opening a database parses no XML.
+``searchsorted``.  A built database's table is parsed from its
+document's bytes (`NodeTable.from_parsed`); an opened one's is
+``dewey.bin`` mapped (`NodeTable.from_buffer`), so opening parses no
+XML.  Either way a lookup hands out `TableNode` views.
 
 On-disk layout (little-endian, sections 8-aligned, pad bytes zero)::
 
@@ -47,7 +48,8 @@ import numpy as np
 from ..reliability.checksum import (ALGORITHM_IDS, ALGORITHM_NAMES,
                                     DEFAULT_ALGORITHM, checksum)
 from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
-from .parser import _decode_entities, _normalize_ws
+from .jdewey import jdewey_numbers
+from .parser import parse_document, span_text
 from .tree import Node, XMLTree
 
 MAGIC = b"NTB1"
@@ -70,6 +72,19 @@ def _align8(pos: int) -> int:
     return (pos + 7) & ~7
 
 
+def parse_tree(tree: XMLTree) -> Tuple["NodeTable", object]:
+    """The table of a JDewey-encoded tree -- its serialization parsed,
+    numbered by its nodes' own JDewey numbers -- and the parse."""
+    if not tree.root.jdewey:
+        raise ValueError("assign JDewey numbers before indexing "
+                         "(repro.xmltree.encode_tree)")
+    parsed = parse_document(tree.document)
+    table = NodeTable.from_parsed(parsed, np.fromiter(
+        (node.jdewey[-1] for node in tree.nodes), np.int64, len(parsed)))
+    table._open_tree = lambda: tree
+    return table, parsed
+
+
 def path_tuples(matrix: np.ndarray, levels: np.ndarray
                 ) -> List[Tuple[int, ...]]:
     """The rows of a `NodeTable.paths` matrix as tuples, each cut to
@@ -79,7 +94,7 @@ def path_tuples(matrix: np.ndarray, levels: np.ndarray
 
 
 class TableNode:
-    """One row of a mapped `NodeTable`, shaped like `Node`.
+    """One row of a `NodeTable`, shaped like `Node`.
 
     Two slots; every attribute is computed from the table on access
     (plain ``int`` components, so results serialize to JSON as they
@@ -158,8 +173,6 @@ class NodeTable:
         self.depth = 0
         self.tags: List[str] = []
         self.file: Optional[str] = None
-        self._real_nodes: Optional[List[Node]] = None
-        self._tree: Optional[XMLTree] = None
         self._open_tree: Optional[Callable[[], XMLTree]] = None
         self._open_document: Optional[Callable[[], object]] = None
         self._document = None
@@ -175,45 +188,34 @@ class NodeTable:
 
     @classmethod
     def of(cls, source) -> "NodeTable":
-        """`source` itself when it is a table, else the table of a tree."""
-        return source if isinstance(source, cls) else cls.from_tree(source)
+        """`source` itself when it is a table, else the table of a
+        JDewey-encoded tree: its serialization parsed, numbered by its
+        nodes' own JDewey numbers."""
+        return source if isinstance(source, cls) else parse_tree(source)[0]
 
     @classmethod
-    def from_tree(cls, tree: XMLTree) -> "NodeTable":
-        """The table of a frozen, JDewey-encoded tree.  Lookups return
-        the tree's own `Node` objects."""
-        if not tree.frozen:
-            raise ValueError("index a frozen tree")
-        if not tree.root.jdewey:
-            raise ValueError("assign JDewey numbers before indexing "
-                             "(repro.xmltree.encode_tree)")
-        nodes = tree.nodes
-        n = len(nodes)
+    def from_parsed(cls, parsed, number: Optional[np.ndarray] = None,
+                    gap: int = 0) -> "NodeTable":
+        """The table of a parsed document (`repro.xmltree.parser`)
+        whose nodes carry the JDewey numbers `number` (one per row), or
+        the rule's with `gap` (`repro.xmltree.jdewey.jdewey_numbers`)."""
+        if number is None:
+            number = jdewey_numbers(parsed.parent, parsed.level,
+                                    parsed.ordinal, gap)[0]
         table = cls()
-        table.n_nodes = n
-        table._tree = tree
-        table._real_nodes = nodes
-        parent = np.fromiter(
-            (-1 if node.parent is None else node.parent.row
-             for node in nodes), np.int32, n)
-        level = np.fromiter((len(node.dewey) for node in nodes),
-                            np.uint16, n)
-        number = np.fromiter((node.jdewey[-1] for node in nodes),
-                             np.int64, n)
-        ordinal = np.fromiter((node.dewey[-1] for node in nodes),
-                              np.int32, n)
-        tag_ids: dict = {}
-        tag_id = np.fromiter((tag_ids.setdefault(node.tag, len(tag_ids))
-                              for node in nodes), np.int32, n)
-        table.tags = list(tag_ids)
+        table.n_nodes = len(parsed)
+        table.tags = parsed.tags
+        level = parsed.level
         table.depth = int(level.max())
         level_rows = np.lexsort((number, level)).astype(np.int32)
         level_starts = np.searchsorted(
             level[level_rows], np.arange(1, table.depth + 2)
         ).astype(np.int64)
-        zeros = np.zeros(n, dtype=np.int64)
-        table._install(parent, level, number, ordinal, tag_id, zeros,
-                       zeros.astype(np.int32), level_starts, level_rows)
+        table._install(parsed.parent, level, number, parsed.ordinal,
+                       parsed.tag_id, parsed.text_off, parsed.text_len,
+                       level_starts, level_rows)
+        table._document = parsed.data
+        table._doc_bytes = len(parsed.data)
         return table
 
     @classmethod
@@ -285,6 +287,13 @@ class NodeTable:
     def _corrupt(self, message: str) -> DatabaseCorruptError:
         return DatabaseCorruptError(message, file=self.file)
 
+    def load(self) -> "NodeTable":
+        """The table, its columns readable: a wrapped buffer's sections
+        are verified and mapped now if they were not yet."""
+        if self._pending is not None:
+            self._load()
+        return self
+
     def _load(self) -> None:
         """Verify, map and validate the sections of a wrapped buffer."""
         pending = self._pending
@@ -347,84 +356,67 @@ class NodeTable:
 
     @property
     def tree(self) -> XMLTree:
-        """The parsed document (opened on first use for a mapped table)."""
-        if self._tree is None:
-            self._tree = self._open_tree()
-        return self._tree
+        """The document's `Node` tree (parsed by its owner on first
+        use)."""
+        return self._open_tree()
 
     @property
-    def root(self):
-        return self._node(0)
+    def document(self):
+        """The document's bytes (for a mapped table, ``document.xml``
+        mapped on first use)."""
+        if self._document is None:
+            document = self._open_document()
+            if len(document) != self._doc_bytes:
+                raise DatabaseCorruptError(
+                    f"document.xml has {len(document)} bytes, the node "
+                    f"table was written against {self._doc_bytes}",
+                    file="document.xml")
+            self._document = document
+        return self._document
 
-    def _node(self, row: int):
-        if self._pending is not None:
-            self._load()
-        if self._real_nodes is not None:
-            return self._real_nodes[row]
-        return TableNode(self, row)
-
-    def _absent(self, level: int, number) -> Exception:
-        """No such (level, number): a caller's `KeyError` over a tree,
-        but a mapped table is only ever asked for what the columnar
-        file beside it stores, so there the two files disagree."""
-        if self.file is None:
-            return KeyError((level, number))
-        return self._corrupt(
-            f"the index names a node (level={level}, number={number}) the "
-            "node table does not hold; files are out of sync")
+    @property
+    def root(self) -> TableNode:
+        return TableNode(self.load(), 0)
 
     def rows_at(self, level: int, numbers: np.ndarray) -> np.ndarray:
         """Rows of the nodes at `level` carrying `numbers` (any order).
-        Raises `KeyError` when one is not in the document."""
-        if self._pending is not None:
-            self._load()
-        if not 1 <= level <= self.depth:
-            raise self._absent(level, numbers)
-        lo, hi = self._starts[level - 1], self._starts[level]
-        known = self._sorted_numbers[lo:hi]
-        pos = np.minimum(known.searchsorted(numbers), len(known) - 1)
-        if not np.array_equal(known[pos], numbers):
-            raise self._absent(level, numbers)
-        return self.level_rows[lo:hi][pos]
+
+        Raises `KeyError` when one is not in the document -- but a
+        mapped table is only ever asked for what the columnar file
+        beside it stores, so there the two files disagree."""
+        self.load()
+        if 1 <= level <= self.depth:
+            lo, hi = self._starts[level - 1], self._starts[level]
+            known = self._sorted_numbers[lo:hi]
+            pos = np.minimum(known.searchsorted(numbers), len(known) - 1)
+            if np.array_equal(known[pos], numbers):
+                return self.level_rows[lo:hi][pos]
+        if self.file is None:
+            raise KeyError((level, numbers))
+        raise self._corrupt(
+            f"the index names a node (level={level}, number={numbers}) the "
+            "node table does not hold; files are out of sync")
 
     def nodes(self, rows: np.ndarray) -> list:
         """One node per entry of `rows`."""
-        if self._pending is not None:
-            self._load()
-        real = self._real_nodes
-        if real is not None:
-            return [real[row] for row in rows.tolist()]
+        self.load()
         return [TableNode(self, row) for row in rows.tolist()]
 
     def levels_of(self, rows: np.ndarray) -> np.ndarray:
-        if self._pending is not None:
-            self._load()
-        return self.level[rows]
+        return self.load().level[rows]
 
     def tags_of(self, rows: np.ndarray) -> List[str]:
-        if self._pending is not None:
-            self._load()
+        self.load()
         tags = self.tags
         return [tags[tag] for tag in self.tag_id[rows].tolist()]
 
-    def node_at(self, level: int, number: int):
+    def node_at(self, level: int, number: int) -> TableNode:
         """The node identified by (level, JDewey number)."""
-        if self._pending is not None:
-            self._load()
-        if not 1 <= level <= self.depth:
-            raise self._absent(level, number)
-        lo, hi = self._starts[level - 1], self._starts[level]
-        pos = lo + int(self._sorted_numbers[lo:hi].searchsorted(number))
-        if pos >= hi or self._sorted_numbers[pos] != number:
-            raise self._absent(level, number)
-        return self._node(self.level_rows[pos])
+        return TableNode(self, int(self.rows_at(level, np.array([number]))[0]))
 
     def node_by_dewey(self, dewey: Sequence[int]):
         """Look a node up by Dewey id.  Raises `KeyError` if absent."""
-        if self._real_nodes is not None:
-            return self._tree.node_by_dewey(dewey)
-        if self._pending is not None:
-            self._load()
+        self.load()
         dewey = tuple(dewey)
         if dewey[:1] != (1,):
             raise KeyError(dewey)
@@ -447,8 +439,7 @@ class NodeTable:
         paths, one zero-padded ``int64`` matrix row per entry, and each
         entry's level.  One upward sweep fills it, a level a step,
         instead of one parent walk per row."""
-        if self._pending is not None:
-            self._load()
+        self.load()
         values = getattr(self, column)
         levels = self.level[rows].astype(np.int64)
         matrix = np.zeros((len(rows), int(levels.max()) if len(rows) else 0),
@@ -468,8 +459,7 @@ class NodeTable:
         JDewey sequences, which is a pre-order walk that visits
         siblings by JDewey number.  It is document order until a
         re-encode moves a subtree to the numeric end of its levels."""
-        if self._pending is not None:
-            self._load()
+        self.load()
         starts, level_rows, parent = self._starts, self.level_rows, self.parent
         size = np.ones(self.n_nodes, dtype=np.int64)
         for level in range(self.depth, 1, -1):
@@ -522,20 +512,10 @@ class NodeTable:
         length = self.text_len[row]
         if not length:
             return ""
-        if self._document is None:
-            document = self._open_document()
-            if len(document) != self._doc_bytes:
-                raise DatabaseCorruptError(
-                    f"document.xml has {len(document)} bytes, the node "
-                    f"table was written against {self._doc_bytes}",
-                    file="document.xml")
-            self._document = document
         offset = int(self.text_off[row])
         try:
-            raw = bytes(self._document[offset: offset + length]).decode(
-                "utf-8")
-            return _normalize_ws(_decode_entities(raw, offset))
-        except ValueError as exc:   # UnicodeDecodeError, XMLParseError
+            return span_text(bytes(self.document[offset: offset + length]))
+        except ValueError as exc:   # XMLParseError
             raise DatabaseCorruptError(
                 f"document.xml text of node {row} does not decode: {exc}",
                 file="document.xml") from exc
@@ -556,18 +536,16 @@ class NodeTable:
                ) -> Iterator:
         """The serialized table, piece by piece: the header, then each
         section straight from the array the table holds, with the text
-        references given (the spans `repro.xmltree.tree.DocumentBytes`
-        reports for the document written beside it)."""
-        if self._pending is not None:
-            self._load()
+        references given (a save gives the table's own, ``text_off``,
+        ``text_len`` and the length of `document`)."""
+        self.load()
         algorithm = algorithm if algorithm is not None else DEFAULT_ALGORITHM
         if algorithm not in ALGORITHM_IDS:
             raise ValueError(f"unknown checksum algorithm {algorithm!r}; "
                              f"one of {sorted(ALGORITHM_IDS)}")
         if len(text_off) != self.n_nodes or len(text_len) != self.n_nodes:
             raise ValueError(
-                f"{len(text_off)} text references for {self.n_nodes} nodes "
-                "(the tree changed since freeze(); call refresh())")
+                f"{len(text_off)} text references for {self.n_nodes} nodes")
         given = {"text_off": text_off, "text_len": text_len}
         sections = [
             "\n".join(self.tags).encode("utf-8") if dtype is None

@@ -1,21 +1,28 @@
-"""A small, dependency-free XML parser.
+"""Parsing XML bytes into the node table's columns.
 
-The paper parses DBLP/XMark with Xerces; parsing is a substrate, not a
-measured component, so this module implements the subset of XML the
-reproduction needs: elements, attributes, character data, comments,
-CDATA, processing instructions, and the five predefined entities.
-Namespaces are treated lexically (prefixes kept in tag names), DTDs are
-skipped.
+The paper parses DBLP/XMark with Xerces; here one pass of the standard
+library's expat parser (`parse_document`) turns a document's bytes into
+the columns of `repro.xmltree.nodetable.NodeTable` plus each element's
+text and attributes.  No `Node` is built.  Comments and processing
+instructions are skipped and namespaces are lexical.  A DTD is skipped
+but an entity declaration is refused, so nothing is ever expanded or
+fetched, and so are undefined entities and characters outside XML
+1.0's ``Char``, always as an `XMLParseError` with a character offset.
 
-`parse_xml` returns a frozen `XMLTree`.
+A text span lets a reader fetch one node's text from the document
+without parsing it.  A document where some node's text is not one
+stretch of character data (content on both sides of a child, a CDATA
+section) is parsed from its canonical serialization instead.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Tuple
+import xml.parsers.expat as expat
+from typing import Dict, List
 
-from .tree import Node, XMLTree
+import numpy as np
+
+from .tree import _NOT_CHAR, XMLTree, nodes_of
 
 
 class XMLParseError(ValueError):
@@ -26,209 +33,178 @@ class XMLParseError(ValueError):
         self.pos = pos
 
 
-_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
+class ParsedDocument:
+    """What `parse_document` reads: ``data``, the document the spans
+    index (the input, or its canonical serialization), and per element
+    in document order ``parent`` (-1 for the root), ``level`` (root =
+    1), ``ordinal`` (among siblings, from 1), ``tag_id`` (into
+    ``tags``), ``text_off`` / ``text_len`` (``0, 0`` for no text) and
+    ``texts`` (normalized); ``attributes`` maps rows to theirs."""
 
-#: A character outside XML 1.0's ``Char`` production.
-_NOT_CHAR = re.compile(
-    r"[^\t\n\r\x20-\uD7FF\uE000-\uFFFD\U00010000-\U0010FFFF]")
+    __slots__ = ("data", "parent", "level", "ordinal", "tag_id", "tags",
+                 "text_off", "text_len", "texts", "attributes")
+
+    def __len__(self) -> int:
+        return len(self.parent)
 
 
-def _decode_entities(text: str, base_pos: int) -> str:
-    if "&" not in text:
-        return text
-    out: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
-        if end == -1:
-            raise XMLParseError("unterminated entity reference", base_pos + i)
-        name = text[i + 1: end]
-        if name.startswith("#"):
-            try:
-                if name[1:2] in ("x", "X"):
-                    code = int(name[2:], 16)
-                else:
-                    code = int(name[1:])
-                char = chr(code)
-                if _NOT_CHAR.match(char):
-                    raise ValueError(char)
-                out.append(char)
-            except (ValueError, OverflowError):
-                raise XMLParseError(
-                    f"invalid character reference &{name};", base_pos + i)
-        elif name in _ENTITIES:
-            out.append(_ENTITIES[name])
+_CHAR_REF_ERRORS = (expat.errors.codes[expat.errors.XML_ERROR_BAD_CHAR_REF],
+                    expat.errors.codes[expat.errors.XML_ERROR_INVALID_TOKEN])
+
+
+def _char_offset(data: bytes, at: int) -> int:
+    return len(data[:max(at, 0)].decode("utf-8", "replace"))
+
+
+def _expat_error(data: bytes, exc: expat.ExpatError,
+                 at: int) -> XMLParseError:
+    """`exc` at byte `at`, said in this module's terms."""
+    message = expat.ErrorString(exc.code)
+    amp = data.rfind(b"&", 0, at + 1)
+    if exc.code in _CHAR_REF_ERRORS and data[amp + 1: amp + 2] == b"#" \
+            and b";" not in data[amp: at] and b"<" not in data[amp: at]:
+        end = data.find(b";", amp)
+        ref = data[amp: end + 1 if end >= 0 else at].decode("utf-8",
+                                                            "replace")
+        message, at = f"invalid character reference {ref}", amp
+    return XMLParseError(message, _char_offset(data, at))
+
+
+def _read(data: bytes) -> ParsedDocument:
+    """One expat pass over `data`; ``text_off`` is None when some
+    element's text has no single span."""
+    parser = expat.ParserCreate(encoding="UTF-8")
+    parent, level, ordinal, tag_id, text_off, text_len = \
+        [], [], [], [], [], []
+    tag_ids: Dict[str, int] = {}
+    texts: List[str] = []
+    attributes: Dict[int, Dict[str, str]] = {}
+    # Per open element: its row, children so far, character data so
+    # far and the span of its one stretch with content.
+    stack: List[list] = []
+    pending: List[str] = []      # the stretch of character data being read
+    stretch_at = 0               # ... and where it starts
+    in_cdata = False
+    spanned = True               # every text so far has one span
+
+    def close_stretch() -> None:
+        nonlocal spanned
+        if pending:
+            text = "".join(pending)
+            pending.clear()
+            top = stack[-1]
+            top[2].append(text)
+            if not text.isspace():
+                spanned = spanned and top[3] is None and not in_cdata
+                top[3] = (stretch_at, parser.CurrentByteIndex)
+
+    def start(tag, attrs):
+        close_stretch()
+        row = len(parent)
+        if stack:
+            above = stack[-1]
+            above[1] += 1
+            parent.append(above[0])
+            ordinal.append(above[1])
         else:
-            raise XMLParseError(f"unknown entity &{name};", base_pos + i)
-        i = end + 1
-    return "".join(out)
+            parent.append(-1)
+            ordinal.append(1)
+        level.append(len(stack) + 1)
+        tag_id.append(tag_ids.setdefault(tag, len(tag_ids)))
+        if attrs:
+            attributes[row] = attrs
+        texts.append("")
+        text_off.append(0)
+        text_len.append(0)
+        stack.append([row, 0, [], None])
+
+    def end(_tag):
+        close_stretch()
+        row, _, parts, span = stack.pop()
+        texts[row] = " ".join("".join(parts).split())
+        if span is not None:
+            text_off[row], text_len[row] = span[0], span[1] - span[0]
+
+    def chars(text):
+        nonlocal stretch_at
+        if not pending:
+            stretch_at = parser.CurrentByteIndex
+        pending.append(text)
+
+    def cdata(opening: bool):
+        nonlocal in_cdata
+        close_stretch()
+        in_cdata = opening
+
+    def refuse(message: str, at: int):
+        raise XMLParseError(message, _char_offset(data, at))
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chars
+    parser.StartCdataSectionHandler = lambda: cdata(True)
+    parser.EndCdataSectionHandler = lambda: cdata(False)
+    parser.CommentHandler = lambda _text: close_stretch()
+    parser.ProcessingInstructionHandler = lambda *_: close_stretch()
+    parser.EntityDeclHandler = lambda name, is_parameter, *_: refuse(
+        f"entity declarations are not supported (<!ENTITY "
+        f"{'% ' if is_parameter else ''}{name} ...>)",
+        data.rfind(b"<!ENTITY", 0, parser.CurrentByteIndex + 1))
+    parser.SkippedEntityHandler = lambda name, _is_parameter: refuse(
+        f"undefined entity &{name};", parser.CurrentByteIndex)
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise _expat_error(data, exc, parser.ErrorByteIndex) from None
+    parsed = ParsedDocument()
+    parsed.data, parsed.tags = data, list(tag_ids)
+    parsed.texts, parsed.attributes = texts, attributes
+    parsed.parent = np.array(parent, dtype=np.int32)
+    parsed.level = np.array(level, dtype=np.uint16)
+    parsed.ordinal = np.array(ordinal, dtype=np.int32)
+    parsed.tag_id = np.array(tag_id, dtype=np.int32)
+    parsed.text_off = (np.array(text_off, dtype=np.int64) if spanned
+                       else None)
+    parsed.text_len = np.array(text_len, dtype=np.int32)
+    return parsed
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.n = len(text)
-
-    def fail(self, message: str) -> None:
-        raise XMLParseError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < self.n and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def skip_prolog(self) -> None:
-        """Skip the XML declaration, DTD, comments and PIs before the root."""
-        while True:
-            self.skip_ws()
-            if self.text.startswith("<?", self.pos):
-                end = self.text.find("?>", self.pos)
-                if end == -1:
-                    self.fail("unterminated processing instruction")
-                self.pos = end + 2
-            elif self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos)
-                if end == -1:
-                    self.fail("unterminated comment")
-                self.pos = end + 3
-            elif self.text.startswith("<!DOCTYPE", self.pos):
-                self._skip_doctype()
-            else:
-                return
-
-    def _skip_doctype(self) -> None:
-        depth = 0
-        while self.pos < self.n:
-            ch = self.text[self.pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == ">" and depth <= 0:
-                self.pos += 1
-                return
-            self.pos += 1
-        self.fail("unterminated DOCTYPE")
-
-    def parse_name(self) -> str:
-        start = self.pos
-        while self.pos < self.n and self.text[self.pos] not in " \t\r\n/>=":
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a name")
-        return self.text[start: self.pos]
-
-    def parse_attributes(self) -> Dict[str, str]:
-        attrs: Dict[str, str] = {}
-        while True:
-            self.skip_ws()
-            if self.pos >= self.n or self.text[self.pos] in "/>":
-                return attrs
-            name = self.parse_name()
-            self.skip_ws()
-            if self.pos >= self.n or self.text[self.pos] != "=":
-                self.fail(f"expected '=' after attribute {name!r}")
-            self.pos += 1
-            self.skip_ws()
-            quote = self.text[self.pos] if self.pos < self.n else ""
-            if quote not in "'\"":
-                self.fail("expected a quoted attribute value")
-            self.pos += 1
-            end = self.text.find(quote, self.pos)
-            if end == -1:
-                self.fail("unterminated attribute value")
-            attrs[name] = _decode_entities(self.text[self.pos: end], self.pos)
-            self.pos = end + 1
-
-    def parse_element(self) -> Node:
-        if self.text[self.pos] != "<":
-            self.fail("expected '<'")
-        self.pos += 1
-        tag = self.parse_name()
-        attrs = self.parse_attributes()
-        node = Node(tag, attributes=attrs)
-        self.skip_ws()
-        if self.text.startswith("/>", self.pos):
-            self.pos += 2
-            return node
-        if self.pos >= self.n or self.text[self.pos] != ">":
-            self.fail(f"malformed start tag <{tag}>")
-        self.pos += 1
-        text_parts: List[str] = []
-        while True:
-            if self.pos >= self.n:
-                self.fail(f"unexpected end of input inside <{tag}>")
-            if self.text.startswith("</", self.pos):
-                self.pos += 2
-                close = self.parse_name()
-                if close != tag:
-                    self.fail(f"mismatched close tag </{close}> for <{tag}>")
-                self.skip_ws()
-                if self.pos >= self.n or self.text[self.pos] != ">":
-                    self.fail("malformed close tag")
-                self.pos += 1
-                node.text = _normalize_ws("".join(text_parts))
-                return node
-            if self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos)
-                if end == -1:
-                    self.fail("unterminated comment")
-                self.pos = end + 3
-            elif self.text.startswith("<![CDATA[", self.pos):
-                end = self.text.find("]]>", self.pos)
-                if end == -1:
-                    self.fail("unterminated CDATA section")
-                text_parts.append(self.text[self.pos + 9: end])
-                self.pos = end + 3
-            elif self.text.startswith("<?", self.pos):
-                end = self.text.find("?>", self.pos)
-                if end == -1:
-                    self.fail("unterminated processing instruction")
-                self.pos = end + 2
-            elif self.text[self.pos] == "<":
-                node.add_child(self.parse_element())
-            else:
-                end = self.text.find("<", self.pos)
-                if end == -1:
-                    self.fail(f"unexpected end of input inside <{tag}>")
-                text_parts.append(
-                    _decode_entities(self.text[self.pos: end], self.pos))
-                self.pos = end
+def span_text(raw: bytes) -> str:
+    """The text a node table's span of a document holds (its raw
+    character data), decoded and normalized as the parse did."""
+    parsed = _read(b"<t>" + raw + b"</t>")
+    if len(parsed) != 1:
+        raise XMLParseError("a text span holds markup", 0)
+    return parsed.texts[0]
 
 
-def _normalize_ws(text: str) -> str:
-    return " ".join(text.split())
+def parse_document(data: bytes) -> ParsedDocument:
+    """Parse a UTF-8 document into node-table columns (one expat pass;
+    a second over the canonical serialization when some text has no
+    single span).  Raises `XMLParseError` on malformed input."""
+    parsed = _read(data)
+    if parsed.text_off is None:
+        parsed = _read(nodes_of(parsed).to_xml().encode("utf-8"))
+    return parsed
 
 
 def parse_xml(text: str) -> XMLTree:
-    """Parse XML text into a frozen `XMLTree`.
+    """Parse XML text into an `XMLTree` (its `Node`s are built when
+    first asked for).
 
-    Raises `XMLParseError` on malformed input, trailing garbage, or a
-    character XML 1.0 does not allow.
+    Raises `XMLParseError` on malformed input, trailing content, a
+    character XML 1.0 does not allow, or an entity it does not define.
     """
     bad = _NOT_CHAR.search(text)
     if bad:
         raise XMLParseError(
             f"character U+{ord(bad.group()):04X} is not allowed in XML",
             bad.start())
-    parser = _Parser(text)
-    parser.skip_prolog()
-    if parser.pos >= parser.n or parser.text[parser.pos] != "<":
-        parser.fail("expected the root element")
-    root = parser.parse_element()
-    parser.skip_prolog()
-    parser.skip_ws()
-    if parser.pos != parser.n:
-        parser.fail("trailing content after the root element")
-    return XMLTree(root).freeze()
+    parsed = parse_document(text.encode("utf-8"))
+    return XMLTree(document=parsed.data, parsed=parsed)
 
 
 def parse_xml_file(path: str) -> XMLTree:
-    """Parse an XML file (UTF-8) into a frozen `XMLTree`."""
+    """Parse an XML file (UTF-8) into an `XMLTree`."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_xml(handle.read())

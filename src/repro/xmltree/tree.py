@@ -1,24 +1,20 @@
-"""In-memory XML tree model.
+"""Documents, and the `Node` tree for what needs objects.
 
-The tree is the substrate every other subsystem builds on: nodes carry a
-tag, optional text, and children.  After a tree is frozen (`XMLTree.freeze`)
-every node additionally carries
-
-* a *Dewey id* -- the classic path-of-sibling-ordinals identifier used by
-  the stack-based and index-based baselines, and
-* a *JDewey sequence* -- the per-level numbering introduced by the paper
-  (see `repro.xmltree.jdewey`).
-
-Only elements participate in the structural encodings; text is attached to
-its owning element (mixed content is concatenated).
+An `XMLTree` is a document's bytes; a database builds its node table
+(`repro.xmltree.nodetable`) from them and needs no `Node`.  The object
+tree is parsed from the bytes on first access, for what only objects
+do: JDewey insert/delete (`repro.xmltree.jdewey`), attributes and
+`to_xml`, and the reference oracle.  A tree built from `Node`s goes the
+other way: its bytes are its canonical serialization (`Node.to_xml`),
+the form the generators write directly.  Only elements participate in the
+structural encodings; text is attached to its owning element (mixed
+content is concatenated).
 """
 
 from __future__ import annotations
 
-from array import array
+import re
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 Dewey = Tuple[int, ...]
 JDeweySeq = Tuple[int, ...]
@@ -39,7 +35,8 @@ class Node:
     dewey:
         Dewey id, assigned by `XMLTree.freeze`.  The root is ``(1,)``.
     jdewey:
-        JDewey sequence, assigned by a `JDeweyEncoder`.  ``jdewey[i]`` is
+        JDewey sequence, from a node table's numbers (`XMLTree.number`)
+        or a `JDeweyEncoder`.  ``jdewey[i]`` is
         the JDewey number of this node's ancestor at depth ``i + 1`` (the
         last entry is the node's own number).
     row:
@@ -112,45 +109,99 @@ class Node:
 
 
 class XMLTree:
-    """A frozen XML document.
+    """An XML document: its UTF-8 bytes, and the `Node` tree parsed from
+    them when first asked for.
 
-    Construct via `XMLTree(root)` and call `freeze()` once the structure is
-    final; freezing assigns Dewey ids and builds the document-order node
-    list.  JDewey numbers are assigned separately by
-    `repro.xmltree.jdewey.JDeweyEncoder` because the encoder owns gap
-    policy and re-encoding state.
+    ``XMLTree(document=data)`` wraps bytes (what the generators and
+    `repro.xmltree.parser.parse_xml` return, the latter with its
+    ``parsed`` columns); `root` and `nodes` parse them.  ``XMLTree(root)``
+    wraps a tree built from `Node`s: call `freeze()` once it is final,
+    and `document` is its serialization.  Freezing assigns Dewey ids and
+    rows; JDewey numbers come from a node table (`number`) or a
+    `repro.xmltree.jdewey.JDeweyEncoder`.
     """
 
-    def __init__(self, root: Node):
-        self.root = root
-        self.nodes: List[Node] = []
+    def __init__(self, root: Optional[Node] = None,
+                 document: Optional[bytes] = None, parsed=None):
+        if root is None and document is None:
+            raise ValueError("an XMLTree needs a root node or a document")
+        self._root = root
+        self._document = document
+        self._parsed = parsed    # the parse of `document`, until used
+        self._numbers = None     # the nodes' JDewey numbers, by row
+        self._nodes: List[Node] = []
         self._by_dewey: Dict[Dewey, Node] = {}
-        self._frozen = False
+
+    @property
+    def root(self) -> Node:
+        if self._root is None:
+            self._root = nodes_of(self.take_parsed())
+            self._index()
+            if self._numbers is not None:
+                self.number(self._numbers)
+        return self._root
+
+    @property
+    def nodes(self) -> List[Node]:
+        """Every node in document order (``nodes[row].row == row``)."""
+        self.root
+        return self._nodes
+
+    @property
+    def document(self) -> bytes:
+        """The document as UTF-8: the bytes given, or the serialization
+        of the nodes (made once per `freeze`)."""
+        if self._document is None:
+            self._document = self._root.to_xml().encode("utf-8")
+        return self._document
+
+    def take_parsed(self):
+        """The parse of `document`: the one handed in (given away once)
+        or a fresh `repro.xmltree.parser.parse_document`."""
+        parsed, self._parsed = self._parsed, None
+        if parsed is None:
+            from .parser import parse_document
+
+            parsed = parse_document(self.document)
+        return parsed
+
+    def number(self, numbers) -> None:
+        """Give the nodes a node table's JDewey numbers (by row): now if
+        they are built, else as they are."""
+        self._numbers = numbers
+        if self._root is not None:
+            for node, own in zip(self._nodes, numbers.tolist()):
+                up = node.parent
+                node.jdewey = (up.jdewey if up is not None else ()) + (own,)
 
     def freeze(self) -> "XMLTree":
         """Assign Dewey ids and document-order rows, and index the
-        nodes.  Idempotent.
+        nodes; the bytes become the nodes' serialization again.
+        Idempotent; a document whose nodes were never built has nothing
+        to do."""
+        if self._root is not None:
+            self._index()
+            self._document = self._parsed = self._numbers = None
+        return self
 
-        Iterative so that pathologically deep documents (a chain of
-        thousands of elements) do not hit the recursion limit.
-        """
-        self.nodes = []
-        self._by_dewey = {}
-        stack = [(self.root, (1,))]
+    def _index(self) -> None:
+        """Iterative, so that pathologically deep documents (a chain of
+        thousands of elements) do not hit the recursion limit."""
+        self._nodes = nodes = []
+        self._by_dewey = by_dewey = {}
+        stack = [(self._root, (1,))]
         while stack:
             node, dewey = stack.pop()
             node.dewey = dewey
-            node.row = len(self.nodes)
-            self.nodes.append(node)
-            self._by_dewey[dewey] = node
+            node.row = len(nodes)
+            nodes.append(node)
+            by_dewey[dewey] = node
             for i in range(len(node.children), 0, -1):
                 stack.append((node.children[i - 1], dewey + (i,)))
-        self._frozen = True
-        return self
 
     @property
     def frozen(self) -> bool:
-        return self._frozen
+        return self._root is None or bool(self._nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -162,10 +213,8 @@ class XMLTree:
 
     def node_by_dewey(self, dewey: Sequence[int]) -> Node:
         """Look up a node by its Dewey id.  Raises KeyError if absent."""
+        self.root
         return self._by_dewey[tuple(dewey)]
-
-    def iter_document_order(self) -> Iterator[Node]:
-        return iter(self.nodes)
 
     def find_all(self, predicate: Callable[[Node], bool]) -> List[Node]:
         """All nodes satisfying `predicate`, in document order."""
@@ -176,70 +225,27 @@ class XMLTree:
         return self.root.to_xml(indent)
 
 
-#: About how many bytes `DocumentBytes` gathers before it yields them.
-CHUNK_BYTES = 64 * 1024
+def nodes_of(parsed) -> Node:
+    """The `Node` tree of a `repro.xmltree.parser.ParsedDocument`: its
+    root, every node with its tag, text and attributes."""
+    tags, attributes = parsed.tags, parsed.attributes
+    nodes = [Node(tags[tag], text, attributes.get(row)) for row, (tag, text)
+             in enumerate(zip(parsed.tag_id.tolist(), parsed.texts))]
+    for node, parent in zip(nodes[1:], parsed.parent[1:].tolist()):
+        nodes[parent].add_child(node)
+    return nodes[0]
 
 
-class DocumentBytes:
-    """A tree's `to_xml()` as UTF-8, in chunks of about `CHUNK_BYTES`.
-
-    Iterating yields the document.  Once it is exhausted, ``size`` is
-    the document's length and ``text_off`` / ``text_len`` (``int64``,
-    one entry per node in document order) are the byte span of each
-    node's escaped text inside it (``0, 0`` for none) -- the text
-    references the node table stores, so a reader can fetch one node's
-    text from the document file without parsing it.  Nothing but the
-    chunk being gathered and the two span arrays is held.
-    """
-
-    def __init__(self, tree: XMLTree):
-        self._root = tree.root
-        self.size = 0
-        self.text_off: Optional[np.ndarray] = None
-        self.text_len: Optional[np.ndarray] = None
-
-    def __iter__(self) -> Iterator[bytes]:
-        offsets, lengths = array("q"), array("q")
-        pending: List[str] = []
-        gathered = 0
-        self.size = 0
-        for part in _xml_parts(self._root, False, (offsets, lengths)):
-            pending.append(part)
-            gathered += len(part)
-            if gathered >= CHUNK_BYTES:
-                chunk = "".join(pending).encode("utf-8")
-                self.size += len(chunk)
-                yield chunk
-                pending.clear()
-                gathered = 0
-        chunk = "".join(pending).encode("utf-8")
-        self.size += len(chunk)
-        self.text_off = np.frombuffer(offsets, dtype=np.int64)
-        self.text_len = np.frombuffer(lengths, dtype=np.int64)
-        if chunk:
-            yield chunk
-
-
-def _utf8_len(text: str) -> int:
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
-
-
-def _xml_parts(root: Node, indent: bool = False,
-               spans: Optional[Tuple[array, array]] = None
-               ) -> Iterator[str]:
+def _xml_parts(root: Node, indent: bool = False) -> Iterator[str]:
     """`root`'s subtree as XML text, part by part.
 
     Iterative, so a chain of thousands of elements does not hit the
-    recursion limit.  With `spans`, also append to its two arrays, per
-    node in document order, the UTF-8 offset and length of the node's
-    escaped text within everything yielded (``0, 0`` for none)."""
+    recursion limit."""
     nl = "\n" if indent else ""
-    at = 0                            # UTF-8 bytes yielded so far
     stack: List[Tuple[object, int]] = [(root, 0)]
     while stack:
         node, depth = stack.pop()
         if depth < 0:                 # a pending closing tag
-            at += _utf8_len(node)
             yield node
             continue
         pad = "  " * depth if indent else ""
@@ -256,26 +262,31 @@ def _xml_parts(root: Node, indent: bool = False,
             stack.append(("</" + node.tag + ">" + nl, -1))
         else:
             head += "/>" + nl
-        at += _utf8_len(head)
-        if spans is not None:
-            spans[0].append(at if text else 0)
-            spans[1].append(_utf8_len(text))
         yield head
         if text:
-            at += _utf8_len(text)
             yield text
         if node.children and nl:
-            at += 1
             yield nl
 
 
+#: A character outside XML 1.0's ``Char`` production.
+_NOT_CHAR = re.compile(
+    r"[^\t\n\r\x20-\uD7FF\uE000-\uFFFD\U00010000-\U0010FFFF]")
+
+
 def _escape_text(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))
+    """`text` as character data.  A character XML cannot carry (a
+    control character, say) becomes U+FFFD, so the serialization of
+    any tree parses."""
+    return _NOT_CHAR.sub("\ufffd", text.replace("&", "&amp;")
+                         .replace("<", "&lt;").replace(">", "&gt;"))
 
 
 def _escape_attr(text: str) -> str:
-    return _escape_text(text).replace('"', "&quot;")
+    """`text` as an attribute value; whitespace other than a space is
+    a reference, which attribute-value normalization keeps."""
+    return (_escape_text(text).replace('"', "&quot;").replace("\t", "&#9;")
+            .replace("\n", "&#10;").replace("\r", "&#13;"))
 
 
 def build_tree(spec) -> XMLTree:

@@ -32,7 +32,7 @@ def occurrences(tree: XMLTree, tokenizer: Tokenizer, ranking: RankingModel
     """``(term -> [(node, local score), ...] in document order, n_docs)``."""
     raw: Dict[str, List[Tuple[object, int, int]]] = {}
     n_docs = 0
-    for node in tree.iter_document_order():
+    for node in tree.nodes:
         if not node.text:
             continue
         counts = term_frequencies(tokenizer, node.text)

@@ -248,6 +248,34 @@ def test_no_object_per_occurrence():
                    for value in held.values()), term
 
 
+def test_every_level_of_a_term_from_one_sweep(monkeypatch):
+    """Reading all of a term's columns walks the node table once (one
+    `NodeTable.paths` sweep), not once per level, and each column is
+    that level of the sequences."""
+    index = XMLDatabase.from_tree(DBLPGenerator(
+        seed=7, n_papers=100, abstract_words=4).generate()).columnar_index
+    sweeps = []
+    paths = NodeTable.paths
+    monkeypatch.setattr(NodeTable, "paths", lambda table, rows, column: (
+        sweeps.append(column), paths(table, rows, column))[1])
+    deep = [t for t in index.vocabulary
+            if index.term_postings(t).max_len > 2][:10]
+    assert deep
+    for term in deep:
+        postings = index.term_postings(term)
+        del sweeps[:]
+        columns = [postings.column(level)
+                   for level in range(postings.max_len, 0, -1)]
+        assert postings.column(postings.max_len + 1).n_distinct == 0
+        assert sweeps == ["number"], term
+        matrix = postings._paths()
+        for column in columns:
+            ordinals = np.flatnonzero(postings.lengths >= column.level)
+            assert np.array_equal(column.values,
+                                  matrix[ordinals, column.level - 1])
+            assert np.array_equal(column.seq_idx, ordinals)
+
+
 #: `tracemalloc` peak above its start, in MiB, of ``XMLDatabase.from_tree``
 #: plus the columnar build over ``DBLPGenerator(seed=7, n_papers=2000)``
 #: with the per-node build (`tests/reference_build.py`), measured by this

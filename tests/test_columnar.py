@@ -61,7 +61,9 @@ class TestBuild:
 
     def test_node_at_roundtrip(self, index, tree):
         for node in tree.nodes:
-            assert index.node_at(node.level, node.jdewey[-1]) is node
+            got = index.node_at(node.level, node.jdewey[-1])
+            assert (got.row, got.dewey, got.tag) == \
+                (node.row, node.dewey, node.tag)
 
     def test_query_postings_shortest_first(self, index):
         ordered = index.query_postings(["xml", "keyword", "data"])

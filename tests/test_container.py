@@ -207,6 +207,8 @@ class TestOneFormat:
 # ---------------------------------------------------------------------------
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+#: Injector seeds per faulty load, ``SEED * INJECTOR_SEEDS`` onwards.
+INJECTOR_SEEDS = 4
 
 QUERIES = ["xml data", "keyword search", "data models", "xml",
            "relational data", "top data", "search processing",
@@ -274,19 +276,28 @@ class TestRoundTripMatrix:
     def test_matrix_under_fault_injection(self, saved, layout,
                                           monkeypatch):
         """A faulty disk may fail a load with a typed error, but a load
-        that *succeeds* answers exactly like the clean one."""
+        that *succeeds* answers exactly like the clean one.  Each load
+        runs under `INJECTOR_SEEDS` injector seeds derived from
+        ``REPRO_FAULT_SEED``, and under every seed some faulty load
+        succeeds, so the comparison is always made."""
         plans = layout == "flat"
         reference = _transcript(_build_db(), plans)
+        compared = []
         for verify in ("eager", "lazy"):
-            faulty_disk(monkeypatch, FaultInjector(
-                error_rate=0.05, short_read_rate=0.05, seed=SEED))
-            try:
-                db = load_database(saved[layout], verify=verify)
-            except (DatabaseCorruptError, DatabaseFormatError):
-                continue  # typed failure is an allowed outcome
-            assert _transcript(db, plans) == reference, \
-                (f"fault-injected {layout} verify={verify} diverged "
-                 f"(REPRO_FAULT_SEED={SEED})")
+            for seed in range(SEED * INJECTOR_SEEDS,
+                              (SEED + 1) * INJECTOR_SEEDS):
+                faulty_disk(monkeypatch, FaultInjector(
+                    error_rate=0.05, short_read_rate=0.05, seed=seed))
+                try:
+                    db = load_database(saved[layout], verify=verify)
+                except (DatabaseCorruptError, DatabaseFormatError):
+                    continue  # typed failure is an allowed outcome
+                assert _transcript(db, plans) == reference, \
+                    (f"fault-injected {layout} verify={verify} diverged "
+                     f"(REPRO_FAULT_SEED={SEED}, injector seed {seed})")
+                compared.append((verify, seed))
+        assert compared, (f"no faulty {layout} load succeeded "
+                          f"(REPRO_FAULT_SEED={SEED})")
 
     def test_repeat_queries_hit_decode_cache_identically(self, saved):
         """Warm decoded-column-cache hits serve the same answers as the

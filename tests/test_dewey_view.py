@@ -229,7 +229,7 @@ class TestOpenedDatabaseParsesNothing:
         before = canon(db.search(self.QUERY))
         db.refresh()
         assert canon(db.search(self.QUERY)) == before
-        assert isinstance(db.search(self.QUERY)[0].node, Node)
+        assert isinstance(db.search(self.QUERY)[0].node, TableNode)
 
 
 class TestShardBaselines:

@@ -228,8 +228,8 @@ REMOVED_NAMES = (
     "serialize_columnar_index_v3", "serialize_columnar_index_v4",
     "deserialize_columnar_index_v3", "deserialize_columnar_index_v4",
     "serialize_columnar_postings_v3", "serialize_columnar_postings_v4",
-    # the whole-document serializer: a save streams the document
-    # (`repro.xmltree.tree.DocumentBytes`)
+    # the whole-document serializer: a save writes the bytes the
+    # database holds
     "to_xml_bytes_with_text_spans",
     "scan_v3_container", "scan_v4_container",
     "parse_v3_payload", "parse_v4_payload", "parse_lazy_postings",
@@ -342,6 +342,14 @@ REMOVED_NAMES = (
     # doctor: only their own suite and a CI step that ran them used them
     "injector=", "repro.reliability.faults", "repro doctor",
     "doctor_report", "DOCTOR_SCHEMA", "--max-shard-byte-skew",
+    # the second node representation: a database is its node table,
+    # parsed from document bytes; the per-node table builder and its
+    # Node-handing mode, the eager encoding pass, the hand-written
+    # parser and the tree-walking document writer went
+    "NodeTable.from_tree", "_real_nodes", "_encode_all", "_Parser",
+    "DocumentBytes", "CHUNK_BYTES", "sequences_in_order", "number_of",
+    "sequence_of", "iter_document_order", "ColumnarIndex.tree",
+    "InvertedIndex.tree", "TextSource.choice",
 )
 
 
@@ -401,6 +409,9 @@ class TestDocumentedCommands:
         import repro.reliability.io
         import repro.serve
         import repro.serve.sharding
+        import repro.xmltree.jdewey
+        import repro.xmltree.nodetable
+        import repro.xmltree.parser
         import repro.xmltree.tree
 
         for name in REMOVED_NAMES:
@@ -416,7 +427,10 @@ class TestDocumentedCommands:
                               repro.planner.plans,
                               repro.planner.plans.JoinPlanner,
                               repro.serve.sharding,
-                              repro.xmltree.tree.XMLTree,
+                              repro.xmltree.tree, repro.xmltree.tree.XMLTree,
+                              repro.xmltree.parser, repro.xmltree.jdewey,
+                              repro.xmltree.jdewey.JDeweyEncoder,
+                              repro.xmltree.nodetable.NodeTable,
                               repro.algorithms.hybrid.HybridTopKSearch,
                               repro.obs, repro.reliability,
                               repro.reliability.io,
@@ -686,17 +700,44 @@ def _outside(key, cite, steps, bench):
                 or set(STEP_TESTS_RE.findall(run)) - own)
 
 
-def _unanchored(rows, steps, bench):
+#: An import statement, a parenthesized one's continuation lines included.
+IMPORT_RE = re.compile(r"^[ \t]*(?:from[ \t]+\S+[ \t]+)?import[ \t]+"
+                       r"(?:\([^)]*\)|.*)$", re.MULTILINE)
+#: A top-level ``def`` / ``class`` or assignment: a name a module defines.
+DEFINED_RE = re.compile(r"^(?:def|class)[ \t]+(\w+)"
+                        r"|^([A-Za-z_]\w*)[ \t]*(?::[^=\n]*)?=(?!=)",
+                        re.MULTILINE)
+
+
+def _source(rel):
+    """The text of ``src/repro/<rel>``."""
+    return open(os.path.join(ROOT, "src", "repro", rel),
+                encoding="utf-8").read()
+
+
+def _uses(cite, part, source=_source):
+    """Whether module `cite` uses a name module `part` defines, outside
+    its import lines: an import alone consumes nothing."""
+    defined = {a or b for a, b in DEFINED_RE.findall(source(part))}
+    body = IMPORT_RE.sub("", source(cite))
+    return any(re.search(rf"\b{re.escape(name)}\b", body)
+               for name in defined)
+
+
+def _unanchored(rows, steps, bench, source=_source):
     """Live parts nothing outside consumes.  A part is anchored by an
     outside citation, by a kept ``src/`` file outside the ledger that
-    imports it, or by an anchored ledger module that does; parts
-    reached only through parts that reach each other stay unanchored."""
+    uses it (a name it defines, outside the file's import lines), or by
+    an anchored ledger module that does; parts reached only through
+    parts that reach each other stay unanchored."""
     modules = {part for kind, part in rows if kind == "module"}
     anchored, edges = set(), {}
     for key, _clause_kind, citations in _live_clauses(rows):
         for cite in citations:
             if key[0] == "module" and cite.endswith(".py") \
                     and not cite.startswith("tests/"):
+                if not _uses(cite, key[1], source):
+                    continue
                 if cite in modules:
                     edges.setdefault(key, set()).add(("module", cite))
                 elif cite != key[1]:
@@ -801,6 +842,19 @@ class TestLedger:
             ("verb", "repro explain"),
             ("module", "serve/merge.py"), ("module", "serve/sharding.py"),
             ("verb", "repro info")}
+        # an import-only consumer: the cited file imports the part and
+        # uses none of the names it defines
+        consumers = {"only_imports.py": "from .serve.supervisor import "
+                                        "(CircuitBreaker,\n    Supervisor)"
+                                        "\n\n\ndef f():\n    return 1\n",
+                     "uses.py": "from .serve import merge\n\n\n"
+                                "OPEN = merge.ShardedDatabase.open\n"}
+        assert _unanchored(
+            {("module", "serve/supervisor.py"): "module: `only_imports.py`",
+             ("module", "serve/merge.py"): "module: `uses.py`"},
+            steps, bench,
+            lambda rel: consumers.get(rel) or _source(rel)) == {
+            ("module", "serve/supervisor.py")}
         assert _citation_failures(rows, steps, bench) == [
             (("verb", "repro info"), "gate", "no such step"),
             (("verb", "repro info"), "workflow", "cites nothing")]

@@ -112,3 +112,28 @@ class TestJDeweyOrderAfterAReencode:
                                 use_cache=False)
                 assert [(r.node.dewey, round(r.score, 9))
                         for r in got] == oracle, (semantics, algorithm)
+
+    def test_reencoded_numbers_survive_refresh_save_and_open(self, tmp_path):
+        """The table keeps the numbers a re-encode assigned (not the
+        rule's), a save writes them, and an opened database's encoder
+        starts from them and keeps the invariants under more inserts."""
+        db = XMLDatabase.from_xml_text("<bib>" + "".join(
+            f"<paper><title>xml {i}</title></paper>" for i in range(3))
+            + "</bib>", jdewey_gap=0)
+        db.encoder.insert(db.tree.root.children[0], Node("note", "data"))
+        db.refresh()
+        assert db.encoder.reencode_count == 1
+        numbers = [node.jdewey[-1] for node in db.tree.nodes]
+        assert db.columnar_index.nodes.number.tolist() == numbers
+        db.save(str(tmp_path / "db"), fsync=False)
+        opened = XMLDatabase.open(str(tmp_path / "db"))
+        assert [n.jdewey[-1] for n in opened.tree.nodes] == numbers
+        paper = opened.tree.root.children[1]
+        opened.encoder.insert(paper, Node("note", "xml data"))
+        opened.encoder.validate()
+        opened.refresh()
+        assert [(r.node.dewey, r.node.tag) for r in
+                opened.search("xml data", use_cache=False)] == \
+            [((1, 1), "paper"), ((1, 2, 2), "note")] == \
+            [(r.node.dewey, r.node.tag) for r in
+             opened.search("xml data", algorithm="oracle")]

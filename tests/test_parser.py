@@ -175,6 +175,58 @@ class TestErrors:
         assert "offset" in str(exc.value)
 
 
+class TestHostileInput:
+    """Input a parser must refuse, typed and at a character offset --
+    and nothing declared in a DTD is ever expanded or fetched."""
+
+    LAUGHS = ('<?xml version="1.0"?><!DOCTYPE lolz [<!ENTITY lol "lol">'
+              '<!ENTITY lol1 "&lol;&lol;&lol;&lol;&lol;&lol;&lol;&lol;">'
+              '<!ENTITY lol2 "&lol1;&lol1;&lol1;&lol1;&lol1;&lol1;">]>'
+              '<lolz>&lol2;</lolz>')
+
+    @pytest.mark.parametrize("doc, pos, message", [
+        # an internal-DTD entity, declared and used in the body
+        ('<!DOCTYPE a [<!ENTITY e "expanded">]><a>&e;</a>', 13,
+         "entity declarations"),
+        # the nested "billion laughs": refused at its first declaration
+        (LAUGHS, 37, "entity declarations"),
+        ('<!DOCTYPE a [<!ENTITY % p "x">]><a/>', 13, "entity declarations"),
+        # an external entity, which must never be resolved
+        ('<!DOCTYPE a [<!ENTITY ext SYSTEM "file:///etc/passwd">]>'
+         '<a>&ext;</a>', 13, "entity declarations"),
+        # undefined entities, with and without an external DTD subset
+        ("<a>x &nope; y</a>", 5, "undefined entity"),
+        ('<!DOCTYPE a SYSTEM "a.dtd"><a>&nope;</a>', 30,
+         "undefined entity &nope;"),
+        ("<a><b>text</b><c>more", 21, "no element found"),
+        ("<a><b>text</c></a>", 12, "mismatched tag"),
+        ("<a>x</a><b/>", 8, "junk after document element"),
+        ("<a>x</a>tail", 8, "junk after document element"),
+        ("<a>\u00e9t\u00e9</b>", 8, "mismatched tag"),
+    ])
+    def test_refused_at_its_offset(self, doc, pos, message):
+        with pytest.raises(XMLParseError, match=message) as exc:
+            parse_xml(doc)
+        assert exc.value.pos == pos
+        assert f"(at offset {pos})" in str(exc.value)
+
+    def test_nothing_external_is_opened(self, monkeypatch, tmp_path):
+        import builtins
+
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda *a, **k: (
+            opened.append(a[0]), real_open(*a, **k))[1])
+        secret = tmp_path / "secret.txt"
+        secret.write_text("leaked", encoding="utf-8")
+        with pytest.raises(XMLParseError):
+            parse_xml(f'<!DOCTYPE a [<!ENTITY s SYSTEM "{secret}">]>'
+                      "<a>&s;</a>")
+        with pytest.raises(XMLParseError):
+            parse_xml(f'<!DOCTYPE a SYSTEM "{secret}"><a>&s;</a>')
+        assert opened == []
+
+
 class TestFile:
     def test_parse_xml_file(self, tmp_path):
         path = tmp_path / "doc.xml"

@@ -79,7 +79,7 @@ class TestSequenceOfViews:
 
     def test_views_are_what_the_engine_used_to_build(self, answers, table):
         for r in answers[:10]:
-            assert r.node is table.nodes(np.array([r.node.row]))[0]
+            assert r.node == table.nodes(np.array([r.node.row]))[0]
             assert r.level == len(r.node.dewey)
             assert len(r.witness_scores) == 2
             assert r.score == sum(r.witness_scores)

@@ -147,6 +147,19 @@ class TestSerialization:
         root.add_child(Node("b"))
         assert "<b/>" in XMLTree(root).freeze().to_xml()
 
+    def test_document_carries_what_a_tree_holds(self):
+        """A tree built from nodes is used through its document: every
+        attribute value and any text character come back from it (one
+        XML cannot carry reads as U+FFFD)."""
+        from repro.xmltree.parser import parse_xml
+
+        root = Node("a", "x\x00y & z", {"k": 'tab\there\nnew "q" & <b>'})
+        root.add_child(Node("b", attributes={"e": ""}))
+        again = parse_xml(XMLTree(root).freeze().document.decode())
+        assert again.root.attributes == root.attributes
+        assert again.root.children[0].attributes == {"e": ""}
+        assert again.root.text == "x\ufffdy & z"
+
 
 class TestBuildTree:
     def test_spec_with_text_and_children(self):
