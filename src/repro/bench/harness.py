@@ -463,19 +463,23 @@ def check_bound_rows(rows: List[Tuple[str, str, int]]) -> Verdict:
 def ablation_compression_rows(bench: Workbench) -> List[tuple]:
     """Section III-D: (corpus, scheme, raw KiB, compressed KiB, ratio)
     over every column, each under the better of the paper's codecs."""
-    from ..index.compression import (PAPER_CODECS, choose_codec,
-                                     uncompressed_size)
+    from ..index.columnar import batch_level_values
+    from ..index.compression import (PAPER_CODECS, SCHEME_NAMES,
+                                     encode_columns, uncompressed_size)
 
     rows = []
     for corpus, db in (("DBLP", bench.dblp), ("XMark", bench.xmark)):
         totals = {"rle": [0, 0], "delta": [0, 0]}
-        for postings in map(db.columnar_index.term_postings,
-                            db.columnar_index.vocabulary):
-            for level in range(1, postings.max_len + 1):
-                values = postings.column(level).values
-                scheme, blob = choose_codec(values, PAPER_CODECS)
-                totals[scheme][0] += uncompressed_size(values)
-                totals[scheme][1] += len(blob)
+        postings = [db.columnar_index.term_postings(term)
+                    for term in db.columnar_index.vocabulary]
+        for lo in range(0, len(postings), 256):     # 256 terms a batch
+            values, bounds = batch_level_values(postings[lo: lo + 256])
+            schemes, blobs = encode_columns(values, bounds, PAPER_CODECS)
+            for c, (scheme, blob) in enumerate(zip(schemes, blobs)):
+                total = totals[SCHEME_NAMES[int(scheme)]]
+                total[0] += uncompressed_size(values[bounds[c]:
+                                                     bounds[c + 1]])
+                total[1] += len(blob)
         rows += [(corpus, scheme, raw / 1024, packed / 1024, raw / packed)
                  for scheme, (raw, packed) in totals.items() if raw]
     return rows
@@ -510,7 +514,7 @@ def ablation_lazy_io_rows(bench: Workbench) -> List[Tuple[str, str, object]]:
 
     db, builder = bench.dblp, bench.builder
     lazy = LazyColumnarIndex(storage.serialize_columnar_index(
-        db.columnar_index, score_mode=storage.SCORES_EXACT),
+        db.columnar_index),
         db.columnar_index.nodes, db.tokenizer, db.ranking)
     cold, hot = builder.frequency_sweep(2)[0], builder.frequency_sweep(3)[1]
     postings = [db.columnar_index.term_postings(t) for t in cold.terms]

@@ -235,6 +235,45 @@ class RowPostings(ColumnarPostings):
         return self.nodes.paths(self.rows, "number")[0]
 
 
+def batch_level_values(postings: Sequence[ColumnarPostings]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every level's values of every term in `postings`, laid end to
+    end term by term and level by level, and where each column starts
+    (closed by the total): ``values[bounds[c]:bounds[c + 1]]`` is a
+    term's level as `level_values` gives it.  Postings holding rows of
+    one node table are read with one `NodeTable.paths` sweep over all
+    their rows; any other batch hands over each term's `level_values`."""
+    if not all(isinstance(p, RowPostings) and p.nodes is postings[0].nodes
+               for p in postings):
+        columns = [v for p in postings for v in p.level_values()]
+        return (np.concatenate(columns) if columns
+                else np.empty(0, dtype=np.int64),
+                np.cumsum([0] + [len(v) for v in columns]))
+    rows = np.concatenate([p.rows for p in postings])
+    if not len(rows):
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    matrix, levels = postings[0].nodes.paths(rows, "number")
+    depth = matrix.shape[1]
+    term = np.repeat(np.arange(len(postings)),
+                     [len(p.rows) for p in postings])
+    # sizes[t, l]: term t's occurrences deeper than l, its level l + 1
+    # column; the columns lie in (term, level) order.
+    sizes = np.bincount(term * depth + levels - 1,
+                        minlength=len(postings) * depth
+                        ).reshape(-1, depth)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    values = np.empty(int(levels.sum()), dtype=np.int64)
+    for level in range(depth):
+        deep = np.flatnonzero(levels > level)
+        # a deep occurrence's place in its term's column: its place in
+        # `deep` less where its term's stretch of `deep` begins
+        lead = starts[:, level] - (np.cumsum(sizes[:, level])
+                                   - sizes[:, level])
+        values[lead[term[deep]] + np.arange(len(deep))] = \
+            matrix[deep, level]
+    return values, np.append(starts[sizes > 0], len(values))
+
+
 class ColumnarIndex:
     """JDewey columnar inverted index over one document.
 

@@ -18,6 +18,13 @@ plain **varints** and **frame-of-reference** bit packing.
 the paper's rule, which is what Table I and the compression ablation
 size.  All encoders round-trip.
 
+Encoding is in bulk: `encode_columns` applies the decision list to a
+batch of columns at once (the container writer's: a batch of terms'
+levels) and varint-encodes them in one numpy pass; `choose_codec` and
+the per-codec encoders are that path on one column.  The scalar
+per-column encoders it replaced are the tests' byte-for-byte reference
+(``tests/reference_codecs.py``).
+
 Each codec has one decoder, and it is numpy throughout: continuation-bit
 masks locate varint boundaries, the 7-bit payloads fold a byte position
 at a time, and the delta/RLE reconstructions are ``np.cumsum`` over the
@@ -38,7 +45,7 @@ an intermediate copy.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,25 +118,57 @@ def varint_size(value: int) -> int:
     return size
 
 
-def _python_ints(values: Sequence[int]) -> List[int]:
-    """`values` as a list -- of Python ints when it was an array: the
-    varint loops run several times faster on them than on numpy
-    scalars."""
-    return values.tolist() if isinstance(values, np.ndarray) \
-        else list(values)
+def _varint_sizes(arr: np.ndarray) -> np.ndarray:
+    """Bytes each value of `arr` (int64 or uint64) takes as a varint;
+    a negative int64 counts as its two's complement, 10 bytes.  One
+    comparison pass per 7 bits the largest value needs."""
+    arr = arr.view(np.uint64)
+    sizes = np.ones(len(arr), dtype=np.int64)
+    top = int(arr.max()) if len(arr) else 0
+    for bits in range(7, top.bit_length(), 7):
+        sizes += arr >= np.uint64(1 << bits)
+    return sizes
 
 
-def encode_varints(values: Iterable[int]) -> bytes:
-    out = bytearray()
-    append = out.append
-    for value in values:        # `write_varint`, inlined: the hot loop
-        if value < 0:
-            raise ValueError("varints are unsigned")
-        while value >= 0x80:
-            append((value & 0x7F) | 0x80)
-            value >>= 7
-        append(value)
-    return bytes(out)
+def _as_ints(values: Sequence[int]) -> np.ndarray:
+    """`values` as an int64 or uint64 array (a list of ints past int64
+    as uint64); `ValueError` unless they are integers in ``[0,
+    VARINT_MAX]`` or fit int64."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" or not arr.size:
+        return arr.astype(np.uint64 if arr.dtype.kind == "u" else np.int64,
+                          copy=False)
+    if all(isinstance(v, int) and 0 <= v <= VARINT_MAX for v in values):
+        return np.array(values, dtype=np.uint64)
+    raise ValueError(f"varints hold integers in [0, {VARINT_MAX}]")
+
+
+def _varint_stream(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`arr` (int64 or uint64) written as LEB128 varints end to end:
+    the uint8 array and where each value's bytes end.  One numpy round
+    per byte position, over the values that reach it."""
+    if arr.dtype.kind == "i" and arr.size and int(arr.min()) < 0:
+        raise ValueError("varints are unsigned")
+    arr = arr.view(np.uint64)
+    sizes = _varint_sizes(arr).astype(np.uint8)
+    ends = np.cumsum(sizes, dtype=np.int64)
+    out = np.empty(int(ends[-1]) if arr.size else 0, dtype=np.uint8)
+    at = ends - sizes
+    out[at] = (arr & np.uint64(0x7F)).astype(np.uint8) | ((sizes > 1) << 7)
+    live = np.flatnonzero(sizes > 1)
+    for k in range(1, int(sizes.max()) if arr.size else 0):
+        more = (sizes[live] > k + 1).astype(np.uint8) << 7
+        out[at[live] + k] = ((arr[live] >> np.uint64(7 * k))
+                             & np.uint64(0x7F)).astype(np.uint8) | more
+        live = live[sizes[live] > k + 1]
+    return out, ends
+
+
+def encode_varints(values: Sequence[int]) -> bytes:
+    """LEB128 varints of `values`, end to end.  Raises `ValueError` on
+    a value `decode_varints` would refuse: negative or past
+    `VARINT_MAX`."""
+    return _varint_stream(_as_ints(values))[0].tobytes()
 
 
 def decode_varints(data: ByteSource) -> np.ndarray:
@@ -183,19 +222,10 @@ def decode_varints(data: ByteSource) -> np.ndarray:
 
 def encode_delta_blocks(values: Sequence[int],
                         block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
-    """Encode a sorted column with per-block delta coding."""
-    values = _python_ints(values)
-    stream = [len(values), block_size]
-    prev = 0
-    for i, value in enumerate(values):
-        if i % block_size == 0:
-            stream.append(value)            # a block's first, in full
-        elif value < prev:
-            raise ValueError("delta blocks need a sorted column")
-        else:
-            stream.append(value - prev)
-        prev = value
-    return encode_varints(stream)
+    """Encode a sorted column with per-block delta coding: ``count,
+    block_size``, then each block's first value and every other's step
+    from its predecessor."""
+    return choose_codec(values, (SCHEME_DELTA,), block_size)[1]
 
 
 def decode_delta_blocks(data: ByteSource) -> np.ndarray:
@@ -251,15 +281,9 @@ def run_values(distinct: np.ndarray, run_starts: np.ndarray) -> np.ndarray:
 
 
 def encode_rle(values: Sequence[int]) -> bytes:
-    """Encode a sorted column as (value_delta, count) pairs."""
-    distinct, run_starts = runs_of(values)
-    pairs = np.empty(2 * len(distinct), dtype=np.int64)
-    pairs[0::2] = np.diff(distinct, prepend=0)
-    pairs[1::2] = np.diff(run_starts)
-    if len(distinct) > 1 and int(pairs[2::2].min()) < 0:
-        raise ValueError("RLE needs a sorted column")
-    return encode_varints([int(run_starts[-1]), len(distinct),
-                           *pairs.tolist()])
+    """Encode a sorted column as ``count, n_runs`` and a (value_delta,
+    count) pair per run."""
+    return choose_codec(values, (SCHEME_RLE,))[1]
 
 
 def decode_rle(data: ByteSource) -> Tuple[np.ndarray, np.ndarray]:
@@ -318,7 +342,7 @@ def _check_increasing(scheme: str, distinct: np.ndarray) -> None:
 
 def encode_varint_column(values: Sequence[int]) -> bytes:
     """Encode a column as ``varint(count) | varint(value)...``."""
-    return encode_varints([len(values)] + _python_ints(values))
+    return choose_codec(values, (SCHEME_VARINT,))[1]
 
 
 def decode_varint_column(data: ByteSource) -> np.ndarray:
@@ -491,42 +515,206 @@ def decode_for(data: ByteSource) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scheme selection
+# Scheme selection and encoding, a batch of columns at a time
 # ---------------------------------------------------------------------------
+#
+# The columns lie end to end in one array, ``values[bounds[c]:bounds[c +
+# 1]]`` being column c.  Every statistic the decision list reads is a
+# segment reduction over the batch, and every chosen varint codec's
+# integers are laid into one stream by index arithmetic and encoded in
+# one `_varint_stream` pass; a FOR column goes through `encode_for`.
 
-_ENCODERS = {
-    SCHEME_RLE: lambda values, block_size: encode_rle(values),
-    SCHEME_DELTA: encode_delta_blocks,
-    SCHEME_VARINT: lambda values, block_size: encode_varint_column(values),
-    SCHEME_FOR: encode_for,
-}
-
-# A value below _VARINT_LIMITS[k], and not below the limit before it,
-# takes k + 1 varint bytes.
-_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 9)],
-                          dtype=np.int64)
-
-
-def _varint_bytes(arr: np.ndarray) -> int:
-    """Bytes `arr` takes written as varints."""
-    return arr.size + int(np.searchsorted(_VARINT_LIMITS, arr,
-                                          side="right").sum())
-
-
-def _for_bytes(arr: np.ndarray, block_size: int) -> int:
-    """Bytes `encode_for` takes for `arr` (a bit over above 2**53)."""
-    n_blocks, block_n = _for_block_layout(arr.size, block_size)
-    starts = np.arange(n_blocks) * block_size
-    spread = (np.maximum.reduceat(arr, starts)
-              - np.minimum.reduceat(arr, starts))
-    widths = np.frexp(spread.astype(np.float64))[1]     # bit lengths
-    return (_FOR_HEADER_BYTES + 9 * n_blocks
-            + int(((block_n * widths + 7) >> 3).sum()))
-
-
+_RLE, _DELTA, _FOR, _VARINT = range(4)          # positions in `CODECS`
+_CODEC_IDS = np.array([SCHEME_IDS[s] for s in CODECS], dtype=np.uint8)
+#: Integers ahead of a column's body: rle's (count, runs), delta's
+#: (count, block size), none for FOR, varint's count.
+_HEADER_INTS = np.array([2, 2, 0, 1])
 # FOR's frame is 17 bytes before the first value; below this many
-# values it cannot win and its size is not worth computing.
+# values of a sorted column it cannot win and is not sized.
 _FOR_MIN_VALUES = 32
+#: Ranks (lower wins): a codec sized for the column ranks by ``4 * size
+#: + tie order``, the others follow in `CODECS` order, and one that
+#: cannot encode the column is never picked.
+_UNSIZED, _BARRED = 1 << 60, 1 << 62
+
+
+class _Columns:
+    """A batch of columns, and what the decision list and the stream
+    share: each column's length ``n`` and ``runs``, each value's
+    column, whether it has a predecessor there (``inner``) and whether
+    it starts a run."""
+
+    def __init__(self, values: np.ndarray, bounds: np.ndarray):
+        self.values = values
+        self.bounds = bounds = np.asarray(bounds, dtype=np.int64)
+        self.n = np.diff(bounds)
+        self.col = np.repeat(np.arange(len(self.n), dtype=np.int32), self.n)
+        self.filled = self.n > 0
+        self.heads = bounds[:-1][self.filled]
+        self.inner = np.ones(len(values), dtype=bool)
+        self.inner[self.heads] = False
+        self.run_start = ~self.inner
+        self.run_start[1:] |= values[1:] != values[:-1]
+        self.runs = np.bincount(self.col[self.run_start],
+                                minlength=len(self.n))
+
+    def total(self, per_value: np.ndarray) -> np.ndarray:
+        """Each column's sum of `per_value`."""
+        out = np.zeros(len(self.n), dtype=np.int64)
+        if len(self.heads):
+            out[self.filled] = np.add.reduceat(per_value, self.heads)
+        return out
+
+    def for_sizes(self, block_size: int) -> np.ndarray:
+        """Bytes `encode_for` takes for each column."""
+        n_blocks = -(-self.n // block_size)
+        block_col = np.repeat(np.arange(len(self.n)), n_blocks)
+        starts = self.bounds[block_col] + block_size * (
+            np.arange(len(block_col)) - (np.cumsum(n_blocks)
+                                         - n_blocks)[block_col])
+        packed = np.zeros(len(starts), dtype=np.int64)
+        if len(starts):
+            spread = (np.maximum.reduceat(self.values, starts)
+                      .astype(np.uint64) - np.minimum.reduceat(
+                          self.values, starts).astype(np.uint64))
+            packed = (np.minimum(block_size, self.bounds[block_col + 1]
+                                 - starts) * _bit_lengths(spread) + 7) >> 3
+        return _FOR_HEADER_BYTES + 9 * n_blocks + np.bincount(
+            block_col, packed, minlength=len(self.n)).astype(np.int64)
+
+
+def _bit_lengths(arr: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each uint64 value, exactly (the float
+    exponent can round up past 2**53)."""
+    widths = np.minimum(np.frexp(arr.astype(np.float64))[1], 64) \
+        .astype(np.int64)
+    top = np.uint64(1) << np.maximum(widths - 1, 0).astype(np.uint64)
+    return widths - ((widths > 0) & (arr < top))
+
+
+def _choose(cols: _Columns, codecs: Sequence[str],
+            block_size: int) -> np.ndarray:
+    """`choose_codec`'s decision list for every column at once: each
+    column's position in `CODECS`."""
+    values, n, inner, bounds = cols.values, cols.n, cols.inner, cols.bounds
+    filled = cols.filled
+    falls = np.zeros(len(values), dtype=bool)
+    falls[1:] = values[1:] < values[:-1]
+    unsorted = np.bincount(cols.col[falls & inner], minlength=len(n)) > 0
+    steps = np.zeros_like(values)
+    steps[1:] = values[1:] - values[:-1]
+    steps[falls] = 0                # an unsorted column's: never sized
+    del falls
+    steps = _varint_sizes(steps)
+    steps[~inner] = 0
+    step_bytes = cols.total(steps)
+    del steps
+    value_bytes = _varint_sizes(values)
+    first_bytes = np.zeros(len(n), dtype=np.int64)
+    first_bytes[filled] = value_bytes[cols.heads]
+    value_bytes = cols.total(value_bytes)
+    n_bytes = _varint_sizes(n)
+    for_bytes = cols.for_sizes(block_size)
+    last_small = np.zeros(len(n), dtype=bool)
+    last_small[filled] = values[bounds[1:][filled] - 1] < 0x80
+
+    rank = np.tile(_UNSIZED + np.arange(len(CODECS)), (len(n), 1))
+    # Many runs: delta, varint and (from _FOR_MIN_VALUES up) FOR by
+    # size, less what all three spend alike on the count and the first
+    # value; rle after them.
+    many = ~unsorted & (2 * cols.runs > n)
+    rank[many, _DELTA] = 4 * (varint_size(block_size) + step_bytes[many])
+    rank[many, _VARINT] = 4 * (value_bytes - first_bytes)[many] + 1
+    big = many & (n >= _FOR_MIN_VALUES)
+    rank[big, _FOR] = 4 * (for_bytes - n_bytes - first_bytes)[big] + 2
+    # Exactly half the values start a run and all fit a byte: rle and
+    # varint tie but for rle's longer header.
+    rank[~unsorted & (2 * cols.runs == n) & last_small, _VARINT] = -1
+    # Unsorted: varint or FOR, by size; rle and delta cannot encode it.
+    rank[unsorted, _VARINT] = 4 * (n_bytes + value_bytes)[unsorted]
+    rank[unsorted, _FOR] = 4 * for_bytes[unsorted] + 1
+    rank[unsorted, _RLE] = rank[unsorted, _DELTA] = _BARRED
+    rank[:, [s not in codecs for s in CODECS]] = _BARRED
+    pick = rank.argmin(axis=1)
+    if (rank[np.arange(len(n)), pick] == _BARRED).any():
+        raise ValueError(f"no candidate codec in {tuple(codecs)!r} can "
+                         "encode this column (rle and delta need it sorted)")
+    return pick
+
+
+def _stream(cols: _Columns, pick: np.ndarray, block_size: int
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """The integers of every column's varint codec end to end, and where
+    each column's start (closed by the total; a FOR column has none)."""
+    values, n, bounds, col = cols.values, cols.n, cols.bounds, cols.col
+    header = _HEADER_INTS[pick]
+    rle = pick == _RLE
+    plain = (pick == _DELTA) | (pick == _VARINT)
+    off = np.concatenate(([0], np.cumsum(header + np.where(
+        rle, 2 * cols.runs, np.where(plain, n, 0)))))
+    stream = np.empty(int(off[-1]), dtype=values.dtype)
+    stream[off[:-1][header > 0]] = n[header > 0]
+    two = header == 2
+    stream[off[:-1][two] + 1] = np.where(rle[two], cols.runs[two],
+                                         block_size)
+    # delta and varint: a value a value, delta's as the step from its
+    # predecessor but at a block's first value
+    at = np.flatnonzero(plain[col])
+    c = col[at]
+    pos = at - bounds[c]
+    body = values[at]
+    step = (pick[c] == _DELTA) & (pos % block_size != 0)
+    body[step] -= values[at[step] - 1]
+    del at, step
+    pos += (off[:-1] + header)[c]
+    stream[pos] = body
+    del c, pos, body
+    # rle: a (value delta, count) pair a run
+    at = np.flatnonzero(cols.run_start & rle[col])
+    c = col[at]
+    opens = ~cols.inner[at]
+    index = np.arange(len(at))
+    index -= np.maximum.accumulate(np.where(opens, index, 0))
+    delta = values[at]
+    delta[~opens] -= values[at[~opens] - 1]
+    same = np.append(~opens[1:], False)
+    pos = off[c] + 2 + 2 * index
+    stream[pos] = delta
+    stream[pos + 1] = np.where(same, np.append(at[1:], 0),
+                               bounds[c + 1]) - at
+    return stream, off
+
+
+def encode_columns(values: np.ndarray, bounds: np.ndarray,
+                   codecs: Sequence[str] = CODECS,
+                   block_size: int = DEFAULT_BLOCK_SIZE
+                   ) -> Tuple[np.ndarray, List[bytes]]:
+    """Pick each column's codec and encode it, for a batch of columns
+    laid end to end (``values[bounds[c]:bounds[c + 1]]`` is column c).
+    Returns each column's scheme id (`SCHEME_IDS`) and payload: what
+    `choose_codec` gives for the column alone, byte for byte."""
+    for scheme in codecs:
+        if scheme not in SCHEME_IDS:
+            raise ValueError(f"unknown compression scheme {scheme!r}")
+    cols = _Columns(_as_ints(values), bounds)
+    if len(codecs) == 1:        # no choice to make, only a sorted check
+        pick = np.full(len(cols.n), CODECS.index(codecs[0]))
+        if codecs[0] in (SCHEME_RLE, SCHEME_DELTA) and (cols.inner[1:] & (
+                cols.values[1:] < cols.values[:-1])).any():
+            raise ValueError(f"{codecs[0]} needs a sorted column")
+    else:
+        pick = _choose(cols, codecs, block_size)
+    stream, off = _stream(cols, pick, block_size)
+    data, ends = _varint_stream(stream)
+    del stream
+    ends = np.concatenate(([0], ends))[off].tolist()
+    blob = data.tobytes()
+    del data
+    payloads = [blob[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    for c in np.flatnonzero(pick == _FOR).tolist():
+        payloads[c] = encode_for(cols.values[cols.bounds[c]:
+                                             cols.bounds[c + 1]], block_size)
+    return _CODEC_IDS[pick], payloads
 
 
 def choose_codec(values: Sequence[int],
@@ -535,10 +723,9 @@ def choose_codec(values: Sequence[int],
                  ) -> Tuple[str, bytes]:
     """Pick a column's codec from its statistics and encode it once.
 
-    A few numpy passes give the column's order, run count, value range
-    and the varint bytes of its values and steps; a decision list over
-    them ranks the codecs and the best-ranked member of ``codecs``
-    encodes the column:
+    The column's order, run count, FOR block ranges and the varint
+    bytes of its values and steps feed a decision list that ranks the
+    codecs; the best-ranked member of ``codecs`` encodes the column:
 
     * at most `RLE_DISTINCT_RATIO` of the values start a run: run-length
       triples, else delta blocks -- the paper's rule (section III-D),
@@ -553,43 +740,13 @@ def choose_codec(values: Sequence[int],
     * an unsorted column leaves only FOR and varint, by size (rle and
       delta demand sorted input).
 
-    Raises `ValueError` when ``codecs`` names an unknown scheme or none
-    that can encode the column.  Returns ``(scheme, payload)``.
+    It is `encode_columns` on one column.  Raises `ValueError` when
+    ``codecs`` names an unknown scheme or none that can encode the
+    column.  Returns ``(scheme, payload)``.
     """
-    for scheme in codecs:
-        if scheme not in _ENCODERS:
-            raise ValueError(f"unknown compression scheme {scheme!r}")
-    arr = np.asarray(values)
-    n = arr.size
-    ranked = list(CODECS)
-    if (arr[1:] < arr[:-1]).any():
-        sizes = {SCHEME_VARINT: varint_size(n) + _varint_bytes(arr),
-                 SCHEME_FOR: _for_bytes(arr, block_size)}
-        ranked = sorted(sizes, key=sizes.get)
-    elif n:
-        steps = arr[1:] - arr[:-1]
-        runs = int(np.count_nonzero(steps)) + 1
-        if runs > RLE_DISTINCT_RATIO * n:
-            # Sizes less what all three spend alike on the count and
-            # the first value.  (Delta blocks past the first restate
-            # their first value too; that is not worth a pass.)
-            sizes = {
-                SCHEME_DELTA: varint_size(block_size)
-                + _varint_bytes(steps),
-                SCHEME_VARINT: _varint_bytes(arr[1:]),
-            }
-            if n >= _FOR_MIN_VALUES:
-                sizes[SCHEME_FOR] = _for_bytes(arr, block_size) \
-                    - varint_size(n) - varint_size(int(arr[0]))
-            ranked = sorted(sizes, key=sizes.get) \
-                + [s for s in CODECS if s not in sizes]
-        elif runs == RLE_DISTINCT_RATIO * n and arr[-1] < 0x80:
-            ranked.insert(0, SCHEME_VARINT)
-    scheme = next((s for s in ranked if s in codecs), None)
-    if scheme is None:
-        raise ValueError(f"no candidate codec in {tuple(codecs)!r} can "
-                         "encode this column (rle and delta need it sorted)")
-    return scheme, _ENCODERS[scheme](values, block_size)
+    arr = _as_ints(values)
+    ids, payloads = encode_columns(arr, [0, len(arr)], codecs, block_size)
+    return SCHEME_NAMES[int(ids[0])], payloads[0]
 
 
 _DECODERS = {

@@ -31,18 +31,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..reliability.checksum import (ALGORITHM_IDS, ALGORITHM_NAMES,
                                     DEFAULT_ALGORITHM, checksum)
 from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
-from .columnar import ColumnarIndex, ColumnarPostings
-from .compression import (PAPER_CODECS, SCHEME_IDS, SCHEME_NAMES,
-                          choose_codec, decode_varint_column,
-                          encode_varint_column, runs_of, varint_size,
-                          write_varint)
+from .columnar import ColumnarIndex, ColumnarPostings, batch_level_values
+from .compression import (PAPER_CODECS, SCHEME_NAMES, SCHEME_VARINT,
+                          decode_varint_column, encode_columns, runs_of,
+                          varint_size, write_varint)
 from .inverted import InvertedIndex, PostingList
 from .sparse import DEFAULT_GRANULARITY, SparseColumnIndex
 
@@ -75,24 +74,36 @@ def serialize_columnar_postings(postings: ColumnarPostings,
     ``with_scores=True`` appends the 2-byte quantized scores (the
     top-K list's on-disk footprint Table I measures).
     """
-    out = bytearray()
-    term_bytes = postings.term.encode("utf-8")
-    write_varint(out, len(term_bytes))
-    out.extend(term_bytes)
-    write_varint(out, len(postings))
-    write_varint(out, postings.max_len)
-    out.append(SCORES_QUANTIZED if with_scores else SCORES_NONE)
-    for length in postings.lengths:
-        write_varint(out, int(length))
-    for values in postings.level_values():
-        scheme, payload = choose_codec(values, PAPER_CODECS)
-        out.append(SCHEME_IDS[scheme])
-        write_varint(out, len(payload))
-        out.extend(payload)
-    if with_scores:
-        quantized = np.asarray(postings.scores * 256.0, dtype=np.uint16)
-        out.extend(quantized.tobytes())
-    return bytes(out)
+    return _paper_layouts([postings], with_scores)[0]
+
+
+def _paper_layouts(postings: Sequence[ColumnarPostings],
+                   with_scores: bool) -> List[bytes]:
+    """`serialize_columnar_postings` of consecutive terms, their
+    columns encoded in one batch."""
+    schemes, payloads = encode_columns(*batch_level_values(postings),
+                                       PAPER_CODECS)
+    blobs, first = [], 0
+    for p in postings:
+        out = bytearray()
+        term_bytes = p.term.encode("utf-8")
+        write_varint(out, len(term_bytes))
+        out.extend(term_bytes)
+        write_varint(out, len(p))
+        write_varint(out, p.max_len)
+        out.append(SCORES_QUANTIZED if with_scores else SCORES_NONE)
+        for length in p.lengths:
+            write_varint(out, int(length))
+        for at in range(first, first + p.max_len):
+            out.append(schemes[at])
+            write_varint(out, len(payloads[at]))
+            out.extend(payloads[at])
+        if with_scores:
+            out.extend(np.asarray(p.scores * 256.0, dtype=np.uint16)
+                       .tobytes())
+        blobs.append(bytes(out))
+        first += p.max_len
+    return blobs
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +129,10 @@ def serialize_columnar_postings(postings: ColumnarPostings,
 #
 #     0   u64 n_seqs
 #     8   u32 max_len
-#     12  u32 score_mode
+#     12  u32 score_mode          (SCORES_EXACT; any other is corrupt)
 #     16  u32 lengths_off
 #     20  u32 lengths_len
-#     24  u64 scores_off          (0 when score_mode == SCORES_NONE)
+#     24  u64 scores_off          (0 when n_seqs == 0)
 #     32  u64 level_offs[max_len]
 #     ..  u64 level_lens[max_len]
 #     ..  u8  schemes[max_len]    (`compression.SCHEME_IDS`), pad to 8
@@ -129,13 +140,17 @@ def serialize_columnar_postings(postings: ColumnarPostings,
 #                   lengths run-length coded: a term whose sequences
 #                   share one length (the usual case) is one pair --
 #                   pad to 8
-#     scores_off    float64[n_seqs] (EXACT) or uint16[n_seqs] (QUANTIZED),
-#                   pad to 8
+#     scores_off    float64[n_seqs], pad to 8
 #     level_offs[l] the compressed column of level l+1, pad to 8
 #
 # Each column's scheme id is `choose_codec`'s pick; readers dispatch on
 # the recorded id -- no payload sniffing -- and an id outside
-# `SCHEME_IDS` is corruption.
+# `SCHEME_IDS` is corruption.  The writer makes those picks a batch of
+# consecutive terms at a time (`serialize_columnar_payloads`): one
+# `NodeTable.paths` sweep reads every level of every term in the batch,
+# `compression.encode_columns` picks and encodes all their columns in
+# one pass, and each term's payload is cut from the result -- the bytes
+# `choose_codec` run column by column would give.
 
 MAGIC_COLUMNAR = b"JDX5"
 _FILE_HEADER = struct.Struct("<4sB3xQ")      # magic, algo id, n_terms
@@ -181,16 +196,23 @@ def _align8(pos: int) -> int:
     return (pos + 7) & ~7
 
 
-def _encode_lengths(lengths) -> bytes:
-    """The sequence lengths as a varint column of (length, run) pairs."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if not len(lengths):
-        return encode_varint_column([])
-    bounds = np.concatenate((            # where each run starts, then n
-        [0], np.flatnonzero(lengths[1:] != lengths[:-1]) + 1,
-        [len(lengths)]))
-    return encode_varint_column(np.column_stack(
-        (lengths[bounds[:-1]], np.diff(bounds))).ravel())
+def _encode_lengths(per_term: Sequence[Sequence[int]]) -> List[bytes]:
+    """Each term's sequence lengths as a varint column of (length, run)
+    pairs -- a term whose sequences share one length is one pair -- for
+    a batch of terms in one `encode_columns` call."""
+    lengths = np.concatenate([np.asarray(x, dtype=np.int64)
+                              for x in per_term])
+    sizes = np.array([len(x) for x in per_term])
+    starts = np.cumsum(sizes) - sizes
+    fresh = np.ones(len(lengths), dtype=bool)
+    fresh[1:] = lengths[1:] != lengths[:-1]
+    fresh[starts[sizes > 0]] = True
+    opens = np.flatnonzero(fresh)
+    pairs = np.column_stack((lengths[opens], np.diff(
+        np.append(opens, len(lengths))))).ravel()
+    return encode_columns(
+        pairs, 2 * np.searchsorted(opens, np.append(starts, len(lengths))),
+        (SCHEME_VARINT,))[1]
 
 
 def _decode_lengths(data, n_seqs: int, max_len: int) -> np.ndarray:
@@ -211,69 +233,70 @@ def _decode_lengths(data, n_seqs: int, max_len: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=np.int64), runs)
 
 
-def serialize_columnar_payload(postings: ColumnarPostings,
-                               score_mode: int = SCORES_EXACT) -> bytes:
-    """One term's offset-indexed, 8-aligned payload."""
-    n_seqs = len(postings)
-    max_len = int(postings.max_len)
-    columns: List[bytes] = []
-    schemes = bytearray(max_len)
-    for level, values in enumerate(postings.level_values(), 1):
-        scheme, payload = choose_codec(values)
-        schemes[level - 1] = SCHEME_IDS[scheme]
-        columns.append(payload)
-    lengths = _encode_lengths(postings.lengths)
+#: Occurrences the writer encodes at once: enough terms that the numpy
+#: passes run over thousands of values, few enough that a batch's
+#: arrays stay small (a term with more is a batch alone).
+_BATCH_OCCURRENCES = 4096
 
-    # Two passes: lay out offsets, then fill the preallocated buffer.
-    level_offs_off = _PAYLOAD_HEADER.size
-    level_lens_off = level_offs_off + 8 * max_len
-    schemes_off = level_lens_off + 8 * max_len
-    lengths_off = _align8(schemes_off + max_len)
-    cursor = _align8(lengths_off + len(lengths))
-    if score_mode == SCORES_EXACT:
-        scores = np.asarray(postings.scores, dtype=np.float64).tobytes()
-    elif score_mode == SCORES_QUANTIZED:
-        scores = np.asarray(np.asarray(postings.scores) * 256.0,
-                            dtype=np.uint16).tobytes()
-    elif score_mode == SCORES_NONE:
-        scores = b""
-    else:
-        raise ValueError(f"unknown score mode {score_mode}")
-    scores_off = cursor if scores else 0
-    cursor = _align8(cursor + len(scores))
-    level_offs: List[int] = []
-    for payload in columns:
-        level_offs.append(cursor)
-        cursor = _align8(cursor + len(payload))
 
-    out = bytearray(cursor)
-    _PAYLOAD_HEADER.pack_into(out, 0, n_seqs, max_len, score_mode,
-                              lengths_off, len(lengths), scores_off)
-    out[level_offs_off: level_lens_off] = np.asarray(
-        level_offs, dtype=np.uint64).tobytes()
-    out[level_lens_off: schemes_off] = np.asarray(
-        [len(p) for p in columns], dtype=np.uint64).tobytes()
-    out[schemes_off: schemes_off + max_len] = schemes
-    out[lengths_off: lengths_off + len(lengths)] = lengths
-    out[scores_off: scores_off + len(scores)] = scores
-    for off, payload in zip(level_offs, columns):
-        out[off: off + len(payload)] = payload
-    return bytes(out)
+def serialize_columnar_payloads(postings: Sequence[ColumnarPostings]
+                                ) -> List[bytes]:
+    """Consecutive terms' offset-indexed, 8-aligned payloads, encoded
+    as one batch: every level of every term read in one go
+    (`batch_level_values`) and handed to `encode_columns` together, the
+    sequence lengths likewise."""
+    if not postings:
+        return []
+    values, bounds = batch_level_values(postings)
+    schemes, columns = encode_columns(values, bounds)
+    length_columns = _encode_lengths([p.lengths for p in postings])
+    payloads: List[bytes] = []
+    first = 0
+    for p, lengths in zip(postings, length_columns):
+        max_len = int(p.max_len)
+        levels = columns[first: first + max_len]
+        level_lens = [len(c) for c in levels]
+        # Lay out the offsets, then fill the preallocated buffer.
+        lengths_off = _align8(_PAYLOAD_HEADER.size + 17 * max_len)
+        scores_off = _align8(lengths_off + len(lengths))
+        cursor = scores_off + 8 * len(p)
+        level_offs: List[int] = []
+        for size in level_lens:
+            level_offs.append(cursor)
+            cursor = _align8(cursor + size)
+        out = bytearray(cursor)
+        _PAYLOAD_HEADER.pack_into(out, 0, len(p), max_len, SCORES_EXACT,
+                                  lengths_off, len(lengths),
+                                  scores_off if len(p) else 0)
+        struct.pack_into(f"<{2 * max_len}Q", out, _PAYLOAD_HEADER.size,
+                         *level_offs, *level_lens)
+        schemes_off = _PAYLOAD_HEADER.size + 16 * max_len
+        out[schemes_off: schemes_off + max_len] = \
+            schemes[first: first + max_len].tobytes()
+        out[lengths_off: lengths_off + len(lengths)] = lengths
+        out[scores_off: scores_off + 8 * len(p)] = np.asarray(
+            p.scores, dtype=np.float64).tobytes()
+        for off, column in zip(level_offs, levels):
+            out[off: off + len(column)] = column
+        payloads.append(bytes(out))
+        first += max_len
+    return payloads
 
 
 def serialize_columnar_index(index: ColumnarIndex,
-                             score_mode: int = SCORES_EXACT,
                              algorithm: str = None) -> bytes:
     """The columnar container: the join of `container_chunks`."""
-    return b"".join(container_chunks(index, score_mode, algorithm))
+    return b"".join(container_chunks(index, algorithm))
 
 
 def container_chunks(index: ColumnarIndex,
-                     score_mode: int = SCORES_EXACT,
                      algorithm: str = None) -> Iterator[bytes]:
     """The columnar container, piece by piece: the file header, then
-    each term's frame head and payload, encoded only when asked for --
-    what `repro.diskdb.save_database` streams into its staged file.
+    each term's frame head and payload -- what
+    `repro.diskdb.save_database` streams into its staged file.  Terms
+    are encoded a batch at a time (`serialize_columnar_payloads`, about
+    `_BATCH_OCCURRENCES` occurrences each), only when the stream gets
+    to them; a batch holds at most that many, or one term.
 
     Every payload's length is a multiple of 8, so each frame starts
     8-aligned with no padding before it."""
@@ -284,9 +307,32 @@ def container_chunks(index: ColumnarIndex,
     terms = index.vocabulary
     yield _FILE_HEADER.pack(MAGIC_COLUMNAR, ALGORITHM_IDS[algorithm],
                             len(terms))
+    for batch in _batches(index, terms):
+        yield from _frames(batch, algorithm)
+
+
+def _batches(index: ColumnarIndex, terms: List[str]
+             ) -> Iterator[List[Tuple[str, ColumnarPostings]]]:
+    """`terms` and their postings in consecutive batches of at most
+    `_BATCH_OCCURRENCES` occurrences, or of one term that has more."""
+    batch: List[Tuple[str, ColumnarPostings]] = []
+    occurrences = 0
     for term in terms:
-        payload = serialize_columnar_payload(index.term_postings(term),
-                                             score_mode)
+        postings = index.term_postings(term)
+        if batch and occurrences + len(postings) > _BATCH_OCCURRENCES:
+            yield batch
+            batch, occurrences = [], 0
+        batch.append((term, postings))
+        occurrences += len(postings)
+    if batch:
+        yield batch
+
+
+def _frames(batch: Sequence[Tuple[str, ColumnarPostings]],
+            algorithm: str) -> Iterator[bytes]:
+    """Each term's frame head and payload, for a batch of terms."""
+    payloads = serialize_columnar_payloads([p for _, p in batch])
+    for (term, _), payload in zip(batch, payloads):
         term_bytes = term.encode("utf-8")
         yield (_FRAME.pack(len(term_bytes), len(payload),
                            checksum(payload, algorithm))
@@ -360,10 +406,11 @@ def parse_payload(term: str, payload, file: str = None):
 
     `payload` is any buffer (typically a memoryview slice of an mmap).
     Returns ``(lengths, scores, level_payloads)`` where `lengths` is an
-    ``int64`` array, `scores` a ``float64`` array (a zero-copy view in
-    EXACT mode, a small dequantized copy in QUANTIZED mode, zeros in
-    NONE mode) and `level_payloads` a list of ``(scheme, uint8 view)``
-    pairs -- the shape `LazyColumnarPostings` consumes.
+    ``int64`` array, `scores` a zero-copy ``float64`` view and
+    `level_payloads` a list of ``(scheme, uint8 view)`` pairs -- the
+    shape `LazyColumnarPostings` consumes.  A payload whose score mode
+    is not `SCORES_EXACT` (the only one the writer stores) is
+    corrupt.
     """
     try:
         (n_seqs, max_len, score_mode, lengths_off, lengths_len,
@@ -376,17 +423,11 @@ def parse_payload(term: str, payload, file: str = None):
                                    offset=tables + 8 * max_len)
         schemes = np.frombuffer(payload, dtype=np.uint8, count=max_len,
                                 offset=tables + 16 * max_len)
-        if score_mode == SCORES_EXACT:
-            scores = np.frombuffer(payload, dtype=np.float64,
-                                   count=n_seqs, offset=scores_off)
-        elif score_mode == SCORES_QUANTIZED:
-            raw = np.frombuffer(payload, dtype=np.uint16, count=n_seqs,
-                                offset=scores_off)
-            scores = raw.astype(np.float64) / 256.0
-        elif score_mode == SCORES_NONE:
-            scores = np.zeros(n_seqs, dtype=np.float64)
-        else:
-            raise ValueError(f"unknown score mode {score_mode}")
+        if score_mode != SCORES_EXACT:
+            raise ValueError(f"score mode {score_mode} is not the exact "
+                             f"scores ({SCORES_EXACT}) the writer stores")
+        scores = np.frombuffer(payload, dtype=np.float64, count=n_seqs,
+                               offset=scores_off)
         lengths = _decode_lengths(
             np.frombuffer(payload, dtype=np.uint8, count=lengths_len,
                           offset=lengths_off), n_seqs, max_len)
@@ -467,21 +508,23 @@ def measure_sizes(columnar: ColumnarIndex, inverted: InvertedIndex,
                   granularity: int = DEFAULT_GRANULARITY) -> IndexSizeReport:
     """Compute every Table I cell for one document."""
     report = IndexSizeReport()
-    for term in columnar.vocabulary:
-        postings = columnar.term_postings(term)
-        blob = serialize_columnar_postings(postings, with_scores=False)
-        report.join_based_il += len(blob)
-        report.per_term[term] = len(blob)
-        scored_blob = serialize_columnar_postings(postings, with_scores=True)
-        # Group-by-length headers: one (length, count) varint pair per group.
-        group_header = sum(
-            varint_size(int(length)) + varint_size(int(count))
-            for length, count in zip(*np.unique(postings.lengths,
-                                                return_counts=True)))
-        report.topk_join_il += len(scored_blob) + group_header
-        for values in postings.level_values():
-            sparse = SparseColumnIndex(runs_of(values)[0], granularity)
-            report.join_based_sparse += sparse.size_bytes()
+    for batch in _batches(columnar, columnar.vocabulary):
+        blobs = _paper_layouts([p for _, p in batch], with_scores=False)
+        for (term, postings), blob in zip(batch, blobs):
+            report.join_based_il += len(blob)
+            report.per_term[term] = len(blob)
+            # Group-by-length headers: one (length, count) varint pair
+            # per group; the scored list is the same bytes and a
+            # quantized score a sequence.
+            group_header = sum(
+                varint_size(int(length)) + varint_size(int(count))
+                for length, count in zip(*np.unique(postings.lengths,
+                                                    return_counts=True)))
+            report.topk_join_il += len(blob) + SCORE_BYTES * len(postings) \
+                + group_header
+            for values in postings.level_values():
+                sparse = SparseColumnIndex(runs_of(values)[0], granularity)
+                report.join_based_sparse += sparse.size_bytes()
 
     btree_key_bytes = 0
     btree_entries = 0

@@ -54,6 +54,23 @@ def subtree_shard_map(nodes, n_shards: int) -> Dict[int, int]:
                     ((table.ordinal[children] - 1) % n_shards).tolist()))
 
 
+def row_shards(nodes, n_shards: int) -> np.ndarray:
+    """Every node-table row's shard: its level-2 ancestor's
+    (`subtree_shard_map`'s rule), 0 for the root.  One top-down pass,
+    a level a step, over the table's ``parent`` column."""
+    if n_shards < 1:
+        raise ValueError("n_shards must be >= 1")
+    table = NodeTable.of(nodes).load()
+    owner = np.where(table.level == 2, (table.ordinal - 1) % n_shards,
+                     0).astype(np.int32)
+    by_level = np.argsort(table.level, kind="stable")
+    ends = np.cumsum(np.bincount(table.level))
+    for level in range(3, len(ends)):
+        rows = by_level[ends[level - 1]: ends[level]]
+        owner[rows] = owner[table.parent[rows]]
+    return owner
+
+
 def shard_of_dewey(dewey: Sequence[int], n_shards: int) -> int:
     """Shard of a node identified by its Dewey id.
 
@@ -85,21 +102,21 @@ def partition_columnar(postings_by_term: Dict[str, ColumnarPostings],
 def shard_owners(postings_by_term: Dict[str, ColumnarPostings],
                  nodes, n_shards: int) -> Dict[str, np.ndarray]:
     """Per term, the shard of each of its occurrences, in postings
-    order -- what `shard_postings` filters by.  Read off each term's
-    level-2 column values; nothing is cached on the postings."""
-    level2_shard = subtree_shard_map(nodes, n_shards)
-    numbers = np.fromiter(level2_shard, np.int64, len(level2_shard))
-    order = np.argsort(numbers)
-    numbers = numbers[order]
-    shards = np.fromiter(level2_shard.values(), np.int32,
-                         len(level2_shard))[order]
+    order -- what `shard_postings` filters by.  Postings holding rows
+    of the table read their owners off `row_shards`; any other read
+    their level-2 column values.  Nothing is cached on the postings."""
+    table = NodeTable.of(nodes).load()
+    owner_of_row = row_shards(table, n_shards)
     owners: Dict[str, np.ndarray] = {}
     for term, postings in postings_by_term.items():
+        if getattr(postings, "nodes", None) is table:
+            owners[term] = owner_of_row[postings.rows]
+            continue
         owner = np.zeros(len(postings), dtype=np.int32)
         if postings.max_len >= 2:
             level2 = next(islice(postings.level_values(), 1, None))
-            owner[postings.lengths >= 2] = shards[
-                numbers.searchsorted(level2)]
+            owner[postings.lengths >= 2] = owner_of_row[
+                table.rows_at(2, level2)]
         owners[term] = owner
     return owners
 

@@ -18,7 +18,7 @@ section) is parsed from its canonical serialization instead.
 from __future__ import annotations
 
 import xml.parsers.expat as expat
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -72,68 +72,73 @@ def _expat_error(data: bytes, exc: expat.ExpatError,
 
 def _read(data: bytes) -> ParsedDocument:
     """One expat pass over `data`; ``text_off`` is None when some
-    element's text has no single span."""
+    element's text has no single span.  The handlers do as little per
+    element as they can: ordinals, normalized texts and spans are made
+    after the pass."""
     parser = expat.ParserCreate(encoding="UTF-8")
-    parent, level, ordinal, tag_id, text_off, text_len = \
-        [], [], [], [], [], []
+    parent: List[int] = []
+    level: List[int] = []
+    tag_id: List[int] = []
     tag_ids: Dict[str, int] = {}
-    texts: List[str] = []
     attributes: Dict[int, Dict[str, str]] = {}
-    # Per open element: its row, children so far, character data so
-    # far and the span of its one stretch with content.
-    stack: List[list] = []
-    pending: List[str] = []      # the stretch of character data being read
+    raw: Dict[int, str] = {}     # row -> its text from its first content on
+    span_row, span_from, span_to = [], [], []    # each stretch with content
+    stack: List[int] = [-1]      # the open elements' rows, under a sentinel
+    pending: Optional[str] = None    # the stretch of text being read
     stretch_at = 0               # ... and where it starts
     in_cdata = False
     spanned = True               # every text so far has one span
 
     def close_stretch() -> None:
-        nonlocal spanned
-        if pending:
-            text = "".join(pending)
-            pending.clear()
-            top = stack[-1]
-            top[2].append(text)
-            if not text.isspace():
-                spanned = spanned and top[3] is None and not in_cdata
-                top[3] = (stretch_at, parser.CurrentByteIndex)
+        nonlocal spanned, pending
+        text, pending = pending, None
+        row = stack[-1]
+        if text.isspace():
+            if row in raw:
+                raw[row] += text
+            return
+        if row in raw:
+            raw[row] += text
+            spanned = False
+        else:
+            raw[row] = text
+        if in_cdata:
+            spanned = False
+        span_row.append(row)
+        span_from.append(stretch_at)
+        span_to.append(parser.CurrentByteIndex)
 
     def start(tag, attrs):
-        close_stretch()
+        if pending is not None:
+            close_stretch()
         row = len(parent)
-        if stack:
-            above = stack[-1]
-            above[1] += 1
-            parent.append(above[0])
-            ordinal.append(above[1])
-        else:
-            parent.append(-1)
-            ordinal.append(1)
-        level.append(len(stack) + 1)
-        tag_id.append(tag_ids.setdefault(tag, len(tag_ids)))
         if attrs:
             attributes[row] = attrs
-        texts.append("")
-        text_off.append(0)
-        text_len.append(0)
-        stack.append([row, 0, [], None])
+        parent.append(stack[-1])
+        level.append(len(stack))
+        tag_id.append(tag_ids.setdefault(tag, len(tag_ids)))
+        stack.append(row)
 
     def end(_tag):
-        close_stretch()
-        row, _, parts, span = stack.pop()
-        texts[row] = " ".join("".join(parts).split())
-        if span is not None:
-            text_off[row], text_len[row] = span[0], span[1] - span[0]
+        if pending is not None:
+            close_stretch()
+        stack.pop()
 
     def chars(text):
-        nonlocal stretch_at
-        if not pending:
+        nonlocal pending, stretch_at
+        if pending is None:
+            pending = text
             stretch_at = parser.CurrentByteIndex
-        pending.append(text)
+        else:
+            pending += text
+
+    def flush(*_):
+        if pending is not None:
+            close_stretch()
 
     def cdata(opening: bool):
         nonlocal in_cdata
-        close_stretch()
+        flush()
         in_cdata = opening
 
     def refuse(message: str, at: int):
@@ -144,8 +149,8 @@ def _read(data: bytes) -> ParsedDocument:
     parser.CharacterDataHandler = chars
     parser.StartCdataSectionHandler = lambda: cdata(True)
     parser.EndCdataSectionHandler = lambda: cdata(False)
-    parser.CommentHandler = lambda _text: close_stretch()
-    parser.ProcessingInstructionHandler = lambda *_: close_stretch()
+    parser.CommentHandler = flush
+    parser.ProcessingInstructionHandler = flush
     parser.EntityDeclHandler = lambda name, is_parameter, *_: refuse(
         f"entity declarations are not supported (<!ENTITY "
         f"{'% ' if is_parameter else ''}{name} ...>)",
@@ -156,16 +161,39 @@ def _read(data: bytes) -> ParsedDocument:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise _expat_error(data, exc, parser.ErrorByteIndex) from None
+    del parser          # the handlers' cycle through it, which held the lists
+    n = len(parent)
     parsed = ParsedDocument()
     parsed.data, parsed.tags = data, list(tag_ids)
-    parsed.texts, parsed.attributes = texts, attributes
+    parsed.attributes = attributes
+    parsed.texts = texts = [""] * n
+    for row, text in raw.items():
+        # Every whitespace character but " " is unprintable, so a
+        # printable text without doubled or outer spaces is normalized.
+        if text.isprintable() and "  " not in text \
+                and text[0] != " " != text[-1]:
+            texts[row] = text
+        else:
+            texts[row] = " ".join(text.split())
     parsed.parent = np.array(parent, dtype=np.int32)
     parsed.level = np.array(level, dtype=np.uint16)
-    parsed.ordinal = np.array(ordinal, dtype=np.int32)
     parsed.tag_id = np.array(tag_id, dtype=np.int32)
-    parsed.text_off = (np.array(text_off, dtype=np.int64) if spanned
-                       else None)
-    parsed.text_len = np.array(text_len, dtype=np.int32)
+    # A row's ordinal: 1 + its earlier siblings (rows are in document
+    # order, so a stable sort by parent keeps siblings in theirs).
+    by_parent = np.argsort(parsed.parent, kind="stable")
+    grouped = parsed.parent[by_parent]
+    parsed.ordinal = np.empty(n, dtype=np.int32)
+    parsed.ordinal[by_parent] = np.arange(1, n + 1) \
+        - grouped.searchsorted(grouped)
+    # An element's last stretch with content wins (a second one leaves
+    # the document unspanned).
+    rows = np.array(span_row, dtype=np.int64)
+    starts = np.array(span_from, dtype=np.int64)
+    text_off = np.zeros(n, dtype=np.int64)
+    text_off[rows] = starts
+    parsed.text_len = np.zeros(n, dtype=np.int32)
+    parsed.text_len[rows] = np.array(span_to, dtype=np.int64) - starts
+    parsed.text_off = text_off if spanned else None
     return parsed
 
 

@@ -57,6 +57,22 @@ class TestVarints:
         with pytest.raises(ValueError):
             cmp.write_varint(bytearray(), -1)
 
+    def test_encoder_refuses_what_the_decoder_refuses(self):
+        """`VARINT_MAX` round-trips; one past it, or a negative value,
+        is refused when written, not when read back."""
+        for encode in (cmp.encode_varints, cmp.encode_varint_column):
+            blob = encode([cmp.VARINT_MAX])
+            assert cmp.decode_varints(blob).tolist()[-1] == cmp.VARINT_MAX
+            for bad in ([cmp.VARINT_MAX + 1], [2 ** 70], [-1],
+                        [1, cmp.VARINT_MAX + 1]):
+                with pytest.raises(ValueError):
+                    encode(bad)
+        top = np.array([0, cmp.VARINT_MAX], dtype=np.uint64)
+        assert cmp.decode_varints(cmp.encode_varints(top)).tolist() \
+            == [0, cmp.VARINT_MAX]
+        with pytest.raises(ValueError):
+            cmp.encode_varints(np.array([-1, 3], dtype=np.int64))
+
     @given(st.lists(st.integers(0, 2 ** 32), max_size=50))
     def test_roundtrip_stream(self, values):
         assert cmp.decode_varints(cmp.encode_varints(values)).tolist() \

@@ -138,7 +138,7 @@ class TestLengthsEncoding:
     def test_lengths_round_trip_as_int64(self, tree, term):
         postings = XMLDatabase.from_tree(tree()).columnar_index \
             .term_postings(term)
-        payload = storage.serialize_columnar_payload(postings)
+        payload, = storage.serialize_columnar_payloads([postings])
         lengths, scores, levels = storage.parse_payload(term, payload)
         assert lengths.dtype == np.int64
         assert lengths.tolist() == list(postings.lengths)
@@ -150,9 +150,9 @@ class TestLengthsEncoding:
     def test_single_length_is_one_pair(self):
         """The common case the run-length coding is for: every sequence
         of a term has one length -- three bytes, not eight a sequence."""
-        assert storage._encode_lengths([4] * 100_000) \
-            == bytes([2, 4]) + bytes([0xa0, 0x8d, 0x06])
-        assert storage._encode_lengths([]) == bytes([0])
+        assert storage._encode_lengths([[4] * 100_000, [], [1, 2, 2]]) \
+            == [bytes([2, 4]) + bytes([0xa0, 0x8d, 0x06]), bytes([0]),
+                bytes([4, 1, 1, 2, 2])]
 
 
 class TestOneFormat:
@@ -428,25 +428,6 @@ class TestFraming:
         for term in loaded.vocabulary:
             assert np.array_equal(loaded.term_postings(term).scores,
                                   index.term_postings(term).scores)
-
-    def test_deserializer_roundtrips_every_score_mode(self):
-        """Exact, quantized and absent scores."""
-        index = _build_db().columnar_index
-        for mode, tolerance in ((storage.SCORES_EXACT, 0.0),
-                                (storage.SCORES_QUANTIZED, 1 / 256),
-                                (storage.SCORES_NONE, None)):
-            blob = storage.serialize_columnar_index(index, score_mode=mode)
-            loaded = LazyColumnarIndex(blob, index.nodes)
-            assert loaded.vocabulary == index.vocabulary
-            for term in loaded.vocabulary:
-                postings = loaded.term_postings(term)
-                original = index.term_postings(term)
-                assert postings.seqs == original.seqs
-                if tolerance is None:
-                    assert not np.any(postings.scores)
-                else:
-                    assert np.all(np.abs(postings.scores - original.scores)
-                                  <= tolerance)
 
     def test_unknown_scheme_id_is_typed(self):
         """A payload naming a scheme id outside the registry parses to

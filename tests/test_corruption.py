@@ -492,6 +492,31 @@ class TestContainerFuzz:
                     db.columnar_index.term_postings(ref.term)
                 assert err.value.term == ref.term
 
+    def test_score_mode_other_than_exact(self, clean_dir):
+        """The writer stores exact scores only: a payload whose score
+        mode says otherwise is corruption naming its term, at the
+        parser and at a query's first touch."""
+        import struct
+
+        with open(os.path.join(clean_dir, _COLUMNAR), "rb") as fh:
+            blob = bytearray(fh.read())
+        _algo, refs = storage.scan_container(bytes(blob))
+        ref = refs[0]
+        for mode in (storage.SCORES_NONE, storage.SCORES_QUANTIZED, 3,
+                     2 ** 31):
+            struct.pack_into("<I", blob, ref.offset + 12, mode)
+            payload = bytes(blob[ref.offset: ref.offset + ref.length])
+            with pytest.raises(DatabaseCorruptError) as err:
+                storage.parse_payload(ref.term, payload)
+            assert err.value.term == ref.term
+            assert "score mode" in str(err.value)
+            with _Mutant(clean_dir, _COLUMNAR) as mutant:
+                mutant.write(bytes(blob))
+                db = load_database(clean_dir, verify="off")
+                with pytest.raises(DatabaseCorruptError) as err:
+                    db.columnar_index.term_postings(ref.term)
+                assert err.value.term == ref.term
+
     def test_hostile_length_runs(self):
         """The (length, run) pairs are decoded before anything is
         allocated for them: runs that do not add up to n_seqs, an odd
@@ -499,7 +524,7 @@ class TestContainerFuzz:
         are refused outright."""
         from repro.index.compression import encode_varint_column
 
-        good = storage._encode_lengths([2, 2, 2, 3, 3, 1])
+        good, = storage._encode_lengths([[2, 2, 2, 3, 3, 1]])
         assert storage._decode_lengths(good, 6, 3).tolist() \
             == [2, 2, 2, 3, 3, 1]
         for pairs, n_seqs, max_len in (

@@ -435,16 +435,17 @@ class TestStreamingSave:
         path = str(tmp_path / "db")
         save_database(corpus_db, path, fsync=False)
         expected = _answers(load_database(path))
-        real = storage.serialize_columnar_payload
+        real = storage.checksum
         calls = []
 
-        def failing(postings, *args, **kwargs):
-            calls.append(postings.term)
+        def failing(payload, *args, **kwargs):
+            # once per term payload the container writer frames
+            calls.append(payload)
             if len(calls) == 25:
                 raise OSError("disk full")
-            return real(postings, *args, **kwargs)
+            return real(payload, *args, **kwargs)
 
-        monkeypatch.setattr(storage, "serialize_columnar_payload", failing)
+        monkeypatch.setattr(storage, "checksum", failing)
         other = XMLDatabase.generate_dblp(seed=2, n_papers=300)
         with pytest.raises(OSError, match="disk full"):
             save_database(other, path, fsync=False)

@@ -350,6 +350,8 @@ REMOVED_NAMES = (
     "DocumentBytes", "CHUNK_BYTES", "sequences_in_order", "number_of",
     "sequence_of", "iter_document_order", "ColumnarIndex.tree",
     "InvertedIndex.tree", "TextSource.choice",
+    # the container writer's score modes: it stores exact scores only
+    "score_mode=",
 )
 
 

@@ -13,8 +13,7 @@ from repro.index.lazydisk import (IOStats, LazyColumnarIndex,
 
 @pytest.fixture
 def lazy_pair(small_db):
-    blob = storage.serialize_columnar_index(
-        small_db.columnar_index, score_mode=storage.SCORES_EXACT)
+    blob = storage.serialize_columnar_index(small_db.columnar_index)
     lazy = LazyColumnarIndex(blob, small_db.tree, small_db.tokenizer,
                              small_db.ranking)
     return small_db, lazy
@@ -175,8 +174,7 @@ class TestQueriesOnLazyIndex:
     def test_shallow_keyword_limits_io(self, corpus_db):
         """A keyword living only at shallow levels caps the sweep: the
         deep columns of the frequent keyword are never decompressed."""
-        blob = storage.serialize_columnar_index(
-            corpus_db.columnar_index, score_mode=storage.SCORES_EXACT)
+        blob = storage.serialize_columnar_index(corpus_db.columnar_index)
         lazy = LazyColumnarIndex(blob, corpus_db.tree,
                                  corpus_db.tokenizer, corpus_db.ranking)
         deep = corpus_db.columnar_index.term_postings("gamma").max_len

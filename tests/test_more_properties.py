@@ -35,8 +35,7 @@ def test_columnar_serialization_roundtrip_random_trees(tree):
     column's ``run_ordinals`` (one ordinal a run) stand for."""
     db = XMLDatabase.from_tree(tree)
     index = db.columnar_index
-    blob = storage.serialize_columnar_index(index,
-                                            score_mode=storage.SCORES_EXACT)
+    blob = storage.serialize_columnar_index(index)
     loaded = LazyColumnarIndex(blob, index.nodes)
     assert loaded.vocabulary == index.vocabulary
     for term in loaded.vocabulary:
@@ -65,8 +64,7 @@ def test_lazy_index_equals_eager_on_random_trees(tree, terms):
     from repro.algorithms.join_based import JoinBasedSearch
 
     db = XMLDatabase.from_tree(tree)
-    blob = storage.serialize_columnar_index(
-        db.columnar_index, score_mode=storage.SCORES_EXACT)
+    blob = storage.serialize_columnar_index(db.columnar_index)
     lazy = LazyColumnarIndex(blob, db.tree, db.tokenizer, db.ranking)
     expected, _ = JoinBasedSearch(db.columnar_index).evaluate(terms, "elca")
     got, _ = JoinBasedSearch(lazy).evaluate(terms, "elca")
