@@ -473,7 +473,7 @@ def ablation_compression_rows(bench: Workbench) -> List[tuple]:
         postings = [db.columnar_index.term_postings(term)
                     for term in db.columnar_index.vocabulary]
         for lo in range(0, len(postings), 256):     # 256 terms a batch
-            values, bounds = batch_level_values(postings[lo: lo + 256])
+            values, bounds, _ = batch_level_values(postings[lo: lo + 256])
             schemes, blobs = encode_columns(values, bounds, PAPER_CODECS)
             for c, (scheme, blob) in enumerate(zip(schemes, blobs)):
                 total = totals[SCHEME_NAMES[int(scheme)]]

@@ -1,7 +1,7 @@
 """Synthetic data: DBLP/XMark-like generators and query workloads."""
 
 from .text import (CorrelatedGroup, PlantedTerm, PlantingPlan, TextSource,
-                   apply_planting, frequency_ladder)
+                   frequency_ladder)
 from .dblp import DBLPGenerator
 from .xmark import XMarkGenerator
 from .workload import QuerySpec, WorkloadBuilder, random_terms_in_range
@@ -11,7 +11,6 @@ __all__ = [
     "PlantedTerm",
     "PlantingPlan",
     "TextSource",
-    "apply_planting",
     "frequency_ladder",
     "DBLPGenerator",
     "XMarkGenerator",

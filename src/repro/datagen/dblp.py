@@ -14,12 +14,13 @@ workloads (paper Figures 9 and 10).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
+from ..index.columnar import expand_runs
 from ..xmltree.tree import XMLTree
-from .text import PlantingPlan, TextSource, apply_planting, element
+from .text import DocumentWriter, PlantingPlan, TextSource, interleave, plant
 
 
 class DBLPGenerator:
@@ -59,9 +60,8 @@ class DBLPGenerator:
 
     def generate(self) -> XMLTree:
         """The document, written straight to its bytes (JDewey numbering
-        is the database's)."""
-        text = TextSource(self.seed, self.vocab_size)
-        names = TextSource(self.seed + 1, 500, prefix="author")
+        is the database's) by one `DocumentWriter` pass: texts are
+        numbered titles and abstracts paper by paper, then authors."""
         rng = np.random.default_rng(self.seed + 2)
 
         # Zipf-ish venue sizes: big conferences get most of the papers.
@@ -70,37 +70,45 @@ class DBLPGenerator:
         conf_of = rng.choice(self.n_conferences, size=self.n_papers,
                              p=conf_probs)
         year_of = rng.integers(self.n_years, size=self.n_papers)
+        n_authors = 1 + rng.integers(self.max_authors, size=self.n_papers)
 
-        texts: List[str] = []           # titles and abstracts
-        entities: List[List[int]] = []  # per paper, its texts' positions
-        authors: List[str] = []         # per paper, its authors element
-        for _ in range(self.n_papers):
-            entities.append([len(texts)])
-            texts.append(text.sentence(self.title_words))
-            authors.append(element("authors", "", *(
-                element("author", names.sentence(2))
-                for _ in range(1 + int(rng.integers(self.max_authors))))))
-            if self.abstract_words:
-                entities[-1].append(len(texts))
-                texts.append(text.sentence(self.abstract_words))
-        self.realized_df = apply_planting(self.plan, texts, entities, rng)
+        n, per = self.n_papers, 2 if self.abstract_words else 1
+        self.realized_df, injections = plant(
+            self.plan, np.arange(0, n * per + 1, per), rng)
+        writer = DocumentWriter()
+        n_texts = n * per + int(n_authors.sum())
+        writer.texts((TextSource(self.seed, self.vocab_size),
+                      TextSource(self.seed + 1, 500, prefix="author")),
+                     np.arange(n_texts) >= n * per,
+                     np.append(np.tile([self.title_words,
+                                        self.abstract_words][:per], n),
+                               np.full(n_texts - n * per, 2)),
+                     ("title", "abstract", "author"),
+                     np.append(np.tile(np.arange(per), n),
+                               np.full(n_texts - n * per, 2)),
+                     self.plan.all_terms(), injections)
         # Document order: by venue, then year, then generation order.
-        slots: List[List[int]] = [
-            [] for _ in range(self.n_conferences * self.n_years)]
-        for p, slot in enumerate((conf_of * self.n_years + year_of).tolist()):
-            slots[slot].append(p)
-
-        def paper(p: int) -> str:
-            title, *abstract = entities[p]
-            return element("paper", "", element("title", texts[title]),
-                           authors[p], *(element("abstract", texts[a])
-                                         for a in abstract))
-
-        def year(slot: int) -> str:
-            return element("year", str(1996 + slot % self.n_years),
-                           *map(paper, slots[slot]))
-
-        return XMLTree(document=element("dblp", "", *(
-            element("conference", "", element("name", f"conf{c:03d}"), *map(
-                year, range(c * self.n_years, (c + 1) * self.n_years)))
-            for c in range(self.n_conferences))).encode("utf-8"))
+        slot = conf_of * self.n_years + year_of
+        order = np.argsort(slot, kind="stable")
+        authors = (np.cumsum(n_authors) - n_authors + n * per)[order]
+        papers = interleave(
+            n, writer.markup("<paper>"), order * per,
+            writer.markup("<authors>"),
+            (expand_runs(authors, n_authors[order])[0], n_authors[order]),
+            writer.markup("</authors>"), *[order * per + 1][:per - 1],
+            writer.markup("</paper>"))
+        entries = np.cumsum(np.append(0, n_authors[order] + 4 + per))
+        n_slots = self.n_conferences * self.n_years
+        slot_ends = np.cumsum(np.bincount(slot, minlength=n_slots))
+        heads = []
+        for s in range(n_slots):
+            c, y = divmod(s, self.n_years)
+            head = "</year>" if s else "<dblp>"
+            if not y:
+                head += ("</conference>" if s else "") \
+                    + f"<conference><name>conf{c:03d}</name>"
+            heads.append(writer.markup(f"{head}<year>{1996 + y}"))
+        return XMLTree(document=writer.render(np.append(interleave(
+            n_slots, np.array(heads),
+            (papers, np.diff(entries[np.append(0, slot_ends)]))),
+            writer.markup("</year></conference></dblp>"))))

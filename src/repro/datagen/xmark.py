@@ -19,12 +19,12 @@ uniform, exercising the level-by-level machinery on varied shapes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..xmltree.tree import XMLTree
-from .text import PlantingPlan, TextSource, apply_planting, element
+from .text import DocumentWriter, PlantingPlan, TextSource, interleave, plant
 
 _REGIONS = ("africa", "asia", "europe", "namerica", "samerica")
 
@@ -56,60 +56,72 @@ class XMarkGenerator:
 
     def generate(self) -> XMLTree:
         """The document, written straight to its bytes (JDewey numbering
-        is the database's)."""
-        text = TextSource(self.seed, self.vocab_size)
-        names = TextSource(self.seed + 1, 800, prefix="person")
+        is the database's) by one `DocumentWriter` pass: texts are
+        numbered entity by entity, items, people, open and closed
+        auctions, then categories."""
         rng = np.random.default_rng(self.seed + 2)
-        texts: List[str] = []           # every text planting may touch
-        entities: List[List[int]] = []  # per entity, its texts' positions
-
-        def entity(*sentences: str) -> List[int]:
-            mine = list(range(len(texts), len(texts) + len(sentences)))
-            texts.extend(sentences)
-            entities.append(mine)
-            return mine
-
-        n_items = self._count(_BASE_ITEMS)
+        n_items, n_people, n_open, n_closed, n_categories = map(
+            self._count, (_BASE_ITEMS, _BASE_PEOPLE, _BASE_OPEN,
+                          _BASE_CLOSED, _BASE_CATEGORIES))
         region_of = rng.integers(len(_REGIONS), size=n_items)
-        items = [entity(text.sentence(3),
-                        text.sentence(self.description_words))
-                 for _ in range(n_items)]
-        people = [entity(names.sentence(2), text.sentence(4))
-                  for _ in range(self._count(_BASE_PEOPLE))]
-        open_auctions = [(entity(text.sentence(self.description_words)),
-                          f"{rng.integers(1, 500)}.00")
-                         for _ in range(self._count(_BASE_OPEN))]
-        closed_auctions = [entity(text.sentence(self.description_words))
-                           for _ in range(self._count(_BASE_CLOSED))]
-        categories = [entity(text.sentence(2), text.sentence(6))
-                      for _ in range(self._count(_BASE_CATEGORIES))]
-        self.realized_df = apply_planting(self.plan, texts, entities, rng)
-        by_region: List[List[List[int]]] = [[] for _ in _REGIONS]
-        for item, region in zip(items, region_of.tolist()):
-            by_region[region].append(item)
-
-        def described(para: int) -> str:
-            return element("description", "", element("text", texts[para]))
-
-        return XMLTree(document=element(
-            "site", "",
-            element("regions", "", *(element(region, "", *(
-                element("item", "", element("name", texts[name]),
-                        described(para)) for name, para in mine))
-                for region, mine in zip(_REGIONS, by_region))),
-            element("people", "", *(element(
-                "person", "", element("name", texts[name]),
-                element("profile", "", element("interest", texts[interest])))
-                for name, interest in people)),
-            element("open_auctions", "", *(element(
-                "open_auction", "", element("annotation", "", described(para)),
-                element("initial", initial))
-                for (para,), initial in open_auctions)),
-            element("closed_auctions", "", *(element("closed_auction", "", (
-                element("annotation", "", described(para))))
-                for (para,) in closed_auctions)),
-            element("categories", "", *(element(
-                "category", "", element("name", texts[name]),
-                element("description", texts[description]))
-                for name, description in categories)),
-        ).encode("utf-8"))
+        initial = rng.integers(1, 500, size=n_open)
+        sizes = np.repeat([2, 2, 1, 1, 2],
+                          [n_items, n_people, n_open, n_closed, n_categories])
+        self.realized_df, injections = plant(
+            self.plan, np.append(0, np.cumsum(sizes)), rng)
+        words = self.description_words
+        lengths = np.concatenate((
+            np.tile([3, words], n_items), np.tile([2, 4], n_people),
+            np.full(n_open + n_closed, words), np.tile([2, 6], n_categories)))
+        # where the texts of items, people, open and closed auctions and
+        # categories begin
+        _, person, auction, closed, category = np.cumsum(
+            [0, 2 * n_items, 2 * n_people, n_open, n_closed])
+        which = np.zeros(len(lengths), dtype=np.int64)
+        which[person: auction: 2] = 1
+        writer = DocumentWriter()
+        writer.texts((TextSource(self.seed, self.vocab_size),
+                      TextSource(self.seed + 1, 800, prefix="person")),
+                     which, lengths,
+                     ("name", "text", "interest", "description"),
+                     np.concatenate((
+                         np.tile([0, 1], n_items), np.tile([0, 2], n_people),
+                         np.ones(n_open + n_closed, dtype=np.int64),
+                         np.tile([0, 3], n_categories))),
+                     self.plan.all_terms(), injections)
+        m = writer.markup
+        order = np.argsort(region_of, kind="stable")
+        items = interleave(n_items, m("<item>"), 2 * order,
+                           m("<description>"), 2 * order + 1,
+                           m("</description></item>"))
+        bounds = 5 * np.searchsorted(region_of[order],
+                                     np.arange(len(_REGIONS) + 1))
+        parts = [[m("<site><regions>")]]
+        for r, region in enumerate(_REGIONS):
+            mine = items[bounds[r]: bounds[r + 1]]
+            parts += [[m(f"<{region}>")], mine, [m(f"</{region}>")]] \
+                if len(mine) else [[m(f"<{region}/>")]]
+        values, at = np.unique(initial, return_inverse=True)
+        people = person + 2 * np.arange(n_people)
+        categories = category + 2 * np.arange(n_categories)
+        parts += [
+            [m("</regions><people>")],
+            interleave(n_people, m("<person>"), people, m("<profile>"),
+                       people + 1, m("</profile></person>")),
+            [m("</people><open_auctions>")],
+            interleave(n_open, m("<open_auction><annotation><description>"),
+                       auction + np.arange(n_open),
+                       m("</description></annotation>"),
+                       np.array([m(f"<initial>{v}.00</initial>"
+                                   "</open_auction>")
+                                 for v in values.tolist()])[at]),
+            [m("</open_auctions><closed_auctions>")],
+            interleave(n_closed,
+                       m("<closed_auction><annotation><description>"),
+                       closed + np.arange(n_closed),
+                       m("</description></annotation></closed_auction>")),
+            [m("</closed_auctions><categories>")],
+            interleave(n_categories, m("<category>"), categories,
+                       categories + 1, m("</category>")),
+            [m("</categories></site>")]]
+        return XMLTree(document=writer.render(np.concatenate(parts)))

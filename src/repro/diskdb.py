@@ -88,7 +88,6 @@ from typing import Optional
 from .api import XMLDatabase
 from .index import storage
 from .cache import DecodedColumnCache
-from .index.columnar import ColumnarIndex
 from .index.lazydisk import LazyColumnarIndex
 from .index.tokenizer import Tokenizer
 from .reliability.checksum import ALGORITHMS, DEFAULT_ALGORITHM
@@ -348,24 +347,17 @@ def save_database(db: XMLDatabase, path: str,
         data_files.append((_COLUMNAR, storage.container_chunks(
             columnar, algorithm=algorithm)))
     else:
-        from .serve.sharding import shard_owners, shard_postings
+        from .serve.sharding import shard_owners
 
-        postings = {t: columnar.term_postings(t)
-                    for t in columnar.vocabulary}
-        owners = shard_owners(postings, table, shards)
-
-        def shard_chunks(sid: int):
-            # Partitioned when its file is written: one shard's postings
-            # are alive at a time.
-            yield from storage.container_chunks(
-                ColumnarIndex.from_postings(
-                    table, shard_postings(postings, owners, sid)),
-                algorithm=algorithm)
-
+        # Each shard's container is the whole index's batches, keeping
+        # the occurrences the shard owns: no postings are made per shard.
+        owners = shard_owners({t: columnar.term_postings(t)
+                               for t in columnar.vocabulary}, table, shards)
         shard_dirs = [f"shard-{sid:02d}" for sid in range(shards)]
         for sid, shard_dir in enumerate(shard_dirs):
             data_files.append((os.path.join(shard_dir, _COLUMNAR),
-                               shard_chunks(sid)))
+                               storage.container_chunks(
+                                   columnar, algorithm, owners, sid)))
         meta["shards"] = {"count": shards, "strategy": "root-child-mod",
                           "dirs": shard_dirs}
     _commit_atomically(path, data_files, meta, algorithm, fsync)

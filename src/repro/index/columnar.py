@@ -6,6 +6,10 @@ them as node-table rows, `RowPostings`); column ``l`` holds the
 makes every column sorted, so runs of the same number are contiguous --
 the run view *is* the second compression scheme of section III-D, and
 the join algorithms operate directly on the distinct-value arrays.
+
+A `ColumnarIndex` is built in bulk: one in-place sort of a packed
+(term, JDewey rank, tf) key per occurrence groups the occurrences, and
+scores are looked up per distinct (df, tf, tokens), a chunk at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ def expand_runs(lows: np.ndarray, counts: np.ndarray
     """``(rows, offsets)``: every row of the ranges ``[lows[j], lows[j]
     + counts[j])`` laid end to end, and where range j starts in that."""
     offsets = np.cumsum(counts) - counts
-    rows = np.repeat(lows - offsets, counts) + np.arange(int(counts.sum()))
+    rows = np.repeat(lows - offsets, counts)
+    rows += np.arange(len(rows))
     return rows, offsets
 
 
@@ -213,15 +218,28 @@ class RowPostings(ColumnarPostings):
     occurrence is held.
     """
 
+    _lengths = None
+
     def __init__(self, term: str, nodes: NodeTable, rows: np.ndarray,
-                 scores: np.ndarray):
+                 scores: np.ndarray, max_len: Optional[int] = None):
         self.term = term
         self.nodes = nodes
         self.rows = rows
         self.scores = scores
-        self.lengths = nodes.level[rows].astype(np.int64)
-        self.max_len = int(self.lengths.max()) if len(rows) else 0
+        self.max_len = max_len if max_len is not None \
+            else int(nodes.level[rows].max()) if len(rows) else 0
         self._columns: Dict[int, Column] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Each occurrence's level, read off the table on first use and
+        kept: a query reads a few dozen terms' of thousands."""
+        if self._lengths is None:
+            self._lengths = self.nodes.level[self.rows].astype(np.int64)
+        return self._lengths
 
     @property
     def seqs(self) -> List[JDeweySeq]:
@@ -235,27 +253,37 @@ class RowPostings(ColumnarPostings):
         return self.nodes.paths(self.rows, "number")[0]
 
 
-def batch_level_values(postings: Sequence[ColumnarPostings]
-                       ) -> Tuple[np.ndarray, np.ndarray]:
+def batch_level_values(postings: Sequence[ColumnarPostings],
+                       keep: Optional[np.ndarray] = None
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every level's values of every term in `postings`, laid end to
-    end term by term and level by level, and where each column starts
-    (closed by the total): ``values[bounds[c]:bounds[c + 1]]`` is a
-    term's level as `level_values` gives it.  Postings holding rows of
-    one node table are read with one `NodeTable.paths` sweep over all
-    their rows; any other batch hands over each term's `level_values`."""
+    end term by term and level by level, where each column starts
+    (closed by the total), and the occurrences' lengths laid end to
+    end: ``values[bounds[c]:bounds[c + 1]]`` is a term's level as
+    `level_values` gives it.  `keep`, one flag per occurrence of the
+    batch (laid end to end), reads only the flagged ones (one shard's).
+    Postings holding rows of one node table are read with one
+    `NodeTable.paths` sweep over all their rows; any other batch hands
+    over each term's `level_values` (of its `select`ed occurrences)."""
     if not all(isinstance(p, RowPostings) and p.nodes is postings[0].nodes
                for p in postings):
+        if keep is not None:
+            postings = [p.select(np.flatnonzero(mine)) for p, mine in zip(
+                postings, np.split(keep, np.cumsum(list(map(len, postings)))))]
         columns = [v for p in postings for v in p.level_values()]
         return (np.concatenate(columns) if columns
                 else np.empty(0, dtype=np.int64),
-                np.cumsum([0] + [len(v) for v in columns]))
+                np.cumsum([0] + [len(v) for v in columns]),
+                np.concatenate([p.lengths for p in postings]))
     rows = np.concatenate([p.rows for p in postings])
+    term = np.repeat(np.arange(len(postings)), [len(p) for p in postings])
+    if keep is not None:
+        rows, term = rows[keep], term[keep]
     if not len(rows):
-        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.zeros(1, dtype=np.int64), empty
     matrix, levels = postings[0].nodes.paths(rows, "number")
     depth = matrix.shape[1]
-    term = np.repeat(np.arange(len(postings)),
-                     [len(p.rows) for p in postings])
     # sizes[t, l]: term t's occurrences deeper than l, its level l + 1
     # column; the columns lie in (term, level) order.
     sizes = np.bincount(term * depth + levels - 1,
@@ -271,7 +299,7 @@ def batch_level_values(postings: Sequence[ColumnarPostings]
                                    - sizes[:, level])
         values[lead[term[deep]] + np.arange(len(deep))] = \
             matrix[deep, level]
-    return values, np.append(starts[sizes > 0], len(values))
+    return values, np.append(starts[sizes > 0], len(values)), levels
 
 
 class ColumnarIndex:
@@ -293,9 +321,11 @@ class ColumnarIndex:
         once tokenized), or a JDewey-encoded tree, numbered by its nodes
         (`repro.xmltree.nodetable.parse_tree`).
 
-        Tokenizes every node's text in bulk, scores each distinct (df,
-        tf, tokens) once, and groups the occurrences by term in JDewey
-        order with one sort."""
+        Tokenizes every node's text in bulk, then groups the
+        occurrences by term in JDewey order with one in-place sort of
+        one key each (term, JDewey rank, tf; `_pack`), and scores them
+        a chunk at a time, each distinct (df, tf, tokens) once
+        (`_scores`).  A term's postings are views of the sorted arrays."""
         if parsed is None:
             source, parsed = parse_tree(source)
         self.nodes = source
@@ -305,21 +335,35 @@ class ColumnarIndex:
         found = self.tokenizer.occurrences(parsed.texts)
         parsed.texts = None
         self.n_docs = int(np.count_nonzero(found.tokens))
-        rows, term, words = found.text, found.term, found.words
-        scores = _local_scores(self.ranking.scorer, term, found.tf,
-                               found.tokens[rows], self.n_docs)
-        del found
-        if not len(term):
+        if not len(found.term):
             return
-        order = np.lexsort((self.nodes.jdewey_ranks()[rows], term))
-        rows, term, scores = rows[order], term[order], scores[order]
-        del order
-        bounds = [0, *(np.flatnonzero(np.diff(term)) + 1).tolist(),
-                  len(term)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            word = words[term[lo]]
-            self._postings[word] = RowPostings(
-                word, self.nodes, rows[lo:hi], scores[lo:hi])
+        ranks = self.nodes.jdewey_ranks()
+        key, (term_shift, rank_shift) = _pack(
+            (found.term, len(found.words)), (ranks[found.text], len(ranks)),
+            (found.tf, int(found.tf.max()) + 1))
+        words, tokens = found.words, found.tokens
+        # Each array goes once read off (the build's transient is these).
+        del found
+        key.sort()
+        row_of_rank = np.empty(len(ranks), dtype=np.int32)
+        row_of_rank[ranks] = np.arange(len(ranks), dtype=np.int32)
+        del ranks
+        rows = row_of_rank[(key & ((1 << term_shift) - 1)) >> rank_shift]
+        del row_of_rank
+        tf = (key & ((1 << rank_shift) - 1)).astype(np.int32)
+        key >>= term_shift
+        ends = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, len(key))
+        starts = np.append(0, ends[:-1])
+        term_ids = key[starts].tolist()
+        del key
+        scores = _scores(self.ranking.scorer, tf, ends - starts,
+                         tokens[rows], self.n_docs)
+        del tf
+        max_len = np.maximum.reduceat(self.nodes.level[rows], starts)
+        for lo, hi, t, deepest in zip(starts.tolist(), ends.tolist(),
+                                      term_ids, max_len.tolist()):
+            self._postings[words[t]] = RowPostings(
+                words[t], self.nodes, rows[lo:hi], scores[lo:hi], deepest)
 
     @classmethod
     def from_postings(cls, nodes,
@@ -367,24 +411,54 @@ class ColumnarIndex:
         return self.nodes.node_at(level, number)
 
 
-def _local_scores(scorer, term: np.ndarray, tf: np.ndarray,
-                  tokens: np.ndarray, n_docs: int) -> np.ndarray:
-    """Each occurrence's local score ``g``.  A score depends on (df, tf,
-    tokens) alone, so ``scorer.score`` runs once per distinct triple,
-    on Python ints: every score is the one a call per occurrence would
-    give."""
-    df = np.bincount(term).astype(np.int32)[term]
-    order = np.lexsort((tokens, tf, df))
-    df, tf, tokens = df[order], tf[order], tokens[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = ((df[1:] != df[:-1]) | (tf[1:] != tf[:-1])
-               | (tokens[1:] != tokens[:-1]))
-    first = np.flatnonzero(new)
-    score = scorer.score
-    distinct = np.asarray(
-        [score(f, d, n_docs, k) for f, d, k in zip(
-            tf[first].tolist(), df[first].tolist(),
-            tokens[first].tolist())], dtype=np.float64)
-    scores = np.empty(len(order), dtype=np.float64)
-    scores[order] = distinct[np.cumsum(new, dtype=np.int32) - 1]
+#: Bits a packed key may use: an ``int64`` sorts as its value.
+KEY_BITS = 63
+#: Occurrences `_scores` looks up at once.
+SCORE_CHUNK = 1 << 14
+
+
+def _pack(*fields: Tuple[np.ndarray, int]) -> Tuple[np.ndarray, List[int]]:
+    """One ``int64`` per entry holding `fields`, each ``(values,
+    bound)`` with every value in ``[0, bound)``, the first the most
+    significant: sorting the keys sorts the entries by the fields in
+    turn.  Returns the keys and each field's shift but the last's (0).
+    Raises `OverflowError` when the bounds need more than `KEY_BITS`
+    bits, rather than let a key wrap and mis-sort."""
+    widths = [max(int(bound) - 1, 0).bit_length() for _, bound in fields]
+    if sum(widths) > KEY_BITS:
+        raise OverflowError(
+            f"fields of {' + '.join(map(str, widths))} bits do not pack "
+            f"into one {KEY_BITS}-bit key")
+    shifts = np.cumsum(widths[::-1])[::-1][1:].tolist() + [0]
+    key = fields[0][0].astype(np.int64)
+    key <<= shifts[0]
+    for (values, _), shift in zip(fields[1:], shifts[1:]):
+        key |= np.left_shift(values, shift, dtype=np.int64) if shift \
+            else values
+    return key, shifts[:-1]
+
+
+def _scores(scorer, tf: np.ndarray, df_runs: np.ndarray,
+            tokens: np.ndarray, n_docs: int) -> np.ndarray:
+    """Each occurrence's local score ``g``, the occurrences grouped by
+    term (``df_runs``: each term's run, which is its df).  A score
+    depends on (df, tf, tokens) alone, so ``scorer.score`` runs once per
+    distinct triple, on Python ints: every score is the one a call per
+    occurrence would give.  The triples are packed (`_pack`) and looked
+    up `SCORE_CHUNK` occurrences at a time."""
+    columns = (np.repeat(df_runs.astype(np.int32), df_runs), tf, tokens)
+    bounds = [int(column.max()) + 1 for column in columns]
+    known: Dict[int, float] = {}
+    scores = np.empty(len(tf), dtype=np.float64)
+    for lo in range(0, len(tf), SCORE_CHUNK):
+        key, (df_at, tf_at) = _pack(*zip(
+            (column[lo: lo + SCORE_CHUNK] for column in columns), bounds))
+        distinct, at = np.unique(key, return_inverse=True)
+        for triple in distinct.tolist():
+            if triple not in known:
+                known[triple] = scorer.score(
+                    (triple & ((1 << df_at) - 1)) >> tf_at, triple >> df_at,
+                    n_docs, triple & ((1 << tf_at) - 1))
+        scores[lo: lo + SCORE_CHUNK] = np.array(
+            [known[triple] for triple in distinct.tolist()])[at]
     return scores

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,8 +81,8 @@ def _paper_layouts(postings: Sequence[ColumnarPostings],
                    with_scores: bool) -> List[bytes]:
     """`serialize_columnar_postings` of consecutive terms, their
     columns encoded in one batch."""
-    schemes, payloads = encode_columns(*batch_level_values(postings),
-                                       PAPER_CODECS)
+    values, bounds, lengths = batch_level_values(postings)
+    schemes, payloads = encode_columns(values, bounds, PAPER_CODECS)
     blobs, first = [], 0
     for p in postings:
         out = bytearray()
@@ -239,43 +239,57 @@ def _decode_lengths(data, n_seqs: int, max_len: int) -> np.ndarray:
 _BATCH_OCCURRENCES = 4096
 
 
-def serialize_columnar_payloads(postings: Sequence[ColumnarPostings]
+def serialize_columnar_payloads(postings: Sequence[ColumnarPostings],
+                                keep: Optional[np.ndarray] = None
                                 ) -> List[bytes]:
     """Consecutive terms' offset-indexed, 8-aligned payloads, encoded
     as one batch: every level of every term read in one go
     (`batch_level_values`) and handed to `encode_columns` together, the
-    sequence lengths likewise."""
+    sequence lengths likewise.  `keep`, one flag per occurrence of the
+    batch (laid end to end), encodes only the flagged ones: one
+    shard's."""
     if not postings:
         return []
-    values, bounds = batch_level_values(postings)
+    values, bounds, lengths = batch_level_values(postings, keep)
     schemes, columns = encode_columns(values, bounds)
-    length_columns = _encode_lengths([p.lengths for p in postings])
+    scores = np.concatenate([np.asarray(p.scores, dtype=np.float64)
+                             for p in postings])
+    counts = np.array([len(p) for p in postings])
+    if keep is not None:
+        scores = scores[keep]
+        counts = np.bincount(np.repeat(np.arange(len(postings)), counts)[keep],
+                             minlength=len(postings))
+    ends = np.cumsum(counts)
+    max_lens = np.zeros(len(counts), dtype=np.int64)
+    if len(lengths):
+        max_lens[counts > 0] = np.maximum.reduceat(lengths,
+                                                   (ends - counts)[counts > 0])
     payloads: List[bytes] = []
     first = 0
-    for p, lengths in zip(postings, length_columns):
-        max_len = int(p.max_len)
+    for n, end, max_len, length_column in zip(
+            counts.tolist(), ends.tolist(), max_lens.tolist(),
+            _encode_lengths(np.split(lengths, ends[:-1]))):
         levels = columns[first: first + max_len]
         level_lens = [len(c) for c in levels]
         # Lay out the offsets, then fill the preallocated buffer.
         lengths_off = _align8(_PAYLOAD_HEADER.size + 17 * max_len)
-        scores_off = _align8(lengths_off + len(lengths))
-        cursor = scores_off + 8 * len(p)
+        scores_off = _align8(lengths_off + len(length_column))
+        cursor = scores_off + 8 * n
         level_offs: List[int] = []
         for size in level_lens:
             level_offs.append(cursor)
             cursor = _align8(cursor + size)
         out = bytearray(cursor)
-        _PAYLOAD_HEADER.pack_into(out, 0, len(p), max_len, SCORES_EXACT,
-                                  lengths_off, len(lengths),
-                                  scores_off if len(p) else 0)
+        _PAYLOAD_HEADER.pack_into(out, 0, n, max_len, SCORES_EXACT,
+                                  lengths_off, len(length_column),
+                                  scores_off if n else 0)
         struct.pack_into(f"<{2 * max_len}Q", out, _PAYLOAD_HEADER.size,
                          *level_offs, *level_lens)
         schemes_off = _PAYLOAD_HEADER.size + 16 * max_len
         out[schemes_off: schemes_off + max_len] = \
             schemes[first: first + max_len].tobytes()
-        out[lengths_off: lengths_off + len(lengths)] = lengths
-        out[scores_off: scores_off + 8 * len(p)] = np.asarray(
-            p.scores, dtype=np.float64).tobytes()
+        out[lengths_off: lengths_off + len(length_column)] = length_column
+        out[scores_off: scores_off + 8 * n] = scores[end - n: end].tobytes()
         for off, column in zip(level_offs, levels):
             out[off: off + len(column)] = column
         payloads.append(bytes(out))
@@ -289,14 +303,20 @@ def serialize_columnar_index(index: ColumnarIndex,
     return b"".join(container_chunks(index, algorithm))
 
 
-def container_chunks(index: ColumnarIndex,
-                     algorithm: str = None) -> Iterator[bytes]:
+def container_chunks(index: ColumnarIndex, algorithm: str = None,
+                     owners: Optional[Dict[str, np.ndarray]] = None,
+                     sid: int = 0) -> Iterator[bytes]:
     """The columnar container, piece by piece: the file header, then
     each term's frame head and payload -- what
     `repro.diskdb.save_database` streams into its staged file.  Terms
     are encoded a batch at a time (`serialize_columnar_payloads`, about
     `_BATCH_OCCURRENCES` occurrences each), only when the stream gets
     to them; a batch holds at most that many, or one term.
+
+    With `owners` (per term, the shard of each occurrence:
+    `repro.serve.sharding.shard_owners`) it is shard `sid`'s container:
+    each batch keeps the occurrences `sid` owns, and a term it owns
+    none of is left out.
 
     Every payload's length is a multiple of 8, so each frame starts
     8-aligned with no padding before it."""
@@ -305,33 +325,44 @@ def container_chunks(index: ColumnarIndex,
         raise ValueError(f"unknown checksum algorithm {algorithm!r}; "
                          f"one of {sorted(ALGORITHM_IDS)}")
     terms = index.vocabulary
+    sizes = None
+    if owners is not None:
+        sizes = {term: int(np.count_nonzero(owners[term] == sid))
+                 for term in terms}
+        terms = [term for term in terms if sizes[term]]
     yield _FILE_HEADER.pack(MAGIC_COLUMNAR, ALGORITHM_IDS[algorithm],
                             len(terms))
-    for batch in _batches(index, terms):
-        yield from _frames(batch, algorithm)
+    for batch in _batches(index, terms, sizes):
+        yield from _frames(batch, algorithm, None if owners is None else
+                           np.concatenate([owners[t] for t, _ in batch])
+                           == sid)
 
 
-def _batches(index: ColumnarIndex, terms: List[str]
+def _batches(index: ColumnarIndex, terms: List[str],
+             sizes: Optional[Dict[str, int]] = None
              ) -> Iterator[List[Tuple[str, ColumnarPostings]]]:
     """`terms` and their postings in consecutive batches of at most
-    `_BATCH_OCCURRENCES` occurrences, or of one term that has more."""
+    `_BATCH_OCCURRENCES` occurrences (of those `sizes` counts per term,
+    when given), or of one term that has more."""
     batch: List[Tuple[str, ColumnarPostings]] = []
     occurrences = 0
     for term in terms:
         postings = index.term_postings(term)
-        if batch and occurrences + len(postings) > _BATCH_OCCURRENCES:
+        size = len(postings) if sizes is None else sizes[term]
+        if batch and occurrences + size > _BATCH_OCCURRENCES:
             yield batch
             batch, occurrences = [], 0
         batch.append((term, postings))
-        occurrences += len(postings)
+        occurrences += size
     if batch:
         yield batch
 
 
 def _frames(batch: Sequence[Tuple[str, ColumnarPostings]],
-            algorithm: str) -> Iterator[bytes]:
-    """Each term's frame head and payload, for a batch of terms."""
-    payloads = serialize_columnar_payloads([p for _, p in batch])
+            algorithm: str, keep: Optional[np.ndarray]) -> Iterator[bytes]:
+    """Each term's frame head and payload, for a batch of terms (their
+    occurrences `keep` flags, when given)."""
+    payloads = serialize_columnar_payloads([p for _, p in batch], keep)
     for (term, _), payload in zip(batch, payloads):
         term_bytes = term.encode("utf-8")
         yield (_FRAME.pack(len(term_bytes), len(payload),

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Sequence,
-                    Tuple)
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+(?:[-'][a-z0-9]+)*")
 _SEP = "\x00"
 _CHUNK_RE = re.compile(re.escape(_SEP) + "|" + _TOKEN_RE.pattern)
 #: Texts joined into one ``findall``.
-CHUNK_TEXTS = 4096
+CHUNK_TEXTS = 1024
 
 DEFAULT_STOPWORDS: FrozenSet[str] = frozenset({
     "a", "an", "and", "are", "as", "at", "be", "by", "for", "from", "in",
@@ -112,7 +111,7 @@ class Tokenizer:
         tokens are held at once."""
         vocabulary = _Vocabulary(self.stopwords, self.min_length)
         texts = iter(texts)
-        parts: List[Tuple[np.ndarray, ...]] = []
+        parts: List[List[np.ndarray]] = [[], [], []]    # text, term, tf
         tokens: List[np.ndarray] = []
         base = 0
         while True:
@@ -129,14 +128,15 @@ class Tokenizer:
                                  return_counts=True)
             tokens.append(np.bincount(ordinal, minlength=len(chunk))
                           .astype(np.int32))
-            parts.append(((keys // width + base).astype(np.int32),
-                          (keys % width).astype(np.int32),
-                          tf.astype(np.int32)))
+            for column, values in zip(parts, (keys // width + base,
+                                              keys % width, tf)):
+                column.append(values.astype(np.int32))
             base += len(chunk)
-        if not parts:
+        if not tokens:
             empty = np.empty(0, dtype=np.int32)
             return Occurrences(empty, empty, empty, empty, vocabulary.words)
-        text, term, tf = (np.concatenate(column) for column in zip(*parts))
+        # One column at a time, its chunks let go as it is joined.
+        text, term, tf = (np.concatenate(parts.pop(0)) for _ in range(3))
         return Occurrences(text, term, tf, np.concatenate(tokens),
                            vocabulary.words)
 

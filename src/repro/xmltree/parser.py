@@ -3,7 +3,8 @@
 The paper parses DBLP/XMark with Xerces; here one pass of the standard
 library's expat parser (`parse_document`) turns a document's bytes into
 the columns of `repro.xmltree.nodetable.NodeTable` plus each element's
-text and attributes.  No `Node` is built.  Comments and processing
+text and attributes.  No `Node` is built, and the columns are typed
+arrays while the pass runs, not lists of Python ints.  Comments and processing
 instructions are skipped and namespaces are lexical.  A DTD is skipped
 but an entity declaration is refused, so nothing is ever expanded or
 fetched, and so are undefined entities and characters outside XML
@@ -18,6 +19,7 @@ section) is parsed from its canonical serialization instead.
 from __future__ import annotations
 
 import xml.parsers.expat as expat
+from array import array
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -73,16 +75,16 @@ def _expat_error(data: bytes, exc: expat.ExpatError,
 def _read(data: bytes) -> ParsedDocument:
     """One expat pass over `data`; ``text_off`` is None when some
     element's text has no single span.  The handlers do as little per
-    element as they can: ordinals, normalized texts and spans are made
-    after the pass."""
+    element as they can: they append to typed arrays (no Python int is
+    kept per element), and ordinals, normalized texts and spans are
+    made after the pass."""
     parser = expat.ParserCreate(encoding="UTF-8")
-    parent: List[int] = []
-    level: List[int] = []
-    tag_id: List[int] = []
+    parent, level, tag_id = array("i"), array("i"), array("i")
     tag_ids: Dict[str, int] = {}
     attributes: Dict[int, Dict[str, str]] = {}
     raw: Dict[int, str] = {}     # row -> its text from its first content on
-    span_row, span_from, span_to = [], [], []    # each stretch with content
+    # each stretch with content: its row, and where it starts and ends
+    span_row, span_from, span_to = array("i"), array("q"), array("q")
     stack: List[int] = [-1]      # the open elements' rows, under a sentinel
     pending: Optional[str] = None    # the stretch of text being read
     stretch_at = 0               # ... and where it starts
@@ -175,9 +177,9 @@ def _read(data: bytes) -> ParsedDocument:
             texts[row] = text
         else:
             texts[row] = " ".join(text.split())
-    parsed.parent = np.array(parent, dtype=np.int32)
-    parsed.level = np.array(level, dtype=np.uint16)
-    parsed.tag_id = np.array(tag_id, dtype=np.int32)
+    parsed.parent = np.frombuffer(parent, dtype=np.int32)
+    parsed.level = np.frombuffer(level, dtype=np.int32).astype(np.uint16)
+    parsed.tag_id = np.frombuffer(tag_id, dtype=np.int32)
     # A row's ordinal: 1 + its earlier siblings (rows are in document
     # order, so a stable sort by parent keeps siblings in theirs).
     by_parent = np.argsort(parsed.parent, kind="stable")
@@ -187,12 +189,12 @@ def _read(data: bytes) -> ParsedDocument:
         - grouped.searchsorted(grouped)
     # An element's last stretch with content wins (a second one leaves
     # the document unspanned).
-    rows = np.array(span_row, dtype=np.int64)
-    starts = np.array(span_from, dtype=np.int64)
+    rows = np.frombuffer(span_row, dtype=np.int32)
+    starts = np.frombuffer(span_from, dtype=np.int64)
     text_off = np.zeros(n, dtype=np.int64)
     text_off[rows] = starts
     parsed.text_len = np.zeros(n, dtype=np.int32)
-    parsed.text_len[rows] = np.array(span_to, dtype=np.int64) - starts
+    parsed.text_len[rows] = np.frombuffer(span_to, dtype=np.int64) - starts
     parsed.text_off = text_off if spanned else None
     return parsed
 

@@ -1,7 +1,8 @@
 """The per-node index build `ColumnarIndex` used to run, kept as the
 reference the bulk build is held bit-identical to
 (`tests/test_build_equivalence.py`), and the Dewey lists the derived
-views must equal (`tests/test_dewey_view.py`).
+views must equal (`tests/test_dewey_view.py`).  `local_scores` is the
+bulk build's scoring before it looked scores up a chunk at a time.
 
 One text node at a time: a term -> tf dict per node, a ``(node, tf,
 tokens)`` tuple per occurrence, one ``scorer.score`` call per
@@ -9,6 +10,8 @@ occurrence, and the sequences sorted by tuple order.
 """
 
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.index.columnar import ColumnarPostings
 from repro.index.tokenizer import _TOKEN_RE, Tokenizer
@@ -70,3 +73,26 @@ def reference_dewey_lists(tree: XMLTree, tokenizer: Tokenizer = None,
     found, _ = occurrences(tree, tokenizer, ranking)
     return {term: [(node.dewey, score) for node, score in hits]
             for term, hits in found.items()}
+
+
+def local_scores(scorer, term: np.ndarray, tf: np.ndarray,
+                 tokens: np.ndarray, n_docs: int) -> np.ndarray:
+    """Each occurrence's local score ``g`` as the build used to score
+    them, occurrences in text order: one ``lexsort`` of every (df, tf,
+    tokens) triple, ``scorer.score`` once per distinct triple, on Python
+    ints."""
+    df = np.bincount(term).astype(np.int32)[term]
+    order = np.lexsort((tokens, tf, df))
+    df, tf, tokens = df[order], tf[order], tokens[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ((df[1:] != df[:-1]) | (tf[1:] != tf[:-1])
+               | (tokens[1:] != tokens[:-1]))
+    first = np.flatnonzero(new)
+    score = scorer.score
+    distinct = np.asarray(
+        [score(f, d, n_docs, k) for f, d, k in zip(
+            tf[first].tolist(), df[first].tolist(),
+            tokens[first].tolist())], dtype=np.float64)
+    scores = np.empty(len(order), dtype=np.float64)
+    scores[order] = distinct[np.cumsum(new, dtype=np.int32) - 1]
+    return scores

@@ -1,9 +1,9 @@
 """The bulk index build against the per-node reference build
 (`tests/reference_build.py`).
 
-`ColumnarIndex` tokenizes every text in bulk, scores each distinct
-(df, tf, tokens) once and groups the occurrences in JDewey order with
-one sort.  Whatever the corpus, tokenizer, scorer or chunk size, the
+`ColumnarIndex` tokenizes every text in bulk, groups the occurrences
+in JDewey order with one in-place sort of packed keys and scores each
+distinct (df, tf, tokens) once, a chunk at a time.  Whatever the corpus, tokenizer, scorer or chunk size, the
 result must be the per-node build's bit for bit: the vocabulary,
 ``n_docs``, every term's sequences in order, its lengths, the ``repr``
 of every score, and the serialized container, flat and per shard.
@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from repro import XMLDatabase
 from repro.datagen import DBLPGenerator, XMarkGenerator
-from repro.index import storage
+from repro.datagen.workload import WorkloadBuilder
+from repro.diskdb import save_database
+from repro.index import columnar, storage
 from repro.index import tokenizer as tokenizer_module
 from repro.index.columnar import ColumnarIndex, RowPostings
 from repro.index.tokenizer import Tokenizer
@@ -29,19 +31,25 @@ from repro.scoring.ranking import ConstantScorer, RankingModel
 from repro.serve.sharding import shard_owners, shard_postings
 from repro.xmltree.nodetable import NodeTable
 from repro.xmltree.tree import Node, XMLTree
-from tests.reference_build import reference_postings
+from tests.reference_build import local_scores, reference_postings
 
 
 def containers(index, tree):
     """The flat container of `index` and, for 2 and 3 shards, each
-    shard's container."""
+    shard's container as the save writes it: the whole index's batches,
+    keeping the shard's occurrences.  Each must be the container of the
+    shard's postings split off (`shard_postings`)."""
     out = [storage.serialize_columnar_index(index)]
     postings = {term: index.term_postings(term) for term in index.vocabulary}
     for n_shards in (2, 3):
         owners = shard_owners(postings, tree, n_shards)
-        out += [storage.serialize_columnar_index(ColumnarIndex.from_postings(
+        for sid in range(n_shards):
+            shard = b"".join(storage.container_chunks(index, owners=owners,
+                                                      sid=sid))
+            assert shard == storage.serialize_columnar_index(
+                ColumnarIndex.from_postings(
                     index.nodes, shard_postings(postings, owners, sid)))
-                for sid in range(n_shards)]
+            out.append(shard)
     return out
 
 
@@ -294,3 +302,111 @@ def test_build_peak_memory_at_2000_papers():
     finally:
         tracemalloc.stop()
     assert peak <= PER_NODE_BUILD_PEAK_MIB * 2 ** 20, peak / 2 ** 20
+
+
+#: `tracemalloc` peak above its start, in MiB, of generating the
+#: 2 000-paper planted DBLP corpus (`generate_and_build`) and building
+#: its columnar index.  The per-element generator and the ``lexsort``
+#: build peaked at 5.40 MiB by this protocol; the bulk pipeline at 4.29.
+GENERATE_AND_BUILD_PEAK_MIB = 4.75
+
+
+def generate_and_build():
+    builder = WorkloadBuilder(high_freq=400, low_freqs=(2, 10, 100, 400),
+                              per_cell=2, max_keywords=5,
+                              correlated_entities=250, seed=11)
+    generator = DBLPGenerator(seed=7, n_papers=2000, abstract_words=12,
+                              plan=builder.plan())
+    return lambda: XMLDatabase.from_tree(generator.generate()).columnar_index
+
+
+def test_generate_and_build_peak_memory_at_2000_papers():
+    run = generate_and_build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= GENERATE_AND_BUILD_PEAK_MIB * 2 ** 20, peak / 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the packed sort key and the chunked score lookup
+# ---------------------------------------------------------------------------
+
+def test_packed_keys_sort_as_their_fields():
+    rng = np.random.default_rng(1)
+    fields = [(rng.integers(0, bound, 5000), bound)
+              for bound in (2 ** 20, 3, 2 ** 41)]     # 20 + 2 + 41 bits
+    key, shifts = columnar._pack(*fields)
+    assert shifts == [43, 41]
+    assert np.array_equal(np.argsort(key, kind="stable"),
+                          np.lexsort([values for values, _ in fields[::-1]]))
+    assert np.array_equal(key >> 43, fields[0][0])
+    assert np.array_equal((key >> 41) & 3, fields[1][0])
+
+
+def test_a_key_past_the_bit_budget_is_refused(monkeypatch):
+    """A vocabulary x node count x tf that needs more bits than a key
+    holds raises rather than wrapping a key and mis-sorting."""
+    with pytest.raises(OverflowError, match="do not pack"):
+        columnar._pack((np.zeros(3, dtype=np.int64), 2 ** 40),
+                       (np.zeros(3, dtype=np.int64), 2 ** 20),
+                       (np.zeros(3, dtype=np.int64), 2 ** 4))
+    tree = DBLPGenerator(seed=7, n_papers=50).generate()
+    index = XMLDatabase.from_tree(tree).columnar_index
+    needed = sum((bound - 1).bit_length() for bound in (
+        len(index.vocabulary) + 1, len(index.nodes), 2))
+    monkeypatch.setattr(columnar, "KEY_BITS", needed - 1)
+    with pytest.raises(OverflowError):
+        XMLDatabase.from_tree(
+            DBLPGenerator(seed=7, n_papers=50).generate()).columnar_index
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+@pytest.mark.parametrize("ranking", RANKINGS)
+def test_chunked_scores_are_the_lexsort_scores(monkeypatch, chunk, ranking):
+    """`_scores` over the occurrences grouped by term gives each the
+    score the text-order ``lexsort`` scoring did, bit for bit, calling
+    the scorer once per distinct triple."""
+    monkeypatch.setattr(columnar, "SCORE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    term = rng.integers(0, 40, 3000).astype(np.int32)
+    tf = rng.integers(1, 6, 3000).astype(np.int32)
+    tokens = (tf + rng.integers(0, 9, 3000)).astype(np.int32)
+    want = local_scores(ranking.scorer, term, tf, tokens, 77)
+    by_term = np.argsort(term, kind="stable")
+    calls = []
+
+    class Recording:
+        def score(self, *args):
+            calls.append(args)
+            return ranking.scorer.score(*args)
+
+    got = columnar._scores(Recording(), tf[by_term],
+                           np.bincount(term)[np.unique(term)],
+                           tokens[by_term], 77)
+    assert list(map(repr, got.tolist())) == \
+        list(map(repr, want[by_term].tolist()))
+    assert len(calls) == len(set(calls))
+
+
+def test_lengths_are_read_on_first_use(tmp_path):
+    """A built index keeps no term's lengths until one is read (a save
+    reads them off the table for its batch instead)."""
+    db = XMLDatabase.from_tree(DBLPGenerator(seed=7, n_papers=100).generate())
+    index = db.columnar_index
+    save_database(db, str(tmp_path / "flat"), fsync=False)
+    save_database(db, str(tmp_path / "sharded"), fsync=False, shards=2)
+    postings = [index.term_postings(term) for term in index.vocabulary]
+    assert not any("_lengths" in vars(p) for p in postings)
+    for p in postings:
+        assert p.max_len == int(index.nodes.level[p.rows].max())
+    first = postings[0].lengths
+    assert first.dtype == np.int64
+    assert np.array_equal(first, index.nodes.level[postings[0].rows])
+    assert postings[0].lengths is first
+    assert not any("_lengths" in vars(p) for p in postings[1:])

@@ -184,9 +184,9 @@ class TestPayloads:
         sizes = []
         real = storage.serialize_columnar_payloads
 
-        def recording(batch):
+        def recording(batch, keep=None):
             sizes.append([len(p) for p in batch])
-            return real(batch)
+            return real(batch, keep)
 
         monkeypatch.setattr(storage, "serialize_columnar_payloads",
                             recording)

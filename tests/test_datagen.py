@@ -13,25 +13,24 @@ from repro.datagen.workload import (QuerySpec, WorkloadBuilder,
 
 class TestTextSource:
     def test_deterministic(self):
-        a = TextSource(seed=5).sentence(20)
-        b = TextSource(seed=5).sentence(20)
-        assert a == b
+        a = TextSource(seed=5).draw([20, 3])
+        b = TextSource(seed=5).draw([20, 3])
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        assert TextSource(seed=5).sentence(50) != \
-            TextSource(seed=6).sentence(50)
+        assert not np.array_equal(TextSource(seed=5).draw([50]),
+                                  TextSource(seed=6).draw([50]))
 
     def test_zipf_skew(self):
-        words = TextSource(seed=1, vocab_size=100).words_batch(20_000)
-        counts = {}
-        for w in words:
-            counts[w] = counts.get(w, 0) + 1
+        src = TextSource(seed=1, vocab_size=100)
+        counts = np.bincount(src.draw([20_000]), minlength=100)
         # The most frequent word dominates a mid-rank word heavily.
-        assert counts.get("w00000", 0) > 5 * counts.get("w00050", 1)
+        assert src.words[0] == "w00000"
+        assert counts[0] > 5 * max(counts[50], 1)
 
     def test_vocab_prefix(self):
         src = TextSource(seed=1, vocab_size=10, prefix="zz")
-        assert all(w.startswith("zz") for w in src.words_batch(100))
+        assert all(src.words[i].startswith("zz") for i in src.draw([100]))
 
     def test_empty_vocab_raises(self):
         with pytest.raises(ValueError):

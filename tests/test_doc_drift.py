@@ -352,6 +352,9 @@ REMOVED_NAMES = (
     "InvertedIndex.tree", "TextSource.choice",
     # the container writer's score modes: it stores exact scores only
     "score_mode=",
+    # the per-element generators and the lexsort scoring; they live on
+    # as tests/reference_datagen.py and tests/reference_build.py
+    "apply_planting", "words_batch", "TextSource.sentence", "_local_scores",
 )
 
 
