@@ -214,7 +214,7 @@ def main() -> int:
             env=env, check=True, timeout=300)
         daemon = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", db_dir,
-             "--port", str(PORT), "--workers", "0",
+             "--host", HOST, "--port", str(PORT), "--workers", "0",
              "--max-concurrency", "4", "--queue-limit", "16",
              "--access-log", ACCESS_LOG, "--trace-log", TRACE_LOG],
             env=env)

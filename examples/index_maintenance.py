@@ -10,11 +10,10 @@ Run with::
     python examples/index_maintenance.py
 """
 
-from repro import XMLDatabase, parse_xml
+from repro import XMLDatabase
 from repro.index import storage
 from repro.index.compression import choose_codec, uncompressed_size
 from repro.index.lazydisk import LazyColumnarIndex
-from repro.xmltree.jdewey import JDeweyEncoder
 from repro.xmltree.tree import Node
 
 DOC = """
@@ -43,10 +42,10 @@ def dump_levels(tree) -> None:
 
 
 def main() -> None:
-    tree = parse_xml(DOC)
-    encoder = JDeweyEncoder(tree, gap=2)
-    print("JDewey numbers per level (gap=2 reserves two spare slots per "
-          "parent):")
+    db = XMLDatabase.from_xml_text(DOC, jdewey_gap=2)
+    tree, encoder = db.tree, db.encoder
+    print("JDewey numbers per level (jdewey_gap=2 reserves two spare "
+          "slots per parent):")
     dump_levels(tree)
 
     # Cheap insertion: the reserved slot absorbs the new paper.
@@ -68,6 +67,12 @@ def main() -> None:
     print("numbers after the partial re-encode (the overflowing subtree "
           "moved to the numeric end of each level):")
     dump_levels(tree)
+    # The index is static: rebuild it from the mutated tree, keeping
+    # every JDewey number, and the new papers are searchable.
+    db.refresh()
+    found = db.search("freshly inserted")
+    print(f"after refresh: {len(found)} result(s) for 'freshly inserted'")
+    assert found
 
     # Column compression: scheme choice follows column cardinality.
     db = XMLDatabase.generate_dblp(seed=3, n_papers=800)

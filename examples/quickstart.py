@@ -6,6 +6,7 @@ Run with::
 """
 
 from repro import XMLDatabase
+from repro.algorithms.base import EmptyResultError
 
 BIB = """
 <bib>
@@ -62,6 +63,12 @@ def main() -> None:
         results = db.search("join xml", algorithm=algorithm)
         print(f"\n'{algorithm}' found {len(results)} results for "
               f"'join xml': {[r.node.tag for r in results]}")
+
+    # A misspelled term silently matches nothing; strict mode says so.
+    try:
+        db.search("xml keywrd", strict=True)
+    except EmptyResultError as exc:
+        print(f"\nstrict search: {exc}")
 
 
 if __name__ == "__main__":

@@ -90,8 +90,8 @@ class ResultSet(SequenceABC):
     def __init__(self, table, rows: np.ndarray, scores: np.ndarray,
                  witness: np.ndarray):
         self.table = table
-        # Read-only views, so the result caches can hand out what they
-        # store and the caller's own arrays stay as they were.
+        # Read-only views: a result set is immutable, and the caller's
+        # own arrays stay as they were.
         self.rows, self.scores, self.witness = columns = (
             rows.view(), scores.view(), witness.view())
         for column in columns:
@@ -277,12 +277,6 @@ class ExecutionStats:
     results_emitted: int = 0
     erasures: int = 0
     threshold_checks: int = 0
-    # Query-serving cache counters (repro.cache), filled in by
-    # `XMLDatabase` when a cache is wired in: result-cache hits skip
-    # level evaluation entirely, so `levels_processed` stays 0 for them.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
     # Resource accounting (repro.obs.account): bytes the query's
     # evaluation actually consumed, folded in by `XMLDatabase` from the
     # active `ResourceAccount`.  Mapped vs copied distinguishes
@@ -312,8 +306,8 @@ class ExecutionStats:
     _COUNTER_FIELDS = (
         "levels_processed", "joins", "merge_joins", "index_joins",
         "tuples_scanned", "lookups", "candidates_checked",
-        "results_emitted", "erasures", "threshold_checks", "cache_hits",
-        "cache_misses", "cache_evictions", "bytes_mapped", "bytes_copied",
+        "results_emitted", "erasures", "threshold_checks",
+        "bytes_mapped", "bytes_copied",
         "bytes_decompressed", "postings_bytes_read",
         "columns_decompressed", "cache_bytes_saved", "cache_bytes_paid",
         "levels_skipped")
@@ -341,30 +335,10 @@ class ExecutionStats:
         return merged.merge(other)
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "levels_processed": self.levels_processed,
-            "joins": self.joins,
-            "merge_joins": self.merge_joins,
-            "index_joins": self.index_joins,
-            "tuples_scanned": self.tuples_scanned,
-            "lookups": self.lookups,
-            "candidates_checked": self.candidates_checked,
-            "results_emitted": self.results_emitted,
-            "erasures": self.erasures,
-            "threshold_checks": self.threshold_checks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "bytes_mapped": self.bytes_mapped,
-            "bytes_copied": self.bytes_copied,
-            "bytes_decompressed": self.bytes_decompressed,
-            "postings_bytes_read": self.postings_bytes_read,
-            "columns_decompressed": self.columns_decompressed,
-            "cache_bytes_saved": self.cache_bytes_saved,
-            "cache_bytes_paid": self.cache_bytes_paid,
-            "partial": self.partial,
-            "levels_skipped": self.levels_skipped,
-        }
+        """Every counter, and `partial`."""
+        out = {name: getattr(self, name) for name in self._COUNTER_FIELDS}
+        out["partial"] = self.partial
+        return out
 
 
 @dataclass

@@ -37,12 +37,10 @@ from .algorithms.oracle import SemanticsOracle
 from .algorithms.rdil import RDILSearch
 from .algorithms.stack_based import StackBasedSearch
 from .algorithms.topk_keyword import TopKKeywordSearch
-from .cache import QueryCache, result_key
 from .reliability.deadline import Deadline
 from .index.columnar import ColumnarIndex
 from .index.inverted import InvertedIndex
 from .index.tokenizer import Tokenizer
-from .planner.plans import JoinPlanner
 from .scoring.ranking import RankingModel
 from .xmltree.jdewey import JDeweyEncoder
 from .xmltree.nodetable import NodeTable, parse_tree
@@ -67,7 +65,7 @@ class BatchResult(list):
       (``0.0`` for a query that failed);
     * ``elapsed_ms`` -- wall time of the whole batch;
     * ``errors`` -- query index -> exception, for queries that failed
-      when the batch ran with error isolation (the default).  A failed
+      in the batch (every failure is isolated).  A failed
       query's entry is ``None`` (or ``(None, stats)``) and its slot
       contributes nothing to ``summary``.
     """
@@ -87,35 +85,72 @@ class BatchResult(list):
         return not self.errors
 
 
-def run_batch(queries: Sequence, evaluate, with_stats: bool,
-              raise_on_error: bool) -> BatchResult:
-    """The sequential loop behind `XMLDatabase.search_batch` and
-    `ShardedDatabase.search_batch`.
+class BatchSearch:
+    """`search_batch` over a class's own `search` and `search_topk`:
+    one sequential loop for `XMLDatabase` and `ShardedDatabase` alike."""
 
-    ``evaluate(query)`` answers one query as ``(results, stats)``.  An
-    exception it raises is isolated into ``BatchResult.errors`` unless
-    ``raise_on_error``.
-    """
-    batch = BatchResult()
-    batch.summary = ExecutionStats()
-    batch.latencies_ms = []
-    batch.errors = {}
-    batch_start = time.perf_counter()
-    for index, query in enumerate(queries):
-        start = time.perf_counter()
-        try:
-            results, stats = evaluate(query)
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            batch.summary.merge(stats)
-        except Exception as exc:
-            if raise_on_error:
-                raise
-            batch.errors[index] = exc
-            results, stats, elapsed_ms = None, ExecutionStats(), 0.0
-        batch.append((results, stats) if with_stats else results)
-        batch.latencies_ms.append(elapsed_ms)
-    batch.elapsed_ms = (time.perf_counter() - batch_start) * 1000.0
-    return batch
+    def search_batch(self, queries: Sequence[Union[str, Sequence[str],
+                                                   Query]],
+                     semantics: str = ELCA,
+                     k: Optional[int] = None,
+                     algorithm: Optional[str] = None,
+                     with_stats: bool = False,
+                     deadline: Optional[Union[Deadline, float]] = None,
+                     timeout_ms: Optional[float] = None,
+                     on_deadline: Optional[str] = None) -> BatchResult:
+        """Evaluate many queries, one after another: `search` each
+        (``k=None``, the default; ``algorithm`` defaults to ``join``) or
+        `search_topk` each (``k`` set; ``algorithm`` defaults to
+        ``hybrid``).  Each entry of the returned list is the query's
+        `ResultSet` -- document order, or best-first truncated -- or,
+        with ``with_stats=True``, a ``(results, ExecutionStats)`` pair.
+
+        The library evaluates one query at a time; to evaluate in
+        parallel, serve the database with ``repro serve --workers N``
+        (`docs/SERVING.md`).
+
+        The returned list is a `BatchResult`: it additionally carries
+        ``summary`` (every per-query `ExecutionStats` merged),
+        ``latencies_ms`` and ``elapsed_ms``, so callers never fold stats
+        by hand.  One failing query does not lose the batch: its slot
+        holds ``None`` (or ``(None, stats)``), the exception lands in
+        ``BatchResult.errors`` keyed by query index.
+
+        ``deadline`` / ``timeout_ms`` / ``on_deadline`` set one shared
+        budget for the whole batch: every query checks the same clock,
+        so once it expires the remaining deadline-aware queries either
+        raise (isolated into ``errors``) or return partial results, per
+        the policy.
+        """
+        check_semantics(semantics)
+        deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
+        if algorithm is None:
+            algorithm = "join" if k is None else "hybrid"
+        batch = BatchResult()
+        batch.summary = ExecutionStats()
+        batch.latencies_ms = []
+        batch.errors = {}
+        batch_start = time.perf_counter()
+        for index, query in enumerate(queries):
+            start = time.perf_counter()
+            try:
+                if k is None:
+                    results, stats = self.search(
+                        query, semantics, algorithm, deadline=deadline,
+                        with_stats=True)
+                else:
+                    top = self.search_topk(query, k, semantics, algorithm,
+                                           deadline=deadline)
+                    results, stats = top.results, top.stats
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                batch.summary.merge(stats)
+            except Exception as exc:
+                batch.errors[index] = exc
+                results, stats, elapsed_ms = None, ExecutionStats(), 0.0
+            batch.append((results, stats) if with_stats else results)
+            batch.latencies_ms.append(elapsed_ms)
+        batch.elapsed_ms = (time.perf_counter() - batch_start) * 1000.0
+        return batch
 
 
 class Query:
@@ -144,33 +179,27 @@ class Query:
         return f"Query({' '.join(self.terms)!r})"
 
 
-class XMLDatabase:
+class XMLDatabase(BatchSearch):
     """An indexed XML document plus every search algorithm.
 
-    A `repro.cache.QueryCache` is wired in by default: whole query
-    results are LRU-cached (index structures are read-only after build,
-    so cached entries never go stale between `refresh` calls).  Size it
-    with ``result_cache_size`` (0 disables storage) or pass a shared
-    `QueryCache` via ``cache``.
+    Every query is evaluated fresh: the library keeps no result cache
+    (the serving daemon keeps the one there is, `docs/SERVING.md`).
 
     Observability (`repro.obs`): every query's time and work are on its
     `ExecutionStats`; pass a live `Tracer` as ``tracer`` to record
     per-query span trees (the default `NullTracer` records nothing);
-    pass ``slow_log`` (or just ``slow_query_ms``) to capture query,
-    stats, trace and per-phase breakdown of every over-threshold
-    outlier -- a database with a slow log and no tracer runs each query
-    under a private live one.
+    pass a `SlowQueryLog` as ``slow_log`` to capture query, stats, trace
+    and per-phase breakdown of every over-threshold outlier -- a
+    database with a slow log and no tracer runs each query under a
+    private live one.
     """
 
     def __init__(self, tree: Optional[XMLTree],
                  tokenizer: Optional[Tokenizer] = None,
                  ranking: Optional[RankingModel] = None,
                  jdewey_gap: int = 0,
-                 cache: Optional[QueryCache] = None,
-                 result_cache_size: int = 1024,
                  tracer=None,
-                 slow_log: Optional[SlowQueryLog] = None,
-                 slow_query_ms: Optional[float] = None):
+                 slow_log: Optional[SlowQueryLog] = None):
         if tree is not None and not tree.frozen:
             tree.freeze()
         # `repro.diskdb` passes no tree and installs `_open_tree`, the
@@ -182,11 +211,7 @@ class XMLDatabase:
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if slow_log is None and slow_query_ms is not None:
-            slow_log = SlowQueryLog(threshold_ms=slow_query_ms)
         self.slow_log = slow_log
-        self.cache = cache if cache is not None else QueryCache(
-            result_cache_size)
         self._columnar: Optional[ColumnarIndex] = None
         self._inverted: Optional[InvertedIndex] = None
 
@@ -293,7 +318,6 @@ class XMLDatabase:
         """
         self._columnar = self._index(*parse_tree(self.tree.freeze()))
         self._inverted = None
-        self.cache.clear()
 
     # ------------------------------------------------------------------
     # search
@@ -301,7 +325,6 @@ class XMLDatabase:
 
     def search(self, query: Union[str, Sequence[str], Query],
                semantics: str = ELCA, algorithm: str = "join",
-               planner: Optional[JoinPlanner] = None,
                strict: bool = False,
                use_cache: bool = True,
                deadline: Optional[Union[Deadline, float]] = None,
@@ -315,9 +338,11 @@ class XMLDatabase:
         ``oracle`` (the naive reference evaluation).  With
         ``strict=True`` a query term absent from the corpus raises
         `EmptyResultError` instead of silently returning no results.
-        Results are served from the database's result cache when
-        possible (``use_cache=False`` opts out; a custom ``planner``
-        bypasses the cache so the requested plan actually runs).
+        ``use_cache`` is accepted and ignored: there is no library
+        result cache.  `benchmarks/e2e` (which only a benchmark change
+        edits) and `benchmarks/identity.py` (which also runs against
+        parents that still cache) pass ``use_cache=False``; the keyword
+        goes when the benchmark stops passing it.
 
         A query budget (`docs/RELIABILITY.md`) is set with ``deadline``
         (a `repro.reliability.Deadline` or a number of milliseconds) or
@@ -327,7 +352,7 @@ class XMLDatabase:
         ``stats.partial`` set -- pass ``with_stats=True`` to see it;
         partial results are always a subset of the unbounded run's).
         Budgets are enforced on the ``join`` path; the in-memory
-        baselines ignore them.  Partial results are never cached.
+        baselines ignore them.
 
         Returns the result list, or ``(results, stats)`` with
         ``with_stats=True``.
@@ -336,7 +361,6 @@ class XMLDatabase:
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         results, stats = self._run_query(
             "search", query, semantics, algorithm, strict=strict,
-            cacheable=use_cache and planner is None, planner=planner,
             deadline=deadline)
         if with_stats:
             return results, stats
@@ -344,18 +368,13 @@ class XMLDatabase:
 
     def _run_query(self, op: str, query, semantics: str, algorithm: str,
                    k: Optional[int] = None, *, strict: bool = False,
-                   cacheable: bool = True,
-                   planner: Optional[JoinPlanner] = None,
                    deadline: Optional[Deadline] = None):
-        """The per-query sequence behind `search` (``op="search"``),
-        `search_topk` (``"topk"``) and `search_batch` (``"batch"``):
-        parse, result-cache lookup, evaluation under a resource account,
-        cache fill, then the slow-log record.
+        """The per-query sequence behind `search` (``op="search"``) and
+        `search_topk` (``"topk"``): parse, evaluation under a resource
+        account, then the slow-log record.
 
-        Returns ``(answer, stats)``.  ``answer`` is the `ResultSet`,
-        except that an evaluated top-K (``k`` set, no cache hit) comes
-        back as its `TopKResult`, bound and flags intact.  The cache
-        counters on ``stats`` are filled here and nowhere else.
+        Returns ``(answer, stats)``.  ``answer`` is the `ResultSet`, or
+        the `TopKResult` (bound and flags intact) when ``k`` is set.
         """
         tracer = self.tracer
         if self.slow_log is not None and not tracer.enabled:
@@ -371,33 +390,15 @@ class XMLDatabase:
             qspan.tag(terms=list(terms))
             if strict:
                 self._check_terms_exist(terms)
-            answer = None
-            if cacheable:
-                key = result_key(terms, semantics, algorithm, k)
-                with span("cache_lookup") as cspan:
-                    answer = self.cache.get_results(key)
-                    cspan.tag(hit=answer is not None)
-            if answer is not None:
-                stats = ExecutionStats(cache_hits=1)
+            if k is None:
+                answer, stats = self._complete_results(
+                    terms, semantics, algorithm, deadline=deadline)
             else:
-                if k is None:
-                    answer, stats = self._complete_results(
-                        terms, semantics, algorithm, planner,
-                        deadline=deadline)
-                else:
-                    answer = self._topk_result(
-                        terms, semantics, algorithm, k, deadline=deadline)
-                    stats = answer.stats
-                if stats.partial:
-                    qspan.tag(partial=True)
-                if cacheable:
-                    evictions = self.cache.results.stats.evictions
-                    self.cache.put_results(
-                        key, answer if k is None else answer.results,
-                        partial=stats.partial)
-                    stats.cache_misses += 1
-                    stats.cache_evictions += \
-                        self.cache.results.stats.evictions - evictions
+                answer = self._topk_result(
+                    terms, semantics, algorithm, k, deadline=deadline)
+                stats = answer.stats
+            if stats.partial:
+                qspan.tag(partial=True)
         self._record_query(terms, semantics, algorithm, k,
                            (time.perf_counter() - start) * 1000.0, stats,
                            qspan if tracer.enabled else None)
@@ -405,11 +406,10 @@ class XMLDatabase:
 
     def _complete_results(self, terms: List[str], semantics: str,
                           algorithm: str,
-                          planner: Optional[JoinPlanner] = None,
                           deadline: Optional[Deadline] = None
                           ) -> Tuple[ResultSet, ExecutionStats]:
-        """Uncached complete-evaluation dispatch: `_run_query` and the
-        daemon's shard workers call it.
+        """Complete-evaluation dispatch: `_run_query` and the daemon's
+        shard workers call it.
 
         Evaluation runs under a fresh `ResourceAccount` whose totals
         fold into the returned stats -- per-query resource truth for
@@ -417,17 +417,16 @@ class XMLDatabase:
         """
         with accounting() as account:
             results, stats = self._evaluate_complete(
-                terms, semantics, algorithm, planner, deadline)
+                terms, semantics, algorithm, deadline)
         fold_into_stats(stats, account)
         return results, stats
 
     def _evaluate_complete(self, terms: List[str], semantics: str,
                            algorithm: str,
-                           planner: Optional[JoinPlanner] = None,
                            deadline: Optional[Deadline] = None
                            ) -> Tuple[ResultSet, ExecutionStats]:
         if algorithm == "join":
-            return JoinBasedSearch(self.columnar_index, planner).evaluate(
+            return JoinBasedSearch(self.columnar_index).evaluate(
                 terms, semantics, deadline=deadline)
         # The baselines build objects; wrapped once, the API returns
         # one type whatever the algorithm.
@@ -453,7 +452,7 @@ class XMLDatabase:
         """Complete result set, best score first.
 
         Extra keyword arguments (``deadline``, ``timeout_ms``,
-        ``on_deadline``, ``use_cache``, ...) forward to `search`.
+        ``on_deadline``, ...) forward to `search`.
         """
         return sort_by_score(self.search(query, semantics, algorithm,
                                          **kwargs))
@@ -484,15 +483,14 @@ class XMLDatabase:
         check_semantics(semantics)
         deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
         top, _stats = self._run_query("topk", query, semantics, algorithm,
-                                      k, strict=strict, cacheable=False,
-                                      deadline=deadline)
+                                      k, strict=strict, deadline=deadline)
         return top
 
     def _topk_result(self, terms: List[str], semantics: str, algorithm: str,
                      k: int,
                      deadline: Optional[Deadline] = None) -> TopKResult:
-        """Uncached top-K dispatch (`_run_query`, the daemon's shard
-        workers), accounted the same way as `_complete_results`."""
+        """Top-K dispatch (`_run_query`, the daemon's shard workers),
+        accounted the same way as `_complete_results`."""
         with accounting() as account:
             top = self._evaluate_topk(terms, semantics, algorithm, k,
                                       deadline=deadline)
@@ -517,64 +515,6 @@ class XMLDatabase:
             return TopKResult(results.top(k), stats, partial=stats.partial)
         raise ValueError(
             f"unknown algorithm {algorithm!r}; one of {TOPK_ALGORITHMS}")
-
-    def search_batch(self, queries: Sequence[Union[str, Sequence[str],
-                                                   Query]],
-                     semantics: str = ELCA,
-                     k: Optional[int] = None,
-                     algorithm: Optional[str] = None,
-                     with_stats: bool = False,
-                     use_cache: bool = True,
-                     deadline: Optional[Union[Deadline, float]] = None,
-                     timeout_ms: Optional[float] = None,
-                     on_deadline: Optional[str] = None,
-                     raise_on_error: bool = False) -> BatchResult:
-        """Evaluate many queries, one after another, against shared
-        cache state.
-
-        ``k=None`` (default) runs complete evaluations (``algorithm``
-        defaults to ``join``) and each entry of the returned list is the
-        query's `SearchResult` list in document order; with ``k`` set,
-        top-K evaluations run instead (``algorithm`` defaults to
-        ``hybrid``) and each entry is the best-first truncated list.
-        With ``with_stats=True`` entries are ``(results,
-        ExecutionStats)`` pairs; a repeated query is served from the
-        result cache (``stats.cache_hits == 1``) and skips level
-        evaluation entirely (``stats.levels_processed == 0``).
-
-        The library evaluates one query at a time; to evaluate in
-        parallel, serve the database with ``repro serve --workers N``
-        (`docs/SERVING.md`).
-
-        The returned list is a `BatchResult`: it additionally carries
-        ``summary`` (every per-query `ExecutionStats` merged, cache
-        counters included), ``latencies_ms`` and ``elapsed_ms``, so
-        callers never fold stats by hand.
-
-        One failing query does not lose the batch: by default its slot
-        holds ``None`` (or ``(None, stats)``), the exception lands in
-        ``BatchResult.errors`` keyed by query index.  Pass
-        ``raise_on_error=True`` to get fail-fast propagation instead.
-
-        ``deadline`` / ``timeout_ms`` / ``on_deadline`` set one shared
-        budget for the whole batch: every query checks the same clock,
-        so once it expires the remaining deadline-aware queries either
-        raise (isolated into ``errors`` unless ``raise_on_error``) or
-        return partial results, per the policy.
-        """
-        check_semantics(semantics)
-        deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
-        if algorithm is None:
-            algorithm = "join" if k is None else "hybrid"
-
-        def one(query) -> Tuple[ResultSet, ExecutionStats]:
-            answer, stats = self._run_query(
-                "batch", query, semantics, algorithm, k,
-                cacheable=use_cache, deadline=deadline)
-            return (answer.results if isinstance(answer, TopKResult)
-                    else answer), stats
-
-        return run_batch(queries, one, with_stats, raise_on_error)
 
     def search_stream(self, query: Union[str, Sequence[str], Query],
                       semantics: str = ELCA,
@@ -604,7 +544,6 @@ class XMLDatabase:
 
     def explain(self, query: Union[str, Sequence[str], Query],
                 semantics: str = ELCA,
-                planner: Optional[JoinPlanner] = None,
                 trace: bool = False):
         """Per-level trace of the join-based evaluation (a `QueryPlan`).
 
@@ -618,7 +557,7 @@ class XMLDatabase:
         from .algorithms.explain import explain as _explain
 
         return _explain(self.columnar_index, self._terms(query), semantics,
-                        planner, tracer=Tracer() if trace else self.tracer)
+                        tracer=Tracer() if trace else self.tracer)
 
     def _terms(self, query: Union[str, Sequence[str], Query]) -> List[str]:
         if isinstance(query, Query):
@@ -652,10 +591,6 @@ class XMLDatabase:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/eviction counters of the result cache."""
-        return self.cache.stats()
 
     def document_frequency(self, term: str) -> int:
         return self.columnar_index.document_frequency(term.lower())

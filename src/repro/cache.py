@@ -2,9 +2,10 @@
 
 The index structures are immutable once built, so serving many queries
 is a caching problem, not a concurrency problem.  `QueryCache` is the
-**result cache** `XMLDatabase` wires in, keyed by ``(terms, semantics,
-algorithm, k)``; a hit skips level evaluation entirely.  A term's
-postings are not cached here: the index pins them itself
+**result cache** of the serving daemon (`repro.serve.daemon`), keyed by
+``(terms, semantics, endpoint, k)``; a hit skips evaluation entirely.
+It is the only result cache: the library answers every query fresh.
+A term's postings are not cached here: the index pins them itself
 (`ColumnarIndex.term_postings`).
 
 An independent cache serves the disk-backed index:
@@ -15,9 +16,9 @@ decoded arrays get evicted instead of pinned forever.
 
 Both are bounded LRUs with hit/miss/eviction counters; every operation
 takes the cache lock, so a `QueryCache` can be shared by the threads
-the daemon's ``--workers 0`` path evaluates on.  Result entries are
-immutable -- `ResultSet`s in the databases, each answer's encoded JSON
-in the serving daemon -- so a hit returns the stored object itself.
+the daemon's ``--workers 0`` path evaluates on.  A result entry is an
+answer's encoded JSON, immutable, so a hit returns the stored object
+itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
 _MISSING = object()
 
@@ -89,18 +90,6 @@ class LRUCache:
         with self._lock:
             self._data.clear()
             self.stats = CacheStats()
-
-    def remove(self, key: Hashable) -> bool:
-        """Drop one entry if present.  Not counted as an eviction --
-        evictions measure capacity pressure, and explicit invalidation
-        is a correctness action, not pressure."""
-        with self._lock:
-            return self._data.pop(key, _MISSING) is not _MISSING
-
-    def keys(self) -> List[Hashable]:
-        """Snapshot of the current keys (LRU order, oldest first)."""
-        with self._lock:
-            return list(self._data.keys())
 
 
 class DecodedColumnCache:
@@ -186,7 +175,7 @@ def result_key(terms: Sequence[str], semantics: str, algorithm: str,
 
 
 class QueryCache:
-    """The result cache served to `XMLDatabase`.
+    """The serving daemon's response cache.
 
     Parameters
     ----------
@@ -199,8 +188,8 @@ class QueryCache:
 
     def get_results(self, key: ResultKey):
         """The cached answer for `key` -- the stored object itself, not
-        a copy: entries are immutable (`ResultSet`s, or the daemon's
-        encoded answers) -- or ``None`` on miss."""
+        a copy: entries are immutable encoded answers -- or ``None`` on
+        miss."""
         return self.results.get(key)
 
     def put_results(self, key: ResultKey, results,
@@ -218,19 +207,6 @@ class QueryCache:
     def clear(self) -> None:
         """Drop every entry and restart the local stats."""
         self.results.clear()
-
-    def invalidate(self, term: str) -> int:
-        """Drop every cached result whose query used `term`.  Returns
-        the number of entries dropped.  The daemon's index-reload hook:
-        when one term's postings change, unrelated cached results
-        survive.
-        """
-        dropped = 0
-        for key in self.results.keys():
-            terms = key[0] if isinstance(key, tuple) and key else ()
-            if term in terms:
-                dropped += 1 if self.results.remove(key) else 0
-        return dropped
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         return {"results": self.results.stats.as_dict()}

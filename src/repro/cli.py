@@ -38,17 +38,19 @@ EXIT_CORRUPT = 4
 EXIT_DEADLINE = 5
 
 
-def _load(path: str, verify: str = "eager") -> XMLDatabase:
+def _load(path: str, verify: str = "eager", **db_kwargs) -> XMLDatabase:
+    """The database at `path`; ``db_kwargs`` (``tracer``, ``slow_log``)
+    go to every `XMLDatabase` it is made of."""
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no such database directory or XML file: {path}")
     if os.path.isdir(path):
         from .diskdb import load_database
 
-        return load_database(path, verify=verify)
+        return load_database(path, verify=verify, **db_kwargs)
     from .xmltree.parser import parse_xml_file
 
-    return XMLDatabase.from_tree(parse_xml_file(path))
+    return XMLDatabase.from_tree(parse_xml_file(path), **db_kwargs)
 
 
 def _budget_kwargs(args: argparse.Namespace) -> dict:
@@ -135,8 +137,7 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
 
     Queries run one after another in this process (`repro serve
     --workers N` is the parallel path).  A saved directory is mapped
-    and checked block by block as queries touch it; ``--eager``
-    verifies every file's digest before the first query.
+    and checked block by block as queries touch it.
     """
     if args.queries == "-":
         lines = sys.stdin.readlines()
@@ -150,26 +151,23 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     if not queries:
         print("error: no queries in the workload", file=sys.stderr)
         return 1
-    db = _load(args.database, "eager" if args.eager else "lazy")
+    db = _load(args.database, "lazy")
     batch = db.search_batch(queries, k=args.k, semantics=args.semantics,
                             algorithm=args.algorithm,
-                            use_cache=not args.no_cache,
                             **_budget_kwargs(args))
-    if not args.quiet:
-        for index, (query, entry) in enumerate(zip(queries, batch)):
-            if index in batch.errors:
-                print(f"{index:>4}. ERROR {batch.errors[index]}  {query}")
-            else:
-                print(f"{index:>4}. {len(entry):>5} results  "
-                      f"{batch.latencies_ms[index]:>8.2f} ms  {query}")
+    for index, (query, entry) in enumerate(zip(queries, batch)):
+        if index in batch.errors:
+            print(f"{index:>4}. ERROR {batch.errors[index]}  {query}")
+        else:
+            print(f"{index:>4}. {len(entry):>5} results  "
+                  f"{batch.latencies_ms[index]:>8.2f} ms  {query}")
     qps = len(queries) / (batch.elapsed_ms / 1000.0) \
         if batch.elapsed_ms > 0 else float("inf")
     print(f"batch: {len(queries)} queries in {batch.elapsed_ms:.1f} ms "
           f"({qps:.1f} qps), {len(batch.errors)} errors")
     s = batch.summary
     print(f"work: levels={s.levels_processed} joins={s.joins} "
-          f"tuples={s.tuples_scanned} cache_hits={s.cache_hits} "
-          f"cache_misses={s.cache_misses}")
+          f"tuples={s.tuples_scanned}")
     # Exit-code consistency across verbs: `search`/`topk` map an
     # exceeded budget to EXIT_DEADLINE via the raised exception; batch
     # isolation catches those per query, so surface them here.
@@ -189,7 +187,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     from .serve import ShardedDatabase, serve
 
-    db = _load(args.database, "eager" if args.eager else "lazy")
+    db = _load(args.database, "lazy")
     if isinstance(db, ShardedDatabase):
         if args.shards and args.shards != db.n_shards:
             print(f"error: database is saved with {db.n_shards} shards; "
@@ -353,17 +351,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
         from .obs import SlowQueryLog
 
         slow_log = SlowQueryLog(threshold_ms=args.slow_ms)
-    for heading, db in _sections(_load(args.database)):
+    db = _load(args.database, tracer=tracer, slow_log=slow_log)
+    for heading, db in _sections(db):
         if heading:
             print(heading)
-        db.tracer, db.slow_log = tracer, slow_log
         start = time.perf_counter()
         if args.k is not None:
             results = list(db.search_topk(args.query, args.k,
                                           semantics=args.semantics))
         else:
-            results = db.search(args.query, semantics=args.semantics,
-                                use_cache=False)
+            results = db.search(args.query, semantics=args.semantics)
         elapsed = (time.perf_counter() - start) * 1000
         root = tracer.last_root()
         print(render_trace(root))
@@ -453,17 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="elca")
     p.add_argument("--algorithm", default=None,
                    help="override the per-mode default algorithm")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the result cache")
-    p.add_argument("--eager", action="store_true",
-                   help="verify every file's digest at load instead of "
-                        "block by block as queries touch them")
     p.add_argument("--timeout-ms", type=float, default=None,
                    help="shared budget for the whole batch")
     p.add_argument("--partial", action="store_true",
                    help="partial results on an expired budget")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-query lines")
     p.add_argument("--fail-on-error", action="store_true",
                    help="exit 1 if any query in the batch failed")
     p.set_defaults(fn=cmd_serve_batch)
@@ -494,9 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of 504")
     p.add_argument("--result-cache-size", type=int, default=1024,
                    help="daemon response cache entries (0 disables)")
-    p.add_argument("--eager", action="store_true",
-                   help="verify every file's digest at load instead of "
-                        "block by block as queries touch them")
     p.add_argument("--access-log", default=None, metavar="PATH",
                    help="append one JSONL record per request here")
     p.add_argument("--trace-log", default=None, metavar="PATH",

@@ -365,8 +365,6 @@ def save_database(db: XMLDatabase, path: str,
 
 def load_database(path: str,
                   ranking: Optional[RankingModel] = None,
-                  cache=None,
-                  result_cache_size: int = 1024,
                   verify: str = "eager",
                   lazy: bool = False,
                   decoded_cache_bytes: int = 32 * 1024 * 1024,
@@ -375,8 +373,7 @@ def load_database(path: str,
 
     Returns an `XMLDatabase`, or a `repro.serve.ShardedDatabase` when
     the manifest carries a shard layout (``save_database(shards=N)``);
-    both answer the same search surface.  For a sharded directory the
-    ``cache`` argument is ignored (each shard keeps its own caches).
+    both answer the same search surface.
 
     There is one open path.  Nothing proportional to the document runs
     in Python here: the node table and the columnar container are
@@ -385,9 +382,8 @@ def load_database(path: str,
     its first read), and ``document.xml`` is parsed only when `db.tree`
     is first used.
 
-    ``cache`` / ``result_cache_size`` and any
-    extra keyword arguments (``tracer``, ``slow_log``, ...)
-    are forwarded to the `XMLDatabase` constructor.
+    Extra keyword arguments (``tracer``, ``slow_log``) are forwarded to
+    the `XMLDatabase` constructor, of every shard when sharded.
 
     Reliability knobs (`repro.reliability`):
 
@@ -502,7 +498,7 @@ def load_database(path: str,
         raise DatabaseFormatError(
             f"{_META} carries an invalid configuration: {exc}") from exc
 
-    def make_db(db_cache, columnar_rel: str) -> XMLDatabase:
+    def make_db(columnar_rel: str) -> XMLDatabase:
         """An `XMLDatabase` over one columnar container -- the flat
         layout's file or one shard's -- sharing the table and the
         deferred document."""
@@ -510,8 +506,6 @@ def load_database(path: str,
             db = XMLDatabase(None, tokenizer=tokenizer,
                              ranking=ranking,
                              jdewey_gap=meta["jdewey_gap"],
-                             cache=db_cache,
-                             result_cache_size=result_cache_size,
                              **db_kwargs)
         except (TypeError, ValueError) as exc:
             raise DatabaseFormatError(
@@ -532,14 +526,11 @@ def load_database(path: str,
         return db
 
     if shards_meta is None:
-        return make_db(cache, _COLUMNAR)
+        return make_db(_COLUMNAR)
     from .serve.merge import ShardedDatabase
 
-    # Each shard gets its own caches (`cache` is ignored): result keys
-    # carry no shard id, so one shared cache would hand shard A's
-    # answers to shard B.
     return ShardedDatabase(
-        [make_db(None, os.path.join(shard_dir, _COLUMNAR))
+        [make_db(os.path.join(shard_dir, _COLUMNAR))
                for shard_dir in shards_meta["dirs"]],
         manifest=shards_meta)
 

@@ -25,7 +25,7 @@ from .account import (ResourceAccount, accounting, active_account,
 from .distributed import (TRACE_WIRE_VERSION, AccessLog, TraceContext,
                           TraceStore, count_spans, format_access_record,
                           make_span, new_trace_id, read_jsonl,
-                          render_stitched, span_to_wire, stitch_trace)
+                          render_stitched, stitch_trace)
 from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, get_registry)
 from .slowlog import SlowQueryLog, SlowQueryRecord
@@ -64,7 +64,6 @@ __all__ = [
     "render_phases",
     "render_stitched",
     "render_trace",
-    "span_to_wire",
     "spans_per_level_plan",
     "stitch_trace",
     "trace_to_jsonl",

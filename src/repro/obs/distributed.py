@@ -37,7 +37,7 @@ import time
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from .tracing import Span, _jsonable, render_trace
+from .tracing import _jsonable, render_trace
 
 #: Bumped when the wire shape of contexts or span trees changes; a
 #: worker from a different version refuses to guess.
@@ -103,13 +103,6 @@ def make_span(name: str, start_ms: float = 0.0, duration_ms: float = 0.0,
             "duration_ms": float(duration_ms),
             "tags": _jsonable(tags or {}),
             "children": list(children or [])}
-
-
-def span_to_wire(span: Span) -> Dict[str, Any]:
-    """A local `Span` tree as its wire (dict) form -- timestamps
-    relative to the tree's own root, so the receiving clock domain is
-    irrelevant."""
-    return span.to_dict()
 
 
 def shift_span(span: Dict[str, Any], offset_ms: float) -> Dict[str, Any]:

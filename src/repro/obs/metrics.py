@@ -13,8 +13,8 @@ Histograms are fixed buckets (cheap, mergeable, Prometheus-shaped), an
 O(log buckets) update per observation, with the most recent trace id
 per bucket kept as an exemplar.
 
-The module-level default registry (`get_registry`) is what the daemon
-publishes into unless handed an explicit registry.
+Each `ServeDaemon` publishes into a registry of its own
+(``daemon.metrics``, rendered at ``/metrics``).
 """
 
 from __future__ import annotations

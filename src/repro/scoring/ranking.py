@@ -15,7 +15,7 @@ the combiner are pluggable.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -182,8 +182,3 @@ class RankingModel:
             return sum(w * c for w, c in zip(combiner.weights, columns))
         return np.array([combiner.combine(row) for row in witness.tolist()],
                         dtype=np.float64)
-
-
-def best_per_keyword(occurrences: Dict[int, List[float]]) -> List[float]:
-    """Max damped score per keyword index (helper for scoring a result)."""
-    return [max(scores) for _, scores in sorted(occurrences.items())]

@@ -71,7 +71,7 @@ from ..algorithms.base import ELCA, SEMANTICS, ResultSet
 from ..cache import QueryCache, result_key
 from ..obs.account import merge_resources
 from ..obs.distributed import AccessLog, TraceContext, TraceStore, stitch_trace
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..reliability.deadline import Deadline
@@ -90,6 +90,15 @@ _SERVE_DBS: Dict[int, object] = {}
 #: The largest request body the daemon will read and discard.  No route
 #: takes a body, so anything larger is refused with 413 unread.
 MAX_BODY_BYTES = 64 * 1024
+
+#: Stitched traces kept for ``/debug/traces``, and access-log records
+#: kept in memory (a ``--access-log`` file keeps every one).
+TRACE_CAPACITY = 256
+ACCESS_LOG_CAPACITY = 1024
+
+#: Base wait before a shard call is retried (doubled per attempt, and
+#: skipped when it would outlast the request's budget).
+RETRY_BACKOFF_MS = 10.0
 
 
 def _json(body: Any) -> bytes:
@@ -244,10 +253,11 @@ class ServeDaemon:
     trace per request into the bounded `TraceStore` behind
     ``/debug/traces``, writes one `AccessLog` record (optionally JSONL
     at ``access_log_path``), attaches trace-id exemplars to
-    ``repro_serve_latency_ms``, and -- with ``slow_ms`` or an explicit
-    ``slow_log`` -- records over-threshold requests with their stitched
-    per-shard breakdown.  Supervision (breakers, in-deadline retries,
-    degraded partials) is always on as well.
+    ``repro_serve_latency_ms`` in its own `MetricsRegistry`
+    (``self.metrics``, behind ``/metrics``), and -- with ``slow_ms`` --
+    records over-threshold requests with their stitched per-shard
+    breakdown.  Supervision (breakers, in-deadline retries, degraded
+    partials) is always on as well.
     """
 
     def __init__(self, db: ShardedDatabase, host: str = "127.0.0.1",
@@ -256,16 +266,11 @@ class ServeDaemon:
                  default_timeout_ms: Optional[float] = None,
                  default_partial: bool = False,
                  result_cache_size: int = 1024,
-                 metrics: Optional[MetricsRegistry] = None,
-                 trace_capacity: int = 256,
                  trace_log_path: Optional[str] = None,
                  access_log_path: Optional[str] = None,
-                 access_log_capacity: int = 1024,
-                 slow_log: Optional[SlowQueryLog] = None,
                  slow_ms: Optional[float] = None,
                  breaker: Optional[BreakerConfig] = None,
                  retry_attempts: int = 2,
-                 retry_backoff_ms: float = 10.0,
                  drain_grace_ms: float = 5000.0):
         self.db = db
         self.host = host
@@ -275,14 +280,13 @@ class ServeDaemon:
         self.queue_limit = max(0, int(queue_limit))
         self.default_timeout_ms = default_timeout_ms
         self.default_partial = default_partial
-        self.metrics = metrics if metrics is not None else get_registry()
+        self.metrics = MetricsRegistry()
         self.cache = QueryCache(result_cache_size)
-        self.traces = TraceStore(trace_capacity, path=trace_log_path)
-        self.access_log = AccessLog(access_log_capacity,
+        self.traces = TraceStore(TRACE_CAPACITY, path=trace_log_path)
+        self.access_log = AccessLog(ACCESS_LOG_CAPACITY,
                                     path=access_log_path)
-        if slow_log is None and slow_ms is not None:
-            slow_log = SlowQueryLog(threshold_ms=slow_ms)
-        self.slow_log = slow_log
+        self.slow_log = (SlowQueryLog(threshold_ms=slow_ms)
+                         if slow_ms is not None else None)
         self._sem: Optional[asyncio.Semaphore] = None
         self._waiting = 0
         self._inflight_count = 0
@@ -294,7 +298,7 @@ class ServeDaemon:
         # self-healing layer
         self.retry_policy = RetryPolicy(
             max_attempts=max(1, int(retry_attempts)),
-            backoff_ms=retry_backoff_ms)
+            backoff_ms=RETRY_BACKOFF_MS)
         self.drain_grace_ms = drain_grace_ms
         self.supervisor = ShardSupervisor(
             db.n_shards, self.workers,
@@ -564,12 +568,8 @@ class ServeDaemon:
         if self.workers < 1:
             def inline():
                 if k is None:
-                    # The daemon's response cache is the only one: a
-                    # second (facade) cache would answer what
-                    # ``result_cache_size=0`` told the daemon not to.
                     results, stats = db.search(
-                        terms, semantics, deadline=deadline,
-                        use_cache=False, with_stats=True)
+                        terms, semantics, deadline=deadline, with_stats=True)
                     return results, stats, stats.partial, None
                 top = db.search_topk(terms, k, semantics, deadline=deadline)
                 return top.results, top.stats, top.partial, top.bound
@@ -918,7 +918,6 @@ class ServeDaemon:
                     {"error": {"type": "method_not_allowed",
                                "message": "POST /cache/clear"}})
             self.cache.clear()
-            self.db.clear_caches()
             return 200, "application/json", _json({"cleared": True})
         if route in ("/search", "/topk"):
             status, body = await self._handle_query(route[1:], params)

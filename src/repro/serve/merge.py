@@ -50,7 +50,7 @@ from ..algorithms.base import (ELCA, SLCA, EmptyResultError, ExecutionStats,
                                check_semantics, sort_by_document_order)
 from ..algorithms.hybrid import HybridTopKSearch
 from ..algorithms.topk_keyword import TopKKeywordSearch, _StreamState
-from ..cache import QueryCache, result_key
+from ..api import BatchSearch
 from ..index.columnar import expand_runs
 from ..obs.account import accounting, fold_into_stats
 from ..reliability.deadline import Deadline
@@ -174,13 +174,13 @@ def gather(table, n_terms: int, parts: Sequence[ResultSet],
     return merged.top(k)
 
 
-class ShardedDatabase:
+class ShardedDatabase(BatchSearch):
     """N subtree-affine shards behind the single-database search API.
 
     Construction copies no document: every shard `XMLDatabase`
     references the same node table (and the same document, parsed into
-    `Node`s on first use), only the postings differ.  The facade
-    carries its own result `QueryCache` for merged answers.
+    `Node`s on first use), only the postings differ.  Like
+    `XMLDatabase`, it keeps no result cache.
 
     Supported algorithms are the join family -- ``join`` for complete
     evaluation, ``hybrid`` (default) and ``topk-join`` for top-K, both
@@ -189,9 +189,7 @@ class ShardedDatabase:
     they are rejected instead of answered wrongly.
     """
 
-    def __init__(self, shard_dbs: Sequence, manifest: Optional[dict] = None,
-                 cache: Optional[QueryCache] = None,
-                 result_cache_size: int = 1024):
+    def __init__(self, shard_dbs: Sequence, manifest: Optional[dict] = None):
         if not shard_dbs:
             raise ValueError("a sharded database needs at least one shard")
         self.shards = list(shard_dbs)
@@ -200,8 +198,6 @@ class ShardedDatabase:
         first = self.shards[0]
         self.tokenizer = first.tokenizer
         self.ranking = first.ranking
-        self.cache = cache if cache is not None else QueryCache(
-            result_cache_size)
 
     # ------------------------------------------------------------------
     # constructors
@@ -319,6 +315,8 @@ class ShardedDatabase:
         """Complete result set in document order -- same contract as
         `XMLDatabase.search`, scatter-gathered across the shards.
 
+        ``use_cache`` is accepted and ignored, as on `XMLDatabase.search`.
+
         Under a ``partial`` deadline each shard returns what its
         evaluated levels proved; the union is returned with
         ``stats.partial`` set and the root is skipped unless the budget
@@ -335,13 +333,7 @@ class ShardedDatabase:
         terms = self._terms(query)
         if strict:
             self._check_terms_exist(terms)
-        key = result_key(terms, semantics, algorithm, None)
         stats = ExecutionStats()
-        if use_cache:
-            cached = self.cache.get_results(key)
-            if cached is not None:
-                stats.cache_hits = 1
-                return (cached, stats) if with_stats else cached
         table = self.nodes
         results = ResultSet.empty(table, len(terms))
         if self._covered(terms):
@@ -364,9 +356,6 @@ class ShardedDatabase:
                     root = self._root_result(terms, semantics)
                 results = gather(table, len(terms), parts, root)
             fold_into_stats(stats, account)
-        if use_cache:
-            self.cache.put_results(key, results, partial=stats.partial)
-            stats.cache_misses += 1
         return (results, stats) if with_stats else results
 
     # ------------------------------------------------------------------
@@ -511,55 +500,3 @@ class ShardedDatabase:
                                    check_semantics(semantics),
                                    ExecutionStats(), _StreamState(),
                                    deadline=deadline)
-
-    # ------------------------------------------------------------------
-    # batch
-    # ------------------------------------------------------------------
-
-    def search_batch(self, queries: Sequence, semantics: str = ELCA,
-                     k: Optional[int] = None,
-                     algorithm: Optional[str] = None,
-                     with_stats: bool = False,
-                     use_cache: bool = True,
-                     deadline: Optional[Union[Deadline, float]] = None,
-                     timeout_ms: Optional[float] = None,
-                     on_deadline: Optional[str] = None,
-                     raise_on_error: bool = False):
-        """Evaluate a workload sequentially against the shard set:
-        `XMLDatabase.search_batch`'s contract (`BatchResult`, shared
-        deadline, per-query error isolation) through the same loop,
-        `repro.api.run_batch`.  The
-        parallel path for a sharded database is the daemon
-        (`repro.serve.daemon`), whose workers fan out per shard.
-        """
-        from ..api import run_batch
-
-        check_semantics(semantics)
-        deadline = Deadline.coerce(deadline, timeout_ms, on_deadline)
-        if algorithm is None:
-            algorithm = "join" if k is None else "hybrid"
-
-        def one(query):
-            if k is None:
-                return self.search(query, semantics, algorithm,
-                                   use_cache=use_cache, deadline=deadline,
-                                   with_stats=True)
-            top = self.search_topk(query, k, semantics, algorithm,
-                                   deadline=deadline)
-            return top.results, top.stats
-
-        return run_batch(queries, one, with_stats, raise_on_error)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        return self.cache.stats()
-
-    def clear_caches(self) -> None:
-        """Drop the merged-result cache and every shard's caches (the
-        daemon's index-reload hook)."""
-        self.cache.clear()
-        for db in self.shards:
-            db.cache.clear()

@@ -505,7 +505,11 @@ class NodeTable:
                 raise self._corrupt("node table is inconsistent: sibling "
                                     "ordinals do not count up from 1")
             self._child_order, self._child_parent = order, by_parent
-        lo, hi = self._child_parent.searchsorted([row, row + 1])
+        # A key of the column's own dtype: a Python-list key would have
+        # numpy cast the whole column on every call.
+        by_parent = self._child_parent
+        lo, hi = by_parent.searchsorted(
+            np.array((row, row + 1), dtype=by_parent.dtype))
         return self._child_order[lo:hi]
 
     def _text(self, row: int) -> str:

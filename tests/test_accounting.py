@@ -19,6 +19,7 @@ from repro.api import XMLDatabase
 from repro.diskdb import load_database, save_database
 from repro.obs.account import (ResourceAccount, accounting, active_account,
                                fold_into_stats, merge_resources)
+from repro.obs.slowlog import SlowQueryLog
 
 
 class TestResourceAccount:
@@ -179,7 +180,7 @@ class TestDiskIntegration:
         path = str(tmp_path / "db")
         save_database(small_db, path)
         before = get_registry().render_prometheus()
-        db = load_database(path, lazy=True, slow_query_ms=0.0)
+        db = load_database(path, lazy=True, slow_log=SlowQueryLog(0.0))
         db.search_topk("xml data", 5)
         stats = db.slow_log.records()[-1].stats
         assert stats["bytes_decompressed"] > 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Query, XMLDatabase
-from repro.planner.plans import JoinPlanner
 
 
 class TestQuery:
@@ -80,10 +79,6 @@ class TestSearch:
     def test_unknown_semantics_raises(self, small_db):
         with pytest.raises(ValueError):
             small_db.search("xml", semantics="nope")
-
-    def test_custom_planner_forwarded(self, small_db):
-        results = small_db.search("xml data", planner=JoinPlanner("merge"))
-        assert results
 
     def test_search_ranked_descending(self, small_db):
         ranked = small_db.search_ranked("xml data")

@@ -94,3 +94,37 @@ class TestIndexCharacteristics:
         _, stats = IndexBasedSearch(corpus_db.inverted_index).evaluate(
             ["alpha", "beta"], "elca")
         assert stats.lookups > 0
+
+
+class TestProbesCostPerChildNotPerTable:
+    """The stack and index engines reach children through
+    `NodeTable._child_rows`; a lookup must cost the children it returns,
+    not the table it searches.  Timing-free: the tracemalloc peak of
+    1 000 lookups is the same on a table ten times larger."""
+
+    @staticmethod
+    def _lookup_peak(n_papers):
+        import tracemalloc
+
+        from repro import XMLDatabase
+
+        table = XMLDatabase.generate_dblp(
+            seed=7, n_papers=n_papers).columnar_index.nodes
+        table._child_rows(0)        # the child order, built once
+        step = max(1, table.n_nodes // 1000)
+        rows = list(range(0, table.n_nodes, step))[:1000]
+        tracemalloc.start()
+        try:
+            for row in rows:
+                table._child_rows(row)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return table.n_nodes, peak
+
+    def test_child_lookup_allocates_nothing_per_table_node(self):
+        small_nodes, small = self._lookup_peak(2_000)
+        large_nodes, large = self._lookup_peak(20_000)
+        assert large_nodes >= 9 * small_nodes
+        # Casting the parent column costs 8 B a node a call: ~1 MB here.
+        assert large - small < 64 * 1024, (small, large)

@@ -1,15 +1,23 @@
-"""Tests for the query-serving cache layer (`repro.cache`) and
-`XMLDatabase.search_batch`."""
+"""Tests for the query-serving cache layer (`repro.cache`), the
+library's lack of a result cache, and `XMLDatabase.search_batch`."""
+
+import inspect
 
 import pytest
 
 from repro import XMLDatabase
 from repro.cache import LRUCache, QueryCache, result_key
+from repro.diskdb import load_database
+from repro.serve import ShardedDatabase
 from tests.conftest import on_threads
 
 
 def deweys(results):
     return [r.node.dewey for r in results]
+
+
+def _answers(results, stats):
+    return deweys(results), [r.score for r in results], stats.as_dict()
 
 
 class TestLRUCache:
@@ -55,55 +63,48 @@ class TestLRUCache:
 
 
 class TestQueryCacheWiring:
-    def test_result_cache_hit_skips_evaluation(self, small_db):
-        first = small_db.search("xml data")
-        stats = small_db.cache.results.stats
-        hits_before = stats.hits
-        second = small_db.search("xml data")
-        assert stats.hits == hits_before + 1
-        assert deweys(first) == deweys(second)
-
-    def test_use_cache_false_bypasses(self, small_db):
-        small_db.search("xml data")
-        stats = small_db.cache.results.stats
-        hits_before = stats.hits
-        small_db.search("xml data", use_cache=False)
-        assert stats.hits == hits_before
+    """`QueryCache`, the serving daemon's response cache, and the
+    library's lack of one."""
 
     def test_cache_hit_returns_the_stored_object(self, small_db):
         """No copy on either side of the cache: a hit hands back the
-        very `ResultSet` the miss stored, and that is safe because a
-        caller cannot change it."""
-        first = small_db.search("xml data")
-        assert small_db.search("xml data") is first
-        assert not hasattr(first, "clear")
+        very answer the miss stored, and that is safe because a caller
+        cannot change it."""
+        cache = QueryCache(result_capacity=4)
+        key = result_key(["xml", "data"], "elca", "serve-search")
+        answer = small_db.search("xml data")
+        cache.put_results(key, answer)
+        assert cache.get_results(key) is answer
+        assert not hasattr(answer, "clear")
         with pytest.raises(ValueError):
-            first.scores[0] = 99.0
+            answer.scores[0] = 99.0
         with pytest.raises(TypeError):
-            first[0] = first[1]
-
-    def test_open_forwards_cache_knobs(self, small_db, tmp_path):
-        path = str(tmp_path / "db")
-        small_db.save(path)
-        shared = QueryCache(result_capacity=4)
-        db = XMLDatabase.open(path, cache=shared)
-        assert db.cache is shared
-        disabled = XMLDatabase.open(path, result_cache_size=0)
-        first = disabled.search("xml data")
-        second = disabled.search("xml data")
-        assert deweys(first) == deweys(second)
-        assert len(disabled.cache.results) == 0
+            answer[0] = answer[1]
 
     def test_correctness_after_eviction(self):
-        db = XMLDatabase.from_xml_text(
-            "<r><a>xml data</a><b>xml</b><c>data</c></r>",
-            result_cache_size=1)
-        expected_pair = deweys(db.search("xml data", use_cache=False))
-        expected_xml = deweys(db.search("xml", use_cache=False))
-        for _ in range(3):  # alternate: each query evicts the other
-            assert deweys(db.search("xml data")) == expected_pair
-            assert deweys(db.search("xml")) == expected_xml
-        assert db.cache.results.stats.evictions > 0
+        cache = QueryCache(result_capacity=1)
+        pair = result_key(["xml", "data"], "elca", "serve-search")
+        single = result_key(["xml"], "elca", "serve-search")
+        for _ in range(3):  # alternate: each answer evicts the other
+            cache.put_results(pair, "pair")
+            assert cache.get_results(pair) == "pair"
+            assert cache.get_results(single) is None
+            cache.put_results(single, "single")
+            assert cache.get_results(single) == "single"
+            assert cache.get_results(pair) is None
+        assert cache.results.stats.evictions > 0
+
+    def test_use_cache_false_bypasses(self, small_db):
+        """There is no library cache to bypass: ``use_cache`` is
+        accepted and ignored on both `search` methods -- same answers,
+        same work counters, either way."""
+        sharded = ShardedDatabase.from_database(small_db, 2)
+        for db in (small_db, sharded):
+            runs = [_answers(*db.search("xml data", use_cache=flag,
+                                        with_stats=True))
+                    for flag in (True, False, True)]
+            assert runs[0] == runs[1] == runs[2]
+            assert runs[0][2]["levels_processed"] > 0
 
     def test_semantics_and_algorithm_keyed_separately(self, fig1_db):
         elca = fig1_db.search("xml data", semantics="elca")
@@ -112,17 +113,13 @@ class TestQueryCacheWiring:
             deweys(slca)
         # In the Figure-1 tree the root is an ELCA but not an SLCA, so
         # the two semantics genuinely differ -- a shared cache key would
-        # have returned the wrong set above.
+        # have returned the wrong set.
         assert deweys(elca) != deweys(slca)
+        assert result_key(["xml", "data"], "elca", "join") != \
+            result_key(["xml", "data"], "slca", "join")
 
-    def test_refresh_clears_cache(self, small_db):
-        small_db.search("xml data")
-        assert len(small_db.cache.results) > 0
-        small_db.refresh()
-        assert len(small_db.cache.results) == 0
-
-    def test_cache_stats_shape(self, small_db):
-        report = small_db.cache_stats()
+    def test_cache_stats_shape(self):
+        report = QueryCache().stats()
         assert set(report) == {"results"}
         assert set(report["results"]) == {"hits", "misses", "evictions"}
 
@@ -140,18 +137,32 @@ class TestQueryCacheWiring:
         assert [id(p) for p in again] == [id(p) for p in fetched]
 
 
+class TestNoLibraryCache:
+    """The library answers every query fresh; the daemon's cache is the
+    only one."""
+
+    def test_no_cache_keyword_or_attribute(self):
+        for fn in (XMLDatabase.__init__, XMLDatabase.search_batch,
+                   ShardedDatabase.__init__, ShardedDatabase.search_batch,
+                   load_database):
+            params = set(inspect.signature(fn).parameters)
+            assert not {"cache", "result_cache_size", "use_cache"} & params
+        for cls in (XMLDatabase, ShardedDatabase):
+            assert not hasattr(cls, "cache_stats")
+        assert not hasattr(ShardedDatabase, "clear_caches")
+        assert not hasattr(QueryCache, "invalidate")
+        assert not {"remove", "keys"} & set(vars(LRUCache))
+
+
 class TestSearchBatch:
     @pytest.mark.parametrize("threads", [None, 4])
     def test_batch_matches_sequential_search(self, small_db, threads):
         queries = ["xml data", "data", "xml keyword", "zzz missing"]
-        expected = [deweys(small_db.search(q, use_cache=False))
-                    for q in queries]
+        expected = [deweys(small_db.search(q)) for q in queries]
         if threads is None:
-            got = small_db.search_batch(queries, use_cache=False)
+            got = small_db.search_batch(queries)
         else:
-            got = on_threads(
-                threads, lambda q: small_db.search(q, use_cache=False),
-                queries)
+            got = on_threads(threads, small_db.search, queries)
         assert [deweys(rs) for rs in got] == expected
 
     @pytest.mark.parametrize("threads", [None, 4])
@@ -160,62 +171,54 @@ class TestSearchBatch:
         expected = [deweys(small_db.search_topk(q, k=3).results)
                     for q in queries]
         if threads is None:
-            got = small_db.search_batch(queries, k=3, use_cache=False)
+            got = small_db.search_batch(queries, k=3)
         else:
             got = on_threads(
                 threads, lambda q: small_db.search_topk(q, k=3).results,
                 queries)
         assert [deweys(rs) for rs in got] == expected
 
-    def test_repeated_query_reports_hit_and_skips_levels(self, small_db):
+    def test_repeated_query_evaluates_again(self, small_db):
         pairs = small_db.search_batch(["xml data", "xml data"],
                                       with_stats=True)
         (r1, s1), (r2, s2) = pairs
-        assert s1.cache_misses == 1 and s1.levels_processed > 0
-        assert s2.cache_hits == 1 and s2.levels_processed == 0
+        assert s1.levels_processed > 0
+        assert s2.as_dict() == s1.as_dict()
         assert deweys(r1) == deweys(r2)
 
-    def test_eviction_counter_on_stats(self):
-        db = XMLDatabase.from_xml_text(
-            "<r><a>xml data</a><b>xml</b></r>", result_cache_size=1)
-        pairs = db.search_batch(["xml data", "xml", "xml data"],
-                                with_stats=True)
-        assert sum(s.cache_evictions for _, s in pairs) >= 1
-
-    def test_search_counts_the_cache_like_batch(self):
-        """Hit / miss / eviction counters on `ExecutionStats` are the
-        pipeline's, so every entry point reports them the same way."""
+    def test_search_counts_work_like_batch(self):
+        """Work counters on `ExecutionStats` are the pipeline's, so
+        every entry point reports them the same way."""
         queries = ["xml data", "xml", "xml", "xml data"]
+        db = XMLDatabase.from_xml_text("<r><a>xml data</a><b>xml</b></r>")
+        via_search = [db.search(q, with_stats=True)[1].as_dict()
+                      for q in queries]
+        via_batch = [s.as_dict() for _, s in
+                     db.search_batch(queries, with_stats=True)]
+        assert via_search == via_batch
 
-        def counters(run):
-            db = XMLDatabase.from_xml_text(
-                "<r><a>xml data</a><b>xml</b></r>", result_cache_size=1)
-            return [(s.cache_hits, s.cache_misses, s.cache_evictions)
-                    for s in run(db)]
+    def test_threaded_batch_shares_cache(self):
+        """The daemon's ``--workers 0`` threads share its cache."""
+        cache = QueryCache(result_capacity=16)
+        key = result_key(["xml", "data"], "elca", "serve-search")
 
-        via_search = counters(lambda db: [
-            db.search(q, with_stats=True)[1] for q in queries])
-        via_batch = counters(lambda db: [
-            s for _, s in db.search_batch(queries, with_stats=True)])
-        assert via_search == via_batch == [
-            (0, 1, 0), (0, 1, 1), (1, 0, 0), (0, 1, 1)]
+        def serve(_query):
+            answer = cache.get_results(key)
+            if answer is None:
+                answer = "answer"
+                cache.put_results(key, answer)
+            return answer
 
-    def test_threaded_batch_shares_cache(self, small_db):
-        small_db.columnar_index     # built before the threads race to it
-        small_db.cache.clear()
-        queries = ["xml data"] * 8
-        results = on_threads(4, small_db.search, queries)
-        assert all(deweys(rs) == deweys(results[0]) for rs in results)
-        stats = small_db.cache.results.stats
+        assert on_threads(4, serve, range(8)) == ["answer"] * 8
+        stats = cache.results.stats
         assert stats.hits + stats.misses == 8
-        assert stats.misses >= 1
-        assert stats.hits >= 1
+        assert stats.misses >= 1 and stats.hits >= 1
 
     def test_string_and_list_queries_share_cache_key(self, small_db):
-        small_db.cache.clear()
-        small_db.search_batch([["XML", "Data"]])
-        pairs = small_db.search_batch(["xml data"], with_stats=True)
-        assert pairs[0][1].cache_hits == 1
+        """The daemon keys its cache on the parsed terms, and both
+        query shapes parse alike."""
+        assert result_key(small_db._terms(["XML", "Data"]), "elca", "s") == \
+            result_key(small_db._terms("xml data"), "elca", "s")
 
     def test_semantics_validated(self, small_db):
         with pytest.raises(ValueError):
@@ -227,65 +230,20 @@ class TestSearchBatch:
 
 
 class TestClearAndInvalidate:
-    """`QueryCache.clear` / `invalidate` and their metric contract."""
-
-    def test_lru_remove_is_not_an_eviction(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        assert cache.remove("a") is True
-        assert cache.remove("a") is False
-        assert cache.stats.evictions == 0
-        assert len(cache) == 0
-
-    def test_clear_empties_both_caches(self, small_db):
-        small_db.search("xml data")
-        qc = small_db.cache
-        assert len(qc.results) > 0
-        qc.clear()
-        assert len(qc.results) == 0
-        assert qc.results.stats.hits == 0
-        # the next identical query re-evaluates (a miss, not a hit)
-        pairs = small_db.search_batch(["xml data"], with_stats=True)
-        stats = pairs[0][1]
-        assert stats.cache_hits == 0 and stats.cache_misses == 1
-        assert stats.levels_processed > 0
+    """`QueryCache.clear` (the daemon's ``/cache/clear``)."""
 
     def test_clear_restarts_hit_ratio_gauge(self):
-        """`cache_stats` reads the live (fresh) stats after a clear, not
-        the dead cache's."""
-        db = XMLDatabase.from_xml_text(
-            "<r><a>xml data</a><b>xml data</b></r>")
-        db.search("xml data")
-        db.search("xml data")
-        assert db.cache_stats()["results"]["hits"] == 1
-        db.cache.clear()
-        assert db.cache_stats()["results"] == {
+        """`stats` reads the fresh counters after a clear."""
+        cache = QueryCache()
+        key = result_key(["xml", "data"], "elca", "serve-search")
+        cache.put_results(key, "answer")
+        cache.get_results(key)
+        assert cache.stats()["results"]["hits"] == 1
+        cache.clear()
+        assert len(cache.results) == 0
+        assert cache.stats()["results"] == {
             "hits": 0, "misses": 0, "evictions": 0}
-
-    def test_invalidate_drops_postings_and_matching_results(self):
-        qc = QueryCache(result_capacity=8)
-        qc.put_results(result_key(["xml", "data"], "elca", "join"), [])
-        qc.put_results(result_key(["data"], "elca", "join"), [])
-        qc.put_results(result_key(["xml"], "slca", "join", 5), [])
-        dropped = qc.invalidate("xml")
-        assert dropped == 2
-        assert qc.get_results(result_key(["data"], "elca", "join")) == []
-        assert qc.get_results(
-            result_key(["xml", "data"], "elca", "join")) is None
-
-    def test_invalidate_unknown_term_is_a_noop(self):
-        qc = QueryCache()
-        qc.put_results(result_key(["data"], "elca", "join"), [])
-        assert qc.invalidate("nope") == 0
-        assert qc.get_results(result_key(["data"], "elca", "join")) == []
-
-    def test_invalidated_query_reevaluates(self, small_db):
-        small_db.cache.clear()
-        small_db.search("xml data")
-        small_db.cache.invalidate("xml")
-        pairs = small_db.search_batch(["xml data"], with_stats=True)
-        stats = pairs[0][1]
-        assert stats.cache_misses == 1 and stats.levels_processed > 0
+        assert cache.get_results(key) is None
 
 
 class TestDecodedColumnCache:

@@ -61,8 +61,7 @@ def answers(db, queries):
     out = []
     for terms in queries:
         for semantics in ("elca", "slca"):
-            out.append(canon(db.search(list(terms), semantics,
-                                       use_cache=False)))
+            out.append(canon(db.search(list(terms), semantics)))
             # Ties make the top-K *set* a choice (a sharded merge may
             # make another one); its scores are not.
             out.append([round(r.score, 12) for r in db.search_topk(
@@ -236,8 +235,7 @@ def _transcript(db, plans=True):
     only its answers compare)."""
     out = []
     for query in QUERIES:
-        results, stats = db.search(query, use_cache=False,
-                                   with_stats=True)
+        results, stats = db.search(query, with_stats=True)
         top = db.search_topk(query, k=3)
         for answer, run in ((results, stats), (top, top.stats)):
             out.append(([(r.node.dewey, r.level, r.score, r.witness_scores)
@@ -302,8 +300,7 @@ class TestRoundTripMatrix:
     def test_repeat_queries_hit_decode_cache_identically(self, saved):
         """Warm decoded-column-cache hits serve the same answers as the
         cold decodes that populated them."""
-        db = load_database(saved["flat"], verify="lazy",
-                           result_cache_size=0)
+        db = load_database(saved["flat"], verify="lazy")
         first = _transcript(db)
         assert _transcript(db) == first
         cache = db.columnar_index._decoded_cache
@@ -315,7 +312,7 @@ class TestZeroCopy:
         COPY_STATS.reset()
         db = load_database(saved["flat"], verify="lazy")
         for query in QUERIES:
-            db.search(query, use_cache=False)
+            db.search(query)
         assert COPY_STATS.copies("read-columnar") == 0, \
             COPY_STATS.events
         # The node table is mapped too, and the document is not read.

@@ -274,7 +274,7 @@ def test_hostile_rle_runs_are_typed_with_checks_off(tmp_path, hostile):
         fh.write(bytes(blob))
     db = load_database(path, verify="off")
     with pytest.raises(DatabaseCorruptError) as err:
-        db.search(ref.term, use_cache=False)
+        db.search(ref.term)
     assert err.value.term == ref.term
 
 
@@ -313,7 +313,7 @@ class TestContainerFuzz:
             postings = index.term_postings(term)
             for level in range(1, postings.max_len + 1):
                 postings.column(level)
-        db.search("xml data", use_cache=False)
+        db.search("xml data")
         db.search_topk("keyword search", k=3)
 
     @pytest.mark.parametrize("lazy", (True, False))

@@ -214,8 +214,7 @@ class TestOpenedDatabaseParsesNothing:
         db.search(self.QUERY)
         assert calls == []
         for _ in range(2):
-            assert canon(db.search(self.QUERY, algorithm="oracle",
-                                   use_cache=False)) == \
+            assert canon(db.search(self.QUERY, algorithm="oracle")) == \
                 canon(dblp_db.search(self.QUERY, algorithm="oracle"))
         assert calls == [1]
         assert db.search(self.QUERY)[0].fragment() == \

@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro.obs import PHASES, MetricsRegistry, phase_totals
+from repro.obs import PHASES, phase_totals
 from repro.obs.distributed import (TRACE_WIRE_VERSION, TraceContext,
                                    count_spans, make_span, new_trace_id,
                                    read_jsonl, render_stitched, shift_span,
@@ -34,7 +34,6 @@ class DaemonHarness:
 
     def __init__(self, db, **kwargs):
         kwargs.setdefault("port", 0)
-        kwargs.setdefault("metrics", MetricsRegistry())
         self.daemon = ServeDaemon(db, **kwargs)
         self.loop = asyncio.new_event_loop()
         self._ready = threading.Event()
@@ -374,6 +373,29 @@ class TestLogFiles:
         traces = read_jsonl(str(trace_path))
         assert {t["trace_id"] for t in traces} == \
             {r["trace_id"] for r in records}
+
+    def test_trace_verb_renders_the_logs(self, sharded, tmp_path, capsys):
+        """OBSERVABILITY.md's offline workflow: ``repro trace
+        --from-log`` renders a stitched trace (one, with ``--trace-id``)
+        and pretty-prints access records."""
+        from repro.cli import main
+
+        access_path = str(tmp_path / "access.jsonl")
+        trace_path = str(tmp_path / "traces.jsonl")
+        with DaemonHarness(sharded, access_log_path=access_path,
+                           trace_log_path=trace_path) as h:
+            ids = [h.get_json(f"/topk?q={query}&k=3")[1]["trace_id"]
+                   for query in ("alpha+beta", "gamma")]
+        capsys.readouterr()
+        assert main(["trace", "--from-log", trace_path,
+                     "--trace-id", ids[1]]) == 0
+        shown = capsys.readouterr().out
+        assert ids[1] in shown and ids[0] not in shown
+        assert main(["trace", "--from-log", access_path]) == 0
+        shown = capsys.readouterr().out
+        assert ids[0] in shown and ids[1] in shown
+        assert main(["trace", "--from-log", access_path,
+                     "--trace-id", "feedfacefeedface"]) == 1
 
     def test_read_jsonl_skips_truncated_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"

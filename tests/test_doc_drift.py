@@ -32,6 +32,7 @@ the scan of the ``src/`` call sites.
 """
 
 import argparse
+import ast
 import asyncio
 import glob
 import importlib.util
@@ -64,7 +65,6 @@ def exposition(tmp_path_factory):
     """A daemon's `/metrics` after a few answered requests."""
     from repro.diskdb import save_database
     from repro.api import XMLDatabase
-    from repro.obs.metrics import MetricsRegistry
     from tests.conftest import SMALL_XML
 
     tmp = tmp_path_factory.mktemp("doc_drift")
@@ -72,7 +72,7 @@ def exposition(tmp_path_factory):
     path = str(tmp / "db")
     save_database(db, path, shards=2)
     sharded = ShardedDatabase.open(path)
-    daemon = ServeDaemon(sharded, workers=0, metrics=MetricsRegistry(),
+    daemon = ServeDaemon(sharded, workers=0,
                          access_log_path=str(tmp / "access.jsonl"))
 
     async def go():
@@ -172,15 +172,48 @@ def test_every_metric_row_says_what_reads_it():
             f"metric row with no reader named: {families}"
 
 
+#: A span a library region opens by name: ``span("join")``,
+#: ``tracer.span("query", ...)`` (the daemon's stitched spans are built
+#: as dicts by `make_span` and documented with the daemon).
+SPAN_CALL_RE = re.compile(r"\bspan\(\s*\"([a-z_]+)\"")
+
+
+def _span_table():
+    """Span names in docs/OBSERVABILITY.md's pipeline span table."""
+    text = open(DOC, encoding="utf-8").read()
+    table = text[text.index("| span | where | tags |"):]
+    table = table[:table.index("\n\n")]
+    return set(re.findall(r"^\| `([a-z_]+)` \|", table, re.MULTILINE))
+
+
+def test_span_table_matches_the_library():
+    """Every span the library opens has a row in the span table, and
+    every row names a span some library region opens."""
+    opened = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "repro", "**", "*.py"),
+                          recursive=True):
+        rel = os.path.relpath(path, os.path.join(ROOT, "src", "repro"))
+        if rel.startswith("serve" + os.sep) or rel == os.path.join(
+                "obs", "tracing.py"):
+            continue        # the daemon's spans; the module's docstring
+        opened |= set(SPAN_CALL_RE.findall(open(path, encoding="utf-8")
+                                           .read()))
+    documented = _span_table()
+    assert "join" in opened and "query" in documented, "scan found nothing"
+    assert opened == documented, (sorted(opened - documented),
+                                  sorted(documented - opened))
+
+
 def test_library_queries_publish_no_family(tmp_path):
     """In a fresh process, queries against a built and an opened
     database leave the process registry empty: a query's time and work
     are on its stats, its trace and the slow log."""
     script = (
-        "from repro import XMLDatabase, get_registry\n"
+        "from repro import SlowQueryLog, XMLDatabase, get_registry\n"
         "from repro.diskdb import load_database\n"
         "from tests.conftest import SMALL_XML\n"
-        "db = XMLDatabase.from_xml_text(SMALL_XML, slow_query_ms=0.0)\n"
+        "db = XMLDatabase.from_xml_text(\n"
+        "    SMALL_XML, slow_log=SlowQueryLog(threshold_ms=0.0))\n"
         "db.search('xml data'); db.search_topk('xml data', 3)\n"
         "db.search_batch(['xml data', 'keyword search'])\n"
         f"db.save({str(tmp_path / 'db')!r})\n"
@@ -220,6 +253,15 @@ VERB_RE = re.compile(r"(?:python3? -m repro|`repro|^\s*(?:\$ )?repro)"
 #: switches and the eraser switch were collapsed.  A doc, CI step or
 #: skill line that names one of these describes code that is gone.
 REMOVED_NAMES = (
+    # the library's result caches and the keywords the ledger found no
+    # consumer for: the daemon's response cache is the only one
+    "cache_stats", "clear_caches", "cache_lookup", "cache_hits",
+    "cache_misses", "cache_evictions", "--no-cache", "cache=", "planner=",
+    "slow_query_ms",
+    "raise_on_error", "trace_capacity", "access_log_capacity",
+    "retry_backoff_ms", "--eager", "--quiet",
+    # names nothing called
+    "span_to_wire", "best_per_keyword",
     "--format-version", "format_version=", "REPRO_VECTORIZED_MIN_BYTES",
     "vectorized_min_bytes", "min_bytes=", "V4_CODECS",
     "choose_scheme", "compress_column",
@@ -410,8 +452,10 @@ class TestDocumentedCommands:
         import repro.index.storage
         import repro.obs
         import repro.obs.account
+        import repro.obs.distributed
         import repro.planner.plans
         import repro.reliability.io
+        import repro.scoring.ranking
         import repro.serve
         import repro.serve.sharding
         import repro.xmltree.jdewey
@@ -440,7 +484,8 @@ class TestDocumentedCommands:
                               repro.obs, repro.reliability,
                               repro.reliability.io,
                               repro.serve, repro.serve.daemon,
-                              ServeDaemon, repro.cli):
+                              ServeDaemon, ShardedDatabase, repro.cli,
+                              repro.obs.distributed, repro.scoring.ranking):
                     assert not hasattr(owner, name), (owner, name)
 
     def test_hybrid_row_names_no_estimator(self):
@@ -553,26 +598,76 @@ class TestDocumentedCommands:
 # ---------------------------------------------------------------------------
 
 LEDGER_PACKAGES = ("obs", "reliability", "serve")
-LEDGER_ROW_RE = re.compile(r"^\| (module|verb|route) \| `([^`]+)` \| (.+) \|$",
-                           re.MULTILINE)
+LEDGER_ROW_RE = re.compile(r"^\| (module|verb|route|keyword) \| `([^`]+)`"
+                           r"(?: on ([^|]+?))? \| (.+) \|$", re.MULTILINE)
 #: The consumer kinds a row may name (DESIGN.md section 7), or why it
 #: has none.
-CONSUMER_PREFIXES = ("gate:", "workflow:", "module:", "deleted in PR")
+CONSUMER_PREFIXES = ("gate:", "workflow:", "module:", "example:",
+                     "deleted in PR")
+
+
+def _entry_points():
+    """The public entry points whose keywords the ledger holds: name ->
+    callable."""
+    from repro.api import XMLDatabase
+    from repro.diskdb import load_database, save_database
+
+    points = {"XMLDatabase": XMLDatabase.__init__,
+              "ShardedDatabase": ShardedDatabase.__init__,
+              "ServeDaemon": ServeDaemon.__init__,
+              "load_database": load_database,
+              "save_database": save_database}
+    for cls in (XMLDatabase, ShardedDatabase):
+        for name in ("search", "search_ranked", "search_topk",
+                     "search_batch", "search_stream", "explain",
+                     "generate_dblp", "generate_xmark"):
+            if hasattr(cls, name):
+                points[f"{cls.__name__}.{name}"] = getattr(cls, name)
+    return points
+
+
+def _keyword_sites():
+    """Keyword -> the entry points taking it: every parameter with a
+    default of a public entry point, and every `build_parser()` option
+    (its sites are the verbs, ``repro <verb>``)."""
+    from repro.cli import build_parser
+
+    sites = {}
+    for point, fn in _entry_points().items():
+        for param in inspect.signature(fn).parameters.values():
+            if param.default is not param.empty:
+                sites.setdefault(param.name, set()).add(point)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for verb, parser in sub.choices.items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                if flag not in ("-h", "--help"):
+                    sites.setdefault(flag, set()).add(f"repro {verb}")
+    return sites
+
+
+def _ledger_table():
+    """(kind, part, sites or None, consumer) per row of DESIGN.md's
+    ledger table."""
+    text = open(os.path.join(ROOT, "DESIGN.md"), encoding="utf-8").read()
+    section = text[text.index("## 7. Consumer ledger"):]
+    return [(kind, part, sites or None, consumer)
+            for kind, part, sites, consumer in LEDGER_ROW_RE.findall(section)]
 
 
 def _ledger():
     """(kind, part) -> consumer cell, from DESIGN.md's ledger table."""
-    text = open(os.path.join(ROOT, "DESIGN.md"), encoding="utf-8").read()
-    section = text[text.index("## 7. Consumer ledger"):]
     rows = {}
-    for kind, part, consumer in LEDGER_ROW_RE.findall(section):
+    for kind, part, _sites, consumer in _ledger_table():
         assert (kind, part) not in rows, f"two rows for {part}"
         rows[kind, part] = consumer
     return rows
 
 
 def _code_parts():
-    """(kind, part) of every module file, CLI verb and daemon route."""
+    """(kind, part) of every module file, CLI verb, daemon route and
+    public keyword."""
     from repro.cli import build_parser
 
     src = os.path.join(ROOT, "src", "repro")
@@ -585,6 +680,7 @@ def _code_parts():
     dispatch = inspect.getsource(ServeDaemon._dispatch)
     parts |= {("route", route)
               for route in re.findall(r'"(/[a-z][a-z/_]*)"', dispatch)}
+    parts |= {("keyword", name) for name in _keyword_sites()}
     return parts
 
 
@@ -682,7 +778,9 @@ def _citation_failures(rows, steps, bench):
             if not (cite in bench or _step_of(cite, steps) is not None
                     or (cite.startswith("tests/") and _test_node_exists(cite))
                     or (cite.endswith(".py") and os.path.isfile(
-                        os.path.join(ROOT, "src", "repro", cite)))):
+                        os.path.join(ROOT, "src", "repro", cite)))
+                    or (cite.startswith(("benchmarks/", "examples/"))
+                        and os.path.isfile(os.path.join(ROOT, cite)))):
                 failures.append((key, clause_kind, cite))
     return failures
 
@@ -705,9 +803,6 @@ def _outside(key, cite, steps, bench):
                 or set(STEP_TESTS_RE.findall(run)) - own)
 
 
-#: An import statement, a parenthesized one's continuation lines included.
-IMPORT_RE = re.compile(r"^[ \t]*(?:from[ \t]+\S+[ \t]+)?import[ \t]+"
-                       r"(?:\([^)]*\)|.*)$", re.MULTILINE)
 #: A top-level ``def`` / ``class`` or assignment: a name a module defines.
 DEFINED_RE = re.compile(r"^(?:def|class)[ \t]+(\w+)"
                         r"|^([A-Za-z_]\w*)[ \t]*(?::[^=\n]*)?=(?!=)",
@@ -721,12 +816,29 @@ def _source(rel):
 
 
 def _uses(cite, part, source=_source):
-    """Whether module `cite` uses a name module `part` defines, outside
-    its import lines: an import alone consumes nothing."""
+    """Whether module `cite` uses what it imports from module `part`: a
+    name bound by an import of the part (the part itself, a name from
+    it, or a name the part defines imported through its package) must
+    occur as an AST `Name` -- the head of any `Attribute` chain on it
+    included.  An import alone consumes nothing, and neither does a
+    docstring or a comment naming the import."""
+    pkg, stem = os.path.split(part[:-len(".py")])
     defined = {a or b for a, b in DEFINED_RE.findall(source(part))}
-    body = IMPORT_RE.sub("", source(cite))
-    return any(re.search(rf"\b{re.escape(name)}\b", body)
-               for name in defined)
+    tree = ast.parse(source(cite))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                if (module == stem or alias.name == stem
+                        or (module == pkg and alias.name in defined)):
+                    bound.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[-1] == stem:
+                    bound.add(alias.asname or alias.name.split(".")[0])
+    return any(isinstance(node, ast.Name) and node.id in bound
+               for node in ast.walk(tree))
 
 
 def _unanchored(rows, steps, bench, source=_source):
@@ -738,6 +850,8 @@ def _unanchored(rows, steps, bench, source=_source):
     modules = {part for kind, part in rows if kind == "module"}
     anchored, edges = set(), {}
     for key, _clause_kind, citations in _live_clauses(rows):
+        if key[0] == "keyword":
+            continue            # `_keyword_failures` holds these
         for cite in citations:
             if key[0] == "module" and cite.endswith(".py") \
                     and not cite.startswith("tests/"):
@@ -757,8 +871,69 @@ def _unanchored(rows, steps, bench, source=_source):
                 anchored.add(key)
                 grown = True
     live = {key for key, cell in rows.items()
-            if not cell.startswith("deleted in PR")}
+            if key[0] != "keyword" and not cell.startswith("deleted in PR")}
     return live - anchored
+
+
+def _passes_keyword(text, name):
+    """Whether Python source `text` passes keyword `name`: a call's
+    ``name=`` argument, or a ``"name"`` key of a dict literal that is
+    spread into one (``**kwargs``)."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and any(
+                kw.arg == name for kw in node.keywords):
+            return True
+        if isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == name
+                for key in node.keys):
+            return True
+    return False
+
+
+def _site_drift(table, sites):
+    """Live keyword rows whose ``on ...`` list is not the set of entry
+    points (or verbs) that take the keyword."""
+    return sorted(part for kind, part, listed, cell in table
+                  if kind == "keyword" and part in sites
+                  and not cell.startswith("deleted in PR")
+                  and {s.strip() for s in (listed or "").split(",")}
+                  != sites[part])
+
+
+def _keyword_failures(rows, steps, read=None):
+    """Live keyword rows with no consumer.
+
+    A library keyword's consumer is a caller outside the tests that
+    passes it: a ``src/`` module (the CLI maps a flag onto it, the
+    daemon, the opener), a script under ``benchmarks/`` or a program
+    under ``examples/``.  A CLI flag's consumer is a CI step or a
+    ``benchmarks/`` script that passes it, or a documented workflow a
+    test walks (``tests/...``)."""
+    if read is None:
+        def read(rel):
+            base = ROOT if rel.startswith(("benchmarks/", "examples/")) \
+                else os.path.join(ROOT, "src", "repro")
+            return open(os.path.join(base, rel), encoding="utf-8").read()
+    failures = []
+    for (kind, part), cell in rows.items():
+        if kind != "keyword" or cell.startswith("deleted in PR"):
+            continue
+        consumed = False
+        for clause in cell.split(";"):
+            for cite in CITATION_RE.findall(clause):
+                if part.startswith("-"):
+                    run = _step_of(cite, steps)
+                    if run is not None:
+                        consumed |= part in run.split()
+                    elif cite.startswith("tests/"):
+                        consumed |= _test_node_exists(cite)
+                    elif cite.startswith("benchmarks/"):
+                        consumed |= part in read(cite)
+                elif cite.endswith(".py") and not cite.startswith("tests/"):
+                    consumed |= _passes_keyword(read(cite), part)
+        if not consumed:
+            failures.append(part)
+    return sorted(failures)
 
 
 def _false_module_citations(rows):
@@ -812,6 +987,19 @@ class TestLedger:
         false = _false_module_citations(_ledger())
         assert not false, false
 
+    def test_every_keyword_row_lists_its_entry_points(self):
+        sites = _keyword_sites()
+        assert "deadline" in sites and "--timeout-ms" in sites, \
+            "scan found nothing"
+        drift = _site_drift(_ledger_table(), sites)
+        assert not drift, f"rows whose entry points are not the code's: " \
+                          f"{drift}"
+
+    def test_every_keyword_has_a_consumer(self):
+        lonely = _keyword_failures(_ledger(), _ci_steps())
+        assert not lonely, f"keywords no caller outside the tests " \
+                           f"passes: {lonely}"
+
     def test_the_check_fails_both_ways(self):
         code = _code_parts()
         rows = {key: "module: x" for key in code}
@@ -822,7 +1010,6 @@ class TestLedger:
         assert missing == {("verb", "repro new"),
                            ("module", "serve/daemon.py")}
         assert stale == {("module", "obs/gone.py")}
-
         steps, bench = _ci_steps(), _benchmark_names()
         rows = {
             # consumed: a benchmark name, a walked workflow, a core
@@ -854,15 +1041,50 @@ class TestLedger:
                                         "\n\n\ndef f():\n    return 1\n",
                      "uses.py": "from .serve import merge\n\n\n"
                                 "OPEN = merge.ShardedDatabase.open\n"}
+        # ... and one that names the import only in a docstring
+        consumers["says_so.py"] = ("from .obs.slowlog import SlowQueryLog"
+                                   "\n\n\ndef f():\n    \"\"\"Feeds a "
+                                   "SlowQueryLog.\"\"\"\n    return 1\n")
         assert _unanchored(
             {("module", "serve/supervisor.py"): "module: `only_imports.py`",
+             ("module", "obs/slowlog.py"): "module: `says_so.py`",
              ("module", "serve/merge.py"): "module: `uses.py`"},
             steps, bench,
             lambda rel: consumers.get(rel) or _source(rel)) == {
-            ("module", "serve/supervisor.py")}
+            ("module", "serve/supervisor.py"), ("module", "obs/slowlog.py")}
         assert _citation_failures(rows, steps, bench) == [
             (("verb", "repro info"), "gate", "no such step"),
             (("verb", "repro info"), "workflow", "cites nothing")]
         # `serve/sharding.py` does not import `serve/merge.py`
         assert _false_module_citations(rows) == [
             ("serve/merge.py", "serve/sharding.py")]
+        # a keyword added with no row, and a row whose keyword is gone
+        rows = {key: "module: x" for key in code}
+        rows["keyword", "cache"] = "module: `api.py`"
+        missing, stale = _ledger_drift(
+            code | {("keyword", "new_knob"), ("keyword", "--new-flag")},
+            rows)
+        assert missing == {("keyword", "new_knob"),
+                           ("keyword", "--new-flag")}
+        assert stale == {("keyword", "cache")}
+        # a keyword row must list the entry points that take it
+        sites = {"deadline": {"XMLDatabase.search", "ShardedDatabase.search"}}
+        table = [("keyword", "deadline", "XMLDatabase.search", "gate: x")]
+        assert _site_drift(table, sites) == ["deadline"]
+        table = [("keyword", "deadline",
+                  "ShardedDatabase.search, XMLDatabase.search", "gate: x")]
+        assert _site_drift(table, sites) == []
+        # a keyword's consumer passes it; a flag's runs it
+        callers = {"passes.py": "db.search(q, deadline=5)\n",
+                   "spreads.py": "db.search(q, **{'timeout_ms': 5})\n",
+                   "names.py": "# deadline= is a keyword\nDEADLINE = 1\n"}
+        assert _keyword_failures(
+            {("keyword", "deadline"): "module: `passes.py`",
+             ("keyword", "timeout_ms"): "module: `spreads.py`",
+             ("keyword", "strict"): "module: `names.py`",
+             ("keyword", "--shards"): "gate: `Re-save with fewer shards`",
+             ("keyword", "--semantics"):
+                 "gate: `Re-save with fewer shards`",
+             ("keyword", "--gone"): "deleted in PR N"},
+            steps, callers.get) == ["--semantics", "strict"]
+

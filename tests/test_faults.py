@@ -49,7 +49,7 @@ def _answers(db):
     out = []
     for _pass in range(5):
         for query in QUERIES:
-            results = db.search(query, use_cache=False)
+            results = db.search(query)
             out.append([(r.node.dewey, round(r.score, 12))
                         for r in results])
     return out

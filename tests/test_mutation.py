@@ -108,8 +108,7 @@ class TestJDeweyOrderAfterAReencode:
                 "xml data", semantics, algorithm="oracle")]
             assert len(oracle) == count
             for algorithm in ("join", "stack", "index"):
-                got = db.search("xml data", semantics, algorithm=algorithm,
-                                use_cache=False)
+                got = db.search("xml data", semantics, algorithm=algorithm)
                 assert [(r.node.dewey, round(r.score, 9))
                         for r in got] == oracle, (semantics, algorithm)
 
@@ -133,7 +132,7 @@ class TestJDeweyOrderAfterAReencode:
         opened.encoder.validate()
         opened.refresh()
         assert [(r.node.dewey, r.node.tag) for r in
-                opened.search("xml data", use_cache=False)] == \
+                opened.search("xml data")] == \
             [((1, 1), "paper"), ((1, 2, 2), "note")] == \
             [(r.node.dewey, r.node.tag) for r in
              opened.search("xml data", algorithm="oracle")]

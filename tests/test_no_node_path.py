@@ -43,21 +43,19 @@ def no_node(monkeypatch):
 def test_the_path_builds_no_node(no_node, tmp_path, generate):
     db = XMLDatabase.from_tree(generate())
     for semantics in ("elca", "slca"):
-        complete = answers(db.search(QUERY, semantics, use_cache=False))
+        complete = answers(db.search(QUERY, semantics))
         assert complete
         for algorithm in ("stack", "index"):
-            assert answers(db.search(QUERY, semantics, algorithm,
-                                     use_cache=False)) == complete
-        ranked = answers(db.search_ranked(QUERY, semantics,
-                                          use_cache=False))
+            assert answers(db.search(QUERY, semantics, algorithm)) == complete
+        ranked = answers(db.search_ranked(QUERY, semantics))
         for algorithm in ("hybrid", "topk-join", "rdil", "join"):
             top = answers(db.search_topk(QUERY, 5, semantics,
                                          algorithm=algorithm))
             assert [score for *_, score in top] == \
                 [score for *_, score in ranked[:5]]
     sharded = ShardedDatabase.from_database(db, 2)
-    assert answers(sharded.search(QUERY, use_cache=False)) == \
-        answers(db.search(QUERY, use_cache=False))
+    assert answers(sharded.search(QUERY)) == \
+        answers(db.search(QUERY))
     assert answers(sharded.search_topk(QUERY, 5)) == \
         answers(db.search_topk(QUERY, 5))
     flat, shards = str(tmp_path / "flat"), str(tmp_path / "shards")
@@ -65,8 +63,8 @@ def test_the_path_builds_no_node(no_node, tmp_path, generate):
     save_database(db, shards, shards=2, fsync=False)
     for path in (flat, shards):
         opened = load_database(path)
-        assert answers(opened.search(QUERY, use_cache=False)) == \
-            answers(db.search(QUERY, use_cache=False))
+        assert answers(opened.search(QUERY)) == \
+            answers(db.search(QUERY))
         assert answers(opened.search_topk(QUERY, 5)) == \
             answers(db.search_topk(QUERY, 5))
     assert not hasattr(NodeTable(), "_real_nodes")

@@ -261,7 +261,7 @@ class TestSlowQueryLog:
 
     def test_database_threshold_wiring(self, small_db):
         db = XMLDatabase.from_xml_text(
-            small_db.tree.to_xml(), slow_query_ms=0.0)
+            small_db.tree.to_xml(), slow_log=SlowQueryLog(threshold_ms=0.0))
         db.search("xml data")
         assert len(db.slow_log) == 1
         record = db.slow_log.records()[0]
@@ -273,8 +273,9 @@ class TestSlowQueryLog:
 
     def test_trace_attached_when_tracing(self, small_db):
         db = XMLDatabase.from_xml_text(
-            small_db.tree.to_xml(), slow_query_ms=0.0, tracer=Tracer())
-        db.search("xml data", use_cache=False)
+            small_db.tree.to_xml(),
+            slow_log=SlowQueryLog(0.0), tracer=Tracer())
+        db.search("xml data")
         record = db.slow_log.records()[0]
         assert record.trace is not None
         assert record.trace["name"] == "query"
@@ -292,12 +293,12 @@ class TestExecutionStatsMerge:
                            tuples_scanned=10)
         a.per_level_plan = [(3, "merge")]
         b = ExecutionStats(joins=1, index_joins=1, tuples_scanned=5,
-                           cache_hits=1)
+                           lookups=1)
         b.per_level_plan = [(2, "index")]
         a.merge(b)
         assert a.joins == 3
         assert a.tuples_scanned == 15
-        assert a.cache_hits == 1
+        assert a.lookups == 1
         assert a.per_level_plan == [(3, "merge"), (2, "index")]
 
     def test_iadd_and_add(self):
@@ -330,7 +331,7 @@ class TestTracedPipeline:
     def test_search_span_tree_shape(self, small_db):
         tracer = Tracer()
         db = _fresh_db(small_db, tracer=tracer)
-        db.search("xml data", use_cache=False)
+        db.search("xml data")
         root = tracer.last_root()
         assert root.name == "query"
         assert root.tags["op"] == "search"
@@ -382,36 +383,37 @@ class TestTracedPipeline:
     def test_join_span_cardinality_tags(self, small_db):
         tracer = Tracer()
         db = _fresh_db(small_db, tracer=tracer)
-        db.search("xml data", use_cache=False)
+        db.search("xml data")
         joins = tracer.last_root().find("join")
         assert joins
         for span in joins:
             assert span.tags["output"] <= min(span.tags["inputs"])
 
-    def test_cache_hit_span(self, small_db):
+    def test_repeat_query_evaluates_again(self, small_db):
+        """The library keeps no result cache: a repeated query records
+        the same evaluation spans as the first, and no lookup span."""
         tracer = Tracer()
         db = _fresh_db(small_db, tracer=tracer)
         db.search("xml data")
         db.search("xml data")
-        hits = [s.tags["hit"] for root in tracer.roots()
-                for s in root.find("cache_lookup")]
-        assert hits == [False, True]
-        # The cached query records no evaluation spans.
-        assert not tracer.roots()[-1].find("join")
+        first, second = tracer.roots()[-2:]
+        assert second.find("join")
+        assert [s.name for s in first.walk()] == \
+            [s.name for s in second.walk()]
+        assert not any(root.find("cache_lookup") for root in tracer.roots())
 
     def test_query_metrics_published(self, small_db):
         """A query's time and work are published on its stats, its trace
         and its slow-log record; the process registry is the serve
         daemon's alone and gains nothing."""
         before = get_registry().render_prometheus()
-        db = _fresh_db(small_db, slow_query_ms=0.0)
+        db = _fresh_db(small_db, slow_log=SlowQueryLog(threshold_ms=0.0))
         db.search("xml data")
-        db.search("xml data")  # result-cache hit
+        db.search("xml data")
         db.search_topk("xml data", k=2)
         db.search_batch(["xml data", "keyword search"])
         assert get_registry().render_prometheus() == before
         assert len(db.slow_log) == 5
-        assert db.cache_stats()["results"]["hits"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +433,7 @@ class TestBatchSummary:
         db = _fresh_db(small_db)
         batch = db.search_batch(["xml data", "xml data"], with_stats=True)
         per_query = [stats for _results, stats in batch]
-        assert batch.summary.cache_hits == 1
-        assert batch.summary.cache_misses == 1
+        assert per_query[0].levels_processed > 0
         assert batch.summary.levels_processed == \
             sum(s.levels_processed for s in per_query)
         assert batch.summary.per_level_plan == \
@@ -469,9 +470,9 @@ class TestOverheadGuard:
         budget by an order of magnitude."""
         counting = CountingNullTracer()
         db = _fresh_db(corpus_db, tracer=counting)
-        db.search("gamma beta", use_cache=False)  # frequent terms
+        db.search("gamma beta")  # frequent terms
         depth = db.tree.depth
-        # query + parse + cache_lookup + postings_fetch + <= 4 spans
+        # query + parse + postings_fetch + <= 4 spans
         # per level (join/score/erase/rank_join) with headroom.
         budget = 4 + 6 * depth
         assert 0 < counting.calls <= budget
@@ -490,7 +491,7 @@ class TestOverheadGuard:
         db = _fresh_db(corpus_db, tracer=counting)
 
         def run():
-            db.search("gamma beta", use_cache=False)
+            db.search("gamma beta")
 
         run()  # warm indexes/postings outside the timed region
         query_ms = min(_timed(run) for _ in range(3))
@@ -517,14 +518,12 @@ class TestOverheadGuard:
         db = _fresh_db(corpus_db)
 
         def run():
-            db.search("gamma beta", use_cache=False,
-                      deadline=Deadline(3_600_000.0))
+            db.search("gamma beta", deadline=Deadline(3_600_000.0))
 
         run()  # warm indexes/postings outside the timed region
         query_ms = min(_timed(run) for _ in range(3))
 
-        _results, stats = db.search("gamma beta", use_cache=False,
-                                    with_stats=True)
+        _results, stats = db.search("gamma beta", with_stats=True)
         top = db.search_topk("gamma beta", k=10)
         # Level polls, rank-join cadence polls (one per 16 retrievals,
         # the emission-attempt cadence), and generous headroom for the
@@ -592,8 +591,8 @@ class TestDiskMetrics:
         path = str(tmp_path / "db")
         small_db.save(path)
         tracer = Tracer()
-        db = XMLDatabase.open(path, tracer=tracer, slow_query_ms=0.0)
-        db.search("xml data", use_cache=False)
+        db = XMLDatabase.open(path, tracer=tracer, slow_log=SlowQueryLog(0.0))
+        db.search("xml data")
         assert tracer.last_root() is not None
         assert len(db.slow_log) == 1
         assert db.slow_log.records()[0].terms == ["xml", "data"]
@@ -650,7 +649,7 @@ def _search_all(db, queries, threads):
     db.columnar_index       # built before the threads race to it
 
     def search(query):
-        return db.search(query, use_cache=False, with_stats=True)
+        return db.search(query, with_stats=True)
 
     if threads == 1:
         return [search(query) for query in queries]
@@ -694,7 +693,7 @@ class TestThreadSafety:
         results = _search_all(db, self.QUERIES * 2, threads=4)
         roots = [root for root in tracer.roots() if root.name == "query"]
         assert len(roots) == len(self.QUERIES) * 2
-        stage_names = {"parse", "cache_lookup", "postings_fetch", "join",
+        stage_names = {"parse", "postings_fetch", "join",
                        "score", "erase", "rank_join", "topk_termination"}
         stats_by_terms = {}
         for _results, stats in results:
@@ -747,7 +746,7 @@ class TestProfilerOverheadGuard:
         depth = db.tree.depth
         budget = 4 + 6 * depth  # the TestOverheadGuard span budget
         complete = self._count_spans(
-            db, lambda: db.search("gamma beta", use_cache=False))
+            db, lambda: db.search("gamma beta"))
         assert 0 < complete <= budget
         topk = self._count_spans(
             db, lambda: db.search_topk("gamma beta", k=5))
@@ -755,7 +754,7 @@ class TestProfilerOverheadGuard:
         db.save(str(tmp_path / "db"))
         lazy = XMLDatabase.open(str(tmp_path / "db"), lazy=True)
         cold = self._count_spans(
-            lazy, lambda: lazy.search("gamma beta", use_cache=False))
+            lazy, lambda: lazy.search("gamma beta"))
         assert complete < cold <= budget + 2 * depth  # 2 terms
 
     def test_profiler_overhead_within_budget(self, corpus_db):
@@ -770,7 +769,7 @@ class TestProfilerOverheadGuard:
         db = _fresh_db(corpus_db)
 
         def run():
-            db.search("gamma beta", use_cache=False)
+            db.search("gamma beta")
 
         run()  # warm indexes/postings outside the timed region
         spans = self._count_spans(db, run)
@@ -801,7 +800,7 @@ class TestProfilerOverheadGuard:
         db = _fresh_db(corpus_db)
 
         def run():
-            db.search("gamma beta", use_cache=False)
+            db.search("gamma beta")
 
         run()
         query_ms = min(_timed(run) for _ in range(3))

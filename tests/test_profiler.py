@@ -146,8 +146,8 @@ class TestProfilePhase:
 
 class TestPhaseProfiler:
     def test_publishes_phase_histograms(self, small_db):
-        db = _fresh_db(small_db, tracer=Tracer(), slow_query_ms=0.0)
-        db.search("xml data", use_cache=False)
+        db = _fresh_db(small_db, tracer=Tracer(), slow_log=SlowQueryLog(0.0))
+        db.search("xml data")
         phases = phase_totals(db.tracer.last_root())
         # One record per query, carrying exactly the folded values.
         assert len(db.slow_log) == 1
@@ -156,7 +156,7 @@ class TestPhaseProfiler:
 
     def test_null_profiler_records_nothing(self, small_db):
         db = _fresh_db(small_db)  # NULL_TRACER: the default
-        db.search("xml data", use_cache=False)
+        db.search("xml data")
         db.search_topk("xml data", k=2)
         assert db.tracer.last_root() is None
         assert _phase_sums(db) == {}
@@ -168,14 +168,14 @@ class TestPhaseProfiler:
 
 class TestDatabaseIntegration:
     def test_search_populates_phase_histograms(self, small_db):
-        db = _fresh_db(small_db, tracer=Tracer(), slow_query_ms=0.0)
-        db.search("xml data", use_cache=False)
+        db = _fresh_db(small_db, tracer=Tracer(), slow_log=SlowQueryLog(0.0))
+        db.search("xml data")
         phases = set(_phase_sums(db))
         assert {"parse", "fetch", "join", "score", "erase"} <= phases
         assert phases <= set(PHASES)
 
     def test_topk_attributes_rank_join_phases(self, dblp_db):
-        db = _fresh_db(dblp_db, tracer=Tracer(), slow_query_ms=0.0)
+        db = _fresh_db(dblp_db, tracer=Tracer(), slow_log=SlowQueryLog(0.0))
         db.search_topk("alpha beta", k=3, algorithm="topk-join")
         root = db.tracer.last_root()
         phases = phase_totals(root)
@@ -195,8 +195,9 @@ class TestDatabaseIntegration:
         assert "rank_join" not in phases
 
     def test_slow_log_carries_the_phase_breakdown(self, small_db):
-        db = _fresh_db(small_db, slow_query_ms=0.0)  # record everything
-        db.search("xml data", use_cache=False)
+        db = _fresh_db(small_db,
+                       slow_log=SlowQueryLog(0.0))  # record everything
+        db.search("xml data")
         records = db.slow_log.records()
         assert records
         phases = records[-1].phases
@@ -209,9 +210,9 @@ class TestDatabaseIntegration:
         """No tracer was passed, so the database ran the query under a
         private live one: the record has the tree, and its breakdown is
         the fold of that tree."""
-        db = _fresh_db(small_db, slow_query_ms=0.0)
+        db = _fresh_db(small_db, slow_log=SlowQueryLog(threshold_ms=0.0))
         assert not db.tracer.enabled
-        db.search("xml data", use_cache=False)
+        db.search("xml data")
         record = db.slow_log.records()[-1]
         assert record.trace["name"] == "query"
         assert record.phases == phase_totals(record.trace)
@@ -236,8 +237,8 @@ class TestDatabaseIntegration:
         small_db.save(str(tmp_path / "db"))
         tracer = Tracer()
         db = XMLDatabase.open(str(tmp_path / "db"), lazy=True,
-                              tracer=tracer, slow_query_ms=0.0)
-        db.search("xml data", use_cache=False)
+                              tracer=tracer, slow_log=SlowQueryLog(0.0))
+        db.search("xml data")
         root = tracer.last_root()
         decodes = root.find("decompress")
         assert decodes

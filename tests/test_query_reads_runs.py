@@ -22,7 +22,7 @@ K = 10
 
 def _answers(db, engine, query, semantics):
     if engine == "complete":
-        return canon(db.search(query, semantics=semantics, use_cache=False))
+        return canon(db.search(query, semantics=semantics))
     if engine == "stream":
         return canon(islice(db.search_stream(query, semantics=semantics), K))
     algorithm = {"topk": "hybrid", "topk-join": "topk-join"}[engine]

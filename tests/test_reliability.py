@@ -229,11 +229,9 @@ class TestDatabaseDeadlines:
         assert full
 
     def test_search_accepts_deadline_object_and_ms_number(self, small_db):
-        full = small_db.search("xml data", use_cache=False)
-        assert small_db.search("xml data", deadline=Deadline(60_000.0),
-                               use_cache=False) == full
-        assert small_db.search("xml data", deadline=60_000,
-                               use_cache=False) == full
+        full = small_db.search("xml data")
+        assert small_db.search("xml data", deadline=Deadline(60_000.0)) == full
+        assert small_db.search("xml data", deadline=60_000) == full
 
     def test_topk_partial_flag(self, small_db):
         result = small_db.search_topk("xml data", 3, timeout_ms=0,
@@ -274,8 +272,7 @@ class TestDatabaseDeadlines:
     def test_in_memory_baselines_ignore_budgets(self, small_db, algorithm):
         # Documented: budgets are enforced on the join paths only.
         results = small_db.search("xml data", algorithm=algorithm,
-                                  timeout_ms=0, on_deadline="partial",
-                                  use_cache=False)
+                                  timeout_ms=0, on_deadline="partial")
         assert results
 
 
@@ -306,7 +303,7 @@ def saved_dblp(dblp_db, tmp_path_factory):
 
 ENTRY_POINTS = {
     "search": lambda db, terms, deadline: db.search(
-        terms, deadline=deadline, use_cache=False),
+        terms, deadline=deadline),
     "search_topk": lambda db, terms, deadline: db.search_topk(
         terms, 10_000, deadline=deadline),
     "search_stream": lambda db, terms, deadline: list(db.search_stream(
@@ -400,19 +397,12 @@ class TestBatchIsolation:
         assert batch.errors == {}
 
     def test_summary_skips_failed_slots(self, small_db):
-        clean = small_db.search_batch(["xml data", "data"],
-                                      use_cache=False)
-        mixed = small_db.search_batch(["xml data", _Unparseable(), "data"],
-                                      use_cache=False)
+        clean = small_db.search_batch(["xml data", "data"])
+        mixed = small_db.search_batch(["xml data", _Unparseable(), "data"])
         # The failed slot contributes nothing, so the summaries agree.
         assert mixed.summary.levels_processed == \
             clean.summary.levels_processed
         assert mixed.summary.tuples_scanned == clean.summary.tuples_scanned
-
-    def test_raise_on_error_fails_fast(self, small_db):
-        with pytest.raises(Exception):
-            small_db.search_batch(["xml data", _Unparseable(), "data"],
-                                  raise_on_error=True)
 
     def test_shared_deadline_partial_batch(self, small_db):
         batch = small_db.search_batch(["xml data", "data"], timeout_ms=0,

@@ -29,7 +29,7 @@ def table(dblp_db):
 
 @pytest.fixture(scope="module")
 def answers(dblp_db):
-    results = dblp_db.search("beta gamma", use_cache=False)
+    results = dblp_db.search("beta gamma")
     assert len(results) > 20
     return results
 
@@ -154,7 +154,7 @@ class TestLazyViews:
         db = XMLDatabase.generate_dblp(seed=7, n_papers=1500)
         index = db.columnar_index
         term = max(index.vocabulary, key=index.document_frequency)
-        assert len(db.search([term], use_cache=False)) >= 1000
+        assert len(db.search([term])) >= 1000
         built = []
         original = SearchResult.__init__
 

@@ -178,10 +178,11 @@ def test_breaker_trips_then_probe_recloses(sharded, dblp_db, plan):
         assert status == 200 and health["status"] == "ok"
 
 
-def test_deadline_too_tight_for_backoff_skips_the_retry(sharded, plan):
+def test_deadline_too_tight_for_backoff_skips_the_retry(sharded, plan,
+                                                        monkeypatch):
     plan({0: ("error",), 1: ("error",)})
+    monkeypatch.setattr(daemon_module, "RETRY_BACKOFF_MS", 60_000)
     with DaemonHarness(sharded, workers=1, retry_attempts=3,
-                       retry_backoff_ms=60_000,
                        result_cache_size=0) as h:
         status, body = h.get_json(f"{QUERY}&timeout_ms=500&partial=1")
         assert status == 200 and body["degraded"] is True

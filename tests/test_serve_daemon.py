@@ -22,7 +22,6 @@ import pytest
 
 from repro.algorithms.base import ResultSet
 from repro.algorithms.topk_keyword import TopKKeywordSearch
-from repro.obs import MetricsRegistry
 from repro.reliability import Deadline
 from repro.serve import AdmissionError, ServeDaemon, ShardedDatabase
 from repro.serve.daemon import MAX_BODY_BYTES
@@ -33,7 +32,6 @@ class DaemonHarness:
 
     def __init__(self, db, **kwargs):
         kwargs.setdefault("port", 0)
-        kwargs.setdefault("metrics", MetricsRegistry())
         self.daemon = ServeDaemon(db, **kwargs)
         self.loop = asyncio.new_event_loop()
         self._ready = threading.Event()
@@ -115,7 +113,7 @@ class TestEndpoints:
     def test_search_matches_library(self, harness, dblp_db):
         status, body = harness.get_json("/search?q=cx+cy&semantics=slca")
         assert status == 200
-        want = dblp_db.search("cx cy", semantics="slca", use_cache=False)
+        want = dblp_db.search("cx cy", semantics="slca")
         assert payload_ids(body) == oracle_ids(want)
 
     def test_second_call_is_cached(self, harness, dblp_db):
@@ -263,17 +261,14 @@ class TestEndpoints:
         assert count() == before + 1
         assert body["trace_id"] in harness.request("/metrics")[1]
 
-    def test_inline_search_leaves_the_facade_cache_alone(self, sharded):
-        """``result_cache_size=0`` turns caching off: the inline path
-        must not fall through to the facade's own result cache."""
-        before = sharded.cache.stats()["results"]
+    def test_zero_result_cache_size_never_answers_cached(self, sharded):
+        """``result_cache_size=0`` turns the daemon's cache, the only
+        one, off: every repeat is evaluated again."""
         with DaemonHarness(sharded, result_cache_size=0) as h:
             for _ in range(3):
                 status, body = h.get_json("/search?q=gamma+cx")
                 assert status == 200 and body["cached"] is False
-        after = sharded.cache.stats()["results"]
-        assert after["hits"] == before["hits"]
-        assert after["misses"] == before["misses"]
+            assert len(h.daemon.cache.results) == 0
 
 
 class TestDeadlineOverHttp:
@@ -290,8 +285,7 @@ class TestDeadlineOverHttp:
         assert status == 200
         assert body["partial"] is True
         full = {tuple(r.node.dewey)
-                for r in dblp_db.search("beta gamma rare",
-                                        use_cache=False)}
+                for r in dblp_db.search("beta gamma rare")}
         assert {tuple(r["dewey"]) for r in body["results"]} <= full
 
     def test_blank_partial_takes_the_daemon_default(self, sharded):
@@ -354,8 +348,7 @@ class TestEncodedAnswers:
         """The body as ``json.dumps`` of the response dict: the answer
         fields first, then the per-request ones."""
         if endpoint == "search":
-            results = db.search("xml keyword", semantics=semantics,
-                                use_cache=False)
+            results = db.search("xml keyword", semantics=semantics)
             bound = None
         else:
             top = db.search_topk("xml keyword", 3, semantics=semantics)
@@ -427,7 +420,7 @@ class TestEncodedAnswers:
             daemon = h.daemon
 
             async def scripted_eval(terms, semantics, k, deadline, ctx, obs):
-                results = accented.search(terms, semantics, use_cache=False)
+                results = accented.search(terms, semantics)
                 return daemon._payload(results, partial, 1.5,
                                        degraded=degraded)
 
@@ -454,7 +447,6 @@ class TestEncodedAnswers:
 
 class TestAdmissionControl:
     def _daemon(self, sharded, **kwargs):
-        kwargs.setdefault("metrics", MetricsRegistry())
         return ServeDaemon(sharded, **kwargs)
 
     def test_queue_full_is_429(self, sharded):
@@ -548,7 +540,7 @@ class TestWorkerPools:
             assert payload_ids(body) == oracle_ids(want.results)
             status, body = h.get_json("/search?q=rare+gamma")
             assert status == 200
-            want = dblp_db.search("rare gamma", use_cache=False)
+            want = dblp_db.search("rare gamma")
             assert payload_ids(body) == oracle_ids(want)
             # fan-out latency histograms saw every shard that ran
             ran = {sid for terms in (["alpha", "beta"], ["rare", "gamma"])
@@ -611,8 +603,7 @@ class TestWorkerPools:
         assert pooled == inline
         for (endpoint, query, semantics), rows in pooled.items():
             if endpoint == "search":
-                want = dblp_db.search(query, semantics=semantics,
-                                      use_cache=False)
+                want = dblp_db.search(query, semantics=semantics)
             else:
                 want = dblp_db.search_topk(query, 10,
                                            semantics=semantics).results
@@ -624,7 +615,7 @@ class TestWorkerPools:
             self, sharded, dblp_db, workers):
         query = "beta gamma rare"
         full = self._rounded(self._library_rows(
-            dblp_db.search(query, use_cache=False)))
+            dblp_db.search(query)))
         ranked = self._rounded(self._library_rows(
             dblp_db.search_topk(query, 50).results))
         tail = "partial=1&timeout_ms=0"

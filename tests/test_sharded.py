@@ -31,10 +31,8 @@ def canon(results):
 
 
 def assert_search_equal(sharded, oracle, query, semantics):
-    want = canon(oracle.search(query, semantics=semantics,
-                               use_cache=False))
-    got = canon(sharded.search(query, semantics=semantics,
-                               use_cache=False))
+    want = canon(oracle.search(query, semantics=semantics))
+    got = canon(sharded.search(query, semantics=semantics))
     assert got == want, (query, semantics)
 
 
@@ -130,8 +128,8 @@ class TestEquivalence:
     def test_batch_matches_oracle(self, dblp_db):
         sharded = ShardedDatabase.from_database(dblp_db, 4)
         queries = list(QUERIES[:4])
-        want = dblp_db.search_batch(queries, k=5, use_cache=False)
-        got = sharded.search_batch(queries, k=5, use_cache=False)
+        want = dblp_db.search_batch(queries, k=5)
+        got = sharded.search_batch(queries, k=5)
         for w, g in zip(want, got):
             assert canon(list(g)) == canon(list(w))
         assert not got.errors
@@ -151,10 +149,8 @@ class TestEquivalence:
                     got = sharded.search_topk(query, 5, semantics,
                                               algorithm=algorithm)
                     assert canon(got) == canon(want), (algorithm, query)
-            want = dblp_db.search_batch(queries, k=5, algorithm=algorithm,
-                                        use_cache=False)
-            got = sharded.search_batch(queries, k=5, algorithm=algorithm,
-                                       use_cache=False)
+            want = dblp_db.search_batch(queries, k=5, algorithm=algorithm)
+            got = sharded.search_batch(queries, k=5, algorithm=algorithm)
             assert not got.errors
             assert [canon(g) for g in got] == [canon(w) for w in want]
         with pytest.raises(ValueError, match="hybrid"):
@@ -216,8 +212,8 @@ class TestStream:
 
 
 class TestBatchParity:
-    """Both database kinds run `repro.api.run_batch`: a mixed batch
-    isolates, times and summarizes the same way on either."""
+    """Both database kinds run `repro.api.BatchSearch.search_batch`: a
+    mixed batch isolates, times and summarizes the same way on either."""
 
     @pytest.mark.parametrize("timeout_ms", (None, 0))
     def test_mixed_batch_same_on_flat_and_sharded(self, timeout_ms):
@@ -242,8 +238,7 @@ class TestBatchParity:
         assert [ms == 0.0 for ms in got.latencies_ms] == \
             [ms == 0.0 for ms in want.latencies_ms] == \
             [index in want.errors for index in range(len(queries))]
-        for field in ("cache_hits", "cache_misses", "cache_evictions",
-                      "partial"):
+        for field in ("partial",):
             assert getattr(got.summary, field) == \
                 getattr(want.summary, field), field
         assert sum(isinstance(e, DeadlineExceeded)
@@ -330,8 +325,7 @@ class TestDeadlinePartials:
                                         on_deadline="partial",
                                         with_stats=True)
         assert stats.partial
-        full = {r.node.dewey for r in dblp_db.search("beta gamma rare",
-                                                     use_cache=False)}
+        full = {r.node.dewey for r in dblp_db.search("beta gamma rare")}
         assert {r.node.dewey for r in results} <= full
 
     def test_raise_policy_raises(self, dblp_db):
@@ -351,22 +345,3 @@ class TestDeadlinePartials:
         assert not result.partial
 
 
-class TestCacheIsolation:
-    def test_shard_caches_not_shared(self, dblp_db):
-        """Per-shard result caches must stay private: result keys carry
-        no shard id, so one shared cache would serve shard A's partial
-        view of a query to shard B."""
-        sharded = ShardedDatabase.from_database(dblp_db, 4)
-        caches = {id(s.cache) for s in sharded.shards if s.cache}
-        assert len(caches) == len([s for s in sharded.shards if s.cache])
-
-    def test_facade_cache_hit_and_clear(self, dblp_db):
-        sharded = ShardedDatabase.from_database(dblp_db, 2)
-        first = sharded.search("alpha beta")
-        stats = sharded.cache.results.stats
-        hits = stats.hits
-        again = sharded.search("alpha beta")
-        assert canon(again) == canon(first)
-        assert sharded.cache.results.stats.hits == hits + 1
-        sharded.clear_caches()
-        assert len(sharded.cache.results) == 0

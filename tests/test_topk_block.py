@@ -579,7 +579,7 @@ class TestCountsNotClocks:
         for db in (small_db, XMLDatabase.open(str(tmp_path / "db"))):
             postings = db.columnar_index.query_postings(["xml", "data"])
             for semantics in ("elca", "slca"):
-                assert db.search("xml data", semantics, use_cache=False)
+                assert db.search("xml data", semantics)
             assert db.search_topk("xml data", 3, algorithm="join")
             assert not built
             assert all(p._level_maxima is None and p._score_order is None
