@@ -13,9 +13,11 @@ serving invariants:
   ``trace_id``,
 * queue-depth and inflight gauges returned to 0,
 * the daemon left its observability trail: one access-log JSONL record
-  per request (shed/timed-out ones included), retained stitched traces
-  behind ``/debug/traces``, and trace-id exemplars on the latency
-  histogram,
+  per request (shed/timed-out ones included), each carrying its
+  stitched span tree under a ``request`` root with the record's trace
+  id, the same records behind ``/debug/traces``, ``repro trace
+  --from-log --trace-id`` rendering one of them, and trace-id
+  exemplars on the latency histogram,
 * SIGTERM drains it and the process exits 0.
 
 An inline daemon calls no shard and so exports no per-shard
@@ -25,10 +27,9 @@ next request still answers 200 with ``degraded: false`` (the pool was
 rebuilt and the request retried on it), that
 ``repro_pool_rebuilds_total`` reads at least 1, that ``/healthz`` is
 back to ``ok`` and that SIGTERM again exits 0.  The inline phase's
-access log (``access-log-ci.jsonl``) and trace log
-(``trace-log-ci.jsonl``) are written to the working directory so the
-CI job can upload them as artifacts.  Exits non-zero (with the
-offending metric text) on any violation::
+access log (``access-log-ci.jsonl``) is written to the working
+directory so the CI job can upload it as an artifact.  Exits non-zero
+(with the offending metric text) on any violation::
 
     PYTHONPATH=src python benchmarks/serve_ci_smoke.py
 """
@@ -51,7 +52,6 @@ PORT = int(os.environ.get("REPRO_SERVE_SMOKE_PORT", "18473"))
 QUERIES = ["w00000 w00001", "author00000", "w00002 w00000",
            "w00001 author00001", "w00003"]
 ACCESS_LOG = "access-log-ci.jsonl"
-TRACE_LOG = "trace-log-ci.jsonl"
 POOL_QUERY = "/topk?q=w00000+author00000&k=5"
 
 
@@ -203,9 +203,8 @@ def pooled_phase(db_dir: str, env: dict, tmp: str) -> float:
 def main() -> int:
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", "src")
-    for stale in (ACCESS_LOG, TRACE_LOG):
-        if os.path.exists(stale):
-            os.unlink(stale)
+    if os.path.exists(ACCESS_LOG):
+        os.unlink(ACCESS_LOG)
     with tempfile.TemporaryDirectory(prefix="repro-serve-ci-") as tmp:
         db_dir = os.path.join(tmp, "db")
         subprocess.run(
@@ -216,7 +215,7 @@ def main() -> int:
             [sys.executable, "-m", "repro", "serve", db_dir,
              "--host", HOST, "--port", str(PORT), "--workers", "0",
              "--max-concurrency", "4", "--queue-limit", "16",
-             "--access-log", ACCESS_LOG, "--trace-log", TRACE_LOG],
+             "--access-log", ACCESS_LOG],
             env=env)
         try:
             wait_healthy()
@@ -268,12 +267,24 @@ def main() -> int:
     assert all(r["trace_id"] for r in records), \
         "access record without a trace id"
 
-    # stitched traces: retained in the store and mirrored to JSONL
+    # each record carries its stitched trace, and the ring behind
+    # /debug/traces holds the same records
+    for r in records:
+        assert r["root"]["name"] == "request", r["trace_id"]
+        assert r["root"]["tags"]["trace_id"] == r["trace_id"], \
+            "a record's span tree carries another request's trace id"
     assert traces["retained"] > 0 and traces["traces"], \
         "no stitched traces retained"
-    mirrored = read_jsonl(TRACE_LOG)
-    assert mirrored and all(t["root"]["name"] == "request"
-                            for t in mirrored)
+
+    # the offline reader renders one request from the file
+    ok_id = next(r["trace_id"] for r in records if r["status"] == 200)
+    shown = subprocess.run(
+        [sys.executable, "-m", "repro", "trace", "--from-log", ACCESS_LOG,
+         "--trace-id", ok_id], env=env, capture_output=True, text=True,
+        timeout=60)
+    assert shown.returncode == 0, shown.stderr
+    assert any(line.startswith("request ")
+               for line in shown.stdout.splitlines()), shown.stdout
 
     # latency exemplars link histogram buckets back to trace ids
     assert re.search(

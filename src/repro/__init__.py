@@ -21,9 +21,8 @@ from .api import ALGORITHMS, TOPK_ALGORITHMS, BatchResult, Query, XMLDatabase
 from .algorithms.base import (ELCA, SLCA, ExecutionStats, ResultSet,
                               SearchResult, TopKResult)
 from .cache import CacheStats, LRUCache, QueryCache
-from .obs import (MetricsRegistry, NullTracer, SlowQueryLog, Tracer,
-                  get_registry, render_trace, spans_per_level_plan,
-                  trace_to_jsonl)
+from .obs import (MetricsRegistry, NullTracer, Tracer, render_trace,
+                  spans_per_level_plan, trace_to_jsonl)
 from .reliability import (DatabaseCorruptError, DatabaseFormatError,
                           Deadline, DeadlineExceeded, QueryBudget,
                           RetryExhaustedError, RetryPolicy)
@@ -48,9 +47,7 @@ __all__ = [
     "QueryCache",
     "MetricsRegistry",
     "NullTracer",
-    "SlowQueryLog",
     "Tracer",
-    "get_registry",
     "render_trace",
     "spans_per_level_plan",
     "trace_to_jsonl",

@@ -28,8 +28,7 @@ from .algorithms.base import (ELCA, EmptyResultError, ExecutionStats,
                               ResultSet, TopKResult, check_semantics,
                               sort_by_score)
 from .obs.account import accounting, fold_into_stats
-from .obs.slowlog import SlowQueryLog
-from .obs.tracing import NULL_TRACER, Span, Tracer, span
+from .obs.tracing import NULL_TRACER, Tracer, span
 from .algorithms.hybrid import HybridTopKSearch
 from .algorithms.index_based import IndexBasedSearch
 from .algorithms.join_based import JoinBasedSearch
@@ -187,19 +186,14 @@ class XMLDatabase(BatchSearch):
 
     Observability (`repro.obs`): every query's time and work are on its
     `ExecutionStats`; pass a live `Tracer` as ``tracer`` to record
-    per-query span trees (the default `NullTracer` records nothing);
-    pass a `SlowQueryLog` as ``slow_log`` to capture query, stats, trace
-    and per-phase breakdown of every over-threshold outlier -- a
-    database with a slow log and no tracer runs each query under a
-    private live one.
+    per-query span trees (the default `NullTracer` records nothing).
     """
 
     def __init__(self, tree: Optional[XMLTree],
                  tokenizer: Optional[Tokenizer] = None,
                  ranking: Optional[RankingModel] = None,
                  jdewey_gap: int = 0,
-                 tracer=None,
-                 slow_log: Optional[SlowQueryLog] = None):
+                 tracer=None):
         if tree is not None and not tree.frozen:
             tree.freeze()
         # `repro.diskdb` passes no tree and installs `_open_tree`, the
@@ -211,7 +205,6 @@ class XMLDatabase(BatchSearch):
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.slow_log = slow_log
         self._columnar: Optional[ColumnarIndex] = None
         self._inverted: Optional[InvertedIndex] = None
 
@@ -370,21 +363,18 @@ class XMLDatabase(BatchSearch):
                    k: Optional[int] = None, *, strict: bool = False,
                    deadline: Optional[Deadline] = None):
         """The per-query sequence behind `search` (``op="search"``) and
-        `search_topk` (``"topk"``): parse, evaluation under a resource
-        account, then the slow-log record.
+        `search_topk` (``"topk"``): parse, then evaluation under a
+        resource account.
 
         Returns ``(answer, stats)``.  ``answer`` is the `ResultSet`, or
         the `TopKResult` (bound and flags intact) when ``k`` is set.
         """
-        tracer = self.tracer
-        if self.slow_log is not None and not tracer.enabled:
-            tracer = Tracer(capacity=1)  # only the slow-log record keeps it
         tags = {} if op == "search" else {"k": k}
-        start = time.perf_counter()
-        # This root makes `tracer` the thread's ambient one: the engines
-        # and the disk index open their regions with `span`, as below.
-        with tracer.span("query", op=op, semantics=semantics,
-                         algorithm=algorithm, **tags) as qspan:
+        # This root makes the tracer the thread's ambient one: the
+        # engines and the disk index open their regions with `span`, as
+        # below.
+        with self.tracer.span("query", op=op, semantics=semantics,
+                              algorithm=algorithm, **tags) as qspan:
             with span("parse"):
                 terms = self._terms(query)
             qspan.tag(terms=list(terms))
@@ -399,9 +389,6 @@ class XMLDatabase(BatchSearch):
                 stats = answer.stats
             if stats.partial:
                 qspan.tag(partial=True)
-        self._record_query(terms, semantics, algorithm, k,
-                           (time.perf_counter() - start) * 1000.0, stats,
-                           qspan if tracer.enabled else None)
         return answer, stats
 
     def _complete_results(self, terms: List[str], semantics: str,
@@ -570,23 +557,6 @@ class XMLDatabase(BatchSearch):
         if missing:
             raise EmptyResultError(
                 f"query terms with no occurrences: {missing}")
-
-    # ------------------------------------------------------------------
-    # observability plumbing
-    # ------------------------------------------------------------------
-
-    def _record_query(self, terms: List[str], semantics: str,
-                      algorithm: str, k: Optional[int], elapsed_ms: float,
-                      stats: Optional[ExecutionStats],
-                      trace_root: Optional[Span]) -> None:
-        """Hand one finished query to the slow log, if there is one."""
-        if self.slow_log is not None:
-            stats_dict = stats.as_dict() if stats is not None else None
-            if stats_dict is not None and stats.resources is not None:
-                stats_dict["resources"] = stats.resources
-            self.slow_log.maybe_record(
-                elapsed_ms, terms, semantics, algorithm, k,
-                stats_dict, trace_root)
 
     # ------------------------------------------------------------------
     # introspection

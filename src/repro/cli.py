@@ -39,8 +39,8 @@ EXIT_DEADLINE = 5
 
 
 def _load(path: str, verify: str = "eager", **db_kwargs) -> XMLDatabase:
-    """The database at `path`; ``db_kwargs`` (``tracer``, ``slow_log``)
-    go to every `XMLDatabase` it is made of."""
+    """The database at `path`; ``db_kwargs`` (``tracer``) go to every
+    `XMLDatabase` it is made of."""
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no such database directory or XML file: {path}")
@@ -205,8 +205,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
           default_partial=args.partial,
           result_cache_size=args.result_cache_size,
           access_log_path=args.access_log,
-          trace_log_path=args.trace_log,
-          slow_ms=args.slow_ms,
           retry_attempts=args.retry_attempts,
           breaker=BreakerConfig(
               consecutive_failures=args.breaker_failures,
@@ -304,28 +302,22 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _trace_from_log(path: str, trace_id: Optional[str]) -> int:
-    """Render daemon trace/access JSONL: stitched traces as span trees,
-    access-log entries as one-line summaries."""
-    from .obs import format_access_record, read_jsonl, render_stitched
+    """Render a daemon access log: one line per request, or one
+    request's line and its stitched span tree with ``trace_id``."""
+    from .obs import format_access_record, read_jsonl, render_trace
 
     if not os.path.exists(path):
         print(f"error: no such log file: {path}", file=sys.stderr)
         return EXIT_MISSING
-    matched = 0
-    for entry in read_jsonl(path):
-        if trace_id is not None and entry.get("trace_id") != trace_id:
-            continue
-        if "root" in entry:  # stitched trace line (--trace-log)
-            if matched:
-                print()
-            print(render_stitched(entry))
-            matched += 1
-        elif "status" in entry:  # access-log record (--access-log)
-            print(format_access_record(entry))
-            matched += 1
-    if not matched:
-        what = (f"trace {trace_id}" if trace_id is not None
-                else "traces or access-log records")
+    records = [record for record in read_jsonl(path)
+               if trace_id is None or record.get("trace_id") == trace_id]
+    for record in records:
+        print(format_access_record(record))
+        if trace_id is not None and isinstance(record.get("root"), dict):
+            print(render_trace(record["root"]))
+    if not records:
+        what = (f"request {trace_id}" if trace_id is not None
+                else "access-log records")
         print(f"no {what} found in {path}", file=sys.stderr)
         return 1
     return 0
@@ -339,20 +331,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return _trace_from_log(args.from_log, args.trace_id)
     if args.trace_id is not None:
         print("error: --trace-id needs --from-log FILE (a daemon "
-              "access/trace JSONL)", file=sys.stderr)
+              "access log)", file=sys.stderr)
         return 2
     if args.database is None or args.query is None:
         print("error: database and query are required unless reading a "
               "log with --from-log", file=sys.stderr)
         return 2
     tracer = Tracer()
-    slow_log = None
-    if args.slow_ms is not None:
-        from .obs import SlowQueryLog
-
-        slow_log = SlowQueryLog(threshold_ms=args.slow_ms)
-    db = _load(args.database, tracer=tracer, slow_log=slow_log)
-    for heading, db in _sections(db):
+    slowest = 0.0
+    for heading, db in _sections(_load(args.database, tracer=tracer)):
         if heading:
             print(heading)
         start = time.perf_counter()
@@ -362,6 +349,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         else:
             results = db.search(args.query, semantics=args.semantics)
         elapsed = (time.perf_counter() - start) * 1000
+        slowest = max(slowest, elapsed)
         root = tracer.last_root()
         print(render_trace(root))
         print(render_phases(phase_totals(root)))
@@ -370,10 +358,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(trace_to_jsonl(tracer.roots()))
         print(f"trace written to {args.out}")
-    if slow_log is not None and len(slow_log):
-        record = slow_log.records()[-1]
-        print(f"slow query (>= {slow_log.threshold_ms:.0f} ms): "
-              f"{' '.join(record.terms)} took {record.elapsed_ms:.1f} ms")
+    if args.slow_ms is not None and slowest >= args.slow_ms:
+        print(f"slow query (>= {args.slow_ms:.0f} ms): "
+              f"{args.query} took {slowest:.1f} ms")
     return 0
 
 
@@ -485,12 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result-cache-size", type=int, default=1024,
                    help="daemon response cache entries (0 disables)")
     p.add_argument("--access-log", default=None, metavar="PATH",
-                   help="append one JSONL record per request here")
-    p.add_argument("--trace-log", default=None, metavar="PATH",
-                   help="append retained stitched traces as JSONL here")
-    p.add_argument("--slow-ms", type=float, default=None,
-                   help="record served requests over this wall time in "
-                        "the daemon slow-query log")
+                   help="append one JSONL record per request here, its "
+                        "stitched span tree included")
     p.add_argument("--retry-attempts", type=int, default=2,
                    help="per-shard attempts for transient failures "
                         "(crashed worker, corrupt reply); 1 disables")
@@ -521,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace",
                        help="run one traced query (span tree), or "
-                            "render daemon trace/access JSONL with "
-                            "--from-log")
+                            "render a daemon access log with --from-log")
     p.add_argument("database", nargs="?", default=None)
     p.add_argument("query", nargs="?", default=None)
     p.add_argument("-k", type=int, default=None,
@@ -534,11 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-ms", type=float, default=None,
                    help="slow-query threshold; report if exceeded")
     p.add_argument("--from-log", default=None, metavar="FILE",
-                   help="read a daemon --trace-log / --access-log JSONL "
-                        "instead of running a query; stitched traces "
-                        "render as per-shard span trees")
+                   help="render a daemon --access-log JSONL instead of "
+                        "running a query, one line per request")
     p.add_argument("--trace-id", default=None,
-                   help="with --from-log: only entries for this trace")
+                   help="with --from-log: only this request, with its "
+                        "stitched span tree")
     p.set_defaults(fn=cmd_trace)
 
     return parser

@@ -382,8 +382,8 @@ def load_database(path: str,
     its first read), and ``document.xml`` is parsed only when `db.tree`
     is first used.
 
-    Extra keyword arguments (``tracer``, ``slow_log``) are forwarded to
-    the `XMLDatabase` constructor, of every shard when sharded.
+    Extra keyword arguments (``tracer``) are forwarded to the
+    `XMLDatabase` constructor, of every shard when sharded.
 
     Reliability knobs (`repro.reliability`):
 

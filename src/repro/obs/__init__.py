@@ -1,6 +1,6 @@
-"""Observability: span tracing, metrics registry, slow-query log.
+"""Observability: span tracing, the metrics registry, request records.
 
-Three independent instruments threaded through the query pipeline:
+Three instruments threaded through the query pipeline and the daemon:
 
 * `tracing` -- `Tracer`/`Span` context managers recording where time
   goes inside one query (parse, postings fetch, column decode,
@@ -8,27 +8,25 @@ Three independent instruments threaded through the query pipeline:
   scoring, top-K termination), with a text tree renderer and JSONL
   export.  The span tree is the one record of a query's time:
   `phase_totals` folds it into exclusive per-phase milliseconds
-  (parse/fetch/decompress/join/score/erase/rank_join/topk/other),
-  attached to slow-log entries;
-* `metrics` -- a process-wide `MetricsRegistry` of counters, gauges and
-  bucketed histograms with Prometheus exposition, which the serve
-  daemon publishes into and ``GET /metrics`` serves;
-* `slowlog` -- a bounded `SlowQueryLog` capturing query, stats, trace
-  and per-phase breakdown of outliers.
+  (parse/fetch/decompress/join/score/erase/rank_join/topk/other), the
+  table under ``repro trace``;
+* `metrics` -- `MetricsRegistry`, counters, gauges and bucketed
+  histograms with Prometheus exposition; each serve daemon owns one,
+  publishes into it and serves it at ``GET /metrics``;
+* `distributed` -- the daemon's one record per request (`AccessLog`):
+  its access-log fields plus the span tree stitched across the shard
+  workers (`stitch_trace`).
 
-Tracing and the slow log default off (`NULL_TRACER`, no slow log): a
-default query records no span and no phase.
+Tracing defaults off (`NULL_TRACER`): a default query records no span
+and no phase, and the library publishes no metric.
 """
 
 from .account import (ResourceAccount, accounting, active_account,
                       merge_resources)
-from .distributed import (TRACE_WIRE_VERSION, AccessLog, TraceContext,
-                          TraceStore, count_spans, format_access_record,
-                          make_span, new_trace_id, read_jsonl,
-                          render_stitched, stitch_trace)
+from .distributed import (AccessLog, format_access_record, make_span,
+                          read_jsonl, stitch_trace)
 from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
-                      MetricsRegistry, get_registry)
-from .slowlog import SlowQueryLog, SlowQueryRecord
+                      MetricsRegistry)
 from .tracing import (NULL_TRACER, PHASES, NullTracer, Span, Tracer,
                       phase_totals, render_phases, render_trace,
                       spans_per_level_plan, trace_to_jsonl)
@@ -44,25 +42,16 @@ __all__ = [
     "NullTracer",
     "PHASES",
     "ResourceAccount",
-    "SlowQueryLog",
-    "SlowQueryRecord",
     "Span",
-    "TRACE_WIRE_VERSION",
-    "TraceContext",
-    "TraceStore",
     "Tracer",
     "accounting",
     "active_account",
-    "count_spans",
     "format_access_record",
-    "get_registry",
     "make_span",
     "merge_resources",
-    "new_trace_id",
     "phase_totals",
     "read_jsonl",
     "render_phases",
-    "render_stitched",
     "render_trace",
     "spans_per_level_plan",
     "stitch_trace",

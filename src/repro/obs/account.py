@@ -12,9 +12,9 @@ growing a ``stats`` parameter.
 `XMLDatabase._complete_results` / `_topk_result` activate an account
 around evaluation and fold its totals into the query's
 `ExecutionStats` (the new ``bytes_*`` / ``cache_bytes_*`` counters)
-plus the full breakdown as ``stats.resources``; the slow log and the
-daemon's access log attach the breakdown per record, and the scatter
-path aggregates per-shard accounts per request.
+plus the full breakdown as ``stats.resources``; the daemon's access
+log attaches the breakdown per record, and the scatter path aggregates
+per-shard accounts per request.
 
 Context-vars are per-thread (and per-forked-process), so the daemon's
 inline threads and shard workers each account their own queries with no

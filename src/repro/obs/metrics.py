@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges and latency histograms.
+"""The daemon's metrics: counters, gauges and latency histograms.
 
 A `MetricsRegistry` is a thread-safe, label-aware instrument store.
 The serve daemon publishes into it -- request outcomes, rejections,
@@ -226,11 +226,3 @@ class MetricsRegistry:
             lines.append(f"{name}_count{_label_suffix(labels)} "
                          f"{data['count']}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _DEFAULT_REGISTRY

@@ -29,8 +29,7 @@ coherent tree.
 
 The span tree is also the only record of where a query's time went:
 `phase_totals` folds a finished tree into exclusive milliseconds per
-pipeline phase, which is what the slow log's ``phases`` and the table
-under ``repro trace`` print.
+pipeline phase, the table under ``repro trace``.
 """
 
 from __future__ import annotations
@@ -50,6 +49,9 @@ _SPAN_PHASE = {"parse": "parse", "postings_fetch": "fetch",
                "topk_termination": "topk"}
 
 _ACTIVE = threading.local()  # .tracer -> the Tracer with a root open here
+
+#: Finished root spans a `Tracer` retains.
+ROOT_CAPACITY = 256
 
 
 class Span:
@@ -150,14 +152,14 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Records span trees; finished root spans accumulate in `roots()`.
 
-    ``capacity`` bounds the retained roots (oldest dropped first), so a
-    long-lived tracer on a serving database cannot grow without bound.
+    At most `ROOT_CAPACITY` roots are retained (oldest dropped first),
+    so a long-lived tracer on a serving database cannot grow without
+    bound.
     """
 
     enabled = True
 
-    def __init__(self, capacity: int = 256):
-        self.capacity = int(capacity)
+    def __init__(self):
         self._local = threading.local()
         self._roots: List[Span] = []
         self._lock = threading.Lock()
@@ -196,7 +198,7 @@ class Tracer:
             _ACTIVE.tracer = getattr(self._local, "outer", None)
             with self._lock:
                 self._roots.append(span)
-                while len(self._roots) > self.capacity:
+                while len(self._roots) > ROOT_CAPACITY:
                     self._roots.pop(0)
 
     def roots(self) -> List[Span]:

@@ -70,10 +70,9 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..algorithms.base import ELCA, SEMANTICS, ResultSet
 from ..cache import QueryCache, result_key
 from ..obs.account import merge_resources
-from ..obs.distributed import AccessLog, TraceContext, TraceStore, stitch_trace
+from ..obs.distributed import AccessLog, stitch_trace
 from ..obs.metrics import MetricsRegistry
-from ..obs.slowlog import SlowQueryLog
-from ..obs.tracing import NULL_TRACER, Tracer
+from ..obs.tracing import Tracer
 from ..reliability.deadline import Deadline
 from ..reliability.errors import (DeadlineExceeded, ShardPayloadError,
                                   WorkerCrashError)
@@ -90,11 +89,6 @@ _SERVE_DBS: Dict[int, object] = {}
 #: The largest request body the daemon will read and discard.  No route
 #: takes a body, so anything larger is refused with 413 unread.
 MAX_BODY_BYTES = 64 * 1024
-
-#: Stitched traces kept for ``/debug/traces``, and access-log records
-#: kept in memory (a ``--access-log`` file keeps every one).
-TRACE_CAPACITY = 256
-ACCESS_LOG_CAPACITY = 1024
 
 #: Base wait before a shard call is retried (doubled per attempt, and
 #: skipped when it would outlast the request's budget).
@@ -131,10 +125,9 @@ class _Answer(NamedTuple):
 
 def _shard_extra(tracer, stats) -> Dict[str, Any]:
     """The observability sidecar shipped back with a shard response:
-    the worker's span tree (wire dict form) and the engine's retrieval
-    counters, which the daemon puts into the stitched trace and the
-    access log."""
-    root = tracer.last_root() if tracer.enabled else None
+    the worker's span tree (dict form) and the engine's retrieval
+    counters, which the daemon puts into the request's record."""
+    root = tracer.last_root()
     extra: Dict[str, Any] = {
         "pid": os.getpid(),
         "trace": root.to_dict() if root is not None else None,
@@ -166,26 +159,25 @@ def _serve_shard(payload):
     shard-local root).  Either way the reply ships the result arrays
     (`ResultSet.to_wire`, the shard-local root dropped) plus the
     partial flag and bound; exceptions return as values so one shard
-    cannot lose the gather.  When the payload carries a sampled
-    `TraceContext`, the engine runs under a worker-local `Tracer` and
-    the span tree travels back in the 7th (sidecar) slot together with
-    the retrieval counters.
+    cannot lose the gather.  The engine runs under a worker-local
+    `Tracer`, its root tagged with the request's trace id, and the span
+    tree travels back in the 7th (sidecar) slot together with the
+    retrieval counters.
     """
-    sid, terms, semantics, k, wire, ctx_wire = payload
+    sid, terms, semantics, k, wire, trace_id = payload
     db = _SERVE_DBS.get(sid)
     if db is None:  # pragma: no cover - misuse guard
         return sid, None, False, None, 0.0, RuntimeError(
             "worker has no shard database; pools must be created by "
             "ServeDaemon after _SERVE_DBS is installed"), None
     deadline = Deadline.from_wire(wire) if wire else None
-    ctx = TraceContext.from_wire(ctx_wire)
-    tracer = Tracer() if ctx is not None and ctx.sampled else NULL_TRACER
+    tracer = Tracer()
     start = time.perf_counter()
     try:
         tags = {} if k is None else {"k": k}
         with tracer.span("shard_query", shard=sid, terms=list(terms),
                          **tags, pid=os.getpid(),
-                         trace_id=ctx.trace_id if ctx else None) as qspan:
+                         trace_id=trace_id) as qspan:
             if k is None:
                 results, stats = db._complete_results(
                     terms, semantics, "join", deadline=deadline)
@@ -248,16 +240,14 @@ class ServeDaemon:
     the event loop itself never evaluates a query: it only admits,
     dispatches, merges and serializes.
 
-    Observability is always on: every request gets a `TraceContext`,
-    shard workers ship span trees back, and the daemon stitches one
-    trace per request into the bounded `TraceStore` behind
-    ``/debug/traces``, writes one `AccessLog` record (optionally JSONL
-    at ``access_log_path``), attaches trace-id exemplars to
+    Observability is always on: every request gets a trace id, shard
+    workers ship span trees back, and the daemon writes one record per
+    request -- its access-log fields and the stitched trace -- into the
+    bounded `AccessLog` behind ``/debug/traces`` (optionally JSONL at
+    ``access_log_path``) and attaches trace-id exemplars to
     ``repro_serve_latency_ms`` in its own `MetricsRegistry`
-    (``self.metrics``, behind ``/metrics``), and -- with ``slow_ms`` --
-    records over-threshold requests with their stitched per-shard
-    breakdown.  Supervision (breakers, in-deadline retries, degraded
-    partials) is always on as well.
+    (``self.metrics``, behind ``/metrics``).  Supervision (breakers,
+    in-deadline retries, degraded partials) is always on as well.
     """
 
     def __init__(self, db: ShardedDatabase, host: str = "127.0.0.1",
@@ -266,9 +256,7 @@ class ServeDaemon:
                  default_timeout_ms: Optional[float] = None,
                  default_partial: bool = False,
                  result_cache_size: int = 1024,
-                 trace_log_path: Optional[str] = None,
                  access_log_path: Optional[str] = None,
-                 slow_ms: Optional[float] = None,
                  breaker: Optional[BreakerConfig] = None,
                  retry_attempts: int = 2,
                  drain_grace_ms: float = 5000.0):
@@ -282,11 +270,7 @@ class ServeDaemon:
         self.default_partial = default_partial
         self.metrics = MetricsRegistry()
         self.cache = QueryCache(result_cache_size)
-        self.traces = TraceStore(TRACE_CAPACITY, path=trace_log_path)
-        self.access_log = AccessLog(ACCESS_LOG_CAPACITY,
-                                    path=access_log_path)
-        self.slow_log = (SlowQueryLog(threshold_ms=slow_ms)
-                         if slow_ms is not None else None)
+        self.access_log = AccessLog(path=access_log_path)
         self._sem: Optional[asyncio.Semaphore] = None
         self._waiting = 0
         self._inflight_count = 0
@@ -561,7 +545,7 @@ class ServeDaemon:
 
     async def _eval(self, terms: List[str], semantics: str,
                     k: Optional[int], deadline: Optional[Deadline],
-                    ctx: TraceContext, obs: _RequestObs) -> dict:
+                    trace_id: str, obs: _RequestObs) -> dict:
         """Evaluate one admitted query -- top-``k``, or complete when
         ``k`` is ``None`` -- into its response payload."""
         db = self.db
@@ -583,14 +567,13 @@ class ServeDaemon:
         if not db._covered(terms):
             return self._payload(ResultSet.empty(db.nodes, len(terms)), False,
                                  None)
-        ctx_wire = ctx.child("scatter").to_wire()
 
         def make_payload(sid):
             # A fresh wire per attempt: the *remaining* budget travels,
             # so retry backoff debits the deadline the same way queue
             # wait already does.
             wire = deadline.to_wire() if deadline is not None else None
-            return (sid, terms, semantics, k, wire, ctx_wire)
+            return (sid, terms, semantics, k, wire, trace_id)
 
         shard_ids = [sid for sid, shard in enumerate(db.shards)
                      if all(t in shard.columnar_index for t in terms)]
@@ -646,18 +629,17 @@ class ServeDaemon:
                             ) -> Tuple[int, bytes]:
         """Admission, evaluation and — on every terminal path — the
         request's observability bookkeeping via the `finish` closure:
-        stitch and store the trace, write the access-log record, feed
-        the slow log and, for a 200, the latency histogram."""
+        stitch the trace into the request's access-log record and, for
+        a 200, feed the latency histogram."""
         arrival = time.perf_counter()
         wall = time.time()
-        ctx = TraceContext()
+        trace_id = os.urandom(8).hex()
         obs = _RequestObs()
 
         def finish(status, outcome, terms, semantics, k, *,
                    queue_wait_ms=0.0, result_count=0, partial=False,
                    bound=None, cached=False, degraded=False):
             elapsed_ms = (time.perf_counter() - arrival) * 1000.0
-            trace_id = ctx.trace_id
             extra = {"fanout": obs.fanout, "mode": obs.mode,
                      "result_count": result_count}
             if bound is not None:
@@ -667,30 +649,11 @@ class ServeDaemon:
                 extra["degraded_shards"] = list(obs.degraded_shards)
             if obs.retries:
                 extra["retries"] = obs.retries
-            trace = stitch_trace(
+            root = stitch_trace(
                 trace_id, endpoint, terms, semantics, k, status,
                 outcome, elapsed_ms, queue_wait_ms, shards=obs.shards,
                 scatter_ms=obs.scatter_ms, merge_ms=obs.merge_ms,
-                cached=cached, wall_time=wall, extra_tags=extra)
-            self.traces.add(trace)
-            if (self.slow_log is not None and status == 200
-                    and not cached):
-                self.slow_log.maybe_record(
-                    elapsed_ms, terms, semantics, "serve-" + endpoint,
-                    k, stats={
-                        "trace_id": trace_id,
-                        "queue_wait_ms": queue_wait_ms,
-                        "scatter_ms": obs.scatter_ms,
-                        "merge_ms": obs.merge_ms,
-                        "fanout": obs.fanout,
-                        "mode": obs.mode,
-                        "shards": {
-                            str(s["shard"]): {
-                                "elapsed_ms": s.get("elapsed_ms"),
-                                "retrievals": s.get("retrievals"),
-                                "partial": s.get("partial"),
-                            } for s in obs.shards},
-                    }, trace_root=trace["root"])
+                cached=cached, extra_tags=extra)
             self.access_log.record(
                 wall_time=wall, trace_id=trace_id, endpoint=endpoint,
                 terms=terms, semantics=semantics, k=k, status=status,
@@ -699,21 +662,21 @@ class ServeDaemon:
                 result_count=result_count, partial=partial, bound=bound,
                 degraded=degraded, account=obs.account,
                 shards=[{key: value for key, value in shard.items()
-                         if key != "trace"} for shard in obs.shards])
+                         if key != "trace"} for shard in obs.shards],
+                root=root)
             if status == 200:
                 # The latency exemplar points the histogram bucket back
                 # at this request's stitched trace.
                 self._latency.observe(elapsed_ms, exemplar=trace_id)
-            return trace_id, elapsed_ms
+            return elapsed_ms
 
         query = params.get("q", "").strip()
         semantics = params.get("semantics", ELCA)
         k: Optional[int] = None
 
         def bad_request(message):
-            trace_id, _ = finish(400, "bad_request",
-                                 query.split() if query else [],
-                                 semantics, k)
+            finish(400, "bad_request", query.split() if query else [],
+                   semantics, k)
             return 400, _json({"error": {"type": "bad_request",
                                          "message": message},
                                "trace_id": trace_id})
@@ -749,7 +712,7 @@ class ServeDaemon:
             # typed rejection so clients fail over instead of hanging.
             self.metrics.counter("repro_serve_rejects_total",
                                  {"reason": "shutting_down"}).inc()
-            trace_id, _ = finish(503, "shutting_down", terms, semantics, k)
+            finish(503, "shutting_down", terms, semantics, k)
             return 503, _json({"error": {"type": "shutting_down",
                                          "message": "daemon is draining; "
                                                     "retry another replica"},
@@ -760,7 +723,7 @@ class ServeDaemon:
         if answer is not None:
             self.metrics.counter("repro_serve_requests_total",
                                  {"outcome": "ok"}).inc()
-            trace_id, elapsed_ms = finish(
+            elapsed_ms = finish(
                 200, "ok", terms, semantics, k, cached=True,
                 result_count=answer.result_count)
             return 200, answer.body(terms=terms, semantics=semantics,
@@ -776,7 +739,7 @@ class ServeDaemon:
                 # the degenerate consistent partial: nothing, no bound.
                 self.metrics.counter("repro_serve_requests_total",
                                      {"outcome": "partial"}).inc()
-                trace_id, elapsed_ms = finish(
+                elapsed_ms = finish(
                     200, "partial", terms, semantics, k,
                     queue_wait_ms=waited_ms, partial=True)
                 return 200, _json(dict(
@@ -785,8 +748,8 @@ class ServeDaemon:
                     terms=terms, semantics=semantics, cached=False,
                     elapsed_ms=elapsed_ms, trace_id=trace_id))
             outcome = "shed" if exc.reason == "queue_full" else "deadline"
-            trace_id, _ = finish(exc.status, outcome, terms, semantics, k,
-                                 queue_wait_ms=waited_ms)
+            finish(exc.status, outcome, terms, semantics, k,
+                   queue_wait_ms=waited_ms)
             return exc.status, _json({"error": {"type": exc.reason,
                                                 "message": str(exc)},
                                       "trace_id": trace_id})
@@ -794,20 +757,20 @@ class ServeDaemon:
         self._inflight_count += 1
         try:
             payload = await self._eval(terms, semantics, k, deadline,
-                                       ctx, obs)
+                                       trace_id, obs)
         except DeadlineExceeded as exc:
             self.metrics.counter("repro_serve_requests_total",
                                  {"outcome": "error"}).inc()
-            trace_id, _ = finish(504, "deadline", terms, semantics, k,
-                                 queue_wait_ms=queue_wait_ms)
+            finish(504, "deadline", terms, semantics, k,
+                   queue_wait_ms=queue_wait_ms)
             return 504, _json({"error": {"type": "deadline",
                                          "message": str(exc)},
                                "trace_id": trace_id})
         except Exception as exc:  # noqa: BLE001 - typed 500
             self.metrics.counter("repro_serve_requests_total",
                                  {"outcome": "error"}).inc()
-            trace_id, _ = finish(500, "error", terms, semantics, k,
-                                 queue_wait_ms=queue_wait_ms)
+            finish(500, "error", terms, semantics, k,
+                   queue_wait_ms=queue_wait_ms)
             return 500, _json({"error": {"type": "internal",
                                          "message": f"{type(exc).__name__}: "
                                                     f"{exc}"},
@@ -823,7 +786,7 @@ class ServeDaemon:
                              {"outcome": outcome}).inc()
         answer = _Answer.encode(payload)
         self.cache.put_results(cache_key, answer, partial=partial)
-        trace_id, elapsed_ms = finish(
+        elapsed_ms = finish(
             200, outcome, terms, semantics, k,
             queue_wait_ms=queue_wait_ms,
             result_count=answer.result_count,
@@ -871,14 +834,9 @@ class ServeDaemon:
                 "queue_limit": self.queue_limit,
                 "cache": self.cache.stats(),
                 "tracing": {
-                    "retained_traces": len(self.traces),
-                    "traces_added": self.traces.added,
-                    "traces_dropped": self.traces.dropped,
-                    "access_log_records": len(self.access_log),
-                    "access_log_written": self.access_log.written,
-                    "slow_log_records": (len(self.slow_log)
-                                         if self.slow_log is not None
-                                         else None),
+                    "retained_traces": len(self.access_log),
+                    "traces_added": self.access_log.added,
+                    "traces_dropped": self.access_log.dropped,
                 },
                 "supervision": {
                     "retry_attempts": self.retry_policy.max_attempts,
@@ -891,7 +849,7 @@ class ServeDaemon:
         if route == "/debug/traces":
             trace_id = params.get("trace_id")
             if trace_id:
-                trace = self.traces.get(trace_id)
+                trace = self.access_log.get(trace_id)
                 if trace is None:
                     return 404, "application/json", _json(
                         {"error": {"type": "not_found",
@@ -907,10 +865,10 @@ class ServeDaemon:
                     {"error": {"type": "bad_request",
                                "message": "limit must be an integer >= 0"}})
             return 200, "application/json", _json({
-                "retained": len(self.traces),
-                "added": self.traces.added,
-                "dropped": self.traces.dropped,
-                "traces": self.traces.summaries(limit),
+                "retained": len(self.access_log),
+                "added": self.access_log.added,
+                "dropped": self.access_log.dropped,
+                "traces": self.access_log.summaries(limit),
             })
         if route == "/cache/clear":
             if method != "POST":

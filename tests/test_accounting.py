@@ -4,10 +4,9 @@ Covers the account object itself, the context-var scoping (nested
 accounts shadow, they never double-charge), the fold into
 `ExecutionStats`, the disk-path integration (a lazy v3 database
 produces nonzero byte counters; the eager in-memory index produces
-zeros but still attaches a breakdown), cache attribution, and the
-metric families the API layer publishes.  The drift test pins
-`ExecutionStats._COUNTER_FIELDS` to the dataclass so a new counter
-cannot silently miss merge/as_dict.
+zeros but still attaches a breakdown) and cache attribution.  The
+drift test pins `ExecutionStats._COUNTER_FIELDS` to the dataclass so a
+new counter cannot silently miss merge/as_dict.
 """
 
 import dataclasses
@@ -19,7 +18,6 @@ from repro.api import XMLDatabase
 from repro.diskdb import load_database, save_database
 from repro.obs.account import (ResourceAccount, accounting, active_account,
                                fold_into_stats, merge_resources)
-from repro.obs.slowlog import SlowQueryLog
 
 
 class TestResourceAccount:
@@ -170,21 +168,3 @@ class TestDiskIntegration:
         _results, stats = small_db.search("xml data", with_stats=True)
         assert stats.resources is not None
         assert stats.bytes_decompressed == 0
-
-    def test_query_metrics_published(self, tmp_path, small_db):
-        """The account's totals and breakdown are published where the
-        query is reported: its slow-log record (the process metrics
-        registry gets none of them)."""
-        from repro.obs.metrics import get_registry
-
-        path = str(tmp_path / "db")
-        save_database(small_db, path)
-        before = get_registry().render_prometheus()
-        db = load_database(path, lazy=True, slow_log=SlowQueryLog(0.0))
-        db.search_topk("xml data", 5)
-        stats = db.slow_log.records()[-1].stats
-        assert stats["bytes_decompressed"] > 0
-        assert stats["bytes_mapped"] > 0
-        assert stats["resources"]["by_codec"]
-        assert stats["resources"]["by_level_postings"]
-        assert get_registry().render_prometheus() == before

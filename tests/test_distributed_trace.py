@@ -2,15 +2,16 @@
 
 The contract under test (docs/OBSERVABILITY.md):
 
-* every request the daemon accepts yields exactly one stitched trace,
-  and on the fork-worker path its ``shard`` span count equals the
-  vocabulary-pruned fan-out, each shard span carrying the worker's own
-  span tree with rank-join retrieval counts;
-* traces survive deadline partials and internal errors, and shed 429s /
-  timed-out 504s still produce access-log records;
-* every stitched trace is retained in the bounded `TraceStore`;
-* the per-request observability tail stays cheap (the CI <=5% guard's
-  microbenchmark half).
+* every request the daemon accepts yields exactly one record, its
+  access-log fields plus the stitched trace; on the fork-worker path
+  the trace's ``shard`` span count equals the vocabulary-pruned
+  fan-out, each shard span carrying the worker's own span tree with
+  rank-join retrieval counts;
+* records survive deadline partials, internal errors, shed 429s and
+  timed-out 504s;
+* every record is retained in the one bounded ring, and
+  ``--access-log`` mirrors it to the file ``repro trace --from-log``
+  renders.
 """
 
 import asyncio
@@ -20,12 +21,12 @@ import threading
 
 import pytest
 
-from repro.obs import PHASES, phase_totals
-from repro.obs.distributed import (TRACE_WIRE_VERSION, TraceContext,
-                                   count_spans, make_span, new_trace_id,
-                                   read_jsonl, render_stitched, shift_span,
-                                   stitch_trace)
+from repro.obs import PHASES, phase_totals, render_trace
+from repro.obs.distributed import (TRACE_CAPACITY, AccessLog,
+                                   format_access_record, make_span,
+                                   read_jsonl, stitch_trace)
 from repro.serve import ServeDaemon, ShardedDatabase
+from repro.serve import daemon as daemon_module
 
 
 class DaemonHarness:
@@ -74,33 +75,45 @@ class DaemonHarness:
 
 
 # ---------------------------------------------------------------------------
-# wire format
+# the trace id on the wire
 # ---------------------------------------------------------------------------
 
 class TestTraceContextWire:
-    def test_roundtrip(self):
-        ctx = TraceContext(parent_span="scatter", sampled=True)
-        back = TraceContext.from_wire(ctx.to_wire())
-        assert back.trace_id == ctx.trace_id
-        assert back.parent_span == "scatter"
-        assert back.sampled is True
+    def test_roundtrip(self, dblp_db, monkeypatch):
+        """The shard payload carries the request's trace id; the worker
+        traces its query and tags the root with it."""
+        monkeypatch.setitem(daemon_module._SERVE_DBS, 0, dblp_db)
+        outcome = daemon_module._serve_shard(
+            (0, ["alpha", "beta"], "elca", 3, None, "f00dfeedf00dfeed"))
+        assert outcome[5] is None
+        tree = outcome[6]["trace"]
+        assert tree["name"] == "shard_query"
+        assert tree["tags"]["trace_id"] == "f00dfeedf00dfeed"
+        assert tree["children"], "the engine's spans came along"
 
-    def test_child_keeps_trace_id(self):
-        ctx = TraceContext()
-        child = ctx.child("scatter")
-        assert child.trace_id == ctx.trace_id
-        assert child.parent_span == "scatter"
+    def test_child_keeps_trace_id(self, pool_harness):
+        """Every worker tree grafted into a request's stitched trace
+        carries that request's id."""
+        _, body = pool_harness.get_json("/topk?q=alpha+gamma+beta&k=2")
+        record = pool_harness.daemon.access_log.get(body["trace_id"])
+        workers = _spans_named(record["root"], "shard_query")
+        assert workers
+        assert {w["tags"]["trace_id"] for w in workers} == \
+            {body["trace_id"]}
 
-    def test_unknown_version_disables_collection(self):
-        wire = TraceContext().to_wire()
-        wire["v"] = TRACE_WIRE_VERSION + 1
-        assert TraceContext.from_wire(wire) is None
-        assert TraceContext.from_wire(None) is None
-        assert TraceContext.from_wire({}) is None
+    def test_trace_ids_are_unique_hex(self, small_db):
+        daemon = ServeDaemon(ShardedDatabase.from_database(small_db, 2),
+                             port=0)
 
-    def test_trace_ids_are_unique_hex(self):
-        ids = {new_trace_id() for _ in range(64)}
-        assert len(ids) == 64
+        async def go():
+            await daemon.start()
+            bodies = [json.loads((await daemon._dispatch(
+                "GET", "/topk?q=xml+data&k=2"))[2]) for _ in range(32)]
+            await daemon.stop()
+            return bodies
+
+        ids = {body["trace_id"] for body in asyncio.run(go())}
+        assert len(ids) == 32
         assert all(len(t) == 16 and int(t, 16) >= 0 for t in ids)
 
 
@@ -114,6 +127,17 @@ def _worker_tree():
     ])
 
 
+def _spans_named(span, name):
+    out = [span] if span.get("name") == name else []
+    for child in span.get("children", []):
+        out.extend(_spans_named(child, name))
+    return out
+
+
+def _count(span, name):
+    return len(_spans_named(span, name))
+
+
 def _shards(n):
     return [{"shard": sid, "elapsed_ms": 10.0, "partial": False,
              "retrievals": 99, "emitted": 5, "trace": _worker_tree()}
@@ -122,40 +146,34 @@ def _shards(n):
 
 class TestStitchTrace:
     def test_shard_spans_match_fanout(self):
-        trace = stitch_trace("t" * 16, "topk", ["a", "b"], "elca", 5,
-                             200, "ok", 15.0, 0.1, shards=_shards(3),
-                             scatter_ms=12.0, merge_ms=1.0)
-        assert trace["trace_id"] == "t" * 16
-        assert count_spans(trace, "shard") == 3
-        assert count_spans(trace, "shard_query") == 3
-        assert count_spans(trace, "rank_join") == 3
-        assert count_spans(trace, "queue_wait") == 1
-        assert count_spans(trace, "merge") == 1
+        root = stitch_trace("t" * 16, "topk", ["a", "b"], "elca", 5,
+                            200, "ok", 15.0, 0.1, shards=_shards(3),
+                            scatter_ms=12.0, merge_ms=1.0)
+        assert root["tags"]["trace_id"] == "t" * 16
+        assert _count(root, "shard") == 3
+        assert _count(root, "shard_query") == 3
+        assert _count(root, "rank_join") == 3
+        assert _count(root, "queue_wait") == 1
+        assert _count(root, "merge") == 1
 
     def test_cached_request_has_cache_hit_no_scatter(self):
-        trace = stitch_trace("c" * 16, "topk", ["a"], "elca", 5,
-                             200, "ok", 0.2, 0.0, cached=True)
-        assert count_spans(trace, "cache_hit") == 1
-        assert count_spans(trace, "scatter") == 0
+        root = stitch_trace("c" * 16, "topk", ["a"], "elca", 5,
+                            200, "ok", 0.2, 0.0, cached=True)
+        assert _count(root, "cache_hit") == 1
+        assert _count(root, "scatter") == 0
 
     def test_shed_request_stitches_bare_root(self):
-        trace = stitch_trace("s" * 16, "topk", ["a"], "elca", 5,
-                             429, "shed", 0.1, 0.0)
-        root = trace["root"]
+        root = stitch_trace("s" * 16, "topk", ["a"], "elca", 5,
+                            429, "shed", 0.1, 0.0)
         assert root["tags"]["outcome"] == "shed"
-        assert count_spans(trace, "shard") == 0
+        assert _count(root, "shard") == 0
 
     def test_render_contains_names_and_tags(self):
-        trace = stitch_trace("r" * 16, "topk", ["a"], "elca", 5,
-                             200, "ok", 15.0, 0.1, shards=_shards(2))
-        text = render_stitched(trace)
+        root = stitch_trace("r" * 16, "topk", ["a"], "elca", 5,
+                            200, "ok", 15.0, 0.1, shards=_shards(2))
+        text = render_trace(root)
         assert "request" in text and "scatter" in text
         assert "shard_query" in text and "retrievals=99" in text
-
-    def test_shift_span_moves_whole_tree(self):
-        shifted = shift_span(_worker_tree(), 7.5)
-        assert shifted["start_ms"] == 7.5
-        assert shifted["children"][0]["start_ms"] == 8.5
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +188,9 @@ def sharded(dblp_db):
 @pytest.fixture(scope="module")
 def pool_harness(sharded):
     with DaemonHarness(sharded, workers=1, max_concurrency=4,
-                       queue_limit=8, slow_ms=0.0) as h:
+                       queue_limit=8) as h:
         yield h
 
-
-def _spans_named(span, name):
-    out = [span] if span.get("name") == name else []
-    for child in span.get("children", []):
-        out.extend(_spans_named(child, name))
-    return out
 
 
 def _pruned_fanout(sharded, terms):
@@ -191,21 +203,21 @@ def _pruned_fanout(sharded, terms):
 class TestDaemonStitchedTraces:
     def test_one_trace_shard_count_equals_fanout(self, pool_harness,
                                                  sharded):
-        added_before = pool_harness.daemon.traces.added
+        added_before = pool_harness.daemon.access_log.added
         status, body = pool_harness.get_json("/topk?q=alpha+beta&k=5")
         assert status == 200 and body["trace_id"]
-        assert pool_harness.daemon.traces.added == added_before + 1
+        assert pool_harness.daemon.access_log.added == added_before + 1
         status, trace = pool_harness.get_json(
             f"/debug/traces?trace_id={body['trace_id']}")
         assert status == 200
         want = _pruned_fanout(sharded, ["alpha", "beta"])
         assert want >= 2
-        assert count_spans(trace, "shard") == want
+        assert _count(trace["root"], "shard") == want
         root = trace["root"]
         assert root["tags"]["mode"] == "pool"
         assert root["tags"]["fanout"] == want
-        assert count_spans(trace, "queue_wait") == 1
-        assert count_spans(trace, "scatter") == 1
+        assert _count(trace["root"], "queue_wait") == 1
+        assert _count(trace["root"], "scatter") == 1
 
     def test_shard_spans_carry_worker_trees(self, pool_harness):
         _, body = pool_harness.get_json("/topk?q=gamma+beta&k=4")
@@ -225,7 +237,7 @@ class TestDaemonStitchedTraces:
         _, body = pool_harness.get_json("/search?q=cx+cy&semantics=slca")
         _, trace = pool_harness.get_json(
             f"/debug/traces?trace_id={body['trace_id']}")
-        assert count_spans(trace, "shard") == \
+        assert _count(trace["root"], "shard") == \
             _pruned_fanout(sharded, ["cx", "cy"])
 
     def test_access_log_references_same_trace(self, pool_harness):
@@ -238,8 +250,10 @@ class TestDaemonStitchedTraces:
         assert record["terms"] == ["alpha", "gamma"]
         assert record["shards"], "per-shard breakdown missing"
         for shard in record["shards"]:
-            assert "trace" not in shard     # span trees stay out of logs
+            assert "trace" not in shard     # the span trees are in root
             assert "retrievals" in shard
+        assert record["root"]["name"] == "request"
+        assert record["root"]["tags"]["trace_id"] == body["trace_id"]
 
     def test_cached_repeat_gets_fresh_trace_with_cache_hit(
             self, pool_harness):
@@ -248,33 +262,31 @@ class TestDaemonStitchedTraces:
         assert body["cached"] is True
         _, trace = pool_harness.get_json(
             f"/debug/traces?trace_id={body['trace_id']}")
-        assert count_spans(trace, "cache_hit") == 1
-        assert count_spans(trace, "shard") == 0
+        assert _count(trace["root"], "cache_hit") == 1
+        assert _count(trace["root"], "shard") == 0
 
-    def test_slow_log_has_stitched_shard_breakdown(self, pool_harness):
+    def test_record_has_stitched_shard_breakdown(self, pool_harness):
         pool_harness.get_json("/topk?q=beta+gamma&k=5")
-        records = pool_harness.daemon.slow_log.records()
-        assert records          # threshold 0: everything is slow
-        record = records[-1]
-        assert record.algorithm.startswith("serve-")
-        assert record.stats["trace_id"]
-        assert record.stats["shards"]
-        assert record.trace["name"] == "request"
+        record = pool_harness.daemon.access_log.records()[-1]
+        assert record["endpoint"] == "topk"
+        assert record["trace_id"]
+        assert record["shards"]
+        assert _count(record["root"], "shard") == len(record["shards"])
 
-    def test_slow_log_phases_are_the_fold_of_the_stitched_tree(
+    def test_record_phases_are_the_fold_of_the_stitched_tree(
             self, pool_harness):
         """A served request never ran under `XMLDatabase._run_query`;
         its breakdown comes from the same fold, over the stitched tree
         (worker engine spans grafted under the shard spans)."""
         pool_harness.get_json("/topk?q=alpha+beta+gamma&k=7")
-        record = pool_harness.daemon.slow_log.records()[-1]
-        assert record.phases == phase_totals(record.trace)
+        root = pool_harness.daemon.access_log.records()[-1]["root"]
+        phases = phase_totals(root)
         # From a worker's tree: the default top-K scores its levels in
         # bulk there.
-        assert "score" in record.phases
-        assert set(record.phases) <= set(PHASES)
-        assert sum(record.phases.values()) == pytest.approx(
-            record.trace["duration_ms"], rel=0.01)
+        assert "score" in phases
+        assert set(phases) <= set(PHASES)
+        assert sum(phases.values()) == pytest.approx(
+            root["duration_ms"], rel=0.01)
 
     def test_latency_exemplars_in_exposition(self, pool_harness):
         pool_harness.get_json("/topk?q=gamma&k=2")
@@ -319,7 +331,7 @@ class TestRejectionObservability:
             assert record["status"] == 429
             assert record["outcome"] == "shed"
             assert record["trace_id"] == body["trace_id"]
-            trace = h.daemon.traces.get(body["trace_id"])
+            trace = h.daemon.access_log.get(body["trace_id"])
             assert trace is not None and trace["outcome"] == "shed"
 
     def test_504_deadline_is_logged_and_traced(self, sharded):
@@ -329,7 +341,7 @@ class TestRejectionObservability:
             record = h.daemon.access_log.records()[-1]
             assert record["status"] == 504
             assert record["outcome"] == "deadline"
-            assert h.daemon.traces.get(body["trace_id"]) is not None
+            assert h.daemon.access_log.get(body["trace_id"]) is not None
 
     def test_500_error_is_logged_and_traced(self, sharded):
         async def boom(*args, **kwargs):
@@ -342,7 +354,7 @@ class TestRejectionObservability:
             record = h.daemon.access_log.records()[-1]
             assert record["status"] == 500
             assert record["outcome"] == "error"
-            trace = h.daemon.traces.get(body["trace_id"])
+            trace = h.daemon.access_log.get(body["trace_id"])
             assert trace["outcome"] == "error"
 
     def test_400_bad_request_is_logged(self, sharded):
@@ -362,40 +374,57 @@ class TestRejectionObservability:
 class TestLogFiles:
     def test_jsonl_mirrors_feed_offline_slo(self, sharded, tmp_path):
         access_path = tmp_path / "access.jsonl"
-        trace_path = tmp_path / "traces.jsonl"
-        with DaemonHarness(sharded, access_log_path=str(access_path),
-                           trace_log_path=str(trace_path)) as h:
-            for query in ("alpha+beta", "gamma", "rare+beta"):
-                assert h.get_json(f"/topk?q={query}&k=3")[0] == 200
+        with DaemonHarness(sharded, access_log_path=str(access_path)) as h:
+            ids = {h.get_json(f"/topk?q={query}&k=3")[1]["trace_id"]
+                   for query in ("alpha+beta", "gamma", "rare+beta")}
         records = read_jsonl(str(access_path))
         assert len(records) == 3
         assert all(r["status"] == 200 for r in records)
-        traces = read_jsonl(str(trace_path))
-        assert {t["trace_id"] for t in traces} == \
-            {r["trace_id"] for r in records}
+        assert {r["trace_id"] for r in records} == ids
+        assert all(r["root"]["name"] == "request" for r in records)
 
     def test_trace_verb_renders_the_logs(self, sharded, tmp_path, capsys):
         """OBSERVABILITY.md's offline workflow: ``repro trace
-        --from-log`` renders a stitched trace (one, with ``--trace-id``)
-        and pretty-prints access records."""
+        --from-log`` prints one line per request, and one request's
+        line and stitched span tree with ``--trace-id``."""
         from repro.cli import main
 
         access_path = str(tmp_path / "access.jsonl")
-        trace_path = str(tmp_path / "traces.jsonl")
-        with DaemonHarness(sharded, access_log_path=access_path,
-                           trace_log_path=trace_path) as h:
+        with DaemonHarness(sharded, access_log_path=access_path) as h:
             ids = [h.get_json(f"/topk?q={query}&k=3")[1]["trace_id"]
                    for query in ("alpha+beta", "gamma")]
         capsys.readouterr()
-        assert main(["trace", "--from-log", trace_path,
+        assert main(["trace", "--from-log", access_path,
                      "--trace-id", ids[1]]) == 0
         shown = capsys.readouterr().out
         assert ids[1] in shown and ids[0] not in shown
+        assert "request" in shown and "scatter" in shown
         assert main(["trace", "--from-log", access_path]) == 0
         shown = capsys.readouterr().out
         assert ids[0] in shown and ids[1] in shown
+        assert len(shown.splitlines()) == 2
         assert main(["trace", "--from-log", access_path,
                      "--trace-id", "feedfacefeedface"]) == 1
+
+    def test_sparse_records_read_as_empty(self, tmp_path, capsys):
+        """The file is outside input: a record missing its fields, or a
+        shard entry with a null latency, prints instead of raising."""
+        from repro.cli import main
+
+        sparse = {"status": 200}
+        null_shard = {"status": 200, "trace_id": "ab" * 8,
+                      "shards": [{"shard": 1, "elapsed_ms": None,
+                                  "retrievals": None}]}
+        assert "200" in format_access_record(sparse)
+        assert "s1=0.0ms/0r" in format_access_record(null_shard)
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(sparse) + "\n"
+                        + json.dumps(null_shard) + "\n", encoding="utf-8")
+        assert main(["trace", "--from-log", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert main(["trace", "--from-log", str(path),
+                     "--trace-id", "ab" * 8]) == 0
+        assert "s1=0.0ms/0r" in capsys.readouterr().out
 
     def test_read_jsonl_skips_truncated_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -411,15 +440,13 @@ class TestLogFiles:
 
 class TestAccessLogAccount:
     def test_fields_include_account(self):
-        from repro.obs.distributed import AccessLog
-
         assert "account" in AccessLog.FIELDS
 
     def test_daemon_records_account_in_access_log(self, tmp_path,
                                                   small_db):
         sharded = ShardedDatabase.from_database(small_db, 2)
         log_path = str(tmp_path / "access.jsonl")
-        daemon = ServeDaemon(sharded, workers=0,
+        daemon = ServeDaemon(sharded, workers=0, port=0,
                              access_log_path=log_path)
 
         async def go():
@@ -433,3 +460,21 @@ class TestAccessLogAccount:
         records = [json.loads(line)
                    for line in open(log_path, encoding="utf-8")]
         assert any("account" in r and r["account"] for r in records)
+
+
+# ---------------------------------------------------------------------------
+# the one ring
+# ---------------------------------------------------------------------------
+
+class TestRequestRing:
+    def test_ring_capacity_and_dropped(self):
+        log = AccessLog()
+        for i in range(TRACE_CAPACITY + 3):
+            log.record(trace_id=f"{i:016x}", status=200)
+        assert len(log) == TRACE_CAPACITY
+        assert log.added == TRACE_CAPACITY + 3 and log.dropped == 3
+        assert log.get(f"{0:016x}") is None
+        assert log.records()[0]["trace_id"] == f"{3:016x}"
+        newest = log.summaries(2)
+        assert [s["trace_id"] for s in newest] == \
+            [f"{TRACE_CAPACITY + 2:016x}", f"{TRACE_CAPACITY + 1:016x}"]

@@ -1,9 +1,9 @@
 """Tests for the observability subsystem (`repro.obs`).
 
 Covers the span tracer (unit + integration with the query pipeline),
-the metrics registry the serve daemon publishes into, the slow-query
-log, `ExecutionStats` merging,
-the `search_batch` summary, and the overhead guards (tracing off, on).
+the metrics registry the serve daemon publishes into, `ExecutionStats`
+merging, the `search_batch` summary, ``repro trace`` and the overhead
+guards (tracing off, on).
 """
 
 import json
@@ -16,10 +16,9 @@ from repro.algorithms.base import ExecutionStats
 from repro.algorithms.join_based import JoinBasedSearch
 from repro.algorithms.topk_keyword import TopKKeywordSearch
 from repro.obs import (NULL_TRACER, Counter, Gauge, Histogram,
-                       MetricsRegistry, NullTracer, SlowQueryLog, Tracer,
-                       get_registry, render_trace, spans_per_level_plan,
-                       trace_to_jsonl)
-from repro.obs.tracing import NULL_SPAN
+                       MetricsRegistry, NullTracer, Tracer, render_trace,
+                       spans_per_level_plan, trace_to_jsonl)
+from repro.obs.tracing import NULL_SPAN, ROOT_CAPACITY
 from tests.conftest import on_threads
 
 
@@ -63,13 +62,14 @@ class TestTracer:
                    for s in root.walk())
 
     def test_capacity_bounds_roots(self):
-        tracer = Tracer(capacity=3)
-        for i in range(5):
+        tracer = Tracer()
+        for i in range(ROOT_CAPACITY + 2):
             with tracer.span("q", i=i):
                 pass
         roots = tracer.roots()
-        assert len(roots) == 3
-        assert [r.tags["i"] for r in roots] == [2, 3, 4]
+        assert len(roots) == ROOT_CAPACITY
+        assert [r.tags["i"] for r in roots[:2]] == [2, 3]
+        assert roots[-1].tags["i"] == ROOT_CAPACITY + 1
 
     def test_reset_clears_roots(self):
         tracer = Tracer()
@@ -220,70 +220,6 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# slow-query log
-# ---------------------------------------------------------------------------
-
-class TestSlowQueryLog:
-    def test_threshold(self):
-        log = SlowQueryLog(threshold_ms=10.0)
-        assert not log.maybe_record(5.0, ["xml"], "elca", "join")
-        assert log.maybe_record(10.0, ["xml"], "elca", "join")
-        assert len(log) == 1
-        record = log.records()[0]
-        assert record.terms == ["xml"]
-        assert record.elapsed_ms == 10.0
-
-    def test_ring_capacity_and_dropped(self):
-        log = SlowQueryLog(threshold_ms=0.0, capacity=2)
-        for i in range(5):
-            log.maybe_record(float(i), [str(i)], "elca", "join")
-        assert len(log) == 2
-        assert log.dropped == 3
-        assert [r.terms for r in log.records()] == [["3"], ["4"]]
-        log.clear()
-        assert len(log) == 0 and log.dropped == 0
-
-    def test_jsonl_file(self, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        log = SlowQueryLog(threshold_ms=0.0, path=str(path))
-        tracer = Tracer()
-        with tracer.span("query"):
-            pass
-        log.maybe_record(42.0, ["xml", "data"], "elca", "join", k=5,
-                         stats={"joins": 3}, trace_root=tracer.last_root())
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1
-        entry = json.loads(lines[0])
-        assert entry["terms"] == ["xml", "data"]
-        assert entry["k"] == 5
-        assert entry["stats"]["joins"] == 3
-        assert entry["trace"]["name"] == "query"
-
-    def test_database_threshold_wiring(self, small_db):
-        db = XMLDatabase.from_xml_text(
-            small_db.tree.to_xml(), slow_log=SlowQueryLog(threshold_ms=0.0))
-        db.search("xml data")
-        assert len(db.slow_log) == 1
-        record = db.slow_log.records()[0]
-        assert record.terms == ["xml", "data"]
-        assert record.stats["levels_processed"] >= 1
-        # No tracer was passed: a slow log traces its own queries.
-        assert record.trace["name"] == "query"
-        assert not db.tracer.enabled
-
-    def test_trace_attached_when_tracing(self, small_db):
-        db = XMLDatabase.from_xml_text(
-            small_db.tree.to_xml(),
-            slow_log=SlowQueryLog(0.0), tracer=Tracer())
-        db.search("xml data")
-        record = db.slow_log.records()[0]
-        assert record.trace is not None
-        assert record.trace["name"] == "query"
-        names = [c["name"] for c in record.trace["children"]]
-        assert "join" in names
-
-
-# ---------------------------------------------------------------------------
 # ExecutionStats merging
 # ---------------------------------------------------------------------------
 
@@ -401,19 +337,6 @@ class TestTracedPipeline:
         assert [s.name for s in first.walk()] == \
             [s.name for s in second.walk()]
         assert not any(root.find("cache_lookup") for root in tracer.roots())
-
-    def test_query_metrics_published(self, small_db):
-        """A query's time and work are published on its stats, its trace
-        and its slow-log record; the process registry is the serve
-        daemon's alone and gains nothing."""
-        before = get_registry().render_prometheus()
-        db = _fresh_db(small_db, slow_log=SlowQueryLog(threshold_ms=0.0))
-        db.search("xml data")
-        db.search("xml data")
-        db.search_topk("xml data", k=2)
-        db.search_batch(["xml data", "keyword search"])
-        assert get_registry().render_prometheus() == before
-        assert len(db.slow_log) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +514,9 @@ class TestDiskMetrics:
         path = str(tmp_path / "db")
         small_db.save(path)
         tracer = Tracer()
-        db = XMLDatabase.open(path, tracer=tracer, slow_log=SlowQueryLog(0.0))
+        db = XMLDatabase.open(path, tracer=tracer)
         db.search("xml data")
-        assert tracer.last_root() is not None
-        assert len(db.slow_log) == 1
-        assert db.slow_log.records()[0].terms == ["xml", "data"]
+        assert tracer.last_root().tags["terms"] == ["xml", "data"]
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +558,27 @@ class TestTraceCLI:
         assert main(["trace", str(doc), "xml data", "--slow-ms", "0"]) == 0
         text = capsys.readouterr().out
         assert "slow query" in text
+
+
+# ---------------------------------------------------------------------------
+# slow-query threshold
+# ---------------------------------------------------------------------------
+
+class TestSlowQueryLog:
+    def test_threshold(self, tmp_path, capsys):
+        """``repro trace --slow-ms N`` reports the query when the time
+        the verb measured reaches N, and stays quiet below it."""
+        from repro.cli import main
+        from tests.conftest import SMALL_XML
+
+        doc = tmp_path / "doc.xml"
+        doc.write_text(SMALL_XML, encoding="utf-8")
+        assert main(["trace", str(doc), "xml data", "--slow-ms", "0"]) == 0
+        assert ("slow query (>= 0 ms): xml data took"
+                in capsys.readouterr().out)
+        assert main(["trace", str(doc), "xml data",
+                     "--slow-ms", "1e9"]) == 0
+        assert "slow query" not in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +630,7 @@ class TestThreadSafety:
         per query, every child a pipeline stage, and the levels under
         it consistent with a single execution -- a cross-thread leak
         would splice one query's spans under another's root."""
-        tracer = Tracer(capacity=64)
+        tracer = Tracer()
         db = _fresh_db(corpus_db, tracer=tracer)
         results = _search_all(db, self.QUERIES * 2, threads=4)
         roots = [root for root in tracer.roots() if root.name == "query"]
@@ -775,7 +717,7 @@ class TestProfilerOverheadGuard:
         spans = self._count_spans(db, run)
 
         def live_spans():
-            tracer = Tracer(capacity=1)
+            tracer = Tracer()
             with tracer.span("query") as root:
                 for _ in range(spans - 1):
                     with tracer.span("join", level=1) as span:

@@ -3,11 +3,11 @@
 There is one timing instrument, the span tree; the breakdown is
 `repro.obs.tracing.phase_totals`, a fold over a finished tree.  Covered
 here: exclusive-time attribution, the ambient (thread-local) way an
-instrumented region reaches the tracer, and slow-log phase attachment
-(the fold's consumer) -- in memory, lazily opened from disk, and top-K.
-(File, class and test names predate the fold and the removal of the
-per-phase histograms: they are the ids of the behaviours that survived
-the phase profiler.)
+instrumented region reaches the tracer, and the fold over a query's
+tree -- in memory, lazily opened from disk, and top-K.  (File, class
+and test names predate the fold and the removal of the per-phase
+histograms: they are the ids of the behaviours that survived the phase
+profiler.)
 """
 
 import threading
@@ -16,23 +16,12 @@ import time
 import pytest
 
 from repro import XMLDatabase
-from repro.obs import (PHASES, SlowQueryLog, Tracer, phase_totals,
-                       render_phases)
+from repro.obs import PHASES, Tracer, phase_totals, render_phases
 from repro.obs.tracing import NULL_SPAN, span
 
 
 def _fresh_db(source_db, **kwargs):
     return XMLDatabase.from_xml_text(source_db.tree.to_xml(), **kwargs)
-
-
-def _phase_sums(db):
-    """Per-phase sums over the db's slow-log records; ``{}`` without a
-    slow log."""
-    sums = {}
-    for record in db.slow_log.records() if db.slow_log is not None else ():
-        for phase, ms in (record.phases or {}).items():
-            sums[phase] = sums.get(phase, 0.0) + ms
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +44,7 @@ class TestQueryProfile:
         assert phases["decompress"] > 1.0
         assert phases["other"] > 0.5
         assert sum(phases.values()) == pytest.approx(root.duration_ms)
-        # The dict form (slow log, stitched serve traces) folds the same.
+        # The dict form (stitched serve traces) folds the same.
         assert phase_totals(root.to_dict()) == phases
 
     def test_nesting_charges_the_innermost_phase(self):
@@ -146,20 +135,18 @@ class TestProfilePhase:
 
 class TestPhaseProfiler:
     def test_publishes_phase_histograms(self, small_db):
-        db = _fresh_db(small_db, tracer=Tracer(), slow_log=SlowQueryLog(0.0))
+        db = _fresh_db(small_db, tracer=Tracer())
         db.search("xml data")
-        phases = phase_totals(db.tracer.last_root())
-        # One record per query, carrying exactly the folded values.
-        assert len(db.slow_log) == 1
-        assert _phase_sums(db) == pytest.approx(phases)
+        root = db.tracer.last_root()
+        phases = phase_totals(root)
         assert "join" in phases and "other" in phases
+        assert sum(phases.values()) == pytest.approx(root.duration_ms)
 
     def test_null_profiler_records_nothing(self, small_db):
         db = _fresh_db(small_db)  # NULL_TRACER: the default
         db.search("xml data")
         db.search_topk("xml data", k=2)
         assert db.tracer.last_root() is None
-        assert _phase_sums(db) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +155,14 @@ class TestPhaseProfiler:
 
 class TestDatabaseIntegration:
     def test_search_populates_phase_histograms(self, small_db):
-        db = _fresh_db(small_db, tracer=Tracer(), slow_log=SlowQueryLog(0.0))
+        db = _fresh_db(small_db, tracer=Tracer())
         db.search("xml data")
-        phases = set(_phase_sums(db))
+        phases = set(phase_totals(db.tracer.last_root()))
         assert {"parse", "fetch", "join", "score", "erase"} <= phases
         assert phases <= set(PHASES)
 
     def test_topk_attributes_rank_join_phases(self, dblp_db):
-        db = _fresh_db(dblp_db, tracer=Tracer(), slow_log=SlowQueryLog(0.0))
+        db = _fresh_db(dblp_db, tracer=Tracer())
         db.search_topk("alpha beta", k=3, algorithm="topk-join")
         root = db.tracer.last_root()
         phases = phase_totals(root)
@@ -183,7 +170,6 @@ class TestDatabaseIntegration:
         assert "topk" in phases
         assert set(phases) <= set(PHASES)
         assert sum(phases.values()) == pytest.approx(root.duration_ms)
-        assert _phase_sums(db) == pytest.approx(phases)
 
     def test_default_topk_attributes_bulk_level_phases(self, dblp_db):
         """The default plan finishes its levels in bulk: its time shows
@@ -194,41 +180,6 @@ class TestDatabaseIntegration:
         assert {"join", "score", "erase", "topk"} <= set(phases)
         assert "rank_join" not in phases
 
-    def test_slow_log_carries_the_phase_breakdown(self, small_db):
-        db = _fresh_db(small_db,
-                       slow_log=SlowQueryLog(0.0))  # record everything
-        db.search("xml data")
-        records = db.slow_log.records()
-        assert records
-        phases = records[-1].phases
-        assert phases is not None
-        assert all(ms >= 0.0 for ms in phases.values())
-        assert set(phases) <= set(PHASES)
-        assert records[-1].as_dict()["phases"] == phases
-
-    def test_slow_log_without_a_tracer_traces_its_queries(self, small_db):
-        """No tracer was passed, so the database ran the query under a
-        private live one: the record has the tree, and its breakdown is
-        the fold of that tree."""
-        db = _fresh_db(small_db, slow_log=SlowQueryLog(threshold_ms=0.0))
-        assert not db.tracer.enabled
-        db.search("xml data")
-        record = db.slow_log.records()[-1]
-        assert record.trace["name"] == "query"
-        assert record.phases == phase_totals(record.trace)
-        assert sum(record.phases.values()) == \
-            pytest.approx(record.trace["duration_ms"])
-        assert db.tracer.last_root() is None  # nothing else kept it
-
-    def test_null_profiler_keeps_slow_log_phase_free(self):
-        """No span tree, no breakdown: a record made without a trace
-        (a caller of the log other than `XMLDatabase`) has neither."""
-        log = SlowQueryLog(threshold_ms=0.0)
-        log.maybe_record(1.0, ["xml"], "elca", "join")
-        record = log.records()[-1]
-        assert record.trace is None
-        assert record.phases is None
-
     def test_lazy_disk_query_attributes_decompress(self, small_db,
                                                    tmp_path):
         """The column decode happens inside an index object shared by
@@ -237,7 +188,7 @@ class TestDatabaseIntegration:
         small_db.save(str(tmp_path / "db"))
         tracer = Tracer()
         db = XMLDatabase.open(str(tmp_path / "db"), lazy=True,
-                              tracer=tracer, slow_log=SlowQueryLog(0.0))
+                              tracer=tracer)
         db.search("xml data")
         root = tracer.last_root()
         decodes = root.find("decompress")
@@ -248,4 +199,3 @@ class TestDatabaseIntegration:
         assert phases["decompress"] > 0.0
         assert set(phases) <= set(PHASES)
         assert sum(phases.values()) == pytest.approx(root.duration_ms)
-        assert _phase_sums(db) == pytest.approx(phases)

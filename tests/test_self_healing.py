@@ -86,7 +86,7 @@ def sharded(dblp_db):
 
 def request_tag(harness, body, key):
     """A tag of the request's stitched trace root (0 when absent)."""
-    trace = harness.daemon.traces.get(body["trace_id"])
+    trace = harness.daemon.access_log.get(body["trace_id"])
     return trace["root"]["tags"].get(key, 0)
 
 
