@@ -1,12 +1,14 @@
 """CI smoke for the `repro serve` daemon (the `serve` workflow job).
 
 Builds a sharded index via the CLI and runs the real daemon process in
-two phases.  The inline phase (``--workers 0``) fires a mixed
+two phases.  The thread phase (``--workers 0``) fires a mixed
 concurrent workload (cold + warm + overloaded + bad requests) from
 threaded HTTP clients, then scrapes ``/metrics`` and asserts the
 serving invariants:
 
-* admission / deadline / latency instruments are all present,
+* admission / deadline / latency instruments are all present, and
+  one ``repro_serve_shard_ms`` series per shard: every query takes the
+  supervised per-shard call, on one thread at ``--workers 0``,
 * the workload produced requests and at least one cache-driven rerun,
 * a repeated ``/search`` is a result-cache hit whose body is the first
   reply's, byte for byte, apart from ``cached``, ``elapsed_ms`` and
@@ -15,18 +17,19 @@ serving invariants:
 * the daemon left its observability trail: one access-log JSONL record
   per request (shed/timed-out ones included), each carrying its
   stitched span tree under a ``request`` root with the record's trace
-  id, the same records behind ``/debug/traces``, ``repro trace
+  id, every evaluated 200 one ``shard`` span per qualifying shard with
+  the worker's tree under it, the same records behind
+  ``/debug/traces``, ``repro trace
   --from-log --trace-id`` rendering one of them, and trace-id
   exemplars on the latency histogram,
 * SIGTERM drains it and the process exits 0.
 
-An inline daemon calls no shard and so exports no per-shard
-instruments.  The pooled phase (``--workers 1``) takes a shard
+The pooled phase (``--workers 1``) takes a shard
 worker's pid from the access log, SIGKILLs it, and asserts that the
 next request still answers 200 with ``degraded: false`` (the pool was
 rebuilt and the request retried on it), that
 ``repro_pool_rebuilds_total`` reads at least 1, that ``/healthz`` is
-back to ``ok`` and that SIGTERM again exits 0.  The inline phase's
+back to ``ok`` and that SIGTERM again exits 0.  The thread phase's
 access log (``access-log-ci.jsonl``) is written to the working
 directory so the CI job can upload it as an artifact.  Exits non-zero
 (with the offending metric text) on any violation::
@@ -52,6 +55,7 @@ PORT = int(os.environ.get("REPRO_SERVE_SMOKE_PORT", "18473"))
 QUERIES = ["w00000 w00001", "author00000", "w00002 w00000",
            "w00001 author00001", "w00003"]
 ACCESS_LOG = "access-log-ci.jsonl"
+SHARDS = 4
 POOL_QUERY = "/topk?q=w00000+author00000&k=5"
 
 
@@ -209,7 +213,7 @@ def main() -> int:
         db_dir = os.path.join(tmp, "db")
         subprocess.run(
             [sys.executable, "-m", "repro", "generate", "dblp", db_dir,
-             "--papers", "500", "--shards", "4"],
+             "--papers", "500", "--shards", str(SHARDS)],
             env=env, check=True, timeout=300)
         daemon = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", db_dir,
@@ -244,8 +248,14 @@ def main() -> int:
             "repro_serve_queue_wait_ms_count",
             "repro_serve_latency_ms_count"):
         assert needle in text, f"{needle} missing from /metrics"
-    assert "repro_serve_shard_ms" not in text, \
-        "an inline daemon exported a per-shard instrument it cannot move"
+    for sid in range(SHARDS):
+        count = re.search(
+            rf'^repro_serve_shard_ms_count\{{shard="{sid}"\}} ([0-9.]+)$',
+            text, re.M)
+        assert count, f"no repro_serve_shard_ms series for shard {sid}"
+    assert sum(float(value) for value in re.findall(
+        r"^repro_serve_shard_ms_count\{[^}]*\} ([0-9.]+)$", text, re.M)) > 0, \
+        "a --workers 0 daemon made no shard call"
     ok = re.search(
         r'repro_serve_requests_total\{outcome="ok"\} ([0-9.]+)', text)
     assert ok and float(ok.group(1)) > 0, "no successful requests counted"
@@ -273,6 +283,19 @@ def main() -> int:
         assert r["root"]["name"] == "request", r["trace_id"]
         assert r["root"]["tags"]["trace_id"] == r["trace_id"], \
             "a record's span tree carries another request's trace id"
+    # a miss answered by the shards: one shard span per qualifying
+    # shard (the record's fan-out), each over the worker's own tree
+    misses = [r for r in records if r["status"] == 200
+              and not r["cached"] and r["root"]["tags"].get("fanout")]
+    assert misses, "no evaluated 200 in the access log"
+    for r in misses:
+        spans = [child for scatter in r["root"]["children"]
+                 if scatter["name"] == "scatter"
+                 for child in scatter["children"]]
+        assert len(spans) == r["root"]["tags"]["fanout"], r["trace_id"]
+        assert all(span["name"] == "shard" and span["children"]
+                   and span["children"][0]["name"] == "shard_query"
+                   for span in spans), r["trace_id"]
     assert traces["retained"] > 0 and traces["traces"], \
         "no stitched traces retained"
 

@@ -456,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-partition an unsharded database in memory; "
                         "sharded directories use their manifest")
     p.add_argument("--workers", type=int, default=0,
-                   help="worker processes per shard (0 = evaluate "
-                        "in-process on a thread)")
+                   help="worker processes per shard (0 = one "
+                        "in-process thread for every shard)")
     p.add_argument("--max-concurrency", type=int, default=8,
                    help="queries evaluated at once; above this they "
                         "queue")

@@ -17,7 +17,7 @@ log attaches the breakdown per record, and the scatter path aggregates
 per-shard accounts per request.
 
 Context-vars are per-thread (and per-forked-process), so the daemon's
-inline threads and shard workers each account their own queries with no
+shard workers, thread or process, each account their own calls with no
 cross-talk.
 """
 

@@ -67,12 +67,12 @@ def stitch_trace(trace_id: str, endpoint: str, terms: Sequence[str],
     ``shards`` entries are the per-shard outcome dicts the scatter
     collected: ``{"shard", "elapsed_ms", "partial", "bound",
     "retrievals", "emitted", "trace"}`` where ``trace`` is the worker's
-    span tree (or None on the inline path), grafted as it is.  The
-    stitched shape::
+    span tree (None when the shard never answered), grafted as it is.
+    The stitched shape::
 
         request
           queue_wait
-          scatter            (pool or inline evaluation)
+          scatter            one supervised call per qualifying shard
             shard (xN)       tagged shard id, latency, retrievals
               <worker tree>  postings_fetch / rank_join / ...
           merge              rehydrate + k-way merge + root graft
@@ -147,7 +147,9 @@ class AccessLog:
     shed 429s and timed-out 504s, whose records carry their status and
     empty shard breakdowns.  ``path`` appends every record to a JSONL
     file, so a long-lived daemon leaves a trail after the ring has
-    rolled over.
+    rolled over: the daemon's ``start`` opens it (`open`) and its
+    ``stop`` closes it; each record is one flushed ``write``, so a live
+    ``repro trace --from-log`` sees it at once.
     """
 
     FIELDS = ("wall_time", "trace_id", "endpoint", "terms", "semantics",
@@ -159,6 +161,7 @@ class AccessLog:
                  path: Optional[str] = None):
         self.capacity = max(1, int(capacity))
         self.path = path
+        self._file = None
         self._records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._lock = threading.Lock()
         self.added = 0
@@ -168,17 +171,31 @@ class AccessLog:
         full = {field: entry.get(field) for field in self.FIELDS}
         full["terms"] = list(full["terms"] or [])
         full["shards"] = list(full["shards"] or [])
+        line = (json.dumps(_jsonable(full), sort_keys=True) + "\n"
+                if self._file is not None else None)
         with self._lock:
             self._records[full["trace_id"]] = full
             self.added += 1
             while len(self._records) > self.capacity:
                 self._records.popitem(last=False)
                 self.dropped += 1
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(_jsonable(full),
-                                            sort_keys=True) + "\n")
+            if line is not None and self._file is not None:
+                self._file.write(line)
+                self._file.flush()
         return full
+
+    def open(self) -> None:
+        """Open the JSONL file for appending, when there is one."""
+        with self._lock:
+            if self.path is not None and self._file is None:
+                self._file = open(self.path, "a", encoding="utf-8")
+
+    def close(self) -> None:
+        """Close the JSONL file; later records stay in the ring only."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     def get(self, trace_id: str) -> Optional[Dict[str, Any]]:
         with self._lock:

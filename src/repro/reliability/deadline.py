@@ -121,25 +121,27 @@ class Deadline:
             self.raise_expired()
 
     def to_wire(self) -> dict:
-        """Serialize for a hop to another process or over HTTP.
+        """Serialize for a hop to a worker thread or process on this host.
 
-        The absolute start instant does not survive a clock domain
-        change, so the wire form carries the *remaining* budget and the
-        policy; `from_wire` on the receiving side restarts the clock
-        from its own "now".  Time spent on the wire (or in an accept
-        queue) between the two calls is therefore not charged -- the
-        sender accounts for it by serializing as late as possible.
+        The wire form carries the *remaining* budget, the policy and the
+        instant it was written on `time.monotonic`, one clock for every
+        process on the host; `from_wire` charges the time since, so a
+        call that waited in an executor's queue gets only what is left.
         """
         remaining = self.remaining_ms()
         return {"timeout_ms": (None if remaining == float("inf")
                                else max(0.0, remaining)),
-                "on_deadline": self.on_deadline}
+                "on_deadline": self.on_deadline,
+                "sent": time.monotonic()}
 
     @classmethod
     def from_wire(cls, wire: dict) -> "Deadline":
-        """Rebuild a deadline from `to_wire` output, clock restarted."""
-        return cls(wire.get("timeout_ms"),
-                   wire.get("on_deadline", RAISE))
+        """Rebuild a deadline from `to_wire` output, less the time since
+        it was sent."""
+        budget = wire.get("timeout_ms")
+        if budget is not None:
+            budget = max(0.0, budget - (time.monotonic() - wire["sent"]) * 1e3)
+        return cls(budget, wire.get("on_deadline", RAISE))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         budget = "inf" if self.budget_ms is None else f"{self.budget_ms:g}ms"

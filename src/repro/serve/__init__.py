@@ -4,7 +4,7 @@ The library half turns one database into N **subtree-affine shards**
 (`sharding`), evaluates them independently and merges the per-shard
 streams back into exact global answers (`merge.ShardedDatabase`); the
 service half (`daemon`) is an asyncio front-end that scatter-gathers
-each request across per-shard worker pools behind admission control.
+each request as supervised per-shard calls behind admission control.
 
 The partitioning invariant doing all the work: every shard holds the
 *full* document tree but only the postings whose level-2 ancestor

@@ -1,11 +1,15 @@
 """Long-lived sharded query daemon (`repro serve`, `docs/SERVING.md`).
 
 A single-threaded asyncio front-end owns the accept loop, admission
-control and the scatter-gather merge; query evaluation runs either
-in-process (``workers=0``) or on per-shard fork/copy-on-write process
-pools (``workers=W``), the only process pools in the package: the
-parent installs the shard databases in a module global *before* the
-pools fork, so workers inherit index structures -- including the mmap'd
+control and the scatter-gather merge.  Every query takes one path: one
+supervised call per qualifying shard (`_serve_shard`, its reply
+rebuilt and validated by `ResultSet.from_wire`), then the root summary
+and the merge.  ``workers`` decides only where a shard call runs: on
+one in-process thread that all shards share (``workers=0``), or on a
+per-shard fork/copy-on-write process pool of ``W`` workers
+(``workers=W``), the only process pools in the package.  Each
+executor's initializer hands its workers the daemon's shard databases,
+so forked workers inherit index structures -- including the mmap'd
 columns -- without any serialization, and a pool's workers only ever
 touch their own shard (warm per-process block caches stay
 shard-affine).
@@ -19,9 +23,11 @@ Admission control is explicit and typed (HTTP endpoints below):
 * **deadline propagation** -- the request budget starts at *arrival*
   (client ``timeout_ms`` or the configured default), so time spent
   waiting for an execution slot is charged against it; what remains is
-  re-issued to every shard via `Deadline.to_wire`, and a budget that
+  re-issued to every shard via `Deadline.to_wire`, whose receiver also
+  charges the time the call waited for its executor, and a budget that
   dies in the queue is rejected as 504 / ``deadline`` without running
-  anything;
+  anything (a shard call still waiting for its executor then is
+  withdrawn);
 * the ``partial`` policy returns consistent merged partials: every
   shard's unreturned results score at most its reported bound, so the
   merge keeps only results above the largest bound and reports that
@@ -30,9 +36,10 @@ Admission control is explicit and typed (HTTP endpoints below):
 The scatter is wrapped in a **self-healing layer** (see
 ``docs/RELIABILITY.md`` "Self-healing serving"):
 
-* a `ShardSupervisor` owns the pools; a worker death
-  (`BrokenProcessPool`) quarantines the shard, rebuilds its pool off
-  the critical path, and the request degrades to the healthy shards;
+* a `ShardSupervisor` owns the per-shard executors; a worker death
+  (`BrokenProcessPool`, fork pools only) quarantines the shard,
+  rebuilds its pool off the critical path, and the request degrades to
+  the healthy shards;
 * one `CircuitBreaker` per shard skips a sick shard outright
   (closed/open/half-open, consecutive-failure + error-rate trips,
   seeded-jitter backoff probes) instead of burning the deadline on it;
@@ -61,15 +68,18 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import pickle
 import signal
+import threading
 import time
 import urllib.parse
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
+                                ThreadPoolExecutor)
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..algorithms.base import ELCA, SEMANTICS, ResultSet
 from ..cache import QueryCache, result_key
-from ..obs.account import merge_resources
+from ..obs.account import accounting, merge_resources
 from ..obs.distributed import AccessLog, stitch_trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
@@ -77,14 +87,15 @@ from ..reliability.deadline import Deadline
 from ..reliability.errors import (DeadlineExceeded, ShardPayloadError,
                                   WorkerCrashError)
 from ..reliability.retry import RetryPolicy
-from .merge import ShardedDatabase, gather
+from .merge import ShardedDatabase, shard_answer
 from .supervisor import BreakerConfig, BreakerOpenError, ShardSupervisor
 
-#: Shard id -> per-shard `XMLDatabase`, inherited copy-on-write by the
-#: forked pool workers.  Populated completely before any pool is
-#: created -- fork happens lazily on first submit, and a worker that
-#: forked before the dict was full would serve the wrong world.
-_SERVE_DBS: Dict[int, object] = {}
+#: ``.shards``: shard id -> per-shard `XMLDatabase` of the daemon whose
+#: executor runs this thread.  Set by `_install_shards`, each shard
+#: executor's initializer: a forked worker inherits the databases
+#: copy-on-write, an in-process thread holds a reference, and two
+#: daemons in one process never answer from each other's shards.
+_SERVE_DBS = threading.local()
 
 #: The largest request body the daemon will read and discard.  No route
 #: takes a body, so anything larger is refused with 413 unread.
@@ -123,24 +134,6 @@ class _Answer(NamedTuple):
         return b"".join((b"{", self.fragment, b", ", _json(tail)[1:]))
 
 
-def _shard_extra(tracer, stats) -> Dict[str, Any]:
-    """The observability sidecar shipped back with a shard response:
-    the worker's span tree (dict form) and the engine's retrieval
-    counters, which the daemon puts into the request's record."""
-    root = tracer.last_root()
-    extra: Dict[str, Any] = {
-        "pid": os.getpid(),
-        "trace": root.to_dict() if root is not None else None,
-    }
-    if stats is not None:
-        extra["retrievals"] = stats.tuples_scanned
-        extra["emitted"] = stats.results_emitted
-        extra["levels"] = stats.levels_processed
-        if stats.resources:
-            extra["account"] = stats.resources
-    return extra
-
-
 class AdmissionError(Exception):
     """Typed rejection: carries the HTTP status and machine-readable
     reason the client sees (429 ``queue_full`` / 504 ``deadline``)."""
@@ -151,62 +144,59 @@ class AdmissionError(Exception):
         self.reason = reason
 
 
-def _serve_shard(payload):
-    """Pool entry: one shard's slice of a scatter -- top-K when the
-    payload's ``k`` is set, complete evaluation when it is ``None``.
+def _install_shards(shards: Dict[int, object]) -> None:
+    """Executor initializer: the thread it runs in serves `shards`."""
+    _SERVE_DBS.shards = shards
 
-    Top-K evaluates ``k+1`` shard-locally (one slot covers the dropped
-    shard-local root).  Either way the reply ships the result arrays
-    (`ResultSet.to_wire`, the shard-local root dropped) plus the
+
+def _serve_shard(payload):
+    """Executor entry: one shard's slice of a scatter (`shard_answer`)
+    -- top-K when the payload's ``k`` is set, complete evaluation when
+    it is ``None``.
+
+    The reply ships the result arrays (`ResultSet.to_wire`) plus the
     partial flag and bound; exceptions return as values so one shard
     cannot lose the gather.  The engine runs under a worker-local
-    `Tracer`, its root tagged with the request's trace id, and the span
-    tree travels back in the 7th (sidecar) slot together with the
-    retrieval counters.
+    `Tracer`, its root tagged with the request's trace id; the 7th
+    (sidecar) slot carries the span tree (dict form) and the engine's
+    retrieval counters, which the daemon puts into the request's record.
     """
     sid, terms, semantics, k, wire, trace_id = payload
-    db = _SERVE_DBS.get(sid)
-    if db is None:  # pragma: no cover - misuse guard
-        return sid, None, False, None, 0.0, RuntimeError(
-            "worker has no shard database; pools must be created by "
-            "ServeDaemon after _SERVE_DBS is installed"), None
-    deadline = Deadline.from_wire(wire) if wire else None
     tracer = Tracer()
     start = time.perf_counter()
+    reply, partial, bound, error, stats = None, False, None, None, None
     try:
         tags = {} if k is None else {"k": k}
         with tracer.span("shard_query", shard=sid, terms=list(terms),
                          **tags, pid=os.getpid(),
                          trace_id=trace_id) as qspan:
-            if k is None:
-                results, stats = db._complete_results(
-                    terms, semantics, "join", deadline=deadline)
-                partial, bound = stats.partial, None
-            else:
-                top = db._topk_result(terms, semantics, "hybrid", k + 1,
-                                      deadline=deadline)
-                results, stats = top.results, top.stats
-                partial, bound = top.partial, top.bound
-                if partial and bound is None:
-                    bound = float("inf")
+            results, stats, partial, bound = shard_answer(
+                _SERVE_DBS.shards[sid], terms, semantics, k,
+                Deadline.from_wire(wire) if wire else None)
             qspan.tag(retrievals=stats.tuples_scanned,
                       emitted=stats.results_emitted,
                       levels=stats.levels_processed,
                       partial=stats.partial)
-        reply = results.below_root().to_wire()
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return (sid, reply, partial, bound, elapsed, None,
-                _shard_extra(tracer, stats))
+        reply = results.to_wire()
     except Exception as exc:  # noqa: BLE001 - shipped back as a value
-        import pickle
-
         try:
             pickle.dumps(exc)
+            error = exc
         except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        return (sid, None, False, None,
-                (time.perf_counter() - start) * 1000.0, exc,
-                _shard_extra(tracer, None))
+            error = RuntimeError(f"{type(exc).__name__}: {exc}")
+    root = tracer.last_root()
+    extra: Dict[str, Any] = {
+        "pid": os.getpid(),
+        "trace": root.to_dict() if root is not None else None,
+    }
+    if error is None:
+        extra.update(retrievals=stats.tuples_scanned,
+                     emitted=stats.results_emitted,
+                     levels=stats.levels_processed)
+        if stats.resources:
+            extra["account"] = stats.resources
+    return (sid, reply, partial, bound,
+            (time.perf_counter() - start) * 1000.0, error, extra)
 
 
 class _RequestObs:
@@ -216,7 +206,7 @@ class _RequestObs:
     requests concurrently on one thread, so each request carries its
     own instead of sharing tracer state."""
 
-    __slots__ = ("shards", "scatter_ms", "merge_ms", "fanout", "mode",
+    __slots__ = ("shards", "scatter_ms", "merge_ms", "fanout",
                  "retries", "degraded_shards", "account")
 
     def __init__(self):
@@ -224,7 +214,6 @@ class _RequestObs:
         self.scatter_ms: Optional[float] = None
         self.merge_ms = 0.0
         self.fanout = 0
-        self.mode = "inline"
         self.retries = 0
         self.degraded_shards: List[int] = []
         # merged per-shard `ResourceAccount.as_dict` breakdown
@@ -234,11 +223,11 @@ class _RequestObs:
 class ServeDaemon:
     """The serving front-end: admission control + scatter-gather merge.
 
-    ``workers=0`` evaluates in-process on a thread off the event loop
-    (the right default on small machines -- no IPC tax); ``workers>=1``
-    creates one fork-context pool of that width per shard.  Either way
-    the event loop itself never evaluates a query: it only admits,
-    dispatches, merges and serializes.
+    Shard calls run on ``workers=0``'s one in-process thread (the right
+    default on small machines -- no IPC tax), or on a fork-context
+    process pool of ``workers`` per shard.  Either way the event loop
+    itself never evaluates a query: it only admits, dispatches, merges
+    and serializes.
 
     Observability is always on: every request gets a trace id, shard
     workers ship span trees back, and the daemon writes one record per
@@ -269,6 +258,7 @@ class ServeDaemon:
         self.default_timeout_ms = default_timeout_ms
         self.default_partial = default_partial
         self.metrics = MetricsRegistry()
+        self._thread: Optional[ThreadPoolExecutor] = None
         self.cache = QueryCache(result_cache_size)
         self.access_log = AccessLog(path=access_log_path)
         self._sem: Optional[asyncio.Semaphore] = None
@@ -285,8 +275,7 @@ class ServeDaemon:
             backoff_ms=RETRY_BACKOFF_MS)
         self.drain_grace_ms = drain_grace_ms
         self.supervisor = ShardSupervisor(
-            db.n_shards, self.workers,
-            pool_factory=self._make_pool,
+            db.n_shards, self._make_pool,
             breaker_config=breaker,
             metrics=self.metrics)
         # instruments (created eagerly so /metrics shows them at zero)
@@ -299,45 +288,35 @@ class ServeDaemon:
             reg.counter("repro_serve_rejects_total", {"reason": reason})
         for outcome in ("ok", "partial", "degraded", "error"):
             reg.counter("repro_serve_requests_total", {"outcome": outcome})
-        # The per-shard histogram only where a fan-out can move it: the
-        # inline path scatters inside the facade and calls no shard.
-        if self.workers >= 1:
-            for sid in range(db.n_shards):
-                reg.histogram("repro_serve_shard_ms", {"shard": str(sid)})
+        for sid in range(db.n_shards):
+            reg.histogram("repro_serve_shard_ms", {"shard": str(sid)})
 
     # ------------------------------------------------------------------
     # pools
     # ------------------------------------------------------------------
 
     def _make_pool(self):
-        """One fork-context executor; `_SERVE_DBS` must be installed
-        first (`_start_pools` guarantees it, including on rebuilds --
-        the supervisor's factory closure is only this method)."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        """One shard's executor (the supervisor's factory, on start and
+        on every rebuild), whose workers serve this daemon's shards: a
+        fork-context process pool of ``workers`` per shard, or at
+        ``workers=0`` one in-process thread that every shard shares.
 
-        ctx = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=self.workers, mp_context=ctx)
-
-    def _start_pools(self) -> None:
+        One thread because under the interpreter lock a second
+        evaluating thread brings no parallelism, only contention with
+        the event loop that answers cache hits (docs/SERVING.md).
+        """
+        shards = dict(enumerate(self.db.shards))
         if self.workers < 1:
-            return
+            if self._thread is None:
+                self._thread = ThreadPoolExecutor(
+                    1, initializer=_install_shards, initargs=(shards,))
+            return self._thread
         import multiprocessing
 
-        try:
-            multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            self.workers = 0
-            self.supervisor = ShardSupervisor(self.db.n_shards, 0,
-                                              metrics=self.metrics)
-            return
-        global _SERVE_DBS
-        _SERVE_DBS = {sid: shard for sid, shard
-                      in enumerate(self.db.shards)}
-        self.supervisor.start()
-
-    def _stop_pools(self) -> None:
-        self.supervisor.stop()
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_install_shards, initargs=(shards,))
 
     # ------------------------------------------------------------------
     # admission
@@ -408,7 +387,34 @@ class ServeDaemon:
         per_term = [idx.term_postings(term).max_score() for term in terms]
         return float(self.db.ranking.combiner.upper_bound(per_term))
 
-    async def _call_shard(self, fn, sid: int, make_payload,
+    async def _run_call(self, sid: int, payload, deadline):
+        """One attempt at shard `sid`'s call: its outcome, or None when
+        the budget runs out before the call starts (a call waiting for
+        its executor is then withdrawn).  A started call is awaited: its
+        deadline, charged by the wire for the wait, stops it."""
+        if deadline is not None and deadline.expired():
+            return None
+        pool = self.supervisor.pool(sid)
+        if pool is None:
+            raise WorkerCrashError(f"shard {sid} pool is "
+                                   f"{self.supervisor.pool_state(sid)}",
+                                   shard=sid)
+        future = pool.submit(_serve_shard, payload)
+        withdrawn = []
+        timer = None if deadline is None else asyncio.get_running_loop(
+            ).call_later(max(0.0, deadline.remaining_ms()) / 1000.0,
+                         lambda: future.cancel() and withdrawn.append(True))
+        try:
+            return await asyncio.wrap_future(future)
+        except asyncio.CancelledError:
+            if withdrawn:
+                return None
+            raise
+        finally:
+            if timer is not None:
+                timer.cancel()
+
+    async def _call_shard(self, sid: int, make_payload,
                           deadline: Optional[Deadline], obs: _RequestObs,
                           n_terms: int) -> Tuple:
         """One shard's supervised slice of the scatter: breaker gate,
@@ -434,21 +440,10 @@ class ServeDaemon:
                     f"shard {sid} circuit breaker is {breaker.state}",
                     shard=sid, reopen_in_ms=breaker.reopen_in_ms())
                 break
-            if (deadline is not None and deadline.budget_ms is not None
-                    and deadline.expired()):
-                breaker.record_success()  # budget death, not shard sickness
-                last_exc = last_exc or DeadlineExceeded(
-                    "budget expired before shard dispatch")
-                break
             exc: Optional[BaseException] = None
             try:
-                pool = self.supervisor.pool(sid)
-                if pool is None:
-                    raise WorkerCrashError(
-                        f"shard {sid} pool is "
-                        f"{self.supervisor.pool_state(sid)}", shard=sid)
-                outcome = await asyncio.get_running_loop().run_in_executor(
-                    pool, fn, make_payload(sid))
+                outcome = await self._run_call(sid, make_payload(sid),
+                                               deadline)
             except BrokenExecutor:
                 try:
                     self.supervisor.note_pool_broken(sid)
@@ -458,11 +453,21 @@ class ServeDaemon:
                 exc = WorkerCrashError(
                     f"shard {sid} worker died mid-query; {detail}",
                     shard=sid)
-            except OSError as os_exc:
-                exc = os_exc
+            except OSError as call_exc:
+                exc = call_exc
             else:
-                worker_exc = outcome[5]
-                if worker_exc is None:
+                if outcome is None:     # the budget ran out before it ran
+                    breaker.record_success()  # budget death, not sickness
+                    if last_exc is None and deadline.partial_ok:
+                        # The worker's own answer to a spent budget: an
+                        # empty prefix that vouches for no score.
+                        return (sid, ResultSet.empty(self.db.nodes, n_terms),
+                                True, float("inf"), 0.0, None, None), entry
+                    last_exc = last_exc or DeadlineExceeded(
+                        "budget expired before the shard call started")
+                    break
+                exc = outcome[5]
+                if exc is None:
                     try:
                         results = ResultSet.from_wire(
                             self.db.nodes, outcome[1], n_terms, shard=sid)
@@ -471,25 +476,22 @@ class ServeDaemon:
                     else:
                         breaker.record_success()
                         return (sid, results, *outcome[2:]), entry
-                elif isinstance(worker_exc, DeadlineExceeded):
+                elif isinstance(exc, DeadlineExceeded):
                     breaker.record_success()
                     return outcome, entry
-                else:
-                    exc = worker_exc
             last_exc = exc
             breaker.record_failure()
             if attempt >= attempts or not self.retry_policy.retryable(exc):
                 break
             delay_ms = self.retry_policy.delay_ms(attempt)
-            if (deadline is not None and deadline.budget_ms is not None
-                    and deadline.remaining_ms() <= delay_ms):
+            if deadline is not None and deadline.remaining_ms() <= delay_ms:
                 break  # the backoff alone would outlive the budget
             obs.retries += 1
             await asyncio.sleep(delay_ms / 1000.0)
         elapsed = (time.perf_counter() - started) * 1000.0
         return (sid, None, False, None, elapsed, last_exc, None), entry
 
-    async def _scatter(self, fn, shard_ids, make_payload,
+    async def _scatter(self, shard_ids, make_payload,
                        deadline: Optional[Deadline], obs: _RequestObs,
                        n_terms: int) -> List[Tuple]:
         """Run one supervised call per qualifying shard, concurrently.
@@ -502,7 +504,7 @@ class ServeDaemon:
         recorded.
         """
         results = await asyncio.gather(*[
-            self._call_shard(fn, sid, make_payload, deadline, obs, n_terms)
+            self._call_shard(sid, make_payload, deadline, obs, n_terms)
             for sid in shard_ids])
         outcomes: List[Tuple] = []
         first_deadline: Optional[BaseException] = None
@@ -517,20 +519,15 @@ class ServeDaemon:
             if bound is not None and bound != float("inf"):
                 entry["bound"] = bound
             if extra:
-                for key in ("retrievals", "emitted", "levels", "pid"):
-                    if extra.get(key) is not None:
-                        entry[key] = extra[key]
-                if extra.get("account"):
-                    obs.account = merge_resources(obs.account,
-                                                  extra["account"])
-                entry["trace"] = extra.get("trace")
+                obs.account = merge_resources(obs.account,
+                                              extra.pop("account", None))
+                entry.update(extra)     # pid, counters, the span tree
             if exc is not None:
                 entry["error"] = f"{type(exc).__name__}: {exc}"
                 if isinstance(exc, DeadlineExceeded):
                     if first_deadline is None:
                         first_deadline = exc
-                elif isinstance(exc, (WorkerCrashError, ShardPayloadError,
-                                      BreakerOpenError, OSError)):
+                elif isinstance(exc, OSError):  # every typed shard failure
                     entry["degraded"] = True
                     obs.degraded_shards.append(sid)
                 elif first_fatal is None:
@@ -549,39 +546,22 @@ class ServeDaemon:
         """Evaluate one admitted query -- top-``k``, or complete when
         ``k`` is ``None`` -- into its response payload."""
         db = self.db
-        if self.workers < 1:
-            def inline():
-                if k is None:
-                    results, stats = db.search(
-                        terms, semantics, deadline=deadline, with_stats=True)
-                    return results, stats, stats.partial, None
-                top = db.search_topk(terms, k, semantics, deadline=deadline)
-                return top.results, top.stats, top.partial, top.bound
-
-            started = time.perf_counter()
-            results, stats, partial, bound = \
-                await asyncio.get_running_loop().run_in_executor(None, inline)
-            obs.scatter_ms = (time.perf_counter() - started) * 1000.0
-            obs.account = merge_resources(obs.account, stats.resources)
-            return self._payload(results, partial, bound)
         if not db._covered(terms):
             return self._payload(ResultSet.empty(db.nodes, len(terms)), False,
                                  None)
 
         def make_payload(sid):
-            # A fresh wire per attempt: the *remaining* budget travels,
-            # so retry backoff debits the deadline the same way queue
-            # wait already does.
+            # A fresh wire per attempt: retry backoff debits the budget
+            # as queue wait does, and so does the executor's queue.
             wire = deadline.to_wire() if deadline is not None else None
             return (sid, terms, semantics, k, wire, trace_id)
 
         shard_ids = [sid for sid, shard in enumerate(db.shards)
                      if all(t in shard.columnar_index for t in terms)]
-        obs.mode = "pool"
         obs.fanout = len(shard_ids)
         started = time.perf_counter()
-        outcomes = await self._scatter(_serve_shard, shard_ids, make_payload,
-                                       deadline, obs, len(terms))
+        outcomes = await self._scatter(shard_ids, make_payload, deadline, obs,
+                                       len(terms))
         merging = time.perf_counter()
         obs.scatter_ms = (merging - started) * 1000.0
         parts: List[ResultSet] = []
@@ -601,14 +581,13 @@ class ServeDaemon:
             if shard_bound is not None and (bound is None
                                             or shard_bound > bound):
                 bound = shard_bound
-        if k is None and deadline is not None and deadline.expired():
-            # The root summary is cheap but unbudgeted work; skip it.
-            partial, root = True, None
-        else:
-            root = db._root_result(terms, semantics)
-        merged = gather(db.nodes, len(terms), parts, root, k, bound)
+        # The root protocol's column touches run here, in the daemon.
+        with accounting() as account:
+            merged, skipped = db._gather(terms, semantics, parts, k, bound,
+                                         deadline)
+        obs.account = merge_resources(obs.account, account.as_dict())
         obs.merge_ms = (time.perf_counter() - merging) * 1000.0
-        return self._payload(merged, partial or degraded, bound,
+        return self._payload(merged, partial or skipped or degraded, bound,
                              degraded=degraded)
 
     def _payload(self, results: ResultSet, partial: bool,
@@ -640,8 +619,7 @@ class ServeDaemon:
                    queue_wait_ms=0.0, result_count=0, partial=False,
                    bound=None, cached=False, degraded=False):
             elapsed_ms = (time.perf_counter() - arrival) * 1000.0
-            extra = {"fanout": obs.fanout, "mode": obs.mode,
-                     "result_count": result_count}
+            extra = {"fanout": obs.fanout, "result_count": result_count}
             if bound is not None:
                 extra["bound"] = bound
             if degraded:
@@ -815,9 +793,8 @@ class ServeDaemon:
             status = self.supervisor.overall()
             http_status = 200
             body = {"status": status, "shards": self.db.n_shards,
-                    "workers": self.workers}
-            if self.workers >= 1 or status != "ok":
-                body["shard_health"] = self.supervisor.health()
+                    "workers": self.workers,
+                    "shard_health": self.supervisor.health()}
             if self._draining:
                 body["status"] = "draining"
                 http_status = 503
@@ -972,11 +949,17 @@ class ServeDaemon:
     async def start(self) -> None:
         self._sem = asyncio.Semaphore(self.max_concurrency)
         self._shutdown = asyncio.Event()
-        self._start_pools()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+        self.supervisor.start()
+        try:
+            self._server = await asyncio.start_server(
+                self._serve_connection, self.host, self.port)
+        except BaseException:
+            self.supervisor.stop()
+            self._thread = None
+            raise
         if self.port == 0:
             self.port = self._server.sockets[0].getsockname()[1]
+        self.access_log.open()
 
     async def stop(self, drain: bool = True) -> None:
         """Stop serving; by default drain gracefully first.
@@ -1004,7 +987,9 @@ class ServeDaemon:
             task.cancel()
         if leftover:
             await asyncio.gather(*leftover, return_exceptions=True)
-        self._stop_pools()
+        self.supervisor.stop()
+        self._thread = None
+        self.access_log.close()
         self._shutdown.set()
 
     async def run(self, ready=None) -> None:

@@ -155,23 +155,29 @@ def merge_root(infos: Sequence[RootInfo], terms: Sequence[str],
                         witness_scores=tuple(per_keyword))
 
 
-def gather(table, n_terms: int, parts: Sequence[ResultSet],
-           root: Optional[SearchResult], k: Optional[int] = None,
-           bound: Optional[float] = None) -> ResultSet:
-    """Merge shard answers (each already without its shard-local root)
-    and the reconstructed `root` into the global answer: document order
-    when ``k`` is ``None``, else the best ``k`` -- of those scoring
-    above ``bound`` when shards stopped early or were skipped, since a
-    result they never returned can score up to it."""
-    parts = list(parts)
-    if root is not None:
-        parts.append(ResultSet.of(table, [root]))
-    merged = ResultSet.concat(table, parts, n_terms)
+def shard_answer(db, terms: Sequence[str], semantics: str,
+                 k: Optional[int] = None,
+                 deadline: Optional[Deadline] = None):
+    """One shard's slice of a scatter, in the library and the daemon
+    alike: complete evaluation when ``k`` is ``None``, else top-``k+1``
+    (one slot covers the dropped shard-local root).
+
+    Returns ``(results, stats, partial, bound)``, the results without
+    the shard-local root; a partial top-K with no bound of its own gets
+    an infinite one (nothing unreturned is known to score lower).
+    """
     if k is None:
-        return sort_by_document_order(merged)
-    if bound is not None:
-        merged = merged.take(merged.scores > bound)
-    return merged.top(k)
+        results, stats = db._complete_results(terms, semantics, "join",
+                                              deadline=deadline)
+        partial, bound = stats.partial, None
+    else:
+        top = db._topk_result(terms, semantics, "hybrid", k + 1,
+                              deadline=deadline)
+        results, stats = top.results, top.stats
+        partial, bound = top.partial, top.bound
+        if partial and bound is None:
+            bound = float("inf")
+    return results.below_root(), stats, partial, bound
 
 
 class ShardedDatabase(BatchSearch):
@@ -302,6 +308,32 @@ class ShardedDatabase(BatchSearch):
         return merge_root(infos, terms, semantics, self.ranking,
                           self.nodes.root)
 
+    def _gather(self, terms: Sequence[str], semantics: str,
+                parts: Sequence[ResultSet], k: Optional[int] = None,
+                bound: Optional[float] = None,
+                deadline: Optional[Deadline] = None):
+        """Merge shard answers (`shard_answer` results) and the
+        reconstructed root into the global answer: document order when
+        ``k`` is ``None``, else the best ``k`` -- of those scoring above
+        ``bound`` when shards stopped early or were skipped, since a
+        result they never returned can score up to it.
+
+        Returns ``(results, root_skipped)``: a complete evaluation whose
+        budget is already spent skips the root summary, which is cheap
+        but unbudgeted work, and its answer is then partial.
+        """
+        skipped = k is None and deadline is not None and deadline.expired()
+        parts = list(parts)
+        root = None if skipped else self._root_result(terms, semantics)
+        if root is not None:
+            parts.append(ResultSet.of(self.nodes, [root]))
+        merged = ResultSet.concat(self.nodes, parts, len(terms))
+        if k is None:
+            return sort_by_document_order(merged), skipped
+        if bound is not None:
+            merged = merged.take(merged.scores > bound)
+        return merged.top(k), False
+
     # ------------------------------------------------------------------
     # complete evaluation
     # ------------------------------------------------------------------
@@ -334,8 +366,7 @@ class ShardedDatabase(BatchSearch):
         if strict:
             self._check_terms_exist(terms)
         stats = ExecutionStats()
-        table = self.nodes
-        results = ResultSet.empty(table, len(terms))
+        results = ResultSet.empty(self.nodes, len(terms))
         if self._covered(terms):
             # The shard calls account themselves (their nested account
             # shadows this one); this account catches the root
@@ -343,18 +374,13 @@ class ShardedDatabase(BatchSearch):
             with accounting() as account:
                 parts = []
                 for db in self._qualifying(terms):
-                    shard_results, shard_stats = db._complete_results(
-                        terms, semantics, "join", deadline=deadline)
+                    shard_results, shard_stats, _, _ = shard_answer(
+                        db, terms, semantics, deadline=deadline)
                     stats += shard_stats
-                    parts.append(shard_results.below_root())
-                if deadline is not None and deadline.expired():
-                    # partial policy (raise would have thrown above): the
-                    # root summary is cheap but unbudgeted work; skip it.
-                    stats.partial = True
-                    root = None
-                else:
-                    root = self._root_result(terms, semantics)
-                results = gather(table, len(terms), parts, root)
+                    parts.append(shard_results)
+                results, skipped = self._gather(terms, semantics, parts,
+                                                deadline=deadline)
+                stats.partial = stats.partial or skipped
             fold_into_stats(stats, account)
         return (results, stats) if with_stats else results
 

@@ -12,14 +12,15 @@ Two pieces, both owned by the daemon and consulted on every shard call:
   is *skipped* -- the request degrades instead of burning its deadline
   against a sick pool.
 
-* `ShardSupervisor` -- owns the per-shard `ProcessPoolExecutor`s.
-  When a worker dies (`BrokenProcessPool`), the supervisor quarantines
-  the shard, shuts the poisoned pool down without waiting, and installs
-  a fresh fork-context pool.  Creating the executor object is cheap --
-  fork workers spawn lazily on first submit, inheriting the preloaded
-  `_SERVE_DBS` module global by copy-on-write -- so the expensive part
-  of the rebuild genuinely happens off the request path, and an
-  in-deadline retry typically lands on the rebuilt pool.
+* `ShardSupervisor` -- owns the per-shard executors: a fork-context
+  `ProcessPoolExecutor` each, or at ``--workers 0`` the one thread
+  every shard shares.  When a worker dies (`BrokenProcessPool`, which only a
+  process pool raises), the supervisor quarantines the shard, shuts the
+  poisoned pool down without waiting, and installs a fresh one.
+  Creating the executor object is cheap -- fork workers spawn lazily on
+  first submit, inheriting the shard databases by copy-on-write -- so
+  the expensive part of the rebuild genuinely happens off the request
+  path, and an in-deadline retry typically lands on the rebuilt pool.
 
 Both are single-threaded by design: all mutation happens on the
 daemon's event loop.  Clocks and RNG seeds are injectable so every
@@ -31,7 +32,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -190,7 +191,6 @@ class CircuitBreaker:
 
 # Pool lifecycle states (distinct from breaker states: a pool can be
 # "ready" behind an open breaker, and vice versa).
-POOL_NONE = "none"          # inline mode: no worker pools at all
 POOL_READY = "ready"
 POOL_REBUILDING = "rebuilding"
 POOL_DOWN = "down"          # rebuild itself failed; needs operator
@@ -199,20 +199,16 @@ POOL_DOWN = "down"          # rebuild itself failed; needs operator
 class ShardSupervisor:
     """Owns per-shard pools + breakers and heals broken pools.
 
-    ``pool_factory`` is called with no arguments to build one executor;
-    the daemon passes a closure that creates a fork-context
-    `ProcessPoolExecutor` against the already-installed `_SERVE_DBS`.
-    With ``workers == 0`` the supervisor runs in *inline* mode: no
-    pools exist, `pool()` returns None, and health is breaker-only.
+    ``pool_factory`` is called with no arguments to build one shard's
+    executor; the daemon's returns its one shared thread or builds a
+    fork-context process pool, whose workers serve its shards.
     """
 
-    def __init__(self, n_shards: int, workers: int, *,
-                 pool_factory: Optional[Callable[[], ProcessPoolExecutor]] = None,
-                 breaker_config: Optional[BreakerConfig] = None,
+    def __init__(self, n_shards: int, pool_factory: Callable[[], Executor],
+                 *, breaker_config: Optional[BreakerConfig] = None,
                  metrics=None,
                  clock: Callable[[], float] = time.monotonic):
         self.n_shards = n_shards
-        self.workers = workers
         self._pool_factory = pool_factory
         self._metrics = metrics
         cfg = breaker_config or BreakerConfig()
@@ -224,16 +220,13 @@ class ShardSupervisor:
                 clock=clock)
             for sid in range(n_shards)
         ]
-        self._pools: List[Optional[ProcessPoolExecutor]] = [None] * n_shards
-        self._pool_state = [POOL_NONE if workers < 1 else POOL_DOWN
-                            for _ in range(n_shards)]
+        self._pools: List[Optional[Executor]] = [None] * n_shards
+        self._pool_state = [POOL_DOWN] * n_shards
         self.rebuilds: List[int] = [0] * n_shards
 
     # -- pool lifecycle ------------------------------------------------
 
     def start(self) -> None:
-        if self.workers < 1 or self._pool_factory is None:
-            return
         for sid in range(self.n_shards):
             self._pools[sid] = self._pool_factory()
             self._pool_state[sid] = POOL_READY
@@ -243,11 +236,10 @@ class ShardSupervisor:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
             self._pools[sid] = None
-            if self._pool_state[sid] != POOL_NONE:
-                self._pool_state[sid] = POOL_DOWN
+            self._pool_state[sid] = POOL_DOWN
 
-    def pool(self, sid: int) -> Optional[ProcessPoolExecutor]:
-        """The shard's executor, or None while rebuilding / down / inline."""
+    def pool(self, sid: int) -> Optional[Executor]:
+        """The shard's executor, or None while rebuilding / down."""
         if self._pool_state[sid] != POOL_READY:
             return None
         return self._pools[sid]
@@ -266,8 +258,6 @@ class ShardSupervisor:
         allocation -- its fork workers spawn lazily on the next submit,
         so the rebuild cost is paid off the critical path.
         """
-        if self._pool_state[sid] == POOL_NONE:
-            return
         broken, self._pools[sid] = self._pools[sid], None
         self._pool_state[sid] = POOL_REBUILDING
         if broken is not None:

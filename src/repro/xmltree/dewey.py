@@ -48,10 +48,6 @@ def is_ancestor(d1: Sequence[int], d2: Sequence[int]) -> bool:
     return len(d1) < len(d2) and is_prefix(d1, d2)
 
 
-def is_ancestor_or_self(d1: Sequence[int], d2: Sequence[int]) -> bool:
-    return is_prefix(d1, d2)
-
-
 def compare(d1: Sequence[int], d2: Sequence[int]) -> int:
     """Document-order comparison: -1, 0 or 1.
 
@@ -81,23 +77,6 @@ def format_dewey(dewey: Sequence[int]) -> str:
     return ".".join(map(str, dewey))
 
 
-def parse_dewey(text: str) -> Dewey:
-    """Inverse of `format_dewey`."""
-    if not text:
-        raise ValueError("empty Dewey string")
-    return tuple(int(part) for part in text.split("."))
-
-
-def encoded_size_bytes(dewey: Sequence[int]) -> int:
-    """Bytes needed to store the id with varint components.
-
-    Models the storage cost of a Dewey id in an inverted list: each
-    component is a LEB128-style varint (7 payload bits per byte).
-    """
-    total = 0
-    for component in dewey:
-        total += varint_size(component)
-    return total
 
 
 def varint_size(value: int) -> int:

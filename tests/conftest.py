@@ -36,7 +36,8 @@ SMALL_XML = """
 
 def on_threads(threads, fn, items):
     """`fn` over `items` on a pool of `threads` threads, results in
-    order -- what the daemon's ``--workers 0`` path does to a database.
+    order -- what a library user's threads, or the daemon's shard and
+    event-loop threads at ``--workers 0``, do to a database.
     The library itself evaluates one query at a time, so tests that pin
     thread-safety bring their own threads."""
     with ThreadPoolExecutor(threads) as pool:

@@ -50,11 +50,6 @@ class TestRelations:
         assert not dewey.is_ancestor((1, 2), (1, 2))
         assert not dewey.is_ancestor((1, 2), (1, 3))
 
-    def test_is_ancestor_or_self(self):
-        assert dewey.is_ancestor_or_self((1, 2), (1, 2))
-        assert dewey.is_ancestor_or_self((1,), (1, 2))
-        assert not dewey.is_ancestor_or_self((1, 2), (1,))
-
     def test_compare_document_order(self):
         assert dewey.compare((1, 1), (1, 2)) == -1
         assert dewey.compare((1, 2), (1, 1)) == 1
@@ -87,16 +82,10 @@ class TestFormatting:
     def test_format(self):
         assert dewey.format_dewey((1, 1, 2)) == "1.1.2"
 
-    def test_parse(self):
-        assert dewey.parse_dewey("1.1.2") == (1, 1, 2)
-
-    def test_parse_empty_raises(self):
-        with pytest.raises(ValueError):
-            dewey.parse_dewey("")
-
     @given(deweys)
     def test_roundtrip(self, d):
-        assert dewey.parse_dewey(dewey.format_dewey(d)) == d
+        text = dewey.format_dewey(d)
+        assert tuple(int(part) for part in text.split(".")) == d
 
 
 class TestVarintSizes:
@@ -109,9 +98,6 @@ class TestVarintSizes:
     def test_varint_negative_raises(self):
         with pytest.raises(ValueError):
             dewey.varint_size(-1)
-
-    def test_encoded_size_sums_components(self):
-        assert dewey.encoded_size_bytes((1, 200, 3)) == 1 + 2 + 1
 
 
 class TestClosestInList:

@@ -82,7 +82,8 @@ class TestTraceContextWire:
     def test_roundtrip(self, dblp_db, monkeypatch):
         """The shard payload carries the request's trace id; the worker
         traces its query and tags the root with it."""
-        monkeypatch.setitem(daemon_module._SERVE_DBS, 0, dblp_db)
+        monkeypatch.setattr(daemon_module._SERVE_DBS, "shards",
+                            {0: dblp_db}, raising=False)
         outcome = daemon_module._serve_shard(
             (0, ["alpha", "beta"], "elca", 3, None, "f00dfeedf00dfeed"))
         assert outcome[5] is None
@@ -213,9 +214,7 @@ class TestDaemonStitchedTraces:
         want = _pruned_fanout(sharded, ["alpha", "beta"])
         assert want >= 2
         assert _count(trace["root"], "shard") == want
-        root = trace["root"]
-        assert root["tags"]["mode"] == "pool"
-        assert root["tags"]["fanout"] == want
+        assert trace["root"]["tags"]["fanout"] == want
         assert _count(trace["root"], "queue_wait") == 1
         assert _count(trace["root"], "scatter") == 1
 
@@ -232,6 +231,21 @@ class TestDaemonStitchedTraces:
             assert workers[0]["tags"]["pid"] > 0
             # the engine's own spans came along under shard_query
             assert workers[0]["children"]
+
+    def test_thread_executor_miss_carries_worker_trees(self, sharded):
+        """``workers=0`` takes the same supervised shard call: a miss
+        record has one ``shard`` span per qualifying shard, the worker
+        tree under each."""
+        with DaemonHarness(sharded, workers=0) as h:
+            _, body = h.get_json("/topk?q=alpha+beta&k=5")
+            record = h.daemon.access_log.get(body["trace_id"])
+        shard_spans = _spans_named(record["root"], "shard")
+        assert len(shard_spans) == _pruned_fanout(sharded, ["alpha", "beta"])
+        assert len(shard_spans) >= 2
+        for span in shard_spans:
+            (worker,) = _spans_named(span, "shard_query")
+            assert worker["tags"]["trace_id"] == body["trace_id"]
+            assert worker["children"]
 
     def test_search_path_is_traced_too(self, pool_harness, sharded):
         _, body = pool_harness.get_json("/search?q=cx+cy&semantics=slca")
@@ -382,6 +396,50 @@ class TestLogFiles:
         assert all(r["status"] == 200 for r in records)
         assert {r["trace_id"] for r in records} == ids
         assert all(r["root"]["name"] == "request" for r in records)
+
+    def test_one_open_for_the_whole_log(self, sharded, tmp_path,
+                                        monkeypatch):
+        """N requests are N lines from one open: each record is written
+        and flushed as it happens, and `stop` closes the file."""
+        from repro.obs import distributed
+
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(distributed, "open", counting_open,
+                            raising=False)
+        path = tmp_path / "access.jsonl"
+        harness = DaemonHarness(sharded, access_log_path=str(path))
+        assert opened == [], "a daemon that never starts opens no file"
+        with harness as h:
+            for k in range(1, 6):
+                h.get_json(f"/topk?q=alpha&k={k}")
+                assert len(path.read_text().splitlines()) == k
+        assert len(opened) == 1 and opened[0].closed
+        assert len(path.read_text().splitlines()) == 5
+        # Started again, the daemon appends to the same file.
+        with DaemonHarness(sharded, access_log_path=str(path)) as h:
+            h.get_json("/topk?q=alpha&k=9")
+        assert len(opened) == 2 and opened[1].closed
+        assert len(path.read_text().splitlines()) == 6
+
+    def test_a_start_that_cannot_bind_leaves_nothing_open(
+            self, sharded, tmp_path):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            daemon = ServeDaemon(sharded, port=taken.getsockname()[1],
+                                 access_log_path=str(tmp_path / "a.jsonl"))
+            with pytest.raises(OSError):
+                asyncio.run(daemon.start())
+        assert not (tmp_path / "a.jsonl").exists()
+        assert all(daemon.supervisor.pool(sid) is None
+                   for sid in range(sharded.n_shards))
 
     def test_trace_verb_renders_the_logs(self, sharded, tmp_path, capsys):
         """OBSERVABILITY.md's offline workflow: ``repro trace

@@ -382,6 +382,11 @@ REMOVED_NAMES = (
     "access_log_records", "access_log_written",
     # the process-wide registry: each daemon owns its own
     "get_registry", "_DEFAULT_REGISTRY",
+    # the daemon's inline evaluation: every query takes the supervised
+    # per-shard call, on a thread pool at ``--workers 0``
+    "POOL_NONE", "_start_pools", "_stop_pools",
+    # Dewey helpers nothing called
+    "is_ancestor_or_self", "parse_dewey", "encoded_size_bytes",
 )
 
 
@@ -443,6 +448,8 @@ class TestDocumentedCommands:
         import repro.scoring.ranking
         import repro.serve
         import repro.serve.sharding
+        import repro.serve.supervisor
+        import repro.xmltree.dewey
         import repro.xmltree.jdewey
         import repro.xmltree.nodetable
         import repro.xmltree.parser
@@ -461,6 +468,8 @@ class TestDocumentedCommands:
                               repro.planner.plans,
                               repro.planner.plans.JoinPlanner,
                               repro.serve.sharding,
+                              repro.serve.supervisor,
+                              repro.xmltree.dewey,
                               repro.xmltree.tree, repro.xmltree.tree.XMLTree,
                               repro.xmltree.parser, repro.xmltree.jdewey,
                               repro.xmltree.jdewey.JDeweyEncoder,

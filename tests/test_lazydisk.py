@@ -54,8 +54,9 @@ class TestParsing:
 
 
 class TestConcurrentFirstTouch:
-    """The daemon's ``--workers 0`` path evaluates on threads that share
-    one index.  A term must be in the vocabulary, with all its
+    """At ``--workers 0`` the daemon's shard thread and its event-loop
+    thread (vocabulary pruning, the root protocol) share one index, as
+    do a library user's own threads.  A term must be in the vocabulary, with all its
     occurrences, before, during and after whichever thread parses its
     block first -- a term seen as absent prunes its shard and the
     answer is cached as complete."""

@@ -67,6 +67,16 @@ class TestDeadline:
         built = Deadline.coerce(None, timeout_ms=3.0, on_deadline="partial")
         assert built.budget_ms == 3.0 and built.partial_ok
 
+    def test_wire_charges_the_time_since_it_was_sent(self):
+        wire = Deadline(100.0, on_deadline="partial").to_wire()
+        wire["sent"] -= 0.040      # 40 ms in an executor's queue
+        received = Deadline.from_wire(wire)
+        assert received.partial_ok
+        assert received.budget_ms <= 60.0
+        wire["sent"] -= 1.0
+        assert Deadline.from_wire(wire).budget_ms == 0.0
+        assert Deadline.from_wire(Deadline().to_wire()).budget_ms is None
+
     def test_scope_nesting_shadows_and_restores(self):
         outer = Deadline(1000.0)
         inner = Deadline(2000.0)

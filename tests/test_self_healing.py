@@ -1,8 +1,7 @@
 """The self-healing serve path end to end, through real faults.
 
-A real daemon with ``workers=1`` pools over a 2-shard database.  Every
-fault comes from the test side; nothing in ``src/`` knows it is being
-tested:
+A real daemon over a 2-shard database.  Every fault comes from the
+test side; nothing in ``src/`` knows it is being tested:
 
 * a **worker kill** is a SIGKILL of a pool worker's pid -- the pool is
   rebuilt and the request retried on it, to an exact answer;
@@ -12,6 +11,11 @@ tested:
   the partial with every call, so a forked worker runs the plan the
   parent installed for that request; re-installing it changes the plan
   for the next one.
+
+A shard call takes the same supervised path whatever ``workers`` is,
+so every case that needs no process death runs with ``workers=1``
+(fork pools, the case's ``workers`` default) and again with
+``workers=0`` (one in-process thread, `TestThreadExecutors`).
 
 Covered: pool rebuild + in-deadline retry, corrupt replies degraded to
 a bounded subset and never cached, breakers tripping and their probe
@@ -43,7 +47,9 @@ def _planned_shard(plan, payload):
     """`_serve_shard` with ``plan[sid]`` applied: ``("error",)`` answers
     with a transient error, ``("corrupt",)`` ships a reply whose score
     column lost its tail, ``("slow", ms)`` spends `ms` of the budget
-    before evaluating; a shard with no entry is served as usual."""
+    before evaluating (`Deadline.from_wire` charges it, as it charges
+    any wait after dispatch); a shard with no entry is served as
+    usual."""
     sid, terms, semantics, k, wire, ctx_wire = payload
     fault = plan.get(sid, ("none",))
     if fault[0] == "error":
@@ -51,11 +57,8 @@ def _planned_shard(plan, payload):
                 InjectedFault("injected shard error", kind="shard-error"),
                 {"pid": os.getpid(), "trace": None})
     if fault[0] == "slow":
-        started = time.perf_counter()
+        # A step that polls no deadline; the wire charges it.
         time.sleep(fault[1] / 1000.0)
-        if wire and wire.get("timeout_ms") is not None:
-            spent = (time.perf_counter() - started) * 1000.0
-            wire = dict(wire, timeout_ms=max(0.0, wire["timeout_ms"] - spent))
     outcome = _REAL_SERVE_SHARD(
         (sid, terms, semantics, k, wire, ctx_wire))
     if fault[0] == "corrupt" and outcome[1] is not None:
@@ -112,9 +115,10 @@ def test_worker_kill_heals_via_rebuild_and_retry(sharded, dblp_db):
         assert status == 200 and health["status"] == "ok"
 
 
-def test_corrupt_reply_degrades_to_bounded_subset(sharded, dblp_db, plan):
+def test_corrupt_reply_degrades_to_bounded_subset(sharded, dblp_db, plan,
+                                                  workers=1):
     plan({0: ("corrupt",)})
-    with DaemonHarness(sharded, workers=1, retry_attempts=1,
+    with DaemonHarness(sharded, workers=workers, retry_attempts=1,
                        result_cache_size=0) as h:
         status, body = h.get_json(QUERY)
         assert status == 200
@@ -137,9 +141,9 @@ def test_corrupt_reply_degrades_to_bounded_subset(sharded, dblp_db, plan):
         assert payload_ids(body) == full
 
 
-def test_degraded_responses_are_never_cached(sharded, plan):
+def test_degraded_responses_are_never_cached(sharded, plan, workers=1):
     plan({0: ("corrupt",), 1: ("corrupt",)})
-    with DaemonHarness(sharded, workers=1, retry_attempts=1) as h:
+    with DaemonHarness(sharded, workers=workers, retry_attempts=1) as h:
         _, degraded = h.get_json(QUERY)
         assert degraded["degraded"] is True
         plan({})
@@ -147,11 +151,12 @@ def test_degraded_responses_are_never_cached(sharded, plan):
         assert clean["cached"] is False and clean["degraded"] is False
 
 
-def test_breaker_trips_then_probe_recloses(sharded, dblp_db, plan):
+def test_breaker_trips_then_probe_recloses(sharded, dblp_db, plan,
+                                           workers=1):
     plan({0: ("error",), 1: ("error",)})
     breaker = BreakerConfig(consecutive_failures=2, open_ms=80.0,
                             jitter=0.0)
-    with DaemonHarness(sharded, workers=1, retry_attempts=1,
+    with DaemonHarness(sharded, workers=workers, retry_attempts=1,
                        breaker=breaker, result_cache_size=0) as h:
         # two failures per shard: the breakers trip open
         for _ in range(2):
@@ -179,10 +184,11 @@ def test_breaker_trips_then_probe_recloses(sharded, dblp_db, plan):
 
 
 def test_deadline_too_tight_for_backoff_skips_the_retry(sharded, plan,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        workers=1):
     plan({0: ("error",), 1: ("error",)})
     monkeypatch.setattr(daemon_module, "RETRY_BACKOFF_MS", 60_000)
-    with DaemonHarness(sharded, workers=1, retry_attempts=3,
+    with DaemonHarness(sharded, workers=workers, retry_attempts=3,
                        result_cache_size=0) as h:
         status, body = h.get_json(f"{QUERY}&timeout_ms=500&partial=1")
         assert status == 200 and body["degraded"] is True
@@ -190,19 +196,55 @@ def test_deadline_too_tight_for_backoff_skips_the_retry(sharded, plan,
             "backoff longer than the budget must not be slept"
 
 
-def test_budget_spent_inside_the_worker_is_partial_not_degraded(sharded,
-                                                                plan):
+def test_budget_spent_inside_the_worker_is_partial_not_degraded(
+        sharded, plan, workers=1):
     # `timeout_ms=0` never reaches a worker (`_call_shard` stops before
     # dispatch); a shard slower than the budget does, and the worker's
-    # honest empty prefix must not read as a corrupt payload.
-    plan({0: ("slow", 150.0), 1: ("slow", 150.0)})
-    with DaemonHarness(sharded, workers=1, result_cache_size=0) as h:
+    # honest empty prefix must not read as a corrupt payload.  Two
+    # shards that each spend 400 ms without polling their 60 ms budget
+    # cost one of them, not the sum: at ``workers=0`` they share one
+    # thread, and the call still waiting when the budget runs out is
+    # withdrawn, never run.
+    plan({0: ("slow", 400.0), 1: ("slow", 400.0)})
+    with DaemonHarness(sharded, workers=workers, result_cache_size=0) as h:
         status, body = h.get_json(
             "/topk?q=beta+gamma+rare&k=10&partial=1&timeout_ms=60")
         assert status == 200
         assert body["partial"] is True
         assert body["degraded"] is False
-        assert request_tag(h, body, "fanout") >= 1
+        assert request_tag(h, body, "fanout") == 2
+        assert body["elapsed_ms"] < 600, \
+            "a shard call waiting for its executor outlived the budget"
+        shards = h.daemon.access_log.get(body["trace_id"])["shards"]
+        ran = sum("pid" in shard for shard in shards)
+        assert ran == (1 if workers == 0 else 2)
         assert h.daemon.metrics.counter(
             "repro_serve_requests_total", {"outcome": "degraded"}).value == 0
         assert request_tag(h, body, "retries") == 0
+
+
+class TestThreadExecutors:
+    """The cases above at ``workers=0``: the same faults reach the same
+    supervised call, which runs on an in-process thread."""
+
+    def test_corrupt_reply_degrades_to_bounded_subset(self, sharded,
+                                                      dblp_db, plan):
+        test_corrupt_reply_degrades_to_bounded_subset(sharded, dblp_db, plan,
+                                                      workers=0)
+
+    def test_degraded_responses_are_never_cached(self, sharded, plan):
+        test_degraded_responses_are_never_cached(sharded, plan, workers=0)
+
+    def test_breaker_trips_then_probe_recloses(self, sharded, dblp_db, plan):
+        test_breaker_trips_then_probe_recloses(sharded, dblp_db, plan,
+                                               workers=0)
+
+    def test_deadline_too_tight_for_backoff_skips_the_retry(
+            self, sharded, plan, monkeypatch):
+        test_deadline_too_tight_for_backoff_skips_the_retry(
+            sharded, plan, monkeypatch, workers=0)
+
+    def test_budget_spent_inside_the_worker_is_partial_not_degraded(
+            self, sharded, plan):
+        test_budget_spent_inside_the_worker_is_partial_not_degraded(
+            sharded, plan, workers=0)

@@ -100,7 +100,11 @@ class TestEndpoints:
     def test_healthz(self, harness):
         status, body = harness.get_json("/healthz")
         assert status == 200
-        assert body == {"status": "ok", "shards": 3, "workers": 0}
+        healthy = {"state": "healthy", "breaker": "closed",
+                   "pool": "ready", "rebuilds": 0}
+        assert body == {"status": "ok", "shards": 3, "workers": 0,
+                        "shard_health": {str(sid): healthy
+                                         for sid in range(3)}}
 
     def test_topk_matches_library(self, harness, dblp_db):
         status, body = harness.get_json("/topk?q=alpha+beta&k=7")
@@ -242,9 +246,9 @@ class TestEndpoints:
         assert "repro_serve_requests_total" in text
         assert 'repro_serve_rejects_total{reason="queue_full"}' in text
         assert "repro_serve_latency_ms_count" in text
-        # Inline evaluation calls no shard: nothing could move the
-        # per-shard histogram, so it is not exported.
-        assert "repro_serve_shard_ms" not in text
+        # ``workers=0`` calls the shards too: one series per shard.
+        for sid in range(3):
+            assert f'repro_serve_shard_ms_count{{shard="{sid}"}}' in text
 
     def test_cached_response_is_observed(self, harness):
         """``repro_serve_latency_ms`` is every answered request's wall
@@ -644,6 +648,55 @@ class TestWorkerPools:
                            for score in scores)
                 assert [row for row in ranked if row not in got
                         and row[1] > round(bound, 9) + 1e-9] == []
+
+    def test_two_thread_daemons_answer_from_their_own_shards(
+            self, dblp_db, xmark_db):
+        """Two ``workers=0`` daemons in one process, over databases that
+        answer the same query differently: each answers from its own
+        shards, request after interleaved request."""
+        flat = {"dblp": dblp_db, "xmark": xmark_db}
+        with DaemonHarness(ShardedDatabase.from_database(dblp_db, 2),
+                           result_cache_size=0) as first, \
+                DaemonHarness(ShardedDatabase.from_database(xmark_db, 2),
+                              result_cache_size=0) as second:
+            for _ in range(2):
+                for name, h in (("dblp", first), ("xmark", second)):
+                    status, body = h.get_json("/topk?q=alpha+beta&k=5")
+                    assert status == 200 and body["degraded"] is False
+                    want = flat[name].search_topk("alpha beta", 5).results
+                    assert payload_ids(body) == oracle_ids(want), name
+                    status, body = h.get_json("/search?q=rare+gamma")
+                    assert status == 200 and body["degraded"] is False
+                    want = flat[name].search("rare gamma")
+                    assert payload_ids(body) == oracle_ids(want), name
+        assert oracle_ids(dblp_db.search("rare gamma")) != \
+            oracle_ids(xmark_db.search("rare gamma"))
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_budget_spent_before_dispatch_is_partial_not_504(
+            self, sharded, workers):
+        """A ``partial`` request whose budget dies between admission and
+        the shard calls gets the policy's answer -- an empty partial --
+        not a 504."""
+        with DaemonHarness(sharded, workers=workers,
+                           result_cache_size=0) as h:
+            admit = h.daemon._admit
+
+            async def slow_admit(deadline):
+                waited = await admit(deadline)
+                await asyncio.sleep(0.05)
+                return waited
+
+            h.daemon._admit = slow_admit
+            for path in ("/topk?q=alpha+beta&k=5", "/search?q=alpha+beta"):
+                status, body = h.get_json(
+                    f"{path}&timeout_ms=20&partial=1")
+                assert status == 200, body
+                assert body["partial"] is True
+                assert body["degraded"] is False
+                assert body["results"] == [] and body["bound"] is None
+            status, body = h.get_json("/topk?q=alpha+beta&k=5&timeout_ms=20")
+            assert status == 504
 
     def test_empty_partial_topk_reply_crosses_the_wire(self, sharded):
         # What a worker ships when its budget is gone before the first

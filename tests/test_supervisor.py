@@ -189,7 +189,7 @@ class FakePool:
 
 
 class TestShardSupervisor:
-    def make(self, n_shards=3, workers=1, factory=None, metrics=None):
+    def make(self, n_shards=3, factory=None, metrics=None):
         built = []
 
         def default_factory():
@@ -197,19 +197,10 @@ class TestShardSupervisor:
             built.append(pool)
             return pool
 
-        sup = ShardSupervisor(n_shards, workers,
-                              pool_factory=factory or default_factory,
+        sup = ShardSupervisor(n_shards, factory or default_factory,
                               metrics=metrics)
         sup._built = built
         return sup
-
-    def test_inline_mode_has_no_pools_and_is_healthy(self):
-        sup = ShardSupervisor(2, 0)
-        sup.start()
-        assert sup.pool(0) is None and sup.pool_state(0) == "none"
-        assert sup.overall() == "ok"
-        sup.note_pool_broken(0)         # no-op inline
-        assert sup.rebuilds == [0, 0]
 
     def test_start_builds_one_pool_per_shard(self):
         sup = self.make()
